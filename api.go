@@ -3,8 +3,8 @@ package consensusinside
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"consensusinside/internal/cluster"
@@ -16,6 +16,7 @@ import (
 	"consensusinside/internal/readpath"
 	"consensusinside/internal/rsm"
 	"consensusinside/internal/runtime"
+	"consensusinside/internal/seqwin"
 	"consensusinside/internal/shard"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"
@@ -443,6 +444,7 @@ func StartKV(cfg KVConfig) (*KV, error) {
 		s.AddBatchOccupancy("batch", &occ)
 	})
 	kv.registry.AddSource(func(s *obs.Snapshot) { s.AddTracer(kv.tracer) })
+	kv.registry.AddSource(kv.addRingGrowths)
 	if cfg.DebugAddr != "" {
 		if err := kv.ServeDebug(cfg.DebugAddr); err != nil {
 			kv.Close()
@@ -731,6 +733,25 @@ func (kv *KV) ReadStats() metrics.ReadStats {
 	return stats
 }
 
+// addRingGrowths contributes the sequence-window growth counters: how
+// often a replica's session ring or a bridge's in-flight ring had to
+// double. The rings are sized for their lane's pipeline depth, so a
+// count that keeps rising under steady load means a command is pinned —
+// outstanding or unacknowledged while newer ones retire past it.
+func (kv *KV) addRingGrowths(s *obs.Snapshot) {
+	for _, sh := range kv.shards {
+		s.Add("bridge.write_ring_growths", sh.bridge.writeGrows.Load())
+		s.Add("bridge.read_ring_growths", sh.bridge.readGrows.Load())
+		sh.mu.Lock()
+		for _, eng := range sh.engines {
+			if e, ok := eng.(protocol.SessionStatser); ok {
+				s.Add("session.ring_growths", e.SessionGrowths())
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // Obs captures the service's unified metrics snapshot: every named
 // counter, gauge and histogram the registry knows (wire, read-path,
 // snapshot, batch-occupancy and trace families), plus the rare-event
@@ -788,11 +809,11 @@ type kvOp struct {
 	enqWall time.Duration
 }
 
-// kvFlight is one in-flight write command — the value the window map
-// holds. It is a plain value (no per-op pointer, no per-op timer): the
-// write lane's scan timer sweeps the whole window, resending overdue
-// flights and failing those past their deadline, so admitting a
-// command to the window allocates nothing.
+// kvFlight is one in-flight write command — the value the in-flight
+// window holds. It is a plain value (no per-op pointer, no per-op
+// timer): the write lane's scan timer sweeps the whole window,
+// resending overdue flights and failing those past their deadline, so
+// admitting a command to the window allocates nothing.
 type kvFlight struct {
 	cmd      msg.Command
 	done     chan kvResult
@@ -815,24 +836,26 @@ type kvResult struct {
 	err   error
 }
 
-// kvReadOp is one in-flight fast-path read; its batch links it to the
-// coalesced ReadRequest it travelled in, and its deadline is when the
-// scan timer gives up on it.
+// kvReadOp is one in-flight fast-path read — like kvFlight a plain
+// value in its lane's window; batch names the coalesced ReadRequest it
+// travelled in, and its deadline is when the scan timer gives up on it.
 type kvReadOp struct {
 	cmd      msg.Command
 	done     chan kvResult
-	batch    *kvReadBatch
+	batch    uint64        // kvReadBatch.id
 	deadline time.Duration // 0 = no deadline
 }
 
 // kvReadBatch is the retry unit of the read path: one coalesced
-// ReadRequest's worth of reads. No timer is armed per batch — a single
+// ReadRequest's worth of reads, which hold the consecutive read seqs
+// [first, first+n). No timer is armed per batch — a single
 // self-rearming scan timer (kvTimerReadRetry) sweeps all outstanding
 // batches and resends the overdue ones, so the per-read hot path does
 // zero runtime-timer operations.
 type kvReadBatch struct {
 	id     uint64
-	seqs   []uint64
+	first  uint64
+	n      int
 	live   int           // reads of this batch still in flight
 	sentAt time.Duration // last transmission (ctx.Now); the scan timer retries stale ones
 }
@@ -890,15 +913,22 @@ type kvBridge struct {
 	// Consensus, Get calls flow through doRead into the read queue — a
 	// lane of their own, bypassing the proposer-side batcher. Reads
 	// never enter the replicated log, so they get their own sequence
-	// space, in-flight map and retry timers; the write lane's session
+	// space, in-flight window and retry timers; the write lane's session
 	// tracking never sees them.
 	readMode readpath.Mode
+
+	// writeGrows and readGrows count doublings of the two in-flight
+	// rings (the "bridge.*_ring_growths" metrics). Both rings start at
+	// their lane's full depth, so a growth means one command stayed
+	// outstanding while a ring's worth of newer ones retired past it.
+	writeGrows atomic.Int64
+	readGrows  atomic.Int64
 
 	mu             sync.Mutex
 	wakePending    bool // a submitMsg is already in flight toward the bridge node
 	queue          []kvOp
 	seq            uint64
-	inflight       map[uint64]kvFlight
+	inflight       seqwin.Window[kvFlight] // by seq; Low is the lowest outstanding seq
 	maxInflight    int
 	target         int
 	delayArmed     bool // a flush timer guards a held-back partial batch
@@ -908,8 +938,8 @@ type kvBridge struct {
 
 	readQueue     []kvOp
 	readSeq       uint64
-	readInflight  map[uint64]*kvReadOp
-	readBatches   map[uint64]*kvReadBatch
+	readInflight  seqwin.Window[kvReadOp] // by read seq
+	readBatches   []kvReadBatch           // outstanding requests, oldest first (at most maxReadRequests)
 	readBatchID   uint64
 	readTarget    int
 	readScanArmed bool // the read lane's scan timer is ticking
@@ -938,22 +968,22 @@ func newKVBridge(id msg.NodeID, servers []msg.NodeID, retry time.Duration, windo
 		batch = window
 	}
 	base := shard.TagSeq(shardIdx, 0)
-	return &kvBridge{
-		id:           id,
-		servers:      append([]msg.NodeID(nil), servers...),
-		retry:        retry,
-		window:       window,
-		batch:        batch,
-		delay:        delay,
-		adaptive:     adaptive,
-		readMode:     readMode,
-		seqBase:      base,
-		seq:          base,
-		inflight:     make(map[uint64]kvFlight),
-		readSeq:      base,
-		readInflight: make(map[uint64]*kvReadOp),
-		readBatches:  make(map[uint64]*kvReadBatch),
+	b := &kvBridge{
+		id:       id,
+		servers:  append([]msg.NodeID(nil), servers...),
+		retry:    retry,
+		window:   window,
+		batch:    batch,
+		delay:    delay,
+		adaptive: adaptive,
+		readMode: readMode,
+		seqBase:  base,
+		seq:      base,
+		readSeq:  base,
 	}
+	b.inflight = seqwin.New[kvFlight](base+1, window, &b.writeGrows)
+	b.readInflight = seqwin.New[kvReadOp](base+1, maxReadCoalesce*maxReadRequests, &b.readGrows)
+	return b
 }
 
 // do enqueues a write-lane command and blocks until a replica answers
@@ -1027,18 +1057,16 @@ func (b *kvBridge) doRead(cmd msg.Command, timeout time.Duration) (string, error
 func (b *kvBridge) closeReads() {
 	b.mu.Lock()
 	b.readClosed = true
-	pending := make([]chan kvResult, 0, len(b.readQueue)+len(b.readInflight))
+	pending := make([]chan kvResult, 0, len(b.readQueue)+b.readInflight.Len())
 	for _, op := range b.readQueue {
 		pending = append(pending, op.done)
 	}
 	b.readQueue = nil
-	for seq, op := range b.readInflight {
+	for _, op := range b.readInflight.All() {
 		pending = append(pending, op.done)
-		delete(b.readInflight, seq)
 	}
-	for id := range b.readBatches {
-		delete(b.readBatches, id)
-	}
+	b.readInflight.Advance(b.readInflight.Next())
+	b.readBatches = nil
 	b.mu.Unlock()
 	for _, done := range pending {
 		done <- kvResult{err: errors.New("consensusinside: service closed")}
@@ -1051,15 +1079,15 @@ func (b *kvBridge) closeReads() {
 func (b *kvBridge) closeWrites() {
 	b.mu.Lock()
 	b.writeClosed = true
-	pending := make([]chan kvResult, 0, len(b.queue)+len(b.inflight))
+	pending := make([]chan kvResult, 0, len(b.queue)+b.inflight.Len())
 	for _, op := range b.queue {
 		pending = append(pending, op.done)
 	}
 	b.queue = nil
-	for seq, fl := range b.inflight {
+	for _, fl := range b.inflight.All() {
 		pending = append(pending, fl.done)
-		delete(b.inflight, seq)
 	}
+	b.inflight.Advance(b.inflight.Next())
 	b.mu.Unlock()
 	for _, done := range pending {
 		done <- kvResult{err: errors.New("consensusinside: service closed")}
@@ -1107,7 +1135,7 @@ func (b *kvBridge) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) 
 // finishBatch retires a batch of write replies under one lock,
 // delivering each result to its blocked caller. The sends cannot
 // block: every done channel has capacity 1 and receives exactly one
-// send (the inflight entry is deleted first, so a duplicate or stale
+// send (the in-flight entry is removed first, so a duplicate or stale
 // reply is ignored).
 func (b *kvBridge) finishBatch(ctx runtime.Context, replies []msg.ClientReply) {
 	traceOn := b.tracer.Enabled()
@@ -1117,11 +1145,12 @@ func (b *kvBridge) finishBatch(ctx runtime.Context, replies []msg.ClientReply) {
 	}
 	b.mu.Lock()
 	for _, reply := range replies {
-		fl, ok := b.inflight[reply.Seq]
-		if !ok {
+		p := b.inflight.Ptr(reply.Seq)
+		if p == nil {
 			continue // stale reply from a retried request
 		}
-		delete(b.inflight, reply.Seq)
+		fl := *p
+		b.inflight.Delete(reply.Seq)
 		if traceOn {
 			b.tracer.Finish(b.id, reply.Seq, traceNow)
 		}
@@ -1148,15 +1177,18 @@ func (b *kvBridge) finishReads(replies []msg.ReadReply) {
 	var requeued []kvOp
 	b.mu.Lock()
 	for _, reply := range replies {
-		op, ok := b.readInflight[reply.Seq]
-		if !ok {
+		p := b.readInflight.Ptr(reply.Seq)
+		if p == nil {
 			continue // stale reply from a retried read
 		}
-		delete(b.readInflight, reply.Seq)
-		if batch := op.batch; batch != nil {
-			batch.live--
-			if batch.live == 0 {
-				delete(b.readBatches, batch.id)
+		op := *p
+		b.readInflight.Delete(reply.Seq)
+		for i := range b.readBatches {
+			if batch := &b.readBatches[i]; batch.id == op.batch {
+				if batch.live--; batch.live == 0 {
+					b.readBatches = append(b.readBatches[:i], b.readBatches[i+1:]...)
+				}
+				break
 			}
 		}
 		switch {
@@ -1197,29 +1229,23 @@ func (b *kvBridge) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 		// ride along; the replicas' session dedupe reconciles them with
 		// any still-live copy of the batches they first travelled in),
 		// and flights or queued writes past their deadline fail with
-		// the caller's timeout error. Seqs are swept in order so the
-		// sim runtime replays resends deterministically.
+		// the caller's timeout error. The window is walked in seq order,
+		// so the sim runtime replays resends deterministically and a tick
+		// that finds nothing overdue allocates nothing.
 		now := ctx.Now()
 		var expired []kvFlight
 		var entries []msg.BatchEntry
 		b.mu.Lock()
-		seqs := make([]uint64, 0, len(b.inflight))
-		for seq := range b.inflight {
-			seqs = append(seqs, seq)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, seq := range seqs {
-			fl := b.inflight[seq]
+		for seq, fl := range b.inflight.All() {
 			if fl.deadline > 0 && now >= fl.deadline {
-				delete(b.inflight, seq)
-				expired = append(expired, fl)
+				expired = append(expired, *fl)
+				b.inflight.Delete(seq)
 				continue
 			}
 			if now-fl.sentAt < b.retry {
 				continue
 			}
 			fl.sentAt = now
-			b.inflight[seq] = fl
 			entries = append(entries, msg.BatchEntry{Seq: seq, Cmd: fl.cmd})
 		}
 		// Queued writes the saturated window has not admitted yet
@@ -1243,9 +1269,9 @@ func (b *kvBridge) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 		if len(entries) > 0 {
 			b.target = (b.target + 1) % len(b.servers)
 			target = b.servers[b.target]
-			ack = b.ackFloorLocked(entries[0].Seq)
+			ack = b.inflight.Low() // the resent flights are outstanding, so Low is the lowest of them
 		}
-		rearm := len(b.inflight) > 0 || len(b.queue) > 0
+		rearm := b.inflight.Len() > 0 || len(b.queue) > 0
 		b.writeScanArmed = rearm
 		b.mu.Unlock()
 		for _, fl := range expired {
@@ -1269,48 +1295,42 @@ func (b *kvBridge) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 		// The read lane's scan tick: sweep outstanding batches, fail
 		// reads past their deadline, resend the overdue rest — suspect
 		// their server, rotate. One ticker serves every batch, so the
-		// per-read hot path never touches a runtime timer. Ids are
-		// swept in order so the sim runtime replays resends
-		// deterministically.
-		type resend struct {
-			batch   *kvReadBatch
-			entries []msg.BatchEntry
-		}
+		// per-read hot path never touches a runtime timer. Batches are
+		// kept oldest first, so the sim runtime replays resends
+		// deterministically and a tick that finds nothing overdue
+		// allocates nothing.
 		now := ctx.Now()
-		var resends []resend
+		var resends [][]msg.BatchEntry
 		var expired []chan kvResult
 		b.mu.Lock()
-		ids := make([]uint64, 0, len(b.readBatches))
-		for id := range b.readBatches {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			batch := b.readBatches[id]
+		kept := b.readBatches[:0]
+		for _, batch := range b.readBatches {
 			if now-batch.sentAt < b.retry {
+				kept = append(kept, batch)
 				continue
 			}
 			entries := make([]msg.BatchEntry, 0, batch.live)
-			for _, seq := range batch.seqs {
-				op, still := b.readInflight[seq]
-				if !still || op.batch != batch {
+			for seq := batch.first; seq < batch.first+uint64(batch.n); seq++ {
+				op := b.readInflight.Ptr(seq)
+				if op == nil {
 					continue
 				}
 				if op.deadline > 0 && now >= op.deadline {
-					delete(b.readInflight, seq)
-					batch.live--
 					expired = append(expired, op.done)
+					b.readInflight.Delete(seq)
+					batch.live--
 					continue
 				}
 				entries = append(entries, msg.BatchEntry{Seq: seq, Cmd: op.cmd})
 			}
 			if len(entries) == 0 {
-				delete(b.readBatches, id)
 				continue
 			}
 			batch.sentAt = now
-			resends = append(resends, resend{batch, entries})
+			kept = append(kept, batch)
+			resends = append(resends, entries)
 		}
+		b.readBatches = kept
 		// Queued reads the saturated window has not admitted yet carry
 		// deadlines too (stamped by pumpReads): expire them here, so a
 		// caller's total wait is bounded by its own timeout no matter
@@ -1336,8 +1356,8 @@ func (b *kvBridge) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 		for _, done := range expired {
 			done <- kvResult{err: errors.New("consensusinside: read timed out")}
 		}
-		for _, r := range resends {
-			ctx.Send(target, msg.ReadRequest{Client: b.id, Mode: int(b.readMode), Entries: r.entries})
+		for _, entries := range resends {
+			ctx.Send(target, msg.ReadRequest{Client: b.id, Mode: int(b.readMode), Entries: entries})
 		}
 		if rearm {
 			ctx.After(b.retry, runtime.TimerTag{Kind: kvTimerReadRetry})
@@ -1355,19 +1375,13 @@ func (b *kvBridge) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 // replica that last answered (redirects re-aim them).
 func (b *kvBridge) pumpReads(ctx runtime.Context) {
 	now := ctx.Now()
-	// Stamp deadlines on entry, before the window check: a read's
-	// timeout runs from when the bridge first sees it, not from when a
-	// window slot frees up, so a saturated read window cannot leave
-	// queued Gets deadline-less (the scan timer sweeps the queue too).
-	b.mu.Lock()
-	for i := range b.readQueue {
-		if op := &b.readQueue[i]; op.deadline == 0 && op.timeout > 0 {
-			op.deadline = now + op.timeout
-		}
-	}
-	b.mu.Unlock()
 	for {
 		b.mu.Lock()
+		// Stamp deadlines before the window check: a read's timeout runs
+		// from when the bridge first sees it, not from when a window slot
+		// frees up, so a saturated read window cannot leave queued Gets
+		// deadline-less (the scan timer sweeps the queue too).
+		stampDeadlines(b.readQueue, now)
 		if len(b.readQueue) == 0 || len(b.readBatches) >= maxReadRequests {
 			b.mu.Unlock()
 			return
@@ -1377,18 +1391,12 @@ func (b *kvBridge) pumpReads(ctx runtime.Context) {
 			n = maxReadCoalesce
 		}
 		b.readBatchID++
-		batch := &kvReadBatch{id: b.readBatchID, seqs: make([]uint64, n), live: n, sentAt: now}
-		b.readBatches[batch.id] = batch
+		b.readBatches = append(b.readBatches, kvReadBatch{id: b.readBatchID, first: b.readSeq + 1, n: n, live: n, sentAt: now})
 		entries := make([]msg.BatchEntry, n)
 		for i := 0; i < n; i++ {
 			op := b.readQueue[i]
-			dl := op.deadline
-			if dl == 0 && op.timeout > 0 {
-				dl = now + op.timeout
-			}
 			b.readSeq++
-			b.readInflight[b.readSeq] = &kvReadOp{cmd: op.cmd, done: op.done, batch: batch, deadline: dl}
-			batch.seqs[i] = b.readSeq
+			*b.readInflight.Slot(b.readSeq) = kvReadOp{cmd: op.cmd, done: op.done, batch: b.readBatchID, deadline: op.deadline}
 			entries[i] = msg.BatchEntry{Seq: b.readSeq, Cmd: op.cmd}
 		}
 		b.readQueue = b.readQueue[n:]
@@ -1406,16 +1414,17 @@ func (b *kvBridge) pumpReads(ctx runtime.Context) {
 	}
 }
 
-// ackFloorLocked reports the lowest outstanding seq (at most from),
-// which requests carry so replicas can discard older stored results.
-func (b *kvBridge) ackFloorLocked(from uint64) uint64 {
-	ack := from
-	for s := range b.inflight {
-		if s < ack {
-			ack = s
+// stampDeadlines starts the timeout clock of the queued ops a pump has
+// not seen yet. Ops join a queue at its tail and every pump stamps all
+// it finds, so the unseen ones are the trailing run without a deadline
+// — the walk stops at the first stamped op instead of covering the
+// whole backlog on every call.
+func stampDeadlines(queue []kvOp, now time.Duration) {
+	for i := len(queue) - 1; i >= 0 && queue[i].deadline == 0; i-- {
+		if op := &queue[i]; op.timeout > 0 {
+			op.deadline = now + op.timeout
 		}
 	}
-	return ack
 }
 
 // pump moves queued commands into the pipeline window, up to batch of
@@ -1427,21 +1436,15 @@ func (b *kvBridge) ackFloorLocked(from uint64) uint64 {
 // the offered load (the queue depth) with no holds and no flush timer.
 func (b *kvBridge) pump(ctx runtime.Context, force bool) {
 	now := ctx.Now()
-	// Stamp deadlines on entry, before the window check (mirroring
-	// pumpReads): a write's timeout runs from when the bridge first
-	// sees it, not from when a window slot frees up, so a saturated
-	// window cannot leave queued Puts deadline-less (the scan timer
-	// sweeps the queue too).
-	b.mu.Lock()
-	for i := range b.queue {
-		if op := &b.queue[i]; op.deadline == 0 && op.timeout > 0 {
-			op.deadline = now + op.timeout
-		}
-	}
-	b.mu.Unlock()
 	for {
 		b.mu.Lock()
-		free := b.window - len(b.inflight)
+		// Stamp deadlines before the window check (mirroring pumpReads):
+		// a write's timeout runs from when the bridge first sees it, not
+		// from when a window slot frees up, so a saturated window cannot
+		// leave queued Puts deadline-less (the scan timer sweeps the
+		// queue too).
+		stampDeadlines(b.queue, now)
+		free := b.window - b.inflight.Len()
 		if free <= 0 || len(b.queue) == 0 {
 			b.mu.Unlock()
 			return
@@ -1511,18 +1514,21 @@ func (b *kvBridge) pump(ctx runtime.Context, force bool) {
 		for i := 0; i < n; i++ {
 			op := b.queue[i]
 			b.seq++
-			b.inflight[b.seq] = kvFlight{cmd: op.cmd, done: op.done, timeout: op.timeout, deadline: op.deadline, sentAt: now}
+			*b.inflight.Slot(b.seq) = kvFlight{cmd: op.cmd, done: op.done, timeout: op.timeout, deadline: op.deadline, sentAt: now}
 			entries[i] = msg.BatchEntry{Seq: b.seq, Cmd: op.cmd}
 			if traceOn {
 				b.tracer.Begin(b.id, b.seq, now, op.enqWall, now)
 			}
 		}
 		b.queue = b.queue[n:]
-		if len(b.inflight) > b.maxInflight {
-			b.maxInflight = len(b.inflight)
+		if b.inflight.Len() > b.maxInflight {
+			b.maxInflight = b.inflight.Len()
 		}
 		target := b.servers[b.target]
-		ack := b.ackFloorLocked(entries[0].Seq)
+		// The ack floor every request carries, so replicas can discard
+		// older stored results: the lowest outstanding seq, which the
+		// window keeps as its Low.
+		ack := b.inflight.Low()
 		b.occ.Record(n)
 		arm := !b.writeScanArmed
 		b.writeScanArmed = true

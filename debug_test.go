@@ -82,6 +82,13 @@ func TestDebugEndpoints(t *testing.T) {
 	if m.Counters["trace.started"] == 0 {
 		t.Errorf("trace.started = %d; tracer at interval 8 with 64 puts should have sampled", m.Counters["trace.started"])
 	}
+	// The sequence-window growth counters are listed even while zero, so
+	// a pinned command shows up as a number that starts moving.
+	for _, name := range []string{"session.ring_growths", "bridge.write_ring_growths", "bridge.read_ring_growths"} {
+		if _, ok := m.Counters[name]; !ok {
+			t.Errorf("%s absent from /debug/metrics", name)
+		}
+	}
 	if len(m.Names) == 0 || len(m.Flat) == 0 {
 		t.Error("metrics dump missing names/flat sections")
 	}

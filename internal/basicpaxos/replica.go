@@ -88,11 +88,6 @@ type ReplicaConfig struct {
 	Events *obs.EventLog
 }
 
-type originKey struct {
-	client msg.NodeID
-	seq    uint64
-}
-
 // drive is one instance this node is actively proposing at.
 type drive struct {
 	prop    *Proposer[msg.Value]
@@ -113,7 +108,6 @@ type Replica struct {
 	nextInst int64
 	maxPN    uint64
 	drives   map[int64]*drive
-	origin   map[originKey]bool
 
 	acc   map[int64]*Acceptor[msg.Value]
 	votes map[int64]map[msg.NodeID]uint64 // learner: instance -> voter -> pn
@@ -167,7 +161,6 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 		replicas: append([]msg.NodeID(nil), cfg.Replicas...),
 		quorum:   len(cfg.Replicas)/2 + 1,
 		drives:   make(map[int64]*drive),
-		origin:   make(map[originKey]bool),
 		acc:      make(map[int64]*Acceptor[msg.Value]),
 		votes:    make(map[int64]map[msg.NodeID]uint64),
 		sessions: rsm.NewSessions(),
@@ -265,6 +258,10 @@ func (r *Replica) Log() *rsm.Log { return r.log }
 // SnapshotStats reports the replica's recovery-subsystem counters.
 func (r *Replica) SnapshotStats() metrics.SnapshotStats { return r.snap.Stats() }
 
+// SessionGrowths reports how often this replica's session rings had to
+// grow (rsm.Sessions.Growths). Safe from any goroutine.
+func (r *Replica) SessionGrowths() int64 { return r.sessions.Growths() }
+
 // ReadStats reports the replica's read-fast-path counters.
 func (r *Replica) ReadStats() metrics.ReadStats { return r.read.Stats() }
 
@@ -344,17 +341,16 @@ func (r *Replica) onClientRequest(req msg.ClientRequest) {
 	// Committed entries (single command or batch alike) are answered
 	// from the session table; what remains still needs agreement.
 	fresh := r.sessions.Screen(req, func(rep msg.ClientReply) { r.ctx.Send(req.Client, rep) })
+	// Mark what is left as originating here — this replica proposes it
+	// and owes the reply — dropping retries of entries already marked.
 	entries := fresh[:0]
 	for _, be := range fresh {
-		if !r.origin[originKey{req.Client, be.Seq}] {
-			entries = append(entries, be) // not a retry of one in flight here
+		if r.sessions.MarkOrigin(req.Client, be.Seq) {
+			entries = append(entries, be)
 		}
 	}
 	if len(entries) == 0 {
 		return
-	}
-	for _, be := range entries {
-		r.origin[originKey{req.Client, be.Seq}] = true
 	}
 	r.propose(msg.NewValue(req.Client, req.Ack, entries))
 }
@@ -530,9 +526,7 @@ func (r *Replica) onApply(e rsm.Entry, results []string) {
 			if !r.sessions.Seen(v.Client, be.Seq) {
 				r.sessions.Done(v.Client, be.Seq, e.Instance, result)
 			}
-			key := originKey{v.Client, be.Seq}
-			if r.origin[key] {
-				delete(r.origin, key)
+			if r.sessions.TakeOrigin(v.Client, be.Seq) {
 				replies = append(replies, msg.ClientReply{Seq: be.Seq, Instance: e.Instance, OK: true, Result: result})
 			}
 		}

@@ -88,7 +88,6 @@ type Replica struct {
 
 	nextOwned int64 // lowest owned instance not yet proposed or skipped
 	proposed  map[int64]msg.Value
-	origin    map[originKey]bool
 
 	votes    map[int64]map[msg.NodeID]bool
 	log      *rsm.Log
@@ -105,11 +104,6 @@ type Replica struct {
 
 	commits int64
 	skips   int64
-}
-
-type originKey struct {
-	client msg.NodeID
-	seq    uint64
 }
 
 var _ runtime.Handler = (*Replica)(nil)
@@ -141,7 +135,6 @@ func New(cfg Config) *Replica {
 		quorum:    len(cfg.Replicas)/2 + 1,
 		nextOwned: int64(idx),
 		proposed:  make(map[int64]msg.Value),
-		origin:    make(map[originKey]bool),
 		votes:     make(map[int64]map[msg.NodeID]bool),
 		sessions:  rsm.NewSessions(),
 	}
@@ -234,6 +227,10 @@ func (r *Replica) Log() *rsm.Log { return r.log }
 // SnapshotStats reports the replica's recovery-subsystem counters.
 func (r *Replica) SnapshotStats() metrics.SnapshotStats { return r.snap.Stats() }
 
+// SessionGrowths reports how often this replica's session rings had to
+// grow (rsm.Sessions.Growths). Safe from any goroutine.
+func (r *Replica) SessionGrowths() int64 { return r.sessions.Growths() }
+
 // ReadStats reports the replica's read-fast-path counters.
 func (r *Replica) ReadStats() metrics.ReadStats { return r.read.Stats() }
 
@@ -299,10 +296,12 @@ func (r *Replica) onClientRequest(req msg.ClientRequest) {
 	// Committed entries (single command or batch alike) are answered
 	// from the session table; what remains still needs agreement.
 	fresh := r.sessions.Screen(req, func(rep msg.ClientReply) { r.ctx.Send(req.Client, rep) })
+	// Mark what is left as originating here — this replica proposes it
+	// and owes the reply — dropping retries of entries already marked.
 	entries := fresh[:0]
 	for _, be := range fresh {
-		if !r.origin[originKey{req.Client, be.Seq}] {
-			entries = append(entries, be) // not a retry of one proposed here
+		if r.sessions.MarkOrigin(req.Client, be.Seq) {
+			entries = append(entries, be)
 		}
 	}
 	if len(entries) == 0 {
@@ -313,9 +312,6 @@ func (r *Replica) onClientRequest(req msg.ClientRequest) {
 	r.observe(in)
 	v := msg.NewValue(req.Client, req.Ack, entries)
 	r.proposed[in] = v
-	for _, be := range entries {
-		r.origin[originKey{req.Client, be.Seq}] = true
-	}
 	for _, id := range r.replicas {
 		r.ctx.Send(id, msg.MencAccept{Instance: in, PN: 1, Value: v})
 	}
@@ -401,9 +397,7 @@ func (r *Replica) onApply(e rsm.Entry, results []string) {
 		if !r.sessions.Seen(v.Client, be.Seq) {
 			r.sessions.Done(v.Client, be.Seq, e.Instance, result)
 		}
-		key := originKey{v.Client, be.Seq}
-		if r.origin[key] {
-			delete(r.origin, key)
+		if r.sessions.TakeOrigin(v.Client, be.Seq) {
 			replies = append(replies, msg.ClientReply{Seq: be.Seq, Instance: e.Instance, OK: true, Result: result})
 		}
 	}

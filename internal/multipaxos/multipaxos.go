@@ -112,7 +112,6 @@ type Replica struct {
 	proposed    map[int64]msg.Value
 	outstanding map[int64]bool
 	pending     []msg.ClientRequest
-	origin      map[originKey]bool
 	knownLeader msg.NodeID
 
 	// Acceptor state.
@@ -134,11 +133,6 @@ type Replica struct {
 
 	commits   int64
 	takeovers int64
-}
-
-type originKey struct {
-	client msg.NodeID
-	seq    uint64
 }
 
 var _ runtime.Handler = (*Replica)(nil)
@@ -178,7 +172,6 @@ func New(cfg Config) *Replica {
 		carried:     make(map[int64]msg.Proposal),
 		proposed:    make(map[int64]msg.Value),
 		outstanding: make(map[int64]bool),
-		origin:      make(map[originKey]bool),
 		knownLeader: cfg.Replicas[0],
 		ap:          make(map[int64]msg.Proposal),
 		votes:       make(map[int64]map[msg.NodeID]msg.Proposal),
@@ -284,6 +277,10 @@ func (r *Replica) Log() *rsm.Log { return r.log }
 // SnapshotStats reports the replica's recovery-subsystem counters.
 func (r *Replica) SnapshotStats() metrics.SnapshotStats { return r.snap.Stats() }
 
+// SessionGrowths reports how often this replica's session rings had to
+// grow (rsm.Sessions.Growths). Safe from any goroutine.
+func (r *Replica) SessionGrowths() int64 { return r.sessions.Growths() }
+
 // ReadStats reports the replica's read-fast-path counters.
 func (r *Replica) ReadStats() metrics.ReadStats { return r.read.Stats() }
 
@@ -367,10 +364,13 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 	// Committed entries (single command or batch alike) are answered
 	// from the session table; what remains still needs agreement.
 	fresh := r.sessions.Screen(req, func(rep msg.ClientReply) { r.ctx.Send(req.Client, rep) })
+	// Mark what is left as originating here — this replica will propose
+	// or queue it, and owes the reply — dropping retries of entries
+	// already marked (proposed or queued here before).
 	entries := fresh[:0]
 	for _, be := range fresh {
-		if !r.origin[originKey{req.Client, be.Seq}] {
-			entries = append(entries, be) // not a retry of one proposed or queued here
+		if r.sessions.MarkOrigin(req.Client, be.Seq) {
+			entries = append(entries, be)
 		}
 	}
 	if len(entries) == 0 {
@@ -378,16 +378,14 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 	}
 	switch {
 	case r.iAmLeader:
-		for _, be := range entries {
-			r.origin[originKey{req.Client, be.Seq}] = true
-		}
 		r.proposeValue(msg.NewValue(req.Client, req.Ack, entries))
 	case r.cfg.ForwardToLeader && r.knownLeader != r.me && r.knownLeader != msg.Nobody && from != r.knownLeader:
+		// The leader marks them its own and answers; nothing stays here.
+		for _, be := range entries {
+			r.sessions.TakeOrigin(req.Client, be.Seq)
+		}
 		r.ctx.Send(r.knownLeader, req)
 	default:
-		for _, be := range entries {
-			r.origin[originKey{req.Client, be.Seq}] = true
-		}
 		r.pending = append(r.pending, msg.NewRequest(req.Client, req.Ack, entries))
 		if !r.preparing {
 			r.startPrepare()
@@ -624,9 +622,7 @@ func (r *Replica) onApply(e rsm.Entry, results []string) {
 		if !r.sessions.Seen(v.Client, be.Seq) {
 			r.sessions.Done(v.Client, be.Seq, e.Instance, result)
 		}
-		key := originKey{v.Client, be.Seq}
-		if r.origin[key] {
-			delete(r.origin, key)
+		if r.sessions.TakeOrigin(v.Client, be.Seq) {
 			replies = append(replies, msg.ClientReply{Seq: be.Seq, Instance: e.Instance, OK: true, Result: result})
 		}
 	}

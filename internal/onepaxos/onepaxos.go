@@ -132,11 +132,6 @@ const (
 	DefaultLearnFlush      = 25 * time.Microsecond
 )
 
-type originKey struct {
-	client msg.NodeID
-	seq    uint64
-}
-
 // Replica is one 1Paxos node, implementing all three roles (proposer,
 // backup/active acceptor, learner) plus the embedded PaxosUtility.
 type Replica struct {
@@ -177,12 +172,12 @@ type Replica struct {
 	// expiry on the hot path).
 	acceptTimers map[int64]runtime.CancelFunc
 	pending      []msg.ClientRequest
-	origin       map[originKey]bool
 
 	// Acceptor state (Appendix A: hpn, ap, IamFresh).
 	hpn      uint64
 	adopted  msg.NodeID // the proposer holding the current promise
 	ap       map[int64]msg.Proposal
+	apPruned int64 // ap holds nothing below this instance (see pruneAccepted)
 	iAmFresh bool
 	learnBuf []msg.Proposal
 
@@ -241,7 +236,6 @@ func New(cfg Config) *Replica {
 		proposed:     make(map[int64]msg.Value),
 		outstanding:  make(map[int64]bool),
 		acceptTimers: make(map[int64]runtime.CancelFunc),
-		origin:       make(map[originKey]bool),
 		ap:           make(map[int64]msg.Proposal),
 		sessions:     rsm.NewSessions(),
 		kv:           applier,
@@ -345,6 +339,10 @@ func (r *Replica) Log() *rsm.Log { return r.log }
 
 // SnapshotStats reports the replica's recovery-subsystem counters.
 func (r *Replica) SnapshotStats() metrics.SnapshotStats { return r.snap.Stats() }
+
+// SessionGrowths reports how often this replica's session rings had to
+// grow (rsm.Sessions.Growths). Safe from any goroutine.
+func (r *Replica) SessionGrowths() int64 { return r.sessions.Growths() }
 
 // ReadStats reports the replica's read-fast-path counters.
 func (r *Replica) ReadStats() metrics.ReadStats { return r.read.Stats() }
@@ -451,10 +449,13 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 	// Committed entries (single command or batch alike) are answered
 	// from the session table; what remains still needs agreement.
 	fresh := r.sessions.Screen(req, func(rep msg.ClientReply) { r.ctx.Send(req.Client, rep) })
+	// Mark what is left as originating here — this replica will propose
+	// or queue it, and owes the reply — dropping retries of entries
+	// already marked (proposed or queued here before).
 	entries := fresh[:0]
 	for _, be := range fresh {
-		if !r.origin[originKey{req.Client, be.Seq}] {
-			entries = append(entries, be) // not a retry of one proposed or queued here
+		if r.sessions.MarkOrigin(req.Client, be.Seq) {
+			entries = append(entries, be)
 		}
 	}
 	if len(entries) == 0 {
@@ -468,24 +469,19 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 		// Uncommitted set and the next regime's noop floor, so a later
 		// leader would noop-fill the instance over a decided value.
 		// Queue; adoption of the fresh acceptor flushes pending.
-		for _, be := range entries {
-			r.origin[originKey{req.Client, be.Seq}] = true
-		}
 		r.pending = append(r.pending, msg.NewRequest(req.Client, req.Ack, entries))
 	case r.iAmLeader:
-		for _, be := range entries {
-			r.origin[originKey{req.Client, be.Seq}] = true
-		}
 		r.proposeValue(msg.NewValue(req.Client, req.Ack, entries))
 	case r.cfg.ForwardToLeader && r.knownLeader != r.me && r.knownLeader != msg.Nobody && from != r.knownLeader:
-		// Joint mode: funnel commands through the leader (Section 7.4).
+		// Joint mode: funnel commands through the leader (Section 7.4),
+		// which marks them its own and answers; nothing stays here.
+		for _, be := range entries {
+			r.sessions.TakeOrigin(req.Client, be.Seq)
+		}
 		r.ctx.Send(r.knownLeader, req)
 	default:
 		// The paper's failover story (Section 7.6): clients redirect to a
 		// non-leader node, which then tries to become leader.
-		for _, be := range entries {
-			r.origin[originKey{req.Client, be.Seq}] = true
-		}
 		r.pending = append(r.pending, msg.NewRequest(req.Client, req.Ack, entries))
 		r.startTakeover()
 	}
@@ -570,14 +566,7 @@ func (r *Replica) onAcceptRequest(from msg.NodeID, m msg.AcceptRequest) {
 		r.ctx.Send(from, msg.Abandon{HPN: r.hpn})
 		return
 	}
-	// Prune accepted proposals below the applied frontier: they are
-	// learner state now (the acceptor is only short-term memory,
-	// Section 4.1).
-	for in := range r.ap {
-		if in < r.log.NextToApply() {
-			delete(r.ap, in)
-		}
-	}
+	r.pruneAccepted()
 	if m.PN != r.hpn {
 		r.ctx.Send(from, msg.Abandon{HPN: r.hpn})
 		return
@@ -590,7 +579,32 @@ func (r *Replica) onAcceptRequest(from msg.NodeID, m msg.AcceptRequest) {
 	}
 	p := msg.Proposal{Instance: m.Instance, PN: m.PN, Value: m.Value}
 	r.ap[m.Instance] = p
+	if m.Instance < r.apPruned {
+		r.apPruned = m.Instance // a late accept below the frontier: prune it next time
+	}
 	r.multicastLearn(p)
+}
+
+// pruneAccepted drops accepted proposals below the applied frontier:
+// they are learner state now (the acceptor is only short-term memory,
+// Section 4.1). It runs on every accept, so it walks from where the
+// last call stopped instead of ranging the whole map — except after a
+// long absence from the acceptor role, when the frontier has moved
+// further than the map is large and ranging the map is the shorter walk.
+func (r *Replica) pruneAccepted() {
+	next := r.log.NextToApply()
+	if next-r.apPruned > int64(len(r.ap)) {
+		for in := range r.ap {
+			if in < next {
+				delete(r.ap, in)
+			}
+		}
+	} else {
+		for in := r.apPruned; in < next; in++ {
+			delete(r.ap, in)
+		}
+	}
+	r.apPruned = next
 }
 
 // multicastLearn delivers one accepted proposal to all learners. The
@@ -703,9 +717,7 @@ func (r *Replica) onApply(e rsm.Entry, results []string) {
 		if !r.sessions.Seen(v.Client, be.Seq) {
 			r.sessions.Done(v.Client, be.Seq, e.Instance, result)
 		}
-		key := originKey{v.Client, be.Seq}
-		if r.origin[key] {
-			delete(r.origin, key)
+		if r.sessions.TakeOrigin(v.Client, be.Seq) {
 			replies = append(replies, msg.ClientReply{Seq: be.Seq, Instance: e.Instance, OK: true, Result: result})
 		}
 	}
@@ -906,7 +918,7 @@ func (r *Replica) forwardPending(leader msg.NodeID) {
 	r.pending = nil
 	for _, req := range pending {
 		for _, be := range req.Entries() {
-			delete(r.origin, originKey{req.Client, be.Seq})
+			r.sessions.TakeOrigin(req.Client, be.Seq)
 		}
 		r.ctx.Send(leader, req)
 	}

@@ -545,3 +545,49 @@ func TestScenarioRandomFaultScheduleSafety(t *testing.T) {
 		}
 	}
 }
+
+// TestAcceptorPrunesAcceptedBelowAppliedFrontier pins pruneAccepted's
+// two walks (from the last frontier; over the map when the frontier ran
+// far ahead) and the late accept that lands below the frontier.
+func TestAcceptorPrunesAcceptedBelowAppliedFrontier(t *testing.T) {
+	r, ctx := newReplica(t, 2, 3)
+	r.Start(ctx)
+	r.Receive(ctx, 0, msg.PrepareRequest{PN: 10, MustBeFresh: true})
+	value := func(in int64) msg.Value {
+		return msg.Value{Client: 9, Seq: uint64(in + 1), Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
+	}
+	accept := func(in int64) { r.Receive(ctx, 0, msg.AcceptRequest{Instance: in, PN: 10, Value: value(in)}) }
+	learn := func(in int64) {
+		r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: in, PN: 10, Value: value(in)}}})
+	}
+	wantAccepted := func(step string, want ...int64) {
+		t.Helper()
+		if len(r.ap) != len(want) {
+			t.Fatalf("%s: acceptor holds %d proposals (%v), want instances %v", step, len(r.ap), r.ap, want)
+		}
+		for _, in := range want {
+			if _, ok := r.ap[in]; !ok {
+				t.Fatalf("%s: acceptor lost instance %d, want %v", step, in, want)
+			}
+		}
+	}
+	for in := int64(0); in < 5; in++ {
+		accept(in)
+		learn(in)
+	}
+	accept(5)
+	wantAccepted("after the frontier passed 0..4", 5)
+	// A late duplicate accept below the frontier is taken (its learn is
+	// re-multicast) and pruned by the next accept.
+	accept(2)
+	wantAccepted("late accept", 2, 5)
+	accept(6)
+	wantAccepted("accept after a late one", 5, 6)
+	// Long absence: the log runs 200 instances ahead through learns this
+	// node never accepted.
+	for in := int64(5); in < 205; in++ {
+		learn(in)
+	}
+	accept(205)
+	wantAccepted("after a long absence", 205)
+}

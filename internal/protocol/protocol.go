@@ -155,6 +155,13 @@ type ReadStatser interface {
 	ReadStats() metrics.ReadStats
 }
 
+// SessionStatser is implemented by engines that track client sessions
+// (internal/rsm.Sessions); deployments fold the per-replica ring-growth
+// counts into the "session.ring_growths" metric.
+type SessionStatser interface {
+	SessionGrowths() int64
+}
+
 // Info describes one registered protocol.
 type Info struct {
 	// Name is the display name ("1Paxos").

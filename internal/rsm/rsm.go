@@ -11,9 +11,11 @@ package rsm
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/seqwin"
 	"consensusinside/internal/shard"
 	"consensusinside/internal/trace"
 	"consensusinside/internal/wire"
@@ -424,6 +426,13 @@ func (l *Log) ScanPending(fn func(Entry) bool) {
 // depth so a live retry can still be answered with its original result.
 const DefaultSessionWindow = 1024
 
+// laneRingSlots is a lane's initial ring capacity. A client that
+// reports its ack floor keeps about two pipeline windows of results
+// retained (the floor trails the commits by one request), so the
+// default depths fit without growing; a lane of a deeper pipeline, or
+// of a client that never acks, doubles a few times while it warms up.
+const laneRingSlots = 64
+
 // Sessions deduplicates client commands for exactly-once replies: each
 // client issues strictly increasing sequence numbers, and a retry of an
 // already-committed command must be answered with the original result
@@ -446,18 +455,26 @@ const DefaultSessionWindow = 1024
 // over its own dense local sequence space — the frontier arithmetic
 // stays exact, and lanes can never alias. Untagged traffic has tag
 // zero, so single-group deployments are unchanged.
+//
+// Because a lane's sequence numbers are dense, its per-command state is
+// a seqwin.Window — a ring indexed by seq — not a map: one slot per
+// sequence number from the prune frontier up, holding the committed
+// result and the origin mark (MarkOrigin) side by side.
 type Sessions struct {
 	window  uint64
 	clients map[laneKey]*clientSession
 
+	// growths counts ring doublings across all lanes (see Growths).
+	growths atomic.Int64
+
 	// One-entry lane cache. The apply path resolves the same (client,
 	// tag) lane several times per command (ack recording, dedupe,
-	// completion recording) and whole batches share one lane, so the
-	// last lane resolved is overwhelmingly the next one asked for;
-	// caching it turns all but the first resolution of a batch into a
-	// pointer compare instead of a map lookup. Lanes are never removed
-	// (only Restore rebuilds the map, and it invalidates the cache), so
-	// the cached pointer cannot dangle.
+	// completion recording, origin mark) and whole batches share one
+	// lane, so the last lane resolved is overwhelmingly the next one
+	// asked for; caching it turns all but the first resolution of a
+	// batch into a pointer compare instead of a map lookup. Lanes are
+	// never removed (only Restore rebuilds the map, and it invalidates
+	// the cache), so the cached pointer cannot dangle.
 	lastKey laneKey
 	lastCS  *clientSession
 }
@@ -472,16 +489,24 @@ type laneKey struct {
 // clientSession is the per-lane state; every sequence number in it is
 // lane-local (shard tag stripped), dense, and starts at 1.
 type clientSession struct {
-	entries map[uint64]sessionEntry
+	// entries covers the seqs above the prune frontier: its Low is
+	// pruned+1 (zero until the first prune, so a seq of 0 from untagged
+	// test traffic still has a slot).
+	entries seqwin.Window[sessionSlot]
 	maxSeq  uint64
 	floor   uint64 // contiguous commit frontier: all seqs <= floor committed
 	pruned  uint64 // highest seq whose stored result was discarded
 	ack     uint64 // client's lowest outstanding seq (0 = unknown)
 }
 
-type sessionEntry struct {
-	instance int64
-	result   string
+// sessionSlot is what a lane knows about one sequence number. A slot
+// exists once the command committed or was marked as originating here,
+// whichever came first.
+type sessionSlot struct {
+	instance  int64
+	result    string
+	committed bool
+	origin    bool // this replica owes the client the reply (MarkOrigin)
 }
 
 // NewSessions returns an empty session table with the default window.
@@ -496,6 +521,16 @@ func NewSessionsWindow(window int) *Sessions {
 	return &Sessions{window: uint64(window), clients: make(map[laneKey]*clientSession)}
 }
 
+// Growths reports how many times a lane's ring had to double — beyond
+// warm-up, the sign that one old command stays outstanding (or
+// unacknowledged) while newer ones keep committing past it. Safe from
+// any goroutine.
+func (s *Sessions) Growths() int64 { return s.growths.Load() }
+
+func (s *Sessions) newLane() *clientSession {
+	return &clientSession{entries: seqwin.New[sessionSlot](0, laneRingSlots, &s.growths)}
+}
+
 // lane resolves the session state for the lane that seq belongs to,
 // creating it when create is set. All internal bookkeeping runs on the
 // lane-local sequence number (the tag stripped), which is dense and
@@ -508,7 +543,7 @@ func (s *Sessions) lane(client msg.NodeID, seq uint64, create bool) (*clientSess
 	}
 	cs, ok := s.clients[key]
 	if !ok && create {
-		cs = &clientSession{entries: make(map[uint64]sessionEntry)}
+		cs = s.newLane()
 		s.clients[key] = cs
 	}
 	if cs != nil {
@@ -522,13 +557,14 @@ func (s *Sessions) lane(client msg.NodeID, seq uint64, create bool) (*clientSess
 // below it.
 func (s *Sessions) Done(client msg.NodeID, seq uint64, instance int64, result string) {
 	cs, seq := s.lane(client, seq, true)
-	if seq > 0 && seq <= cs.pruned {
+	e := cs.entries.Slot(seq)
+	if e == nil {
 		return // already committed and its result discarded
 	}
-	if _, dup := cs.entries[seq]; dup {
+	if e.committed {
 		return // first commit wins; a re-commit elsewhere is a duplicate
 	}
-	cs.entries[seq] = sessionEntry{instance: instance, result: result}
+	e.instance, e.result, e.committed = instance, result, true
 	if seq > cs.maxSeq {
 		cs.maxSeq = seq
 	}
@@ -536,7 +572,7 @@ func (s *Sessions) Done(client msg.NodeID, seq uint64, instance int64, result st
 	// gap (an old command still outstanding) pins the floor, no matter
 	// how many newer seqs commit, so Seen never lies about it.
 	for {
-		if _, ok := cs.entries[cs.floor+1]; !ok {
+		if next := cs.entries.Ptr(cs.floor + 1); next == nil || !next.committed {
 			break
 		}
 		cs.floor++
@@ -579,12 +615,19 @@ func (cs *clientSession) prune(window uint64) {
 	if cut > cs.floor {
 		cut = cs.floor
 	}
-	for old := cs.pruned + 1; old <= cut; old++ {
-		delete(cs.entries, old)
-	}
 	if cut > cs.pruned {
+		cs.entries.Advance(cut + 1)
 		cs.pruned = cut
 	}
+}
+
+// committed returns seq's slot when the command committed and its
+// result is still retained.
+func (cs *clientSession) committed(seq uint64) *sessionSlot {
+	if e := cs.entries.Ptr(seq); e != nil && e.committed {
+		return e
+	}
+	return nil
 }
 
 // Lookup reports the stored result for (client, seq) if that exact command
@@ -594,8 +637,8 @@ func (s *Sessions) Lookup(client msg.NodeID, seq uint64) (instance int64, result
 	if cs == nil {
 		return 0, "", false
 	}
-	e, ok := cs.entries[seq]
-	if !ok {
+	e := cs.committed(seq)
+	if e == nil {
 		return 0, "", false
 	}
 	return e.instance, e.result, true
@@ -611,7 +654,7 @@ func (s *Sessions) Committed(client msg.NodeID, seq uint64) (result string, ok b
 	if cs == nil {
 		return "", false
 	}
-	if e, ok := cs.entries[seq]; ok {
+	if e := cs.committed(seq); e != nil {
 		return e.result, true
 	}
 	if seq > 0 && seq <= cs.floor {
@@ -633,16 +676,76 @@ func (s *Sessions) Seen(client msg.NodeID, seq uint64) bool {
 		// is exact; real seqs start at 1.
 		return true
 	}
-	_, ok := cs.entries[seq]
-	return ok
+	return cs.committed(seq) != nil
+}
+
+// MarkOrigin records that this replica took client's command seq from
+// the client — proposed it or queued it for a proposal — and so owes
+// the reply once it commits. It reports whether the mark is new: false
+// means the request is a retry of one already proposed or queued here,
+// which must not be proposed a second time. The mark lives in the
+// command's session slot and is dropped with it (TakeOrigin, pruning).
+//
+// A seq at or below the lane's prune frontier has no slot to mark. It
+// cannot reach here from an engine's request path: Screen answers such
+// a retry itself. MarkOrigin reports false for it.
+func (s *Sessions) MarkOrigin(client msg.NodeID, seq uint64) bool {
+	cs, seq := s.lane(client, seq, true)
+	e := cs.entries.Slot(seq)
+	if e == nil || e.origin {
+		return false
+	}
+	e.origin = true
+	return true
+}
+
+// TakeOrigin clears client's command seq's origin mark and reports
+// whether it was set: the apply path calls it to decide whether this
+// replica sends the reply, and a replica that hands a queued request
+// to another leader calls it to give the reply duty away.
+func (s *Sessions) TakeOrigin(client msg.NodeID, seq uint64) bool {
+	cs, seq := s.lane(client, seq, false)
+	if cs == nil {
+		return false
+	}
+	e := cs.entries.Ptr(seq)
+	if e == nil || !e.origin {
+		return false
+	}
+	e.origin = false
+	return true
+}
+
+// screen answers one request entry from the table when it can: with
+// the stored result when the command committed and the result is
+// retained, and with an empty result when the command sits at or below
+// the lane's prune frontier — it committed, the client acknowledged it
+// (or it aged out of the retention window), and no slot is left to
+// carry a result or an origin mark, so the retry is answered here
+// rather than proposed again only to be suppressed at apply time.
+func (s *Sessions) screen(client msg.NodeID, seq uint64, reply func(msg.ClientReply)) bool {
+	cs, local := s.lane(client, seq, false)
+	if cs == nil {
+		return false
+	}
+	if e := cs.committed(local); e != nil {
+		reply(msg.ClientReply{Seq: seq, Instance: e.instance, OK: true, Result: e.result})
+		return true
+	}
+	if local > 0 && local <= cs.pruned {
+		reply(msg.ClientReply{Seq: seq, OK: true})
+		return true
+	}
+	return false
 }
 
 // Screen filters an incoming client request against the session table:
 // it records the request's acknowledgement floor, answers every entry
-// that already committed (and still has a stored result) through reply,
-// and returns the entries that still need agreement, in order. Engines
-// call it first thing in their client-request path; a nil return means
-// the whole request was served from the table.
+// that already committed (with its stored result, or an empty one when
+// the result was pruned) through reply, and returns the entries that
+// still need agreement, in order. Engines call it first thing in their
+// client-request path; a nil return means the whole request was served
+// from the table.
 // In the dominant case — a batched request none of whose entries have
 // committed before — Screen returns the request's own batch slice
 // without allocating; the client handed that slice over with the
@@ -651,8 +754,7 @@ func (s *Sessions) Seen(client msg.NodeID, seq uint64) bool {
 func (s *Sessions) Screen(req msg.ClientRequest, reply func(msg.ClientReply)) []msg.BatchEntry {
 	s.ClientAck(req.Client, req.Ack)
 	if len(req.Batch) == 0 {
-		if inst, result, ok := s.Lookup(req.Client, req.Seq); ok {
-			reply(msg.ClientReply{Seq: req.Seq, Instance: inst, OK: true, Result: result})
+		if s.screen(req.Client, req.Seq, reply) {
 			return nil
 		}
 		return req.Entries()
@@ -660,8 +762,7 @@ func (s *Sessions) Screen(req msg.ClientRequest, reply func(msg.ClientReply)) []
 	var fresh []msg.BatchEntry
 	served := false
 	for i, be := range req.Batch {
-		if inst, result, ok := s.Lookup(req.Client, be.Seq); ok {
-			reply(msg.ClientReply{Seq: be.Seq, Instance: inst, OK: true, Result: result})
+		if s.screen(req.Client, be.Seq, reply) {
 			if !served {
 				served = true
 				if i > 0 {
@@ -719,7 +820,9 @@ type LaneState struct {
 
 // Export captures every lane's state in a deterministic order (by
 // client, then shard-tag base; entries by ascending seq), for snapshot
-// encoding. The returned slices are copies.
+// encoding. The returned slices are copies. Origin marks are not
+// exported — which replica owes a reply is local, not replicated, state
+// — and neither is a lane that so far holds nothing but marks.
 func (s *Sessions) Export() []LaneState {
 	out := make([]LaneState, 0, len(s.clients))
 	for key, cs := range s.clients {
@@ -731,11 +834,15 @@ func (s *Sessions) Export() []LaneState {
 			Ack:    cs.ack,
 			MaxSeq: cs.maxSeq,
 		}
-		lane.Entries = make([]LaneEntry, 0, len(cs.entries))
-		for seq, e := range cs.entries {
-			lane.Entries = append(lane.Entries, LaneEntry{Seq: seq, Instance: e.instance, Result: e.result})
+		lane.Entries = make([]LaneEntry, 0, cs.entries.Len())
+		for seq, e := range cs.entries.All() {
+			if e.committed {
+				lane.Entries = append(lane.Entries, LaneEntry{Seq: seq, Instance: e.instance, Result: e.result})
+			}
 		}
-		sort.Slice(lane.Entries, func(a, b int) bool { return lane.Entries[a].Seq < lane.Entries[b].Seq })
+		if cs.maxSeq == 0 && len(lane.Entries) == 0 {
+			continue // nothing ever committed here
+		}
 		out = append(out, lane)
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -749,22 +856,33 @@ func (s *Sessions) Export() []LaneState {
 
 // Restore replaces the table's state with an Export's lanes (the
 // snapshot-restore half of Export). The retention window is the
-// receiver's own — it is configuration, not replicated state.
+// receiver's own — it is configuration, not replicated state — and so
+// are the origin marks: a command this replica still owes a reply for
+// keeps its mark across the restore, provided the restored lane has not
+// pruned past it.
 func (s *Sessions) Restore(lanes []LaneState) {
+	old := s.clients
 	s.clients = make(map[laneKey]*clientSession, len(lanes))
 	s.lastKey, s.lastCS = laneKey{}, nil // the cached lane no longer exists
 	for _, lane := range lanes {
-		cs := &clientSession{
-			entries: make(map[uint64]sessionEntry, len(lane.Entries)),
-			floor:   lane.Floor,
-			pruned:  lane.Pruned,
-			ack:     lane.Ack,
-			maxSeq:  lane.MaxSeq,
+		cs := s.newLane()
+		cs.floor, cs.pruned, cs.ack, cs.maxSeq = lane.Floor, lane.Pruned, lane.Ack, lane.MaxSeq
+		if lane.Pruned > 0 {
+			cs.entries.Advance(lane.Pruned + 1)
 		}
 		for _, e := range lane.Entries {
-			cs.entries[e.Seq] = sessionEntry{instance: e.Instance, result: e.Result}
+			if slot := cs.entries.Slot(e.Seq); slot != nil {
+				slot.instance, slot.result, slot.committed = e.Instance, e.Result, true
+			}
 		}
 		s.clients[laneKey{client: lane.Client, base: lane.Base}] = cs
+	}
+	for key, cs := range old {
+		for seq, e := range cs.entries.All() {
+			if e.origin {
+				s.MarkOrigin(key.client, key.base+seq)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package rsm
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -758,5 +759,120 @@ func BenchmarkLogScan(b *testing.B) {
 		if n != 4096 {
 			b.Fatal("bad suffix")
 		}
+	}
+}
+
+// TestSessionsOriginMarks pins the origin flag's life in a lane's slot:
+// set once per command, taken once, independent of commit order, and
+// gone with the slot when the lane prunes past it.
+func TestSessionsOriginMarks(t *testing.T) {
+	s := NewSessionsWindow(4)
+	if s.TakeOrigin(1, 1) {
+		t.Fatal("unknown lane reported an origin mark")
+	}
+	if !s.MarkOrigin(1, 1) {
+		t.Fatal("first mark must be new")
+	}
+	if s.MarkOrigin(1, 1) {
+		t.Fatal("second mark of the same command must report a duplicate")
+	}
+	if s.Seen(1, 1) {
+		t.Fatal("a marked but uncommitted command must not be Seen")
+	}
+	// Committing keeps the mark; taking it clears it exactly once.
+	s.Done(1, 1, 10, "r1")
+	if !s.TakeOrigin(1, 1) || s.TakeOrigin(1, 1) {
+		t.Fatal("TakeOrigin must report the mark once")
+	}
+	if _, res, ok := s.Lookup(1, 1); !ok || res != "r1" {
+		t.Fatalf("taking the mark disturbed the result: (%q, %v)", res, ok)
+	}
+	// A mark set after the commit (a duplicate proposal of a command
+	// another replica already committed) works the same way.
+	s.Done(1, 2, 11, "r2")
+	if !s.MarkOrigin(1, 2) || !s.TakeOrigin(1, 2) {
+		t.Fatal("mark on a committed command lost")
+	}
+	// Lanes do not share marks.
+	tag := shard.TagSeq(2, 3)
+	if !s.MarkOrigin(1, 3) || !s.MarkOrigin(1, tag) || !s.MarkOrigin(2, 3) {
+		t.Fatal("marks must be per (client, lane, seq)")
+	}
+	// Pruning past a marked slot drops the mark with it.
+	for seq := uint64(3); seq <= 20; seq++ {
+		s.Done(1, seq, int64(seq), "r")
+	}
+	if s.TakeOrigin(1, 3) {
+		t.Fatal("mark survived its slot being pruned")
+	}
+	if s.MarkOrigin(1, 3) {
+		t.Fatal("a seq below the prune frontier has no slot to mark")
+	}
+}
+
+// TestSessionsScreenAnswersPrunedRetry pins the one edge the origin flag
+// cannot cover: a retry of a command at or below the prune frontier has
+// no slot, so Screen itself answers it — committed, empty result —
+// instead of handing it back for a proposal nobody could reply to.
+func TestSessionsScreenAnswersPrunedRetry(t *testing.T) {
+	s := NewSessions()
+	for seq := uint64(1); seq <= 6; seq++ {
+		s.Done(1, seq, int64(seq), "r")
+	}
+	s.ClientAck(1, 5) // seqs 1..4 delivered: pruned
+	var replies []msg.ClientReply
+	reply := func(rep msg.ClientReply) { replies = append(replies, rep) }
+	if fresh := s.Screen(msg.ClientRequest{Client: 1, Seq: 3, Ack: 5}, reply); fresh != nil {
+		t.Fatalf("pruned retry handed back for agreement: %+v", fresh)
+	}
+	if len(replies) != 1 || replies[0].Seq != 3 || !replies[0].OK || replies[0].Result != "" {
+		t.Fatalf("pruned retry answered %+v, want one OK reply with an empty result", replies)
+	}
+	// Inside a batch: the pruned and the retained entries are answered,
+	// the uncommitted one comes back.
+	replies = nil
+	req := msg.NewRequest(1, 5, []msg.BatchEntry{{Seq: 2}, {Seq: 6}, {Seq: 7}})
+	fresh := s.Screen(req, reply)
+	if len(fresh) != 1 || fresh[0].Seq != 7 {
+		t.Fatalf("fresh = %+v, want only seq 7", fresh)
+	}
+	if len(replies) != 2 || replies[0].Seq != 2 || replies[0].Result != "" || replies[1].Seq != 6 || replies[1].Result != "r" {
+		t.Fatalf("replies = %+v", replies)
+	}
+}
+
+// TestSessionsRestoreKeepsOriginMarks: the marks are this replica's own
+// state, not the snapshot's, so installing a peer's snapshot must not
+// forget which replies this replica still owes.
+func TestSessionsRestoreKeepsOriginMarks(t *testing.T) {
+	peer := NewSessions()
+	for seq := uint64(1); seq <= 5; seq++ {
+		peer.Done(1, seq, int64(seq), "r")
+	}
+	peer.ClientAck(1, 3) // the peer pruned 1..2
+
+	local := NewSessions()
+	local.MarkOrigin(1, 2) // below the restored prune frontier: nothing to carry
+	local.MarkOrigin(1, 4) // committed in the snapshot
+	local.MarkOrigin(1, 9) // not committed anywhere yet
+	local.MarkOrigin(7, 1) // a lane the snapshot has never heard of
+	local.Restore(peer.Export())
+
+	if local.TakeOrigin(1, 2) {
+		t.Error("mark below the restored prune frontier must be dropped")
+	}
+	for _, c := range []struct {
+		client msg.NodeID
+		seq    uint64
+	}{{1, 4}, {1, 9}, {7, 1}} {
+		if !local.TakeOrigin(c.client, c.seq) {
+			t.Errorf("origin mark (%d,%d) lost across Restore", c.client, c.seq)
+		}
+	}
+	if !local.Seen(1, 5) || local.Seen(1, 9) || local.Seen(7, 1) {
+		t.Error("carrying marks over disturbed the restored commit state")
+	}
+	if !reflect.DeepEqual(local.Export(), peer.Export()) {
+		t.Error("origin marks leaked into the exported state")
 	}
 }

@@ -7,6 +7,7 @@ package snapshot
 // two Managers driven over FakeContexts.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"consensusinside/internal/msg"
 	"consensusinside/internal/rsm"
 	"consensusinside/internal/runtime"
+	"consensusinside/internal/shard"
 )
 
 func sampleSnapshot() Snapshot {
@@ -131,6 +133,41 @@ func TestSessionFrontiersSurviveSnapshot(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSessionExportStableAcrossGrownRing: a lane whose oldest command
+// stays outstanding while hundreds of newer ones commit outgrows its
+// initial ring several times over. The image of that table must not
+// depend on the ring it came from: encode, restore into a fresh table
+// (whose ring regrows on its own) and encode again — same bytes.
+func TestSessionExportStableAcrossGrownRing(t *testing.T) {
+	orig := rsm.NewSessions()
+	orig.Done(1, 1, 0, "first")
+	for seq := uint64(3); seq <= 600; seq++ { // seq 2 never commits: the floor is pinned at 1
+		orig.Done(1, seq, int64(seq), fmt.Sprintf("r%d", seq))
+	}
+	orig.Done(1, shard.TagSeq(5, 1), 700, "other lane")
+	orig.ClientAck(1, 1) // the client still waits on seq 1's reply
+	if orig.Growths() < 3 {
+		t.Fatalf("ring grew %d times; the test needs a span well past the initial ring", orig.Growths())
+	}
+	first := Encode(Snapshot{LastApplied: 700, Lanes: orig.Export()})
+	snap, err := Decode(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := rsm.NewSessions()
+	restored.Restore(snap.Lanes)
+	second := Encode(Snapshot{LastApplied: 700, Lanes: restored.Export()})
+	if !bytes.Equal(first, second) {
+		t.Fatalf("snapshot bytes changed across Export -> Restore -> Export (%d vs %d bytes)", len(first), len(second))
+	}
+	if restored.Seen(1, 2) || !restored.Seen(1, 600) {
+		t.Fatal("restored table lost the pinned gap or the newest commit")
+	}
+	if _, res, ok := restored.Lookup(1, 1); !ok || res != "first" {
+		t.Fatalf("unacknowledged oldest result lost: (%q, %v)", res, ok)
 	}
 }
 

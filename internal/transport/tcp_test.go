@@ -73,8 +73,14 @@ func TestEchoOverTCP(t *testing.T) {
 				t.Fatal("echo round trip timed out")
 			}
 			// The round trip must be visible in the wire counters on
-			// both ends.
+			// both ends. A frame counts as sent once its flush returned,
+			// and the echo can overtake that bookkeeping (the peer reads
+			// the bytes before the writer goroutine runs again), so give
+			// the sender's counters a bounded moment to settle.
 			snd, rcv := nodes[1].Stats(), nodes[0].Stats()
+			for deadline := time.Now().Add(10 * time.Second); snd.FramesOut < 1 && time.Now().Before(deadline); snd = nodes[1].Stats() {
+				time.Sleep(time.Millisecond)
+			}
 			if snd.FramesOut < 1 || snd.Flushes < 1 || snd.BytesOut == 0 || snd.Dials != 1 {
 				t.Errorf("sender stats missing traffic: %+v", snd)
 			}

@@ -274,6 +274,10 @@ func (r *Replica) History() []msg.Value {
 // SnapshotStats reports the replica's recovery-subsystem counters.
 func (r *Replica) SnapshotStats() metrics.SnapshotStats { return r.snap.Stats() }
 
+// SessionGrowths reports how often this replica's session rings had to
+// grow (rsm.Sessions.Growths). Safe from any goroutine.
+func (r *Replica) SessionGrowths() int64 { return r.sessions.Growths() }
+
 // Recovered reports whether this replica has finished recovering (see
 // snapshot.Manager.Recovered); trivially true unless built in Recover
 // mode. Safe from any goroutine.

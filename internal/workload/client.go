@@ -34,6 +34,7 @@ import (
 	"consensusinside/internal/msg"
 	"consensusinside/internal/readpath"
 	"consensusinside/internal/runtime"
+	"consensusinside/internal/seqwin"
 	"consensusinside/internal/shard"
 	"consensusinside/internal/trace"
 )
@@ -122,7 +123,7 @@ type Config struct {
 	// ReadRequest messages on a read lane of their own: a separate
 	// sequence space (reads never enter the replicated log, so they must
 	// not consume the dense write sequences the replicas' session tables
-	// track), a separate in-flight map, their own retry timers, and a
+	// track), a separate in-flight window, their own retry timers, and a
 	// separate target cursor that redirects re-aim. Reads still occupy
 	// window slots, so the offered load is comparable across modes.
 	ReadMode readpath.Mode
@@ -176,6 +177,11 @@ type lane struct {
 	inflight int    // outstanding commands in this lane (reads included)
 	deferred bool   // a partial batch is holding for the flush timer
 
+	// flights holds the lane's in-flight writes by tagged seq — the same
+	// dense window the KV bridge keeps (seqwin), whose Low is the lowest
+	// outstanding seq, i.e. the lane's ack floor.
+	flights seqwin.Window[flight]
+
 	// Read-lane state (fast-path modes only): reads get their own
 	// sequence counter — they never commit, so they must not punch holes
 	// in the dense write sequence space the session tables track — and
@@ -183,11 +189,11 @@ type lane struct {
 	// replicas while writes stay aimed at the leader.
 	rseq       uint64
 	readTarget int
+	reads      seqwin.Window[readFlight] // in-flight fast-path reads by tagged read seq
 }
 
 // flight is one in-flight command.
 type flight struct {
-	lane   *lane
 	op     msg.Op // stable across resends
 	val    string // written value, stable across resends
 	rec    int    // recorder op id (-1 when not recording)
@@ -197,7 +203,6 @@ type flight struct {
 
 // readFlight is one in-flight fast-path read.
 type readFlight struct {
-	lane   *lane
 	rec    int // recorder op id (-1 when not recording)
 	sentAt time.Duration
 	cancel runtime.CancelFunc
@@ -214,8 +219,6 @@ type Client struct {
 	next   int // lane round-robin cursor for paced issue
 	issued int // total commands issued across lanes
 
-	inflight    map[uint64]*flight     // keyed by tagged seq
-	reads       map[uint64]*readFlight // fast-path reads, keyed by tagged read seq
 	maxInflight int
 	completed   int
 	retries     int
@@ -274,33 +277,47 @@ func NewClient(cfg Config) *Client {
 		// round trips.
 		batch = (window + 1) / 2
 	}
-	c := &Client{cfg: cfg, window: window, batch: batch,
-		inflight: make(map[uint64]*flight), reads: make(map[uint64]*readFlight)}
+	c := &Client{cfg: cfg, window: window, batch: batch}
 	if len(cfg.Groups) > 0 {
 		for g, servers := range cfg.Groups {
 			if len(servers) == 0 {
 				panic(fmt.Sprintf("workload: group %d of client %d is empty", g, cfg.ID))
 			}
-			c.lanes = append(c.lanes, &lane{
-				shard:   g,
-				servers: append([]msg.NodeID(nil), servers...),
-				key:     shard.KeyFor(cfg.Key, g, len(cfg.Groups)),
-			})
+			c.lanes = append(c.lanes, newLane(g, servers, shard.KeyFor(cfg.Key, g, len(cfg.Groups)), window))
 		}
 	} else {
 		if len(cfg.Servers) == 0 {
 			panic("workload: client needs at least one server")
 		}
-		c.lanes = []*lane{{
-			shard:   0,
-			servers: append([]msg.NodeID(nil), cfg.Servers...),
-			key:     cfg.Key,
-		}}
+		c.lanes = []*lane{newLane(0, cfg.Servers, cfg.Key, window)}
 	}
 	if cfg.SeriesBucket > 0 {
 		c.series = metrics.NewTimeSeries(cfg.SeriesBucket)
 	}
 	return c
+}
+
+// newLane builds lane g's state. Both in-flight windows start at the
+// first tagged seq the lane will issue, with room for a full pipeline
+// window (reads and writes share the lane's slots).
+func newLane(g int, servers []msg.NodeID, key string, window int) *lane {
+	first := shard.TagSeq(g, 1)
+	return &lane{
+		shard:   g,
+		servers: append([]msg.NodeID(nil), servers...),
+		key:     key,
+		flights: seqwin.New[flight](first, window, nil),
+		reads:   seqwin.New[readFlight](first, window, nil),
+	}
+}
+
+// laneOf resolves the lane a tagged seq belongs to (lanes are indexed
+// by shard), or nil for a tag no lane of this client carries.
+func (c *Client) laneOf(seq uint64) *lane {
+	if g := shard.SeqShard(seq); g < len(c.lanes) {
+		return c.lanes[g]
+	}
+	return nil
 }
 
 // Completed reports how many commands committed (all lanes).
@@ -311,7 +328,13 @@ func (c *Client) Retries() int { return c.retries }
 
 // InFlight reports the current number of outstanding commands across
 // all lanes.
-func (c *Client) InFlight() int { return len(c.inflight) }
+func (c *Client) InFlight() int {
+	n := 0
+	for _, ln := range c.lanes {
+		n += ln.flights.Len()
+	}
+	return n
+}
 
 // MaxInFlight reports the deepest the pipeline ever got across all
 // lanes together — 1 for a closed loop, up to Window × len(Groups) when
@@ -395,23 +418,28 @@ func (c *Client) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 // window slot awaits an immediate refill (redirects, stale replies,
 // paced completions and the request cap all report false).
 func (c *Client) onReply(ctx runtime.Context, reply msg.ClientReply) bool {
-	f, ok := c.inflight[reply.Seq]
-	if !ok {
+	ln := c.laneOf(reply.Seq)
+	if ln == nil {
+		return false
+	}
+	p := ln.flights.Ptr(reply.Seq)
+	if p == nil {
 		return false // stale reply for an already-answered (retried) request
 	}
 	if !reply.OK {
 		// Redirect: retry immediately at the suggested server.
 		if reply.Redirect != msg.Nobody {
-			f.lane.retarget(reply.Redirect)
+			ln.retarget(reply.Redirect)
 		}
-		c.resend(ctx, reply.Seq, f)
+		c.resend(ctx, ln, reply.Seq, p)
 		return false
 	}
-	delete(c.inflight, reply.Seq)
+	f := *p
+	ln.flights.Delete(reply.Seq)
 	if c.cfg.Tracer.Enabled() {
 		c.cfg.Tracer.Finish(c.cfg.ID, reply.Seq, ctx.Now())
 	}
-	f.lane.inflight--
+	ln.inflight--
 	if f.cancel != nil {
 		f.cancel() // retire the pending retry timer with the command
 	}
@@ -425,19 +453,24 @@ func (c *Client) onReply(ctx runtime.Context, reply msg.ClientReply) bool {
 // serving replica is not the leader, or is still catching up) re-aims
 // the lane's read cursor and resends at once.
 func (c *Client) onReadReply(ctx runtime.Context, reply msg.ReadReply) bool {
-	f, ok := c.reads[reply.Seq]
-	if !ok {
+	ln := c.laneOf(reply.Seq)
+	if ln == nil {
+		return false
+	}
+	p := ln.reads.Ptr(reply.Seq)
+	if p == nil {
 		return false // stale reply for an already-answered (retried) read
 	}
 	if !reply.OK {
 		if reply.Redirect != msg.Nobody {
-			f.lane.retargetRead(reply.Redirect)
+			ln.retargetRead(reply.Redirect)
 		}
-		c.resendRead(ctx, reply.Seq, f)
+		c.resendRead(ctx, ln, reply.Seq, p)
 		return false
 	}
-	delete(c.reads, reply.Seq)
-	f.lane.inflight--
+	f := *p
+	ln.reads.Delete(reply.Seq)
+	ln.inflight--
 	if f.cancel != nil {
 		f.cancel()
 	}
@@ -489,7 +522,8 @@ func (c *Client) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 		c.fill(ctx)
 	case TimerRetry:
 		seq := uint64(tag.Arg)
-		if f, ok := c.inflight[seq]; ok {
+		ln := c.laneOf(seq)
+		if f := ln.flights.Ptr(seq); f != nil {
 			// No reply in time: suspect the server, rotate within the
 			// command's own group, resend the same command (the session
 			// layer deduplicates). The resend keeps the original seq —
@@ -497,16 +531,17 @@ func (c *Client) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 			// batch — so a late commit of the original batch and the
 			// retry can never double-execute.
 			c.retries++
-			f.lane.target = (f.lane.target + 1) % len(f.lane.servers)
-			c.resend(ctx, seq, f)
+			ln.target = (ln.target + 1) % len(ln.servers)
+			c.resend(ctx, ln, seq, f)
 		}
 	case TimerReadRetry:
 		seq := uint64(tag.Arg)
-		if f, ok := c.reads[seq]; ok {
+		ln := c.laneOf(seq)
+		if f := ln.reads.Ptr(seq); f != nil {
 			// No reply in time: rotate the lane's read cursor and resend.
 			c.retries++
-			f.lane.readTarget = (f.lane.readTarget + 1) % len(f.lane.servers)
-			c.resendRead(ctx, seq, f)
+			ln.readTarget = (ln.readTarget + 1) % len(ln.servers)
+			c.resendRead(ctx, ln, seq, f)
 		}
 	case TimerBatchFlush:
 		// The lane's held-back partial batch is due: issue whatever the
@@ -633,9 +668,7 @@ func (c *Client) issueBatch(ctx runtime.Context, ln *lane, n int) {
 	ln.deferred = false
 	fastReads := c.cfg.ReadMode != readpath.Consensus
 	entries := make([]msg.BatchEntry, 0, n)
-	flights := make([]*flight, 0, n)
 	var readEntries []msg.BatchEntry
-	var readFlights []*readFlight
 	for i := 0; i < n; i++ {
 		c.issued++
 		op := msg.OpPut
@@ -645,14 +678,13 @@ func (c *Client) issueBatch(ctx runtime.Context, ln *lane, n int) {
 		if op == msg.OpGet && fastReads {
 			ln.rseq++
 			seq := shard.TagSeq(ln.shard, ln.rseq)
-			rf := &readFlight{lane: ln, rec: -1}
+			rf := readFlight{rec: -1}
 			if c.cfg.Record != nil {
 				rf.rec = c.cfg.Record.Invoke(int(c.cfg.ID), linearize.Read, ln.key, "", ctx.Now())
 			}
-			c.reads[seq] = rf
+			*ln.reads.Slot(seq) = rf
 			ln.inflight++
 			readEntries = append(readEntries, msg.BatchEntry{Seq: seq, Cmd: msg.Command{Op: op, Key: ln.key}})
-			readFlights = append(readFlights, rf)
 			continue
 		}
 		ln.seq++
@@ -661,7 +693,7 @@ func (c *Client) issueBatch(ctx runtime.Context, ln *lane, n int) {
 			tnow := ctx.Now()
 			c.cfg.Tracer.Begin(c.cfg.ID, seq, tnow, 0, tnow)
 		}
-		f := &flight{lane: ln, op: op, val: "v", rec: -1}
+		f := flight{op: op, val: "v", rec: -1}
 		if c.cfg.Record != nil {
 			kind := linearize.Write
 			if op == msg.OpGet {
@@ -672,25 +704,26 @@ func (c *Client) issueBatch(ctx runtime.Context, ln *lane, n int) {
 			}
 			f.rec = c.cfg.Record.Invoke(int(c.cfg.ID), kind, ln.key, f.val, ctx.Now())
 		}
-		c.inflight[seq] = f
+		*ln.flights.Slot(seq) = f
 		ln.inflight++
 		entries = append(entries, msg.BatchEntry{Seq: seq, Cmd: msg.Command{Op: op, Key: ln.key, Val: f.val}})
-		flights = append(flights, f)
 	}
-	if len(c.inflight)+len(c.reads) > c.maxInflight {
-		c.maxInflight = len(c.inflight) + len(c.reads)
+	total := 0
+	for _, other := range c.lanes {
+		total += other.inflight
+	}
+	if total > c.maxInflight {
+		c.maxInflight = total
 	}
 	now := ctx.Now()
 	if len(entries) > 0 {
-		req := msg.NewRequest(c.cfg.ID, c.laneAck(ln), entries)
+		req := msg.NewRequest(c.cfg.ID, ln.flights.Low(), entries)
 		ctx.Send(ln.servers[ln.target], req)
 		c.batchOcc.Record(len(entries))
-		for i, f := range flights {
+		for _, be := range entries {
+			f := ln.flights.Ptr(be.Seq)
 			f.sentAt = now
-			if f.cancel != nil {
-				f.cancel()
-			}
-			f.cancel = ctx.After(c.cfg.RetryTimeout, runtime.TimerTag{Kind: TimerRetry, Arg: int64(entries[i].Seq)})
+			f.cancel = ctx.After(c.cfg.RetryTimeout, runtime.TimerTag{Kind: TimerRetry, Arg: int64(be.Seq)})
 		}
 	}
 	if len(readEntries) > 0 {
@@ -700,25 +733,12 @@ func (c *Client) issueBatch(ctx runtime.Context, ln *lane, n int) {
 		}
 		ctx.Send(ln.servers[ln.readTarget],
 			msg.ReadRequest{Client: c.cfg.ID, Mode: int(c.cfg.ReadMode), Entries: readEntries})
-		for i, rf := range readFlights {
+		for _, be := range readEntries {
+			rf := ln.reads.Ptr(be.Seq)
 			rf.sentAt = now
-			rf.cancel = ctx.After(c.cfg.RetryTimeout, runtime.TimerTag{Kind: TimerReadRetry, Arg: int64(readEntries[i].Seq)})
+			rf.cancel = ctx.After(c.cfg.RetryTimeout, runtime.TimerTag{Kind: TimerReadRetry, Arg: int64(be.Seq)})
 		}
 	}
-}
-
-// laneAck reports the lane's acknowledgement floor — the lowest
-// outstanding tagged seq within the lane — which every request carries
-// so the group's replicas can retire stored session results this lane
-// no longer needs.
-func (c *Client) laneAck(ln *lane) uint64 {
-	ack := shard.TagSeq(ln.shard, ln.seq)
-	for s, other := range c.inflight {
-		if other.lane == ln && s < ack {
-			ack = s
-		}
-	}
-	return ack
 }
 
 // resend transmits f's command under its tagged seq to the lane's
@@ -726,15 +746,15 @@ func (c *Client) laneAck(ln *lane) uint64 {
 // always travels under its original sequence number — it rejoins the
 // batch machinery as a batch of one, and the replicas' session dedupe
 // reconciles it with any still-live copy of the batch it left.
-func (c *Client) resend(ctx runtime.Context, seq uint64, f *flight) {
+func (c *Client) resend(ctx runtime.Context, ln *lane, seq uint64, f *flight) {
 	f.sentAt = ctx.Now()
 	req := msg.ClientRequest{
 		Client: c.cfg.ID,
 		Seq:    seq,
-		Cmd:    msg.Command{Op: f.op, Key: f.lane.key, Val: f.val},
-		Ack:    c.laneAck(f.lane),
+		Cmd:    msg.Command{Op: f.op, Key: ln.key, Val: f.val},
+		Ack:    ln.flights.Low(),
 	}
-	ctx.Send(f.lane.servers[f.lane.target], req)
+	ctx.Send(ln.servers[ln.target], req)
 	if f.cancel != nil {
 		f.cancel()
 	}
@@ -743,12 +763,12 @@ func (c *Client) resend(ctx runtime.Context, seq uint64, f *flight) {
 
 // resendRead transmits f's read under its tagged read seq to the
 // lane's current read target and re-arms the per-seq retry timer.
-func (c *Client) resendRead(ctx runtime.Context, seq uint64, f *readFlight) {
+func (c *Client) resendRead(ctx runtime.Context, ln *lane, seq uint64, f *readFlight) {
 	f.sentAt = ctx.Now()
-	ctx.Send(f.lane.servers[f.lane.readTarget], msg.ReadRequest{
+	ctx.Send(ln.servers[ln.readTarget], msg.ReadRequest{
 		Client:  c.cfg.ID,
 		Mode:    int(c.cfg.ReadMode),
-		Entries: []msg.BatchEntry{{Seq: seq, Cmd: msg.Command{Op: msg.OpGet, Key: f.lane.key}}},
+		Entries: []msg.BatchEntry{{Seq: seq, Cmd: msg.Command{Op: msg.OpGet, Key: ln.key}}},
 	})
 	if f.cancel != nil {
 		f.cancel()

@@ -706,3 +706,43 @@ func TestClientBudgetLimitedTailBatchSkipsDelay(t *testing.T) {
 		t.Fatalf("in flight = %d, want the whole budget issued", got)
 	}
 }
+
+// TestClientPinnedFlightOutlivesWindow mirrors the KV bridge's pinned-
+// flight test on the simulator client, which keeps the same seqwin
+// window: one command stays outstanding while many times the window's
+// worth of newer ones complete around it. Its flight must survive the
+// ring growing, every request must keep carrying it as the ack floor,
+// and its retry and eventual reply must still find it.
+func TestClientPinnedFlightOutlivesWindow(t *testing.T) {
+	c, ctx := newClient(func(cfg *Config) { cfg.Window = 2 })
+	c.Start(ctx)
+	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend}) // issues seqs 1 and 2
+	for seq := uint64(2); seq < 40; seq++ {
+		ctx.Sent = nil
+		c.Receive(ctx, 0, msg.ClientReply{Seq: seq, OK: true})
+		_, req := lastRequest(t, ctx)
+		if req.Seq != seq+1 || req.Ack != 1 {
+			t.Fatalf("after seq %d completed: issued seq %d with ack %d, want seq %d with ack 1", seq, req.Seq, req.Ack, seq+1)
+		}
+	}
+	if c.Completed() != 38 || c.InFlight() != 2 {
+		t.Fatalf("completed %d, in flight %d; want 38 and 2", c.Completed(), c.InFlight())
+	}
+	// A duplicate reply for a long-retired seq changes nothing.
+	c.Receive(ctx, 0, msg.ClientReply{Seq: 5, OK: true})
+	if c.Completed() != 38 {
+		t.Fatal("stale reply completed a command twice")
+	}
+	// The pinned command's retry timer still finds it...
+	ctx.Sent = nil
+	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry, Arg: 1})
+	if _, req := lastRequest(t, ctx); req.Seq != 1 || req.Ack != 1 {
+		t.Fatalf("retry of the pinned command sent %+v", req)
+	}
+	// ...and once it completes the floor jumps to the newest flight.
+	ctx.Sent = nil
+	c.Receive(ctx, 1, msg.ClientReply{Seq: 1, OK: true})
+	if _, req := lastRequest(t, ctx); req.Seq != 41 || req.Ack != 40 {
+		t.Fatalf("after the pinned command completed: seq %d ack %d, want seq 41 ack 40", req.Seq, req.Ack)
+	}
+}
