@@ -704,9 +704,7 @@ func (kv *KV) SnapshotStats() metrics.SnapshotStats {
 	for _, sh := range kv.shards {
 		sh.mu.Lock()
 		for _, eng := range sh.engines {
-			if s, ok := eng.(protocol.SnapshotStatser); ok {
-				stats.Merge(s.SnapshotStats())
-			}
+			stats.Merge(eng.SnapshotStats())
 		}
 		sh.mu.Unlock()
 	}
@@ -724,9 +722,7 @@ func (kv *KV) ReadStats() metrics.ReadStats {
 	for _, sh := range kv.shards {
 		sh.mu.Lock()
 		for _, eng := range sh.engines {
-			if s, ok := eng.(protocol.ReadStatser); ok {
-				stats.Merge(s.ReadStats())
-			}
+			stats.Merge(eng.ReadStats())
 		}
 		sh.mu.Unlock()
 	}
@@ -744,9 +740,7 @@ func (kv *KV) addRingGrowths(s *obs.Snapshot) {
 		s.Add("bridge.read_ring_growths", sh.bridge.readGrows.Load())
 		sh.mu.Lock()
 		for _, eng := range sh.engines {
-			if e, ok := eng.(protocol.SessionStatser); ok {
-				s.Add("session.ring_growths", e.SessionGrowths())
-			}
+			s.Add("session.ring_growths", eng.SessionGrowths())
 		}
 		sh.mu.Unlock()
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/runtime"
 )
 
@@ -13,7 +14,7 @@ import (
 // even when the same command is decided a second time elsewhere.
 func TestOriginDuplicateRequestProposedAndAnsweredOnce(t *testing.T) {
 	ids := []msg.NodeID{0, 1, 2}
-	r := NewReplica(ReplicaConfig{ID: 0, Replicas: ids})
+	r := NewReplica(protocol.Config{ID: 0, Replicas: ids})
 	ctx := runtime.NewFakeContext(0, 3)
 	r.Start(ctx)
 	ctx.TakeSent()

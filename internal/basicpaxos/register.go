@@ -6,21 +6,6 @@ func init() {
 	protocol.Register(protocol.BasicPaxos, protocol.Info{
 		Name:        "BasicPaxos",
 		MinReplicas: 3,
-		New: func(cfg protocol.Config) protocol.Engine {
-			return NewReplica(ReplicaConfig{
-				ID:                cfg.ID,
-				Replicas:          cfg.Replicas,
-				Applier:           cfg.Applier,
-				RoundTimeout:      cfg.AcceptTimeout,
-				DuelBackoff:       cfg.TakeoverBackoff,
-				SnapshotInterval:  cfg.SnapshotInterval,
-				SnapshotChunkSize: cfg.SnapshotChunkSize,
-				Recover:           cfg.Recover,
-				ReadMode:          cfg.ReadMode,
-				LeaseDuration:     cfg.LeaseDuration,
-				Tracer:            cfg.Tracer,
-				Events:            cfg.Events,
-			})
-		},
+		New:         func(cfg protocol.Config) protocol.Engine { return NewReplica(cfg) },
 	})
 }

@@ -507,9 +507,7 @@ func (c *Cluster) ClientStats() RunStats {
 func (c *Cluster) ReadStats() metrics.ReadStats {
 	var stats metrics.ReadStats
 	for _, s := range c.Servers {
-		if rs, ok := s.(protocol.ReadStatser); ok {
-			stats.Merge(rs.ReadStats())
-		}
+		stats.Merge(s.ReadStats())
 	}
 	return stats
 }
@@ -535,9 +533,7 @@ func (c *Cluster) Obs() obs.Snapshot {
 	occ := c.BatchStats()
 	s.AddBatchOccupancy("batch", &occ)
 	for _, srv := range c.Servers {
-		if ss, ok := srv.(protocol.SnapshotStatser); ok {
-			s.AddSnapshotStats(ss.SnapshotStats())
-		}
+		s.AddSnapshotStats(srv.SnapshotStats())
 	}
 	s.AddTracer(c.Tracer)
 	s.Events = c.Events.Tail(0)
@@ -600,7 +596,7 @@ func (c *Cluster) CheckConsistency() error {
 		for i, id := range group {
 			s := c.Servers[g*c.Spec.Replicas+i]
 			exp, ok := s.(protocol.LogExposer)
-			if !ok {
+			if !ok || exp.Log() == nil {
 				return nil
 			}
 			for _, e := range exp.Log().History() {

@@ -15,6 +15,7 @@ import (
 	"consensusinside/internal/cluster"
 	"consensusinside/internal/mencius"
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"
@@ -865,7 +866,7 @@ func MenciusLoadSpread(opts Opts) (funnel, spread float64) {
 		net := simnet.New(machine, simnet.ManyCore(), opts.Seed)
 		ids := []msg.NodeID{0, 1, 2}
 		for _, id := range ids {
-			net.AddNode(mencius.New(mencius.Config{ID: id, Replicas: ids}))
+			net.AddNode(mencius.New(protocol.Config{ID: id, Replicas: ids}))
 		}
 		done := 0
 		sink := runtime.HandlerFunc{

@@ -16,84 +16,23 @@
 package mencius
 
 import (
-	"fmt"
-	"time"
-
-	"consensusinside/internal/metrics"
 	"consensusinside/internal/msg"
-	"consensusinside/internal/obs"
-	"consensusinside/internal/readpath"
-	"consensusinside/internal/rsm"
+	"consensusinside/internal/protocol"
+	"consensusinside/internal/replica"
 	"consensusinside/internal/runtime"
-	"consensusinside/internal/snapshot"
-	"consensusinside/internal/trace"
 )
 
-// Config parameterizes a Replica.
-type Config struct {
-	// ID is this node; Replicas is the group in a fixed shared order.
-	// Replica k owns instances i with i mod len(Replicas) == k.
-	ID       msg.NodeID
-	Replicas []msg.NodeID
-
-	// Applier is the replicated state machine; nil means a fresh KV.
-	Applier rsm.Applier
-
-	// AcceptTimeout paces the recovery subsystem's catch-up retries
-	// (the common-case protocol itself is timer-free).
-	AcceptTimeout time.Duration
-
-	// SnapshotInterval captures a durable-state snapshot every this many
-	// applied instances and compacts the log behind it (0 = off). See
-	// internal/snapshot.
-	SnapshotInterval int
-
-	// SnapshotChunkSize is the snapshot transfer chunk size (0 = the
-	// snapshot package default).
-	SnapshotChunkSize int
-
-	// Recover makes the replica stream a snapshot and log suffix from a
-	// live peer before serving clients — the restarted-replica mode.
-	Recover bool
-
-	// ReadMode selects the read fast path (internal/readpath). Mencius
-	// is leaderless, so any replica serves read-index rounds: a quorum
-	// of peers reports the highest instance each has seen accepted, and
-	// quorum intersection covers every committed write. Lease mode
-	// degrades to read-index — there is no leader for a lease to bind.
-	ReadMode readpath.Mode
-
-	// LeaseDuration overrides readpath.DefaultLeaseDuration (only
-	// relevant after the lease-to-index degradation's round timeout).
-	LeaseDuration time.Duration
-
-	// Tracer, when non-nil, receives decide/apply stage stamps for
-	// sampled commands (internal/trace).
-	Tracer *trace.Tracer
-
-	// Events, when non-nil, receives rare-event timeline entries
-	// (internal/obs).
-	Events *obs.EventLog
-}
-
 // Replica is one Mencius node: owner-proposer for its instance share,
-// acceptor and learner for all instances.
+// acceptor and learner for all instances. Replica k of the group owns
+// instances i with i mod len(Replicas) == k. The embedded shell owns the
+// learner log, sessions, recovery and the read path; the common-case
+// protocol is timer-free, so Start and Timer are the shell's.
 type Replica struct {
-	cfg      Config
-	me       msg.NodeID
-	replicas []msg.NodeID
-	idx      int
-	quorum   int
-	ctx      runtime.Context
+	replica.Shell
 
 	nextOwned int64 // lowest owned instance not yet proposed or skipped
-	proposed  map[int64]msg.Value
 
-	votes    map[int64]map[msg.NodeID]bool
-	log      *rsm.Log
-	sessions *rsm.Sessions
-	snap     *snapshot.Manager
-	read     *readpath.Server
+	votes map[int64]map[msg.NodeID]bool
 
 	// seen is one past the highest instance this node has observed an
 	// accept, learn or skip for — the frontier a read-index ack reports.
@@ -102,110 +41,38 @@ type Replica struct {
 	// have gathered this node's learn majority yet.
 	seen int64
 
-	commits int64
-	skips   int64
+	skips int64
 }
 
 var _ runtime.Handler = (*Replica)(nil)
 
-// New builds a Replica; it panics on malformed configuration.
-func New(cfg Config) *Replica {
-	if len(cfg.Replicas) < 3 {
-		panic("mencius: need at least three replicas")
-	}
-	idx := -1
-	for i, id := range cfg.Replicas {
-		if id == cfg.ID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		panic(fmt.Sprintf("mencius: node %d not in replica set %v", cfg.ID, cfg.Replicas))
-	}
-	applier := cfg.Applier
-	if applier == nil {
-		applier = rsm.NewKV()
-	}
-	r := &Replica{
-		cfg:       cfg,
-		me:        cfg.ID,
-		replicas:  append([]msg.NodeID(nil), cfg.Replicas...),
-		idx:       idx,
-		quorum:    len(cfg.Replicas)/2 + 1,
-		nextOwned: int64(idx),
-		proposed:  make(map[int64]msg.Value),
-		votes:     make(map[int64]map[msg.NodeID]bool),
-		sessions:  rsm.NewSessions(),
-	}
-	r.log = rsm.NewLog(rsm.Dedup{Sessions: r.sessions, Inner: applier})
-	r.log.OnApply(r.onApply)
-	r.log.SetTracer(cfg.Tracer, func() time.Duration { return r.ctx.Now() })
-	r.snap = snapshot.New(snapshot.Config{
-		ID:           cfg.ID,
-		Replicas:     cfg.Replicas,
-		Interval:     int64(cfg.SnapshotInterval),
-		ChunkSize:    cfg.SnapshotChunkSize,
-		Recover:      cfg.Recover,
-		Events:       cfg.Events,
+// New builds a Replica from a configuration protocol.Build validated.
+// AcceptTimeout only paces the recovery subsystem's catch-up retries.
+func New(cfg protocol.Config) *Replica {
+	r := &Replica{votes: make(map[int64]map[msg.NodeID]bool)}
+	// Leaderless: any replica serves read-index rounds. A quorum of peers
+	// reports the highest instance each has seen accepted, and quorum
+	// intersection covers every committed write. Lease mode degrades to
+	// read-index — there is no leader for a lease to bind.
+	r.Init(cfg, replica.Agreement{
 		RetryTimeout: 2 * cfg.AcceptTimeout,
-	}, r.log, r.sessions, applier)
-	r.snap.OnRestore(func(last int64) {
-		// Ownership must resume above the restored frontier: re-proposing
-		// an owned instance the group decided while this replica was gone
-		// would decide it twice (ownership replaces proposal numbers).
-		n := int64(len(r.replicas))
-		next := last + 1
-		if rem := ((int64(r.idx)-next)%n + n) % n; rem > 0 {
-			next += rem
-		}
-		if next > r.nextOwned {
-			r.nextOwned = next
-		}
-	})
-	mode := cfg.ReadMode
-	store, _ := applier.(*rsm.KV)
-	if store == nil {
-		mode = readpath.Consensus // no local KV to serve from
-	}
-	r.read = readpath.New(readpath.Config{
-		ID:            cfg.ID,
-		Replicas:      cfg.Replicas,
-		Mode:          mode,
-		LeaseDuration: cfg.LeaseDuration,
-		Events:        cfg.Events,
-		Confirmers:    func() []msg.NodeID { return r.peers() },
-		NeedAcks:      r.quorum - 1,
-		Frontier:      func() int64 { return r.frontier() },
-		Applied:       func() int64 { return r.log.NextToApply() },
-		Ready:         func() bool { return r.snap.Recovered() && !r.snap.CatchingUp() },
-		Read: func(key string) (string, bool) {
-			if store == nil {
-				return "", false
+		Frontier:     func() int64 { return r.seen },
+		OnRestore: func(last int64) {
+			// Ownership must resume above the restored frontier: re-proposing
+			// an owned instance the group decided while this replica was gone
+			// would decide it twice (ownership replaces proposal numbers).
+			n := int64(len(r.Replicas))
+			next := last + 1
+			if rem := ((int64(r.Index)-next)%n + n) % n; rem > 0 {
+				next += rem
 			}
-			return store.Get(key)
+			if next > r.nextOwned {
+				r.nextOwned = next
+			}
 		},
 	})
+	r.nextOwned = int64(r.Index)
 	return r
-}
-
-// peers lists every replica but this one.
-func (r *Replica) peers() []msg.NodeID {
-	out := make([]msg.NodeID, 0, len(r.replicas)-1)
-	for _, id := range r.replicas {
-		if id != r.me {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// frontier is the read-index frontier this node vouches for.
-func (r *Replica) frontier() int64 {
-	if lf := r.log.LearnedFrontier(); lf > r.seen {
-		return lf
-	}
-	return r.seen
 }
 
 // observe advances the seen frontier past instance in.
@@ -215,63 +82,20 @@ func (r *Replica) observe(in int64) {
 	}
 }
 
-// Commits reports applied instances (skips included).
-func (r *Replica) Commits() int64 { return r.commits }
-
 // Skips reports how many owned instances this node gave up.
 func (r *Replica) Skips() int64 { return r.skips }
 
-// Log exposes the learner log for consistency checks.
-func (r *Replica) Log() *rsm.Log { return r.log }
-
-// SnapshotStats reports the replica's recovery-subsystem counters.
-func (r *Replica) SnapshotStats() metrics.SnapshotStats { return r.snap.Stats() }
-
-// SessionGrowths reports how often this replica's session rings had to
-// grow (rsm.Sessions.Growths). Safe from any goroutine.
-func (r *Replica) SessionGrowths() int64 { return r.sessions.Growths() }
-
-// ReadStats reports the replica's read-fast-path counters.
-func (r *Replica) ReadStats() metrics.ReadStats { return r.read.Stats() }
-
-// Recovered reports whether this replica has finished recovering (see
-// snapshot.Manager.Recovered); trivially true unless built in Recover
-// mode. Safe from any goroutine.
-func (r *Replica) Recovered() bool { return r.snap.Recovered() }
-
-// Start implements runtime.Handler.
-func (r *Replica) Start(ctx runtime.Context) {
-	r.ctx = ctx
-	r.snap.Start(ctx)
-	r.read.Start(ctx)
-}
-
-// Timer implements runtime.Handler; the common-case protocol is
-// timer-free, so only the recovery subsystem's and read path's timers
-// land here.
-func (r *Replica) Timer(ctx runtime.Context, tag runtime.TimerTag) {
-	r.ctx = ctx
-	if r.snap.HandleTimer(ctx, tag) {
-		return
-	}
-	r.read.HandleTimer(ctx, tag)
-}
-
 // Receive dispatches one message.
 func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
-	r.ctx = ctx
-	if r.snap.Handle(ctx, from, m) {
+	if r.Route(ctx, from, m) {
 		if _, ok := m.(msg.CatchupEntries); ok {
 			// Catch-up showed us decided instances past our ownership
 			// cursor. Anything of ours below the learned frontier can
 			// only be filled by us — the group's applies are stalled on
 			// exactly those instances while we were gone — so give them
 			// up now rather than waiting for a fresh foreign accept.
-			r.skipBelow(r.log.LearnedFrontier())
+			r.skipBelow(r.Log().LearnedFrontier())
 		}
-		return
-	}
-	if r.read.Handle(ctx, from, m) {
 		return
 	}
 	switch mm := m.(type) {
@@ -290,30 +114,16 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 // instance — every replica is a leader for its share (the Mencius
 // load-spreading idea).
 func (r *Replica) onClientRequest(req msg.ClientRequest) {
-	if r.snap.CatchingUp() {
-		return // recovering: must not propose owned instances yet
-	}
-	// Committed entries (single command or batch alike) are answered
-	// from the session table; what remains still needs agreement.
-	fresh := r.sessions.Screen(req, func(rep msg.ClientReply) { r.ctx.Send(req.Client, rep) })
-	// Mark what is left as originating here — this replica proposes it
-	// and owes the reply — dropping retries of entries already marked.
-	entries := fresh[:0]
-	for _, be := range fresh {
-		if r.sessions.MarkOrigin(req.Client, be.Seq) {
-			entries = append(entries, be)
-		}
-	}
+	entries := r.Admit(req)
 	if len(entries) == 0 {
 		return
 	}
 	in := r.nextOwned
-	r.nextOwned += int64(len(r.replicas))
+	r.nextOwned += int64(len(r.Replicas))
 	r.observe(in)
 	v := msg.NewValue(req.Client, req.Ack, entries)
-	r.proposed[in] = v
-	for _, id := range r.replicas {
-		r.ctx.Send(id, msg.MencAccept{Instance: in, PN: 1, Value: v})
+	for _, id := range r.Replicas {
+		r.Ctx.Send(id, msg.MencAccept{Instance: in, PN: 1, Value: v})
 	}
 }
 
@@ -323,8 +133,8 @@ func (r *Replica) onClientRequest(req msg.ClientRequest) {
 func (r *Replica) onAccept(from msg.NodeID, m msg.MencAccept) {
 	r.observe(m.Instance)
 	r.skipBelow(m.Instance)
-	for _, id := range r.replicas {
-		r.ctx.Send(id, msg.MencLearn{Instance: m.Instance, Value: m.Value, From: r.me})
+	for _, id := range r.Replicas {
+		r.Ctx.Send(id, msg.MencLearn{Instance: m.Instance, Value: m.Value, From: r.Me})
 	}
 	_ = from
 }
@@ -332,7 +142,7 @@ func (r *Replica) onAccept(from msg.NodeID, m msg.MencAccept) {
 // onLearn is the learner role: majority acceptance decides.
 func (r *Replica) onLearn(m msg.MencLearn) {
 	r.observe(m.Instance)
-	if r.log.Learned(m.Instance) {
+	if r.Log().Learned(m.Instance) {
 		return
 	}
 	byNode, ok := r.votes[m.Instance]
@@ -341,12 +151,12 @@ func (r *Replica) onLearn(m msg.MencLearn) {
 		r.votes[m.Instance] = byNode
 	}
 	byNode[m.From] = true
-	if len(byNode) >= r.quorum {
+	if len(byNode) >= r.Quorum {
 		delete(r.votes, m.Instance)
-		r.log.Learn(m.Instance, m.Value)
+		r.Log().Learn(m.Instance, m.Value)
 		// A hole below this learn may be a dropped-learn gap that live
 		// traffic will never refill; arm the stall watchdog.
-		r.snap.WatchGap(r.ctx)
+		r.Snap.WatchGap(r.Ctx)
 	}
 }
 
@@ -354,10 +164,10 @@ func (r *Replica) onLearn(m msg.MencLearn) {
 // instances: only the owner may propose there, so its skip decides.
 func (r *Replica) onSkip(m msg.MencSkip) {
 	r.observe(m.ToInstance - 1)
-	n := int64(len(r.replicas))
+	n := int64(len(r.Replicas))
 	for in := m.FromInstance; in < m.ToInstance; in += n {
-		if !r.log.Learned(in) {
-			r.log.Learn(in, msg.Value{Client: msg.Nobody, Cmd: msg.Command{Op: msg.OpNoop}})
+		if !r.Log().Learned(in) {
+			r.Log().Learn(in, msg.Value{Client: msg.Nobody, Cmd: msg.Command{Op: msg.OpNoop}})
 		}
 	}
 }
@@ -371,45 +181,13 @@ func (r *Replica) skipBelow(observed int64) {
 		return
 	}
 	from := r.nextOwned
-	n := int64(len(r.replicas))
+	n := int64(len(r.Replicas))
 	for r.nextOwned < observed {
 		r.skips++
 		r.nextOwned += n
 	}
-	skip := msg.MencSkip{FromInstance: from, ToInstance: observed, From: r.me}
-	for _, id := range r.replicas {
-		r.ctx.Send(id, skip)
+	skip := msg.MencSkip{FromInstance: from, ToInstance: observed, From: r.Me}
+	for _, id := range r.Replicas {
+		r.Ctx.Send(id, skip)
 	}
-}
-
-func (r *Replica) onApply(e rsm.Entry, results []string) {
-	r.commits++
-	defer r.snap.AfterApply() // skip noops advance the snapshot cadence too
-	defer r.read.AfterApply() // confirmed reads may now be serveable
-	v := e.Value
-	if v.Client == msg.Nobody {
-		return
-	}
-	replies := msg.GetReplies(v.Len())
-	for i, n := 0, v.Len(); i < n; i++ {
-		be := v.EntryAt(i)
-		result := results[i]
-		if !r.sessions.Seen(v.Client, be.Seq) {
-			r.sessions.Done(v.Client, be.Seq, e.Instance, result)
-		}
-		if r.sessions.TakeOrigin(v.Client, be.Seq) {
-			replies = append(replies, msg.ClientReply{Seq: be.Seq, Instance: e.Instance, OK: true, Result: result})
-		}
-	}
-	// One message answers the whole batch, so the client can retire it
-	// in one step and refill its window with a full batch. A batch
-	// message takes over the pooled array (the receiver recycles it);
-	// otherwise it goes straight back to the pool.
-	if m := msg.WrapReplies(replies); m != nil {
-		r.ctx.Send(v.Client, m)
-		if _, batched := m.(msg.ClientReplyBatch); batched {
-			replies = nil
-		}
-	}
-	msg.PutReplies(replies)
 }

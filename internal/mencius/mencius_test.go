@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"
@@ -41,7 +42,7 @@ func newScenario(n int, seed int64) *scenario {
 	ids := replicaIDs(n)
 	s := &scenario{net: net}
 	for i := 0; i < n; i++ {
-		r := New(Config{ID: msg.NodeID(i), Replicas: ids})
+		r := New(protocol.Config{ID: msg.NodeID(i), Replicas: ids})
 		s.replicas = append(s.replicas, r)
 		net.AddNode(r)
 	}
@@ -75,7 +76,7 @@ func (s *scenario) checkAgreement(t *testing.T) {
 }
 
 func TestOwnershipPartition(t *testing.T) {
-	r := New(Config{ID: 1, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	r.Receive(ctx, 9, msg.ClientRequest{Client: 9, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "a"}})
@@ -101,7 +102,7 @@ func TestOwnershipPartition(t *testing.T) {
 func TestSkipRuleFillsForeignGaps(t *testing.T) {
 	// Replica 0 (owner of 0,3,6...) observes an accept at instance 7: it
 	// must give up 0, 3 and 6 so the log can advance.
-	r := New(Config{ID: 0, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(0, 3)
 	r.Start(ctx)
 	r.Receive(ctx, 1, msg.MencAccept{Instance: 7, PN: 1, Value: msg.Value{Client: 9, Seq: 1}})

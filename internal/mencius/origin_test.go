@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/runtime"
 )
 
@@ -12,7 +13,7 @@ import (
 // already proposed a no-op, and makes the commit answer exactly once —
 // even when the same command is decided a second time elsewhere.
 func TestOriginDuplicateRequestProposedAndAnsweredOnce(t *testing.T) {
-	r := New(Config{ID: 0, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(0, 3)
 	r.Start(ctx)
 	ctx.TakeSent()

@@ -6,20 +6,6 @@ func init() {
 	protocol.Register(protocol.Mencius, protocol.Info{
 		Name:        "Mencius",
 		MinReplicas: 3,
-		New: func(cfg protocol.Config) protocol.Engine {
-			return New(Config{
-				ID:                cfg.ID,
-				Replicas:          cfg.Replicas,
-				Applier:           cfg.Applier,
-				AcceptTimeout:     cfg.AcceptTimeout,
-				SnapshotInterval:  cfg.SnapshotInterval,
-				SnapshotChunkSize: cfg.SnapshotChunkSize,
-				Recover:           cfg.Recover,
-				ReadMode:          cfg.ReadMode,
-				LeaseDuration:     cfg.LeaseDuration,
-				Tracer:            cfg.Tracer,
-				Events:            cfg.Events,
-			})
-		},
+		New:         func(cfg protocol.Config) protocol.Engine { return New(cfg) },
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"
@@ -18,21 +19,23 @@ func replicaIDs(n int) []msg.NodeID {
 	return out
 }
 
+// TestNewValidation: a malformed group is rejected where engines are
+// built (protocol.Build), the one validator every deployment goes
+// through.
 func TestNewValidation(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s must panic", name)
-			}
-		}()
-		fn()
+	if _, err := protocol.Build(protocol.MultiPaxos, protocol.Config{ID: 0, Replicas: replicaIDs(2)}); err == nil {
+		t.Error("two replicas must be rejected")
 	}
-	mustPanic("two replicas", func() { New(Config{ID: 0, Replicas: replicaIDs(2)}) })
-	mustPanic("non-member", func() { New(Config{ID: 9, Replicas: replicaIDs(3)}) })
+	if _, err := protocol.Build(protocol.MultiPaxos, protocol.Config{ID: 9, Replicas: replicaIDs(3)}); err == nil {
+		t.Error("non-member id must be rejected")
+	}
+	if _, err := protocol.Build(protocol.MultiPaxos, protocol.Config{ID: 0, Replicas: replicaIDs(3)}); err != nil {
+		t.Errorf("a well-formed group must build: %v", err)
+	}
 }
 
 func TestLeaderWinsPhaseOneThenProposes(t *testing.T) {
-	r := New(Config{ID: 0, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(0, 3)
 	r.Start(ctx)
 	// Phase 1 must go to every acceptor, self included.
@@ -71,7 +74,7 @@ func TestLeaderWinsPhaseOneThenProposes(t *testing.T) {
 }
 
 func TestPromiseCarriesAcceptedTail(t *testing.T) {
-	r := New(Config{ID: 1, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	val := msg.Value{Client: 7, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
@@ -90,7 +93,7 @@ func TestPromiseCarriesAcceptedTail(t *testing.T) {
 func TestPromiseIncludesAppliedSuffix(t *testing.T) {
 	// Even after the acceptor applied (and pruned) an instance, a lagging
 	// proposer's prepare must still see its value.
-	r := New(Config{ID: 1, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	val := msg.Value{Client: 7, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
@@ -117,7 +120,7 @@ func TestPromiseIncludesAppliedSuffix(t *testing.T) {
 }
 
 func TestAcceptorNacksStalePN(t *testing.T) {
-	r := New(Config{ID: 1, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	r.Receive(ctx, 0, msg.MPPrepare{PN: 50, FromInstance: 0})
@@ -134,7 +137,7 @@ func TestAcceptorNacksStalePN(t *testing.T) {
 }
 
 func TestLearnerNeedsMajority(t *testing.T) {
-	r := New(Config{ID: 2, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 2, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(2, 3)
 	r.Start(ctx)
 	val := msg.Value{Client: 7, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
@@ -155,7 +158,7 @@ func TestLearnerNeedsMajority(t *testing.T) {
 }
 
 func TestNackDeposesLeader(t *testing.T) {
-	r := New(Config{ID: 0, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(0, 3)
 	r.Start(ctx)
 	pn := ctx.Sent[0].M.(msg.MPPrepare).PN
@@ -195,7 +198,7 @@ func newScenario(n int, seed int64) *scenario {
 	ids := replicaIDs(n)
 	s := &scenario{net: net}
 	for i := 0; i < n; i++ {
-		r := New(Config{ID: msg.NodeID(i), Replicas: ids})
+		r := New(protocol.Config{ID: msg.NodeID(i), Replicas: ids})
 		s.replicas = append(s.replicas, r)
 		net.AddNode(r)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/runtime"
 )
 
@@ -32,7 +33,7 @@ func learn(r *Replica, ctx *runtime.FakeContext, instance int64, pn uint64, v ms
 }
 
 func TestOriginDuplicateRequestProposedAndAnsweredOnce(t *testing.T) {
-	r := New(Config{ID: 0, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(0, 3)
 	r.Start(ctx)
 	pn := ctx.SentTo(1)[0].(msg.MPPrepare).PN
@@ -60,7 +61,7 @@ func TestOriginDuplicateRequestProposedAndAnsweredOnce(t *testing.T) {
 }
 
 func TestOriginForwardToLeaderLeavesNoMark(t *testing.T) {
-	r := New(Config{ID: 1, Replicas: replicaIDs(3), ForwardToLeader: true})
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3), ForwardToLeader: true})
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 

@@ -6,22 +6,6 @@ func init() {
 	protocol.Register(protocol.MultiPaxos, protocol.Info{
 		Name:        "Multi-Paxos",
 		MinReplicas: 3,
-		New: func(cfg protocol.Config) protocol.Engine {
-			return New(Config{
-				ID:                cfg.ID,
-				Replicas:          cfg.Replicas,
-				Applier:           cfg.Applier,
-				AcceptTimeout:     cfg.AcceptTimeout,
-				PrepareBackoff:    cfg.TakeoverBackoff,
-				ForwardToLeader:   cfg.ForwardToLeader,
-				SnapshotInterval:  cfg.SnapshotInterval,
-				SnapshotChunkSize: cfg.SnapshotChunkSize,
-				Recover:           cfg.Recover,
-				ReadMode:          cfg.ReadMode,
-				LeaseDuration:     cfg.LeaseDuration,
-				Tracer:            cfg.Tracer,
-				Events:            cfg.Events,
-			})
-		},
+		New:         func(cfg protocol.Config) protocol.Engine { return New(cfg) },
 	})
 }

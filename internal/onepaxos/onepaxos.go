@@ -28,19 +28,15 @@
 package onepaxos
 
 import (
-	"fmt"
 	"time"
 
 	"consensusinside/internal/basicpaxos"
-	"consensusinside/internal/metrics"
 	"consensusinside/internal/msg"
-	"consensusinside/internal/obs"
 	"consensusinside/internal/paxosutil"
-	"consensusinside/internal/readpath"
+	"consensusinside/internal/protocol"
+	"consensusinside/internal/replica"
 	"consensusinside/internal/rsm"
 	"consensusinside/internal/runtime"
-	"consensusinside/internal/snapshot"
-	"consensusinside/internal/trace"
 )
 
 // Timer kinds used by a Replica. PaxosUtility's reserved kinds are >= 100.
@@ -51,95 +47,22 @@ const (
 	timerPrepareDeadline = 4 // Arg: the pn the prepare was sent with
 )
 
-// Config parameterizes a Replica.
-type Config struct {
-	// ID is this node; Replicas is the agreement group (servers), in a
-	// fixed order shared by all nodes. Replicas[0] is the initial leader
-	// and the last replica the initial active acceptor — distinct nodes,
-	// per Section 5.4's placement rule, and placed so that the natural
-	// client failover target (the next replica after the leader) is a
-	// pure proposer, keeping leader and acceptor separated after a
-	// takeover too.
-	ID       msg.NodeID
-	Replicas []msg.NodeID
-
-	// Applier is the replicated state machine; nil means a fresh KV.
-	Applier rsm.Applier
-
-	// AcceptTimeout bounds how long the leader waits for a learn before
-	// suspecting the active acceptor (and how long a takeover waits for a
-	// prepare_response). Zero means DefaultAcceptTimeout.
-	AcceptTimeout time.Duration
-
-	// TakeoverBackoff delays a retry after a lost takeover race.
-	// Zero means DefaultTakeoverBackoff.
-	TakeoverBackoff time.Duration
-
-	// ForwardToLeader makes a non-leader replica forward client requests
-	// to the current leader instead of attempting a takeover. This is the
-	// "Joint" deployment of Section 7.4, where every client is a replica
-	// and all commands funnel through the leader.
-	ForwardToLeader bool
-
-	// EnableLearnBatching coalesces the acceptor's learn broadcast to
-	// non-leader learners into one message per destination per flush
-	// (DESIGN.md ablation). The leader's learn — the commit latency path —
-	// is never delayed.
-	EnableLearnBatching bool
-
-	// LearnFlushEvery is the batching flush period (default 25µs).
-	LearnFlushEvery time.Duration
-
-	// UtilRetryTimeout overrides PaxosUtility's retry timeout.
-	UtilRetryTimeout time.Duration
-
-	// SnapshotInterval captures a durable-state snapshot every this many
-	// applied instances and compacts the log behind it (0 = off, the
-	// paper's unbounded log). See internal/snapshot.
-	SnapshotInterval int
-
-	// SnapshotChunkSize is the snapshot transfer chunk size (0 = the
-	// snapshot package default).
-	SnapshotChunkSize int
-
-	// Recover makes the replica stream a snapshot and log suffix from a
-	// live peer before serving clients — the restarted-replica mode.
-	Recover bool
-
-	// ReadMode selects the read fast path (internal/readpath). 1Paxos
-	// confirms read rounds — and anchors leases — at its single active
-	// acceptor: the acceptor is the serialization point every would-be
-	// leader must adopt, so its word alone is sound where a peer quorum
-	// would not be (writes never cross a quorum here).
-	ReadMode readpath.Mode
-
-	// LeaseDuration overrides readpath.DefaultLeaseDuration.
-	LeaseDuration time.Duration
-
-	// Tracer, when non-nil, stamps the decide/apply stages of sampled
-	// commands (internal/trace).
-	Tracer *trace.Tracer
-
-	// Events, when non-nil, receives rare-event timeline entries:
-	// leader takeovers, acceptor switches, lease and recovery episodes.
-	Events *obs.EventLog
-}
-
-// Defaults for Config zero values.
+// Defaults for protocol.Config zero values.
 const (
 	DefaultAcceptTimeout   = 400 * time.Microsecond
 	DefaultTakeoverBackoff = 200 * time.Microsecond
-	DefaultLearnFlush      = 25 * time.Microsecond
 )
 
+// learnFlushEvery is the learn-batching flush period (Cfg.LearnBatching).
+const learnFlushEvery = 25 * time.Microsecond
+
 // Replica is one 1Paxos node, implementing all three roles (proposer,
-// backup/active acceptor, learner) plus the embedded PaxosUtility.
+// backup/active acceptor, learner) plus the embedded PaxosUtility. The
+// embedded shell owns the learner log, sessions, recovery and the read
+// path; what is declared here is agreement state only.
 type Replica struct {
-	cfg      Config
-	me       msg.NodeID
-	replicas []msg.NodeID
-	util     *paxosutil.Util
-	ctx      runtime.Context // valid during a callback
+	replica.Shell
+	util *paxosutil.Util
 
 	// Proposer / leader state (Appendix A: IamLeader, Aa, proposed).
 	iAmLeader   bool
@@ -181,54 +104,30 @@ type Replica struct {
 	iAmFresh bool
 	learnBuf []msg.Proposal
 
-	// Learner state.
-	log      *rsm.Log
-	kv       rsm.Applier
-	sessions *rsm.Sessions
-	snap     *snapshot.Manager
-	read     *readpath.Server
-
-	commits       int64
 	takeovers     int64
 	acceptorSwaps int64
 }
 
 var _ runtime.Handler = (*Replica)(nil)
 
-// New builds a Replica from cfg. It panics on malformed configuration
-// (fewer than three replicas, or ID not in the replica set): these are
-// programming errors in experiment wiring, not runtime conditions.
-func New(cfg Config) *Replica {
-	if len(cfg.Replicas) < 3 {
-		panic("onepaxos: need at least three replicas (leader, acceptor, and a backup)")
-	}
-	in := false
-	for _, id := range cfg.Replicas {
-		if id == cfg.ID {
-			in = true
-			break
-		}
-	}
-	if !in {
-		panic(fmt.Sprintf("onepaxos: node %d not in replica set %v", cfg.ID, cfg.Replicas))
-	}
+// New builds a Replica from a configuration protocol.Build validated
+// (at least three replicas: leader, acceptor and a backup). Replicas[0]
+// is the initial leader and the last replica the initial active acceptor
+// — distinct nodes, per Section 5.4's placement rule, and placed so that
+// the natural client failover target (the next replica after the leader)
+// is a pure proposer, keeping leader and acceptor separated after a
+// takeover too. AcceptTimeout bounds how long the leader waits for a
+// learn before suspecting the active acceptor (and how long a takeover
+// waits for a prepare_response); TakeoverBackoff delays a retry after a
+// lost takeover race.
+func New(cfg protocol.Config) *Replica {
 	if cfg.AcceptTimeout == 0 {
 		cfg.AcceptTimeout = DefaultAcceptTimeout
 	}
 	if cfg.TakeoverBackoff == 0 {
 		cfg.TakeoverBackoff = DefaultTakeoverBackoff
 	}
-	if cfg.LearnFlushEvery == 0 {
-		cfg.LearnFlushEvery = DefaultLearnFlush
-	}
-	applier := cfg.Applier
-	if applier == nil {
-		applier = rsm.NewKV()
-	}
 	r := &Replica{
-		cfg:          cfg,
-		me:           cfg.ID,
-		replicas:     append([]msg.NodeID(nil), cfg.Replicas...),
 		aa:           cfg.Replicas[len(cfg.Replicas)-1],
 		knownLeader:  cfg.Replicas[0],
 		adopted:      msg.Nobody,
@@ -237,76 +136,47 @@ func New(cfg Config) *Replica {
 		outstanding:  make(map[int64]bool),
 		acceptTimers: make(map[int64]runtime.CancelFunc),
 		ap:           make(map[int64]msg.Proposal),
-		sessions:     rsm.NewSessions(),
-		kv:           applier,
 	}
 	r.util = paxosutil.New(cfg.ID, cfg.Replicas)
 	if cfg.UtilRetryTimeout > 0 {
 		r.util.SetRetryTimeout(cfg.UtilRetryTimeout)
 	}
 	r.util.OnCommit(r.onUtilCommit)
-	r.log = rsm.NewLog(rsm.Dedup{Sessions: r.sessions, Inner: applier})
-	r.log.OnApply(r.onApply)
-	r.log.SetTracer(cfg.Tracer, func() time.Duration { return r.ctx.Now() })
-	r.snap = snapshot.New(snapshot.Config{
-		ID:           cfg.ID,
-		Replicas:     cfg.Replicas,
-		Interval:     int64(cfg.SnapshotInterval),
-		ChunkSize:    cfg.SnapshotChunkSize,
-		Recover:      cfg.Recover,
+	// Read rounds are confirmed — and leases anchored — at the single
+	// active acceptor: it is the serialization point every would-be
+	// leader must adopt, so its word alone is sound where a peer quorum
+	// would not be (writes never cross a quorum here).
+	r.Init(cfg, replica.Agreement{
 		RetryTimeout: 2 * cfg.AcceptTimeout,
-		Events:       cfg.Events,
-	}, r.log, r.sessions, applier)
-	r.snap.OnRestore(func(last int64) {
-		// Every instance the snapshot covers was decided elsewhere while
-		// this replica was gone: treat the restored frontier exactly like
-		// an AcceptorChange frontier — never no-op fill or hand those
-		// instances to fresh proposals.
-		if last+1 > r.noopFloor {
-			r.noopFloor = last + 1
-		}
-		if r.nextInst < last+1 {
-			r.nextInst = last + 1
-		}
-	})
-	mode := cfg.ReadMode
-	store, _ := applier.(*rsm.KV)
-	if store == nil {
-		mode = readpath.Consensus // no local KV to serve from
-	}
-	r.read = readpath.New(readpath.Config{
-		ID:            cfg.ID,
-		Replicas:      cfg.Replicas,
-		Mode:          mode,
-		LeaseDuration: cfg.LeaseDuration,
-		Events:        cfg.Events,
-		HasLeader:     true,
-		LeaseCapable:  true,
-		IsLeader:      func() bool { return r.iAmLeader },
-		Leader:        func() msg.NodeID { return r.knownLeader },
-		// The active acceptor is the round's sole confirmer: every
-		// leader change must adopt it (flipping its `adopted` record),
-		// so its acknowledgement proves no newer leader has committed.
+		HasLeader:    true,
+		LeaseCapable: true,
+		IsLeader:     func() bool { return r.iAmLeader },
+		Leader:       func() msg.NodeID { return r.knownLeader },
+		// Every leader change must adopt the active acceptor (flipping its
+		// `adopted` record), so its acknowledgement proves no newer leader
+		// has committed.
 		Confirmers: func() []msg.NodeID { return []msg.NodeID{r.aa} },
 		NeedAcks:   1,
 		Grant:      func(from msg.NodeID) bool { return r.adopted == from },
 		// nextInst covers everything this leader may commit — including
 		// proposals carried over from a takeover that are not yet
 		// re-learned locally — so waiting it out is always safe.
-		Frontier: func() int64 {
-			f := r.nextInst
-			if lf := r.log.LearnedFrontier(); lf > f {
-				f = lf
-			}
-			return f
+		Frontier: func() int64 { return r.nextInst },
+		OnApply: func(e rsm.Entry) {
+			delete(r.proposed, e.Instance)
+			delete(r.outstanding, e.Instance)
 		},
-		Applied: func() int64 { return r.log.NextToApply() },
-		Ready:   func() bool { return r.snap.Recovered() && !r.snap.CatchingUp() },
-		Read: func(key string) (string, bool) {
-			if store == nil {
-				return "", false
+		OnRestore: func(last int64) {
+			// Every instance the snapshot covers was decided elsewhere while
+			// this replica was gone: treat the restored frontier exactly like
+			// an AcceptorChange frontier — never no-op fill or hand those
+			// instances to fresh proposals.
+			if last+1 > r.noopFloor {
+				r.noopFloor = last + 1
 			}
-			return store.Get(key)
+			if r.nextInst < last+1 {
+				r.nextInst = last + 1
+			}
 		},
 	})
 	return r
@@ -324,36 +194,12 @@ func (r *Replica) ActiveAcceptor() msg.NodeID { return r.aa }
 // KnownLeader reports this node's view of the current leader.
 func (r *Replica) KnownLeader() msg.NodeID { return r.knownLeader }
 
-// Commits reports how many instances this node has applied.
-func (r *Replica) Commits() int64 { return r.commits }
-
 // Takeovers reports how many successful leadership takeovers this node
 // performed.
 func (r *Replica) Takeovers() int64 { return r.takeovers }
 
 // AcceptorSwaps reports how many AcceptorChange entries this node drove.
 func (r *Replica) AcceptorSwaps() int64 { return r.acceptorSwaps }
-
-// Log exposes the learner's log for consistency checks in tests.
-func (r *Replica) Log() *rsm.Log { return r.log }
-
-// SnapshotStats reports the replica's recovery-subsystem counters.
-func (r *Replica) SnapshotStats() metrics.SnapshotStats { return r.snap.Stats() }
-
-// SessionGrowths reports how often this replica's session rings had to
-// grow (rsm.Sessions.Growths). Safe from any goroutine.
-func (r *Replica) SessionGrowths() int64 { return r.sessions.Growths() }
-
-// ReadStats reports the replica's read-fast-path counters.
-func (r *Replica) ReadStats() metrics.ReadStats { return r.read.Stats() }
-
-// ReadPath exposes the read-path server for tests (clock-skew hooks).
-func (r *Replica) ReadPath() *readpath.Server { return r.read }
-
-// Recovered reports whether this replica has finished recovering (see
-// snapshot.Manager.Recovered); trivially true unless built in Recover
-// mode. Safe from any goroutine.
-func (r *Replica) Recovered() bool { return r.snap.Recovered() }
 
 // --- Handler implementation ---
 
@@ -362,31 +208,23 @@ func (r *Replica) Recovered() bool { return r.snap.Recovered() }
 // with exactly this convention (initial LeaderChange/AcceptorChange by the
 // smallest-id node, with no actual role change).
 func (r *Replica) Start(ctx runtime.Context) {
-	r.ctx = ctx
-	r.snap.Start(ctx)
-	r.read.Start(ctx)
+	r.Shell.Start(ctx)
 	// A recovering replica never runs the boot-leader convention, even
 	// as Replicas[0]: the group has moved on without it, and it must
 	// learn what was decided before it may compete for any role.
-	if r.me == r.replicas[0] && !r.cfg.Recover {
+	if r.Me == r.Replicas[0] && !r.Cfg.Recover {
 		r.takingOver = true
 		r.aaVirgin = true // the boot acceptor is fresh by construction
 		r.myPN = r.nextPN()
-		ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: true, From: r.log.NextToApply()})
+		ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: true, From: r.Log().NextToApply()})
 		r.armPrepareDeadline()
 	}
 }
 
 // Receive dispatches one message.
 func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
-	r.ctx = ctx
-	if r.util.Handle(ctx, from, m) {
-		return
-	}
-	if r.snap.Handle(ctx, from, m) {
-		return
-	}
-	if r.read.Handle(ctx, from, m) {
+	r.Ctx = ctx // the utility's commit callbacks send through it
+	if r.util.Handle(ctx, from, m) || r.Route(ctx, from, m) {
 		return
 	}
 	switch mm := m.(type) {
@@ -410,20 +248,14 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 
 // Timer dispatches one timer.
 func (r *Replica) Timer(ctx runtime.Context, tag runtime.TimerTag) {
-	r.ctx = ctx
-	if r.util.HandleTimer(ctx, tag) {
-		return
-	}
-	if r.snap.HandleTimer(ctx, tag) {
-		return
-	}
-	if r.read.HandleTimer(ctx, tag) {
+	r.Ctx = ctx
+	if r.util.HandleTimer(ctx, tag) || r.RouteTimer(ctx, tag) {
 		return
 	}
 	switch tag.Kind {
 	case timerAcceptDeadline:
 		delete(r.acceptTimers, tag.Arg)
-		if r.iAmLeader && r.outstanding[tag.Arg] && !r.log.Learned(tag.Arg) {
+		if r.iAmLeader && r.outstanding[tag.Arg] && !r.Log().Learned(tag.Arg) {
 			r.onAcceptorFailure(false)
 		}
 	case timerRetryTakeover:
@@ -440,24 +272,7 @@ func (r *Replica) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 // --- Client path ---
 
 func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
-	if r.snap.CatchingUp() {
-		// Still streaming state from a peer: serving (or queueing, or
-		// taking over for) this request now could propose against a
-		// stale view. Drop it; the client's retry lands after recovery.
-		return
-	}
-	// Committed entries (single command or batch alike) are answered
-	// from the session table; what remains still needs agreement.
-	fresh := r.sessions.Screen(req, func(rep msg.ClientReply) { r.ctx.Send(req.Client, rep) })
-	// Mark what is left as originating here — this replica will propose
-	// or queue it, and owes the reply — dropping retries of entries
-	// already marked (proposed or queued here before).
-	entries := fresh[:0]
-	for _, be := range fresh {
-		if r.sessions.MarkOrigin(req.Client, be.Seq) {
-			entries = append(entries, be)
-		}
-	}
+	entries := r.Admit(req)
 	if len(entries) == 0 {
 		return
 	}
@@ -472,13 +287,11 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 		r.pending = append(r.pending, msg.NewRequest(req.Client, req.Ack, entries))
 	case r.iAmLeader:
 		r.proposeValue(msg.NewValue(req.Client, req.Ack, entries))
-	case r.cfg.ForwardToLeader && r.knownLeader != r.me && r.knownLeader != msg.Nobody && from != r.knownLeader:
+	case r.Cfg.ForwardToLeader && r.knownLeader != r.Me && r.knownLeader != msg.Nobody && from != r.knownLeader:
 		// Joint mode: funnel commands through the leader (Section 7.4),
 		// which marks them its own and answers; nothing stays here.
-		for _, be := range entries {
-			r.sessions.TakeOrigin(req.Client, be.Seq)
-		}
-		r.ctx.Send(r.knownLeader, req)
+		r.Disown(req.Client, entries)
+		r.Ctx.Send(r.knownLeader, req)
 	default:
 		// The paper's failover story (Section 7.6): clients redirect to a
 		// non-leader node, which then tries to become leader.
@@ -497,22 +310,22 @@ func (r *Replica) proposeValue(v msg.Value) {
 
 func (r *Replica) sendAccept(in int64) {
 	v, ok := r.proposed[in]
-	if !ok || r.log.Learned(in) {
+	if !ok || r.Log().Learned(in) {
 		return
 	}
 	r.outstanding[in] = true
 	r.aaVirgin = false // the acceptor may hold accepted proposals from here on
-	r.ctx.Send(r.aa, msg.AcceptRequest{Instance: in, PN: r.myPN, Value: v})
+	r.Ctx.Send(r.aa, msg.AcceptRequest{Instance: in, PN: r.myPN, Value: v})
 	if cancel, ok := r.acceptTimers[in]; ok {
 		cancel()
 	}
-	r.acceptTimers[in] = r.ctx.After(r.cfg.AcceptTimeout, runtime.TimerTag{Kind: timerAcceptDeadline, Arg: in})
+	r.acceptTimers[in] = r.Ctx.After(r.Cfg.AcceptTimeout, runtime.TimerTag{Kind: timerAcceptDeadline, Arg: in})
 }
 
 // --- Acceptor role (Appendix A lines 45-61) ---
 
 func (r *Replica) onPrepareRequest(from msg.NodeID, m msg.PrepareRequest) {
-	if r.aa != r.me {
+	if r.aa != r.Me {
 		// This node is not the active acceptor in the newest regime it
 		// has observed, so the proposer's view is staler than ours. The
 		// paper's fail-stop assumption does not hold under partitions: a
@@ -523,10 +336,10 @@ func (r *Replica) onPrepareRequest(from msg.NodeID, m msg.PrepareRequest) {
 		// promoted acceptor that has not yet applied its own
 		// AcceptorChange also lands here — the proposer's prepare
 		// deadline retries until the commit reaches us.)
-		r.ctx.Send(from, msg.Abandon{HPN: r.hpn})
+		r.Ctx.Send(from, msg.Abandon{HPN: r.hpn})
 		return
 	}
-	if r.read.PrepareHold(from) > 0 {
+	if r.Read.PrepareHold(from) > 0 {
 		// An unexpired read lease binds this acceptor to another leader:
 		// adopting from now could let it commit writes the lease holder
 		// never sees while still serving local reads. Drop the prepare;
@@ -537,38 +350,38 @@ func (r *Replica) onPrepareRequest(from msg.NodeID, m msg.PrepareRequest) {
 		if r.iAmFresh != m.MustBeFresh {
 			// Freshness mismatch: a silently-reset acceptor must not serve
 			// a leader that believes it is adopted (and vice versa).
-			r.ctx.Send(from, msg.Abandon{HPN: r.hpn, FreshMismatch: true, IamFresh: r.iAmFresh})
+			r.Ctx.Send(from, msg.Abandon{HPN: r.hpn, FreshMismatch: true, IamFresh: r.iAmFresh})
 			return
 		}
 		r.iAmFresh = false
 		r.hpn = m.PN
 		r.adopted = from
-		if m.From < r.log.Floor() {
+		if m.From < r.Log().Floor() {
 			// The proposer's frontier is below our compaction floor: the
 			// decided values it is missing live only in the snapshot.
 			// Push a catch-up transfer ahead of the response (FIFO per
 			// peer, so it installs before the response is processed) and
 			// flag the floor on the response itself so the new leader
 			// never no-op fills those instances even if the push is lost.
-			r.snap.Serve(r.ctx, from, m.From)
+			r.Snap.Serve(r.Ctx, from, m.From)
 		}
-		r.ctx.Send(from, msg.PrepareResponse{Acceptor: r.me, PN: m.PN, Accepted: r.proposalsSince(m.From), Floor: r.log.Floor()})
+		r.Ctx.Send(from, msg.PrepareResponse{Acceptor: r.Me, PN: m.PN, Accepted: r.proposalsSince(m.From), Floor: r.Log().Floor()})
 	} else {
-		r.ctx.Send(from, msg.Abandon{HPN: r.hpn})
+		r.Ctx.Send(from, msg.Abandon{HPN: r.hpn})
 	}
 }
 
 func (r *Replica) onAcceptRequest(from msg.NodeID, m msg.AcceptRequest) {
-	if r.aa != r.me {
+	if r.aa != r.Me {
 		// Retired acceptor (see the matching check in onPrepareRequest):
 		// accepting from a staler-view leader would decide an instance a
 		// newer regime may have decided differently elsewhere.
-		r.ctx.Send(from, msg.Abandon{HPN: r.hpn})
+		r.Ctx.Send(from, msg.Abandon{HPN: r.hpn})
 		return
 	}
 	r.pruneAccepted()
 	if m.PN != r.hpn {
-		r.ctx.Send(from, msg.Abandon{HPN: r.hpn})
+		r.Ctx.Send(from, msg.Abandon{HPN: r.hpn})
 		return
 	}
 	if prev, ok := r.ap[m.Instance]; ok {
@@ -592,7 +405,7 @@ func (r *Replica) onAcceptRequest(from msg.NodeID, m msg.AcceptRequest) {
 // long absence from the acceptor role, when the frontier has moved
 // further than the map is large and ranging the map is the shorter walk.
 func (r *Replica) pruneAccepted() {
-	next := r.log.NextToApply()
+	next := r.Log().NextToApply()
 	if next-r.apPruned > int64(len(r.ap)) {
 		for in := range r.ap {
 			if in < next {
@@ -612,17 +425,17 @@ func (r *Replica) pruneAccepted() {
 // latency path; with batching enabled the remaining learners are served
 // from a periodically flushed buffer.
 func (r *Replica) multicastLearn(p msg.Proposal) {
-	if !r.cfg.EnableLearnBatching {
-		for _, id := range r.replicas {
-			r.ctx.Send(id, msg.Learn{Entries: []msg.Proposal{p}})
+	if !r.Cfg.LearnBatching {
+		for _, id := range r.Replicas {
+			r.Ctx.Send(id, msg.Learn{Entries: []msg.Proposal{p}})
 		}
 		return
 	}
 	if r.adopted != msg.Nobody {
-		r.ctx.Send(r.adopted, msg.Learn{Entries: []msg.Proposal{p}})
+		r.Ctx.Send(r.adopted, msg.Learn{Entries: []msg.Proposal{p}})
 	}
 	if len(r.learnBuf) == 0 {
-		r.ctx.After(r.cfg.LearnFlushEvery, runtime.TimerTag{Kind: timerFlushLearns})
+		r.Ctx.After(learnFlushEvery, runtime.TimerTag{Kind: timerFlushLearns})
 	}
 	r.learnBuf = append(r.learnBuf, p)
 }
@@ -633,11 +446,11 @@ func (r *Replica) flushLearns() {
 	}
 	batch := msg.Learn{Entries: r.learnBuf}
 	r.learnBuf = nil
-	for _, id := range r.replicas {
+	for _, id := range r.Replicas {
 		if id == r.adopted {
 			continue // already served on the fast path
 		}
-		r.ctx.Send(id, batch)
+		r.Ctx.Send(id, batch)
 	}
 }
 
@@ -665,14 +478,14 @@ func (r *Replica) proposalsSince(from int64) []msg.Proposal {
 			seen[p.Instance] = true
 		}
 	}
-	r.log.Scan(from, func(e rsm.Entry) bool {
+	r.Log().Scan(from, func(e rsm.Entry) bool {
 		if !seen[e.Instance] {
 			seen[e.Instance] = true
 			out = append(out, msg.Proposal{Instance: e.Instance, PN: r.hpn, Value: e.Value})
 		}
 		return true
 	})
-	r.log.ScanPending(func(e rsm.Entry) bool {
+	r.Log().ScanPending(func(e rsm.Entry) bool {
 		if e.Instance >= from && !seen[e.Instance] {
 			out = append(out, msg.Proposal{Instance: e.Instance, PN: r.hpn, Value: e.Value})
 		}
@@ -690,48 +503,12 @@ func (r *Replica) onLearn(m msg.Learn) {
 			cancel()
 			delete(r.acceptTimers, p.Instance)
 		}
-		r.log.Learn(p.Instance, p.Value)
+		r.Log().Learn(p.Instance, p.Value)
 	}
 	// A hole below these learns may be permanent — its own learn could
 	// have been dropped by a partition, and instances below the noop
 	// floor are never gap-filled. Arm the stall watchdog.
-	r.snap.WatchGap(r.ctx)
-}
-
-// onApply fires for every instance applied in order; a batched value
-// yields one session record and one reply per command.
-func (r *Replica) onApply(e rsm.Entry, results []string) {
-	r.commits++
-	delete(r.proposed, e.Instance)
-	delete(r.outstanding, e.Instance)
-	defer r.snap.AfterApply() // noops advance the snapshot cadence too
-	defer r.read.AfterApply() // confirmed reads may now be serveable
-	v := e.Value
-	if v.Client == msg.Nobody {
-		return // gap-filling noop
-	}
-	replies := msg.GetReplies(v.Len())
-	for i, n := 0, v.Len(); i < n; i++ {
-		be := v.EntryAt(i)
-		result := results[i]
-		if !r.sessions.Seen(v.Client, be.Seq) {
-			r.sessions.Done(v.Client, be.Seq, e.Instance, result)
-		}
-		if r.sessions.TakeOrigin(v.Client, be.Seq) {
-			replies = append(replies, msg.ClientReply{Seq: be.Seq, Instance: e.Instance, OK: true, Result: result})
-		}
-	}
-	// One message answers the whole batch, so the client can retire it
-	// in one step and refill its window with a full batch. A batch
-	// message takes over the pooled array (the receiver recycles it);
-	// otherwise it goes straight back to the pool.
-	if m := msg.WrapReplies(replies); m != nil {
-		r.ctx.Send(v.Client, m)
-		if _, batched := m.(msg.ClientReplyBatch); batched {
-			replies = nil
-		}
-	}
-	msg.PutReplies(replies)
+	r.Snap.WatchGap(r.Ctx)
 }
 
 // --- Proposer: becoming leader (Appendix A propose()/prepare_response) ---
@@ -742,9 +519,9 @@ func (r *Replica) onPrepareResponse(from msg.NodeID, m msg.PrepareResponse) {
 	}
 	r.iAmLeader = true
 	r.takingOver = false
-	r.knownLeader = r.me
+	r.knownLeader = r.Me
 	r.takeovers++
-	r.cfg.Events.Emitf(r.ctx.Now(), r.me, "leader-change",
+	r.Cfg.Events.Emitf(r.Ctx.Now(), r.Me, "leader-change",
 		"takeover %d complete (pn %d, acceptor %d)", r.takeovers, r.myPN, r.aa)
 	if m.Floor > r.noopFloor {
 		// Instances below the acceptor's compaction floor are decided;
@@ -760,13 +537,13 @@ func (r *Replica) onPrepareResponse(from msg.NodeID, m msg.PrepareResponse) {
 	r.catchUpInstances()
 	// Re-propose everything uncommitted (getAny prefers registered values,
 	// Lemma 2a/2b), then serve queued client requests.
-	for in := r.log.NextToApply(); in < r.nextInst; in++ {
+	for in := r.Log().NextToApply(); in < r.nextInst; in++ {
 		r.sendAccept(in)
 	}
 	pending := r.pending
 	r.pending = nil
 	for _, req := range pending {
-		keep := r.sessions.Unseen(req.Client, req.Entries())
+		keep := r.Sessions.Unseen(req.Client, req.Entries())
 		if len(keep) == 0 {
 			continue
 		}
@@ -796,7 +573,7 @@ func (r *Replica) dropProposalsBelow(floor int64) {
 // re-proposes them rather than new values (Appendix A registerProposals).
 func (r *Replica) registerProposals(ps []msg.Proposal) {
 	for _, p := range ps {
-		if r.log.Learned(p.Instance) {
+		if r.Log().Learned(p.Instance) {
 			continue
 		}
 		r.proposed[p.Instance] = p.Value
@@ -822,14 +599,14 @@ func (r *Replica) catchUpInstances() {
 	if r.nextInst < r.noopFloor {
 		r.nextInst = r.noopFloor
 	}
-	if f := r.log.LearnedFrontier(); r.nextInst < f {
+	if f := r.Log().LearnedFrontier(); r.nextInst < f {
 		r.nextInst = f
 	}
-	for in := r.log.NextToApply(); in < r.nextInst; in++ {
+	for in := r.Log().NextToApply(); in < r.nextInst; in++ {
 		if in < r.noopFloor {
 			continue
 		}
-		if _, ok := r.proposed[in]; !ok && !r.log.Learned(in) {
+		if _, ok := r.proposed[in]; !ok && !r.Log().Learned(in) {
 			r.proposed[in] = msg.Value{Client: msg.Nobody, Cmd: msg.Command{Op: msg.OpNoop}}
 		}
 	}
@@ -851,7 +628,7 @@ func (r *Replica) onAbandon(from msg.NodeID, m msg.Abandon) {
 		mustBeFresh = m.IamFresh
 	}
 	r.myPN = r.nextPNAbove(m.HPN)
-	r.ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: mustBeFresh, From: r.log.NextToApply()})
+	r.Ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: mustBeFresh, From: r.Log().NextToApply()})
 	r.armPrepareDeadline()
 }
 
@@ -866,14 +643,14 @@ func (r *Replica) startTakeover() {
 	if r.aa == msg.Nobody {
 		acceptor, _, carried, ok := r.util.LastActiveAcceptor()
 		if !ok {
-			acceptor = r.replicas[1] // static initial assignment
+			acceptor = r.Replicas[1] // static initial assignment
 		}
 		r.aa = acceptor
 		r.registerProposals(carried)
 	}
 	slot := r.util.Frontier()
-	entry := msg.UtilEntry{Type: msg.EntryLeaderChange, Leader: r.me, Acceptor: r.aa}
-	r.util.Propose(r.ctx, slot, entry, func(success bool, chosen msg.UtilEntry) {
+	entry := msg.UtilEntry{Type: msg.EntryLeaderChange, Leader: r.Me, Acceptor: r.aa}
+	r.util.Propose(r.Ctx, slot, entry, func(success bool, chosen msg.UtilEntry) {
 		if success && r.util.Superseded(slot) {
 			// Our LeaderChange committed, but its discovery arrived so
 			// late (crash window, partition) that later slots have
@@ -884,7 +661,7 @@ func (r *Replica) startTakeover() {
 			r.takingOver = false
 			r.aa = msg.Nobody
 			if len(r.pending) > 0 {
-				r.ctx.After(r.cfg.TakeoverBackoff, runtime.TimerTag{Kind: timerRetryTakeover})
+				r.Ctx.After(r.Cfg.TakeoverBackoff, runtime.TimerTag{Kind: timerRetryTakeover})
 			}
 			return
 		}
@@ -893,11 +670,11 @@ func (r *Replica) startTakeover() {
 			// view. Forward to the new leader or retry after a backoff.
 			r.takingOver = false
 			r.aa = msg.Nobody
-			if chosen.Type == msg.EntryLeaderChange && chosen.Leader != r.me {
+			if chosen.Type == msg.EntryLeaderChange && chosen.Leader != r.Me {
 				r.forwardPending(chosen.Leader)
 			}
 			if len(r.pending) > 0 {
-				r.ctx.After(r.cfg.TakeoverBackoff, runtime.TimerTag{Kind: timerRetryTakeover})
+				r.Ctx.After(r.Cfg.TakeoverBackoff, runtime.TimerTag{Kind: timerRetryTakeover})
 			}
 			return
 		}
@@ -905,29 +682,27 @@ func (r *Replica) startTakeover() {
 		// was adopted by the previous leader, so it must not be fresh —
 		// unless it never received the previous leader's prepare, in
 		// which case the Abandon handler flips the flag and retries.
-		r.ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: false, From: r.log.NextToApply()})
+		r.Ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: false, From: r.Log().NextToApply()})
 		r.armPrepareDeadline()
 	})
 }
 
 func (r *Replica) forwardPending(leader msg.NodeID) {
-	if leader == r.me || leader == msg.Nobody {
+	if leader == r.Me || leader == msg.Nobody {
 		return
 	}
 	pending := r.pending
 	r.pending = nil
 	for _, req := range pending {
-		for _, be := range req.Entries() {
-			r.sessions.TakeOrigin(req.Client, be.Seq)
-		}
-		r.ctx.Send(leader, req)
+		r.Disown(req.Client, req.Entries())
+		r.Ctx.Send(leader, req)
 	}
 }
 
 // --- Failure detection ---
 
 func (r *Replica) armPrepareDeadline() {
-	r.ctx.After(r.cfg.AcceptTimeout, runtime.TimerTag{Kind: timerPrepareDeadline, Arg: int64(r.myPN)})
+	r.Ctx.After(r.Cfg.AcceptTimeout, runtime.TimerTag{Kind: timerPrepareDeadline, Arg: int64(r.myPN)})
 }
 
 // onPrepareDeadline fires when a prepare_request got no response within
@@ -948,11 +723,11 @@ func (r *Replica) onPrepareDeadline(pn uint64) {
 	if r.iAmLeader || pn != r.myPN || !r.takingOver {
 		return
 	}
-	if leader, _ := r.globalLeader(); leader == r.me && r.aaVirgin {
+	if leader, _ := r.globalLeader(); leader == r.Me && r.aaVirgin {
 		r.onAcceptorFailure(true)
 		return
 	}
-	r.ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: r.aaVirgin, From: r.log.NextToApply()})
+	r.Ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: r.aaVirgin, From: r.Log().NextToApply()})
 	r.armPrepareDeadline()
 }
 
@@ -962,7 +737,7 @@ func (r *Replica) onPrepareDeadline(pn uint64) {
 func (r *Replica) globalLeader() (msg.NodeID, int64) {
 	leader, slot, ok := r.util.LastLeader()
 	if !ok {
-		return r.replicas[0], slot
+		return r.Replicas[0], slot
 	}
 	return leader, slot
 }
@@ -978,7 +753,7 @@ func (r *Replica) onAcceptorFailure(virginSwitch bool) {
 		return
 	}
 	leader, slot := r.globalLeader()
-	if leader != r.me {
+	if leader != r.Me {
 		// Somebody thought I am dead (Appendix A line 4): relinquish.
 		r.aa = msg.Nobody
 		r.iAmLeader = false
@@ -997,12 +772,12 @@ func (r *Replica) onAcceptorFailure(virginSwitch bool) {
 	// Uncommitted and are re-proposed with their original value.
 	entry := msg.UtilEntry{
 		Type:        msg.EntryAcceptorChange,
-		Leader:      r.me,
+		Leader:      r.Me,
 		Acceptor:    next,
 		Uncommitted: r.uncommittedProposals(),
-		Frontier:    r.log.LearnedFrontier(),
+		Frontier:    r.Log().LearnedFrontier(),
 	}
-	r.util.Propose(r.ctx, slot, entry, func(success bool, chosen msg.UtilEntry) {
+	r.util.Propose(r.Ctx, slot, entry, func(success bool, chosen msg.UtilEntry) {
 		r.switchingAa = false
 		if !success {
 			// Another entry landed first; our view was refreshed by
@@ -1019,13 +794,13 @@ func (r *Replica) onAcceptorFailure(virginSwitch bool) {
 			return
 		}
 		r.acceptorSwaps++
-		r.cfg.Events.Emitf(r.ctx.Now(), r.me, "acceptor-change",
+		r.Cfg.Events.Emitf(r.Ctx.Now(), r.Me, "acceptor-change",
 			"active acceptor %d -> %d", r.aa, next)
 		r.aa = next
 		r.iAmLeader = false // must re-adopt the fresh acceptor (line 13)
 		r.takingOver = true
 		r.myPN = r.nextPN()
-		r.ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: true, From: r.log.NextToApply()})
+		r.Ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: true, From: r.Log().NextToApply()})
 		r.armPrepareDeadline()
 	})
 }
@@ -1034,8 +809,8 @@ func (r *Replica) onAcceptorFailure(virginSwitch bool) {
 // neither this node (leader and acceptor stay separated, Section 5.4) nor
 // the currently suspected acceptor.
 func (r *Replica) selectAcceptor() msg.NodeID {
-	for _, id := range r.replicas {
-		if id != r.me && id != r.aa {
+	for _, id := range r.Replicas {
+		if id != r.Me && id != r.aa {
 			return id
 		}
 	}
@@ -1049,7 +824,7 @@ func (r *Replica) selectAcceptor() msg.NodeID {
 func (r *Replica) uncommittedProposals() []msg.Proposal {
 	out := make([]msg.Proposal, 0, len(r.proposed))
 	for in, v := range r.proposed {
-		if !r.log.Learned(in) {
+		if !r.Log().Learned(in) {
 			out = append(out, msg.Proposal{Instance: in, PN: r.myPN, Value: v})
 		}
 	}
@@ -1062,7 +837,7 @@ func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
 	switch e.Type {
 	case msg.EntryLeaderChange:
 		r.knownLeader = e.Leader
-		if e.Leader != r.me {
+		if e.Leader != r.Me {
 			// Another proposer adopts the acceptor and will send it
 			// accept_requests; it can no longer be presumed fresh. Without
 			// this, a boot leader that never proposed could much later
@@ -1082,7 +857,7 @@ func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
 		}
 	case msg.EntryAcceptorChange:
 		r.aa = e.Acceptor
-		r.aaVirgin = e.Leader == r.me // fresh backup installed by us
+		r.aaVirgin = e.Leader == r.Me // fresh backup installed by us
 		r.knownLeader = e.Leader
 		if e.Frontier > r.noopFloor {
 			r.noopFloor = e.Frontier
@@ -1098,7 +873,7 @@ func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
 		// acceptor.
 		r.dropProposalsBelow(r.noopFloor)
 		r.registerProposals(e.Uncommitted)
-		if e.Acceptor == r.me {
+		if e.Acceptor == r.Me {
 			// We are the promoted fresh backup: reset short-term memory.
 			r.hpn = 0
 			r.adopted = msg.Nobody
@@ -1107,9 +882,9 @@ func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
 			r.learnBuf = nil
 			// The old acceptor's lease grants are invisible here; hold
 			// every adoption until the longest one could have lapsed.
-			r.read.AssumeForeignLease()
+			r.Read.AssumeForeignLease()
 		}
-		if e.Leader != r.me && r.iAmLeader {
+		if e.Leader != r.Me && r.iAmLeader {
 			r.iAmLeader = false
 		}
 	}
@@ -1127,14 +902,5 @@ func (r *Replica) nextPNAbove(floor uint64) uint64 {
 	if r.hpn > base {
 		base = r.hpn
 	}
-	return basicpaxos.NextPN(msg.NodeID(r.indexOf(r.me)), base)
-}
-
-func (r *Replica) indexOf(id msg.NodeID) int {
-	for i, rid := range r.replicas {
-		if rid == id {
-			return i
-		}
-	}
-	return 0
+	return basicpaxos.NextPN(msg.NodeID(r.Index), base)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"
@@ -20,30 +21,26 @@ func replicaIDs(n int) []msg.NodeID {
 
 func newReplica(t *testing.T, id msg.NodeID, n int) (*Replica, *runtime.FakeContext) {
 	t.Helper()
-	r := New(Config{ID: id, Replicas: replicaIDs(n)})
+	r := New(protocol.Config{ID: id, Replicas: replicaIDs(n)})
 	ctx := runtime.NewFakeContext(id, n)
 	return r, ctx
 }
 
 // --- Handler-level tests (Appendix A mechanics) ---
 
+// TestNewValidation: a malformed group is rejected where engines are
+// built (protocol.Build), the one validator every deployment goes
+// through.
 func TestNewValidation(t *testing.T) {
-	if got := recoverPanic(func() { New(Config{ID: 0, Replicas: replicaIDs(2)}) }); got == "" {
-		t.Error("two replicas must panic")
+	if _, err := protocol.Build(protocol.OnePaxos, protocol.Config{ID: 0, Replicas: replicaIDs(2)}); err == nil {
+		t.Error("two replicas must be rejected")
 	}
-	if got := recoverPanic(func() { New(Config{ID: 9, Replicas: replicaIDs(3)}) }); got == "" {
-		t.Error("non-member id must panic")
+	if _, err := protocol.Build(protocol.OnePaxos, protocol.Config{ID: 9, Replicas: replicaIDs(3)}); err == nil {
+		t.Error("non-member id must be rejected")
 	}
-}
-
-func recoverPanic(fn func()) (msgText string) {
-	defer func() {
-		if p := recover(); p != nil {
-			msgText = "panicked"
-		}
-	}()
-	fn()
-	return ""
+	if _, err := protocol.Build(protocol.OnePaxos, protocol.Config{ID: 0, Replicas: replicaIDs(3)}); err != nil {
+		t.Errorf("a well-formed group must build: %v", err)
+	}
 }
 
 func TestBootLeaderSendsFreshPrepare(t *testing.T) {
@@ -245,7 +242,7 @@ func TestLearnOutOfOrderHoldsApplication(t *testing.T) {
 }
 
 func TestLearnBatchingKeepsLeaderPathImmediate(t *testing.T) {
-	cfg := Config{ID: 2, Replicas: replicaIDs(3), EnableLearnBatching: true}
+	cfg := protocol.Config{ID: 2, Replicas: replicaIDs(3), LearnBatching: true}
 	r := New(cfg)
 	ctx := runtime.NewFakeContext(2, 3)
 	r.Start(ctx)
@@ -294,14 +291,14 @@ func (c *recordingClient) Receive(ctx runtime.Context, from msg.NodeID, m msg.Me
 }
 func (c *recordingClient) Timer(runtime.Context, runtime.TimerTag) {}
 
-func newScenario(t *testing.T, n int, seed int64, tweak func(*Config)) *scenario {
+func newScenario(t *testing.T, n int, seed int64, tweak func(*protocol.Config)) *scenario {
 	t.Helper()
 	machine := topology.Uniform(n+1, time.Microsecond)
 	net := simnet.New(machine, simnet.ManyCore(), seed)
 	ids := replicaIDs(n)
 	s := &scenario{net: net}
 	for i := 0; i < n; i++ {
-		cfg := Config{ID: msg.NodeID(i), Replicas: ids}
+		cfg := protocol.Config{ID: msg.NodeID(i), Replicas: ids}
 		if tweak != nil {
 			tweak(&cfg)
 		}
@@ -483,7 +480,7 @@ func TestScenarioDeposedLeaderRelinquishes(t *testing.T) {
 func TestScenarioForwardingMode(t *testing.T) {
 	// Joint-style forwarding: a request to a non-leader is forwarded to
 	// the leader rather than triggering a takeover.
-	s := newScenario(t, 3, 7, func(c *Config) { c.ForwardToLeader = true })
+	s := newScenario(t, 3, 7, func(c *protocol.Config) { c.ForwardToLeader = true })
 	s.send(time.Millisecond, 1, 1) // hits non-leader replica 1
 	s.net.RunFor(20 * time.Millisecond)
 	if len(s.client.replies) != 1 {

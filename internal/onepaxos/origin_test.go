@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/runtime"
 )
 
@@ -54,7 +55,7 @@ func TestOriginDuplicateRequestProposedAndAnsweredOnce(t *testing.T) {
 }
 
 func TestOriginForwardToLeaderLeavesNoMark(t *testing.T) {
-	r := New(Config{ID: 1, Replicas: replicaIDs(3), ForwardToLeader: true})
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3), ForwardToLeader: true})
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 

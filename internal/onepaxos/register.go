@@ -6,24 +6,6 @@ func init() {
 	protocol.Register(protocol.OnePaxos, protocol.Info{
 		Name:        "1Paxos",
 		MinReplicas: 3,
-		New: func(cfg protocol.Config) protocol.Engine {
-			return New(Config{
-				ID:                  cfg.ID,
-				Replicas:            cfg.Replicas,
-				Applier:             cfg.Applier,
-				AcceptTimeout:       cfg.AcceptTimeout,
-				TakeoverBackoff:     cfg.TakeoverBackoff,
-				UtilRetryTimeout:    cfg.UtilRetryTimeout,
-				ForwardToLeader:     cfg.ForwardToLeader,
-				EnableLearnBatching: cfg.LearnBatching,
-				SnapshotInterval:    cfg.SnapshotInterval,
-				SnapshotChunkSize:   cfg.SnapshotChunkSize,
-				Recover:             cfg.Recover,
-				ReadMode:            cfg.ReadMode,
-				LeaseDuration:       cfg.LeaseDuration,
-				Tracer:              cfg.Tracer,
-				Events:              cfg.Events,
-			})
-		},
+		New:         func(cfg protocol.Config) protocol.Engine { return New(cfg) },
 	})
 }

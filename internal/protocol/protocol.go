@@ -126,40 +126,34 @@ type Config struct {
 }
 
 // Engine is the face a running protocol replica shows to a deployment:
-// the message-passing contract plus the applied-command counter every
-// experiment reads.
+// the message-passing contract, the applied-command counter every
+// experiment reads, and the shared subsystems' counters and test hooks.
+// Engines get everything but the Handler methods from the replica shell
+// they embed (internal/replica), so deployments never probe for them.
 type Engine interface {
 	runtime.Handler
+	// Commits reports how many instances (commands, for engines without
+	// an instance log) this replica has applied.
 	Commits() int64
+	// SnapshotStats, ReadStats and SessionGrowths report the recovery
+	// subsystem's, the read fast path's and the session rings' counters;
+	// deployments fold them into service totals. Safe from any goroutine.
+	SnapshotStats() metrics.SnapshotStats
+	ReadStats() metrics.ReadStats
+	SessionGrowths() int64
+	// Recovered reports whether a replica built with Config.Recover has
+	// caught up (trivially true otherwise). Safe from any goroutine.
+	Recovered() bool
+	// ReadPath exposes the read-path server for its test hooks (clock
+	// skew, the scenario fuzzer's revert guard).
+	ReadPath() *readpath.Server
 }
 
-// LogExposer is implemented by engines with an instance-indexed learner
-// log (the paxos family); deployments use it for cross-replica
-// consistency checks. Engines without a total order (2PC) do not
-// implement it.
+// LogExposer is the instance-indexed learner log of the paxos family;
+// deployments use it for cross-replica consistency checks. Log is nil
+// for an engine without a total order (2PC).
 type LogExposer interface {
 	Log() *rsm.Log
-}
-
-// SnapshotStatser is implemented by engines embedding the recovery
-// subsystem (internal/snapshot); deployments fold the per-replica
-// counters into service totals (KV.SnapshotStats).
-type SnapshotStatser interface {
-	SnapshotStats() metrics.SnapshotStats
-}
-
-// ReadStatser is implemented by engines embedding the read fast path
-// (internal/readpath); deployments fold the per-replica counters into
-// service totals (KV.ReadStats).
-type ReadStatser interface {
-	ReadStats() metrics.ReadStats
-}
-
-// SessionStatser is implemented by engines that track client sessions
-// (internal/rsm.Sessions); deployments fold the per-replica ring-growth
-// counts into the "session.ring_growths" metric.
-type SessionStatser interface {
-	SessionGrowths() int64
 }
 
 // Info describes one registered protocol.

@@ -1,0 +1,351 @@
+// Package replica holds the replicated-state-machine plumbing that is
+// the same under every agreement protocol: client sessions, the learner
+// log and its trace stamps, snapshots and catch-up, the read fast path,
+// request admission, the reply fan-out and the counters deployments
+// read. The paper's point is that inside a machine only the agreement
+// core differs between protocols; an engine embeds a Shell, tells it
+// the few agreement facts the shared subsystems need (Agreement), and
+// implements nothing but agreement — its own messages, timers and
+// proposer/acceptor/learner state.
+package replica
+
+import (
+	"time"
+
+	"consensusinside/internal/metrics"
+	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
+	"consensusinside/internal/readpath"
+	"consensusinside/internal/rsm"
+	"consensusinside/internal/runtime"
+	"consensusinside/internal/snapshot"
+)
+
+// Agreement is what the shared subsystems need to know about the
+// protocol above them. The hooks run on the node's callback goroutine;
+// all are optional except Frontier.
+type Agreement struct {
+	// RetryTimeout paces the recovery subsystem (catch-up retries and
+	// its stall watchdogs); engines pass twice their own failure-detector
+	// timeout. Zero means snapshot.DefaultRetryTimeout.
+	RetryTimeout time.Duration
+
+	// NoLog marks an engine that agrees on commands without ordering
+	// them into instances (2PC): the shell builds no learner log, Log
+	// reports nil, snapshots count applied commands, and the engine
+	// applies commands itself and calls AfterApply for each.
+	NoLog bool
+
+	// HasLeader marks engines with a distinguished serving node (a
+	// stable leader, or 2PC's fixed coordinator); IsLeader and Leader
+	// report this node's view of it. LeaseCapable marks engines whose
+	// confirmers can block a deposition for a lease's lifetime (they
+	// consult Read.PrepareHold in their prepare handlers).
+	HasLeader    bool
+	LeaseCapable bool
+	IsLeader     func() bool
+	Leader       func() msg.NodeID
+
+	// Confirmers names the nodes whose acknowledgement confirms a read
+	// round and NeedAcks how many must answer. A nil Confirmers means a
+	// majority round: every peer is asked and a quorum minus this node
+	// must answer (NeedAcks is ignored).
+	Confirmers func() []msg.NodeID
+	NeedAcks   int
+
+	// Grant reports whether this node vouches for from as the serving
+	// node (nil: always — the acknowledgement only carries a frontier).
+	// Establish, when set, makes a leader its peers have not yet
+	// observed visible to them (see readpath.Config).
+	Grant     func(from msg.NodeID) bool
+	Establish func()
+
+	// Frontier bounds what this node may have committed beyond what its
+	// learner log already holds: the next instance a leader would
+	// assign, or one past the highest instance seen accepted. The shell
+	// folds in the log's own learned frontier.
+	Frontier func() int64
+
+	// OnApply runs once per applied instance, after the shell recorded
+	// the session results and answered the client and before the read
+	// path and snapshot hooks: the place to retire per-instance
+	// proposer state.
+	OnApply func(e rsm.Entry)
+
+	// OnRestore runs after a peer snapshot was installed, OnSnapshot
+	// after each local capture (see snapshot.Manager).
+	OnRestore  func(lastApplied int64)
+	OnSnapshot func(lastApplied int64)
+}
+
+// Shell is one replica's shared state. An engine embeds it by value,
+// calls Init from its constructor, and routes through it: Start (or
+// shadow it and call Shell.Start first), Route at the top of Receive,
+// RouteTimer at the top of Timer (an engine with no timers of its own
+// inherits Timer), Admit on the client-request path. The zero value is
+// not usable.
+type Shell struct {
+	// Cfg is the construction contract as given, with a nil Applier
+	// replaced; engines default their own timeouts before Init.
+	Cfg protocol.Config
+
+	Me       msg.NodeID
+	Replicas []msg.NodeID // the agreement group in the shared order
+	Peers    []msg.NodeID // Replicas without Me
+	Index    int          // position of Me in Replicas
+	Quorum   int          // majority of Replicas
+
+	// Ctx is the node context of the callback in progress; Start, Route
+	// and RouteTimer store it.
+	Ctx runtime.Context
+
+	Store    *rsm.KV // the applier when it is the stock KV, else nil
+	Sessions *rsm.Sessions
+	Snap     *snapshot.Manager
+	Read     *readpath.Server
+
+	log     *rsm.Log
+	agree   Agreement
+	commits int64
+}
+
+// Init builds the shared subsystems for one replica. cfg was validated
+// by protocol.Build (group size, membership).
+func (s *Shell) Init(cfg protocol.Config, a Agreement) {
+	if cfg.Applier == nil {
+		cfg.Applier = rsm.NewKV()
+	}
+	s.Cfg = cfg
+	s.agree = a
+	s.Me = cfg.ID
+	s.Replicas = append([]msg.NodeID(nil), cfg.Replicas...)
+	for i, id := range s.Replicas {
+		if id == s.Me {
+			s.Index = i
+		} else {
+			s.Peers = append(s.Peers, id)
+		}
+	}
+	s.Quorum = len(s.Replicas)/2 + 1
+	s.Store, _ = cfg.Applier.(*rsm.KV)
+	s.Sessions = rsm.NewSessions()
+	if !a.NoLog {
+		s.log = rsm.NewLog(rsm.Dedup{Sessions: s.Sessions, Inner: cfg.Applier})
+		s.log.OnApply(s.onApply)
+		// The log is built before the node's context exists; it asks for
+		// the clock only while a callback runs.
+		s.log.SetTracer(cfg.Tracer, func() time.Duration { return s.Ctx.Now() })
+	}
+	s.Snap = snapshot.New(snapshot.Config{
+		ID:           cfg.ID,
+		Replicas:     cfg.Replicas,
+		Interval:     int64(cfg.SnapshotInterval),
+		ChunkSize:    cfg.SnapshotChunkSize,
+		Recover:      cfg.Recover,
+		RetryTimeout: a.RetryTimeout,
+		Events:       cfg.Events,
+	}, s.log, s.Sessions, cfg.Applier)
+	s.Snap.OnRestore(a.OnRestore)
+	s.Snap.OnSnapshot(a.OnSnapshot)
+
+	mode := cfg.ReadMode
+	if s.Store == nil {
+		mode = readpath.Consensus // no local KV to serve from
+	}
+	confirmers, need := a.Confirmers, a.NeedAcks
+	if confirmers == nil {
+		// Majority minus this node: together with the reader itself the
+		// round covers a quorum, which intersects every committed write's
+		// accept quorum.
+		confirmers, need = func() []msg.NodeID { return s.Peers }, s.Quorum-1
+	}
+	s.Read = readpath.New(readpath.Config{
+		ID:            cfg.ID,
+		Replicas:      cfg.Replicas,
+		Mode:          mode,
+		LeaseDuration: cfg.LeaseDuration,
+		Events:        cfg.Events,
+		HasLeader:     a.HasLeader,
+		LeaseCapable:  a.LeaseCapable,
+		IsLeader:      a.IsLeader,
+		Leader:        a.Leader,
+		Confirmers:    confirmers,
+		NeedAcks:      need,
+		Grant:         a.Grant,
+		Establish:     a.Establish,
+		Frontier:      s.frontier,
+		Applied:       s.applied,
+		Ready:         func() bool { return s.Snap.Recovered() && !s.Snap.CatchingUp() },
+		Read: func(key string) (string, bool) {
+			if s.Store == nil {
+				return "", false
+			}
+			return s.Store.Get(key)
+		},
+	})
+}
+
+func (s *Shell) frontier() int64 {
+	f := s.agree.Frontier()
+	if s.log != nil {
+		if lf := s.log.LearnedFrontier(); lf > f {
+			f = lf
+		}
+	}
+	return f
+}
+
+func (s *Shell) applied() int64 {
+	if s.log == nil {
+		return s.commits
+	}
+	return s.log.NextToApply()
+}
+
+// --- Routing: engine-private side protocols → snapshot → read path → agreement ---
+
+// Start implements runtime.Handler's Start for engines with no
+// bootstrap round; the others shadow it and call it first. A replica
+// built with Cfg.Recover starts streaming state from a peer here.
+func (s *Shell) Start(ctx runtime.Context) {
+	s.Ctx = ctx
+	s.Snap.Start(ctx)
+	s.Read.Start(ctx)
+}
+
+// Route offers one message to the recovery subsystem and then the read
+// path, and reports whether either consumed it. An engine with a side
+// protocol of its own (1Paxos's PaxosUtility) offers the message there
+// first; what nobody claims is the engine's agreement traffic.
+func (s *Shell) Route(ctx runtime.Context, from msg.NodeID, m msg.Message) bool {
+	s.Ctx = ctx
+	return s.Snap.Handle(ctx, from, m) || s.Read.Handle(ctx, from, m)
+}
+
+// RouteTimer is Route for timers.
+func (s *Shell) RouteTimer(ctx runtime.Context, tag runtime.TimerTag) bool {
+	s.Ctx = ctx
+	return s.Snap.HandleTimer(ctx, tag) || s.Read.HandleTimer(ctx, tag)
+}
+
+// Timer implements runtime.Handler's Timer for engines that set no
+// timers of their own.
+func (s *Shell) Timer(ctx runtime.Context, tag runtime.TimerTag) { s.RouteTimer(ctx, tag) }
+
+// --- Request admission ---
+
+// Screen answers what it can of a client request without agreement and
+// returns the entries that still need it, in order: nothing while this
+// replica is catching up (serving, queueing or proposing now would act
+// on a stale view — the client's retry lands after the transfer), and
+// otherwise whatever the session table has not seen commit. Committed
+// entries are answered from the table, single command or batch alike.
+func (s *Shell) Screen(req msg.ClientRequest) []msg.BatchEntry {
+	if s.Snap.CatchingUp() {
+		return nil
+	}
+	return s.Sessions.Screen(req, func(rep msg.ClientReply) { s.Ctx.Send(req.Client, rep) })
+}
+
+// Admit is Screen for engines that propose what they are sent: it also
+// marks the remaining entries as originating here — this replica will
+// propose or queue them, and owes the reply once they commit — and
+// drops retries of entries already marked. An empty result means there
+// is nothing to do.
+func (s *Shell) Admit(req msg.ClientRequest) []msg.BatchEntry {
+	fresh := s.Screen(req)
+	entries := fresh[:0]
+	for _, be := range fresh {
+		if s.Sessions.MarkOrigin(req.Client, be.Seq) {
+			entries = append(entries, be)
+		}
+	}
+	return entries
+}
+
+// Disown gives the reply duty for admitted entries away: the engine is
+// handing them to another replica (forward-to-leader), which marks them
+// its own and answers.
+func (s *Shell) Disown(client msg.NodeID, entries []msg.BatchEntry) {
+	for _, be := range entries {
+		s.Sessions.TakeOrigin(client, be.Seq)
+	}
+}
+
+// --- Apply side ---
+
+// onApply fires for every instance applied in order: one session record
+// per command, one reply per command this replica took from the client.
+func (s *Shell) onApply(e rsm.Entry, results []string) {
+	if v := e.Value; v.Client != msg.Nobody { // not a gap-filling noop
+		replies := msg.GetReplies(v.Len())
+		for i, n := 0, v.Len(); i < n; i++ {
+			be := v.EntryAt(i)
+			if !s.Sessions.Seen(v.Client, be.Seq) {
+				s.Sessions.Done(v.Client, be.Seq, e.Instance, results[i])
+			}
+			if s.Sessions.TakeOrigin(v.Client, be.Seq) {
+				replies = append(replies, msg.ClientReply{Seq: be.Seq, Instance: e.Instance, OK: true, Result: results[i]})
+			}
+		}
+		s.SendReplies(v.Client, replies)
+	}
+	if s.agree.OnApply != nil {
+		s.agree.OnApply(e)
+	}
+	s.AfterApply()
+}
+
+// SendReplies answers client with one message for all of replies, so it
+// can retire a batch in one step and refill its window with a full one.
+// replies must come from msg.GetReplies: a batch message takes over the
+// pooled array (the receiver recycles it); otherwise it goes straight
+// back to the pool. Nothing is sent for an empty list.
+func (s *Shell) SendReplies(client msg.NodeID, replies []msg.ClientReply) {
+	if m := msg.WrapReplies(replies); m != nil {
+		s.Ctx.Send(client, m)
+		if _, batched := m.(msg.ClientReplyBatch); batched {
+			replies = nil
+		}
+	}
+	msg.PutReplies(replies)
+}
+
+// AfterApply counts one commit and runs the per-commit hooks: reads
+// whose confirmed frontier the state machine now covers are served, and
+// the snapshot cadence advances (noops count too). The shell calls it
+// per applied instance; a NoLog engine calls it per applied command.
+func (s *Shell) AfterApply() {
+	s.commits++
+	s.Read.AfterApply()
+	s.Snap.AfterApply()
+}
+
+// --- What deployments read (protocol.Engine) ---
+
+// Commits reports how many instances (commands, for a NoLog engine)
+// this replica has applied.
+func (s *Shell) Commits() int64 { return s.commits }
+
+// Log exposes the learner log for consistency checks; nil for a NoLog
+// engine.
+func (s *Shell) Log() *rsm.Log { return s.log }
+
+// SnapshotStats reports the recovery subsystem's counters. Safe from
+// any goroutine, as are the four accessors below.
+func (s *Shell) SnapshotStats() metrics.SnapshotStats { return s.Snap.Stats() }
+
+// ReadStats reports the read fast path's counters.
+func (s *Shell) ReadStats() metrics.ReadStats { return s.Read.Stats() }
+
+// SessionGrowths reports how often the session rings had to grow
+// (rsm.Sessions.Growths).
+func (s *Shell) SessionGrowths() int64 { return s.Sessions.Growths() }
+
+// Recovered reports whether this replica has finished recovering;
+// trivially true unless built with Cfg.Recover.
+func (s *Shell) Recovered() bool { return s.Snap.Recovered() }
+
+// ReadPath exposes the read-path server for its test hooks (clock
+// skew, the fuzzer's revert guard).
+func (s *Shell) ReadPath() *readpath.Server { return s.Read }

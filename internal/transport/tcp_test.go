@@ -8,6 +8,7 @@ import (
 
 	"consensusinside/internal/msg"
 	"consensusinside/internal/onepaxos"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/runtime"
 )
 
@@ -238,7 +239,7 @@ func TestTimersOverTCP(t *testing.T) {
 func TestOnePaxosOverTCP(t *testing.T) {
 	ids := []msg.NodeID{0, 1, 2}
 	mk := func(id msg.NodeID) runtime.Handler {
-		return onepaxos.New(onepaxos.Config{
+		return onepaxos.New(protocol.Config{
 			ID:       id,
 			Replicas: ids,
 			// Wall-clock timeouts: far looser than the simulated ones.

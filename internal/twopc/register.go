@@ -6,21 +6,6 @@ func init() {
 	protocol.Register(protocol.TwoPC, protocol.Info{
 		Name:        "2PC",
 		MinReplicas: 2,
-		New: func(cfg protocol.Config) protocol.Engine {
-			return New(Config{
-				ID:                cfg.ID,
-				Replicas:          cfg.Replicas,
-				Applier:           cfg.Applier,
-				LocalReads:        cfg.LocalReads,
-				TxRetryTimeout:    cfg.TxRetryTimeout,
-				SnapshotInterval:  cfg.SnapshotInterval,
-				SnapshotChunkSize: cfg.SnapshotChunkSize,
-				Recover:           cfg.Recover,
-				ReadMode:          cfg.ReadMode,
-				LeaseDuration:     cfg.LeaseDuration,
-				Tracer:            cfg.Tracer,
-				Events:            cfg.Events,
-			})
-		},
+		New:         func(cfg protocol.Config) protocol.Engine { return New(cfg) },
 	})
 }

@@ -21,93 +21,24 @@
 package twopc
 
 import (
-	"fmt"
-	"time"
-
-	"consensusinside/internal/metrics"
 	"consensusinside/internal/msg"
-	"consensusinside/internal/obs"
-	"consensusinside/internal/readpath"
-	"consensusinside/internal/rsm"
+	"consensusinside/internal/protocol"
+	"consensusinside/internal/replica"
 	"consensusinside/internal/runtime"
-	"consensusinside/internal/snapshot"
 	"consensusinside/internal/trace"
 )
 
 // timerTxRetry re-drives a pending transaction's current phase
-// (Arg: the transaction id). Armed only when Config.TxRetryTimeout is
+// (Arg: the transaction id). Armed only when Cfg.TxRetryTimeout is
 // set — the paper's 2PC is strictly blocking and retransmits nothing.
 const timerTxRetry = 1
 
-// Config parameterizes a Replica.
-type Config struct {
-	// ID is this node; Replicas is the replication group in a fixed
-	// shared order. Replicas[0] is the coordinator, permanently: the
-	// protocol is blocking by design and has no election.
-	ID       msg.NodeID
-	Replicas []msg.NodeID
-
-	// Applier is the replicated state machine; nil means a fresh KV.
-	Applier rsm.Applier
-
-	// LocalReads enables the Joint-mode read optimization.
-	LocalReads bool
-
-	// TxRetryTimeout makes the coordinator re-send the current phase of
-	// a transaction still pending after this long: prepares to replicas
-	// that have not acked, commits to replicas that have not confirmed.
-	// Both are idempotent on the participants, so the only behavioral
-	// change is that a transaction stalled by a crashed participant
-	// completes once that participant restarts (KV.RestartReplica).
-	// Zero — the default, and what the simulated experiments use —
-	// disables retransmission, the paper's strictly blocking 2PC.
-	TxRetryTimeout time.Duration
-
-	// SnapshotInterval captures a durable-state snapshot every this many
-	// applied commands (2PC has no instance log, so the snapshot is the
-	// whole recovery story; 0 = off). See internal/snapshot.
-	SnapshotInterval int
-
-	// SnapshotChunkSize is the snapshot transfer chunk size (0 = the
-	// snapshot package default).
-	SnapshotChunkSize int
-
-	// Recover makes the replica stream a state snapshot from a live peer
-	// before serving — the restarted-replica mode.
-	Recover bool
-
-	// ReadMode selects the read fast path (internal/readpath). The
-	// fixed coordinator is 2PC's serialization point — no other node
-	// ever commits independently, and the coordinator answers a client
-	// only after applying locally — so read-index reads are served at
-	// the coordinator with no confirmation round at all. Lease mode
-	// degrades to read-index (a lease adds nothing to a node that can
-	// never be deposed); follower mode serves stale-bounded reads from
-	// any participant.
-	ReadMode readpath.Mode
-
-	// LeaseDuration overrides readpath.DefaultLeaseDuration (only
-	// relevant after the lease-to-index degradation's round timeout).
-	LeaseDuration time.Duration
-
-	// Tracer, when non-nil, receives decide/apply stage stamps for
-	// sampled commands (internal/trace). 2PC has no learner log, so the
-	// decide stamp is the coordinator's all-acks moment and the apply
-	// stamp is the local commit.
-	Tracer *trace.Tracer
-
-	// Events, when non-nil, receives rare-event timeline entries
-	// (internal/obs).
-	Events *obs.EventLog
-}
-
-// Replica is one 2PC node (coordinator or participant).
+// Replica is one 2PC node (coordinator or participant). The embedded
+// shell owns sessions, recovery and the read path; 2PC has no instance
+// log (replica.Agreement.NoLog), so the transaction apply is its own.
 type Replica struct {
-	cfg      Config
-	me       msg.NodeID
-	replicas []msg.NodeID
-	coord    msg.NodeID
-	ctx      runtime.Context
+	replica.Shell
+	coord msg.NodeID
 
 	// Coordinator state. inflight maps each command currently carried by
 	// a live transaction to that transaction, so a client retry (the
@@ -125,14 +56,8 @@ type Replica struct {
 	prepared map[int64]msg.Value
 	waiting  map[string][]pendingPrepare // prepares blocked on a lock
 
-	kv       *rsm.KV
-	applier  rsm.Applier
-	sessions *rsm.Sessions
-	snap     *snapshot.Manager
-	read     *readpath.Server
-	history  []msg.Value // local apply order, for tests; truncated by snapshots
+	history []msg.Value // local apply order, for tests; truncated by snapshots
 
-	commits    int64
 	localReads int64
 }
 
@@ -168,88 +93,47 @@ func (r *Replica) clearInflight(t *tx) {
 
 var _ runtime.Handler = (*Replica)(nil)
 
-// New builds a Replica. It panics on malformed configuration.
-func New(cfg Config) *Replica {
-	if len(cfg.Replicas) < 2 {
-		panic("twopc: need at least two replicas")
-	}
-	in := false
-	for _, id := range cfg.Replicas {
-		if id == cfg.ID {
-			in = true
-			break
-		}
-	}
-	if !in {
-		panic(fmt.Sprintf("twopc: node %d not in replica set %v", cfg.ID, cfg.Replicas))
-	}
-	var kv *rsm.KV
-	applier := cfg.Applier
-	if applier == nil {
-		k := rsm.NewKV()
-		kv = k
-		applier = k
-	} else if k, ok := applier.(*rsm.KV); ok {
-		kv = k
-	}
+// New builds a Replica from a configuration protocol.Build validated.
+// Replicas[0] is the coordinator, permanently: the protocol is blocking
+// by design and has no election. LocalReads enables the Joint-mode read
+// optimization. TxRetryTimeout makes the coordinator re-send the current
+// phase of a transaction still pending after that long — prepares to
+// replicas that have not acked, commits to replicas that have not
+// confirmed; both are idempotent on the participants, so the only
+// behavioral change is that a transaction stalled by a crashed
+// participant completes once that participant restarts
+// (KV.RestartReplica). Zero — the default, and what the simulated
+// experiments use — is the paper's strictly blocking 2PC.
+func New(cfg protocol.Config) *Replica {
 	r := &Replica{
-		cfg:      cfg,
-		me:       cfg.ID,
-		replicas: append([]msg.NodeID(nil), cfg.Replicas...),
 		coord:    cfg.Replicas[0],
 		txs:      make(map[int64]*tx),
 		inflight: make(map[originKey]int64),
 		locks:    make(map[string]int64),
 		prepared: make(map[int64]msg.Value),
 		waiting:  make(map[string][]pendingPrepare),
-		kv:       kv,
-		applier:  applier,
-		sessions: rsm.NewSessions(),
 	}
-	// 2PC has no instance log: the snapshot (state image + session
-	// frontiers) is the entire recovery story, and Interval counts
-	// applied commands.
-	r.snap = snapshot.New(snapshot.Config{
-		ID:           cfg.ID,
-		Replicas:     cfg.Replicas,
-		Interval:     int64(cfg.SnapshotInterval),
-		ChunkSize:    cfg.SnapshotChunkSize,
-		Recover:      cfg.Recover,
-		Events:       cfg.Events,
+	// The snapshot (state image + session frontiers) is the entire
+	// recovery story, taken every SnapshotInterval applied commands. The
+	// fixed coordinator is the serialization point — no other node ever
+	// commits independently, and the coordinator answers a client only
+	// after applying locally — so read-index reads are served at the
+	// coordinator with no confirmation round at all. Lease mode degrades
+	// to read-index (a lease adds nothing to a node that can never be
+	// deposed); follower mode serves stale-bounded reads from any
+	// participant.
+	r.Init(cfg, replica.Agreement{
+		NoLog:        true,
 		RetryTimeout: 2 * cfg.TxRetryTimeout,
-	}, nil, r.sessions, applier)
-	r.snap.OnSnapshot(func(int64) {
-		// The apply history below the snapshot is captured by its state
-		// image; dropping it is what bounds this engine's memory.
-		r.history = r.history[:0]
-	})
-	mode := cfg.ReadMode
-	if kv == nil {
-		mode = readpath.Consensus // no local KV to serve from
-	}
-	r.read = readpath.New(readpath.Config{
-		ID:            cfg.ID,
-		Replicas:      cfg.Replicas,
-		Mode:          mode,
-		LeaseDuration: cfg.LeaseDuration,
-		Events:        cfg.Events,
-		HasLeader:     true,
-		IsLeader:      func() bool { return r.me == r.coord },
-		Leader:        func() msg.NodeID { return r.coord },
-		// The coordinator needs no confirmation: it is the only node
-		// that ever commits, and it applies locally before answering
-		// the client, so its state machine covers every acknowledged
-		// write by construction.
-		Confirmers: func() []msg.NodeID { return nil },
-		NeedAcks:   0,
-		Frontier:   func() int64 { return r.commits },
-		Applied:    func() int64 { return r.commits },
-		Ready:      func() bool { return r.snap.Recovered() && !r.snap.CatchingUp() },
-		Read: func(key string) (string, bool) {
-			if kv == nil {
-				return "", false
-			}
-			return kv.Get(key)
+		HasLeader:    true,
+		IsLeader:     func() bool { return r.Me == r.coord },
+		Leader:       func() msg.NodeID { return r.coord },
+		Confirmers:   func() []msg.NodeID { return nil },
+		Frontier:     r.Commits,
+		OnSnapshot: func(int64) {
+			// The apply history below the snapshot is captured by its state
+			// image; dropping it is what bounds this engine's memory.
+			r.history = r.history[:0]
 		},
 	})
 	return r
@@ -257,9 +141,6 @@ func New(cfg Config) *Replica {
 
 // Coordinator reports the fixed coordinator node.
 func (r *Replica) Coordinator() msg.NodeID { return r.coord }
-
-// Commits reports how many transactions this node has applied locally.
-func (r *Replica) Commits() int64 { return r.commits }
 
 // LocalReads reports how many reads were served from the local copy.
 func (r *Replica) LocalReads() int64 { return r.localReads }
@@ -271,41 +152,11 @@ func (r *Replica) History() []msg.Value {
 	return out
 }
 
-// SnapshotStats reports the replica's recovery-subsystem counters.
-func (r *Replica) SnapshotStats() metrics.SnapshotStats { return r.snap.Stats() }
-
-// SessionGrowths reports how often this replica's session rings had to
-// grow (rsm.Sessions.Growths). Safe from any goroutine.
-func (r *Replica) SessionGrowths() int64 { return r.sessions.Growths() }
-
-// Recovered reports whether this replica has finished recovering (see
-// snapshot.Manager.Recovered); trivially true unless built in Recover
-// mode. Safe from any goroutine.
-func (r *Replica) Recovered() bool { return r.snap.Recovered() }
-
-// Start implements runtime.Handler; 2PC needs no bootstrap round, so
-// only a recovering replica's catch-up request leaves here.
-func (r *Replica) Start(ctx runtime.Context) {
-	r.ctx = ctx
-	r.snap.Start(ctx)
-	r.read.Start(ctx)
-}
-
-// ReadStats reports the replica's read-fast-path counters.
-func (r *Replica) ReadStats() metrics.ReadStats { return r.read.Stats() }
-
 // Timer implements runtime.Handler: the protocol itself sets no timers
 // (it blocks, by design) — only the optional transaction retransmit and
 // the recovery subsystem land here.
 func (r *Replica) Timer(ctx runtime.Context, tag runtime.TimerTag) {
-	r.ctx = ctx
-	if r.snap.HandleTimer(ctx, tag) {
-		return
-	}
-	if r.read.HandleTimer(ctx, tag) {
-		return
-	}
-	if tag.Kind == timerTxRetry {
+	if !r.RouteTimer(ctx, tag) && tag.Kind == timerTxRetry {
 		r.onTxRetry(tag.Arg)
 	}
 }
@@ -320,33 +171,29 @@ func (r *Replica) onTxRetry(txID int64) {
 	if !ok {
 		return
 	}
-	for _, id := range r.replicas {
-		if id == r.me {
+	for _, id := range r.Replicas {
+		if id == r.Me {
 			continue
 		}
 		if !t.committed && !t.acks[id] {
-			r.ctx.Send(id, msg.TPCPrepare{TxID: t.id, Value: t.value})
+			r.Ctx.Send(id, msg.TPCPrepare{TxID: t.id, Value: t.value})
 		}
 		if t.committed && !t.commitAcks[id] {
-			r.ctx.Send(id, msg.TPCCommit{TxID: t.id, Value: t.value})
+			r.Ctx.Send(id, msg.TPCCommit{TxID: t.id, Value: t.value})
 		}
 	}
 	r.armTxRetry(t.id)
 }
 
 func (r *Replica) armTxRetry(txID int64) {
-	if r.cfg.TxRetryTimeout > 0 {
-		r.ctx.After(r.cfg.TxRetryTimeout, runtime.TimerTag{Kind: timerTxRetry, Arg: txID})
+	if r.Cfg.TxRetryTimeout > 0 {
+		r.Ctx.After(r.Cfg.TxRetryTimeout, runtime.TimerTag{Kind: timerTxRetry, Arg: txID})
 	}
 }
 
 // Receive dispatches one message.
 func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
-	r.ctx = ctx
-	if r.snap.Handle(ctx, from, m) {
-		return
-	}
-	if r.read.Handle(ctx, from, m) {
+	if r.Route(ctx, from, m) {
 		return
 	}
 	switch mm := m.(type) {
@@ -368,12 +215,9 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 // --- Client path ---
 
 func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
-	if r.snap.CatchingUp() {
-		return // recovering: serve nothing until the state transfer lands
-	}
-	// Committed entries (single command or batch alike) are answered
-	// from the session table; what remains still needs a transaction.
-	fresh := r.sessions.Screen(req, func(rep msg.ClientReply) { r.ctx.Send(req.Client, rep) })
+	// What the session table has not seen commit still needs a
+	// transaction (nothing, while this replica is catching up).
+	fresh := r.Screen(req)
 	if len(fresh) == 0 {
 		return
 	}
@@ -382,7 +226,7 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 	// locally only when every remaining entry qualifies — mixing local
 	// reads into a batch with updates would reorder them around the
 	// transaction.
-	if r.cfg.LocalReads && r.kv != nil {
+	if r.Cfg.LocalReads && r.Store != nil {
 		local := true
 		for _, be := range fresh {
 			if be.Cmd.Op != msg.OpGet {
@@ -396,16 +240,16 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 		}
 		if local {
 			for _, be := range fresh {
-				val, _ := r.kv.Get(be.Cmd.Key)
+				val, _ := r.Store.Get(be.Cmd.Key)
 				r.localReads++
-				r.ctx.Send(req.Client, msg.ClientReply{Seq: be.Seq, OK: true, Result: val})
+				r.Ctx.Send(req.Client, msg.ClientReply{Seq: be.Seq, OK: true, Result: val})
 			}
 			return
 		}
 	}
-	if r.me != r.coord {
+	if r.Me != r.coord {
 		// Participants funnel updates through the coordinator.
-		r.ctx.Send(r.coord, req)
+		r.Ctx.Send(r.coord, req)
 		return
 	}
 	// Drop entries a live transaction already carries (a client retry):
@@ -444,11 +288,11 @@ func (r *Replica) beginTx(v msg.Value) {
 		r.inflight[originKey{v.Client, be.Seq}] = id
 	}
 	// Phase 1: lock everywhere, including our own copy.
-	for _, id2 := range r.replicas {
-		if id2 == r.me {
+	for _, id2 := range r.Replicas {
+		if id2 == r.Me {
 			continue
 		}
-		r.ctx.Send(id2, msg.TPCPrepare{TxID: id, Value: v})
+		r.Ctx.Send(id2, msg.TPCPrepare{TxID: id, Value: v})
 	}
 	r.armTxRetry(id)
 	r.localPrepare(t)
@@ -496,14 +340,14 @@ func (r *Replica) lockAll(txID int64, v msg.Value) {
 func (r *Replica) localPrepare(t *tx) {
 	if key, blocked := r.blockedOn(t.id, t.value); blocked {
 		r.waiting[key] = append(r.waiting[key], pendingPrepare{
-			from: r.me,
+			from: r.Me,
 			m:    msg.TPCPrepare{TxID: t.id, Value: t.value},
 		})
 		return
 	}
 	r.lockAll(t.id, t.value)
 	r.prepared[t.id] = t.value
-	r.onAck(msg.TPCAck{TxID: t.id, From: r.me, OK: true})
+	r.onAck(msg.TPCAck{TxID: t.id, From: r.Me, OK: true})
 }
 
 func (r *Replica) onAck(m msg.TPCAck) {
@@ -515,9 +359,9 @@ func (r *Replica) onAck(m msg.TPCAck) {
 		// A replica refused (its copy is locked by another coordinator —
 		// impossible with a single fixed coordinator, but handled for
 		// completeness): roll back.
-		for _, id := range r.replicas {
-			if id != r.me {
-				r.ctx.Send(id, msg.TPCRollback{TxID: t.id})
+		for _, id := range r.Replicas {
+			if id != r.Me {
+				r.Ctx.Send(id, msg.TPCRollback{TxID: t.id})
 			}
 		}
 		r.releaseLocks(t.id, t.value)
@@ -528,11 +372,11 @@ func (r *Replica) onAck(m msg.TPCAck) {
 		for _, be := range t.value.Entries() {
 			replies = append(replies, msg.ClientReply{Seq: be.Seq, OK: false, Redirect: r.coord})
 		}
-		r.ctx.Send(t.value.Client, msg.WrapReplies(replies))
+		r.Ctx.Send(t.value.Client, msg.WrapReplies(replies))
 		return
 	}
 	t.acks[m.From] = true
-	if len(t.acks) < len(r.replicas) {
+	if len(t.acks) < len(r.Replicas) {
 		return // blocking: *all* replicas must ack (Section 2.2)
 	}
 	// Phase 2: commit everywhere. The agreement is reached once every
@@ -541,34 +385,25 @@ func (r *Replica) onAck(m msg.TPCAck) {
 	// as the commit orders are out; the commit acks that follow only
 	// retire the transaction record and release coordination state.
 	t.committed = true
-	if r.cfg.Tracer.Enabled() {
+	if r.Cfg.Tracer.Enabled() {
 		r.traceMark(trace.StageDecide, t.value)
 	}
 	r.clearInflight(t) // committed: session screening owns retries from here
-	for _, id := range r.replicas {
-		if id == r.me {
+	for _, id := range r.Replicas {
+		if id == r.Me {
 			continue
 		}
-		r.ctx.Send(id, msg.TPCCommit{TxID: t.id, Value: t.value})
+		r.Ctx.Send(id, msg.TPCCommit{TxID: t.id, Value: t.value})
 	}
 	r.applyCommit(t.id, t.value)
-	t.commitAcks[r.me] = true
+	t.commitAcks[r.Me] = true
 	replies := msg.GetReplies(t.value.Len())
 	for i, n := 0, t.value.Len(); i < n; i++ {
 		be := t.value.EntryAt(i)
-		_, result, _ := r.sessions.Lookup(t.value.Client, be.Seq)
+		_, result, _ := r.Sessions.Lookup(t.value.Client, be.Seq)
 		replies = append(replies, msg.ClientReply{Seq: be.Seq, Instance: t.id, OK: true, Result: result})
 	}
-	// One message answers the whole transaction, so the client can
-	// retire the batch in one step and refill its window with a full
-	// one. A batch message takes over the pooled array (the receiver
-	// recycles it); a bare single reply returns it to the pool here.
-	m2 := msg.WrapReplies(replies)
-	r.ctx.Send(t.value.Client, m2)
-	if _, batched := m2.(msg.ClientReplyBatch); batched {
-		replies = nil
-	}
-	msg.PutReplies(replies)
+	r.SendReplies(t.value.Client, replies)
 	r.finishTx(t)
 }
 
@@ -585,7 +420,7 @@ func (r *Replica) onCommitAck(m msg.TPCCommitAck) {
 // commit (the coordinator still processes every commit ack — the paper's
 // message count per 2PC agreement includes them).
 func (r *Replica) finishTx(t *tx) {
-	if len(t.commitAcks) == len(r.replicas) {
+	if len(t.commitAcks) == len(r.Replicas) {
 		delete(r.txs, t.id)
 	}
 }
@@ -601,12 +436,12 @@ func (r *Replica) onPrepare(from msg.NodeID, m msg.TPCPrepare) {
 	}
 	r.lockAll(m.TxID, m.Value)
 	r.prepared[m.TxID] = m.Value
-	r.ctx.Send(from, msg.TPCAck{TxID: m.TxID, From: r.me, OK: true})
+	r.Ctx.Send(from, msg.TPCAck{TxID: m.TxID, From: r.Me, OK: true})
 }
 
 func (r *Replica) onCommit(from msg.NodeID, m msg.TPCCommit) {
 	r.applyCommit(m.TxID, m.Value)
-	r.ctx.Send(from, msg.TPCCommitAck{TxID: m.TxID, From: r.me})
+	r.Ctx.Send(from, msg.TPCCommitAck{TxID: m.TxID, From: r.Me})
 }
 
 func (r *Replica) onRollback(m msg.TPCRollback) {
@@ -624,18 +459,17 @@ func (r *Replica) onRollback(m msg.TPCRollback) {
 // dedupes and records its session result individually, so an entry that
 // already committed through an earlier retry is not re-executed.
 func (r *Replica) applyCommit(txID int64, v msg.Value) {
-	r.sessions.ClientAck(v.Client, v.Ack)
+	r.Sessions.ClientAck(v.Client, v.Ack)
 	delete(r.prepared, txID)
 	for _, sub := range v.Split() {
-		if !r.sessions.Seen(sub.Client, sub.Seq) {
-			result := r.applier.Apply(sub)
-			r.sessions.Done(sub.Client, sub.Seq, txID, result)
+		if !r.Sessions.Seen(sub.Client, sub.Seq) {
+			result := r.Cfg.Applier.Apply(sub)
+			r.Sessions.Done(sub.Client, sub.Seq, txID, result)
 			r.history = append(r.history, sub)
-			r.commits++
-			r.snap.AfterApply()
+			r.AfterApply()
 		}
 	}
-	if r.cfg.Tracer.Enabled() {
+	if r.Cfg.Tracer.Enabled() {
 		r.traceMark(trace.StageApply, v)
 	}
 	r.releaseLocks(txID, v)
@@ -647,9 +481,9 @@ func (r *Replica) traceMark(stage trace.Stage, v msg.Value) {
 	if v.Client == msg.Nobody {
 		return
 	}
-	now := r.ctx.Now()
+	now := r.Ctx.Now()
 	for _, be := range v.Entries() {
-		r.cfg.Tracer.Mark(v.Client, be.Seq, stage, now)
+		r.Cfg.Tracer.Mark(v.Client, be.Seq, stage, now)
 	}
 }
 
@@ -682,7 +516,7 @@ func (r *Replica) drainWaiters(key string) {
 		} else {
 			r.waiting[key] = queue[1:]
 		}
-		if next.from == r.me {
+		if next.from == r.Me {
 			// The coordinator's own deferred local prepare.
 			if t, ok := r.txs[next.m.TxID]; ok && !t.committed {
 				r.localPrepare(t)

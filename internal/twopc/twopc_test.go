@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"
@@ -23,7 +24,7 @@ func put(client msg.NodeID, seq uint64, key, val string) msg.ClientRequest {
 }
 
 func TestCoordinatorRunsTwoPhases(t *testing.T) {
-	r := New(Config{ID: 0, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(0, 3)
 	r.Start(ctx)
 	r.Receive(ctx, 9, put(9, 1, "k", "v"))
@@ -62,7 +63,7 @@ func TestCoordinatorRunsTwoPhases(t *testing.T) {
 }
 
 func TestParticipantLocksAndApplies(t *testing.T) {
-	r := New(Config{ID: 1, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	v := msg.Value{Client: 9, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "v"}}
@@ -79,13 +80,13 @@ func TestParticipantLocksAndApplies(t *testing.T) {
 	if r.Commits() != 1 {
 		t.Fatalf("Commits = %d, want 1", r.Commits())
 	}
-	if got, _ := r.kv.Get("k"); got != "v" {
+	if got, _ := r.Store.Get("k"); got != "v" {
 		t.Fatalf("kv[k] = %q, want v", got)
 	}
 }
 
 func TestConflictingPrepareWaitsForLock(t *testing.T) {
-	r := New(Config{ID: 1, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	v1 := msg.Value{Client: 8, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "a"}}
@@ -111,7 +112,7 @@ func TestConflictingPrepareWaitsForLock(t *testing.T) {
 }
 
 func TestDistinctKeysDoNotConflict(t *testing.T) {
-	r := New(Config{ID: 1, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	r.Receive(ctx, 0, msg.TPCPrepare{TxID: 0, Value: msg.Value{Client: 8, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "a"}}})
@@ -128,7 +129,7 @@ func TestDistinctKeysDoNotConflict(t *testing.T) {
 }
 
 func TestRollbackReleasesLock(t *testing.T) {
-	r := New(Config{ID: 1, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	v := msg.Value{Client: 9, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "v"}}
@@ -146,7 +147,7 @@ func TestRollbackReleasesLock(t *testing.T) {
 }
 
 func TestParticipantForwardsToCoordinator(t *testing.T) {
-	r := New(Config{ID: 1, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	r.Receive(ctx, 9, put(9, 1, "k", "v"))
@@ -156,7 +157,7 @@ func TestParticipantForwardsToCoordinator(t *testing.T) {
 }
 
 func TestLocalReadServedWhenUnlocked(t *testing.T) {
-	r := New(Config{ID: 1, Replicas: replicaIDs(3), LocalReads: true})
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3), LocalReads: true})
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	// Seed the local copy through a committed write.
@@ -180,7 +181,7 @@ func TestLocalReadDeferredWhileLocked(t *testing.T) {
 	// "A client can locally service the read requests if it is not
 	// received in the gap between two phases of 2PC" — while locked, the
 	// read goes through the coordinator instead.
-	r := New(Config{ID: 1, Replicas: replicaIDs(3), LocalReads: true})
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3), LocalReads: true})
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	v := msg.Value{Client: 8, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "v"}}
@@ -197,7 +198,7 @@ func TestLocalReadDeferredWhileLocked(t *testing.T) {
 }
 
 func TestSessionDedup(t *testing.T) {
-	r := New(Config{ID: 0, Replicas: replicaIDs(3)})
+	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(0, 3)
 	r.Start(ctx)
 	req := put(9, 1, "k", "v")
@@ -237,7 +238,7 @@ func TestScenarioBlocksOnAnySlowReplica(t *testing.T) {
 	ids := replicaIDs(3)
 	var replicas []*Replica
 	for i := 0; i < 3; i++ {
-		r := New(Config{ID: msg.NodeID(i), Replicas: ids})
+		r := New(protocol.Config{ID: msg.NodeID(i), Replicas: ids})
 		replicas = append(replicas, r)
 		net.AddNode(r)
 	}
@@ -267,7 +268,7 @@ func TestScenarioAllReplicasApply(t *testing.T) {
 	ids := replicaIDs(3)
 	var replicas []*Replica
 	for i := 0; i < 3; i++ {
-		r := New(Config{ID: msg.NodeID(i), Replicas: ids})
+		r := New(protocol.Config{ID: msg.NodeID(i), Replicas: ids})
 		replicas = append(replicas, r)
 		net.AddNode(r)
 	}
