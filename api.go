@@ -85,7 +85,8 @@ const (
 	// queues — QC-libtask's design, in Go.
 	InProc TransportKind = iota + 1
 	// TCP runs each replica on a loopback TCP endpoint; the same protocol
-	// code, gob-encoded on the wire (the paper's portability claim).
+	// code over length-prefixed binary frames (the paper's portability
+	// claim).
 	TCP
 )
 
@@ -100,28 +101,6 @@ func (t TransportKind) String() string {
 		return fmt.Sprintf("transport(%d)", int(t))
 	}
 }
-
-// CodecKind selects how a TCP-transport deployment encodes messages on
-// the wire. The InProc transport passes messages in memory and ignores
-// it.
-type CodecKind int
-
-// Codecs for StartKV (and cluster.Spec). The values are defined by
-// conversion from the internal enum, so the public knob can never
-// silently diverge from what the transport runs.
-const (
-	// CodecWire is the hand-rolled binary codec (the default):
-	// length-prefixed frames, one-byte type tags, varint integers,
-	// explicit per-type encoders, pooled buffers, coalesced writes.
-	CodecWire = CodecKind(msg.CodecWire)
-	// CodecGob is the reflection-driven encoding/gob path the repository
-	// started with — kept selectable as the codec-sweep ablation
-	// baseline (see docs/BENCHMARKS.md).
-	CodecGob = CodecKind(msg.CodecGob)
-)
-
-// String implements fmt.Stringer for sweep tables.
-func (c CodecKind) String() string { return msg.Codec(c).String() }
 
 // ReadMode selects how Get is served. The default, ReadConsensus, is
 // the paper's strong-consistency mode: every read is a consensus
@@ -183,10 +162,6 @@ type KVConfig struct {
 	Shards int
 	// Transport selects InProc (default) or TCP.
 	Transport TransportKind
-	// Codec selects the TCP wire encoding: CodecWire (default, the
-	// hand-rolled binary codec) or CodecGob (the encoding/gob ablation
-	// baseline). Ignored by the InProc transport, which never encodes.
-	Codec CodecKind
 	// Pipeline is the maximum number of commands the service keeps in
 	// flight at once per shard (default DefaultPipeline; 1 restores the
 	// paper's closed loop). Commands beyond the window queue in order.
@@ -294,8 +269,7 @@ type kvShard struct {
 
 	build  func(id msg.NodeID, recover bool) (protocol.Engine, error)
 	addrs  map[msg.NodeID]string // TCP listen addresses, stable across restarts
-	codec  msg.Codec
-	tracer *trace.Tracer // installed on restarted TCP nodes before they serve
+	tracer *trace.Tracer         // installed on restarted TCP nodes before they serve
 
 	// mu guards the per-replica slots RestartReplica swaps out while
 	// stats readers (SnapshotStats, WireStats) iterate them from other
@@ -351,12 +325,6 @@ func StartKV(cfg KVConfig) (*KV, error) {
 	}
 	if cfg.Transport == 0 {
 		cfg.Transport = InProc
-	}
-	if cfg.Codec == 0 {
-		cfg.Codec = CodecWire
-	}
-	if cfg.Codec != CodecWire && cfg.Codec != CodecGob {
-		return nil, fmt.Errorf("consensusinside: unknown codec %d", int(cfg.Codec))
 	}
 	if cfg.Pipeline == 0 {
 		cfg.Pipeline = DefaultPipeline
@@ -465,7 +433,7 @@ func startKVShard(cfg KVConfig, shardIdx int, tracer *trace.Tracer, events *obs.
 	}
 	clientID := msg.NodeID(cfg.Replicas)
 
-	sh := &kvShard{crashed: make([]bool, cfg.Replicas), codec: msg.Codec(cfg.Codec), tracer: tracer}
+	sh := &kvShard{crashed: make([]bool, cfg.Replicas), tracer: tracer}
 	sh.build = func(id msg.NodeID, recover bool) (protocol.Engine, error) {
 		return protocol.Build(cfg.Protocol, protocol.Config{
 			ID:                id,
@@ -506,7 +474,7 @@ func startKVShard(cfg KVConfig, shardIdx int, tracer *trace.Tracer, events *obs.
 			sh.inproc.Inject(clientID, clientID, m)
 		}
 	case TCP:
-		nodes, err := transport.BuildLocalClusterTraced(handlers, msg.Codec(cfg.Codec), tracer)
+		nodes, err := transport.BuildLocalClusterTraced(handlers, tracer)
 		if err != nil {
 			return nil, fmt.Errorf("consensusinside: start shard %d tcp cluster: %w", shardIdx, err)
 		}
@@ -671,7 +639,6 @@ func (kv *KV) RestartReplica(id int) error {
 		if err != nil {
 			return fmt.Errorf("consensusinside: relisten replica %d: %w", id, err)
 		}
-		node.SetCodec(sh.codec)
 		node.SetTracer(sh.tracer)
 		if err := node.Start(); err != nil {
 			node.Close()

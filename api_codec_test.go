@@ -1,43 +1,14 @@
 package consensusinside
 
-// Codec-knob tests at the service level: the gob ablation baseline must
-// stay a first-class citizen (every engine, correct results over TCP),
-// the wire counters must see real traffic, and the knob must be
-// validated. The default-codec (wire) coverage for all five engines
-// over both transports lives in TestKVProtocolTransportMatrix and
-// TestKVShardedMatrix, which run with Codec unset.
+// The wire codec at the service level: its counters must see real
+// traffic. Its correctness coverage for all five engines over both
+// transports lives in TestKVProtocolTransportMatrix and
+// TestKVShardedMatrix.
 
 import (
 	"testing"
 	"time"
 )
-
-// TestKVCodecGobMatrix runs every registered protocol over TCP with the
-// gob ablation codec — flipping the codec knob must never change
-// client-visible results.
-func TestKVCodecGobMatrix(t *testing.T) {
-	want := oracle()
-	for _, p := range Protocols() {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			got := runMatrixCfg(t, KVConfig{
-				Protocol:       p,
-				Transport:      TCP,
-				Codec:          CodecGob,
-				BatchSize:      4,
-				RequestTimeout: 30 * time.Second,
-			})
-			if len(got) != len(want) {
-				t.Fatalf("result count %d, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("op %d over gob: got %q, want %q", i, got[i], want[i])
-				}
-			}
-		})
-	}
-}
 
 // TestKVWireStats checks the transport counters a TCP service exposes:
 // puts must move bytes and frames, coalescing must be recorded, and an
@@ -59,7 +30,7 @@ func TestKVWireStats(t *testing.T) {
 	}
 	// Closed-loop traffic writes roughly one frame per socket write
 	// (plus the frameless handshake writes); the ratio only exceeds 1
-	// under pipelined load, which the codec sweep measures.
+	// under pipelined load (bench/'s tcp-put-sat workload reports it).
 	if stats.Flushes == 0 || stats.FramesPerFlush() <= 0.5 {
 		t.Errorf("no coalescing recorded: %+v", stats)
 	}
@@ -77,20 +48,5 @@ func TestKVWireStats(t *testing.T) {
 	}
 	if s := inproc.WireStats(); s.BytesOut != 0 || s.BytesIn != 0 || s.FramesOut != 0 || s.FramesIn != 0 || s.Dials != 0 {
 		t.Errorf("InProc service shows wire traffic: %+v", s)
-	}
-}
-
-// TestKVCodecValidation pins the Codec knob's error cases and that both
-// legal codecs start.
-func TestKVCodecValidation(t *testing.T) {
-	if _, err := StartKV(KVConfig{Codec: CodecKind(99)}); err == nil {
-		t.Error("unknown codec accepted")
-	}
-	for _, codec := range []CodecKind{0, CodecWire, CodecGob} {
-		kv, err := StartKV(KVConfig{Codec: codec})
-		if err != nil {
-			t.Fatalf("codec %v rejected: %v", codec, err)
-		}
-		kv.Close()
 	}
 }

@@ -102,7 +102,7 @@ func BatchSweep(opts BatchSweepOptions) ([]BatchSweepPoint, error) {
 // runPutLoad drives committed Puts through kv from workers concurrent
 // callers (ops total, rounded down to a whole number per worker) and
 // reports how many committed and how long the measured window took.
-// Shared by the batch and codec sweeps so their cells stay comparable
+// Shared by the batch sweep and the sustained-load recovery test
 // (the shard sweep keeps its own loop: its keys must pin to shards).
 func runPutLoad(kv *KV, ops, workers int) (total int, elapsed time.Duration, err error) {
 	perWorker := ops / workers

@@ -12,8 +12,6 @@ package consensusinside
 // paper's published values.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -264,8 +262,7 @@ func benchWireMsg() msg.Message {
 
 // BenchmarkCodecEncodeWire measures the wire codec's send-path encode
 // through the pooled-buffer discipline the transport uses. The
-// acceptance bar is allocs/op: steady state must be ~zero, >= 5x below
-// BenchmarkCodecEncodeGob.
+// acceptance bar is allocs/op: steady state must be zero.
 func BenchmarkCodecEncodeWire(b *testing.B) {
 	m := benchWireMsg()
 	b.ReportAllocs()
@@ -281,29 +278,6 @@ func BenchmarkCodecEncodeWire(b *testing.B) {
 		}
 		*buf = bb[:0]
 		wire.PutBuf(buf)
-	}
-}
-
-// BenchmarkCodecEncodeGob is the encoding/gob baseline for the same
-// message on a warmed stream (type info already sent), the steady state
-// of the pre-wire transport.
-func BenchmarkCodecEncodeGob(b *testing.B) {
-	msg.Register()
-	m := benchWireMsg()
-	enc := gob.NewEncoder(io.Discard)
-	type envelope struct {
-		From msg.NodeID
-		M    msg.Message
-	}
-	if err := enc.Encode(envelope{From: 1, M: m}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(envelope{From: 1, M: m}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -323,42 +297,11 @@ func BenchmarkCodecDecodeWire(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecDecodeGob decodes the same message from a warmed gob
-// stream (pre-encoded outside the timer).
-func BenchmarkCodecDecodeGob(b *testing.B) {
-	msg.Register()
-	m := benchWireMsg()
-	type envelope struct {
-		From msg.NodeID
-		M    msg.Message
-	}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for i := 0; i < b.N+1; i++ {
-		if err := enc.Encode(envelope{From: 1, M: m}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	dec := gob.NewDecoder(&buf)
-	var warm envelope
-	if err := dec.Decode(&warm); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var e envelope
-		if err := dec.Decode(&e); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchTCPSendPath pushes b.N batch-8 accepts through a real TCPNode
-// pair — encode, coalesced flush, socket, decode, delivery — and waits
-// for the last delivery. allocs/op is the whole transport round,
-// sender and receiver; compare the Wire and Gob variants.
-func benchTCPSendPath(b *testing.B, codec msg.Codec) {
+// BenchmarkTCPSendPathWire pushes b.N batch-8 accepts through a real
+// TCPNode pair — encode, coalesced flush, socket, decode, delivery — and
+// waits for the last delivery. allocs/op is the whole transport round,
+// sender and receiver.
+func BenchmarkTCPSendPathWire(b *testing.B) {
 	var got atomic.Int64
 	sink := irt.HandlerFunc{
 		OnReceive: func(ctx irt.Context, from msg.NodeID, m msg.Message) {
@@ -370,7 +313,7 @@ func benchTCPSendPath(b *testing.B, codec msg.Codec) {
 			ctx.Send(1, m)
 		},
 	}
-	nodes, err := transport.BuildLocalClusterCodec([]irt.Handler{fwd, sink}, codec)
+	nodes, err := transport.BuildLocalCluster([]irt.Handler{fwd, sink})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -409,19 +352,12 @@ func benchTCPSendPath(b *testing.B, codec msg.Codec) {
 	b.ReportMetric(stats.FramesPerFlush(), "frames/flush")
 }
 
-// BenchmarkTCPSendPathWire measures the transport round trip under the
-// default hand-rolled codec.
-func BenchmarkTCPSendPathWire(b *testing.B) { benchTCPSendPath(b, msg.CodecWire) }
-
-// BenchmarkTCPSendPathGob measures the same round trip under the gob
-// ablation codec.
-func BenchmarkTCPSendPathGob(b *testing.B) { benchTCPSendPath(b, msg.CodecGob) }
-
-// benchTCPSenderOnly isolates the send path: a TCPNode streams batch-8
-// accepts at a raw byte-discarding sink, so allocs/op covers exactly
-// encode + frame + coalesced flush with no receiver in the profile —
-// the acceptance measurement for the send-path allocation budget.
-func benchTCPSenderOnly(b *testing.B, codec msg.Codec) {
+// BenchmarkTCPSenderOnlyWire isolates the send path: a TCPNode streams
+// batch-8 accepts at a raw byte-discarding sink, so allocs/op covers
+// exactly encode + frame + coalesced flush with no receiver in the
+// profile — the acceptance measurement for the send-path allocation
+// budget.
+func BenchmarkTCPSenderOnlyWire(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -449,7 +385,6 @@ func benchTCPSenderOnly(b *testing.B, codec msg.Codec) {
 		b.Fatal(err)
 	}
 	defer node.Close()
-	node.SetCodec(codec)
 	if err := node.Start(); err != nil {
 		b.Fatal(err)
 	}
@@ -470,14 +405,6 @@ func benchTCPSenderOnly(b *testing.B, codec msg.Codec) {
 		b.Fatalf("%d sends dropped", d)
 	}
 }
-
-// BenchmarkTCPSenderOnlyWire measures the isolated send path under the
-// default hand-rolled codec.
-func BenchmarkTCPSenderOnlyWire(b *testing.B) { benchTCPSenderOnly(b, msg.CodecWire) }
-
-// BenchmarkTCPSenderOnlyGob measures the isolated send path under the
-// gob ablation codec.
-func BenchmarkTCPSenderOnlyGob(b *testing.B) { benchTCPSenderOnly(b, msg.CodecGob) }
 
 // BenchmarkKVInProcPut measures the end-to-end replicated-KV write path
 // on the in-process runtime (3 replicas, full 1Paxos round per op).

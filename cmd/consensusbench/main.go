@@ -12,7 +12,7 @@
 // Experiment ids mirror DESIGN.md's per-experiment index: netchar, fig2,
 // sec2.2, latency, fig8, fig9, fig10, fig11, acceptor-switch, lan,
 // ablation-batching, ablation-pipelining, ablation-cmdbatch,
-// batch-sweep, codec-sweep, hotpath-sweep, recovery-sweep, read-sweep,
+// batch-sweep, hotpath-sweep, recovery-sweep, read-sweep,
 // shard-sweep, shard-sim, mencius, scenario-fuzz, trace-sweep.
 //
 // With -json the run also writes a machine-readable BENCH_*.json file:
@@ -416,60 +416,6 @@ var all = []experiment{
 				}
 				fmt.Fprintf(w, "inproc traced/off ratio: geomean %.3f (>= 0.95 required) %s, worst cell %.3f\n",
 					geomean, verdict, worstInproc)
-			}
-			return m
-		},
-	},
-	{
-		id:    "codec-sweep",
-		about: "wire-codec ablation: hand-rolled binary codec vs gob at batch 1/8, both transports",
-		run: func(w io.Writer, opts experiments.Opts) map[string]float64 {
-			sweep := consensusinside.CodecSweepOptions{}
-			if opts.Quick {
-				sweep.Ops = 3000
-			}
-			pts, err := consensusinside.CodecSweep(sweep)
-			if err != nil {
-				fmt.Fprintf(w, "codec sweep failed: %v\n", err)
-				return map[string]float64{}
-			}
-			m := map[string]float64{}
-			fmt.Fprintf(w, "Codec sweep — 1Paxos, window %d, same ops per configuration\n",
-				consensusinside.DefaultPipeline)
-			fmt.Fprintf(w, "%-8s %-6s %-6s %8s %14s %12s %12s %14s\n",
-				"runtime", "codec", "batch", "ops", "throughput", "bytes/op", "frames/flush", "reconnects")
-			byKey := map[string]consensusinside.CodecSweepPoint{}
-			for _, p := range pts {
-				key := fmt.Sprintf("%v_%v_batch%d", p.Transport, p.Codec, p.Batch)
-				byKey[key] = p
-				fmt.Fprintf(w, "%-8v %-6v %-6d %8d %12.0f/s %12.1f %12.2f %14d\n",
-					p.Transport, p.Codec, p.Batch, p.Ops, p.Throughput,
-					p.BytesPerOp(), p.Wire.FramesPerFlush(), p.Wire.Reconnects)
-				m[key+"_ops"] = p.Throughput
-				m[key+"_instances"] = float64(p.Batches)
-				m[key+"_cmds_per_instance"] = p.CommandsPerInst
-				if p.Transport == consensusinside.TCP {
-					m[key+"_bytes_per_op"] = p.BytesPerOp()
-					m[key+"_frames_per_flush"] = p.Wire.FramesPerFlush()
-					m[key+"_reconnects"] = float64(p.Wire.Reconnects)
-				}
-			}
-			// Headline ratios: wire over gob per TCP batch cell, and the
-			// wire batch-8 cell against PR 3's recorded gob baseline.
-			for _, batch := range []int{1, 8} {
-				gob, okG := byKey[fmt.Sprintf("tcp_gob_batch%d", batch)]
-				wire, okW := byKey[fmt.Sprintf("tcp_wire_batch%d", batch)]
-				if okG && okW && gob.Throughput > 0 {
-					gain := wire.Throughput / gob.Throughput
-					fmt.Fprintf(w, "tcp gain at batch %d: wire %.2fx gob\n", batch, gain)
-					m[fmt.Sprintf("tcp_speedup_wire_v_gob_batch%d", batch)] = gain
-				}
-				if okW && batch == 8 {
-					vs := wire.Throughput / consensusinside.PR3TCPBatch8Baseline
-					fmt.Fprintf(w, "tcp wire batch 8 vs PR 3 baseline (%.0f op/s): %.2fx\n",
-						consensusinside.PR3TCPBatch8Baseline, vs)
-					m["tcp_wire_batch8_vs_pr3_baseline"] = vs
-				}
 			}
 			return m
 		},

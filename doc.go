@@ -38,10 +38,10 @@
 //     and shard count (SimSpec.Shards/BatchSize); and
 //   - the experiment runners themselves (the experiments re-exported
 //     through cmd/consensusbench, which can emit BENCH_*.json and
-//     capture pprof profiles; the wall-clock shard, batch, codec,
-//     recovery, read, hot-path and trace sweeps are exported here as
-//     ShardSweep, BatchSweep, CodecSweep, RecoverySweep, ReadSweep,
-//     HotpathSweep and TraceSweep).
+//     capture pprof profiles; the wall-clock shard, batch, recovery,
+//     read, hot-path and trace sweeps are exported here as ShardSweep,
+//     BatchSweep, RecoverySweep, ReadSweep, HotpathSweep and
+//     TraceSweep).
 //
 // Protocols are written once against the message-passing contract
 // (internal/runtime.Handler) and registered in internal/protocol; every

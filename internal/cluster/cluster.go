@@ -163,14 +163,6 @@ type Spec struct {
 	// are validated against Replicas.
 	RecoverNodes []int
 
-	// Codec names the wire encoding for the spec, mirroring
-	// KVConfig.Codec (msg.CodecWire by default; msg.CodecGob is the
-	// ablation baseline). Build validates it and nothing more: the
-	// simulator passes messages by value and never encodes, so the
-	// field's only current effect is failing fast on a codec a real
-	// TCP deployment of the same shape would reject.
-	Codec msg.Codec
-
 	// TraceInterval samples one write command in every this many through
 	// the end-to-end lifecycle tracer (internal/trace), shared by every
 	// node of the deployment. The simulator has one global virtual
@@ -276,12 +268,6 @@ func Build(spec Spec) (*Cluster, error) {
 	}
 	if spec.TxRetryTimeout < 0 {
 		return nil, fmt.Errorf("cluster: negative transaction retry timeout %v", spec.TxRetryTimeout)
-	}
-	if spec.Codec == 0 {
-		spec.Codec = msg.CodecWire
-	}
-	if spec.Codec != msg.CodecWire && spec.Codec != msg.CodecGob {
-		return nil, fmt.Errorf("cluster: unknown codec %d", int(spec.Codec))
 	}
 	if spec.Shards < 0 {
 		return nil, fmt.Errorf("cluster: negative shard count %d", spec.Shards)

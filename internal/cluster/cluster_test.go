@@ -237,9 +237,6 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(Spec{Protocol: OnePaxos, Machine: topology.Opteron48(), Replicas: 3, Window: 1 << 20}); err == nil {
 		t.Error("a window deeper than the session table must be rejected")
 	}
-	if _, err := Build(Spec{Protocol: OnePaxos, Machine: topology.Opteron48(), Replicas: 3, Codec: msg.Codec(99)}); err == nil {
-		t.Error("unknown codec must be rejected")
-	}
 	if _, err := Build(Spec{Protocol: OnePaxos, Machine: topology.Opteron48(), Replicas: 3, ReadMode: readpath.Mode(99)}); err == nil {
 		t.Error("unknown read mode must be rejected")
 	}
@@ -251,11 +248,6 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := Build(Spec{Protocol: OnePaxos, Machine: topology.Opteron48(), Replicas: 3, RecoverNodes: []int{3}}); err == nil {
 		t.Error("recover index outside the group must be rejected")
-	}
-	for _, codec := range []msg.Codec{0, msg.CodecWire, msg.CodecGob} {
-		if _, err := Build(Spec{Protocol: OnePaxos, Machine: topology.Opteron48(), Replicas: 3, Clients: 1, Codec: codec}); err != nil {
-			t.Errorf("codec %v rejected: %v", codec, err)
-		}
 	}
 	defer func() {
 		if recover() == nil {

@@ -2,47 +2,22 @@ package msg
 
 // The hand-rolled wire codec: every message type carries explicit
 // MarshalWire/UnmarshalWire methods over internal/wire's primitives,
-// and wireTypes below is the type registry — the wire-codec counterpart
-// of Register's gob list. The TCP transport frames one envelope
-// (tag byte, sender id, message body) per message; see DESIGN.md's
-// "Wire format" section for the layout and internal/wire for the
-// primitive encodings.
+// and wireTypes below is the type registry. The TCP transport frames
+// one envelope (tag byte, sender id, message body) per message; see
+// DESIGN.md's "Wire format" section for the layout and internal/wire
+// for the primitive encodings.
 //
 // Adding a message type means: a new tag constant (append only — tags
-// are wire compatibility), the two methods, and one wireTypes row. The
-// codec tests enforce that the gob list and the wire registry stay in
-// sync, and that both codecs decode every type to equal structs.
+// are wire compatibility), the two methods, one wireTypes row and a
+// sample in the codec tests, which demand a round trip for every
+// registered type and compare each against encoding/gob's decoding of
+// the same message.
 
 import (
 	"fmt"
 
 	"consensusinside/internal/wire"
 )
-
-// Codec selects how the TCP transport encodes messages.
-type Codec int
-
-// Codecs. The zero value lets config layers default to CodecWire.
-const (
-	// CodecWire is the hand-rolled binary codec (the default): explicit
-	// per-type encoders, varint integers, length-prefixed frames.
-	CodecWire Codec = iota + 1
-	// CodecGob is the encoding/gob baseline the repository started with,
-	// kept selectable as the codec-sweep ablation.
-	CodecGob
-)
-
-// String implements fmt.Stringer for knob tables and benchmarks.
-func (c Codec) String() string {
-	switch c {
-	case CodecWire:
-		return "wire"
-	case CodecGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("codec(%d)", int(c))
-	}
-}
 
 // Wire type tags. One byte, starting at 1 (0 marks a corrupt frame);
 // append-only, since a tag is the type's identity on the wire. Tag 255
@@ -94,8 +69,7 @@ const (
 const HelloTag byte = 0xFF
 
 // wireTypes is the wire codec's type registry: tag → decoder. It is the
-// one list to extend for a new message type (the wire counterpart of
-// the gob registrations in Register).
+// one list to extend for a new message type.
 var wireTypes = []struct {
 	tag byte
 	dec func(d *wire.Decoder) Message
@@ -326,9 +300,8 @@ func appendBatch(b []byte, batch []BatchEntry) []byte {
 // learn backlogs) rarely exceed it anyway.
 const decodeSliceCap = 4096
 
-// decodeBatch returns nil for an empty batch — matching gob, which does
-// not distinguish nil from empty, so the two codecs decode to equal
-// structs.
+// decodeBatch returns nil for an empty batch — matching gob, the tests'
+// differential reference, which does not distinguish nil from empty.
 func decodeBatch(d *wire.Decoder) []BatchEntry {
 	n := d.SliceLen()
 	if n == 0 {

@@ -1,11 +1,13 @@
 package msg
 
 // Codec round-trip property tests: for every message type — including
-// empty/nil batches and max-size values — the wire codec and gob must
-// decode one message to equal structs, so flipping the Codec knob can
-// never change what a replica observes. Plus strictness tests (a
-// corrupt frame must fail, never panic or misdecode) and a fuzz target
-// for envelope decoding.
+// empty/nil batches and max-size values — the wire codec must decode a
+// message to the struct encoding/gob decodes it to. gob is the
+// differential reference and exists nowhere else in the repository: it
+// derives its encoding from the type by reflection, so it cannot share
+// a hand-written encoder's mistake. Plus strictness tests (a corrupt
+// frame must fail, never panic or misdecode) and a fuzz target for
+// envelope decoding.
 
 import (
 	"bytes"
@@ -14,6 +16,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -142,9 +145,19 @@ func wireRoundTrip(t *testing.T, from NodeID, m Message) (NodeID, Message) {
 	return gotFrom, got
 }
 
+// registerGob tells encoding/gob about every concrete message type, so
+// it can encode Message interface values. wireSamples holds at least
+// one value of each (TestWireTagCoverage), and registering a type twice
+// is harmless.
+var registerGob = sync.OnceFunc(func() {
+	for _, m := range wireSamples() {
+		gob.Register(m)
+	}
+})
+
 func gobRoundTrip(t *testing.T, from NodeID, m Message) (NodeID, Message) {
 	t.Helper()
-	Register()
+	registerGob()
 	type envelope struct {
 		From NodeID
 		M    Message
@@ -181,9 +194,7 @@ func TestWireGobEquivalence(t *testing.T) {
 }
 
 // TestWireTagCoverage demands a sample (and therefore a round-trip
-// test) for every registered wire type, and that the wire registry and
-// the gob list stay the same size — extending one without the other is
-// a bug this test turns into a red build.
+// test against the gob reference) for every registered wire type.
 func TestWireTagCoverage(t *testing.T) {
 	covered := map[byte]bool{}
 	for _, m := range wireSamples() {
@@ -200,19 +211,6 @@ func TestWireTagCoverage(t *testing.T) {
 	}
 	if got, want := len(wireTypes), len(covered); got != want {
 		t.Errorf("wireTypes has %d entries, samples cover %d types", got, want)
-	}
-	// Both registries, entry for entry: a gob-registered type without a
-	// wire tag would be silently dropped by the default codec on the
-	// TCP transport; a wire type outside the gob list would break the
-	// ablation baseline.
-	if len(gobTypes) != len(wireTypes) {
-		t.Errorf("gob list has %d types, wire registry %d — extend both when adding a message",
-			len(gobTypes), len(wireTypes))
-	}
-	for _, m := range gobTypes {
-		if _, ok := wireTagOf(m); !ok {
-			t.Errorf("gob-registered %T has no wire tag", m)
-		}
 	}
 }
 
@@ -251,12 +249,104 @@ func TestDecodeEnvelopeStrict(t *testing.T) {
 	}
 }
 
-// TestRegisterIdempotent pins the double-registration safety Register
-// gained when the gob list became the ablation path: any layer may call
-// it defensively.
+// TestRegisterIdempotent: every gob test registers defensively, and the
+// samples repeat types, so neither may trip gob's duplicate check.
 func TestRegisterIdempotent(t *testing.T) {
-	Register()
-	Register()
+	registerGob()
+	registerGob()
+	for _, m := range wireSamples() {
+		gob.Register(m)
+	}
+}
+
+// TestGobRoundTripAllMessages checks the reference itself: every kind of
+// message survives gob inside an interface-typed envelope.
+func TestGobRoundTripAllMessages(t *testing.T) {
+	registerGob()
+
+	type envelope struct {
+		From NodeID
+		M    Message
+	}
+	cases := []Message{
+		ClientRequest{Client: 3, Seq: 7, Cmd: Command{Op: OpPut, Key: "k", Val: "v"}},
+		ClientReply{Seq: 7, Instance: 4, OK: true, Result: "v", Redirect: Nobody},
+		PrepareRequest{PN: 9, MustBeFresh: true, From: 2},
+		PrepareResponse{Acceptor: 1, PN: 9, Accepted: []Proposal{{Instance: 1, PN: 9, Value: Value{Client: 3, Seq: 7}}}},
+		Abandon{HPN: 11, FreshMismatch: true, IamFresh: true},
+		AcceptRequest{Instance: 5, PN: 9, Value: Value{Client: 3, Seq: 8}},
+		Learn{Entries: []Proposal{{Instance: 5, PN: 9}}},
+		UtilAccepted{Slot: 2, PN: 3, From: 1, Entry: UtilEntry{
+			Type: EntryAcceptorChange, Leader: 0, Acceptor: 1, Frontier: 9,
+			Uncommitted: []Proposal{{Instance: 9, PN: 3}},
+		}},
+		MPPromise{PN: 4, From: 2, Accepted: []Proposal{{Instance: 0, PN: 1}}},
+		TPCPrepare{TxID: 12, Value: Value{Client: 1, Seq: 1}},
+		MencSkip{FromInstance: 0, ToInstance: 9, From: 2},
+	}
+	for _, m := range cases {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(envelope{From: 1, M: m}); err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		var out envelope
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
+			t.Fatalf("decode %T: %v", m, err)
+		}
+		if out.M.Kind() != m.Kind() {
+			t.Fatalf("round trip changed kind: %q -> %q", m.Kind(), out.M.Kind())
+		}
+	}
+}
+
+// TestGobRoundTripBatched checks the reference on batches: a batched
+// request and a batched agreement value must survive gob with every
+// entry intact and in order.
+func TestGobRoundTripBatched(t *testing.T) {
+	registerGob()
+	entries := []BatchEntry{
+		{Seq: 11, Cmd: Command{Op: OpPut, Key: "a", Val: "1"}},
+		{Seq: 12, Cmd: Command{Op: OpGet, Key: "b"}},
+		{Seq: 13, Cmd: Command{Op: OpPut, Key: "c", Val: "3"}},
+	}
+	val := NewValue(4, 10, entries)
+
+	type envelope struct {
+		From NodeID
+		M    Message
+	}
+	roundTrip := func(m Message) Message {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(envelope{From: 1, M: m}); err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		var out envelope
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
+			t.Fatalf("decode %T: %v", m, err)
+		}
+		return out.M
+	}
+
+	req := roundTrip(NewRequest(4, 10, entries)).(ClientRequest)
+	if req.Client != 4 || req.Seq != 11 || req.Ack != 10 || len(req.Batch) != 3 {
+		t.Fatalf("request round trip = %+v", req)
+	}
+	for i, be := range req.Entries() {
+		if be != entries[i] {
+			t.Fatalf("request entry %d = %+v, want %+v", i, be, entries[i])
+		}
+	}
+
+	acc := roundTrip(AcceptRequest{Instance: 5, PN: 9, Value: val}).(AcceptRequest)
+	if !acc.Value.Equal(val) {
+		t.Fatalf("accept round trip changed value: %+v", acc.Value)
+	}
+
+	learn := roundTrip(Learn{Entries: []Proposal{{Instance: 5, PN: 9, Value: val}}}).(Learn)
+	if len(learn.Entries) != 1 || !learn.Entries[0].Value.Equal(val) {
+		t.Fatalf("learn round trip changed value: %+v", learn.Entries)
+	}
 }
 
 // FuzzDecodeEnvelope throws arbitrary bytes at the envelope decoder: it

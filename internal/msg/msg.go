@@ -6,17 +6,10 @@
 // Messages are plain data. The simulator passes them by value between
 // cores; the TCP transport encodes them with the hand-rolled wire codec
 // (codec.go — explicit MarshalWire/UnmarshalWire on every type plus the
-// wireTypes registry), or with encoding/gob when the gob ablation codec
-// is selected (see Register). Both codecs live here, next to the types
-// they encode: adding a message type means extending both lists, and
-// the codec tests fail if they drift apart.
+// wireTypes registry), which lives here, next to the types it encodes.
 package msg
 
-import (
-	"encoding/gob"
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // NodeID identifies a node (a core in the paper's vision) within a
 // cluster. Node ids are dense, starting at 0.
@@ -720,73 +713,5 @@ func WrapReadReplies(replies []ReadReply) Message {
 		return replies[0]
 	default:
 		return ReadReplyBatch{Replies: replies}
-	}
-}
-
-// registerOnce makes Register idempotent: the gob registry is global
-// process state, and every layer that opens a gob-coded channel (each
-// KV shard, every test package) wants to be able to call Register
-// defensively without coordinating who went first.
-var registerOnce sync.Once
-
-// Register registers every concrete message type with encoding/gob so
-// the TCP transport's gob ablation codec can encode Message interface
-// values. Safe to call any number of times from any goroutine; the
-// default wire codec does not need it (its registry is wireTypes in
-// codec.go).
-func Register() {
-	registerOnce.Do(registerGob)
-}
-
-// gobTypes is the gob codec's type list — one entry per concrete
-// message type, mirroring the wire codec's wireTypes registry in
-// codec.go. The codec tests assert the two stay the same size and that
-// every entry here has a wire tag, so adding a message type to one
-// list but not the other turns the build red.
-var gobTypes = []Message{
-	ClientRequest{},
-	ClientReply{},
-	ClientReplyBatch{},
-	PrepareRequest{},
-	PrepareResponse{},
-	Abandon{},
-	AcceptRequest{},
-	Learn{},
-	UtilPrepare{},
-	UtilPromise{},
-	UtilAccept{},
-	UtilAccepted{},
-	UtilNack{},
-	MPPrepare{},
-	MPPromise{},
-	MPAccept{},
-	MPLearn{},
-	MPNack{},
-	TPCPrepare{},
-	TPCAck{},
-	TPCCommit{},
-	TPCCommitAck{},
-	TPCRollback{},
-	MencAccept{},
-	MencLearn{},
-	MencSkip{},
-	BPPrepare{},
-	BPPromise{},
-	BPAccept{},
-	BPAccepted{},
-	BPNack{},
-	CatchupRequest{},
-	SnapshotChunk{},
-	CatchupEntries{},
-	ReadRequest{},
-	ReadReply{},
-	ReadReplyBatch{},
-	ReadIndexRequest{},
-	ReadIndexAck{},
-}
-
-func registerGob() {
-	for _, m := range gobTypes {
-		gob.Register(m)
 	}
 }

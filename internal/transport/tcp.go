@@ -9,10 +9,9 @@
 // MarshalWire, framed by internal/wire) into pooled buffers, and each
 // peer connection has a dedicated writer goroutine that drains a send
 // queue through one bufio.Writer — many messages per flush, so many
-// messages per syscall. The pre-codec encoding/gob path is kept behind
-// msg.CodecGob as the codec-sweep ablation baseline; the first byte of
-// every connection names the dialer's codec, so the two interoperate
-// on one listener. Links are assumed reliable and ordered (TCP),
+// messages per syscall. The first byte of every connection names the
+// stream format, so a listener rejects anything that is not a peer
+// speaking it. Links are assumed reliable and ordered (TCP),
 // matching the paper's model ("in an IP setting the communication
 // links are unreliable, this is currently not a problem on many-cores"
 // — and TCP restores the same guarantee).
@@ -29,7 +28,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -45,27 +43,19 @@ import (
 	"consensusinside/internal/wire"
 )
 
-// envelope is the in-memory (and gob on-the-wire) form of one delivered
-// message. The wire codec encodes the same pair via msg.AppendEnvelope.
+// envelope is the in-memory form of one delivered message; on the wire
+// the same pair travels as msg.AppendEnvelope encodes it.
 type envelope struct {
 	From msg.NodeID
 	M    msg.Message
 }
 
-// hello opens every connection, identifying the dialer. Under the wire
-// codec it travels as a frame tagged msg.HelloTag; under gob, as this
-// struct.
-type hello struct {
-	From msg.NodeID
-}
-
-// Codec bytes: the first byte a dialer writes names its codec, so a
-// listener serves both codecs at once and a mixed-codec cluster (e.g.
-// mid-ablation) still connects.
-const (
-	codecByteWire = 'W'
-	codecByteGob  = 'G'
-)
+// codecByteWire is the first byte a dialer writes: it names the stream
+// format that follows (a hello frame tagged msg.HelloTag identifying the
+// dialer, then one frame per message). A listener drops a connection
+// that opens with anything else, so a stray client — or a future format
+// — can never be misread as frames.
+const codecByteWire = 'W'
 
 // Writer tuning. The queue and coalescing caps bound both memory and
 // the latency a burst can add to the message at the head of a flush.
@@ -96,7 +86,6 @@ type TCPNode struct {
 	n       int
 	handler runtime.Handler
 	addrs   map[msg.NodeID]string
-	codec   msg.Codec
 
 	ln      net.Listener
 	inbox   chan envelope
@@ -141,7 +130,7 @@ func (c *wireCounters) snapshot() metrics.WireStats {
 }
 
 // countedConn counts the bytes and write calls that actually cross the
-// socket, for both codecs uniformly. Counting writes here rather than
+// socket. Counting writes here rather than
 // at the writer loop's explicit Flush points keeps the frames-per-flush
 // metric honest when a message larger than the bufio buffer makes the
 // writer flush through to the socket mid-batch.
@@ -209,7 +198,6 @@ func newTCPNode(id msg.NodeID, handler runtime.Handler, ln net.Listener, addrs m
 		n:          len(addrs),
 		handler:    handler,
 		addrs:      addrs,
-		codec:      msg.CodecWire,
 		ln:         ln,
 		inbox:      make(chan envelope, 1024),
 		timerCh:    make(chan runtime.TimerTag, 64),
@@ -253,11 +241,6 @@ func NewLocalTCPNode(id msg.NodeID, handler runtime.Handler) (*TCPNode, error) {
 // Addr reports the node's listen address.
 func (t *TCPNode) Addr() string { return t.ln.Addr().String() }
 
-// SetCodec selects the node's outbound encoding (default msg.CodecWire).
-// Call before Start; inbound connections always auto-detect from the
-// peer's codec byte.
-func (t *TCPNode) SetCodec(c msg.Codec) { t.codec = c }
-
 // Stats snapshots the node's wire-level counters: bytes on the wire,
 // frames per flush, reconnects, drops.
 func (t *TCPNode) Stats() metrics.WireStats { return t.stats.snapshot() }
@@ -288,13 +271,6 @@ func (t *TCPNode) Start() error {
 	if t.addrs == nil {
 		return errors.New("transport: no peer addresses configured")
 	}
-	if t.codec != msg.CodecWire && t.codec != msg.CodecGob {
-		return fmt.Errorf("transport: unknown codec %d", int(t.codec))
-	}
-	// Inbound connections auto-detect the dialer's codec, so the gob
-	// types must be registered even on a wire-codec node (Register is
-	// idempotent and cheap).
-	msg.Register()
 	t.start = time.Now()
 	t.wg.Add(2)
 	go t.acceptLoop()
@@ -353,26 +329,18 @@ func (t *TCPNode) forgetInbound(conn net.Conn) {
 	}
 }
 
-// readLoop decodes one inbound connection. The dialer's first byte
-// names its codec; everything after follows that codec's stream shape.
-// raw is the bare accepted conn (the t.inbound bookkeeping handle);
-// conn wraps it with byte counting.
+// readLoop decodes one inbound connection, which must open with the
+// wire codec byte. raw is the bare accepted conn (the t.inbound
+// bookkeeping handle); conn wraps it with byte counting.
 func (t *TCPNode) readLoop(raw, conn net.Conn) {
 	defer t.wg.Done()
 	defer t.forgetInbound(raw)
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, readerBufSize)
-	cb, err := br.ReadByte()
-	if err != nil {
-		return
+	if cb, err := br.ReadByte(); err != nil || cb != codecByteWire {
+		return // not a peer: drop the connection
 	}
-	switch cb {
-	case codecByteWire:
-		t.readWire(br)
-	case codecByteGob:
-		t.readGob(br)
-	}
-	// Any other first byte: not a peer; drop the connection.
+	t.readWire(br)
 }
 
 func (t *TCPNode) readWire(br *bufio.Reader) {
@@ -394,26 +362,6 @@ func (t *TCPNode) readWire(br *bufio.Reader) {
 		t.stats.framesIn.Add(1)
 		select {
 		case t.inbox <- envelope{From: from, M: m}:
-		case <-t.stop:
-			return
-		}
-	}
-}
-
-func (t *TCPNode) readGob(br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	var h hello
-	if err := dec.Decode(&h); err != nil {
-		return
-	}
-	for {
-		var e envelope
-		if err := dec.Decode(&e); err != nil {
-			return
-		}
-		t.stats.framesIn.Add(1)
-		select {
-		case t.inbox <- e:
 		case <-t.stop:
 			return
 		}
@@ -523,7 +471,7 @@ func (t *TCPNode) conn(to msg.NodeID) (*peerConn, error) {
 // queued behind it; the protocols treat that exactly like a lossy link.
 func (t *TCPNode) writeLoopFor(to msg.NodeID, pc *peerConn, addr string) {
 	defer t.wg.Done()
-	bw, encode, err := t.dialPeer(to, pc, addr)
+	bw, err := t.dialPeer(to, pc, addr)
 	if err != nil {
 		t.mu.Lock()
 		t.dialFailed[to] = time.Now()
@@ -535,52 +483,35 @@ func (t *TCPNode) writeLoopFor(to msg.NodeID, pc *peerConn, addr string) {
 		t.drainDropped(pc)
 		return
 	}
-	t.writeLoop(to, pc, bw, encode)
+	t.writeLoop(to, pc, bw)
 }
 
 // dialPeer establishes and handshakes the socket for one peerConn.
-func (t *TCPNode) dialPeer(to msg.NodeID, pc *peerConn, addr string) (*bufio.Writer, func(*bufio.Writer, msg.Message) (bool, error), error) {
+func (t *TCPNode) dialPeer(to msg.NodeID, pc *peerConn, addr string) (*bufio.Writer, error) {
 	raw, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
-		return nil, nil, fmt.Errorf("transport: dial %d: %w", to, err)
+		return nil, fmt.Errorf("transport: dial %d: %w", to, err)
 	}
 	c := countedConn{Conn: raw, stats: &t.stats}
 	if !pc.setConn(c) {
 		raw.Close()
-		return nil, nil, fmt.Errorf("transport: peer %d shut down mid-dial", to)
+		return nil, fmt.Errorf("transport: peer %d shut down mid-dial", to)
 	}
 	c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	bw := bufio.NewWriterSize(c, writerBufSize)
 
 	// Handshake writes land in the (empty, 64K) buffer and cannot fail
-	// before the Flush below, which reports any socket error. Under gob
-	// the encoder owns the rest of the stream (it carries type state),
-	// so it is created here and kept by the returned closure.
-	var encode func(*bufio.Writer, msg.Message) (bool, error)
-	switch t.codec {
-	case msg.CodecGob:
-		bw.WriteByte(codecByteGob)
-		enc := gob.NewEncoder(bw)
-		if err := enc.Encode(hello{From: t.id}); err != nil {
-			return nil, nil, fmt.Errorf("transport: hello to %d: %w", to, err)
-		}
-		encode = func(_ *bufio.Writer, m msg.Message) (bool, error) {
-			err := enc.Encode(envelope{From: t.id, M: m})
-			return err == nil, err
-		}
-	default: // msg.CodecWire
-		hb := []byte{0, 0, 0, 0, msg.HelloTag}
-		hb = wire.AppendVarint(hb, int64(t.id))
-		hb, ferr := wire.EndFrame(hb)
-		if ferr != nil {
-			return nil, nil, ferr
-		}
-		bw.WriteByte(codecByteWire)
-		bw.Write(hb)
-		encode = t.writeWireFrame
+	// before the Flush below, which reports any socket error.
+	hb := []byte{0, 0, 0, 0, msg.HelloTag}
+	hb = wire.AppendVarint(hb, int64(t.id))
+	hb, err = wire.EndFrame(hb)
+	if err != nil {
+		return nil, err
 	}
+	bw.WriteByte(codecByteWire)
+	bw.Write(hb)
 	if err := bw.Flush(); err != nil {
-		return nil, nil, fmt.Errorf("transport: hello to %d: %w", to, err)
+		return nil, fmt.Errorf("transport: hello to %d: %w", to, err)
 	}
 
 	t.mu.Lock()
@@ -591,7 +522,7 @@ func (t *TCPNode) dialPeer(to msg.NodeID, pc *peerConn, addr string) (*bufio.Wri
 	delete(t.dialFailed, to)
 	t.mu.Unlock()
 	t.stats.dials.Add(1)
-	return bw, encode, nil
+	return bw, nil
 }
 
 // drainDropped empties a dead peer's queue, counting every abandoned
@@ -639,7 +570,7 @@ func (t *TCPNode) writeWireFrame(bw *bufio.Writer, m msg.Message) (bool, error) 
 // goroutine for that long, never an actor. Frames count as sent only
 // when their flush succeeds; a failed batch counts as drops (best
 // effort: bytes bufio already wrote through mid-batch are unknowable).
-func (t *TCPNode) writeLoop(to msg.NodeID, pc *peerConn, bw *bufio.Writer, encode func(*bufio.Writer, msg.Message) (bool, error)) {
+func (t *TCPNode) writeLoop(to msg.NodeID, pc *peerConn, bw *bufio.Writer) {
 	conn := pc.c
 	for {
 		var m msg.Message
@@ -653,7 +584,7 @@ func (t *TCPNode) writeLoop(to msg.NodeID, pc *peerConn, bw *bufio.Writer, encod
 		}
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		written, failed := int64(0), int64(0)
-		ok, err := encode(bw, m)
+		ok, err := t.writeWireFrame(bw, m)
 		if ok {
 			written++
 		} else if err != nil {
@@ -663,7 +594,7 @@ func (t *TCPNode) writeLoop(to msg.NodeID, pc *peerConn, bw *bufio.Writer, encod
 		for err == nil && written < maxCoalesce {
 			select {
 			case m = <-pc.out:
-				if ok, err = encode(bw, m); ok {
+				if ok, err = t.writeWireFrame(bw, m); ok {
 					written++
 				} else if err != nil {
 					failed++
@@ -727,23 +658,17 @@ func (c *tcpContext) After(d time.Duration, tag runtime.TimerTag) runtime.Cancel
 	return func() { timer.Stop() }
 }
 
-// BuildLocalCluster creates one TCPNode per handler on loopback ports
-// with the default wire codec, wires the shared address map, and starts
-// them. The caller must Close every returned node.
+// BuildLocalCluster creates one TCPNode per handler on loopback ports,
+// wires the shared address map, and starts them. The caller must Close
+// every returned node.
 func BuildLocalCluster(handlers []runtime.Handler) ([]*TCPNode, error) {
-	return BuildLocalClusterCodec(handlers, msg.CodecWire)
+	return BuildLocalClusterTraced(handlers, nil)
 }
 
-// BuildLocalClusterCodec is BuildLocalCluster with an explicit codec
-// (the Codec knob on cluster.Spec and KVConfig lands here).
-func BuildLocalClusterCodec(handlers []runtime.Handler, codec msg.Codec) ([]*TCPNode, error) {
-	return BuildLocalClusterTraced(handlers, codec, nil)
-}
-
-// BuildLocalClusterTraced is BuildLocalClusterCodec with a command
-// tracer installed on every node before it starts (see SetTracer); nil
-// means no tracing.
-func BuildLocalClusterTraced(handlers []runtime.Handler, codec msg.Codec, tracer *trace.Tracer) ([]*TCPNode, error) {
+// BuildLocalClusterTraced is BuildLocalCluster with a command tracer
+// installed on every node before it starts (see SetTracer); nil means
+// no tracing.
+func BuildLocalClusterTraced(handlers []runtime.Handler, tracer *trace.Tracer) ([]*TCPNode, error) {
 	nodes := make([]*TCPNode, 0, len(handlers))
 	addrs := make(map[msg.NodeID]string, len(handlers))
 	for i, h := range handlers {
@@ -754,7 +679,6 @@ func BuildLocalClusterTraced(handlers []runtime.Handler, codec msg.Codec, tracer
 			}
 			return nil, err
 		}
-		node.SetCodec(codec)
 		node.SetTracer(tracer)
 		nodes = append(nodes, node)
 		addrs[msg.NodeID(i)] = node.Addr()

@@ -10,12 +10,8 @@ import (
 	"consensusinside/internal/onepaxos"
 	"consensusinside/internal/protocol"
 	"consensusinside/internal/runtime"
+	"consensusinside/internal/wire"
 )
-
-func TestMain(m *testing.M) {
-	msg.Register()
-	m.Run()
-}
 
 type collected struct {
 	mu      sync.Mutex
@@ -33,65 +29,117 @@ func (c *collected) add(rep msg.ClientReply) {
 	}
 }
 
-// TestEchoOverTCP runs the request/reply round trip under both codecs:
-// the hand-rolled wire codec (the default) and the gob ablation path.
+// TestEchoOverTCP runs a request/reply round trip over the wire codec,
+// and checks the other half of the connection's first-byte contract: a
+// stream that does not open with the wire codec byte is not a peer and
+// is dropped before anything in it can be read as frames.
 func TestEchoOverTCP(t *testing.T) {
-	for _, codec := range []msg.Codec{msg.CodecWire, msg.CodecGob} {
-		codec := codec
-		t.Run(codec.String(), func(t *testing.T) {
-			got := make(chan msg.Message, 1)
-			echo := runtime.HandlerFunc{
-				OnReceive: func(ctx runtime.Context, from msg.NodeID, m msg.Message) {
-					if _, ok := m.(msg.ClientRequest); ok {
-						ctx.Send(from, msg.ClientReply{Seq: 1, OK: true, Result: "echo"})
-					}
-				},
-			}
-			sink := runtime.HandlerFunc{
-				OnStart: func(ctx runtime.Context) {
-					ctx.Send(0, msg.ClientRequest{Client: 1, Seq: 1, Cmd: msg.Command{Op: msg.OpNoop}})
-				},
-				OnReceive: func(ctx runtime.Context, from msg.NodeID, m msg.Message) {
-					got <- m
-				},
-			}
-			nodes, err := BuildLocalClusterCodec([]runtime.Handler{echo, sink}, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				for _, n := range nodes {
-					n.Close()
+	t.Run("wire", func(t *testing.T) {
+		got := make(chan msg.Message, 1)
+		echo := runtime.HandlerFunc{
+			OnReceive: func(ctx runtime.Context, from msg.NodeID, m msg.Message) {
+				if _, ok := m.(msg.ClientRequest); ok {
+					ctx.Send(from, msg.ClientReply{Seq: 1, OK: true, Result: "echo"})
 				}
-			}()
-			select {
-			case m := <-got:
-				rep, ok := m.(msg.ClientReply)
-				if !ok || rep.Result != "echo" {
-					t.Fatalf("got %+v", m)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("echo round trip timed out")
+			},
+		}
+		sink := runtime.HandlerFunc{
+			OnStart: func(ctx runtime.Context) {
+				ctx.Send(0, msg.ClientRequest{Client: 1, Seq: 1, Cmd: msg.Command{Op: msg.OpNoop}})
+			},
+			OnReceive: func(ctx runtime.Context, from msg.NodeID, m msg.Message) {
+				got <- m
+			},
+		}
+		nodes, err := BuildLocalCluster([]runtime.Handler{echo, sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeAll(nodes)
+		select {
+		case m := <-got:
+			rep, ok := m.(msg.ClientReply)
+			if !ok || rep.Result != "echo" {
+				t.Fatalf("got %+v", m)
 			}
-			// The round trip must be visible in the wire counters on
-			// both ends. A frame counts as sent once its flush returned,
-			// and the echo can overtake that bookkeeping (the peer reads
-			// the bytes before the writer goroutine runs again), so give
-			// the sender's counters a bounded moment to settle.
-			snd, rcv := nodes[1].Stats(), nodes[0].Stats()
-			for deadline := time.Now().Add(10 * time.Second); snd.FramesOut < 1 && time.Now().Before(deadline); snd = nodes[1].Stats() {
-				time.Sleep(time.Millisecond)
-			}
-			if snd.FramesOut < 1 || snd.Flushes < 1 || snd.BytesOut == 0 || snd.Dials != 1 {
-				t.Errorf("sender stats missing traffic: %+v", snd)
-			}
-			if rcv.FramesIn < 1 || rcv.BytesIn == 0 {
-				t.Errorf("receiver stats missing traffic: %+v", rcv)
-			}
-			if snd.Reconnects != 0 || snd.Dropped != 0 {
-				t.Errorf("clean run counted failures: %+v", snd)
-			}
-		})
+		case <-time.After(10 * time.Second):
+			t.Fatal("echo round trip timed out")
+		}
+		// The round trip must be visible in the wire counters on
+		// both ends. A frame counts as sent once its flush returned,
+		// and the echo can overtake that bookkeeping (the peer reads
+		// the bytes before the writer goroutine runs again), so give
+		// the sender's counters a bounded moment to settle.
+		snd, rcv := nodes[1].Stats(), nodes[0].Stats()
+		for deadline := time.Now().Add(10 * time.Second); snd.FramesOut < 1 && time.Now().Before(deadline); snd = nodes[1].Stats() {
+			time.Sleep(time.Millisecond)
+		}
+		if snd.FramesOut < 1 || snd.Flushes < 1 || snd.BytesOut == 0 || snd.Dials != 1 {
+			t.Errorf("sender stats missing traffic: %+v", snd)
+		}
+		if rcv.FramesIn < 1 || rcv.BytesIn == 0 {
+			t.Errorf("receiver stats missing traffic: %+v", rcv)
+		}
+		if snd.Reconnects != 0 || snd.Dropped != 0 {
+			t.Errorf("clean run counted failures: %+v", snd)
+		}
+	})
+	t.Run("foreign first byte rejected", func(t *testing.T) {
+		delivered := make(chan msg.Message, 1)
+		sink := runtime.HandlerFunc{
+			OnReceive: func(ctx runtime.Context, from msg.NodeID, m msg.Message) { delivered <- m },
+		}
+		nodes, err := BuildLocalCluster([]runtime.Handler{sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeAll(nodes)
+		// A well-formed stream — hello frame, then a request — behind the
+		// wrong first byte ('G' is what the retired gob stream opened
+		// with): only that byte may decide the connection's fate.
+		stream := []byte{'G'}
+		hello, err := wire.EndFrame(wire.AppendVarint([]byte{0, 0, 0, 0, msg.HelloTag}, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, hello...)
+		frame, err := msg.AppendEnvelope(wire.BeginFrame(nil), 1, msg.ClientRequest{Client: 1, Seq: 1})
+		if err == nil {
+			frame, err = wire.EndFrame(frame)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, frame...)
+
+		conn, err := net.Dial("tcp", nodes[0].Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err == nil || n != 0 {
+			t.Fatalf("node kept a non-wire connection open (read %d bytes, err %v)", n, err)
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatal("node never closed a connection that opened with a foreign codec byte")
+		}
+		select {
+		case m := <-delivered:
+			t.Fatalf("a frame behind a foreign codec byte reached the handler: %+v", m)
+		default:
+		}
+		if s := nodes[0].Stats(); s.FramesIn != 0 {
+			t.Errorf("frames counted on a rejected connection: %+v", s)
+		}
+	})
+}
+
+func closeAll(nodes []*TCPNode) {
+	for _, n := range nodes {
+		n.Close()
 	}
 }
 

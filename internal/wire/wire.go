@@ -4,10 +4,9 @@
 // so steady-state sends allocate nothing.
 //
 // The split of responsibilities is deliberate: this package knows bytes,
-// not messages. internal/msg owns the one-byte type tags and the
-// per-type Marshal/Unmarshal code (its wire registry replaces the gob
-// type list for the default codec); internal/transport owns sockets,
-// framing loops and flush policy. That keeps the codec testable and
+// not messages. internal/msg owns the one-byte type tags, the per-type
+// Marshal/Unmarshal code and the type registry; internal/transport owns
+// sockets, framing loops and flush policy. That keeps the codec testable and
 // fuzzable without a network in sight.
 //
 // Frame layout (see DESIGN.md, "Wire format"):
@@ -178,7 +177,7 @@ func (d *Decoder) String() string {
 }
 
 // Bytes reads an AppendBytes value as a copy (nil when empty, matching
-// gob's nil/empty folding so both codecs decode to equal structs).
+// the nil/empty folding of gob, the codec tests' differential reference).
 func (d *Decoder) Bytes() []byte {
 	n := d.Uvarint()
 	if d.err != nil {

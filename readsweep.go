@@ -1,8 +1,7 @@
 package consensusinside
 
-// The read-path sweep: the companion experiment to batchsweep.go and
-// codecsweep.go, measuring the read fast path on the real runtimes
-// (wall clock). It holds the write path fixed and varies two knobs: the
+// The read-path sweep: the companion experiment to batchsweep.go,
+// measuring the read fast path on the real runtimes (wall clock). It holds the write path fixed and varies two knobs: the
 // read mode (consensus / lease / read-index / follower) and the read
 // share of the offered load (the paper's Section 7.5 read workloads;
 // 50/90/99% by default). ReadConsensus is exactly the pre-read-path
