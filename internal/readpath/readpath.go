@@ -291,10 +291,21 @@ func (s *Server) SetLegacyGranterSelfExemption(on bool) {
 	s.legacySelfExempt = on
 }
 
-func (s *Server) legacyExempt() bool {
+// LegacyGranterSelfExemption reports whether the historical bug is
+// switched on (see SetLegacyGranterSelfExemption). Safe from any
+// goroutine.
+func (s *Server) LegacyGranterSelfExemption() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.legacySelfExempt
+}
+
+// ClockSkew reports the offset SkewClock last installed. Safe from any
+// goroutine.
+func (s *Server) ClockSkew() time.Duration {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.skew
 }
 
 func (s *Server) now() time.Duration {
@@ -535,7 +546,7 @@ func (s *Server) PrepareHold(from msg.NodeID) time.Duration {
 	now := s.now()
 	var hold time.Duration
 	if s.grantHolder != msg.Nobody && s.grantHolder != from && s.grantUntil > now &&
-		!(from == s.cfg.ID && s.legacyExempt()) {
+		!(from == s.cfg.ID && s.LegacyGranterSelfExemption()) {
 		hold = s.grantUntil - now
 	}
 	if from != s.cfg.ID && s.blockUntil > now {
@@ -703,7 +714,7 @@ func (s *Server) completeRound() {
 // is exactly what makes a quorum confirmation round unnecessary).
 func (s *Server) leaseServe(reads []pending) {
 	f := s.cfg.Frontier()
-	if s.cfg.Applied() >= f || s.legacyExempt() {
+	if s.cfg.Applied() >= f || s.LegacyGranterSelfExemption() {
 		s.serveLocal(reads, false)
 		return
 	}

@@ -199,7 +199,7 @@ func recoverySweepOne(opts RecoverySweepOptions, p Protocol, tr TransportKind) (
 	}
 	var rejoin time.Duration
 	for {
-		if r, ok := kv.shards[0].engines[victim].(interface{ Recovered() bool }); !ok || r.Recovered() {
+		if kv.shards[0].engines[victim].Recovered() {
 			rejoin = time.Since(restartAt)
 			break
 		}

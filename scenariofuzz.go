@@ -167,12 +167,11 @@ func defaultFuzzProfile(mode ReadMode) faultsched.Profile {
 	return p
 }
 
-// ScenarioFuzz runs one seeded adversarial scenario and checks the
-// recorded history. The returned error covers configuration problems;
-// safety verdicts land in ScenarioFuzzResult.Violation.
-func ScenarioFuzz(cfg ScenarioFuzzConfig) (ScenarioFuzzResult, error) {
-	cfg = cfg.withDefaults()
-	rec := linearize.NewRecorder()
+// scenarioFuzzArm builds the run's cluster and arms its seeded fault
+// schedule on it, ready to Start: every replica gets the legacy lease
+// behavior when the config asks for it, and every Skew event lands on
+// its node's read-path clock — whatever the engine.
+func scenarioFuzzArm(cfg ScenarioFuzzConfig, rec *linearize.Recorder) (*cluster.Cluster, *faultsched.Schedule, error) {
 	spec := cluster.Spec{
 		Protocol:          cfg.Protocol,
 		Machine:           topology.Opteron48(),
@@ -202,14 +201,12 @@ func ScenarioFuzz(cfg ScenarioFuzzConfig) (ScenarioFuzzResult, error) {
 	}
 	c, err := cluster.Build(spec)
 	if err != nil {
-		return ScenarioFuzzResult{}, err
+		return nil, nil, err
 	}
 
 	if cfg.LegacyLeaseBug {
 		for _, s := range c.Servers {
-			if rp, ok := s.(interface{ ReadPath() *readpath.Server }); ok {
-				rp.ReadPath().SetLegacyGranterSelfExemption(true)
-			}
+			s.ReadPath().SetLegacyGranterSelfExemption(true)
 		}
 	}
 
@@ -225,21 +222,29 @@ func ScenarioFuzz(cfg ScenarioFuzzConfig) (ScenarioFuzzResult, error) {
 	})
 	byID := make(map[msg.NodeID]*readpath.Server, len(c.Servers))
 	for i, s := range c.Servers {
-		if rp, ok := s.(interface{ ReadPath() *readpath.Server }); ok {
-			byID[c.ServerIDs[i]] = rp.ReadPath()
-		}
+		byID[c.ServerIDs[i]] = s.ReadPath()
 	}
 	// Faults land in the cluster's event log as they fire, so the ring
 	// interleaves each episode with the leader changes, lease expiries
 	// and recoveries it provokes — the timeline a violation dump needs.
 	sched.ApplyObserved(c.Net, func(id msg.NodeID, off time.Duration) {
-		if rp := byID[id]; rp != nil {
-			rp.SkewClock(off)
-		}
+		byID[id].SkewClock(off)
 	}, func(ev faultsched.Event) {
 		c.Events.Emitf(ev.At, ev.Node, "fault", "%s", ev)
 	})
+	return c, sched, nil
+}
 
+// ScenarioFuzz runs one seeded adversarial scenario and checks the
+// recorded history. The returned error covers configuration problems;
+// safety verdicts land in ScenarioFuzzResult.Violation.
+func ScenarioFuzz(cfg ScenarioFuzzConfig) (ScenarioFuzzResult, error) {
+	cfg = cfg.withDefaults()
+	rec := linearize.NewRecorder()
+	c, sched, err := scenarioFuzzArm(cfg, rec)
+	if err != nil {
+		return ScenarioFuzzResult{}, err
+	}
 	c.Start()
 	c.RunFor(cfg.Total)
 
@@ -260,7 +265,7 @@ func ScenarioFuzz(cfg ScenarioFuzzConfig) (ScenarioFuzzResult, error) {
 	res.Violation = linearize.Check(ops, linearize.Options{
 		// Follower reads are stale-bounded by contract, not
 		// linearizable: check read validity and write linearizability.
-		WeakReads: spec.ReadMode == readpath.Follower,
+		WeakReads: cfg.ReadMode == ReadFollower,
 		// 2PC locks across the whole store; single-key checking is
 		// equivalent for single-key ops but whole-history is the honest
 		// granularity for an engine whose atomicity spans keys.
