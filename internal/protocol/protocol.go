@@ -115,8 +115,9 @@ type Config struct {
 	LeaseDuration time.Duration
 
 	// Tracer, when non-nil, receives decide/apply stage stamps for
-	// sampled commands (internal/trace). Engines wire it into their
-	// learner log (or, for engines without one, their commit path).
+	// sampled commands (internal/trace): from the learner log the
+	// replica shell builds, or, for an engine without one, from its own
+	// commit path.
 	Tracer *trace.Tracer
 
 	// Events, when non-nil, receives rare-event timeline entries

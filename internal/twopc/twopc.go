@@ -171,10 +171,7 @@ func (r *Replica) onTxRetry(txID int64) {
 	if !ok {
 		return
 	}
-	for _, id := range r.Replicas {
-		if id == r.Me {
-			continue
-		}
+	for _, id := range r.Peers {
 		if !t.committed && !t.acks[id] {
 			r.Ctx.Send(id, msg.TPCPrepare{TxID: t.id, Value: t.value})
 		}
@@ -288,11 +285,8 @@ func (r *Replica) beginTx(v msg.Value) {
 		r.inflight[originKey{v.Client, be.Seq}] = id
 	}
 	// Phase 1: lock everywhere, including our own copy.
-	for _, id2 := range r.Replicas {
-		if id2 == r.Me {
-			continue
-		}
-		r.Ctx.Send(id2, msg.TPCPrepare{TxID: id, Value: v})
+	for _, peer := range r.Peers {
+		r.Ctx.Send(peer, msg.TPCPrepare{TxID: id, Value: v})
 	}
 	r.armTxRetry(id)
 	r.localPrepare(t)
@@ -359,10 +353,8 @@ func (r *Replica) onAck(m msg.TPCAck) {
 		// A replica refused (its copy is locked by another coordinator —
 		// impossible with a single fixed coordinator, but handled for
 		// completeness): roll back.
-		for _, id := range r.Replicas {
-			if id != r.Me {
-				r.Ctx.Send(id, msg.TPCRollback{TxID: t.id})
-			}
+		for _, id := range r.Peers {
+			r.Ctx.Send(id, msg.TPCRollback{TxID: t.id})
 		}
 		r.releaseLocks(t.id, t.value)
 		delete(r.txs, t.id)
@@ -389,10 +381,7 @@ func (r *Replica) onAck(m msg.TPCAck) {
 		r.traceMark(trace.StageDecide, t.value)
 	}
 	r.clearInflight(t) // committed: session screening owns retries from here
-	for _, id := range r.Replicas {
-		if id == r.Me {
-			continue
-		}
+	for _, id := range r.Peers {
 		r.Ctx.Send(id, msg.TPCCommit{TxID: t.id, Value: t.value})
 	}
 	r.applyCommit(t.id, t.value)
