@@ -45,15 +45,20 @@ var goldenRuns = []struct {
 	{"shard-sim", func(w io.Writer, o Opts) { PrintShardScaling(w, ShardScaling(o, nil)) }},
 	{"mencius", func(w io.Writer, o Opts) {
 		funnel, spread := MenciusLoadSpread(o)
-		fmt.Fprintf(w, "all traffic at one leader %.0f/s\nspread across all leaders %.0f/s\n", funnel, spread)
+		fmt.Fprintf(w, "Mencius, 3 replicas, offered 100k op/s\n")
+		fmt.Fprintf(w, "%-28s %12.0f/s\n", "all traffic at one leader", funnel)
+		fmt.Fprintf(w, "%-28s %12.0f/s\n", "spread across all leaders", spread)
+		if funnel > 0 {
+			fmt.Fprintf(w, "load-spreading gain: %.2fx\n", spread/funnel)
+		}
 	}},
 }
 
 func printSlowCoreRun(w io.Writer, title string, r SlowCoreResult) {
 	PrintSlowCore(w, title, r)
 	rec := Recovery(r)
-	fmt.Fprintf(w, "steady %.0f op/s | stalled %d buckets | recovered %.0f op/s\n",
-		rec.BeforeRate, rec.StallBuckets, rec.RecoveredRate)
+	fmt.Fprintf(w, "steady %.0f op/s | stalled %d buckets (%v) | recovered %.0f op/s\n",
+		rec.BeforeRate, rec.StallBuckets, time.Duration(rec.StallBuckets)*r.BucketWidth, rec.RecoveredRate)
 }
 
 // TestQuickGolden pins the simulator: the deterministic experiments at
