@@ -67,14 +67,6 @@ func CostsManyCore() simnet.CostModel { return simnet.ManyCore() }
 // CostsLAN is the calibrated LAN cost model (Section 3).
 func CostsLAN() simnet.CostModel { return simnet.LAN() }
 
-// CostsManyCoreSlow is the cost model for the 8-core slow-machine
-// experiments (Sections 2.2 and 7.6).
-func CostsManyCoreSlow() simnet.CostModel { return simnet.ManyCoreSlowMachine() }
-
-// CPUHogSlowdown models the paper's slow-core injection (8 CPU-intensive
-// processes sharing a core); pass it to SimCluster.SlowAt.
-const CPUHogSlowdown = cluster.CPUHogSlowdown
-
 // TransportKind selects how a real (non-simulated) KV cluster
 // communicates.
 type TransportKind int
@@ -90,7 +82,7 @@ const (
 	TCP
 )
 
-// String implements fmt.Stringer for sweep tables.
+// String implements fmt.Stringer for test names and tables.
 func (t TransportKind) String() string {
 	switch t {
 	case InProc:
@@ -136,7 +128,7 @@ const (
 	ReadFollower = ReadMode(readpath.Follower)
 )
 
-// String implements fmt.Stringer for sweep tables.
+// String implements fmt.Stringer for test names and tables.
 func (m ReadMode) String() string { return readpath.Mode(m).String() }
 
 // DefaultPipeline is the bridge's default window of in-flight commands.
@@ -221,7 +213,7 @@ type KVConfig struct {
 	// bridge, batch admission, wire send, decide, apply, reply. Zero —
 	// the default — leaves tracing off; the hooks stay compiled in at
 	// the cost of one atomic load per site, so the steady-state path
-	// still allocates nothing. KV.Tracer().SetInterval toggles it live.
+	// still allocates nothing.
 	TraceInterval int
 	// DebugAddr, when non-empty, starts the debug HTTP listener on that
 	// address at StartKV ("127.0.0.1:0" picks a free port; KV.DebugAddr
@@ -719,10 +711,6 @@ func (kv *KV) addRingGrowths(s *obs.Snapshot) {
 // tail. Snapshots from several services (or the workload clients'
 // registries) Merge into fleet totals.
 func (kv *KV) Obs() obs.Snapshot { return kv.registry.Snapshot() }
-
-// Tracer exposes the service's command lifecycle tracer; its interval
-// can be retuned live (SetInterval; 0 switches tracing off).
-func (kv *KV) Tracer() *trace.Tracer { return kv.tracer }
 
 // Trace reports the tracer's snapshot: per-stage latency breakdowns
 // and the ring of recently completed command lifecycles.

@@ -527,9 +527,9 @@ func BenchmarkKVInProcSteadyState(b *testing.B) {
 // BenchmarkKVInProcSteadyStateTraced is the tracing-overhead
 // counterpart of BenchmarkKVInProcSteadyState: the identical workload
 // with 1-in-64 command tracing enabled. Compare ns/op between the two
-// for the sampling cost on the hot path (the trace-sweep experiment
-// gates the same ratio end to end); allocs/op stays amortized-zero —
-// sampled spans are pooled.
+// for the sampling cost on the hot path (bench/'s
+// stage.trace_overhead_frac is the same ratio end to end); allocs/op
+// stays amortized-zero — sampled spans are pooled.
 func BenchmarkKVInProcSteadyStateTraced(b *testing.B) {
 	benchKVSteadyState(b, 64)
 }
@@ -609,27 +609,6 @@ func BenchmarkAblationCommandBatching(b *testing.B) {
 	}
 }
 
-// BenchmarkKVBatchSweepInProc measures command batching end to end on
-// the real in-process runtime (wall clock): the same ops through the
-// same window, packed 1 vs 8 commands per consensus instance. This is
-// the headline batching number; cmd/consensusbench -run batch-sweep
-// records it to BENCH_*.json.
-func BenchmarkKVBatchSweepInProc(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := BatchSweep(BatchSweepOptions{BatchSizes: []int{1, 8}, Ops: 8000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			b.ReportMetric(p.Throughput, fmt.Sprintf("batch%d-ops", p.Batch))
-			b.ReportMetric(p.CommandsPerInst, fmt.Sprintf("batch%d-cmds-per-inst", p.Batch))
-		}
-		if pts[0].Throughput > 0 {
-			b.ReportMetric(pts[1].Throughput/pts[0].Throughput, "speedup-8v1")
-		}
-	}
-}
-
 // BenchmarkShardScalingSim measures the simulated shard sweep: 12
 // replica cores split into 1x12, 2x6 and 4x3 independent groups, 24
 // clients on disjoint per-shard keys. Aggregate virtual-time throughput
@@ -642,25 +621,6 @@ func BenchmarkShardScalingSim(b *testing.B) {
 		}
 		if rows[0].Throughput > 0 {
 			b.ReportMetric(rows[len(rows)-1].Throughput/rows[0].Throughput, "speedup-4v1")
-		}
-	}
-}
-
-// BenchmarkKVShardSweepInProc measures the real-runtime shard sweep on
-// the in-process transport (wall clock): the same 12-core replica
-// budget as one group vs four. This is the headline sharding number;
-// cmd/consensusbench -run shard-sweep records it to BENCH_*.json.
-func BenchmarkKVShardSweepInProc(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := ShardSweep(ShardSweepOptions{ShardCounts: []int{1, 4}, Ops: 4000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			b.ReportMetric(p.Throughput, fmt.Sprintf("shards%d-ops", p.Shards))
-		}
-		if pts[0].Throughput > 0 {
-			b.ReportMetric(pts[1].Throughput/pts[0].Throughput, "speedup-4v1")
 		}
 	}
 }

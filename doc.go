@@ -36,12 +36,11 @@
 //     (NewSimCluster) used to reproduce every figure of the paper's
 //     evaluation, sweeping the same engines, client window, batch cap
 //     and shard count (SimSpec.Shards/BatchSize); and
-//   - the experiment runners themselves (the experiments re-exported
-//     through cmd/consensusbench, which can emit BENCH_*.json and
-//     capture pprof profiles; the wall-clock shard, batch, recovery,
-//     read, hot-path and trace sweeps are exported here as ShardSweep,
-//     BatchSweep, RecoverySweep, ReadSweep, HotpathSweep and
-//     TraceSweep).
+//   - the seeded fault-schedule fuzzer with its linearizability check
+//     (ScenarioFuzz). The deterministic paper experiments are
+//     internal/experiments.Registry, run by cmd/consensusbench;
+//     wall-clock measurement of the real runtimes is the separate
+//     bench/ module (bash bench/run.sh).
 //
 // Protocols are written once against the message-passing contract
 // (internal/runtime.Handler) and registered in internal/protocol; every

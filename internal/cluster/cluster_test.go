@@ -448,6 +448,46 @@ func TestBatchedWindowCommits(t *testing.T) {
 	}
 }
 
+// TestAdaptiveBatchingMatchesBestStatic pins the workload client's
+// load-driven batcher on the noise-free simulator: it must hold at
+// least 0.95x the better hand-tuned static setting (batch 1, or batch 8
+// with a 5us partial-batch hold) and fill every instance to its
+// half-window cap of 8. Window 16 fits two caps exactly; window 15 does
+// not (8 + 7), so there the adaptive hold is what keeps a lane waiting
+// for a whole cap of free slots instead of alternating 8, 7, 8, 7 —
+// without it occupancy drops to 7.5 and this test fails.
+func TestAdaptiveBatchingMatchesBestStatic(t *testing.T) {
+	const warmup, measure = 5 * time.Millisecond, 20 * time.Millisecond
+	run := func(shards, window int, tune func(*Spec)) (throughput, occupancy float64) {
+		spec := baseSpec(OnePaxos, 4)
+		spec.Shards = shards
+		spec.Window = window
+		spec.Warmup = warmup
+		spec.RetryTimeout = 50 * time.Millisecond
+		tune(&spec)
+		c := MustBuild(spec)
+		c.Start()
+		c.RunFor(warmup + measure)
+		occ := c.BatchStats()
+		return c.ClientStats().Throughput, occ.Mean()
+	}
+	for _, shards := range []int{1, 4} {
+		for _, window := range []int{16, 15} {
+			static1, _ := run(shards, window, func(s *Spec) { s.BatchSize = 1 })
+			static8, _ := run(shards, window, func(s *Spec) { s.BatchSize = 8; s.BatchDelay = 5 * time.Microsecond })
+			adaptive, occ := run(shards, window, func(s *Spec) { s.BatchAdaptive = true })
+			if best := max(static1, static8); adaptive < 0.95*best {
+				t.Errorf("%d shards, window %d: adaptive %.0f op/s < 0.95x best static %.0f op/s (batch 1: %.0f, batch 8: %.0f)",
+					shards, window, adaptive, best, static1, static8)
+			}
+			if occ < 7.9 {
+				t.Errorf("%d shards, window %d: adaptive batcher filled %.2f commands per instance, want the cap of 8",
+					shards, window, occ)
+			}
+		}
+	}
+}
+
 // TestShardedBuildLayout checks the core-to-group assignment: disjoint
 // dense per-group id ranges, clients above them, every client running
 // one lane per group.

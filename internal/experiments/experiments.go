@@ -1,7 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Sections 2, 3 and 7). Each experiment returns structured
-// rows and can render itself as text; cmd/consensusbench and the root
-// bench suite are thin wrappers around this package.
+// rows and can render itself as text; Registry (registry.go) is the one
+// list of them, which cmd/consensusbench runs and TestQuickGolden pins.
 //
 // The per-experiment index (paper artifact → modules → bench target)
 // lives in DESIGN.md; measured-vs-paper numbers in EXPERIMENTS.md.
@@ -370,8 +370,7 @@ func PrintFig9(w io.Writer, series map[string][]Fig9Point) {
 // Figure 10: read workloads (2PC-Joint local reads vs 1Paxos)
 // ---------------------------------------------------------------------------
 
-// Fig10ReadPercents are the read-traffic mixes Figure 10 sweeps; the
-// read-sweep benchmark shares the same workload knob
+// Fig10ReadPercents are the read-traffic mixes Figure 10 sweeps
 // (workload.Config.ReadPercent).
 var Fig10ReadPercents = []int{0, 10, 75}
 
@@ -757,9 +756,9 @@ const ShardScalingBudget = 12
 // one 12-replica group, two 6-replica groups, or four 3-replica groups,
 // driven by the same 24 client cores on disjoint per-shard keys (one
 // pipelined lane per group). Aggregate throughput grows with the group
-// count for the same two reasons the real-runtime sweep shows: smaller
-// groups pay fewer learn messages per commit, and each group's leader
-// serializes only its own shard of the keyspace.
+// count for two reasons: smaller groups pay fewer learn messages per
+// commit, and each group's leader serializes only its own shard of the
+// keyspace.
 func ShardScaling(opts Opts, shardCounts []int) []ShardRow {
 	opts = opts.withDefaults(60*time.Millisecond, 10*time.Millisecond)
 	if len(shardCounts) == 0 {

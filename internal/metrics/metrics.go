@@ -23,7 +23,7 @@ import (
 // so the kept set stays a uniform sample of everything recorded and
 // percentile queries become unbiased estimates whose error shrinks with
 // the cap, not with the record count. Count, Mean, Min and Max stay
-// exact at any volume. The cap keeps a week-long sweep's histogram at a
+// exact at any volume. The cap keeps a week-long run's histogram at a
 // fixed 64 KiB instead of growing (and GC-scanning) one append per op —
 // allocation on the measurement path skews the latencies it measures.
 const HistogramCap = 1 << 13 // 8192 samples, 64 KiB of durations

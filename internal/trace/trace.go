@@ -6,8 +6,9 @@
 //
 // are stamped in both virtual time (the runtime's Context.Now clock)
 // and wall-clock time, per sampled command, into a bounded ring of
-// completed samples plus per-stage latency histograms. Sweeps read the
-// histograms for stage breakdowns; the /debug surface serves the ring.
+// completed samples plus per-stage latency histograms. The benchmark
+// (bench/, stage.*) reads the histograms for stage breakdowns; the
+// /debug surface serves the ring.
 //
 // Sampling is deterministic and coordination-free: a command is traced
 // iff its sequence number satisfies seq % interval == 0, so every layer

@@ -114,7 +114,7 @@ type Config struct {
 
 	// ReadPercent in [0,100] is the percentage of OpGet commands
 	// (Section 7.5's read workloads); the rest are OpPut. The knob is
-	// shared by the Figure 10 reproduction and the read-sweep benchmark.
+	// shared by the Figure 10 reproduction and the scenario fuzzer.
 	ReadPercent int
 
 	// ReadMode selects how this client's reads travel. The default

@@ -6,8 +6,9 @@
 # Fails when gofmt would change anything, when go vet complains, when
 # any library package (the root, internal/*) is missing a package
 # comment, when any command/example main is missing a header comment,
-# when an engine package builds a subsystem the replica shell owns, or
-# when a doc file that other docs link to is absent. The point is
+# when an engine package builds a subsystem the replica shell owns,
+# when a wall-clock sweep driver or a recorded BENCH_*.json reappears
+# beside bench/, or when a doc file that other docs link to is absent. The point is
 # that the docs pass of PR 2 cannot silently rot.
 set -u
 cd "$(dirname "$0")/.."
@@ -71,6 +72,17 @@ private=$(grep -nE 'snapshot\.New\(|readpath\.New\(|rsm\.NewSessions\(|rsm\.NewL
 if [ -n "$private" ]; then
     echo "docscheck: engine packages must take these from the replica shell, not build their own:" >&2
     echo "$private" >&2
+    fail=1
+fi
+
+# Wall-clock measurement lives in bench/ (named workloads, medians over
+# repeats) and nowhere else: a *sweep.go driver in the root package or a
+# single-run BENCH_*.json under version control is the second
+# measurement stack growing back.
+regrown=$(ls ./*sweep.go 2>/dev/null; git ls-files 'BENCH_*.json' 2>/dev/null)
+if [ -n "$regrown" ]; then
+    echo "docscheck: wall-clock measurement belongs in bench/, not in root sweep drivers or tracked BENCH_*.json:" >&2
+    echo "$regrown" >&2
     fail=1
 fi
 
