@@ -228,7 +228,7 @@ func TestLogBoundedUnderSustainedLoad(t *testing.T) {
 	}
 	defer kv.Close()
 
-	if _, _, err := runPutLoad(kv, ops, 64); err != nil {
+	if err := runPutLoad(kv, ops, 64); err != nil {
 		t.Fatal(err)
 	}
 	s := kv.SnapshotStats()
@@ -262,36 +262,29 @@ func TestLogBoundedUnderSustainedLoad(t *testing.T) {
 	t.Logf("sustained run: %d ops, stats %+v", ops, s)
 }
 
-// runPutLoad drives committed Puts through kv from workers concurrent
-// callers (ops total, rounded down to a whole number per worker) and
-// reports how many committed and how long the measured window took.
-func runPutLoad(kv *KV, ops, workers int) (total int, elapsed time.Duration, err error) {
-	perWorker := ops / workers
-	if perWorker < 1 {
-		perWorker = 1
-	}
-	total = perWorker * workers
+// runPutLoad commits ops Puts through kv from workers concurrent
+// callers (rounded down to a whole number per worker).
+func runPutLoad(kv *KV, ops, workers int) error {
+	perWorker := max(ops/workers, 1)
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				if err := kv.Put(fmt.Sprintf("w%d-%d", w, i), "v"); err != nil {
-					errs <- fmt.Errorf("consensusinside: worker %d: %w", w, err)
+					errs <- fmt.Errorf("worker %d: %w", w, err)
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	elapsed = time.Since(start)
 	select {
-	case err = <-errs:
-		return 0, 0, err
+	case err := <-errs:
+		return err
 	default:
+		return nil
 	}
-	return total, elapsed, nil
 }

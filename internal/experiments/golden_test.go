@@ -15,10 +15,11 @@ var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this
 // TestQuickGolden pins the simulator: every Registry experiment at
 // consensusbench's -quick options and the default seed must print
 // exactly testdata/quick.golden (what `consensusbench -run <id> -quick`
-// prints, minus the wall-clock "[done in ...]" trailer). A change that is meant to leave
-// protocol behaviour alone (a refactor, a data-structure swap) passes
-// with the file untouched; a change that moves a message, a timer or an
-// ordering shows up as a diff here. Regenerate with
+// prints, minus the wall-clock "[done in ...]" trailer). A change that
+// is meant to leave protocol behaviour alone (a refactor, a
+// data-structure swap) passes with the file untouched; a change that
+// moves a message, a timer or an ordering shows up as a diff here.
+// Regenerate with
 //
 //	go test ./internal/experiments -run TestQuickGolden -update
 //
