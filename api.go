@@ -264,8 +264,7 @@ type kvShard struct {
 	tracer *trace.Tracer         // installed on restarted TCP nodes before they serve
 
 	// mu guards the per-replica slots RestartReplica swaps out while
-	// stats readers (SnapshotStats, WireStats) iterate them from other
-	// goroutines.
+	// collect walks them from other goroutines.
 	mu      sync.Mutex
 	tcp     []*transport.TCPNode
 	engines []protocol.Engine
@@ -282,8 +281,23 @@ func (s *kvShard) close() {
 	for _, n := range nodes {
 		n.Close()
 	}
-	s.bridge.closeReads()
-	s.bridge.closeWrites()
+	s.bridge.close()
+}
+
+// collect is the shard's registry source: every counter its current
+// TCP nodes, engines and bridge own, added under their own names. A
+// crashed replica's counters stay in the totals until RestartReplica
+// swaps its slot.
+func (s *kvShard) collect(snap *obs.Snapshot) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, n := range s.tcp {
+		n.Collect(snap)
+	}
+	for _, eng := range s.engines {
+		eng.Collect(snap)
+	}
+	s.bridge.Collect(snap)
 }
 
 // StartKV launches a replicated KV service with embedded replicas:
@@ -324,40 +338,11 @@ func StartKV(cfg KVConfig) (*KV, error) {
 	if cfg.Pipeline < 1 {
 		cfg.Pipeline = 1
 	}
-	if cfg.Pipeline > rsm.DefaultSessionWindow {
-		// The replicas' session tables dedupe per-(client, seq) across a
-		// window; a pipeline deeper than that window could let a pruned
-		// entry masquerade as a committed one and drop an acknowledged
-		// command.
-		return nil, fmt.Errorf("consensusinside: Pipeline %d exceeds the replicas' session window %d",
-			cfg.Pipeline, rsm.DefaultSessionWindow)
-	}
-	if cfg.BatchSize < 0 {
-		return nil, fmt.Errorf("consensusinside: negative batch size %d", cfg.BatchSize)
+	if err := rsm.CheckPipeline("consensusinside", cfg.Pipeline, cfg.BatchSize, cfg.BatchDelay, cfg.BatchAdaptive); err != nil {
+		return nil, err
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 1
-	}
-	if cfg.BatchSize > cfg.Pipeline {
-		// A batch is drawn from the in-flight window; a cap beyond it
-		// could never fill and almost certainly means the caller forgot
-		// to widen Pipeline.
-		return nil, fmt.Errorf("consensusinside: BatchSize %d exceeds the Pipeline window %d",
-			cfg.BatchSize, cfg.Pipeline)
-	}
-	if cfg.BatchDelay < 0 {
-		return nil, fmt.Errorf("consensusinside: negative batch delay %v", cfg.BatchDelay)
-	}
-	if cfg.BatchAdaptive {
-		if cfg.Pipeline < 2 {
-			return nil, fmt.Errorf("consensusinside: BatchAdaptive needs Pipeline >= 2, got %d", cfg.Pipeline)
-		}
-		if cfg.BatchSize > 1 {
-			return nil, fmt.Errorf("consensusinside: BatchAdaptive conflicts with BatchSize %d; leave BatchSize unset", cfg.BatchSize)
-		}
-		if cfg.BatchDelay > 0 {
-			return nil, fmt.Errorf("consensusinside: BatchAdaptive conflicts with BatchDelay %v; leave BatchDelay unset", cfg.BatchDelay)
-		}
 	}
 	if cfg.SnapshotInterval < 0 {
 		return nil, fmt.Errorf("consensusinside: negative snapshot interval %d", cfg.SnapshotInterval)
@@ -393,18 +378,11 @@ func StartKV(cfg KVConfig) (*KV, error) {
 			return nil, err
 		}
 		kv.shards = append(kv.shards, sh)
+		// The registry owns no counter (see internal/obs): each shard's
+		// subsystems add their totals at Snapshot time only.
+		kv.registry.AddSource(sh.collect)
 	}
-	// The registry does not own the hot counters (see internal/obs):
-	// each subsystem's totals fold in at Snapshot time only.
-	kv.registry.AddSource(func(s *obs.Snapshot) { s.AddWireStats(kv.WireStats()) })
-	kv.registry.AddSource(func(s *obs.Snapshot) { s.AddReadStats(kv.ReadStats()) })
-	kv.registry.AddSource(func(s *obs.Snapshot) { s.AddSnapshotStats(kv.SnapshotStats()) })
-	kv.registry.AddSource(func(s *obs.Snapshot) {
-		occ := kv.BatchStats()
-		s.AddBatchOccupancy("batch", &occ)
-	})
 	kv.registry.AddSource(func(s *obs.Snapshot) { s.AddTracer(kv.tracer) })
-	kv.registry.AddSource(kv.addRingGrowths)
 	if cfg.DebugAddr != "" {
 		if err := kv.ServeDebug(cfg.DebugAddr); err != nil {
 			kv.Close()
@@ -534,22 +512,6 @@ func (kv *KV) MaxInFlight() int {
 	return max
 }
 
-// WireStats reports the service's wire-level counters folded across
-// every replica and bridge endpoint of every shard: bytes on the wire,
-// frames per flush (the write-coalescing win), reconnects and drops.
-// All zeros under the InProc transport, which never touches a socket.
-func (kv *KV) WireStats() metrics.WireStats {
-	var stats metrics.WireStats
-	for _, sh := range kv.shards {
-		sh.mu.Lock()
-		for _, n := range sh.tcp {
-			stats.Merge(n.Stats())
-		}
-		sh.mu.Unlock()
-	}
-	return stats
-}
-
 // BatchStats reports the service's proposed-batch occupancy counters,
 // folded across shards: how many batches (consensus instances carrying
 // client commands) the bridges proposed and how full they ran. With
@@ -652,64 +614,14 @@ func (kv *KV) replicaAt(id int) (*kvShard, int, error) {
 	return kv.shards[id/kv.cfg.Replicas], id % kv.cfg.Replicas, nil
 }
 
-// SnapshotStats reports the service's recovery-subsystem counters
-// folded across every replica of every shard: snapshots captured and
-// their encoded bytes, log entries truncated by compaction, catch-ups
-// served (with chunk and entry counts), and restores performed by
-// recovered replicas. All zeros with SnapshotInterval off and no
-// restarts.
-func (kv *KV) SnapshotStats() metrics.SnapshotStats {
-	var stats metrics.SnapshotStats
-	for _, sh := range kv.shards {
-		sh.mu.Lock()
-		for _, eng := range sh.engines {
-			stats.Merge(eng.SnapshotStats())
-		}
-		sh.mu.Unlock()
-	}
-	return stats
-}
-
-// ReadStats reports the read fast path's counters folded across every
-// replica of every shard: reads served locally (and how many of those
-// were follower reads), read-index rounds and the reads they carried,
-// lease renewals and expiries, fallbacks to a confirmation round, and
-// redirects. All zeros under ReadConsensus, where reads travel the
-// write path.
-func (kv *KV) ReadStats() metrics.ReadStats {
-	var stats metrics.ReadStats
-	for _, sh := range kv.shards {
-		sh.mu.Lock()
-		for _, eng := range sh.engines {
-			stats.Merge(eng.ReadStats())
-		}
-		sh.mu.Unlock()
-	}
-	return stats
-}
-
-// addRingGrowths contributes the sequence-window growth counters: how
-// often a replica's session ring or a bridge's in-flight ring had to
-// double. The rings are sized for their lane's pipeline depth, so a
-// count that keeps rising under steady load means a command is pinned —
-// outstanding or unacknowledged while newer ones retire past it.
-func (kv *KV) addRingGrowths(s *obs.Snapshot) {
-	for _, sh := range kv.shards {
-		s.Add("bridge.write_ring_growths", sh.bridge.writeGrows.Load())
-		s.Add("bridge.read_ring_growths", sh.bridge.readGrows.Load())
-		sh.mu.Lock()
-		for _, eng := range sh.engines {
-			s.Add("session.ring_growths", eng.SessionGrowths())
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// Obs captures the service's unified metrics snapshot: every named
-// counter, gauge and histogram the registry knows (wire, read-path,
-// snapshot, batch-occupancy and trace families), plus the rare-event
-// tail. Snapshots from several services (or the workload clients'
-// registries) Merge into fleet totals.
+// Obs captures the service's metrics snapshot — the one stats surface:
+// every named counter and histogram its subsystems report (wire.*,
+// read.*, snap.*, session.*, batch.*, bridge.* and trace.*, summed
+// across replicas and shards), plus the rare-event tail. wire.* is all
+// zeros under InProc, which never touches a socket; read.* under
+// ReadConsensus, where reads travel the write path; snap.* with
+// SnapshotInterval off and no restarts. Snapshots from several
+// services (or simulated clusters) Merge into fleet totals.
 func (kv *KV) Obs() obs.Snapshot { return kv.registry.Snapshot() }
 
 // Trace reports the tracer's snapshot: per-stage latency breakdowns
@@ -812,7 +724,7 @@ type kvReadBatch struct {
 // Bridge timer kinds (the workload package's client kinds live at 900+
 // too; the bridge is never co-located with one, so reuse is safe).
 const (
-	kvTimerRetry     = 900 // Arg: the tagged seq the retry guards
+	kvTimerRetry     = 900 // the write lane's scan timer: resend overdue flights, fail expired ones
 	kvTimerFlush     = 901 // a held-back partial batch is due
 	kvTimerReadRetry = 902 // the read lane's scan timer: resend overdue batches
 )
@@ -835,8 +747,9 @@ const (
 // node; all protocol interaction happens on the node's own goroutine.
 //
 // Up to window commands are in flight at once (a pipelined client, each
-// command with its own sequence number and retry timer); the replicas'
-// windowed per-(client, seq) session tracking keeps retries exactly-once
+// command with its own sequence number; one scan timer per lane sweeps
+// the window for overdue and expired ones); the replicas' windowed
+// per-(client, seq) session tracking keeps retries exactly-once
 // even when pipelined commands commit out of order. The batcher sits
 // between the queue and the window: each pump moves up to batch queued
 // commands into the window as ONE request — one consensus instance —
@@ -862,7 +775,7 @@ type kvBridge struct {
 	// Consensus, Get calls flow through doRead into the read queue — a
 	// lane of their own, bypassing the proposer-side batcher. Reads
 	// never enter the replicated log, so they get their own sequence
-	// space, in-flight window and retry timers; the write lane's session
+	// space, in-flight window and scan timer; the write lane's session
 	// tracking never sees them.
 	readMode readpath.Mode
 
@@ -882,7 +795,7 @@ type kvBridge struct {
 	target         int
 	delayArmed     bool // a flush timer guards a held-back partial batch
 	writeScanArmed bool // the write lane's scan timer is ticking
-	writeClosed    bool // closeWrites ran; new writes fail fast
+	closed         bool // close ran; new calls on either lane fail fast
 	occ            metrics.BatchOccupancy
 
 	readQueue     []kvOp
@@ -892,7 +805,6 @@ type kvBridge struct {
 	readBatchID   uint64
 	readTarget    int
 	readScanArmed bool // the read lane's scan timer is ticking
-	readClosed    bool // closeReads ran; new fast-path reads fail fast
 
 	// Scratch for adapting bare single replies to the batch finish
 	// paths without allocating; only touched on the bridge node's own
@@ -935,20 +847,25 @@ func newKVBridge(id msg.NodeID, servers []msg.NodeID, retry time.Duration, windo
 	return b
 }
 
-// do enqueues a write-lane command and blocks until a replica answers
-// (or the bridge's scan timer fails it at its deadline). The wait is a
-// bare receive on a pooled one-shot channel: no caller-side timer, no
-// allocation — the hottest per-op caller path does nothing but
-// queue-append, channel receive, and channel recycle.
-func (b *kvBridge) do(cmd msg.Command, timeout time.Duration) (string, error) {
-	done := getKVDone()
-	op := kvOp{cmd: cmd, done: done, timeout: timeout}
+// Collect adds the bridge's counters to s: the proposed-batch occupancy
+// ("batch.") and how often its two in-flight rings had to double
+// ("bridge.*_ring_growths" — both rings start at their lane's full
+// depth, so a count that keeps rising under steady load means a command
+// is pinned outstanding while newer ones retire past it). Safe from any
+// goroutine.
+func (b *kvBridge) Collect(s *obs.Snapshot) {
+	s.Add("bridge.write_ring_growths", b.writeGrows.Load())
+	s.Add("bridge.read_ring_growths", b.readGrows.Load())
 	b.mu.Lock()
-	if b.writeClosed {
-		b.mu.Unlock()
-		putKVDone(done)
-		return "", errors.New("consensusinside: service closed")
-	}
+	defer b.mu.Unlock()
+	s.AddBatchOccupancy("batch", &b.occ)
+}
+
+// do enqueues a write-lane command and blocks until a replica answers
+// (or the lane's scan timer fails it at its deadline).
+func (b *kvBridge) do(cmd msg.Command, timeout time.Duration) (string, error) {
+	op := kvOp{cmd: cmd, done: getKVDone(), timeout: timeout}
+	b.mu.Lock()
 	// Stamp the queue-entry clock only for ops the tracer will sample.
 	// Seqs are handed out FIFO from this queue, so under the lock the
 	// op's future seq is b.seq + queue length + 1 — exactly, unless a
@@ -959,54 +876,58 @@ func (b *kvBridge) do(cmd msg.Command, timeout time.Duration) (string, error) {
 	if b.tracer.Sampled(b.seq + uint64(len(b.queue)) + 1) {
 		op.enqWall = b.tracer.Clock()
 	}
-	b.queue = append(b.queue, op)
-	wake := !b.wakePending
-	b.wakePending = true
-	b.mu.Unlock()
-	if wake {
-		b.inject(submitMsg{})
-	}
-	res := <-done
-	putKVDone(done)
-	return res.value, res.err
+	return b.enqueue(&b.queue, op)
 }
 
 // doRead enqueues a fast-path read (any ReadMode but Consensus) and
 // blocks until a replica answers from its local state machine. Reads
 // ride their own queue — they never touch the write batcher or the
-// pipeline window. Unlike do, the wait is a bare channel receive: the
-// bridge's scan timer enforces the deadline (and closeReads drains
-// stragglers at shutdown), so the hottest path in the read-heavy
-// mixes never allocates or arms a caller-side timer.
+// pipeline window.
 func (b *kvBridge) doRead(cmd msg.Command, timeout time.Duration) (string, error) {
-	done := getKVDone()
-	op := kvOp{cmd: cmd, done: done, timeout: timeout}
+	op := kvOp{cmd: cmd, done: getKVDone(), timeout: timeout}
 	b.mu.Lock()
-	if b.readClosed {
+	return b.enqueue(&b.readQueue, op)
+}
+
+// enqueue appends op to one lane's queue, wakes the bridge node and
+// waits for the op's result. Called with b.mu held; releases it. The
+// wait is a bare receive on a pooled one-shot channel: no caller-side
+// timer, no allocation — the hottest per-op caller path does nothing
+// but queue-append, channel receive, and channel recycle.
+func (b *kvBridge) enqueue(q *[]kvOp, op kvOp) (string, error) {
+	if b.closed {
 		b.mu.Unlock()
-		putKVDone(done)
+		putKVDone(op.done)
 		return "", errors.New("consensusinside: service closed")
 	}
-	b.readQueue = append(b.readQueue, op)
+	*q = append(*q, op)
 	wake := !b.wakePending
 	b.wakePending = true
 	b.mu.Unlock()
 	if wake {
 		b.inject(submitMsg{})
 	}
-	res := <-done
-	putKVDone(done)
+	res := <-op.done
+	putKVDone(op.done)
 	return res.value, res.err
 }
 
-// closeReads fails every pending fast-path read and every later one.
+// close fails every pending command on both lanes and every later one.
 // The shard calls it after stopping its runtime: with the bridge node
-// gone nothing else would ever deliver, and doRead callers hold no
+// gone nothing else would ever deliver, and do/doRead callers hold no
 // timer of their own.
-func (b *kvBridge) closeReads() {
+func (b *kvBridge) close() {
 	b.mu.Lock()
-	b.readClosed = true
-	pending := make([]chan kvResult, 0, len(b.readQueue)+b.readInflight.Len())
+	b.closed = true
+	pending := make([]chan kvResult, 0, len(b.queue)+b.inflight.Len()+len(b.readQueue)+b.readInflight.Len())
+	for _, op := range b.queue {
+		pending = append(pending, op.done)
+	}
+	b.queue = nil
+	for _, fl := range b.inflight.All() {
+		pending = append(pending, fl.done)
+	}
+	b.inflight.Advance(b.inflight.Next())
 	for _, op := range b.readQueue {
 		pending = append(pending, op.done)
 	}
@@ -1016,27 +937,6 @@ func (b *kvBridge) closeReads() {
 	}
 	b.readInflight.Advance(b.readInflight.Next())
 	b.readBatches = nil
-	b.mu.Unlock()
-	for _, done := range pending {
-		done <- kvResult{err: errors.New("consensusinside: service closed")}
-	}
-}
-
-// closeWrites fails every pending write and every later one, mirroring
-// closeReads: do callers hold no timer of their own, so with the
-// runtime stopped nothing else would ever unblock them.
-func (b *kvBridge) closeWrites() {
-	b.mu.Lock()
-	b.writeClosed = true
-	pending := make([]chan kvResult, 0, len(b.queue)+b.inflight.Len())
-	for _, op := range b.queue {
-		pending = append(pending, op.done)
-	}
-	b.queue = nil
-	for _, fl := range b.inflight.All() {
-		pending = append(pending, fl.done)
-	}
-	b.inflight.Advance(b.inflight.Next())
 	b.mu.Unlock()
 	for _, done := range pending {
 		done <- kvResult{err: errors.New("consensusinside: service closed")}
@@ -1116,7 +1016,8 @@ func (b *kvBridge) finishBatch(ctx runtime.Context, replies []msg.ClientReply) {
 // lock. A redirect (the serving replica is not the leader, or is still
 // recovering) re-queues the read at the front of the read queue aimed
 // at the replica the reply named; the caller's pumpReads resends it.
-// Redirect chases are bounded by the caller's own timeout in doRead.
+// Redirect chases are bounded bridge-side: the requeued read keeps its
+// original deadline and the read lane's scan timer fails it there.
 func (b *kvBridge) finishReads(replies []msg.ReadReply) {
 	type delivery struct {
 		done chan kvResult
@@ -1317,11 +1218,11 @@ func (b *kvBridge) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 }
 
 // pumpReads drains the read queue: each pass coalesces every queued
-// read (up to maxReadCoalesce) into one ReadRequest guarded by one
-// batch retry timer. Under ReadFollower the target rotates per
-// request, spreading reads across all replicas — that load spread is
-// the mode's whole point; the confirmed modes stay sticky on the
-// replica that last answered (redirects re-aim them).
+// read (up to maxReadCoalesce) into one ReadRequest, which the read
+// lane's scan timer resends if it goes overdue. Under ReadFollower the
+// target rotates per request, spreading reads across all replicas —
+// that load spread is the mode's whole point; the confirmed modes stay
+// sticky on the replica that last answered (redirects re-aim them).
 func (b *kvBridge) pumpReads(ctx runtime.Context) {
 	now := ctx.Now()
 	for {

@@ -24,18 +24,18 @@ func TestKVWireStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := kv.WireStats()
-	if stats.BytesOut == 0 || stats.BytesIn == 0 || stats.FramesOut == 0 || stats.FramesIn == 0 {
-		t.Errorf("TCP service shows no wire traffic: %+v", stats)
+	stats := kv.Obs().Counters
+	if stats["wire.bytes_out"] == 0 || stats["wire.bytes_in"] == 0 || stats["wire.frames_out"] == 0 || stats["wire.frames_in"] == 0 {
+		t.Errorf("TCP service shows no wire traffic: %v", stats)
 	}
 	// Closed-loop traffic writes roughly one frame per socket write
 	// (plus the frameless handshake writes); the ratio only exceeds 1
 	// under pipelined load (bench/'s tcp-put-sat workload reports it).
-	if stats.Flushes == 0 || stats.FramesPerFlush() <= 0.5 {
-		t.Errorf("no coalescing recorded: %+v", stats)
+	if stats["wire.flushes"] == 0 || float64(stats["wire.frames_out"])/float64(stats["wire.flushes"]) <= 0.5 {
+		t.Errorf("no coalescing recorded: %v", stats)
 	}
-	if stats.Dials == 0 {
-		t.Errorf("no dials recorded: %+v", stats)
+	if stats["wire.dials"] == 0 {
+		t.Errorf("no dials recorded: %v", stats)
 	}
 
 	inproc, err := StartKV(KVConfig{})
@@ -46,7 +46,7 @@ func TestKVWireStats(t *testing.T) {
 	if err := inproc.Put("k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	if s := inproc.WireStats(); s.BytesOut != 0 || s.BytesIn != 0 || s.FramesOut != 0 || s.FramesIn != 0 || s.Dials != 0 {
-		t.Errorf("InProc service shows wire traffic: %+v", s)
+	if s := inproc.Obs().Counters; s["wire.bytes_out"] != 0 || s["wire.bytes_in"] != 0 || s["wire.frames_out"] != 0 || s["wire.frames_in"] != 0 || s["wire.dials"] != 0 {
+		t.Errorf("InProc service shows wire traffic: %v", s)
 	}
 }

@@ -116,8 +116,8 @@ func runRecoveryCell(t *testing.T, p Protocol, tr TransportKind) {
 			}
 		}
 	}
-	if s := kv.SnapshotStats(); s.Snapshots == 0 {
-		t.Fatalf("no snapshots after seeding: %+v", s)
+	if s := kv.Obs().Counters; s["snap.snapshots"] == 0 {
+		t.Fatalf("no snapshots after seeding: %v", s)
 	}
 
 	// Crash replica 1 of shard 0 (a non-coordinator follower: blocking
@@ -158,9 +158,9 @@ func runRecoveryCell(t *testing.T, p Protocol, tr TransportKind) {
 
 	// The restarted replica must have installed a peer snapshot.
 	deadline := time.Now().Add(20 * time.Second)
-	for kv.SnapshotStats().Restores == 0 {
+	for kv.Obs().Counters["snap.restores"] == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("restarted replica never restored a snapshot: %+v", kv.SnapshotStats())
+			t.Fatalf("restarted replica never restored a snapshot: %v", kv.Obs().Counters)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -231,7 +231,7 @@ func TestLogBoundedUnderSustainedLoad(t *testing.T) {
 	if err := runPutLoad(kv, ops, 64); err != nil {
 		t.Fatal(err)
 	}
-	s := kv.SnapshotStats()
+	s := kv.Obs().Counters
 	// Quiesce the replicas (Close is idempotent) so the log inspection
 	// below cannot race trailing learner applies.
 	kv.Close()
@@ -256,10 +256,10 @@ func TestLogBoundedUnderSustainedLoad(t *testing.T) {
 				i, got, log.Applied(), log.Floor(), bound)
 		}
 	}
-	if s.Snapshots == 0 || s.EntriesTruncated == 0 {
-		t.Fatalf("no compaction under sustained load: %+v", s)
+	if s["snap.snapshots"] == 0 || s["snap.entries_truncated"] == 0 {
+		t.Fatalf("no compaction under sustained load: %v", s)
 	}
-	t.Logf("sustained run: %d ops, stats %+v", ops, s)
+	t.Logf("sustained run: %d ops, stats %v", ops, s)
 }
 
 // runPutLoad commits ops Puts through kv from workers concurrent

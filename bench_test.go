@@ -345,11 +345,11 @@ func BenchmarkTCPSendPathWire(b *testing.B) {
 		runtime.Gosched()
 	}
 	b.StopTimer()
-	stats := nodes[0].Stats()
-	if stats.Dropped > 0 {
-		b.Fatalf("%d sends dropped", stats.Dropped)
+	stats := &nodes[0].Stats
+	if n := stats.Dropped.Load(); n > 0 {
+		b.Fatalf("%d sends dropped", n)
 	}
-	b.ReportMetric(stats.FramesPerFlush(), "frames/flush")
+	b.ReportMetric(float64(stats.FramesOut.Load())/float64(max(stats.Flushes.Load(), 1)), "frames/flush")
 }
 
 // BenchmarkTCPSenderOnlyWire isolates the send path: a TCPNode streams
@@ -395,13 +395,13 @@ func BenchmarkTCPSenderOnlyWire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Pace against the writer so the bounded send queue never
 		// overflows into drops (which would skip encodes and undercount).
-		for int64(i)-node.Stats().FramesOut > 3000 {
+		for int64(i)-node.Stats.FramesOut.Load() > 3000 {
 			runtime.Gosched()
 		}
 		node.Inject(0, m)
 	}
 	b.StopTimer()
-	if d := node.Stats().Dropped; d > 0 {
+	if d := node.Stats.Dropped.Load(); d > 0 {
 		b.Fatalf("%d sends dropped", d)
 	}
 }

@@ -168,8 +168,7 @@ func TestBridgeScanTimersAllocateNothingWhenIdle(t *testing.T) {
 			t.Errorf("scan timer %d allocates %.1f times per idle tick, want 0", kind, allocs)
 		}
 	}
-	h.b.closeWrites()
-	h.b.closeReads()
+	h.b.close()
 	for i := 0; i < 10; i++ {
 		select {
 		case <-h.result:

@@ -30,9 +30,9 @@ func (d *debugServer) close() {
 // ServeDebug starts the debug HTTP listener on addr ("127.0.0.1:0"
 // picks a free port — read it back with DebugAddr). The surface:
 //
-//	/debug/metrics  the unified registry snapshot as JSON: flat
-//	                counters and gauges, histogram summaries, and the
-//	                event tail (see internal/obs)
+//	/debug/metrics  the KV.Obs snapshot as JSON: counters by name,
+//	                histogram summaries, the flat dump and the event
+//	                tail (see internal/obs)
 //	/debug/trace    the command tracer's snapshot: per-stage latency
 //	                breakdowns and the ring of recent samples
 //	/debug/events   the rare-event timeline (leader changes, lease
@@ -102,12 +102,11 @@ func (kv *KV) DebugAddr() string {
 }
 
 // debugMetricsPayload is /debug/metrics' JSON shape: the registry
-// snapshot's counters and gauges verbatim, histogram summaries (the
+// snapshot's counters verbatim, histogram summaries (the
 // raw reservoirs don't marshal), the flat uniform dump every -json
 // consumer shares, and the sorted name directory.
 type debugMetricsPayload struct {
 	Counters map[string]int64        `json:"counters"`
-	Gauges   map[string]float64      `json:"gauges"`
 	Hists    map[string]obs.HistStat `json:"hists"`
 	Flat     map[string]float64      `json:"flat"`
 	Names    []string                `json:"names"`
@@ -121,7 +120,6 @@ func debugMetrics(s obs.Snapshot) debugMetricsPayload {
 	}
 	return debugMetricsPayload{
 		Counters: s.Counters,
-		Gauges:   s.Gauges,
 		Hists:    s.HistStats(),
 		Flat:     s.Flatten(),
 		Names:    s.Names(),

@@ -26,12 +26,12 @@
 //     follower reads (ReadFollower), all served from a replica's
 //     local state machine by internal/readpath. Every deployment is
 //     observable: KVConfig.TraceInterval samples commands through a
-//     per-stage lifecycle tracer (internal/trace), KV.Obs snapshots
-//     the unified metrics registry absorbing the wire, read, snapshot
-//     and batching counters plus a rare-event timeline
-//     (internal/obs), and KVConfig.DebugAddr attaches a /debug HTTP
-//     surface (metrics JSON, trace samples, event tail,
-//     net/http/pprof);
+//     per-stage lifecycle tracer (internal/trace), KV.Obs is the
+//     one stats surface — a named snapshot every subsystem adds its
+//     wire, read, snapshot, session and batching counters to — plus
+//     a rare-event timeline (internal/obs), and KVConfig.DebugAddr
+//     attaches a /debug HTTP surface (metrics JSON, trace samples,
+//     event tail, net/http/pprof);
 //   - the deterministic many-core simulator and cluster harness
 //     (NewSimCluster) used to reproduce every figure of the paper's
 //     evaluation, sweeping the same engines, client window, batch cap

@@ -5,8 +5,8 @@
 // It starts a 3-replica group with 1-in-8 command tracing, drives a
 // light background workload so every surface has data, and serves:
 //
-//	/debug/metrics  unified registry snapshot (counters, gauges,
-//	                histogram summaries, flat dump, event tail)
+//	/debug/metrics  the KV.Obs snapshot (counters, histogram
+//	                summaries, flat dump, event tail)
 //	/debug/trace    sampled command lifecycles with per-stage latency
 //	/debug/events   the rare-event timeline
 //	/debug/pprof/   net/http/pprof, live CPU/heap profiling

@@ -208,39 +208,8 @@ func Build(spec Spec) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %s needs at least %d replicas, got %d",
 			info.Name, info.MinReplicas, spec.Replicas)
 	}
-	if spec.Window > rsm.DefaultSessionWindow {
-		// Deeper pipelines than the replicas' session window would break
-		// the exactly-once guarantee (see rsm.Sessions).
-		return nil, fmt.Errorf("cluster: client window %d exceeds the session window %d",
-			spec.Window, rsm.DefaultSessionWindow)
-	}
-	if spec.BatchSize < 0 {
-		return nil, fmt.Errorf("cluster: negative batch size %d", spec.BatchSize)
-	}
-	window := spec.Window
-	if window < 1 {
-		window = 1
-	}
-	if spec.BatchSize > window {
-		// A batch is drawn from the outstanding pipeline window; a cap
-		// beyond it could never fill and almost certainly means the spec
-		// author forgot to widen the window.
-		return nil, fmt.Errorf("cluster: batch size %d exceeds the client window %d",
-			spec.BatchSize, window)
-	}
-	if spec.BatchDelay < 0 {
-		return nil, fmt.Errorf("cluster: negative batch delay %v", spec.BatchDelay)
-	}
-	if spec.BatchAdaptive {
-		if spec.Window < 2 {
-			return nil, fmt.Errorf("cluster: BatchAdaptive needs a client window of at least 2, got %d", spec.Window)
-		}
-		if spec.BatchSize > 1 {
-			return nil, fmt.Errorf("cluster: BatchAdaptive conflicts with batch size %d", spec.BatchSize)
-		}
-		if spec.BatchDelay > 0 {
-			return nil, fmt.Errorf("cluster: BatchAdaptive conflicts with batch delay %v", spec.BatchDelay)
-		}
+	if err := rsm.CheckPipeline("cluster", max(spec.Window, 1), spec.BatchSize, spec.BatchDelay, spec.BatchAdaptive); err != nil {
+		return nil, err
 	}
 	if spec.SnapshotInterval < 0 {
 		return nil, fmt.Errorf("cluster: negative snapshot interval %d", spec.SnapshotInterval)
@@ -317,7 +286,10 @@ func Build(spec Spec) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			client := workload.NewClient(c.clientConfig(id, i))
+			client, err := workload.NewClient(c.clientConfig(id, i))
+			if err != nil {
+				return nil, err
+			}
 			c.Servers = append(c.Servers, server)
 			c.Clients = append(c.Clients, client)
 			c.ClientIDs = append(c.ClientIDs, id)
@@ -338,7 +310,10 @@ func Build(spec Spec) (*Cluster, error) {
 	}
 	for i := 0; i < spec.Clients; i++ {
 		id := msg.NodeID(spec.Shards*spec.Replicas + i)
-		client := workload.NewClient(c.clientConfig(id, i))
+		client, err := workload.NewClient(c.clientConfig(id, i))
+		if err != nil {
+			return nil, err
+		}
 		c.Clients = append(c.Clients, client)
 		c.ClientIDs = append(c.ClientIDs, id)
 		net.AddNode(client)
@@ -487,39 +462,18 @@ func (c *Cluster) ClientStats() RunStats {
 	return stats
 }
 
-// ReadStats folds the read fast path's counters across every replica —
-// all zeros under readpath.Consensus, where reads travel the write
-// path.
-func (c *Cluster) ReadStats() metrics.ReadStats {
-	var stats metrics.ReadStats
-	for _, s := range c.Servers {
-		stats.Merge(s.ReadStats())
-	}
-	return stats
-}
-
-// BatchStats folds all clients' proposed-batch occupancy counters —
-// how many batches went out and how full they ran.
-func (c *Cluster) BatchStats() metrics.BatchOccupancy {
-	var occ metrics.BatchOccupancy
-	for _, cl := range c.Clients {
-		occ.Merge(cl.BatchStats())
-	}
-	return occ
-}
-
-// Obs captures the deployment's unified metrics snapshot: read-path
-// and batch-occupancy counters, recovery-subsystem counters, the trace
-// families, and the rare-event tail — the same namespace a real KV
-// deployment's registry reports, so per-run snapshots Merge across
-// runtimes.
+// Obs captures the deployment's metrics snapshot: every replica's and
+// every client's counters, the trace families, and the rare-event tail
+// — the same namespace a real KV deployment's registry reports (minus
+// wire.* and bridge.*: the simulator has no sockets and no bridge), so
+// per-run snapshots Merge across runtimes.
 func (c *Cluster) Obs() obs.Snapshot {
 	s := obs.NewSnapshot()
-	s.AddReadStats(c.ReadStats())
-	occ := c.BatchStats()
-	s.AddBatchOccupancy("batch", &occ)
 	for _, srv := range c.Servers {
-		s.AddSnapshotStats(srv.SnapshotStats())
+		srv.Collect(&s)
+	}
+	for _, cl := range c.Clients {
+		cl.Collect(&s)
 	}
 	s.AddTracer(c.Tracer)
 	s.Events = c.Events.Tail(0)

@@ -433,13 +433,13 @@ func TestBatchedWindowCommits(t *testing.T) {
 					t.Errorf("client %d completed %d, want 60", i, got)
 				}
 			}
-			occ := c.BatchStats()
-			if occ.Commands() != int64(60*len(c.Clients)) {
-				t.Errorf("occupancy counted %d commands, want %d", occ.Commands(), 60*len(c.Clients))
+			occ := c.Obs().Counters
+			if occ["batch.commands"] != int64(60*len(c.Clients)) {
+				t.Errorf("occupancy counted %d commands, want %d", occ["batch.commands"], 60*len(c.Clients))
 			}
-			if occ.Commands() <= occ.Batches() {
+			if occ["batch.commands"] <= occ["batch.batches"] {
 				t.Errorf("batcher never coalesced: %d commands in %d batches",
-					occ.Commands(), occ.Batches())
+					occ["batch.commands"], occ["batch.batches"])
 			}
 			if err := c.CheckConsistency(); err != nil {
 				t.Fatal(err)
@@ -468,8 +468,8 @@ func TestAdaptiveBatchingMatchesBestStatic(t *testing.T) {
 		c := MustBuild(spec)
 		c.Start()
 		c.RunFor(warmup + measure)
-		occ := c.BatchStats()
-		return c.ClientStats().Throughput, occ.Mean()
+		occ := c.Obs().Counters
+		return c.ClientStats().Throughput, float64(occ["batch.commands"]) / float64(occ["batch.batches"])
 	}
 	for _, shards := range []int{1, 4} {
 		for _, window := range []int{16, 15} {

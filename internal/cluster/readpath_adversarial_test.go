@@ -223,9 +223,9 @@ func TestLeaseClockSkewPastBound(t *testing.T) {
 				if skew > 0 {
 					// The fast clock must have pushed the holder off its
 					// lease at least once.
-					st := c.ReadStats()
-					if st.LeaseExpiries == 0 && st.Fallbacks == 0 {
-						t.Errorf("+%v skew produced no lease expiry or fallback (stats %+v)", skew, st)
+					st := c.Obs().Counters
+					if st["read.lease_expiries"] == 0 && st["read.fallbacks"] == 0 {
+						t.Errorf("+%v skew produced no lease expiry or fallback (stats %v)", skew, st)
 					}
 				}
 				if err := c.CheckConsistency(); err != nil {

@@ -1,12 +1,14 @@
-// Package metrics provides the measurement primitives used by the
-// experiment harness: latency histograms with percentile queries, windowed
-// time series (for throughput-over-time plots such as the paper's Figure 11),
-// and simple counters.
+// Package metrics provides the measurement primitives: latency
+// histograms with percentile queries, windowed time series (for
+// throughput-over-time plots such as the paper's Figure 11) and the
+// commands-per-batch occupancy counts. It holds shapes, not subsystem
+// counters: each subsystem keeps its own counters struct and reports
+// it by name through internal/obs.
 //
 // All types in this package are safe for single-goroutine use; the
 // discrete-event simulator is single-threaded, and the real runtime
 // aggregates per-client instances, so no locking is required on the hot
-// path. Concurrent aggregation helpers take explicit snapshots.
+// path. A type shared across goroutines is guarded by its owner.
 package metrics
 
 import (
@@ -324,159 +326,6 @@ func (b *BatchOccupancy) Merge(other *BatchOccupancy) {
 	for i := range b.buckets {
 		b.buckets[i] += other.buckets[i]
 	}
-}
-
-// WireStats is a snapshot of a TCP transport endpoint's wire-level
-// counters: what actually crossed the sockets, how well the writer
-// coalesced frames into flushes, and how the connection pool behaved.
-// The transport keeps the live counts in atomics and materializes this
-// struct on demand; Merge folds per-node snapshots into cluster totals.
-type WireStats struct {
-	BytesOut   int64 // bytes written to peer sockets (frames + handshakes)
-	BytesIn    int64 // bytes read from peer sockets
-	FramesOut  int64 // messages encoded and written
-	FramesIn   int64 // messages decoded and delivered
-	Flushes    int64 // socket write calls (bufio flush-throughs included) — FramesOut/Flushes is the coalescing win
-	Dials      int64 // outbound connections established
-	Reconnects int64 // dials that replaced a previously-dropped connection
-	Dropped    int64 // messages dropped (dead peer, full send queue)
-}
-
-// Merge folds other's counts into s.
-func (s *WireStats) Merge(other WireStats) {
-	s.BytesOut += other.BytesOut
-	s.BytesIn += other.BytesIn
-	s.FramesOut += other.FramesOut
-	s.FramesIn += other.FramesIn
-	s.Flushes += other.Flushes
-	s.Dials += other.Dials
-	s.Reconnects += other.Reconnects
-	s.Dropped += other.Dropped
-}
-
-// Sub returns the counter deltas since an earlier snapshot — the usual
-// way to scope wire accounting to a measured window.
-func (s WireStats) Sub(earlier WireStats) WireStats {
-	return WireStats{
-		BytesOut:   s.BytesOut - earlier.BytesOut,
-		BytesIn:    s.BytesIn - earlier.BytesIn,
-		FramesOut:  s.FramesOut - earlier.FramesOut,
-		FramesIn:   s.FramesIn - earlier.FramesIn,
-		Flushes:    s.Flushes - earlier.Flushes,
-		Dials:      s.Dials - earlier.Dials,
-		Reconnects: s.Reconnects - earlier.Reconnects,
-		Dropped:    s.Dropped - earlier.Dropped,
-	}
-}
-
-// FramesPerFlush reports the send-side coalescing ratio (0 with no
-// flushes): how many messages shared one socket write on average —
-// bufio flush-throughs for oversized batches count individually, so
-// the ratio reflects real syscall savings, not just flush points.
-func (s WireStats) FramesPerFlush() float64 {
-	if s.Flushes == 0 {
-		return 0
-	}
-	return float64(s.FramesOut) / float64(s.Flushes)
-}
-
-// SnapshotStats is a snapshot of one replica's recovery-subsystem
-// counters (internal/snapshot): how often it captured and compacted,
-// how much catch-up traffic it served, and whether it ever restored
-// itself from a peer's snapshot. KV.SnapshotStats folds the per-replica
-// counts into service totals.
-type SnapshotStats struct {
-	Snapshots         int64 // snapshots captured (periodic and on-demand)
-	SnapshotBytes     int64 // encoded bytes across captured snapshots
-	EntriesTruncated  int64 // applied log entries dropped by compaction
-	CatchupsServed    int64 // catch-up requests answered for peers
-	ChunksSent        int64 // snapshot chunks sent while serving
-	EntriesStreamed   int64 // decided entries streamed while serving
-	CatchupsRequested int64 // catch-up requests sent while recovering
-	Restores          int64 // peer snapshots decoded and installed locally
-}
-
-// Merge folds other's counts into s.
-func (s *SnapshotStats) Merge(other SnapshotStats) {
-	s.Snapshots += other.Snapshots
-	s.SnapshotBytes += other.SnapshotBytes
-	s.EntriesTruncated += other.EntriesTruncated
-	s.CatchupsServed += other.CatchupsServed
-	s.ChunksSent += other.ChunksSent
-	s.EntriesStreamed += other.EntriesStreamed
-	s.CatchupsRequested += other.CatchupsRequested
-	s.Restores += other.Restores
-}
-
-// ReadStats is a snapshot of one replica's read-path counters
-// (internal/readpath): how many reads it served without consensus, how
-// the read-index rounds batched, and how the lease machinery behaved.
-// KV.ReadStats and cluster deployments fold per-replica snapshots into
-// service totals.
-type ReadStats struct {
-	LocalReads    int64 // reads served from the local state machine with no quorum round
-	FollowerReads int64 // subset of LocalReads served in follower (stale-bounded) mode
-	IndexRounds   int64 // read-index confirmation rounds completed
-	IndexReads    int64 // reads served through read-index rounds
-	LeaseRenewals int64 // lease rounds completed by an already-holding leader
-	LeaseExpiries int64 // leases that lapsed before a renewal landed
-	Fallbacks     int64 // lease-path reads demoted to a quorum round (no valid lease)
-	Redirects     int64 // reads bounced to another replica (not leader, or catching up)
-
-	// Rounds is the reads-per-round occupancy histogram: one sample per
-	// read-index round, counting the reads it served (renewal rounds
-	// carrying no reads are not recorded).
-	Rounds BatchOccupancy
-}
-
-// Merge folds other's counts into s.
-func (s *ReadStats) Merge(other ReadStats) {
-	s.LocalReads += other.LocalReads
-	s.FollowerReads += other.FollowerReads
-	s.IndexRounds += other.IndexRounds
-	s.IndexReads += other.IndexReads
-	s.LeaseRenewals += other.LeaseRenewals
-	s.LeaseExpiries += other.LeaseExpiries
-	s.Fallbacks += other.Fallbacks
-	s.Redirects += other.Redirects
-	s.Rounds.Merge(&other.Rounds)
-}
-
-// ReadsPerRound reports the average reads served per read-index round
-// (0 with no rounds) — the read-path coalescing win.
-func (s ReadStats) ReadsPerRound() float64 {
-	if s.IndexRounds == 0 {
-		return 0
-	}
-	return float64(s.IndexReads) / float64(s.IndexRounds)
-}
-
-// Counter is a labeled monotonic counter set, used for per-node message
-// accounting (e.g. messages sent/received by the leader).
-type Counter struct {
-	counts map[string]int64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]int64)} }
-
-// Add increments label by delta.
-func (c *Counter) Add(label string, delta int64) { c.counts[label] += delta }
-
-// Inc increments label by one.
-func (c *Counter) Inc(label string) { c.Add(label, 1) }
-
-// Get reports the current value for label (0 if never incremented).
-func (c *Counter) Get(label string) int64 { return c.counts[label] }
-
-// Labels returns the sorted set of labels seen so far.
-func (c *Counter) Labels() []string {
-	out := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Throughput converts an operation count over an elapsed duration into

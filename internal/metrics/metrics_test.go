@@ -220,23 +220,6 @@ func TestTimeSeriesBucketsIsCopy(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("sent")
-	c.Add("sent", 2)
-	c.Inc("recv")
-	if got := c.Get("sent"); got != 3 {
-		t.Errorf("Get(sent) = %d, want 3", got)
-	}
-	if got := c.Get("missing"); got != 0 {
-		t.Errorf("Get(missing) = %d, want 0", got)
-	}
-	labels := c.Labels()
-	if len(labels) != 2 || labels[0] != "recv" || labels[1] != "sent" {
-		t.Errorf("Labels = %v", labels)
-	}
-}
-
 func TestThroughput(t *testing.T) {
 	if got := Throughput(1000, time.Second); got != 1000 {
 		t.Errorf("Throughput = %v, want 1000", got)

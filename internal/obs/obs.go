@@ -1,29 +1,36 @@
-// Package obs is the unified observability registry: named counters,
-// gauges and histograms behind one Snapshot/Merge API, plus a bounded
-// event log for rare events (leader changes, lease grants and
-// expiries, recovery episodes, injected faults).
+// Package obs is the one stats surface: named counters and histograms
+// in a Snapshot that merges, plus a bounded event log for rare events
+// (leader changes, lease grants and expiries, recovery episodes,
+// injected faults).
 //
-// The registry deliberately does not own the hot counters. Subsystems
-// keep recording into whatever structure their hot path wants (the
-// transport's atomics, the read path's mutex-guarded struct, a
-// client's histogram) and register a source — a function that folds
-// the subsystem's current values into a Snapshot at capture time. That
-// keeps registration off the hot path entirely: taking a snapshot is
-// the only moment the registry touches a subsystem.
+// The registry owns no counter. A subsystem records into whatever its
+// hot path wants (the transport's and the snapshot manager's atomics,
+// the read path's mutex-guarded struct, a client's occupancy counts)
+// and has one Collect(*Snapshot) method that adds its current values
+// under its own names; a deployment registers collectors as sources.
+// Taking a snapshot is the only moment the registry touches a
+// subsystem, and a subsystem's names are spelled in one place — beside
+// its fields.
 //
-// Names are dot-separated, subsystem first: "wire.frames_out",
-// "read.local_reads", "snap.restores", "batch.commands",
-// "trace.stage.decide". Merging snapshots (per-shard, per-client, or
-// per-process) adds counters, adds gauges, reservoir-merges histograms
-// and concatenates event tails — so a fleet of registries aggregates
-// to the same totals one global registry would have recorded.
+// Names are dot-separated, owner first: "wire.frames_out"
+// (internal/transport), "read.local_reads" (internal/readpath),
+// "snap.restores" (internal/snapshot), "session.ring_growths"
+// (internal/replica), "batch.commands" and "bridge.*" (the clients),
+// "trace.stage.decide" (AddTracer here, because internal/trace sits
+// below this package). Collect must be safe from any goroutine and
+// must Add, never set: a deployment calls it once per replica, node or
+// client and the values sum to service totals. Merging snapshots
+// (per-shard, per-client, or per-process) adds counters,
+// reservoir-merges histograms and concatenates event tails — so a
+// fleet of registries aggregates to the same totals one global
+// registry would have reported.
 package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"consensusinside/internal/metrics"
@@ -131,62 +138,21 @@ func (l *EventLog) Tail(n int) []Event {
 	return out
 }
 
-// Registry is a named-metric registry. Counters are owned by the
-// registry (atomic, safe to Add from any goroutine); gauges and
-// sources are callbacks sampled at Snapshot time.
+// Registry is a deployment's list of collectors plus its event log.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]func() float64
-	sources  []func(*Snapshot)
-	events   *EventLog
+	mu      sync.Mutex
+	sources []func(*Snapshot)
+	events  *EventLog
 }
 
 // NewRegistry builds an empty registry with an event log of
 // DefaultEventCap.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]func() float64),
-		events:   NewEventLog(0),
-	}
+	return &Registry{events: NewEventLog(0)}
 }
 
-// Counter is a registry-owned monotonic counter.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Counter returns the counter registered under name, creating it on
-// first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = new(Counter)
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge registers a callback sampled at Snapshot time. Re-registering
-// a name replaces the callback.
-func (r *Registry) Gauge(name string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gauges[name] = fn
-}
-
-// AddSource registers a collector that folds a subsystem's current
-// values into the snapshot being captured. Sources run outside the
+// AddSource registers a collector that adds a subsystem's current
+// values to the snapshot being captured. Sources run outside the
 // registry lock, in registration order.
 func (r *Registry) AddSource(fn func(*Snapshot)) {
 	r.mu.Lock()
@@ -202,24 +168,13 @@ func (r *Registry) Events() *EventLog {
 	return r.events
 }
 
-// Snapshot captures the registry's current state: counter values,
-// gauge readings, every source's contribution, and the event tail.
+// Snapshot captures the registry's current state: every source's
+// contribution and the event tail.
 func (r *Registry) Snapshot() Snapshot {
 	s := NewSnapshot()
 	r.mu.Lock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	gauges := make(map[string]func() float64, len(r.gauges))
-	for name, fn := range r.gauges {
-		gauges[name] = fn
-	}
-	sources := make([]func(*Snapshot), len(r.sources))
-	copy(sources, r.sources)
+	sources := slices.Clone(r.sources)
 	r.mu.Unlock()
-	for name, fn := range gauges {
-		s.Gauges[name] = fn()
-	}
 	for _, fn := range sources {
 		fn(&s)
 	}
@@ -232,26 +187,20 @@ func (r *Registry) Snapshot() Snapshot {
 // touching any live recorder.
 type Snapshot struct {
 	Counters map[string]int64              `json:"counters"`
-	Gauges   map[string]float64            `json:"gauges"`
 	Hists    map[string]*metrics.Histogram `json:"-"`
 	Events   []Event                       `json:"events,omitempty"`
 }
 
-// NewSnapshot builds an empty snapshot ready for Add/SetGauge/AddHist.
+// NewSnapshot builds an empty snapshot ready for Add/AddHist.
 func NewSnapshot() Snapshot {
 	return Snapshot{
 		Counters: make(map[string]int64),
-		Gauges:   make(map[string]float64),
 		Hists:    make(map[string]*metrics.Histogram),
 	}
 }
 
 // Add adds d to the named counter.
 func (s *Snapshot) Add(name string, d int64) { s.Counters[name] += d }
-
-// SetGauge records a gauge reading (merging adds gauge values, so
-// per-shard gauges aggregate like totals).
-func (s *Snapshot) SetGauge(name string, v float64) { s.Gauges[name] += v }
 
 // AddHist folds h into the named histogram. The snapshot clones on
 // first contact, so the caller's histogram is never retained or
@@ -267,14 +216,11 @@ func (s *Snapshot) AddHist(name string, h *metrics.Histogram) {
 	}
 }
 
-// Merge folds other into s: counters and gauges add, histograms
-// reservoir-merge, events concatenate (ordered by virtual time).
+// Merge folds other into s: counters add, histograms reservoir-merge,
+// events concatenate (ordered by virtual time).
 func (s *Snapshot) Merge(other Snapshot) {
 	for name, v := range other.Counters {
 		s.Counters[name] += v
-	}
-	for name, v := range other.Gauges {
-		s.Gauges[name] += v
 	}
 	for name, h := range other.Hists {
 		s.AddHist(name, h)
@@ -319,15 +265,12 @@ func (s Snapshot) HistStats() map[string]HistStat {
 
 // Flatten renders the snapshot as one flat name → value map — the
 // uniform shape every -json dump shares. Counters keep their names;
-// gauges keep theirs; each histogram contributes <name>.count and
+// each histogram contributes <name>.count and
 // <name>.{mean,p50,p90,p99,max}_us in microseconds.
 func (s Snapshot) Flatten() map[string]float64 {
-	out := make(map[string]float64, len(s.Counters)+len(s.Gauges)+7*len(s.Hists))
+	out := make(map[string]float64, len(s.Counters)+6*len(s.Hists))
 	for name, v := range s.Counters {
 		out[name] = float64(v)
-	}
-	for name, v := range s.Gauges {
-		out[name] = v
 	}
 	for name, st := range s.HistStats() {
 		out[name+".count"] = float64(st.Count)
@@ -340,71 +283,23 @@ func (s Snapshot) Flatten() map[string]float64 {
 	return out
 }
 
-// Names reports the sorted union of counter, gauge and histogram names
-// — the registry naming scheme's directory listing.
+// Names reports the sorted union of counter and histogram names — the
+// naming scheme's directory listing.
 func (s Snapshot) Names() []string {
-	seen := make(map[string]bool, len(s.Counters)+len(s.Gauges)+len(s.Hists))
+	out := make([]string, 0, len(s.Counters)+len(s.Hists))
 	for name := range s.Counters {
-		seen[name] = true
-	}
-	for name := range s.Gauges {
-		seen[name] = true
+		out = append(out, name)
 	}
 	for name := range s.Hists {
-		seen[name] = true
-	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
+		if _, dup := s.Counters[name]; !dup {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-// --- Adapters for the pre-registry stats types ---
-//
-// These fold the existing ad-hoc snapshot structs into a Snapshot
-// under the canonical names, so every deployment surfaces the same
-// field set no matter which subsystem produced it.
-
-// AddWireStats contributes a transport endpoint's wire counters.
-func (s *Snapshot) AddWireStats(w metrics.WireStats) {
-	s.Add("wire.bytes_out", w.BytesOut)
-	s.Add("wire.bytes_in", w.BytesIn)
-	s.Add("wire.frames_out", w.FramesOut)
-	s.Add("wire.frames_in", w.FramesIn)
-	s.Add("wire.flushes", w.Flushes)
-	s.Add("wire.dials", w.Dials)
-	s.Add("wire.reconnects", w.Reconnects)
-	s.Add("wire.dropped", w.Dropped)
-}
-
-// AddReadStats contributes a replica's read-path counters.
-func (s *Snapshot) AddReadStats(r metrics.ReadStats) {
-	s.Add("read.local_reads", r.LocalReads)
-	s.Add("read.follower_reads", r.FollowerReads)
-	s.Add("read.index_rounds", r.IndexRounds)
-	s.Add("read.index_reads", r.IndexReads)
-	s.Add("read.lease_renewals", r.LeaseRenewals)
-	s.Add("read.lease_expiries", r.LeaseExpiries)
-	s.Add("read.fallbacks", r.Fallbacks)
-	s.Add("read.redirects", r.Redirects)
-	s.AddBatchOccupancy("read.rounds", &r.Rounds)
-}
-
-// AddSnapshotStats contributes a replica's recovery-subsystem counters.
-func (s *Snapshot) AddSnapshotStats(ss metrics.SnapshotStats) {
-	s.Add("snap.snapshots", ss.Snapshots)
-	s.Add("snap.snapshot_bytes", ss.SnapshotBytes)
-	s.Add("snap.entries_truncated", ss.EntriesTruncated)
-	s.Add("snap.catchups_served", ss.CatchupsServed)
-	s.Add("snap.chunks_sent", ss.ChunksSent)
-	s.Add("snap.entries_streamed", ss.EntriesStreamed)
-	s.Add("snap.catchups_requested", ss.CatchupsRequested)
-	s.Add("snap.restores", ss.Restores)
-}
 
 // AddBatchOccupancy contributes a batch-occupancy histogram under the
 // given prefix: <prefix>.batches, <prefix>.commands, and one

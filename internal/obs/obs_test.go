@@ -12,11 +12,12 @@ import (
 // TestMergeEqualsGlobal is the registry's core property: splitting a
 // workload's updates across per-client registries and merging their
 // snapshots must equal driving the same updates into one global
-// registry. Counters and gauges are exact; histograms keep exact
-// count/mean/min/max under reservoir merging (the reservoir only
-// approximates interior percentiles). This is what lets consensusbench
-// aggregate per-client snapshots without a shared registry on the hot
-// path.
+// registry, whatever order the parts merge in. Counters are exact;
+// histograms keep exact count/mean/min/max under reservoir merging
+// (the reservoir only approximates interior percentiles). Every value
+// arrives the way a deployment's does: a subsystem owns its counters
+// and a registered source adds them at capture time — several sources
+// adding to one name (one per replica) must sum.
 func TestMergeEqualsGlobal(t *testing.T) {
 	const parts = 4
 	global := NewRegistry()
@@ -25,8 +26,9 @@ func TestMergeEqualsGlobal(t *testing.T) {
 		shards[i] = NewRegistry()
 	}
 
-	// A deterministic pseudo-workload: counters, gauges and histogram
-	// samples fanned across the shards round-robin.
+	// A deterministic pseudo-workload: counter increments and histogram
+	// samples fanned across the shards round-robin. Each shard keeps two
+	// "replicas" worth of live counters, collected by two sources.
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 {
 		rng ^= rng << 13
@@ -35,18 +37,28 @@ func TestMergeEqualsGlobal(t *testing.T) {
 		return rng
 	}
 	names := []string{"ops.put", "ops.get", "wire.frames_out"}
+	collect := func(live map[string]int64) func(*Snapshot) {
+		return func(s *Snapshot) {
+			for name, v := range live {
+				s.Add(name, v)
+			}
+		}
+	}
+	var shardLive [parts][2]map[string]int64
+	globalLive := map[string]int64{}
+	global.AddSource(collect(globalLive))
+	for i, r := range shards {
+		for j := range shardLive[i] {
+			shardLive[i][j] = map[string]int64{}
+			r.AddSource(collect(shardLive[i][j]))
+		}
+	}
 	for i := 0; i < 4000; i++ {
-		r := shards[i%parts]
 		name := names[next()%uint64(len(names))]
 		d := int64(next()%100) + 1
-		r.Counter(name).Add(d)
-		global.Counter(name).Add(d)
+		shardLive[i%parts][(i/parts)%2][name] += d
+		globalLive[name] += d
 	}
-	for i := 0; i < parts; i++ {
-		v := float64(i + 1)
-		shards[i].Gauge("inflight", func() float64 { return v })
-	}
-	global.Gauge("inflight", func() float64 { return 1 + 2 + 3 + 4 })
 
 	// Histogram samples go through sources, the path the KV uses for
 	// its per-stage trace histograms.
@@ -63,24 +75,29 @@ func TestMergeEqualsGlobal(t *testing.T) {
 	}
 	global.AddSource(func(s *Snapshot) { s.AddHist("lat", &globalHist) })
 
-	merged := NewSnapshot()
-	for _, r := range shards {
-		merged.Merge(r.Snapshot())
+	merged, reversed := NewSnapshot(), NewSnapshot()
+	for i := range shards {
+		merged.Merge(shards[i].Snapshot())
+		reversed.Merge(shards[parts-1-i].Snapshot())
 	}
 	want := global.Snapshot()
 
+	if len(want.Counters) != len(names) {
+		t.Fatalf("global registry reports %d counters, want %d", len(want.Counters), len(names))
+	}
 	for name, v := range want.Counters {
-		if merged.Counters[name] != v {
-			t.Errorf("counter %s: merged %d, global %d", name, merged.Counters[name], v)
+		if merged.Counters[name] != v || reversed.Counters[name] != v {
+			t.Errorf("counter %s: merged %d, merged in reverse %d, global %d",
+				name, merged.Counters[name], reversed.Counters[name], v)
 		}
 	}
 	if len(merged.Counters) != len(want.Counters) {
 		t.Errorf("counter sets differ: merged %d names, global %d", len(merged.Counters), len(want.Counters))
 	}
-	if merged.Gauges["inflight"] != want.Gauges["inflight"] {
-		t.Errorf("gauge inflight: merged %v, global %v", merged.Gauges["inflight"], want.Gauges["inflight"])
-	}
 
+	if rh := reversed.Hists["lat"]; rh == nil || rh.Count() != want.Hists["lat"].Count() || rh.Mean() != want.Hists["lat"].Mean() {
+		t.Errorf("lat histogram merged in reverse order lost exactness: %+v", rh)
+	}
 	mh, gh := merged.Hists["lat"], want.Hists["lat"]
 	if mh == nil || gh == nil {
 		t.Fatal("lat histogram missing from a snapshot")
@@ -107,7 +124,6 @@ func TestMergeCommutative(t *testing.T) {
 			s.Add("c", seed+int64(i))
 			h.Record(time.Duration(seed)*time.Millisecond + time.Duration(i))
 		}
-		s.SetGauge("g", float64(seed))
 		s.AddHist("h", h)
 		return s
 	}
@@ -118,9 +134,6 @@ func TestMergeCommutative(t *testing.T) {
 
 	if ab.Counters["c"] != ba.Counters["c"] {
 		t.Errorf("counters not commutative: %d vs %d", ab.Counters["c"], ba.Counters["c"])
-	}
-	if ab.Gauges["g"] != ba.Gauges["g"] {
-		t.Errorf("gauges not commutative: %v vs %v", ab.Gauges["g"], ba.Gauges["g"])
 	}
 	x, y := ab.Hists["h"], ba.Hists["h"]
 	if x.Count() != y.Count() || x.Mean() != y.Mean() || x.Min() != y.Min() || x.Max() != y.Max() {
@@ -173,19 +186,19 @@ func TestHistogramMergePercentiles(t *testing.T) {
 	}
 }
 
-// TestFlattenShape pins the uniform -json contract: counters and
-// gauges keep their names, each histogram contributes .count and
-// microsecond summary fields, and Names lists the union sorted.
+// TestFlattenShape pins the uniform -json contract: counters keep
+// their names, each histogram contributes .count and microsecond
+// summary fields, and Names lists the union sorted.
 func TestFlattenShape(t *testing.T) {
 	s := NewSnapshot()
 	s.Add("ops", 42)
-	s.SetGauge("depth", 3.5)
+	s.Add("depth", 3)
 	h := &metrics.Histogram{}
 	h.Record(2 * time.Millisecond)
 	s.AddHist("lat", h)
 
 	flat := s.Flatten()
-	if flat["ops"] != 42 || flat["depth"] != 3.5 {
+	if flat["ops"] != 42 || flat["depth"] != 3 {
 		t.Errorf("scalar fields: ops=%v depth=%v", flat["ops"], flat["depth"])
 	}
 	if flat["lat.count"] != 1 || flat["lat.p50_us"] != 2000 {

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"time"
 
-	"consensusinside/internal/metrics"
 	"consensusinside/internal/msg"
 	"consensusinside/internal/obs"
 	"consensusinside/internal/readpath"
@@ -136,12 +135,10 @@ type Engine interface {
 	// Commits reports how many instances (commands, for engines without
 	// an instance log) this replica has applied.
 	Commits() int64
-	// SnapshotStats, ReadStats and SessionGrowths report the recovery
-	// subsystem's, the read fast path's and the session rings' counters;
-	// deployments fold them into service totals. Safe from any goroutine.
-	SnapshotStats() metrics.SnapshotStats
-	ReadStats() metrics.ReadStats
-	SessionGrowths() int64
+	// Collect adds the replica's counters (snap.*, read.*, session.*)
+	// to a snapshot; deployments call it once per replica and the
+	// values add up to service totals. Safe from any goroutine.
+	Collect(*obs.Snapshot)
 	// Recovered reports whether a replica built with Config.Recover has
 	// caught up (trivially true otherwise). Safe from any goroutine.
 	Recovered() bool

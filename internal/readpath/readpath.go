@@ -231,7 +231,7 @@ type Server struct {
 
 	mu    sync.Mutex
 	skew  time.Duration // test hook: added to every clock read
-	stats metrics.ReadStats
+	stats Counters      // guarded by mu: Collect reads it from other goroutines
 
 	// legacySelfExempt re-enables a fixed bug for the fuzzer's
 	// revert-guard test; see SetLegacyGranterSelfExemption.
@@ -258,11 +258,41 @@ func New(cfg Config) *Server {
 // first read the leader sees.
 func (s *Server) Start(ctx runtime.Context) { s.ctx = ctx }
 
-// Stats snapshots the read-path counters. Safe from any goroutine.
-func (s *Server) Stats() metrics.ReadStats {
+// Counters is one replica's read-path accounting: how many reads it
+// served without consensus, how the read-index rounds batched, and how
+// the lease machinery behaved. The fields are plain integers guarded
+// by the Server's mutex.
+type Counters struct {
+	LocalReads    int64 // reads served from the local state machine with no quorum round
+	FollowerReads int64 // subset of LocalReads served in follower (stale-bounded) mode
+	IndexRounds   int64 // read-index confirmation rounds completed
+	IndexReads    int64 // reads served through read-index rounds
+	LeaseRenewals int64 // lease rounds completed by an already-holding leader
+	LeaseExpiries int64 // leases that lapsed before a renewal landed
+	Fallbacks     int64 // lease-path reads demoted to a quorum round (no valid lease)
+	Redirects     int64 // reads bounced to another replica (not leader, or catching up)
+
+	// Rounds is the reads-per-round occupancy histogram: one sample per
+	// read-index round, counting the reads it served (renewal rounds
+	// carrying no reads are not recorded).
+	Rounds metrics.BatchOccupancy
+}
+
+// Collect adds the read-path counters to s under the "read." names.
+// Safe from any goroutine.
+func (s *Server) Collect(snap *obs.Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	c := &s.stats
+	snap.Add("read.local_reads", c.LocalReads)
+	snap.Add("read.follower_reads", c.FollowerReads)
+	snap.Add("read.index_rounds", c.IndexRounds)
+	snap.Add("read.index_reads", c.IndexReads)
+	snap.Add("read.lease_renewals", c.LeaseRenewals)
+	snap.Add("read.lease_expiries", c.LeaseExpiries)
+	snap.Add("read.fallbacks", c.Fallbacks)
+	snap.Add("read.redirects", c.Redirects)
+	snap.AddBatchOccupancy("read.rounds", &c.Rounds)
 }
 
 // SkewClock shifts this node's read-path clock by d — a test hook for
@@ -314,7 +344,7 @@ func (s *Server) now() time.Duration {
 	return s.ctx.Now() + s.skew
 }
 
-func (s *Server) count(f func(st *metrics.ReadStats)) {
+func (s *Server) count(f func(st *Counters)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f(&s.stats)
@@ -397,12 +427,12 @@ func (s *Server) onRead(m msg.ReadRequest) {
 		if s.leaseUntil > 0 {
 			// Held a lease but renewals did not land in time.
 			s.leaseUntil = 0
-			s.count(func(st *metrics.ReadStats) { st.LeaseExpiries++ })
+			s.count(func(st *Counters) { st.LeaseExpiries++ })
 			s.cfg.Events.Emit(now, s.cfg.ID, "lease-expiry", "held lease lapsed before renewal")
 		}
 		// No valid lease: the reads ride a lease(-acquiring) round —
 		// the integrated fallback to a quorum confirmation.
-		s.count(func(st *metrics.ReadStats) { st.Fallbacks += int64(len(reads)) })
+		s.count(func(st *Counters) { st.Fallbacks += int64(len(reads)) })
 		s.enqueue(reads)
 	case Index:
 		if s.cfg.HasLeader && !s.cfg.IsLeader() {
@@ -666,7 +696,7 @@ func (s *Server) completeRound() {
 		s.leaseUntil = s.roundStart + s.cfg.LeaseDuration - s.margin
 		s.blockUntil = s.roundStart + s.cfg.LeaseDuration
 		if renewed {
-			s.count(func(st *metrics.ReadStats) { st.LeaseRenewals++ })
+			s.count(func(st *Counters) { st.LeaseRenewals++ })
 		} else {
 			s.cfg.Events.Emitf(s.now(), s.cfg.ID, "lease-acquire",
 				"lease held until %s", s.leaseUntil)
@@ -679,7 +709,7 @@ func (s *Server) completeRound() {
 	batch := s.current
 	s.current = nil
 	if len(batch) > 0 {
-		s.count(func(st *metrics.ReadStats) {
+		s.count(func(st *Counters) {
 			st.IndexRounds++
 			st.IndexReads += int64(len(batch))
 			st.Rounds.Record(len(batch))
@@ -718,7 +748,7 @@ func (s *Server) leaseServe(reads []pending) {
 		s.serveLocal(reads, false)
 		return
 	}
-	s.count(func(st *metrics.ReadStats) { st.Fallbacks += int64(len(reads)) })
+	s.count(func(st *Counters) { st.Fallbacks += int64(len(reads)) })
 	s.waiters = append(s.waiters, waiter{frontier: f, reads: reads})
 }
 
@@ -769,7 +799,7 @@ func (s *Server) serve(reads []pending) {
 }
 
 func (s *Server) serveLocal(reads []pending, follower bool) {
-	s.count(func(st *metrics.ReadStats) {
+	s.count(func(st *Counters) {
 		st.LocalReads += int64(len(reads))
 		if follower {
 			st.FollowerReads += int64(len(reads))
@@ -780,7 +810,7 @@ func (s *Server) serveLocal(reads []pending, follower bool) {
 
 func (s *Server) redirect(reads []pending) {
 	target := s.redirectTarget()
-	s.count(func(st *metrics.ReadStats) { st.Redirects += int64(len(reads)) })
+	s.count(func(st *Counters) { st.Redirects += int64(len(reads)) })
 	s.reply(reads, func(p pending) msg.ReadReply {
 		return msg.ReadReply{Seq: p.seq, Redirect: target}
 	})

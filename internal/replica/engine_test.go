@@ -158,11 +158,12 @@ func TestSixthEngineEndToEnd(t *testing.T) {
 			t.Fatalf("get k%d = %q, %v", i, got, err)
 		}
 	}
-	if rs := kv.ReadStats(); rs.LocalReads == 0 {
-		t.Errorf("no read was served under the lease: %+v", rs)
+	o := kv.Obs().Counters
+	if o["read.local_reads"] == 0 {
+		t.Errorf("no read was served under the lease: %v", o)
 	}
-	if s := kv.SnapshotStats(); s.Snapshots == 0 {
-		t.Fatalf("no snapshots after 40 commits at interval 8: %+v", s)
+	if o["snap.snapshots"] == 0 {
+		t.Fatalf("no snapshots after 40 commits at interval 8: %v", o)
 	}
 
 	const victim = 1 // a follower: the leader decides alone
@@ -174,9 +175,9 @@ func TestSixthEngineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(20 * time.Second)
-	for kv.SnapshotStats().Restores == 0 {
+	for kv.Obs().Counters["snap.restores"] == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("restarted replica never restored a snapshot: %+v", kv.SnapshotStats())
+			t.Fatalf("restarted replica never restored a snapshot: %v", kv.Obs().Counters)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -12,8 +12,8 @@ package replica
 import (
 	"time"
 
-	"consensusinside/internal/metrics"
 	"consensusinside/internal/msg"
+	"consensusinside/internal/obs"
 	"consensusinside/internal/protocol"
 	"consensusinside/internal/readpath"
 	"consensusinside/internal/rsm"
@@ -331,16 +331,18 @@ func (s *Shell) Commits() int64 { return s.commits }
 // engine.
 func (s *Shell) Log() *rsm.Log { return s.log }
 
-// SnapshotStats reports the recovery subsystem's counters. Safe from
-// any goroutine, as are the four accessors below.
-func (s *Shell) SnapshotStats() metrics.SnapshotStats { return s.Snap.Stats() }
-
-// ReadStats reports the read fast path's counters.
-func (s *Shell) ReadStats() metrics.ReadStats { return s.Read.Stats() }
-
-// SessionGrowths reports how often the session rings had to grow
-// (rsm.Sessions.Growths).
-func (s *Shell) SessionGrowths() int64 { return s.Sessions.Growths() }
+// Collect adds every counter this replica owns to snap: the recovery
+// subsystem's ("snap."), the read fast path's ("read.") and how often
+// the session rings had to double ("session.ring_growths" — the rings
+// are sized for their lane's pipeline depth, so a count that keeps
+// rising under steady load means a command is pinned unacknowledged
+// while newer ones retire past it). Safe from any goroutine, as are
+// the two accessors below.
+func (s *Shell) Collect(snap *obs.Snapshot) {
+	s.Snap.Collect(snap)
+	s.Read.Collect(snap)
+	snap.Add("session.ring_growths", s.Sessions.Growths())
+}
 
 // Recovered reports whether this replica has finished recovering;
 // trivially true unless built with Cfg.Recover.

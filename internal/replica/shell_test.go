@@ -200,7 +200,7 @@ func TestApplyNoopSendsNothingButRunsBothHooks(t *testing.T) {
 	if got := ctx.SentTo(reader); len(got) != 1 {
 		t.Errorf("read path hook did not run: %d read replies after the apply, want 1", len(got))
 	}
-	if got := s.SnapshotStats().Snapshots; got != 1 {
+	if got := s.Snap.Stats.Snapshots.Load(); got != 1 {
 		t.Errorf("snapshot hook did not run: %d snapshots at interval 1, want 1", got)
 	}
 	if s.Commits() != 1 {

@@ -17,23 +17,14 @@ import (
 type InProcOption func(*inprocConfig)
 
 type inprocConfig struct {
-	queueCap int
-	seed     int64
-	tracer   *trace.Tracer
+	tracer *trace.Tracer
 }
 
-// WithQueueCapacity sets the per-pair SPSC queue depth. The paper uses 7
-// slots; the in-process default is larger (1024) because, unlike the
-// paper's C runtime, a Go handler blocked on a full queue holds its
-// goroutine, and deep pipelines between protocol roles are cheap in memory.
-func WithQueueCapacity(n int) InProcOption {
-	return func(c *inprocConfig) { c.queueCap = n }
-}
-
-// WithSeed seeds the per-node random sources.
-func WithSeed(seed int64) InProcOption {
-	return func(c *inprocConfig) { c.seed = seed }
-}
+// queueCap is the per-pair SPSC queue depth. The paper uses 7 slots;
+// this is larger because, unlike the paper's C runtime, a Go handler
+// blocked on a full queue holds its goroutine, and deep pipelines
+// between protocol roles are cheap in memory.
+const queueCap = 1024
 
 // WithTracer installs a command tracer: client requests crossing the
 // in-process wire get their wire-send stage stamped (internal/trace).
@@ -118,8 +109,9 @@ type inprocNode struct {
 	// message to themselves), so the SPSC invariant holds trivially and
 	// no lock or wakeup is needed. selfOver takes the (rare) overflow —
 	// the producer IS the consumer, so it cannot spin on a full ring.
-	// Both are owned by the node goroutine; crash handoff to the drainer
-	// is ordered by the done channel.
+	// Both are owned by the node goroutine; handoff between a crashed
+	// incarnation, the discarding one and the restarted one is ordered
+	// by the done channel.
 	self     *queue.SPSC[msg.Message]
 	selfOver []msg.Message
 
@@ -142,19 +134,17 @@ type inprocNode struct {
 	timerPending atomic.Bool
 
 	// Crash/restart bookkeeping (guarded by cluster.lifeMu): halt stops
-	// this incarnation's goroutine, done reports it exited, drainStop
-	// retires the crash-time queue drainer.
-	halt      chan struct{}
-	done      chan struct{}
-	drainStop chan struct{}
-	drainDone chan struct{}
-	down      bool
+	// this incarnation's goroutine, done reports it exited. A stopped
+	// node (down) runs the same loop over a handler that discards.
+	halt chan struct{}
+	done chan struct{}
+	down bool
 }
 
 // NewInProcCluster builds and starts a cluster running the given handlers.
 // Handler i becomes node i. Stop must be called to release the goroutines.
 func NewInProcCluster(handlers []Handler, opts ...InProcOption) *InProcCluster {
-	cfg := inprocConfig{queueCap: 1024, seed: 1}
+	var cfg inprocConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -169,36 +159,32 @@ func NewInProcCluster(handlers []Handler, opts ...InProcOption) *InProcCluster {
 		c.nodes[i] = &inprocNode{
 			cluster: c,
 			id:      msg.NodeID(i),
-			handler: handlers[i],
 			in:      make([]*queue.SPSC[msg.Message], n),
 			wake:    make(chan struct{}, 1),
 			timerCh: make(chan TimerTag, 64),
-			self:    queue.NewSPSC[msg.Message](cfg.queueCap),
-			rng:     rand.New(rand.NewSource(cfg.seed + int64(i))),
-			halt:    make(chan struct{}),
-			done:    make(chan struct{}),
+			self:    queue.NewSPSC[msg.Message](queueCap),
+			rng:     rand.New(rand.NewSource(1 + int64(i))),
 		}
 	}
 	for i, node := range c.nodes {
 		for j := range node.in {
 			if j != i {
-				node.in[j] = queue.NewSPSC[msg.Message](cfg.queueCap)
+				node.in[j] = queue.NewSPSC[msg.Message](queueCap)
 			}
 		}
 	}
-	for _, node := range c.nodes {
-		c.wg.Add(1)
-		go node.run(node.halt, node.done)
+	for i, node := range c.nodes {
+		node.start(handlers[i])
 	}
 	return c
 }
 
-// StopNode crashes node id: its handler goroutine exits and a drainer
-// keeps consuming (and discarding) its inbound queues so senders —
+// StopNode crashes node id: its handler is gone for good and the node
+// loop keeps running over one that discards everything, so senders —
 // whose bounded SPSC enqueues would otherwise spin on a full queue —
 // observe a lossy peer, exactly the TCP transport's crash semantics.
-// A stopped node's handler state is gone for good; RestartNode installs
-// a fresh handler. It fails on an unknown or already-stopped node.
+// RestartNode installs a fresh handler. It fails on an unknown or
+// already-stopped node.
 func (c *InProcCluster) StopNode(id msg.NodeID) error {
 	if int(id) < 0 || int(id) >= len(c.nodes) {
 		return fmt.Errorf("runtime: no node %d", id)
@@ -210,21 +196,16 @@ func (c *InProcCluster) StopNode(id msg.NodeID) error {
 		return fmt.Errorf("runtime: node %d is already stopped", id)
 	}
 	n.down = true
-	close(n.halt)
-	n.notify() // wake it if parked so it observes the halt
-	<-n.done   // the goroutine is gone: the drainer may own the queues now
-	n.drainStop = make(chan struct{})
-	n.drainDone = make(chan struct{})
-	c.wg.Add(1)
-	go n.drain(n.drainStop, n.drainDone)
+	n.reincarnate(HandlerFunc{})
 	return nil
 }
 
 // RestartNode boots a fresh incarnation of node id with handler — the
 // counterpart of StopNode. Messages that arrived while the node was
-// down were discarded; anything still queued when the drainer retires
-// is delivered to the new handler, which must tolerate stale protocol
-// traffic (all engines do). It fails on an unknown or running node.
+// down were discarded; anything still queued when the discarding loop
+// retires is delivered to the new handler, which must tolerate stale
+// protocol traffic (all engines do). It fails on an unknown or running
+// node.
 func (c *InProcCluster) RestartNode(id msg.NodeID, handler Handler) error {
 	if int(id) < 0 || int(id) >= len(c.nodes) {
 		return fmt.Errorf("runtime: no node %d", id)
@@ -235,16 +216,28 @@ func (c *InProcCluster) RestartNode(id msg.NodeID, handler Handler) error {
 	if !n.down {
 		return fmt.Errorf("runtime: node %d is not stopped", id)
 	}
-	close(n.drainStop)
-	<-n.drainDone // the drainer has released the queues: one consumer at a time
-	n.drainStop, n.drainDone = nil, nil
 	n.down = false
+	n.reincarnate(handler)
+	return nil
+}
+
+// reincarnate retires the node's goroutine and starts a new one over
+// handler. Exactly one goroutine consumes the SPSC queues at any time:
+// the old one has closed done before the new one starts. Callers hold
+// cluster.lifeMu.
+func (n *inprocNode) reincarnate(handler Handler) {
+	close(n.halt) // observed at the top of a sweep or in the parked select
+	<-n.done
+	n.start(handler)
+}
+
+// start launches the node's goroutine over handler.
+func (n *inprocNode) start(handler Handler) {
 	n.handler = handler
 	n.halt = make(chan struct{})
 	n.done = make(chan struct{})
-	c.wg.Add(1)
+	n.cluster.wg.Add(1)
 	go n.run(n.halt, n.done)
-	return nil
 }
 
 // TimerOverflows reports how many timer fires found the node's timer
@@ -253,80 +246,6 @@ func (c *InProcCluster) RestartNode(id msg.NodeID, handler Handler) error {
 // faster than their node can service them.
 func (c *InProcCluster) TimerOverflows() uint64 {
 	return c.timerOverflows.Load()
-}
-
-// drain consumes a stopped node's inbound queues, self-send ring, inject
-// inbox and timer channel, discarding everything, until the node
-// restarts or the cluster stops. Exactly one goroutine consumes the SPSC
-// queues at any time: StopNode waits for the node goroutine to exit
-// before starting the drainer, and RestartNode waits for done before
-// booting the new incarnation.
-func (n *inprocNode) drain(stop, done chan struct{}) {
-	defer n.cluster.wg.Done()
-	defer close(done)
-	buf := make([]msg.Message, sweepBatch)
-	for {
-		progress := false
-		for _, q := range n.in {
-			if q == nil {
-				continue
-			}
-			if q.DequeueInto(buf) > 0 {
-				progress = true
-			}
-		}
-		if n.self.DequeueInto(buf) > 0 {
-			progress = true
-		}
-		if len(n.selfOver) > 0 {
-			// The dead incarnation's overflow: ours now (ordered by done).
-			n.selfOver = nil
-			progress = true
-		}
-		if n.inboxPending.Load() {
-			n.mu.Lock()
-			n.inbox = nil
-			n.inboxPending.Store(false)
-			n.mu.Unlock()
-			progress = true
-		}
-	timers:
-		for {
-			select {
-			case <-n.timerCh:
-				progress = true
-			default:
-				break timers
-			}
-		}
-		if n.timerPending.Load() {
-			n.tmu.Lock()
-			n.timerOver = nil
-			n.timerPending.Store(false)
-			n.tmu.Unlock()
-			progress = true
-		}
-		if progress {
-			continue
-		}
-		n.parked.Store(true)
-		if n.someInput() {
-			n.parked.Store(false)
-			continue
-		}
-		select {
-		case <-n.wake:
-			n.parked.Store(false)
-		case <-n.timerCh:
-			n.parked.Store(false)
-		case <-stop:
-			n.parked.Store(false)
-			return
-		case <-n.cluster.stop:
-			n.parked.Store(false)
-			return
-		}
-	}
 }
 
 // N reports the cluster size.
@@ -358,23 +277,10 @@ func (c *InProcCluster) Stop() {
 	c.wg.Wait()
 }
 
-// traceWire stamps the wire-send stage for every sampled command the
-// outgoing request carries.
-func (c *InProcCluster) traceWire(req msg.ClientRequest) {
-	now := time.Since(c.start)
-	if len(req.Batch) == 0 {
-		c.tracer.Mark(req.Client, req.Seq, trace.StageWire, now)
-		return
-	}
-	for _, be := range req.Batch {
-		c.tracer.Mark(req.Client, be.Seq, trace.StageWire, now)
-	}
-}
-
 func (c *InProcCluster) send(from, to msg.NodeID, m msg.Message) {
 	if c.tracer.Enabled() {
 		if req, ok := m.(msg.ClientRequest); ok {
-			c.traceWire(req)
+			c.tracer.MarkWire(req, time.Since(c.start))
 		}
 	}
 	if int(to) < 0 || int(to) >= len(c.nodes) {

@@ -181,16 +181,26 @@ func TestFakeContext(t *testing.T) {
 
 // TestInProcStopRestartNode covers the crash/restart lifecycle: a
 // stopped node's traffic is discarded without blocking senders (the
-// drainer stands in for the crashed core), and a restarted node's fresh
-// handler receives traffic again.
+// node loop keeps sweeping over a discarding handler), and a restarted
+// node's fresh handler receives traffic again.
 func TestInProcStopRestartNode(t *testing.T) {
-	var first, second atomic.Int64
+	var first, second, floods atomic.Int64
 	mkReceiver := func(n *atomic.Int64) Handler {
 		return HandlerFunc{
 			OnReceive: func(ctx Context, from msg.NodeID, m msg.Message) { n.Add(1) },
 		}
 	}
-	c := NewInProcCluster([]Handler{HandlerFunc{}, mkReceiver(&first)})
+	// Node 0 answers each message with a burst to node 1 that is several
+	// times what the bounded peer queue holds.
+	flooder := HandlerFunc{
+		OnReceive: func(ctx Context, from msg.NodeID, m msg.Message) {
+			for i := 0; i < 5*queueCap; i++ {
+				ctx.Send(1, echoMsg{N: i})
+			}
+			floods.Add(1)
+		},
+	}
+	c := NewInProcCluster([]Handler{flooder, mkReceiver(&first)})
 	defer c.Stop()
 
 	c.Inject(0, 1, echoMsg{N: 0})
@@ -205,8 +215,10 @@ func TestInProcStopRestartNode(t *testing.T) {
 	if err := c.StopNode(99); err == nil {
 		t.Fatal("StopNode(99) succeeded")
 	}
-	// Far more messages than the queue holds: the drainer must keep
-	// discarding so this loop cannot block.
+	// Far more messages than the 0->1 queue holds: the stopped node must
+	// keep discarding or node 0's Send would spin on the full queue.
+	c.Inject(msg.Nobody, 0, echoMsg{})
+	waitFor(t, func() bool { return floods.Load() == 1 })
 	for i := 0; i < 5000; i++ {
 		c.Inject(0, 1, echoMsg{N: i})
 	}
@@ -221,6 +233,11 @@ func TestInProcStopRestartNode(t *testing.T) {
 	}
 	c.Inject(0, 1, echoMsg{N: 1})
 	waitFor(t, func() bool { return second.Load() >= 1 })
+	// A peer burst sent after the restart reaches the new handler whole:
+	// the queue applies backpressure to a live consumer, it does not drop.
+	before := second.Load()
+	c.Inject(msg.Nobody, 0, echoMsg{})
+	waitFor(t, func() bool { return second.Load() >= before+5*queueCap })
 	if got := first.Load(); got != 1 {
 		t.Errorf("old handler received %d messages, want 1 (none after the stop)", got)
 	}

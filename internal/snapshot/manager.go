@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"consensusinside/internal/metrics"
 	"consensusinside/internal/msg"
 	"consensusinside/internal/obs"
 	"consensusinside/internal/rsm"
@@ -112,33 +111,39 @@ type Manager struct {
 	retryCancel  runtime.CancelFunc
 	recovered    atomic.Bool // recovery finished and converged (true from birth when not recovering)
 
-	stats snapCounters
+	// Stats is the replica's live recovery counters; readers Load the
+	// fields they want or Collect them all.
+	Stats Counters
 }
 
-// snapCounters is the live (atomic) form of metrics.SnapshotStats: the
-// Manager mutates it on the engine goroutine, but deployments read
-// Stats from arbitrary goroutines (KV.SnapshotStats during load).
-type snapCounters struct {
-	snapshots, snapshotBytes atomic.Int64
-	entriesTruncated         atomic.Int64
-	catchupsServed           atomic.Int64
-	chunksSent               atomic.Int64
-	entriesStreamed          atomic.Int64
-	catchupsRequested        atomic.Int64
-	restores                 atomic.Int64
+// Counters is one replica's recovery-subsystem accounting: how often it
+// captured and compacted, how much catch-up traffic it served, and
+// whether it ever restored itself from a peer's snapshot. The Manager
+// adds to it on the engine goroutine; every field is atomic because
+// deployments read it from arbitrary goroutines during load.
+type Counters struct {
+	Snapshots         atomic.Int64 // snapshots captured (periodic and on-demand)
+	SnapshotBytes     atomic.Int64 // encoded bytes across captured snapshots
+	EntriesTruncated  atomic.Int64 // applied log entries dropped by compaction
+	CatchupsServed    atomic.Int64 // catch-up requests answered for peers
+	ChunksSent        atomic.Int64 // snapshot chunks sent while serving
+	EntriesStreamed   atomic.Int64 // decided entries streamed while serving
+	CatchupsRequested atomic.Int64 // catch-up requests sent while recovering
+	Restores          atomic.Int64 // peer snapshots decoded and installed locally
 }
 
-func (c *snapCounters) snapshot() metrics.SnapshotStats {
-	return metrics.SnapshotStats{
-		Snapshots:         c.snapshots.Load(),
-		SnapshotBytes:     c.snapshotBytes.Load(),
-		EntriesTruncated:  c.entriesTruncated.Load(),
-		CatchupsServed:    c.catchupsServed.Load(),
-		ChunksSent:        c.chunksSent.Load(),
-		EntriesStreamed:   c.entriesStreamed.Load(),
-		CatchupsRequested: c.catchupsRequested.Load(),
-		Restores:          c.restores.Load(),
-	}
+// Collect adds the Manager's counters to s under the "snap." names.
+// Safe from any goroutine.
+func (m *Manager) Collect(s *obs.Snapshot) {
+	c := &m.Stats
+	s.Add("snap.snapshots", c.Snapshots.Load())
+	s.Add("snap.snapshot_bytes", c.SnapshotBytes.Load())
+	s.Add("snap.entries_truncated", c.EntriesTruncated.Load())
+	s.Add("snap.catchups_served", c.CatchupsServed.Load())
+	s.Add("snap.chunks_sent", c.ChunksSent.Load())
+	s.Add("snap.entries_streamed", c.EntriesStreamed.Load())
+	s.Add("snap.catchups_requested", c.CatchupsRequested.Load())
+	s.Add("snap.restores", c.Restores.Load())
 }
 
 // New builds a Manager for one replica. log may be nil (engines without
@@ -174,9 +179,6 @@ func New(cfg Config, log *rsm.Log, sessions *rsm.Sessions, applier rsm.Applier) 
 // Safe from any goroutine — experiment harnesses poll it to time a
 // restarted replica's rejoin.
 func (m *Manager) Recovered() bool { return m.recovered.Load() }
-
-// Stats snapshots the Manager's counters (safe from any goroutine).
-func (m *Manager) Stats() metrics.SnapshotStats { return m.stats.snapshot() }
 
 // CatchingUp reports whether the replica is still streaming state from
 // a peer and must not serve client requests yet (clients retry; by then
@@ -339,10 +341,10 @@ func (m *Manager) capture(lastApplied int64) {
 		Lanes:       m.sessions.Export(),
 	})
 	m.snapLast = lastApplied
-	m.stats.snapshots.Add(1)
-	m.stats.snapshotBytes.Add(int64(len(m.encoded)))
+	m.Stats.Snapshots.Add(1)
+	m.Stats.SnapshotBytes.Add(int64(len(m.encoded)))
 	if m.log != nil && prev >= 0 {
-		m.stats.entriesTruncated.Add(int64(m.log.CompactTo(prev + 1)))
+		m.Stats.EntriesTruncated.Add(int64(m.log.CompactTo(prev + 1)))
 	}
 	if m.onSnapshot != nil {
 		m.onSnapshot(lastApplied)
@@ -357,7 +359,7 @@ func (m *Manager) capture(lastApplied int64) {
 // call it directly when a prepare reveals a proposer below the
 // compaction floor — the push that keeps lagging peers convergent.
 func (m *Manager) Serve(ctx runtime.Context, to msg.NodeID, from int64) {
-	m.stats.catchupsServed.Add(1)
+	m.Stats.CatchupsServed.Add(1)
 	start := from
 	if m.log == nil || from < m.log.Floor() {
 		if enc, last, ok := m.servableSnapshot(); ok {
@@ -390,8 +392,8 @@ func (m *Manager) servableSnapshot() ([]byte, int64, bool) {
 		State:       m.state.SnapshotState(),
 		Lanes:       m.sessions.Export(),
 	})
-	m.stats.snapshots.Add(1)
-	m.stats.snapshotBytes.Add(int64(len(enc)))
+	m.Stats.Snapshots.Add(1)
+	m.Stats.SnapshotBytes.Add(int64(len(enc)))
 	return enc, last, true
 }
 
@@ -399,7 +401,7 @@ func (m *Manager) sendChunks(ctx runtime.Context, to msg.NodeID, enc []byte) {
 	size := m.cfg.ChunkSize
 	for off, seq := 0, int64(0); off < len(enc); off, seq = off+size, seq+1 {
 		end := min(off+size, len(enc))
-		m.stats.chunksSent.Add(1)
+		m.Stats.ChunksSent.Add(1)
 		// The chunk aliases enc, which is replaced (never mutated) by
 		// later captures; receivers copy into their assembly buffer.
 		ctx.Send(to, msg.SnapshotChunk{Seq: seq, Last: end == len(enc), Data: enc[off:end]})
@@ -415,7 +417,7 @@ func (m *Manager) sendEntries(ctx runtime.Context, to msg.NodeID, from int64) {
 	flush := func(e rsm.Entry) bool {
 		batch = append(batch, msg.Decided{Instance: e.Instance, Value: e.Value})
 		if len(batch) == entriesPerMessage {
-			m.stats.entriesStreamed.Add(int64(len(batch)))
+			m.Stats.EntriesStreamed.Add(int64(len(batch)))
 			ctx.Send(to, msg.CatchupEntries{Entries: batch})
 			batch = make([]msg.Decided, 0, entriesPerMessage)
 		}
@@ -433,7 +435,7 @@ func (m *Manager) sendEntries(ctx runtime.Context, to msg.NodeID, from int64) {
 		}
 		return flush(e)
 	})
-	m.stats.entriesStreamed.Add(int64(len(batch)))
+	m.Stats.EntriesStreamed.Add(int64(len(batch)))
 	ctx.Send(to, msg.CatchupEntries{Entries: batch, Done: true})
 }
 
@@ -449,7 +451,7 @@ func (m *Manager) request(ctx runtime.Context) {
 	if m.log != nil {
 		from = m.log.NextToApply()
 	}
-	m.stats.catchupsRequested.Add(1)
+	m.Stats.CatchupsRequested.Add(1)
 	ctx.Send(to, msg.CatchupRequest{From: from})
 	m.armRetry(ctx)
 }
@@ -517,7 +519,7 @@ func (m *Manager) install(snap Snapshot) {
 	if m.log != nil {
 		m.log.InstallSnapshot(snap.LastApplied)
 	}
-	m.stats.restores.Add(1)
+	m.Stats.Restores.Add(1)
 	if m.onRestore != nil {
 		m.onRestore(snap.LastApplied)
 	}

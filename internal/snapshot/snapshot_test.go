@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/obs"
 	"consensusinside/internal/rsm"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/shard"
@@ -224,8 +225,8 @@ func deliver(t *testing.T, ctxA, ctxB *runtime.FakeContext, a, b *Manager) {
 func TestManagerTransferRestoresReplica(t *testing.T) {
 	const ops = 900
 	server, slog, skv, _ := buildServer(t, Config{ID: 0, Replicas: []msg.NodeID{0, 1}, Interval: 100, ChunkSize: 512}, ops)
-	if server.Stats().Snapshots == 0 || slog.Retained() >= ops {
-		t.Fatalf("server never snapshotted/compacted: stats=%+v retained=%d", server.Stats(), slog.Retained())
+	if server.Stats.Snapshots.Load() == 0 || slog.Retained() >= ops {
+		t.Fatalf("server never snapshotted/compacted: stats=%v retained=%d", snapCounts(server), slog.Retained())
 	}
 
 	fresh, flog, fkv, fsessions := buildServer(t, Config{ID: 1, Replicas: []msg.NodeID{0, 1}, Recover: true}, 0)
@@ -240,8 +241,8 @@ func TestManagerTransferRestoresReplica(t *testing.T) {
 	if fresh.CatchingUp() {
 		t.Fatal("transfer never completed")
 	}
-	if fresh.Stats().Restores != 1 {
-		t.Fatalf("restores = %d, want 1", fresh.Stats().Restores)
+	if fresh.Stats.Restores.Load() != 1 {
+		t.Fatalf("restores = %d, want 1", fresh.Stats.Restores.Load())
 	}
 	if flog.NextToApply() != slog.NextToApply() {
 		t.Fatalf("frontiers diverge after catch-up: fresh %d, server %d", flog.NextToApply(), slog.NextToApply())
@@ -264,8 +265,8 @@ func TestManagerTransferRestoresReplica(t *testing.T) {
 		t.Errorf("replayed pre-snapshot request re-admitted after transfer")
 	}
 	// The server chunked the snapshot (512B chunks over a multi-KB image).
-	if server.Stats().ChunksSent < 2 {
-		t.Errorf("chunks sent = %d, want several at ChunkSize 512", server.Stats().ChunksSent)
+	if server.Stats.ChunksSent.Load() < 2 {
+		t.Errorf("chunks sent = %d, want several at ChunkSize 512", server.Stats.ChunksSent.Load())
 	}
 }
 
@@ -280,8 +281,8 @@ func TestManagerEntriesOnlyPath(t *testing.T) {
 	ctxS, ctxL := runtime.NewFakeContext(0, 2), runtime.NewFakeContext(1, 2)
 	lag.Start(ctxL)
 	deliver(t, ctxS, ctxL, server, lag)
-	if lag.Stats().Restores != 0 {
-		t.Errorf("entries-only catch-up installed a snapshot (restores=%d)", lag.Stats().Restores)
+	if lag.Stats.Restores.Load() != 0 {
+		t.Errorf("entries-only catch-up installed a snapshot (restores=%d)", lag.Stats.Restores.Load())
 	}
 	if laglog.NextToApply() != slog.NextToApply() {
 		t.Errorf("frontier %d after entries-only catch-up, want %d", laglog.NextToApply(), slog.NextToApply())
@@ -295,15 +296,15 @@ func TestManagerOutOfOrderChunkResets(t *testing.T) {
 	fresh.Start(ctx)
 	enc := Encode(sampleSnapshot())
 	fresh.Handle(ctx, 0, msg.SnapshotChunk{Seq: 1, Data: enc[10:], Last: true}) // starts mid-transfer
-	if fresh.Stats().Restores != 0 || flog.NextToApply() != 0 {
-		t.Fatalf("torn transfer installed: %+v", fresh.Stats())
+	if fresh.Stats.Restores.Load() != 0 || flog.NextToApply() != 0 {
+		t.Fatalf("torn transfer installed: %v", snapCounts(fresh))
 	}
 	// A clean retry still works.
 	fresh.Handle(ctx, 0, msg.SnapshotChunk{Seq: 0, Data: enc[:10]})
 	fresh.Handle(ctx, 0, msg.SnapshotChunk{Seq: 1, Data: enc[10:], Last: true})
 	fresh.Handle(ctx, 0, msg.CatchupEntries{Done: true})
-	if fresh.Stats().Restores != 1 {
-		t.Fatalf("clean transfer after a torn one did not install: %+v", fresh.Stats())
+	if fresh.Stats.Restores.Load() != 1 {
+		t.Fatalf("clean transfer after a torn one did not install: %v", snapCounts(fresh))
 	}
 }
 
@@ -329,4 +330,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", snap2, snap)
 		}
 	})
+}
+
+// snapCounts renders a Manager's counters under their snap.* names, the
+// way every reader outside this package sees them.
+func snapCounts(m *Manager) map[string]int64 {
+	s := obs.NewSnapshot()
+	m.Collect(&s)
+	return s.Counters
 }

@@ -230,6 +230,19 @@ func (t *Tracer) Mark(client msg.NodeID, seq uint64, st Stage, virtual time.Dura
 	}
 }
 
+// MarkWire stamps the wire-send stage for every sampled command an
+// outgoing client request carries — the hook both transports' send
+// paths call.
+func (t *Tracer) MarkWire(req msg.ClientRequest, virtual time.Duration) {
+	if len(req.Batch) == 0 {
+		t.Mark(req.Client, req.Seq, StageWire, virtual)
+		return
+	}
+	for _, be := range req.Batch {
+		t.Mark(req.Client, be.Seq, StageWire, virtual)
+	}
+}
+
 // Finish stamps the reply stage and completes the span: stage-delta and
 // end-to-end histograms absorb it and the sample enters the completed
 // ring. Unknown commands are ignored.

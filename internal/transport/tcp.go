@@ -23,7 +23,7 @@
 // (a full queue drops the message), and a stalled peer can hold its
 // writer for at most writeTimeout before the connection is dropped,
 // its queue counted as drops, and the next dial counted in
-// WireStats.Reconnects.
+// Counters.Reconnects.
 package transport
 
 import (
@@ -36,8 +36,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"consensusinside/internal/metrics"
 	"consensusinside/internal/msg"
+	"consensusinside/internal/obs"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/trace"
 	"consensusinside/internal/wire"
@@ -101,32 +101,29 @@ type TCPNode struct {
 	dialFailed map[msg.NodeID]time.Time
 	inbound    []net.Conn
 
-	stats  wireCounters
+	// Stats is the node's live wire counters; readers Load the fields
+	// they want or Collect them all.
+	Stats  Counters
 	tracer *trace.Tracer
 
 	closeOnce sync.Once
 }
 
-// wireCounters is the live (atomic) form of metrics.WireStats.
-type wireCounters struct {
-	bytesOut, bytesIn   atomic.Int64
-	framesOut, framesIn atomic.Int64
-	flushes             atomic.Int64
-	dials, reconnects   atomic.Int64
-	dropped             atomic.Int64
-}
-
-func (c *wireCounters) snapshot() metrics.WireStats {
-	return metrics.WireStats{
-		BytesOut:   c.bytesOut.Load(),
-		BytesIn:    c.bytesIn.Load(),
-		FramesOut:  c.framesOut.Load(),
-		FramesIn:   c.framesIn.Load(),
-		Flushes:    c.flushes.Load(),
-		Dials:      c.dials.Load(),
-		Reconnects: c.reconnects.Load(),
-		Dropped:    c.dropped.Load(),
-	}
+// Counters is one endpoint's wire-level accounting: what actually
+// crossed the sockets, how well the writer coalesced frames into
+// flushes, and how the connection pool behaved. The reader, writer and
+// actor goroutines add to the fields they own; every field is atomic,
+// so a reader on any goroutine sees each value whole (though not all
+// of them at one instant).
+type Counters struct {
+	BytesOut   atomic.Int64 // bytes written to peer sockets (frames + handshakes)
+	BytesIn    atomic.Int64 // bytes read from peer sockets
+	FramesOut  atomic.Int64 // messages encoded, written and flushed
+	FramesIn   atomic.Int64 // messages decoded and delivered
+	Flushes    atomic.Int64 // socket write calls, bufio flush-throughs included: FramesOut/Flushes is the coalescing win
+	Dials      atomic.Int64 // outbound connections established
+	Reconnects atomic.Int64 // dials that replaced a previously dropped connection
+	Dropped    atomic.Int64 // messages dropped (dead peer, full send queue, failed flush)
 }
 
 // countedConn counts the bytes and write calls that actually cross the
@@ -136,19 +133,19 @@ func (c *wireCounters) snapshot() metrics.WireStats {
 // writer flush through to the socket mid-batch.
 type countedConn struct {
 	net.Conn
-	stats *wireCounters
+	stats *Counters
 }
 
 func (c countedConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	c.stats.bytesIn.Add(int64(n))
+	c.stats.BytesIn.Add(int64(n))
 	return n, err
 }
 
 func (c countedConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
-	c.stats.bytesOut.Add(int64(n))
-	c.stats.flushes.Add(1)
+	c.stats.BytesOut.Add(int64(n))
+	c.stats.Flushes.Add(1)
 	return n, err
 }
 
@@ -241,9 +238,19 @@ func NewLocalTCPNode(id msg.NodeID, handler runtime.Handler) (*TCPNode, error) {
 // Addr reports the node's listen address.
 func (t *TCPNode) Addr() string { return t.ln.Addr().String() }
 
-// Stats snapshots the node's wire-level counters: bytes on the wire,
-// frames per flush, reconnects, drops.
-func (t *TCPNode) Stats() metrics.WireStats { return t.stats.snapshot() }
+// Collect adds the node's wire counters to s under the "wire." names.
+// Safe from any goroutine.
+func (t *TCPNode) Collect(s *obs.Snapshot) {
+	c := &t.Stats
+	s.Add("wire.bytes_out", c.BytesOut.Load())
+	s.Add("wire.bytes_in", c.BytesIn.Load())
+	s.Add("wire.frames_out", c.FramesOut.Load())
+	s.Add("wire.frames_in", c.FramesIn.Load())
+	s.Add("wire.flushes", c.Flushes.Load())
+	s.Add("wire.dials", c.Dials.Load())
+	s.Add("wire.reconnects", c.Reconnects.Load())
+	s.Add("wire.dropped", c.Dropped.Load())
+}
 
 // Inject delivers m to this node's handler as if sent by from — the
 // entry point for external drivers (bridging synchronous APIs onto the
@@ -307,7 +314,7 @@ func (t *TCPNode) acceptLoop() {
 		t.inbound = append(t.inbound, conn)
 		t.mu.Unlock()
 		t.wg.Add(1)
-		go t.readLoop(conn, countedConn{Conn: conn, stats: &t.stats})
+		go t.readLoop(conn, countedConn{Conn: conn, stats: &t.Stats})
 	}
 }
 
@@ -359,7 +366,7 @@ func (t *TCPNode) readWire(br *bufio.Reader) {
 		if err != nil {
 			return // corrupt stream: drop the connection
 		}
-		t.stats.framesIn.Add(1)
+		t.Stats.FramesIn.Add(1)
 		select {
 		case t.inbox <- envelope{From: from, M: m}:
 		case <-t.stop:
@@ -384,32 +391,19 @@ func (t *TCPNode) mainLoop() {
 	}
 }
 
-// send dials lazily and enqueues the message on the peer's writer. It
-// never blocks the actor: an unreachable peer or a full queue drops the
-// message — exactly the non-blocking assumption the protocols are
-// designed for, with the drop surfaced in Stats.
 // SetTracer installs a command tracer: client requests leaving this
 // node get their wire-send stage stamped (internal/trace). Call before
 // Start.
 func (t *TCPNode) SetTracer(tr *trace.Tracer) { t.tracer = tr }
 
-// traceWire stamps the wire-send stage for every sampled command the
-// outgoing request carries.
-func (t *TCPNode) traceWire(req msg.ClientRequest) {
-	now := time.Since(t.start)
-	if len(req.Batch) == 0 {
-		t.tracer.Mark(req.Client, req.Seq, trace.StageWire, now)
-		return
-	}
-	for _, be := range req.Batch {
-		t.tracer.Mark(req.Client, be.Seq, trace.StageWire, now)
-	}
-}
-
+// send dials lazily and enqueues the message on the peer's writer. It
+// never blocks the actor: an unreachable peer or a full queue drops the
+// message — exactly the non-blocking assumption the protocols are
+// designed for, with the drop surfaced in Stats.Dropped.
 func (t *TCPNode) send(to msg.NodeID, m msg.Message) {
 	if t.tracer.Enabled() {
 		if req, ok := m.(msg.ClientRequest); ok {
-			t.traceWire(req)
+			t.tracer.MarkWire(req, time.Since(t.start))
 		}
 	}
 	if to == t.id {
@@ -421,7 +415,7 @@ func (t *TCPNode) send(to msg.NodeID, m msg.Message) {
 	}
 	pc, err := t.conn(to)
 	if err != nil {
-		t.stats.dropped.Add(1)
+		t.Stats.Dropped.Add(1)
 		return
 	}
 	select {
@@ -435,9 +429,9 @@ func (t *TCPNode) send(to msg.NodeID, m msg.Message) {
 		default:
 		}
 	case <-pc.closed:
-		t.stats.dropped.Add(1)
+		t.Stats.Dropped.Add(1)
 	default:
-		t.stats.dropped.Add(1)
+		t.Stats.Dropped.Add(1)
 	}
 }
 
@@ -492,7 +486,7 @@ func (t *TCPNode) dialPeer(to msg.NodeID, pc *peerConn, addr string) (*bufio.Wri
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %d: %w", to, err)
 	}
-	c := countedConn{Conn: raw, stats: &t.stats}
+	c := countedConn{Conn: raw, stats: &t.Stats}
 	if !pc.setConn(c) {
 		raw.Close()
 		return nil, fmt.Errorf("transport: peer %d shut down mid-dial", to)
@@ -516,12 +510,12 @@ func (t *TCPNode) dialPeer(to msg.NodeID, pc *peerConn, addr string) (*bufio.Wri
 
 	t.mu.Lock()
 	if t.dialed[to] {
-		t.stats.reconnects.Add(1)
+		t.Stats.Reconnects.Add(1)
 	}
 	t.dialed[to] = true
 	delete(t.dialFailed, to)
 	t.mu.Unlock()
-	t.stats.dials.Add(1)
+	t.Stats.Dials.Add(1)
 	return bw, nil
 }
 
@@ -532,7 +526,7 @@ func (t *TCPNode) drainDropped(pc *peerConn) {
 	for {
 		select {
 		case <-pc.out:
-			t.stats.dropped.Add(1)
+			t.Stats.Dropped.Add(1)
 		default:
 			return
 		}
@@ -554,7 +548,7 @@ func (t *TCPNode) writeWireFrame(bw *bufio.Writer, m msg.Message) (bool, error) 
 	*scratch = b[:0]
 	if err != nil {
 		wire.PutBuf(scratch)
-		t.stats.dropped.Add(1)
+		t.Stats.Dropped.Add(1)
 		return false, nil
 	}
 	_, werr := bw.Write(b)
@@ -608,7 +602,7 @@ func (t *TCPNode) writeLoop(to msg.NodeID, pc *peerConn, bw *bufio.Writer) {
 		}
 		if err == nil {
 			if written > 0 {
-				t.stats.framesOut.Add(written)
+				t.Stats.FramesOut.Add(written)
 			}
 			continue
 		}
@@ -616,7 +610,7 @@ func (t *TCPNode) writeLoop(to msg.NodeID, pc *peerConn, bw *bufio.Writer) {
 		// encoded-but-unflushed messages and the one the error ate —
 		// and everything still queued as dropped, then drop the
 		// connection.
-		t.stats.dropped.Add(written + failed)
+		t.Stats.Dropped.Add(written + failed)
 		t.dropConn(to, pc)
 		t.drainDropped(pc)
 		return

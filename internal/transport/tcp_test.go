@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/obs"
 	"consensusinside/internal/onepaxos"
 	"consensusinside/internal/protocol"
 	"consensusinside/internal/runtime"
@@ -70,18 +71,18 @@ func TestEchoOverTCP(t *testing.T) {
 		// and the echo can overtake that bookkeeping (the peer reads
 		// the bytes before the writer goroutine runs again), so give
 		// the sender's counters a bounded moment to settle.
-		snd, rcv := nodes[1].Stats(), nodes[0].Stats()
-		for deadline := time.Now().Add(10 * time.Second); snd.FramesOut < 1 && time.Now().Before(deadline); snd = nodes[1].Stats() {
+		snd, rcv := &nodes[1].Stats, &nodes[0].Stats
+		for deadline := time.Now().Add(10 * time.Second); snd.FramesOut.Load() < 1 && time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
 		}
-		if snd.FramesOut < 1 || snd.Flushes < 1 || snd.BytesOut == 0 || snd.Dials != 1 {
-			t.Errorf("sender stats missing traffic: %+v", snd)
+		if snd.FramesOut.Load() < 1 || snd.Flushes.Load() < 1 || snd.BytesOut.Load() == 0 || snd.Dials.Load() != 1 {
+			t.Errorf("sender stats missing traffic: %v", wireCounts(nodes[1]))
 		}
-		if rcv.FramesIn < 1 || rcv.BytesIn == 0 {
-			t.Errorf("receiver stats missing traffic: %+v", rcv)
+		if rcv.FramesIn.Load() < 1 || rcv.BytesIn.Load() == 0 {
+			t.Errorf("receiver stats missing traffic: %v", wireCounts(nodes[0]))
 		}
-		if snd.Reconnects != 0 || snd.Dropped != 0 {
-			t.Errorf("clean run counted failures: %+v", snd)
+		if snd.Reconnects.Load() != 0 || snd.Dropped.Load() != 0 {
+			t.Errorf("clean run counted failures: %v", wireCounts(nodes[1]))
 		}
 	})
 	t.Run("foreign first byte rejected", func(t *testing.T) {
@@ -131,10 +132,18 @@ func TestEchoOverTCP(t *testing.T) {
 			t.Fatalf("a frame behind a foreign codec byte reached the handler: %+v", m)
 		default:
 		}
-		if s := nodes[0].Stats(); s.FramesIn != 0 {
-			t.Errorf("frames counted on a rejected connection: %+v", s)
+		if nodes[0].Stats.FramesIn.Load() != 0 {
+			t.Errorf("frames counted on a rejected connection: %v", wireCounts(nodes[0]))
 		}
 	})
+}
+
+// wireCounts renders a node's counters under their wire.* names, the
+// way every reader outside this package sees them.
+func wireCounts(n *TCPNode) map[string]int64 {
+	s := obs.NewSnapshot()
+	n.Collect(&s)
+	return s.Counters
 }
 
 func closeAll(nodes []*TCPNode) {
@@ -179,12 +188,12 @@ func TestReconnectCounted(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		node.Inject(0, msg.ClientReply{Seq: 1})
-		if node.Stats().Reconnects >= 1 {
+		if node.Stats.Reconnects.Load() >= 1 {
 			return // a dropped connection was redialed and counted
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("no reconnect counted after repeated peer resets: %+v", node.Stats())
+	t.Fatalf("no reconnect counted after repeated peer resets: %v", wireCounts(node))
 }
 
 // TestSlowPeerDropsNotBlocks pins the non-blocking send guarantee: with
@@ -251,12 +260,12 @@ func TestSlowPeerDropsNotBlocks(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if node.Stats().Dropped > 0 {
+		if node.Stats.Dropped.Load() > 0 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("stalled peer never surfaced as drops: %+v", node.Stats())
+	t.Fatalf("stalled peer never surfaced as drops: %v", wireCounts(node))
 }
 
 func TestTimersOverTCP(t *testing.T) {

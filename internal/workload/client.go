@@ -32,7 +32,9 @@ import (
 	"consensusinside/internal/linearize"
 	"consensusinside/internal/metrics"
 	"consensusinside/internal/msg"
+	"consensusinside/internal/obs"
 	"consensusinside/internal/readpath"
+	"consensusinside/internal/rsm"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/seqwin"
 	"consensusinside/internal/shard"
@@ -236,42 +238,26 @@ type Client struct {
 
 var _ runtime.Handler = (*Client)(nil)
 
-// NewClient builds a client from cfg. It panics if no servers are given
-// (or, with Groups, if any group is empty).
-func NewClient(cfg Config) *Client {
+// NewClient builds a client from cfg, or reports why cfg is malformed.
+func NewClient(cfg Config) (*Client, error) {
 	if cfg.RetryTimeout == 0 {
 		cfg.RetryTimeout = DefaultRetryTimeout
 	}
 	if cfg.ReadPercent < 0 || cfg.ReadPercent > 100 {
-		panic(fmt.Sprintf("workload: ReadPercent %d outside [0,100]", cfg.ReadPercent))
+		return nil, fmt.Errorf("workload: ReadPercent %d outside [0,100]", cfg.ReadPercent)
 	}
 	if !cfg.ReadMode.Valid() {
-		panic(fmt.Sprintf("workload: unknown read mode %d", int(cfg.ReadMode)))
+		return nil, fmt.Errorf("workload: unknown read mode %d", int(cfg.ReadMode))
 	}
 	if cfg.Key == "" {
 		cfg.Key = fmt.Sprintf("c%d", cfg.ID)
 	}
-	window := cfg.Window
-	if window < 1 {
-		window = 1
+	window := max(cfg.Window, 1)
+	if err := rsm.CheckPipeline("workload", window, cfg.BatchSize, cfg.BatchDelay, cfg.BatchAdaptive); err != nil {
+		return nil, err
 	}
-	batch := cfg.BatchSize
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > window {
-		batch = window // a batch is drawn from the lane's window slots
-	}
+	batch := max(cfg.BatchSize, 1)
 	if cfg.BatchAdaptive {
-		if window < 2 {
-			panic("workload: BatchAdaptive needs Window >= 2 (nothing to adapt within a closed loop)")
-		}
-		if cfg.BatchSize > 1 {
-			panic("workload: BatchAdaptive conflicts with a fixed BatchSize")
-		}
-		if cfg.BatchDelay > 0 {
-			panic("workload: BatchAdaptive conflicts with BatchDelay (the adaptive hold subsumes it)")
-		}
 		// The adaptive cap: half the window, so at least two instances
 		// stay pipelined instead of one whole-window batch serializing
 		// round trips.
@@ -281,20 +267,20 @@ func NewClient(cfg Config) *Client {
 	if len(cfg.Groups) > 0 {
 		for g, servers := range cfg.Groups {
 			if len(servers) == 0 {
-				panic(fmt.Sprintf("workload: group %d of client %d is empty", g, cfg.ID))
+				return nil, fmt.Errorf("workload: group %d of client %d is empty", g, cfg.ID)
 			}
 			c.lanes = append(c.lanes, newLane(g, servers, shard.KeyFor(cfg.Key, g, len(cfg.Groups)), window))
 		}
 	} else {
 		if len(cfg.Servers) == 0 {
-			panic("workload: client needs at least one server")
+			return nil, fmt.Errorf("workload: client %d needs at least one server", cfg.ID)
 		}
 		c.lanes = []*lane{newLane(0, cfg.Servers, cfg.Key, window)}
 	}
 	if cfg.SeriesBucket > 0 {
 		c.series = metrics.NewTimeSeries(cfg.SeriesBucket)
 	}
-	return c
+	return c, nil
 }
 
 // newLane builds lane g's state. Both in-flight windows start at the
@@ -348,9 +334,11 @@ func (c *Client) Lanes() int { return len(c.lanes) }
 // the shard router assigns to group i.
 func (c *Client) LaneKey(i int) string { return c.lanes[i].key }
 
-// BatchStats exposes the proposed-batch occupancy counters: how many
-// batches this client issued and how full they ran.
-func (c *Client) BatchStats() *metrics.BatchOccupancy { return &c.batchOcc }
+// Collect adds the client's proposed-batch occupancy — how many batches
+// it issued and how full they ran — to s under the "batch." names. Like
+// every accessor here it reads plain fields: call it from the goroutine
+// driving the simulator.
+func (c *Client) Collect(s *obs.Snapshot) { s.AddBatchOccupancy("batch", &c.batchOcc) }
 
 // Latencies exposes the recorded latency histogram (post-warmup ops).
 func (c *Client) Latencies() *metrics.Histogram { return &c.hist }

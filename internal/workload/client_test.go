@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/obs"
+	"consensusinside/internal/readpath"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/shard"
 )
@@ -14,7 +16,16 @@ func newClient(tweak func(*Config)) (*Client, *runtime.FakeContext) {
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	return NewClient(cfg), runtime.NewFakeContext(10, 4)
+	return mustClient(cfg), runtime.NewFakeContext(10, 4)
+}
+
+// mustClient is NewClient for configs the tests wire by hand.
+func mustClient(cfg Config) *Client {
+	c, err := NewClient(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 func lastRequest(t *testing.T, ctx *runtime.FakeContext) (msg.NodeID, msg.ClientRequest) {
@@ -31,12 +42,17 @@ func lastRequest(t *testing.T, ctx *runtime.FakeContext) (msg.NodeID, msg.Client
 }
 
 func TestClientValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("client without servers must panic")
+	servers := []msg.NodeID{0, 1, 2}
+	for name, cfg := range map[string]Config{
+		"no servers":             {ID: 1},
+		"read percent above 100": {ID: 1, Servers: servers, ReadPercent: 101},
+		"negative read percent":  {ID: 1, Servers: servers, ReadPercent: -1},
+		"unknown read mode":      {ID: 1, Servers: servers, ReadMode: readpath.Mode(99)},
+	} {
+		if c, err := NewClient(cfg); err == nil || c != nil {
+			t.Errorf("client with %s accepted: %v, %v", name, c, err)
 		}
-	}()
-	NewClient(Config{ID: 1})
+	}
 }
 
 func TestClientClosedLoop(t *testing.T) {
@@ -353,7 +369,7 @@ func shardedClient(tweak func(*Config)) (*Client, *runtime.FakeContext) {
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	return NewClient(cfg), runtime.NewFakeContext(10, 7)
+	return mustClient(cfg), runtime.NewFakeContext(10, 7)
 }
 
 func TestClientShardLanesFillAllGroups(t *testing.T) {
@@ -456,13 +472,12 @@ func TestClientShardLaneRequestCapIsGlobal(t *testing.T) {
 	}
 }
 
+// TestClientShardLaneEmptyGroupPanics keeps its name from when
+// NewClient panicked; an empty group is a returned error now.
 func TestClientShardLaneEmptyGroupPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("client with an empty group must panic")
-		}
-	}()
-	NewClient(Config{ID: 1, Groups: [][]msg.NodeID{{0, 1, 2}, {}}})
+	if c, err := NewClient(Config{ID: 1, Groups: [][]msg.NodeID{{0, 1, 2}, {}}}); err == nil || c != nil {
+		t.Fatalf("client with an empty group accepted: %v, %v", c, err)
+	}
 }
 
 // batchedClient builds a single-group client with a window of 8 and a
@@ -472,7 +487,7 @@ func batchedClient(tweak func(*Config)) (*Client, *runtime.FakeContext) {
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	return NewClient(cfg), runtime.NewFakeContext(10, 4)
+	return mustClient(cfg), runtime.NewFakeContext(10, 4)
 }
 
 func TestClientBatchedWindowFill(t *testing.T) {
@@ -512,8 +527,10 @@ func TestClientBatchedWindowFill(t *testing.T) {
 			next++
 		}
 	}
-	if occ := c.BatchStats(); occ.Batches() != 2 || occ.Commands() != 8 {
-		t.Fatalf("occupancy = %d batches / %d commands, want 2/8", occ.Batches(), occ.Commands())
+	occ := obs.NewSnapshot()
+	c.Collect(&occ)
+	if occ.Counters["batch.batches"] != 2 || occ.Counters["batch.commands"] != 8 {
+		t.Fatalf("occupancy = %v, want 2 batches / 8 commands", occ.Counters)
 	}
 	// Every in-flight command still owns a retry timer.
 	armed := 0

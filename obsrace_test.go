@@ -1,18 +1,19 @@
 package consensusinside
 
-// The stats-concurrency audit, pinned. Every stats family the unified
-// registry absorbs (WireStats, ReadStats, SnapshotStats, batch
-// occupancy, the tracer, the event log) is produced by engine or
-// transport goroutines and snapshotted from arbitrary caller
-// goroutines, possibly while RestartReplica is swapping the very slots
-// the readers iterate. The synchronization contract:
+// The stats-concurrency audit, pinned. Every counters struct KV.Obs
+// collects (transport.Counters, snapshot.Counters, readpath.Counters,
+// the bridge's batch occupancy and ring growths, the tracer, the event
+// log) is written by engine or transport goroutines and collected from
+// arbitrary caller goroutines, possibly while RestartReplica is
+// swapping the very slots the collector walks. The synchronization
+// contract:
 //
-//   - WireStats and SnapshotStats producers keep per-field atomics —
-//     a snapshot tears across *fields* (it is not a consistent cut)
+//   - transport.Counters and snapshot.Counters are per-field atomics —
+//     a collection tears across *fields* (it is not a consistent cut)
 //     but never within one, and no update is lost;
-//   - ReadStats is guarded by the read-path server's mutex and copied
-//     out by value (its occupancy histogram is a fixed array, so the
-//     copy shares nothing);
+//   - readpath.Counters is plain integers guarded by the read-path
+//     server's mutex, which Collect takes; the bridge's occupancy
+//     likewise under the bridge mutex;
 //   - the per-replica slots (engines, TCP nodes) are guarded by the
 //     shard mutex against RestartReplica's swap;
 //   - tracer and event log are internally synchronized.
@@ -93,10 +94,22 @@ func obsSnapshotRace(t *testing.T, transport TransportKind) {
 					t.Errorf("trace.started %d < trace.finished %d", c, snap.Counters["trace.finished"])
 					return
 				}
-				_ = kv.WireStats()
-				rs := kv.ReadStats()
-				_ = rs.ReadsPerRound()
-				_ = kv.SnapshotStats()
+				if in, out := snap.Counters["wire.frames_in"], snap.Counters["wire.frames_out"]; transport == InProc && in+out != 0 {
+					t.Errorf("InProc service counted wire frames: %d in, %d out", in, out)
+					return
+				}
+				if snap.Counters["read.index_reads"] < snap.Counters["read.index_rounds"] {
+					t.Errorf("read path: %d index reads < %d rounds", snap.Counters["read.index_reads"], snap.Counters["read.index_rounds"])
+					return
+				}
+				// The live structs, read the way the per-package tests do,
+				// from under the shard mutex that guards the slots.
+				sh := kv.shards[0]
+				sh.mu.Lock()
+				for _, n := range sh.tcp {
+					_ = n.Stats.FramesOut.Load()
+				}
+				sh.mu.Unlock()
 				occ := kv.BatchStats()
 				if occ.Commands() < occ.Batches() {
 					t.Errorf("batch occupancy: %d commands < %d batches", occ.Commands(), occ.Batches())

@@ -8,8 +8,10 @@
 # comment, when any command/example main is missing a header comment,
 # when an engine package builds a subsystem the replica shell owns,
 # when a wall-clock sweep driver or a recorded BENCH_*.json reappears
-# beside bench/, or when a doc file that other docs link to is absent. The point is
-# that the docs pass of PR 2 cannot silently rot.
+# beside bench/, when a second stats path grows back beside internal/obs
+# (a typed stats struct, an adapter, a registry gauge, a metric name
+# spelled outside its owner), or when a doc file that other docs link to
+# is absent. The point is that the docs pass of PR 2 cannot silently rot.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -85,6 +87,32 @@ if [ -n "$regrown" ]; then
     echo "$regrown" >&2
     fail=1
 fi
+
+# internal/obs's named snapshot is the one stats surface: a subsystem
+# keeps one live counters struct and one Collect method that spells its
+# names beside the fields. A typed copy-out struct in internal/metrics,
+# an adapter in internal/obs, or a registry-owned gauge is the second
+# stats system growing back; a "wire." / "snap." / "read." name spelled
+# outside the package that owns the counters is a second place to edit
+# (bench/ only reads the names; comments may mention them).
+sources=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*')
+second=$(grep -nE 'metrics\.(WireStats|SnapshotStats|ReadStats)|Add(Wire|Read|Snapshot)Stats\(|\*Registry\) (Gauge|Counter)\(' $sources)
+if [ -n "$second" ]; then
+    echo "docscheck: stats go through Collect(*obs.Snapshot), not typed structs, adapters or registry gauges:" >&2
+    echo "$second" >&2
+    fail=1
+fi
+for owned in wire:internal/transport snap:internal/snapshot read:internal/readpath; do
+    prefix=${owned%%:*}
+    owner=${owned#*:}
+    stray=$(grep -nE "\"$prefix\\.[a-z]" $(echo "$sources" | grep -v "^./$owner/") |
+        grep -vE '^[^:]+:[0-9]+:[[:space:]]*//')
+    if [ -n "$stray" ]; then
+        echo "docscheck: \"$prefix.*\" metric names are spelled only in $owner (its Collect method):" >&2
+        echo "$stray" >&2
+        fail=1
+    fi
+done
 
 # Documentation files the code and other docs point at.
 for doc in README.md DESIGN.md EXPERIMENTS.md docs/BENCHMARKS.md; do
