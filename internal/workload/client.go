@@ -6,8 +6,9 @@
 //
 // Beyond the paper's closed loop, a client can run a pipelined window of
 // N outstanding commands (Config.Window): sequence numbers stay strictly
-// increasing, every in-flight command carries its own retry timer, and
-// the replicas' windowed session tracking keeps replies exactly-once.
+// increasing, one retry timer per lane sleeps until the oldest
+// outstanding transmission is due, and the replicas' windowed session
+// tracking keeps replies exactly-once.
 // On top of the window, Config.BatchSize coalesces up to that many
 // outstanding commands into one batched request — one consensus
 // instance decides them all — with Config.BatchDelay optionally holding
@@ -27,6 +28,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"consensusinside/internal/linearize"
@@ -45,7 +47,7 @@ import (
 // route them unambiguously next to a replica's kinds.
 const (
 	TimerSend       = 900 // think time elapsed: fill the window
-	TimerRetry      = 901 // Arg: the (tagged) request seq the retry guards
+	TimerRetry      = 901 // Arg: the lane index whose oldest transmission is due
 	TimerBatchFlush = 902 // Arg: the lane index whose partial batch is due
 	TimerReadRetry  = 903 // Arg: the (tagged) read seq the retry guards
 )
@@ -83,17 +85,17 @@ type Config struct {
 	// into one request — one consensus instance — per lane (0 or 1 is
 	// the paper's one-command-per-instance behavior). Batches are drawn
 	// from the lane's free window slots, so the effective cap is
-	// min(BatchSize, Window). With a think time configured, pacing stays
-	// per command and batches never form.
+	// min(BatchSize, Window). While a full batch of demand is pending but
+	// the free slots are short of one, the lane holds: replicas answer a
+	// batch with one ClientReplyBatch, so the slots free together and the
+	// refill is a full batch again.
 	BatchSize int
 
-	// BatchDelay, when positive, holds a partial batch back for up to
-	// this long waiting for more window slots to free, instead of
+	// BatchDelay, when positive, holds a batch the remaining demand
+	// cannot fill (the tail of a Requests budget, a think-time-paced
+	// command) back for up to this long waiting for more, instead of
 	// issuing it immediately — the group-commit latency/occupancy
-	// trade. Zero issues partial batches at once, which stays efficient
-	// because replicas answer a batch with one ClientReplyBatch: the
-	// whole batch's slots free together, so the refill is a full batch
-	// again.
+	// trade.
 	BatchDelay time.Duration
 
 	// BatchAdaptive, when set, replaces the fixed BatchSize with a
@@ -102,8 +104,7 @@ type Config struct {
 	// stay pipelined, and holds a sub-cap batch while slots are scarce
 	// so single-command batches cannot self-perpetuate. It requires
 	// Window >= 2 and conflicts with BatchSize > 1 and BatchDelay > 0
-	// (the adaptive hold subsumes the flush timer). With a think time
-	// configured, pacing still wins and batches never form.
+	// (the adaptive hold subsumes the flush timer).
 	BatchAdaptive bool
 
 	// ThinkTime is the pause between receiving a reply and sending the
@@ -178,6 +179,7 @@ type lane struct {
 	seq      uint64 // lane-local issued count; tagged via shard.TagSeq
 	inflight int    // outstanding commands in this lane (reads included)
 	deferred bool   // a partial batch is holding for the flush timer
+	armed    bool   // the lane's retry timer is pending
 
 	// flights holds the lane's in-flight writes by tagged seq — the same
 	// dense window the KV bridge keeps (seqwin), whose Low is the lowest
@@ -196,11 +198,10 @@ type lane struct {
 
 // flight is one in-flight command.
 type flight struct {
-	op     msg.Op // stable across resends
-	val    string // written value, stable across resends
-	rec    int    // recorder op id (-1 when not recording)
-	sentAt time.Duration
-	cancel runtime.CancelFunc // pending retry timer for this seq
+	op     msg.Op        // stable across resends
+	val    string        // written value, stable across resends
+	rec    int           // recorder op id (-1 when not recording)
+	sentAt time.Duration // last transmission: the retry and latency clock
 }
 
 // readFlight is one in-flight fast-path read.
@@ -214,12 +215,13 @@ type readFlight struct {
 // pipelined window per group when Config.Window > 1 or Config.Groups is
 // set.
 type Client struct {
-	cfg    Config
-	window int // per-lane depth
-	batch  int // per-lane batch cap, clamped to the window
-	lanes  []*lane
-	next   int // lane round-robin cursor for paced issue
-	issued int // total commands issued across lanes
+	cfg     Config
+	window  int // per-lane depth
+	batch   int // per-lane batch cap, clamped to the window
+	lanes   []*lane
+	next    int // lane round-robin cursor for paced issue
+	issued  int // total commands issued across lanes
+	credits int // paced only: think ticks not yet spent on a command
 
 	maxInflight int
 	completed   int
@@ -428,9 +430,6 @@ func (c *Client) onReply(ctx runtime.Context, reply msg.ClientReply) bool {
 		c.cfg.Tracer.Finish(c.cfg.ID, reply.Seq, ctx.Now())
 	}
 	ln.inflight--
-	if f.cancel != nil {
-		f.cancel() // retire the pending retry timer with the command
-	}
 	if f.rec >= 0 {
 		c.cfg.Record.Return(f.rec, reply.Result, ctx.Now())
 	}
@@ -507,21 +506,12 @@ func (c *Client) complete(ctx runtime.Context, sentAt time.Duration, op msg.Op) 
 func (c *Client) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 	switch tag.Kind {
 	case TimerSend:
+		if c.cfg.ThinkTime > 0 {
+			c.credits++
+		}
 		c.fill(ctx)
 	case TimerRetry:
-		seq := uint64(tag.Arg)
-		ln := c.laneOf(seq)
-		if f := ln.flights.Ptr(seq); f != nil {
-			// No reply in time: suspect the server, rotate within the
-			// command's own group, resend the same command (the session
-			// layer deduplicates). The resend keeps the original seq —
-			// whether the command first went out alone or inside a
-			// batch — so a late commit of the original batch and the
-			// retry can never double-execute.
-			c.retries++
-			ln.target = (ln.target + 1) % len(ln.servers)
-			c.resend(ctx, ln, seq, f)
-		}
+		c.retryLane(ctx, c.lanes[tag.Arg])
 	case TimerReadRetry:
 		seq := uint64(tag.Arg)
 		ln := c.laneOf(seq)
@@ -532,61 +522,109 @@ func (c *Client) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 			c.resendRead(ctx, ln, seq, f)
 		}
 	case TimerBatchFlush:
-		// The lane's held-back partial batch is due: issue whatever the
-		// window allows right now, full or not.
+		// The lane's held-back partial batch is due: issue what the
+		// window and the demand allow right now, full or not.
 		ln := c.lanes[tag.Arg]
 		if !ln.deferred {
 			return // a full batch already went out in the meantime
 		}
 		ln.deferred = false
-		n := c.batchFor(ln)
-		if n > 0 {
+		if n, _ := c.admit(ln, true); n > 0 {
 			c.issueBatch(ctx, ln, n)
 		}
 	}
 }
 
-// batchFor reports how many commands the lane could issue right now:
-// its free window slots, capped by the batch size and the request cap.
-func (c *Client) batchFor(ln *lane) int {
-	n := c.window - ln.inflight
-	if n > c.batch {
-		n = c.batch
-	}
-	if c.cfg.Requests > 0 {
-		if left := c.cfg.Requests - c.issued; n > left {
-			n = left
+// retryLane is the lane's one retry timer: it sleeps until the oldest
+// outstanding transmission is due. Everything due at this tick — no
+// reply within RetryTimeout of its last transmission — is resent as ONE
+// request under the original seqs after ONE rotation of the cursor
+// (suspect the server, try the next of the command's own group; the
+// session layer deduplicates against any still-live copy). The timer
+// then sleeps until the next-oldest transmission is due, and dies when
+// nothing is outstanding.
+func (c *Client) retryLane(ctx runtime.Context, ln *lane) {
+	now := ctx.Now()
+	var entries []msg.BatchEntry
+	oldest := now
+	for seq, f := range ln.flights.All() {
+		if now-f.sentAt >= c.cfg.RetryTimeout {
+			f.sentAt = now
+			entries = append(entries, msg.BatchEntry{Seq: seq, Cmd: msg.Command{Op: f.op, Key: ln.key, Val: f.val}})
 		}
+		if f.sentAt < oldest {
+			oldest = f.sentAt
+		}
+	}
+	if len(entries) > 0 {
+		c.retries += len(entries)
+		ln.target = (ln.target + 1) % len(ln.servers)
+		ctx.Send(ln.servers[ln.target], msg.NewRequest(c.cfg.ID, ln.flights.Low(), entries))
+	}
+	ln.armed = ln.flights.Len() > 0
+	if ln.armed {
+		ctx.After(oldest+c.cfg.RetryTimeout-now, runtime.TimerTag{Kind: TimerRetry, Arg: int64(ln.shard)})
+	}
+}
+
+// pending reports the demand still waiting to be issued: the unissued
+// request budget (unbounded when Requests is 0), capped by the think-tick
+// credits when the client is paced.
+func (c *Client) pending() int {
+	n := math.MaxInt
+	if c.cfg.Requests > 0 {
+		n = c.cfg.Requests - c.issued
+	}
+	if c.cfg.ThinkTime > 0 && c.credits < n {
+		n = c.credits
 	}
 	return n
 }
 
-// fullBatch reports the largest batch still possible this run: the
-// configured cap, shrunk by an exhausted request budget. BatchDelay
-// only ever waits for batches below this — waiting cannot grow a
-// budget-limited tail batch.
-func (c *Client) fullBatch() int {
-	full := c.batch
-	if c.cfg.Requests > 0 {
-		if left := c.cfg.Requests - c.issued; left < full {
-			full = left
-		}
+// admit is the lane's admission rule over (free slots, pending demand):
+// how many commands to issue as one request right now, and whether a
+// held-back partial batch needs the flush timer. Adaptive: at most half
+// the window per instance, and hold while more is pending than the free
+// slots admit. Static: at most BatchSize; hold (no timer — slots are
+// short, so a reply is coming) when a full batch is pending but the
+// slots are short of it; hold for the flush timer when the demand
+// itself is short of a batch and BatchDelay is set.
+func (c *Client) admit(ln *lane, force bool) (n int, flush bool) {
+	pending := c.pending()
+	n = min(c.window-ln.inflight, pending)
+	if n <= 0 {
+		return 0, false
 	}
-	return full
+	n = min(n, c.batch)
+	if n == c.batch {
+		return n, false
+	}
+	if c.cfg.BatchAdaptive {
+		if pending > n {
+			return 0, false
+		}
+		return n, false
+	}
+	if pending >= c.batch {
+		return 0, false
+	}
+	if c.cfg.BatchDelay > 0 && !force {
+		return 0, true
+	}
+	return n, false
 }
 
-// fill issues new commands until every lane's window is full (or
-// holding a partial batch for its flush timer) or the request cap is
-// reached, visiting lanes round-robin so a sharded client loads its
-// groups evenly. Each visit issues up to BatchSize commands as one
-// batched request — one consensus instance. With a think time
-// configured, each invocation issues at most one command — pacing stays
-// per command even when several completions have freed window slots —
-// and re-arms a think tick while slots remain free, so a pipelined
+// fill issues new commands until every lane's window is full or held
+// by the admission rule, or the demand is spent, visiting lanes
+// round-robin so a sharded client loads its groups evenly. Each visit
+// issues one request — one consensus instance. With a think time
+// configured the demand is the think-tick credits: each tick pays for
+// one command, a credit the full windows cannot take is dropped, and a
+// tick that issued re-arms while slots remain free, so a pipelined
 // window still ramps up to its depth at one command per pause.
 func (c *Client) fill(ctx runtime.Context) {
 	sent := 0
-	var held map[*lane]bool // lanes holding for their flush timer this pass
+	var held map[*lane]bool // lanes the admission rule is holding this pass
 	for {
 		idx := -1
 		for i := 0; i < len(c.lanes); i++ {
@@ -597,41 +635,18 @@ func (c *Client) fill(ctx runtime.Context) {
 			}
 		}
 		if idx < 0 {
-			return // every lane is full or waiting on its flush timer
+			break // every lane is full or held
 		}
-		if c.cfg.ThinkTime > 0 && sent >= 1 {
-			ctx.After(c.cfg.ThinkTime, runtime.TimerTag{Kind: TimerSend})
-			return
-		}
-		if c.cfg.Requests > 0 && c.issued >= c.cfg.Requests {
-			return // every command issued; late timers must not overshoot
+		if c.pending() <= 0 {
+			if c.cfg.ThinkTime > 0 && sent >= 1 {
+				ctx.After(c.cfg.ThinkTime, runtime.TimerTag{Kind: TimerSend})
+			}
+			break
 		}
 		ln := c.lanes[idx]
-		n := c.batchFor(ln)
-		if c.cfg.ThinkTime > 0 {
-			// A paced lane never bursts and never defers: batching (and
-			// its delay) stays off under think time, one command per tick.
-			n = 1
-		} else if c.cfg.BatchAdaptive && n < c.fullBatch() {
-			// Adaptive hold: free slots, not the request budget, are what
-			// is short of the half-window cap. Issuing now would burn an
-			// instance on a sub-cap batch whose replies free slots one at
-			// a time — the batch-of-one spiral — so wait instead for the
-			// in-flight batch's replies to free a cap's worth together.
-			// No timer is needed: slots are short, so a reply is coming,
-			// and every reply re-enters fill.
-			if held == nil {
-				held = make(map[*lane]bool, len(c.lanes))
-			}
-			held[ln] = true
-			continue
-		} else if c.cfg.BatchDelay > 0 && n < c.fullBatch() {
-			// Free slots, not the request budget, are what is short of a
-			// full batch: hold the lane back up to BatchDelay for more
-			// completions, instead of burning an instance on a partial
-			// batch. (A budget-limited tail batch can never grow — no
-			// amount of waiting raises it — so it goes out immediately.)
-			if !ln.deferred {
+		n, flush := c.admit(ln, false)
+		if n == 0 {
+			if flush && !ln.deferred {
 				ln.deferred = true
 				ctx.After(c.cfg.BatchDelay, runtime.TimerTag{Kind: TimerBatchFlush, Arg: int64(idx)})
 			}
@@ -645,6 +660,16 @@ func (c *Client) fill(ctx runtime.Context) {
 		c.issueBatch(ctx, ln, n)
 		sent += n
 	}
+	if c.cfg.ThinkTime > 0 {
+		// A credit no lane could take is dropped, unless a lane is
+		// holding it for its flush timer.
+		for _, ln := range c.lanes {
+			if ln.deferred {
+				return
+			}
+		}
+		c.credits = 0
+	}
 }
 
 // issueBatch assigns the lane's next n tagged sequence numbers and
@@ -654,6 +679,9 @@ func (c *Client) fill(ctx runtime.Context) {
 // sequence space dense for the session tables.
 func (c *Client) issueBatch(ctx runtime.Context, ln *lane, n int) {
 	ln.deferred = false
+	if c.cfg.ThinkTime > 0 {
+		c.credits -= n
+	}
 	fastReads := c.cfg.ReadMode != readpath.Consensus
 	entries := make([]msg.BatchEntry, 0, n)
 	var readEntries []msg.BatchEntry
@@ -709,9 +737,11 @@ func (c *Client) issueBatch(ctx runtime.Context, ln *lane, n int) {
 		ctx.Send(ln.servers[ln.target], req)
 		c.batchOcc.Record(len(entries))
 		for _, be := range entries {
-			f := ln.flights.Ptr(be.Seq)
-			f.sentAt = now
-			f.cancel = ctx.After(c.cfg.RetryTimeout, runtime.TimerTag{Kind: TimerRetry, Arg: int64(be.Seq)})
+			ln.flights.Ptr(be.Seq).sentAt = now
+		}
+		if !ln.armed {
+			ln.armed = true
+			ctx.After(c.cfg.RetryTimeout, runtime.TimerTag{Kind: TimerRetry, Arg: int64(ln.shard)})
 		}
 	}
 	if len(readEntries) > 0 {
@@ -730,10 +760,9 @@ func (c *Client) issueBatch(ctx runtime.Context, ln *lane, n int) {
 }
 
 // resend transmits f's command under its tagged seq to the lane's
-// current target and re-arms the per-seq retry timer. A retried command
-// always travels under its original sequence number — it rejoins the
-// batch machinery as a batch of one, and the replicas' session dedupe
-// reconciles it with any still-live copy of the batch it left.
+// current target at once (a redirect named a better server). A resent
+// command always travels under its original sequence number, and the
+// lane's retry timer counts from this transmission.
 func (c *Client) resend(ctx runtime.Context, ln *lane, seq uint64, f *flight) {
 	f.sentAt = ctx.Now()
 	req := msg.ClientRequest{
@@ -743,10 +772,6 @@ func (c *Client) resend(ctx runtime.Context, ln *lane, seq uint64, f *flight) {
 		Ack:    ln.flights.Low(),
 	}
 	ctx.Send(ln.servers[ln.target], req)
-	if f.cancel != nil {
-		f.cancel()
-	}
-	f.cancel = ctx.After(c.cfg.RetryTimeout, runtime.TimerTag{Kind: TimerRetry, Arg: int64(seq)})
 }
 
 // resendRead transmits f's read under its tagged read seq to the

@@ -28,6 +28,13 @@ func mustClient(cfg Config) *Client {
 	return c
 }
 
+// retryTick lets every outstanding transmission of lane go overdue and
+// fires the lane's retry timer.
+func retryTick(c *Client, ctx *runtime.FakeContext, lane int) {
+	ctx.Clock += DefaultRetryTimeout
+	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry, Arg: int64(lane)})
+}
+
 func lastRequest(t *testing.T, ctx *runtime.FakeContext) (msg.NodeID, msg.ClientRequest) {
 	t.Helper()
 	s := ctx.LastSent()
@@ -114,7 +121,7 @@ func TestClientRetryRotatesServers(t *testing.T) {
 	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
 	_, req := lastRequest(t, ctx)
 	// Timeout: same seq, next server.
-	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry, Arg: int64(req.Seq)})
+	retryTick(c, ctx, 0)
 	to, req2 := lastRequest(t, ctx)
 	if to != 1 {
 		t.Fatalf("retry went to %d, want next server 1", to)
@@ -128,11 +135,11 @@ func TestClientRetryRotatesServers(t *testing.T) {
 	if c.Retries() != 1 {
 		t.Fatalf("Retries = %d, want 1", c.Retries())
 	}
-	// A stale retry timer (older seq) is ignored.
+	// A tick that finds nothing overdue resends nothing.
 	n := len(ctx.Sent)
-	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry, Arg: int64(req.Seq - 1)})
+	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry})
 	if len(ctx.Sent) != n {
-		t.Fatal("stale retry fired a resend")
+		t.Fatal("a tick with nothing overdue fired a resend")
 	}
 }
 
@@ -282,6 +289,10 @@ func TestClientPipelinedWindow(t *testing.T) {
 	}
 }
 
+// TestClientPipelinedRetryIsPerSeq: the lane has one retry timer, but
+// every flight keeps its own clock — a tick resends exactly the flights
+// whose own last transmission is RetryTimeout old, and sleeps until the
+// next-oldest is due.
 func TestClientPipelinedRetryIsPerSeq(t *testing.T) {
 	c, ctx := newClient(func(cfg *Config) { cfg.Window = 3 })
 	c.Start(ctx)
@@ -289,29 +300,33 @@ func TestClientPipelinedRetryIsPerSeq(t *testing.T) {
 	if c.InFlight() != 3 {
 		t.Fatalf("in flight = %d", c.InFlight())
 	}
-	n := len(ctx.Sent)
-	// Retry timer for seq 2 resends only seq 2, rotated to the next server.
-	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry, Arg: 2})
-	if len(ctx.Sent) != n+1 {
-		t.Fatalf("retry sent %d messages, want 1", len(ctx.Sent)-n)
+	// Seq 2 completes half a timeout in; its replacement, seq 4, starts
+	// its own clock there.
+	ctx.Clock = DefaultRetryTimeout / 2
+	c.Receive(ctx, 0, msg.ClientReply{Seq: 2, OK: true})
+	ctx.Sent = nil
+	// The tick at one timeout resends seqs 1 and 3 only, in one request
+	// rotated to the next server.
+	ctx.Clock = DefaultRetryTimeout
+	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry})
+	if len(ctx.Sent) != 1 {
+		t.Fatalf("retry sent %d messages, want 1", len(ctx.Sent))
 	}
 	to, req := lastRequest(t, ctx)
-	if req.Seq != 2 || to != 1 {
-		t.Fatalf("retry = seq %d to %d, want seq 2 to server 1", req.Seq, to)
+	if entries := req.Entries(); to != 1 || len(entries) != 2 || entries[0].Seq != 1 || entries[1].Seq != 3 {
+		t.Fatalf("retry = %+v to %d, want seqs 1 and 3 to server 1", req, to)
 	}
-	if c.Retries() != 1 {
-		t.Fatalf("Retries = %d", c.Retries())
+	if c.Retries() != 2 {
+		t.Fatalf("Retries = %d, want 2", c.Retries())
 	}
-	// A retry for an already-completed seq is a no-op.
-	c.Receive(ctx, 1, msg.ClientReply{Seq: 2, OK: true})
-	n = len(ctx.Sent)
-	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry, Arg: 2})
-	// (the completion refilled the window with seq 4, so only compare retries)
-	if c.Retries() != 1 {
-		t.Fatalf("stale retry must not count: %d", c.Retries())
+	// The timer sleeps until seq 4 is due, half a timeout on.
+	if tm := ctx.Timers[len(ctx.Timers)-1]; tm.Tag.Kind != TimerRetry || tm.At != DefaultRetryTimeout*3/2 {
+		t.Fatalf("retry timer re-armed as %+v, want seq 4's due time %v", tm, DefaultRetryTimeout*3/2)
 	}
-	_ = n
-	// Window cap respected throughout.
+	// A tick after everything completed resends nothing and dies.
+	for _, seq := range []uint64{1, 3, 4} {
+		c.Receive(ctx, 1, msg.ClientReply{Seq: seq, OK: true})
+	}
 	if c.MaxInFlight() > 3 {
 		t.Fatalf("window exceeded: %d", c.MaxInFlight())
 	}
@@ -408,12 +423,12 @@ func TestClientShardLaneRetryStaysInGroup(t *testing.T) {
 	c, ctx := shardedClient(nil)
 	c.Start(ctx)
 	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
-	// Time out one command of lane 1 repeatedly: every resend must stay
-	// inside group 1's replica set {3,4,5}.
+	// Time out lane 1 repeatedly: every resend must stay inside group
+	// 1's replica set {3,4,5}.
 	seq := shard.TagSeq(1, 1)
 	for i := 0; i < 5; i++ {
 		ctx.Sent = nil
-		c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry, Arg: int64(seq)})
+		retryTick(c, ctx, 1)
 		to, req := lastRequest(t, ctx)
 		if to < 3 || to > 5 {
 			t.Fatalf("retry %d went to node %d, outside group 1", i, to)
@@ -422,8 +437,8 @@ func TestClientShardLaneRetryStaysInGroup(t *testing.T) {
 			t.Fatalf("retry changed seq: %d", req.Seq)
 		}
 	}
-	if c.Retries() != 5 {
-		t.Fatalf("retries = %d, want 5", c.Retries())
+	if c.Retries() != 10 {
+		t.Fatalf("retries = %d, want lane 1's two commands resent 5 times", c.Retries())
 	}
 }
 
@@ -455,7 +470,7 @@ func TestClientShardLaneAckIsPerLane(t *testing.T) {
 	// carried ack must be lane 1's own floor, not lane 0's.
 	c.Receive(ctx, 3, msg.ClientReply{Seq: shard.TagSeq(1, 1), OK: true})
 	ctx.Sent = nil
-	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry, Arg: int64(shard.TagSeq(1, 2))})
+	retryTick(c, ctx, 1)
 	_, req := lastRequest(t, ctx)
 	if req.Ack != shard.TagSeq(1, 2) {
 		t.Fatalf("lane 1 ack = %d, want its own lowest outstanding %d",
@@ -532,15 +547,15 @@ func TestClientBatchedWindowFill(t *testing.T) {
 	if occ.Counters["batch.batches"] != 2 || occ.Counters["batch.commands"] != 8 {
 		t.Fatalf("occupancy = %v, want 2 batches / 8 commands", occ.Counters)
 	}
-	// Every in-flight command still owns a retry timer.
+	// One retry timer serves the whole lane.
 	armed := 0
 	for _, tm := range ctx.Timers {
-		if tm.Tag.Kind == TimerRetry && !tm.Cancelled {
+		if tm.Tag.Kind == TimerRetry {
 			armed++
 		}
 	}
-	if armed != 8 {
-		t.Fatalf("%d retry timers armed, want 8 (one per command)", armed)
+	if armed != 1 {
+		t.Fatalf("%d retry timers armed, want 1 for the lane", armed)
 	}
 }
 
@@ -572,11 +587,11 @@ func TestClientBatchedReplyRefillsAsBatch(t *testing.T) {
 	}
 }
 
-// TestClientBatchedRetryKeepsSeq is the per-seq retry audit under
-// batching: a command that times out after travelling inside a batch is
-// resent under its ORIGINAL sequence number — it rejoins the batch
-// machinery as a batch of one, no fresh seq is burned, and the
-// eventual commits of both copies retire it exactly once.
+// TestClientBatchedRetryKeepsSeq is the retry audit under batching: a
+// batch that times out is resent whole, as ONE request to ONE next
+// server, every command under its ORIGINAL sequence number — no fresh
+// seq is burned, and the eventual commits of both copies retire each
+// command exactly once.
 func TestClientBatchedRetryKeepsSeq(t *testing.T) {
 	c, ctx := batchedClient(nil)
 	c.Start(ctx)
@@ -587,10 +602,7 @@ func TestClientBatchedRetryKeepsSeq(t *testing.T) {
 	}
 	issuedBefore := c.issued
 
-	// Seq 2's retry timer fires: the resend must carry seq 2 and its
-	// original command, rotated to the next server, without issuing any
-	// new sequence number or touching the other in-flight commands.
-	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry, Arg: 2})
+	retryTick(c, ctx, 0)
 	sent := ctx.TakeSent()
 	if len(sent) != 1 {
 		t.Fatalf("retry sent %d messages, want 1", len(sent))
@@ -599,17 +611,22 @@ func TestClientBatchedRetryKeepsSeq(t *testing.T) {
 	if sent[0].To != 1 {
 		t.Fatalf("retry went to %d, want next server 1", sent[0].To)
 	}
-	if retry.Seq != 2 || len(retry.Batch) != 0 {
-		t.Fatalf("retry = %+v, want bare seq 2", retry)
+	if len(retry.Batch) != 8 || retry.Seq != 1 || retry.Ack != 1 {
+		t.Fatalf("retry = %+v, want all 8 outstanding seqs from 1", retry)
 	}
-	if retry.Cmd != first.Entries()[1].Cmd {
-		t.Fatalf("retry changed command: %+v vs %+v", retry.Cmd, first.Entries()[1].Cmd)
+	for i, be := range retry.Batch {
+		if be.Seq != uint64(i+1) {
+			t.Fatalf("retry entry %d carries seq %d, want %d", i, be.Seq, i+1)
+		}
+	}
+	if retry.Batch[1].Cmd != first.Entries()[1].Cmd {
+		t.Fatalf("retry changed command: %+v vs %+v", retry.Batch[1].Cmd, first.Entries()[1].Cmd)
 	}
 	if c.issued != issuedBefore {
 		t.Fatalf("retry issued new seqs: %d -> %d", issuedBefore, c.issued)
 	}
-	if c.Retries() != 1 {
-		t.Fatalf("Retries = %d, want 1", c.Retries())
+	if c.Retries() != 8 {
+		t.Fatalf("Retries = %d, want 8", c.Retries())
 	}
 	if got := c.InFlight(); got != 8 {
 		t.Fatalf("in flight = %d, want unchanged 8", got)
@@ -634,25 +651,21 @@ func TestClientBatchedRetryKeepsSeq(t *testing.T) {
 
 func TestClientBatchDelayHoldsPartialBatch(t *testing.T) {
 	c, ctx := batchedClient(func(cfg *Config) {
-		cfg.Window = 4
+		cfg.Requests = 6
 		cfg.BatchDelay = time.Millisecond
 	})
 	c.Start(ctx)
 	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
-	if got := c.InFlight(); got != 4 {
-		t.Fatalf("in flight = %d, want a full first batch", got)
-	}
-	ctx.Sent = nil
-	// A single completion frees one slot — short of a full batch, the
-	// lane must hold and arm a flush timer rather than burn an
-	// instance on one command.
-	c.Receive(ctx, 0, msg.ClientReply{Seq: 1, OK: true})
-	if len(ctx.Sent) != 0 {
-		t.Fatalf("partial batch issued despite BatchDelay: %+v", ctx.Sent)
+	// The budget pays for one full batch; the two commands left are short
+	// of a batch, so the lane holds them for stragglers and arms a flush
+	// timer rather than burn an instance on a partial batch.
+	sent := ctx.TakeSent()
+	if len(sent) != 1 || len(sent[0].M.(msg.ClientRequest).Entries()) != 4 {
+		t.Fatalf("sent %+v, want one full batch", sent)
 	}
 	var flush *runtime.FakeTimer
 	for i := range ctx.Timers {
-		if ctx.Timers[i].Tag.Kind == TimerBatchFlush && !ctx.Timers[i].Cancelled {
+		if ctx.Timers[i].Tag.Kind == TimerBatchFlush {
 			flush = &ctx.Timers[i]
 		}
 	}
@@ -664,63 +677,38 @@ func TestClientBatchDelayHoldsPartialBatch(t *testing.T) {
 	}
 	// The deadline passes: the partial batch goes out as-is.
 	c.Timer(ctx, flush.Tag)
-	sent := ctx.TakeSent()
+	sent = ctx.TakeSent()
 	if len(sent) != 1 {
 		t.Fatalf("flush sent %d requests, want 1", len(sent))
 	}
-	if req := sent[0].M.(msg.ClientRequest); len(req.Entries()) != 1 || req.Seq != 5 {
-		t.Fatalf("flushed batch = %+v, want single seq 5", req)
-	}
-	if got := c.InFlight(); got != 4 {
-		t.Fatalf("in flight = %d, want refilled 4", got)
-	}
-}
-
-func TestClientThinkTimePacingBypassesBatchDelay(t *testing.T) {
-	// Under think time, pacing is per command: the BatchDelay defer must
-	// not swallow the paced single into a flush-timer burst.
-	c, ctx := batchedClient(func(cfg *Config) {
-		cfg.ThinkTime = 2 * time.Millisecond
-		cfg.BatchDelay = time.Millisecond
-	})
-	c.Start(ctx)
-	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
-	sent := ctx.TakeSent()
-	if len(sent) != 1 {
-		t.Fatalf("paced tick sent %d requests, want exactly 1", len(sent))
-	}
-	if req := sent[0].M.(msg.ClientRequest); len(req.Batch) != 0 {
-		t.Fatalf("paced command went out batched: %+v", req)
-	}
-	for _, tm := range ctx.Timers {
-		if tm.Tag.Kind == TimerBatchFlush {
-			t.Fatal("paced lane armed a batch flush timer")
-		}
-	}
-}
-
-func TestClientBudgetLimitedTailBatchSkipsDelay(t *testing.T) {
-	// The run's last batch is capped by the request budget, not by free
-	// window slots: waiting can never grow it, so it must go out
-	// immediately despite BatchDelay.
-	c, ctx := batchedClient(func(cfg *Config) {
-		cfg.Requests = 6
-		cfg.BatchDelay = time.Millisecond
-	})
-	c.Start(ctx)
-	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
-	sent := ctx.TakeSent()
-	if len(sent) != 2 {
-		t.Fatalf("sent %d requests, want a full batch plus the tail", len(sent))
-	}
-	if req := sent[0].M.(msg.ClientRequest); len(req.Entries()) != 4 {
-		t.Fatalf("first batch = %d entries, want 4", len(req.Entries()))
-	}
-	if req := sent[1].M.(msg.ClientRequest); len(req.Entries()) != 2 {
-		t.Fatalf("tail batch = %d entries, want the remaining 2 without waiting", len(req.Entries()))
+	if req := sent[0].M.(msg.ClientRequest); len(req.Entries()) != 2 || req.Seq != 5 {
+		t.Fatalf("flushed batch = %+v, want seqs 5 and 6", req)
 	}
 	if got := c.InFlight(); got != 6 {
 		t.Fatalf("in flight = %d, want the whole budget issued", got)
+	}
+}
+
+// TestClientHoldsWhenSlotsAreShortOfABatch is decision 2's guard: with a
+// full batch of demand pending and fewer free slots than a batch, a
+// static lane sends nothing and arms nothing — the replies that free the
+// slots arrive batched, and the refill is a full batch.
+func TestClientHoldsWhenSlotsAreShortOfABatch(t *testing.T) {
+	c, ctx := batchedClient(nil)
+	c.Start(ctx)
+	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
+	ctx.TakeSent()
+	timers := len(ctx.Timers)
+	for seq := uint64(1); seq <= 3; seq++ {
+		c.Receive(ctx, 0, msg.ClientReply{Seq: seq, OK: true})
+	}
+	if len(ctx.Sent) != 0 || len(ctx.Timers) != timers {
+		t.Fatalf("3 free slots, batch 4: sent %+v and armed %+v, want nothing", ctx.Sent, ctx.Timers[timers:])
+	}
+	c.Receive(ctx, 0, msg.ClientReply{Seq: 4, OK: true})
+	sent := ctx.TakeSent()
+	if len(sent) != 1 || len(sent[0].M.(msg.ClientRequest).Entries()) != 4 {
+		t.Fatalf("fourth free slot sent %+v, want one full batch", sent)
 	}
 }
 
@@ -750,10 +738,10 @@ func TestClientPinnedFlightOutlivesWindow(t *testing.T) {
 	if c.Completed() != 38 {
 		t.Fatal("stale reply completed a command twice")
 	}
-	// The pinned command's retry timer still finds it...
+	// The lane's retry timer still finds the pinned command (oldest first)...
 	ctx.Sent = nil
-	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry, Arg: 1})
-	if _, req := lastRequest(t, ctx); req.Seq != 1 || req.Ack != 1 {
+	retryTick(c, ctx, 0)
+	if _, req := lastRequest(t, ctx); req.Seq != 1 || req.Ack != 1 || len(req.Batch) != 2 {
 		t.Fatalf("retry of the pinned command sent %+v", req)
 	}
 	// ...and once it completes the floor jumps to the newest flight.
