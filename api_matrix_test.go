@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"consensusinside/internal/msg"
 )
 
 // matrixOps is a deterministic mixed workload: interleaved puts,
@@ -202,25 +201,15 @@ func TestKVPipelinedConcurrentClients(t *testing.T) {
 					}
 				}
 			}
-			// Deterministic pipelining check: a pre-queued burst is
-			// drained by a single pump, which must fill the window
+			// Deterministic pipelining check: a burst of Puts that is
+			// queued whole before the bridge's pump sees any of it is
+			// drained by that single pump, which must fill the window
 			// before any reply can retire an op.
-			var burst []kvOp
-			for i := 0; i < 8; i++ {
-				burst = append(burst, kvOp{
-					cmd:  msg.Command{Op: msg.OpPut, Key: fmt.Sprintf("burst-%d", i), Val: "b"},
-					done: make(chan kvResult, 1),
-				})
-			}
-			bridge := kv.shards[0].bridge
-			bridge.mu.Lock()
-			bridge.queue = append(bridge.queue, burst...)
-			bridge.mu.Unlock()
-			bridge.inject(submitMsg{})
-			for i, op := range burst {
-				res := <-op.done
-				if res.err != nil {
-					t.Fatalf("burst op %d: %v", i, res.err)
+			for i, err := range queueBurst(kv.shards[0].bridge, 8, func(i int) error {
+				return kv.Put(fmt.Sprintf("burst-%d", i), "b")
+			}) {
+				if err != nil {
+					t.Fatalf("burst op %d: %v", i, err)
 				}
 			}
 			if kv.MaxInFlight() < 2 {

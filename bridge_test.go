@@ -2,17 +2,22 @@ package consensusinside
 
 import (
 	"fmt"
+	stdruntime "runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"consensusinside/internal/client"
 	"consensusinside/internal/msg"
 	"consensusinside/internal/readpath"
 	"consensusinside/internal/runtime"
 )
 
+const harnessRetry = 10 * time.Millisecond
+
 // bridgeHarness drives a kvBridge by hand: the test plays the bridge
 // node's goroutine (Receive/Timer on a FakeContext) and the replicas
-// (it writes the replies), while real goroutines block in do/doRead.
+// (it writes the replies), while real goroutines block in enqueue.
 type bridgeHarness struct {
 	t      *testing.T
 	b      *kvBridge
@@ -23,8 +28,10 @@ type bridgeHarness struct {
 
 func newBridgeHarness(t *testing.T, window int, mode readpath.Mode) *bridgeHarness {
 	h := &bridgeHarness{
-		t:   t,
-		b:   newKVBridge(3, []msg.NodeID{0, 1, 2}, 10*time.Millisecond, window, 0, 1, 0, false, mode),
+		t: t,
+		b: newKVBridge(client.Config{
+			ID: 3, Servers: []msg.NodeID{0, 1, 2}, Retry: harnessRetry, Window: window, Batch: 1, ReadMode: mode,
+		}, time.Minute),
 		ctx: runtime.NewFakeContext(3, 4),
 		// Every caller of a test may be parked at once.
 		wakes:  make(chan struct{}, 1024),
@@ -40,13 +47,7 @@ func (h *bridgeHarness) call(op msg.Op, key string) []runtime.FakeSend {
 	h.t.Helper()
 	go func() {
 		cmd := msg.Command{Op: op, Key: key, Val: key}
-		var res string
-		var err error
-		if op == msg.OpGet {
-			res, err = h.b.doRead(cmd, time.Minute)
-		} else {
-			res, err = h.b.do(cmd, time.Minute)
-		}
+		res, err := h.b.enqueue(cmd, op == msg.OpGet)
 		if err != nil {
 			h.result <- key + "!" + err.Error()
 			return
@@ -73,6 +74,37 @@ func (h *bridgeHarness) wantResult(want string) {
 	case <-time.After(10 * time.Second):
 		h.t.Fatalf("no caller finished, want %q", want)
 	}
+}
+
+// queueBurst is the one test hook into a live bridge: it runs n
+// concurrent calls (each blocking in Put or Get on b's shard) while b's
+// wake-ups are parked, so that all n are queued before the bridge's pump
+// sees any of them, then lets the wake-up through and returns each
+// call's error.
+func queueBurst(b *kvBridge, n int, call func(i int) error) []error {
+	inject := b.inject
+	woken := make(chan msg.Message, 1)
+	b.inject = func(m msg.Message) { woken <- m }
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = call(i)
+		}()
+	}
+	wake := <-woken // the first caller's; the rest see wakePending and send none
+	for queued := 0; queued < n; {
+		stdruntime.Gosched()
+		b.mu.Lock()
+		queued = len(b.queue) + b.lane.ReadsOutstanding()
+		b.mu.Unlock()
+	}
+	b.inject = inject
+	inject(wake)
+	wg.Wait()
+	return errs
 }
 
 // TestBridgePinnedFlightOutlivesRing holds the first write outstanding
@@ -103,7 +135,7 @@ func TestBridgePinnedFlightOutlivesRing(t *testing.T) {
 		h.b.Receive(h.ctx, 0, msg.ClientReply{Seq: req.Seq, OK: true, Result: key})
 		h.wantResult(key + "=" + key)
 	}
-	if got := h.b.writeGrows.Load(); got < 2 {
+	if got := h.b.lane.WriteGrows.Load(); got < 2 {
 		t.Fatalf("write ring grew %d times across a span of %d from %d slots, want at least 2", got, 10*window+1, window)
 	}
 
@@ -111,7 +143,7 @@ func TestBridgePinnedFlightOutlivesRing(t *testing.T) {
 	// must resend both in one request, oldest first.
 	last := h.call(msg.OpPut, "last")[0].M.(msg.ClientRequest).Seq
 	h.ctx.Clock += 20 * time.Millisecond
-	h.b.Timer(h.ctx, runtime.TimerTag{Kind: kvTimerRetry})
+	h.b.Timer(h.ctx, runtime.TimerTag{Kind: client.TimerRetry})
 	resent := h.ctx.TakeSent()
 	if len(resent) != 1 {
 		t.Fatalf("retry scan sent %d messages, want 1 batched resend", len(resent))
@@ -125,15 +157,17 @@ func TestBridgePinnedFlightOutlivesRing(t *testing.T) {
 	// only flight left.
 	h.b.Receive(h.ctx, 1, msg.ClientReply{Seq: pinned, OK: true, Result: "late"})
 	h.wantResult("pinned=late")
-	if low := h.b.inflight.Low(); low != last {
-		t.Fatalf("ack floor = %d after the pinned flight retired, want %d", low, last)
+	if req := h.call(msg.OpPut, "next")[0].M.(msg.ClientRequest); req.Ack != last {
+		t.Fatalf("ack floor = %d after the pinned flight retired, want %d", req.Ack, last)
 	}
 	h.b.Receive(h.ctx, 1, msg.ClientReply{Seq: last, OK: true, Result: "done"})
 	h.wantResult("last=done")
+	h.b.Receive(h.ctx, 1, msg.ClientReply{Seq: last + 1, OK: true, Result: "done"})
+	h.wantResult("next=done")
 	// A stale duplicate of a long-retired reply is ignored.
 	h.b.Receive(h.ctx, 1, msg.ClientReply{Seq: pinned, OK: true, Result: "dup"})
-	if h.b.inflight.Len() != 0 {
-		t.Fatalf("%d flights left in the window, want none", h.b.inflight.Len())
+	if h.b.lane.InFlight() != 0 {
+		t.Fatalf("%d flights left in the window, want none", h.b.lane.InFlight())
 	}
 }
 
@@ -155,14 +189,14 @@ func TestBridgeScanTimersAllocateNothingWhenIdle(t *testing.T) {
 		h.call(msg.OpPut, fmt.Sprintf("w%d", i))
 		h.call(msg.OpGet, fmt.Sprintf("r%d", i))
 	}
-	// The read lane admits maxReadRequests requests; the rest queue, and
+	// The read lane admits MaxReadRequests requests; the rest queue, and
 	// the scan sweeps that queue too.
-	if h.b.inflight.Len() != 5 || h.b.readInflight.Len() != maxReadRequests || len(h.b.readQueue) != 5-maxReadRequests {
-		t.Fatalf("set-up left %d writes in flight, %d reads in flight and %d queued",
-			h.b.inflight.Len(), h.b.readInflight.Len(), len(h.b.readQueue))
+	if h.b.lane.InFlight() != 5 || h.b.lane.ReadsOutstanding() != 5 || len(h.b.lane.QueuedReads()) != 5-client.MaxReadRequests {
+		t.Fatalf("set-up left %d writes in flight, %d reads outstanding and %d of them queued",
+			h.b.lane.InFlight(), h.b.lane.ReadsOutstanding(), len(h.b.lane.QueuedReads()))
 	}
 	ctx := nullContext{h.ctx}
-	for _, kind := range []int{kvTimerRetry, kvTimerReadRetry} {
+	for _, kind := range []int{client.TimerRetry, client.TimerReadRetry} {
 		tag := runtime.TimerTag{Kind: kind}
 		if allocs := testing.AllocsPerRun(100, func() { h.b.Timer(ctx, tag) }); allocs != 0 {
 			t.Errorf("scan timer %d allocates %.1f times per idle tick, want 0", kind, allocs)
@@ -180,20 +214,86 @@ func TestBridgeScanTimersAllocateNothingWhenIdle(t *testing.T) {
 
 // TestStampDeadlinesTouchesOnlyTheUnseenTail: ops a pump already saw
 // keep the deadline they got then; only the run appended since is
-// stamped, ops without a timeout included in the walk but left alone.
+// stamped.
 func TestStampDeadlinesTouchesOnlyTheUnseenTail(t *testing.T) {
 	queue := []kvOp{
-		{deadline: 7},               // a redirect requeue, deadline carried over
-		{timeout: 100, deadline: 5}, // stamped by an earlier pump
-		{timeout: 100},              // new
-		{},                          // new, no timeout
-		{timeout: 200},              // new
+		{Deadline: 7}, // carried over from an earlier queue
+		{Deadline: 5}, // stamped by an earlier pump
+		{},            // new
+		{},            // new
 	}
-	stampDeadlines(queue, 1000)
-	want := []time.Duration{7, 5, 1100, 0, 1200}
+	b := &kvBridge{timeout: 100}
+	b.stampDeadlines(queue, 1000)
+	want := []time.Duration{7, 5, 1100, 1100}
 	for i, op := range queue {
-		if op.deadline != want[i] {
-			t.Errorf("queue[%d].deadline = %d, want %d", i, op.deadline, want[i])
+		if op.Deadline != want[i] {
+			t.Errorf("queue[%d].Deadline = %d, want %d", i, op.Deadline, want[i])
 		}
 	}
+	// Without a RequestTimeout nothing is ever stamped.
+	b.timeout = 0
+	queue = append(queue, kvOp{})
+	if b.stampDeadlines(queue, 2000); queue[4].Deadline != 0 {
+		t.Errorf("no timeout, yet the new op got deadline %d", queue[4].Deadline)
+	}
+}
+
+// TestBridgeRetryIsDueOneTimeoutAfterTheSend is decision 1's guard on
+// the blocking front end: the retry timer sleeps until the oldest
+// outstanding transmission is due, so a Put sent at t is resent at
+// t+retry — not at the next boundary of a fixed scan period, which
+// could be almost two timeouts away.
+func TestBridgeRetryIsDueOneTimeoutAfterTheSend(t *testing.T) {
+	h := newBridgeHarness(t, 4, readpath.Consensus)
+	first := h.call(msg.OpPut, "a")[0].M.(msg.ClientRequest).Seq
+	h.ctx.Clock = 3 * time.Millisecond
+	second := h.call(msg.OpPut, "b")[0].M.(msg.ClientRequest).Seq
+
+	h.ctx.Clock = harnessRetry
+	h.b.Timer(h.ctx, runtime.TimerTag{Kind: client.TimerRetry})
+	resent := h.ctx.TakeSent()
+	if len(resent) != 1 || resent[0].To != 1 || resent[0].M.(msg.ClientRequest).Seq != first || len(resent[0].M.(msg.ClientRequest).Batch) != 0 {
+		t.Fatalf("tick at one timeout resent %+v, want only the first Put, bare, to server 1", resent)
+	}
+	next := h.ctx.Timers[len(h.ctx.Timers)-1]
+	if next.Tag.Kind != client.TimerRetry || next.At != 3*time.Millisecond+harnessRetry {
+		t.Fatalf("retry timer re-armed as %+v, want the second Put's due time %v", next, 3*time.Millisecond+harnessRetry)
+	}
+	h.ctx.Clock = next.At
+	h.b.Timer(h.ctx, next.Tag)
+	resent = h.ctx.TakeSent()
+	if len(resent) != 1 || resent[0].To != 2 || resent[0].M.(msg.ClientRequest).Seq != second {
+		t.Fatalf("tick at the second Put's due time resent %+v, want it alone to server 2", resent)
+	}
+	h.b.close()
+	<-h.result
+	<-h.result
+}
+
+// TestBridgeFollowsWriteRedirect is decision 3's guard: a Put a replica
+// refuses with a redirect is resent at once to the replica it names,
+// under its original seq, and the caller gets the eventual value — not
+// a "request rejected" error.
+func TestBridgeFollowsWriteRedirect(t *testing.T) {
+	h := newBridgeHarness(t, 4, readpath.Consensus)
+	sent := h.call(msg.OpPut, "k")
+	if len(sent) != 1 || sent[0].To != 0 {
+		t.Fatalf("first transmission %+v, want one request to server 0", sent)
+	}
+	req := sent[0].M.(msg.ClientRequest)
+	h.b.Receive(h.ctx, 0, msg.ClientReply{Seq: req.Seq, OK: false, Redirect: 2})
+	resent := h.ctx.TakeSent()
+	if len(resent) != 1 || resent[0].To != 2 {
+		t.Fatalf("after the redirect the bridge sent %+v, want one request to server 2", resent)
+	}
+	if again := resent[0].M.(msg.ClientRequest); again.Seq != req.Seq || again.Cmd != req.Cmd {
+		t.Fatalf("resend = %+v, want the original seq and command of %+v", again, req)
+	}
+	select {
+	case got := <-h.result:
+		t.Fatalf("caller finished with %q on the redirect", got)
+	default:
+	}
+	h.b.Receive(h.ctx, 2, msg.ClientReply{Seq: req.Seq, OK: true, Result: "stored"})
+	h.wantResult("k=stored")
 }

@@ -37,7 +37,11 @@
 //     evaluation, sweeping the same engines, client window, batch cap
 //     and shard count (SimSpec.Shards/BatchSize); and
 //   - the seeded fault-schedule fuzzer with its linearizability check
-//     (ScenarioFuzz). The deterministic paper experiments are
+//     (ScenarioFuzz). There is one client with two front ends:
+//     internal/client's lane (window, batching, retry with rotation,
+//     redirects, the fast-read lane) sits under both the KV's blocking
+//     Put/Get adapter and the simulator's load source, so what the
+//     fuzzer checks is the client the KV ships. The deterministic paper experiments are
 //     internal/experiments.Registry, run by cmd/consensusbench;
 //     wall-clock measurement of the real runtimes is the separate
 //     bench/ module (bash bench/run.sh).

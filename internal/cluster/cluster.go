@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"consensusinside/internal/client"
 	"consensusinside/internal/linearize"
 	"consensusinside/internal/metrics"
 	"consensusinside/internal/msg"
@@ -485,11 +486,7 @@ func (c *Cluster) Obs() obs.Snapshot {
 func (c *Cluster) SeriesSum() []int {
 	var out []int
 	for _, cl := range c.Clients {
-		s := cl.Series()
-		if s == nil {
-			continue
-		}
-		b := s.Buckets()
+		b := cl.Series()
 		if len(b) > len(out) {
 			grown := make([]int, len(b))
 			copy(grown, out)
@@ -557,8 +554,8 @@ func (c *Cluster) CheckConsistency() error {
 
 // jointHandler co-locates a replica and a client on one node (Joint mode).
 // Message routing is by type (replies to the client, everything else to
-// the replica); timer routing is by kind (the workload package's kinds
-// are namespaced at 900+).
+// the replica); timer routing is by kind (every client timer's kind is
+// at or above client.TimerRetry).
 type jointHandler struct {
 	server Server
 	client *workload.Client
@@ -581,7 +578,7 @@ func (j *jointHandler) Receive(ctx runtime.Context, from msg.NodeID, m msg.Messa
 }
 
 func (j *jointHandler) Timer(ctx runtime.Context, tag runtime.TimerTag) {
-	if tag.Kind >= workload.TimerSend {
+	if tag.Kind >= client.TimerRetry {
 		j.client.Timer(ctx, tag)
 		return
 	}

@@ -4,26 +4,19 @@
 // plus the measurement plumbing for latency, throughput and
 // throughput-over-time series.
 //
-// Beyond the paper's closed loop, a client can run a pipelined window of
-// N outstanding commands (Config.Window): sequence numbers stay strictly
-// increasing, one retry timer per lane sleeps until the oldest
-// outstanding transmission is due, and the replicas' windowed session
-// tracking keeps replies exactly-once.
-// On top of the window, Config.BatchSize coalesces up to that many
-// outstanding commands into one batched request — one consensus
-// instance decides them all — with Config.BatchDelay optionally holding
-// partial batches back for stragglers (the group-commit trade).
-//
-// In a sharded deployment (Config.Groups) the client runs one lane per
-// consensus group: an independent pipelined window targeting that
-// group's replicas with a key the shard router maps back to the group,
-// and sequence numbers tagged with the shard index (shard.TagSeq) so
-// each group's session tables see a dense per-lane sequence space and
-// dedupe stays exact.
-//
-// Clients detect a slow or dead server by reply timeout and rotate to the
-// next server of the command's group (Section 7.6: "Once the clients
-// detect the slow leader, they send their requests to other nodes").
+// There is one client, with two front ends. The client itself — the
+// pipelined window of Config.Window outstanding commands, tagged
+// sequence numbers, command batching (Config.BatchSize, BatchDelay,
+// BatchAdaptive), retry with server rotation (Section 7.6: "Once the
+// clients detect the slow leader, they send their requests to other
+// nodes") and the fast-read lane — is internal/client's Lane, the same
+// code the replicated KV's blocking Put/Get adapter drives. This package
+// is the simulator's front end: a load source that owns only what a
+// load source needs — one lane per consensus group (Config.Groups), the
+// Requests budget, ThinkTime pacing, the ReadPercent coin, the key and
+// value choice, the linearizability recorder, and the histograms,
+// warm-up and series. Every safety check the simulator runs therefore
+// exercises the client the KV ships.
 package workload
 
 import (
@@ -31,6 +24,7 @@ import (
 	"math"
 	"time"
 
+	"consensusinside/internal/client"
 	"consensusinside/internal/linearize"
 	"consensusinside/internal/metrics"
 	"consensusinside/internal/msg"
@@ -38,24 +32,18 @@ import (
 	"consensusinside/internal/readpath"
 	"consensusinside/internal/rsm"
 	"consensusinside/internal/runtime"
-	"consensusinside/internal/seqwin"
 	"consensusinside/internal/shard"
 	"consensusinside/internal/trace"
 )
 
-// Timer kinds. These are namespaced high so a composite (joint) node can
-// route them unambiguously next to a replica's kinds.
-const (
-	TimerSend       = 900 // think time elapsed: fill the window
-	TimerRetry      = 901 // Arg: the lane index whose oldest transmission is due
-	TimerBatchFlush = 902 // Arg: the lane index whose partial batch is due
-	TimerReadRetry  = 903 // Arg: the (tagged) read seq the retry guards
-)
+// TimerSend is the load source's one timer kind — think time elapsed:
+// fill the windows. The lanes' own kinds sit just below it (see
+// internal/client); a composite (joint) node routes everything from
+// client.TimerRetry up to the client.
+const TimerSend = client.TimerFrontEnd
 
-// Defaults for Config zero values.
-const (
-	DefaultRetryTimeout = 2 * time.Millisecond
-)
+// DefaultRetryTimeout is Config.RetryTimeout's zero-value default.
+const DefaultRetryTimeout = 2 * time.Millisecond
 
 // Config parameterizes a Client.
 type Config struct {
@@ -77,8 +65,9 @@ type Config struct {
 	// usually run for a fixed virtual time instead).
 	Requests int
 
-	// Window is the pipeline depth per lane: how many commands may be in
-	// flight at once toward one group. 0 or 1 is the paper's closed loop.
+	// Window is the pipeline depth per lane: how many commands the source
+	// keeps outstanding at once toward one group. 0 or 1 is the paper's
+	// closed loop.
 	Window int
 
 	// BatchSize is the largest number of commands the client coalesces
@@ -122,13 +111,13 @@ type Config struct {
 
 	// ReadMode selects how this client's reads travel. The default
 	// (readpath.Consensus) sends every read as an ordinary consensus
-	// command, the paper's behavior. Any other mode sends reads as
-	// ReadRequest messages on a read lane of their own: a separate
-	// sequence space (reads never enter the replicated log, so they must
-	// not consume the dense write sequences the replicas' session tables
-	// track), a separate in-flight window, their own retry timers, and a
-	// separate target cursor that redirects re-aim. Reads still occupy
-	// window slots, so the offered load is comparable across modes.
+	// command, the paper's behavior. Any other mode puts reads on the
+	// lane's read lane (see internal/client): ReadRequest messages with a
+	// sequence space, retry timer and target cursor of their own,
+	// coalesced, at most two requests outstanding, never holding a slot
+	// of the write window. The load source still keeps at most Window
+	// commands outstanding per lane, reads included, so the offered load
+	// is comparable across modes.
 	ReadMode readpath.Mode
 
 	// Key fixes the key this client operates on; empty derives a
@@ -146,69 +135,38 @@ type Config struct {
 	// recorded statistics, so saturation numbers reflect steady state.
 	Warmup time.Duration
 
-	// SeriesBucket, when non-zero, records completions into a time series
+	// SeriesBucket, when positive, records completions into a time series
 	// with this bucket width (Figure 11 uses 10 ms buckets).
 	SeriesBucket time.Duration
 
 	// Record, when set, captures every command's invoke/return pair for
 	// linearizability checking. Recording changes the written values:
 	// instead of the constant "v", each Put writes a value unique to
-	// this client and sequence number, so the checker can tie every
-	// observed read to exactly one write. Retries resend the original
-	// value under the original seq; the invoke time is the first
-	// transmission, the return time is the accepted reply — the widest
-	// honest window for the operation's linearization point.
+	// this client and issue count, so the checker can tie every observed
+	// read to exactly one write. Retries resend the original value under
+	// the original seq; the invoke time is when the source generates the
+	// command (at or before its first transmission), the return time is
+	// the accepted reply — the widest honest window for the operation's
+	// linearization point.
 	Record *linearize.Recorder
 
 	// Tracer, when non-nil, traces sampled write commands end to end
-	// (internal/trace). The client issues straight from its window — no
+	// (internal/trace). The source generates commands at admission — no
 	// pre-issue queue — so the enqueue and propose stages coincide at
 	// issue time; the reply stamp lands when the accepted reply retires
-	// the flight.
+	// the command.
 	Tracer *trace.Tracer
 }
 
-// lane is the client's per-group state: one shard's servers, the key
-// that routes to it, the rotation cursor, and a lane-local sequence
-// counter whose tagged values brand every command of this lane.
+// issued is the load source's per-op state, handed back by the lane
+// when the op completes: the recorder op id (-1 when not recording).
+type issued struct{ rec int }
+
+// lane is the client's state toward one group: the pipelined client
+// itself and the key that routes to the group.
 type lane struct {
-	shard    int
-	servers  []msg.NodeID
-	key      string
-	target   int
-	seq      uint64 // lane-local issued count; tagged via shard.TagSeq
-	inflight int    // outstanding commands in this lane (reads included)
-	deferred bool   // a partial batch is holding for the flush timer
-	armed    bool   // the lane's retry timer is pending
-
-	// flights holds the lane's in-flight writes by tagged seq — the same
-	// dense window the KV bridge keeps (seqwin), whose Low is the lowest
-	// outstanding seq, i.e. the lane's ack floor.
-	flights seqwin.Window[flight]
-
-	// Read-lane state (fast-path modes only): reads get their own
-	// sequence counter — they never commit, so they must not punch holes
-	// in the dense write sequence space the session tables track — and
-	// their own target cursor, so follower reads can spread across
-	// replicas while writes stay aimed at the leader.
-	rseq       uint64
-	readTarget int
-	reads      seqwin.Window[readFlight] // in-flight fast-path reads by tagged read seq
-}
-
-// flight is one in-flight command.
-type flight struct {
-	op     msg.Op        // stable across resends
-	val    string        // written value, stable across resends
-	rec    int           // recorder op id (-1 when not recording)
-	sentAt time.Duration // last transmission: the retry and latency clock
-}
-
-// readFlight is one in-flight fast-path read.
-type readFlight struct {
-	rec    int // recorder op id (-1 when not recording)
-	sentAt time.Duration
-	cancel runtime.CancelFunc
+	*client.Lane[issued]
+	key string
 }
 
 // Client is a workload generator node: a closed loop by default, a
@@ -216,22 +174,19 @@ type readFlight struct {
 // set.
 type Client struct {
 	cfg     Config
-	window  int // per-lane depth
-	batch   int // per-lane batch cap, clamped to the window
-	lanes   []*lane
-	next    int // lane round-robin cursor for paced issue
-	issued  int // total commands issued across lanes
-	credits int // paced only: think ticks not yet spent on a command
+	lanes   []lane
+	next    int                 // lane round-robin cursor
+	issued  int                 // total commands issued across lanes
+	credits int                 // paced only: think ticks not yet spent on a command
+	ops     []client.Op[issued] // scratch for the writes of one request
 
 	maxInflight int
 	completed   int
-	retries     int
-	batchOcc    metrics.BatchOccupancy
 
 	hist      metrics.Histogram
 	readHist  metrics.Histogram // per-op-kind split of hist
 	writeHist metrics.Histogram
-	series    *metrics.TimeSeries
+	series    []int // completions per SeriesBucket of virtual time
 
 	firstDone time.Duration
 	lastDone  time.Duration
@@ -258,52 +213,40 @@ func NewClient(cfg Config) (*Client, error) {
 	if err := rsm.CheckPipeline("workload", window, cfg.BatchSize, cfg.BatchDelay, cfg.BatchAdaptive); err != nil {
 		return nil, err
 	}
-	batch := max(cfg.BatchSize, 1)
-	if cfg.BatchAdaptive {
-		// The adaptive cap: half the window, so at least two instances
-		// stay pipelined instead of one whole-window batch serializing
-		// round trips.
-		batch = (window + 1) / 2
+	c := &Client{cfg: cfg}
+	groups := cfg.Groups
+	if len(groups) == 0 {
+		groups = [][]msg.NodeID{cfg.Servers}
 	}
-	c := &Client{cfg: cfg, window: window, batch: batch}
-	if len(cfg.Groups) > 0 {
-		for g, servers := range cfg.Groups {
-			if len(servers) == 0 {
-				return nil, fmt.Errorf("workload: group %d of client %d is empty", g, cfg.ID)
-			}
-			c.lanes = append(c.lanes, newLane(g, servers, shard.KeyFor(cfg.Key, g, len(cfg.Groups)), window))
+	for g, servers := range groups {
+		if len(servers) == 0 {
+			return nil, fmt.Errorf("workload: group %d of client %d has no server", g, cfg.ID)
 		}
-	} else {
-		if len(cfg.Servers) == 0 {
-			return nil, fmt.Errorf("workload: client %d needs at least one server", cfg.ID)
+		key := cfg.Key
+		if len(cfg.Groups) > 0 {
+			key = shard.KeyFor(cfg.Key, g, len(groups))
 		}
-		c.lanes = []*lane{newLane(0, cfg.Servers, cfg.Key, window)}
-	}
-	if cfg.SeriesBucket > 0 {
-		c.series = metrics.NewTimeSeries(cfg.SeriesBucket)
+		c.lanes = append(c.lanes, lane{key: key, Lane: client.New[issued](client.Config{
+			ID:       cfg.ID,
+			Servers:  servers,
+			Shard:    g,
+			Retry:    cfg.RetryTimeout,
+			Window:   window,
+			Batch:    cfg.BatchSize,
+			Delay:    cfg.BatchDelay,
+			Adaptive: cfg.BatchAdaptive,
+			ReadMode: cfg.ReadMode,
+			Tracer:   cfg.Tracer,
+		})})
 	}
 	return c, nil
-}
-
-// newLane builds lane g's state. Both in-flight windows start at the
-// first tagged seq the lane will issue, with room for a full pipeline
-// window (reads and writes share the lane's slots).
-func newLane(g int, servers []msg.NodeID, key string, window int) *lane {
-	first := shard.TagSeq(g, 1)
-	return &lane{
-		shard:   g,
-		servers: append([]msg.NodeID(nil), servers...),
-		key:     key,
-		flights: seqwin.New[flight](first, window, nil),
-		reads:   seqwin.New[readFlight](first, window, nil),
-	}
 }
 
 // laneOf resolves the lane a tagged seq belongs to (lanes are indexed
 // by shard), or nil for a tag no lane of this client carries.
 func (c *Client) laneOf(seq uint64) *lane {
 	if g := shard.SeqShard(seq); g < len(c.lanes) {
-		return c.lanes[g]
+		return &c.lanes[g]
 	}
 	return nil
 }
@@ -311,15 +254,21 @@ func (c *Client) laneOf(seq uint64) *lane {
 // Completed reports how many commands committed (all lanes).
 func (c *Client) Completed() int { return c.completed }
 
-// Retries reports how many times the client re-sent after a timeout.
-func (c *Client) Retries() int { return c.retries }
+// Retries reports how many commands the client re-sent after a timeout.
+func (c *Client) Retries() int {
+	n := int64(0)
+	for _, ln := range c.lanes {
+		n += ln.Retries
+	}
+	return int(n)
+}
 
-// InFlight reports the current number of outstanding commands across
-// all lanes.
+// InFlight reports the current number of outstanding writes across all
+// lanes.
 func (c *Client) InFlight() int {
 	n := 0
 	for _, ln := range c.lanes {
-		n += ln.flights.Len()
+		n += ln.InFlight()
 	}
 	return n
 }
@@ -340,7 +289,11 @@ func (c *Client) LaneKey(i int) string { return c.lanes[i].key }
 // it issued and how full they ran — to s under the "batch." names. Like
 // every accessor here it reads plain fields: call it from the goroutine
 // driving the simulator.
-func (c *Client) Collect(s *obs.Snapshot) { s.AddBatchOccupancy("batch", &c.batchOcc) }
+func (c *Client) Collect(s *obs.Snapshot) {
+	for _, ln := range c.lanes {
+		s.AddBatchOccupancy("batch", &ln.Occ)
+	}
+}
 
 // Latencies exposes the recorded latency histogram (post-warmup ops).
 func (c *Client) Latencies() *metrics.Histogram { return &c.hist }
@@ -353,8 +306,9 @@ func (c *Client) ReadLatencies() *metrics.Histogram { return &c.readHist }
 // (post-warmup OpPut completions).
 func (c *Client) WriteLatencies() *metrics.Histogram { return &c.writeHist }
 
-// Series exposes the completion time series (nil unless configured).
-func (c *Client) Series() *metrics.TimeSeries { return c.series }
+// Series exposes the completions counted per Config.SeriesBucket of
+// virtual time (nil unless configured).
+func (c *Client) Series() []int { return c.series }
 
 // MeasuredOps reports post-warmup completions, and the time of the first
 // and last of them — the window for throughput computation.
@@ -367,116 +321,85 @@ func (c *Client) Start(ctx runtime.Context) {
 	ctx.After(c.cfg.StartDelay, runtime.TimerTag{Kind: TimerSend})
 }
 
-// Receive implements runtime.Handler: only commit ACKs — single or
-// batched — are expected. A batched reply retires every answered
-// command before the window is refilled, so the freed slots refill as
-// one batch instead of one slot at a time.
+// Receive implements runtime.Handler: only commit ACKs and read
+// answers — single or batched — are expected. A batched reply retires
+// every answered command before the windows are refilled, so the freed
+// slots refill as one batch instead of one slot at a time; the read
+// lanes are pumped after the refill, so the replacements coalesce with
+// whatever pooled behind the answered request or a redirect requeued.
 func (c *Client) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
+	refill := false
 	switch mm := m.(type) {
 	case msg.ClientReply:
-		if c.onReply(ctx, mm) {
-			c.fill(ctx)
-		}
+		refill = c.onReplies(ctx, []msg.ClientReply{mm})
 	case msg.ClientReplyBatch:
-		refill := false
-		for _, reply := range mm.Replies {
-			if c.onReply(ctx, reply) {
-				refill = true
-			}
-		}
-		if refill {
-			c.fill(ctx)
-		}
+		refill = c.onReplies(ctx, mm.Replies)
 	case msg.ReadReply:
-		if c.onReadReply(ctx, mm) {
-			c.fill(ctx)
-		}
+		refill = c.onReadReplies(ctx, []msg.ReadReply{mm})
 	case msg.ReadReplyBatch:
-		refill := false
-		for _, reply := range mm.Replies {
-			if c.onReadReply(ctx, reply) {
-				refill = true
-			}
-		}
-		if refill {
-			c.fill(ctx)
-		}
+		refill = c.onReadReplies(ctx, mm.Replies)
 	}
+	if refill {
+		c.fill(ctx, false)
+	}
+	c.pumpReads(ctx)
 }
 
-// onReply retires one command's reply and reports whether a freed
-// window slot awaits an immediate refill (redirects, stale replies,
-// paced completions and the request cap all report false).
-func (c *Client) onReply(ctx runtime.Context, reply msg.ClientReply) bool {
-	ln := c.laneOf(reply.Seq)
-	if ln == nil {
-		return false
-	}
-	p := ln.flights.Ptr(reply.Seq)
-	if p == nil {
-		return false // stale reply for an already-answered (retried) request
-	}
-	if !reply.OK {
-		// Redirect: retry immediately at the suggested server.
-		if reply.Redirect != msg.Nobody {
-			ln.retarget(reply.Redirect)
-		}
-		c.resend(ctx, ln, reply.Seq, p)
-		return false
-	}
-	f := *p
-	ln.flights.Delete(reply.Seq)
-	if c.cfg.Tracer.Enabled() {
-		c.cfg.Tracer.Finish(c.cfg.ID, reply.Seq, ctx.Now())
-	}
-	ln.inflight--
-	if f.rec >= 0 {
-		c.cfg.Record.Return(f.rec, reply.Result, ctx.Now())
-	}
-	return c.complete(ctx, f.sentAt, f.op)
-}
-
-// onReadReply retires one fast-path read's reply. A redirect (the
-// serving replica is not the leader, or is still catching up) re-aims
-// the lane's read cursor and resends at once.
-func (c *Client) onReadReply(ctx runtime.Context, reply msg.ReadReply) bool {
-	ln := c.laneOf(reply.Seq)
-	if ln == nil {
-		return false
-	}
-	p := ln.reads.Ptr(reply.Seq)
-	if p == nil {
-		return false // stale reply for an already-answered (retried) read
-	}
-	if !reply.OK {
-		if reply.Redirect != msg.Nobody {
-			ln.retargetRead(reply.Redirect)
-		}
-		c.resendRead(ctx, ln, reply.Seq, p)
-		return false
-	}
-	f := *p
-	ln.reads.Delete(reply.Seq)
-	ln.inflight--
-	if f.cancel != nil {
-		f.cancel()
-	}
-	if f.rec >= 0 {
-		c.cfg.Record.Return(f.rec, reply.Result, ctx.Now())
-	}
-	return c.complete(ctx, f.sentAt, msg.OpGet)
-}
-
-// complete records one finished command and reports whether a freed
-// window slot awaits an immediate refill (paced completions and the
-// request cap report false).
-func (c *Client) complete(ctx runtime.Context, sentAt time.Duration, op msg.Op) bool {
+// onReplies retires one message's write replies and reports whether a
+// freed window slot awaits an immediate refill (stale replies,
+// redirects, paced completions and the request cap all report false).
+// Redirected commands go out again at once, toward the replica the
+// reply named.
+func (c *Client) onReplies(ctx runtime.Context, replies []msg.ClientReply) (refill bool) {
 	now := ctx.Now()
+	var redirected *lane
+	for i := range replies {
+		ln := c.laneOf(replies[i].Seq)
+		if ln == nil {
+			continue
+		}
+		switch user, kind, sentAt, st := ln.Retire(now, &replies[i]); st {
+		case client.Done:
+			refill = c.complete(ctx, kind, sentAt, user.rec, replies[i].Result) || refill
+		case client.Redirected:
+			redirected = ln // one message's replies all carry one lane's tag
+		}
+	}
+	if redirected != nil {
+		_, send := redirected.Scan(now, false)
+		redirected.Transmit(ctx, send)
+	}
+	return refill
+}
+
+// onReadReplies retires one message's fast-path read replies.
+func (c *Client) onReadReplies(ctx runtime.Context, replies []msg.ReadReply) (refill bool) {
+	for i := range replies {
+		ln := c.laneOf(replies[i].Seq)
+		if ln == nil {
+			continue
+		}
+		if user, sentAt, st := ln.RetireRead(&replies[i]); st == client.Done {
+			refill = c.complete(ctx, msg.OpGet, sentAt, user.rec, replies[i].Result) || refill
+		}
+	}
+	return refill
+}
+
+// complete records one finished command — its kind, its last
+// transmission, its recorder id — and reports whether a freed window
+// slot awaits an immediate refill (paced completions and the request cap
+// report false).
+func (c *Client) complete(ctx runtime.Context, kind msg.Op, sentAt time.Duration, rec int, result string) bool {
+	now := ctx.Now()
+	if rec >= 0 {
+		c.cfg.Record.Return(rec, result, now)
+	}
 	c.completed++
 	if now >= c.cfg.Warmup {
 		d := now - sentAt
 		c.hist.Record(d)
-		if op == msg.OpGet {
+		if kind == msg.OpGet {
 			c.readHist.Record(d)
 		} else {
 			c.writeHist.Record(d)
@@ -487,8 +410,12 @@ func (c *Client) complete(ctx runtime.Context, sentAt time.Duration, op msg.Op) 
 		}
 		c.lastDone = now
 	}
-	if c.series != nil {
-		c.series.Record(now)
+	if c.cfg.SeriesBucket > 0 {
+		idx := int(now / c.cfg.SeriesBucket)
+		for len(c.series) <= idx {
+			c.series = append(c.series, 0)
+		}
+		c.series[idx]++
 	}
 	if c.cfg.Requests > 0 && c.completed >= c.cfg.Requests {
 		return false // done
@@ -502,69 +429,27 @@ func (c *Client) complete(ctx runtime.Context, sentAt time.Duration, op msg.Op) 
 	return true
 }
 
-// Timer implements runtime.Handler.
+// Timer implements runtime.Handler: the think tick is the load
+// source's, the other three kinds are the lane's named by tag.Arg.
 func (c *Client) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 	switch tag.Kind {
 	case TimerSend:
 		if c.cfg.ThinkTime > 0 {
 			c.credits++
 		}
-		c.fill(ctx)
-	case TimerRetry:
-		c.retryLane(ctx, c.lanes[tag.Arg])
-	case TimerReadRetry:
-		seq := uint64(tag.Arg)
-		ln := c.laneOf(seq)
-		if f := ln.reads.Ptr(seq); f != nil {
-			// No reply in time: rotate the lane's read cursor and resend.
-			c.retries++
-			ln.readTarget = (ln.readTarget + 1) % len(ln.servers)
-			c.resendRead(ctx, ln, seq, f)
-		}
-	case TimerBatchFlush:
-		// The lane's held-back partial batch is due: issue what the
-		// window and the demand allow right now, full or not.
+		c.fill(ctx, false)
+	case client.TimerRetry:
 		ln := c.lanes[tag.Arg]
-		if !ln.deferred {
-			return // a full batch already went out in the meantime
-		}
-		ln.deferred = false
-		if n, _ := c.admit(ln, true); n > 0 {
-			c.issueBatch(ctx, ln, n)
-		}
+		_, send := ln.Scan(ctx.Now(), true) // ops carry no deadline: nothing expires
+		ln.Transmit(ctx, send)
+	case client.TimerReadRetry:
+		ln := c.lanes[tag.Arg]
+		_, send := ln.ScanReads(ctx.Now())
+		ln.TransmitRead(ctx, send)
+	case client.TimerFlush:
+		c.fill(ctx, true) // a held-back partial batch is due: issue what the demand allows, full or not
 	}
-}
-
-// retryLane is the lane's one retry timer: it sleeps until the oldest
-// outstanding transmission is due. Everything due at this tick — no
-// reply within RetryTimeout of its last transmission — is resent as ONE
-// request under the original seqs after ONE rotation of the cursor
-// (suspect the server, try the next of the command's own group; the
-// session layer deduplicates against any still-live copy). The timer
-// then sleeps until the next-oldest transmission is due, and dies when
-// nothing is outstanding.
-func (c *Client) retryLane(ctx runtime.Context, ln *lane) {
-	now := ctx.Now()
-	var entries []msg.BatchEntry
-	oldest := now
-	for seq, f := range ln.flights.All() {
-		if now-f.sentAt >= c.cfg.RetryTimeout {
-			f.sentAt = now
-			entries = append(entries, msg.BatchEntry{Seq: seq, Cmd: msg.Command{Op: f.op, Key: ln.key, Val: f.val}})
-		}
-		if f.sentAt < oldest {
-			oldest = f.sentAt
-		}
-	}
-	if len(entries) > 0 {
-		c.retries += len(entries)
-		ln.target = (ln.target + 1) % len(ln.servers)
-		ctx.Send(ln.servers[ln.target], msg.NewRequest(c.cfg.ID, ln.flights.Low(), entries))
-	}
-	ln.armed = ln.flights.Len() > 0
-	if ln.armed {
-		ctx.After(oldest+c.cfg.RetryTimeout-now, runtime.TimerTag{Kind: TimerRetry, Arg: int64(ln.shard)})
-	}
+	c.pumpReads(ctx)
 }
 
 // pending reports the demand still waiting to be issued: the unissued
@@ -575,238 +460,111 @@ func (c *Client) pending() int {
 	if c.cfg.Requests > 0 {
 		n = c.cfg.Requests - c.issued
 	}
-	if c.cfg.ThinkTime > 0 && c.credits < n {
-		n = c.credits
+	if c.cfg.ThinkTime > 0 {
+		n = min(n, c.credits)
 	}
 	return n
 }
 
-// admit is the lane's admission rule over (free slots, pending demand):
-// how many commands to issue as one request right now, and whether a
-// held-back partial batch needs the flush timer. Adaptive: at most half
-// the window per instance, and hold while more is pending than the free
-// slots admit. Static: at most BatchSize; hold (no timer — slots are
-// short, so a reply is coming) when a full batch is pending but the
-// slots are short of it; hold for the flush timer when the demand
-// itself is short of a batch and BatchDelay is set.
-func (c *Client) admit(ln *lane, force bool) (n int, flush bool) {
-	pending := c.pending()
-	n = min(c.window-ln.inflight, pending)
-	if n <= 0 {
-		return 0, false
-	}
-	n = min(n, c.batch)
-	if n == c.batch {
-		return n, false
-	}
-	if c.cfg.BatchAdaptive {
-		if pending > n {
-			return 0, false
-		}
-		return n, false
-	}
-	if pending >= c.batch {
-		return 0, false
-	}
-	if c.cfg.BatchDelay > 0 && !force {
-		return 0, true
-	}
-	return n, false
-}
+// free reports how many more commands the source may have outstanding
+// toward ln's group: Window, less the writes in flight and the reads
+// the lane holds.
+func (c *Client) free(ln *lane) int { return ln.Free() - ln.ReadsOutstanding() }
 
-// fill issues new commands until every lane's window is full or held
-// by the admission rule, or the demand is spent, visiting lanes
-// round-robin so a sharded client loads its groups evenly. Each visit
-// issues one request — one consensus instance. With a think time
-// configured the demand is the think-tick credits: each tick pays for
-// one command, a credit the full windows cannot take is dropped, and a
-// tick that issued re-arms while slots remain free, so a pipelined
-// window still ramps up to its depth at one command per pause.
-func (c *Client) fill(ctx runtime.Context) {
-	sent := 0
-	var held map[*lane]bool // lanes the admission rule is holding this pass
-	for {
-		idx := -1
-		for i := 0; i < len(c.lanes); i++ {
-			j := (c.next + i) % len(c.lanes)
-			if ln := c.lanes[j]; ln.inflight < c.window && !held[ln] {
-				idx = j
-				break
-			}
-		}
-		if idx < 0 {
-			break // every lane is full or held
-		}
-		if c.pending() <= 0 {
-			if c.cfg.ThinkTime > 0 && sent >= 1 {
-				ctx.After(c.cfg.ThinkTime, runtime.TimerTag{Kind: TimerSend})
-			}
-			break
-		}
-		ln := c.lanes[idx]
-		n, flush := c.admit(ln, false)
+// fill issues new commands, visiting the lanes round-robin so a sharded
+// client loads its groups evenly, until a whole round admits nothing —
+// every window full or held by the admission rule — or the demand is
+// spent. Each visit issues one request — one consensus instance. With a
+// think time configured the demand is the think-tick credits: each tick
+// pays for one command, a credit the full windows cannot take is
+// dropped, and a tick that issued re-arms while slots remain free, so a
+// pipelined window still ramps up to its depth at one command per pause.
+// force says a flush timer fired.
+func (c *Client) fill(ctx runtime.Context, force bool) {
+	sent := false
+	for idle := 0; idle < len(c.lanes) && c.pending() > 0; {
+		ln := &c.lanes[c.next]
+		c.next = (c.next + 1) % len(c.lanes)
+		n, flush := ln.Admit(c.free(ln), c.pending(), force)
 		if n == 0 {
-			if flush && !ln.deferred {
-				ln.deferred = true
-				ctx.After(c.cfg.BatchDelay, runtime.TimerTag{Kind: TimerBatchFlush, Arg: int64(idx)})
+			if flush > 0 {
+				ln.TransmitFlush(ctx, flush)
 			}
-			if held == nil {
-				held = make(map[*lane]bool, len(c.lanes))
-			}
-			held[ln] = true
+			idle++
 			continue
 		}
-		c.next = (idx + 1) % len(c.lanes)
-		c.issueBatch(ctx, ln, n)
-		sent += n
+		c.issue(ctx, ln, n)
+		idle, sent = 0, true
 	}
-	if c.cfg.ThinkTime > 0 {
-		// A credit no lane could take is dropped, unless a lane is
-		// holding it for its flush timer.
-		for _, ln := range c.lanes {
-			if ln.deferred {
-				return
-			}
-		}
-		c.credits = 0
+	if c.cfg.ThinkTime <= 0 {
+		return
+	}
+	free, flushing := false, false
+	for i := range c.lanes {
+		free = free || c.free(&c.lanes[i]) > 0
+		flushing = flushing || c.lanes[i].Flushing()
+	}
+	if sent && free {
+		ctx.After(c.cfg.ThinkTime, runtime.TimerTag{Kind: TimerSend})
+	}
+	if !flushing {
+		c.credits = 0 // unless a lane holds it for its flush timer
 	}
 }
 
-// issueBatch assigns the lane's next n tagged sequence numbers and
-// sends them as one request. Under a fast-path read mode the batch's
-// OpGet commands peel off onto the read lane instead: they travel as
-// one ReadRequest with read-lane sequence numbers, leaving the write
-// sequence space dense for the session tables.
-func (c *Client) issueBatch(ctx runtime.Context, ln *lane, n int) {
-	ln.deferred = false
+// issue generates the next n commands for ln's group — drawing each
+// one's read/write coin in issue order — and hands them to the lane:
+// the writes (and, under readpath.Consensus, the reads) as one request,
+// fast-path reads onto the read queue.
+func (c *Client) issue(ctx runtime.Context, ln *lane, n int) {
+	now := ctx.Now()
 	if c.cfg.ThinkTime > 0 {
 		c.credits -= n
 	}
-	fastReads := c.cfg.ReadMode != readpath.Consensus
-	entries := make([]msg.BatchEntry, 0, n)
-	var readEntries []msg.BatchEntry
+	writes := c.ops[:0]
 	for i := 0; i < n; i++ {
 		c.issued++
-		op := msg.OpPut
+		op := client.Op[issued]{Cmd: msg.Command{Op: msg.OpPut, Key: ln.key, Val: "v"}, User: issued{rec: -1}}
 		if c.cfg.ReadPercent > 0 && ctx.Rand().Float64()*100 < float64(c.cfg.ReadPercent) {
-			op = msg.OpGet
+			op.Cmd.Op = msg.OpGet
 		}
-		if op == msg.OpGet && fastReads {
-			ln.rseq++
-			seq := shard.TagSeq(ln.shard, ln.rseq)
-			rf := readFlight{rec: -1}
-			if c.cfg.Record != nil {
-				rf.rec = c.cfg.Record.Invoke(int(c.cfg.ID), linearize.Read, ln.key, "", ctx.Now())
-			}
-			*ln.reads.Slot(seq) = rf
-			ln.inflight++
-			readEntries = append(readEntries, msg.BatchEntry{Seq: seq, Cmd: msg.Command{Op: op, Key: ln.key}})
-			continue
+		fast := op.Cmd.Op == msg.OpGet && c.cfg.ReadMode != readpath.Consensus
+		if fast {
+			op.Cmd.Val = ""
 		}
-		ln.seq++
-		seq := shard.TagSeq(ln.shard, ln.seq)
-		if c.cfg.Tracer.Enabled() {
-			tnow := ctx.Now()
-			c.cfg.Tracer.Begin(c.cfg.ID, seq, tnow, 0, tnow)
-		}
-		f := flight{op: op, val: "v", rec: -1}
 		if c.cfg.Record != nil {
 			kind := linearize.Write
-			if op == msg.OpGet {
-				kind = linearize.Read
-				f.val = ""
+			if op.Cmd.Op == msg.OpGet {
+				kind, op.Cmd.Val = linearize.Read, ""
 			} else {
-				f.val = fmt.Sprintf("c%d.%d", c.cfg.ID, seq)
+				op.Cmd.Val = fmt.Sprintf("c%d.%d", c.cfg.ID, c.issued)
 			}
-			f.rec = c.cfg.Record.Invoke(int(c.cfg.ID), kind, ln.key, f.val, ctx.Now())
+			op.User.rec = c.cfg.Record.Invoke(int(c.cfg.ID), kind, ln.key, op.Cmd.Val, now)
 		}
-		*ln.flights.Slot(seq) = f
-		ln.inflight++
-		entries = append(entries, msg.BatchEntry{Seq: seq, Cmd: msg.Command{Op: op, Key: ln.key, Val: f.val}})
+		if fast {
+			ln.QueueRead(op)
+		} else {
+			writes = append(writes, op)
+		}
 	}
+	c.ops = writes[:0]
+	if len(writes) > 0 {
+		ln.Transmit(ctx, ln.Issue(now, writes))
+	}
+	c.pumpReads(ctx)
 	total := 0
-	for _, other := range c.lanes {
-		total += other.inflight
+	for _, l := range c.lanes {
+		total += l.InFlight() + l.ReadsOutstanding()
 	}
-	if total > c.maxInflight {
-		c.maxInflight = total
-	}
-	now := ctx.Now()
-	if len(entries) > 0 {
-		req := msg.NewRequest(c.cfg.ID, ln.flights.Low(), entries)
-		ctx.Send(ln.servers[ln.target], req)
-		c.batchOcc.Record(len(entries))
-		for _, be := range entries {
-			ln.flights.Ptr(be.Seq).sentAt = now
-		}
-		if !ln.armed {
-			ln.armed = true
-			ctx.After(c.cfg.RetryTimeout, runtime.TimerTag{Kind: TimerRetry, Arg: int64(ln.shard)})
-		}
-	}
-	if len(readEntries) > 0 {
-		if c.cfg.ReadMode == readpath.Follower {
-			// Spreading reads across replicas is the mode's whole point.
-			ln.readTarget = (ln.readTarget + 1) % len(ln.servers)
-		}
-		ctx.Send(ln.servers[ln.readTarget],
-			msg.ReadRequest{Client: c.cfg.ID, Mode: int(c.cfg.ReadMode), Entries: readEntries})
-		for _, be := range readEntries {
-			rf := ln.reads.Ptr(be.Seq)
-			rf.sentAt = now
-			rf.cancel = ctx.After(c.cfg.RetryTimeout, runtime.TimerTag{Kind: TimerReadRetry, Arg: int64(be.Seq)})
-		}
-	}
+	c.maxInflight = max(c.maxInflight, total)
 }
 
-// resend transmits f's command under its tagged seq to the lane's
-// current target at once (a redirect named a better server). A resent
-// command always travels under its original sequence number, and the
-// lane's retry timer counts from this transmission.
-func (c *Client) resend(ctx runtime.Context, ln *lane, seq uint64, f *flight) {
-	f.sentAt = ctx.Now()
-	req := msg.ClientRequest{
-		Client: c.cfg.ID,
-		Seq:    seq,
-		Cmd:    msg.Command{Op: f.op, Key: ln.key, Val: f.val},
-		Ack:    ln.flights.Low(),
-	}
-	ctx.Send(ln.servers[ln.target], req)
-}
-
-// resendRead transmits f's read under its tagged read seq to the
-// lane's current read target and re-arms the per-seq retry timer.
-func (c *Client) resendRead(ctx runtime.Context, ln *lane, seq uint64, f *readFlight) {
-	f.sentAt = ctx.Now()
-	ctx.Send(ln.servers[ln.readTarget], msg.ReadRequest{
-		Client:  c.cfg.ID,
-		Mode:    int(c.cfg.ReadMode),
-		Entries: []msg.BatchEntry{{Seq: seq, Cmd: msg.Command{Op: msg.OpGet, Key: ln.key}}},
-	})
-	if f.cancel != nil {
-		f.cancel()
-	}
-	f.cancel = ctx.After(c.cfg.RetryTimeout, runtime.TimerTag{Kind: TimerReadRetry, Arg: int64(seq)})
-}
-
-// retarget points the lane at server if it is one of the lane's
-// replicas (a redirect naming a node outside the group is ignored).
-func (ln *lane) retarget(server msg.NodeID) {
-	for i, s := range ln.servers {
-		if s == server {
-			ln.target = i
-			return
-		}
-	}
-}
-
-// retargetRead points the lane's read cursor at server if it is one of
-// the lane's replicas.
-func (ln *lane) retargetRead(server msg.NodeID) {
-	for i, s := range ln.servers {
-		if s == server {
-			ln.readTarget = i
-			return
+// pumpReads sends the lanes' queued fast-path reads, as many requests
+// as each read lane's window admits.
+func (c *Client) pumpReads(ctx runtime.Context) {
+	for _, ln := range c.lanes {
+		for send, ok := ln.PumpReads(ctx.Now()); ok; send, ok = ln.PumpReads(ctx.Now()) {
+			ln.TransmitRead(ctx, send)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"consensusinside/internal/client"
 	"consensusinside/internal/msg"
 	"consensusinside/internal/obs"
 	"consensusinside/internal/readpath"
@@ -32,7 +33,7 @@ func mustClient(cfg Config) *Client {
 // fires the lane's retry timer.
 func retryTick(c *Client, ctx *runtime.FakeContext, lane int) {
 	ctx.Clock += DefaultRetryTimeout
-	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry, Arg: int64(lane)})
+	c.Timer(ctx, runtime.TimerTag{Kind: client.TimerRetry, Arg: int64(lane)})
 }
 
 func lastRequest(t *testing.T, ctx *runtime.FakeContext) (msg.NodeID, msg.ClientRequest) {
@@ -137,7 +138,7 @@ func TestClientRetryRotatesServers(t *testing.T) {
 	}
 	// A tick that finds nothing overdue resends nothing.
 	n := len(ctx.Sent)
-	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry})
+	c.Timer(ctx, runtime.TimerTag{Kind: client.TimerRetry})
 	if len(ctx.Sent) != n {
 		t.Fatal("a tick with nothing overdue fired a resend")
 	}
@@ -232,12 +233,8 @@ func TestClientSeriesRecording(t *testing.T) {
 	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
 	ctx.Clock = 25 * time.Millisecond
 	c.Receive(ctx, 0, msg.ClientReply{Seq: 1, OK: true})
-	s := c.Series()
-	if s == nil {
-		t.Fatal("series not configured")
-	}
-	if got := s.Buckets(); len(got) != 3 || got[2] != 1 {
-		t.Fatalf("buckets = %v", got)
+	if got := c.Series(); len(got) != 3 || got[2] != 1 {
+		t.Fatalf("buckets = %v, want one completion in the third", got)
 	}
 }
 
@@ -308,7 +305,7 @@ func TestClientPipelinedRetryIsPerSeq(t *testing.T) {
 	// The tick at one timeout resends seqs 1 and 3 only, in one request
 	// rotated to the next server.
 	ctx.Clock = DefaultRetryTimeout
-	c.Timer(ctx, runtime.TimerTag{Kind: TimerRetry})
+	c.Timer(ctx, runtime.TimerTag{Kind: client.TimerRetry})
 	if len(ctx.Sent) != 1 {
 		t.Fatalf("retry sent %d messages, want 1", len(ctx.Sent))
 	}
@@ -320,7 +317,7 @@ func TestClientPipelinedRetryIsPerSeq(t *testing.T) {
 		t.Fatalf("Retries = %d, want 2", c.Retries())
 	}
 	// The timer sleeps until seq 4 is due, half a timeout on.
-	if tm := ctx.Timers[len(ctx.Timers)-1]; tm.Tag.Kind != TimerRetry || tm.At != DefaultRetryTimeout*3/2 {
+	if tm := ctx.Timers[len(ctx.Timers)-1]; tm.Tag.Kind != client.TimerRetry || tm.At != DefaultRetryTimeout*3/2 {
 		t.Fatalf("retry timer re-armed as %+v, want seq 4's due time %v", tm, DefaultRetryTimeout*3/2)
 	}
 	// A tick after everything completed resends nothing and dies.
@@ -550,7 +547,7 @@ func TestClientBatchedWindowFill(t *testing.T) {
 	// One retry timer serves the whole lane.
 	armed := 0
 	for _, tm := range ctx.Timers {
-		if tm.Tag.Kind == TimerRetry {
+		if tm.Tag.Kind == client.TimerRetry {
 			armed++
 		}
 	}
@@ -665,7 +662,7 @@ func TestClientBatchDelayHoldsPartialBatch(t *testing.T) {
 	}
 	var flush *runtime.FakeTimer
 	for i := range ctx.Timers {
-		if ctx.Timers[i].Tag.Kind == TimerBatchFlush {
+		if ctx.Timers[i].Tag.Kind == client.TimerFlush {
 			flush = &ctx.Timers[i]
 		}
 	}
@@ -749,5 +746,71 @@ func TestClientPinnedFlightOutlivesWindow(t *testing.T) {
 	c.Receive(ctx, 1, msg.ClientReply{Seq: 1, OK: true})
 	if _, req := lastRequest(t, ctx); req.Seq != 41 || req.Ack != 40 {
 		t.Fatalf("after the pinned command completed: seq %d ack %d, want seq 41 ack 40", req.Seq, req.Ack)
+	}
+}
+
+// TestClientFastReadsRideTheReadLane: under a fast-path read mode the
+// source still draws each command's coin at admission and still caps
+// its outstanding commands at Window, but the reads travel as coalesced
+// ReadRequests on read-lane seqs — at most two requests outstanding —
+// and never touch the write window.
+func TestClientFastReadsRideTheReadLane(t *testing.T) {
+	c, ctx := newClient(func(cfg *Config) {
+		cfg.Window = 4
+		cfg.ReadPercent = 100
+		cfg.ReadMode = readpath.Lease
+	})
+	readSeqs := func(what string, s runtime.FakeSend, to msg.NodeID, want ...uint64) {
+		t.Helper()
+		req, ok := s.M.(msg.ReadRequest)
+		if !ok || s.To != to || req.Mode != int(readpath.Lease) || len(req.Entries) != len(want) {
+			t.Fatalf("%s: sent %+v to %d, want a lease ReadRequest of %d reads to %d", what, s.M, s.To, len(want), to)
+		}
+		for i, be := range req.Entries {
+			if be.Seq != want[i] || be.Cmd.Op != msg.OpGet {
+				t.Fatalf("%s: entry %d = %+v, want read seq %d", what, i, be, want[i])
+			}
+		}
+	}
+	one := func(what string, to msg.NodeID, want ...uint64) {
+		t.Helper()
+		sent := ctx.TakeSent()
+		if len(sent) != 1 {
+			t.Fatalf("%s: sent %d messages, want 1: %+v", what, len(sent), sent)
+		}
+		readSeqs(what, sent[0], to, want...)
+	}
+	c.Start(ctx)
+	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
+	// Four reads fill the source's window; two leave at once, two pool.
+	sent := ctx.TakeSent()
+	if len(sent) != client.MaxReadRequests {
+		t.Fatalf("first fill sent %d messages, want %d read requests", len(sent), client.MaxReadRequests)
+	}
+	readSeqs("first fill", sent[0], 0, 1)
+	readSeqs("first fill", sent[1], 0, 2)
+	if c.InFlight() != 0 || c.MaxInFlight() != 4 {
+		t.Fatalf("writes in flight %d, max outstanding %d; want 0 and the window, 4", c.InFlight(), c.MaxInFlight())
+	}
+	// One answer: the read completes, and the pooled reads leave with its
+	// replacement as ONE request.
+	c.Receive(ctx, 0, msg.ReadReply{Seq: 1, OK: true, Result: "r"})
+	if c.Completed() != 1 || c.ReadLatencies().Count() != 1 {
+		t.Fatalf("completed %d, read samples %d; want 1 and 1", c.Completed(), c.ReadLatencies().Count())
+	}
+	one("refill", 0, 3, 4, 5)
+	c.Receive(ctx, 0, msg.ReadReply{Seq: 2, OK: true})
+	one("second refill", 0, 6)
+	// Two requests are outstanding: the next replacement pools.
+	c.Receive(ctx, 0, msg.ReadReply{Seq: 3, OK: true})
+	if sent := ctx.TakeSent(); len(sent) != 0 {
+		t.Fatalf("third request sent with two outstanding: %+v", sent)
+	}
+	// A redirect re-aims the read lane; the read goes out again ahead of
+	// the pooled one, and completes nothing.
+	c.Receive(ctx, 0, msg.ReadReply{Seq: 6, Redirect: 2})
+	one("after the redirect", 2, 7, 8)
+	if c.Completed() != 3 {
+		t.Fatalf("completed = %d, want 3", c.Completed())
 	}
 }
