@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"consensusinside/internal/protocol"
 	"consensusinside/internal/shard"
 )
 
@@ -241,11 +240,7 @@ func TestLogBoundedUnderSustainedLoad(t *testing.T) {
 	// headroom for in-flight application.
 	const bound = 3 * interval
 	for i, eng := range kv.shards[0].engines {
-		exp, ok := eng.(protocol.LogExposer)
-		if !ok {
-			t.Fatalf("engine %d does not expose a log", i)
-		}
-		log := exp.Log()
+		log := eng.Log()
 		// Sanity floor: ~ops/batch instances, minus the trailing applies
 		// Close may have cut off.
 		if log.Applied() < ops/10 {

@@ -523,20 +523,18 @@ func (c *Cluster) GroupCommits() []int64 {
 // disagree on any log instance — the paper's consistency safety
 // property ("two different learners cannot learn two different
 // values"). Each shard's group has its own log with its own instance
-// numbering, so the check runs group by group. It applies to every
-// engine exposing an instance-indexed log (protocol.LogExposer);
-// engines without a total order (2PC) are vacuously consistent here.
+// numbering, so the check runs group by group. An engine without a
+// total order (2PC, whose Log is nil) is vacuously consistent here.
 func (c *Cluster) CheckConsistency() error {
 	for g, group := range c.Groups {
 		chosen := make(map[int64]msg.Value)
 		who := make(map[int64]msg.NodeID)
 		for i, id := range group {
-			s := c.Servers[g*c.Spec.Replicas+i]
-			exp, ok := s.(protocol.LogExposer)
-			if !ok || exp.Log() == nil {
+			log := c.Servers[g*c.Spec.Replicas+i].Log()
+			if log == nil {
 				return nil
 			}
-			for _, e := range exp.Log().History() {
+			for _, e := range log.History() {
 				if prev, ok := chosen[e.Instance]; ok {
 					if !prev.Equal(e.Value) {
 						return fmt.Errorf("group %d instance %d: replica %d learned %+v, replica %d learned %+v",

@@ -145,12 +145,9 @@ type Engine interface {
 	// ReadPath exposes the read-path server for its test hooks (clock
 	// skew, the scenario fuzzer's revert guard).
 	ReadPath() *readpath.Server
-}
-
-// LogExposer is the instance-indexed learner log of the paxos family;
-// deployments use it for cross-replica consistency checks. Log is nil
-// for an engine without a total order (2PC).
-type LogExposer interface {
+	// Log is the instance-indexed learner log; deployments use it for
+	// cross-replica consistency checks. It is nil for an engine without
+	// a total order (2PC).
 	Log() *rsm.Log
 }
 
