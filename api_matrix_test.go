@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
 )
 
 // matrixOps is a deterministic mixed workload: interleaved puts,

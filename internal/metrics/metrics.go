@@ -1,7 +1,6 @@
 // Package metrics provides the measurement primitives: latency
-// histograms with percentile queries, windowed time series (for
-// throughput-over-time plots such as the paper's Figure 11) and the
-// commands-per-batch occupancy counts. It holds shapes, not subsystem
+// histograms with percentile queries and the commands-per-batch
+// occupancy counts. It holds shapes, not subsystem
 // counters: each subsystem keeps its own counters struct and reports
 // it by name through internal/obs.
 //
@@ -199,64 +198,6 @@ func (s Summary) String() string {
 }
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-// TimeSeries counts events into fixed-width buckets of (virtual) time,
-// reproducing plots like the paper's Figure 11 (proposals per 10 ms bucket).
-type TimeSeries struct {
-	bucket  time.Duration
-	buckets []int
-}
-
-// NewTimeSeries makes a series with the given bucket width.
-// It panics if the width is not positive; the width is a programming
-// constant, never user input.
-func NewTimeSeries(bucket time.Duration) *TimeSeries {
-	if bucket <= 0 {
-		panic("metrics: bucket width must be positive")
-	}
-	return &TimeSeries{bucket: bucket}
-}
-
-// Record counts one event at time t (measured from the start of the run).
-func (ts *TimeSeries) Record(t time.Duration) {
-	if t < 0 {
-		return
-	}
-	idx := int(t / ts.bucket)
-	for len(ts.buckets) <= idx {
-		ts.buckets = append(ts.buckets, 0)
-	}
-	ts.buckets[idx]++
-}
-
-// BucketWidth reports the configured bucket width.
-func (ts *TimeSeries) BucketWidth() time.Duration { return ts.bucket }
-
-// Buckets returns a copy of the per-bucket counts.
-func (ts *TimeSeries) Buckets() []int {
-	out := make([]int, len(ts.buckets))
-	copy(out, ts.buckets)
-	return out
-}
-
-// Rate converts bucket counts to events/second for each bucket.
-func (ts *TimeSeries) Rate() []float64 {
-	out := make([]float64, len(ts.buckets))
-	perSec := float64(time.Second) / float64(ts.bucket)
-	for i, c := range ts.buckets {
-		out[i] = float64(c) * perSec
-	}
-	return out
-}
-
-// Total reports the sum over all buckets.
-func (ts *TimeSeries) Total() int {
-	total := 0
-	for _, c := range ts.buckets {
-		total += c
-	}
-	return total
-}
 
 // BatchOccupancyBuckets are the upper bounds (inclusive) of the
 // commands-per-batch histogram; the last bucket is open-ended. The

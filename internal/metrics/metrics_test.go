@@ -172,54 +172,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	ts := NewTimeSeries(10 * time.Millisecond)
-	ts.Record(0)
-	ts.Record(5 * time.Millisecond)
-	ts.Record(10 * time.Millisecond)
-	ts.Record(25 * time.Millisecond)
-	ts.Record(-time.Millisecond) // ignored
-	got := ts.Buckets()
-	want := []int{2, 1, 1}
-	if len(got) != len(want) {
-		t.Fatalf("buckets = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("buckets = %v, want %v", got, want)
-		}
-	}
-	if ts.Total() != 4 {
-		t.Errorf("Total = %d, want 4", ts.Total())
-	}
-	rate := ts.Rate()
-	if rate[0] != 200 { // 2 events per 10ms bucket = 200/s
-		t.Errorf("Rate[0] = %v, want 200", rate[0])
-	}
-	if ts.BucketWidth() != 10*time.Millisecond {
-		t.Errorf("BucketWidth = %v", ts.BucketWidth())
-	}
-}
-
-func TestTimeSeriesPanicsOnBadWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero bucket width")
-		}
-	}()
-	NewTimeSeries(0)
-}
-
-func TestTimeSeriesBucketsIsCopy(t *testing.T) {
-	ts := NewTimeSeries(time.Millisecond)
-	ts.Record(0)
-	b := ts.Buckets()
-	b[0] = 99
-	if ts.Buckets()[0] != 1 {
-		t.Fatal("Buckets must return a copy")
-	}
-}
-
 func TestThroughput(t *testing.T) {
 	if got := Throughput(1000, time.Second); got != 1000 {
 		t.Errorf("Throughput = %v, want 1000", got)
