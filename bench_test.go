@@ -1,183 +1,31 @@
 package consensusinside
 
-// One benchmark per table and figure of the paper's evaluation, plus the
-// design ablations from DESIGN.md and real-hardware microbenchmarks of
-// the QC-libtask queue. Regenerate everything with:
+// Real-hardware microbenchmarks (wall clock): the QC-libtask queue, the
+// wire codec, the TCP send path and the KV's InProc Put path — the
+// layers scripts/allocgate.sh and bench/'s ladder rest on. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Simulated experiments report virtual-time metrics (op/s, µs) through
-// b.ReportMetric; wall-clock ns/op for them measures simulator speed, not
-// protocol speed. EXPERIMENTS.md records these numbers against the
-// paper's published values.
+// The paper's simulated experiments are not benchmarks (their ns/op
+// would measure simulator speed): `consensusbench -run <id>` runs them
+// from internal/experiments.Registry, and testdata/quick.golden pins
+// their output.
 
 import (
 	"fmt"
 	"io"
 	"net"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"consensusinside/internal/experiments"
 	"consensusinside/internal/msg"
 	"consensusinside/internal/queue"
 	irt "consensusinside/internal/runtime"
 	"consensusinside/internal/transport"
 	"consensusinside/internal/wire"
 )
-
-// metricName makes an experiment label safe as a testing.B metric unit
-// (no whitespace allowed).
-func metricName(label, suffix string) string {
-	return strings.ReplaceAll(strings.ReplaceAll(label, " ", ""), "%", "pct") + suffix
-}
-
-func benchOpts(i int) experiments.Opts {
-	return experiments.Opts{Seed: int64(i + 1)}
-}
-
-// BenchmarkNetCharacteristics regenerates the Section 3 in-text table:
-// transmission and propagation delay, many-core vs LAN.
-func BenchmarkNetCharacteristics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.NetCharacteristics(benchOpts(i))
-		b.ReportMetric(rows[0].Ratio, "manycore-trans/prop")
-		b.ReportMetric(rows[1].Ratio, "lan-trans/prop")
-	}
-}
-
-// BenchmarkSec72Latency regenerates the Section 7.2 single-client commit
-// latencies (paper: 1Paxos 16µs, Multi-Paxos 19.6µs, 2PC 21.4µs).
-func BenchmarkSec72Latency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Latency(benchOpts(i))
-		for _, r := range rows {
-			b.ReportMetric(float64(r.Latency)/1e3, r.Protocol+"-µs")
-		}
-	}
-}
-
-// BenchmarkFig2MultiPaxosLANvsManycore regenerates Figure 2: Multi-Paxos
-// throughput vs clients in a LAN and inside the many-core.
-func BenchmarkFig2MultiPaxosLANvsManycore(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series := experiments.Fig2(benchOpts(i), []int{1, 3, 10, 45, 100})
-		mc := series["Multi-Paxos Multicore"]
-		lan := series["Multi-Paxos LAN"]
-		b.ReportMetric(mc[len(mc)-1].Throughput, "manycore-100c-ops")
-		b.ReportMetric(lan[len(lan)-1].Throughput, "lan-100c-ops")
-	}
-}
-
-// BenchmarkFig8LatencyVsThroughput regenerates Figure 8 (paper: 1Paxos
-// peaks ≈130k op/s; Multi-Paxos 68,070 = 52%; 2PC ≈ 48%).
-func BenchmarkFig8LatencyVsThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series := experiments.Fig8(benchOpts(i), []int{1, 3, 7, 13, 25, 45})
-		for name, pts := range series {
-			b.ReportMetric(experiments.PeakThroughput(pts), name+"-peak-ops")
-		}
-	}
-}
-
-// BenchmarkFig9DegreeOfReplication regenerates Figure 9 (Joint mode;
-// paper: 1Paxos-Joint grows to 47 replicas, the others peak near 20 and
-// decline).
-func BenchmarkFig9DegreeOfReplication(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series := experiments.Fig9(benchOpts(i), []int{3, 15, 31, 47})
-		for name, pts := range series {
-			last := pts[len(pts)-1]
-			b.ReportMetric(last.Throughput, name+"-47r-ops")
-		}
-	}
-}
-
-// BenchmarkFig10ReadWorkload regenerates Figure 10 (2PC-Joint local
-// reads vs 1Paxos at 3 and 5 clients).
-func BenchmarkFig10ReadWorkload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig10(benchOpts(i))
-		for _, r := range rows {
-			if r.Clients == 5 {
-				b.ReportMetric(r.Throughput, metricName(r.Label, "-5c-ops"))
-			}
-		}
-	}
-}
-
-// BenchmarkFig11SlowLeader regenerates Figure 11: 1Paxos under a slowed
-// leader — steady rate, stall window, recovered rate.
-func BenchmarkFig11SlowLeader(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rec := experiments.Recovery(experiments.Fig11(benchOpts(i)))
-		b.ReportMetric(rec.BeforeRate, "steady-ops")
-		b.ReportMetric(float64(rec.StallBuckets)*10, "stall-ms")
-		b.ReportMetric(rec.RecoveredRate, "recovered-ops")
-	}
-}
-
-// BenchmarkSec22TwoPCSlowCoordinator regenerates the Section 2.2
-// observation: 2PC throughput collapses for good when the coordinator's
-// core is loaded.
-func BenchmarkSec22TwoPCSlowCoordinator(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rec := experiments.Recovery(experiments.Sec22(benchOpts(i)))
-		b.ReportMetric(rec.BeforeRate, "steady-ops")
-		b.ReportMetric(rec.RecoveredRate, "after-fault-ops")
-	}
-}
-
-// BenchmarkAcceptorSwitch exercises Section 5.2: the active acceptor
-// crashes and a backup is promoted; the harness reports the recovery.
-func BenchmarkAcceptorSwitch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rec := experiments.Recovery(experiments.AcceptorSwitch(benchOpts(i)))
-		b.ReportMetric(rec.BeforeRate, "steady-ops")
-		b.ReportMetric(float64(rec.StallBuckets)*10, "stall-ms")
-		b.ReportMetric(rec.RecoveredRate, "recovered-ops")
-	}
-}
-
-// BenchmarkLAN1PaxosVsMultiPaxos regenerates the Section 8 in-text claim
-// (1Paxos over an IP network: 2.88x Multi-Paxos throughput).
-func BenchmarkLAN1PaxosVsMultiPaxos(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := benchOpts(i)
-		opts.Duration = 500 * time.Millisecond
-		opts.Warmup = 100 * time.Millisecond
-		rows := experiments.LANComparison(opts)
-		if len(rows) == 2 && rows[0].Throughput > 0 {
-			b.ReportMetric(rows[1].Throughput/rows[0].Throughput, "1paxos/multipaxos")
-		}
-	}
-}
-
-// BenchmarkAblationLearnBatching measures the DESIGN.md ablation: the
-// acceptor's learn broadcast batched vs unbatched at 47 joint replicas.
-func BenchmarkAblationLearnBatching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.AblationLearnBatching(benchOpts(i))
-		for _, r := range rows {
-			b.ReportMetric(r.Throughput, metricName(r.Config, "-ops"))
-		}
-	}
-}
-
-// BenchmarkMenciusLoadSpread quantifies the Section 8 related-work
-// comparison: Mencius spreads client load across all leaders (commits
-// with spread vs funnelled traffic on the simulator).
-func BenchmarkMenciusLoadSpread(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		funnel, spread := experiments.MenciusLoadSpread(benchOpts(i))
-		b.ReportMetric(funnel, "funnel-ops")
-		b.ReportMetric(spread, "spread-ops")
-	}
-}
 
 // --- Real-hardware microbenchmarks (wall clock, not simulated) ---
 
@@ -586,41 +434,3 @@ func BenchmarkKVInProcPutClosedLoop(b *testing.B) { benchKVConcurrentPut(b, 1) }
 // compare ns/op against BenchmarkKVInProcPutClosedLoop for the client
 // pipelining gain on the identical consensus path.
 func BenchmarkKVInProcPutPipelined(b *testing.B) { benchKVConcurrentPut(b, 16) }
-
-// BenchmarkAblationPipelining measures the simulated client-window
-// ablation: 1Paxos, one client, closed loop vs window 8.
-func BenchmarkAblationPipelining(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.AblationPipelining(benchOpts(i))
-		for _, r := range rows {
-			b.ReportMetric(r.Throughput, metricName(r.Config, "-ops"))
-		}
-	}
-}
-
-// BenchmarkAblationCommandBatching measures the simulated command-batch
-// ablation: 1Paxos, one client, window 16, batch 1 vs 8 vs 16.
-func BenchmarkAblationCommandBatching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.AblationCommandBatching(benchOpts(i))
-		for _, r := range rows {
-			b.ReportMetric(r.Throughput, metricName(r.Config, "-ops"))
-		}
-	}
-}
-
-// BenchmarkShardScalingSim measures the simulated shard sweep: 12
-// replica cores split into 1x12, 2x6 and 4x3 independent groups, 24
-// clients on disjoint per-shard keys. Aggregate virtual-time throughput
-// should grow near-linearly with the group count.
-func BenchmarkShardScalingSim(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.ShardScaling(benchOpts(i), nil)
-		for _, r := range rows {
-			b.ReportMetric(r.Throughput, fmt.Sprintf("shards%d-ops", r.Shards))
-		}
-		if rows[0].Throughput > 0 {
-			b.ReportMetric(rows[len(rows)-1].Throughput/rows[0].Throughput, "speedup-4v1")
-		}
-	}
-}
