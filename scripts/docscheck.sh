@@ -10,8 +10,9 @@
 # when a wall-clock sweep driver or a recorded BENCH_*.json reappears
 # beside bench/, when a second stats path grows back beside internal/obs
 # (a typed stats struct, an adapter, a registry gauge, a metric name
-# spelled outside its owner), or when a doc file that other docs link to
-# is absent. The point is that the docs pass of PR 2 cannot silently rot.
+# spelled outside its owner), when a second client grows back beside
+# internal/client, or when a doc file that other docs link to is absent.
+# The point is that the docs pass of PR 2 cannot silently rot.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -113,6 +114,29 @@ for owned in wire:internal/transport snap:internal/snapshot read:internal/readpa
         fail=1
     fi
 done
+
+# internal/client's Lane is the one pipelined client; the KV's bridge
+# and the simulator's load source are front ends that call it. Code
+# outside it (and internal/shard, which defines the tag) that builds a
+# ReadRequest, tags a seq or declares a retry timer kind of its own is a
+# second client growing back, and so is any of the old per-front-end
+# flight types, anywhere. Comments may mention the names; paxosutil's
+# TimerRetry is the replicas' utility-proposal retry, not a client's.
+for f in $(echo "$sources" | grep -vE '^./internal/(client|shard|paxosutil)/'); do
+    regrown=$(sed 's,//.*$,,' "$f" |
+        grep -nE 'msg\.ReadRequest\{|shard\.TagSeq\(|^[[:space:]]*(const[[:space:]]+)?[A-Za-z]*Timer[A-Za-z]*Retry[A-Za-z]*[[:space:]]*(=|$)')
+    if [ -n "$regrown" ]; then
+        echo "docscheck: $f does the one client's work (internal/client owns read requests, seq tags and retry timers):" >&2
+        echo "$regrown" >&2
+        fail=1
+    fi
+done
+regrown=$(grep -rnE 'kvFlight|kvReadOp|kvReadBatch|readFlight' --include='*.go' .)
+if [ -n "$regrown" ]; then
+    echo "docscheck: per-front-end flight types are gone; an in-flight op is a client.Op in the lane's window:" >&2
+    echo "$regrown" >&2
+    fail=1
+fi
 
 # Documentation files the code and other docs point at.
 for doc in README.md DESIGN.md EXPERIMENTS.md docs/BENCHMARKS.md; do
