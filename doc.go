@@ -41,8 +41,9 @@
 //     internal/client's lane (window, batching, retry with rotation,
 //     redirects, the fast-read lane) sits under both the KV's blocking
 //     Put/Get adapter and the simulator's load source, so what the
-//     fuzzer checks is the client the KV ships. The deterministic paper experiments are
-//     internal/experiments.Registry, run by cmd/consensusbench;
+//     fuzzer checks is the client the KV ships. The deterministic
+//     paper experiments are internal/experiments.Registry, run by
+//     cmd/consensusbench;
 //     wall-clock measurement of the real runtimes is the separate
 //     bench/ module (bash bench/run.sh).
 //

@@ -158,14 +158,11 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// issued is the load source's per-op state, handed back by the lane
-// when the op completes: the recorder op id (-1 when not recording).
-type issued struct{ rec int }
-
 // lane is the client's state toward one group: the pipelined client
-// itself and the key that routes to the group.
+// itself and the key that routes to the group. The lane's per-op payload
+// is the op's recorder id, -1 when not recording.
 type lane struct {
-	*client.Lane[issued]
+	*client.Lane[int]
 	key string
 }
 
@@ -175,10 +172,10 @@ type lane struct {
 type Client struct {
 	cfg     Config
 	lanes   []lane
-	next    int                 // lane round-robin cursor
-	issued  int                 // total commands issued across lanes
-	credits int                 // paced only: think ticks not yet spent on a command
-	ops     []client.Op[issued] // scratch for the writes of one request
+	next    int              // lane round-robin cursor
+	issued  int              // total commands issued across lanes
+	credits int              // paced only: think ticks not yet spent on a command
+	ops     []client.Op[int] // scratch for the writes of one request
 
 	maxInflight int
 	completed   int
@@ -226,7 +223,7 @@ func NewClient(cfg Config) (*Client, error) {
 		if len(cfg.Groups) > 0 {
 			key = shard.KeyFor(cfg.Key, g, len(groups))
 		}
-		c.lanes = append(c.lanes, lane{key: key, Lane: client.New[issued](client.Config{
+		c.lanes = append(c.lanes, lane{key: key, Lane: client.New[int](client.Config{
 			ID:       cfg.ID,
 			Servers:  servers,
 			Shard:    g,
@@ -358,9 +355,9 @@ func (c *Client) onReplies(ctx runtime.Context, replies []msg.ClientReply) (refi
 		if ln == nil {
 			continue
 		}
-		switch user, kind, sentAt, st := ln.Retire(now, &replies[i]); st {
+		switch rec, kind, sentAt, st := ln.Retire(now, &replies[i]); st {
 		case client.Done:
-			refill = c.complete(ctx, kind, sentAt, user.rec, replies[i].Result) || refill
+			refill = c.complete(ctx, kind, sentAt, rec, replies[i].Result) || refill
 		case client.Redirected:
 			redirected = ln // one message's replies all carry one lane's tag
 		}
@@ -379,8 +376,8 @@ func (c *Client) onReadReplies(ctx runtime.Context, replies []msg.ReadReply) (re
 		if ln == nil {
 			continue
 		}
-		if user, sentAt, st := ln.RetireRead(&replies[i]); st == client.Done {
-			refill = c.complete(ctx, msg.OpGet, sentAt, user.rec, replies[i].Result) || refill
+		if rec, sentAt, st := ln.RetireRead(&replies[i]); st == client.Done {
+			refill = c.complete(ctx, msg.OpGet, sentAt, rec, replies[i].Result) || refill
 		}
 	}
 	return refill
@@ -524,7 +521,7 @@ func (c *Client) issue(ctx runtime.Context, ln *lane, n int) {
 	writes := c.ops[:0]
 	for i := 0; i < n; i++ {
 		c.issued++
-		op := client.Op[issued]{Cmd: msg.Command{Op: msg.OpPut, Key: ln.key, Val: "v"}, User: issued{rec: -1}}
+		op := client.Op[int]{Cmd: msg.Command{Op: msg.OpPut, Key: ln.key, Val: "v"}, User: -1}
 		if c.cfg.ReadPercent > 0 && ctx.Rand().Float64()*100 < float64(c.cfg.ReadPercent) {
 			op.Cmd.Op = msg.OpGet
 		}
@@ -539,7 +536,7 @@ func (c *Client) issue(ctx runtime.Context, ln *lane, n int) {
 			} else {
 				op.Cmd.Val = fmt.Sprintf("c%d.%d", c.cfg.ID, c.issued)
 			}
-			op.User.rec = c.cfg.Record.Invoke(int(c.cfg.ID), kind, ln.key, op.Cmd.Val, now)
+			op.User = c.cfg.Record.Invoke(int(c.cfg.ID), kind, ln.key, op.Cmd.Val, now)
 		}
 		if fast {
 			ln.QueueRead(op)
