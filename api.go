@@ -223,10 +223,9 @@ type KVConfig struct {
 }
 
 // MaxSnapshotChunk bounds KVConfig.SnapshotChunkSize: chunks must stay
-// comfortably under the transport's 16 MiB frame guard. Defined by
-// conversion from the cluster package's bound so the two knobs can
-// never silently diverge.
-const MaxSnapshotChunk = cluster.MaxSnapshotChunk
+// comfortably under the transport's 16 MiB frame guard. An alias of the
+// bound protocol.Build enforces for every deployment.
+const MaxSnapshotChunk = protocol.MaxSnapshotChunk
 
 // KV is a linearizable replicated string map: every operation (reads
 // included, per Section 7.5's strong-consistency mode) is a consensus
@@ -341,22 +340,6 @@ func StartKV(cfg KVConfig) (*KV, error) {
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 1
-	}
-	if cfg.SnapshotInterval < 0 {
-		return nil, fmt.Errorf("consensusinside: negative snapshot interval %d", cfg.SnapshotInterval)
-	}
-	if cfg.SnapshotChunkSize < 0 {
-		return nil, fmt.Errorf("consensusinside: negative snapshot chunk size %d", cfg.SnapshotChunkSize)
-	}
-	if cfg.SnapshotChunkSize > MaxSnapshotChunk {
-		return nil, fmt.Errorf("consensusinside: snapshot chunk size %d exceeds the maximum %d",
-			cfg.SnapshotChunkSize, MaxSnapshotChunk)
-	}
-	if !readpath.Mode(cfg.ReadMode).Valid() {
-		return nil, fmt.Errorf("consensusinside: unknown read mode %d", int(cfg.ReadMode))
-	}
-	if cfg.LeaseDuration < 0 {
-		return nil, fmt.Errorf("consensusinside: negative lease duration %v", cfg.LeaseDuration)
 	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 5 * time.Second

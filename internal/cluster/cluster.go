@@ -47,11 +47,6 @@ const (
 // Protocols lists every registered protocol, for experiment sweeps.
 func Protocols() []Protocol { return protocol.IDs() }
 
-// MaxSnapshotChunk bounds Spec.SnapshotChunkSize, mirroring the public
-// KVConfig bound: chunks must stay comfortably under the TCP
-// transport's 16 MiB frame guard.
-const MaxSnapshotChunk = 4 << 20
-
 // Server is the common face of a protocol replica.
 type Server = protocol.Engine
 
@@ -212,16 +207,6 @@ func Build(spec Spec) (*Cluster, error) {
 	if err := rsm.CheckPipeline("cluster", max(spec.Window, 1), spec.BatchSize, spec.BatchDelay, spec.BatchAdaptive); err != nil {
 		return nil, err
 	}
-	if spec.SnapshotInterval < 0 {
-		return nil, fmt.Errorf("cluster: negative snapshot interval %d", spec.SnapshotInterval)
-	}
-	if spec.SnapshotChunkSize < 0 {
-		return nil, fmt.Errorf("cluster: negative snapshot chunk size %d", spec.SnapshotChunkSize)
-	}
-	if spec.SnapshotChunkSize > MaxSnapshotChunk {
-		return nil, fmt.Errorf("cluster: snapshot chunk size %d exceeds the maximum %d",
-			spec.SnapshotChunkSize, MaxSnapshotChunk)
-	}
 	if spec.ReadPercent < 0 || spec.ReadPercent > 100 {
 		return nil, fmt.Errorf("cluster: read percent %d outside [0,100]", spec.ReadPercent)
 	}
@@ -229,15 +214,6 @@ func Build(spec Spec) (*Cluster, error) {
 		if i < 0 || i >= spec.Replicas {
 			return nil, fmt.Errorf("cluster: recover node %d outside the group [0,%d)", i, spec.Replicas)
 		}
-	}
-	if !spec.ReadMode.Valid() {
-		return nil, fmt.Errorf("cluster: unknown read mode %d", int(spec.ReadMode))
-	}
-	if spec.LeaseDuration < 0 {
-		return nil, fmt.Errorf("cluster: negative lease duration %v", spec.LeaseDuration)
-	}
-	if spec.TxRetryTimeout < 0 {
-		return nil, fmt.Errorf("cluster: negative transaction retry timeout %v", spec.TxRetryTimeout)
 	}
 	if spec.Shards < 0 {
 		return nil, fmt.Errorf("cluster: negative shard count %d", spec.Shards)

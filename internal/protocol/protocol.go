@@ -195,10 +195,16 @@ func IDs() []ID {
 	return out
 }
 
+// MaxSnapshotChunk bounds Config.SnapshotChunkSize: chunks must stay
+// comfortably under the TCP transport's 16 MiB frame guard.
+const MaxSnapshotChunk = 4 << 20
+
 // Build validates cfg against id's registration and constructs an
-// engine. It returns an error for unknown protocols and malformed
-// groups, so deployments can surface wiring mistakes instead of
-// panicking.
+// engine. It returns an error for unknown protocols, malformed groups
+// and out-of-range snapshot, read-path and retry settings, so every
+// deployment that builds engines (StartKV, cluster.Build, bench/'s
+// ladder, the engine tests) rejects the same values without repeating
+// the checks.
 func Build(id ID, cfg Config) (Engine, error) {
 	info, ok := registry[id]
 	if !ok {
@@ -217,6 +223,21 @@ func Build(id ID, cfg Config) (Engine, error) {
 	}
 	if !member {
 		return nil, fmt.Errorf("protocol: node %d not in %s replica set %v", cfg.ID, info.Name, cfg.Replicas)
+	}
+	if cfg.SnapshotInterval < 0 {
+		return nil, fmt.Errorf("protocol: negative snapshot interval %d", cfg.SnapshotInterval)
+	}
+	if cfg.SnapshotChunkSize < 0 || cfg.SnapshotChunkSize > MaxSnapshotChunk {
+		return nil, fmt.Errorf("protocol: snapshot chunk size %d outside [0,%d]", cfg.SnapshotChunkSize, MaxSnapshotChunk)
+	}
+	if !cfg.ReadMode.Valid() {
+		return nil, fmt.Errorf("protocol: unknown read mode %d", int(cfg.ReadMode))
+	}
+	if cfg.LeaseDuration < 0 {
+		return nil, fmt.Errorf("protocol: negative lease duration %v", cfg.LeaseDuration)
+	}
+	if cfg.TxRetryTimeout < 0 {
+		return nil, fmt.Errorf("protocol: negative transaction retry timeout %v", cfg.TxRetryTimeout)
 	}
 	return info.New(cfg), nil
 }

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
+	"consensusinside/internal/readpath"
 	"consensusinside/internal/rsm"
 	"consensusinside/internal/workload"
 )
@@ -71,6 +73,68 @@ func TestPipelineValidationEveryEntryPoint(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEngineConfigValidationEveryEntryPoint pins that the snapshot,
+// read-path and retry bounds live in protocol.Build alone and still
+// reach every front door: each bad value is rejected by protocol.Build
+// directly (bench/'s ladder and the engine tests call it), by StartKV
+// and by cluster.Build. KVConfig has no transaction-retry knob of its
+// own; AcceptTimeout feeds it.
+func TestEngineConfigValidationEveryEntryPoint(t *testing.T) {
+	cases := []struct {
+		name            string
+		interval, chunk int
+		mode            readpath.Mode
+		lease, txRetry  time.Duration
+	}{
+		{name: "negative snapshot interval", interval: -1},
+		{name: "negative snapshot chunk size", chunk: -1},
+		{name: "snapshot chunk past the frame budget", chunk: MaxSnapshotChunk + 1},
+		{name: "unknown read mode", mode: readpath.Mode(99)},
+		{name: "negative lease duration", lease: -time.Second},
+		{name: "negative transaction retry timeout", txRetry: -time.Second},
+	}
+	ids := []msg.NodeID{0, 1, 2}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			entries := map[string]func() error{
+				"protocol.Build": func() error {
+					_, err := protocol.Build(OnePaxos, protocol.Config{
+						ID: 0, Replicas: ids, SnapshotInterval: tc.interval, SnapshotChunkSize: tc.chunk,
+						ReadMode: tc.mode, LeaseDuration: tc.lease, TxRetryTimeout: tc.txRetry,
+					})
+					return err
+				},
+				"StartKV": func() error {
+					kv, err := StartKV(KVConfig{
+						SnapshotInterval: tc.interval, SnapshotChunkSize: tc.chunk,
+						ReadMode: ReadMode(tc.mode), LeaseDuration: tc.lease, AcceptTimeout: tc.txRetry,
+					})
+					if err == nil {
+						kv.Close()
+					}
+					return err
+				},
+				"cluster.Build": func() error {
+					_, err := NewSimCluster(SimSpec{
+						Protocol: OnePaxos, Machine: Machine48(), Cost: CostsManyCore(), Replicas: 3, Clients: 2,
+						SnapshotInterval: tc.interval, SnapshotChunkSize: tc.chunk,
+						ReadMode: tc.mode, LeaseDuration: tc.lease, TxRetryTimeout: tc.txRetry,
+					})
+					return err
+				},
+			}
+			for name, start := range entries {
+				if err := noPanic(t, name, start); err == nil {
+					t.Errorf("%s accepted it", name)
+				}
+			}
+		})
+	}
+	if _, err := protocol.Build(OnePaxos, protocol.Config{ID: 0, Replicas: ids, SnapshotChunkSize: MaxSnapshotChunk}); err != nil {
+		t.Errorf("the largest legal chunk size rejected: %v", err)
 	}
 }
 
