@@ -324,8 +324,22 @@ func benchKVConcurrentPut(b *testing.B, pipeline int) {
 // they amortize below one allocation per operation; anything reporting
 // >= 1 alloc/op means a per-command allocation crept back into the
 // cycle.
-func BenchmarkKVInProcSteadyState(b *testing.B) {
-	kv, err := StartKV(KVConfig{Pipeline: 16, BatchSize: 16})
+func BenchmarkKVInProcSteadyState(b *testing.B) { benchKVSteadyState(b, 0) }
+
+// BenchmarkKVInProcSteadyStateTraced is the tracing-overhead
+// counterpart of BenchmarkKVInProcSteadyState: the identical workload
+// with 1-in-64 command tracing enabled. Compare ns/op between the two
+// for the sampling cost on the hot path (bench/'s
+// stage.trace_overhead_frac is the same ratio end to end); allocs/op
+// stays amortized-zero — sampled spans are pooled.
+func BenchmarkKVInProcSteadyStateTraced(b *testing.B) {
+	benchKVSteadyState(b, 64)
+}
+
+// benchKVSteadyState drives 64 callers through a batch-16 InProc KV with
+// 1-in-traceInterval command tracing (0 = off).
+func benchKVSteadyState(b *testing.B, traceInterval int) {
+	kv, err := StartKV(KVConfig{Pipeline: 16, BatchSize: 16, TraceInterval: traceInterval})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -354,60 +368,6 @@ func BenchmarkKVInProcSteadyState(b *testing.B) {
 	}
 	// Warm the reply pools, session lanes, queue buffers and done-chan
 	// pool outside the measured window.
-	for i := 0; i < 4096; i++ {
-		ops <- struct{}{}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ops <- struct{}{}
-	}
-	close(ops)
-	wg.Wait()
-	b.StopTimer()
-	select {
-	case err := <-errs:
-		b.Fatal(err)
-	default:
-	}
-}
-
-// BenchmarkKVInProcSteadyStateTraced is the tracing-overhead
-// counterpart of BenchmarkKVInProcSteadyState: the identical workload
-// with 1-in-64 command tracing enabled. Compare ns/op between the two
-// for the sampling cost on the hot path (bench/'s
-// stage.trace_overhead_frac is the same ratio end to end); allocs/op
-// stays amortized-zero — sampled spans are pooled.
-func BenchmarkKVInProcSteadyStateTraced(b *testing.B) {
-	benchKVSteadyState(b, 64)
-}
-
-func benchKVSteadyState(b *testing.B, traceInterval int) {
-	kv, err := StartKV(KVConfig{Pipeline: 16, BatchSize: 16, TraceInterval: traceInterval})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer kv.Close()
-	const workers = 64
-	ops := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			failed := false
-			for range ops {
-				if failed {
-					continue // drain so the feeder never blocks
-				}
-				if err := kv.Put("bench", "v"); err != nil {
-					errs <- err
-					failed = true
-				}
-			}
-		}()
-	}
 	for i := 0; i < 4096; i++ {
 		ops <- struct{}{}
 	}
