@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"sort"
 	"time"
 
@@ -34,13 +33,26 @@ import (
 	"consensusinside/internal/experiments"
 )
 
+// experiment is one -run id: what -list prints and the function that
+// prints the table and returns the -json metrics.
+type experiment struct {
+	id, about string
+	run       func(io.Writer, experiments.Opts) map[string]float64
+}
+
 // all is the registry plus the one experiment that needs the root
 // package (internal/experiments cannot import it).
-var all = append(slices.Clone(experiments.Registry), experiments.Experiment{
-	ID:    "scenario-fuzz",
-	About: "seeded fault-schedule fuzzing + linearizability check, every engine",
-	Run:   scenarioFuzz,
-})
+func all() []experiment {
+	var out []experiment
+	for _, e := range experiments.Registry {
+		out = append(out, experiment{e.ID, e.About, e.Run})
+	}
+	return append(out, experiment{
+		"scenario-fuzz",
+		"seeded fault-schedule fuzzing + linearizability check, every engine (faultsched, linearize; shards x snapshots x read modes)",
+		scenarioFuzz,
+	})
+}
 
 // scenarioFuzz runs seeded fault schedules against every engine over
 // four deployment cells and checks per-key linearizability.
@@ -119,9 +131,9 @@ func main() {
 	flag.Parse()
 
 	if *list || *runID == "" {
-		ids := make([]string, 0, len(all))
-		for _, e := range all {
-			ids = append(ids, fmt.Sprintf("  %-20s %s", e.ID, e.About))
+		var ids []string
+		for _, e := range all() {
+			ids = append(ids, fmt.Sprintf("  %-20s %s", e.id, e.about))
 		}
 		sort.Strings(ids)
 		fmt.Println("experiments:")
@@ -143,14 +155,14 @@ func main() {
 	report := benchReport{Seed: *seed, Quick: *quick, Experiments: map[string]map[string]float64{}}
 	wallStart := time.Now()
 	ran := 0
-	for _, e := range all {
-		if *runID != "all" && e.ID != *runID {
+	for _, e := range all() {
+		if *runID != "all" && e.id != *runID {
 			continue
 		}
 		start := time.Now()
-		metrics := e.Run(os.Stdout, opts)
-		fmt.Printf("[%s done in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-		report.Experiments[e.ID] = metrics
+		metrics := e.run(os.Stdout, opts)
+		fmt.Printf("[%s done in %v]\n\n", e.id, time.Since(start).Round(time.Millisecond))
+		report.Experiments[e.id] = metrics
 		ran++
 	}
 	if ran == 0 {

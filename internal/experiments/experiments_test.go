@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 )
@@ -11,8 +12,47 @@ func quick() Opts {
 	return Opts{Seed: 1, Duration: 15 * time.Millisecond, Warmup: 5 * time.Millisecond}
 }
 
+// measure runs Registry's experiment id — over only the cells whose X is
+// in keepX when a test wants a shorter sweep — and returns what it
+// measured and the headline metrics, checking that the table renders.
+func measure(t *testing.T, id string, opts Opts, keepX ...int) (result, map[string]float64) {
+	t.Helper()
+	i := slices.IndexFunc(Registry, func(e Experiment) bool { return e.ID == id })
+	if i < 0 {
+		t.Fatalf("no experiment %q in Registry", id)
+	}
+	e := Registry[i]
+	var cells []Cell
+	if e.Cells != nil {
+		cells = e.Cells()
+	}
+	if len(keepX) > 0 {
+		cells = slices.DeleteFunc(cells, func(c Cell) bool { return !slices.Contains(keepX, c.X) })
+	}
+	res := e.measure(opts, cells)
+	var buf bytes.Buffer
+	m := e.report(&buf, res)
+	if buf.Len() == 0 {
+		t.Error("print produced nothing")
+	}
+	return res, m
+}
+
+// throughputs lists the throughput of every row labelled label, in
+// sweep order.
+func throughputs(rows []Row, label string) []float64 {
+	var out []float64
+	for _, r := range rows {
+		if r.Label == label {
+			out = append(out, r.Throughput)
+		}
+	}
+	return out
+}
+
 func TestNetCharacteristicsShape(t *testing.T) {
-	rows := NetCharacteristics(quick())
+	res, _ := measure(t, "netchar", quick())
+	rows := res.Rows
 	if len(rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(rows))
 	}
@@ -28,34 +68,24 @@ func TestNetCharacteristicsShape(t *testing.T) {
 	if mc.Ratio/lan.Ratio < 20 {
 		t.Errorf("ratio gap = %.1fx, want orders of magnitude", mc.Ratio/lan.Ratio)
 	}
-	var buf bytes.Buffer
-	PrintNetCharacteristics(&buf, rows)
-	if buf.Len() == 0 {
-		t.Error("print produced nothing")
-	}
 }
 
 func TestLatencyOrdering(t *testing.T) {
-	rows := Latency(quick())
+	res, _ := measure(t, "latency", quick())
 	byName := map[string]time.Duration{}
-	for _, r := range rows {
-		byName[r.Protocol] = r.Latency
+	for _, r := range res.Rows {
+		byName[r.Label] = r.Latency
 	}
 	if !(byName["1Paxos"] < byName["Multi-Paxos"] && byName["Multi-Paxos"] < byName["2PC"]) {
 		t.Fatalf("latency ordering broken: %v", byName)
 	}
-	var buf bytes.Buffer
-	PrintLatency(&buf, rows)
-	if buf.Len() == 0 {
-		t.Error("print produced nothing")
-	}
 }
 
 func TestFig8Shape(t *testing.T) {
-	series := Fig8(quick(), []int{1, 3, 13})
-	onePeak := PeakThroughput(series["1Paxos"])
-	mpPeak := PeakThroughput(series["Multi-Paxos"])
-	tpcPeak := PeakThroughput(series["2PC"])
+	_, m := measure(t, "fig8", quick(), 1, 3, 13)
+	onePeak := m["1Paxos_peak_ops"]
+	mpPeak := m["Multi-Paxos_peak_ops"]
+	tpcPeak := m["2PC_peak_ops"]
 	if !(onePeak > mpPeak && mpPeak > tpcPeak) {
 		t.Fatalf("peak ordering broken: 1P=%.0f MP=%.0f 2PC=%.0f", onePeak, mpPeak, tpcPeak)
 	}
@@ -63,36 +93,26 @@ func TestFig8Shape(t *testing.T) {
 	if ratio := mpPeak / onePeak; ratio < 0.4 || ratio > 0.8 {
 		t.Errorf("MP/1P = %.2f, want roughly one half", ratio)
 	}
-	var buf bytes.Buffer
-	PrintFig8(&buf, series)
-	if buf.Len() == 0 {
-		t.Error("print produced nothing")
-	}
 }
 
 func TestFig2Shape(t *testing.T) {
-	series := Fig2(quick(), []int{1, 3, 20})
-	mc := series["Multi-Paxos Multicore"]
-	lan := series["Multi-Paxos LAN"]
+	res, _ := measure(t, "fig2", quick(), 1, 3, 20)
+	mc := throughputs(res.Rows, "Multi-Paxos Multicore")
+	lan := throughputs(res.Rows, "Multi-Paxos LAN")
 	// Many-core saturates after ~3 clients; the LAN keeps scaling.
-	if mc[2].Throughput > mc[1].Throughput*1.2 {
-		t.Errorf("many-core should be flat after 3 clients: %v -> %v", mc[1].Throughput, mc[2].Throughput)
+	if mc[2] > mc[1]*1.2 {
+		t.Errorf("many-core should be flat after 3 clients: %v -> %v", mc[1], mc[2])
 	}
-	if lan[2].Throughput < lan[1].Throughput*2 {
-		t.Errorf("LAN should keep scaling: %v -> %v", lan[1].Throughput, lan[2].Throughput)
-	}
-	var buf bytes.Buffer
-	PrintFig2(&buf, series)
-	if buf.Len() == 0 {
-		t.Error("print produced nothing")
+	if lan[2] < lan[1]*2 {
+		t.Errorf("LAN should keep scaling: %v -> %v", lan[1], lan[2])
 	}
 }
 
 func TestFig9Shape(t *testing.T) {
 	opts := Opts{Seed: 1, Duration: 40 * time.Millisecond, Warmup: 10 * time.Millisecond}
-	series := Fig9(opts, []int{3, 20, 47})
-	one := Throughputs(series["1Paxos-Joint"])
-	mp := Throughputs(series["Multi-Paxos-Joint"])
+	res, _ := measure(t, "fig9", opts, 3, 20, 47)
+	one := throughputs(res.Rows, "1Paxos-Joint")
+	mp := throughputs(res.Rows, "Multi-Paxos-Joint")
 	// 1Paxos-Joint grows all the way to 47 replicas.
 	if !(one[2] > one[1] && one[1] > one[0]) {
 		t.Fatalf("1Paxos-Joint must scale: %v", one)
@@ -102,18 +122,13 @@ func TestFig9Shape(t *testing.T) {
 	if mp[2] > one[2]/2 {
 		t.Errorf("Multi-Paxos-Joint at 47 nodes = %.0f, want well below 1Paxos %.0f", mp[2], one[2])
 	}
-	var buf bytes.Buffer
-	PrintFig9(&buf, series)
-	if buf.Len() == 0 {
-		t.Error("print produced nothing")
-	}
 }
 
 func TestFig10Shape(t *testing.T) {
-	rows := Fig10(quick())
+	res, _ := measure(t, "fig10", quick())
 	get := func(label string, clients int) float64 {
-		for _, r := range rows {
-			if r.Label == label && r.Clients == clients {
+		for _, r := range res.Rows {
+			if r.Label == label && r.X == clients {
 				return r.Throughput
 			}
 		}
@@ -129,17 +144,12 @@ func TestFig10Shape(t *testing.T) {
 	if get("1Paxos - 0% read", 5) <= get("2PC-Joint - 75% read", 5) {
 		t.Error("1Paxos must win at 5 clients despite 0% reads")
 	}
-	var buf bytes.Buffer
-	PrintFig10(&buf, rows)
-	if buf.Len() == 0 {
-		t.Error("print produced nothing")
-	}
 }
 
 func TestFig11Recovery(t *testing.T) {
 	opts := Opts{Seed: 1, Duration: 200 * time.Millisecond}
-	r := Fig11(opts)
-	rec := Recovery(r)
+	res, _ := measure(t, "fig11", opts)
+	rec := Recovery(res.Series)
 	if rec.BeforeRate == 0 {
 		t.Fatal("no steady-state throughput")
 	}
@@ -150,16 +160,12 @@ func TestFig11Recovery(t *testing.T) {
 		t.Errorf("throughput must recover to the pre-fault level: %.0f vs %.0f",
 			rec.RecoveredRate, rec.BeforeRate)
 	}
-	var buf bytes.Buffer
-	PrintSlowCore(&buf, "fig11", r)
-	if buf.Len() == 0 {
-		t.Error("print produced nothing")
-	}
 }
 
 func TestSec22Collapse(t *testing.T) {
 	opts := Opts{Seed: 1, Duration: 200 * time.Millisecond}
-	rec := Recovery(Sec22(opts))
+	res, _ := measure(t, "sec2.2", opts)
+	rec := Recovery(res.Series)
 	if rec.BeforeRate == 0 {
 		t.Fatal("no steady-state throughput")
 	}
@@ -171,7 +177,8 @@ func TestSec22Collapse(t *testing.T) {
 
 func TestAcceptorSwitchRecovery(t *testing.T) {
 	opts := Opts{Seed: 1, Duration: 200 * time.Millisecond}
-	rec := Recovery(AcceptorSwitch(opts))
+	res, _ := measure(t, "acceptor-switch", opts)
+	rec := Recovery(res.Series)
 	if rec.RecoveredRate < rec.BeforeRate*0.9 {
 		t.Errorf("acceptor switch must restore throughput: %.0f vs %.0f",
 			rec.RecoveredRate, rec.BeforeRate)
@@ -179,14 +186,16 @@ func TestAcceptorSwitchRecovery(t *testing.T) {
 }
 
 func TestMenciusLoadSpread(t *testing.T) {
-	funnel, spread := MenciusLoadSpread(Opts{Seed: 1, Duration: 30 * time.Millisecond})
+	res, _ := measure(t, "mencius", Opts{Seed: 1, Duration: 30 * time.Millisecond})
+	funnel, spread := res.Rows[0].Throughput, res.Rows[1].Throughput
 	if spread < funnel {
 		t.Errorf("spreading load across leaders must not hurt: funnel %.0f spread %.0f", funnel, spread)
 	}
 }
 
 func TestAblationPipeliningGain(t *testing.T) {
-	rows := AblationPipelining(Opts{Seed: 1})
+	res, _ := measure(t, "ablation-pipelining", Opts{Seed: 1})
+	rows := res.Rows
 	if len(rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(rows))
 	}
@@ -214,7 +223,8 @@ func TestMeanRate(t *testing.T) {
 }
 
 func TestShardScalingShape(t *testing.T) {
-	rows := ShardScaling(quick(), nil)
+	res, _ := measure(t, "shard-sim", quick())
+	rows := res.Rows
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
@@ -229,18 +239,13 @@ func TestShardScalingShape(t *testing.T) {
 	}
 	// Every group must have done real work (the keyspace is partitioned).
 	for _, r := range rows {
-		if len(r.GroupOps) != r.Shards {
-			t.Fatalf("row %dx%d reports %d groups", r.Shards, r.Replicas, len(r.GroupOps))
+		if len(r.GroupOps) != r.X {
+			t.Fatalf("row %q reports %d groups", r.Label, len(r.GroupOps))
 		}
 		for g, ops := range r.GroupOps {
 			if ops == 0 {
-				t.Errorf("%d-shard run: group %d applied nothing", r.Shards, g)
+				t.Errorf("%d-shard run: group %d applied nothing", r.X, g)
 			}
 		}
-	}
-	var buf bytes.Buffer
-	PrintShardScaling(&buf, rows)
-	if buf.Len() == 0 {
-		t.Error("print produced nothing")
 	}
 }
