@@ -11,7 +11,9 @@
 # beside bench/, when a second stats path grows back beside internal/obs
 # (a typed stats struct, an adapter, a registry gauge, a metric name
 # spelled outside its owner), when a second client grows back beside
-# internal/client, or when a doc file that other docs link to is absent.
+# internal/client, when internal/experiments grows a per-experiment
+# printer or row type back or a Registry id has no EXPERIMENTS.md row, or
+# when a doc file that other docs link to is absent.
 # The point is that the docs pass of PR 2 cannot silently rot.
 set -u
 cd "$(dirname "$0")/.."
@@ -137,6 +139,31 @@ if [ -n "$regrown" ]; then
     echo "$regrown" >&2
     fail=1
 fi
+
+# Experiments are data (internal/experiments): one Row type, one
+# renderer, one list. A Print* function or a second ...Row / ...Point
+# struct there is a hand-rolled driver growing back, and a Registry id
+# without a row in EXPERIMENTS.md is an experiment nobody compared with
+# the paper.
+expsrc=$(find internal/experiments -name '*.go' ! -name '*_test.go')
+printers=$(grep -nE '^func (\([^)]*\) )?Print[A-Z]' $expsrc)
+if [ -n "$printers" ]; then
+    echo "docscheck: internal/experiments prints every table through Experiment.report, not a per-experiment Print function:" >&2
+    echo "$printers" >&2
+    fail=1
+fi
+rowtypes=$(grep -nE '^type [A-Za-z]*(Row|Point) struct' $expsrc)
+if [ "$(printf '%s' "$rowtypes" | grep -c .)" -gt 1 ]; then
+    echo "docscheck: internal/experiments has one row type (Row); a second one is a private result type growing back:" >&2
+    echo "$rowtypes" >&2
+    fail=1
+fi
+for id in $(grep -oE 'ID: +"[^"]+"' internal/experiments/registry.go | cut -d'"' -f2); do
+    if ! grep -q "^| \`$id\` |" EXPERIMENTS.md; then
+        echo "docscheck: experiment \"$id\" is in internal/experiments.Registry but has no row in EXPERIMENTS.md" >&2
+        fail=1
+    fi
+done
 
 # Documentation files the code and other docs point at.
 for doc in README.md DESIGN.md EXPERIMENTS.md docs/BENCHMARKS.md; do
