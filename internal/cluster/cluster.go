@@ -106,7 +106,7 @@ type Spec struct {
 	// the paper's read-through-the-log behavior). Any other mode makes
 	// clients send reads as ReadRequest messages served from a replica's
 	// local state machine; see internal/readpath and DESIGN.md, "The
-	// read path". Validated like Shards/BatchSize.
+	// read path". Validated by protocol.Build.
 	ReadMode readpath.Mode
 
 	// LeaseDuration is the read-lease lifetime under readpath.Lease
@@ -143,7 +143,7 @@ type Spec struct {
 	// snapshot every this many applied instances and compact its log
 	// behind it (internal/snapshot), bounding a long simulated run's
 	// memory. 0 — the default — is the paper's unbounded-log behavior.
-	// Validated like Shards/BatchSize.
+	// Validated by protocol.Build.
 	SnapshotInterval int
 
 	// SnapshotChunkSize is the snapshot transfer chunk size (0 = the

@@ -178,7 +178,7 @@ func (e Experiment) measure(opts Opts, cells []Cell) result {
 	}
 	rows := make([]Row, len(cells))
 	for i, cell := range cells {
-		c := run(opts, cell.Spec, nil)
+		c := run(opts, cell.Spec, nil, 0)
 		st := c.ClientStats()
 		rows[i] = Row{
 			Label:      cell.Label,
@@ -191,9 +191,9 @@ func (e Experiment) measure(opts Opts, cells []Cell) result {
 	return result{Rows: rows}
 }
 
-// run builds the deployment, starts it, schedules the fault (if any) and
-// runs it for the warm-up plus the measured window.
-func run(opts Opts, spec cluster.Spec, fault func(*cluster.Cluster)) *cluster.Cluster {
+// run builds the deployment, starts it, schedules the fault (if any) at
+// virtual time at and runs it for the warm-up plus the measured window.
+func run(opts Opts, spec cluster.Spec, fault func(*cluster.Cluster, time.Duration), at time.Duration) *cluster.Cluster {
 	spec.Seed, spec.Warmup = opts.Seed, opts.Warmup
 	if spec.Machine == nil {
 		spec.Machine, spec.Cost = topology.Opteron48(), simnet.ManyCore()
@@ -201,7 +201,7 @@ func run(opts Opts, spec cluster.Spec, fault func(*cluster.Cluster)) *cluster.Cl
 	c := cluster.MustBuild(spec)
 	c.Start()
 	if fault != nil {
-		fault(c)
+		fault(c, at)
 	}
 	c.RunFor(opts.Warmup + opts.Duration)
 	return c
@@ -222,8 +222,8 @@ type SlowCoreResult struct {
 func runSeries(opts Opts, cell Cell, fault func(*cluster.Cluster, time.Duration)) result {
 	opts.Warmup = 0
 	width, at := cell.Spec.SeriesBucket, opts.Duration/4
-	series := func(fault func(*cluster.Cluster)) []int {
-		buckets := run(opts, cell.Spec, fault).SeriesSum()
+	series := func(fault func(*cluster.Cluster, time.Duration)) []int {
+		buckets := run(opts, cell.Spec, fault, at).SeriesSum()
 		for len(buckets) < int(opts.Duration/width) {
 			buckets = append(buckets, 0)
 		}
@@ -232,7 +232,7 @@ func runSeries(opts Opts, cell Cell, fault func(*cluster.Cluster, time.Duration)
 	res := result{Series: SlowCoreResult{
 		BucketWidth: width,
 		FaultAt:     at,
-		Faulty:      series(func(c *cluster.Cluster) { fault(c, at) }),
+		Faulty:      series(fault),
 		Baseline:    series(nil),
 	}}
 	for i, n := range res.Series.Faulty {
