@@ -154,7 +154,8 @@ type KVConfig struct {
 	Transport TransportKind
 	// Pipeline is the maximum number of commands the service keeps in
 	// flight at once per shard (default DefaultPipeline; 1 restores the
-	// paper's closed loop). Commands beyond the window queue in order.
+	// paper's closed loop; negative is rejected). Commands beyond the
+	// window queue in order.
 	Pipeline int
 	// BatchSize is the largest number of queued commands the service
 	// coalesces into one consensus instance per shard (default 1 — the
@@ -201,7 +202,8 @@ type KVConfig struct {
 	// 5ms). The leader treats the lease as expired a quarter-duration
 	// early, which is the clock-drift margin the safety argument assumes.
 	LeaseDuration time.Duration
-	// RequestTimeout bounds each Put/Get round trip (default 5s).
+	// RequestTimeout bounds each Put/Get round trip (default 5s;
+	// negative is rejected — there is no "never time out").
 	RequestTimeout time.Duration
 	// AcceptTimeout tunes the protocol's failure detector; the default
 	// suits wall-clock deployments (200ms).
@@ -332,14 +334,14 @@ func StartKV(cfg KVConfig) (*KV, error) {
 	if cfg.Pipeline == 0 {
 		cfg.Pipeline = DefaultPipeline
 	}
-	if cfg.Pipeline < 1 {
-		cfg.Pipeline = 1
-	}
 	if err := rsm.CheckPipeline("consensusinside", cfg.Pipeline, cfg.BatchSize, cfg.BatchDelay, cfg.BatchAdaptive); err != nil {
 		return nil, err
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 1
+	}
+	if cfg.RequestTimeout < 0 {
+		return nil, fmt.Errorf("consensusinside: negative request timeout %v", cfg.RequestTimeout)
 	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 5 * time.Second
@@ -460,7 +462,7 @@ func (kv *KV) shardFor(key string) *kvShard {
 
 // Put replicates key=value in the key's group and waits for commitment.
 func (kv *KV) Put(key, value string) error {
-	_, err := kv.shardFor(key).bridge.enqueue(msg.Command{Op: msg.OpPut, Key: key, Val: value}, false)
+	_, err := kv.shardFor(key).bridge.enqueue(msg.Command{Op: msg.OpPut, Key: key, Val: value})
 	return err
 }
 
@@ -471,7 +473,7 @@ func (kv *KV) Put(key, value string) error {
 // reads into ReadRequest messages and lets a replica answer from its
 // local state machine (see KVConfig.ReadMode).
 func (kv *KV) Get(key string) (string, error) {
-	return kv.shardFor(key).bridge.enqueue(msg.Command{Op: msg.OpGet, Key: key}, kv.cfg.ReadMode != ReadConsensus)
+	return kv.shardFor(key).bridge.enqueue(msg.Command{Op: msg.OpGet, Key: key})
 }
 
 // Shards reports how many independent agreement groups serve the
@@ -487,15 +489,11 @@ func (kv *KV) ShardFor(key string) int { return shard.ForKey(key, len(kv.shards)
 // — 1 under a closed loop, up to KVConfig.Pipeline with concurrent
 // callers.
 func (kv *KV) MaxInFlight() int {
-	max := 0
+	deepest := 0
 	for _, sh := range kv.shards {
-		sh.bridge.mu.Lock()
-		if sh.bridge.lane.MaxInFlight > max {
-			max = sh.bridge.lane.MaxInFlight
-		}
-		sh.bridge.mu.Unlock()
+		deepest = max(deepest, int(sh.bridge.lane.MaxInFlight.Load()))
 	}
-	return max
+	return deepest
 }
 
 // BatchStats reports the service's proposed-batch occupancy counters,
@@ -505,9 +503,7 @@ func (kv *KV) MaxInFlight() int {
 func (kv *KV) BatchStats() metrics.BatchOccupancy {
 	var occ metrics.BatchOccupancy
 	for _, sh := range kv.shards {
-		sh.bridge.mu.Lock()
 		occ.Merge(&sh.bridge.lane.Occ)
-		sh.bridge.mu.Unlock()
 	}
 	return occ
 }

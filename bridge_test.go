@@ -47,7 +47,7 @@ func (h *bridgeHarness) call(op msg.Op, key string) []runtime.FakeSend {
 	h.t.Helper()
 	go func() {
 		cmd := msg.Command{Op: op, Key: key, Val: key}
-		res, err := h.b.enqueue(cmd, op == msg.OpGet)
+		res, err := h.b.enqueue(cmd)
 		if err != nil {
 			h.result <- key + "!" + err.Error()
 			return
@@ -98,7 +98,7 @@ func queueBurst(b *kvBridge, n int, call func(i int) error) []error {
 	for queued := 0; queued < n; {
 		stdruntime.Gosched()
 		b.mu.Lock()
-		queued = len(b.queue) + b.lane.ReadsOutstanding()
+		queued = len(b.handoff)
 		b.mu.Unlock()
 	}
 	b.inject = inject
@@ -185,15 +185,16 @@ func (nullContext) After(time.Duration, runtime.TimerTag) runtime.CancelFunc {
 // place — no seq slice, no sort, no resend buffers.
 func TestBridgeScanTimersAllocateNothingWhenIdle(t *testing.T) {
 	h := newBridgeHarness(t, 8, readpath.Lease)
+	readRequests := 0
 	for i := 0; i < 5; i++ {
 		h.call(msg.OpPut, fmt.Sprintf("w%d", i))
-		h.call(msg.OpGet, fmt.Sprintf("r%d", i))
+		readRequests += len(h.call(msg.OpGet, fmt.Sprintf("r%d", i)))
 	}
 	// The read lane admits MaxReadRequests requests; the rest queue, and
 	// the scan sweeps that queue too.
-	if h.b.lane.InFlight() != 5 || h.b.lane.ReadsOutstanding() != 5 || len(h.b.lane.QueuedReads()) != 5-client.MaxReadRequests {
-		t.Fatalf("set-up left %d writes in flight, %d reads outstanding and %d of them queued",
-			h.b.lane.InFlight(), h.b.lane.ReadsOutstanding(), len(h.b.lane.QueuedReads()))
+	if h.b.lane.InFlight() != 5 || h.b.lane.ReadsOutstanding() != 5 || readRequests != client.MaxReadRequests {
+		t.Fatalf("set-up left %d writes in flight and %d reads outstanding in %d requests (the other reads queued)",
+			h.b.lane.InFlight(), h.b.lane.ReadsOutstanding(), readRequests)
 	}
 	ctx := nullContext{h.ctx}
 	for _, kind := range []int{client.TimerRetry, client.TimerReadRetry} {
@@ -212,29 +213,33 @@ func TestBridgeScanTimersAllocateNothingWhenIdle(t *testing.T) {
 	}
 }
 
-// TestStampDeadlinesTouchesOnlyTheUnseenTail: ops a pump already saw
-// keep the deadline they got then; only the run appended since is
-// stamped.
+// TestStampDeadlinesTouchesOnlyTheUnseenTail: every op a wake-up drains
+// from the hand-off is new and carries now+timeout; ops already pending
+// from an earlier wake-up keep the deadline they got then.
 func TestStampDeadlinesTouchesOnlyTheUnseenTail(t *testing.T) {
-	queue := []kvOp{
-		{Deadline: 7}, // carried over from an earlier queue
-		{Deadline: 5}, // stamped by an earlier pump
-		{},            // new
-		{},            // new
+	b := newKVBridge(client.Config{ID: 3, Servers: []msg.NodeID{0, 1, 2}, Window: 1, ReadMode: readpath.Lease}, 100)
+	b.queue = []kvOp{{Deadline: 7}} // drained by an earlier wake-up
+	b.handoff = []kvOp{{Cmd: msg.Command{Op: msg.OpPut}}, {Cmd: msg.Command{Op: msg.OpGet}}, {Cmd: msg.Command{Op: msg.OpPut}}}
+	b.drain(1000)
+	if len(b.handoff) != 0 || b.lane.ReadsOutstanding() != 1 {
+		t.Fatalf("drain left %d ops in the hand-off and queued %d reads, want 0 and 1", len(b.handoff), b.lane.ReadsOutstanding())
 	}
-	b := &kvBridge{timeout: 100}
-	b.stampDeadlines(queue, 1000)
-	want := []time.Duration{7, 5, 1100, 1100}
-	for i, op := range queue {
+	want := []time.Duration{7, 1100, 1100}
+	for i, op := range b.queue {
 		if op.Deadline != want[i] {
 			t.Errorf("queue[%d].Deadline = %d, want %d", i, op.Deadline, want[i])
 		}
 	}
+	for _, op := range b.lane.Drain() {
+		if op.Deadline != 1100 {
+			t.Errorf("drained read carries deadline %d, want 1100", op.Deadline)
+		}
+	}
 	// Without a RequestTimeout nothing is ever stamped.
 	b.timeout = 0
-	queue = append(queue, kvOp{})
-	if b.stampDeadlines(queue, 2000); queue[4].Deadline != 0 {
-		t.Errorf("no timeout, yet the new op got deadline %d", queue[4].Deadline)
+	b.handoff = append(b.handoff, kvOp{})
+	if b.drain(2000); b.queue[3].Deadline != 0 {
+		t.Errorf("no timeout, yet the new op got deadline %d", b.queue[3].Deadline)
 	}
 }
 

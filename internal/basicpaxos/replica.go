@@ -50,8 +50,7 @@ type Replica struct {
 	maxPN    uint64
 	drives   map[int64]*drive
 
-	acc   map[int64]*Acceptor[msg.Value]
-	votes map[int64]map[msg.NodeID]uint64 // learner: instance -> voter -> pn
+	acc map[int64]*Acceptor[msg.Value]
 
 	// seen is one past the highest instance this node has accepted or
 	// seen accepted — the frontier a read-index ack reports. It must
@@ -59,8 +58,6 @@ type Replica struct {
 	// write has crossed a quorum of acceptors, but may not have
 	// gathered this node's learn majority yet.
 	seen int64
-
-	restarts int64
 }
 
 var _ runtime.Handler = (*Replica)(nil)
@@ -81,7 +78,6 @@ func NewReplica(cfg protocol.Config) *Replica {
 	r := &Replica{
 		drives: make(map[int64]*drive),
 		acc:    make(map[int64]*Acceptor[msg.Value]),
-		votes:  make(map[int64]map[msg.NodeID]uint64),
 	}
 	// Leaderless: any replica serves read-index rounds. A quorum of peers
 	// reports the highest instance each has accepted, and quorum
@@ -117,10 +113,6 @@ func (r *Replica) observe(in int64) {
 		r.seen = in + 1
 	}
 }
-
-// Restarts reports how many rounds were restarted with a higher number
-// (timeouts plus lost duels) — the baseline's contention cost.
-func (r *Replica) Restarts() int64 { return r.restarts }
 
 // Receive dispatches one message.
 func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
@@ -208,7 +200,6 @@ func (r *Replica) sendPrepare(in int64, d *drive) {
 // adopted value (Lemma 2a/2b: a proposer that observed an accepted value
 // keeps advocating it).
 func (r *Replica) restart(in int64, d *drive) {
-	r.restarts++
 	pn := NextPN(r.Me, r.maxPN)
 	r.maxPN = pn
 	d.prop.Restart(pn)
@@ -305,33 +296,11 @@ func (r *Replica) onAccept(from msg.NodeID, m msg.BPAccept) {
 
 func (r *Replica) onAccepted(m msg.BPAccepted) {
 	r.observe(m.Instance)
-	if r.Log().Learned(m.Instance) {
-		return
-	}
-	byNode, ok := r.votes[m.Instance]
-	if !ok {
-		byNode = make(map[msg.NodeID]uint64)
-		r.votes[m.Instance] = byNode
-	}
-	byNode[m.From] = m.PN
-	n := 0
-	for _, pn := range byNode {
-		if pn == m.PN {
-			n++
-		}
-	}
-	if n >= r.Quorum {
-		delete(r.votes, m.Instance)
-		r.Log().Learn(m.Instance, m.Value)
-		// A hole below this learn may be a dropped-learn gap that live
-		// traffic will never refill; arm the stall watchdog.
-		r.Snap.WatchGap(r.Ctx)
-	}
+	r.Vote(m.Instance, m.From, m.PN, m.Value)
 }
 
-// onApply retires the applied instance's proposer and learner state.
+// onApply retires the applied instance's proposer state.
 func (r *Replica) onApply(e rsm.Entry) {
-	delete(r.votes, e.Instance)
 	d := r.drives[e.Instance]
 	delete(r.drives, e.Instance)
 	if d == nil {

@@ -5,12 +5,11 @@
 // lane.
 //
 // A Lane is that client toward one agreement group, written once. It is
-// a plain struct with no mutex and no goroutine: its methods mutate the
-// state and hand back what to send; Transmit, TransmitRead and
-// TransmitFlush, which touch no state, put that on a runtime.Context. A
-// front end that shares the lane with other goroutines wraps the
-// mutating calls in its own lock and transmits outside it; a
-// single-threaded one calls them bare. The two front ends are the root
+// a plain struct with no mutex and no goroutine, owned by one node: its
+// methods run on that node's callback goroutine, take the callback's
+// runtime.Context, and send and arm what they decide themselves — the
+// message first, then the timer. The only fields another goroutine may
+// read are the atomic counters. The two front ends are the root
 // package's blocking Put/Get adapter and internal/workload's simulator
 // load source. See DESIGN.md, "The client".
 package client
@@ -73,7 +72,7 @@ type Config struct {
 type Op[T any] struct {
 	Cmd      msg.Command
 	Deadline time.Duration // on the runtime clock: when the scans give up on the op; 0 = never
-	EnqWall  time.Duration // tracer wall clock at queue entry, for trace.Begin (0 = not sampled)
+	EnqWall  time.Duration // tracer wall clock at queue entry, for trace.Begin (0 = not stamped)
 	SentAt   time.Duration // last transmission on the runtime clock, set by the lane
 	User     T             // the front end's own per-op state; the lane never looks inside
 }
@@ -99,23 +98,6 @@ const (
 // Scan whatever the clock reads.
 const resendNow = time.Duration(math.MinInt64 / 2)
 
-// Send is one write request to transmit: Entries to To, if any, and the
-// retry timer to arm Arm ahead, if positive.
-type Send struct {
-	To      msg.NodeID
-	Ack     uint64
-	Entries []msg.BatchEntry
-	Arm     time.Duration
-}
-
-// ReadSend is the read lane's Send: up to MaxReadRequests ReadRequests
-// to one replica.
-type ReadSend struct {
-	To      msg.NodeID
-	Entries [MaxReadRequests][]msg.BatchEntry
-	Arm     time.Duration
-}
-
 // readOp is one in-flight fast-path read; batch names the ReadRequest
 // it travelled in.
 type readOp[T any] struct {
@@ -134,7 +116,7 @@ type readBatch struct {
 }
 
 // Lane is one client's pipelined state toward one agreement group. It
-// is not safe for concurrent use and must not be copied.
+// belongs to one node's callback goroutine and must not be copied.
 //
 // Invariants: every seq is shard.TagSeq(Shard, k), k = 1, 2, ... per
 // kind — reads count separately, so they never punch holes in the dense
@@ -154,23 +136,22 @@ type Lane[T any] struct {
 	readMode readpath.Mode
 	tracer   *trace.Tracer
 
-	// Occ is the occupancy of the write requests issued; MaxInFlight the
-	// deepest the write window got. Retries counts commands resent after
-	// a timeout, Redirects replies that re-aimed a cursor, Timeouts ops
-	// failed at their deadline (a front end adds those that expire in
-	// its own queue).
+	// The counters: written by the owning node only, readable from any
+	// goroutine. Occ is the occupancy of the write requests issued;
+	// MaxInFlight the deepest the write window got. Retries counts
+	// commands resent after a timeout, Redirects replies that re-aimed a
+	// cursor, Timeouts ops failed at their deadline (a front end adds
+	// those that expire in its own queue). WriteGrows and ReadGrows count
+	// doublings of the two in-flight rings: both start at full depth, so
+	// a growth means one op stayed outstanding while a ring's worth of
+	// newer ones retired past it.
 	Occ         metrics.BatchOccupancy
-	MaxInFlight int
-	Retries     int64
-	Redirects   int64
-	Timeouts    int64
-
-	// WriteGrows and ReadGrows count doublings of the two in-flight
-	// rings. Both start at full depth, so a growth means one op stayed
-	// outstanding while a ring's worth of newer ones retired past it.
-	// They are the only fields another goroutine may read bare.
-	WriteGrows atomic.Int64
-	ReadGrows  atomic.Int64
+	MaxInFlight atomic.Int64
+	Retries     atomic.Int64
+	Redirects   atomic.Int64
+	Timeouts    atomic.Int64
+	WriteGrows  atomic.Int64
+	ReadGrows   atomic.Int64
 
 	seq        uint64
 	flights    seqwin.Window[Op[T]] // by seq; Low is the ack floor
@@ -225,13 +206,10 @@ func (l *Lane[T]) InFlight() int { return l.flights.Len() }
 // Free reports the write window's free slots.
 func (l *Lane[T]) Free() int { return l.window - l.flights.Len() }
 
-// NextSeq reports the seq the next issued write will carry.
-func (l *Lane[T]) NextSeq() uint64 { return l.seq + 1 }
-
 // Admit is the admission rule: how many of pending waiting commands to
 // issue as one request — one consensus instance — into free window
-// slots right now. Zero means hold; a positive flush asks for the flush
-// timer that far ahead (TransmitFlush), and force says it fired.
+// slots right now. Zero means hold — arming the flush timer when the
+// hold is the Delay's; force says that timer fired.
 //
 // A full batch (Batch; adaptive: half the window) always goes. Short of
 // one because the slots are short — more is pending than they admit —
@@ -241,40 +219,45 @@ func (l *Lane[T]) NextSeq() uint64 { return l.seq + 1 }
 // begets one freed slot begets the next single, and the batcher never
 // leaves single-command batches. Short of one because the demand is,
 // it goes out as it is — after Delay, if set, for stragglers.
-func (l *Lane[T]) Admit(free, pending int, force bool) (n int, flush time.Duration) {
+func (l *Lane[T]) Admit(ctx runtime.Context, free, pending int, force bool) int {
 	if force {
 		l.flushArmed = false
 	}
-	n = min(free, pending, l.batch)
+	n := min(free, pending, l.batch)
 	if n <= 0 || n == l.batch {
-		return max(n, 0), 0
+		return max(n, 0)
 	}
 	switch {
 	case l.adaptive:
 		if pending > n {
-			return 0, 0
+			return 0
 		}
 	case pending >= l.batch:
-		return 0, 0
+		return 0
 	case l.delay > 0 && !force:
-		if l.flushArmed {
-			return 0, 0
+		if !l.flushArmed {
+			l.flushArmed = true
+			ctx.After(l.delay, l.timer(TimerFlush))
 		}
-		l.flushArmed = true
-		return 0, l.delay
+		return 0
 	}
-	return n, 0
+	return n
+}
+
+// timer is the lane's tag for one of its timer kinds.
+func (l *Lane[T]) timer(kind int) runtime.TimerTag {
+	return runtime.TimerTag{Kind: kind, Arg: int64(l.shard)}
 }
 
 // Flushing reports whether a held-back batch is waiting for the flush
 // timer.
 func (l *Lane[T]) Flushing() bool { return l.flushArmed }
 
-// Issue puts ops in flight under the lane's next seqs and returns the
-// one request that carries them. The entries slice is the one per-batch
+// Issue puts ops in flight under the lane's next seqs and sends the one
+// request that carries them. The entries slice is the one per-batch
 // allocation on this path; it cannot be pooled — it becomes Value.Batch
 // and is retained in every replica's log history.
-func (l *Lane[T]) Issue(now time.Duration, ops []Op[T]) Send {
+func (l *Lane[T]) Issue(ctx runtime.Context, now time.Duration, ops []Op[T]) {
 	traceOn := l.tracer.Enabled()
 	entries := make([]msg.BatchEntry, len(ops))
 	for i := range ops {
@@ -287,14 +270,15 @@ func (l *Lane[T]) Issue(now time.Duration, ops []Op[T]) Send {
 			l.tracer.Begin(l.id, l.seq, now, f.EnqWall, now)
 		}
 	}
-	l.MaxInFlight = max(l.MaxInFlight, l.flights.Len())
+	if n := int64(l.flights.Len()); n > l.MaxInFlight.Load() {
+		l.MaxInFlight.Store(n)
+	}
 	l.Occ.Record(len(ops))
-	s := Send{To: l.servers[l.target], Ack: l.flights.Low(), Entries: entries}
+	ctx.Send(l.servers[l.target], msg.NewRequest(l.id, l.flights.Low(), entries))
 	if !l.armed {
 		l.armed = true
-		s.Arm = l.retry
+		ctx.After(l.retry, l.timer(TimerRetry))
 	}
-	return s
 }
 
 // Retire applies one write reply. Done returns what the front end needs
@@ -309,7 +293,7 @@ func (l *Lane[T]) Retire(now time.Duration, r *msg.ClientReply) (user T, kind ms
 	if !r.OK {
 		l.aim(&l.target, r.Redirect)
 		l.reaimed = true
-		l.Redirects++
+		l.Redirects.Add(1)
 		f.SentAt = resendNow
 		return user, 0, 0, Redirected
 	}
@@ -338,14 +322,15 @@ func (l *Lane[T]) aim(cursor *int, server msg.NodeID) {
 // request under the original seqs (the replicas' session dedupe
 // reconciles it with any still-live copy), after ONE rotation of the
 // cursor when it was a timeout: suspect the server, try the next. tick
-// says the retry timer just fired; the Send re-arms it to sleep until
+// says the retry timer just fired; the scan re-arms it to sleep until
 // the oldest outstanding transmission is due, or lets it die with the
 // lane idle. A scan that finds nothing overdue allocates nothing.
-func (l *Lane[T]) Scan(now time.Duration, tick bool) (expired []Op[T], s Send) {
+func (l *Lane[T]) Scan(ctx runtime.Context, now time.Duration, tick bool) (expired []Op[T]) {
 	if tick {
 		l.armed = false
 	}
 	oldest := now
+	var resend []msg.BatchEntry
 	for seq, f := range l.flights.All() {
 		switch {
 		case f.Deadline > 0 && now >= f.Deadline:
@@ -353,51 +338,31 @@ func (l *Lane[T]) Scan(now time.Duration, tick bool) (expired []Op[T], s Send) {
 			l.flights.Delete(seq)
 		case now-f.SentAt >= l.retry:
 			f.SentAt = now
-			s.Entries = append(s.Entries, msg.BatchEntry{Seq: seq, Cmd: f.Cmd})
+			resend = append(resend, msg.BatchEntry{Seq: seq, Cmd: f.Cmd})
 		case f.SentAt < oldest:
 			oldest = f.SentAt
 		}
 	}
-	l.Timeouts += int64(len(expired))
-	if len(s.Entries) > 0 {
+	l.Timeouts.Add(int64(len(expired)))
+	if len(resend) > 0 {
 		if !l.reaimed {
 			l.target = (l.target + 1) % len(l.servers)
-			l.Retries += int64(len(s.Entries))
+			l.Retries.Add(int64(len(resend)))
 		}
 		l.reaimed = false
-		s.To, s.Ack = l.servers[l.target], l.flights.Low()
+		ctx.Send(l.servers[l.target], msg.NewRequest(l.id, l.flights.Low(), resend))
 	}
 	if !l.armed && l.flights.Len() > 0 {
 		l.armed = true
-		s.Arm = oldest + l.retry - now
+		ctx.After(oldest+l.retry-now, l.timer(TimerRetry))
 	}
-	return expired, s
-}
-
-// Transmit puts s on the wire and arms the retry timer it asks for.
-func (l *Lane[T]) Transmit(ctx runtime.Context, s Send) {
-	if len(s.Entries) > 0 {
-		ctx.Send(s.To, msg.NewRequest(l.id, s.Ack, s.Entries))
-	}
-	if s.Arm > 0 {
-		ctx.After(s.Arm, runtime.TimerTag{Kind: TimerRetry, Arg: int64(l.shard)})
-	}
-}
-
-// TransmitFlush arms the flush timer Admit asked for.
-func (l *Lane[T]) TransmitFlush(ctx runtime.Context, flush time.Duration) {
-	ctx.After(flush, runtime.TimerTag{Kind: TimerFlush, Arg: int64(l.shard)})
+	return expired
 }
 
 // QueueRead appends a fast-path read to the read queue. Reads ride a
 // lane of their own: they never enter the replicated log, so they never
 // touch the write batcher, the pipeline window or the write seqs.
 func (l *Lane[T]) QueueRead(op Op[T]) { l.readQueue = append(l.readQueue, op) }
-
-// QueuedReads exposes the read queue, so a front end can stamp
-// deadlines on ops it queued from a goroutine that could not read the
-// runtime clock.
-func (l *Lane[T]) QueuedReads() []Op[T] { return l.readQueue }
 
 // ReadsOutstanding reports the reads the lane holds, queued or in
 // flight.
@@ -406,18 +371,18 @@ func (l *Lane[T]) ReadsOutstanding() int {
 }
 
 // PumpReads coalesces the queued reads (up to MaxReadCoalesce) into one
-// ReadRequest while fewer than MaxReadRequests are outstanding; the
-// front end calls it until it reports false. Under readpath.Follower
-// the target rotates per request — spreading reads across the replicas
-// is that mode's whole point; the confirmed modes stay on the replica
-// that last answered (redirects re-aim them).
-func (l *Lane[T]) PumpReads(now time.Duration) (ReadSend, bool) {
+// ReadRequest and sends it, while fewer than MaxReadRequests are
+// outstanding; the front end calls it until it reports false. Under
+// readpath.Follower the target rotates per request — spreading reads
+// across the replicas is that mode's whole point; the confirmed modes
+// stay on the replica that last answered (redirects re-aim them).
+func (l *Lane[T]) PumpReads(ctx runtime.Context, now time.Duration) bool {
 	if len(l.requeued) > 0 {
 		l.readQueue = append(l.requeued, l.readQueue...)
 		l.requeued = nil
 	}
 	if len(l.readQueue) == 0 || len(l.readBatches) >= MaxReadRequests {
-		return ReadSend{}, false
+		return false
 	}
 	n := min(len(l.readQueue), MaxReadCoalesce)
 	l.readBatchID++
@@ -433,13 +398,17 @@ func (l *Lane[T]) PumpReads(now time.Duration) (ReadSend, bool) {
 	if l.readMode == readpath.Follower {
 		l.readTarget = (l.readTarget + 1) % len(l.servers)
 	}
-	s := ReadSend{To: l.servers[l.readTarget]}
-	s.Entries[0] = entries
+	l.sendRead(ctx, entries)
 	if !l.readArmed {
 		l.readArmed = true
-		s.Arm = l.retry
+		ctx.After(l.retry, l.timer(TimerReadRetry))
 	}
-	return s, true
+	return true
+}
+
+// sendRead sends one ReadRequest to the replica the read cursor is on.
+func (l *Lane[T]) sendRead(ctx runtime.Context, entries []msg.BatchEntry) {
+	ctx.Send(l.servers[l.readTarget], msg.ReadRequest{Client: l.id, Mode: int(l.readMode), Entries: entries})
 }
 
 // RetireRead applies one fast-path read reply. Done returns the read's
@@ -465,7 +434,7 @@ func (l *Lane[T]) RetireRead(r *msg.ReadReply) (user T, sentAt time.Duration, st
 	user, st = p.User, Done
 	if !r.OK {
 		l.aim(&l.readTarget, r.Redirect)
-		l.Redirects++
+		l.Redirects.Add(1)
 		l.requeued = append(l.requeued, p.Op)
 		st = Redirected
 	}
@@ -477,12 +446,13 @@ func (l *Lane[T]) RetireRead(r *msg.ReadReply) (user T, sentAt time.Duration, st
 // in an overdue request or still queued behind the full window — are
 // returned for the front end to fail, and every overdue request's
 // surviving reads are resent under their seqs after one rotation of the
-// read cursor. The ReadSend re-arms the timer to sleep until the oldest
+// read cursor. The scan re-arms the timer to sleep until the oldest
 // outstanding request is due; it dies when none is. Requests are kept
 // oldest first (deterministic replay), and a tick that finds nothing
 // overdue allocates nothing.
-func (l *Lane[T]) ScanReads(now time.Duration) (expired []Op[T], s ReadSend) {
+func (l *Lane[T]) ScanReads(ctx runtime.Context, now time.Duration) (expired []Op[T]) {
 	oldest := now
+	var resend [MaxReadRequests][]msg.BatchEntry
 	resends := 0
 	kept := l.readBatches[:0]
 	for _, b := range l.readBatches {
@@ -510,9 +480,9 @@ func (l *Lane[T]) ScanReads(now time.Duration) (expired []Op[T], s ReadSend) {
 		}
 		b.sentAt = now
 		kept = append(kept, b)
-		s.Entries[resends] = entries
+		resend[resends] = entries
 		resends++
-		l.Retries += int64(len(entries))
+		l.Retries.Add(int64(len(entries)))
 	}
 	l.readBatches = kept
 	queued := l.readQueue[:0]
@@ -524,29 +494,18 @@ func (l *Lane[T]) ScanReads(now time.Duration) (expired []Op[T], s ReadSend) {
 		queued = append(queued, op)
 	}
 	l.readQueue = queued
-	l.Timeouts += int64(len(expired))
+	l.Timeouts.Add(int64(len(expired)))
 	if resends > 0 {
 		l.readTarget = (l.readTarget + 1) % len(l.servers)
 	}
-	s.To = l.servers[l.readTarget]
+	for _, entries := range resend[:resends] {
+		l.sendRead(ctx, entries)
+	}
 	l.readArmed = len(l.readBatches) > 0
 	if l.readArmed {
-		s.Arm = oldest + l.retry - now
+		ctx.After(oldest+l.retry-now, l.timer(TimerReadRetry))
 	}
-	return expired, s
-}
-
-// TransmitRead puts s on the wire and arms the read retry timer it asks
-// for.
-func (l *Lane[T]) TransmitRead(ctx runtime.Context, s ReadSend) {
-	for _, entries := range s.Entries {
-		if len(entries) > 0 {
-			ctx.Send(s.To, msg.ReadRequest{Client: l.id, Mode: int(l.readMode), Entries: entries})
-		}
-	}
-	if s.Arm > 0 {
-		ctx.After(s.Arm, runtime.TimerTag{Kind: TimerReadRetry, Arg: int64(l.shard)})
-	}
+	return expired
 }
 
 // Drain empties the lane — both windows and the read queue — and

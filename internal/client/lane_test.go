@@ -56,25 +56,17 @@ func (f *front) get(n int, deadline time.Duration) {
 
 func (f *front) pump(force bool) {
 	for {
-		n, flush := f.l.Admit(f.l.Free(), len(f.queue), force)
+		n := f.l.Admit(f.ctx, f.l.Free(), len(f.queue), force)
 		if n == 0 {
-			if flush > 0 {
-				f.l.TransmitFlush(f.ctx, flush)
-			}
 			return
 		}
-		f.l.Transmit(f.ctx, f.l.Issue(f.ctx.Clock, f.queue[:n]))
+		f.l.Issue(f.ctx, f.ctx.Clock, f.queue[:n])
 		f.queue = f.queue[n:]
 	}
 }
 
 func (f *front) pumpReads() {
-	for {
-		s, ok := f.l.PumpReads(f.ctx.Clock)
-		if !ok {
-			return
-		}
-		f.l.TransmitRead(f.ctx, s)
+	for f.l.PumpReads(f.ctx, f.ctx.Clock) {
 	}
 }
 
@@ -85,9 +77,7 @@ func (f *front) expire(ops []Op[int]) {
 }
 
 func (f *front) scan(tick bool) {
-	expired, s := f.l.Scan(f.ctx.Clock, tick)
-	f.expire(expired)
-	f.l.Transmit(f.ctx, s)
+	f.expire(f.l.Scan(f.ctx, f.ctx.Clock, tick))
 	f.pump(false)
 }
 
@@ -143,9 +133,7 @@ func (f *front) fire(kind int) {
 	case TimerFlush:
 		f.pump(true)
 	case TimerReadRetry:
-		expired, s := f.l.ScanReads(f.ctx.Clock)
-		f.expire(expired)
-		f.l.TransmitRead(f.ctx, s)
+		f.expire(f.l.ScanReads(f.ctx, f.ctx.Clock))
 		f.pumpReads()
 	}
 }
@@ -242,8 +230,8 @@ func TestLane(t *testing.T) {
 		{"window fill: one pump fills the window, singles at batch 1", Config{Window: 4, Batch: 1}, func(t *testing.T, f *front) {
 			f.put(6, 0)
 			f.wantSent("0:1/1", "0:2/1", "0:3/1", "0:4/1")
-			if f.l.InFlight() != 4 || f.l.MaxInFlight != 4 || f.l.Free() != 0 {
-				t.Fatalf("in flight %d, max %d, free %d", f.l.InFlight(), f.l.MaxInFlight, f.l.Free())
+			if f.l.InFlight() != 4 || f.l.MaxInFlight.Load() != 4 || f.l.Free() != 0 {
+				t.Fatalf("in flight %d, max %d, free %d", f.l.InFlight(), f.l.MaxInFlight.Load(), f.l.Free())
 			}
 			// Out-of-order replies retire independently; the ack floor is
 			// the lowest seq still outstanding.
@@ -256,7 +244,7 @@ func TestLane(t *testing.T) {
 		{"batched: the window fills as full batches and a batched reply refills as one", Config{Window: 8, Batch: 4}, func(t *testing.T, f *front) {
 			f.put(20, 0)
 			f.wantSent("0:1,2,3,4/1", "0:5,6,7,8/1")
-			if got := f.l.Occ; got.Batches() != 2 || got.Commands() != 8 {
+			if got := &f.l.Occ; got.Batches() != 2 || got.Commands() != 8 {
 				t.Fatalf("occupancy %d batches / %d commands, want 2 / 8", got.Batches(), got.Commands())
 			}
 			f.reply(ok(1, ""), ok(2, ""), ok(3, ""), ok(4, ""))
@@ -308,8 +296,8 @@ func TestLane(t *testing.T) {
 			if !reflect.DeepEqual(first.Batch, again.Batch) {
 				t.Fatalf("resend changed the batch: %+v vs %+v", again.Batch, first.Batch)
 			}
-			if f.l.Retries != 8 {
-				t.Fatalf("Retries = %d, want 8", f.l.Retries)
+			if f.l.Retries.Load() != 8 {
+				t.Fatalf("Retries = %d, want 8", f.l.Retries.Load())
 			}
 			// The original commits; the retry's own late answers are stale.
 			f.reply(ok(1, "x"), ok(2, "x"))
@@ -359,8 +347,8 @@ func TestLane(t *testing.T) {
 			f.wantSent() // a refusal naming nobody is a lost reply
 			f.reply(ok(1, "late"))
 			f.wantDone("1=late")
-			if f.l.Redirects != 1 || f.l.Retries != 0 {
-				t.Fatalf("redirects %d, retries %d; want 1 and 0", f.l.Redirects, f.l.Retries)
+			if f.l.Redirects.Load() != 1 || f.l.Retries.Load() != 0 {
+				t.Fatalf("redirects %d, retries %d; want 1 and 0", f.l.Redirects.Load(), f.l.Retries.Load())
 			}
 			f.fire(TimerRetry)
 			f.wantSent("0:2,3/2") // timeout: rotate on from server 2
@@ -369,8 +357,8 @@ func TestLane(t *testing.T) {
 			f.fire(TimerRetry) // t=30ms: seq 2's deadline has passed
 			f.wantDone("2!timeout")
 			f.wantSent("2:3/3")
-			if f.l.Timeouts != 1 {
-				t.Fatalf("Timeouts = %d, want 1", f.l.Timeouts)
+			if f.l.Timeouts.Load() != 1 {
+				t.Fatalf("Timeouts = %d, want 1", f.l.Timeouts.Load())
 			}
 		}},
 		{"ack floor and tags are the lane's own", Config{Window: 2, Shard: 5}, func(t *testing.T, f *front) {
@@ -436,8 +424,8 @@ func TestLane(t *testing.T) {
 			f.fire(TimerReadRetry) // t=30ms: op 1's original deadline has passed
 			f.wantDone("1!timeout")
 			f.wantSent("1:r 3")
-			if f.l.Redirects != 2 || f.l.Timeouts != 1 || f.l.Retries != 5 {
-				t.Fatalf("redirects %d, timeouts %d, retries %d; want 2, 1, 5", f.l.Redirects, f.l.Timeouts, f.l.Retries)
+			if f.l.Redirects.Load() != 2 || f.l.Timeouts.Load() != 1 || f.l.Retries.Load() != 5 {
+				t.Fatalf("redirects %d, timeouts %d, retries %d; want 2, 1, 5", f.l.Redirects.Load(), f.l.Timeouts.Load(), f.l.Retries.Load())
 			}
 		}},
 		{"queued reads expire at their own deadline while the window is stuck", Config{ReadMode: readpath.Lease}, func(t *testing.T, f *front) {
@@ -521,16 +509,10 @@ func TestLaneIdleScansAllocateNothing(t *testing.T) {
 		f.get(1, time.Minute)
 	}
 	ctx := nullContext{f.ctx}
-	if allocs := testing.AllocsPerRun(100, func() {
-		_, s := f.l.Scan(f.ctx.Clock, true)
-		f.l.Transmit(ctx, s)
-	}); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { f.l.Scan(ctx, f.ctx.Clock, true) }); allocs != 0 {
 		t.Errorf("write scan allocates %.1f times per idle tick, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		_, s := f.l.ScanReads(f.ctx.Clock)
-		f.l.TransmitRead(ctx, s)
-	}); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { f.l.ScanReads(ctx, f.ctx.Clock) }); allocs != 0 {
 		t.Errorf("read scan allocates %.1f times per idle tick, want 0", allocs)
 	}
 	seq := uint64(0)

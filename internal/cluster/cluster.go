@@ -12,6 +12,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -204,7 +205,7 @@ func Build(spec Spec) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %s needs at least %d replicas, got %d",
 			info.Name, info.MinReplicas, spec.Replicas)
 	}
-	if err := rsm.CheckPipeline("cluster", max(spec.Window, 1), spec.BatchSize, spec.BatchDelay, spec.BatchAdaptive); err != nil {
+	if err := rsm.CheckPipeline("cluster", cmp.Or(spec.Window, 1), spec.BatchSize, spec.BatchDelay, spec.BatchAdaptive); err != nil {
 		return nil, err
 	}
 	if spec.ReadPercent < 0 || spec.ReadPercent > 100 {
@@ -397,11 +398,6 @@ func (c *Cluster) SlowAt(t time.Duration, node msg.NodeID, factor float64) {
 // CrashAt schedules a crash of node at virtual time t.
 func (c *Cluster) CrashAt(t time.Duration, node msg.NodeID) {
 	c.Net.At(t, func() { c.Net.Crash(node) })
-}
-
-// RecoverAt schedules a recovery of node at virtual time t.
-func (c *Cluster) RecoverAt(t time.Duration, node msg.NodeID) {
-	c.Net.At(t, func() { c.Net.Recover(node) })
 }
 
 // RunStats aggregates client-side measurements.

@@ -32,8 +32,6 @@ type Replica struct {
 
 	nextOwned int64 // lowest owned instance not yet proposed or skipped
 
-	votes map[int64]map[msg.NodeID]bool
-
 	// seen is one past the highest instance this node has observed an
 	// accept, learn or skip for — the frontier a read-index ack reports.
 	// It must track *accepted* instances, not just learned ones: a
@@ -49,7 +47,7 @@ var _ runtime.Handler = (*Replica)(nil)
 // New builds a Replica from a configuration protocol.Build validated.
 // AcceptTimeout only paces the recovery subsystem's catch-up retries.
 func New(cfg protocol.Config) *Replica {
-	r := &Replica{votes: make(map[int64]map[msg.NodeID]bool)}
+	r := &Replica{}
 	// Leaderless: any replica serves read-index rounds. A quorum of peers
 	// reports the highest instance each has seen accepted, and quorum
 	// intersection covers every committed write. Lease mode degrades to
@@ -142,22 +140,7 @@ func (r *Replica) onAccept(from msg.NodeID, m msg.MencAccept) {
 // onLearn is the learner role: majority acceptance decides.
 func (r *Replica) onLearn(m msg.MencLearn) {
 	r.observe(m.Instance)
-	if r.Log().Learned(m.Instance) {
-		return
-	}
-	byNode, ok := r.votes[m.Instance]
-	if !ok {
-		byNode = make(map[msg.NodeID]bool)
-		r.votes[m.Instance] = byNode
-	}
-	byNode[m.From] = true
-	if len(byNode) >= r.Quorum {
-		delete(r.votes, m.Instance)
-		r.Log().Learn(m.Instance, m.Value)
-		// A hole below this learn may be a dropped-learn gap that live
-		// traffic will never refill; arm the stall watchdog.
-		r.Snap.WatchGap(r.Ctx)
-	}
+	r.Vote(m.Instance, m.From, 0, m.Value) // no proposal numbers: only the owner proposes
 }
 
 // onSkip applies an owner's authoritative no-op fill for its own unused

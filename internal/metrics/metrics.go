@@ -7,13 +7,15 @@
 // All types in this package are safe for single-goroutine use; the
 // discrete-event simulator is single-threaded, and the real runtime
 // aggregates per-client instances, so no locking is required on the hot
-// path. A type shared across goroutines is guarded by its owner.
+// path. A type shared across goroutines is guarded by its owner —
+// except BatchOccupancy, which one goroutine records and any may read.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
@@ -211,6 +213,12 @@ var BatchOccupancyBuckets = []int{1, 2, 4, 8, 16, 32}
 // commands-per-batch histogram over BatchOccupancyBuckets. Client-side
 // batchers (the KV bridge, workload clients) record one sample per
 // proposed batch; the zero value is ready to use.
+//
+// One goroutine records, any goroutine may read: the fields stay plain
+// int64 so a value copies, and every access to a live one goes through
+// sync/atomic. Record adds the commands before the batch and readers
+// load the batches before the commands, so a concurrent reader never
+// sees a batch without its commands.
 type BatchOccupancy struct {
 	batches  int64
 	commands int64
@@ -222,33 +230,32 @@ func (b *BatchOccupancy) Record(n int) {
 	if n < 1 {
 		return
 	}
-	b.batches++
-	b.commands += int64(n)
-	for i, bound := range BatchOccupancyBuckets {
-		if n <= bound {
-			b.buckets[i]++
-			return
-		}
+	i := 0
+	for i < len(BatchOccupancyBuckets) && n > BatchOccupancyBuckets[i] {
+		i++
 	}
-	b.buckets[len(BatchOccupancyBuckets)]++
+	atomic.AddInt64(&b.commands, int64(n))
+	atomic.AddInt64(&b.buckets[i], 1)
+	atomic.AddInt64(&b.batches, 1)
 }
 
 // Batches reports how many batches were proposed.
-func (b *BatchOccupancy) Batches() int64 { return b.batches }
+func (b *BatchOccupancy) Batches() int64 { return atomic.LoadInt64(&b.batches) }
 
 // Commands reports the total commands across all batches.
-func (b *BatchOccupancy) Commands() int64 { return b.commands }
+func (b *BatchOccupancy) Commands() int64 { return atomic.LoadInt64(&b.commands) }
 
 // Mean reports the average commands per batch (0 with no batches).
 func (b *BatchOccupancy) Mean() float64 {
-	if b.batches == 0 {
+	batches := b.Batches()
+	if batches == 0 {
 		return 0
 	}
-	return float64(b.commands) / float64(b.batches)
+	return float64(b.Commands()) / float64(batches)
 }
 
 // Bucket reports the histogram count for bucket i of Labels order.
-func (b *BatchOccupancy) Bucket(i int) int64 { return b.buckets[i] }
+func (b *BatchOccupancy) Bucket(i int) int64 { return atomic.LoadInt64(&b.buckets[i]) }
 
 // BucketLabels names the histogram buckets ("<=1", "<=2", ..., ">32"),
 // aligned with Bucket indices.
@@ -260,12 +267,13 @@ func (b *BatchOccupancy) BucketLabels() []string {
 	return append(out, fmt.Sprintf(">%d", BatchOccupancyBuckets[len(BatchOccupancyBuckets)-1]))
 }
 
-// Merge folds other's counts into b.
+// Merge folds other's counts into b; other may be live, b is the
+// caller's own.
 func (b *BatchOccupancy) Merge(other *BatchOccupancy) {
-	b.batches += other.batches
-	b.commands += other.commands
+	b.batches += other.Batches()
+	b.commands += other.Commands()
 	for i := range b.buckets {
-		b.buckets[i] += other.buckets[i]
+		b.buckets[i] += other.Bucket(i)
 	}
 }
 

@@ -58,9 +58,6 @@ type Replica struct {
 	hpn uint64
 	ap  map[int64]msg.Proposal
 
-	// Learner state: per-instance acceptance votes, keyed by proposal
-	// number; an instance is learned when one pn gathers a majority.
-	votes map[int64]map[msg.NodeID]msg.Proposal
 	// noopFloor is the highest compaction floor carried by any promise:
 	// instances below it were decided and compacted at a peer, so a
 	// winning proposer must wait for the catch-up push rather than fill
@@ -90,7 +87,6 @@ func New(cfg protocol.Config) *Replica {
 		outstanding: make(map[int64]bool),
 		knownLeader: cfg.Replicas[0],
 		ap:          make(map[int64]msg.Proposal),
-		votes:       make(map[int64]map[msg.NodeID]msg.Proposal),
 	}
 	// Read rounds are confirmed by a quorum of peers: any committed write
 	// crossed a majority of acceptors, each of which recorded its leader,
@@ -383,28 +379,8 @@ func (r *Replica) onAccept(from msg.NodeID, m msg.MPAccept) {
 }
 
 func (r *Replica) onLearn(m msg.MPLearn) {
-	if r.Log().Learned(m.Instance) {
-		return
-	}
-	byNode, ok := r.votes[m.Instance]
-	if !ok {
-		byNode = make(map[msg.NodeID]msg.Proposal)
-		r.votes[m.Instance] = byNode
-	}
-	byNode[m.From] = msg.Proposal{Instance: m.Instance, PN: m.PN, Value: m.Value}
-	count := 0
-	for _, p := range byNode {
-		if p.PN == m.PN {
-			count++
-		}
-	}
-	if count >= r.Quorum {
-		delete(r.votes, m.Instance)
+	if r.Vote(m.Instance, m.From, m.PN, m.Value) {
 		delete(r.outstanding, m.Instance)
-		r.Log().Learn(m.Instance, m.Value)
-		// A hole below this learn may be a dropped-learn gap that live
-		// traffic will never refill; arm the stall watchdog.
-		r.Snap.WatchGap(r.Ctx)
 	}
 }
 

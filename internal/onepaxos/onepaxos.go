@@ -454,14 +454,6 @@ func (r *Replica) flushLearns() {
 	}
 }
 
-func (r *Replica) apSlice() []msg.Proposal {
-	out := make([]msg.Proposal, 0, len(r.ap))
-	for _, p := range r.ap {
-		out = append(out, p)
-	}
-	return out
-}
-
 // proposalsSince merges the acceptor's live accepted proposals with the
 // decided suffix of its log from the given instance on — both the
 // applied entries and the learned-but-unapplied ones (a catch-up

@@ -107,6 +107,7 @@ type Shell struct {
 	log     *rsm.Log
 	agree   Agreement
 	commits int64
+	votes   map[int64]map[msg.NodeID]uint64 // learner tally: instance -> voter -> pn
 }
 
 // Init builds the shared subsystems for one replica. cfg was validated
@@ -272,6 +273,44 @@ func (s *Shell) Disown(client msg.NodeID, entries []msg.BatchEntry) {
 	}
 }
 
+// --- Learning ---
+
+// Vote is majority learning, written once: it counts from's acceptance
+// of value for instance under proposal number pn (an engine with no
+// proposal numbers passes a constant), and when a quorum has accepted
+// under that one pn it learns the value, arms the recovery subsystem's
+// gap watchdog — a hole below this learn may be a dropped-learn gap that
+// live traffic will never refill — and reports true. A voter's later
+// acceptance replaces its earlier one; an instance's tally is dropped
+// when it is learned here and when it applies.
+func (s *Shell) Vote(instance int64, from msg.NodeID, pn uint64, value msg.Value) bool {
+	if s.log.Learned(instance) {
+		return false
+	}
+	byNode := s.votes[instance]
+	if byNode == nil {
+		if s.votes == nil {
+			s.votes = make(map[int64]map[msg.NodeID]uint64)
+		}
+		byNode = make(map[msg.NodeID]uint64)
+		s.votes[instance] = byNode
+	}
+	byNode[from] = pn
+	n := 0
+	for _, voted := range byNode {
+		if voted == pn {
+			n++
+		}
+	}
+	if n < s.Quorum {
+		return false
+	}
+	delete(s.votes, instance)
+	s.log.Learn(instance, value)
+	s.Snap.WatchGap(s.Ctx)
+	return true
+}
+
 // --- Apply side ---
 
 // onApply fires for every instance applied in order: one session record
@@ -290,6 +329,7 @@ func (s *Shell) onApply(e rsm.Entry, results []string) {
 		}
 		s.SendReplies(v.Client, replies)
 	}
+	delete(s.votes, e.Instance)
 	if s.agree.OnApply != nil {
 		s.agree.OnApply(e)
 	}

@@ -429,14 +429,17 @@ const DefaultSessionWindow = 1024
 // CheckPipeline validates a pipelined client's window and batching
 // knobs — the one rule set StartKV, cluster.Build and
 // workload.NewClient share, each passing its own error prefix as who.
-// window is the effective depth (callers apply their default first). A
-// window deeper than DefaultSessionWindow could let a pruned entry
+// window is the effective depth (callers replace zero with their
+// default first; a negative one is an error, not a default). A window
+// deeper than DefaultSessionWindow could let a pruned entry
 // masquerade as a committed one and drop an acknowledged command; a
 // batch is drawn from the in-flight window, so a cap beyond it could
 // never fill; the adaptive batcher has nothing to adapt within a closed
 // loop and subsumes both static knobs.
 func CheckPipeline(who string, window, batchSize int, batchDelay time.Duration, adaptive bool) error {
 	switch {
+	case window < 1:
+		return fmt.Errorf("%s: pipeline window %d is not positive", who, window)
 	case window > DefaultSessionWindow:
 		return fmt.Errorf("%s: pipeline window %d exceeds the replicas' session window %d", who, window, DefaultSessionWindow)
 	case batchSize < 0:

@@ -73,18 +73,19 @@ type InProcCluster struct {
 	stop   chan struct{}
 	wg     sync.WaitGroup
 
-	// timerOverflows counts timer deliveries that found timerCh full and
-	// took the overflow list instead (see inprocContext.After).
-	timerOverflows atomic.Uint64
-
 	// lifeMu guards per-node crash/restart transitions (StopNode,
 	// RestartNode); the steady-state message path never takes it.
 	lifeMu sync.Mutex
 }
 
+// envelope is one mailbox entry: a message from an external driver, or
+// — timer set — an expired timer's tag, carried inline so a fire boxes
+// nothing.
 type envelope struct {
-	from msg.NodeID
-	m    msg.Message
+	from  msg.NodeID
+	m     msg.Message
+	tag   TimerTag
+	timer bool
 }
 
 type inprocNode struct {
@@ -94,29 +95,26 @@ type inprocNode struct {
 	// in[i] is the queue carrying messages from node i to this node. The
 	// sender identity is the queue index, so the slots carry the bare
 	// message.
-	in      []*queue.SPSC[msg.Message]
-	wake    chan struct{}
-	timerCh chan TimerTag
-	rng     *rand.Rand
+	in   []*queue.SPSC[msg.Message]
+	wake chan struct{}
+	rng  *rand.Rand
 
 	// parked is set while the node goroutine is blocked on wake; senders
 	// only touch the wake channel when it is, so the steady-state message
 	// path costs no channel operations.
 	parked atomic.Bool
 
-	// self is the self-send ring: ctx.Send(own id) is produced and
-	// consumed on the node's own goroutine (collapsed roles looping a
-	// message to themselves), so the SPSC invariant holds trivially and
-	// no lock or wakeup is needed. selfOver takes the (rare) overflow —
-	// the producer IS the consumer, so it cannot spin on a full ring.
-	// Both are owned by the node goroutine; handoff between a crashed
-	// incarnation, the discarding one and the restarted one is ordered
-	// by the done channel.
-	self     *queue.SPSC[msg.Message]
-	selfOver []msg.Message
+	// self holds self-sends: ctx.Send(own id) is produced and consumed
+	// on the node's own goroutine (collapsed roles looping a message to
+	// themselves), so a plain slice does — no lock, no wakeup, no bound to
+	// overflow. Handoff between a crashed incarnation, the discarding one
+	// and the restarted one is ordered by the done channel.
+	self []msg.Message
 
-	// inbox carries external Inject traffic (driver goroutines that are
-	// not nodes); inboxPending makes the empty check lock-free.
+	// inbox is the node's one mailbox for everything that is not a peer
+	// queue: external Inject traffic (driver goroutines that are not
+	// nodes) and timer fires. It is unbounded, so a poster never blocks on
+	// a stalled node; inboxPending makes the empty check lock-free.
 	// inboxSpare is the previously-drained buffer, swapped back in on
 	// the next drain so the ping-pong steady state (inject, drain,
 	// inject, ...) reuses two backing arrays instead of allocating one
@@ -125,13 +123,6 @@ type inprocNode struct {
 	inbox        []envelope
 	inboxSpare   []envelope
 	inboxPending atomic.Bool
-
-	// timerOver takes timer fires that found timerCh full; the AfterFunc
-	// goroutine must never block on a stalled node (it would pile up
-	// goroutines cluster-wide), and dropping the tag would lose a timer.
-	tmu          sync.Mutex
-	timerOver    []TimerTag
-	timerPending atomic.Bool
 
 	// Crash/restart bookkeeping (guarded by cluster.lifeMu): halt stops
 	// this incarnation's goroutine, done reports it exited. A stopped
@@ -161,8 +152,6 @@ func NewInProcCluster(handlers []Handler, opts ...InProcOption) *InProcCluster {
 			id:      msg.NodeID(i),
 			in:      make([]*queue.SPSC[msg.Message], n),
 			wake:    make(chan struct{}, 1),
-			timerCh: make(chan TimerTag, 64),
-			self:    queue.NewSPSC[msg.Message](queueCap),
 			rng:     rand.New(rand.NewSource(1 + int64(i))),
 		}
 	}
@@ -240,14 +229,6 @@ func (n *inprocNode) start(handler Handler) {
 	go n.run(n.halt, n.done)
 }
 
-// TimerOverflows reports how many timer fires found the node's timer
-// channel full and were diverted to the overflow list (still delivered,
-// just late). A steadily growing count means timers are being armed far
-// faster than their node can service them.
-func (c *InProcCluster) TimerOverflows() uint64 {
-	return c.timerOverflows.Load()
-}
-
 // N reports the cluster size.
 func (c *InProcCluster) N() int { return len(c.nodes) }
 
@@ -260,12 +241,17 @@ func (c *InProcCluster) Inject(from, to msg.NodeID, m msg.Message) {
 	if int(to) < 0 || int(to) >= len(c.nodes) {
 		panic(fmt.Sprintf("runtime: inject to unknown node %d", to))
 	}
-	dst := c.nodes[to]
-	dst.mu.Lock()
-	dst.inbox = append(dst.inbox, envelope{from: from, m: m})
-	dst.inboxPending.Store(true)
-	dst.mu.Unlock()
-	dst.notify()
+	c.nodes[to].post(envelope{from: from, m: m})
+}
+
+// post appends env to the node's mailbox and wakes the node. Safe from
+// any goroutine; never blocks on the node.
+func (n *inprocNode) post(env envelope) {
+	n.mu.Lock()
+	n.inbox = append(n.inbox, env)
+	n.inboxPending.Store(true)
+	n.mu.Unlock()
+	n.notify()
 }
 
 // Stop shuts down all node goroutines and waits for them to exit.
@@ -288,16 +274,10 @@ func (c *InProcCluster) send(from, to msg.NodeID, m msg.Message) {
 	}
 	dst := c.nodes[to]
 	if from == to {
-		// A self-send runs on the node's own goroutine (collapsed roles);
-		// it goes through the self ring — same cost as a peer send — and
-		// needs no wakeup: the node is by definition awake, and the ring
-		// is swept before any park decision. The ring's producer is its
-		// consumer, so a full ring spills to the overflow slice instead of
-		// spinning (which would deadlock); the spill also keeps FIFO order
-		// by routing everything through it until it drains.
-		if len(dst.selfOver) > 0 || !dst.self.TryEnqueue(m) {
-			dst.selfOver = append(dst.selfOver, m)
-		}
+		// A self-send runs on the node's own goroutine (collapsed roles)
+		// and needs no wakeup: the node is by definition awake, and the
+		// slice is swept before any park decision.
+		dst.self = append(dst.self, m)
 		return
 	}
 	dst.in[from].Enqueue(m)
@@ -322,17 +302,14 @@ func (n *inprocNode) someInput() bool {
 			return true
 		}
 	}
-	if n.self.Len() > 0 || len(n.selfOver) > 0 {
-		return true
-	}
-	return n.inboxPending.Load() || n.timerPending.Load()
+	return len(n.self) > 0 || n.inboxPending.Load()
 }
 
-// drainInbox delivers external Inject traffic; the pending flag keeps
-// the steady-state sweep from touching the mutex. Each pass takes the
-// whole pending slice in one lock hold and swaps the spare buffer in,
-// so producers keep appending into reused capacity while the batch is
-// delivered lock-free.
+// drainInbox delivers the mailbox — Inject traffic and timer fires, in
+// arrival order; the pending flag keeps the steady-state sweep from
+// touching the mutex. Each pass takes the whole pending slice in one
+// lock hold and swaps the spare buffer in, so producers keep appending
+// into reused capacity while the batch is delivered lock-free.
 func (n *inprocNode) drainInbox(ctx Context) bool {
 	if !n.inboxPending.Load() {
 		return false
@@ -351,41 +328,32 @@ func (n *inprocNode) drainInbox(ctx Context) bool {
 		for i := range batch {
 			env := batch[i]
 			batch[i] = envelope{} // release the message reference
-			n.handler.Receive(ctx, env.from, env.m)
+			if env.timer {
+				n.handler.Timer(ctx, env.tag)
+			} else {
+				n.handler.Receive(ctx, env.from, env.m)
+			}
 		}
 		n.inboxSpare = batch[:0]
 		progress = true
 	}
 }
 
-// drainSelfRing empties the self ring (and its overflow spill), looping
-// because delivered handlers commonly push more self-sends. Exhausting
-// it before peer queues get their next turn matches the old selfBox
-// semantics.
-func (n *inprocNode) drainSelfRing(ctx Context, buf []msg.Message) bool {
-	progress := false
-	for {
-		k := n.self.DequeueInto(buf)
-		if k == 0 {
-			if len(n.selfOver) == 0 {
-				return progress
-			}
-			// Take the spill, then go around again: deliveries may both
-			// refill the ring and spill anew.
-			over := n.selfOver
-			n.selfOver = nil
-			for _, m := range over {
-				n.handler.Receive(ctx, n.id, m)
-			}
-			progress = true
-			continue
-		}
-		for j := 0; j < k; j++ {
-			n.handler.Receive(ctx, n.id, buf[j])
-			buf[j] = nil
-		}
-		progress = true
+// drainSelf delivers the self-sends by index, because delivered
+// handlers commonly push more, and resets the slice once it is empty.
+// Exhausting it before peer queues get their next turn keeps a collapsed
+// role's loopback ahead of new peer traffic, in FIFO order.
+func (n *inprocNode) drainSelf(ctx Context) bool {
+	if len(n.self) == 0 {
+		return false
 	}
+	for i := 0; i < len(n.self); i++ {
+		m := n.self[i]
+		n.self[i] = nil // release the reference once delivered
+		n.handler.Receive(ctx, n.id, m)
+	}
+	n.self = n.self[:0]
+	return true
 }
 
 func (n *inprocNode) run(halt, done chan struct{}) {
@@ -421,35 +389,11 @@ func (n *inprocNode) run(halt, done chan struct{}) {
 				progress = true
 			}
 		}
-		if n.drainSelfRing(ctx, buf) {
+		if n.drainSelf(ctx) {
 			progress = true
 		}
 		if n.drainInbox(ctx) {
 			progress = true
-		}
-		// Deliver expired timers without blocking.
-	timers:
-		for {
-			select {
-			case tag := <-n.timerCh:
-				n.handler.Timer(ctx, tag)
-				progress = true
-			default:
-				break timers
-			}
-		}
-		if n.timerPending.Load() {
-			n.tmu.Lock()
-			over := n.timerOver
-			n.timerOver = nil
-			n.timerPending.Store(false)
-			n.tmu.Unlock()
-			for _, tag := range over {
-				n.handler.Timer(ctx, tag)
-			}
-			if len(over) > 0 {
-				progress = true
-			}
 		}
 		if progress {
 			idle = 0
@@ -476,9 +420,6 @@ func (n *inprocNode) run(halt, done chan struct{}) {
 		select {
 		case <-n.wake:
 			n.parked.Store(false)
-		case tag := <-n.timerCh:
-			n.parked.Store(false)
-			n.handler.Timer(ctx, tag)
 		case <-halt:
 			n.parked.Store(false)
 			return
@@ -505,23 +446,9 @@ func (c *inprocContext) Send(to msg.NodeID, m msg.Message) {
 }
 
 func (c *inprocContext) After(d time.Duration, tag TimerTag) CancelFunc {
+	// The fire goes to the unbounded mailbox: the callback goroutine
+	// never blocks on a stalled node, and no tag is ever dropped.
 	node := c.node
-	t := time.AfterFunc(d, func() {
-		select {
-		case node.timerCh <- tag:
-			node.notify()
-		default:
-			// The channel is full (a stalled or flooded node): divert to
-			// the overflow list rather than blocking this callback
-			// goroutine — timer fires must never pile up goroutines, and
-			// must never be lost.
-			node.tmu.Lock()
-			node.timerOver = append(node.timerOver, tag)
-			node.timerPending.Store(true)
-			node.tmu.Unlock()
-			node.cluster.timerOverflows.Add(1)
-			node.notify()
-		}
-	})
+	t := time.AfterFunc(d, func() { node.post(envelope{tag: tag, timer: true}) })
 	return func() { t.Stop() }
 }

@@ -193,10 +193,6 @@ func (n *Network) Now() time.Duration { return n.eng.Now() }
 // RunFor advances the simulation until virtual time t (from zero).
 func (n *Network) RunFor(t time.Duration) { n.eng.RunUntil(t) }
 
-// RunUntilIdle drains all pending events, bounded by maxEvents; it reports
-// false if the bound was reached first (likely a protocol livelock).
-func (n *Network) RunUntilIdle(maxEvents uint64) bool { return n.eng.Run(maxEvents) }
-
 // At schedules fn at absolute virtual time t — the injection point for
 // failure schedules.
 func (n *Network) At(t time.Duration, fn func()) { n.eng.Schedule(t, fn) }
@@ -210,9 +206,6 @@ func (n *Network) SetSlow(id msg.NodeID, factor float64) {
 	}
 	n.cores[id].slow = factor
 }
-
-// Slowdown reports the current slowdown factor of core id.
-func (n *Network) Slowdown(id msg.NodeID) float64 { return n.cores[id].slow }
 
 // Crash makes core id drop all current and future messages and timers.
 // The paper's "crash" models a core unresponsive for arbitrarily long.

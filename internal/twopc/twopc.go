@@ -139,9 +139,6 @@ func New(cfg protocol.Config) *Replica {
 	return r
 }
 
-// Coordinator reports the fixed coordinator node.
-func (r *Replica) Coordinator() msg.NodeID { return r.coord }
-
 // LocalReads reports how many reads were served from the local copy.
 func (r *Replica) LocalReads() int64 { return r.localReads }
 

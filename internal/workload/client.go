@@ -20,6 +20,7 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"time"
@@ -206,7 +207,7 @@ func NewClient(cfg Config) (*Client, error) {
 	if cfg.Key == "" {
 		cfg.Key = fmt.Sprintf("c%d", cfg.ID)
 	}
-	window := max(cfg.Window, 1)
+	window := cmp.Or(cfg.Window, 1)
 	if err := rsm.CheckPipeline("workload", window, cfg.BatchSize, cfg.BatchDelay, cfg.BatchAdaptive); err != nil {
 		return nil, err
 	}
@@ -255,7 +256,7 @@ func (c *Client) Completed() int { return c.completed }
 func (c *Client) Retries() int {
 	n := int64(0)
 	for _, ln := range c.lanes {
-		n += ln.Retries
+		n += ln.Retries.Load()
 	}
 	return int(n)
 }
@@ -363,8 +364,7 @@ func (c *Client) onReplies(ctx runtime.Context, replies []msg.ClientReply) (refi
 		}
 	}
 	if redirected != nil {
-		_, send := redirected.Scan(now, false)
-		redirected.Transmit(ctx, send)
+		redirected.Scan(ctx, now, false)
 	}
 	return refill
 }
@@ -436,13 +436,9 @@ func (c *Client) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 		}
 		c.fill(ctx, false)
 	case client.TimerRetry:
-		ln := c.lanes[tag.Arg]
-		_, send := ln.Scan(ctx.Now(), true) // ops carry no deadline: nothing expires
-		ln.Transmit(ctx, send)
+		c.lanes[tag.Arg].Scan(ctx, ctx.Now(), true) // ops carry no deadline: nothing expires
 	case client.TimerReadRetry:
-		ln := c.lanes[tag.Arg]
-		_, send := ln.ScanReads(ctx.Now())
-		ln.TransmitRead(ctx, send)
+		c.lanes[tag.Arg].ScanReads(ctx, ctx.Now())
 	case client.TimerFlush:
 		c.fill(ctx, true) // a held-back partial batch is due: issue what the demand allows, full or not
 	}
@@ -482,11 +478,8 @@ func (c *Client) fill(ctx runtime.Context, force bool) {
 	for idle := 0; idle < len(c.lanes) && c.pending() > 0; {
 		ln := &c.lanes[c.next]
 		c.next = (c.next + 1) % len(c.lanes)
-		n, flush := ln.Admit(c.free(ln), c.pending(), force)
+		n := ln.Admit(ctx, c.free(ln), c.pending(), force)
 		if n == 0 {
-			if flush > 0 {
-				ln.TransmitFlush(ctx, flush)
-			}
 			idle++
 			continue
 		}
@@ -546,7 +539,7 @@ func (c *Client) issue(ctx runtime.Context, ln *lane, n int) {
 	}
 	c.ops = writes[:0]
 	if len(writes) > 0 {
-		ln.Transmit(ctx, ln.Issue(now, writes))
+		ln.Issue(ctx, now, writes)
 	}
 	c.pumpReads(ctx)
 	total := 0
@@ -560,8 +553,7 @@ func (c *Client) issue(ctx runtime.Context, ln *lane, n int) {
 // as each read lane's window admits.
 func (c *Client) pumpReads(ctx runtime.Context) {
 	for _, ln := range c.lanes {
-		for send, ok := ln.PumpReads(ctx.Now()); ok; send, ok = ln.PumpReads(ctx.Now()) {
-			ln.TransmitRead(ctx, send)
+		for ln.PumpReads(ctx, ctx.Now()) {
 		}
 	}
 }

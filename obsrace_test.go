@@ -2,7 +2,7 @@ package consensusinside
 
 // The stats-concurrency audit, pinned. Every counters struct KV.Obs
 // collects (transport.Counters, snapshot.Counters, readpath.Counters,
-// the bridge's batch occupancy and ring growths, the tracer, the event
+// the bridge lane's counters and batch occupancy, the tracer, the event
 // log) is written by engine or transport goroutines and collected from
 // arbitrary caller goroutines, possibly while RestartReplica is
 // swapping the very slots the collector walks. The synchronization
@@ -12,8 +12,13 @@ package consensusinside
 //     a collection tears across *fields* (it is not a consistent cut)
 //     but never within one, and no update is lost;
 //   - readpath.Counters is plain integers guarded by the read-path
-//     server's mutex, which Collect takes; the bridge's occupancy
-//     likewise under the bridge mutex;
+//     server's mutex, which Collect takes;
+//   - the bridge lane's counters (occupancy, deepest window, retries,
+//     redirects, timeouts, ring growths) are single-writer atomics: the
+//     bridge node writes them on whatever path issued the value — a
+//     wake-up or a reply — and Collect, KV.BatchStats and KV.MaxInFlight
+//     load them with no lock, so a value is visible as soon as it is
+//     written, with no further wake-up;
 //   - the per-replica slots (engines, TCP nodes) are guarded by the
 //     shard mutex against RestartReplica's swap;
 //   - tracer and event log are internally synchronized.
@@ -26,6 +31,7 @@ package consensusinside
 // families guarantee individually.
 
 import (
+	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -124,6 +130,26 @@ func obsSnapshotRace(t *testing.T, transport TransportKind) {
 		}()
 	}
 
+	// The lock-free accessors in a tight loop: they take no lock a writer
+	// could be starved on, and the window never reports deeper than the
+	// pipeline.
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for !stop.Load() {
+			occ := kv.BatchStats()
+			if occ.Commands() < occ.Batches() {
+				t.Errorf("batch occupancy: %d commands < %d batches", occ.Commands(), occ.Batches())
+				return
+			}
+			if deepest := kv.MaxInFlight(); deepest > 8 {
+				t.Errorf("max in flight %d exceeds the pipeline of 8", deepest)
+				return
+			}
+			stdruntime.Gosched()
+		}
+	}()
+
 	// One replica slot churns underneath the readers while the
 	// writers are still going.
 	for i := 0; i < 2; i++ {
@@ -156,8 +182,14 @@ func obsSnapshotRace(t *testing.T, transport TransportKind) {
 	if snap.Finished == 0 {
 		t.Fatal("tracer sampled nothing under load")
 	}
+	// Quiescent: every Put was acknowledged, so every command was issued
+	// exactly once (resends are not issues) — including those the reply
+	// path issued, with no wake-up after them to publish the count.
 	finalOcc := kv.BatchStats()
-	if finalOcc.Batches() == 0 {
-		t.Fatal("batch occupancy recorded nothing")
+	if want := int64(1 + 4*opsPerWriter); finalOcc.Commands() != want {
+		t.Fatalf("batch occupancy counts %d commands in %d batches after %d acknowledged writes", finalOcc.Commands(), finalOcc.Batches(), want)
+	}
+	if kv.Obs().Counters["batch.commands"] != finalOcc.Commands() {
+		t.Fatalf("Obs reports %d batch.commands, BatchStats %d", kv.Obs().Counters["batch.commands"], finalOcc.Commands())
 	}
 }

@@ -11,7 +11,9 @@
 # beside bench/, when a second stats path grows back beside internal/obs
 # (a typed stats struct, an adapter, a registry gauge, a metric name
 # spelled outside its owner), when a second client grows back beside
-# internal/client, when internal/experiments grows a per-experiment
+# internal/client, when the lane grows a lock or a Transmit method back,
+# the InProc runtime a timer channel, or bridge.go a fourth mu.Lock(),
+# when internal/experiments grows a per-experiment
 # printer or row type back or a Registry id has no EXPERIMENTS.md row, or
 # when a doc file that other docs link to is absent.
 # The point is that the docs pass of PR 2 cannot silently rot.
@@ -137,6 +139,38 @@ regrown=$(grep -rnE 'kvFlight|kvReadOp|kvReadBatch|readFlight' --include='*.go' 
 if [ -n "$regrown" ]; then
     echo "docscheck: per-front-end flight types are gone; an in-flight op is a client.Op in the lane's window:" >&2
     echo "$regrown" >&2
+    fail=1
+fi
+
+# The lane is node-private (DESIGN.md, "Who touches what in the
+# adapter"): it sends and arms on the runtime.Context itself and shares
+# nothing but atomic counters, the bridge's mutex guards only the caller
+# hand-off (enqueue, the per-wake drain, close), and an InProc node has
+# one mailbox. A lock in internal/client, a Transmit method, a fourth
+# mu.Lock() in bridge.go or a timer channel in internal/runtime is the
+# shared-lane design growing back.
+shared=$(grep -nE '^[[:space:]]*(import[[:space:]]+)?"sync"' $(find internal/client -name '*.go' ! -name '*_test.go'))
+if [ -n "$shared" ]; then
+    echo "docscheck: internal/client imports sync; the lane is owned by one node and shares only sync/atomic counters:" >&2
+    echo "$shared" >&2
+    fail=1
+fi
+transmit=$(grep -rnE '^func \(l \*Lane\[T\]\) Transmit' --include='*.go' internal/client)
+if [ -n "$transmit" ]; then
+    echo "docscheck: lane methods send on the runtime.Context themselves; a Transmit method is the two-step growing back:" >&2
+    echo "$transmit" >&2
+    fail=1
+fi
+timerch=$(grep -rn 'timerCh' --include='*.go' internal/runtime)
+if [ -n "$timerch" ]; then
+    echo "docscheck: an InProc node's timer fires go to its one mailbox, not a timer channel:" >&2
+    echo "$timerch" >&2
+    fail=1
+fi
+locks=$(grep -c 'mu\.Lock()' bridge.go)
+if [ "$locks" -gt 3 ]; then
+    echo "docscheck: bridge.go takes mu $locks times; it guards the caller hand-off only (enqueue, the per-wake drain, close):" >&2
+    grep -n 'mu\.Lock()' bridge.go >&2
     fail=1
 fi
 

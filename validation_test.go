@@ -3,8 +3,8 @@ package consensusinside
 // One pipeline/batching rule set, three front doors. StartKV,
 // cluster.Build and workload.NewClient all call rsm.CheckPipeline;
 // this table pins that whatever it rejects, every entry point rejects
-// with an error — never a panic, never a started deployment — and that
-// what it accepts, every entry point starts.
+// with an error — never a panic, never a started deployment, never a
+// silent clamp — and that what it accepts, every entry point starts.
 
 import (
 	"testing"
@@ -24,8 +24,11 @@ func TestPipelineValidationEveryEntryPoint(t *testing.T) {
 		batch    int
 		delay    time.Duration
 		adaptive bool
+		timeout  time.Duration // StartKV's own knob: a row that sets it checks that door alone
 		ok       bool
 	}{
+		{name: "negative window", window: -5},
+		{name: "negative request timeout", window: 8, timeout: -time.Second},
 		{name: "window past the session window", window: rsm.DefaultSessionWindow + 1},
 		{name: "negative batch size", window: 8, batch: -1},
 		{name: "batch beyond the window", window: 8, batch: 9},
@@ -41,12 +44,12 @@ func TestPipelineValidationEveryEntryPoint(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := rsm.CheckPipeline("test", tc.window, tc.batch, tc.delay, tc.adaptive); (err == nil) != tc.ok {
+			if err := rsm.CheckPipeline("test", tc.window, tc.batch, tc.delay, tc.adaptive); tc.timeout == 0 && (err == nil) != tc.ok {
 				t.Fatalf("CheckPipeline = %v, want accepted=%v", err, tc.ok)
 			}
 			entries := map[string]func() error{
 				"StartKV": func() error {
-					kv, err := StartKV(KVConfig{Pipeline: tc.window, BatchSize: tc.batch, BatchDelay: tc.delay, BatchAdaptive: tc.adaptive})
+					kv, err := StartKV(KVConfig{Pipeline: tc.window, BatchSize: tc.batch, BatchDelay: tc.delay, BatchAdaptive: tc.adaptive, RequestTimeout: tc.timeout})
 					if err == nil {
 						kv.Close()
 					}
@@ -66,6 +69,9 @@ func TestPipelineValidationEveryEntryPoint(t *testing.T) {
 					})
 					return err
 				},
+			}
+			if tc.timeout != 0 {
+				entries = map[string]func() error{"StartKV": entries["StartKV"]}
 			}
 			for name, start := range entries {
 				if err := noPanic(t, name, start); (err == nil) != tc.ok {
