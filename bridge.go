@@ -154,14 +154,15 @@ func (b *kvBridge) drain(now time.Duration) {
 	ops := b.handoff
 	b.handoff = b.spare[:0]
 	b.mu.Unlock()
-	for _, op := range ops {
+	for i := range ops {
+		op := &ops[i]
 		if b.timeout > 0 { // no RequestTimeout: ops wait as long as it takes
 			op.Deadline = now + b.timeout
 		}
 		if b.fastReads && op.Cmd.Op == msg.OpGet {
-			b.lane.QueueRead(op)
+			b.lane.QueueRead(*op)
 		} else {
-			b.queue = append(b.queue, op)
+			b.queue = append(b.queue, *op)
 		}
 	}
 	clear(ops) // release the commands and channels

@@ -133,6 +133,7 @@ func (s *Shell) Init(cfg protocol.Config, a Agreement) {
 	if !a.NoLog {
 		s.log = rsm.NewLog(rsm.Dedup{Sessions: s.Sessions, Inner: cfg.Applier})
 		s.log.OnApply(s.onApply)
+		s.votes = make(map[int64]map[msg.NodeID]uint64)
 		// The log is built before the node's context exists; it asks for
 		// the clock only while a callback runs.
 		s.log.SetTracer(cfg.Tracer, func() time.Duration { return s.Ctx.Now() })
@@ -289,9 +290,6 @@ func (s *Shell) Vote(instance int64, from msg.NodeID, pn uint64, value msg.Value
 	}
 	byNode := s.votes[instance]
 	if byNode == nil {
-		if s.votes == nil {
-			s.votes = make(map[int64]map[msg.NodeID]uint64)
-		}
 		byNode = make(map[msg.NodeID]uint64)
 		s.votes[instance] = byNode
 	}
