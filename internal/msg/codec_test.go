@@ -11,14 +11,20 @@ package msg
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"encoding/hex"
+	"flag"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/wire_frames.golden from this run (only for an intended format change)")
 
 // bigString is a max-size-ish value payload (1 MiB) to exercise length
 // handling far beyond the varint fast path.
@@ -173,15 +179,61 @@ func gobRoundTrip(t *testing.T, from NodeID, m Message) (NodeID, Message) {
 	return out.From, out.M
 }
 
+// sampleFrom is the sender id sample i travels under: the small ids
+// replicas have, and Nobody every seventh sample.
+func sampleFrom(i int) NodeID {
+	if i%7 == 0 {
+		return Nobody
+	}
+	return NodeID(i % 5)
+}
+
+// goldenFrames is testdata/wire_frames.golden: one "Kind<TAB>bytes"
+// line per wireSamples() entry, the bytes being AppendEnvelope's output
+// in hex. The file was written from the code before the layouts were
+// folded into one function per type and pins the format since: a frame
+// written then must be the frame written now. A megabyte sample is held
+// as "sha256:<digest>:<length>" instead — it pins the bytes as exactly
+// without committing megabytes of 'x'.
+const goldenFrames = "testdata/wire_frames.golden"
+
+func goldenLine(m Message, payload []byte) string {
+	if len(payload) >= 8<<10 {
+		return fmt.Sprintf("%s\tsha256:%x:%d", m.Kind(), sha256.Sum256(payload), len(payload))
+	}
+	return fmt.Sprintf("%s\t%x", m.Kind(), payload)
+}
+
 // TestWireGobEquivalence is the codec property test: both codecs must
 // round-trip every sample to the same struct (gob folds empty slices to
-// nil; the wire codec matches that deliberately).
+// nil; the wire codec matches that deliberately), the bytes must be the
+// golden file's, and the golden file's bytes must decode to that struct
+// too.
 func TestWireGobEquivalence(t *testing.T) {
-	for i, m := range wireSamples() {
-		from := NodeID(i % 5)
-		if i%7 == 0 {
-			from = Nobody
+	samples := wireSamples()
+	var lines []string
+	for i, m := range samples {
+		payload, err := AppendEnvelope(nil, sampleFrom(i), m)
+		if err != nil {
+			t.Fatalf("AppendEnvelope(%T): %v", m, err)
 		}
+		lines = append(lines, goldenLine(m, payload))
+	}
+	if *update {
+		if err := os.WriteFile(goldenFrames, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(goldenFrames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(golden) != len(samples) {
+		t.Fatalf("%s has %d lines, wireSamples has %d entries", goldenFrames, len(golden), len(samples))
+	}
+	for i, m := range samples {
+		from := sampleFrom(i)
 		wFrom, wMsg := wireRoundTrip(t, from, m)
 		gFrom, gMsg := gobRoundTrip(t, from, m)
 		if wFrom != gFrom || wFrom != from {
@@ -189,6 +241,21 @@ func TestWireGobEquivalence(t *testing.T) {
 		}
 		if !reflect.DeepEqual(wMsg, gMsg) {
 			t.Errorf("sample %d (%T): wire and gob decode diverge:\nwire: %+v\ngob:  %+v", i, m, wMsg, gMsg)
+		}
+		if golden[i] != lines[i] {
+			t.Errorf("sample %d (%T): the wire format changed:\n got %.120s\nwant %.120s", i, m, lines[i], golden[i])
+		}
+		kind, hexBytes, _ := strings.Cut(golden[i], "\t")
+		if strings.HasPrefix(hexBytes, "sha256:") {
+			continue
+		}
+		frame, err := hex.DecodeString(hexBytes)
+		if err != nil {
+			t.Fatalf("%s line %d: %v", goldenFrames, i+1, err)
+		}
+		oFrom, oMsg, err := DecodeEnvelope(frame)
+		if err != nil || oFrom != from || oMsg.Kind() != kind || !reflect.DeepEqual(oMsg, gMsg) {
+			t.Errorf("sample %d (%T): golden frame decodes to (%d, %+v, %v)", i, m, oFrom, oMsg, err)
 		}
 	}
 }

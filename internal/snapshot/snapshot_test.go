@@ -8,9 +8,13 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/hex"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"consensusinside/internal/msg"
@@ -33,7 +37,50 @@ func sampleSnapshot() Snapshot {
 	return Snapshot{LastApplied: 9, State: kv.SnapshotState(), Lanes: s.Export()}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/snapshot.golden from this run (only for an intended format change)")
+
+// goldenSnapshot is testdata/snapshot.golden: sampleSnapshot()'s Encode
+// bytes and the rsm.KV state image inside them, one "name<TAB>hex" line
+// each. The file was written from the code before the layouts were
+// folded into one function per type and pins both formats since.
+const goldenSnapshot = "testdata/snapshot.golden"
+
+// checkGolden compares the sample's two images with the golden file and
+// decodes the file's own bytes back to the sample.
+func checkGolden(t *testing.T) {
+	t.Helper()
+	sample := sampleSnapshot()
+	if *update {
+		out := fmt.Sprintf("snapshot\t%x\nkv_state\t%x\n", Encode(sample), sample.State)
+		if err := os.WriteFile(goldenSnapshot, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(goldenSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := map[string][]byte{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		name, hexBytes, _ := strings.Cut(line, "\t")
+		if images[name], err = hex.DecodeString(hexBytes); err != nil {
+			t.Fatalf("%s: %s: %v", goldenSnapshot, name, err)
+		}
+	}
+	if !bytes.Equal(Encode(sample), images["snapshot"]) || !bytes.Equal(sample.State, images["kv_state"]) {
+		t.Errorf("the snapshot format changed:\n got %x\nwant %x", Encode(sample), images["snapshot"])
+	}
+	if got, err := Decode(images["snapshot"]); err != nil || !reflect.DeepEqual(got, sample) {
+		t.Errorf("golden snapshot decodes to (%+v, %v)", got, err)
+	}
+	kv := rsm.NewKV()
+	if err := kv.RestoreState(images["kv_state"]); err != nil || !bytes.Equal(kv.SnapshotState(), sample.State) {
+		t.Errorf("golden kv state does not restore to the sample: %v", err)
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
+	checkGolden(t)
 	for _, snap := range []Snapshot{
 		{LastApplied: -1},
 		{LastApplied: 0, State: []byte{1, 2, 3}},
