@@ -1,17 +1,28 @@
 package msg
 
-// The hand-rolled wire codec: every message type carries explicit
-// MarshalWire/UnmarshalWire methods over internal/wire's primitives,
-// and wireTypes below is the type registry. The TCP transport frames
+// The hand-rolled wire codec: every message type and every struct they
+// share has one layout method, func (m *T) wire(c *wire.Codec), that
+// shows the codec its fields in wire order. The codec's direction
+// decides whether a field is written or read, so a layout is spelled
+// once and its two halves cannot drift apart. The TCP transport frames
 // one envelope (tag byte, sender id, message body) per message; see
 // DESIGN.md's "Wire format" section for the layout and internal/wire
 // for the primitive encodings.
 //
 // Adding a message type means: a new tag constant (append only — tags
-// are wire compatibility), the two methods, one wireTypes row and a
-// sample in the codec tests, which demand a round trip for every
-// registered type and compare each against encoding/gob's decoding of
-// the same message.
+// are wire compatibility), its layout method, its row in wireTypes
+// (decode) and its case in AppendEnvelope (encode), and a sample in the
+// codec tests, which demand a round trip for every registered type and
+// compare each against encoding/gob's decoding of the same message.
+//
+// Two rules keep the send path at 0 allocs/op. A layout reaches the
+// codec through direct calls only: a func value, an interface or a
+// type-parameter method call would make the codec escape to the heap on
+// every send — which is why the slice layouts below are written out per
+// element type and AppendEnvelope is a type switch, not a table. And
+// where the in-memory shape differs by direction (a slice grows as it
+// is read), the direction-specific part is the loop around one element
+// layout, never a second layout.
 
 import (
 	"fmt"
@@ -68,55 +79,57 @@ const (
 // handshake; no message type may claim it.
 const HelloTag byte = 0xFF
 
-// wireTypes is the wire codec's type registry: tag → decoder. It is the
-// one list to extend for a new message type.
+// wireTypes is the decode half of the type registry: tag → a decoder
+// that runs the type's layout over a reading codec. (Going through a
+// func value moves the codec to the heap — once per received message,
+// which the reader goroutine can afford; the send path cannot.)
 var wireTypes = []struct {
 	tag byte
-	dec func(d *wire.Decoder) Message
+	dec func(c *wire.Codec) Message
 }{
-	{tagClientRequest, func(d *wire.Decoder) Message { var m ClientRequest; m.UnmarshalWire(d); return m }},
-	{tagClientReply, func(d *wire.Decoder) Message { var m ClientReply; m.UnmarshalWire(d); return m }},
-	{tagClientReplyBatch, func(d *wire.Decoder) Message { var m ClientReplyBatch; m.UnmarshalWire(d); return m }},
-	{tagPrepareRequest, func(d *wire.Decoder) Message { var m PrepareRequest; m.UnmarshalWire(d); return m }},
-	{tagPrepareResponse, func(d *wire.Decoder) Message { var m PrepareResponse; m.UnmarshalWire(d); return m }},
-	{tagAbandon, func(d *wire.Decoder) Message { var m Abandon; m.UnmarshalWire(d); return m }},
-	{tagAcceptRequest, func(d *wire.Decoder) Message { var m AcceptRequest; m.UnmarshalWire(d); return m }},
-	{tagLearn, func(d *wire.Decoder) Message { var m Learn; m.UnmarshalWire(d); return m }},
-	{tagUtilPrepare, func(d *wire.Decoder) Message { var m UtilPrepare; m.UnmarshalWire(d); return m }},
-	{tagUtilPromise, func(d *wire.Decoder) Message { var m UtilPromise; m.UnmarshalWire(d); return m }},
-	{tagUtilAccept, func(d *wire.Decoder) Message { var m UtilAccept; m.UnmarshalWire(d); return m }},
-	{tagUtilAccepted, func(d *wire.Decoder) Message { var m UtilAccepted; m.UnmarshalWire(d); return m }},
-	{tagUtilNack, func(d *wire.Decoder) Message { var m UtilNack; m.UnmarshalWire(d); return m }},
-	{tagMPPrepare, func(d *wire.Decoder) Message { var m MPPrepare; m.UnmarshalWire(d); return m }},
-	{tagMPPromise, func(d *wire.Decoder) Message { var m MPPromise; m.UnmarshalWire(d); return m }},
-	{tagMPAccept, func(d *wire.Decoder) Message { var m MPAccept; m.UnmarshalWire(d); return m }},
-	{tagMPLearn, func(d *wire.Decoder) Message { var m MPLearn; m.UnmarshalWire(d); return m }},
-	{tagMPNack, func(d *wire.Decoder) Message { var m MPNack; m.UnmarshalWire(d); return m }},
-	{tagTPCPrepare, func(d *wire.Decoder) Message { var m TPCPrepare; m.UnmarshalWire(d); return m }},
-	{tagTPCAck, func(d *wire.Decoder) Message { var m TPCAck; m.UnmarshalWire(d); return m }},
-	{tagTPCCommit, func(d *wire.Decoder) Message { var m TPCCommit; m.UnmarshalWire(d); return m }},
-	{tagTPCCommitAck, func(d *wire.Decoder) Message { var m TPCCommitAck; m.UnmarshalWire(d); return m }},
-	{tagTPCRollback, func(d *wire.Decoder) Message { var m TPCRollback; m.UnmarshalWire(d); return m }},
-	{tagMencAccept, func(d *wire.Decoder) Message { var m MencAccept; m.UnmarshalWire(d); return m }},
-	{tagMencLearn, func(d *wire.Decoder) Message { var m MencLearn; m.UnmarshalWire(d); return m }},
-	{tagMencSkip, func(d *wire.Decoder) Message { var m MencSkip; m.UnmarshalWire(d); return m }},
-	{tagBPPrepare, func(d *wire.Decoder) Message { var m BPPrepare; m.UnmarshalWire(d); return m }},
-	{tagBPPromise, func(d *wire.Decoder) Message { var m BPPromise; m.UnmarshalWire(d); return m }},
-	{tagBPAccept, func(d *wire.Decoder) Message { var m BPAccept; m.UnmarshalWire(d); return m }},
-	{tagBPAccepted, func(d *wire.Decoder) Message { var m BPAccepted; m.UnmarshalWire(d); return m }},
-	{tagBPNack, func(d *wire.Decoder) Message { var m BPNack; m.UnmarshalWire(d); return m }},
-	{tagCatchupRequest, func(d *wire.Decoder) Message { var m CatchupRequest; m.UnmarshalWire(d); return m }},
-	{tagSnapshotChunk, func(d *wire.Decoder) Message { var m SnapshotChunk; m.UnmarshalWire(d); return m }},
-	{tagCatchupEntries, func(d *wire.Decoder) Message { var m CatchupEntries; m.UnmarshalWire(d); return m }},
-	{tagReadRequest, func(d *wire.Decoder) Message { var m ReadRequest; m.UnmarshalWire(d); return m }},
-	{tagReadReply, func(d *wire.Decoder) Message { var m ReadReply; m.UnmarshalWire(d); return m }},
-	{tagReadReplyBatch, func(d *wire.Decoder) Message { var m ReadReplyBatch; m.UnmarshalWire(d); return m }},
-	{tagReadIndexRequest, func(d *wire.Decoder) Message { var m ReadIndexRequest; m.UnmarshalWire(d); return m }},
-	{tagReadIndexAck, func(d *wire.Decoder) Message { var m ReadIndexAck; m.UnmarshalWire(d); return m }},
+	{tagClientRequest, func(c *wire.Codec) Message { var m ClientRequest; m.wire(c); return m }},
+	{tagClientReply, func(c *wire.Codec) Message { var m ClientReply; m.wire(c); return m }},
+	{tagClientReplyBatch, func(c *wire.Codec) Message { var m ClientReplyBatch; m.wire(c); return m }},
+	{tagPrepareRequest, func(c *wire.Codec) Message { var m PrepareRequest; m.wire(c); return m }},
+	{tagPrepareResponse, func(c *wire.Codec) Message { var m PrepareResponse; m.wire(c); return m }},
+	{tagAbandon, func(c *wire.Codec) Message { var m Abandon; m.wire(c); return m }},
+	{tagAcceptRequest, func(c *wire.Codec) Message { var m AcceptRequest; m.wire(c); return m }},
+	{tagLearn, func(c *wire.Codec) Message { var m Learn; m.wire(c); return m }},
+	{tagUtilPrepare, func(c *wire.Codec) Message { var m UtilPrepare; m.wire(c); return m }},
+	{tagUtilPromise, func(c *wire.Codec) Message { var m UtilPromise; m.wire(c); return m }},
+	{tagUtilAccept, func(c *wire.Codec) Message { var m UtilAccept; m.wire(c); return m }},
+	{tagUtilAccepted, func(c *wire.Codec) Message { var m UtilAccepted; m.wire(c); return m }},
+	{tagUtilNack, func(c *wire.Codec) Message { var m UtilNack; m.wire(c); return m }},
+	{tagMPPrepare, func(c *wire.Codec) Message { var m MPPrepare; m.wire(c); return m }},
+	{tagMPPromise, func(c *wire.Codec) Message { var m MPPromise; m.wire(c); return m }},
+	{tagMPAccept, func(c *wire.Codec) Message { var m MPAccept; m.wire(c); return m }},
+	{tagMPLearn, func(c *wire.Codec) Message { var m MPLearn; m.wire(c); return m }},
+	{tagMPNack, func(c *wire.Codec) Message { var m MPNack; m.wire(c); return m }},
+	{tagTPCPrepare, func(c *wire.Codec) Message { var m TPCPrepare; m.wire(c); return m }},
+	{tagTPCAck, func(c *wire.Codec) Message { var m TPCAck; m.wire(c); return m }},
+	{tagTPCCommit, func(c *wire.Codec) Message { var m TPCCommit; m.wire(c); return m }},
+	{tagTPCCommitAck, func(c *wire.Codec) Message { var m TPCCommitAck; m.wire(c); return m }},
+	{tagTPCRollback, func(c *wire.Codec) Message { var m TPCRollback; m.wire(c); return m }},
+	{tagMencAccept, func(c *wire.Codec) Message { var m MencAccept; m.wire(c); return m }},
+	{tagMencLearn, func(c *wire.Codec) Message { var m MencLearn; m.wire(c); return m }},
+	{tagMencSkip, func(c *wire.Codec) Message { var m MencSkip; m.wire(c); return m }},
+	{tagBPPrepare, func(c *wire.Codec) Message { var m BPPrepare; m.wire(c); return m }},
+	{tagBPPromise, func(c *wire.Codec) Message { var m BPPromise; m.wire(c); return m }},
+	{tagBPAccept, func(c *wire.Codec) Message { var m BPAccept; m.wire(c); return m }},
+	{tagBPAccepted, func(c *wire.Codec) Message { var m BPAccepted; m.wire(c); return m }},
+	{tagBPNack, func(c *wire.Codec) Message { var m BPNack; m.wire(c); return m }},
+	{tagCatchupRequest, func(c *wire.Codec) Message { var m CatchupRequest; m.wire(c); return m }},
+	{tagSnapshotChunk, func(c *wire.Codec) Message { var m SnapshotChunk; m.wire(c); return m }},
+	{tagCatchupEntries, func(c *wire.Codec) Message { var m CatchupEntries; m.wire(c); return m }},
+	{tagReadRequest, func(c *wire.Codec) Message { var m ReadRequest; m.wire(c); return m }},
+	{tagReadReply, func(c *wire.Codec) Message { var m ReadReply; m.wire(c); return m }},
+	{tagReadReplyBatch, func(c *wire.Codec) Message { var m ReadReplyBatch; m.wire(c); return m }},
+	{tagReadIndexRequest, func(c *wire.Codec) Message { var m ReadIndexRequest; m.wire(c); return m }},
+	{tagReadIndexAck, func(c *wire.Codec) Message { var m ReadIndexAck; m.wire(c); return m }},
 }
 
 // wireDec indexes wireTypes by tag for the decode hot path.
-var wireDec [256]func(d *wire.Decoder) Message
+var wireDec [256]func(c *wire.Codec) Message
 
 func init() {
 	for _, t := range wireTypes {
@@ -130,111 +143,110 @@ func init() {
 	}
 }
 
-// wireTagOf maps a concrete message to its tag. A type switch keeps
-// the mapping explicit and allocation-free on the send path.
-func wireTagOf(m Message) (byte, bool) {
-	switch m.(type) {
-	case ClientRequest:
-		return tagClientRequest, true
-	case ClientReply:
-		return tagClientReply, true
-	case ClientReplyBatch:
-		return tagClientReplyBatch, true
-	case PrepareRequest:
-		return tagPrepareRequest, true
-	case PrepareResponse:
-		return tagPrepareResponse, true
-	case Abandon:
-		return tagAbandon, true
-	case AcceptRequest:
-		return tagAcceptRequest, true
-	case Learn:
-		return tagLearn, true
-	case UtilPrepare:
-		return tagUtilPrepare, true
-	case UtilPromise:
-		return tagUtilPromise, true
-	case UtilAccept:
-		return tagUtilAccept, true
-	case UtilAccepted:
-		return tagUtilAccepted, true
-	case UtilNack:
-		return tagUtilNack, true
-	case MPPrepare:
-		return tagMPPrepare, true
-	case MPPromise:
-		return tagMPPromise, true
-	case MPAccept:
-		return tagMPAccept, true
-	case MPLearn:
-		return tagMPLearn, true
-	case MPNack:
-		return tagMPNack, true
-	case TPCPrepare:
-		return tagTPCPrepare, true
-	case TPCAck:
-		return tagTPCAck, true
-	case TPCCommit:
-		return tagTPCCommit, true
-	case TPCCommitAck:
-		return tagTPCCommitAck, true
-	case TPCRollback:
-		return tagTPCRollback, true
-	case MencAccept:
-		return tagMencAccept, true
-	case MencLearn:
-		return tagMencLearn, true
-	case MencSkip:
-		return tagMencSkip, true
-	case BPPrepare:
-		return tagBPPrepare, true
-	case BPPromise:
-		return tagBPPromise, true
-	case BPAccept:
-		return tagBPAccept, true
-	case BPAccepted:
-		return tagBPAccepted, true
-	case BPNack:
-		return tagBPNack, true
-	case CatchupRequest:
-		return tagCatchupRequest, true
-	case SnapshotChunk:
-		return tagSnapshotChunk, true
-	case CatchupEntries:
-		return tagCatchupEntries, true
-	case ReadRequest:
-		return tagReadRequest, true
-	case ReadReply:
-		return tagReadReply, true
-	case ReadReplyBatch:
-		return tagReadReplyBatch, true
-	case ReadIndexRequest:
-		return tagReadIndexRequest, true
-	case ReadIndexAck:
-		return tagReadIndexAck, true
-	default:
-		return 0, false
-	}
+// header is the envelope's own layout: the type tag, then the sender.
+func header(c *wire.Codec, tag *byte, from *NodeID) {
+	c.Byte(tag)
+	from.wire(c)
 }
 
-// WireMarshaler is implemented by every message type: MarshalWire
-// appends the type's body encoding (no tag, no length) to b.
-type WireMarshaler interface {
-	MarshalWire(b []byte) []byte
+// open writes the header and hands the codec back, so an encode row is
+// one direct call.
+func open(c *wire.Codec, tag byte, from NodeID) *wire.Codec {
+	header(c, &tag, &from)
+	return c
 }
 
 // AppendEnvelope appends the wire encoding of message m from sender
 // from: the type tag, the sender id, then the body. The transport wraps
 // the result in a length-prefixed frame. It fails on message types
 // outside the registry (a programming error caught by the codec tests).
+// The switch is the encode half of the registry: each row copies the
+// message to the stack and runs its layout there.
 func AppendEnvelope(b []byte, from NodeID, m Message) ([]byte, error) {
-	tag, ok := wireTagOf(m)
-	if !ok {
+	c := wire.NewAppender(b)
+	switch m := m.(type) {
+	case ClientRequest:
+		m.wire(open(&c, tagClientRequest, from))
+	case ClientReply:
+		m.wire(open(&c, tagClientReply, from))
+	case ClientReplyBatch:
+		m.wire(open(&c, tagClientReplyBatch, from))
+	case PrepareRequest:
+		m.wire(open(&c, tagPrepareRequest, from))
+	case PrepareResponse:
+		m.wire(open(&c, tagPrepareResponse, from))
+	case Abandon:
+		m.wire(open(&c, tagAbandon, from))
+	case AcceptRequest:
+		m.wire(open(&c, tagAcceptRequest, from))
+	case Learn:
+		m.wire(open(&c, tagLearn, from))
+	case UtilPrepare:
+		m.wire(open(&c, tagUtilPrepare, from))
+	case UtilPromise:
+		m.wire(open(&c, tagUtilPromise, from))
+	case UtilAccept:
+		m.wire(open(&c, tagUtilAccept, from))
+	case UtilAccepted:
+		m.wire(open(&c, tagUtilAccepted, from))
+	case UtilNack:
+		m.wire(open(&c, tagUtilNack, from))
+	case MPPrepare:
+		m.wire(open(&c, tagMPPrepare, from))
+	case MPPromise:
+		m.wire(open(&c, tagMPPromise, from))
+	case MPAccept:
+		m.wire(open(&c, tagMPAccept, from))
+	case MPLearn:
+		m.wire(open(&c, tagMPLearn, from))
+	case MPNack:
+		m.wire(open(&c, tagMPNack, from))
+	case TPCPrepare:
+		m.wire(open(&c, tagTPCPrepare, from))
+	case TPCAck:
+		m.wire(open(&c, tagTPCAck, from))
+	case TPCCommit:
+		m.wire(open(&c, tagTPCCommit, from))
+	case TPCCommitAck:
+		m.wire(open(&c, tagTPCCommitAck, from))
+	case TPCRollback:
+		m.wire(open(&c, tagTPCRollback, from))
+	case MencAccept:
+		m.wire(open(&c, tagMencAccept, from))
+	case MencLearn:
+		m.wire(open(&c, tagMencLearn, from))
+	case MencSkip:
+		m.wire(open(&c, tagMencSkip, from))
+	case BPPrepare:
+		m.wire(open(&c, tagBPPrepare, from))
+	case BPPromise:
+		m.wire(open(&c, tagBPPromise, from))
+	case BPAccept:
+		m.wire(open(&c, tagBPAccept, from))
+	case BPAccepted:
+		m.wire(open(&c, tagBPAccepted, from))
+	case BPNack:
+		m.wire(open(&c, tagBPNack, from))
+	case CatchupRequest:
+		m.wire(open(&c, tagCatchupRequest, from))
+	case SnapshotChunk:
+		m.wire(open(&c, tagSnapshotChunk, from))
+	case CatchupEntries:
+		m.wire(open(&c, tagCatchupEntries, from))
+	case ReadRequest:
+		m.wire(open(&c, tagReadRequest, from))
+	case ReadReply:
+		m.wire(open(&c, tagReadReply, from))
+	case ReadReplyBatch:
+		m.wire(open(&c, tagReadReplyBatch, from))
+	case ReadIndexRequest:
+		m.wire(open(&c, tagReadIndexRequest, from))
+	case ReadIndexAck:
+		m.wire(open(&c, tagReadIndexAck, from))
+	default:
 		return b, fmt.Errorf("msg: no wire tag for %T", m)
 	}
-	b = append(b, tag)
-	b = wire.AppendVarint(b, int64(from))
-	return m.(WireMarshaler).MarshalWire(b), nil
+	return c.Buf(), nil
 }
 
 // DecodeEnvelope decodes one AppendEnvelope payload. It is strict: an
@@ -243,150 +255,108 @@ func AppendEnvelope(b []byte, from NodeID, m Message) ([]byte, error) {
 // The returned message copies everything it needs; the caller may reuse
 // payload immediately.
 func DecodeEnvelope(payload []byte) (NodeID, Message, error) {
-	d := wire.NewDecoder(payload)
-	tag := d.Byte()
-	from := NodeID(d.Varint())
-	if err := d.Err(); err != nil {
+	c := wire.NewReader(payload)
+	var tag byte
+	var from NodeID
+	header(&c, &tag, &from)
+	if err := c.Err(); err != nil {
 		return 0, nil, fmt.Errorf("msg: envelope header: %w", err)
 	}
 	dec := wireDec[tag]
 	if dec == nil {
 		return 0, nil, fmt.Errorf("msg: unknown wire tag %d", tag)
 	}
-	m := dec(&d)
-	if err := d.Err(); err != nil {
+	m := dec(&c)
+	if err := c.Finish(); err != nil {
 		return 0, nil, fmt.Errorf("msg: decode %s: %w", m.Kind(), err)
-	}
-	if d.Remaining() != 0 {
-		return 0, nil, fmt.Errorf("msg: %d trailing bytes after %s", d.Remaining(), m.Kind())
 	}
 	return from, m, nil
 }
 
 // ---------------------------------------------------------------------------
-// Shared field encoders
+// Shared layouts
 // ---------------------------------------------------------------------------
 
-func appendCommand(b []byte, c Command) []byte {
-	b = wire.AppendVarint(b, int64(c.Op))
-	b = wire.AppendString(b, c.Key)
-	return wire.AppendString(b, c.Val)
+func (id *NodeID) wire(c *wire.Codec) { c.Int((*int)(id)) }
+
+func (m *Command) wire(c *wire.Codec) {
+	c.Int((*int)(&m.Op))
+	c.String(&m.Key)
+	c.String(&m.Val)
 }
 
-func decodeCommand(d *wire.Decoder) Command {
-	return Command{
-		Op:  Op(d.Varint()),
-		Key: d.String(),
-		Val: d.String(),
-	}
+func (m *BatchEntry) wire(c *wire.Codec) {
+	c.Uvarint(&m.Seq)
+	m.Cmd.wire(c)
 }
 
-func appendBatch(b []byte, batch []BatchEntry) []byte {
-	b = wire.AppendUvarint(b, uint64(len(batch)))
-	for _, e := range batch {
-		b = wire.AppendUvarint(b, e.Seq)
-		b = appendCommand(b, e.Cmd)
-	}
-	return b
+func (m *Value) wire(c *wire.Codec) {
+	m.Client.wire(c)
+	c.Uvarint(&m.Seq)
+	m.Cmd.wire(c)
+	c.Uvarint(&m.Ack)
+	wireBatch(c, &m.Batch)
+}
+
+func (m *Proposal) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	c.Uvarint(&m.PN)
+	m.Value.wire(c)
+}
+
+func (m *UtilEntry) wire(c *wire.Codec) {
+	c.Int((*int)(&m.Type))
+	m.Leader.wire(c)
+	m.Acceptor.wire(c)
+	wireProposals(c, &m.Uncommitted)
+	c.Varint(&m.Frontier)
+}
+
+func (m *Decided) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	m.Value.wire(c)
 }
 
 // decodeSliceCap bounds the capacity pre-allocated for a decoded slice.
 // The count itself is already validated against the remaining input
-// (wire.Decoder.SliceLen), but one input byte can claim a much larger
-// in-memory element, so a hostile count could still amplify a 16 MB
-// frame into gigabytes if trusted for the initial make(). Growing by
-// append beyond this cap keeps memory proportional to input actually
-// decoded; legitimate slices (batches bounded by the pipeline window,
-// learn backlogs) rarely exceed it anyway.
+// (wire.Codec.Len), but one input byte can claim a much larger in-memory
+// element, so a hostile count could still amplify a 16 MB frame into
+// gigabytes if trusted for the initial make(). Growing by append beyond
+// this cap keeps memory proportional to input actually decoded;
+// legitimate slices (batches bounded by the pipeline window, learn
+// backlogs) rarely exceed it anyway.
 const decodeSliceCap = 4096
 
-// decodeBatch returns nil for an empty batch — matching gob, the tests'
-// differential reference, which does not distinguish nil from empty.
-func decodeBatch(d *wire.Decoder) []BatchEntry {
-	n := d.SliceLen()
-	if n == 0 {
-		return nil
+// A slice is its count, then each element's layout. The five functions
+// below differ only in the element type (see the file header for why
+// they are not one generic function). Reading starts from the nil slice
+// of a fresh message and grows it one decoded element at a time, so an
+// empty slice reads back nil — matching gob, the tests' differential
+// reference, which does not distinguish nil from empty.
+
+func wireBatch(c *wire.Codec, p *[]BatchEntry) {
+	n := c.Len(len(*p))
+	if c.Reading() && n > 0 {
+		*p = make([]BatchEntry, 0, min(n, decodeSliceCap))
 	}
-	batch := make([]BatchEntry, 0, min(n, decodeSliceCap))
-	for i := 0; i < n; i++ {
-		batch = append(batch, BatchEntry{Seq: d.Uvarint(), Cmd: decodeCommand(d)})
-		if d.Err() != nil {
-			return nil
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Reading() {
+			*p = append(*p, BatchEntry{})
 		}
-	}
-	return batch
-}
-
-func appendValue(b []byte, v Value) []byte {
-	b = wire.AppendVarint(b, int64(v.Client))
-	b = wire.AppendUvarint(b, v.Seq)
-	b = appendCommand(b, v.Cmd)
-	b = wire.AppendUvarint(b, v.Ack)
-	return appendBatch(b, v.Batch)
-}
-
-func decodeValue(d *wire.Decoder) Value {
-	return Value{
-		Client: NodeID(d.Varint()),
-		Seq:    d.Uvarint(),
-		Cmd:    decodeCommand(d),
-		Ack:    d.Uvarint(),
-		Batch:  decodeBatch(d),
+		(*p)[i].wire(c)
 	}
 }
 
-func appendProposal(b []byte, p Proposal) []byte {
-	b = wire.AppendVarint(b, p.Instance)
-	b = wire.AppendUvarint(b, p.PN)
-	return appendValue(b, p.Value)
-}
-
-func decodeProposal(d *wire.Decoder) Proposal {
-	return Proposal{
-		Instance: d.Varint(),
-		PN:       d.Uvarint(),
-		Value:    decodeValue(d),
+func wireProposals(c *wire.Codec, p *[]Proposal) {
+	n := c.Len(len(*p))
+	if c.Reading() && n > 0 {
+		*p = make([]Proposal, 0, min(n, decodeSliceCap))
 	}
-}
-
-func appendProposals(b []byte, ps []Proposal) []byte {
-	b = wire.AppendUvarint(b, uint64(len(ps)))
-	for _, p := range ps {
-		b = appendProposal(b, p)
-	}
-	return b
-}
-
-func decodeProposals(d *wire.Decoder) []Proposal {
-	n := d.SliceLen()
-	if n == 0 {
-		return nil
-	}
-	ps := make([]Proposal, 0, min(n, decodeSliceCap))
-	for i := 0; i < n; i++ {
-		ps = append(ps, decodeProposal(d))
-		if d.Err() != nil {
-			return nil
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Reading() {
+			*p = append(*p, Proposal{})
 		}
-	}
-	return ps
-}
-
-func appendUtilEntry(b []byte, e UtilEntry) []byte {
-	b = wire.AppendVarint(b, int64(e.Type))
-	b = wire.AppendVarint(b, int64(e.Leader))
-	b = wire.AppendVarint(b, int64(e.Acceptor))
-	b = appendProposals(b, e.Uncommitted)
-	return wire.AppendVarint(b, e.Frontier)
-}
-
-func decodeUtilEntry(d *wire.Decoder) UtilEntry {
-	return UtilEntry{
-		Type:        UtilEntryType(d.Varint()),
-		Leader:      NodeID(d.Varint()),
-		Acceptor:    NodeID(d.Varint()),
-		Uncommitted: decodeProposals(d),
-		Frontier:    d.Varint(),
+		(*p)[i].wire(c)
 	}
 }
 
@@ -394,62 +364,29 @@ func decodeUtilEntry(d *wire.Decoder) UtilEntry {
 // Client traffic
 // ---------------------------------------------------------------------------
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
 // ClientRequest is field-for-field convertible to Value, so it shares
-// Value's encoder — one layout to maintain when either grows a field
-// (the conversion stops compiling if they diverge).
-func (m ClientRequest) MarshalWire(b []byte) []byte {
-	return appendValue(b, Value(m))
+// Value's layout — one to maintain when either grows a field (the
+// conversion stops compiling if they diverge).
+func (m *ClientRequest) wire(c *wire.Codec) { (*Value)(m).wire(c) }
+
+func (m *ClientReply) wire(c *wire.Codec) {
+	c.Uvarint(&m.Seq)
+	c.Varint(&m.Instance)
+	c.Bool(&m.OK)
+	c.String(&m.Result)
+	m.Redirect.wire(c)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *ClientRequest) UnmarshalWire(d *wire.Decoder) {
-	*m = ClientRequest(decodeValue(d))
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m ClientReply) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.Seq)
-	b = wire.AppendVarint(b, m.Instance)
-	b = wire.AppendBool(b, m.OK)
-	b = wire.AppendString(b, m.Result)
-	return wire.AppendVarint(b, int64(m.Redirect))
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *ClientReply) UnmarshalWire(d *wire.Decoder) {
-	m.Seq = d.Uvarint()
-	m.Instance = d.Varint()
-	m.OK = d.Bool()
-	m.Result = d.String()
-	m.Redirect = NodeID(d.Varint())
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m ClientReplyBatch) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(len(m.Replies)))
-	for _, r := range m.Replies {
-		b = r.MarshalWire(b)
+func (m *ClientReplyBatch) wire(c *wire.Codec) {
+	n := c.Len(len(m.Replies))
+	if c.Reading() && n > 0 {
+		m.Replies = make([]ClientReply, 0, min(n, decodeSliceCap))
 	}
-	return b
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *ClientReplyBatch) UnmarshalWire(d *wire.Decoder) {
-	n := d.SliceLen()
-	if n == 0 {
-		m.Replies = nil
-		return
-	}
-	m.Replies = make([]ClientReply, 0, min(n, decodeSliceCap))
-	for i := 0; i < n; i++ {
-		var r ClientReply
-		r.UnmarshalWire(d)
-		if d.Err() != nil {
-			m.Replies = nil
-			return
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Reading() {
+			m.Replies = append(m.Replies, ClientReply{})
 		}
-		m.Replies = append(m.Replies, r)
+		m.Replies[i].wire(c)
 	}
 }
 
@@ -457,546 +394,246 @@ func (m *ClientReplyBatch) UnmarshalWire(d *wire.Decoder) {
 // 1Paxos
 // ---------------------------------------------------------------------------
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m PrepareRequest) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.PN)
-	b = wire.AppendBool(b, m.MustBeFresh)
-	return wire.AppendVarint(b, m.From)
+func (m *PrepareRequest) wire(c *wire.Codec) {
+	c.Uvarint(&m.PN)
+	c.Bool(&m.MustBeFresh)
+	c.Varint(&m.From)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *PrepareRequest) UnmarshalWire(d *wire.Decoder) {
-	m.PN = d.Uvarint()
-	m.MustBeFresh = d.Bool()
-	m.From = d.Varint()
+func (m *PrepareResponse) wire(c *wire.Codec) {
+	m.Acceptor.wire(c)
+	c.Uvarint(&m.PN)
+	wireProposals(c, &m.Accepted)
+	c.Varint(&m.Floor)
 }
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m PrepareResponse) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, int64(m.Acceptor))
-	b = wire.AppendUvarint(b, m.PN)
-	b = appendProposals(b, m.Accepted)
-	return wire.AppendVarint(b, m.Floor)
+func (m *Abandon) wire(c *wire.Codec) {
+	c.Uvarint(&m.HPN)
+	c.Bool(&m.FreshMismatch)
+	c.Bool(&m.IamFresh)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *PrepareResponse) UnmarshalWire(d *wire.Decoder) {
-	m.Acceptor = NodeID(d.Varint())
-	m.PN = d.Uvarint()
-	m.Accepted = decodeProposals(d)
-	m.Floor = d.Varint()
+func (m *AcceptRequest) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	c.Uvarint(&m.PN)
+	m.Value.wire(c)
 }
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m Abandon) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.HPN)
-	b = wire.AppendBool(b, m.FreshMismatch)
-	return wire.AppendBool(b, m.IamFresh)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *Abandon) UnmarshalWire(d *wire.Decoder) {
-	m.HPN = d.Uvarint()
-	m.FreshMismatch = d.Bool()
-	m.IamFresh = d.Bool()
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m AcceptRequest) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Instance)
-	b = wire.AppendUvarint(b, m.PN)
-	return appendValue(b, m.Value)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *AcceptRequest) UnmarshalWire(d *wire.Decoder) {
-	m.Instance = d.Varint()
-	m.PN = d.Uvarint()
-	m.Value = decodeValue(d)
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m Learn) MarshalWire(b []byte) []byte {
-	return appendProposals(b, m.Entries)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *Learn) UnmarshalWire(d *wire.Decoder) {
-	m.Entries = decodeProposals(d)
-}
+func (m *Learn) wire(c *wire.Codec) { wireProposals(c, &m.Entries) }
 
 // ---------------------------------------------------------------------------
 // PaxosUtility
 // ---------------------------------------------------------------------------
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m UtilPrepare) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Slot)
-	return wire.AppendUvarint(b, m.PN)
+func (m *UtilPrepare) wire(c *wire.Codec) {
+	c.Varint(&m.Slot)
+	c.Uvarint(&m.PN)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *UtilPrepare) UnmarshalWire(d *wire.Decoder) {
-	m.Slot = d.Varint()
-	m.PN = d.Uvarint()
+func (m *UtilPromise) wire(c *wire.Codec) {
+	c.Varint(&m.Slot)
+	c.Uvarint(&m.PN)
+	c.Uvarint(&m.AcceptedPN)
+	m.Accepted.wire(c)
 }
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m UtilPromise) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Slot)
-	b = wire.AppendUvarint(b, m.PN)
-	b = wire.AppendUvarint(b, m.AcceptedPN)
-	return appendUtilEntry(b, m.Accepted)
+func (m *UtilAccept) wire(c *wire.Codec) {
+	c.Varint(&m.Slot)
+	c.Uvarint(&m.PN)
+	m.Entry.wire(c)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *UtilPromise) UnmarshalWire(d *wire.Decoder) {
-	m.Slot = d.Varint()
-	m.PN = d.Uvarint()
-	m.AcceptedPN = d.Uvarint()
-	m.Accepted = decodeUtilEntry(d)
+func (m *UtilAccepted) wire(c *wire.Codec) {
+	c.Varint(&m.Slot)
+	c.Uvarint(&m.PN)
+	m.Entry.wire(c)
+	m.From.wire(c)
 }
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m UtilAccept) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Slot)
-	b = wire.AppendUvarint(b, m.PN)
-	return appendUtilEntry(b, m.Entry)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *UtilAccept) UnmarshalWire(d *wire.Decoder) {
-	m.Slot = d.Varint()
-	m.PN = d.Uvarint()
-	m.Entry = decodeUtilEntry(d)
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m UtilAccepted) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Slot)
-	b = wire.AppendUvarint(b, m.PN)
-	b = appendUtilEntry(b, m.Entry)
-	return wire.AppendVarint(b, int64(m.From))
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *UtilAccepted) UnmarshalWire(d *wire.Decoder) {
-	m.Slot = d.Varint()
-	m.PN = d.Uvarint()
-	m.Entry = decodeUtilEntry(d)
-	m.From = NodeID(d.Varint())
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m UtilNack) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Slot)
-	return wire.AppendUvarint(b, m.PN)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *UtilNack) UnmarshalWire(d *wire.Decoder) {
-	m.Slot = d.Varint()
-	m.PN = d.Uvarint()
+func (m *UtilNack) wire(c *wire.Codec) {
+	c.Varint(&m.Slot)
+	c.Uvarint(&m.PN)
 }
 
 // ---------------------------------------------------------------------------
 // Collapsed Multi-Paxos
 // ---------------------------------------------------------------------------
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m MPPrepare) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.PN)
-	return wire.AppendVarint(b, m.FromInstance)
+func (m *MPPrepare) wire(c *wire.Codec) {
+	c.Uvarint(&m.PN)
+	c.Varint(&m.FromInstance)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *MPPrepare) UnmarshalWire(d *wire.Decoder) {
-	m.PN = d.Uvarint()
-	m.FromInstance = d.Varint()
+func (m *MPPromise) wire(c *wire.Codec) {
+	c.Uvarint(&m.PN)
+	m.From.wire(c)
+	wireProposals(c, &m.Accepted)
+	c.Varint(&m.Floor)
 }
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m MPPromise) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.PN)
-	b = wire.AppendVarint(b, int64(m.From))
-	b = appendProposals(b, m.Accepted)
-	return wire.AppendVarint(b, m.Floor)
+func (m *MPAccept) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	c.Uvarint(&m.PN)
+	m.Value.wire(c)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *MPPromise) UnmarshalWire(d *wire.Decoder) {
-	m.PN = d.Uvarint()
-	m.From = NodeID(d.Varint())
-	m.Accepted = decodeProposals(d)
-	m.Floor = d.Varint()
+func (m *MPLearn) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	c.Uvarint(&m.PN)
+	m.Value.wire(c)
+	m.From.wire(c)
 }
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m MPAccept) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Instance)
-	b = wire.AppendUvarint(b, m.PN)
-	return appendValue(b, m.Value)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *MPAccept) UnmarshalWire(d *wire.Decoder) {
-	m.Instance = d.Varint()
-	m.PN = d.Uvarint()
-	m.Value = decodeValue(d)
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m MPLearn) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Instance)
-	b = wire.AppendUvarint(b, m.PN)
-	b = appendValue(b, m.Value)
-	return wire.AppendVarint(b, int64(m.From))
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *MPLearn) UnmarshalWire(d *wire.Decoder) {
-	m.Instance = d.Varint()
-	m.PN = d.Uvarint()
-	m.Value = decodeValue(d)
-	m.From = NodeID(d.Varint())
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m MPNack) MarshalWire(b []byte) []byte {
-	return wire.AppendUvarint(b, m.PN)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *MPNack) UnmarshalWire(d *wire.Decoder) {
-	m.PN = d.Uvarint()
-}
+func (m *MPNack) wire(c *wire.Codec) { c.Uvarint(&m.PN) }
 
 // ---------------------------------------------------------------------------
 // 2PC
 // ---------------------------------------------------------------------------
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m TPCPrepare) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.TxID)
-	return appendValue(b, m.Value)
+func (m *TPCPrepare) wire(c *wire.Codec) {
+	c.Varint(&m.TxID)
+	m.Value.wire(c)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *TPCPrepare) UnmarshalWire(d *wire.Decoder) {
-	m.TxID = d.Varint()
-	m.Value = decodeValue(d)
+func (m *TPCAck) wire(c *wire.Codec) {
+	c.Varint(&m.TxID)
+	m.From.wire(c)
+	c.Bool(&m.OK)
 }
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m TPCAck) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.TxID)
-	b = wire.AppendVarint(b, int64(m.From))
-	return wire.AppendBool(b, m.OK)
+func (m *TPCCommit) wire(c *wire.Codec) {
+	c.Varint(&m.TxID)
+	m.Value.wire(c)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *TPCAck) UnmarshalWire(d *wire.Decoder) {
-	m.TxID = d.Varint()
-	m.From = NodeID(d.Varint())
-	m.OK = d.Bool()
+func (m *TPCCommitAck) wire(c *wire.Codec) {
+	c.Varint(&m.TxID)
+	m.From.wire(c)
 }
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m TPCCommit) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.TxID)
-	return appendValue(b, m.Value)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *TPCCommit) UnmarshalWire(d *wire.Decoder) {
-	m.TxID = d.Varint()
-	m.Value = decodeValue(d)
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m TPCCommitAck) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.TxID)
-	return wire.AppendVarint(b, int64(m.From))
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *TPCCommitAck) UnmarshalWire(d *wire.Decoder) {
-	m.TxID = d.Varint()
-	m.From = NodeID(d.Varint())
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m TPCRollback) MarshalWire(b []byte) []byte {
-	return wire.AppendVarint(b, m.TxID)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *TPCRollback) UnmarshalWire(d *wire.Decoder) {
-	m.TxID = d.Varint()
-}
+func (m *TPCRollback) wire(c *wire.Codec) { c.Varint(&m.TxID) }
 
 // ---------------------------------------------------------------------------
 // Mencius
 // ---------------------------------------------------------------------------
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m MencAccept) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Instance)
-	b = wire.AppendUvarint(b, m.PN)
-	return appendValue(b, m.Value)
+func (m *MencAccept) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	c.Uvarint(&m.PN)
+	m.Value.wire(c)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *MencAccept) UnmarshalWire(d *wire.Decoder) {
-	m.Instance = d.Varint()
-	m.PN = d.Uvarint()
-	m.Value = decodeValue(d)
+func (m *MencLearn) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	m.Value.wire(c)
+	m.From.wire(c)
 }
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m MencLearn) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Instance)
-	b = appendValue(b, m.Value)
-	return wire.AppendVarint(b, int64(m.From))
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *MencLearn) UnmarshalWire(d *wire.Decoder) {
-	m.Instance = d.Varint()
-	m.Value = decodeValue(d)
-	m.From = NodeID(d.Varint())
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m MencSkip) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.FromInstance)
-	b = wire.AppendVarint(b, m.ToInstance)
-	return wire.AppendVarint(b, int64(m.From))
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *MencSkip) UnmarshalWire(d *wire.Decoder) {
-	m.FromInstance = d.Varint()
-	m.ToInstance = d.Varint()
-	m.From = NodeID(d.Varint())
+func (m *MencSkip) wire(c *wire.Codec) {
+	c.Varint(&m.FromInstance)
+	c.Varint(&m.ToInstance)
+	m.From.wire(c)
 }
 
 // ---------------------------------------------------------------------------
 // Basic Paxos
 // ---------------------------------------------------------------------------
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m BPPrepare) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Instance)
-	return wire.AppendUvarint(b, m.PN)
+func (m *BPPrepare) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	c.Uvarint(&m.PN)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *BPPrepare) UnmarshalWire(d *wire.Decoder) {
-	m.Instance = d.Varint()
-	m.PN = d.Uvarint()
+func (m *BPPromise) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	c.Uvarint(&m.PN)
+	m.From.wire(c)
+	c.Uvarint(&m.AcceptedPN)
+	m.Accepted.wire(c)
 }
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m BPPromise) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Instance)
-	b = wire.AppendUvarint(b, m.PN)
-	b = wire.AppendVarint(b, int64(m.From))
-	b = wire.AppendUvarint(b, m.AcceptedPN)
-	return appendValue(b, m.Accepted)
+func (m *BPAccept) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	c.Uvarint(&m.PN)
+	m.Value.wire(c)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *BPPromise) UnmarshalWire(d *wire.Decoder) {
-	m.Instance = d.Varint()
-	m.PN = d.Uvarint()
-	m.From = NodeID(d.Varint())
-	m.AcceptedPN = d.Uvarint()
-	m.Accepted = decodeValue(d)
+func (m *BPAccepted) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	c.Uvarint(&m.PN)
+	m.Value.wire(c)
+	m.From.wire(c)
 }
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m BPAccept) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Instance)
-	b = wire.AppendUvarint(b, m.PN)
-	return appendValue(b, m.Value)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *BPAccept) UnmarshalWire(d *wire.Decoder) {
-	m.Instance = d.Varint()
-	m.PN = d.Uvarint()
-	m.Value = decodeValue(d)
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m BPAccepted) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Instance)
-	b = wire.AppendUvarint(b, m.PN)
-	b = appendValue(b, m.Value)
-	return wire.AppendVarint(b, int64(m.From))
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *BPAccepted) UnmarshalWire(d *wire.Decoder) {
-	m.Instance = d.Varint()
-	m.PN = d.Uvarint()
-	m.Value = decodeValue(d)
-	m.From = NodeID(d.Varint())
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m BPNack) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Instance)
-	return wire.AppendUvarint(b, m.PN)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *BPNack) UnmarshalWire(d *wire.Decoder) {
-	m.Instance = d.Varint()
-	m.PN = d.Uvarint()
+func (m *BPNack) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	c.Uvarint(&m.PN)
 }
 
 // ---------------------------------------------------------------------------
 // Snapshot catch-up
 // ---------------------------------------------------------------------------
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m CatchupRequest) MarshalWire(b []byte) []byte {
-	return wire.AppendVarint(b, m.From)
+func (m *CatchupRequest) wire(c *wire.Codec) { c.Varint(&m.From) }
+
+func (m *SnapshotChunk) wire(c *wire.Codec) {
+	c.Varint(&m.Seq)
+	c.Bool(&m.Last)
+	c.Bytes(&m.Data)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *CatchupRequest) UnmarshalWire(d *wire.Decoder) {
-	m.From = d.Varint()
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m SnapshotChunk) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, m.Seq)
-	b = wire.AppendBool(b, m.Last)
-	return wire.AppendBytes(b, m.Data)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *SnapshotChunk) UnmarshalWire(d *wire.Decoder) {
-	m.Seq = d.Varint()
-	m.Last = d.Bool()
-	m.Data = d.Bytes()
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m CatchupEntries) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(len(m.Entries)))
-	for _, e := range m.Entries {
-		b = wire.AppendVarint(b, e.Instance)
-		b = appendValue(b, e.Value)
-	}
-	return wire.AppendBool(b, m.Done)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *CatchupEntries) UnmarshalWire(d *wire.Decoder) {
-	n := d.SliceLen()
-	if n > 0 {
+func (m *CatchupEntries) wire(c *wire.Codec) {
+	n := c.Len(len(m.Entries))
+	if c.Reading() && n > 0 {
 		m.Entries = make([]Decided, 0, min(n, decodeSliceCap))
-		for i := 0; i < n; i++ {
-			m.Entries = append(m.Entries, Decided{Instance: d.Varint(), Value: decodeValue(d)})
-			if d.Err() != nil {
-				m.Entries = nil
-				break
-			}
-		}
 	}
-	m.Done = d.Bool()
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Reading() {
+			m.Entries = append(m.Entries, Decided{})
+		}
+		m.Entries[i].wire(c)
+	}
+	c.Bool(&m.Done)
 }
 
 // ---------------------------------------------------------------------------
 // Read fast path
 // ---------------------------------------------------------------------------
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m ReadRequest) MarshalWire(b []byte) []byte {
-	b = wire.AppendVarint(b, int64(m.Client))
-	b = wire.AppendVarint(b, int64(m.Mode))
-	return appendBatch(b, m.Entries)
+func (m *ReadRequest) wire(c *wire.Codec) {
+	m.Client.wire(c)
+	c.Int(&m.Mode)
+	wireBatch(c, &m.Entries)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *ReadRequest) UnmarshalWire(d *wire.Decoder) {
-	m.Client = NodeID(d.Varint())
-	m.Mode = int(d.Varint())
-	m.Entries = decodeBatch(d)
+func (m *ReadReply) wire(c *wire.Codec) {
+	c.Uvarint(&m.Seq)
+	c.Bool(&m.OK)
+	c.String(&m.Result)
+	m.Redirect.wire(c)
 }
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m ReadReply) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.Seq)
-	b = wire.AppendBool(b, m.OK)
-	b = wire.AppendString(b, m.Result)
-	return wire.AppendVarint(b, int64(m.Redirect))
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *ReadReply) UnmarshalWire(d *wire.Decoder) {
-	m.Seq = d.Uvarint()
-	m.OK = d.Bool()
-	m.Result = d.String()
-	m.Redirect = NodeID(d.Varint())
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m ReadReplyBatch) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, uint64(len(m.Replies)))
-	for _, r := range m.Replies {
-		b = r.MarshalWire(b)
+func (m *ReadReplyBatch) wire(c *wire.Codec) {
+	n := c.Len(len(m.Replies))
+	if c.Reading() && n > 0 {
+		m.Replies = make([]ReadReply, 0, min(n, decodeSliceCap))
 	}
-	return b
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *ReadReplyBatch) UnmarshalWire(d *wire.Decoder) {
-	n := d.SliceLen()
-	if n == 0 {
-		m.Replies = nil
-		return
-	}
-	m.Replies = make([]ReadReply, 0, min(n, decodeSliceCap))
-	for i := 0; i < n; i++ {
-		var r ReadReply
-		r.UnmarshalWire(d)
-		if d.Err() != nil {
-			m.Replies = nil
-			return
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Reading() {
+			m.Replies = append(m.Replies, ReadReply{})
 		}
-		m.Replies = append(m.Replies, r)
+		m.Replies[i].wire(c)
 	}
 }
 
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m ReadIndexRequest) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.Round)
-	return wire.AppendBool(b, m.Lease)
+func (m *ReadIndexRequest) wire(c *wire.Codec) {
+	c.Uvarint(&m.Round)
+	c.Bool(&m.Lease)
 }
 
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *ReadIndexRequest) UnmarshalWire(d *wire.Decoder) {
-	m.Round = d.Uvarint()
-	m.Lease = d.Bool()
-}
-
-// MarshalWire appends the message body (no tag); see AppendEnvelope.
-func (m ReadIndexAck) MarshalWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.Round)
-	b = wire.AppendBool(b, m.OK)
-	b = wire.AppendVarint(b, m.Frontier)
-	return wire.AppendVarint(b, m.Hold)
-}
-
-// UnmarshalWire decodes the MarshalWire body; errors stick to d.
-func (m *ReadIndexAck) UnmarshalWire(d *wire.Decoder) {
-	m.Round = d.Uvarint()
-	m.OK = d.Bool()
-	m.Frontier = d.Varint()
-	m.Hold = d.Varint()
+func (m *ReadIndexAck) wire(c *wire.Codec) {
+	c.Uvarint(&m.Round)
+	c.Bool(&m.OK)
+	c.Varint(&m.Frontier)
+	c.Varint(&m.Hold)
 }

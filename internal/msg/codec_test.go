@@ -19,9 +19,12 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"consensusinside/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/wire_frames.golden from this run (only for an intended format change)")
@@ -265,11 +268,11 @@ func TestWireGobEquivalence(t *testing.T) {
 func TestWireTagCoverage(t *testing.T) {
 	covered := map[byte]bool{}
 	for _, m := range wireSamples() {
-		tag, ok := wireTagOf(m)
-		if !ok {
-			t.Fatalf("sample %T has no wire tag", m)
+		payload, err := AppendEnvelope(nil, 0, m)
+		if err != nil {
+			t.Fatalf("sample %T has no wire tag: %v", m, err)
 		}
-		covered[tag] = true
+		covered[payload[0]] = true
 	}
 	for _, wt := range wireTypes {
 		if !covered[wt.tag] {
@@ -282,37 +285,99 @@ func TestWireTagCoverage(t *testing.T) {
 }
 
 // TestDecodeEnvelopeStrict pins the decoder's corruption behavior:
-// truncations, unknown tags and trailing bytes all error, never panic.
+// truncations, unknown tags and trailing bytes all error, never panic —
+// for every sample, at every offset.
 func TestDecodeEnvelopeStrict(t *testing.T) {
-	payload, err := AppendEnvelope(nil, 1, AcceptRequest{Instance: 3, PN: 2,
-		Value: Value{Client: 1, Seq: 2, Cmd: Command{Op: OpPut, Key: "k", Val: "v"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, _, err := DecodeEnvelope(nil); err == nil {
 		t.Error("empty payload decoded")
 	}
-	for cut := 1; cut < len(payload); cut++ {
-		if _, _, err := DecodeEnvelope(payload[:cut]); err == nil {
-			t.Errorf("truncation at %d/%d decoded", cut, len(payload))
+	for i, m := range wireSamples() {
+		payload, err := AppendEnvelope(nil, sampleFrom(i), m)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, _, err := DecodeEnvelope(append(append([]byte{}, payload...), 0)); err == nil {
-		t.Error("trailing byte accepted")
-	}
-	bad := append([]byte{}, payload...)
-	bad[0] = 200 // unregistered tag
-	if _, _, err := DecodeEnvelope(bad); err == nil {
-		t.Error("unknown tag decoded")
+		// Every cut of a small sample; the megabyte ones are one long run
+		// of string bytes, so a stride covers them.
+		stride := 1 + len(payload)/4096
+		for cut := 1; cut < len(payload); cut += stride {
+			if _, _, err := DecodeEnvelope(payload[:cut]); err == nil {
+				t.Fatalf("sample %d (%T): truncation at %d/%d decoded", i, m, cut, len(payload))
+			}
+		}
+		if _, _, err := DecodeEnvelope(append(payload[:len(payload):len(payload)], 0)); err == nil {
+			t.Errorf("sample %d (%T): trailing byte accepted", i, m)
+		}
+		bad := append([]byte{}, payload...)
+		bad[0] = 200 // unregistered tag
+		if _, _, err := DecodeEnvelope(bad); err == nil {
+			t.Errorf("sample %d (%T): unknown tag decoded", i, m)
+		}
+		bad[0] = 0 // the corrupt-frame marker
+		if _, _, err := DecodeEnvelope(bad); err == nil {
+			t.Errorf("sample %d (%T): tag 0 decoded", i, m)
+		}
 	}
 	if _, _, err := DecodeEnvelope([]byte{HelloTag, 2}); err == nil {
 		t.Error("reserved hello tag decoded as a message")
 	}
-	// A huge claimed slice length must fail the SliceLen guard, not
-	// attempt the allocation.
+	// A huge claimed slice length must fail the count guard, not attempt
+	// the allocation.
 	huge := []byte{tagLearn, 2 /* from */, 0xff, 0xff, 0xff, 0xff, 0x0f /* ~4G proposals */}
 	if _, _, err := DecodeEnvelope(huge); err == nil {
 		t.Error("absurd slice count decoded")
+	}
+	// A count the input can back byte for byte passes that guard, but
+	// must not be trusted for the first make(): a megabyte of input
+	// claiming a million proposals (~100 MB of them) fails at its first
+	// element having allocated no more than decodeSliceCap of them.
+	const claimed = 1 << 20
+	hostile := append([]byte{tagLearn, 2, 0x80, 0x80, 0x40}, bytes.Repeat([]byte{0x80}, claimed)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := DecodeEnvelope(hostile)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("a million truncated proposals decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Errorf("a hostile count allocated %d bytes up front; the pre-allocation cap is gone", grew)
+	}
+}
+
+// TestEncodeAllocatesNothing runs every sample through the pooled-buffer
+// discipline the transport's writer uses and demands zero allocations:
+// the codec and the message copy stay on the encoder's stack, and the
+// pooled buffer — grown once, on the warm-up run — is the only memory.
+// A buffer as large as the megabyte samples need is never pooled, so
+// they encode into one kept buffer instead.
+func TestEncodeAllocatesNothing(t *testing.T) {
+	big := make([]byte, 0, 2<<20)
+	for i, m := range wireSamples() {
+		from := sampleFrom(i)
+		pooled := true
+		if payload, _ := AppendEnvelope(nil, from, m); len(payload) >= 8<<10 {
+			pooled = false
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			buf := &big
+			if pooled {
+				buf = wire.GetBuf()
+			}
+			b, err := AppendEnvelope(wire.BeginFrame(*buf), from, m)
+			if err == nil {
+				b, err = wire.EndFrame(b)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			*buf = b[:0]
+			if pooled {
+				wire.PutBuf(buf)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("sample %d (%T): encode allocates %.0f times per message", i, m, allocs)
+		}
 	}
 }
 

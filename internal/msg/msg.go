@@ -5,8 +5,9 @@
 //
 // Messages are plain data. The simulator passes them by value between
 // cores; the TCP transport encodes them with the hand-rolled wire codec
-// (codec.go — explicit MarshalWire/UnmarshalWire on every type plus the
-// wireTypes registry), which lives here, next to the types it encodes.
+// (codec.go — one layout method per type, run both ways by a
+// wire.Codec, plus the tag registry), which lives here, next to the
+// types it encodes.
 package msg
 
 import "fmt"

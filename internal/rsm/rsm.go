@@ -64,38 +64,52 @@ func (kv *KV) Get(key string) (string, bool) {
 // Len reports the number of keys.
 func (kv *KV) Len() int { return len(kv.data) }
 
-// SnapshotState encodes the whole map with the wire primitives, keys in
-// sorted order so equal states encode to equal bytes (snapshot tests and
-// dedupe rely on determinism). It implements snapshot.State.
-func (kv *KV) SnapshotState() []byte {
-	keys := make([]string, 0, len(kv.data))
-	for k := range kv.data {
-		keys = append(keys, k)
+// wireState is the state image's layout: the key count, then each key
+// and its value. The map is walked in sorted key order on the way out,
+// so equal states encode to equal bytes (snapshot tests and dedupe rely
+// on determinism), and built pair by pair on the way in.
+func wireState(c *wire.Codec, data *map[string]string) {
+	var keys []string
+	if !c.Reading() {
+		keys = make([]string, 0, len(*data))
+		for k := range *data {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
 	}
-	sort.Strings(keys)
-	b := wire.AppendUvarint(nil, uint64(len(keys)))
-	for _, k := range keys {
-		b = wire.AppendString(b, k)
-		b = wire.AppendString(b, kv.data[k])
+	n := c.Len(len(keys))
+	if c.Reading() {
+		*data = make(map[string]string, n)
 	}
-	return b
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var k, v string
+		if !c.Reading() {
+			k, v = keys[i], (*data)[keys[i]]
+		}
+		c.String(&k)
+		c.String(&v)
+		if c.Reading() {
+			(*data)[k] = v
+		}
+	}
 }
 
-// RestoreState replaces the map with a SnapshotState image. It implements
+// SnapshotState encodes the whole map deterministically. It implements
 // snapshot.State.
+func (kv *KV) SnapshotState() []byte {
+	c := wire.NewAppender(nil)
+	wireState(&c, &kv.data)
+	return c.Buf()
+}
+
+// RestoreState replaces the map with a SnapshotState image; a malformed
+// image leaves the map as it was. It implements snapshot.State.
 func (kv *KV) RestoreState(data []byte) error {
-	d := wire.NewDecoder(data)
-	n := d.SliceLen()
-	m := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k := d.String()
-		m[k] = d.String()
-	}
-	if err := d.Err(); err != nil {
+	var m map[string]string
+	c := wire.NewReader(data)
+	wireState(&c, &m)
+	if err := c.Finish(); err != nil {
 		return fmt.Errorf("rsm: kv state: %w", err)
-	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("rsm: kv state: %d trailing bytes", d.Remaining())
 	}
 	kv.data = m
 	return nil

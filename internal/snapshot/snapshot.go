@@ -32,7 +32,6 @@ package snapshot
 import (
 	"fmt"
 
-	"consensusinside/internal/msg"
 	"consensusinside/internal/rsm"
 	"consensusinside/internal/wire"
 )
@@ -67,36 +66,61 @@ type Snapshot struct {
 	Lanes []rsm.LaneState
 }
 
-// Encode renders s in the wire format: the version byte, then the
-// frontier, state image and session lanes with internal/wire's
-// primitives. Equal snapshots encode to equal bytes (State images are
-// deterministic and rsm.Sessions.Export orders lanes).
-func Encode(s Snapshot) []byte {
-	b := []byte{Version}
-	b = wire.AppendVarint(b, s.LastApplied)
-	b = wire.AppendBytes(b, s.State)
-	b = wire.AppendUvarint(b, uint64(len(s.Lanes)))
-	for _, lane := range s.Lanes {
-		b = wire.AppendVarint(b, int64(lane.Client))
-		b = wire.AppendUvarint(b, lane.Base)
-		b = wire.AppendUvarint(b, lane.Floor)
-		b = wire.AppendUvarint(b, lane.Pruned)
-		b = wire.AppendUvarint(b, lane.Ack)
-		b = wire.AppendUvarint(b, lane.MaxSeq)
-		b = wire.AppendUvarint(b, uint64(len(lane.Entries)))
-		for _, e := range lane.Entries {
-			b = wire.AppendUvarint(b, e.Seq)
-			b = wire.AppendVarint(b, e.Instance)
-			b = wire.AppendString(b, e.Result)
-		}
-	}
-	return b
-}
-
 // maxDecodeCap bounds pre-allocation while decoding counts, mirroring
 // the message codec's guard: a hostile count never turns a small input
 // into a huge allocation.
 const maxDecodeCap = 4096
+
+// wire is the snapshot's layout: the version byte, then the frontier,
+// the state image and the session lanes, each lane with its retained
+// entries. Reading grows the two slices one decoded element at a time.
+func (s *Snapshot) wire(c *wire.Codec) {
+	version := byte(Version)
+	c.Byte(&version)
+	if version != Version {
+		c.Fail(fmt.Errorf("unknown version %d", version))
+	}
+	c.Varint(&s.LastApplied)
+	c.Bytes(&s.State)
+	lanes := c.Len(len(s.Lanes))
+	if c.Reading() && lanes > 0 {
+		s.Lanes = make([]rsm.LaneState, 0, min(lanes, maxDecodeCap))
+	}
+	for i := 0; i < lanes && c.Err() == nil; i++ {
+		if c.Reading() {
+			s.Lanes = append(s.Lanes, rsm.LaneState{})
+		}
+		lane := &s.Lanes[i]
+		c.Int((*int)(&lane.Client))
+		c.Uvarint(&lane.Base)
+		c.Uvarint(&lane.Floor)
+		c.Uvarint(&lane.Pruned)
+		c.Uvarint(&lane.Ack)
+		c.Uvarint(&lane.MaxSeq)
+		entries := c.Len(len(lane.Entries))
+		if c.Reading() && entries > 0 {
+			lane.Entries = make([]rsm.LaneEntry, 0, min(entries, maxDecodeCap))
+		}
+		for j := 0; j < entries && c.Err() == nil; j++ {
+			if c.Reading() {
+				lane.Entries = append(lane.Entries, rsm.LaneEntry{})
+			}
+			e := &lane.Entries[j]
+			c.Uvarint(&e.Seq)
+			c.Varint(&e.Instance)
+			c.String(&e.Result)
+		}
+	}
+}
+
+// Encode renders s in the wire format. Equal snapshots encode to equal
+// bytes (State images are deterministic and rsm.Sessions.Export orders
+// lanes).
+func Encode(s Snapshot) []byte {
+	c := wire.NewAppender(nil)
+	s.wire(&c)
+	return c.Buf()
+}
 
 // Decode parses an Encode image. It is strict, like the envelope
 // decoder: a version mismatch, truncation, a hostile count or trailing
@@ -104,43 +128,10 @@ const maxDecodeCap = 4096
 // half-read.
 func Decode(data []byte) (Snapshot, error) {
 	var s Snapshot
-	d := wire.NewDecoder(data)
-	if v := d.Byte(); d.Err() == nil && v != Version {
-		return s, fmt.Errorf("snapshot: unknown version %d", v)
-	}
-	s.LastApplied = d.Varint()
-	s.State = d.Bytes()
-	lanes := d.SliceLen()
-	if lanes > 0 {
-		s.Lanes = make([]rsm.LaneState, 0, min(lanes, maxDecodeCap))
-	}
-	for i := 0; i < lanes && d.Err() == nil; i++ {
-		lane := rsm.LaneState{
-			Client: msg.NodeID(d.Varint()),
-			Base:   d.Uvarint(),
-			Floor:  d.Uvarint(),
-			Pruned: d.Uvarint(),
-			Ack:    d.Uvarint(),
-			MaxSeq: d.Uvarint(),
-		}
-		entries := d.SliceLen()
-		if entries > 0 {
-			lane.Entries = make([]rsm.LaneEntry, 0, min(entries, maxDecodeCap))
-		}
-		for j := 0; j < entries && d.Err() == nil; j++ {
-			lane.Entries = append(lane.Entries, rsm.LaneEntry{
-				Seq:      d.Uvarint(),
-				Instance: d.Varint(),
-				Result:   d.String(),
-			})
-		}
-		s.Lanes = append(s.Lanes, lane)
-	}
-	if err := d.Err(); err != nil {
+	c := wire.NewReader(data)
+	s.wire(&c)
+	if err := c.Finish(); err != nil {
 		return Snapshot{}, fmt.Errorf("snapshot: decode: %w", err)
-	}
-	if d.Remaining() != 0 {
-		return Snapshot{}, fmt.Errorf("snapshot: %d trailing bytes", d.Remaining())
 	}
 	return s, nil
 }

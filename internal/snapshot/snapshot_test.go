@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -108,13 +109,29 @@ func TestDecodeStrict(t *testing.T) {
 	if _, err := Decode(append([]byte{Version + 1}, enc[1:]...)); err == nil {
 		t.Error("unknown version decoded")
 	}
-	for cut := 1; cut < len(enc); cut += 37 {
+	for cut := 1; cut < len(enc); cut++ {
 		if _, err := Decode(enc[:cut]); err == nil {
 			t.Errorf("truncation at %d/%d decoded", cut, len(enc))
 		}
 	}
 	if _, err := Decode(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Error("trailing bytes decoded")
+	}
+	// A lane count the input can back byte for byte passes the count
+	// guard, but must not be trusted for the first make(): a megabyte of
+	// input claiming a million lanes (~70 MB of them) fails at its first
+	// lane having allocated no more than maxDecodeCap of them.
+	const claimed = 1 << 20
+	hostile := append([]byte{Version, 0, 0, 0x80, 0x80, 0x40}, bytes.Repeat([]byte{0x80}, claimed)...)
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	_, err := Decode(hostile)
+	goruntime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("a million truncated lanes decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Errorf("a hostile count allocated %d bytes up front; the pre-allocation cap is gone", grew)
 	}
 }
 

@@ -5,8 +5,8 @@
 // network system with no change" (Section 6.2).
 //
 // The wire path is built to disappear from profiles: messages are
-// encoded with the hand-rolled binary codec (internal/msg's
-// MarshalWire, framed by internal/wire) into pooled buffers, and each
+// encoded with the hand-rolled binary codec (internal/msg's per-type
+// layouts, framed by internal/wire) into pooled buffers, and each
 // peer connection has a dedicated writer goroutine that drains a send
 // queue through one bufio.Writer — many messages per flush, so many
 // messages per syscall. The first byte of every connection names the
@@ -57,6 +57,19 @@ type envelope struct {
 // — can never be misread as frames.
 const codecByteWire = 'W'
 
+// hello is the handshake frame: the reserved tag no message may claim,
+// then the dialer's id. Like every wire type it has one layout, which
+// the dialer appends and the listener reads.
+type hello struct {
+	tag byte
+	id  msg.NodeID
+}
+
+func (h *hello) wire(c *wire.Codec) {
+	c.Byte(&h.tag)
+	c.Int((*int)(&h.id))
+}
+
 // Writer tuning. The queue and coalescing caps bound both memory and
 // the latency a burst can add to the message at the head of a flush.
 const (
@@ -94,6 +107,13 @@ type TCPNode struct {
 	wg      sync.WaitGroup
 	start   time.Time
 	rng     *rand.Rand
+
+	// self holds self-sends: ctx.Send(own id) is produced and consumed
+	// on the actor goroutine (every engine's broadcast includes itself),
+	// so a plain slice does — no lock, no bound to overflow. Pushing them
+	// onto inbox instead would wedge the actor on its own full channel,
+	// which only it drains.
+	self []msg.Message
 
 	mu         sync.Mutex // guards conns, dialed, dialFailed and inbound against concurrent dial/close
 	conns      map[msg.NodeID]*peerConn
@@ -354,7 +374,13 @@ func (t *TCPNode) readWire(br *bufio.Reader) {
 	scratch := wire.GetBuf()
 	defer wire.PutBuf(scratch)
 	payload, err := wire.ReadFrame(br, scratch)
-	if err != nil || len(payload) == 0 || payload[0] != msg.HelloTag {
+	if err != nil {
+		return
+	}
+	var h hello
+	c := wire.NewReader(payload)
+	h.wire(&c)
+	if c.Finish() != nil || h.tag != msg.HelloTag {
 		return // malformed handshake
 	}
 	for {
@@ -380,6 +406,15 @@ func (t *TCPNode) mainLoop() {
 	ctx := &tcpContext{node: t}
 	t.handler.Start(ctx)
 	for {
+		// Self-sends go first, by index because delivering one commonly
+		// pushes more: a collapsed role's loopback stays ahead of the
+		// next inbox message, in FIFO order.
+		for i := 0; i < len(t.self); i++ {
+			m := t.self[i]
+			t.self[i] = nil // release the reference once delivered
+			t.handler.Receive(ctx, t.id, m)
+		}
+		t.self = t.self[:0]
 		select {
 		case e := <-t.inbox:
 			t.handler.Receive(ctx, e.From, e.M)
@@ -407,10 +442,7 @@ func (t *TCPNode) send(to msg.NodeID, m msg.Message) {
 		}
 	}
 	if to == t.id {
-		select {
-		case t.inbox <- envelope{From: t.id, M: m}:
-		case <-t.stop:
-		}
+		t.self = append(t.self, m)
 		return
 	}
 	pc, err := t.conn(to)
@@ -496,9 +528,9 @@ func (t *TCPNode) dialPeer(to msg.NodeID, pc *peerConn, addr string) (*bufio.Wri
 
 	// Handshake writes land in the (empty, 64K) buffer and cannot fail
 	// before the Flush below, which reports any socket error.
-	hb := []byte{0, 0, 0, 0, msg.HelloTag}
-	hb = wire.AppendVarint(hb, int64(t.id))
-	hb, err = wire.EndFrame(hb)
+	enc := wire.NewAppender(wire.BeginFrame(nil))
+	(&hello{tag: msg.HelloTag, id: t.id}).wire(&enc)
+	hb, err := wire.EndFrame(enc.Buf())
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -99,11 +100,13 @@ func TestEchoOverTCP(t *testing.T) {
 		// wrong first byte ('G' is what the retired gob stream opened
 		// with): only that byte may decide the connection's fate.
 		stream := []byte{'G'}
-		hello, err := wire.EndFrame(wire.AppendVarint([]byte{0, 0, 0, 0, msg.HelloTag}, 1))
+		enc := wire.NewAppender(wire.BeginFrame(nil))
+		(&hello{tag: msg.HelloTag, id: 1}).wire(&enc)
+		helloFrame, err := wire.EndFrame(enc.Buf())
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream = append(stream, hello...)
+		stream = append(stream, helloFrame...)
 		frame, err := msg.AppendEnvelope(wire.BeginFrame(nil), 1, msg.ClientRequest{Client: 1, Seq: 1})
 		if err == nil {
 			frame, err = wire.EndFrame(frame)
@@ -288,6 +291,66 @@ func TestTimersOverTCP(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("timer never fired")
+	}
+}
+
+// TestTCPSelfSendUnderBacklog: every engine's broadcast includes the
+// sender, so an actor self-sends while its inbox is full and a producer
+// is blocked behind it. The self-send must not go through that inbox —
+// the actor is the only goroutine that drains it, and would wait on
+// itself until Close — and must be delivered ahead of the next inbox
+// message, in FIFO order (what TestInProcSelfRingOverflowKeepsFIFO
+// asserts for InProc).
+func TestTCPSelfSendUnderBacklog(t *testing.T) {
+	const injected = 3000 // well past the inbox's 1024 slots
+	const external = msg.NodeID(9)
+	gate := make(chan struct{})
+	done := make(chan struct{})
+	var delivered atomic.Int64
+	var gated bool
+	h := runtime.HandlerFunc{
+		OnReceive: func(ctx runtime.Context, from msg.NodeID, m msg.Message) {
+			if !gated {
+				gated = true
+				<-gate // hold the actor until the backlog has built up
+			}
+			// Message k arrives as delivery 2k from outside and is looped
+			// back at once, so its echo must be delivery 2k+1.
+			n := delivered.Add(1) - 1
+			seq := m.(msg.ClientRequest).Seq
+			wantFrom := external
+			if n%2 == 1 {
+				wantFrom = ctx.ID()
+			}
+			if from != wantFrom || seq != uint64(n/2) {
+				t.Errorf("delivery %d: seq %d from %d, want seq %d from %d", n, seq, from, n/2, wantFrom)
+			}
+			if from == external {
+				ctx.Send(ctx.ID(), m)
+			}
+			if n+1 == 2*injected {
+				close(done)
+			}
+		},
+	}
+	nodes, err := BuildLocalCluster([]runtime.Handler{h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(nodes)
+	go func() {
+		for i := 0; i < injected; i++ {
+			nodes[0].Inject(external, msg.ClientRequest{Seq: uint64(i)}) // blocks once the inbox is full; Close releases it
+		}
+	}()
+	for len(nodes[0].inbox) < cap(nodes[0].inbox) {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("delivered %d of %d: the actor is wedged on its own inbox", delivered.Load(), 2*injected)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package wire implements the primitives of the hand-rolled binary
-// wire format used by the TCP transport: varint integers, length-counted
-// strings, length-prefixed frames, and sync.Pool-backed encode buffers
-// so steady-state sends allocate nothing.
+// wire format used by the TCP transport: a two-way Codec over varint
+// integers and length-counted strings, length-prefixed frames, and
+// sync.Pool-backed encode buffers so steady-state sends allocate nothing.
 //
 // The split of responsibilities is deliberate: this package knows bytes,
-// not messages. internal/msg owns the one-byte type tags, the per-type
-// Marshal/Unmarshal code and the type registry; internal/transport owns
+// not messages. internal/msg owns the one-byte type tags, one layout
+// method per type and the type registry; internal/transport owns
 // sockets, framing loops and flush policy. That keeps the codec testable and
 // fuzzable without a network in sight.
 //
@@ -42,9 +42,9 @@ const MaxFrame = 16 << 20
 // pathological message cannot pin megabytes for the rest of the process.
 const maxPooledBuf = 1 << 20
 
-// Decode errors. ReadFrame and Decoder report these (wrapped with
-// context); they mark a corrupt stream, and the transport's response is
-// to drop the connection.
+// Decode errors. ReadFrame and a reading Codec report these (wrapped
+// with context); they mark a corrupt stream, and the transport's
+// response is to drop the connection.
 var (
 	ErrFrameTooBig = errors.New("wire: frame exceeds MaxFrame")
 	ErrEmptyFrame  = errors.New("wire: empty frame payload")
@@ -53,163 +53,197 @@ var (
 )
 
 // ---------------------------------------------------------------------------
-// Append-side primitives
+// Codec
 // ---------------------------------------------------------------------------
 
-// AppendUvarint appends v as an unsigned varint.
-func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-// AppendVarint appends v as a zigzag varint (efficient for small
-// magnitudes of either sign — node ids, instance numbers, Nobody = -1).
-func AppendVarint(b []byte, v int64) []byte { return binary.AppendVarint(b, v) }
-
-// AppendString appends s as a uvarint byte count followed by the bytes.
-func AppendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// AppendBytes appends p as a uvarint byte count followed by the bytes
-// (the []byte twin of AppendString; snapshot chunks use it).
-func AppendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-// AppendBool appends v as one byte (0 or 1).
-func AppendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-// ---------------------------------------------------------------------------
-// Decoder
-// ---------------------------------------------------------------------------
-
-// Decoder reads the primitives back out of a payload. Errors are sticky:
-// the first malformed read poisons the decoder, later reads return zero
-// values, and the caller checks Err once at the end — which keeps the
-// per-field decode code straight-line on the hot path.
-type Decoder struct {
-	data []byte
-	off  int
+// Codec is a cursor over a byte slice that runs one way or the other:
+// an appending codec writes each field it is shown, a reading codec
+// fills each field from its input. A type's layout is therefore written
+// once — a function that shows the codec its fields in wire order — and
+// the two directions cannot drift apart.
+//
+// Errors are sticky: the first malformed read poisons the codec, later
+// reads leave their fields untouched, and the caller checks Err (or
+// Finish) once at the end — which keeps layouts straight-line. An
+// appending codec never fails.
+//
+// A Codec is a value its user keeps on the stack, passing &c down
+// direct calls only: an indirect call (a func value, an interface or a
+// type-parameter method) would move it to the heap on every send.
+type Codec struct {
+	buf  []byte // appending: the output so far; reading: the input
+	off  int    // reading: the next unread byte
+	read bool
 	err  error
 }
 
-// NewDecoder returns a decoder over data. The decoder aliases data;
-// decoded strings and slices are copies, so the caller may reuse data
-// once decoding finishes.
-func NewDecoder(data []byte) Decoder { return Decoder{data: data} }
+// NewAppender returns a codec that appends to b.
+func NewAppender(b []byte) Codec { return Codec{buf: b} }
+
+// NewReader returns a codec that reads data. It aliases data; strings
+// and byte slices it fills are copies, so the caller may reuse data once
+// decoding finishes.
+func NewReader(data []byte) Codec { return Codec{buf: data, read: true} }
+
+// Reading reports the direction. Layouts ask only where the in-memory
+// shape differs by direction: growing a slice, building a map.
+func (c *Codec) Reading() bool { return c.read }
+
+// Buf returns an appending codec's output.
+func (c *Codec) Buf() []byte { return c.buf }
 
 // Err reports the first decode error, or nil.
-func (d *Decoder) Err() error { return d.err }
+func (c *Codec) Err() error { return c.err }
 
-// Remaining reports how many undecoded bytes are left.
-func (d *Decoder) Remaining() int { return len(d.data) - d.off }
+// Remaining reports how many bytes a reading codec has left.
+func (c *Codec) Remaining() int { return len(c.buf) - c.off }
 
-// fail records the first error.
-func (d *Decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
+// Fail records err unless an earlier error already stands; a layout
+// uses it to reject a value it read (an unknown version byte).
+func (c *Codec) Fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
-// Byte reads one byte.
-func (d *Decoder) Byte() byte {
-	if d.err != nil {
-		return 0
+// Finish ends a strict decode: the first error, or an error when input
+// is left over — a payload longer than its layout is as corrupt as one
+// that is shorter.
+func (c *Codec) Finish() error {
+	if c.err == nil && c.read && c.Remaining() != 0 {
+		c.err = fmt.Errorf("wire: %d trailing bytes", c.Remaining())
 	}
-	if d.off >= len(d.data) {
-		d.fail(ErrTruncated)
-		return 0
-	}
-	v := d.data[d.off]
-	d.off++
-	return v
+	return c.err
 }
 
-// Bool reads one AppendBool byte; any non-zero value is true.
-func (d *Decoder) Bool() bool { return d.Byte() != 0 }
-
-// Uvarint reads an unsigned varint.
-func (d *Decoder) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
+// Byte is one raw byte.
+func (c *Codec) Byte(v *byte) {
+	switch {
+	case !c.read:
+		c.buf = append(c.buf, *v)
+	case c.err != nil:
+	case c.off >= len(c.buf):
+		c.Fail(ErrTruncated)
+	default:
+		*v = c.buf[c.off]
+		c.off++
 	}
-	v, n := binary.Uvarint(d.data[d.off:])
+}
+
+// Bool is one byte, 0 or 1; any non-zero byte reads as true.
+func (c *Codec) Bool(v *bool) {
+	var b byte
+	if *v {
+		b = 1
+	}
+	c.Byte(&b)
+	*v = b != 0
+}
+
+// Uvarint is an unsigned varint.
+func (c *Codec) Uvarint(v *uint64) {
+	if !c.read {
+		c.buf = binary.AppendUvarint(c.buf, *v)
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	u, n := binary.Uvarint(c.buf[c.off:])
 	if n <= 0 {
-		d.fail(fmt.Errorf("uvarint at offset %d: %w", d.off, ErrTruncated))
-		return 0
+		c.Fail(fmt.Errorf("uvarint at offset %d: %w", c.off, ErrTruncated))
+		return
 	}
-	d.off += n
-	return v
+	c.off += n
+	*v = u
 }
 
-// Varint reads a zigzag varint.
-func (d *Decoder) Varint() int64 {
-	if d.err != nil {
-		return 0
+// Varint is a zigzag varint (efficient for small magnitudes of either
+// sign — instance numbers, the -1 sentinels).
+func (c *Codec) Varint(v *int64) {
+	if !c.read {
+		c.buf = binary.AppendVarint(c.buf, *v)
+		return
 	}
-	v, n := binary.Varint(d.data[d.off:])
+	if c.err != nil {
+		return
+	}
+	i, n := binary.Varint(c.buf[c.off:])
 	if n <= 0 {
-		d.fail(fmt.Errorf("varint at offset %d: %w", d.off, ErrTruncated))
+		c.Fail(fmt.Errorf("varint at offset %d: %w", c.off, ErrTruncated))
+		return
+	}
+	c.off += n
+	*v = i
+}
+
+// Int is a Varint held in an int (node ids, enums).
+func (c *Codec) Int(v *int) {
+	if !c.read {
+		c.buf = binary.AppendVarint(c.buf, int64(*v))
+		return
+	}
+	i := int64(*v)
+	c.Varint(&i)
+	*v = int(i)
+}
+
+// readCount reads a uvarint count of what follows — bytes or elements,
+// each element costing at least one byte — and validates it against the
+// remaining input before anything is allocated from it, so a fuzzer (or
+// a corrupt peer) cannot turn a tiny input into an enormous allocation.
+func (c *Codec) readCount(what string) int {
+	var n uint64
+	c.Uvarint(&n)
+	if c.err != nil {
 		return 0
 	}
-	d.off += n
-	return v
-}
-
-// String reads an AppendString value.
-func (d *Decoder) String() string {
-	n := d.Uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(d.Remaining()) {
-		d.fail(fmt.Errorf("string of %d bytes with %d left: %w", n, d.Remaining(), ErrBadCount))
-		return ""
-	}
-	s := string(d.data[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-// Bytes reads an AppendBytes value as a copy (nil when empty, matching
-// the nil/empty folding of gob, the codec tests' differential reference).
-func (d *Decoder) Bytes() []byte {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(d.Remaining()) {
-		d.fail(fmt.Errorf("bytes of %d with %d left: %w", n, d.Remaining(), ErrBadCount))
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.data[d.off:d.off+int(n)])
-	d.off += int(n)
-	return out
-}
-
-// SliceLen reads a uvarint element count and validates it against the
-// remaining input, assuming every element costs at least one byte. The
-// guard means a fuzzer (or a corrupt peer) cannot make the caller
-// preallocate an enormous slice from a tiny input.
-func (d *Decoder) SliceLen() int {
-	n := d.Uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(d.Remaining()) {
-		d.fail(fmt.Errorf("%d elements with %d bytes left: %w", n, d.Remaining(), ErrBadCount))
+	if n > uint64(c.Remaining()) {
+		c.err = fmt.Errorf("%d %s with %d bytes left: %w", n, what, c.Remaining(), ErrBadCount)
 		return 0
 	}
 	return int(n)
+}
+
+// Len is a slice's element count: an appending codec writes n, a
+// reading one ignores it, and both return the count on the wire (0 once
+// a read has failed). The caller loops that many times over one element
+// layout, growing its slice by append as it reads.
+func (c *Codec) Len(n int) int {
+	if !c.read {
+		c.buf = binary.AppendUvarint(c.buf, uint64(n))
+		return n
+	}
+	return c.readCount("elements")
+}
+
+// String is a uvarint byte count followed by the bytes.
+func (c *Codec) String(v *string) {
+	if !c.read {
+		c.buf = append(binary.AppendUvarint(c.buf, uint64(len(*v))), *v...)
+		return
+	}
+	if n := c.readCount("string bytes"); c.err == nil {
+		*v = string(c.buf[c.off : c.off+n])
+		c.off += n
+	}
+}
+
+// Bytes is the []byte twin of String (snapshot chunks use it). It reads
+// a copy, nil when empty — matching the nil/empty folding of gob, the
+// codec tests' differential reference.
+func (c *Codec) Bytes(v *[]byte) {
+	if !c.read {
+		c.buf = append(binary.AppendUvarint(c.buf, uint64(len(*v))), *v...)
+		return
+	}
+	if n := c.readCount("bytes"); c.err == nil {
+		*v = nil
+		if n > 0 {
+			*v = append([]byte(nil), c.buf[c.off:c.off+n]...)
+			c.off += n
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

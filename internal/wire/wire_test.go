@@ -5,92 +5,129 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 )
 
-func TestPrimitiveRoundTrips(t *testing.T) {
-	var b []byte
-	b = AppendUvarint(b, 0)
-	b = AppendUvarint(b, math.MaxUint64)
-	b = AppendVarint(b, 0)
-	b = AppendVarint(b, -1)
-	b = AppendVarint(b, math.MaxInt64)
-	b = AppendVarint(b, math.MinInt64)
-	b = AppendString(b, "")
-	b = AppendString(b, "hello, wire")
-	b = AppendBool(b, true)
-	b = AppendBool(b, false)
+// primitives is a layout over one of each primitive, edge values
+// included; the tests below run it both ways.
+type primitives struct {
+	u0, uMax             uint64
+	i0, iNeg, iMax, iMin int64
+	n                    int
+	empty, s             string
+	raw                  []byte
+	yes, no              bool
+	b                    byte
+}
 
-	d := NewDecoder(b)
-	if got := d.Uvarint(); got != 0 {
-		t.Errorf("uvarint 0 = %d", got)
+func (p *primitives) wire(c *Codec) {
+	c.Uvarint(&p.u0)
+	c.Uvarint(&p.uMax)
+	c.Varint(&p.i0)
+	c.Varint(&p.iNeg)
+	c.Varint(&p.iMax)
+	c.Varint(&p.iMin)
+	c.Int(&p.n)
+	c.String(&p.empty)
+	c.String(&p.s)
+	c.Bytes(&p.raw)
+	c.Bool(&p.yes)
+	c.Bool(&p.no)
+	c.Byte(&p.b)
+}
+
+func TestPrimitiveRoundTrips(t *testing.T) {
+	want := primitives{
+		uMax: math.MaxUint64, iNeg: -1, iMax: math.MaxInt64, iMin: math.MinInt64, n: -7,
+		s: "hello, wire", raw: []byte{0, 0xff}, yes: true, b: 0xfe,
 	}
-	if got := d.Uvarint(); got != math.MaxUint64 {
-		t.Errorf("uvarint max = %d", got)
+	enc := NewAppender(nil)
+	in := want
+	in.wire(&enc)
+	if !reflect.DeepEqual(in, want) {
+		t.Errorf("appending changed the value: %+v", in)
 	}
-	if got := d.Varint(); got != 0 {
-		t.Errorf("varint 0 = %d", got)
+	if enc.Reading() || enc.Err() != nil || enc.Finish() != nil {
+		t.Fatalf("appending codec failed: %v", enc.Err())
 	}
-	if got := d.Varint(); got != -1 {
-		t.Errorf("varint -1 = %d", got)
-	}
-	if got := d.Varint(); got != math.MaxInt64 {
-		t.Errorf("varint maxint = %d", got)
-	}
-	if got := d.Varint(); got != math.MinInt64 {
-		t.Errorf("varint minint = %d", got)
-	}
-	if got := d.String(); got != "" {
-		t.Errorf("empty string = %q", got)
-	}
-	if got := d.String(); got != "hello, wire" {
-		t.Errorf("string = %q", got)
-	}
-	if got := d.Bool(); !got {
-		t.Error("bool true = false")
-	}
-	if got := d.Bool(); got {
-		t.Error("bool false = true")
-	}
-	if err := d.Err(); err != nil {
+
+	var got primitives
+	dec := NewReader(enc.Buf())
+	got.wire(&dec)
+	if err := dec.Err(); err != nil {
 		t.Fatalf("clean decode errored: %v", err)
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d bytes left over", d.Remaining())
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip:\n got %+v\nwant %+v", got, want)
+	}
+	if dec.Remaining() != 0 || dec.Finish() != nil {
+		t.Fatalf("%d bytes left over", dec.Remaining())
+	}
+	// The bytes are encoding/binary's varints and counted strings; a
+	// reader that stops early must say so.
+	if want := []byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 1}; !bytes.HasPrefix(enc.Buf(), want) {
+		t.Errorf("encoding starts % x, want % x", enc.Buf()[:len(want)], want)
+	}
+	short := NewReader(enc.Buf())
+	var u uint64
+	short.Uvarint(&u)
+	if short.Finish() == nil {
+		t.Error("Finish accepted trailing bytes")
 	}
 }
 
 func TestDecoderStickyError(t *testing.T) {
-	d := NewDecoder([]byte{0x80}) // truncated uvarint
-	if d.Uvarint() != 0 || d.Err() == nil {
+	c := NewReader([]byte{0x80}) // truncated uvarint
+	u := uint64(7)
+	if c.Uvarint(&u); u != 7 || c.Err() == nil {
 		t.Fatal("truncated uvarint decoded")
 	}
-	// Every later read must keep returning zero values and the error.
-	if d.String() != "" || d.Byte() != 0 || !errors.Is(d.Err(), ErrTruncated) {
-		t.Fatalf("error not sticky: %v", d.Err())
+	// Every later read must leave its field alone and keep the error.
+	var s string
+	var b byte
+	var raw []byte
+	c.String(&s)
+	c.Byte(&b)
+	c.Bytes(&raw)
+	if s != "" || b != 0 || raw != nil || c.Len(0) != 0 || !errors.Is(c.Err(), ErrTruncated) {
+		t.Fatalf("error not sticky: %v", c.Err())
+	}
+	c.Fail(ErrBadCount)
+	if !errors.Is(c.Finish(), ErrTruncated) {
+		t.Fatalf("a later failure replaced the first: %v", c.Err())
 	}
 }
 
+// count appends n as a uvarint, the way every count travels.
+func count(n uint64) []byte {
+	c := NewAppender(nil)
+	c.Uvarint(&n)
+	return c.Buf()
+}
+
 func TestStringLengthGuard(t *testing.T) {
-	b := AppendUvarint(nil, 1<<40) // claims a terabyte string
-	d := NewDecoder(b)
-	if d.String() != "" || !errors.Is(d.Err(), ErrBadCount) {
-		t.Fatalf("absurd string length accepted: %v", d.Err())
+	c := NewReader(count(1 << 40)) // claims a terabyte string
+	var s string
+	if c.String(&s); s != "" || !errors.Is(c.Err(), ErrBadCount) {
+		t.Fatalf("absurd string length accepted: %v", c.Err())
+	}
+	c = NewReader(count(1 << 40))
+	var raw []byte
+	if c.Bytes(&raw); raw != nil || !errors.Is(c.Err(), ErrBadCount) {
+		t.Fatalf("absurd bytes length accepted: %v", c.Err())
 	}
 }
 
 func TestSliceLenGuard(t *testing.T) {
-	b := AppendUvarint(nil, 1000)
-	b = append(b, make([]byte, 10)...)
-	d := NewDecoder(b)
-	if d.SliceLen() != 0 || !errors.Is(d.Err(), ErrBadCount) {
-		t.Fatalf("slice count beyond input accepted: %v", d.Err())
+	c := NewReader(append(count(1000), make([]byte, 10)...))
+	if c.Len(0) != 0 || !errors.Is(c.Err(), ErrBadCount) {
+		t.Fatalf("slice count beyond input accepted: %v", c.Err())
 	}
 
-	d = NewDecoder(AppendUvarint(make([]byte, 0, 16), 3))
-	d.data = append(d.data, 1, 2, 3)
-	if n := d.SliceLen(); n != 3 || d.Err() != nil {
-		t.Fatalf("legal count rejected: n=%d err=%v", n, d.Err())
+	c = NewReader(append(count(3), 1, 2, 3))
+	if n := c.Len(0); n != 3 || c.Err() != nil {
+		t.Fatalf("legal count rejected: n=%d err=%v", n, c.Err())
 	}
 }
 

@@ -2,21 +2,28 @@
 # Zero-allocation gate for the InProc hot path with tracing compiled in
 # but disabled: the steady-state benchmark must report 0 allocs/op, or
 # an observability hook has put an allocation back on the per-op path
-# (the tracing-off cost contract is one atomic load per hook).
+# (the tracing-off cost contract is one atomic load per hook). And for
+# the TCP send path's encoder: the wire.Codec and the message copy must
+# stay on the writer's stack.
 #
 #   ./scripts/allocgate.sh
 set -euo pipefail
 
-out=$(go test -run '^$' -bench 'BenchmarkKVInProcSteadyState$' -benchtime 20000x -count 1 .)
-echo "$out"
+gate() { # benchmark name, iterations, what allocating there would mean
+  local out line
+  out=$(go test -run '^$' -bench "$1\$" -benchtime "$2" -count 1 .)
+  echo "$out"
+  line=$(grep "$1" <<<"$out" || true)
+  if [[ -z "$line" ]]; then
+    echo "alloc gate: $1 did not run" >&2
+    exit 1
+  fi
+  if ! grep -q ' 0 allocs/op' <<<"$line"; then
+    echo "alloc gate: $3" >&2
+    exit 1
+  fi
+}
 
-line=$(grep 'BenchmarkKVInProcSteadyState' <<<"$out" || true)
-if [[ -z "$line" ]]; then
-  echo "alloc gate: benchmark did not run" >&2
-  exit 1
-fi
-if ! grep -q ' 0 allocs/op' <<<"$line"; then
-  echo "alloc gate: hot path allocates with tracing disabled" >&2
-  exit 1
-fi
-echo "alloc gate: 0 allocs/op with tracing compiled in, disabled"
+gate BenchmarkKVInProcSteadyState 20000x "hot path allocates with tracing disabled"
+gate BenchmarkCodecEncodeWire 200000x "the wire encoder allocates: a layout reaches the codec through an indirect call"
+echo "alloc gate: 0 allocs/op with tracing compiled in, disabled, and 0 allocs/op on the wire encode path"

@@ -174,6 +174,24 @@ if [ "$locks" -gt 3 ]; then
     fail=1
 fi
 
+# One layout function per wire type (DESIGN.md, "One layout per type"):
+# a type's wire(c *wire.Codec) method names its fields once and a
+# two-way wire.Codec runs it as encoder or decoder. A Marshal/Unmarshal
+# method pair, the one-way Decoder or Append helpers, or an append/decode
+# helper pair in internal/msg is a layout spelled twice growing back.
+twice=$(grep -nE 'MarshalWire|UnmarshalWire|wire\.NewDecoder|wire\.Append(Uvarint|Varint|String|Bytes|Bool)' $sources)
+if [ -n "$twice" ]; then
+    echo "docscheck: a wire type has one layout method run by wire.Codec, not an encode half and a decode half:" >&2
+    echo "$twice" >&2
+    fail=1
+fi
+halves=$(grep -nE '^func (append|decode)(Command|Batch|Value|Proposal|Proposals|UtilEntry)\(' $(find internal/msg -name '*.go' ! -name '*_test.go'))
+if [ -n "$halves" ]; then
+    echo "docscheck: internal/msg lays a shared struct out in its wire method, not in an append/decode helper pair:" >&2
+    echo "$halves" >&2
+    fail=1
+fi
+
 # Experiments are data (internal/experiments): one Row type, one
 # renderer, one list. A Print* function or a second ...Row / ...Point
 # struct there is a hand-rolled driver growing back, and a Registry id
