@@ -59,14 +59,15 @@ const codecByteWire = 'W'
 
 // hello is the handshake frame: the reserved tag no message may claim,
 // then the dialer's id. Like every wire type it has one layout, which
-// the dialer appends and the listener reads.
-type hello struct {
-	tag byte
-	id  msg.NodeID
-}
+// the dialer appends and the listener reads (rejecting any other tag).
+type hello struct{ id msg.NodeID }
 
 func (h *hello) wire(c *wire.Codec) {
-	c.Byte(&h.tag)
+	tag := msg.HelloTag
+	c.Byte(&tag)
+	if tag != msg.HelloTag {
+		c.Fail(fmt.Errorf("transport: hello frame tagged %d", tag))
+	}
 	c.Int((*int)(&h.id))
 }
 
@@ -380,7 +381,7 @@ func (t *TCPNode) readWire(br *bufio.Reader) {
 	var h hello
 	c := wire.NewReader(payload)
 	h.wire(&c)
-	if c.Finish() != nil || h.tag != msg.HelloTag {
+	if c.Finish() != nil {
 		return // malformed handshake
 	}
 	for {
@@ -529,7 +530,7 @@ func (t *TCPNode) dialPeer(to msg.NodeID, pc *peerConn, addr string) (*bufio.Wri
 	// Handshake writes land in the (empty, 64K) buffer and cannot fail
 	// before the Flush below, which reports any socket error.
 	enc := wire.NewAppender(wire.BeginFrame(nil))
-	(&hello{tag: msg.HelloTag, id: t.id}).wire(&enc)
+	(&hello{id: t.id}).wire(&enc)
 	hb, err := wire.EndFrame(enc.Buf())
 	if err != nil {
 		return nil, err

@@ -101,7 +101,7 @@ func TestEchoOverTCP(t *testing.T) {
 		// with): only that byte may decide the connection's fate.
 		stream := []byte{'G'}
 		enc := wire.NewAppender(wire.BeginFrame(nil))
-		(&hello{tag: msg.HelloTag, id: 1}).wire(&enc)
+		(&hello{id: 1}).wire(&enc)
 		helloFrame, err := wire.EndFrame(enc.Buf())
 		if err != nil {
 			t.Fatal(err)

@@ -123,7 +123,7 @@ func (c *Codec) Byte(v *byte) {
 		c.buf = append(c.buf, *v)
 	case c.err != nil:
 	case c.off >= len(c.buf):
-		c.Fail(ErrTruncated)
+		c.err = ErrTruncated
 	default:
 		*v = c.buf[c.off]
 		c.off++
@@ -151,7 +151,7 @@ func (c *Codec) Uvarint(v *uint64) {
 	}
 	u, n := binary.Uvarint(c.buf[c.off:])
 	if n <= 0 {
-		c.Fail(fmt.Errorf("uvarint at offset %d: %w", c.off, ErrTruncated))
+		c.err = fmt.Errorf("uvarint at offset %d: %w", c.off, ErrTruncated)
 		return
 	}
 	c.off += n
@@ -170,7 +170,7 @@ func (c *Codec) Varint(v *int64) {
 	}
 	i, n := binary.Varint(c.buf[c.off:])
 	if n <= 0 {
-		c.Fail(fmt.Errorf("varint at offset %d: %w", c.off, ErrTruncated))
+		c.err = fmt.Errorf("varint at offset %d: %w", c.off, ErrTruncated)
 		return
 	}
 	c.off += n
