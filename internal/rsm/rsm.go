@@ -72,10 +72,13 @@ func wireState(c *wire.Codec, data *map[string]string) {
 	var keys []string
 	if !c.Reading() {
 		keys = make([]string, 0, len(*data))
-		for k := range *data {
+		size := 0
+		for k, v := range *data {
 			keys = append(keys, k)
+			size += len(k) + len(v)
 		}
 		sort.Strings(keys)
+		c.Grow(size + 3*(1+2*len(keys))) // a count prefix is rarely over 3 bytes
 	}
 	n := c.Len(len(keys))
 	if c.Reading() {

@@ -113,11 +113,25 @@ func (s *Snapshot) wire(c *wire.Codec) {
 	}
 }
 
+// sizeHint estimates Encode's output so that a capture, which stalls
+// the replica, allocates its image once instead of by append's
+// doublings. A short estimate is harmless: appending still grows.
+func sizeHint(s *Snapshot) int {
+	n := 16 + len(s.State)
+	for _, lane := range s.Lanes {
+		n += 32 + 12*len(lane.Entries) // typical varint widths, not bounds
+		for _, e := range lane.Entries {
+			n += len(e.Result)
+		}
+	}
+	return n
+}
+
 // Encode renders s in the wire format. Equal snapshots encode to equal
 // bytes (State images are deterministic and rsm.Sessions.Export orders
 // lanes).
 func Encode(s Snapshot) []byte {
-	c := wire.NewAppender(nil)
+	c := wire.NewAppender(make([]byte, 0, sizeHint(&s)))
 	s.wire(&c)
 	return c.Buf()
 }

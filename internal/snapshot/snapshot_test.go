@@ -101,6 +101,27 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCaptureAllocatesOnce pins the pre-sizing of the two images a
+// capture builds on the replica's own goroutine: at the benchmark's
+// 1 024 keys the state image is its key slice and its buffer, and Encode
+// is one buffer — not a dozen of append's doublings, each a fresh large
+// allocation whose cost is the tail of every Put that waits behind it.
+func TestCaptureAllocatesOnce(t *testing.T) {
+	kv := rsm.NewKV()
+	s := rsm.NewSessions()
+	for i := 0; i < 1024; i++ {
+		kv.Apply(msg.Value{Client: 1, Seq: uint64(i + 1), Cmd: msg.Command{Op: msg.OpPut, Key: fmt.Sprintf("key-%08d", i), Val: fmt.Sprintf("value-%016d", i)}})
+		s.Done(1, uint64(i+1), int64(i), fmt.Sprintf("value-%016d", i))
+	}
+	if got := testing.AllocsPerRun(20, func() { kv.SnapshotState() }); got > 3 {
+		t.Errorf("SnapshotState: %v allocs, want the sorted keys and the image (-race adds one in sort)", got)
+	}
+	snap := Snapshot{LastApplied: 1023, State: kv.SnapshotState(), Lanes: s.Export()}
+	if got := testing.AllocsPerRun(20, func() { Encode(snap) }); got > 1 {
+		t.Errorf("Encode: %v allocs, want 1", got)
+	}
+}
+
 func TestDecodeStrict(t *testing.T) {
 	enc := Encode(sampleSnapshot())
 	if _, err := Decode(nil); err == nil {

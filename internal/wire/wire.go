@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -91,6 +92,10 @@ func (c *Codec) Reading() bool { return c.read }
 
 // Buf returns an appending codec's output.
 func (c *Codec) Buf() []byte { return c.buf }
+
+// Grow makes room in an appending codec for n more bytes, so a layout
+// that knows its size pays one allocation instead of append's doublings.
+func (c *Codec) Grow(n int) { c.buf = slices.Grow(c.buf, n) }
 
 // Err reports the first decode error, or nil.
 func (c *Codec) Err() error { return c.err }

@@ -75,6 +75,12 @@ func TestPrimitiveRoundTrips(t *testing.T) {
 	if short.Finish() == nil {
 		t.Error("Finish accepted trailing bytes")
 	}
+	// Grow reserves room behind what is written.
+	grown := NewAppender([]byte{7})
+	grown.Grow(100)
+	if b := grown.Buf(); len(b) != 1 || b[0] != 7 || cap(b) < 101 {
+		t.Errorf("Grow(100): len %d cap %d", len(b), cap(b))
+	}
 }
 
 func TestDecoderStickyError(t *testing.T) {
