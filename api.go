@@ -180,12 +180,14 @@ type KVConfig struct {
 	// BatchDelay is a configuration conflict (validated like
 	// Shards/BatchSize).
 	BatchAdaptive bool
-	// SnapshotInterval makes every replica capture a snapshot of its
-	// durable state (state-machine image, session frontiers, applied
-	// frontier) every this many applied instances and compact its log
-	// behind it, keeping memory bounded under sustained load (default 0
-	// = off, the paper's unbounded log). Snapshots also serve replica
-	// recovery: see RestartReplica. Validated like Shards/BatchSize.
+	// SnapshotInterval makes every replica compact its log every this
+	// many applied instances, keeping between one and two intervals of
+	// entries and so bounding memory under sustained load (default 0 =
+	// off, the paper's unbounded log). Nothing is encoded on that
+	// cadence: a snapshot of a replica's durable state (state-machine
+	// image, session frontiers, applied frontier) is captured only when
+	// a peer asks for state the log no longer holds — see
+	// RestartReplica. Validated like Shards/BatchSize.
 	SnapshotInterval int
 	// SnapshotChunkSize is the payload size of one snapshot transfer
 	// chunk during catch-up (default 64 KiB; capped well under the

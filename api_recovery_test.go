@@ -9,10 +9,12 @@ package consensusinside
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"consensusinside/internal/rsm"
 	"consensusinside/internal/shard"
 )
 
@@ -69,8 +71,10 @@ func TestCrashRestartEdgeCases(t *testing.T) {
 // transports × two shards. A replica of shard 0 is crashed mid-load and
 // restarted; every operation issued through the crash window must still
 // commit, the restarted replica must install a peer snapshot
-// (Restores >= 1 — the snapshot+suffix path, not blind replay), and the
-// shard's pipeline must be fully live again afterwards.
+// (Restores >= 1 — the snapshot+suffix path, not blind replay) captured
+// for it and for nobody before it, the shard's pipeline must be fully
+// live again afterwards, and the restarted replica's own state machine
+// must end up holding every acknowledged write.
 func TestKVRecoveryMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recovery matrix is wall-clock heavy")
@@ -106,17 +110,38 @@ func runRecoveryCell(t *testing.T, p Protocol, tr TransportKind) {
 	// proves isolation.
 	keyOn := func(sh, i int) string { return shard.KeyFor(fmt.Sprintf("rec%d-%d", sh, i), sh, shards) }
 
+	// acked is what shard 0's clients were told committed; the restarted
+	// replica must hold all of it in the end.
+	var ackedMu sync.Mutex
+	acked := map[string]string{}
+	put := func(sh, i int, val string) error {
+		key := keyOn(sh, i)
+		err := kv.Put(key, val)
+		if err == nil && sh == 0 {
+			ackedMu.Lock()
+			acked[key] = val
+			ackedMu.Unlock()
+		}
+		return err
+	}
+
 	// Seed enough commits on both shards that shard 0's replicas have
-	// snapshotted and compacted (interval 8) before the fault.
-	for i := 0; i < 40; i++ {
+	// compacted (interval 8) before the fault — and not a whole number of
+	// intervals, so the newest seeds lie past the last cadence tick.
+	const seeds = 43
+	for i := 0; i < seeds; i++ {
 		for sh := 0; sh < shards; sh++ {
-			if err := kv.Put(keyOn(sh, i), fmt.Sprintf("seed%d", i)); err != nil {
+			if err := put(sh, i, fmt.Sprintf("seed%d", i)); err != nil {
 				t.Fatalf("seed put: %v", err)
 			}
 		}
 	}
-	if s := kv.Obs().Counters; s["snap.snapshots"] == 0 {
-		t.Fatalf("no snapshots after seeding: %v", s)
+	s := kv.Obs().Counters
+	if kv.shards[0].engines[0].Log() != nil && s["snap.entries_truncated"] == 0 {
+		t.Fatalf("no compaction after seeding: %v", s)
+	}
+	if s["snap.snapshots"] != 0 {
+		t.Fatalf("a snapshot was captured with no peer asking for one: %v", s)
 	}
 
 	// Crash replica 1 of shard 0 (a non-coordinator follower: blocking
@@ -137,7 +162,7 @@ func runRecoveryCell(t *testing.T, p Protocol, tr TransportKind) {
 		go func(sh int) {
 			defer wg.Done()
 			for i := 0; i < crashOps; i++ {
-				if err := kv.Put(keyOn(sh, 100+i), fmt.Sprintf("crash%d", i)); err != nil {
+				if err := put(sh, 100+i, fmt.Sprintf("crash%d", i)); err != nil {
 					errs <- fmt.Errorf("shard %d op %d during crash window: %w", sh, i, err)
 					return
 				}
@@ -155,13 +180,17 @@ func runRecoveryCell(t *testing.T, p Protocol, tr TransportKind) {
 		t.Fatal(err)
 	}
 
-	// The restarted replica must have installed a peer snapshot.
+	// The restarted replica must have installed a peer snapshot, which
+	// some peer captured to serve it.
 	deadline := time.Now().Add(20 * time.Second)
 	for kv.Obs().Counters["snap.restores"] == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("restarted replica never restored a snapshot: %v", kv.Obs().Counters)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if s := kv.Obs().Counters; s["snap.snapshots"] == 0 {
+		t.Fatalf("a snapshot was restored but none was captured: %v", s)
 	}
 
 	// Commit flow is fully live again: concurrent bursts on the faulted
@@ -202,12 +231,37 @@ func runRecoveryCell(t *testing.T, p Protocol, tr TransportKind) {
 	if got, err := kv.Get(keyOn(0, 215)); err != nil || got != "post15" {
 		t.Fatalf("post-restart read = %q, %v; want post15", got, err)
 	}
+
+	// The restarted replica itself — not just the group — holds every
+	// acknowledged write: once it reports recovered and its last learns
+	// have drained, stop the service and read its state machine.
+	restarted := kv.shards[0].engines[victim]
+	for !restarted.Recovered() {
+		if time.Now().After(deadline) {
+			t.Fatal("restarted replica never reported Recovered")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	time.Sleep(200 * time.Millisecond)
+	kv.Close()
+	store := reflect.ValueOf(restarted).Elem().FieldByName("Store").Interface().(*rsm.KV)
+	missing := 0
+	for key, want := range acked {
+		if got, _ := store.Get(key); got != want {
+			missing++
+			t.Errorf("restarted replica: %s = %q, want %q", key, got, want)
+		}
+	}
+	if missing > 0 {
+		t.Fatalf("restarted replica misses %d of %d acknowledged writes", missing, len(acked))
+	}
 }
 
 // TestLogBoundedUnderSustainedLoad is the memory-bound acceptance: with
 // SnapshotInterval set, a 100k-op sustained run must keep every
 // replica's retained log entries bounded near the interval, not the op
-// count, and compaction must have truncated the difference.
+// count, compaction must have truncated the difference, and — nobody
+// having restarted or fallen below a floor — no snapshot was captured.
 func TestLogBoundedUnderSustainedLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-op sustained run")
@@ -235,8 +289,8 @@ func TestLogBoundedUnderSustainedLoad(t *testing.T) {
 	// below cannot race trailing learner applies.
 	kv.Close()
 
-	// The retained suffix trails the snapshot by at most one interval
-	// plus the entries applied since the last capture: 2x interval, with
+	// The floor trails the last cadence tick by one interval, and the
+	// entries applied since that tick are retained too: 2x interval, with
 	// headroom for in-flight application.
 	const bound = 3 * interval
 	for i, eng := range kv.shards[0].engines {
@@ -251,8 +305,11 @@ func TestLogBoundedUnderSustainedLoad(t *testing.T) {
 				i, got, log.Applied(), log.Floor(), bound)
 		}
 	}
-	if s["snap.snapshots"] == 0 || s["snap.entries_truncated"] == 0 {
+	if s["snap.entries_truncated"] == 0 {
 		t.Fatalf("no compaction under sustained load: %v", s)
+	}
+	if s["snap.snapshots"] != 0 || s["snap.snapshot_bytes"] != 0 {
+		t.Fatalf("snapshots captured with no restart and no peer below the floor: %v", s)
 	}
 	t.Logf("sustained run: %d ops, stats %v", ops, s)
 }

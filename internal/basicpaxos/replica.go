@@ -93,12 +93,12 @@ func NewReplica(cfg protocol.Config) *Replica {
 				r.nextInst = last + 1
 			}
 		},
-		OnSnapshot: func(int64) {
+		OnCompact: func(floor int64) {
 			// Per-instance acceptor records below the compaction floor are
 			// decided history; drop them with the log entries so the
 			// baseline's memory is bounded by the same knob.
 			for in := range r.acc {
-				if in < r.Log().Floor() {
+				if in < floor {
 					delete(r.acc, in)
 				}
 			}

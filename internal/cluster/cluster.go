@@ -140,11 +140,11 @@ type Spec struct {
 	LearnBatching bool          // 1Paxos acceptor-broadcast batching
 	LocalReads    bool          // 2PC joint-mode local reads
 
-	// SnapshotInterval makes every replica capture a durable-state
-	// snapshot every this many applied instances and compact its log
-	// behind it (internal/snapshot), bounding a long simulated run's
-	// memory. 0 — the default — is the paper's unbounded-log behavior.
-	// Validated by protocol.Build.
+	// SnapshotInterval makes every replica compact its log every this
+	// many applied instances (internal/snapshot), bounding a long
+	// simulated run's memory; a snapshot is captured only for a peer
+	// that asks from below the compaction floor. 0 — the default — is
+	// the paper's unbounded-log behavior. Validated by protocol.Build.
 	SnapshotInterval int
 
 	// SnapshotChunkSize is the snapshot transfer chunk size (0 = the

@@ -79,11 +79,11 @@ type Config struct {
 	// supports it (2PC joint-mode local reads, Section 7.5).
 	LocalReads bool
 
-	// SnapshotInterval makes the engine capture a snapshot of its
-	// durable state every this many applied instances (commands, for
-	// engines without an instance log) and compact its log behind it
-	// (internal/snapshot). Zero — the default — is the paper's
-	// unbounded-memory behavior.
+	// SnapshotInterval makes the engine compact its log every this many
+	// applied instances (internal/snapshot); an engine without an
+	// instance log has nothing to compact and ignores it. A snapshot is
+	// captured only when a peer needs state the log cannot supply. Zero
+	// — the default — is the paper's unbounded-memory behavior.
 	SnapshotInterval int
 
 	// SnapshotChunkSize is the snapshot transfer chunk payload size

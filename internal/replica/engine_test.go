@@ -152,7 +152,7 @@ func TestSixthEngineEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	put(0, 40) // past two snapshot intervals: the leader compacts its log
+	put(0, 40) // past two compaction intervals: every replica compacts its log
 	for i := 0; i < 40; i += 13 {
 		if got, err := kv.Get(fmt.Sprintf("k%d", i)); err != nil || got != fmt.Sprintf("v%d", i) {
 			t.Fatalf("get k%d = %q, %v", i, got, err)
@@ -162,8 +162,8 @@ func TestSixthEngineEndToEnd(t *testing.T) {
 	if o["read.local_reads"] == 0 {
 		t.Errorf("no read was served under the lease: %v", o)
 	}
-	if o["snap.snapshots"] == 0 {
-		t.Fatalf("no snapshots after 40 commits at interval 8: %v", o)
+	if o["snap.entries_truncated"] == 0 {
+		t.Fatalf("no compaction after 40 commits at interval 8: %v", o)
 	}
 
 	const victim = 1 // a follower: the leader decides alone

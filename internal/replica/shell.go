@@ -32,8 +32,8 @@ type Agreement struct {
 
 	// NoLog marks an engine that agrees on commands without ordering
 	// them into instances (2PC): the shell builds no learner log, Log
-	// reports nil, snapshots count applied commands, and the engine
-	// applies commands itself and calls AfterApply for each.
+	// reports nil, there is nothing to compact, and the engine applies
+	// commands itself and calls AfterApply for each.
 	NoLog bool
 
 	// HasLeader marks engines with a distinguished serving node (a
@@ -68,14 +68,15 @@ type Agreement struct {
 
 	// OnApply runs once per applied instance, after the shell recorded
 	// the session results and answered the client and before the read
-	// path and snapshot hooks: the place to retire per-instance
+	// path and compaction hooks: the place to retire per-instance
 	// proposer state.
 	OnApply func(e rsm.Entry)
 
-	// OnRestore runs after a peer snapshot was installed, OnSnapshot
-	// after each local capture (see snapshot.Manager).
-	OnRestore  func(lastApplied int64)
-	OnSnapshot func(lastApplied int64)
+	// OnRestore runs after a peer snapshot was installed, OnCompact
+	// after each compaction tick with the log's floor (see
+	// snapshot.Manager).
+	OnRestore func(lastApplied int64)
+	OnCompact func(floor int64)
 }
 
 // Shell is one replica's shared state. An engine embeds it by value,
@@ -148,7 +149,7 @@ func (s *Shell) Init(cfg protocol.Config, a Agreement) {
 		Events:       cfg.Events,
 	}, s.log, s.Sessions, cfg.Applier)
 	s.Snap.OnRestore(a.OnRestore)
-	s.Snap.OnSnapshot(a.OnSnapshot)
+	s.Snap.OnCompact(a.OnCompact)
 
 	mode := cfg.ReadMode
 	if s.Store == nil {
@@ -351,7 +352,7 @@ func (s *Shell) SendReplies(client msg.NodeID, replies []msg.ClientReply) {
 
 // AfterApply counts one commit and runs the per-commit hooks: reads
 // whose confirmed frontier the state machine now covers are served, and
-// the snapshot cadence advances (noops count too). The shell calls it
+// the compaction cadence advances (noops count too). The shell calls it
 // per applied instance; a NoLog engine calls it per applied command.
 func (s *Shell) AfterApply() {
 	s.commits++

@@ -175,13 +175,17 @@ func TestApplyAnswersBatchWithOneMessage(t *testing.T) {
 }
 
 // A gap-filling no-op sends nothing to any client, but it is a commit
-// like any other for the hooks behind the apply: the snapshot cadence
+// like any other for the hooks behind the apply: the compaction cadence
 // advances and a confirmed read waiting on the instance is served.
 func TestApplyNoopSendsNothingButRunsBothHooks(t *testing.T) {
+	ticks := 0
 	s, ctx := newShell(t, func(c *protocol.Config) {
 		c.SnapshotInterval = 1
 		c.ReadMode = readpath.Index
-	}, replica.Agreement{Frontier: func() int64 { return 1 }}) // instance 0 is in flight
+	}, replica.Agreement{
+		Frontier:  func() int64 { return 1 }, // instance 0 is in flight
+		OnCompact: func(int64) { ticks++ },
+	})
 	const reader = msg.NodeID(8)
 	s.Route(ctx, reader, msg.ReadRequest{Client: reader, Entries: []msg.BatchEntry{{Seq: 1, Cmd: msg.Command{Op: msg.OpGet, Key: "k"}}}})
 	s.Route(ctx, 1, msg.ReadIndexAck{Round: 1, OK: true, Frontier: 1})
@@ -200,8 +204,8 @@ func TestApplyNoopSendsNothingButRunsBothHooks(t *testing.T) {
 	if got := ctx.SentTo(reader); len(got) != 1 {
 		t.Errorf("read path hook did not run: %d read replies after the apply, want 1", len(got))
 	}
-	if got := s.Snap.Stats.Snapshots.Load(); got != 1 {
-		t.Errorf("snapshot hook did not run: %d snapshots at interval 1, want 1", got)
+	if ticks != 1 {
+		t.Errorf("compaction hook did not run: %d ticks at interval 1, want 1", ticks)
 	}
 	if s.Commits() != 1 {
 		t.Errorf("Commits = %d, want 1 (no-ops count)", s.Commits())

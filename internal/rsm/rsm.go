@@ -128,16 +128,17 @@ type Entry struct {
 // to an Applier strictly in instance order with no gaps.
 //
 // The retained history can be bounded: CompactTo drops applied entries
-// below a compaction floor once a snapshot (internal/snapshot) has
-// captured the state they produced, and InstallSnapshot seeds a
-// recovering log directly at a snapshot's frontier. Instances below
-// Floor are decided but no longer individually retrievable — callers
-// that would have served them (prepare answers, catch-up) must fall
-// back to shipping the snapshot instead.
+// below a compaction floor — the state machine has applied them, and a
+// snapshot of it (internal/snapshot) stands in for them — and
+// InstallSnapshot seeds a recovering log directly at a snapshot's
+// frontier. Instances below Floor are decided but no longer
+// individually retrievable — callers that would have served them
+// (prepare answers, catch-up) must fall back to shipping a snapshot
+// instead.
 type Log struct {
 	learned map[int64]msg.Value
 	applied int64 // next instance to apply
-	floor   int64 // lowest retained instance; below it only the snapshot remains
+	floor   int64 // lowest retained instance; below it only the applied state remains
 	applier Applier
 	history []Entry // applied suffix [floor, applied), for audits and consistency checks
 	onApply func(e Entry, results []string)
@@ -314,7 +315,8 @@ func (l *Log) Applied() int { return int(l.applied) }
 func (l *Log) Retained() int { return len(l.history) }
 
 // Floor reports the compaction floor: the lowest instance whose entry
-// is still retained. Everything below it is covered by a snapshot.
+// is still retained. Everything below it lives on only in the state
+// machine (and in a snapshot of it, for a peer that asks).
 func (l *Log) Floor() int64 { return l.floor }
 
 // History returns a copy of the retained applied suffix ([Floor,
@@ -368,9 +370,11 @@ func (l *Log) Scan(from int64, fn func(Entry) bool) {
 
 // CompactTo raises the compaction floor to floor (clamped to the
 // applied frontier; the floor never regresses) and discards the
-// retained entries below it, returning how many were dropped. Call it
-// only after a snapshot captured the state through floor-1: the dropped
-// values are unrecoverable from this log afterwards.
+// retained entries below it, returning how many were dropped. The
+// dropped values are unrecoverable from this log afterwards; what
+// stands in for them is the live state machine, which has applied every
+// one and can be snapshotted for a peer that still needs them — so
+// compact only a log whose applier can be (snapshot.Manager's guard).
 func (l *Log) CompactTo(floor int64) int {
 	if floor > l.applied {
 		floor = l.applied

@@ -6,7 +6,7 @@ package snapshot
 //	Receive:  if r.snap.Handle(ctx, from, m) { return }
 //	Timer:    if r.snap.HandleTimer(ctx, tag) { return }
 //	Start:    r.snap.Start(ctx)
-//	onApply:  r.snap.AfterApply()      (per applied instance/command)
+//	onApply:  r.snap.AfterApply()      (per applied instance)
 //
 // plus a CatchingUp guard on the client-request path, so a recovering
 // replica does not propose (or lead) before it has learned what the
@@ -53,12 +53,12 @@ type Config struct {
 	ID       msg.NodeID
 	Replicas []msg.NodeID
 
-	// Interval captures a snapshot every this many applied instances
-	// (applied commands, for engines without an instance log) and
-	// compacts the log behind it. Zero or negative disables periodic
-	// capture — the paper's unbounded-memory behavior; catch-up then
-	// serves full log replay (or an on-demand snapshot where the log
-	// cannot cover the request).
+	// Interval compacts the log every this many applied instances: each
+	// tick raises the floor to the previous tick's frontier, so between
+	// one and two intervals of applied entries stay retained. Zero or
+	// negative never compacts — the paper's unbounded-memory behavior.
+	// Either way a snapshot is captured only when a peer asks for state
+	// the log no longer (or, for an engine without a log, never) holds.
 	Interval int64
 
 	// ChunkSize is the snapshot chunk payload size (default
@@ -87,14 +87,12 @@ type Manager struct {
 	sessions *rsm.Sessions
 	state    State // nil when the applier is not snapshottable
 
-	onRestore  func(lastApplied int64)
-	onSnapshot func(lastApplied int64)
+	onRestore func(lastApplied int64)
+	onCompact func(floor int64)
 
-	// Latest periodic snapshot, kept encoded so serving a catch-up is a
-	// chunked copy, not a re-encode.
-	encoded  []byte
-	snapLast int64
-	applies  int64 // applied commands since last capture (log-less engines)
+	// tick is the applied frontier at the last compaction tick — the
+	// floor the next tick raises the log to.
+	tick int64
 
 	// Recovering-side state.
 	catchingUp   bool
@@ -116,13 +114,13 @@ type Manager struct {
 	Stats Counters
 }
 
-// Counters is one replica's recovery-subsystem accounting: how often it
-// captured and compacted, how much catch-up traffic it served, and
-// whether it ever restored itself from a peer's snapshot. The Manager
-// adds to it on the engine goroutine; every field is atomic because
-// deployments read it from arbitrary goroutines during load.
+// Counters is one replica's recovery-subsystem accounting: how much it
+// compacted, how many snapshots and how much catch-up traffic it served
+// to peers, and whether it ever restored itself from a peer's snapshot.
+// The Manager adds to it on the engine goroutine; every field is atomic
+// because deployments read it from arbitrary goroutines during load.
 type Counters struct {
-	Snapshots         atomic.Int64 // snapshots captured (periodic and on-demand)
+	Snapshots         atomic.Int64 // snapshots captured, each to serve one catch-up
 	SnapshotBytes     atomic.Int64 // encoded bytes across captured snapshots
 	EntriesTruncated  atomic.Int64 // applied log entries dropped by compaction
 	CatchupsServed    atomic.Int64 // catch-up requests answered for peers
@@ -163,7 +161,6 @@ func New(cfg Config, log *rsm.Log, sessions *rsm.Sessions, applier rsm.Applier) 
 		log:      log,
 		sessions: sessions,
 		state:    state,
-		snapLast: -1,
 	}
 	for _, id := range cfg.Replicas {
 		if id != cfg.ID {
@@ -190,10 +187,10 @@ func (m *Manager) CatchingUp() bool { return m.catchingUp }
 // instance ownership, 1Paxos's no-op floor) with the restored log.
 func (m *Manager) OnRestore(fn func(lastApplied int64)) { m.onRestore = fn }
 
-// OnSnapshot registers a callback run after each local capture — the
-// hook engines use to drop private state the snapshot now covers (2PC
-// truncates its apply history).
-func (m *Manager) OnSnapshot(fn func(lastApplied int64)) { m.onSnapshot = fn }
+// OnCompact registers a callback run after each compaction tick with
+// the log's floor — the hook engines use to drop private per-instance
+// state below it (Basic-Paxos prunes its acceptor records).
+func (m *Manager) OnCompact(fn func(floor int64)) { m.onCompact = fn }
 
 // Start begins recovery when the Manager was configured with Recover.
 func (m *Manager) Start(ctx runtime.Context) {
@@ -310,44 +307,27 @@ func (m *Manager) WatchGap(ctx runtime.Context) {
 	m.armRetry(ctx)
 }
 
-// AfterApply is the engines' per-applied-instance hook: it captures a
-// snapshot and advances the compaction floor once Interval instances
-// have been applied since the last one. The floor trails the snapshot
-// by one interval (the newest interval's entries stay retained), so
-// only peers lagging more than an interval pay for a state transfer.
+// AfterApply is the engines' per-applied-instance hook, the compaction
+// cadence: once Interval instances have been applied since the last
+// tick, the log's floor rises to that tick's frontier and the engine's
+// OnCompact hook runs. The floor trails the frontier by at least one
+// interval, so only a peer lagging more than that pays for a state
+// transfer. Nothing is captured here — the live state machine is the
+// snapshot of everything compacted, and Serve encodes it on request —
+// which is also why a replica whose applier cannot be snapshotted
+// never compacts.
 func (m *Manager) AfterApply() {
-	if m.cfg.Interval <= 0 || m.state == nil {
+	if m.cfg.Interval <= 0 || m.state == nil || m.log == nil {
 		return
 	}
-	if m.log == nil {
-		if m.applies++; m.applies >= m.cfg.Interval {
-			m.applies = 0
-			m.capture(-1)
-		}
+	next := m.log.NextToApply()
+	if next-m.tick < m.cfg.Interval {
 		return
 	}
-	if m.log.NextToApply()-(m.snapLast+1) >= m.cfg.Interval {
-		m.capture(m.log.NextToApply() - 1)
-	}
-}
-
-// capture encodes the current state as the retained snapshot and, for
-// log engines, compacts up to the previous snapshot's frontier.
-func (m *Manager) capture(lastApplied int64) {
-	prev := m.snapLast
-	m.encoded = Encode(Snapshot{
-		LastApplied: lastApplied,
-		State:       m.state.SnapshotState(),
-		Lanes:       m.sessions.Export(),
-	})
-	m.snapLast = lastApplied
-	m.Stats.Snapshots.Add(1)
-	m.Stats.SnapshotBytes.Add(int64(len(m.encoded)))
-	if m.log != nil && prev >= 0 {
-		m.Stats.EntriesTruncated.Add(int64(m.log.CompactTo(prev + 1)))
-	}
-	if m.onSnapshot != nil {
-		m.onSnapshot(lastApplied)
+	m.Stats.EntriesTruncated.Add(int64(m.log.CompactTo(m.tick)))
+	m.tick = next
+	if m.onCompact != nil {
+		m.onCompact(m.log.Floor())
 	}
 }
 
@@ -372,14 +352,13 @@ func (m *Manager) Serve(ctx runtime.Context, to msg.NodeID, from int64) {
 	m.sendEntries(ctx, to, start)
 }
 
-// servableSnapshot returns the retained snapshot, or captures one on
-// demand (without compacting) when none exists yet — how a replica with
-// periodic snapshotting off, or a log-less engine, still serves a
-// restarted peer.
+// servableSnapshot captures this replica's state at its current applied
+// frontier — the one place a snapshot is ever built, and only because a
+// peer needs state the log cannot supply: it fell below the compaction
+// floor, or the engine keeps no log. The image is as fresh as the
+// server, so a log-less engine's restarted replica misses nothing the
+// server applied.
 func (m *Manager) servableSnapshot() ([]byte, int64, bool) {
-	if m.encoded != nil {
-		return m.encoded, m.snapLast, true
-	}
 	if m.state == nil {
 		return nil, 0, false
 	}
@@ -402,8 +381,8 @@ func (m *Manager) sendChunks(ctx runtime.Context, to msg.NodeID, enc []byte) {
 	for off, seq := 0, int64(0); off < len(enc); off, seq = off+size, seq+1 {
 		end := min(off+size, len(enc))
 		m.Stats.ChunksSent.Add(1)
-		// The chunk aliases enc, which is replaced (never mutated) by
-		// later captures; receivers copy into their assembly buffer.
+		// The chunk aliases enc, which this transfer owns and nobody
+		// mutates; receivers copy into their assembly buffer.
 		ctx.Send(to, msg.SnapshotChunk{Seq: seq, Last: end == len(enc), Data: enc[off:end]})
 	}
 }

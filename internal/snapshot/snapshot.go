@@ -15,18 +15,21 @@
 //     (rsm.Sessions.Export — so exactly-once dedupe survives recovery),
 //     and the last applied instance.
 //
-//   - A Manager every engine embeds. It captures a snapshot every
-//     SnapshotInterval applied instances and raises the log's
-//     compaction floor behind it (rsm.Log.CompactTo), answers peers'
-//     msg.CatchupRequest with either the retained log suffix or a
-//     chunked snapshot plus the suffix above it, and — on a replica
-//     started in Recover mode — streams that state from a live peer
-//     until the replica has converged.
+//   - A Manager every engine embeds. Every SnapshotInterval applied
+//     instances it raises the log's compaction floor to the previous
+//     tick's frontier (rsm.Log.CompactTo) — encoding nothing: the live
+//     state machine is the snapshot of what was dropped. It answers
+//     peers' msg.CatchupRequest with the retained log suffix, or, for a
+//     peer below the floor, with a snapshot captured then and there at
+//     its own applied frontier, chunked, plus the suffix above it; and
+//     — on a replica started in Recover mode — it streams that state
+//     from a live peer until the replica has converged.
 //
-// The snapshot always lags one interval behind the frontier: the most
-// recent interval's entries stay retained, so prepare answers and
+// The floor always lags at least one interval behind the frontier: the
+// most recent interval's entries stay retained, so prepare answers and
 // catch-ups for mildly lagging peers are served from the log, and only
-// a peer below the floor pays for a full state transfer.
+// a peer below the floor pays for a full state transfer — and only
+// then does its server pay for a capture.
 package snapshot
 
 import (
@@ -113,8 +116,8 @@ func (s *Snapshot) wire(c *wire.Codec) {
 	}
 }
 
-// sizeHint estimates Encode's output so that a capture, which stalls
-// the replica, allocates its image once instead of by append's
+// sizeHint estimates Encode's output so that a capture, which runs on
+// the serving replica's own goroutine, allocates its image once instead of by append's
 // doublings. A short estimate is harmless: appending still grows.
 func sizeHint(s *Snapshot) int {
 	n := 16 + len(s.State)

@@ -310,8 +310,9 @@ func deliver(t *testing.T, ctxA, ctxB *runtime.FakeContext, a, b *Manager) {
 func TestManagerTransferRestoresReplica(t *testing.T) {
 	const ops = 900
 	server, slog, skv, _ := buildServer(t, Config{ID: 0, Replicas: []msg.NodeID{0, 1}, Interval: 100, ChunkSize: 512}, ops)
-	if server.Stats.Snapshots.Load() == 0 || slog.Retained() >= ops {
-		t.Fatalf("server never snapshotted/compacted: stats=%v retained=%d", snapCounts(server), slog.Retained())
+	if slog.Floor() != ops-100 || server.Stats.EntriesTruncated.Load() != ops-100 || server.Stats.Snapshots.Load() != 0 {
+		t.Fatalf("server floor %d after %d applies at interval 100, want %d truncated and nothing captured: stats=%v",
+			slog.Floor(), ops, ops-100, snapCounts(server))
 	}
 
 	fresh, flog, fkv, fsessions := buildServer(t, Config{ID: 1, Replicas: []msg.NodeID{0, 1}, Recover: true}, 0)
@@ -326,8 +327,8 @@ func TestManagerTransferRestoresReplica(t *testing.T) {
 	if fresh.CatchingUp() {
 		t.Fatal("transfer never completed")
 	}
-	if fresh.Stats.Restores.Load() != 1 {
-		t.Fatalf("restores = %d, want 1", fresh.Stats.Restores.Load())
+	if fresh.Stats.Restores.Load() != 1 || server.Stats.Snapshots.Load() != 1 {
+		t.Fatalf("restores = %d, captures served = %d, want 1 and 1", fresh.Stats.Restores.Load(), server.Stats.Snapshots.Load())
 	}
 	if flog.NextToApply() != slog.NextToApply() {
 		t.Fatalf("frontiers diverge after catch-up: fresh %d, server %d", flog.NextToApply(), slog.NextToApply())
@@ -352,6 +353,32 @@ func TestManagerTransferRestoresReplica(t *testing.T) {
 	// The server chunked the snapshot (512B chunks over a multi-KB image).
 	if server.Stats.ChunksSent.Load() < 2 {
 		t.Errorf("chunks sent = %d, want several at ChunkSize 512", server.Stats.ChunksSent.Load())
+	}
+}
+
+// TestLogLessTransferIsCurrent: an engine with no instance log (2PC)
+// has no suffix to stream, so the image a restarted replica installs
+// must be the server's state as of the request — whatever the interval,
+// and also when the applied count is not a multiple of it.
+func TestLogLessTransferIsCurrent(t *testing.T) {
+	const ops = 43
+	skv, ssessions := rsm.NewKV(), rsm.NewSessions()
+	server := New(Config{ID: 0, Replicas: []msg.NodeID{0, 1}, Interval: 8}, nil, ssessions, skv)
+	for i := 0; i < ops; i++ {
+		v := msg.Value{Client: 1, Seq: uint64(i + 1), Cmd: msg.Command{Op: msg.OpPut, Key: fmt.Sprintf("k%d", i), Val: "v"}}
+		ssessions.Done(1, v.Seq, -1, skv.Apply(v))
+		server.AfterApply()
+	}
+	fkv, fsessions := rsm.NewKV(), rsm.NewSessions()
+	fresh := New(Config{ID: 1, Replicas: []msg.NodeID{0, 1}, Interval: 8, Recover: true}, nil, fsessions, fkv)
+	ctxS, ctxF := runtime.NewFakeContext(0, 2), runtime.NewFakeContext(1, 2)
+	fresh.Start(ctxF)
+	deliver(t, ctxS, ctxF, server, fresh)
+	if !fresh.Recovered() || fresh.Stats.Restores.Load() != 1 || server.Stats.Snapshots.Load() != 1 {
+		t.Fatalf("transfer did not complete with one capture: fresh %v, server %v", snapCounts(fresh), snapCounts(server))
+	}
+	if fkv.Len() != ops || !fsessions.Seen(1, ops) {
+		t.Fatalf("restored %d of %d keys (newest command seen: %v) — the image was older than the server", fkv.Len(), ops, fsessions.Seen(1, ops))
 	}
 }
 

@@ -56,8 +56,6 @@ type Replica struct {
 	prepared map[int64]msg.Value
 	waiting  map[string][]pendingPrepare // prepares blocked on a lock
 
-	history []msg.Value // local apply order, for tests; truncated by snapshots
-
 	localReads int64
 }
 
@@ -113,15 +111,15 @@ func New(cfg protocol.Config) *Replica {
 		prepared: make(map[int64]msg.Value),
 		waiting:  make(map[string][]pendingPrepare),
 	}
-	// The snapshot (state image + session frontiers) is the entire
-	// recovery story, taken every SnapshotInterval applied commands. The
-	// fixed coordinator is the serialization point — no other node ever
-	// commits independently, and the coordinator answers a client only
-	// after applying locally — so read-index reads are served at the
-	// coordinator with no confirmation round at all. Lease mode degrades
-	// to read-index (a lease adds nothing to a node that can never be
-	// deposed); follower mode serves stale-bounded reads from any
-	// participant.
+	// A snapshot (state image + session frontiers) is the entire recovery
+	// story: with no log to stream, a peer captures one at its current
+	// state whenever a restarted replica asks. The fixed coordinator is
+	// the serialization point — no other node ever commits independently,
+	// and the coordinator answers a client only after applying locally —
+	// so read-index reads are served at the coordinator with no
+	// confirmation round at all. Lease mode degrades to read-index (a
+	// lease adds nothing to a node that can never be deposed); follower
+	// mode serves stale-bounded reads from any participant.
 	r.Init(cfg, replica.Agreement{
 		NoLog:        true,
 		RetryTimeout: 2 * cfg.TxRetryTimeout,
@@ -130,24 +128,12 @@ func New(cfg protocol.Config) *Replica {
 		Leader:       func() msg.NodeID { return r.coord },
 		Confirmers:   func() []msg.NodeID { return nil },
 		Frontier:     r.Commits,
-		OnSnapshot: func(int64) {
-			// The apply history below the snapshot is captured by its state
-			// image; dropping it is what bounds this engine's memory.
-			r.history = r.history[:0]
-		},
 	})
 	return r
 }
 
 // LocalReads reports how many reads were served from the local copy.
 func (r *Replica) LocalReads() int64 { return r.localReads }
-
-// History returns a copy of the local apply order.
-func (r *Replica) History() []msg.Value {
-	out := make([]msg.Value, len(r.history))
-	copy(out, r.history)
-	return out
-}
 
 // Timer implements runtime.Handler: the protocol itself sets no timers
 // (it blocks, by design) — only the optional transaction retransmit and
@@ -451,7 +437,6 @@ func (r *Replica) applyCommit(txID int64, v msg.Value) {
 		if !r.Sessions.Seen(sub.Client, sub.Seq) {
 			result := r.Cfg.Applier.Apply(sub)
 			r.Sessions.Done(sub.Client, sub.Seq, txID, result)
-			r.history = append(r.history, sub)
 			r.AfterApply()
 		}
 	}

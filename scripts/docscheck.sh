@@ -192,6 +192,27 @@ if [ -n "$halves" ]; then
     fail=1
 fi
 
+# A snapshot is captured when a peer asks for one (DESIGN.md, "Capture &
+# compaction"): the compaction cadence encodes nothing and the Manager
+# keeps no image. Encode( or SnapshotState( called from a second function
+# in manager.go, or a []byte field on the Manager besides the receiving
+# side's assembly buffer, is the eager capture path growing back.
+mgr=internal/snapshot/manager.go
+capturers=$(sed 's,//.*$,,' "$mgr" |
+    awk '/^func /{fn=$0} /Encode\(|SnapshotState\(/{print fn}' | sort -u)
+if [ "$(printf '%s' "$capturers" | grep -c .)" -gt 1 ]; then
+    echo "docscheck: $mgr builds a snapshot in more than one function; servableSnapshot is the one capture path:" >&2
+    echo "$capturers" >&2
+    fail=1
+fi
+images=$(sed 's,//.*$,,' "$mgr" |
+    awk '/^type Manager struct/{on=1} on&&/^}/{on=0} on&&/\[\]byte/&&$1!="assembling"')
+if [ -n "$images" ]; then
+    echo "docscheck: snapshot.Manager retains an encoded image; a snapshot is captured per request and owned by its transfer:" >&2
+    echo "$images" >&2
+    fail=1
+fi
+
 # Experiments are data (internal/experiments): one Row type, one
 # renderer, one list. A Print* function or a second ...Row / ...Point
 # struct there is a hand-rolled driver growing back, and a Registry id
