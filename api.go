@@ -189,10 +189,6 @@ type KVConfig struct {
 	// a peer asks for state the log no longer holds — see
 	// RestartReplica. Validated like Shards/BatchSize.
 	SnapshotInterval int
-	// SnapshotChunkSize is the payload size of one snapshot transfer
-	// chunk during catch-up (default 64 KiB; capped well under the
-	// transport's frame limit).
-	SnapshotChunkSize int
 	// ReadMode selects how Get is served (default ReadConsensus, the
 	// paper's read-through-the-log behavior). ReadLease, ReadIndex and
 	// ReadFollower serve reads from a replica's local state machine,
@@ -225,11 +221,6 @@ type KVConfig struct {
 	// /debug/pprof (net/http/pprof). See KV.ServeDebug.
 	DebugAddr string
 }
-
-// MaxSnapshotChunk bounds KVConfig.SnapshotChunkSize: chunks must stay
-// comfortably under the transport's 16 MiB frame guard. An alias of the
-// bound protocol.Build enforces for every deployment.
-const MaxSnapshotChunk = protocol.MaxSnapshotChunk
 
 // KV is a linearizable replicated string map: every operation (reads
 // included, per Section 7.5's strong-consistency mode) is a consensus
@@ -391,19 +382,18 @@ func startKVShard(cfg KVConfig, shardIdx int, tracer *trace.Tracer, events *obs.
 	sh := &kvShard{crashed: make([]bool, cfg.Replicas), tracer: tracer}
 	sh.build = func(id msg.NodeID, recover bool) (protocol.Engine, error) {
 		return protocol.Build(cfg.Protocol, protocol.Config{
-			ID:                id,
-			Replicas:          ids,
-			AcceptTimeout:     cfg.AcceptTimeout,
-			TakeoverBackoff:   cfg.AcceptTimeout / 2,
-			UtilRetryTimeout:  cfg.AcceptTimeout,
-			SnapshotInterval:  cfg.SnapshotInterval,
-			SnapshotChunkSize: cfg.SnapshotChunkSize,
-			TxRetryTimeout:    cfg.AcceptTimeout,
-			Recover:           recover,
-			ReadMode:          readpath.Mode(cfg.ReadMode),
-			LeaseDuration:     cfg.LeaseDuration,
-			Tracer:            tracer,
-			Events:            events,
+			ID:               id,
+			Replicas:         ids,
+			AcceptTimeout:    cfg.AcceptTimeout,
+			TakeoverBackoff:  cfg.AcceptTimeout / 2,
+			UtilRetryTimeout: cfg.AcceptTimeout,
+			SnapshotInterval: cfg.SnapshotInterval,
+			TxRetryTimeout:   cfg.AcceptTimeout,
+			Recover:          recover,
+			ReadMode:         readpath.Mode(cfg.ReadMode),
+			LeaseDuration:    cfg.LeaseDuration,
+			Tracer:           tracer,
+			Events:           events,
 		})
 	}
 	handlers := make([]runtime.Handler, 0, cfg.Replicas+1)

@@ -88,17 +88,11 @@ func TestKVShardsValidation(t *testing.T) {
 	}
 }
 
-// TestKVSnapshotValidation pins the snapshot knobs' error cases,
+// TestKVSnapshotValidation pins the snapshot knob's error case,
 // mirroring the Shards table.
 func TestKVSnapshotValidation(t *testing.T) {
 	if _, err := StartKV(KVConfig{SnapshotInterval: -1}); err == nil {
 		t.Error("negative snapshot interval accepted")
-	}
-	if _, err := StartKV(KVConfig{SnapshotChunkSize: -1}); err == nil {
-		t.Error("negative snapshot chunk size accepted")
-	}
-	if _, err := StartKV(KVConfig{SnapshotChunkSize: MaxSnapshotChunk + 1}); err == nil {
-		t.Error("oversized snapshot chunk accepted")
 	}
 }
 

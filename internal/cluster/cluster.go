@@ -147,11 +147,6 @@ type Spec struct {
 	// the paper's unbounded-log behavior. Validated by protocol.Build.
 	SnapshotInterval int
 
-	// SnapshotChunkSize is the snapshot transfer chunk size (0 = the
-	// snapshot package default); validated against the transport frame
-	// budget a real deployment of the same shape would enforce.
-	SnapshotChunkSize int
-
 	// RecoverNodes lists replica indices (within each group) that boot
 	// in recovery mode: empty state, streaming a snapshot and log
 	// suffix from their peers before serving (internal/snapshot). The
@@ -344,21 +339,20 @@ func (c *Cluster) clientConfig(id msg.NodeID, i int) workload.Config {
 func (c *Cluster) newServer(id msg.NodeID, serverIDs []msg.NodeID, joint, recover bool) (Server, error) {
 	spec := c.Spec
 	return protocol.Build(spec.Protocol, protocol.Config{
-		ID:                id,
-		Replicas:          serverIDs,
-		Applier:           rsm.NewKV(),
-		AcceptTimeout:     spec.AcceptTimeout,
-		ForwardToLeader:   joint,
-		LearnBatching:     spec.LearnBatching,
-		LocalReads:        spec.LocalReads,
-		SnapshotInterval:  spec.SnapshotInterval,
-		SnapshotChunkSize: spec.SnapshotChunkSize,
-		Recover:           recover,
-		ReadMode:          spec.ReadMode,
-		LeaseDuration:     spec.LeaseDuration,
-		TxRetryTimeout:    spec.TxRetryTimeout,
-		Tracer:            c.Tracer,
-		Events:            c.Events,
+		ID:               id,
+		Replicas:         serverIDs,
+		Applier:          rsm.NewKV(),
+		AcceptTimeout:    spec.AcceptTimeout,
+		ForwardToLeader:  joint,
+		LearnBatching:    spec.LearnBatching,
+		LocalReads:       spec.LocalReads,
+		SnapshotInterval: spec.SnapshotInterval,
+		Recover:          recover,
+		ReadMode:         spec.ReadMode,
+		LeaseDuration:    spec.LeaseDuration,
+		TxRetryTimeout:   spec.TxRetryTimeout,
+		Tracer:           c.Tracer,
+		Events:           c.Events,
 	})
 }
 

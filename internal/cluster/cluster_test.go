@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"consensusinside/internal/msg"
-	"consensusinside/internal/protocol"
 	"consensusinside/internal/readpath"
 	"consensusinside/internal/rsm"
 	"consensusinside/internal/shard"
@@ -393,8 +392,6 @@ func TestBatchValidation(t *testing.T) {
 		{"batch beyond the default closed loop", func(s *Spec) { s.BatchSize = 2 }},
 		{"negative batch delay", func(s *Spec) { s.Window = 8; s.BatchSize = 4; s.BatchDelay = -time.Millisecond }},
 		{"negative snapshot interval", func(s *Spec) { s.SnapshotInterval = -1 }},
-		{"negative snapshot chunk size", func(s *Spec) { s.SnapshotChunkSize = -1 }},
-		{"oversized snapshot chunk", func(s *Spec) { s.SnapshotChunkSize = protocol.MaxSnapshotChunk + 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

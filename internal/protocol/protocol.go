@@ -86,10 +86,6 @@ type Config struct {
 	// — the default — is the paper's unbounded-memory behavior.
 	SnapshotInterval int
 
-	// SnapshotChunkSize is the snapshot transfer chunk payload size
-	// (zero means snapshot.DefaultChunkSize).
-	SnapshotChunkSize int
-
 	// Recover makes the engine stream a snapshot and log suffix from a
 	// live peer before serving clients — the restarted-replica mode
 	// (KV.RestartReplica builds engines with this set).
@@ -195,10 +191,6 @@ func IDs() []ID {
 	return out
 }
 
-// MaxSnapshotChunk bounds Config.SnapshotChunkSize: chunks must stay
-// comfortably under the TCP transport's 16 MiB frame guard.
-const MaxSnapshotChunk = 4 << 20
-
 // Build validates cfg against id's registration and constructs an
 // engine. It returns an error for unknown protocols, malformed groups
 // and out-of-range snapshot, read-path and retry settings, so every
@@ -226,9 +218,6 @@ func Build(id ID, cfg Config) (Engine, error) {
 	}
 	if cfg.SnapshotInterval < 0 {
 		return nil, fmt.Errorf("protocol: negative snapshot interval %d", cfg.SnapshotInterval)
-	}
-	if cfg.SnapshotChunkSize < 0 || cfg.SnapshotChunkSize > MaxSnapshotChunk {
-		return nil, fmt.Errorf("protocol: snapshot chunk size %d outside [0,%d]", cfg.SnapshotChunkSize, MaxSnapshotChunk)
 	}
 	if !cfg.ReadMode.Valid() {
 		return nil, fmt.Errorf("protocol: unknown read mode %d", int(cfg.ReadMode))

@@ -143,7 +143,6 @@ func (s *Shell) Init(cfg protocol.Config, a Agreement) {
 		ID:           cfg.ID,
 		Replicas:     cfg.Replicas,
 		Interval:     int64(cfg.SnapshotInterval),
-		ChunkSize:    cfg.SnapshotChunkSize,
 		Recover:      cfg.Recover,
 		RetryTimeout: a.RetryTimeout,
 		Events:       cfg.Events,

@@ -76,85 +76,6 @@ func TestInProcPairwiseFIFO(t *testing.T) {
 	}
 }
 
-func TestInProcSelfSend(t *testing.T) {
-	done := make(chan msg.NodeID, 1)
-	h := HandlerFunc{
-		OnStart: func(ctx Context) { ctx.Send(ctx.ID(), echoMsg{}) },
-		OnReceive: func(ctx Context, from msg.NodeID, m msg.Message) {
-			done <- from
-		},
-	}
-	c := NewInProcCluster([]Handler{h})
-	defer c.Stop()
-	select {
-	case from := <-done:
-		if from != 0 {
-			t.Fatalf("self send reported from %d", from)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("self send never delivered")
-	}
-}
-
-func TestInProcTimers(t *testing.T) {
-	fired := make(chan TimerTag, 2)
-	h := HandlerFunc{
-		OnStart: func(ctx Context) {
-			cancel := ctx.After(time.Millisecond, TimerTag{Kind: 1, Arg: 42})
-			_ = cancel
-			c2 := ctx.After(100*time.Millisecond, TimerTag{Kind: 2})
-			c2() // cancelled: must never fire
-		},
-		OnTimer: func(ctx Context, tag TimerTag) { fired <- tag },
-	}
-	c := NewInProcCluster([]Handler{h})
-	defer c.Stop()
-	select {
-	case tag := <-fired:
-		if tag.Kind != 1 || tag.Arg != 42 {
-			t.Fatalf("wrong tag %+v", tag)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("timer never fired")
-	}
-	select {
-	case tag := <-fired:
-		t.Fatalf("cancelled timer fired: %+v", tag)
-	case <-time.After(200 * time.Millisecond):
-	}
-}
-
-func TestInProcInject(t *testing.T) {
-	got := make(chan msg.Message, 1)
-	h := HandlerFunc{
-		OnReceive: func(ctx Context, from msg.NodeID, m msg.Message) { got <- m },
-	}
-	c := NewInProcCluster([]Handler{h})
-	defer c.Stop()
-	c.Inject(msg.Nobody, 0, echoMsg{N: 7})
-	select {
-	case m := <-got:
-		if m.(echoMsg).N != 7 {
-			t.Fatalf("wrong payload %+v", m)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("injected message never delivered")
-	}
-}
-
-func TestInProcStopIsClean(t *testing.T) {
-	h := HandlerFunc{
-		OnStart: func(ctx Context) {
-			ctx.After(time.Hour, TimerTag{Kind: 1}) // pending at stop
-		},
-	}
-	c := NewInProcCluster([]Handler{h, h})
-	c.Stop() // must return promptly with a pending timer
-	if c.N() != 2 {
-		t.Fatalf("N = %d, want 2", c.N())
-	}
-}
-
 func TestFakeContext(t *testing.T) {
 	f := NewFakeContext(3, 5)
 	if f.ID() != 3 || f.N() != 5 {

@@ -14,6 +14,10 @@
 //     the message path);
 //   - the TCP transport (internal/transport), the paper's "easily ported
 //     to a network system" claim.
+//
+// The two real runtimes share one Node — actor loop, Context, mailbox,
+// timers and self-sends — and differ only in the peer transport under it:
+// SPSC queues in-process, sockets over TCP.
 package runtime
 
 import (

@@ -23,7 +23,7 @@ import (
 	"consensusinside/internal/runtime"
 )
 
-// Defaults for Config zero values.
+// The chunk size, and the default for a zero Config.RetryTimeout.
 const (
 	// DefaultChunkSize is the snapshot chunk payload size: small enough
 	// that a chunk never strains the transport's frame limit, large
@@ -34,6 +34,10 @@ const (
 	// re-check convergence after the first transfer completed.
 	DefaultRetryTimeout = 250 * time.Millisecond
 )
+
+// chunkSize is the snapshot chunk payload size. A variable so tests can
+// make a small image travel as several chunks.
+var chunkSize = DefaultChunkSize
 
 // entriesPerMessage caps how many decided entries ride one
 // CatchupEntries message, so a long retained suffix streams as several
@@ -60,10 +64,6 @@ type Config struct {
 	// Either way a snapshot is captured only when a peer asks for state
 	// the log no longer (or, for an engine without a log, never) holds.
 	Interval int64
-
-	// ChunkSize is the snapshot chunk payload size (default
-	// DefaultChunkSize).
-	ChunkSize int
 
 	// Recover makes Start stream state from a peer before the replica
 	// serves clients — the restarted-replica mode.
@@ -149,9 +149,6 @@ func (m *Manager) Collect(s *obs.Snapshot) {
 // — if it implements State the Manager can capture and install
 // snapshots, otherwise only log-suffix catch-up is available.
 func New(cfg Config, log *rsm.Log, sessions *rsm.Sessions, applier rsm.Applier) *Manager {
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = DefaultChunkSize
-	}
 	if cfg.RetryTimeout <= 0 {
 		cfg.RetryTimeout = DefaultRetryTimeout
 	}
@@ -377,7 +374,7 @@ func (m *Manager) servableSnapshot() ([]byte, int64, bool) {
 }
 
 func (m *Manager) sendChunks(ctx runtime.Context, to msg.NodeID, enc []byte) {
-	size := m.cfg.ChunkSize
+	size := chunkSize
 	for off, seq := 0, int64(0); off < len(enc); off, seq = off+size, seq+1 {
 		end := min(off+size, len(enc))
 		m.Stats.ChunksSent.Add(1)

@@ -309,7 +309,9 @@ func deliver(t *testing.T, ctxA, ctxB *runtime.FakeContext, a, b *Manager) {
 
 func TestManagerTransferRestoresReplica(t *testing.T) {
 	const ops = 900
-	server, slog, skv, _ := buildServer(t, Config{ID: 0, Replicas: []msg.NodeID{0, 1}, Interval: 100, ChunkSize: 512}, ops)
+	defer func(size int) { chunkSize = size }(chunkSize)
+	chunkSize = 512
+	server, slog, skv, _ := buildServer(t, Config{ID: 0, Replicas: []msg.NodeID{0, 1}, Interval: 100}, ops)
 	if slog.Floor() != ops-100 || server.Stats.EntriesTruncated.Load() != ops-100 || server.Stats.Snapshots.Load() != 0 {
 		t.Fatalf("server floor %d after %d applies at interval 100, want %d truncated and nothing captured: stats=%v",
 			slog.Floor(), ops, ops-100, snapCounts(server))
@@ -352,7 +354,7 @@ func TestManagerTransferRestoresReplica(t *testing.T) {
 	}
 	// The server chunked the snapshot (512B chunks over a multi-KB image).
 	if server.Stats.ChunksSent.Load() < 2 {
-		t.Errorf("chunks sent = %d, want several at ChunkSize 512", server.Stats.ChunksSent.Load())
+		t.Errorf("chunks sent = %d, want several at chunk size 512", server.Stats.ChunksSent.Load())
 	}
 }
 

@@ -4,6 +4,14 @@
 // implemented protocols in our framework can be easily ported to a
 // network system with no change" (Section 6.2).
 //
+// Only the queue layer between nodes changes: a TCPNode is a
+// runtime.Node — the in-process runtime's actor loop, Context, mailbox,
+// timers and self-sends — whose peer transport is sockets instead of
+// SPSC queues. Reader goroutines post decoded frames into the node's
+// mailbox, waiting while it holds its bound of undelivered ones, and the
+// node's non-self sends go to per-peer writer queues. This package keeps
+// only sockets, framing, dialing, writers and the wire counters.
+//
 // The wire path is built to disappear from profiles: messages are
 // encoded with the hand-rolled binary codec (internal/msg's per-type
 // layouts, framed by internal/wire) into pooled buffers, and each
@@ -30,7 +38,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -42,13 +49,6 @@ import (
 	"consensusinside/internal/trace"
 	"consensusinside/internal/wire"
 )
-
-// envelope is the in-memory form of one delivered message; on the wire
-// the same pair travels as msg.AppendEnvelope encodes it.
-type envelope struct {
-	From msg.NodeID
-	M    msg.Message
-}
 
 // codecByteWire is the first byte a dialer writes: it names the stream
 // format that follows (a hello frame tagged msg.HelloTag identifying the
@@ -93,28 +93,19 @@ const (
 // on the next send). A variable so tests can shorten it.
 var writeTimeout = 5 * time.Second
 
-// TCPNode hosts one Handler on a TCP endpoint. All handler callbacks run
-// on a single goroutine, preserving the actor model.
+// TCPNode hosts one Handler on a TCP endpoint: a runtime.Node whose peer
+// transport is sockets. The node runs every handler callback on its one
+// goroutine, preserving the actor model; reader goroutines post decoded
+// frames into it and its non-self sends go to per-peer writer queues.
 type TCPNode struct {
 	id      msg.NodeID
-	n       int
 	handler runtime.Handler
 	addrs   map[msg.NodeID]string
+	node    *runtime.Node // built by Start
 
-	ln      net.Listener
-	inbox   chan envelope
-	timerCh chan runtime.TimerTag
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	start   time.Time
-	rng     *rand.Rand
-
-	// self holds self-sends: ctx.Send(own id) is produced and consumed
-	// on the actor goroutine (every engine's broadcast includes itself),
-	// so a plain slice does — no lock, no bound to overflow. Pushing them
-	// onto inbox instead would wedge the actor on its own full channel,
-	// which only it drains.
-	self []msg.Message
+	ln   net.Listener
+	stop chan struct{}
+	wg   sync.WaitGroup
 
 	mu         sync.Mutex // guards conns, dialed, dialFailed and inbound against concurrent dial/close
 	conns      map[msg.NodeID]*peerConn
@@ -213,17 +204,13 @@ func (pc *peerConn) shutdown() {
 func newTCPNode(id msg.NodeID, handler runtime.Handler, ln net.Listener, addrs map[msg.NodeID]string) *TCPNode {
 	return &TCPNode{
 		id:         id,
-		n:          len(addrs),
 		handler:    handler,
 		addrs:      addrs,
 		ln:         ln,
-		inbox:      make(chan envelope, 1024),
-		timerCh:    make(chan runtime.TimerTag, 64),
 		stop:       make(chan struct{}),
 		conns:      make(map[msg.NodeID]*peerConn),
 		dialed:     make(map[msg.NodeID]bool),
 		dialFailed: make(map[msg.NodeID]time.Time),
-		rng:        rand.New(rand.NewSource(int64(id) + 1)),
 	}
 }
 
@@ -275,12 +262,10 @@ func (t *TCPNode) Collect(s *obs.Snapshot) {
 
 // Inject delivers m to this node's handler as if sent by from — the
 // entry point for external drivers (bridging synchronous APIs onto the
-// node's single-goroutine actor loop).
+// node's single-goroutine actor loop). Call it after Start; it never
+// blocks.
 func (t *TCPNode) Inject(from msg.NodeID, m msg.Message) {
-	select {
-	case t.inbox <- envelope{From: from, M: m}:
-	case <-t.stop:
-	}
+	t.node.Post(from, m)
 }
 
 // SetPeers installs the cluster address map (required before Start when
@@ -291,7 +276,6 @@ func (t *TCPNode) SetPeers(addrs map[msg.NodeID]string) {
 		peers[k] = v
 	}
 	t.addrs = peers
-	t.n = len(addrs)
 }
 
 // Start launches the accept loop and the handler goroutine.
@@ -299,16 +283,20 @@ func (t *TCPNode) Start() error {
 	if t.addrs == nil {
 		return errors.New("transport: no peer addresses configured")
 	}
-	t.start = time.Now()
-	t.wg.Add(2)
+	t.node = runtime.NewNode(t.id, len(t.addrs), time.Now(), t.tracer, t.send)
+	t.wg.Add(1)
 	go t.acceptLoop()
-	go t.mainLoop()
+	t.node.Start(t.handler)
 	return nil
 }
 
-// Close shuts the node down and waits for its goroutines.
+// Close shuts the node down and waits for its goroutines. The actor
+// stops first, so nothing dials a peer behind the shutdown.
 func (t *TCPNode) Close() error {
 	t.closeOnce.Do(func() {
+		if t.node != nil {
+			t.node.Halt()
+		}
 		close(t.stop)
 		t.ln.Close()
 		t.mu.Lock()
@@ -393,37 +381,12 @@ func (t *TCPNode) readWire(br *bufio.Reader) {
 		if err != nil {
 			return // corrupt stream: drop the connection
 		}
+		// Waits while the node holds its bound of undelivered peer
+		// frames: a fast peer backs up into its socket, not into memory.
+		if !t.node.PostPeer(from, m, t.stop) {
+			return
+		}
 		t.Stats.FramesIn.Add(1)
-		select {
-		case t.inbox <- envelope{From: from, M: m}:
-		case <-t.stop:
-			return
-		}
-	}
-}
-
-func (t *TCPNode) mainLoop() {
-	defer t.wg.Done()
-	ctx := &tcpContext{node: t}
-	t.handler.Start(ctx)
-	for {
-		// Self-sends go first, by index because delivering one commonly
-		// pushes more: a collapsed role's loopback stays ahead of the
-		// next inbox message, in FIFO order.
-		for i := 0; i < len(t.self); i++ {
-			m := t.self[i]
-			t.self[i] = nil // release the reference once delivered
-			t.handler.Receive(ctx, t.id, m)
-		}
-		t.self = t.self[:0]
-		select {
-		case e := <-t.inbox:
-			t.handler.Receive(ctx, e.From, e.M)
-		case tag := <-t.timerCh:
-			t.handler.Timer(ctx, tag)
-		case <-t.stop:
-			return
-		}
 	}
 }
 
@@ -432,20 +395,12 @@ func (t *TCPNode) mainLoop() {
 // Start.
 func (t *TCPNode) SetTracer(tr *trace.Tracer) { t.tracer = tr }
 
-// send dials lazily and enqueues the message on the peer's writer. It
-// never blocks the actor: an unreachable peer or a full queue drops the
-// message — exactly the non-blocking assumption the protocols are
-// designed for, with the drop surfaced in Stats.Dropped.
+// send is the node's peer transport: it dials lazily and enqueues the
+// message on the peer's writer. It never blocks the actor: an unreachable
+// peer or a full queue drops the message — exactly the non-blocking
+// assumption the protocols are designed for, with the drop surfaced in
+// Stats.Dropped.
 func (t *TCPNode) send(to msg.NodeID, m msg.Message) {
-	if t.tracer.Enabled() {
-		if req, ok := m.(msg.ClientRequest); ok {
-			t.tracer.MarkWire(req, time.Since(t.start))
-		}
-	}
-	if to == t.id {
-		t.self = append(t.self, m)
-		return
-	}
 	pc, err := t.conn(to)
 	if err != nil {
 		t.Stats.Dropped.Add(1)
@@ -657,32 +612,6 @@ func (t *TCPNode) dropConn(to msg.NodeID, pc *peerConn) {
 	if cur, ok := t.conns[to]; ok && cur == pc {
 		delete(t.conns, to)
 	}
-}
-
-type tcpContext struct {
-	node *TCPNode
-}
-
-var _ runtime.Context = (*tcpContext)(nil)
-
-func (c *tcpContext) ID() msg.NodeID     { return c.node.id }
-func (c *tcpContext) N() int             { return c.node.n }
-func (c *tcpContext) Now() time.Duration { return time.Since(c.node.start) }
-func (c *tcpContext) Rand() *rand.Rand   { return c.node.rng }
-
-func (c *tcpContext) Send(to msg.NodeID, m msg.Message) {
-	c.node.send(to, m)
-}
-
-func (c *tcpContext) After(d time.Duration, tag runtime.TimerTag) runtime.CancelFunc {
-	node := c.node
-	timer := time.AfterFunc(d, func() {
-		select {
-		case node.timerCh <- tag:
-		case <-node.stop:
-		}
-	})
-	return func() { timer.Stop() }
 }
 
 // BuildLocalCluster creates one TCPNode per handler on loopback ports,

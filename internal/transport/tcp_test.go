@@ -271,38 +271,14 @@ func TestSlowPeerDropsNotBlocks(t *testing.T) {
 	t.Fatalf("stalled peer never surfaced as drops: %v", wireCounts(node))
 }
 
-func TestTimersOverTCP(t *testing.T) {
-	fired := make(chan runtime.TimerTag, 1)
-	h := runtime.HandlerFunc{
-		OnStart: func(ctx runtime.Context) {
-			ctx.After(5*time.Millisecond, runtime.TimerTag{Kind: 3, Arg: 7})
-		},
-		OnTimer: func(ctx runtime.Context, tag runtime.TimerTag) { fired <- tag },
-	}
-	nodes, err := BuildLocalCluster([]runtime.Handler{h})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nodes[0].Close()
-	select {
-	case tag := <-fired:
-		if tag.Kind != 3 || tag.Arg != 7 {
-			t.Fatalf("tag = %+v", tag)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("timer never fired")
-	}
-}
-
 // TestTCPSelfSendUnderBacklog: every engine's broadcast includes the
-// sender, so an actor self-sends while its inbox is full and a producer
-// is blocked behind it. The self-send must not go through that inbox —
-// the actor is the only goroutine that drains it, and would wait on
-// itself until Close — and must be delivered ahead of the next inbox
-// message, in FIFO order (what TestInProcSelfRingOverflowKeepsFIFO
-// asserts for InProc).
+// sender, so an actor self-sends while a backlog of input is queued
+// behind it. The self-send must be delivered ahead of that backlog, in
+// FIFO order (what TestInProcSelfRingOverflowKeepsFIFO asserts for a
+// burst of self-sends), and building the backlog must not block its
+// producer.
 func TestTCPSelfSendUnderBacklog(t *testing.T) {
-	const injected = 3000 // well past the inbox's 1024 slots
+	const injected = 3000 // well past a peer queue's 1024 slots
 	const external = msg.NodeID(9)
 	gate := make(chan struct{})
 	done := make(chan struct{})
@@ -338,19 +314,86 @@ func TestTCPSelfSendUnderBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeAll(nodes)
+	var open sync.Once
+	defer open.Do(func() { close(gate) })
+	backlog := make(chan struct{})
 	go func() {
+		defer close(backlog)
 		for i := 0; i < injected; i++ {
-			nodes[0].Inject(external, msg.ClientRequest{Seq: uint64(i)}) // blocks once the inbox is full; Close releases it
+			nodes[0].Inject(external, msg.ClientRequest{Seq: uint64(i)})
 		}
 	}()
-	for len(nodes[0].inbox) < cap(nodes[0].inbox) {
-		time.Sleep(time.Millisecond)
+	select {
+	case <-backlog:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Inject blocked behind a held actor")
 	}
-	close(gate)
+	open.Do(func() { close(gate) })
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatalf("delivered %d of %d: the actor is wedged on its own inbox", delivered.Load(), 2*injected)
+		t.Fatalf("delivered %d of %d", delivered.Load(), 2*injected)
+	}
+}
+
+// TestPeerFloodOnWedgedNodeIsBounded: a peer that floods a node whose
+// actor is wedged fills at most the node's bound of undelivered frames;
+// the rest wait in the reader and the socket, not in memory, and are
+// all delivered once the actor moves.
+func TestPeerFloodOnWedgedNodeIsBounded(t *testing.T) {
+	const flood = 3000 // under the sender's 4096-slot queue, so nothing drops
+	const bound = 1024
+	gate := make(chan struct{})
+	var delivered atomic.Int64
+	done := make(chan struct{})
+	wedged := runtime.HandlerFunc{
+		OnReceive: func(ctx runtime.Context, from msg.NodeID, m msg.Message) {
+			n := delivered.Add(1)
+			if n == 1 {
+				<-gate
+			}
+			if n == flood {
+				close(done)
+			}
+		},
+	}
+	flooder := runtime.HandlerFunc{
+		OnReceive: func(ctx runtime.Context, from msg.NodeID, m msg.Message) {
+			for i := 0; i < flood; i++ {
+				ctx.Send(0, msg.ClientRequest{Seq: uint64(i)})
+			}
+		},
+	}
+	nodes, err := BuildLocalCluster([]runtime.Handler{wedged, flooder})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(nodes)
+	var open sync.Once
+	defer open.Do(func() { close(gate) })
+	nodes[1].Inject(msg.Nobody, msg.ClientRequest{})
+
+	in := &nodes[0].Stats.FramesIn
+	undelivered := func() int64 { return in.Load() - delivered.Load() }
+	deadline := time.Now().Add(10 * time.Second)
+	for undelivered() < bound {
+		if time.Now().After(deadline) {
+			t.Fatalf("flood stalled at %d undelivered frames, below the bound %d", undelivered(), bound)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The reader has reached the bound; it must stay there while the
+	// actor is wedged.
+	for settle := time.Now().Add(200 * time.Millisecond); time.Now().Before(settle); time.Sleep(time.Millisecond) {
+		if n := undelivered(); n > bound {
+			t.Fatalf("%d frames undelivered at a wedged node, bound %d", n, bound)
+		}
+	}
+	open.Do(func() { close(gate) })
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("delivered %d of %d flooded frames", delivered.Load(), flood)
 	}
 }
 

@@ -12,7 +12,8 @@
 # (a typed stats struct, an adapter, a registry gauge, a metric name
 # spelled outside its owner), when a second client grows back beside
 # internal/client, when the lane grows a lock or a Transmit method back,
-# the InProc runtime a timer channel, or bridge.go a fourth mu.Lock(),
+# a real runtime a timer channel or the TCP transport a Context of its
+# own, or bridge.go a fourth mu.Lock(),
 # when internal/experiments grows a per-experiment
 # printer or row type back or a Registry id has no EXPERIMENTS.md row, or
 # when a doc file that other docs link to is absent.
@@ -145,9 +146,9 @@ fi
 # The lane is node-private (DESIGN.md, "Who touches what in the
 # adapter"): it sends and arms on the runtime.Context itself and shares
 # nothing but atomic counters, the bridge's mutex guards only the caller
-# hand-off (enqueue, the per-wake drain, close), and an InProc node has
-# one mailbox. A lock in internal/client, a Transmit method, a fourth
-# mu.Lock() in bridge.go or a timer channel in internal/runtime is the
+# hand-off (enqueue, the per-wake drain, close), and a node has one
+# mailbox. A lock in internal/client, a Transmit method, a fourth
+# mu.Lock() in bridge.go or a timer channel in either real runtime is the
 # shared-lane design growing back.
 shared=$(grep -nE '^[[:space:]]*(import[[:space:]]+)?"sync"' $(find internal/client -name '*.go' ! -name '*_test.go'))
 if [ -n "$shared" ]; then
@@ -161,10 +162,20 @@ if [ -n "$transmit" ]; then
     echo "$transmit" >&2
     fail=1
 fi
-timerch=$(grep -rn 'timerCh' --include='*.go' internal/runtime)
+timerch=$(grep -rn 'timerCh' --include='*.go' internal/runtime internal/transport)
 if [ -n "$timerch" ]; then
-    echo "docscheck: an InProc node's timer fires go to its one mailbox, not a timer channel:" >&2
+    echo "docscheck: a node's timer fires go to its one mailbox, not a timer channel:" >&2
     echo "$timerch" >&2
+    fail=1
+fi
+# One node for both real runtimes (DESIGN.md, "Nodes"): a TCP node is a
+# runtime.Node whose peer transport is sockets. An After method returning
+# runtime.CancelFunc in internal/transport is a second Context — and with
+# it a second actor loop — growing back.
+context=$(grep -HnE '^func \([^)]*\) After\(.*\) runtime\.CancelFunc' $(find internal/transport -name '*.go' ! -name '*_test.go'))
+if [ -n "$context" ]; then
+    echo "docscheck: internal/transport hands its handlers runtime.Node's Context, not one of its own:" >&2
+    echo "$context" >&2
     fail=1
 fi
 locks=$(grep -c 'mu\.Lock()' bridge.go)

@@ -90,14 +90,12 @@ func TestPipelineValidationEveryEntryPoint(t *testing.T) {
 // own; AcceptTimeout feeds it.
 func TestEngineConfigValidationEveryEntryPoint(t *testing.T) {
 	cases := []struct {
-		name            string
-		interval, chunk int
-		mode            readpath.Mode
-		lease, txRetry  time.Duration
+		name           string
+		interval       int
+		mode           readpath.Mode
+		lease, txRetry time.Duration
 	}{
 		{name: "negative snapshot interval", interval: -1},
-		{name: "negative snapshot chunk size", chunk: -1},
-		{name: "snapshot chunk past the frame budget", chunk: MaxSnapshotChunk + 1},
 		{name: "unknown read mode", mode: readpath.Mode(99)},
 		{name: "negative lease duration", lease: -time.Second},
 		{name: "negative transaction retry timeout", txRetry: -time.Second},
@@ -108,15 +106,15 @@ func TestEngineConfigValidationEveryEntryPoint(t *testing.T) {
 			entries := map[string]func() error{
 				"protocol.Build": func() error {
 					_, err := protocol.Build(OnePaxos, protocol.Config{
-						ID: 0, Replicas: ids, SnapshotInterval: tc.interval, SnapshotChunkSize: tc.chunk,
+						ID: 0, Replicas: ids, SnapshotInterval: tc.interval,
 						ReadMode: tc.mode, LeaseDuration: tc.lease, TxRetryTimeout: tc.txRetry,
 					})
 					return err
 				},
 				"StartKV": func() error {
 					kv, err := StartKV(KVConfig{
-						SnapshotInterval: tc.interval, SnapshotChunkSize: tc.chunk,
-						ReadMode: ReadMode(tc.mode), LeaseDuration: tc.lease, AcceptTimeout: tc.txRetry,
+						SnapshotInterval: tc.interval, ReadMode: ReadMode(tc.mode),
+						LeaseDuration: tc.lease, AcceptTimeout: tc.txRetry,
 					})
 					if err == nil {
 						kv.Close()
@@ -126,8 +124,8 @@ func TestEngineConfigValidationEveryEntryPoint(t *testing.T) {
 				"cluster.Build": func() error {
 					_, err := NewSimCluster(SimSpec{
 						Protocol: OnePaxos, Machine: Machine48(), Cost: CostsManyCore(), Replicas: 3, Clients: 2,
-						SnapshotInterval: tc.interval, SnapshotChunkSize: tc.chunk,
-						ReadMode: tc.mode, LeaseDuration: tc.lease, TxRetryTimeout: tc.txRetry,
+						SnapshotInterval: tc.interval, ReadMode: tc.mode,
+						LeaseDuration: tc.lease, TxRetryTimeout: tc.txRetry,
 					})
 					return err
 				},
@@ -138,9 +136,6 @@ func TestEngineConfigValidationEveryEntryPoint(t *testing.T) {
 				}
 			}
 		})
-	}
-	if _, err := protocol.Build(OnePaxos, protocol.Config{ID: 0, Replicas: ids, SnapshotChunkSize: MaxSnapshotChunk}); err != nil {
-		t.Errorf("the largest legal chunk size rejected: %v", err)
 	}
 }
 
