@@ -84,9 +84,8 @@ func NewReplica(cfg protocol.Config) *Replica {
 	// intersection covers every committed write. Lease mode degrades to
 	// read-index — there is no leader for a lease to bind.
 	r.Init(cfg, replica.Agreement{
-		RetryTimeout: 2 * cfg.AcceptTimeout,
-		Frontier:     func() int64 { return r.seen },
-		OnApply:      r.onApply,
+		Frontier: func() int64 { return r.seen },
+		OnApply:  r.onApply,
 		OnRestore: func(last int64) {
 			// Fresh proposals must start above the restored frontier.
 			if r.nextInst < last+1 {

@@ -53,8 +53,7 @@ func New(cfg protocol.Config) *Replica {
 	// intersection covers every committed write. Lease mode degrades to
 	// read-index — there is no leader for a lease to bind.
 	r.Init(cfg, replica.Agreement{
-		RetryTimeout: 2 * cfg.AcceptTimeout,
-		Frontier:     func() int64 { return r.seen },
+		Frontier: func() int64 { return r.seen },
 		OnRestore: func(last int64) {
 			// Ownership must resume above the restored frontier: re-proposing
 			// an owned instance the group decided while this replica was gone

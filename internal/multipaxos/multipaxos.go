@@ -93,7 +93,6 @@ func New(cfg protocol.Config) *Replica {
 	// so quorum intersection guarantees a refusal if a newer leader has
 	// committed anything.
 	r.Init(cfg, replica.Agreement{
-		RetryTimeout: 2 * cfg.AcceptTimeout,
 		HasLeader:    true,
 		LeaseCapable: true,
 		IsLeader:     func() bool { return r.iAmLeader },

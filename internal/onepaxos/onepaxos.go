@@ -147,7 +147,6 @@ func New(cfg protocol.Config) *Replica {
 	// leader must adopt, so its word alone is sound where a peer quorum
 	// would not be (writes never cross a quorum here).
 	r.Init(cfg, replica.Agreement{
-		RetryTimeout: 2 * cfg.AcceptTimeout,
 		HasLeader:    true,
 		LeaseCapable: true,
 		IsLeader:     func() bool { return r.iAmLeader },

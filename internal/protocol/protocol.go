@@ -57,6 +57,7 @@ type Config struct {
 
 	// AcceptTimeout tunes the failure detector of timeout-driven engines
 	// (how long to wait for an accept/learn before suspecting a peer).
+	// Every engine's recovery watchdog, 2PC's included, runs at twice it.
 	AcceptTimeout time.Duration
 
 	// TakeoverBackoff delays a retry after a lost takeover/prepare duel.

@@ -25,11 +25,6 @@ import (
 // protocol above them. The hooks run on the node's callback goroutine;
 // all are optional except Frontier.
 type Agreement struct {
-	// RetryTimeout paces the recovery subsystem (catch-up retries and
-	// its stall watchdogs); engines pass twice their own failure-detector
-	// timeout. Zero means snapshot.DefaultRetryTimeout.
-	RetryTimeout time.Duration
-
 	// NoLog marks an engine that agrees on commands without ordering
 	// them into instances (2PC): the shell builds no learner log, Log
 	// reports nil, there is nothing to compact, and the engine applies
@@ -139,12 +134,16 @@ func (s *Shell) Init(cfg protocol.Config, a Agreement) {
 		// the clock only while a callback runs.
 		s.log.SetTracer(cfg.Tracer, func() time.Duration { return s.Ctx.Now() })
 	}
+	// The recovery watchdog's period is twice the failure-detector
+	// timeout, which engines default before Init (0 means
+	// snapshot.DefaultRetryTimeout). 2PC has no failure detector; its
+	// deployments set AcceptTimeout and TxRetryTimeout alike.
 	s.Snap = snapshot.New(snapshot.Config{
 		ID:           cfg.ID,
 		Replicas:     cfg.Replicas,
 		Interval:     int64(cfg.SnapshotInterval),
 		Recover:      cfg.Recover,
-		RetryTimeout: a.RetryTimeout,
+		RetryTimeout: 2 * cfg.AcceptTimeout,
 		Events:       cfg.Events,
 	}, s.log, s.Sessions, cfg.Applier)
 	s.Snap.OnRestore(a.OnRestore)
@@ -177,7 +176,7 @@ func (s *Shell) Init(cfg protocol.Config, a Agreement) {
 		Establish:     a.Establish,
 		Frontier:      s.frontier,
 		Applied:       s.applied,
-		Ready:         func() bool { return s.Snap.Recovered() && !s.Snap.CatchingUp() },
+		Ready:         s.Snap.Recovered,
 		Read: func(key string) (string, bool) {
 			if s.Store == nil {
 				return "", false
@@ -218,9 +217,11 @@ func (s *Shell) Start(ctx runtime.Context) {
 // Route offers one message to the recovery subsystem and then the read
 // path, and reports whether either consumed it. An engine with a side
 // protocol of its own (1Paxos's PaxosUtility) offers the message there
-// first; what nobody claims is the engine's agreement traffic.
+// first; what nobody claims is the engine's agreement traffic. Any
+// message first revives a catch-up timer a paused core lost.
 func (s *Shell) Route(ctx runtime.Context, from msg.NodeID, m msg.Message) bool {
 	s.Ctx = ctx
+	s.Snap.Revive(ctx)
 	return s.Snap.Handle(ctx, from, m) || s.Read.Handle(ctx, from, m)
 }
 

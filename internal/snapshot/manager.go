@@ -1,17 +1,20 @@
 package snapshot
 
-// Manager is the per-replica driver of the recovery subsystem. Engines
-// embed one and hand it four hooks:
+// Manager runs the recovery subsystem for one replica. The replica
+// shell (internal/replica.Shell) builds one per replica and calls it
+// from its own hooks:
 //
-//	Receive:  if r.snap.Handle(ctx, from, m) { return }
-//	Timer:    if r.snap.HandleTimer(ctx, tag) { return }
-//	Start:    r.snap.Start(ctx)
-//	onApply:  r.snap.AfterApply()      (per applied instance)
+//	Route:      Revive, then Handle    (every message)
+//	RouteTimer: HandleTimer
+//	Start:      Start
+//	Vote:       WatchGap               (per learned instance)
+//	AfterApply: AfterApply             (per applied instance)
 //
-// plus a CatchingUp guard on the client-request path, so a recovering
+// and consults CatchingUp on the client-request path, so a recovering
 // replica does not propose (or lead) before it has learned what the
-// group decided without it. All methods run on the engine's own
-// goroutine — the Manager is single-threaded like the engine itself.
+// group decided without it. Engines call Serve (and 1Paxos WatchGap)
+// themselves. All methods run on the replica's own goroutine — the
+// Manager is single-threaded like the engine itself.
 
 import (
 	"sync/atomic"
@@ -29,9 +32,9 @@ const (
 	// that a chunk never strains the transport's frame limit, large
 	// enough that realistic state images travel in a handful of frames.
 	DefaultChunkSize = 64 << 10
-	// DefaultRetryTimeout paces the recovering side: how long to wait
-	// for transfer progress before asking another peer, and how often to
-	// re-check convergence after the first transfer completed.
+	// DefaultRetryTimeout is the recovery watchdog's period: how long
+	// applies (or a transfer) may make no progress before the replica
+	// asks another peer.
 	DefaultRetryTimeout = 250 * time.Millisecond
 )
 
@@ -94,14 +97,12 @@ type Manager struct {
 	// floor the next tick raises the log to.
 	tick int64
 
-	// Recovering-side state.
+	// Recovering side: the transfer phase, then one stall watchdog that
+	// runs while goal is set (see watch).
 	catchingUp   bool
-	watching     bool  // post-transfer convergence watchdog (Recover mode)
-	watchGoal    int64 // learned frontier at transfer completion: applies past it = converged
-	lastSeen     int64
-	gapWatch     bool          // standing stall watchdog (WatchGap): applies stuck below learns
-	gapSeen      int64         // next-to-apply when the gap watchdog last checked
-	gapArmed     time.Duration // when its timer was last armed (re-arm if a crash swallowed it)
+	goal         int64         // applies must reach it; 0 means off
+	seen         int64         // next-to-apply at the last watch step
+	armedAt      time.Duration // when the timer was last armed (see revive)
 	target       int
 	assembling   []byte
 	assembleFrom msg.NodeID
@@ -217,91 +218,105 @@ func (m *Manager) Handle(ctx runtime.Context, from msg.NodeID, message msg.Messa
 	return false
 }
 
-// HandleTimer intercepts the Manager's retry timer; false for any other
-// kind.
+// HandleTimer intercepts the Manager's timer, one watchdog step;
+// false for any other kind.
 func (m *Manager) HandleTimer(ctx runtime.Context, tag runtime.TimerTag) bool {
 	if tag.Kind != timerCatchup {
 		return false
 	}
 	m.retryCancel = nil
-	switch {
-	case m.catchingUp:
-		// No complete transfer within the timeout (slow, dead or
-		// compacting peer, or dropped chunks): ask the next peer.
-		m.resetAssembly()
-		m.request(ctx)
-	case m.watching:
-		// Post-transfer convergence watchdog: values decided while the
-		// replica was down can surface as holes only after live traffic
-		// resumes (their learn votes are long gone), and normal traffic
-		// cannot fill them. Every crash-era hole lies below the learned
-		// frontier recorded when the transfer completed (watchGoal) —
-		// once applies pass it, the downtime is fully healed and any
-		// later pending churn is just the normal pipeline. Ask again
-		// whenever progress stalls below the goal.
-		switch {
-		case m.log.NextToApply() >= m.watchGoal:
-			m.watching = false // converged
-			m.recovered.Store(true)
-			m.cfg.Events.Emitf(ctx.Now(), m.cfg.ID, "recovery",
-				"recovery converged at instance %d", m.watchGoal)
-		case m.log.NextToApply() == m.lastSeen:
-			m.request(ctx)
-		default:
-			m.lastSeen = m.log.NextToApply()
-			m.armRetry(ctx)
-		}
-	case m.gapWatch:
-		// Standing gap watchdog (WatchGap): applies stalled below the
-		// learned frontier for a full timeout. A hole that persists that
-		// long is not a late learn, it is a lost one — fetch the decided
-		// range from a peer (request rotates targets, so a peer sharing
-		// the hole does not wedge us). Stay armed until the gap closes;
-		// partial progress just resets the stall clock.
-		m.gapArmed = ctx.Now()
-		switch {
-		case m.log.NextToApply() >= m.log.LearnedFrontier():
-			m.gapWatch = false // healed
-		case m.log.NextToApply() == m.gapSeen:
-			m.request(ctx)
-		default:
-			m.gapSeen = m.log.NextToApply()
-			m.armRetry(ctx)
-		}
+	if m.catchingUp || m.goal != 0 {
+		m.watch(ctx, true)
 	}
 	return true
 }
 
-// WatchGap arms a stall watchdog when the applied frontier sits below
+// WatchGap turns the watchdog on when the applied frontier sits below
 // the learned frontier. A hole under live traffic normally fills within
 // a message delay; one whose learn was dropped by a partition never
 // does — the acceptor's re-multicast covers retried accepts only, and
 // instances below a noopFloor are never no-op filled (they were
 // decided; the value exists at peers). Engines call this from their
-// learn path; it is cheap and a no-op while any transfer or watchdog is
-// already active, or when there is no gap.
+// learn path; it is cheap, and while the watchdog is already on it only
+// revives a lost timer.
 func (m *Manager) WatchGap(ctx runtime.Context) {
-	if m.log == nil || m.catchingUp || m.watching {
+	if m.log == nil || m.catchingUp {
 		return
 	}
-	if m.gapWatch {
-		// A timer that fires while the core is crashed is dropped, not
-		// deferred — an armed watchdog can outlive its timer. If it is
-		// long overdue, re-arm it.
-		if ctx.Now() >= m.gapArmed+2*m.cfg.RetryTimeout {
-			m.gapArmed = ctx.Now()
-			m.armRetry(ctx)
-		}
+	if m.goal != 0 {
+		m.revive(ctx)
 		return
 	}
-	next := m.log.NextToApply()
-	if next >= m.log.LearnedFrontier() {
+	next, learned := m.log.NextToApply(), m.log.LearnedFrontier()
+	if next >= learned {
 		return
 	}
-	m.gapWatch = true
-	m.gapSeen = next
-	m.gapArmed = ctx.Now()
+	m.goal, m.seen = learned, next
 	m.armRetry(ctx)
+}
+
+// Revive runs revive during a transfer, which has no learn path to run
+// it from (2PC has none at all): the shell calls it on every message,
+// and outside a transfer it costs one load.
+func (m *Manager) Revive(ctx runtime.Context) {
+	if m.catchingUp {
+		m.revive(ctx)
+	}
+}
+
+// revive re-arms a timer still unfired 2×RetryTimeout after it was
+// armed. A paused core (simnet's Crash, then Recover) drops the timers
+// that come due meanwhile instead of deferring them, so a watchdog can
+// outlive its timer; the real runtimes never drop one.
+func (m *Manager) revive(ctx runtime.Context) {
+	if ctx.Now() >= m.armedAt+2*m.cfg.RetryTimeout {
+		m.armRetry(ctx)
+	}
+}
+
+// watch is the watchdog's one body, run when its timer fires and when a
+// transfer ends (fired false: the transfer answered the last request,
+// so it starts a fresh stall period rather than judging one).
+//
+// During the transfer phase a fire means no complete transfer within
+// the timeout — a slow, dead or compacting peer, or dropped chunks — so
+// it asks the next peer. After it, watch stops at the goal, asks the next
+// peer when a full RetryTimeout passed with no applies, and re-arms on
+// progress. A recovering replica's goal is the learned frontier when its
+// transfer finished, and stays fixed: values decided while it was down
+// surface as holes only once live traffic resumes (their learn votes
+// are long gone), all of them below that frontier, and reaching it
+// recovers the replica. A recovered replica's goal (WatchGap) follows
+// the learned frontier: a hole that persists a full timeout is a lost
+// learn, not a late one. request rotates peers, so a peer that shares
+// the hole does not wedge either.
+func (m *Manager) watch(ctx runtime.Context, fired bool) {
+	if m.catchingUp {
+		m.resetAssembly()
+		m.request(ctx)
+		return
+	}
+	if m.recovered.Load() {
+		m.goal = m.log.LearnedFrontier()
+	}
+	switch next := m.log.NextToApply(); {
+	case next >= m.goal:
+		if !m.recovered.Load() {
+			m.recovered.Store(true)
+			how := "complete"
+			if fired {
+				how = "converged"
+			}
+			m.cfg.Events.Emitf(ctx.Now(), m.cfg.ID, "recovery", "recovery %s at instance %d", how, m.goal)
+		}
+		m.goal = 0
+		m.disarm()
+	case fired && next == m.seen:
+		m.request(ctx)
+	default:
+		m.seen = next
+		m.armRetry(ctx)
+	}
 }
 
 // AfterApply is the engines' per-applied-instance hook, the compaction
@@ -433,10 +448,16 @@ func (m *Manager) request(ctx runtime.Context) {
 }
 
 func (m *Manager) armRetry(ctx runtime.Context) {
+	m.disarm()
+	m.armedAt = ctx.Now()
+	m.retryCancel = ctx.After(m.cfg.RetryTimeout, runtime.TimerTag{Kind: timerCatchup})
+}
+
+func (m *Manager) disarm() {
 	if m.retryCancel != nil {
 		m.retryCancel()
+		m.retryCancel = nil
 	}
-	m.retryCancel = ctx.After(m.cfg.RetryTimeout, runtime.TimerTag{Kind: timerCatchup})
 }
 
 func (m *Manager) resetAssembly() {
@@ -512,51 +533,24 @@ func (m *Manager) onEntries(ctx runtime.Context, e msg.CatchupEntries) {
 	}
 }
 
-// finishTransfer ends the streaming phase. A replica recovering by
-// configuration keeps the convergence watchdog armed afterwards: holes
-// from its downtime may only surface once live traffic resumes (see
-// HandleTimer), so it must keep checking until a few ticks pass with no
-// gap. Transfers pushed at non-recovering replicas just end.
+// finishTransfer ends a transfer. The one that ends the transfer phase
+// sets the recovering replica's goal (a log-less replica has none and
+// is recovered at once); any transfer the watchdog waits for then runs
+// a watch step. A transfer pushed at a replica whose watchdog is off
+// just ends.
 func (m *Manager) finishTransfer(ctx runtime.Context) {
-	wasRecovering := m.catchingUp || m.watching
-	m.catchingUp = false
-	if !wasRecovering || !m.cfg.Recover || m.log == nil {
-		m.watching = false
-		if wasRecovering {
-			m.recovered.Store(true) // log-less recovery ends at the transfer
-			m.cfg.Events.Emit(ctx.Now(), m.cfg.ID, "recovery", "recovery complete (transfer finished)")
-		}
-		if m.gapWatch && m.log != nil && m.log.NextToApply() < m.log.LearnedFrontier() {
-			// This transfer answered the gap watchdog but did not close
-			// the gap (partial entries, or a new hole formed since the
-			// request): keep the watchdog's timer running rather than
-			// leaving it armed with no timer.
-			m.gapSeen = m.log.NextToApply()
-			m.gapArmed = ctx.Now()
-			m.armRetry(ctx)
-			return
-		}
-		m.gapWatch = false
-		if m.retryCancel != nil {
-			m.retryCancel()
-			m.retryCancel = nil
-		}
-		return
-	}
-	m.watchGoal = m.log.LearnedFrontier()
-	if m.log.NextToApply() >= m.watchGoal {
-		// Nothing decided while we were down is still missing.
-		m.watching = false
+	switch {
+	case m.catchingUp && m.log == nil:
+		m.catchingUp = false
+		m.disarm()
 		m.recovered.Store(true)
-		m.cfg.Events.Emitf(ctx.Now(), m.cfg.ID, "recovery",
-			"recovery complete at instance %d", m.watchGoal)
-		if m.retryCancel != nil {
-			m.retryCancel()
-			m.retryCancel = nil
-		}
+		m.cfg.Events.Emit(ctx.Now(), m.cfg.ID, "recovery", "recovery complete (transfer finished)")
+		return
+	case m.catchingUp:
+		m.catchingUp = false
+		m.goal = m.log.LearnedFrontier()
+	case m.goal == 0:
 		return
 	}
-	m.watching = true
-	m.lastSeen = m.log.NextToApply()
-	m.armRetry(ctx)
+	m.watch(ctx, false)
 }

@@ -121,13 +121,12 @@ func New(cfg protocol.Config) *Replica {
 	// lease adds nothing to a node that can never be deposed); follower
 	// mode serves stale-bounded reads from any participant.
 	r.Init(cfg, replica.Agreement{
-		NoLog:        true,
-		RetryTimeout: 2 * cfg.TxRetryTimeout,
-		HasLeader:    true,
-		IsLeader:     func() bool { return r.Me == r.coord },
-		Leader:       func() msg.NodeID { return r.coord },
-		Confirmers:   func() []msg.NodeID { return nil },
-		Frontier:     r.Commits,
+		NoLog:      true,
+		HasLeader:  true,
+		IsLeader:   func() bool { return r.Me == r.coord },
+		Leader:     func() msg.NodeID { return r.coord },
+		Confirmers: func() []msg.NodeID { return nil },
+		Frontier:   r.Commits,
 	})
 	return r
 }

@@ -13,7 +13,8 @@
 # spelled outside its owner), when a second client grows back beside
 # internal/client, when the lane grows a lock or a Transmit method back,
 # a real runtime a timer channel or the TCP transport a Context of its
-# own, or bridge.go a fourth mu.Lock(),
+# own, or bridge.go a fourth mu.Lock(), when the snapshot Manager grows
+# a second recovery watchdog or timer,
 # when internal/experiments grows a per-experiment
 # printer or row type back or a Registry id has no EXPERIMENTS.md row, or
 # when a doc file that other docs link to is absent.
@@ -221,6 +222,23 @@ images=$(sed 's,//.*$,,' "$mgr" |
 if [ -n "$images" ]; then
     echo "docscheck: snapshot.Manager retains an encoded image; a snapshot is captured per request and owned by its transfer:" >&2
     echo "$images" >&2
+    fail=1
+fi
+
+# One recovery watchdog (DESIGN.md, "Rejoining"): the transfer retry,
+# the convergence watch and the gap watch are one stall timer with one
+# goal, armed in one place. The old per-watch fields, or a second
+# ctx.After in manager.go (armRetry's is the only one), is a second
+# timer state machine growing back.
+watches=$(grep -nE 'watching|watchGoal|lastSeen|gapWatch|gapSeen|gapArmed' $(find internal/snapshot -name '*.go' ! -name '*_test.go'))
+if [ -n "$watches" ]; then
+    echo "docscheck: internal/snapshot has one stall watchdog (goal, seen, armedAt), not a field set per watch:" >&2
+    echo "$watches" >&2
+    fail=1
+fi
+if [ "$(grep -c 'ctx\.After(' "$mgr")" -gt 1 ]; then
+    echo "docscheck: $mgr arms its timer only in armRetry:" >&2
+    grep -n 'ctx\.After(' "$mgr" >&2
     fail=1
 fi
 
