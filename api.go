@@ -2,6 +2,7 @@ package consensusinside
 
 import (
 	"fmt"
+	stdruntime "runtime"
 	"sync"
 	"time"
 
@@ -71,8 +72,9 @@ type TransportKind int
 
 // Transports for StartKV.
 const (
-	// InProc runs replicas on goroutines connected by lock-free SPSC slot
-	// queues — QC-libtask's design, in Go.
+	// InProc runs replicas on cores — at most GOMAXPROCS goroutines, each
+	// multiplexing several replicas — connected by lock-free SPSC slot
+	// queues: QC-libtask's design, in Go.
 	InProc TransportKind = iota + 1
 	// TCP runs each replica on a loopback TCP endpoint; the same protocol
 	// code over length-prefixed binary frames (the paper's portability
@@ -233,6 +235,9 @@ type KVConfig struct {
 type KV struct {
 	cfg    KVConfig
 	shards []*kvShard
+	// inproc runs every shard's replicas and bridge on one set of cores
+	// (nil over TCP).
+	inproc *runtime.InProcCluster
 
 	// tracer and registry are shared by every shard: one clock, one
 	// sample ring, one metric namespace for the whole service.
@@ -243,13 +248,13 @@ type KV struct {
 	closeOnce sync.Once
 }
 
-// kvShard is one agreement group: its engines, its runtime, the bridge
+// kvShard is one agreement group: its engines, its nodes, the bridge
 // that turns blocking Put/Get calls into that group's client traffic,
 // and everything RestartReplica needs to boot a fresh replica back into
 // the group (the engine builder and, over TCP, the fixed address map).
 type kvShard struct {
 	bridge *kvBridge
-	inproc *runtime.InProcCluster
+	inproc *runtime.InProcGroup
 
 	build  func(id msg.NodeID, recover bool) (protocol.Engine, error)
 	addrs  map[msg.NodeID]string // TCP listen addresses, stable across restarts
@@ -263,10 +268,10 @@ type kvShard struct {
 	crashed []bool
 }
 
+// close stops the shard's TCP nodes and fails its pending calls; the
+// InProc runtime must already be stopped, since the bridge's lane is
+// node-private.
 func (s *kvShard) close() {
-	if s.inproc != nil {
-		s.inproc.Stop()
-	}
 	s.mu.Lock()
 	nodes := append([]*transport.TCPNode(nil), s.tcp...)
 	s.mu.Unlock()
@@ -294,8 +299,9 @@ func (s *kvShard) collect(snap *obs.Snapshot) {
 
 // StartKV launches a replicated KV service with embedded replicas:
 // KVConfig.Shards independent agreement groups (one by default), each
-// with its own runtime, log and sessions, behind a single Put/Get
-// facade that hash-routes every key to its group.
+// with its own nodes, log and sessions, behind a single Put/Get facade
+// that hash-routes every key to its group. Over InProc the groups share
+// one runtime's cores; over TCP every replica is its own endpoint.
 func StartKV(cfg KVConfig) (*KV, error) {
 	if cfg.Protocol == 0 {
 		cfg.Protocol = OnePaxos
@@ -324,6 +330,9 @@ func StartKV(cfg KVConfig) (*KV, error) {
 	if cfg.Transport == 0 {
 		cfg.Transport = InProc
 	}
+	if cfg.Transport != InProc && cfg.Transport != TCP {
+		return nil, fmt.Errorf("consensusinside: unknown transport %d", cfg.Transport)
+	}
 	if cfg.Pipeline == 0 {
 		cfg.Pipeline = DefaultPipeline
 	}
@@ -347,16 +356,24 @@ func StartKV(cfg KVConfig) (*KV, error) {
 	}
 
 	kv := &KV{cfg: cfg, tracer: trace.New(cfg.TraceInterval), registry: obs.NewRegistry()}
+	groups := make([][]runtime.Handler, 0, cfg.Shards)
 	for s := 0; s < cfg.Shards; s++ {
-		sh, err := startKVShard(cfg, s, kv.tracer, kv.registry.Events())
+		sh, handlers, err := newKVShard(cfg, s, kv.tracer, kv.registry.Events())
+		if err == nil && cfg.Transport == TCP {
+			err = sh.startTCP(handlers, s)
+		}
 		if err != nil {
 			kv.Close()
 			return nil, err
 		}
 		kv.shards = append(kv.shards, sh)
+		groups = append(groups, handlers)
 		// The registry owns no counter (see internal/obs): each shard's
 		// subsystems add their totals at Snapshot time only.
 		kv.registry.AddSource(sh.collect)
+	}
+	if cfg.Transport == InProc {
+		kv.startInProc(groups)
 	}
 	kv.registry.AddSource(func(s *obs.Snapshot) { s.AddTracer(kv.tracer) })
 	if cfg.DebugAddr != "" {
@@ -368,11 +385,12 @@ func StartKV(cfg KVConfig) (*KV, error) {
 	return kv, nil
 }
 
-// startKVShard builds one agreement group on its own runtime. Every
-// group's node ids run 0..Replicas-1 with the bridge at Replicas —
-// groups never exchange messages, so their id spaces are independent;
-// the bridge's sequence numbers carry the shard tag instead.
-func startKVShard(cfg KVConfig, shardIdx int, tracer *trace.Tracer, events *obs.EventLog) (*kvShard, error) {
+// newKVShard builds one agreement group: its engines and bridge, as
+// handlers for a runtime to run. Every group's node ids run
+// 0..Replicas-1 with the bridge at Replicas — groups never exchange
+// messages, so their id spaces are independent; the bridge's sequence
+// numbers carry the shard tag instead.
+func newKVShard(cfg KVConfig, shardIdx int, tracer *trace.Tracer, events *obs.EventLog) (*kvShard, []runtime.Handler, error) {
 	ids := make([]msg.NodeID, cfg.Replicas)
 	for i := range ids {
 		ids[i] = msg.NodeID(i)
@@ -400,7 +418,7 @@ func startKVShard(cfg KVConfig, shardIdx int, tracer *trace.Tracer, events *obs.
 	for _, id := range ids {
 		eng, err := sh.build(id, false)
 		if err != nil {
-			return nil, fmt.Errorf("consensusinside: build shard %d replica %d: %w", shardIdx, id, err)
+			return nil, nil, fmt.Errorf("consensusinside: build shard %d replica %d: %w", shardIdx, id, err)
 		}
 		sh.engines = append(sh.engines, eng)
 		handlers = append(handlers, eng)
@@ -420,30 +438,39 @@ func startKVShard(cfg KVConfig, shardIdx int, tracer *trace.Tracer, events *obs.
 		Tracer:   tracer,
 	}, cfg.RequestTimeout)
 	handlers = append(handlers, sh.bridge)
+	return sh, handlers, nil
+}
 
-	switch cfg.Transport {
-	case InProc:
-		sh.inproc = runtime.NewInProcCluster(handlers, runtime.WithTracer(tracer))
-		sh.bridge.inject = func(m msg.Message) {
-			sh.inproc.Inject(clientID, clientID, m)
-		}
-	case TCP:
-		nodes, err := transport.BuildLocalClusterTraced(handlers, tracer)
-		if err != nil {
-			return nil, fmt.Errorf("consensusinside: start shard %d tcp cluster: %w", shardIdx, err)
-		}
-		sh.tcp = nodes
-		sh.addrs = make(map[msg.NodeID]string, len(nodes))
-		for i, n := range nodes {
-			sh.addrs[msg.NodeID(i)] = n.Addr()
-		}
-		sh.bridge.inject = func(m msg.Message) {
-			nodes[clientID].Inject(clientID, m)
-		}
-	default:
-		return nil, fmt.Errorf("consensusinside: unknown transport %d", cfg.Transport)
+// startTCP runs the shard's handlers on loopback TCP nodes, one per
+// handler, the bridge last.
+func (s *kvShard) startTCP(handlers []runtime.Handler, shardIdx int) error {
+	nodes, err := transport.BuildLocalClusterTraced(handlers, s.tracer)
+	if err != nil {
+		return fmt.Errorf("consensusinside: start shard %d tcp cluster: %w", shardIdx, err)
 	}
-	return sh, nil
+	s.tcp = nodes
+	s.addrs = make(map[msg.NodeID]string, len(nodes))
+	for i, n := range nodes {
+		s.addrs[msg.NodeID(i)] = n.Addr()
+	}
+	bridgeID := msg.NodeID(len(nodes) - 1)
+	s.bridge.inject = func(m msg.Message) { nodes[bridgeID].Inject(bridgeID, m) }
+	return nil
+}
+
+// startInProc runs every shard on one in-process runtime of
+// min(Shards·(Replicas+1), GOMAXPROCS) cores — a node per core where the
+// host has them, as the paper places replicas. Its placement keeps each
+// group's leader and acceptor on different cores whenever there are two.
+func (kv *KV) startInProc(groups [][]runtime.Handler) {
+	cores := min(kv.cfg.Shards*(kv.cfg.Replicas+1), stdruntime.GOMAXPROCS(0))
+	kv.inproc = runtime.NewInProcGroups(groups, cores, runtime.WithTracer(kv.tracer))
+	bridgeID := msg.NodeID(kv.cfg.Replicas)
+	for s, sh := range kv.shards {
+		grp := kv.inproc.Group(s)
+		sh.inproc = grp
+		sh.bridge.inject = func(m msg.Message) { grp.Inject(bridgeID, bridgeID, m) }
+	}
 }
 
 // shardFor routes a key to its agreement group — the stable hash
@@ -611,6 +638,9 @@ func (kv *KV) Close() {
 	kv.closeOnce.Do(func() {
 		if kv.debug != nil {
 			kv.debug.close()
+		}
+		if kv.inproc != nil {
+			kv.inproc.Stop()
 		}
 		for _, sh := range kv.shards {
 			sh.close()

@@ -1,12 +1,15 @@
 package consensusinside
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	stdruntime "runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"consensusinside/internal/shard"
 )
 
 // TestKVCloseUnderLoad lands Close in the middle of 16 callers looping
@@ -22,6 +25,58 @@ func TestKVCloseUnderLoad(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%v", tr, mode), func(t *testing.T) { closeUnderLoad(t, tr, mode) })
 		}
 	}
+}
+
+// TestKVGoroutineBudget: an InProc KV runs its replicas on cores, not a
+// goroutine per (shard, replica). Four shards of three replicas and a
+// bridge — 16 nodes — add exactly min(16, GOMAXPROCS) goroutines, a
+// crash and a restart add none, and Close releases them all.
+func TestKVGoroutineBudget(t *testing.T) {
+	const shards, replicas = 4, 3
+	before, coresBefore := stdruntime.NumGoroutine(), coreGoroutines()
+	kv, err := StartKV(KVConfig{Shards: shards, Replicas: replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	added := min(shards*(replicas+1), stdruntime.GOMAXPROCS(0))
+	// The service's goroutines are its cores, exactly; the total may read
+	// lower while an earlier test's goroutines wind down, and higher only
+	// for the moment a timer fire runs on a goroutine of its own.
+	settles := func(step string, cores, limit int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for coreGoroutines()-coresBefore != cores || stdruntime.NumGoroutine() > before+limit {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d core goroutines and %d in all, want %d and at most %d more than the %d before StartKV",
+					step, coreGoroutines()-coresBefore, stdruntime.NumGoroutine(), cores, limit, before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	settles("started", added, added)
+	for s := 0; s < kv.Shards(); s++ {
+		if err := kv.Put(shard.KeyFor("budget", s, kv.Shards()), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := kv.CrashReplica(replicas + 1); err != nil { // shard 1's replica 1
+		t.Fatal(err)
+	}
+	settles("crashed", added, added)
+	if err := kv.RestartReplica(replicas + 1); err != nil {
+		t.Fatal(err)
+	}
+	settles("restarted", added, added)
+	kv.Close()
+	settles("closed", 0, 0)
+}
+
+// coreGoroutines counts the goroutines running an internal/runtime core.
+func coreGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:stdruntime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("internal/runtime.(*core).run("))
 }
 
 func closeUnderLoad(t *testing.T, tr TransportKind, mode ReadMode) {

@@ -23,6 +23,7 @@ import (
 	"consensusinside/internal/msg"
 	"consensusinside/internal/queue"
 	irt "consensusinside/internal/runtime"
+	"consensusinside/internal/shard"
 	"consensusinside/internal/transport"
 	"consensusinside/internal/wire"
 )
@@ -324,7 +325,15 @@ func benchKVConcurrentPut(b *testing.B, pipeline int) {
 // they amortize below one allocation per operation; anything reporting
 // >= 1 alloc/op means a per-command allocation crept back into the
 // cycle.
-func BenchmarkKVInProcSteadyState(b *testing.B) { benchKVSteadyState(b, 0) }
+func BenchmarkKVInProcSteadyState(b *testing.B) { benchKVSteadyState(b, 0, 1) }
+
+// BenchmarkKVInProcSteadyStateShards is the same gate over four shards
+// on one runtime's cores, where nodes that share a core pass messages
+// through the core's FIFO instead of a queue: that path must allocate
+// nothing per op either. cmds/batch must read ~16 as on one shard — a
+// core that kept its processor from the callers it woke ran 11–12, and
+// the per-batch allocations then came to 1 per op.
+func BenchmarkKVInProcSteadyStateShards(b *testing.B) { benchKVSteadyState(b, 0, 4) }
 
 // BenchmarkKVInProcSteadyStateTraced is the tracing-overhead
 // counterpart of BenchmarkKVInProcSteadyState: the identical workload
@@ -333,23 +342,27 @@ func BenchmarkKVInProcSteadyState(b *testing.B) { benchKVSteadyState(b, 0) }
 // stage.trace_overhead_frac is the same ratio end to end); allocs/op
 // stays amortized-zero — sampled spans are pooled.
 func BenchmarkKVInProcSteadyStateTraced(b *testing.B) {
-	benchKVSteadyState(b, 64)
+	benchKVSteadyState(b, 64, 1)
 }
 
-// benchKVSteadyState drives 64 callers through a batch-16 InProc KV with
-// 1-in-traceInterval command tracing (0 = off).
-func benchKVSteadyState(b *testing.B, traceInterval int) {
-	kv, err := StartKV(KVConfig{Pipeline: 16, BatchSize: 16, TraceInterval: traceInterval})
+// benchKVSteadyState drives 64 callers per shard through a batch-16
+// InProc KV with 1-in-traceInterval command tracing (0 = off).
+func benchKVSteadyState(b *testing.B, traceInterval, shards int) {
+	kv, err := StartKV(KVConfig{Pipeline: 16, BatchSize: 16, TraceInterval: traceInterval, Shards: shards})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer kv.Close()
-	const workers = 64
+	workers := 64 * shards
 	ops := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
+		// A key per caller, built here, spreads the callers over the
+		// shards: the loop must not allocate either, or its formatting
+		// would drown the signal being gated.
+		key := shard.KeyFor("bench", w%shards, shards)
 		go func() {
 			defer wg.Done()
 			failed := false
@@ -357,9 +370,7 @@ func benchKVSteadyState(b *testing.B, traceInterval int) {
 				if failed {
 					continue // drain so the feeder never blocks
 				}
-				// A constant key: the driver must not allocate either, or
-				// its formatting would drown the signal being gated.
-				if err := kv.Put("bench", "v"); err != nil {
+				if err := kv.Put(key, "v"); err != nil {
 					errs <- err
 					failed = true
 				}
@@ -384,6 +395,8 @@ func benchKVSteadyState(b *testing.B, traceInterval int) {
 		b.Fatal(err)
 	default:
 	}
+	occ := kv.BatchStats()
+	b.ReportMetric(occ.Mean(), "cmds/batch") // what the per-batch allocations amortize over
 }
 
 // BenchmarkKVInProcPutClosedLoop is the pipelining baseline: 16 callers

@@ -634,7 +634,7 @@ func (r *Replica) startTakeover() {
 	if r.aa == msg.Nobody {
 		acceptor, _, carried, ok := r.util.LastActiveAcceptor()
 		if !ok {
-			acceptor = r.Replicas[1] // static initial assignment
+			acceptor = r.Replicas[len(r.Replicas)-1] // static initial assignment (New)
 		}
 		r.aa = acceptor
 		r.registerProposals(carried)

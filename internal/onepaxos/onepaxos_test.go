@@ -199,6 +199,22 @@ func TestLeaderFastPath(t *testing.T) {
 	}
 }
 
+// TestTakeoverFallbackAcceptorIsNotTheTaker: a takeover that finds no
+// acceptor on record — its view cleared by a lost race, PaxosUtility
+// empty — falls back to the static assignment New makes, the last
+// replica. Replicas[1] would name replica 1 of a 3-group leader and
+// acceptor at once, the one placement 1Paxos forbids.
+func TestTakeoverFallbackAcceptorIsNotTheTaker(t *testing.T) {
+	r, ctx := newReplica(t, 1, 3)
+	r.Start(ctx)
+	r.Ctx = ctx
+	r.aa = msg.Nobody
+	r.startTakeover()
+	if got := r.ActiveAcceptor(); got != 2 {
+		t.Fatalf("takeover by replica 1 adopts acceptor %d, want 2 (the boot acceptor)", got)
+	}
+}
+
 func TestSessionDedupAnswersRetries(t *testing.T) {
 	r, ctx := newReplica(t, 0, 3)
 	r.Start(ctx)

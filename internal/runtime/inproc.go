@@ -19,98 +19,147 @@ type inprocConfig struct {
 
 // WithTracer installs a command tracer: client requests crossing the
 // in-process wire get their wire-send stage stamped (internal/trace).
-// The tracer must be wired at construction — node goroutines start
-// inside NewInProcCluster and read it unsynchronized from then on.
+// The tracer must be wired at construction — cores start inside
+// NewInProcGroups and read it unsynchronized from then on.
 func WithTracer(tr *trace.Tracer) InProcOption {
 	return func(c *inprocConfig) { c.tracer = tr }
 }
 
-// InProcCluster runs n Handlers on Nodes connected by per-pair SPSC
-// queues — QC-libtask's topology (Figure 6 of the paper): two directed
-// queues between every pair of nodes, head moved by the reader, tail by
-// the writer, plus a wake-up signal so idle nodes park instead of
-// spinning ("preventing threads from spinning unnecessarily when waiting
-// for messages", Section 8).
+// InProcCluster runs groups of Handlers on cores — QC-libtask's model
+// (Section 6 of the paper): a core is one goroutine multiplexing its
+// nodes, and nodes on different cores are connected by two directed
+// SPSC queues per pair (Figure 6), head moved by the reader, tail by the
+// writer (what a full queue has no room for waits at the writer's core),
+// plus a wake-up signal so idle cores park instead of spinning
+// ("preventing threads from spinning unnecessarily when waiting for
+// messages", Section 8). Nodes on one core pass messages through the
+// core's FIFO instead. Groups never exchange messages; each has its own
+// id space. The embedded InProcGroup is the first group — the only one
+// of a NewInProcCluster.
 type InProcCluster struct {
-	nodes []*Node
-	stop  chan struct{}
+	*InProcGroup
+	groups []*InProcGroup
+	cores  []*core
+}
 
-	// lifeMu guards node lifecycle transitions (StopNode, RestartNode,
-	// Stop); the steady-state message path never takes it. down marks
-	// the stopped nodes.
+// InProcGroup is one group of an InProcCluster: nodes 0..n-1 and the
+// crash/restart lifecycle of each.
+type InProcGroup struct {
+	nodes []*Node
+	// links[from][to] is the path between two nodes on different cores;
+	// nil for a node and itself or two nodes of one core.
+	links [][]*link
+
+	// lifeMu guards node lifecycle transitions (StopNode, RestartNode);
+	// the steady-state message path never takes it. down marks the
+	// stopped nodes.
 	lifeMu sync.Mutex
 	down   []bool
 }
 
-// NewInProcCluster builds and starts a cluster running the given handlers.
-// Handler i becomes node i. Stop must be called to release the goroutines.
+// NewInProcCluster builds and starts one group running the given
+// handlers, one node per core. Handler i becomes node i. Stop must be
+// called to release the goroutines.
 func NewInProcCluster(handlers []Handler, opts ...InProcOption) *InProcCluster {
+	return NewInProcGroups([][]Handler{handlers}, len(handlers), opts...)
+}
+
+// NewInProcGroups builds and starts one group per entry of groups on at
+// most cores goroutines: node i of group g runs on core coreOf(g, i, n,
+// cores). Handler i of a group becomes its node i. Stop must be called
+// to release the goroutines.
+func NewInProcGroups(groups [][]Handler, cores int, opts ...InProcOption) *InProcCluster {
+	if cores < 1 {
+		panic(fmt.Sprintf("runtime: %d cores", cores))
+	}
 	var cfg inprocConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	n := len(handlers)
-	c := &InProcCluster{
-		nodes: make([]*Node, n),
-		stop:  make(chan struct{}),
-		down:  make([]bool, n),
-	}
+	c := &InProcCluster{}
+	hosted := make([][]*Node, cores)
 	epoch := time.Now()
-	for i := range c.nodes {
-		from := msg.NodeID(i)
-		node := NewNode(from, n, epoch, cfg.tracer, func(to msg.NodeID, m msg.Message) { c.enqueue(from, to, m) })
-		node.in = make([]*queue.SPSC[msg.Message], n)
-		for j := range node.in {
-			if j != i {
-				node.in[j] = queue.NewSPSC[msg.Message](queueCap)
+	for g, handlers := range groups {
+		n := len(handlers)
+		grp := &InProcGroup{nodes: make([]*Node, n), links: make([][]*link, n), down: make([]bool, n)}
+		place := make([]int, n)
+		for i := range place {
+			place[i] = coreOf(g, i, n, cores)
+		}
+		for i := range grp.nodes {
+			from := msg.NodeID(i)
+			node := NewNode(from, n, epoch, cfg.tracer, func(to msg.NodeID, m msg.Message) { grp.enqueue(from, to, m) })
+			node.handler = handlers[i]
+			node.in = make([]*queue.SPSC[msg.Message], n)
+			grp.nodes[i] = node
+			hosted[place[i]] = append(hosted[place[i]], node)
+		}
+		// A link per ordered pair on different cores; the mapping from
+		// pair to path is fixed here, so every link keeps its FIFO order.
+		for i, src := range grp.nodes {
+			grp.links[i] = make([]*link, n)
+			for j, dst := range grp.nodes {
+				if place[i] != place[j] {
+					l := &link{q: queue.NewSPSC[msg.Message](queueCap), from: src, to: dst}
+					grp.links[i][j] = l
+					dst.in[i] = l.q
+				}
 			}
 		}
-		node.stop = c.stop
-		c.nodes[i] = node
+		c.groups = append(c.groups, grp)
 	}
-	for i, node := range c.nodes {
-		node.Start(handlers[i])
+	if len(c.groups) > 0 {
+		c.InProcGroup = c.groups[0]
+	}
+	for _, nodes := range hosted {
+		if len(nodes) > 0 {
+			c.cores = append(c.cores, newCore(nodes))
+		}
+	}
+	for _, k := range c.cores {
+		k.start()
 	}
 	return c
 }
 
-// StopNode crashes node id: its handler is gone for good and the node
-// loop keeps running over one that discards everything, so senders —
-// whose bounded SPSC enqueues would otherwise spin on a full queue —
-// observe a lossy peer, exactly the TCP transport's crash semantics.
-// RestartNode installs a fresh handler. It fails on an unknown or
-// already-stopped node.
-func (c *InProcCluster) StopNode(id msg.NodeID) error {
-	return c.reincarnate(id, true, HandlerFunc{})
+// Group returns group g, in the order NewInProcGroups was given.
+func (c *InProcCluster) Group(g int) *InProcGroup { return c.groups[g] }
+
+// StopNode crashes node id: its handler is gone for good, replaced on
+// its core's goroutine by one that discards everything, so senders —
+// whose sends would otherwise pile up behind a full queue — observe a
+// lossy peer, exactly the TCP transport's crash semantics. RestartNode
+// installs a fresh handler. It fails on an unknown or already-stopped
+// node.
+func (g *InProcGroup) StopNode(id msg.NodeID) error {
+	return g.reincarnate(id, true, HandlerFunc{})
 }
 
 // RestartNode boots a fresh incarnation of node id with handler — the
 // counterpart of StopNode. Messages that arrived while the node was
-// down were discarded; anything still queued when the discarding loop
-// retires is delivered to the new handler, which must tolerate stale
-// protocol traffic (all engines do). It fails on an unknown or running
-// node.
-func (c *InProcCluster) RestartNode(id msg.NodeID, handler Handler) error {
-	return c.reincarnate(id, false, handler)
+// down were discarded; anything still queued at the swap is delivered
+// to the new handler, which must tolerate stale protocol traffic (all
+// engines do). It fails on an unknown or running node.
+func (g *InProcGroup) RestartNode(id msg.NodeID, handler Handler) error {
+	return g.reincarnate(id, false, handler)
 }
 
-// reincarnate retires node id's goroutine and starts one over handler,
-// marking the node down (stopped) or up; it fails if it already is.
-func (c *InProcCluster) reincarnate(id msg.NodeID, down bool, handler Handler) error {
-	if int(id) < 0 || int(id) >= len(c.nodes) {
+// reincarnate swaps node id's handler through its mailbox, marking the
+// node down (stopped) or up; it fails if it already is.
+func (g *InProcGroup) reincarnate(id msg.NodeID, down bool, handler Handler) error {
+	if int(id) < 0 || int(id) >= len(g.nodes) {
 		return fmt.Errorf("runtime: no node %d", id)
 	}
-	c.lifeMu.Lock()
-	defer c.lifeMu.Unlock()
+	g.lifeMu.Lock()
+	defer g.lifeMu.Unlock()
 	switch {
-	case c.down[id] && down:
+	case g.down[id] && down:
 		return fmt.Errorf("runtime: node %d is already stopped", id)
-	case !c.down[id] && !down:
+	case !g.down[id] && !down:
 		return fmt.Errorf("runtime: node %d is not stopped", id)
 	}
-	c.down[id] = down
-	c.nodes[id].Halt()
-	c.nodes[id].Start(handler)
+	g.down[id] = down
+	g.nodes[id].swapHandler(handler)
 	return nil
 }
 
@@ -118,34 +167,34 @@ func (c *InProcCluster) reincarnate(id msg.NodeID, down bool, handler Handler) e
 // entry point for external drivers (tests, examples) that are not
 // themselves nodes. It posts to the node's mailbox, not a peer queue, so
 // any goroutine may call it with any from id, and it never blocks.
-func (c *InProcCluster) Inject(from, to msg.NodeID, m msg.Message) {
-	if int(to) < 0 || int(to) >= len(c.nodes) {
+func (g *InProcGroup) Inject(from, to msg.NodeID, m msg.Message) {
+	if int(to) < 0 || int(to) >= len(g.nodes) {
 		panic(fmt.Sprintf("runtime: inject to unknown node %d", to))
 	}
-	c.nodes[to].Post(from, m)
+	g.nodes[to].Post(from, m)
 }
 
-// Stop shuts down all node goroutines and waits for them to exit. Each
-// node exits the next time it finds no input and parks, so a node
-// spinning on a peer's full queue is drained, not stranded.
+// Stop shuts down every core, one after another, and waits for each to
+// exit. No send ever waits on a receiver, so a core still running while
+// another has stopped holds what it sends there and goes on until its
+// own turn.
 func (c *InProcCluster) Stop() {
-	c.lifeMu.Lock()
-	defer c.lifeMu.Unlock()
-	close(c.stop)
-	for _, n := range c.nodes {
-		<-n.done
+	for _, k := range c.cores {
+		k.halt()
 	}
 }
 
-// enqueue is an in-process node's peer transport: one SPSC enqueue onto
-// the destination's queue from this sender, and a wakeup if it is parked.
-func (c *InProcCluster) enqueue(from, to msg.NodeID, m msg.Message) {
-	if int(to) < 0 || int(to) >= len(c.nodes) {
+// enqueue is an in-process node's peer transport: a send on the link to
+// a destination on another core (see link) or, for a destination on the
+// sender's own core, one append to the core's FIFO.
+func (g *InProcGroup) enqueue(from, to msg.NodeID, m msg.Message) {
+	if int(to) < 0 || int(to) >= len(g.nodes) {
 		panic(fmt.Sprintf("runtime: send to unknown node %d", to))
 	}
-	dst := c.nodes[to]
-	dst.in[from].Enqueue(m)
-	if dst.parked.Load() {
-		dst.notify()
+	if l := g.links[from][to]; l != nil {
+		l.send(m)
+		return
 	}
+	dst := g.nodes[to]
+	dst.core.local = append(dst.core.local, localSend{from: from, to: dst, m: m})
 }

@@ -137,7 +137,8 @@ func TestInProcStopRestartNode(t *testing.T) {
 		t.Fatal("StopNode(99) succeeded")
 	}
 	// Far more messages than the 0->1 queue holds: the stopped node must
-	// keep discarding or node 0's Send would spin on the full queue.
+	// keep discarding or node 0's sends would pile up behind the full
+	// queue.
 	c.Inject(msg.Nobody, 0, echoMsg{})
 	waitFor(t, func() bool { return floods.Load() == 1 })
 	for i := 0; i < 5000; i++ {
@@ -155,7 +156,8 @@ func TestInProcStopRestartNode(t *testing.T) {
 	c.Inject(0, 1, echoMsg{N: 1})
 	waitFor(t, func() bool { return second.Load() >= 1 })
 	// A peer burst sent after the restart reaches the new handler whole:
-	// the queue applies backpressure to a live consumer, it does not drop.
+	// what the queue has no room for waits at the sender, it is not
+	// dropped.
 	before := second.Load()
 	c.Inject(msg.Nobody, 0, echoMsg{})
 	waitFor(t, func() bool { return second.Load() >= before+5*queueCap })

@@ -13,7 +13,8 @@ import (
 )
 
 // The node contract, checked on both real runtimes: each test below
-// runs once per row, in-process and over loopback TCP.
+// runs once per row — in-process with a core per node, in-process with
+// every node on one core, and over loopback TCP.
 
 // cluster is a started runtime as a test drives it.
 type cluster struct {
@@ -27,6 +28,10 @@ var runtimes = []struct {
 }{
 	{"inproc", func(t *testing.T, handlers []runtime.Handler) cluster {
 		c := runtime.NewInProcCluster(handlers)
+		return cluster{inject: c.Inject, stop: c.Stop}
+	}},
+	{"inproc-cohosted", func(t *testing.T, handlers []runtime.Handler) cluster {
+		c := runtime.NewInProcGroups([][]runtime.Handler{handlers}, 1)
 		return cluster{inject: c.Inject, stop: c.Stop}
 	}},
 	{"tcp", func(t *testing.T, handlers []runtime.Handler) cluster {

@@ -8,16 +8,17 @@
 //
 //   - the deterministic many-core simulator (internal/simnet), used by all
 //     experiments;
-//   - the in-process goroutine runtime in this package, whose per-pair
-//     SPSC slot queues and wake-up signalling mirror QC-libtask's design
-//     (user-level threads with a blocking read interface, no OS locks on
-//     the message path);
+//   - the in-process runtime in this package, whose cores (goroutines
+//     that each multiplex several nodes), per-pair SPSC slot queues and
+//     wake-up signalling mirror QC-libtask's design (user-level threads
+//     on a core with a blocking read interface, no OS locks on the
+//     message path);
 //   - the TCP transport (internal/transport), the paper's "easily ported
 //     to a network system" claim.
 //
-// The two real runtimes share one Node — actor loop, Context, mailbox,
-// timers and self-sends — and differ only in the peer transport under it:
-// SPSC queues in-process, sockets over TCP.
+// The two real runtimes share one Node — sweep, Context, mailbox, timers
+// and self-sends — run by a core, and differ only in the peer transport
+// under it: SPSC queues in-process, sockets over TCP.
 package runtime
 
 import (

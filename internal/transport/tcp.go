@@ -5,12 +5,13 @@
 // network system with no change" (Section 6.2).
 //
 // Only the queue layer between nodes changes: a TCPNode is a
-// runtime.Node — the in-process runtime's actor loop, Context, mailbox,
-// timers and self-sends — whose peer transport is sockets instead of
-// SPSC queues. Reader goroutines post decoded frames into the node's
-// mailbox, waiting while it holds its bound of undelivered ones, and the
-// node's non-self sends go to per-peer writer queues. This package keeps
-// only sockets, framing, dialing, writers and the wire counters.
+// runtime.Node on a core of its own — the in-process runtime's sweep
+// loop, Context, mailbox, timers and self-sends — whose peer transport
+// is sockets instead of SPSC queues. Reader goroutines post decoded
+// frames into the node's mailbox, waiting while it holds its bound of
+// undelivered ones, and the node's non-self sends go to per-peer writer
+// queues. This package keeps only sockets, framing, dialing, writers and
+// the wire counters.
 //
 // The wire path is built to disappear from profiles: messages are
 // encoded with the hand-rolled binary codec (internal/msg's per-type
@@ -284,9 +285,9 @@ func (t *TCPNode) Start() error {
 		return errors.New("transport: no peer addresses configured")
 	}
 	t.node = runtime.NewNode(t.id, len(t.addrs), time.Now(), t.tracer, t.send)
+	t.node.Start(t.handler) // before any reader can post into it
 	t.wg.Add(1)
 	go t.acceptLoop()
-	t.node.Start(t.handler)
 	return nil
 }
 
@@ -320,6 +321,16 @@ func (t *TCPNode) acceptLoop() {
 			return // listener closed
 		}
 		t.mu.Lock()
+		select {
+		case <-t.stop:
+			// Close has already shut the inbound connections: one
+			// accepted just before the listener closed must not outlive
+			// it, or its reader would block Close forever.
+			t.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		t.inbound = append(t.inbound, conn)
 		t.mu.Unlock()
 		t.wg.Add(1)

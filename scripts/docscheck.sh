@@ -13,7 +13,9 @@
 # spelled outside its owner), when a second client grows back beside
 # internal/client, when the lane grows a lock or a Transmit method back,
 # a real runtime a timer channel or the TCP transport a Context of its
-# own, or bridge.go a fourth mu.Lock(), when the snapshot Manager grows
+# own, or bridge.go a fourth mu.Lock(), when internal/runtime starts a
+# goroutine anywhere but its core or api.go a runtime per shard, when the
+# snapshot Manager grows
 # a second recovery watchdog or timer,
 # when internal/experiments grows a per-experiment
 # printer or row type back or a Registry id has no EXPERIMENTS.md row, or
@@ -177,6 +179,24 @@ context=$(grep -HnE '^func \([^)]*\) After\(.*\) runtime\.CancelFunc' $(find int
 if [ -n "$context" ]; then
     echo "docscheck: internal/transport hands its handlers runtime.Node's Context, not one of its own:" >&2
     echo "$context" >&2
+    fail=1
+fi
+# Replicas on cores (DESIGN.md, "Cores"): a core is the one goroutine
+# the runtime starts, and one InProc runtime hosts every shard. A second
+# go statement in internal/runtime is a per-node goroutine growing back;
+# NewInProcCluster in api.go is one runtime per shard growing back.
+gostmts=$(for f in $(find internal/runtime -name '*.go' ! -name '*_test.go'); do
+    sed 's,//.*$,,' "$f" | grep -nE '(^|[[:space:];{])go [[:alnum:]_(]' | sed "s,^,$f:,"
+done)
+if [ "$(printf '%s' "$gostmts" | grep -c .)" -gt 1 ]; then
+    echo "docscheck: internal/runtime starts goroutines in one place, core.start:" >&2
+    echo "$gostmts" >&2
+    fail=1
+fi
+pershard=$(sed 's,//.*$,,' api.go | grep -n 'NewInProcCluster')
+if [ -n "$pershard" ]; then
+    echo "docscheck: api.go runs every shard on one runtime (NewInProcGroups), not a cluster per shard:" >&2
+    echo "$pershard" >&2
     fail=1
 fi
 locks=$(grep -c 'mu\.Lock()' bridge.go)
