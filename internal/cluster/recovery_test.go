@@ -7,8 +7,10 @@ import (
 
 // TestPausedRecoveryRejoins boots replica 2 in recovery mode and pauses
 // its core from 1 µs to 5 ms: the answer to its first catch-up request
-// and its first retry timer both reach a paused core and are dropped.
-// The replica must still rejoin — recovered, applying (log engines), and
+// reaches a paused core and is dropped, and its first retry timer comes
+// due meanwhile and fires only at Recover: simnet keeps a paused core's
+// timers, and no engine or recovery code knows about the pause. The
+// replica must still rejoin — recovered, applying (log engines), and
 // the group serving thousands of ops, which for Mencius also means the
 // rejoined owner skips its instances again.
 func TestPausedRecoveryRejoins(t *testing.T) {

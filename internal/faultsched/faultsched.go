@@ -38,8 +38,8 @@ type Kind int
 
 // Fault event kinds. Each episode pairs a fault with its undo.
 const (
-	Crash   Kind = iota // node stops; inbox drops until Recover
-	Recover             // node resumes with state intact
+	Crash   Kind = iota // node pauses: messages drop, timers wait for Recover
+	Recover             // node resumes with state intact; due timers fire first
 	Cut                 // link Node-Peer drops messages both ways
 	Heal                // link Node-Peer restored
 	Slow                // node runs Factor× slower

@@ -355,6 +355,11 @@ func (r *Replica) onAccept(from msg.NodeID, m msg.MPAccept) {
 	if m.PN > r.maxPNSeen {
 		r.maxPNSeen = m.PN
 	}
+	if r.iAmLeader && m.PN > r.myPN {
+		// Another proposer won a higher ballot: this leader's own accepts
+		// may never reach an acceptor to be nacked.
+		r.stepDown()
+	}
 	if m.PN < r.hpn {
 		r.Ctx.Send(from, msg.MPNack{PN: r.hpn})
 		return
@@ -389,7 +394,7 @@ func (r *Replica) onNack(m msg.MPNack) {
 	}
 	if r.iAmLeader && m.PN > r.myPN {
 		// A higher-numbered proposer exists: deposed.
-		r.iAmLeader = false
+		r.stepDown()
 		return
 	}
 	if r.preparing {
@@ -398,6 +403,23 @@ func (r *Replica) onNack(m msg.MPNack) {
 		backoff := r.Cfg.TakeoverBackoff + time.Duration(r.Ctx.Rand().Int63n(int64(r.Cfg.TakeoverBackoff)))
 		r.Ctx.After(backoff, runtime.TimerTag{Kind: timerRetryPrepare})
 	}
+}
+
+// stepDown gives up leadership on evidence of a higher ballot. The
+// proposals this leader has not seen learned are the new leader's to
+// finish (its prepare adopts whatever an acceptor took), so their
+// per-instance state goes and their reply duty is released: a client's
+// retry is then admitted again wherever it lands, here included,
+// instead of being dropped as a duplicate of a proposal nobody drives.
+func (r *Replica) stepDown() {
+	r.iAmLeader = false
+	for in, v := range r.proposed {
+		if !r.Log().Learned(in) {
+			r.Disown(v.Client, v.Entries())
+		}
+	}
+	clear(r.proposed)
+	clear(r.outstanding)
 }
 
 func (r *Replica) nextPN() uint64 {

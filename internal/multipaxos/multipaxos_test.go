@@ -157,19 +157,49 @@ func TestLearnerNeedsMajority(t *testing.T) {
 	}
 }
 
+// TestNackDeposesLeader: a leader steps down on evidence of a higher
+// ballot, a nack or another proposer's accept — whose own accepts may
+// never be nacked — and releases the reply duty for what it proposed,
+// so the client's retry starts a new prepare instead of being dropped
+// as a duplicate of a proposal nobody drives.
 func TestNackDeposesLeader(t *testing.T) {
-	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
-	ctx := runtime.NewFakeContext(0, 3)
-	r.Start(ctx)
-	pn := ctx.Sent[0].M.(msg.MPPrepare).PN
-	r.Receive(ctx, 0, msg.MPPromise{PN: pn, From: 0})
-	r.Receive(ctx, 1, msg.MPPromise{PN: pn, From: 1})
-	if !r.IsLeader() {
-		t.Fatal("setup: leader election failed")
-	}
-	r.Receive(ctx, 2, msg.MPNack{PN: pn + 100})
-	if r.IsLeader() {
-		t.Fatal("a higher-pn nack must depose the leader")
+	put := msg.ClientRequest{Client: 7, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
+	for _, tc := range []struct {
+		name     string
+		evidence func(pn uint64) msg.Message
+	}{
+		{"nack", func(pn uint64) msg.Message { return msg.MPNack{PN: pn + 100} }},
+		{"accept", func(pn uint64) msg.Message {
+			return msg.MPAccept{Instance: 0, PN: pn + 100, Value: msg.Value{Client: 8, Seq: 1}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
+			ctx := runtime.NewFakeContext(0, 3)
+			r.Start(ctx)
+			pn := ctx.Sent[0].M.(msg.MPPrepare).PN
+			r.Receive(ctx, 0, msg.MPPromise{PN: pn, From: 0})
+			r.Receive(ctx, 1, msg.MPPromise{PN: pn, From: 1})
+			if !r.IsLeader() {
+				t.Fatal("setup: leader election failed")
+			}
+			r.Receive(ctx, 7, put)
+			r.Receive(ctx, 2, tc.evidence(pn))
+			if r.IsLeader() {
+				t.Fatalf("a higher-pn %s must depose the leader", tc.name)
+			}
+			ctx.TakeSent()
+			r.Receive(ctx, 7, put)
+			prepares := 0
+			for _, s := range ctx.Sent {
+				if _, ok := s.M.(msg.MPPrepare); ok {
+					prepares++
+				}
+			}
+			if prepares != 3 {
+				t.Fatalf("the client's retry sent %d prepares, want 3: the deposed leader kept its reply duty", prepares)
+			}
+		})
 	}
 }
 

@@ -505,7 +505,7 @@ func (r *Replica) onLearn(m msg.Learn) {
 // --- Proposer: becoming leader (Appendix A propose()/prepare_response) ---
 
 func (r *Replica) onPrepareResponse(from msg.NodeID, m msg.PrepareResponse) {
-	if r.iAmLeader || m.Acceptor != r.aa || m.PN != r.myPN {
+	if r.iAmLeader || !r.takingOver || m.Acceptor != r.aa || m.PN != r.myPN {
 		return
 	}
 	r.iAmLeader = true
@@ -835,12 +835,14 @@ func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
 			// "virgin-switch" an acceptor that meanwhile accepted
 			// proposals under other leaders — discarding them.
 			r.aaVirgin = false
-			if r.iAmLeader {
-				// Deposed: every leader checks for this announcement
-				// (Section 5.3) and must consider its position
-				// relinquished.
-				r.iAmLeader = false
-			}
+			// Deposed: every leader checks for this announcement
+			// (Section 5.3) and must consider its position relinquished.
+			// So must a takeover still adopting its acceptor: the regime
+			// its own entry installed is history now, and a prepare
+			// retried under it would steal the acceptor from the leader
+			// this entry names.
+			r.iAmLeader = false
+			r.takingOver = false
 			if e.Acceptor != msg.Nobody {
 				r.aa = e.Acceptor
 			}
@@ -875,8 +877,13 @@ func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
 			// every adoption until the longest one could have lapsed.
 			r.Read.AssumeForeignLease()
 		}
-		if e.Leader != r.Me && r.iAmLeader {
+		if e.Leader != r.Me {
+			// Another leader's regime, as for a LeaderChange above.
 			r.iAmLeader = false
+			if r.takingOver {
+				r.takingOver = false
+				r.forwardPending(e.Leader)
+			}
 		}
 	}
 }

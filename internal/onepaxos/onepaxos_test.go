@@ -215,6 +215,35 @@ func TestTakeoverFallbackAcceptorIsNotTheTaker(t *testing.T) {
 	}
 }
 
+// TestSupersededTakeoverStops: a takeover still adopting its acceptor
+// stops when a utility entry names another leader. Its prepare deadline
+// resends nothing, and a prepare_response that arrives late does not
+// make it leader: adopting under the replaced regime would steal the
+// acceptor from the leader the entry names, and that leader's decided
+// instances could then be no-op filled.
+func TestSupersededTakeoverStops(t *testing.T) {
+	for name, e := range map[string]msg.UtilEntry{
+		"LeaderChange":   {Type: msg.EntryLeaderChange, Leader: 1, Acceptor: 2},
+		"AcceptorChange": {Type: msg.EntryAcceptorChange, Leader: 1, Acceptor: 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r, ctx := newReplica(t, 0, 3)
+			r.Start(ctx) // the boot takeover: a prepare to acceptor 2
+			pn := ctx.SentTo(2)[0].(msg.PrepareRequest).PN
+			ctx.TakeSent()
+			r.onUtilCommit(0, e)
+			r.Timer(ctx, runtime.TimerTag{Kind: timerPrepareDeadline, Arg: int64(pn)})
+			if got := countTo[msg.PrepareRequest](ctx, 2); got != 0 {
+				t.Fatalf("the superseded takeover re-sent %d prepares", got)
+			}
+			r.Receive(ctx, 2, msg.PrepareResponse{Acceptor: 2, PN: pn})
+			if r.IsLeader() {
+				t.Fatal("a late prepare_response made the superseded taker leader")
+			}
+		})
+	}
+}
+
 func TestSessionDedupAnswersRetries(t *testing.T) {
 	r, ctx := newReplica(t, 0, 3)
 	r.Start(ctx)

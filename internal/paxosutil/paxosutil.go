@@ -68,7 +68,6 @@ type proposal struct {
 	synod       *basicpaxos.Proposer[msg.UtilEntry]
 	done        DoneFunc
 	cancelTimer runtime.CancelFunc
-	armedAt     time.Duration // when the retry timer was last armed
 	// internal marks a backfill no-op proposal. The engine may pick the
 	// same slot for a real entry before the backfill resolves; a real
 	// Propose displaces an internal one (abandoning a proposer is always
@@ -204,26 +203,7 @@ func (u *Util) armRetry(ctx runtime.Context, p *proposal) {
 	}
 	// Jitter the retry so duelling proposers desynchronize.
 	jitter := time.Duration(ctx.Rand().Int63n(int64(u.retry)/2 + 1))
-	p.armedAt = ctx.Now()
 	p.cancelTimer = ctx.After(u.retry+jitter, runtime.TimerTag{Kind: TimerRetry, Arg: p.slot})
-}
-
-// reviveStalled restarts in-flight proposals whose retry timer never
-// fired: a timer that expires while its node is crashed is dropped, not
-// deferred, so a proposal armed before the crash would otherwise hang
-// forever. Any utility message is evidence the node is back; a proposal
-// long past its retry deadline gets a fresh round.
-func (u *Util) reviveStalled(ctx runtime.Context) {
-	for _, p := range u.props {
-		if ctx.Now() < p.armedAt+2*u.retry {
-			continue
-		}
-		pn := basicpaxos.NextPN(u.me, u.maxPNSeen)
-		u.maxPNSeen = pn
-		p.synod.Restart(pn)
-		u.armRetry(ctx, p)
-		u.broadcast(ctx, msg.UtilPrepare{Slot: p.slot, PN: pn})
-	}
 }
 
 // backfill drives consensus at the lowest gap slot when a commit is
@@ -280,7 +260,6 @@ func (u *Util) Handle(ctx runtime.Context, from msg.NodeID, m msg.Message) bool 
 	default:
 		return false
 	}
-	u.reviveStalled(ctx)
 	u.backfill(ctx)
 	return true
 }

@@ -217,11 +217,9 @@ func (s *Shell) Start(ctx runtime.Context) {
 // Route offers one message to the recovery subsystem and then the read
 // path, and reports whether either consumed it. An engine with a side
 // protocol of its own (1Paxos's PaxosUtility) offers the message there
-// first; what nobody claims is the engine's agreement traffic. Any
-// message first revives a catch-up timer a paused core lost.
+// first; what nobody claims is the engine's agreement traffic.
 func (s *Shell) Route(ctx runtime.Context, from msg.NodeID, m msg.Message) bool {
 	s.Ctx = ctx
-	s.Snap.Revive(ctx)
 	return s.Snap.Handle(ctx, from, m) || s.Read.Handle(ctx, from, m)
 }
 

@@ -207,20 +207,28 @@ func (n *Network) SetSlow(id msg.NodeID, factor float64) {
 	n.cores[id].slow = factor
 }
 
-// Crash makes core id drop all current and future messages and timers.
-// The paper's "crash" models a core unresponsive for arbitrarily long.
+// Crash pauses core id: the paper's "crash", a core unresponsive for
+// arbitrarily long. It drops every current and future message, but it
+// keeps its timers, which are part of its memory: one that comes due
+// while the core is paused waits in its inbox until Recover.
 func (n *Network) Crash(id msg.NodeID) {
 	c := n.cores[id]
 	c.crashed = true
-	c.stats.Dropped += int64(len(c.inbox))
-	c.inbox = nil
+	c.dropMessages()
 }
 
-// Recover lets a crashed core process messages again. Its protocol state
-// is whatever it was at crash time (cores do not lose memory; the paper's
+// Recover lets a crashed core run again. Its protocol state is whatever
+// it was at crash time (cores do not lose memory; the paper's
 // fresh-acceptor discussion covers the state-loss case explicitly via the
-// MustBeFresh handshake, which tests exercise directly).
-func (n *Network) Recover(id msg.NodeID) { n.cores[id].crashed = false }
+// MustBeFresh handshake, which tests exercise directly), and the timers
+// that came due meanwhile fire first, once each, in deadline order.
+func (n *Network) Recover(id msg.NodeID) {
+	c := n.cores[id]
+	c.crashed = false
+	if len(c.inbox) > 0 {
+		c.schedule(n.eng.Now())
+	}
+}
 
 // Crashed reports whether core id is crashed.
 func (n *Network) Crashed(id msg.NodeID) bool { return n.cores[id].crashed }
@@ -341,12 +349,26 @@ func (c *core) schedule(now time.Duration) {
 	c.net.eng.Schedule(at, c.processOne)
 }
 
-// processOne pops and handles the oldest inbox item.
+// dropMessages discards the inbox's messages, keeping its timers in
+// order, and counts the messages in Dropped.
+func (c *core) dropMessages() {
+	kept := c.inbox[:0]
+	for _, item := range c.inbox {
+		if item.timer {
+			kept = append(kept, item)
+		}
+	}
+	c.stats.Dropped += int64(len(c.inbox) - len(kept))
+	clear(c.inbox[len(kept):])
+	c.inbox = kept
+}
+
+// processOne pops and handles the oldest inbox item. A crashed core
+// handles nothing; its timers wait for Recover.
 func (c *core) processOne() {
 	c.scheduled = false
 	if c.crashed {
-		c.stats.Dropped += int64(len(c.inbox))
-		c.inbox = nil
+		c.dropMessages()
 		return
 	}
 	if len(c.inbox) == 0 {
@@ -441,7 +463,7 @@ func (ctx *coreContext) After(d time.Duration, tag runtime.TimerTag) runtime.Can
 		at = c.net.eng.Now() + d
 	}
 	c.net.eng.Schedule(at, func() {
-		if *dead || c.crashed {
+		if *dead {
 			return
 		}
 		c.enqueue(inboxItem{timer: true, tag: tag, dead: dead}, c.net.eng.Now())

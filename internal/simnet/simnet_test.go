@@ -163,6 +163,54 @@ func TestRecoverDeliversNewMessages(t *testing.T) {
 	}
 }
 
+// TestCrashKeepsTimers: a paused core keeps its timers. The ones that
+// come due meanwhile fire once each at Recover, in deadline order; a
+// cancelled one never fires, whether it was cancelled before the pause
+// or by a handler that ran at Recover; messages are still dropped.
+func TestCrashKeepsTimers(t *testing.T) {
+	m := topology.Uniform(2, time.Microsecond)
+	net := New(m, flatCost(), 1)
+	type fire struct {
+		kind int
+		at   time.Duration
+	}
+	var fired []fire
+	var cancelC runtime.CancelFunc
+	net.AddNode(runtime.HandlerFunc{
+		OnStart: func(ctx runtime.Context) {
+			ctx.After(30*time.Microsecond, runtime.TimerTag{Kind: 3})
+			ctx.After(20*time.Microsecond, runtime.TimerTag{Kind: 1})
+			cancelC = ctx.After(25*time.Microsecond, runtime.TimerTag{Kind: 2})
+			ctx.After(15*time.Microsecond, runtime.TimerTag{Kind: 4})()
+		},
+		OnTimer: func(ctx runtime.Context, tag runtime.TimerTag) {
+			fired = append(fired, fire{tag.Kind, ctx.Now()})
+			if tag.Kind == 1 {
+				cancelC()
+			}
+		},
+	})
+	net.AddNode(&collector{})
+	net.Start()
+	net.At(10*time.Microsecond, func() { net.Crash(0) })
+	net.At(50*time.Microsecond, func() { net.Inject(1, 0, ping{}) })
+	net.At(100*time.Microsecond, func() { net.Recover(0) })
+	net.RunFor(time.Millisecond)
+
+	if len(fired) != 2 || fired[0].kind != 1 || fired[1].kind != 3 {
+		t.Fatalf("fired %+v, want kinds 1 then 3", fired)
+	}
+	for _, f := range fired {
+		if f.at < 100*time.Microsecond {
+			t.Fatalf("timer %d fired at %v, while its core was paused", f.kind, f.at)
+		}
+	}
+	st := net.Stats(0)
+	if st.Timers != 2 || st.Received != 0 || st.Dropped != 1 {
+		t.Fatalf("Timers %d, Received %d, Dropped %d; want 2, 0, 1", st.Timers, st.Received, st.Dropped)
+	}
+}
+
 func TestSelfSendCrossesNoBoundary(t *testing.T) {
 	m := topology.Uniform(1, time.Microsecond)
 	net := New(m, flatCost(), 1)

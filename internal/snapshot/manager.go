@@ -4,7 +4,7 @@ package snapshot
 // shell (internal/replica.Shell) builds one per replica and calls it
 // from its own hooks:
 //
-//	Route:      Revive, then Handle    (every message)
+//	Route:      Handle
 //	RouteTimer: HandleTimer
 //	Start:      Start
 //	Vote:       WatchGap               (per learned instance)
@@ -100,9 +100,8 @@ type Manager struct {
 	// Recovering side: the transfer phase, then one stall watchdog that
 	// runs while goal is set (see watch).
 	catchingUp   bool
-	goal         int64         // applies must reach it; 0 means off
-	seen         int64         // next-to-apply at the last watch step
-	armedAt      time.Duration // when the timer was last armed (see revive)
+	goal         int64 // applies must reach it; 0 means off
+	seen         int64 // next-to-apply at the last watch step
 	target       int
 	assembling   []byte
 	assembleFrom msg.NodeID
@@ -237,14 +236,9 @@ func (m *Manager) HandleTimer(ctx runtime.Context, tag runtime.TimerTag) bool {
 // does — the acceptor's re-multicast covers retried accepts only, and
 // instances below a noopFloor are never no-op filled (they were
 // decided; the value exists at peers). Engines call this from their
-// learn path; it is cheap, and while the watchdog is already on it only
-// revives a lost timer.
+// learn path; it is cheap, and a no-op while the watchdog is already on.
 func (m *Manager) WatchGap(ctx runtime.Context) {
-	if m.log == nil || m.catchingUp {
-		return
-	}
-	if m.goal != 0 {
-		m.revive(ctx)
+	if m.log == nil || m.catchingUp || m.goal != 0 {
 		return
 	}
 	next, learned := m.log.NextToApply(), m.log.LearnedFrontier()
@@ -253,25 +247,6 @@ func (m *Manager) WatchGap(ctx runtime.Context) {
 	}
 	m.goal, m.seen = learned, next
 	m.armRetry(ctx)
-}
-
-// Revive runs revive during a transfer, which has no learn path to run
-// it from (2PC has none at all): the shell calls it on every message,
-// and outside a transfer it costs one load.
-func (m *Manager) Revive(ctx runtime.Context) {
-	if m.catchingUp {
-		m.revive(ctx)
-	}
-}
-
-// revive re-arms a timer still unfired 2×RetryTimeout after it was
-// armed. A paused core (simnet's Crash, then Recover) drops the timers
-// that come due meanwhile instead of deferring them, so a watchdog can
-// outlive its timer; the real runtimes never drop one.
-func (m *Manager) revive(ctx runtime.Context) {
-	if ctx.Now() >= m.armedAt+2*m.cfg.RetryTimeout {
-		m.armRetry(ctx)
-	}
 }
 
 // watch is the watchdog's one body, run when its timer fires and when a
@@ -449,7 +424,6 @@ func (m *Manager) request(ctx runtime.Context) {
 
 func (m *Manager) armRetry(ctx runtime.Context) {
 	m.disarm()
-	m.armedAt = ctx.Now()
 	m.retryCancel = ctx.After(m.cfg.RetryTimeout, runtime.TimerTag{Kind: timerCatchup})
 }
 

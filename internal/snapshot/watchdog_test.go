@@ -2,7 +2,7 @@ package snapshot
 
 // Tests for the Manager's one stall watchdog, driven on a FakeContext
 // over a log with a hole: which goal it chases, what a tick does, and
-// the revival of a timer a paused core dropped.
+// what a tick a paused core delivers late does.
 
 import (
 	"fmt"
@@ -172,52 +172,44 @@ func TestWatchdogTick(t *testing.T) {
 	}
 }
 
-// TestWatchdogRevival: a timer a paused core dropped — cancelled here,
-// never fired — is re-armed by the first call that finds it
-// 2×RetryTimeout old, in each of the watchdog's three states: the
-// transfer (from any message, Revive), the convergence watch and the
-// gap watch (from the learn path, WatchGap).
-func TestWatchdogRevival(t *testing.T) {
+// TestWatchdogLateTick: a paused core (simnet's Crash, then Recover)
+// keeps its timers and fires the ones that came due at Recover, long
+// after their deadline. Such a tick is one watchdog step in each of the
+// watchdog's three states — the transfer, the convergence watch and the
+// gap watch: it asks the next peer once and re-arms a full RetryTimeout
+// from when it ran.
+func TestWatchdogLateTick(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		setup func(t *testing.T) (*Manager, *runtime.FakeContext)
-		poke  func(m *Manager, ctx runtime.Context)
-		ask   string // the revived tick's request, "to:from"
+		ask   string // the late tick's request, "to:from"
 	}{
 		{"transfer", func(t *testing.T) (*Manager, *runtime.FakeContext) {
 			m, _, ctx, _ := newWatched(t, true)
 			m.Start(ctx)
 			ctx.TakeSent()
 			return m, ctx
-		}, (*Manager).Revive, "2:0"},
+		}, "2:0"},
 		{"convergence", func(t *testing.T) (*Manager, *runtime.FakeContext) {
 			m, _, ctx, _ := toConvergence(t)
 			return m, ctx
-		}, (*Manager).WatchGap, "2:5"},
+		}, "2:5"},
 		{"gap", func(t *testing.T) (*Manager, *runtime.FakeContext) {
 			m, _, ctx := toGap(t)
 			return m, ctx
-		}, (*Manager).WatchGap, "0:5"},
+		}, "0:5"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, ctx := tc.setup(t)
-			dropped := live(t, ctx)[0]
-			dropped.Cancelled = true
-			armedAt := dropped.At - watchRetry
-
-			ctx.Clock = armedAt + 2*watchRetry - 1
-			tc.poke(m, ctx)
-			if len(live(t, ctx)) != 0 {
-				t.Fatal("re-armed before the timer was 2×RetryTimeout old")
-			}
-			ctx.Clock++
-			tc.poke(m, ctx)
-			if armed := live(t, ctx); len(armed) != 1 || armed[0].At != ctx.Clock+watchRetry {
-				t.Fatalf("timer not re-armed 2×RetryTimeout after it was armed: %+v", armed)
-			}
-			fire(t, ctx, m)
+			late := live(t, ctx)[0]
+			late.Cancelled = true // consumed
+			ctx.Clock = late.At + 50*watchRetry
+			m.HandleTimer(ctx, late.Tag)
 			if got := requests(ctx); len(got) != 1 || got[0] != tc.ask {
-				t.Fatalf("the revived tick sent %v, want [%s]", got, tc.ask)
+				t.Fatalf("the late tick sent %v, want [%s]", got, tc.ask)
+			}
+			if armed := live(t, ctx); len(armed) != 1 || armed[0].At != ctx.Clock+watchRetry {
+				t.Fatalf("the late tick armed %+v, want one timer a RetryTimeout after it ran", armed)
 			}
 		})
 	}

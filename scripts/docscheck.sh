@@ -16,7 +16,8 @@
 # own, or bridge.go a fourth mu.Lock(), when internal/runtime starts a
 # goroutine anywhere but its core or api.go a runtime per shard, when the
 # snapshot Manager grows
-# a second recovery watchdog or timer,
+# a second recovery watchdog or timer, when protocol or recovery code
+# grows a rule that revives a timer a paused simulator core lost,
 # when internal/experiments grows a per-experiment
 # printer or row type back or a Registry id has no EXPERIMENTS.md row, or
 # when a doc file that other docs link to is absent.
@@ -252,13 +253,24 @@ fi
 # timer state machine growing back.
 watches=$(grep -nE 'watching|watchGoal|lastSeen|gapWatch|gapSeen|gapArmed' $(find internal/snapshot -name '*.go' ! -name '*_test.go'))
 if [ -n "$watches" ]; then
-    echo "docscheck: internal/snapshot has one stall watchdog (goal, seen, armedAt), not a field set per watch:" >&2
+    echo "docscheck: internal/snapshot has one stall watchdog (goal, seen), not a field set per watch:" >&2
     echo "$watches" >&2
     fail=1
 fi
 if [ "$(grep -c 'ctx\.After(' "$mgr")" -gt 1 ]; then
     echo "docscheck: $mgr arms its timer only in armRetry:" >&2
     grep -n 'ctx\.After(' "$mgr" >&2
+    fail=1
+fi
+
+# A paused core keeps its timers (simnet's Crash, then Recover): the
+# simulator owns that fact, so no engine or recovery code re-arms a timer
+# it thinks a pause dropped. A revival rule, or the arm time it keys on,
+# is that compensation growing back.
+revivals=$(grep -nE 'revive|reviveStalled|armedAt|Revive\(' $(find internal -name '*.go' ! -name '*_test.go'))
+if [ -n "$revivals" ]; then
+    echo "docscheck: a paused simulator core keeps its timers; internal/ needs no rule that revives one:" >&2
+    echo "$revivals" >&2
     fail=1
 fi
 
