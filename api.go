@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"consensusinside/internal/client"
-	"consensusinside/internal/cluster"
 	"consensusinside/internal/metrics"
 	"consensusinside/internal/msg"
 	"consensusinside/internal/obs"
@@ -17,54 +16,26 @@ import (
 	"consensusinside/internal/rsm"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/shard"
-	"consensusinside/internal/simnet"
-	"consensusinside/internal/topology"
 	"consensusinside/internal/trace"
 	"consensusinside/internal/transport"
 )
 
-// Protocol selects an agreement protocol, for simulated clusters and for
-// StartKV alike.
-type Protocol = cluster.Protocol
+// Protocol selects the agreement engine StartKV runs.
+type Protocol = protocol.ID
 
 // Protocols under study: the paper's contribution, its two baselines, and
 // the two related-work extensions (Section 8).
 const (
-	OnePaxos   = cluster.OnePaxos
-	MultiPaxos = cluster.MultiPaxos
-	TwoPC      = cluster.TwoPC
-	Mencius    = cluster.Mencius
-	BasicPaxos = cluster.BasicPaxos
+	OnePaxos   = protocol.OnePaxos
+	MultiPaxos = protocol.MultiPaxos
+	TwoPC      = protocol.TwoPC
+	Mencius    = protocol.Mencius
+	BasicPaxos = protocol.BasicPaxos
 )
 
 // Protocols lists every registered protocol in ascending order, for
 // sweeping the full protocol × runtime matrix.
 func Protocols() []Protocol { return protocol.IDs() }
-
-// SimSpec describes a simulated deployment (see cluster.Spec).
-type SimSpec = cluster.Spec
-
-// SimCluster is a runnable simulated deployment.
-type SimCluster = cluster.Cluster
-
-// NewSimCluster builds a simulated many-core deployment. Use the Machine*
-// and Costs* helpers for the paper's configurations. It returns an error
-// on malformed specs (nil machine, unknown protocol, too-small group).
-func NewSimCluster(spec SimSpec) (*SimCluster, error) { return cluster.Build(spec) }
-
-// Machine48 is the paper's 48-core evaluation machine (8 × 6-core AMD
-// Opteron, Section 7.1).
-func Machine48() *topology.Machine { return topology.Opteron48() }
-
-// Machine8 is the paper's 8-core slow-core-experiment machine (4 × 2-core
-// Opteron, Sections 2.2 and 7.6).
-func Machine8() *topology.Machine { return topology.Opteron8() }
-
-// CostsManyCore is the calibrated many-core cost model (Section 3).
-func CostsManyCore() simnet.CostModel { return simnet.ManyCore() }
-
-// CostsLAN is the calibrated LAN cost model (Section 3).
-func CostsLAN() simnet.CostModel { return simnet.LAN() }
 
 // TransportKind selects how a real (non-simulated) KV cluster
 // communicates.
@@ -102,9 +73,9 @@ func (t TransportKind) String() string {
 // path".
 type ReadMode int
 
-// Read modes for StartKV (and cluster.Spec). The values are defined by
-// conversion from the internal enum, so the public knob can never
-// silently diverge from what the engines run.
+// Read modes for StartKV. The values are defined by conversion from the
+// internal enum, so the public knob can never silently diverge from what
+// the engines run.
 const (
 	// ReadConsensus orders every read through the replicated log (the
 	// default, and the only mode the paper measures).

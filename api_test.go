@@ -215,29 +215,3 @@ func TestKVConfigValidation(t *testing.T) {
 		t.Fatal("negative lease duration must be rejected")
 	}
 }
-
-func TestSimFacade(t *testing.T) {
-	c, err := NewSimCluster(SimSpec{
-		Protocol: OnePaxos,
-		Machine:  Machine48(),
-		Cost:     CostsManyCore(),
-		Seed:     1,
-		Replicas: 3,
-		Clients:  2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	c.RunFor(5 * time.Millisecond)
-	st := c.ClientStats()
-	if st.Completed == 0 {
-		t.Fatal("no commits through the facade")
-	}
-	if Machine8().Cores() != 8 {
-		t.Fatal("Machine8 wrong")
-	}
-	if CostsLAN().Send <= CostsManyCore().Send {
-		t.Fatal("LAN transmission must exceed many-core transmission")
-	}
-}

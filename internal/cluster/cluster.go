@@ -33,27 +33,9 @@ import (
 	"consensusinside/internal/workload"
 )
 
-// Protocol selects the agreement protocol under test.
-type Protocol = protocol.ID
-
-// Protocols.
-const (
-	OnePaxos   = protocol.OnePaxos
-	MultiPaxos = protocol.MultiPaxos
-	TwoPC      = protocol.TwoPC
-	Mencius    = protocol.Mencius
-	BasicPaxos = protocol.BasicPaxos
-)
-
-// Protocols lists every registered protocol, for experiment sweeps.
-func Protocols() []Protocol { return protocol.IDs() }
-
-// Server is the common face of a protocol replica.
-type Server = protocol.Engine
-
 // Spec describes a deployment.
 type Spec struct {
-	Protocol Protocol
+	Protocol protocol.ID
 	Machine  *topology.Machine
 	Cost     simnet.CostModel
 	Seed     int64
@@ -169,7 +151,7 @@ type Spec struct {
 type Cluster struct {
 	Spec      Spec
 	Net       *simnet.Network
-	Servers   []Server // all replicas, group by group
+	Servers   []protocol.Engine // all replicas, group by group
 	ServerIDs []msg.NodeID
 	Groups    [][]msg.NodeID // per-shard replica sets (one entry when unsharded)
 	Clients   []*workload.Client
@@ -336,7 +318,7 @@ func (c *Cluster) clientConfig(id msg.NodeID, i int) workload.Config {
 	return cfg
 }
 
-func (c *Cluster) newServer(id msg.NodeID, serverIDs []msg.NodeID, joint, recover bool) (Server, error) {
+func (c *Cluster) newServer(id msg.NodeID, serverIDs []msg.NodeID, joint, recover bool) (protocol.Engine, error) {
 	spec := c.Spec
 	return protocol.Build(spec.Protocol, protocol.Config{
 		ID:               id,
@@ -521,7 +503,7 @@ func (c *Cluster) CheckConsistency() error {
 // the replica); timer routing is by kind (every client timer's kind is
 // at or above client.TimerRetry).
 type jointHandler struct {
-	server Server
+	server protocol.Engine
 	client *workload.Client
 }
 

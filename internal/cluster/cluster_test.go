@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/readpath"
 	"consensusinside/internal/rsm"
 	"consensusinside/internal/shard"
@@ -12,7 +13,7 @@ import (
 	"consensusinside/internal/topology"
 )
 
-func baseSpec(p Protocol, clients int) Spec {
+func baseSpec(p protocol.ID, clients int) Spec {
 	return Spec{
 		Protocol: p,
 		Machine:  topology.Opteron48(),
@@ -24,7 +25,7 @@ func baseSpec(p Protocol, clients int) Spec {
 }
 
 func TestOnePaxosCommitsSingleClient(t *testing.T) {
-	spec := baseSpec(OnePaxos, 1)
+	spec := baseSpec(protocol.OnePaxos, 1)
 	spec.RequestsPerClient = 100
 	c := MustBuild(spec)
 	c.Start()
@@ -44,7 +45,7 @@ func TestOnePaxosCommitsSingleClient(t *testing.T) {
 }
 
 func TestMultiPaxosCommitsSingleClient(t *testing.T) {
-	spec := baseSpec(MultiPaxos, 1)
+	spec := baseSpec(protocol.MultiPaxos, 1)
 	spec.RequestsPerClient = 100
 	c := MustBuild(spec)
 	c.Start()
@@ -58,7 +59,7 @@ func TestMultiPaxosCommitsSingleClient(t *testing.T) {
 }
 
 func TestTwoPCCommitsSingleClient(t *testing.T) {
-	spec := baseSpec(TwoPC, 1)
+	spec := baseSpec(protocol.TwoPC, 1)
 	spec.RequestsPerClient = 100
 	c := MustBuild(spec)
 	c.Start()
@@ -74,7 +75,7 @@ func TestTwoPCCommitsSingleClient(t *testing.T) {
 }
 
 func TestAllProtocolsManyClients(t *testing.T) {
-	for _, p := range []Protocol{OnePaxos, MultiPaxos, TwoPC} {
+	for _, p := range []protocol.ID{protocol.OnePaxos, protocol.MultiPaxos, protocol.TwoPC} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			spec := baseSpec(p, 10)
@@ -95,7 +96,7 @@ func TestAllProtocolsManyClients(t *testing.T) {
 }
 
 func TestJointModeAllProtocols(t *testing.T) {
-	for _, p := range []Protocol{OnePaxos, MultiPaxos, TwoPC} {
+	for _, p := range []protocol.ID{protocol.OnePaxos, protocol.MultiPaxos, protocol.TwoPC} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			spec := baseSpec(p, 0)
@@ -119,7 +120,7 @@ func TestJointModeAllProtocols(t *testing.T) {
 }
 
 func TestOnePaxosSurvivesSlowLeader(t *testing.T) {
-	spec := baseSpec(OnePaxos, 5)
+	spec := baseSpec(protocol.OnePaxos, 5)
 	spec.Machine = topology.Opteron8()
 	spec.Cost = simnet.ManyCoreSlowMachine()
 	spec.RetryTimeout = time.Millisecond
@@ -157,7 +158,7 @@ func TestOnePaxosSurvivesSlowLeader(t *testing.T) {
 }
 
 func TestTwoPCBlocksOnSlowCoordinator(t *testing.T) {
-	spec := baseSpec(TwoPC, 5)
+	spec := baseSpec(protocol.TwoPC, 5)
 	spec.Machine = topology.Opteron8()
 	spec.Cost = simnet.ManyCoreSlowMachine()
 	spec.SeriesBucket = 10 * time.Millisecond
@@ -188,7 +189,7 @@ func TestTwoPCBlocksOnSlowCoordinator(t *testing.T) {
 }
 
 func TestOnePaxosSurvivesCrashedAcceptor(t *testing.T) {
-	spec := baseSpec(OnePaxos, 3)
+	spec := baseSpec(protocol.OnePaxos, 3)
 	spec.RetryTimeout = 2 * time.Millisecond
 	c := MustBuild(spec)
 	c.Start()
@@ -211,7 +212,7 @@ func TestOnePaxosSurvivesCrashedAcceptor(t *testing.T) {
 }
 
 func TestCheckConsistencyDetectsDivergence(t *testing.T) {
-	spec := baseSpec(OnePaxos, 1)
+	spec := baseSpec(protocol.OnePaxos, 1)
 	spec.RequestsPerClient = 5
 	c := MustBuild(spec)
 	c.Start()
@@ -222,31 +223,31 @@ func TestCheckConsistencyDetectsDivergence(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(Spec{Protocol: OnePaxos, Replicas: 3}); err == nil {
+	if _, err := Build(Spec{Protocol: protocol.OnePaxos, Replicas: 3}); err == nil {
 		t.Error("missing machine must be rejected")
 	}
-	if _, err := Build(Spec{Protocol: Protocol(99), Machine: topology.Opteron48(), Replicas: 3}); err == nil {
+	if _, err := Build(Spec{Protocol: protocol.ID(99), Machine: topology.Opteron48(), Replicas: 3}); err == nil {
 		t.Error("unknown protocol must be rejected")
 	}
-	if _, err := Build(Spec{Protocol: OnePaxos, Machine: topology.Opteron48(), Replicas: 1}); err == nil {
+	if _, err := Build(Spec{Protocol: protocol.OnePaxos, Machine: topology.Opteron48(), Replicas: 1}); err == nil {
 		t.Error("single replica must be rejected")
 	}
-	if _, err := Build(Spec{Protocol: Mencius, Machine: topology.Opteron48(), Replicas: 2}); err == nil {
+	if _, err := Build(Spec{Protocol: protocol.Mencius, Machine: topology.Opteron48(), Replicas: 2}); err == nil {
 		t.Error("a 2-replica Mencius group must be rejected")
 	}
-	if _, err := Build(Spec{Protocol: OnePaxos, Machine: topology.Opteron48(), Replicas: 3, Window: 1 << 20}); err == nil {
+	if _, err := Build(Spec{Protocol: protocol.OnePaxos, Machine: topology.Opteron48(), Replicas: 3, Window: 1 << 20}); err == nil {
 		t.Error("a window deeper than the session table must be rejected")
 	}
-	if _, err := Build(Spec{Protocol: OnePaxos, Machine: topology.Opteron48(), Replicas: 3, ReadMode: readpath.Mode(99)}); err == nil {
+	if _, err := Build(Spec{Protocol: protocol.OnePaxos, Machine: topology.Opteron48(), Replicas: 3, ReadMode: readpath.Mode(99)}); err == nil {
 		t.Error("unknown read mode must be rejected")
 	}
-	if _, err := Build(Spec{Protocol: OnePaxos, Machine: topology.Opteron48(), Replicas: 3, ReadPercent: 101}); err == nil {
+	if _, err := Build(Spec{Protocol: protocol.OnePaxos, Machine: topology.Opteron48(), Replicas: 3, ReadPercent: 101}); err == nil {
 		t.Error("read percent beyond 100 must be rejected")
 	}
-	if _, err := Build(Spec{Protocol: OnePaxos, Machine: topology.Opteron48(), Replicas: 3, LeaseDuration: -time.Second}); err == nil {
+	if _, err := Build(Spec{Protocol: protocol.OnePaxos, Machine: topology.Opteron48(), Replicas: 3, LeaseDuration: -time.Second}); err == nil {
 		t.Error("negative lease duration must be rejected")
 	}
-	if _, err := Build(Spec{Protocol: OnePaxos, Machine: topology.Opteron48(), Replicas: 3, RecoverNodes: []int{3}}); err == nil {
+	if _, err := Build(Spec{Protocol: protocol.OnePaxos, Machine: topology.Opteron48(), Replicas: 3, RecoverNodes: []int{3}}); err == nil {
 		t.Error("recover index outside the group must be rejected")
 	}
 	defer func() {
@@ -254,11 +255,11 @@ func TestBuildValidation(t *testing.T) {
 			t.Fatal("MustBuild must panic on a malformed spec")
 		}
 	}()
-	MustBuild(Spec{Protocol: OnePaxos, Replicas: 3})
+	MustBuild(Spec{Protocol: protocol.OnePaxos, Replicas: 3})
 }
 
 func TestMenciusCommitsSingleClient(t *testing.T) {
-	spec := baseSpec(Mencius, 1)
+	spec := baseSpec(protocol.Mencius, 1)
 	spec.RequestsPerClient = 100
 	c := MustBuild(spec)
 	c.Start()
@@ -272,7 +273,7 @@ func TestMenciusCommitsSingleClient(t *testing.T) {
 }
 
 func TestBasicPaxosCommitsSingleClient(t *testing.T) {
-	spec := baseSpec(BasicPaxos, 1)
+	spec := baseSpec(protocol.BasicPaxos, 1)
 	spec.RequestsPerClient = 100
 	c := MustBuild(spec)
 	c.Start()
@@ -295,7 +296,7 @@ func TestBasicPaxosCommitsSingleClient(t *testing.T) {
 // but must stay consistent; BasicPaxos duels across instances and must
 // still commit everything exactly once.
 func TestNewProtocolsManyClients(t *testing.T) {
-	for _, p := range []Protocol{Mencius, BasicPaxos} {
+	for _, p := range []protocol.ID{protocol.Mencius, protocol.BasicPaxos} {
 		t.Run(p.String(), func(t *testing.T) {
 			spec := baseSpec(p, 5)
 			spec.RequestsPerClient = 20
@@ -320,7 +321,7 @@ func TestNewProtocolsManyClients(t *testing.T) {
 // cross-replica consistency — the dedup-across-a-window property the
 // windowed session table provides.
 func TestPipelinedWindowCommits(t *testing.T) {
-	for _, p := range []Protocol{OnePaxos, MultiPaxos, Mencius, BasicPaxos} {
+	for _, p := range []protocol.ID{protocol.OnePaxos, protocol.MultiPaxos, protocol.Mencius, protocol.BasicPaxos} {
 		t.Run(p.String(), func(t *testing.T) {
 			spec := baseSpec(p, 2)
 			spec.RequestsPerClient = 60
@@ -349,7 +350,7 @@ func TestPipelinedWindowCommits(t *testing.T) {
 // error, not a panic deep in the wiring.
 func TestShardsValidation(t *testing.T) {
 	base := func() Spec {
-		s := baseSpec(OnePaxos, 2)
+		s := baseSpec(protocol.OnePaxos, 2)
 		return s
 	}
 	cases := []struct {
@@ -395,14 +396,14 @@ func TestBatchValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := baseSpec(OnePaxos, 2)
+			spec := baseSpec(protocol.OnePaxos, 2)
 			tc.tweak(&spec)
 			if _, err := Build(spec); err == nil {
 				t.Fatalf("Build accepted %+v", spec)
 			}
 		})
 	}
-	spec := baseSpec(OnePaxos, 2)
+	spec := baseSpec(protocol.OnePaxos, 2)
 	spec.Window = 8
 	spec.BatchSize = 8
 	spec.BatchDelay = 5 * time.Microsecond
@@ -416,7 +417,7 @@ func TestBatchValidation(t *testing.T) {
 // exactly once, replicas must stay consistent, and multi-command
 // instances must actually form.
 func TestBatchedWindowCommits(t *testing.T) {
-	for _, p := range []Protocol{OnePaxos, MultiPaxos, Mencius, BasicPaxos, TwoPC} {
+	for _, p := range []protocol.ID{protocol.OnePaxos, protocol.MultiPaxos, protocol.Mencius, protocol.BasicPaxos, protocol.TwoPC} {
 		t.Run(p.String(), func(t *testing.T) {
 			spec := baseSpec(p, 2)
 			spec.RequestsPerClient = 60
@@ -457,7 +458,7 @@ func TestBatchedWindowCommits(t *testing.T) {
 func TestAdaptiveBatchingMatchesBestStatic(t *testing.T) {
 	const warmup, measure = 5 * time.Millisecond, 20 * time.Millisecond
 	run := func(shards, window int, tune func(*Spec)) (throughput, occupancy float64) {
-		spec := baseSpec(OnePaxos, 4)
+		spec := baseSpec(protocol.OnePaxos, 4)
 		spec.Shards = shards
 		spec.Window = window
 		spec.Warmup = warmup
@@ -490,7 +491,7 @@ func TestAdaptiveBatchingMatchesBestStatic(t *testing.T) {
 // dense per-group id ranges, clients above them, every client running
 // one lane per group.
 func TestShardedBuildLayout(t *testing.T) {
-	spec := baseSpec(OnePaxos, 3)
+	spec := baseSpec(protocol.OnePaxos, 3)
 	spec.Shards = 4
 	c := MustBuild(spec)
 	if len(c.Groups) != 4 || len(c.Servers) != 12 {
@@ -521,7 +522,7 @@ func TestShardedBuildLayout(t *testing.T) {
 // command must commit exactly once, both groups must do real work on
 // disjoint keys, and each group's log must stay internally consistent.
 func TestShardedCommits(t *testing.T) {
-	spec := baseSpec(OnePaxos, 4)
+	spec := baseSpec(protocol.OnePaxos, 4)
 	spec.Shards = 2
 	spec.RequestsPerClient = 40
 	spec.Window = 2
@@ -562,7 +563,7 @@ func TestShardedCommits(t *testing.T) {
 // TestShardedAllProtocols smoke-tests every registered engine at
 // Shards=2: the shard layer must be protocol-agnostic.
 func TestShardedAllProtocols(t *testing.T) {
-	for _, p := range Protocols() {
+	for _, p := range protocol.IDs() {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			spec := baseSpec(p, 2)

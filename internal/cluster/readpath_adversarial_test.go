@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/readpath"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/simnet"
@@ -150,7 +151,7 @@ func (p *readProbe) sendWrite(net *simnet.Network, to msg.NodeID, seq uint64, ke
 
 // leaseSpec is the shared deployment for the lease tests: three
 // replicas, no workload clients (the probe is the only traffic).
-func leaseSpec(p Protocol, lease time.Duration) Spec {
+func leaseSpec(p protocol.ID, lease time.Duration) Spec {
 	return Spec{
 		Protocol:      p,
 		Machine:       topology.Opteron48(),
@@ -179,7 +180,7 @@ func leaderIdx(c *Cluster) int {
 // flowing so real-time validity is maintained.
 func TestLeaseClockSkewPastBound(t *testing.T) {
 	const lease = 4 * time.Millisecond
-	for _, proto := range []Protocol{OnePaxos, MultiPaxos} {
+	for _, proto := range []protocol.ID{protocol.OnePaxos, protocol.MultiPaxos} {
 		for _, skew := range []time.Duration{+10 * lease, -10 * lease} {
 			proto, skew := proto, skew
 			t.Run(fmt.Sprintf("%v/skew%v", proto, skew), func(t *testing.T) {
@@ -244,7 +245,7 @@ func TestLeaseClockSkewPastBound(t *testing.T) {
 // old lease rather than serving early.
 func TestLeaseLeaderCrashNoStaleRead(t *testing.T) {
 	const lease = 40 * time.Millisecond
-	for _, proto := range []Protocol{OnePaxos, MultiPaxos} {
+	for _, proto := range []protocol.ID{protocol.OnePaxos, protocol.MultiPaxos} {
 		proto := proto
 		t.Run(proto.String(), func(t *testing.T) {
 			c := MustBuild(leaseSpec(proto, lease))
@@ -345,7 +346,7 @@ func TestLeaseLeaderCrashNoStaleRead(t *testing.T) {
 func TestLeasePartitionedLeaderNoStaleRead(t *testing.T) {
 	const lease = 40 * time.Millisecond
 	cases := []struct {
-		proto Protocol
+		proto protocol.ID
 		// granter is the replica whose grant alone carries the
 		// leader's lease — and the challenger whose self-vote the
 		// deposition block must hold. 1Paxos confirms at the active
@@ -356,8 +357,8 @@ func TestLeasePartitionedLeaderNoStaleRead(t *testing.T) {
 		granter  int
 		earlyCut bool
 	}{
-		{OnePaxos, 2, false},
-		{MultiPaxos, 1, true},
+		{protocol.OnePaxos, 2, false},
+		{protocol.MultiPaxos, 1, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -447,7 +448,7 @@ func TestLeasePartitionedLeaderNoStaleRead(t *testing.T) {
 // recovered, the same replica must serve its own reads with the
 // current value.
 func TestRecoveringReplicaRefusesReads(t *testing.T) {
-	spec := leaseSpec(OnePaxos, 0)
+	spec := leaseSpec(protocol.OnePaxos, 0)
 	spec.ReadMode = readpath.Follower
 	spec.RecoverNodes = []int{2}
 	c := MustBuild(spec)

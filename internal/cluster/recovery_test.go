@@ -3,6 +3,8 @@ package cluster
 import (
 	"testing"
 	"time"
+
+	"consensusinside/internal/protocol"
 )
 
 // TestPausedRecoveryRejoins boots replica 2 in recovery mode and pauses
@@ -14,7 +16,7 @@ import (
 // the group serving thousands of ops, which for Mencius also means the
 // rejoined owner skips its instances again.
 func TestPausedRecoveryRejoins(t *testing.T) {
-	for _, p := range Protocols() {
+	for _, p := range protocol.IDs() {
 		t.Run(p.String(), func(t *testing.T) {
 			spec := baseSpec(p, 2)
 			spec.RecoverNodes = []int{2}

@@ -1,5 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (Sections 2, 3 and 7) on the simulator. The evaluation is
+// evaluation (Sections 2, 3 and 7) on the simulator, plus the repo's
+// ablations and the seeded scenario fuzzer (scenariofuzz.go), whose
+// linearizability verdicts are one more table. The evaluation is
 // one measurement — build a deployment, warm it up, run it, read the
 // clients' throughput and latency — repeated over a grid, so an
 // experiment is data: a title, a column layout, default run lengths,
@@ -44,7 +46,9 @@ type Opts struct {
 // data. Its rows come from exactly one of three sources: Cells alone (a
 // steady-state grid, one row per cell), Cells plus Fault (a time series:
 // the single cell run with and without the fault, one row per bucket),
-// or Direct (the two experiments that drive simnet without a cluster).
+// or Direct (the experiments that drive simnet or the fuzzer themselves;
+// Direct writes to the table's writer only what happens mid-run, like a
+// scenario-fuzz violation).
 type Experiment struct {
 	ID    string
 	About string // one line for -list: the paper artifact and what it exercises
@@ -58,7 +62,7 @@ type Experiment struct {
 
 	Cells  func() []Cell
 	Fault  func(c *cluster.Cluster, at time.Duration)
-	Direct func(Opts) []Row
+	Direct func(io.Writer, Opts) []Row
 
 	// Metrics are the per-row headline numbers -json reports. Gain, when
 	// its Key is set, adds last-row over first-row throughput as one
@@ -80,7 +84,7 @@ type Cell struct {
 // fields its columns and metrics read and leaves the rest zero.
 type Row struct {
 	Label      string
-	Key        string        // metric-name stem, where Label is prose (mencius)
+	Key        string        // metric-name stem, where Label is prose (mencius) or unset (scenario-fuzz)
 	X          int           // the cell's swept value; the bucket index in a time series
 	Throughput float64       // commits/s over the measured window
 	Latency    time.Duration // mean commit latency
@@ -90,6 +94,8 @@ type Row struct {
 	Ratio       float64       // netchar: Trans/Prop
 
 	Faulty, Baseline int // time series: completions in this bucket with and without the fault
+
+	Runs, Ops, Completed, Faults, Violations int // scenario-fuzz: one engine's totals over its runs
 }
 
 // Column is one column of a table: a header, a printed width (negative
@@ -148,7 +154,7 @@ func (e Experiment) Run(w io.Writer, opts Opts) map[string]float64 {
 	if e.Cells != nil {
 		cells = e.Cells()
 	}
-	return e.report(w, e.measure(opts, cells))
+	return e.report(w, e.measure(w, opts, cells))
 }
 
 // result is what an experiment measured: its table rows and, for a
@@ -159,8 +165,8 @@ type result struct {
 }
 
 // measure runs the experiment over cells — e.Cells(), or a subset of it
-// when a test wants a shorter sweep.
-func (e Experiment) measure(opts Opts, cells []Cell) result {
+// when a test wants a shorter sweep. Only Direct writes to w.
+func (e Experiment) measure(w io.Writer, opts Opts, cells []Cell) result {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -172,7 +178,7 @@ func (e Experiment) measure(opts Opts, cells []Cell) result {
 	}
 	switch {
 	case e.Direct != nil:
-		return result{Rows: e.Direct(opts)}
+		return result{Rows: e.Direct(w, opts)}
 	case e.Fault != nil:
 		return runSeries(opts, cells[0], e.Fault)
 	}
@@ -340,7 +346,7 @@ func MeanRate(buckets []int, width time.Duration, from, to int) float64 {
 // its mean busy time per message is the transmission delay — and reads
 // the propagation delay between the two cores off the topology, which is
 // the simulator's ground truth for it (no ping-pong is run).
-func netCharacteristics(opts Opts) []Row {
+func netCharacteristics(_ io.Writer, opts Opts) []Row {
 	measure := func(setting string, machine *topology.Machine, cost simnet.CostModel) Row {
 		net := simnet.New(machine, cost, opts.Seed)
 		const burst = 1000
@@ -368,7 +374,7 @@ func netCharacteristics(opts Opts) []Row {
 // reply, so there is no workload client and no cluster) and reports
 // commits/s with all traffic funnelled at one replica vs spread
 // round-robin over all three.
-func menciusLoadSpread(opts Opts) []Row {
+func menciusLoadSpread(_ io.Writer, opts Opts) []Row {
 	offer := func(label, key string, spread bool) Row {
 		net := simnet.New(topology.Opteron48(), simnet.ManyCore(), opts.Seed)
 		ids := []msg.NodeID{0, 1, 2}

@@ -29,8 +29,8 @@ func measure(t *testing.T, id string, opts Opts, keepX ...int) (result, map[stri
 	if len(keepX) > 0 {
 		cells = slices.DeleteFunc(cells, func(c Cell) bool { return !slices.Contains(keepX, c.X) })
 	}
-	res := e.measure(opts, cells)
 	var buf bytes.Buffer
+	res := e.measure(&buf, opts, cells)
 	m := e.report(&buf, res)
 	if buf.Len() == 0 {
 		t.Error("print produced nothing")

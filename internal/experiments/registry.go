@@ -6,12 +6,13 @@ import (
 	"time"
 
 	"consensusinside/internal/cluster"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"
 )
 
 // The paper's three protocols, in its presentation order.
-var protocols = []cluster.Protocol{cluster.TwoPC, cluster.MultiPaxos, cluster.OnePaxos}
+var protocols = []protocol.ID{protocol.TwoPC, protocol.MultiPaxos, protocol.OnePaxos}
 
 // Registry is the one list of the deterministic paper experiments.
 // cmd/consensusbench runs it (-run <id>, -run all, -list, -json) and
@@ -64,7 +65,7 @@ var Registry = []Experiment{
 				// The paper's logarithmic client sweep.
 				for _, n := range []int{1, 2, 3, 5, 10, 20, 45, 70, 100} {
 					cells = append(cells, Cell{d.label, n, cluster.Spec{
-						Protocol: cluster.MultiPaxos,
+						Protocol: protocol.MultiPaxos,
 						Machine:  d.machine(n + 3),
 						Cost:     d.cost,
 						Replicas: 3,
@@ -87,7 +88,7 @@ var Registry = []Experiment{
 		Title: "Section 2.2 — 2PC, slow coordinator",
 		Cols:  seriesCols,
 		Dur:   400 * time.Millisecond,
-		Cells: slowCoreCell(cluster.TwoPC),
+		Cells: slowCoreCell(protocol.TwoPC),
 		Fault: slowLeader,
 	},
 	{
@@ -105,7 +106,7 @@ var Registry = []Experiment{
 		Warm:  5 * time.Millisecond,
 		Cells: func() []Cell {
 			var cells []Cell
-			for _, p := range cluster.Protocols() {
+			for _, p := range protocol.IDs() {
 				cells = append(cells, Cell{Label: p.String(), Spec: cluster.Spec{
 					Protocol: p,
 					Replicas: 3,
@@ -187,13 +188,13 @@ var Registry = []Experiment{
 			var cells []Cell
 			for _, clients := range []int{3, 5} {
 				cells = append(cells, Cell{"1Paxos - 0% read", clients, cluster.Spec{
-					Protocol: cluster.OnePaxos,
+					Protocol: protocol.OnePaxos,
 					Replicas: clients,
 					Joint:    true,
 				}})
 				for _, read := range []int{0, 10, 75} {
 					cells = append(cells, Cell{fmt.Sprintf("2PC-Joint - %d%% read", read), clients, cluster.Spec{
-						Protocol:    cluster.TwoPC,
+						Protocol:    protocol.TwoPC,
 						Replicas:    clients,
 						Joint:       true,
 						ReadPercent: read,
@@ -214,7 +215,7 @@ var Registry = []Experiment{
 		Title: "Figure 11 — 1Paxos, slow leader",
 		Cols:  seriesCols,
 		Dur:   400 * time.Millisecond,
-		Cells: slowCoreCell(cluster.OnePaxos),
+		Cells: slowCoreCell(protocol.OnePaxos),
 		Fault: slowLeader,
 	},
 	{
@@ -224,7 +225,7 @@ var Registry = []Experiment{
 		Title: "Acceptor switch — 1Paxos, crashed active acceptor",
 		Cols:  seriesCols,
 		Dur:   400 * time.Millisecond,
-		Cells: slowCoreCell(cluster.OnePaxos),
+		Cells: slowCoreCell(protocol.OnePaxos),
 		Fault: func(c *cluster.Cluster, at time.Duration) {
 			c.CrashAt(at, c.ServerIDs[len(c.ServerIDs)-1]) // the active acceptor
 		},
@@ -240,7 +241,7 @@ var Registry = []Experiment{
 		Warm:  200 * time.Millisecond,
 		Cells: func() []Cell {
 			var cells []Cell
-			for _, p := range []cluster.Protocol{cluster.MultiPaxos, cluster.OnePaxos} {
+			for _, p := range []protocol.ID{protocol.MultiPaxos, protocol.OnePaxos} {
 				cells = append(cells, Cell{Label: p.String(), Spec: cluster.Spec{
 					Protocol:      p,
 					Machine:       topology.Uniform(48, simnet.LANPropagation),
@@ -271,7 +272,7 @@ var Registry = []Experiment{
 					label = "batched learns"
 				}
 				cells = append(cells, Cell{Label: label, Spec: cluster.Spec{
-					Protocol:      cluster.OnePaxos,
+					Protocol:      protocol.OnePaxos,
 					Replicas:      47,
 					Joint:         true,
 					ThinkTime:     2 * time.Millisecond,
@@ -303,7 +304,7 @@ var Registry = []Experiment{
 					label = "window " + strconv.Itoa(window)
 				}
 				cells = append(cells, Cell{Label: label, Spec: cluster.Spec{
-					Protocol:     cluster.OnePaxos,
+					Protocol:     protocol.OnePaxos,
 					Replicas:     3,
 					Clients:      1,
 					Window:       window,
@@ -336,7 +337,7 @@ var Registry = []Experiment{
 					label = "batch " + strconv.Itoa(batch)
 				}
 				cells = append(cells, Cell{Label: label, Spec: cluster.Spec{
-					Protocol:     cluster.OnePaxos,
+					Protocol:     protocol.OnePaxos,
 					Replicas:     3,
 					Clients:      1,
 					Window:       16,
@@ -369,7 +370,7 @@ var Registry = []Experiment{
 			for _, shards := range []int{1, 2, 4} {
 				replicas := 12 / shards
 				cells = append(cells, Cell{fmt.Sprintf("%2d x %-2d replicas", shards, replicas), shards, cluster.Spec{
-					Protocol:     cluster.OnePaxos,
+					Protocol:     protocol.OnePaxos,
 					Replicas:     replicas,
 					Shards:       shards,
 					Clients:      24,
@@ -392,6 +393,33 @@ var Registry = []Experiment{
 		Metrics: []Metric{{Key: "{key}_ops", Value: opsOf}},
 		Gain:    Gain{Key: "spread_gain", Footer: "load-spreading gain: %.2fx"},
 	},
+	{
+		// Seeded fault schedules (crashes, cuts, isolation, slowdowns,
+		// loss, skew) against every engine over four deployment cells —
+		// sharding, snapshots and every read mode — with each recorded
+		// history checked for per-key linearizability. The rows are
+		// totals; a violation prints its reproduction command as it
+		// happens (scenariofuzz.go).
+		ID:    "scenario-fuzz",
+		About: "seeded fault-schedule fuzzing + linearizability check, every engine (faultsched, linearize; shards x snapshots x read modes)",
+		Title: "Scenario fuzz — seeded fault schedules per engine (crashes, cuts, isolation, slowdowns, loss, skew), per-key linearizability checked",
+		Cols: []Column{
+			{"protocol", -12, func(r Row) string { return r.Key }},
+			{"runs", 8, func(r Row) string { return strconv.Itoa(r.Runs) }},
+			{"ops", 8, func(r Row) string { return strconv.Itoa(r.Ops) }},
+			{"completed", 10, func(r Row) string { return strconv.Itoa(r.Completed) }},
+			{"faults", 10, func(r Row) string { return strconv.Itoa(r.Faults) }},
+			{"violations", 12, func(r Row) string { return strconv.Itoa(r.Violations) }},
+		},
+		Direct: fuzzRows,
+		Metrics: []Metric{
+			{Key: "{key}_runs", Value: func(r Row) float64 { return float64(r.Runs) }},
+			{Key: "{key}_ops", Value: func(r Row) float64 { return float64(r.Ops) }},
+			{Key: "{key}_completed", Value: func(r Row) float64 { return float64(r.Completed) }},
+			{Key: "{key}_fault_events", Value: func(r Row) float64 { return float64(r.Faults) }},
+			{Key: "{key}_violations", Value: func(r Row) float64 { return float64(r.Violations) }},
+		},
+	},
 }
 
 var (
@@ -409,7 +437,7 @@ var (
 
 // slowCoreCell is the deployment of the three time series (Sections 2.2
 // and 7.6): the 8-core machine, 5 clients, 3 replicas of p.
-func slowCoreCell(p cluster.Protocol) func() []Cell {
+func slowCoreCell(p protocol.ID) func() []Cell {
 	return func() []Cell {
 		return []Cell{{Spec: cluster.Spec{
 			Protocol:     p,

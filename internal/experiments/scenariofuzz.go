@@ -1,7 +1,7 @@
-package consensusinside
+package experiments
 
 // Scenario fuzzing: one seeded adversarial run of a simulated cluster.
-// A ScenarioFuzz run builds a deployment on the deterministic sim
+// A scenarioFuzz run builds a deployment on the deterministic sim
 // runtime, arms a faultsched schedule generated from the seed (crash
 // storms, link cuts, isolation, slowdowns, clock skew, message
 // delay/loss), drives recorded client traffic through the fault window
@@ -10,13 +10,14 @@ package consensusinside
 // (seed, config) pair is deterministic, so any violation is a one-line
 // reproduction:
 //
-//	go test -run 'TestScenarioFuzzSeed$' -seed=N -proto=onepaxos ...
+//	go test -run 'TestScenarioFuzzSeed$' -seed=N -proto=onepaxos ... ./internal/experiments
 //
-// The consensusbench `scenario-fuzz` experiment and the
+// The Registry's scenario-fuzz stanza (fuzzRows) and the
 // TestScenarioFuzzMatrix sweep both drive this entry point.
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -25,16 +26,17 @@ import (
 	"consensusinside/internal/linearize"
 	"consensusinside/internal/msg"
 	"consensusinside/internal/obs"
+	"consensusinside/internal/protocol"
 	"consensusinside/internal/readpath"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"
 )
 
-// ScenarioFuzzConfig selects one seeded adversarial run.
-type ScenarioFuzzConfig struct {
+// fuzzConfig selects one seeded adversarial run.
+type fuzzConfig struct {
 	// Protocol is the engine under test; Seed drives both the fault
 	// schedule and the simulator's RNG.
-	Protocol cluster.Protocol
+	Protocol protocol.ID
 	Seed     int64
 
 	// Shards, SnapshotInterval and ReadMode are the deployment knobs
@@ -42,7 +44,7 @@ type ScenarioFuzzConfig struct {
 	// reads).
 	Shards           int
 	SnapshotInterval int
-	ReadMode         ReadMode
+	ReadMode         readpath.Mode
 
 	// BatchAdaptive turns the clients' adaptive batcher on (default off,
 	// the static paper behavior) — the matrix fuzzes it because batch
@@ -63,15 +65,15 @@ type ScenarioFuzzConfig struct {
 	// of finishing before the first fault lands.
 	Total time.Duration
 
-	// LeaseDuration overrides the lease under ReadLease (0 = the
-	// scenarioFuzzLease default). The revert-guard needs a lease longer
-	// than the fault window, so an isolation episode overlaps a lease
-	// that is still valid when the challenger commits behind it.
+	// LeaseDuration overrides the lease under readpath.Lease (0 = the
+	// fuzzLease default). The revert-guard needs a lease longer than the
+	// fault window, so an isolation episode overlaps a lease that is
+	// still valid when the challenger commits behind it.
 	LeaseDuration time.Duration
 
 	// Profile overrides the default fault storm (nil = the default:
 	// crashes, cuts, isolation, slowdowns, light message loss/delay,
-	// and — under ReadLease — bounded clock skew).
+	// and — under readpath.Lease — bounded clock skew).
 	Profile *faultsched.Profile
 
 	// LegacyLeaseBug restores the historical lease-serving behavior on
@@ -83,7 +85,7 @@ type ScenarioFuzzConfig struct {
 	LegacyLeaseBug bool
 }
 
-func (c ScenarioFuzzConfig) withDefaults() ScenarioFuzzConfig {
+func (c fuzzConfig) withDefaults() fuzzConfig {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
@@ -99,11 +101,11 @@ func (c ScenarioFuzzConfig) withDefaults() ScenarioFuzzConfig {
 	return c
 }
 
-// ScenarioFuzzResult reports one run's outcome. Violation is non-nil
-// when the history (or the replicas' logs) failed the safety check —
-// the signal the fuzz matrix exists for; the separate error return of
-// ScenarioFuzz covers malformed configurations only.
-type ScenarioFuzzResult struct {
+// fuzzResult reports one run's outcome. Violation is non-nil when the
+// history (or the replicas' logs) failed the safety check — the signal
+// the fuzz matrix exists for; the separate error return of scenarioFuzz
+// covers malformed configurations only.
+type fuzzResult struct {
 	Ops       int // operations recorded (invokes)
 	Completed int // operations that returned
 	Pending   int // still in flight at the end of the run
@@ -114,14 +116,14 @@ type ScenarioFuzzResult struct {
 	// episodes interleaved with the protocol events (leader changes,
 	// lease grants/expiries, recoveries) they provoked, in virtual-time
 	// order. Failure reports dump it alongside the history verdict via
-	// EventDump.
+	// eventDump.
 	EventTail []obs.Event
 }
 
-// EventDump renders the event-log tail one line per event, for failure
-// reports. Empty tail renders a one-line placeholder so a dump is
-// never silently absent.
-func (r ScenarioFuzzResult) EventDump() string {
+// eventDump renders the event-log tail one line per event, for failure
+// reports. Empty tail renders a one-line placeholder so a dump is never
+// silently absent.
+func (r fuzzResult) eventDump() string {
 	if len(r.EventTail) == 0 {
 		return "  (event log empty)"
 	}
@@ -132,24 +134,24 @@ func (r ScenarioFuzzResult) EventDump() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// scenarioFuzzLease is the lease duration fuzz runs use under
-// ReadLease: long enough that isolation episodes (default max duration
-// window/4 = 5ms) overlap a valid lease, short enough that runs renew
-// several times inside the fault window.
-const scenarioFuzzLease = 6 * time.Millisecond
+// fuzzLease is the lease duration fuzz runs use under readpath.Lease:
+// long enough that isolation episodes (default max duration window/4 =
+// 5ms) overlap a valid lease, short enough that runs renew several times
+// inside the fault window.
+const fuzzLease = 6 * time.Millisecond
 
-// scenarioFuzzThink paces each client lane: one command per think tick,
-// so the recorded traffic stretches across the whole fault window
-// (without pacing, the default workload drains in the first ~3ms of
-// virtual time and every fault lands on an idle cluster).
-const scenarioFuzzThink = time.Millisecond
+// fuzzThink paces each client lane: one command per think tick, so the
+// recorded traffic stretches across the whole fault window (without
+// pacing, the default workload drains in the first ~3ms of virtual time
+// and every fault lands on an idle cluster).
+const fuzzThink = time.Millisecond
 
 // defaultFuzzProfile is the storm a seed generates when the config
 // does not override it. Skew stays well under the lease safety margin
 // (duration/4): bounded drift is the lease's documented operating
 // assumption, and a schedule violating it would "find" by-design
 // staleness, not bugs.
-func defaultFuzzProfile(mode ReadMode) faultsched.Profile {
+func defaultFuzzProfile(mode readpath.Mode) faultsched.Profile {
 	p := faultsched.Profile{
 		CrashWeight:   3,
 		CutWeight:     3,
@@ -160,18 +162,18 @@ func defaultFuzzProfile(mode ReadMode) faultsched.Profile {
 		DropPermille:  30,
 		MaxExtraDelay: 200 * time.Microsecond,
 	}
-	if mode == ReadLease {
+	if mode == readpath.Lease {
 		p.SkewWeight = 1
-		p.MaxSkew = scenarioFuzzLease / 10
+		p.MaxSkew = fuzzLease / 10
 	}
 	return p
 }
 
-// scenarioFuzzArm builds the run's cluster and arms its seeded fault
-// schedule on it, ready to Start: every replica gets the legacy lease
-// behavior when the config asks for it, and every Skew event lands on
-// its node's read-path clock — whatever the engine.
-func scenarioFuzzArm(cfg ScenarioFuzzConfig, rec *linearize.Recorder) (*cluster.Cluster, *faultsched.Schedule, error) {
+// fuzzArm builds the run's cluster and arms its seeded fault schedule on
+// it, ready to Start: every replica gets the legacy lease behavior when
+// the config asks for it, and every Skew event lands on its node's
+// read-path clock — whatever the engine.
+func fuzzArm(cfg fuzzConfig, rec *linearize.Recorder) (*cluster.Cluster, *faultsched.Schedule, error) {
 	spec := cluster.Spec{
 		Protocol:          cfg.Protocol,
 		Machine:           topology.Opteron48(),
@@ -181,12 +183,12 @@ func scenarioFuzzArm(cfg ScenarioFuzzConfig, rec *linearize.Recorder) (*cluster.
 		Clients:           cfg.Clients,
 		Shards:            cfg.Shards,
 		SnapshotInterval:  cfg.SnapshotInterval,
-		ReadMode:          readpath.Mode(cfg.ReadMode),
+		ReadMode:          cfg.ReadMode,
 		ReadPercent:       50,
 		Window:            2,
 		BatchAdaptive:     cfg.BatchAdaptive,
 		RequestsPerClient: cfg.RequestsPerClient,
-		ThinkTime:         scenarioFuzzThink,
+		ThinkTime:         fuzzThink,
 		RetryTimeout:      1500 * time.Microsecond,
 		AcceptTimeout:     time.Millisecond,
 		TxRetryTimeout:    time.Millisecond,
@@ -194,7 +196,7 @@ func scenarioFuzzArm(cfg ScenarioFuzzConfig, rec *linearize.Recorder) (*cluster.
 		Record:            rec,
 	}
 	if spec.ReadMode == readpath.Lease {
-		spec.LeaseDuration = scenarioFuzzLease
+		spec.LeaseDuration = fuzzLease
 		if cfg.LeaseDuration > 0 {
 			spec.LeaseDuration = cfg.LeaseDuration
 		}
@@ -235,20 +237,20 @@ func scenarioFuzzArm(cfg ScenarioFuzzConfig, rec *linearize.Recorder) (*cluster.
 	return c, sched, nil
 }
 
-// ScenarioFuzz runs one seeded adversarial scenario and checks the
+// scenarioFuzz runs one seeded adversarial scenario and checks the
 // recorded history. The returned error covers configuration problems;
-// safety verdicts land in ScenarioFuzzResult.Violation.
-func ScenarioFuzz(cfg ScenarioFuzzConfig) (ScenarioFuzzResult, error) {
+// safety verdicts land in fuzzResult.Violation.
+func scenarioFuzz(cfg fuzzConfig) (fuzzResult, error) {
 	cfg = cfg.withDefaults()
 	rec := linearize.NewRecorder()
-	c, sched, err := scenarioFuzzArm(cfg, rec)
+	c, sched, err := fuzzArm(cfg, rec)
 	if err != nil {
-		return ScenarioFuzzResult{}, err
+		return fuzzResult{}, err
 	}
 	c.Start()
 	c.RunFor(cfg.Total)
 
-	res := ScenarioFuzzResult{
+	res := fuzzResult{
 		Events:    len(sched.Events),
 		Schedule:  sched.String(),
 		EventTail: c.Events.Tail(0),
@@ -265,11 +267,11 @@ func ScenarioFuzz(cfg ScenarioFuzzConfig) (ScenarioFuzzResult, error) {
 	res.Violation = linearize.Check(ops, linearize.Options{
 		// Follower reads are stale-bounded by contract, not
 		// linearizable: check read validity and write linearizability.
-		WeakReads: cfg.ReadMode == ReadFollower,
+		WeakReads: cfg.ReadMode == readpath.Follower,
 		// 2PC locks across the whole store; single-key checking is
 		// equivalent for single-key ops but whole-history is the honest
 		// granularity for an engine whose atomicity spans keys.
-		WholeHistory: cfg.Protocol == cluster.TwoPC,
+		WholeHistory: cfg.Protocol == protocol.TwoPC,
 	})
 	if res.Violation == nil {
 		res.Violation = c.CheckConsistency()
@@ -277,57 +279,83 @@ func ScenarioFuzz(cfg ScenarioFuzzConfig) (ScenarioFuzzResult, error) {
 	return res, nil
 }
 
-// ScenarioFuzzProtocols lists the engines the fuzz matrix sweeps — all
-// of them.
-func ScenarioFuzzProtocols() []cluster.Protocol { return cluster.Protocols() }
-
-// ScenarioFuzzRepro renders the one-line reproduction command for a
-// failing (seed, config) pair.
-func ScenarioFuzzRepro(cfg ScenarioFuzzConfig) string {
+// fuzzRepro renders the one-line reproduction command for a failing
+// (seed, config) pair.
+func fuzzRepro(cfg fuzzConfig) string {
 	cfg = cfg.withDefaults()
 	repro := fmt.Sprintf("go test -run 'TestScenarioFuzzSeed$' -seed=%d -proto=%s -shards=%d -snap=%d -readmode=%v",
-		cfg.Seed, ScenarioFuzzProtoFlag(cfg.Protocol), cfg.Shards, cfg.SnapshotInterval, readpath.Mode(cfg.ReadMode))
+		cfg.Seed, protoToken(cfg.Protocol), cfg.Shards, cfg.SnapshotInterval, cfg.ReadMode)
 	if cfg.BatchAdaptive {
 		repro += " -batchadaptive"
 	}
-	return repro + " ."
+	return repro + " ./internal/experiments"
 }
 
-// ScenarioFuzzProtoFlag maps a protocol to its -proto flag value, the
-// lowercase token the repro one-liners use.
-func ScenarioFuzzProtoFlag(p cluster.Protocol) string {
+// protoToken is a protocol's lowercase token: the -proto flag value of
+// the reproduction command and the stem of scenario-fuzz's metric keys.
+func protoToken(p protocol.ID) string {
 	switch p {
-	case cluster.OnePaxos:
+	case protocol.OnePaxos:
 		return "onepaxos"
-	case cluster.MultiPaxos:
+	case protocol.MultiPaxos:
 		return "multipaxos"
-	case cluster.TwoPC:
+	case protocol.TwoPC:
 		return "twopc"
-	case cluster.Mencius:
+	case protocol.Mencius:
 		return "mencius"
-	case cluster.BasicPaxos:
+	case protocol.BasicPaxos:
 		return "basicpaxos"
 	}
 	return fmt.Sprintf("protocol-%d", int(p))
 }
 
-// ScenarioFuzzParseProto is the inverse of ScenarioFuzzProtoFlag; it
-// returns an error naming the valid tokens on unknown input.
-func ScenarioFuzzParseProto(s string) (cluster.Protocol, error) {
-	for _, p := range ScenarioFuzzProtocols() {
-		if ScenarioFuzzProtoFlag(p) == s {
-			return p, nil
-		}
+// fuzzRows is the scenario-fuzz experiment: seeded fault schedules
+// against every engine over four deployment cells, one row of totals per
+// engine. A run that fails the check is reported on w as it happens —
+// the violation, its reproduction command and its event dump.
+func fuzzRows(w io.Writer, opts Opts) []Row {
+	perCell := 10
+	if opts.Quick {
+		perCell = 3
 	}
-	return 0, fmt.Errorf("unknown protocol %q (valid: onepaxos, multipaxos, twopc, mencius, basicpaxos)", s)
-}
-
-// ScenarioFuzzParseReadMode maps a -readmode flag token to a ReadMode.
-func ScenarioFuzzParseReadMode(s string) (ReadMode, error) {
-	for _, m := range []readpath.Mode{readpath.Consensus, readpath.Lease, readpath.Index, readpath.Follower} {
-		if m.String() == s {
-			return ReadMode(m), nil
-		}
+	cells := []struct {
+		shards, snap int
+		read         readpath.Mode
+	}{
+		{1, 0, readpath.Consensus},
+		{1, 0, readpath.Lease},
+		{1, 16, readpath.Index},
+		{2, 16, readpath.Follower},
 	}
-	return 0, fmt.Errorf("unknown read mode %q (valid: consensus, lease, read-index, follower)", s)
+	var rows []Row
+	for _, proto := range protocol.IDs() {
+		r := Row{Key: protoToken(proto)}
+		for ci, cell := range cells {
+			for i := 0; i < perCell; i++ {
+				cfg := fuzzConfig{
+					Protocol:         proto,
+					Seed:             opts.Seed*1_000_000 + int64(ci)*1000 + int64(i),
+					Shards:           cell.shards,
+					SnapshotInterval: cell.snap,
+					ReadMode:         cell.read,
+				}
+				res, err := scenarioFuzz(cfg)
+				if err != nil {
+					fmt.Fprintf(w, "scenario fuzz %s: %v\n", r.Key, err)
+					continue
+				}
+				r.Runs++
+				r.Ops += res.Ops
+				r.Completed += res.Completed
+				r.Faults += res.Events
+				if res.Violation != nil {
+					r.Violations++
+					fmt.Fprintf(w, "VIOLATION (%s): %v\n  reproduce: %s\n  event log:\n%s\n",
+						r.Key, res.Violation, fuzzRepro(cfg), res.eventDump())
+				}
+			}
+		}
+		rows = append(rows, r)
+	}
+	return rows
 }

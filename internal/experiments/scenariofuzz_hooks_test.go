@@ -1,4 +1,4 @@
-package consensusinside
+package experiments
 
 import (
 	"testing"
@@ -7,6 +7,8 @@ import (
 	"consensusinside/internal/faultsched"
 	"consensusinside/internal/linearize"
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
+	"consensusinside/internal/readpath"
 )
 
 // TestScenarioFuzzHooksReachEveryEngine pins the wiring between the
@@ -18,18 +20,17 @@ import (
 // so a missing hook is a compile error; this test checks the values
 // arrive.
 func TestScenarioFuzzHooksReachEveryEngine(t *testing.T) {
-	for _, proto := range ScenarioFuzzProtocols() {
-		proto := proto
-		t.Run(ScenarioFuzzProtoFlag(proto), func(t *testing.T) {
+	for _, proto := range protocol.IDs() {
+		t.Run(protoToken(proto), func(t *testing.T) {
 			profile := faultsched.Profile{SkewWeight: 1, MaxSkew: time.Millisecond, Episodes: 6}
-			cfg := ScenarioFuzzConfig{
+			cfg := fuzzConfig{
 				Protocol:       proto,
 				Seed:           1,
-				ReadMode:       ReadLease,
+				ReadMode:       readpath.Lease,
 				Profile:        &profile,
 				LegacyLeaseBug: true,
 			}.withDefaults()
-			c, sched, err := scenarioFuzzArm(cfg, linearize.NewRecorder())
+			c, sched, err := fuzzArm(cfg, linearize.NewRecorder())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,4 +1,4 @@
-package consensusinside
+package experiments
 
 // Scenario-fuzz tests: seeded fault schedules against every engine, with
 // the recorded history checked for linearizability (internal/linearize).
@@ -6,7 +6,9 @@ package consensusinside
 // TestScenarioFuzzMatrix sweeps engines × deployment knobs × seeds —
 // over 250 distinct fault schedules — and demands zero violations. A
 // failure prints a one-line reproduction driving TestScenarioFuzzSeed,
-// which replays exactly one (seed, config) cell from flags.
+// which replays exactly one (seed, config) cell from flags;
+// TestScenarioFuzzReproRoundTrip pins that the line parses back to the
+// run that printed it.
 //
 // TestScenarioFuzzRevertGuard proves the harness has teeth: with the
 // historical lease self-prepare exemption re-enabled (the stale-read bug
@@ -16,27 +18,63 @@ package consensusinside
 import (
 	"flag"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
-	"consensusinside/internal/cluster"
 	"consensusinside/internal/faultsched"
+	"consensusinside/internal/protocol"
+	"consensusinside/internal/readpath"
 )
 
-var (
-	fuzzSeed     = flag.Int64("seed", -1, "replay one scenario-fuzz seed (TestScenarioFuzzSeed)")
-	fuzzProto    = flag.String("proto", "onepaxos", "engine for -seed replay: onepaxos, multipaxos, twopc, mencius, basicpaxos")
-	fuzzShards   = flag.Int("shards", 1, "shard count for -seed replay")
-	fuzzSnap     = flag.Int("snap", 0, "snapshot interval for -seed replay")
-	fuzzReadMode = flag.String("readmode", "consensus", "read mode for -seed replay: consensus, lease, read-index, follower")
-	fuzzAdaptive = flag.Bool("batchadaptive", false, "adaptive client batching for -seed replay")
-)
+// fuzzFlags are the reproduction command's flags. TestScenarioFuzzSeed
+// reads them from the command line and TestScenarioFuzzReproRoundTrip
+// from a printed reproduction line, both through config.
+type fuzzFlags struct {
+	seed          *int64
+	proto, read   *string
+	shards, snap  *int
+	batchAdaptive *bool
+}
+
+func newFuzzFlags(fs *flag.FlagSet) fuzzFlags {
+	return fuzzFlags{
+		seed:          fs.Int64("seed", -1, "replay one scenario-fuzz seed (TestScenarioFuzzSeed)"),
+		proto:         fs.String("proto", "onepaxos", "engine for -seed replay: onepaxos, multipaxos, twopc, mencius, basicpaxos"),
+		shards:        fs.Int("shards", 1, "shard count for -seed replay"),
+		snap:          fs.Int("snap", 0, "snapshot interval for -seed replay"),
+		read:          fs.String("readmode", "consensus", "read mode for -seed replay: consensus, lease, read-index, follower"),
+		batchAdaptive: fs.Bool("batchadaptive", false, "adaptive client batching for -seed replay"),
+	}
+}
+
+var replay = newFuzzFlags(flag.CommandLine)
+
+// config is the run the flags name; unknown -proto or -readmode tokens
+// are errors that list the valid ones.
+func (f fuzzFlags) config() (fuzzConfig, error) {
+	cfg := fuzzConfig{Seed: *f.seed, Shards: *f.shards, SnapshotInterval: *f.snap, BatchAdaptive: *f.batchAdaptive}
+	ids := protocol.IDs()
+	i := slices.IndexFunc(ids, func(p protocol.ID) bool { return protoToken(p) == *f.proto })
+	if i < 0 {
+		return cfg, fmt.Errorf("unknown protocol %q (valid: onepaxos, multipaxos, twopc, mencius, basicpaxos)", *f.proto)
+	}
+	cfg.Protocol = ids[i]
+	for mode := readpath.Consensus; mode.Valid(); mode++ {
+		if mode.String() == *f.read {
+			cfg.ReadMode = mode
+			return cfg, nil
+		}
+	}
+	return cfg, fmt.Errorf("unknown read mode %q (valid: consensus, lease, read-index, follower)", *f.read)
+}
 
 // fuzzCell is one deployment configuration the matrix sweeps per engine.
 type fuzzCell struct {
 	shards   int
 	snap     int
-	read     ReadMode
+	read     readpath.Mode
 	adaptive bool
 }
 
@@ -45,29 +83,29 @@ type fuzzCell struct {
 // alone and combined with another, which is where the interesting
 // interleavings live.
 var fuzzCells = []fuzzCell{
-	{1, 0, ReadConsensus, false},
-	{1, 0, ReadLease, false},
-	{1, 0, ReadIndex, false},
-	{1, 0, ReadFollower, false},
-	{1, 16, ReadConsensus, false},
-	{1, 16, ReadIndex, false},
-	{2, 0, ReadConsensus, false},
-	{2, 16, ReadLease, false},
-	{1, 0, ReadConsensus, true},
-	{2, 16, ReadIndex, true},
+	{1, 0, readpath.Consensus, false},
+	{1, 0, readpath.Lease, false},
+	{1, 0, readpath.Index, false},
+	{1, 0, readpath.Follower, false},
+	{1, 16, readpath.Consensus, false},
+	{1, 16, readpath.Index, false},
+	{2, 0, readpath.Consensus, false},
+	{2, 16, readpath.Lease, false},
+	{1, 0, readpath.Consensus, true},
+	{2, 16, readpath.Index, true},
 }
 
 // liveEngines complete every op of every matrix run: the schedule's
 // faults all heal before the calm tail, and a paused core keeps its
 // timers. The other engines still leave ops pending (ROADMAP,
 // "Liveness is asserted, not recorded").
-var liveEngines = map[cluster.Protocol]bool{cluster.MultiPaxos: true, cluster.BasicPaxos: true}
+var liveEngines = map[protocol.ID]bool{protocol.MultiPaxos: true, protocol.BasicPaxos: true}
 
-func fuzzRun(t *testing.T, cfg ScenarioFuzzConfig) ScenarioFuzzResult {
+func fuzzRun(t *testing.T, cfg fuzzConfig) fuzzResult {
 	t.Helper()
-	res, err := ScenarioFuzz(cfg)
+	res, err := scenarioFuzz(cfg)
 	if err != nil {
-		t.Fatalf("ScenarioFuzz: %v", err)
+		t.Fatalf("scenarioFuzz: %v", err)
 	}
 	if res.Ops == 0 {
 		t.Fatalf("no operations recorded — the workload never ran")
@@ -88,22 +126,21 @@ func TestScenarioFuzzMatrix(t *testing.T) {
 		// required-path time budget.
 		seedsPerCell = 1
 	}
-	protos := ScenarioFuzzProtocols()
 	seed := int64(0)
-	for _, p := range protos {
+	for _, p := range protocol.IDs() {
 		p := p
 		for _, cell := range fuzzCells {
 			cell := cell
 			base := seed
 			seed += seedsPerCell
-			name := fmt.Sprintf("%s/shards=%d/snap=%d/%v", ScenarioFuzzProtoFlag(p), cell.shards, cell.snap, cell.read)
+			name := fmt.Sprintf("%s/shards=%d/snap=%d/%v", protoToken(p), cell.shards, cell.snap, cell.read)
 			if cell.adaptive {
 				name += "/adaptive"
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				for s := base; s < base+seedsPerCell; s++ {
-					cfg := ScenarioFuzzConfig{
+					cfg := fuzzConfig{
 						Protocol:         p,
 						Seed:             s,
 						Shards:           cell.shards,
@@ -114,11 +151,11 @@ func TestScenarioFuzzMatrix(t *testing.T) {
 					res := fuzzRun(t, cfg)
 					if res.Violation != nil {
 						t.Errorf("seed %d: %v\nreproduce: %s\nschedule:\n%s\nevent log:\n%s",
-							s, res.Violation, ScenarioFuzzRepro(cfg), res.Schedule, res.EventDump())
+							s, res.Violation, fuzzRepro(cfg), res.Schedule, res.eventDump())
 					}
 					if liveEngines[p] && res.Pending != 0 {
 						t.Errorf("seed %d: %d of %d ops still pending after the calm tail\nreproduce: %s\nschedule:\n%s",
-							s, res.Pending, res.Ops, ScenarioFuzzRepro(cfg), res.Schedule)
+							s, res.Pending, res.Ops, fuzzRepro(cfg), res.Schedule)
 					}
 				}
 			})
@@ -129,41 +166,62 @@ func TestScenarioFuzzMatrix(t *testing.T) {
 // TestScenarioFuzzSeed replays one cell from flags — the reproduction
 // entry point the matrix prints on failure. Without -seed it skips.
 func TestScenarioFuzzSeed(t *testing.T) {
-	if *fuzzSeed < 0 {
+	if *replay.seed < 0 {
 		t.Skip("pass -seed=N (with -proto/-shards/-snap/-readmode) to replay one scenario")
 	}
-	p, err := ScenarioFuzzParseProto(*fuzzProto)
+	cfg, err := replay.config()
 	if err != nil {
 		t.Fatal(err)
-	}
-	mode, err := ScenarioFuzzParseReadMode(*fuzzReadMode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ScenarioFuzzConfig{
-		Protocol:         p,
-		Seed:             *fuzzSeed,
-		Shards:           *fuzzShards,
-		SnapshotInterval: *fuzzSnap,
-		ReadMode:         mode,
-		BatchAdaptive:    *fuzzAdaptive,
 	}
 	res := fuzzRun(t, cfg)
 	t.Logf("ops=%d completed=%d pending=%d faults=%d\nschedule:\n%s",
 		res.Ops, res.Completed, res.Pending, res.Events, res.Schedule)
 	if res.Violation != nil {
-		t.Errorf("violation: %v\nevent log:\n%s", res.Violation, res.EventDump())
+		t.Errorf("violation: %v\nevent log:\n%s", res.Violation, res.eventDump())
+	}
+}
+
+// TestScenarioFuzzReproRoundTrip holds the reproduction line to what it
+// promises for every engine × read mode × adaptive batching: run from
+// the repo root it names this package, and its flags, parsed by the
+// same config TestScenarioFuzzSeed uses, select exactly the run that
+// printed it.
+func TestScenarioFuzzReproRoundTrip(t *testing.T) {
+	head := []string{"go", "test", "-run", "'TestScenarioFuzzSeed$'"}
+	for _, p := range protocol.IDs() {
+		for mode := readpath.Consensus; mode.Valid(); mode++ {
+			for _, adaptive := range []bool{false, true} {
+				want := fuzzConfig{Protocol: p, Seed: 1_002_007, Shards: 2, SnapshotInterval: 16, ReadMode: mode, BatchAdaptive: adaptive}
+				repro := fuzzRepro(want)
+				args := strings.Fields(repro)
+				if len(args) < len(head)+1 || !slices.Equal(args[:len(head)], head) || args[len(args)-1] != "./internal/experiments" {
+					t.Fatalf("%q is not a TestScenarioFuzzSeed run of ./internal/experiments", repro)
+				}
+				fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+				f := newFuzzFlags(fs)
+				if err := fs.Parse(args[len(head) : len(args)-1]); err != nil {
+					t.Fatalf("%q: %v", repro, err)
+				}
+				got, err := f.config()
+				if err != nil {
+					t.Fatalf("%q: %v", repro, err)
+				}
+				if got != want {
+					t.Errorf("%q parses back to %+v, printed from %+v", repro, got, want)
+				}
+			}
+		}
 	}
 }
 
 // TestScenarioFuzzEventDump pins the failure-dump plumbing: every run
 // carries the cluster event-log tail, the applied fault episodes land
 // in it (kind "fault", one per schedule event still inside the ring),
-// and EventDump renders a non-empty timeline. Without this, a
+// and eventDump renders a non-empty timeline. Without this, a
 // violation report would silently lose its fault/protocol interleaving
 // — the dump only gets read when something is already wrong.
 func TestScenarioFuzzEventDump(t *testing.T) {
-	res := fuzzRun(t, ScenarioFuzzConfig{Protocol: cluster.OnePaxos, Seed: 7})
+	res := fuzzRun(t, fuzzConfig{Protocol: protocol.OnePaxos, Seed: 7})
 	if res.Violation != nil {
 		t.Fatalf("seed 7 should run clean: %v", res.Violation)
 	}
@@ -180,8 +238,8 @@ func TestScenarioFuzzEventDump(t *testing.T) {
 	if len(res.EventTail) <= res.Events && res.Events > 0 && faults == len(res.EventTail) {
 		t.Errorf("event tail holds only fault episodes — protocol events missing (%d events)", len(res.EventTail))
 	}
-	if res.EventDump() == "" {
-		t.Error("EventDump rendered empty")
+	if res.eventDump() == "" {
+		t.Error("eventDump rendered empty")
 	}
 }
 
@@ -202,11 +260,11 @@ func revertGuardProfile() *faultsched.Profile {
 // with a lease (40ms) far outlasting any isolation episode, so the
 // isolated leader keeps serving locally while the majority side elects a
 // successor and commits writes behind its back.
-func revertGuardConfig(seed int64, legacy bool) ScenarioFuzzConfig {
-	return ScenarioFuzzConfig{
-		Protocol:       cluster.OnePaxos,
+func revertGuardConfig(seed int64, legacy bool) fuzzConfig {
+	return fuzzConfig{
+		Protocol:       protocol.OnePaxos,
 		Seed:           seed,
-		ReadMode:       ReadLease,
+		ReadMode:       readpath.Lease,
 		LeaseDuration:  40 * time.Millisecond,
 		Profile:        revertGuardProfile(),
 		LegacyLeaseBug: legacy,
@@ -237,6 +295,6 @@ func TestScenarioFuzzRevertGuard(t *testing.T) {
 	res := fuzzRun(t, revertGuardConfig(caught, false))
 	if res.Violation != nil {
 		t.Errorf("seed %d violates even without the legacy bug: %v\nschedule:\n%s\nevent log:\n%s",
-			caught, res.Violation, res.Schedule, res.EventDump())
+			caught, res.Violation, res.Schedule, res.eventDump())
 	}
 }

@@ -19,7 +19,9 @@
 # a second recovery watchdog or timer, when protocol or recovery code
 # grows a rule that revives a timer a paused simulator core lost,
 # when internal/experiments grows a per-experiment
-# printer or row type back or a Registry id has no EXPERIMENTS.md row, or
+# printer or row type back or a Registry id has no EXPERIMENTS.md row,
+# when the root package exports a simulator or fuzzer name again or
+# cmd/consensusbench runs an experiment outside the Registry, or
 # when a doc file that other docs link to is absent.
 # The point is that the docs pass of PR 2 cannot silently rot.
 set -u
@@ -298,6 +300,30 @@ for id in $(grep -oE 'ID: +"[^"]+"' internal/experiments/registry.go | cut -d'"'
         fail=1
     fi
 done
+
+# One public API, one experiment list: the root package exports the KV
+# service and its knobs only (the simulator harness is internal/cluster,
+# the fuzzer internal/experiments), and cmd/consensusbench ranges over
+# experiments.Registry. An exported Sim*, Machine*, Costs* or
+# ScenarioFuzz* name in root non-test Go, or an experiment the command
+# defines itself, is the second surface growing back.
+names='(New)?(Sim|Machine|Costs|ScenarioFuzz)[A-Za-z0-9]*'
+facade=$(for f in $(ls ./*.go | grep -v '_test\.go$'); do
+    sed 's,//.*$,,' "$f" |
+        grep -nE "^(func|type|var|const)[[:space:]]+(\([^)]*\)[[:space:]]*)?$names|^[[:space:]]+$names([[:space:]]*=|[[:space:]]+[A-Za-z*[])" |
+        sed "s,^,$f:,"
+done)
+if [ -n "$facade" ]; then
+    echo "docscheck: the root package exports the KV API only; simulator and fuzzer names live in internal/cluster and internal/experiments:" >&2
+    echo "$facade" >&2
+    fail=1
+fi
+outside=$(grep -HnE 'func scenarioFuzz|experiment\{' $(find cmd/consensusbench -name '*.go' ! -name '*_test.go'))
+if [ -n "$outside" ]; then
+    echo "docscheck: cmd/consensusbench runs experiments.Registry only; an experiment is a stanza there:" >&2
+    echo "$outside" >&2
+    fail=1
+fi
 
 # Documentation files the code and other docs point at.
 for doc in README.md DESIGN.md EXPERIMENTS.md docs/BENCHMARKS.md; do

@@ -10,10 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"consensusinside/internal/cluster"
 	"consensusinside/internal/msg"
 	"consensusinside/internal/protocol"
 	"consensusinside/internal/readpath"
 	"consensusinside/internal/rsm"
+	"consensusinside/internal/simnet"
+	"consensusinside/internal/topology"
 	"consensusinside/internal/workload"
 )
 
@@ -56,8 +59,8 @@ func TestPipelineValidationEveryEntryPoint(t *testing.T) {
 					return err
 				},
 				"cluster.Build": func() error {
-					_, err := NewSimCluster(SimSpec{
-						Protocol: OnePaxos, Machine: Machine48(), Cost: CostsManyCore(), Replicas: 3, Clients: 2,
+					_, err := cluster.Build(cluster.Spec{
+						Protocol: OnePaxos, Machine: topology.Opteron48(), Cost: simnet.ManyCore(), Replicas: 3, Clients: 2,
 						Window: tc.window, BatchSize: tc.batch, BatchDelay: tc.delay, BatchAdaptive: tc.adaptive,
 					})
 					return err
@@ -122,8 +125,8 @@ func TestEngineConfigValidationEveryEntryPoint(t *testing.T) {
 					return err
 				},
 				"cluster.Build": func() error {
-					_, err := NewSimCluster(SimSpec{
-						Protocol: OnePaxos, Machine: Machine48(), Cost: CostsManyCore(), Replicas: 3, Clients: 2,
+					_, err := cluster.Build(cluster.Spec{
+						Protocol: OnePaxos, Machine: topology.Opteron48(), Cost: simnet.ManyCore(), Replicas: 3, Clients: 2,
 						SnapshotInterval: tc.interval, ReadMode: tc.mode,
 						LeaseDuration: tc.lease, TxRetryTimeout: tc.txRetry,
 					})
