@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -62,26 +63,10 @@ func main() {
 		return
 	}
 
-	opts := experiments.Opts{Seed: *seed, Quick: *quick}
-	if *quick {
-		opts.Duration = 20 * time.Millisecond
-		opts.Warmup = 5 * time.Millisecond
-	}
-
-	report := benchReport{Seed: *seed, Quick: *quick, Experiments: map[string]map[string]float64{}}
+	report := benchReport{Seed: *seed, Quick: *quick}
 	wallStart := time.Now()
-	ran := 0
-	for _, e := range experiments.Registry {
-		if *runID != "all" && e.ID != *runID {
-			continue
-		}
-		start := time.Now()
-		metrics := e.Run(os.Stdout, opts)
-		fmt.Printf("[%s done in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-		report.Experiments[e.ID] = metrics
-		ran++
-	}
-	if ran == 0 {
+	report.Experiments = runExperiments(os.Stdout, *runID, benchOpts(*seed, *quick))
+	if len(report.Experiments) == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *runID)
 		os.Exit(2)
 	}
@@ -99,4 +84,30 @@ func main() {
 		}
 		fmt.Printf("results written to %s\n", *jsonPath)
 	}
+}
+
+// benchOpts is the experiment configuration of -seed and -quick.
+func benchOpts(seed int64, quick bool) experiments.Opts {
+	opts := experiments.Opts{Seed: seed, Quick: quick}
+	if quick {
+		opts.Duration = 20 * time.Millisecond
+		opts.Warmup = 5 * time.Millisecond
+	}
+	return opts
+}
+
+// runExperiments runs the Registry experiment id, or every one for "all",
+// writing each table to w followed by a wall-clock trailer line. It
+// returns the metrics of each experiment it ran, keyed by id.
+func runExperiments(w io.Writer, id string, opts experiments.Opts) map[string]map[string]float64 {
+	ran := map[string]map[string]float64{}
+	for _, e := range experiments.Registry {
+		if id != "all" && e.ID != id {
+			continue
+		}
+		start := time.Now()
+		ran[e.ID] = e.Run(w, opts)
+		fmt.Fprintf(w, "[%s done in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+	}
+	return ran
 }
