@@ -345,15 +345,31 @@ func BenchmarkKVInProcSteadyStateTraced(b *testing.B) {
 	benchKVSteadyState(b, 64, 1)
 }
 
+// BenchmarkKVInProcSteadyStateLight is the batch-1 allocation gate, the
+// shape of bench/'s inproc-put-light: 4 callers, batch 1, so every
+// command is its own instance and nothing amortizes. scripts/allocgate.sh
+// holds it at 5 allocs/op — the messages boxed into msg.Message that
+// carry the command (request, accept, reply) and the Learn's entry slice
+// and box; a sixth is a per-instance allocation back on the commit path.
+func BenchmarkKVInProcSteadyStateLight(b *testing.B) {
+	benchKVLoad(b, KVConfig{Pipeline: 16, BatchSize: 1}, 4)
+}
+
 // benchKVSteadyState drives 64 callers per shard through a batch-16
 // InProc KV with 1-in-traceInterval command tracing (0 = off).
 func benchKVSteadyState(b *testing.B, traceInterval, shards int) {
-	kv, err := StartKV(KVConfig{Pipeline: 16, BatchSize: 16, TraceInterval: traceInterval, Shards: shards})
+	benchKVLoad(b, KVConfig{Pipeline: 16, BatchSize: 16, TraceInterval: traceInterval, Shards: shards}, 64*shards)
+}
+
+// benchKVLoad drives workers callers, spread over cfg's shards, through
+// an InProc KV with every pool warmed before the measured window.
+func benchKVLoad(b *testing.B, cfg KVConfig, workers int) {
+	kv, err := StartKV(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer kv.Close()
-	workers := 64 * shards
+	shards := max(cfg.Shards, 1)
 	ops := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)

@@ -303,13 +303,21 @@ func (b *kvBridge) pumpReads(ctx runtime.Context, now time.Duration) {
 // pump moves queued commands into the pipeline window, one request —
 // one consensus instance — per pass, as many as the lane's admission
 // rule takes (see client.Lane.Admit); force says the flush timer fired.
+// What stays queued is copied down to the front, so the queue keeps its
+// backing array and drain's appends do not reallocate it.
 func (b *kvBridge) pump(ctx runtime.Context, now time.Duration, force bool) {
+	sent := 0
 	for {
-		n := b.lane.Admit(ctx, b.lane.Free(), len(b.queue), force)
+		n := b.lane.Admit(ctx, b.lane.Free(), len(b.queue)-sent, force)
 		if n == 0 {
-			return
+			break
 		}
-		b.lane.Issue(ctx, now, b.queue[:n])
-		b.queue = b.queue[n:]
+		b.lane.Issue(ctx, now, b.queue[sent:sent+n])
+		sent += n
+	}
+	if sent > 0 {
+		kept := copy(b.queue, b.queue[sent:])
+		clear(b.queue[kept:]) // release the issued commands and channels
+		b.queue = b.queue[:kept]
 	}
 }

@@ -168,6 +168,8 @@ type Lane[T any] struct {
 	readBatchID uint64
 	readTarget  int
 	readArmed   bool // the read retry timer is pending
+
+	one [1]msg.BatchEntry // Issue's entries for a single op; NewRequest copies the single form
 }
 
 // New builds an idle lane.
@@ -254,12 +256,17 @@ func (l *Lane[T]) timer(kind int) runtime.TimerTag {
 func (l *Lane[T]) Flushing() bool { return l.flushArmed }
 
 // Issue puts ops in flight under the lane's next seqs and sends the one
-// request that carries them. The entries slice is the one per-batch
-// allocation on this path; it cannot be pooled — it becomes Value.Batch
-// and is retained in every replica's log history.
+// request that carries them. A batch's entries slice is the one
+// per-batch allocation on this path; it cannot be pooled — it becomes
+// Value.Batch and is retained in every replica's log history. A single
+// op's entry is folded into the request itself, so it goes through a
+// scratch slice and allocates nothing but the request's box.
 func (l *Lane[T]) Issue(ctx runtime.Context, now time.Duration, ops []Op[T]) {
 	traceOn := l.tracer.Enabled()
-	entries := make([]msg.BatchEntry, len(ops))
+	entries := l.one[:]
+	if len(ops) != 1 {
+		entries = make([]msg.BatchEntry, len(ops))
+	}
 	for i := range ops {
 		l.seq++
 		f := l.flights.Slot(l.seq)

@@ -526,3 +526,27 @@ func TestLaneIdleScansAllocateNothing(t *testing.T) {
 		t.Errorf("retiring a reply allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestIssueOneOpAllocatesOnlyTheRequest: a single op's entry is folded
+// into the request itself, so issuing it allocates nothing but the
+// request's box into msg.Message — the batch-1 client path.
+func TestIssueOneOpAllocatesOnlyTheRequest(t *testing.T) {
+	f := newFront(t, Config{Window: 4, Batch: 1})
+	f.put(1, 0) // arms the retry timer, which stays armed below
+	f.reply(msg.ClientReply{Seq: 1, OK: true})
+	ops := []Op[int]{f.op(msg.OpPut, 0)}
+	f.ctx.Sent = make([]runtime.FakeSend, 0, 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		f.ctx.Sent = f.ctx.Sent[:0]
+		f.l.Issue(f.ctx, f.ctx.Clock, ops)
+		if _, _, _, st := f.l.Retire(f.ctx.Clock, &msg.ClientReply{Seq: f.l.seq, OK: true}); st != Done {
+			t.Fatalf("the issued op did not retire: %v", st)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Issue of one op allocates %v times, want 1 (the request's box)", allocs)
+	}
+	if req := f.ctx.Sent[0].M.(msg.ClientRequest); req.Batch != nil || req.Cmd != ops[0].Cmd {
+		t.Fatalf("the request is not the single form: %+v", req)
+	}
+}

@@ -97,9 +97,11 @@ var fuzzCells = []fuzzCell{
 
 // liveEngines complete every op of every matrix run: the schedule's
 // faults all heal before the calm tail, and a paused core keeps its
-// timers. The other engines still leave ops pending (ROADMAP,
-// "Liveness is asserted, not recorded").
-var liveEngines = map[protocol.ID]bool{protocol.MultiPaxos: true, protocol.BasicPaxos: true}
+// timers. 1Paxos joined once a leader stopped replacing an acceptor it
+// had just promoted while that acceptor held prepares for a lease. The
+// other engines still leave ops pending (ROADMAP, "Liveness is asserted,
+// not recorded").
+var liveEngines = map[protocol.ID]bool{protocol.OnePaxos: true, protocol.MultiPaxos: true, protocol.BasicPaxos: true}
 
 func fuzzRun(t *testing.T, cfg fuzzConfig) fuzzResult {
 	t.Helper()

@@ -25,7 +25,7 @@ import (
 
 // Timer kinds.
 const (
-	timerAcceptDeadline = 1 // Arg: instance
+	timerAcceptDeadline = 1 // the oldest outstanding accept may be overdue
 	timerRetryPrepare   = 2
 )
 
@@ -50,7 +50,7 @@ type Replica struct {
 	carried     map[int64]msg.Proposal // highest-pn accepted values from promises
 	nextInst    int64
 	proposed    map[int64]msg.Value
-	outstanding map[int64]bool
+	outstanding *replica.Outstanding // accepts awaiting their learn, under one retransmit deadline
 	pending     []msg.ClientRequest
 	knownLeader msg.NodeID
 
@@ -84,7 +84,7 @@ func New(cfg protocol.Config) *Replica {
 		promises:    make(map[msg.NodeID]bool),
 		carried:     make(map[int64]msg.Proposal),
 		proposed:    make(map[int64]msg.Value),
-		outstanding: make(map[int64]bool),
+		outstanding: replica.NewOutstanding(timerAcceptDeadline, cfg.AcceptTimeout),
 		knownLeader: cfg.Replicas[0],
 		ap:          make(map[int64]msg.Proposal),
 	}
@@ -110,7 +110,7 @@ func New(cfg protocol.Config) *Replica {
 		Frontier: func() int64 { return r.nextInst },
 		OnApply: func(e rsm.Entry) {
 			delete(r.proposed, e.Instance)
-			delete(r.outstanding, e.Instance)
+			r.outstanding.Done(e.Instance)
 		},
 		OnRestore: func(last int64) {
 			// The snapshot's instances were decided while this replica was
@@ -177,9 +177,11 @@ func (r *Replica) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 	}
 	switch tag.Kind {
 	case timerAcceptDeadline:
-		if r.iAmLeader && r.outstanding[tag.Arg] && !r.Log().Learned(tag.Arg) {
-			// Retransmit; acceptors re-broadcast learns for duplicates.
-			r.broadcastAccept(tag.Arg)
+		for _, in := range r.outstanding.Expire(ctx, r.Log().Learned) {
+			if r.iAmLeader {
+				// Retransmit; acceptors re-broadcast learns for duplicates.
+				r.broadcastAccept(in)
+			}
 		}
 	case timerRetryPrepare:
 		if !r.iAmLeader && len(r.pending) > 0 {
@@ -211,6 +213,12 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 }
 
 func (r *Replica) proposeValue(v msg.Value) {
+	// An instance a rival leader's accepts already decided here is taken:
+	// broadcastAccept would drop a proposal there, and the client's
+	// retries with it, as duplicates of a proposal nobody drives.
+	for r.Log().Learned(r.nextInst) {
+		r.nextInst++
+	}
 	in := r.nextInst
 	r.nextInst++
 	r.proposed[in] = v
@@ -222,11 +230,11 @@ func (r *Replica) broadcastAccept(in int64) {
 	if !ok || r.Log().Learned(in) {
 		return
 	}
-	r.outstanding[in] = true
+	accept := msg.Message(msg.MPAccept{Instance: in, PN: r.myPN, Value: v})
 	for _, id := range r.Replicas {
-		r.Ctx.Send(id, msg.MPAccept{Instance: in, PN: r.myPN, Value: v})
+		r.Ctx.Send(id, accept)
 	}
-	r.Ctx.After(r.Cfg.AcceptTimeout, runtime.TimerTag{Kind: timerAcceptDeadline, Arg: in})
+	r.outstanding.Sent(r.Ctx, in)
 }
 
 // --- Phase 1 ---
@@ -384,7 +392,7 @@ func (r *Replica) onAccept(from msg.NodeID, m msg.MPAccept) {
 
 func (r *Replica) onLearn(m msg.MPLearn) {
 	if r.Vote(m.Instance, m.From, m.PN, m.Value) {
-		delete(r.outstanding, m.Instance)
+		r.outstanding.Done(m.Instance)
 	}
 }
 
@@ -419,7 +427,7 @@ func (r *Replica) stepDown() {
 		}
 	}
 	clear(r.proposed)
-	clear(r.outstanding)
+	r.outstanding.Clear()
 }
 
 func (r *Replica) nextPN() uint64 {

@@ -203,6 +203,78 @@ func TestNackDeposesLeader(t *testing.T) {
 	}
 }
 
+// electedLeader returns replica 0 of a three-group after it won phase 1,
+// with the election traffic cleared.
+func electedLeader(t *testing.T) (*Replica, *runtime.FakeContext, uint64) {
+	t.Helper()
+	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
+	ctx := runtime.NewFakeContext(0, 3)
+	r.Start(ctx)
+	pn := ctx.Sent[0].M.(msg.MPPrepare).PN
+	r.Receive(ctx, 0, msg.MPPromise{PN: pn, From: 0})
+	r.Receive(ctx, 1, msg.MPPromise{PN: pn, From: 1})
+	if !r.IsLeader() {
+		t.Fatal("setup: leader election failed")
+	}
+	ctx.TakeSent()
+	return r, ctx, pn
+}
+
+// acceptsFor counts the accepts sent for instance in.
+func acceptsFor(ctx *runtime.FakeContext, in int64) int {
+	n := 0
+	for _, s := range ctx.Sent {
+		if a, ok := s.M.(msg.MPAccept); ok && a.Instance == in {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOneRetransmitDeadlinePerLeader: the accepts in flight share one
+// retransmit deadline, which resends every accept still unlearned when
+// it fires — and only those.
+func TestOneRetransmitDeadlinePerLeader(t *testing.T) {
+	r, ctx, pn := electedLeader(t)
+	for seq := uint64(1); seq <= 4; seq++ {
+		r.Receive(ctx, 7, msg.ClientRequest{Client: 7, Seq: seq, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}})
+	}
+	if n := len(ctx.Timers); n != 1 {
+		t.Fatalf("4 accepts in flight armed %d timers, want 1", n)
+	}
+	// Instance 1 is learned; 0, 2 and 3 are not.
+	for _, from := range []msg.NodeID{1, 2} {
+		r.Receive(ctx, from, msg.MPLearn{Instance: 1, PN: pn, Value: msg.Value{Client: 7, Seq: 2, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}, From: from})
+	}
+	ctx.TakeSent()
+	ctx.Clock = ctx.Timers[0].At
+	r.Timer(ctx, ctx.Timers[0].Tag)
+	for in, want := range []int{3, 0, 3, 3} {
+		if got := acceptsFor(ctx, int64(in)); got != want {
+			t.Errorf("instance %d: %d accepts resent, want %d", in, got, want)
+		}
+	}
+}
+
+// TestProposalSkipsInstanceDecidedByRival: a leader whose next instance
+// was already decided by a rival leader's accepts proposes above it. A
+// proposal there would be dropped unsent, and the client's retries with
+// it as duplicates of a proposal nobody drives.
+func TestProposalSkipsInstanceDecidedByRival(t *testing.T) {
+	r, ctx, pn := electedLeader(t)
+	rival := msg.Value{Client: 8, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "r"}}
+	for _, from := range []msg.NodeID{1, 2} {
+		r.Receive(ctx, from, msg.MPLearn{Instance: 0, PN: pn - 1, Value: rival, From: from})
+	}
+	if !r.Log().Learned(0) {
+		t.Fatal("setup: instance 0 was not learned")
+	}
+	r.Receive(ctx, 7, msg.ClientRequest{Client: 7, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}})
+	if got := acceptsFor(ctx, 1); got != 3 {
+		t.Fatalf("the request went out in %d accepts for instance 1, want 3 (instance 0 is decided)", got)
+	}
+}
+
 // --- Scenario tests on the simulator ---
 
 type recordingClient struct{ replies []msg.ClientReply }

@@ -41,7 +41,7 @@ import (
 
 // Timer kinds used by a Replica. PaxosUtility's reserved kinds are >= 100.
 const (
-	timerAcceptDeadline  = 1 // Arg: instance whose learn is overdue
+	timerAcceptDeadline  = 1 // the oldest outstanding accept may be overdue
 	timerRetryTakeover   = 2
 	timerFlushLearns     = 3
 	timerPrepareDeadline = 4 // Arg: the pn the prepare was sent with
@@ -77,24 +77,26 @@ type Replica struct {
 	// for restricting AcceptorChange to adopted leaders is precisely that
 	// a non-adopted proposer cannot know the acceptor's accepted
 	// proposals, and for a virgin acceptor that set is empty.
-	aaVirgin    bool
-	knownLeader msg.NodeID
-	myPN        uint64
-	nextInst    int64
+	aaVirgin bool
+	// freshHoldUntil is when an acceptor this node promoted may stop
+	// refusing prepares on purpose (readpath.PromotionHold, plus one
+	// AcceptTimeout for the commit's delivery and clock skew); until then
+	// its silence is no reason to replace it.
+	freshHoldUntil time.Duration
+	knownLeader    msg.NodeID
+	myPN           uint64
+	nextInst       int64
 	// noopFloor is the highest applied frontier carried by any observed
 	// AcceptorChange: instances below it were decided at a previous
 	// acceptor, so a new leader must wait for their (in-flight) learns
 	// rather than fill them with no-ops.
-	noopFloor   int64
-	proposed    map[int64]msg.Value
-	outstanding map[int64]bool
-	// acceptTimers holds the pending accept-deadline cancel per
-	// outstanding instance, so the failure-detector timer is retired as
-	// soon as the learn arrives instead of expiring hundreds of
-	// milliseconds later (real runtimes pay goroutine churn for every
-	// expiry on the hot path).
-	acceptTimers map[int64]runtime.CancelFunc
-	pending      []msg.ClientRequest
+	noopFloor int64
+	proposed  map[int64]msg.Value
+	// outstanding holds the accepts awaiting their learn, under the one
+	// accept deadline: the acceptor is suspected when the oldest of them
+	// goes AcceptTimeout unanswered.
+	outstanding *replica.Outstanding
+	pending     []msg.ClientRequest
 
 	// Acceptor state (Appendix A: hpn, ap, IamFresh).
 	hpn      uint64
@@ -128,14 +130,13 @@ func New(cfg protocol.Config) *Replica {
 		cfg.TakeoverBackoff = DefaultTakeoverBackoff
 	}
 	r := &Replica{
-		aa:           cfg.Replicas[len(cfg.Replicas)-1],
-		knownLeader:  cfg.Replicas[0],
-		adopted:      msg.Nobody,
-		iAmFresh:     true,
-		proposed:     make(map[int64]msg.Value),
-		outstanding:  make(map[int64]bool),
-		acceptTimers: make(map[int64]runtime.CancelFunc),
-		ap:           make(map[int64]msg.Proposal),
+		aa:          cfg.Replicas[len(cfg.Replicas)-1],
+		knownLeader: cfg.Replicas[0],
+		adopted:     msg.Nobody,
+		iAmFresh:    true,
+		proposed:    make(map[int64]msg.Value),
+		outstanding: replica.NewOutstanding(timerAcceptDeadline, cfg.AcceptTimeout),
+		ap:          make(map[int64]msg.Proposal),
 	}
 	r.util = paxosutil.New(cfg.ID, cfg.Replicas)
 	if cfg.UtilRetryTimeout > 0 {
@@ -163,7 +164,7 @@ func New(cfg protocol.Config) *Replica {
 		Frontier: func() int64 { return r.nextInst },
 		OnApply: func(e rsm.Entry) {
 			delete(r.proposed, e.Instance)
-			delete(r.outstanding, e.Instance)
+			r.outstanding.Done(e.Instance)
 		},
 		OnRestore: func(last int64) {
 			// Every instance the snapshot covers was decided elsewhere while
@@ -253,8 +254,7 @@ func (r *Replica) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 	}
 	switch tag.Kind {
 	case timerAcceptDeadline:
-		delete(r.acceptTimers, tag.Arg)
-		if r.iAmLeader && r.outstanding[tag.Arg] && !r.Log().Learned(tag.Arg) {
+		if overdue := r.outstanding.Expire(ctx, r.Log().Learned); len(overdue) > 0 && r.iAmLeader {
 			r.onAcceptorFailure(false)
 		}
 	case timerRetryTakeover:
@@ -312,13 +312,9 @@ func (r *Replica) sendAccept(in int64) {
 	if !ok || r.Log().Learned(in) {
 		return
 	}
-	r.outstanding[in] = true
 	r.aaVirgin = false // the acceptor may hold accepted proposals from here on
 	r.Ctx.Send(r.aa, msg.AcceptRequest{Instance: in, PN: r.myPN, Value: v})
-	if cancel, ok := r.acceptTimers[in]; ok {
-		cancel()
-	}
-	r.acceptTimers[in] = r.Ctx.After(r.Cfg.AcceptTimeout, runtime.TimerTag{Kind: timerAcceptDeadline, Arg: in})
+	r.outstanding.Sent(r.Ctx, in)
 }
 
 // --- Acceptor role (Appendix A lines 45-61) ---
@@ -422,11 +418,13 @@ func (r *Replica) pruneAccepted() {
 // multicastLearn delivers one accepted proposal to all learners. The
 // adopted leader always gets its learn immediately — it is the commit
 // latency path; with batching enabled the remaining learners are served
-// from a periodically flushed buffer.
+// from a periodically flushed buffer. Every learner is sent the one
+// message: receivers only read its entries.
 func (r *Replica) multicastLearn(p msg.Proposal) {
 	if !r.Cfg.LearnBatching {
+		learn := msg.Message(msg.Learn{Entries: []msg.Proposal{p}})
 		for _, id := range r.Replicas {
-			r.Ctx.Send(id, msg.Learn{Entries: []msg.Proposal{p}})
+			r.Ctx.Send(id, learn)
 		}
 		return
 	}
@@ -489,11 +487,7 @@ func (r *Replica) proposalsSince(from int64) []msg.Proposal {
 
 func (r *Replica) onLearn(m msg.Learn) {
 	for _, p := range m.Entries {
-		delete(r.outstanding, p.Instance)
-		if cancel, ok := r.acceptTimers[p.Instance]; ok {
-			cancel()
-			delete(r.acceptTimers, p.Instance)
-		}
+		r.outstanding.Done(p.Instance)
 		r.Log().Learn(p.Instance, p.Value)
 	}
 	// A hole below these learns may be permanent — its own learn could
@@ -714,7 +708,7 @@ func (r *Replica) onPrepareDeadline(pn uint64) {
 	if r.iAmLeader || pn != r.myPN || !r.takingOver {
 		return
 	}
-	if leader, _ := r.globalLeader(); leader == r.Me && r.aaVirgin {
+	if leader, _ := r.globalLeader(); leader == r.Me && r.aaVirgin && r.Ctx.Now() >= r.freshHoldUntil {
 		r.onAcceptorFailure(true)
 		return
 	}
@@ -772,8 +766,9 @@ func (r *Replica) onAcceptorFailure(virginSwitch bool) {
 		r.switchingAa = false
 		if !success {
 			// Another entry landed first; our view was refreshed by
-			// onUtilCommit. The accept deadlines still pending will
-			// re-trigger the switch if the acceptor is still silent.
+			// onUtilCommit. The accept deadline looks at the overdue
+			// accepts again one AcceptTimeout after it suspected, and
+			// re-triggers the switch if the acceptor is still silent.
 			return
 		}
 		if r.util.Superseded(slot) {
@@ -851,6 +846,13 @@ func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
 	case msg.EntryAcceptorChange:
 		r.aa = e.Acceptor
 		r.aaVirgin = e.Leader == r.Me // fresh backup installed by us
+		if r.aaVirgin {
+			// Under leases the promoted backup refuses every prepare for
+			// a lease; replacing it for that would promote the other
+			// backup into the same hold, and the two would trade places
+			// every AcceptTimeout without ever adopting a leader.
+			r.freshHoldUntil = r.Ctx.Now() + r.Read.PromotionHold() + r.Cfg.AcceptTimeout
+		}
 		r.knownLeader = e.Leader
 		if e.Frontier > r.noopFloor {
 			r.noopFloor = e.Frontier

@@ -6,6 +6,7 @@ import (
 
 	"consensusinside/internal/msg"
 	"consensusinside/internal/protocol"
+	"consensusinside/internal/readpath"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"
@@ -632,4 +633,142 @@ func TestAcceptorPrunesAcceptedBelowAppliedFrontier(t *testing.T) {
 	}
 	accept(205)
 	wantAccepted("after a long absence", 205)
+}
+
+// --- The accept deadline ---
+
+// adoptedLeader returns replica 0 of a three-group whose boot takeover
+// adopted acceptor 2, with the boot traffic cleared.
+func adoptedLeader(t *testing.T, tweak func(*protocol.Config)) (*Replica, *runtime.FakeContext) {
+	t.Helper()
+	cfg := protocol.Config{ID: 0, Replicas: replicaIDs(3)}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	r := New(cfg)
+	ctx := runtime.NewFakeContext(0, 3)
+	r.Start(ctx)
+	pn := ctx.SentTo(2)[0].(msg.PrepareRequest).PN
+	r.Receive(ctx, 2, msg.PrepareResponse{Acceptor: 2, PN: pn})
+	if !r.IsLeader() {
+		t.Fatal("setup: the boot takeover did not adopt acceptor 2")
+	}
+	ctx.TakeSent()
+	return r, ctx
+}
+
+func clientPut(seq uint64) msg.ClientRequest {
+	return msg.ClientRequest{Client: 5, Seq: seq, Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "v"}}
+}
+
+// acceptDeadlines returns the accept-deadline timers armed so far.
+func acceptDeadlines(ctx *runtime.FakeContext) []runtime.FakeTimer {
+	var out []runtime.FakeTimer
+	for _, tm := range ctx.Timers {
+		if tm.Tag.Kind == timerAcceptDeadline {
+			out = append(out, tm)
+		}
+	}
+	return out
+}
+
+// fireAcceptDeadline delivers the newest accept-deadline timer at its
+// deadline.
+func fireAcceptDeadline(t *testing.T, r *Replica, ctx *runtime.FakeContext) {
+	t.Helper()
+	timers := acceptDeadlines(ctx)
+	if len(timers) == 0 {
+		t.Fatal("no accept deadline armed")
+	}
+	tm := timers[len(timers)-1]
+	ctx.Clock = tm.At
+	r.Timer(ctx, tm.Tag)
+}
+
+// TestOneAcceptDeadlinePerLeader is the revert guard against a timer per
+// instance: a leader with many accepts in flight arms one deadline.
+func TestOneAcceptDeadlinePerLeader(t *testing.T) {
+	r, ctx := adoptedLeader(t, nil)
+	for seq := uint64(1); seq <= 8; seq++ {
+		ctx.Clock += time.Microsecond
+		r.Receive(ctx, 5, clientPut(seq))
+	}
+	if got := countTo[msg.AcceptRequest](ctx, 2); got != 8 {
+		t.Fatalf("sent %d accepts, want 8", got)
+	}
+	if n := len(acceptDeadlines(ctx)); n != 1 {
+		t.Fatalf("8 accepts in flight armed %d accept deadlines, want 1", n)
+	}
+}
+
+// TestAcceptorSuspectedAtOldestAcceptTimeout: the leader suspects its
+// acceptor when the oldest unlearned accept is AcceptTimeout old, not
+// when an accept it has since learned would have been.
+func TestAcceptorSuspectedAtOldestAcceptTimeout(t *testing.T) {
+	r, ctx := adoptedLeader(t, nil)
+	r.Receive(ctx, 5, clientPut(1)) // instance 0 at 0
+	first := ctx.SentTo(2)[0].(msg.AcceptRequest)
+	ctx.Clock = 300 * time.Microsecond
+	r.Receive(ctx, 5, clientPut(2)) // instance 1 at 300µs
+	ctx.Clock = 350 * time.Microsecond
+	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: first.PN, Value: first.Value}}})
+	fireAcceptDeadline(t, r, ctx) // 400µs
+	if r.switchingAa {
+		t.Fatal("suspected the acceptor at 400µs: the oldest unlearned accept was 100µs old")
+	}
+	if at := acceptDeadlines(ctx)[1].At; at != 300*time.Microsecond+DefaultAcceptTimeout {
+		t.Fatalf("the deadline re-armed for %v, want %v", at, 300*time.Microsecond+DefaultAcceptTimeout)
+	}
+	fireAcceptDeadline(t, r, ctx)
+	if !r.switchingAa {
+		t.Fatal("the acceptor was not suspected when instance 1 went AcceptTimeout unlearned")
+	}
+}
+
+// TestLearnedInstanceNeverSuspected: a learn retires its instance from
+// the deadline, and with nothing outstanding the deadline dies.
+func TestLearnedInstanceNeverSuspected(t *testing.T) {
+	r, ctx := adoptedLeader(t, nil)
+	r.Receive(ctx, 5, clientPut(1))
+	ar := ctx.SentTo(2)[0].(msg.AcceptRequest)
+	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: ar.Instance, PN: ar.PN, Value: ar.Value}}})
+	fireAcceptDeadline(t, r, ctx)
+	if r.switchingAa {
+		t.Fatal("a learned instance made the leader suspect its acceptor")
+	}
+	if n := len(acceptDeadlines(ctx)); n != 1 {
+		t.Fatalf("the deadline re-armed with nothing outstanding (%d armed)", n)
+	}
+}
+
+// TestFreshAcceptorLeaseHoldIsNotAFailure: under leases an acceptor this
+// leader just promoted refuses every prepare for a lease
+// (readpath.AssumeForeignLease). The prepare deadline retries through
+// that hold; replacing the acceptor for it would promote the other
+// backup into the same hold, and the two would trade places every
+// AcceptTimeout without adopting anyone.
+func TestFreshAcceptorLeaseHoldIsNotAFailure(t *testing.T) {
+	const lease = 5 * time.Millisecond
+	r, ctx := adoptedLeader(t, func(c *protocol.Config) {
+		c.ReadMode = readpath.Lease
+		c.LeaseDuration = lease
+	})
+	r.Ctx = ctx
+	// The leader's AcceptorChange 2 -> 1 commits; it re-adopts the fresh
+	// backup with a MustBeFresh prepare.
+	r.onUtilCommit(0, msg.UtilEntry{Type: msg.EntryAcceptorChange, Leader: 0, Acceptor: 1})
+	r.iAmLeader, r.takingOver = false, true
+	deadline := func(at time.Duration) {
+		ctx.Clock = at
+		ctx.TakeSent()
+		r.Timer(ctx, runtime.TimerTag{Kind: timerPrepareDeadline, Arg: int64(r.myPN)})
+	}
+	deadline(lease / 2)
+	if r.switchingAa || countTo[msg.PrepareRequest](ctx, 1) != 1 {
+		t.Fatalf("inside the fresh acceptor's lease hold the leader must retry its prepare, not replace the acceptor (switching %v)", r.switchingAa)
+	}
+	deadline(lease + 2*DefaultAcceptTimeout)
+	if !r.switchingAa {
+		t.Fatal("a fresh acceptor silent past its lease hold must be replaced")
+	}
 }

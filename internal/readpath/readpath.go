@@ -609,12 +609,20 @@ func (s *Server) PrepareHold(from msg.NodeID) time.Duration {
 // holder's quarter-duration early serving cutoff absorbs both clock
 // skew and grant acks that were already in flight.
 func (s *Server) AssumeForeignLease() {
+	if hold := s.PromotionHold(); hold > 0 {
+		s.foreignUntil = max(s.foreignUntil, s.now()+hold)
+	}
+}
+
+// PromotionHold is how long AssumeForeignLease makes a promoted acceptor
+// refuse every prepare: one lease duration under Lease, zero otherwise.
+// The leader that promoted it reads this to tell the deliberate silence
+// from a dead acceptor.
+func (s *Server) PromotionHold() time.Duration {
 	if s.cfg.Mode != Lease || !s.cfg.LeaseCapable {
-		return
+		return 0
 	}
-	if u := s.now() + s.cfg.LeaseDuration; u > s.foreignUntil {
-		s.foreignUntil = u
-	}
+	return s.cfg.LeaseDuration
 }
 
 // --- Round completion ---

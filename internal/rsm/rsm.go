@@ -530,6 +530,11 @@ type Sessions struct {
 	// the cache), so the cached pointer cannot dangle.
 	lastKey laneKey
 	lastCS  *clientSession
+
+	// one is Screen's result for a single-command request, valid until
+	// the next Screen: a request's own entries slice exists only for a
+	// batch.
+	one [1]msg.BatchEntry
 }
 
 // laneKey identifies one client lane: the client node plus the shard
@@ -803,14 +808,18 @@ func (s *Sessions) screen(client msg.NodeID, seq uint64, reply func(msg.ClientRe
 // committed before — Screen returns the request's own batch slice
 // without allocating; the client handed that slice over with the
 // request and nothing mutates it afterwards, so sharing it with the
-// proposal is safe.
+// proposal is safe. A single-command request's entry comes back in a
+// one-element scratch the table owns, valid until the next Screen:
+// callers fold it into a msg.NewValue or msg.NewRequest, which copy the
+// single form, and keep no reference to the slice.
 func (s *Sessions) Screen(req msg.ClientRequest, reply func(msg.ClientReply)) []msg.BatchEntry {
 	s.ClientAck(req.Client, req.Ack)
 	if len(req.Batch) == 0 {
 		if s.screen(req.Client, req.Seq, reply) {
 			return nil
 		}
-		return req.Entries()
+		s.one[0] = msg.BatchEntry{Seq: req.Seq, Cmd: req.Cmd}
+		return s.one[:]
 	}
 	var fresh []msg.BatchEntry
 	served := false

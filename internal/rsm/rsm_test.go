@@ -466,6 +466,24 @@ func TestSessionsScreen(t *testing.T) {
 	}
 }
 
+// TestSessionsScreenSingleAllocatesNothing: a single-command request's
+// entry comes back in the table's scratch, so screening it allocates
+// nothing — the batch-1 commit path's admission.
+func TestSessionsScreenSingleAllocatesNothing(t *testing.T) {
+	s := NewSessions()
+	req := msg.ClientRequest{Client: 1, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "a", Val: "v"}}
+	reply := func(msg.ClientReply) {}
+	allocs := testing.AllocsPerRun(100, func() {
+		fresh := s.Screen(req, reply)
+		if len(fresh) != 1 || fresh[0].Seq != 1 || fresh[0].Cmd != req.Cmd {
+			t.Fatalf("fresh = %+v", fresh)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Screen of a single command allocates %v times, want 0", allocs)
+	}
+}
+
 func TestSessionsUnseen(t *testing.T) {
 	s := NewSessions()
 	s.Done(1, 1, 1, "r")
