@@ -330,9 +330,11 @@ func BenchmarkKVInProcSteadyState(b *testing.B) { benchKVSteadyState(b, 0, 1) }
 // BenchmarkKVInProcSteadyStateShards is the same gate over four shards
 // on one runtime's cores, where nodes that share a core pass messages
 // through the core's FIFO instead of a queue: that path must allocate
-// nothing per op either. cmds/batch must read ~16 as on one shard — a
-// core that kept its processor from the callers it woke ran 11–12, and
-// the per-batch allocations then came to 1 per op.
+// nothing per op either. cmds/batch reads ~13: each shard's bridge
+// shares its leader's core, so a reply reaches it, and it proposes,
+// sooner than across cores (~16 when it did not). A core that kept its
+// processor from the callers it woke ran 11–12, and the per-batch
+// allocations then came to 1 per op.
 func BenchmarkKVInProcSteadyStateShards(b *testing.B) { benchKVSteadyState(b, 0, 4) }
 
 // BenchmarkKVInProcSteadyStateTraced is the tracing-overhead

@@ -184,10 +184,12 @@ type pending struct {
 	key    string
 }
 
-// waiter is a confirmed round whose reads await the applied frontier.
+// waiter is a batch of reads awaiting the applied frontier: a confirmed
+// round's, or, with local set, a lease holder's, which no round confirmed.
 type waiter struct {
 	frontier int64
 	reads    []pending
+	local    bool
 }
 
 // Server is the per-replica read-path state machine. Engines embed one
@@ -270,6 +272,7 @@ type Counters struct {
 	LeaseRenewals int64 // lease rounds completed by an already-holding leader
 	LeaseExpiries int64 // leases that lapsed before a renewal landed
 	Fallbacks     int64 // lease-path reads demoted to a quorum round (no valid lease)
+	ApplyWaits    int64 // lease-path reads held until the holder's applies reach its frontier (still local reads)
 	Redirects     int64 // reads bounced to another replica (not leader, or catching up)
 
 	// Rounds is the reads-per-round occupancy histogram: one sample per
@@ -291,6 +294,7 @@ func (s *Server) Collect(snap *obs.Snapshot) {
 	snap.Add("read.lease_renewals", c.LeaseRenewals)
 	snap.Add("read.lease_expiries", c.LeaseExpiries)
 	snap.Add("read.fallbacks", c.Fallbacks)
+	snap.Add("read.apply_waits", c.ApplyWaits)
 	snap.Add("read.redirects", c.Redirects)
 	snap.AddBatchOccupancy("read.rounds", &c.Rounds)
 }
@@ -749,15 +753,16 @@ func (s *Server) completeRound() {
 // or partition can drop the holder's learns while followers apply and
 // answer the very same writes. Serve from local state only once applies
 // cover the frontier; otherwise wait for them (a local wait — the lease
-// is exactly what makes a quorum confirmation round unnecessary).
+// is exactly what makes a quorum confirmation round unnecessary, so the
+// reads count as local when AfterApply serves them).
 func (s *Server) leaseServe(reads []pending) {
 	f := s.cfg.Frontier()
 	if s.cfg.Applied() >= f || s.LegacyGranterSelfExemption() {
 		s.serveLocal(reads, false)
 		return
 	}
-	s.count(func(st *Counters) { st.Fallbacks += int64(len(reads)) })
-	s.waiters = append(s.waiters, waiter{frontier: f, reads: reads})
+	s.count(func(st *Counters) { st.ApplyWaits += int64(len(reads)) })
+	s.waiters = append(s.waiters, waiter{frontier: f, reads: reads, local: true})
 }
 
 // onLeaseTick drives lease renewal (and post-hold retries): while the
@@ -788,10 +793,13 @@ func (s *Server) AfterApply() {
 	applied := s.cfg.Applied()
 	kept := s.waiters[:0]
 	for _, w := range s.waiters {
-		if w.frontier <= applied {
-			s.serve(w.reads)
-		} else {
+		switch {
+		case w.frontier > applied:
 			kept = append(kept, w)
+		case w.local:
+			s.serveLocal(w.reads, false)
+		default:
+			s.serve(w.reads)
 		}
 	}
 	s.waiters = kept

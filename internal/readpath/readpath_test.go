@@ -158,3 +158,69 @@ func TestRefusalFlippedByResend(t *testing.T) {
 		t.Fatalf("Establish fired %d times", establishes)
 	}
 }
+
+// TestLeaseHolderLaggingFrontier pins how the read path counts reads
+// that wait for applies. The read that acquires the lease rides a
+// confirmation round (a fallback), and waiting for applies after that
+// round leaves it a round-served read. A later read under the held
+// lease, arriving while the holder's applies trail its frontier, waits
+// locally: it is an apply wait, not a fallback, and AfterApply serves
+// it as a local read.
+func TestLeaseHolderLaggingFrontier(t *testing.T) {
+	frontier, applied := int64(6), int64(5)
+	ctx := &fakeCtx{id: 0, n: 3, rng: rand.New(rand.NewSource(1))}
+	s := New(Config{
+		ID:           0,
+		Replicas:     []msg.NodeID{0, 1, 2},
+		Mode:         Lease,
+		HasLeader:    true,
+		LeaseCapable: true,
+		IsLeader:     func() bool { return true },
+		Leader:       func() msg.NodeID { return 0 },
+		Confirmers:   func() []msg.NodeID { return []msg.NodeID{1} },
+		NeedAcks:     1,
+		Frontier:     func() int64 { return frontier },
+		Applied:      func() int64 { return applied },
+		Read:         func(key string) (string, bool) { return "v", true },
+	})
+	s.Start(ctx)
+	counters := func() Counters {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.stats
+	}
+
+	sendRead(s, ctx, 8, 1)
+	s.Handle(ctx, 1, msg.ReadIndexAck{Round: 1, OK: true, Frontier: frontier})
+	if _, ok := served(ctx, 8); ok {
+		t.Fatal("the lease round served a read its applies do not cover")
+	}
+	applied = frontier
+	s.AfterApply()
+	if _, ok := served(ctx, 8); !ok {
+		t.Fatal("the lease round's read was not served once applies covered it")
+	}
+	if c := counters(); c.Fallbacks != 1 || c.IndexReads != 1 || c.LocalReads != 0 || c.ApplyWaits != 0 {
+		t.Fatalf("after the lease round: %+v, want 1 fallback, 1 index read, no local read or apply wait", c)
+	}
+
+	frontier = 8 // writes committed that the holder has not applied yet
+	sendRead(s, ctx, 9, 2)
+	if _, ok := served(ctx, 9); ok {
+		t.Fatal("the holder served a read ahead of its own applies")
+	}
+	if c := counters(); c.ApplyWaits != 1 || c.Fallbacks != 1 || c.LocalReads != 0 {
+		t.Fatalf("lagging holder: %+v, want 1 apply wait and no new fallback", c)
+	}
+	applied = frontier
+	s.AfterApply()
+	if r, ok := served(ctx, 9); !ok || !r.OK || r.Result != "v" {
+		t.Fatalf("the waiting read was not served once applies caught up: reply=%+v ok=%v", r, ok)
+	}
+	if c := counters(); c.LocalReads != 1 || c.IndexReads != 1 || c.Fallbacks != 1 {
+		t.Fatalf("after the wait: %+v, want 1 local read and the round's counts unchanged", c)
+	}
+	if n := len(ctx.sent); n != 3 { // one confirmation, two replies: no round for the lagging read
+		t.Fatalf("%d sends, want 3: %+v", n, ctx.sent)
+	}
+}

@@ -243,14 +243,85 @@ func (c *core) run() {
 	}
 }
 
+// placement puts node i of group g, a group of sizes[g] nodes, on core
+// place[g][i] of k. client is the node of every group that talks to its
+// node 0 (a KV's bridge) or msg.Nobody.
+//
+// With fewer groups than cores (or no client, or one core) every node goes
+// where coreOf puts it, the client included: pairing it with node 0 there
+// would pile a group's leader-side work onto one core while others idle.
+// With at least as many groups as cores, every core hosts several nodes
+// anyway, so the client's hops to and from node 0 (two of the four on a
+// command's critical path) become core-local instead: node 0 and the client
+// go on core g mod k, then the boot acceptor on the least-loaded other core,
+// then the remaining nodes, groups interleaved, on the least-loaded cores;
+// ties go to the first core after g mod k. The constrained nodes go first so
+// that the free ones can even the load out.
+//
+// Either way the cores carry the same load within one node, and once k ≥ 2
+// a group's node 0 (1Paxos's boot leader) and its boot acceptor (the last
+// node that is not the client) never share a core — the paper's rule that
+// the leader and the active acceptor run on different cores.
+func placement(sizes []int, k int, client msg.NodeID) [][]int {
+	place := make([][]int, len(sizes))
+	for g, n := range sizes {
+		place[g] = make([]int, n)
+		for i := range place[g] {
+			place[g][i] = coreOf(g, i, n, k)
+		}
+	}
+	if client <= 0 || k < 2 || len(sizes) < k {
+		return place
+	}
+	c := int(client)
+	acceptor := func(n int) int { // the last node that is not the client
+		if n-1 == c {
+			return n - 2
+		}
+		return n - 1
+	}
+	load := make([]int, k)
+	put := func(g, i, core int) { place[g][i] = core; load[core]++ }
+	// least scans the cores after g's home round to the home itself, which
+	// it skips when avoidHome is set.
+	least := func(g int, avoidHome bool) int {
+		best := -1
+		for d := 1; d <= k; d++ {
+			core := (g + d) % k
+			if (!avoidHome || d < k) && (best < 0 || load[core] < load[best]) {
+				best = core
+			}
+		}
+		return best
+	}
+	longest := 0
+	for g, n := range sizes {
+		put(g, 0, g%k)
+		if c < n {
+			put(g, c, g%k)
+		}
+		longest = max(longest, n)
+	}
+	for g, n := range sizes {
+		if a := acceptor(n); a > 0 {
+			put(g, a, least(g, true))
+		}
+	}
+	for i := 1; i < longest; i++ {
+		for g, n := range sizes {
+			if i < n && i != c && i != acceptor(n) {
+				put(g, i, least(g, false))
+			}
+		}
+	}
+	return place
+}
+
 // coreOf places node i of group g, an n-node group, on one of k cores:
 // ⌊i·k/n⌋ spreads a group's nodes over the cores in id order, and the
 // offset g rotates successive groups so that the cores carry the same
-// load within one node. With k ≥ 2, a group's first node (1Paxos's boot
-// leader) and its nodes from ⌈n/k⌉ on (its boot acceptor, the last
-// replica, among them) never share a core — the paper's rule that the
-// leader and the active acceptor run on different cores. k = n with one
-// group is one node per core.
+// load within one node. With k ≥ 2, a group's node 0 and its nodes from
+// ⌈n/k⌉ on never share a core. k = n with one group is one node per core.
 func coreOf(g, i, n, k int) int {
 	return (i*k/n + g) % k
 }

@@ -15,6 +15,7 @@ type InProcOption func(*inprocConfig)
 
 type inprocConfig struct {
 	tracer *trace.Tracer
+	client msg.NodeID
 }
 
 // WithTracer installs a command tracer: client requests crossing the
@@ -23,6 +24,13 @@ type inprocConfig struct {
 // NewInProcGroups and read it unsynchronized from then on.
 func WithTracer(tr *trace.Tracer) InProcOption {
 	return func(c *inprocConfig) { c.tracer = tr }
+}
+
+// WithClient names the node of every group that sends its node 0 the
+// group's commands and takes the replies: a KV's bridge. Placement pairs
+// the two on one core once there are at least as many groups as cores.
+func WithClient(id msg.NodeID) InProcOption {
+	return func(c *inprocConfig) { c.client = id }
 }
 
 // InProcCluster runs groups of Handlers on cores — QC-libtask's model
@@ -65,27 +73,30 @@ func NewInProcCluster(handlers []Handler, opts ...InProcOption) *InProcCluster {
 }
 
 // NewInProcGroups builds and starts one group per entry of groups on at
-// most cores goroutines: node i of group g runs on core coreOf(g, i, n,
-// cores). Handler i of a group becomes its node i. Stop must be called
-// to release the goroutines.
+// most cores goroutines; handler i of a group becomes its node i, on the
+// core placement picks (see there: a group's node 0 and boot acceptor never
+// share a core, and the client named by WithClient joins node 0 once the
+// groups fill the cores). Stop must be called to release the goroutines.
 func NewInProcGroups(groups [][]Handler, cores int, opts ...InProcOption) *InProcCluster {
 	if cores < 1 {
 		panic(fmt.Sprintf("runtime: %d cores", cores))
 	}
-	var cfg inprocConfig
+	cfg := inprocConfig{client: msg.Nobody}
 	for _, o := range opts {
 		o(&cfg)
 	}
+	sizes := make([]int, len(groups))
+	for g, handlers := range groups {
+		sizes[g] = len(handlers)
+	}
+	layout := placement(sizes, cores, cfg.client)
 	c := &InProcCluster{}
 	hosted := make([][]*Node, cores)
 	epoch := time.Now()
 	for g, handlers := range groups {
 		n := len(handlers)
 		grp := &InProcGroup{nodes: make([]*Node, n), links: make([][]*link, n), down: make([]bool, n)}
-		place := make([]int, n)
-		for i := range place {
-			place[i] = coreOf(g, i, n, cores)
-		}
+		place := layout[g]
 		for i := range grp.nodes {
 			from := msg.NodeID(i)
 			node := NewNode(from, n, epoch, cfg.tracer, func(to msg.NodeID, m msg.Message) { grp.enqueue(from, to, m) })

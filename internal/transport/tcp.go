@@ -567,12 +567,16 @@ func (t *TCPNode) writeLoop(to msg.NodeID, pc *peerConn, bw *bufio.Writer) {
 	conn := pc.c
 	for {
 		var m msg.Message
+		// Either exit counts what is still queued as dropped, so every
+		// message send accepted ends up in FramesOut or Dropped.
 		select {
 		case m = <-pc.out:
 		case <-pc.closed:
+			t.drainDropped(pc)
 			return
 		case <-t.stop:
 			pc.shutdown()
+			t.drainDropped(pc)
 			return
 		}
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -269,6 +270,88 @@ func TestSlowPeerDropsNotBlocks(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("stalled peer never surfaced as drops: %v", wireCounts(node))
+}
+
+// TestCloseCountsQueuedAsDropped: every message send accepted ends up
+// in FramesOut or Dropped, including what is still queued when the node
+// closes.
+func TestCloseCountsQueuedAsDropped(t *testing.T) {
+	t.Run("wedged peer", func(t *testing.T) {
+		const sends = 3000 // under the 4096-slot queue: send itself drops none
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		hold := make(chan net.Conn, 1) // the one connection the node dials
+		go func() {
+			if c, err := ln.Accept(); err == nil {
+				hold <- c // accept but never read: the kernel buffers fill and stay full
+			}
+		}()
+		var forwarded atomic.Int64
+		fwd := runtime.HandlerFunc{
+			OnReceive: func(ctx runtime.Context, from msg.NodeID, m msg.Message) {
+				ctx.Send(1, m)
+				forwarded.Add(1)
+			},
+		}
+		node, err := NewTCPNode(0, fwd, map[msg.NodeID]string{0: "127.0.0.1:0", 1: ln.Addr().String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := node.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// Far more bytes than the kernel buffers hold, so the writer is
+		// stuck in a flush with most of the queue behind it.
+		big := msg.ClientReply{Seq: 1, Result: string(make([]byte, 8<<10))}
+		for i := 0; i < sends; i++ {
+			node.Inject(0, big)
+		}
+		for deadline := time.Now().Add(10 * time.Second); forwarded.Load() < sends; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("forwarded %d of %d", forwarded.Load(), sends)
+			}
+		}
+		node.Close()
+		select {
+		case c := <-hold:
+			c.Close()
+		default:
+		}
+		flushed, dropped := node.Stats.FramesOut.Load(), node.Stats.Dropped.Load()
+		if dropped == 0 || dropped != sends-flushed {
+			t.Fatalf("%d queued, %d flushed, %d dropped: want dropped = queued - flushed > 0", sends, flushed, dropped)
+		}
+	})
+	// The writer's two exits without an error, taken while messages are
+	// queued: the select picks among ready cases at random, so each runs
+	// many times.
+	for _, exit := range []string{"peer shut down", "node stopped"} {
+		t.Run(exit, func(t *testing.T) {
+			const queued = 8
+			for range 50 {
+				node := &TCPNode{stop: make(chan struct{})}
+				conn, other := net.Pipe()
+				pc := &peerConn{out: make(chan msg.Message, queued), closed: make(chan struct{}), c: conn}
+				for i := 0; i < queued; i++ {
+					pc.out <- msg.ClientReply{Seq: uint64(i)}
+				}
+				if exit == "peer shut down" {
+					pc.shutdown()
+				} else {
+					close(node.stop)
+					conn.Close() // a frame the select takes first fails instead of blocking
+				}
+				node.writeLoop(1, pc, bufio.NewWriter(conn))
+				other.Close()
+				if n := node.Stats.FramesOut.Load() + node.Stats.Dropped.Load(); n != queued {
+					t.Fatalf("%d queued, %d flushed or dropped", queued, n)
+				}
+			}
+		})
+	}
 }
 
 // TestTCPSelfSendUnderBacklog: every engine's broadcast includes the
