@@ -433,12 +433,13 @@ func (s *kvShard) startTCP(handlers []runtime.Handler, shardIdx int) error {
 // min(Shards·(Replicas+1), GOMAXPROCS) cores — a node per core where the
 // host has them, as the paper places replicas. Its placement keeps each
 // group's leader and acceptor on different cores whenever there are two,
-// and once the shards are at least as many as the cores it puts each
-// shard's bridge on its leader's core.
+// and once the shards are at least as many as the cores (and the cores
+// fewer than a group's nodes) it puts each shard's bridge, its group's
+// last node, on its leader's core.
 func (kv *KV) startInProc(groups [][]runtime.Handler) {
 	cores := min(kv.cfg.Shards*(kv.cfg.Replicas+1), stdruntime.GOMAXPROCS(0))
+	kv.inproc = runtime.NewInProcGroups(groups, cores, runtime.WithTracer(kv.tracer))
 	bridgeID := msg.NodeID(kv.cfg.Replicas)
-	kv.inproc = runtime.NewInProcGroups(groups, cores, runtime.WithTracer(kv.tracer), runtime.WithClient(bridgeID))
 	for s, sh := range kv.shards {
 		grp := kv.inproc.Group(s)
 		sh.inproc = grp

@@ -243,85 +243,30 @@ func (c *core) run() {
 	}
 }
 
-// placement puts node i of group g, a group of sizes[g] nodes, on core
-// place[g][i] of k. client is the node of every group that talks to its
-// node 0 (a KV's bridge) or msg.Nobody.
+// coreOf places node i of group g, an n-node group, on one of the k cores
+// a runtime of groups groups shares: ⌊pos·k/n⌋ spreads a group's positions
+// over the cores in order, and the offset g rotates successive groups so
+// that the cores carry the same load within one node. With k ≥ 2,
+// position 0 and the positions from ⌈n/k⌉ on never share a core. Node i
+// takes position i, so a group's node 0 (1Paxos's boot leader) and its
+// last replica (its boot acceptor) run on different cores, and one group
+// on k = n cores is one node per core.
 //
-// With fewer groups than cores (or no client, or one core) every node goes
-// where coreOf puts it, the client included: pairing it with node 0 there
-// would pile a group's leader-side work onto one core while others idle.
-// With at least as many groups as cores, every core hosts several nodes
-// anyway, so the client's hops to and from node 0 (two of the four on a
-// command's critical path) become core-local instead: node 0 and the client
-// go on core g mod k, then the boot acceptor on the least-loaded other core,
-// then the remaining nodes, groups interleaved, on the least-loaded cores;
-// ties go to the first core after g mod k. The constrained nodes go first so
-// that the free ones can even the load out.
-//
-// Either way the cores carry the same load within one node, and once k ≥ 2
-// a group's node 0 (1Paxos's boot leader) and its boot acceptor (the last
-// node that is not the client) never share a core — the paper's rule that
-// the leader and the active acceptor run on different cores.
-func placement(sizes []int, k int, client msg.NodeID) [][]int {
-	place := make([][]int, len(sizes))
-	for g, n := range sizes {
-		place[g] = make([]int, n)
-		for i := range place[g] {
-			place[g][i] = coreOf(g, i, n, k)
-		}
+// Once the runtime hosts at least as many groups as cores, each group's
+// last node is taken to be its client (a KV's bridge) and its boot
+// acceptor to be node n−2. With k < n the group is laid out in the order
+// [0, n−1, 1, …, n−2] instead: the client lands on node 0's core, so its
+// hops to and from the leader (two of the four on a command's critical
+// path) stay on one core, and the boot acceptor, at position n−1, still
+// lands off it — the paper's rule that the leader and the active acceptor
+// run on different cores. The order is a permutation, so the per-core
+// load is unchanged. With fewer groups than cores the pairing would pile
+// a group's leader-side work onto one core while others idle, and with
+// k ≥ n it could not pair, so both keep the id order.
+func coreOf(g, i, n, k, groups int) int {
+	pos := i
+	if groups >= k && k < n && i > 0 {
+		pos = i%(n-1) + 1 // n−1 → 1, i → i+1 below it
 	}
-	if client <= 0 || k < 2 || len(sizes) < k {
-		return place
-	}
-	c := int(client)
-	acceptor := func(n int) int { // the last node that is not the client
-		if n-1 == c {
-			return n - 2
-		}
-		return n - 1
-	}
-	load := make([]int, k)
-	put := func(g, i, core int) { place[g][i] = core; load[core]++ }
-	// least scans the cores after g's home round to the home itself, which
-	// it skips when avoidHome is set.
-	least := func(g int, avoidHome bool) int {
-		best := -1
-		for d := 1; d <= k; d++ {
-			core := (g + d) % k
-			if (!avoidHome || d < k) && (best < 0 || load[core] < load[best]) {
-				best = core
-			}
-		}
-		return best
-	}
-	longest := 0
-	for g, n := range sizes {
-		put(g, 0, g%k)
-		if c < n {
-			put(g, c, g%k)
-		}
-		longest = max(longest, n)
-	}
-	for g, n := range sizes {
-		if a := acceptor(n); a > 0 {
-			put(g, a, least(g, true))
-		}
-	}
-	for i := 1; i < longest; i++ {
-		for g, n := range sizes {
-			if i < n && i != c && i != acceptor(n) {
-				put(g, i, least(g, false))
-			}
-		}
-	}
-	return place
-}
-
-// coreOf places node i of group g, an n-node group, on one of k cores:
-// ⌊i·k/n⌋ spreads a group's nodes over the cores in id order, and the
-// offset g rotates successive groups so that the cores carry the same
-// load within one node. With k ≥ 2, a group's node 0 and its nodes from
-// ⌈n/k⌉ on never share a core. k = n with one group is one node per core.
-func coreOf(g, i, n, k int) int {
-	return (i*k/n + g) % k
+	return (pos*k/n + g) % k
 }

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -93,18 +92,24 @@ func TestCrossCoreFloods(t *testing.T) {
 	}
 }
 
-// TestCorePlacement pins coreOf's three promises, placement's two
-// layouts, and that NewInProcGroups places by them.
+// TestCorePlacement pins coreOf's promises and that NewInProcGroups
+// places by it.
 func TestCorePlacement(t *testing.T) {
 	// With two cores or more, a group's leader (replica 0) and its boot
-	// acceptor (replica R-1) never share one, with or without the KV's
-	// bridge as node R.
+	// acceptor (replica R-1) never share one: with or without the KV's
+	// bridge as node R while the groups are fewer than the cores, and
+	// with it once they are not.
 	for k := 2; k <= 8; k++ {
 		for r := 3; r <= 9; r++ {
-			for _, n := range []int{r, r + 1} {
-				for g := 0; g < 2*k; g++ {
-					if coreOf(g, 0, n, k) == coreOf(g, r-1, n, k) {
-						t.Errorf("k=%d, group %d of %d nodes: leader and acceptor on core %d", k, g, n, coreOf(g, 0, n, k))
+			for groups := 1; groups <= 2*k; groups++ {
+				for _, n := range []int{r, r + 1} {
+					if groups >= k && n == r {
+						continue
+					}
+					for g := 0; g < groups; g++ {
+						if lead := coreOf(g, 0, n, k, groups); lead == coreOf(g, r-1, n, k, groups) {
+							t.Errorf("k=%d, group %d of %d, %d nodes: leader and acceptor on core %d", k, g, groups, n, lead)
+						}
 					}
 				}
 			}
@@ -113,118 +118,89 @@ func TestCorePlacement(t *testing.T) {
 	// Equal groups load the cores evenly: per-core counts differ by at
 	// most one.
 	for k := 1; k <= 8; k++ {
-		for n := 1; n <= 9; n++ {
-			for groups := 1; groups <= 8; groups++ {
-				checkLoad(t, fmt.Sprintf("coreOf, k=%d, %d groups of %d", k, groups, n), groups, n, k, func(g, i int) int { return coreOf(g, i, n, k) })
+		for n := 1; n <= 10; n++ {
+			for groups := 1; groups <= 2*k; groups++ {
+				load := make([]int, k)
+				for g := 0; g < groups; g++ {
+					for i := 0; i < n; i++ {
+						load[coreOf(g, i, n, k, groups)]++
+					}
+				}
+				if slices.Max(load)-slices.Min(load) > 1 {
+					t.Errorf("k=%d, %d groups of %d: per-core load %v", k, groups, n, load)
+				}
 			}
 		}
 	}
-	// One group on as many cores as nodes is one node per core, in order.
-	for n := 1; n <= 9; n++ {
-		for i := 0; i < n; i++ {
-			if got := coreOf(0, i, n, n); got != i {
-				t.Errorf("n=k=%d: node %d on core %d", n, i, got)
-			}
-		}
-	}
-
-	// Fewer groups than cores keep coreOf's layout, client and all: a
-	// single group's layout cannot drift.
+	// Fewer groups than cores keep the id order, client and all, so a
+	// single group's layout cannot drift, and so do cores enough for
+	// every node of a group; one group on as many cores as nodes is one
+	// node per core.
 	for k := 2; k <= 8; k++ {
-		for r := 3; r <= 9; r++ {
-			n := r + 1
-			for groups := 1; groups < k; groups++ {
-				place := placement(sizes(groups, n), k, msg.NodeID(r))
-				for g := range place {
-					for i, core := range place[g] {
-						if want := (i*k/n + g) % k; core != want {
-							t.Errorf("k=%d, %d groups of %d: node %d of group %d on core %d, want %d", k, groups, n, i, g, core, want)
+		for n := 2; n <= 10; n++ {
+			for groups := 1; groups <= 2*k; groups++ {
+				if groups >= k && k < n {
+					continue
+				}
+				for g := 0; g < groups; g++ {
+					for i := 0; i < n; i++ {
+						if got, want := coreOf(g, i, n, k, groups), (i*k/n+g)%k; got != want {
+							t.Errorf("k=%d, %d groups of %d: node %d of group %d on core %d, want %d", k, groups, n, i, g, got, want)
 						}
 					}
 				}
 			}
 		}
 	}
-	// As many groups as cores or more: every group's client (node R)
-	// shares its leader's core, the leader and the boot acceptor still
-	// never share one, and the load stays within one node per core.
+	for n := 1; n <= 9; n++ {
+		for i := 0; i < n; i++ {
+			if got := coreOf(0, i, n, n, 1); got != i {
+				t.Errorf("n=k=%d: node %d on core %d", n, i, got)
+			}
+		}
+	}
+	// As many groups as cores or more, and fewer cores than a group's
+	// nodes: every group's client (node R) shares its leader's core.
 	for k := 2; k <= 8; k++ {
-		for r := 3; r <= 9; r++ {
+		for r := max(3, k); r <= 9; r++ {
 			n := r + 1
 			for groups := k; groups <= 2*k; groups++ {
-				place := placement(sizes(groups, n), k, msg.NodeID(r))
-				for g, p := range place {
-					if p[r] != p[0] {
-						t.Errorf("k=%d, %d groups of %d: group %d's client on core %d, its leader on %d", k, groups, n, g, p[r], p[0])
-					}
-					if p[r-1] == p[0] {
-						t.Errorf("k=%d, %d groups of %d: group %d's leader and acceptor on core %d", k, groups, n, g, p[0])
+				for g := 0; g < groups; g++ {
+					if lead, client := coreOf(g, 0, n, k, groups), coreOf(g, r, n, k, groups); lead != client {
+						t.Errorf("k=%d, %d groups of %d: group %d's client on core %d, its leader on %d", k, groups, n, g, client, lead)
 					}
 				}
-				checkLoad(t, fmt.Sprintf("paired, k=%d, %d groups of %d", k, groups, n), groups, n, k, func(g, i int) int { return place[g][i] })
 			}
 		}
 	}
 
 	// The runtime places by it: four groups of three replicas and a
 	// client on two cores put each client with its leader, and the
-	// other two replicas on the other core; without a client the
-	// nodes keep their id-order halves.
-	for _, tc := range []struct {
-		opts   []InProcOption
-		halves [2][]int // the nodes of every group that share each of its two cores
-	}{
-		{[]InProcOption{WithClient(3)}, [2][]int{{0, 3}, {1, 2}}},
-		{nil, [2][]int{{0, 1}, {2, 3}}},
-	} {
-		groups := make([][]Handler, 4)
-		for g := range groups {
-			groups[g] = []Handler{HandlerFunc{}, HandlerFunc{}, HandlerFunc{}, HandlerFunc{}}
-		}
-		c := NewInProcGroups(groups, 2, tc.opts...)
-		defer c.Stop()
-		if len(c.cores) != 2 {
-			t.Fatalf("%d cores, want 2", len(c.cores))
-		}
-		for g, grp := range c.groups {
-			for _, half := range tc.halves {
-				if grp.nodes[half[0]].core != grp.nodes[half[1]].core {
-					t.Errorf("group %d: nodes %v on two cores", g, half)
-				}
+	// other two replicas on the other core.
+	groups := make([][]Handler, 4)
+	for g := range groups {
+		groups[g] = []Handler{HandlerFunc{}, HandlerFunc{}, HandlerFunc{}, HandlerFunc{}}
+	}
+	c := NewInProcGroups(groups, 2)
+	defer c.Stop()
+	if len(c.cores) != 2 {
+		t.Fatalf("%d cores, want 2", len(c.cores))
+	}
+	for g, grp := range c.groups {
+		for _, pair := range [][2]int{{0, 3}, {1, 2}} {
+			if grp.nodes[pair[0]].core != grp.nodes[pair[1]].core {
+				t.Errorf("group %d: nodes %v on two cores", g, pair)
 			}
-			if grp.nodes[0].core == grp.nodes[2].core {
-				t.Errorf("group %d: leader and acceptor share a core", g)
-			}
-			for i, node := range grp.nodes {
-				for j, peer := range grp.nodes {
-					if sameCore, queued := node.core == peer.core, node.in[j] != nil; i != j && sameCore == queued {
-						t.Errorf("group %d: link %d->%d same core %v, queued %v", g, j, i, sameCore, queued)
-					}
+		}
+		if grp.nodes[0].core == grp.nodes[2].core {
+			t.Errorf("group %d: leader and acceptor share a core", g)
+		}
+		for i, node := range grp.nodes {
+			for j, peer := range grp.nodes {
+				if sameCore, queued := node.core == peer.core, node.in[j] != nil; i != j && sameCore == queued {
+					t.Errorf("group %d: link %d->%d same core %v, queued %v", g, j, i, sameCore, queued)
 				}
 			}
 		}
-	}
-}
-
-func sizes(groups, n int) []int {
-	s := make([]int, groups)
-	for g := range s {
-		s[g] = n
-	}
-	return s
-}
-
-// checkLoad fails unless groups groups of n nodes, node i of group g on
-// core at(g, i), load k cores within one node of each other.
-func checkLoad(t *testing.T, what string, groups, n, k int, at func(g, i int) int) {
-	t.Helper()
-	load := make([]int, k)
-	for g := 0; g < groups; g++ {
-		for i := 0; i < n; i++ {
-			load[at(g, i)]++
-		}
-	}
-	if slices.Max(load)-slices.Min(load) > 1 {
-		t.Errorf("%s: per-core load %v", what, load)
 	}
 }

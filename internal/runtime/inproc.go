@@ -15,7 +15,6 @@ type InProcOption func(*inprocConfig)
 
 type inprocConfig struct {
 	tracer *trace.Tracer
-	client msg.NodeID
 }
 
 // WithTracer installs a command tracer: client requests crossing the
@@ -24,13 +23,6 @@ type inprocConfig struct {
 // NewInProcGroups and read it unsynchronized from then on.
 func WithTracer(tr *trace.Tracer) InProcOption {
 	return func(c *inprocConfig) { c.tracer = tr }
-}
-
-// WithClient names the node of every group that sends its node 0 the
-// group's commands and takes the replies: a KV's bridge. Placement pairs
-// the two on one core once there are at least as many groups as cores.
-func WithClient(id msg.NodeID) InProcOption {
-	return func(c *inprocConfig) { c.client = id }
 }
 
 // InProcCluster runs groups of Handlers on cores — QC-libtask's model
@@ -73,30 +65,30 @@ func NewInProcCluster(handlers []Handler, opts ...InProcOption) *InProcCluster {
 }
 
 // NewInProcGroups builds and starts one group per entry of groups on at
-// most cores goroutines; handler i of a group becomes its node i, on the
-// core placement picks (see there: a group's node 0 and boot acceptor never
-// share a core, and the client named by WithClient joins node 0 once the
-// groups fill the cores). Stop must be called to release the goroutines.
+// most cores goroutines; handler i of a group becomes its node i, on core
+// coreOf(g, i, n, cores, len(groups)). Once there are at least as many
+// groups as cores, each group's last node is taken to be its client and,
+// when the cores are fewer than the group's nodes, shares node 0's core;
+// a group's node 0 and boot acceptor never share one. Stop must be called
+// to release the goroutines.
 func NewInProcGroups(groups [][]Handler, cores int, opts ...InProcOption) *InProcCluster {
 	if cores < 1 {
 		panic(fmt.Sprintf("runtime: %d cores", cores))
 	}
-	cfg := inprocConfig{client: msg.Nobody}
+	var cfg inprocConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	sizes := make([]int, len(groups))
-	for g, handlers := range groups {
-		sizes[g] = len(handlers)
-	}
-	layout := placement(sizes, cores, cfg.client)
 	c := &InProcCluster{}
 	hosted := make([][]*Node, cores)
 	epoch := time.Now()
 	for g, handlers := range groups {
 		n := len(handlers)
 		grp := &InProcGroup{nodes: make([]*Node, n), links: make([][]*link, n), down: make([]bool, n)}
-		place := layout[g]
+		place := make([]int, n)
+		for i := range place {
+			place[i] = coreOf(g, i, n, cores, len(groups))
+		}
 		for i := range grp.nodes {
 			from := msg.NodeID(i)
 			node := NewNode(from, n, epoch, cfg.tracer, func(to msg.NodeID, m msg.Message) { grp.enqueue(from, to, m) })
