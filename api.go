@@ -130,28 +130,14 @@ type KVConfig struct {
 	// paper's closed loop; negative is rejected). Commands beyond the
 	// window queue in order.
 	Pipeline int
-	// BatchSize is the largest number of queued commands the service
-	// coalesces into one consensus instance per shard (default 1 — the
-	// paper's one-command-per-instance behavior). Batches are drawn from
-	// the outstanding pipeline window, so BatchSize must not exceed
-	// Pipeline (validated like Shards).
-	BatchSize int
-	// BatchDelay, when positive, holds a partial batch back up to this
-	// long waiting for more commands before proposing it — the
-	// group-commit latency/occupancy trade. Zero proposes partial
-	// batches immediately; replicas answer a batch in one message, so
-	// freed window slots refill as full batches under load either way.
-	BatchDelay time.Duration
-	// BatchAdaptive replaces the static batcher with an adaptive
-	// controller (default off — the paper's static-knob behavior): each
-	// pump proposes everything the pipeline window admits, so batches
-	// grow with queue depth — single commands at low load (no added
-	// latency), full-window batches under saturation (maximum
-	// amortization) — with no BatchSize/BatchDelay tuning. It needs a
-	// Pipeline of at least 2 (a window of 1 has nothing to adapt) and
-	// excludes the static knobs: BatchSize above 1 or a positive
-	// BatchDelay is a configuration conflict (validated like
-	// Shards/BatchSize).
+	// BatchAdaptive coalesces queued commands into one consensus
+	// instance per shard, sized from demand (default off — the paper's
+	// one command per instance): each pump proposes what is queued, up to
+	// half the pipeline window, so batches grow with queue depth — single
+	// commands at low load (no added latency), half-window batches under
+	// saturation (maximum amortization with two instances in flight). It
+	// needs a Pipeline of at least 2 (a window of 1 has nothing to adapt;
+	// validated like Shards).
 	BatchAdaptive bool
 	// SnapshotInterval makes every replica compact its log every this
 	// many applied instances, keeping between one and two intervals of
@@ -160,14 +146,13 @@ type KVConfig struct {
 	// cadence: a snapshot of a replica's durable state (state-machine
 	// image, session frontiers, applied frontier) is captured only when
 	// a peer asks for state the log no longer holds — see
-	// RestartReplica. Validated like Shards/BatchSize.
+	// RestartReplica. Validated like Shards.
 	SnapshotInterval int
 	// ReadMode selects how Get is served (default ReadConsensus, the
 	// paper's read-through-the-log behavior). ReadLease, ReadIndex and
 	// ReadFollower serve reads from a replica's local state machine,
 	// bypassing the proposer-side batcher entirely; see the ReadMode
-	// constants and DESIGN.md, "The read path". Validated like
-	// Shards/BatchSize.
+	// constants and DESIGN.md, "The read path". Validated like Shards.
 	ReadMode ReadMode
 	// LeaseDuration is the read-lease lifetime under ReadLease (default
 	// 5ms). The leader treats the lease as expired a quarter-duration
@@ -307,11 +292,8 @@ func StartKV(cfg KVConfig) (*KV, error) {
 	if cfg.Pipeline == 0 {
 		cfg.Pipeline = DefaultPipeline
 	}
-	if err := rsm.CheckPipeline("consensusinside", cfg.Pipeline, cfg.BatchSize, cfg.BatchDelay, cfg.BatchAdaptive); err != nil {
+	if err := rsm.CheckPipeline("consensusinside", cfg.Pipeline, cfg.BatchAdaptive); err != nil {
 		return nil, err
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 1
 	}
 	if cfg.RequestTimeout < 0 {
 		return nil, fmt.Errorf("consensusinside: negative request timeout %v", cfg.RequestTimeout)
@@ -402,8 +384,6 @@ func newKVShard(cfg KVConfig, shardIdx int, tracer *trace.Tracer, events *obs.Ev
 		Shard:    shardIdx,
 		Retry:    2 * cfg.AcceptTimeout,
 		Window:   cfg.Pipeline,
-		Batch:    cfg.BatchSize,
-		Delay:    cfg.BatchDelay,
 		Adaptive: cfg.BatchAdaptive,
 		ReadMode: readpath.Mode(cfg.ReadMode),
 		Tracer:   tracer,
@@ -491,8 +471,8 @@ func (kv *KV) MaxInFlight() int {
 
 // BatchStats reports the service's proposed-batch occupancy counters,
 // folded across shards: how many batches (consensus instances carrying
-// client commands) the bridges proposed and how full they ran. With
-// BatchSize 1 every batch holds exactly one command.
+// client commands) the bridges proposed and how full they ran. Without
+// BatchAdaptive every batch holds exactly one command.
 func (kv *KV) BatchStats() metrics.BatchOccupancy {
 	var occ metrics.BatchOccupancy
 	for _, sh := range kv.shards {

@@ -39,16 +39,21 @@ func matrixWorkload() []matrixOp {
 }
 
 // runMatrix executes the workload against one (protocol, transport,
-// shards, batch) cell and returns every observed result in order.
+// shards, batch) cell and returns every observed result in order. A
+// batch cap above 1 turns on the adaptive batcher with a window of twice
+// the cap.
 func runMatrix(t *testing.T, p Protocol, tr TransportKind, shards, batch int) []string {
 	t.Helper()
-	return runMatrixCfg(t, KVConfig{
+	cfg := KVConfig{
 		Protocol:       p,
 		Transport:      tr,
 		Shards:         shards,
-		BatchSize:      batch,
 		RequestTimeout: 30 * time.Second,
-	})
+	}
+	if batch > 1 {
+		cfg.Pipeline, cfg.BatchAdaptive = 2*batch, true
+	}
+	return runMatrixCfg(t, cfg)
 }
 
 // runMatrixCfg executes the workload against an arbitrary KVConfig cell
@@ -167,7 +172,7 @@ func TestKVPipelinedConcurrentClients(t *testing.T) {
 			kv, err := StartKV(KVConfig{
 				Protocol:       p,
 				Pipeline:       8,
-				BatchSize:      4,
+				BatchAdaptive:  true,
 				RequestTimeout: 30 * time.Second,
 			})
 			if err != nil {
@@ -225,18 +230,12 @@ func TestKVPipelinedConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestKVBatchValidation pins the BatchSize/BatchDelay error cases.
+// TestKVBatchValidation pins the BatchAdaptive error case.
 func TestKVBatchValidation(t *testing.T) {
-	if _, err := StartKV(KVConfig{BatchSize: -1}); err == nil {
-		t.Error("negative batch size accepted")
+	if _, err := StartKV(KVConfig{Pipeline: 1, BatchAdaptive: true}); err == nil {
+		t.Error("adaptive batching with window 1 accepted")
 	}
-	if _, err := StartKV(KVConfig{Pipeline: 8, BatchSize: 9}); err == nil {
-		t.Error("batch size beyond the pipeline window accepted")
-	}
-	if _, err := StartKV(KVConfig{BatchDelay: -time.Second}); err == nil {
-		t.Error("negative batch delay accepted")
-	}
-	kv, err := StartKV(KVConfig{Pipeline: 8, BatchSize: 8, BatchDelay: time.Millisecond})
+	kv, err := StartKV(KVConfig{Pipeline: 8, BatchAdaptive: true})
 	if err != nil {
 		t.Fatalf("legal batching config rejected: %v", err)
 	}

@@ -273,7 +273,7 @@ func TestLogBoundedUnderSustainedLoad(t *testing.T) {
 	kv, err := StartKV(KVConfig{
 		Transport:        InProc,
 		SnapshotInterval: interval,
-		BatchSize:        8,
+		BatchAdaptive:    true,
 		RequestTimeout:   90 * time.Second,
 	})
 	if err != nil {

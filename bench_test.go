@@ -317,24 +317,24 @@ func benchKVConcurrentPut(b *testing.B, pipeline int) {
 }
 
 // BenchmarkKVInProcSteadyState is the hot-path allocation gate: the
-// full propose→decide→apply→reply cycle on the InProc runtime at the
-// headline batch-16 configuration, with every pool pre-warmed, must
-// report 0 allocs/op under -benchmem. The service's remaining
-// allocations are per-batch (the decided value's entry slice, which the
-// log retains, plus envelope boxing per instance), so at occupancy ~16
-// they amortize below one allocation per operation; anything reporting
-// >= 1 alloc/op means a per-command allocation crept back into the
-// cycle.
+// full propose→decide→apply→reply cycle on the InProc runtime with
+// adaptive batching at window 32 (a batch cap of 16), with every pool
+// pre-warmed, must report 0 allocs/op under -benchmem. The service's
+// remaining allocations are per-batch (the decided value's entry slice,
+// which the log retains, plus envelope boxing per instance), so at
+// occupancy ~13 they amortize below one allocation per operation;
+// anything reporting >= 1 alloc/op means a per-command allocation crept
+// back into the cycle. At window 16 (cap 8) occupancy reads ~8, too
+// close to one allocation per op to gate.
 func BenchmarkKVInProcSteadyState(b *testing.B) { benchKVSteadyState(b, 0, 1) }
 
 // BenchmarkKVInProcSteadyStateShards is the same gate over four shards
 // on one runtime's cores, where nodes that share a core pass messages
 // through the core's FIFO instead of a queue: that path must allocate
-// nothing per op either. cmds/batch reads ~13: each shard's bridge
-// shares its leader's core, so a reply reaches it, and it proposes,
-// sooner than across cores (~16 when it did not). A core that kept its
-// processor from the callers it woke ran 11–12, and the per-batch
-// allocations then came to 1 per op.
+// nothing per op either. cmds/batch reads ~10 at GOMAXPROCS 2: each
+// shard's bridge shares its leader's core, so a reply reaches it, and it
+// proposes, sooner than across cores. At window 16 (cap 8) it read ~7.5,
+// and the per-batch allocations came too close to 1 per op.
 func BenchmarkKVInProcSteadyStateShards(b *testing.B) { benchKVSteadyState(b, 0, 4) }
 
 // BenchmarkKVInProcSteadyStateTraced is the tracing-overhead
@@ -348,19 +348,20 @@ func BenchmarkKVInProcSteadyStateTraced(b *testing.B) {
 }
 
 // BenchmarkKVInProcSteadyStateLight is the batch-1 allocation gate, the
-// shape of bench/'s inproc-put-light: 4 callers, batch 1, so every
+// shape of bench/'s inproc-put-light: 4 callers, batching off, so every
 // command is its own instance and nothing amortizes. scripts/allocgate.sh
 // holds it at 5 allocs/op — the messages boxed into msg.Message that
 // carry the command (request, accept, reply) and the Learn's entry slice
 // and box; a sixth is a per-instance allocation back on the commit path.
 func BenchmarkKVInProcSteadyStateLight(b *testing.B) {
-	benchKVLoad(b, KVConfig{Pipeline: 16, BatchSize: 1}, 4)
+	benchKVLoad(b, KVConfig{Pipeline: 16}, 4)
 }
 
-// benchKVSteadyState drives 64 callers per shard through a batch-16
-// InProc KV with 1-in-traceInterval command tracing (0 = off).
+// benchKVSteadyState drives 64 callers per shard through an adaptive
+// InProc KV of window 32 (batch cap 16) with 1-in-traceInterval command
+// tracing (0 = off).
 func benchKVSteadyState(b *testing.B, traceInterval, shards int) {
-	benchKVLoad(b, KVConfig{Pipeline: 16, BatchSize: 16, TraceInterval: traceInterval, Shards: shards}, 64*shards)
+	benchKVLoad(b, KVConfig{Pipeline: 32, BatchAdaptive: true, TraceInterval: traceInterval, Shards: shards}, 64*shards)
 }
 
 // benchKVLoad drives workers callers, spread over cfg's shards, through

@@ -206,7 +206,7 @@ func (b *kvBridge) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) 
 		now := ctx.Now()
 		b.drain(now)
 		b.pumpReads(ctx, now)
-		b.pump(ctx, now, false)
+		b.pump(ctx, now)
 	case msg.ClientReply:
 		b.oneReply[0] = mm
 		b.finishBatch(ctx, b.oneReply[:])
@@ -243,7 +243,7 @@ func (b *kvBridge) finishBatch(ctx runtime.Context, replies []msg.ClientReply) {
 	if redirected {
 		b.scan(ctx, now, false)
 	} else {
-		b.pump(ctx, now, false)
+		b.pump(ctx, now)
 	}
 }
 
@@ -258,14 +258,12 @@ func (b *kvBridge) finishReads(ctx runtime.Context, replies []msg.ReadReply) {
 	b.pumpReads(ctx, ctx.Now())
 }
 
-// Timer implements runtime.Handler: the lane's three timers.
+// Timer implements runtime.Handler: the lane's two timers.
 func (b *kvBridge) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 	now := ctx.Now()
 	switch tag.Kind {
 	case client.TimerRetry:
 		b.scan(ctx, now, true)
-	case client.TimerFlush:
-		b.pump(ctx, now, true) // the held-back partial batch is due: propose what is queued
 	case client.TimerReadRetry:
 		b.timedOut(b.lane.ScanReads(ctx, now))
 		b.pumpReads(ctx, now) // expired requests may have freed read-window slots
@@ -290,7 +288,7 @@ func (b *kvBridge) scan(ctx runtime.Context, now time.Duration, tick bool) {
 	}
 	b.queue = kept
 	b.timedOut(expired)
-	b.pump(ctx, now, false) // expired flights may have freed window slots
+	b.pump(ctx, now) // expired flights may have freed window slots
 }
 
 // pumpReads drains the read queue into ReadRequests, as many as the
@@ -302,13 +300,13 @@ func (b *kvBridge) pumpReads(ctx runtime.Context, now time.Duration) {
 
 // pump moves queued commands into the pipeline window, one request —
 // one consensus instance — per pass, as many as the lane's admission
-// rule takes (see client.Lane.Admit); force says the flush timer fired.
+// rule takes (see client.Lane.Admit).
 // What stays queued is copied down to the front, so the queue keeps its
 // backing array and drain's appends do not reallocate it.
-func (b *kvBridge) pump(ctx runtime.Context, now time.Duration, force bool) {
+func (b *kvBridge) pump(ctx runtime.Context, now time.Duration) {
 	sent := 0
 	for {
-		n := b.lane.Admit(ctx, b.lane.Free(), len(b.queue)-sent, force)
+		n := b.lane.Admit(b.lane.Free(), len(b.queue)-sent)
 		if n == 0 {
 			break
 		}

@@ -30,7 +30,7 @@ func newBridgeHarness(t *testing.T, window int, mode readpath.Mode) *bridgeHarne
 	h := &bridgeHarness{
 		t: t,
 		b: newKVBridge(client.Config{
-			ID: 3, Servers: []msg.NodeID{0, 1, 2}, Retry: harnessRetry, Window: window, Batch: 1, ReadMode: mode,
+			ID: 3, Servers: []msg.NodeID{0, 1, 2}, Retry: harnessRetry, Window: window, ReadMode: mode,
 		}, time.Minute),
 		ctx: runtime.NewFakeContext(3, 4),
 		// Every caller of a test may be parked at once.

@@ -36,8 +36,7 @@ func debugGET(t *testing.T, addr, path string) []byte {
 
 func TestDebugEndpoints(t *testing.T) {
 	kv, err := StartKV(KVConfig{
-		Pipeline:      8,
-		BatchSize:     8,
+		BatchAdaptive: true,
 		TraceInterval: 8,
 		DebugAddr:     "127.0.0.1:0",
 	})

@@ -9,9 +9,9 @@
 // engine — 1Paxos, Multi-Paxos, 2PC, Mencius, or the single-decree
 // BasicPaxos baseline (KVConfig.Protocol) — over an in-process
 // QC-libtask-style runtime or real TCP sockets, with a pipelined window
-// of in-flight commands (KVConfig.Pipeline), command batching that packs
-// several of them into one consensus instance (KVConfig.BatchSize/
-// BatchDelay, or load-driven via KVConfig.BatchAdaptive), and optional
+// of in-flight commands (KVConfig.Pipeline), load-driven command batching
+// that packs several of them into one consensus instance
+// (KVConfig.BatchAdaptive), and optional
 // keyspace sharding across independent consensus groups
 // (KVConfig.Shards; each key hash-routes to one group's log). Replicas
 // can crash and rejoin: CrashReplica / RestartReplica on either
@@ -32,7 +32,7 @@
 //
 // The simulator is an internal harness, not API: internal/cluster
 // (cluster.Spec, cluster.Build) runs the same engines, client window,
-// batch cap and shard count on the deterministic many-core simulator,
+// batcher and shard count on the deterministic many-core simulator,
 // and internal/experiments holds the one list of experiments
 // (Registry) — every figure of the paper's evaluation plus the seeded
 // fault-schedule fuzzer with its linearizability check — which

@@ -33,7 +33,7 @@ func main() {
 
 	kv, err := consensusinside.StartKV(consensusinside.KVConfig{
 		Replicas:       3,
-		BatchSize:      8,
+		BatchAdaptive:  true,
 		TraceInterval:  *interval,
 		DebugAddr:      *addr,
 		RequestTimeout: 30 * time.Second,

@@ -26,7 +26,7 @@ func main() {
 	kv, err := consensusinside.StartKV(consensusinside.KVConfig{
 		Replicas:       3,
 		Shards:         2,
-		BatchSize:      8, // up to 8 commands per consensus instance
+		BatchAdaptive:  true, // up to 8 commands (half the pipeline) per consensus instance
 		Transport:      consensusinside.TCP,
 		RequestTimeout: 30 * time.Second,
 		AcceptTimeout:  150 * time.Millisecond,

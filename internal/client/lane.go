@@ -34,7 +34,6 @@ import (
 // timer has Kind >= TimerRetry. Arg is the lane's shard index.
 const (
 	TimerRetry     = 900 + iota // the oldest outstanding write transmission is due
-	TimerFlush                  // a held-back partial batch is due
 	TimerReadRetry              // the oldest outstanding read request is due
 	TimerFrontEnd               // first kind free for a front end
 )
@@ -51,7 +50,7 @@ const (
 )
 
 // Config parameterizes a Lane. The front ends validate and default
-// these (rsm.CheckPipeline); the lane only clamps Window and Batch.
+// these (rsm.CheckPipeline); the lane only clamps Window.
 type Config struct {
 	ID      msg.NodeID   // the client's node id
 	Servers []msg.NodeID // the group's replicas in rotation order, first preferred
@@ -59,9 +58,7 @@ type Config struct {
 
 	Retry    time.Duration // resend a transmission unanswered this long
 	Window   int           // most writes in flight
-	Batch    int           // most writes per request (static batching)
-	Delay    time.Duration // hold a batch the demand cannot fill this long
-	Adaptive bool          // size batches from demand, at most half the window
+	Adaptive bool          // size batches from demand, at most half the window; off = one write per request
 
 	ReadMode readpath.Mode // the Mode fast-path ReadRequests carry
 	Tracer   *trace.Tracer // nil or interval 0 = off
@@ -130,9 +127,7 @@ type Lane[T any] struct {
 	servers  []msg.NodeID
 	retry    time.Duration
 	window   int
-	batch    int // static: the batch cap; adaptive: half the window
-	delay    time.Duration
-	adaptive bool
+	batch    int // the batch cap: 1, or half the window when adaptive
 	readMode readpath.Mode
 	tracer   *trace.Tracer
 
@@ -153,12 +148,11 @@ type Lane[T any] struct {
 	WriteGrows  atomic.Int64
 	ReadGrows   atomic.Int64
 
-	seq        uint64
-	flights    seqwin.Window[Op[T]] // by seq; Low is the ack floor
-	target     int
-	reaimed    bool // a redirect aimed target since the last resend
-	armed      bool // the write retry timer is pending
-	flushArmed bool // the flush timer is pending
+	seq     uint64
+	flights seqwin.Window[Op[T]] // by seq; Low is the ack floor
+	target  int
+	reaimed bool // a redirect aimed target since the last resend
+	armed   bool // the write retry timer is pending
 
 	readSeq     uint64
 	readQueue   []Op[T]
@@ -175,7 +169,7 @@ type Lane[T any] struct {
 // New builds an idle lane.
 func New[T any](cfg Config) *Lane[T] {
 	window := max(cfg.Window, 1)
-	batch := min(max(cfg.Batch, 1), window)
+	batch := 1 // the paper's one command per instance
 	if cfg.Adaptive {
 		// Never the whole window in one instance: half keeps two instances
 		// pipelined under saturation, one in its accept phase while the
@@ -190,8 +184,6 @@ func New[T any](cfg Config) *Lane[T] {
 		retry:    cfg.Retry,
 		window:   window,
 		batch:    batch,
-		delay:    cfg.Delay,
-		adaptive: cfg.Adaptive,
 		readMode: cfg.ReadMode,
 		tracer:   cfg.Tracer,
 		seq:      base,
@@ -210,37 +202,19 @@ func (l *Lane[T]) Free() int { return l.window - l.flights.Len() }
 
 // Admit is the admission rule: how many of pending waiting commands to
 // issue as one request — one consensus instance — into free window
-// slots right now. Zero means hold — arming the flush timer when the
-// hold is the Delay's; force says that timer fired.
+// slots right now. Zero means hold.
 //
-// A full batch (Batch; adaptive: half the window) always goes. Short of
-// one because the slots are short — more is pending than they admit —
-// the lane holds with no timer: replies are coming, replicas answer a
-// batch in one message, the slots free together and the next call
-// admits a full batch. Without the hold one single-command instance
-// begets one freed slot begets the next single, and the batcher never
-// leaves single-command batches. Short of one because the demand is,
-// it goes out as it is — after Delay, if set, for stragglers.
-func (l *Lane[T]) Admit(ctx runtime.Context, free, pending int, force bool) int {
-	if force {
-		l.flushArmed = false
-	}
+// A full batch (1; adaptive: half the window) always goes. Short of one
+// because the slots are short — more is pending than they admit — the
+// lane holds: replies are coming, replicas answer a batch in one
+// message, the slots free together and the next call admits a full
+// batch. Without the hold one single-command instance begets one freed
+// slot begets the next single, and the batcher never leaves
+// single-command batches. Short of one because the demand is, it goes
+// out as it is.
+func (l *Lane[T]) Admit(free, pending int) int {
 	n := min(free, pending, l.batch)
-	if n <= 0 || n == l.batch {
-		return max(n, 0)
-	}
-	switch {
-	case l.adaptive:
-		if pending > n {
-			return 0
-		}
-	case pending >= l.batch:
-		return 0
-	case l.delay > 0 && !force:
-		if !l.flushArmed {
-			l.flushArmed = true
-			ctx.After(l.delay, l.timer(TimerFlush))
-		}
+	if n <= 0 || n < l.batch && pending > n {
 		return 0
 	}
 	return n
@@ -250,10 +224,6 @@ func (l *Lane[T]) Admit(ctx runtime.Context, free, pending int, force bool) int 
 func (l *Lane[T]) timer(kind int) runtime.TimerTag {
 	return runtime.TimerTag{Kind: kind, Arg: int64(l.shard)}
 }
-
-// Flushing reports whether a held-back batch is waiting for the flush
-// timer.
-func (l *Lane[T]) Flushing() bool { return l.flushArmed }
 
 // Issue puts ops in flight under the lane's next seqs and sends the one
 // request that carries them. A batch's entries slice is the one

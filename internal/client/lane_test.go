@@ -44,7 +44,7 @@ func (f *front) put(n int, deadline time.Duration) {
 	for i := 0; i < n; i++ {
 		f.queue = append(f.queue, f.op(msg.OpPut, deadline))
 	}
-	f.pump(false)
+	f.pump()
 }
 
 func (f *front) get(n int, deadline time.Duration) {
@@ -54,9 +54,9 @@ func (f *front) get(n int, deadline time.Duration) {
 	f.pumpReads()
 }
 
-func (f *front) pump(force bool) {
+func (f *front) pump() {
 	for {
-		n := f.l.Admit(f.ctx, f.l.Free(), len(f.queue), force)
+		n := f.l.Admit(f.l.Free(), len(f.queue))
 		if n == 0 {
 			return
 		}
@@ -78,7 +78,7 @@ func (f *front) expire(ops []Op[int]) {
 
 func (f *front) scan(tick bool) {
 	f.expire(f.l.Scan(f.ctx, f.ctx.Clock, tick))
-	f.pump(false)
+	f.pump()
 }
 
 // reply answers write seqs (lane-local, 1-based) in one message.
@@ -96,7 +96,7 @@ func (f *front) reply(r ...msg.ClientReply) {
 	if redirected {
 		f.scan(false)
 	}
-	f.pump(false)
+	f.pump()
 }
 
 func (f *front) replyRead(r ...msg.ReadReply) {
@@ -130,8 +130,6 @@ func (f *front) fire(kind int) {
 	switch kind {
 	case TimerRetry:
 		f.scan(true)
-	case TimerFlush:
-		f.pump(true)
 	case TimerReadRetry:
 		f.expire(f.l.ScanReads(f.ctx, f.ctx.Clock))
 		f.pumpReads()
@@ -227,7 +225,7 @@ func TestLane(t *testing.T) {
 			f.wantDone("1=a")
 			f.wantSent("0:2/2")
 		}},
-		{"window fill: one pump fills the window, singles at batch 1", Config{Window: 4, Batch: 1}, func(t *testing.T, f *front) {
+		{"window fill: one pump fills the window, singles at batch 1", Config{Window: 4}, func(t *testing.T, f *front) {
 			f.put(6, 0)
 			f.wantSent("0:1/1", "0:2/1", "0:3/1", "0:4/1")
 			if f.l.InFlight() != 4 || f.l.MaxInFlight.Load() != 4 || f.l.Free() != 0 {
@@ -241,7 +239,7 @@ func TestLane(t *testing.T) {
 			f.wantSent("0:6/3")
 			f.wantDone("2=b", "1=a")
 		}},
-		{"batched: the window fills as full batches and a batched reply refills as one", Config{Window: 8, Batch: 4}, func(t *testing.T, f *front) {
+		{"batched: the window fills as full batches and a batched reply refills as one", Config{Window: 8, Adaptive: true}, func(t *testing.T, f *front) {
 			f.put(20, 0)
 			f.wantSent("0:1,2,3,4/1", "0:5,6,7,8/1")
 			if got := &f.l.Occ; got.Batches() != 2 || got.Commands() != 8 {
@@ -250,7 +248,7 @@ func TestLane(t *testing.T) {
 			f.reply(ok(1, ""), ok(2, ""), ok(3, ""), ok(4, ""))
 			f.wantSent("0:9,10,11,12/5")
 		}},
-		{"decision 2: a full batch pending and 3 free slots sends nothing and arms nothing", Config{Window: 8, Batch: 4}, func(t *testing.T, f *front) {
+		{"decision 2: a full batch pending and 3 free slots sends nothing and arms nothing", Config{Window: 8, Adaptive: true}, func(t *testing.T, f *front) {
 			f.put(20, 0)
 			f.sent()
 			timers := len(f.ctx.Timers)
@@ -264,18 +262,6 @@ func TestLane(t *testing.T) {
 			f.reply(ok(4, ""))
 			f.wantSent("0:9,10,11,12/5")
 		}},
-		{"delay: demand short of a batch waits for the flush timer, then goes as it is", Config{Window: 8, Batch: 4, Delay: time.Millisecond}, func(t *testing.T, f *front) {
-			f.put(2, 0)
-			f.wantSent()
-			f.put(1, 0) // a second hold arms no second timer
-			f.fire(TimerFlush)
-			if f.ctx.Clock != time.Millisecond {
-				t.Fatalf("flush fired at %v, want +1ms", f.ctx.Clock)
-			}
-			f.wantSent("0:1,2,3/1")
-			f.put(4, 0) // a full batch never waits
-			f.wantSent("0:4,5,6,7/1")
-		}},
 		{"adaptive: light load goes whole, saturation goes in half-windows, scarce slots hold", Config{Window: 8, Adaptive: true}, func(t *testing.T, f *front) {
 			f.put(3, 0)
 			f.wantSent("0:1,2,3/1")
@@ -286,7 +272,7 @@ func TestLane(t *testing.T) {
 			f.reply(ok(4, ""), ok(5, ""), ok(6, ""), ok(7, ""))
 			f.wantSent("0:12/8") // the last one: demand no deeper than the free slots
 		}},
-		{"decision 1: a timed-out batch of 8 is resent as one request to one next server, seqs and commands kept", Config{Window: 8, Batch: 8}, func(t *testing.T, f *front) {
+		{"decision 1: a timed-out batch of 8 is resent as one request to one next server, seqs and commands kept", Config{Window: 16, Adaptive: true}, func(t *testing.T, f *front) {
 			f.put(8, 0)
 			first := f.ctx.Sent[0].M.(msg.ClientRequest)
 			f.wantSent("0:1,2,3,4,5,6,7,8/1")
@@ -531,7 +517,7 @@ func TestLaneIdleScansAllocateNothing(t *testing.T) {
 // into the request itself, so issuing it allocates nothing but the
 // request's box into msg.Message — the batch-1 client path.
 func TestIssueOneOpAllocatesOnlyTheRequest(t *testing.T) {
-	f := newFront(t, Config{Window: 4, Batch: 1})
+	f := newFront(t, Config{Window: 4})
 	f.put(1, 0) // arms the retry timer, which stays armed below
 	f.reply(msg.ClientReply{Seq: 1, OK: true})
 	ops := []Op[int]{f.op(msg.OpPut, 0)}

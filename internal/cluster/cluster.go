@@ -82,7 +82,7 @@ type Spec struct {
 
 	// ReadPercent in [0,100] is the percentage of client commands that
 	// are reads (Section 7.5's read workloads; Figure 10 uses 0/10/75).
-	// Validated like Shards/BatchSize.
+	// Validated like Shards.
 	ReadPercent int
 
 	// ReadMode selects the read path (readpath.Consensus by default —
@@ -100,21 +100,10 @@ type Spec struct {
 	// in flight at once. 0 or 1 is the paper's closed loop.
 	Window int
 
-	// BatchSize is each client's per-lane command batch: up to that many
-	// outstanding commands ride one consensus instance (0 or 1 is the
-	// paper's one-command-per-instance behavior). Validated like Shards:
-	// it must not exceed the pipeline window it draws from.
-	BatchSize int
-
-	// BatchDelay, when positive, holds a client's partial batch back up
-	// to this long waiting for more window slots before issuing it (see
-	// workload.Config.BatchDelay).
-	BatchDelay time.Duration
-
-	// BatchAdaptive replaces the fixed BatchSize with each client's
-	// load-driven batcher (see workload.Config.BatchAdaptive): batches
-	// grow with accumulated demand up to half the window. Requires
-	// Window >= 2; conflicts with BatchSize > 1 and BatchDelay > 0.
+	// BatchAdaptive turns on each client's load-driven batcher (see
+	// workload.Config.BatchAdaptive): batches grow with accumulated
+	// demand up to half the window. Unset is the paper's one command per
+	// instance. Requires Window >= 2.
 	BatchAdaptive bool
 
 	// Protocol tuning.
@@ -182,7 +171,7 @@ func Build(spec Spec) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %s needs at least %d replicas, got %d",
 			info.Name, info.MinReplicas, spec.Replicas)
 	}
-	if err := rsm.CheckPipeline("cluster", cmp.Or(spec.Window, 1), spec.BatchSize, spec.BatchDelay, spec.BatchAdaptive); err != nil {
+	if err := rsm.CheckPipeline("cluster", cmp.Or(spec.Window, 1), spec.BatchAdaptive); err != nil {
 		return nil, err
 	}
 	if spec.ReadPercent < 0 || spec.ReadPercent > 100 {
@@ -300,8 +289,6 @@ func (c *Cluster) clientConfig(id msg.NodeID, i int) workload.Config {
 		ReadPercent:   spec.ReadPercent,
 		ReadMode:      spec.ReadMode,
 		Window:        spec.Window,
-		BatchSize:     spec.BatchSize,
-		BatchDelay:    spec.BatchDelay,
 		BatchAdaptive: spec.BatchAdaptive,
 		StartDelay:    time.Duration(i) * time.Microsecond,
 		Warmup:        spec.Warmup,

@@ -317,33 +317,31 @@ var Registry = []Experiment{
 	},
 	{
 		// Proposer-side command batching: 1Paxos, 3 replicas, one client
-		// with a window of 16 outstanding commands, batch cap 1 vs 8 vs
-		// 16. Batch 1 is the pre-batching system (every command burns one
-		// agreement instance); larger caps amortize the per-instance
-		// message cost across the window. A small BatchDelay lets partial
-		// batches wait for the window's batched completions, which arrive
-		// together.
+		// with a window of 16 outstanding commands, one command per
+		// instance vs the adaptive batcher (at most half the window, 8).
+		// Batch 1 is the pre-batching system (every command burns one
+		// agreement instance); batching amortizes the per-instance message
+		// cost across the window.
 		ID:    "ablation-cmdbatch",
-		About: "command batching ablation: batch 1/8/16 at window 16 (1Paxos, simulated)",
+		About: "command batching ablation: batch 1 vs adaptive at window 16 (1Paxos, simulated)",
 		Title: "Ablation — command batching, window 16, 1 client, 3 replicas",
 		Cols:  ablationCols,
 		Dur:   60 * time.Millisecond,
 		Warm:  10 * time.Millisecond,
 		Cells: func() []Cell {
 			var cells []Cell
-			for _, batch := range []int{1, 8, 16} {
+			for _, adaptive := range []bool{false, true} {
 				label := "batch 1 (off)"
-				if batch > 1 {
-					label = "batch " + strconv.Itoa(batch)
+				if adaptive {
+					label = "adaptive"
 				}
 				cells = append(cells, Cell{Label: label, Spec: cluster.Spec{
-					Protocol:     protocol.OnePaxos,
-					Replicas:     3,
-					Clients:      1,
-					Window:       16,
-					BatchSize:    batch,
-					BatchDelay:   5 * time.Microsecond,
-					RetryTimeout: 50 * time.Millisecond,
+					Protocol:      protocol.OnePaxos,
+					Replicas:      3,
+					Clients:       1,
+					Window:        16,
+					BatchAdaptive: adaptive,
+					RetryTimeout:  50 * time.Millisecond,
 				}})
 			}
 			return cells

@@ -47,7 +47,7 @@ type fuzzConfig struct {
 	ReadMode         readpath.Mode
 
 	// BatchAdaptive turns the clients' adaptive batcher on (default off,
-	// the static paper behavior) — the matrix fuzzes it because batch
+	// the paper's one command per instance) — the matrix fuzzes it because batch
 	// re-timing changes which commands share an instance, and instance
 	// composition under faults is exactly what the checker audits.
 	BatchAdaptive bool

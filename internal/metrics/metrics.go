@@ -203,9 +203,9 @@ func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond)
 
 // BatchOccupancyBuckets are the upper bounds (inclusive) of the
 // commands-per-batch histogram; the last bucket is open-ended. The
-// bounds are powers of two because batch sizes are: a batcher fills up
-// to BatchSize from its pipeline window, so occupancy clusters at 1,
-// the window remainder, and the configured cap.
+// bounds are powers of two because batch sizes are: the adaptive
+// batcher fills up to half its pipeline window, so occupancy clusters at
+// 1, the window remainder, and the cap.
 var BatchOccupancyBuckets = []int{1, 2, 4, 8, 16, 32}
 
 // BatchOccupancy tracks how full proposed batches run: how many batches

@@ -371,106 +371,6 @@ func TestEncodeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRegisterIdempotent: every gob test registers defensively, and the
-// samples repeat types, so neither may trip gob's duplicate check.
-func TestRegisterIdempotent(t *testing.T) {
-	registerGob()
-	registerGob()
-	for _, m := range wireSamples() {
-		gob.Register(m)
-	}
-}
-
-// TestGobRoundTripAllMessages checks the reference itself: every kind of
-// message survives gob inside an interface-typed envelope.
-func TestGobRoundTripAllMessages(t *testing.T) {
-	registerGob()
-
-	type envelope struct {
-		From NodeID
-		M    Message
-	}
-	cases := []Message{
-		ClientRequest{Client: 3, Seq: 7, Cmd: Command{Op: OpPut, Key: "k", Val: "v"}},
-		ClientReply{Seq: 7, Instance: 4, OK: true, Result: "v", Redirect: Nobody},
-		PrepareRequest{PN: 9, MustBeFresh: true, From: 2},
-		PrepareResponse{Acceptor: 1, PN: 9, Accepted: []Proposal{{Instance: 1, PN: 9, Value: Value{Client: 3, Seq: 7}}}},
-		Abandon{HPN: 11, FreshMismatch: true, IamFresh: true},
-		AcceptRequest{Instance: 5, PN: 9, Value: Value{Client: 3, Seq: 8}},
-		Learn{Entries: []Proposal{{Instance: 5, PN: 9}}},
-		UtilAccepted{Slot: 2, PN: 3, From: 1, Entry: UtilEntry{
-			Type: EntryAcceptorChange, Leader: 0, Acceptor: 1, Frontier: 9,
-			Uncommitted: []Proposal{{Instance: 9, PN: 3}},
-		}},
-		MPPromise{PN: 4, From: 2, Accepted: []Proposal{{Instance: 0, PN: 1}}},
-		TPCPrepare{TxID: 12, Value: Value{Client: 1, Seq: 1}},
-		MencSkip{FromInstance: 0, ToInstance: 9, From: 2},
-	}
-	for _, m := range cases {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(envelope{From: 1, M: m}); err != nil {
-			t.Fatalf("encode %T: %v", m, err)
-		}
-		var out envelope
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-			t.Fatalf("decode %T: %v", m, err)
-		}
-		if out.M.Kind() != m.Kind() {
-			t.Fatalf("round trip changed kind: %q -> %q", m.Kind(), out.M.Kind())
-		}
-	}
-}
-
-// TestGobRoundTripBatched checks the reference on batches: a batched
-// request and a batched agreement value must survive gob with every
-// entry intact and in order.
-func TestGobRoundTripBatched(t *testing.T) {
-	registerGob()
-	entries := []BatchEntry{
-		{Seq: 11, Cmd: Command{Op: OpPut, Key: "a", Val: "1"}},
-		{Seq: 12, Cmd: Command{Op: OpGet, Key: "b"}},
-		{Seq: 13, Cmd: Command{Op: OpPut, Key: "c", Val: "3"}},
-	}
-	val := NewValue(4, 10, entries)
-
-	type envelope struct {
-		From NodeID
-		M    Message
-	}
-	roundTrip := func(m Message) Message {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(envelope{From: 1, M: m}); err != nil {
-			t.Fatalf("encode %T: %v", m, err)
-		}
-		var out envelope
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-			t.Fatalf("decode %T: %v", m, err)
-		}
-		return out.M
-	}
-
-	req := roundTrip(NewRequest(4, 10, entries)).(ClientRequest)
-	if req.Client != 4 || req.Seq != 11 || req.Ack != 10 || len(req.Batch) != 3 {
-		t.Fatalf("request round trip = %+v", req)
-	}
-	for i, be := range req.Entries() {
-		if be != entries[i] {
-			t.Fatalf("request entry %d = %+v, want %+v", i, be, entries[i])
-		}
-	}
-
-	acc := roundTrip(AcceptRequest{Instance: 5, PN: 9, Value: val}).(AcceptRequest)
-	if !acc.Value.Equal(val) {
-		t.Fatalf("accept round trip changed value: %+v", acc.Value)
-	}
-
-	learn := roundTrip(Learn{Entries: []Proposal{{Instance: 5, PN: 9, Value: val}}}).(Learn)
-	if len(learn.Entries) != 1 || !learn.Entries[0].Value.Equal(val) {
-		t.Fatalf("learn round trip changed value: %+v", learn.Entries)
-	}
-}
-
 // FuzzDecodeEnvelope throws arbitrary bytes at the envelope decoder: it
 // must never panic, and anything it accepts must re-encode and decode
 // to the same message (the codec is canonical on its own output).

@@ -448,33 +448,22 @@ func (l *Log) ScanPending(fn func(Entry) bool) {
 const DefaultSessionWindow = 1024
 
 // CheckPipeline validates a pipelined client's window and batching
-// knobs — the one rule set StartKV, cluster.Build and
-// workload.NewClient share, each passing its own error prefix as who.
-// window is the effective depth (callers replace zero with their
-// default first; a negative one is an error, not a default). A window
-// deeper than DefaultSessionWindow could let a pruned entry
-// masquerade as a committed one and drop an acknowledged command; a
-// batch is drawn from the in-flight window, so a cap beyond it could
-// never fill; the adaptive batcher has nothing to adapt within a closed
-// loop and subsumes both static knobs.
-func CheckPipeline(who string, window, batchSize int, batchDelay time.Duration, adaptive bool) error {
+// knob — the one rule set StartKV, cluster.Build and workload.NewClient
+// share, each passing its own error prefix as who. window is the
+// effective depth (callers replace zero with their default first; a
+// negative one is an error, not a default). A window deeper than
+// DefaultSessionWindow could let a pruned entry masquerade as a
+// committed one and drop an acknowledged command; the adaptive batcher
+// draws its batches from the window and has nothing to adapt within a
+// closed loop.
+func CheckPipeline(who string, window int, adaptive bool) error {
 	switch {
 	case window < 1:
 		return fmt.Errorf("%s: pipeline window %d is not positive", who, window)
 	case window > DefaultSessionWindow:
 		return fmt.Errorf("%s: pipeline window %d exceeds the replicas' session window %d", who, window, DefaultSessionWindow)
-	case batchSize < 0:
-		return fmt.Errorf("%s: negative batch size %d", who, batchSize)
-	case batchSize > window:
-		return fmt.Errorf("%s: batch size %d exceeds the pipeline window %d", who, batchSize, window)
-	case batchDelay < 0:
-		return fmt.Errorf("%s: negative batch delay %v", who, batchDelay)
 	case adaptive && window < 2:
 		return fmt.Errorf("%s: adaptive batching needs a pipeline window of at least 2, got %d", who, window)
-	case adaptive && batchSize > 1:
-		return fmt.Errorf("%s: adaptive batching conflicts with batch size %d; leave it unset", who, batchSize)
-	case adaptive && batchDelay > 0:
-		return fmt.Errorf("%s: adaptive batching conflicts with batch delay %v; leave it unset", who, batchDelay)
 	}
 	return nil
 }

@@ -6,17 +6,17 @@
 //
 // There is one client, with two front ends. The client itself — the
 // pipelined window of Config.Window outstanding commands, tagged
-// sequence numbers, command batching (Config.BatchSize, BatchDelay,
-// BatchAdaptive), retry with server rotation (Section 7.6: "Once the
-// clients detect the slow leader, they send their requests to other
-// nodes") and the fast-read lane — is internal/client's Lane, the same
-// code the replicated KV's blocking Put/Get adapter drives. This package
-// is the simulator's front end: a load source that owns only what a
-// load source needs — one lane per consensus group (Config.Groups), the
-// Requests budget, ThinkTime pacing, the ReadPercent coin, the key and
-// value choice, the linearizability recorder, and the histograms,
-// warm-up and series. Every safety check the simulator runs therefore
-// exercises the client the KV ships.
+// sequence numbers, command batching (Config.BatchAdaptive), retry with
+// server rotation (Section 7.6: "Once the clients detect the slow
+// leader, they send their requests to other nodes") and the fast-read
+// lane — is internal/client's Lane, the same code the replicated KV's
+// blocking Put/Get adapter drives. This package is the simulator's
+// front end: a load source that owns only what a load source needs —
+// one lane per consensus group (Config.Groups), the Requests budget,
+// ThinkTime pacing, the ReadPercent coin, the key and value choice, the
+// linearizability recorder, and the histograms, warm-up and series.
+// Every safety check the simulator runs therefore exercises the client
+// the KV ships.
 package workload
 
 import (
@@ -71,30 +71,13 @@ type Config struct {
 	// closed loop.
 	Window int
 
-	// BatchSize is the largest number of commands the client coalesces
-	// into one request — one consensus instance — per lane (0 or 1 is
-	// the paper's one-command-per-instance behavior). Batches are drawn
-	// from the lane's free window slots, so the effective cap is
-	// min(BatchSize, Window). While a full batch of demand is pending but
-	// the free slots are short of one, the lane holds: replicas answer a
+	// BatchAdaptive coalesces commands into one request — one consensus
+	// instance — per lane (unset is the paper's one command per
+	// instance): each lane issues whatever demand has accumulated, capped
+	// at half the window so at least two instances stay pipelined, and
+	// holds a sub-cap batch while slots are scarce — replicas answer a
 	// batch with one ClientReplyBatch, so the slots free together and the
-	// refill is a full batch again.
-	BatchSize int
-
-	// BatchDelay, when positive, holds a batch the remaining demand
-	// cannot fill (the tail of a Requests budget, a think-time-paced
-	// command) back for up to this long waiting for more, instead of
-	// issuing it immediately — the group-commit latency/occupancy
-	// trade.
-	BatchDelay time.Duration
-
-	// BatchAdaptive, when set, replaces the fixed BatchSize with a
-	// load-driven batcher: each lane issues whatever demand has
-	// accumulated, capped at half the window so at least two instances
-	// stay pipelined, and holds a sub-cap batch while slots are scarce
-	// so single-command batches cannot self-perpetuate. It requires
-	// Window >= 2 and conflicts with BatchSize > 1 and BatchDelay > 0
-	// (the adaptive hold subsumes the flush timer).
+	// refill is a full batch again. It requires Window >= 2.
 	BatchAdaptive bool
 
 	// ThinkTime is the pause between receiving a reply and sending the
@@ -208,7 +191,7 @@ func NewClient(cfg Config) (*Client, error) {
 		cfg.Key = fmt.Sprintf("c%d", cfg.ID)
 	}
 	window := cmp.Or(cfg.Window, 1)
-	if err := rsm.CheckPipeline("workload", window, cfg.BatchSize, cfg.BatchDelay, cfg.BatchAdaptive); err != nil {
+	if err := rsm.CheckPipeline("workload", window, cfg.BatchAdaptive); err != nil {
 		return nil, err
 	}
 	c := &Client{cfg: cfg}
@@ -230,8 +213,6 @@ func NewClient(cfg Config) (*Client, error) {
 			Shard:    g,
 			Retry:    cfg.RetryTimeout,
 			Window:   window,
-			Batch:    cfg.BatchSize,
-			Delay:    cfg.BatchDelay,
 			Adaptive: cfg.BatchAdaptive,
 			ReadMode: cfg.ReadMode,
 			Tracer:   cfg.Tracer,
@@ -338,7 +319,7 @@ func (c *Client) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 		refill = c.onReadReplies(ctx, mm.Replies)
 	}
 	if refill {
-		c.fill(ctx, false)
+		c.fill(ctx)
 	}
 	c.pumpReads(ctx)
 }
@@ -427,20 +408,18 @@ func (c *Client) complete(ctx runtime.Context, kind msg.Op, sentAt time.Duration
 }
 
 // Timer implements runtime.Handler: the think tick is the load
-// source's, the other three kinds are the lane's named by tag.Arg.
+// source's, the other two kinds are the lane's named by tag.Arg.
 func (c *Client) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 	switch tag.Kind {
 	case TimerSend:
 		if c.cfg.ThinkTime > 0 {
 			c.credits++
 		}
-		c.fill(ctx, false)
+		c.fill(ctx)
 	case client.TimerRetry:
 		c.lanes[tag.Arg].Scan(ctx, ctx.Now(), true) // ops carry no deadline: nothing expires
 	case client.TimerReadRetry:
 		c.lanes[tag.Arg].ScanReads(ctx, ctx.Now())
-	case client.TimerFlush:
-		c.fill(ctx, true) // a held-back partial batch is due: issue what the demand allows, full or not
 	}
 	c.pumpReads(ctx)
 }
@@ -472,13 +451,12 @@ func (c *Client) free(ln *lane) int { return ln.Free() - ln.ReadsOutstanding() }
 // pays for one command, a credit the full windows cannot take is
 // dropped, and a tick that issued re-arms while slots remain free, so a
 // pipelined window still ramps up to its depth at one command per pause.
-// force says a flush timer fired.
-func (c *Client) fill(ctx runtime.Context, force bool) {
+func (c *Client) fill(ctx runtime.Context) {
 	sent := false
 	for idle := 0; idle < len(c.lanes) && c.pending() > 0; {
 		ln := &c.lanes[c.next]
 		c.next = (c.next + 1) % len(c.lanes)
-		n := ln.Admit(ctx, c.free(ln), c.pending(), force)
+		n := ln.Admit(c.free(ln), c.pending())
 		if n == 0 {
 			idle++
 			continue
@@ -489,16 +467,12 @@ func (c *Client) fill(ctx runtime.Context, force bool) {
 	if c.cfg.ThinkTime <= 0 {
 		return
 	}
-	free, flushing := false, false
+	c.credits = 0
 	for i := range c.lanes {
-		free = free || c.free(&c.lanes[i]) > 0
-		flushing = flushing || c.lanes[i].Flushing()
-	}
-	if sent && free {
-		ctx.After(c.cfg.ThinkTime, runtime.TimerTag{Kind: TimerSend})
-	}
-	if !flushing {
-		c.credits = 0 // unless a lane holds it for its flush timer
+		if sent && c.free(&c.lanes[i]) > 0 {
+			ctx.After(c.cfg.ThinkTime, runtime.TimerTag{Kind: TimerSend})
+			return
+		}
 	}
 }
 

@@ -492,18 +492,15 @@ func TestClientShardLaneEmptyGroupPanics(t *testing.T) {
 	}
 }
 
-// batchedClient builds a single-group client with a window of 8 and a
-// batch cap of 4.
-func batchedClient(tweak func(*Config)) (*Client, *runtime.FakeContext) {
-	cfg := Config{ID: 10, Servers: []msg.NodeID{0, 1, 2}, Window: 8, BatchSize: 4}
-	if tweak != nil {
-		tweak(&cfg)
-	}
+// batchedClient builds a single-group adaptive client with a window of
+// 8, so a batch cap of 4.
+func batchedClient() (*Client, *runtime.FakeContext) {
+	cfg := Config{ID: 10, Servers: []msg.NodeID{0, 1, 2}, Window: 8, BatchAdaptive: true}
 	return mustClient(cfg), runtime.NewFakeContext(10, 4)
 }
 
 func TestClientBatchedWindowFill(t *testing.T) {
-	c, ctx := batchedClient(nil)
+	c, ctx := batchedClient()
 	c.Start(ctx)
 	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
 	// One fill issues the whole window as two full batches.
@@ -557,7 +554,7 @@ func TestClientBatchedWindowFill(t *testing.T) {
 }
 
 func TestClientBatchedReplyRefillsAsBatch(t *testing.T) {
-	c, ctx := batchedClient(nil)
+	c, ctx := batchedClient()
 	c.Start(ctx)
 	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
 	ctx.Sent = nil
@@ -590,7 +587,7 @@ func TestClientBatchedReplyRefillsAsBatch(t *testing.T) {
 // seq is burned, and the eventual commits of both copies retire each
 // command exactly once.
 func TestClientBatchedRetryKeepsSeq(t *testing.T) {
-	c, ctx := batchedClient(nil)
+	c, ctx := batchedClient()
 	c.Start(ctx)
 	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
 	first := ctx.TakeSent()[0].M.(msg.ClientRequest)
@@ -646,52 +643,12 @@ func TestClientBatchedRetryKeepsSeq(t *testing.T) {
 	}
 }
 
-func TestClientBatchDelayHoldsPartialBatch(t *testing.T) {
-	c, ctx := batchedClient(func(cfg *Config) {
-		cfg.Requests = 6
-		cfg.BatchDelay = time.Millisecond
-	})
-	c.Start(ctx)
-	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
-	// The budget pays for one full batch; the two commands left are short
-	// of a batch, so the lane holds them for stragglers and arms a flush
-	// timer rather than burn an instance on a partial batch.
-	sent := ctx.TakeSent()
-	if len(sent) != 1 || len(sent[0].M.(msg.ClientRequest).Entries()) != 4 {
-		t.Fatalf("sent %+v, want one full batch", sent)
-	}
-	var flush *runtime.FakeTimer
-	for i := range ctx.Timers {
-		if ctx.Timers[i].Tag.Kind == client.TimerFlush {
-			flush = &ctx.Timers[i]
-		}
-	}
-	if flush == nil {
-		t.Fatal("no flush timer armed for the held batch")
-	}
-	if flush.At != ctx.Clock+time.Millisecond {
-		t.Fatalf("flush timer at %v, want +1ms", flush.At)
-	}
-	// The deadline passes: the partial batch goes out as-is.
-	c.Timer(ctx, flush.Tag)
-	sent = ctx.TakeSent()
-	if len(sent) != 1 {
-		t.Fatalf("flush sent %d requests, want 1", len(sent))
-	}
-	if req := sent[0].M.(msg.ClientRequest); len(req.Entries()) != 2 || req.Seq != 5 {
-		t.Fatalf("flushed batch = %+v, want seqs 5 and 6", req)
-	}
-	if got := c.InFlight(); got != 6 {
-		t.Fatalf("in flight = %d, want the whole budget issued", got)
-	}
-}
-
 // TestClientHoldsWhenSlotsAreShortOfABatch is decision 2's guard: with a
-// full batch of demand pending and fewer free slots than a batch, a
-// static lane sends nothing and arms nothing — the replies that free the
+// full batch of demand pending and fewer free slots than a batch, the
+// lane sends nothing and arms nothing — the replies that free the
 // slots arrive batched, and the refill is a full batch.
 func TestClientHoldsWhenSlotsAreShortOfABatch(t *testing.T) {
-	c, ctx := batchedClient(nil)
+	c, ctx := batchedClient()
 	c.Start(ctx)
 	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
 	ctx.TakeSent()

@@ -51,8 +51,7 @@ func TestObsSnapshotRace(t *testing.T) {
 func obsSnapshotRace(t *testing.T, transport TransportKind) {
 	kv, err := StartKV(KVConfig{
 		Transport:        transport,
-		Pipeline:         8,
-		BatchSize:        8,
+		BatchAdaptive:    true,
 		TraceInterval:    16,
 		SnapshotInterval: 64,
 		RequestTimeout:   30 * time.Second,

@@ -11,7 +11,8 @@
 # beside bench/, when a second stats path grows back beside internal/obs
 # (a typed stats struct, an adapter, a registry gauge, a metric name
 # spelled outside its owner), when a second client grows back beside
-# internal/client, when the lane grows a lock or a Transmit method back,
+# internal/client, when the lane grows a lock, a Transmit method or a
+# static batcher back,
 # a real runtime a timer channel or the TCP transport a Context of its
 # own, or bridge.go a fourth mu.Lock(), when internal/runtime starts a
 # goroutine anywhere but its core or api.go a runtime per shard, when the
@@ -146,6 +147,15 @@ regrown=$(grep -rnE 'kvFlight|kvReadOp|kvReadBatch|readFlight' --include='*.go' 
 if [ -n "$regrown" ]; then
     echo "docscheck: per-front-end flight types are gone; an in-flight op is a client.Op in the lane's window:" >&2
     echo "$regrown" >&2
+    fail=1
+fi
+# The lane has one batcher (DESIGN.md, "The client"): one command per
+# instance, or the adaptive rule. A static batch size, a batch delay or
+# a flush timer is the second batcher growing back.
+static=$(grep -nE 'BatchSize|BatchDelay|TimerFlush' $sources)
+if [ -n "$static" ]; then
+    echo "docscheck: batching is BatchAdaptive or off; the static batcher and its flush timer are gone:" >&2
+    echo "$static" >&2
     fail=1
 fi
 

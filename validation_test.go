@@ -24,8 +24,6 @@ func TestPipelineValidationEveryEntryPoint(t *testing.T) {
 	cases := []struct {
 		name     string
 		window   int
-		batch    int
-		delay    time.Duration
 		adaptive bool
 		timeout  time.Duration // StartKV's own knob: a row that sets it checks that door alone
 		ok       bool
@@ -33,26 +31,18 @@ func TestPipelineValidationEveryEntryPoint(t *testing.T) {
 		{name: "negative window", window: -5},
 		{name: "negative request timeout", window: 8, timeout: -time.Second},
 		{name: "window past the session window", window: rsm.DefaultSessionWindow + 1},
-		{name: "negative batch size", window: 8, batch: -1},
-		{name: "batch beyond the window", window: 8, batch: 9},
-		{name: "batch beyond a closed loop", window: 1, batch: 2},
-		{name: "negative batch delay", window: 8, batch: 4, delay: -time.Millisecond},
 		{name: "adaptive in a closed loop", window: 1, adaptive: true},
-		{name: "adaptive with a batch size", window: 8, batch: 2, adaptive: true},
-		{name: "adaptive with a batch delay", window: 8, delay: time.Millisecond, adaptive: true},
-		{name: "full static batch with a hold", window: 8, batch: 8, delay: time.Millisecond, ok: true},
 		{name: "smallest adaptive window", window: 2, adaptive: true, ok: true},
-		{name: "adaptive with batch size one", window: 8, batch: 1, adaptive: true, ok: true},
 		{name: "the session window itself", window: rsm.DefaultSessionWindow, ok: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := rsm.CheckPipeline("test", tc.window, tc.batch, tc.delay, tc.adaptive); tc.timeout == 0 && (err == nil) != tc.ok {
+			if err := rsm.CheckPipeline("test", tc.window, tc.adaptive); tc.timeout == 0 && (err == nil) != tc.ok {
 				t.Fatalf("CheckPipeline = %v, want accepted=%v", err, tc.ok)
 			}
 			entries := map[string]func() error{
 				"StartKV": func() error {
-					kv, err := StartKV(KVConfig{Pipeline: tc.window, BatchSize: tc.batch, BatchDelay: tc.delay, BatchAdaptive: tc.adaptive, RequestTimeout: tc.timeout})
+					kv, err := StartKV(KVConfig{Pipeline: tc.window, BatchAdaptive: tc.adaptive, RequestTimeout: tc.timeout})
 					if err == nil {
 						kv.Close()
 					}
@@ -61,14 +51,14 @@ func TestPipelineValidationEveryEntryPoint(t *testing.T) {
 				"cluster.Build": func() error {
 					_, err := cluster.Build(cluster.Spec{
 						Protocol: OnePaxos, Machine: topology.Opteron48(), Cost: simnet.ManyCore(), Replicas: 3, Clients: 2,
-						Window: tc.window, BatchSize: tc.batch, BatchDelay: tc.delay, BatchAdaptive: tc.adaptive,
+						Window: tc.window, BatchAdaptive: tc.adaptive,
 					})
 					return err
 				},
 				"workload.NewClient": func() error {
 					_, err := workload.NewClient(workload.Config{
 						ID: 9, Servers: []msg.NodeID{0, 1, 2},
-						Window: tc.window, BatchSize: tc.batch, BatchDelay: tc.delay, BatchAdaptive: tc.adaptive,
+						Window: tc.window, BatchAdaptive: tc.adaptive,
 					})
 					return err
 				},
