@@ -69,9 +69,9 @@ type BatchEntry struct {
 // has a stable identity wherever a single sequence number is needed),
 // and Cmd is left zero. Engines never look inside: a batched value
 // flows through accept/learn messages exactly like a single command,
-// and one consensus instance decides the whole batch. The rsm layer
-// splits it again at apply time (Value.Split), recording a per-command
-// session result for every entry.
+// and one consensus instance decides the whole batch. The rsm layer's
+// commit step runs its entries in place at apply time, back to back,
+// recording a per-command session result for every entry.
 //
 // Ack replicates the client's acknowledgement floor (see
 // ClientRequest.Ack) through the log itself, so every learner — not
@@ -118,22 +118,6 @@ func (v Value) EntryAt(i int) BatchEntry {
 		return v.Batch[i]
 	}
 	return BatchEntry{Seq: v.Seq, Cmd: v.Cmd}
-}
-
-// Split expands the value into one single-command Value per entry, each
-// carrying the shared Client and Ack. A non-batched value splits into
-// itself. The rsm layer applies these sub-values in order, which is
-// what "the instance decides the whole batch atomically" means: the
-// entries occupy one log instance and nothing interleaves between them.
-func (v Value) Split() []Value {
-	if len(v.Batch) == 0 {
-		return []Value{v}
-	}
-	out := make([]Value, len(v.Batch))
-	for i, be := range v.Batch {
-		out[i] = Value{Client: v.Client, Seq: be.Seq, Cmd: be.Cmd, Ack: v.Ack}
-	}
-	return out
 }
 
 // Equal reports whether two values carry the same decision. Value holds

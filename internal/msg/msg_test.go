@@ -61,8 +61,8 @@ func TestValueBatchViews(t *testing.T) {
 	if es := single.Entries(); len(es) != 1 || es[0].Seq != 7 || es[0].Cmd != single.Cmd {
 		t.Fatalf("single Entries = %+v", es)
 	}
-	if subs := single.Split(); len(subs) != 1 || !subs[0].Equal(single) {
-		t.Fatalf("single Split = %+v", subs)
+	if be := single.EntryAt(0); be.Seq != 7 || be.Cmd != single.Cmd {
+		t.Fatalf("single EntryAt(0) = %+v", be)
 	}
 
 	entries := []BatchEntry{
@@ -74,14 +74,9 @@ func TestValueBatchViews(t *testing.T) {
 	if batched.Seq != 7 || batched.Len() != 3 || len(batched.Batch) != 3 {
 		t.Fatalf("batched = %+v", batched)
 	}
-	subs := batched.Split()
-	if len(subs) != 3 {
-		t.Fatalf("Split = %d sub-values", len(subs))
-	}
-	for i, sub := range subs {
-		want := Value{Client: 3, Seq: entries[i].Seq, Cmd: entries[i].Cmd, Ack: 5}
-		if !sub.Equal(want) {
-			t.Errorf("Split[%d] = %+v, want %+v", i, sub, want)
+	for i := range entries {
+		if be := batched.EntryAt(i); be != entries[i] {
+			t.Errorf("EntryAt(%d) = %+v, want %+v", i, be, entries[i])
 		}
 	}
 

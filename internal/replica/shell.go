@@ -61,10 +61,10 @@ type Agreement struct {
 	// folds in the log's own learned frontier.
 	Frontier func() int64
 
-	// OnApply runs once per applied instance, after the shell recorded
-	// the session results and answered the client and before the read
-	// path and compaction hooks: the place to retire per-instance
-	// proposer state.
+	// OnApply runs once per applied instance, after the commit step
+	// recorded the session results and the shell answered the client,
+	// and before the read path and compaction hooks: the place to retire
+	// per-instance proposer state.
 	OnApply func(e rsm.Entry)
 
 	// OnRestore runs after a peer snapshot was installed, OnCompact
@@ -310,42 +310,40 @@ func (s *Shell) Vote(instance int64, from msg.NodeID, pn uint64, value msg.Value
 
 // --- Apply side ---
 
-// onApply fires for every instance applied in order: one session record
-// per command, one reply per command this replica took from the client.
+// onApply fires for every instance applied in order, after the commit
+// step (rsm.Dedup) recorded every command's result and took the origin
+// marks: a replica that took any answers those commands with one
+// message; every other replica — a backup, the acceptor — and every
+// gap-filling no-op sends nothing and touches no reply slice.
 func (s *Shell) onApply(e rsm.Entry, results []string) {
-	if v := e.Value; v.Client != msg.Nobody { // not a gap-filling noop
-		replies := msg.GetReplies(v.Len())
-		for i, n := 0, v.Len(); i < n; i++ {
-			be := v.EntryAt(i)
-			if !s.Sessions.Seen(v.Client, be.Seq) {
-				s.Sessions.Done(v.Client, be.Seq, e.Instance, results[i])
-			}
-			if s.Sessions.TakeOrigin(v.Client, be.Seq) {
-				replies = append(replies, msg.ClientReply{Seq: be.Seq, Instance: e.Instance, OK: true, Result: results[i]})
-			}
+	if owed := s.Sessions.Owed(); len(owed) > 0 {
+		replies := msg.GetReplies(len(owed))
+		for _, i := range owed {
+			replies = append(replies, msg.ClientReply{Seq: e.Value.EntryAt(i).Seq, Instance: e.Instance, OK: true, Result: results[i]})
 		}
-		s.SendReplies(v.Client, replies)
+		s.SendReplies(e.Value.Client, replies)
 	}
-	delete(s.votes, e.Instance)
+	if len(s.votes) > 0 {
+		delete(s.votes, e.Instance)
+	}
 	if s.agree.OnApply != nil {
 		s.agree.OnApply(e)
 	}
 	s.AfterApply()
 }
 
-// SendReplies answers client with one message for all of replies, so it
-// can retire a batch in one step and refill its window with a full one.
-// replies must come from msg.GetReplies: a batch message takes over the
-// pooled array (the receiver recycles it); otherwise it goes straight
-// back to the pool. Nothing is sent for an empty list.
+// SendReplies answers client with one message for all of replies (at
+// least one), so it can retire a batch in one step and refill its
+// window with a full one. replies must come from msg.GetReplies: a
+// batch message takes over the pooled array (the receiver recycles
+// it); a bare reply is copied out and the array goes straight back to
+// the pool.
 func (s *Shell) SendReplies(client msg.NodeID, replies []msg.ClientReply) {
-	if m := msg.WrapReplies(replies); m != nil {
-		s.Ctx.Send(client, m)
-		if _, batched := m.(msg.ClientReplyBatch); batched {
-			replies = nil
-		}
+	m := msg.WrapReplies(replies)
+	s.Ctx.Send(client, m)
+	if _, batched := m.(msg.ClientReplyBatch); !batched {
+		msg.PutReplies(replies)
 	}
-	msg.PutReplies(replies)
 }
 
 // AfterApply counts one commit and runs the per-commit hooks: reads

@@ -174,6 +174,39 @@ func TestApplyAnswersBatchWithOneMessage(t *testing.T) {
 	}
 }
 
+// A backup or the acceptor applies a batch it never admitted, so it
+// holds no origin marks: the commit step records every command and the
+// client hears nothing from this replica. A retry of one of those seqs
+// is then answered from the table, with the recorded result.
+func TestApplyWithoutOriginMarksRecordsAndSendsNothing(t *testing.T) {
+	s, ctx := newShell(t, nil, replica.Agreement{})
+	get := msg.Command{Op: msg.OpGet, Key: "a"}
+	s.Log().Learn(0, msg.NewValue(testClient, 0, []msg.BatchEntry{
+		{Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "a", Val: "1"}},
+		{Seq: 2, Cmd: get},
+		{Seq: 3, Cmd: msg.Command{Op: msg.OpPut, Key: "b", Val: "2"}},
+	}))
+	if got := ctx.SentTo(testClient); len(got) != 0 {
+		t.Fatalf("a replica without origin marks answered the client: %+v", got)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		if !s.Sessions.Seen(testClient, seq) {
+			t.Errorf("seq %d was not recorded", seq)
+		}
+	}
+	if v, _ := s.Store.Get("b"); v != "2" || s.Commits() != 1 {
+		t.Errorf("b = %q after %d commits, want the batch applied once", v, s.Commits())
+	}
+
+	if got := s.Admit(msg.ClientRequest{Client: testClient, Seq: 2, Cmd: get}); len(got) != 0 {
+		t.Errorf("a retry of a recorded seq reached the engine: %v", got)
+	}
+	got := clientReplies(ctx)
+	if len(got) != 1 || got[0].Seq != 2 || !got[0].OK || got[0].Instance != 0 || got[0].Result != "1" {
+		t.Errorf("retry replies = %+v, want the recorded result %q for seq 2 at instance 0", got, "1")
+	}
+}
+
 // A gap-filling no-op sends nothing to any client, but it is a commit
 // like any other for the hooks behind the apply: the compaction cadence
 // advances and a confirmed read waiting on the instance is served.

@@ -21,14 +21,13 @@ import (
 	"consensusinside/internal/wire"
 )
 
-// Applier consumes committed commands in log order and returns the
-// command's result string. An Applier always sees single-command
-// values: batched values are split (msg.Value.Split) by whoever drives
-// the application — Log for the instance-ordered protocols, the 2PC
-// engine for its transaction commits — so state machines and dedupe
-// wrappers stay per-command.
+// Applier is the replicated state machine: Execute runs one committed
+// command and returns its result. The commit step (Dedup.Commit) hands
+// it each command of an applied value in place, in log order, once the
+// session table has ruled out a re-execution — so state machines stay
+// per-command and never see a batch.
 type Applier interface {
-	Apply(v msg.Value) string
+	Execute(cmd msg.Command) string
 }
 
 // KV is a replicated string map. It implements Applier.
@@ -40,18 +39,22 @@ type KV struct {
 // NewKV returns an empty key-value state machine.
 func NewKV() *KV { return &KV{data: make(map[string]string)} }
 
-// Apply executes one committed command.
-func (kv *KV) Apply(v msg.Value) string {
-	switch v.Cmd.Op {
+// Execute runs one committed command. It implements Applier.
+func (kv *KV) Execute(cmd msg.Command) string {
+	switch cmd.Op {
 	case msg.OpPut:
-		kv.data[v.Cmd.Key] = v.Cmd.Val
-		return v.Cmd.Val
+		kv.data[cmd.Key] = cmd.Val
+		return cmd.Val
 	case msg.OpGet:
-		return kv.data[v.Cmd.Key]
+		return kv.data[cmd.Key]
 	default: // noop and unknown ops mutate nothing
 		return ""
 	}
 }
+
+// Apply executes a single-command value's command (a batched value's
+// Cmd is zero and mutates nothing).
+func (kv *KV) Apply(v msg.Value) string { return kv.Execute(v.Cmd) }
 
 // Get reads a key directly — the "local read" path of relaxed-consistency
 // reads (Section 7.5: "For more relaxed read consistency guarantees,
@@ -124,8 +127,17 @@ type Entry struct {
 	Value    msg.Value
 }
 
-// Log is the learner's memory: learned values by instance number, applied
-// to an Applier strictly in instance order with no gaps.
+// Committer commits the values a Log applies, one instance at a time in
+// instance order: Commit runs value's commands back to back — nothing
+// from another instance interleaves — stores command i's result in
+// results[i] (len(results) == value.Len()) and reports how many
+// commands it executed. Dedup is the committer every replica uses.
+type Committer interface {
+	Commit(instance int64, value msg.Value, results []string) int
+}
+
+// Log is the learner's memory: learned values by instance number,
+// committed strictly in instance order with no gaps.
 //
 // The retained history can be bounded: CompactTo drops applied entries
 // below a compaction floor — the state machine has applied them, and a
@@ -139,16 +151,15 @@ type Log struct {
 	learned map[int64]msg.Value
 	applied int64 // next instance to apply
 	floor   int64 // lowest retained instance; below it only the applied state remains
-	applier Applier
+	commit  Committer
 	history []Entry // applied suffix [floor, applied), for audits and consistency checks
 	onApply func(e Entry, results []string)
 
-	// Scratch buffers reused across applications, so applying an
-	// instance — batched or not — allocates nothing in steady state (see
-	// OnApply's contract: results is only valid for the duration of the
-	// callback). They grow to the largest batch ever applied.
-	subScratch []msg.Value
-	resScratch []string
+	// results is reused across applications, so applying an instance —
+	// batched or not — allocates nothing in steady state (see OnApply's
+	// contract: results is only valid for the duration of the callback).
+	// It grows to the largest batch ever applied.
+	results []string
 
 	// Lifecycle tracing (internal/trace): Learn stamps the decide stage
 	// and advance stamps the apply stage of sampled commands. tracer is
@@ -159,12 +170,13 @@ type Log struct {
 	traceNow func() time.Duration
 }
 
-// NewLog builds a log applying into applier (which may be nil for
-// protocols measured without application state).
-func NewLog(applier Applier) *Log {
+// NewLog builds a log committing through c (which may be nil for
+// protocols measured without application state: every result is then
+// empty).
+func NewLog(c Committer) *Log {
 	return &Log{
 		learned: make(map[int64]msg.Value),
-		applier: applier,
+		commit:  c,
 	}
 }
 
@@ -193,9 +205,9 @@ func (l *Log) traceMark(stage trace.Stage, v msg.Value) {
 	}
 }
 
-// OnApply registers a callback invoked after each in-order application —
-// the hook protocols use to answer clients. results holds one entry per
-// command of the instance's value, in batch order (a single-command
+// OnApply registers a callback invoked after each in-order commit — the
+// hook the replica shell answers clients from. results holds one entry
+// per command of the instance's value, in batch order (a single-command
 // value yields one result). The slice is only valid for the duration of
 // the callback: the log reuses its backing storage across instances.
 func (l *Log) OnApply(fn func(e Entry, results []string)) { l.onApply = fn }
@@ -218,11 +230,10 @@ func (l *Log) Learn(instance int64, value msg.Value) {
 		return
 	}
 	if instance < l.applied {
-		// Already applied; verify agreement against history.
-		for _, e := range l.history {
-			if e.Instance == instance && !e.Value.Equal(value) {
-				panic(fmt.Sprintf("rsm: applied instance %d re-learned different value", instance))
-			}
+		// Already applied; verify agreement against the retained entry,
+		// which sits at instance - floor (the history is dense).
+		if !l.history[instance-l.floor].Value.Equal(value) {
+			panic(fmt.Sprintf("rsm: applied instance %d re-learned different value", instance))
 		}
 		return
 	}
@@ -241,33 +252,18 @@ func (l *Log) advance() {
 		}
 		delete(l.learned, l.applied)
 		e := Entry{Instance: l.applied, Value: v}
-		// A batched value applies atomically: all its commands run here,
-		// back to back, before the instance counter moves — nothing from
-		// another instance can interleave, and each command still gets
-		// its own result and (via the engine's OnApply hook) its own
-		// session record. Both cases reuse the log's scratch buffers
-		// (grown to the largest batch seen) instead of allocating a
-		// Split plus a result slice per instance.
+		// A batched value applies atomically: the committer runs all its
+		// commands here, back to back, before the instance counter moves,
+		// and each still gets its own result and session record.
 		n := v.Len()
-		if cap(l.subScratch) < n {
-			l.subScratch = make([]msg.Value, n)
-			l.resScratch = make([]string, n)
+		if cap(l.results) < n {
+			l.results = make([]string, n)
 		}
-		subs, results := l.subScratch[:n], l.resScratch[:n]
-		if len(v.Batch) == 0 {
-			subs[0] = v
+		results := l.results[:n]
+		if l.commit != nil {
+			l.commit.Commit(e.Instance, v, results)
 		} else {
-			for i, be := range v.Batch {
-				subs[i] = msg.Value{Client: v.Client, Seq: be.Seq, Cmd: be.Cmd, Ack: v.Ack}
-			}
-		}
-		for i := range results {
-			results[i] = ""
-		}
-		if l.applier != nil {
-			for i, sub := range subs {
-				results[i] = l.applier.Apply(sub)
-			}
+			clear(results)
 		}
 		if l.tracer.Enabled() {
 			l.traceMark(trace.StageApply, v)
@@ -509,9 +505,8 @@ type Sessions struct {
 	// growths counts ring doublings across all lanes (see Growths).
 	growths atomic.Int64
 
-	// One-entry lane cache. The apply path resolves the same (client,
-	// tag) lane several times per command (ack recording, dedupe,
-	// completion recording, origin mark) and whole batches share one
+	// One-entry lane cache. The commit step resolves a lane for the
+	// instance's ack and once per command, and whole batches share one
 	// lane, so the last lane resolved is overwhelmingly the next one
 	// asked for; caching it turns all but the first resolution of a
 	// batch into a pointer compare instead of a map lookup. Lanes are
@@ -524,6 +519,9 @@ type Sessions struct {
 	// the next Screen: a request's own entries slice exists only for a
 	// batch.
 	one [1]msg.BatchEntry
+
+	// owed is Owed's list, rebuilt by every Dedup.Commit.
+	owed []int
 }
 
 // laneKey identifies one client lane: the client node plus the shard
@@ -601,16 +599,43 @@ func (s *Sessions) lane(client msg.NodeID, seq uint64, create bool) (*clientSess
 
 // Done records the committed result for client's command seq, advances
 // the contiguous commit frontier of seq's lane, and prunes results far
-// below it.
+// below it. The first commit wins: a seq already recorded, or below the
+// prune frontier, is left as it is.
 func (s *Sessions) Done(client msg.NodeID, seq uint64, instance int64, result string) {
+	cs, seq := s.lane(client, seq, true)
+	if e := cs.entries.Slot(seq); e != nil && !e.committed {
+		cs.record(e, seq, instance, result, s.window)
+	}
+}
+
+// commit is the per-command commit rule, resolving seq's slot once. A
+// command below the lane's prune frontier committed and its result was
+// discarded: it reports "" and does not run. A command already recorded
+// reports its stored result and does not run. Any other command runs on
+// sm and its result is recorded. In every case the slot's origin mark
+// is taken: owed reports that this replica admitted the command from
+// the client and owes it the reply.
+func (s *Sessions) commit(client msg.NodeID, seq uint64, instance int64, cmd msg.Command, sm Applier) (result string, ran, owed bool) {
 	cs, seq := s.lane(client, seq, true)
 	e := cs.entries.Slot(seq)
 	if e == nil {
-		return // already committed and its result discarded
+		return "", false, false
 	}
 	if e.committed {
-		return // first commit wins; a re-commit elsewhere is a duplicate
+		result = e.result
+	} else {
+		result, ran = sm.Execute(cmd), true
+		// Recording may prune the slot at once (the client already
+		// acknowledged seq); the pruned slot is zeroed, mark included.
+		cs.record(e, seq, instance, result, s.window)
 	}
+	owed, e.origin = e.origin, false
+	return result, ran, owed
+}
+
+// record stores seq's committed result in its slot e, advances the
+// lane's contiguous commit frontier and prunes results far below it.
+func (cs *clientSession) record(e *sessionSlot, seq uint64, instance int64, result string, window uint64) {
 	e.instance, e.result, e.committed = instance, result, true
 	if seq > cs.maxSeq {
 		cs.maxSeq = seq
@@ -624,8 +649,14 @@ func (s *Sessions) Done(client msg.NodeID, seq uint64, instance int64, result st
 		}
 		cs.floor++
 	}
-	cs.prune(s.window)
+	cs.prune(window)
 }
+
+// Owed lists the commands of the value the last Dedup.Commit committed
+// whose origin mark it took, by index in the value and in batch order:
+// the replies this replica owes. It is empty on a replica that admitted
+// none of them. Valid until the next Commit.
+func (s *Sessions) Owed() []int { return s.owed }
 
 // ClientAck records the client's lowest still-outstanding seq within
 // one lane, carried on its requests: results below it were delivered
@@ -677,39 +708,6 @@ func (cs *clientSession) committed(seq uint64) *sessionSlot {
 	return nil
 }
 
-// Lookup reports the stored result for (client, seq) if that exact command
-// already committed and is still within the retention window.
-func (s *Sessions) Lookup(client msg.NodeID, seq uint64) (instance int64, result string, ok bool) {
-	cs, seq := s.lane(client, seq, false)
-	if cs == nil {
-		return 0, "", false
-	}
-	e := cs.committed(seq)
-	if e == nil {
-		return 0, "", false
-	}
-	return e.instance, e.result, true
-}
-
-// Committed combines Lookup and Seen in one lane resolution, for the
-// apply hot path: ok reports whether client's command seq is known to
-// have committed, and result carries its stored result when still
-// retained (a command committed but pruned reports ok with an empty
-// result, exactly as Seen-without-Lookup would have been handled).
-func (s *Sessions) Committed(client msg.NodeID, seq uint64) (result string, ok bool) {
-	cs, seq := s.lane(client, seq, false)
-	if cs == nil {
-		return "", false
-	}
-	if e := cs.committed(seq); e != nil {
-		return e.result, true
-	}
-	if seq > 0 && seq <= cs.floor {
-		return "", true
-	}
-	return "", false
-}
-
 // Seen reports whether client's command seq is known to have committed:
 // either its result is still retained, or it is at or below its lane's
 // contiguous commit frontier (committed, result possibly discarded).
@@ -731,7 +729,8 @@ func (s *Sessions) Seen(client msg.NodeID, seq uint64) bool {
 // the reply once it commits. It reports whether the mark is new: false
 // means the request is a retry of one already proposed or queued here,
 // which must not be proposed a second time. The mark lives in the
-// command's session slot and is dropped with it (TakeOrigin, pruning).
+// command's session slot and is dropped with it (the commit step,
+// TakeOrigin, pruning).
 //
 // A seq at or below the lane's prune frontier has no slot to mark. It
 // cannot reach here from an engine's request path: Screen answers such
@@ -747,9 +746,9 @@ func (s *Sessions) MarkOrigin(client msg.NodeID, seq uint64) bool {
 }
 
 // TakeOrigin clears client's command seq's origin mark and reports
-// whether it was set: the apply path calls it to decide whether this
-// replica sends the reply, and a replica that hands a queued request
-// to another leader calls it to give the reply duty away.
+// whether it was set: a replica that hands a queued request to another
+// leader calls it to give the reply duty away. (The commit step takes
+// the mark of every command it commits.)
 func (s *Sessions) TakeOrigin(client msg.NodeID, seq uint64) bool {
 	cs, seq := s.lane(client, seq, false)
 	if cs == nil {
@@ -937,26 +936,41 @@ func (s *Sessions) Restore(lanes []LaneState) {
 	}
 }
 
-// Dedup wraps an Applier and suppresses re-execution of commands that
-// already committed under another instance (a client retry racing a
-// leader change). Protocols record completions via Sessions.Done in their
-// apply callbacks; Dedup consults the same table before executing.
+// Dedup is the commit step every replica runs, under all five engines:
+// it commits each command of a value at most once per replica, through
+// the session table, so a command that already committed under another
+// instance (a client retry racing a leader change) is answered with its
+// stored result instead of running again. It implements Committer.
 type Dedup struct {
 	Sessions *Sessions
 	Inner    Applier
 }
 
-// Apply implements Applier.
-func (d Dedup) Apply(v msg.Value) string {
+// Commit implements Committer. A gap-filling no-op commits nothing. For
+// any other value it records the client's ack floor once — the committed
+// value replicates it to every learner, keeping session retention
+// aligned on replicas the client never contacted directly — and then
+// runs the commit rule on each command in place (Sessions.commit). The
+// origin marks it takes are left in Sessions.Owed.
+func (d Dedup) Commit(instance int64, v msg.Value, results []string) int {
+	s := d.Sessions
+	s.owed = s.owed[:0]
 	if v.Client == msg.Nobody {
-		return "" // gap-filling noop
+		clear(results)
+		return 0
 	}
-	// The committed value replicates the client's ack floor to every
-	// learner; recording it here keeps session retention aligned on
-	// replicas the client never contacted directly.
-	d.Sessions.ClientAck(v.Client, v.Ack)
-	if result, ok := d.Sessions.Committed(v.Client, v.Seq); ok {
-		return result // retained result, or "" when committed-but-pruned
+	s.ClientAck(v.Client, v.Ack)
+	ran := 0
+	for i := range results {
+		be := v.EntryAt(i)
+		result, fresh, owed := s.commit(v.Client, be.Seq, instance, be.Cmd, d.Inner)
+		results[i] = result
+		if fresh {
+			ran++
+		}
+		if owed {
+			s.owed = append(s.owed, i)
+		}
 	}
-	return d.Inner.Apply(v)
+	return ran
 }

@@ -13,6 +13,31 @@ func val(client msg.NodeID, seq uint64, op msg.Op, key, v string) msg.Value {
 	return msg.Value{Client: client, Seq: seq, Cmd: msg.Command{Op: op, Key: key, Val: v}}
 }
 
+// newLog builds a log committing into kv through a fresh session table,
+// the way every replica builds its own.
+func newLog(kv *KV) *Log { return NewLog(Dedup{Sessions: NewSessions(), Inner: kv}) }
+
+// commitOne commits a single-command value at instance through d and
+// returns its result and how many commands ran.
+func commitOne(d Dedup, instance int64, v msg.Value) (string, int) {
+	results := make([]string, 1)
+	ran := d.Commit(instance, v, results)
+	return results[0], ran
+}
+
+// lookup reports the stored result for (client, seq) when that exact
+// command committed and its result is still retained.
+func lookup(s *Sessions, client msg.NodeID, seq uint64) (instance int64, result string, ok bool) {
+	cs, seq := s.lane(client, seq, false)
+	if cs == nil {
+		return 0, "", false
+	}
+	if e := cs.committed(seq); e != nil {
+		return e.instance, e.result, true
+	}
+	return 0, "", false
+}
+
 func TestKVApply(t *testing.T) {
 	kv := NewKV()
 	if got := kv.Apply(val(1, 1, msg.OpPut, "a", "1")); got != "1" {
@@ -37,7 +62,7 @@ func TestKVApply(t *testing.T) {
 
 func TestLogAppliesInOrder(t *testing.T) {
 	kv := NewKV()
-	log := NewLog(kv)
+	log := newLog(kv)
 	var applied []int64
 	log.OnApply(func(e Entry, results []string) { applied = append(applied, e.Instance) })
 
@@ -65,7 +90,7 @@ func TestLogAppliesInOrder(t *testing.T) {
 }
 
 func TestLogIdempotentLearn(t *testing.T) {
-	log := NewLog(NewKV())
+	log := newLog(NewKV())
 	v := val(1, 1, msg.OpPut, "a", "1")
 	log.Learn(0, v)
 	log.Learn(0, v) // same value again: fine
@@ -78,18 +103,34 @@ func TestLogIdempotentLearn(t *testing.T) {
 }
 
 func TestLogPanicsOnConflictingLearn(t *testing.T) {
-	log := NewLog(NewKV())
+	mustPanic := func(what string, learn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: conflicting learn must panic (safety violation)", what)
+			}
+		}()
+		learn()
+	}
+	log := newLog(NewKV())
 	log.Learn(0, val(1, 1, msg.OpPut, "a", "1"))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("conflicting learn must panic (safety violation)")
-		}
-	}()
-	log.Learn(0, val(2, 9, msg.OpPut, "b", "2"))
+	mustPanic("uncompacted", func() { log.Learn(0, val(2, 9, msg.OpPut, "b", "2")) })
+
+	// A compacted log (floor > 0) checks an applied instance against its
+	// retained entry, at instance - floor.
+	l := newLog(NewKV())
+	fillLog(l, 10) // instance i carries seq i+1
+	l.CompactTo(4)
+	l.Learn(6, val(1, 7, msg.OpPut, "k", "v")) // the same value again: a no-op
+	if l.Applied() != 10 || l.Retained() != 6 || l.Floor() != 4 {
+		t.Fatalf("re-learning an applied value changed the log: applied=%d retained=%d floor=%d",
+			l.Applied(), l.Retained(), l.Floor())
+	}
+	mustPanic("compacted", func() { l.Learn(6, val(1, 6, msg.OpPut, "k", "v")) })
 }
 
 func TestLogPanicsOnConflictingPendingLearn(t *testing.T) {
-	log := NewLog(NewKV())
+	log := newLog(NewKV())
 	log.Learn(5, val(1, 1, msg.OpPut, "a", "1")) // pending (gap below)
 	defer func() {
 		if recover() == nil {
@@ -100,7 +141,7 @@ func TestLogPanicsOnConflictingPendingLearn(t *testing.T) {
 }
 
 func TestLogSince(t *testing.T) {
-	log := NewLog(NewKV())
+	log := newLog(NewKV())
 	for i := int64(0); i < 5; i++ {
 		log.Learn(i, val(1, uint64(i+1), msg.OpPut, "k", "v"))
 	}
@@ -116,7 +157,7 @@ func TestLogSince(t *testing.T) {
 }
 
 func TestHistoryIsCopy(t *testing.T) {
-	log := NewLog(NewKV())
+	log := newLog(NewKV())
 	log.Learn(0, val(1, 1, msg.OpPut, "a", "1"))
 	h := log.History()
 	h[0].Value.Cmd.Key = "mutated"
@@ -134,21 +175,21 @@ func TestSessions(t *testing.T) {
 	if !s.Seen(1, 1) {
 		t.Fatal("Seen(1,1) after Done")
 	}
-	inst, res, ok := s.Lookup(1, 1)
+	inst, res, ok := lookup(s, 1, 1)
 	if !ok || inst != 10 || res != "r1" {
 		t.Fatalf("Lookup = (%d,%q,%v)", inst, res, ok)
 	}
 	// Lower or different seq doesn't match exactly.
-	if _, _, ok := s.Lookup(1, 2); ok {
+	if _, _, ok := lookup(s, 1, 2); ok {
 		t.Fatal("Lookup(1,2) must miss")
 	}
 	// Out-of-order commits (a pipelined window) are all retained exactly.
 	s.Done(1, 5, 20, "r5")
 	s.Done(1, 3, 15, "r3")
-	if _, res, ok := s.Lookup(1, 5); !ok || res != "r5" {
+	if _, res, ok := lookup(s, 1, 5); !ok || res != "r5" {
 		t.Fatal("Lookup(1,5) lost")
 	}
-	if _, res, ok := s.Lookup(1, 3); !ok || res != "r3" {
+	if _, res, ok := lookup(s, 1, 3); !ok || res != "r3" {
 		t.Fatal("out-of-order Done must be retained, not dropped as stale")
 	}
 	// An uncommitted seq between committed ones is NOT seen: with a
@@ -158,7 +199,7 @@ func TestSessions(t *testing.T) {
 	}
 	// First commit wins over a duplicate re-commit.
 	s.Done(1, 3, 99, "other")
-	if inst, res, _ := s.Lookup(1, 3); inst != 15 || res != "r3" {
+	if inst, res, _ := lookup(s, 1, 3); inst != 15 || res != "r3" {
 		t.Fatalf("duplicate Done overwrote original: (%d, %q)", inst, res)
 	}
 }
@@ -169,13 +210,13 @@ func TestSessionsWindowPruning(t *testing.T) {
 		s.Done(1, seq, int64(seq), "r")
 	}
 	// Only the newest window survives exact lookup...
-	if _, _, ok := s.Lookup(1, 10); !ok {
+	if _, _, ok := lookup(s, 1, 10); !ok {
 		t.Fatal("newest entry lost")
 	}
-	if _, _, ok := s.Lookup(1, 7); !ok {
+	if _, _, ok := lookup(s, 1, 7); !ok {
 		t.Fatal("in-window entry lost")
 	}
-	if _, _, ok := s.Lookup(1, 2); ok {
+	if _, _, ok := lookup(s, 1, 2); ok {
 		t.Fatal("pruned entry still resolvable")
 	}
 	// ...but pruned seqs remain Seen (committed-and-forgotten).
@@ -223,12 +264,12 @@ func TestSessionsAckRetention(t *testing.T) {
 		s.ClientAck(1, 1) // client still waiting on seq 1
 		s.Done(1, seq, int64(seq), "r")
 	}
-	if _, res, ok := s.Lookup(1, 1); !ok || res != "keep" {
+	if _, res, ok := lookup(s, 1, 1); !ok || res != "keep" {
 		t.Fatalf("unacked result lost: (%q, %v)", res, ok)
 	}
 	// Once the client acknowledges past it, it may be discarded...
 	s.ClientAck(1, 90)
-	if _, _, ok := s.Lookup(1, 1); ok {
+	if _, _, ok := lookup(s, 1, 1); ok {
 		t.Fatal("acked result not discarded")
 	}
 	// ...but it remains known-committed.
@@ -236,7 +277,7 @@ func TestSessionsAckRetention(t *testing.T) {
 		t.Fatal("acked seq must stay seen")
 	}
 	// Results at or above the ack stay resolvable.
-	if _, res, ok := s.Lookup(1, 95); !ok || res != "r" {
+	if _, res, ok := lookup(s, 1, 95); !ok || res != "r" {
 		t.Fatalf("in-ack-range result lost: (%q, %v)", res, ok)
 	}
 }
@@ -270,20 +311,22 @@ func TestDedupApplier(t *testing.T) {
 	d := Dedup{Sessions: sessions, Inner: kv}
 
 	v := val(1, 1, msg.OpPut, "a", "1")
-	if got := d.Apply(v); got != "1" {
-		t.Fatalf("first apply = %q", got)
+	if got, ran := commitOne(d, 0, v); got != "1" || ran != 1 {
+		t.Fatalf("first commit = %q (ran %d)", got, ran)
 	}
-	sessions.Done(1, 1, 0, "1")
+	if _, res, ok := lookup(sessions, 1, 1); !ok || res != "1" {
+		t.Fatalf("first commit not recorded: (%q, %v)", res, ok)
+	}
 	// Same command again: returns the stored result, no re-execution.
 	kv.Apply(val(9, 9, msg.OpPut, "a", "other")) // mutate underneath
-	if got := d.Apply(v); got != "1" {
-		t.Fatalf("duplicate apply = %q, want stored result", got)
+	if got, ran := commitOne(d, 1, v); got != "1" || ran != 0 {
+		t.Fatalf("duplicate commit = %q (ran %d), want stored result", got, ran)
 	}
 	// An older seq that never committed is NOT a duplicate under a
 	// pipelined window: it executes normally.
 	sessions.Done(1, 5, 1, "r5")
-	if got := d.Apply(val(1, 2, msg.OpPut, "a", "late")); got != "late" {
-		t.Fatalf("late pipelined apply = %q, want executed", got)
+	if got, ran := commitOne(d, 2, val(1, 2, msg.OpPut, "a", "late")); got != "late" || ran != 1 {
+		t.Fatalf("late pipelined commit = %q (ran %d), want executed", got, ran)
 	}
 	// But a seq below the contiguous frontier whose result was pruned is
 	// known-committed: suppressed.
@@ -291,12 +334,12 @@ func TestDedupApplier(t *testing.T) {
 	for seq := uint64(1); seq <= 10; seq++ {
 		small.Sessions.Done(1, seq, int64(seq), "r")
 	}
-	if got := small.Apply(val(1, 7, msg.OpPut, "a", "forgotten")); got != "" {
-		t.Fatalf("pruned-seq apply = %q, want suppressed", got)
+	if got, ran := commitOne(small, 11, val(1, 7, msg.OpPut, "a", "forgotten")); got != "" || ran != 0 {
+		t.Fatalf("pruned-seq commit = %q (ran %d), want suppressed", got, ran)
 	}
 	// Noops pass through harmlessly.
-	if got := d.Apply(msg.Value{Client: msg.Nobody, Cmd: msg.Command{Op: msg.OpNoop}}); got != "" {
-		t.Fatalf("noop = %q", got)
+	if got, ran := commitOne(d, 3, msg.Value{Client: msg.Nobody, Cmd: msg.Command{Op: msg.OpNoop}}); got != "" || ran != 0 {
+		t.Fatalf("noop = %q (ran %d)", got, ran)
 	}
 }
 
@@ -317,7 +360,7 @@ func TestLogQuickRandomOrderApplication(t *testing.T) {
 			j := int(perm[i]) % (i + 1)
 			order[i], order[j] = order[j], order[i]
 		}
-		log := NewLog(NewKV())
+		log := newLog(NewKV())
 		var applied []int64
 		log.OnApply(func(e Entry, _ []string) { applied = append(applied, e.Instance) })
 		for _, in := range order {
@@ -348,10 +391,10 @@ func TestSessionsShardLanes(t *testing.T) {
 
 	s.Done(1, lane0(1), 10, "l0-1")
 	s.Done(1, lane1(1), 10, "l1-1")
-	if _, res, ok := s.Lookup(1, lane0(1)); !ok || res != "l0-1" {
+	if _, res, ok := lookup(s, 1, lane0(1)); !ok || res != "l0-1" {
 		t.Fatalf("lane 0 result = (%q, %v)", res, ok)
 	}
-	if _, res, ok := s.Lookup(1, lane1(1)); !ok || res != "l1-1" {
+	if _, res, ok := lookup(s, 1, lane1(1)); !ok || res != "l1-1" {
 		t.Fatalf("lane 1 result = (%q, %v)", res, ok)
 	}
 
@@ -360,7 +403,7 @@ func TestSessionsShardLanes(t *testing.T) {
 	for seq := uint64(2); seq <= 40; seq++ {
 		s.Done(1, lane1(seq), int64(seq), "r")
 	}
-	if _, res, ok := s.Lookup(1, lane0(1)); !ok || res != "l0-1" {
+	if _, res, ok := lookup(s, 1, lane0(1)); !ok || res != "l0-1" {
 		t.Fatal("lane 1 traffic pruned lane 0's result")
 	}
 	if s.Seen(1, lane0(2)) {
@@ -372,7 +415,7 @@ func TestSessionsShardLanes(t *testing.T) {
 
 	// Each lane prunes on its own window: lane 1's early results are
 	// forgotten (but stay seen), lane 0's single result survives.
-	if _, _, ok := s.Lookup(1, lane1(2)); ok {
+	if _, _, ok := lookup(s, 1, lane1(2)); ok {
 		t.Fatal("lane 1 seq 2 should have been pruned by its window")
 	}
 	if !s.Seen(1, lane1(2)) {
@@ -382,7 +425,7 @@ func TestSessionsShardLanes(t *testing.T) {
 	// Acks are lane-scoped: acknowledging lane 1 must not discard lane
 	// 0's retained result.
 	s.ClientAck(1, lane1(40))
-	if _, _, ok := s.Lookup(1, lane0(1)); !ok {
+	if _, _, ok := lookup(s, 1, lane0(1)); !ok {
 		t.Fatal("lane 1 ack discarded lane 0's result")
 	}
 }
@@ -398,11 +441,6 @@ func TestLogAppliesBatchAtomically(t *testing.T) {
 	var got [][]string
 	log.OnApply(func(e Entry, results []string) {
 		got = append(got, append([]string(nil), results...))
-		for i, sub := range e.Value.Split() {
-			if sub.Client != msg.Nobody && !sessions.Seen(sub.Client, sub.Seq) {
-				sessions.Done(sub.Client, sub.Seq, e.Instance, results[i])
-			}
-		}
 	})
 
 	// Seq 2 commits alone first (a retried single racing its batch).
@@ -509,13 +547,6 @@ func TestSessionsBatchOutOfOrderAcrossLanesKeepsFloorsContiguous(t *testing.T) {
 	// Log + Dedup, the way every engine drives the session table.
 	sessions := NewSessionsWindow(2) // tiny window: force floor-based answers
 	log := NewLog(Dedup{Sessions: sessions, Inner: NewKV()})
-	log.OnApply(func(e Entry, results []string) {
-		for i, sub := range e.Value.Split() {
-			if sub.Client != msg.Nobody && !sessions.Seen(sub.Client, sub.Seq) {
-				sessions.Done(sub.Client, sub.Seq, e.Instance, results[i])
-			}
-		}
-	})
 	lane := func(l int, seq uint64) uint64 { return shard.TagSeq(l, seq) }
 	batch := func(l int, seqs ...uint64) msg.Value {
 		entries := make([]msg.BatchEntry, len(seqs))
@@ -562,6 +593,47 @@ func TestSessionsBatchOutOfOrderAcrossLanesKeepsFloorsContiguous(t *testing.T) {
 	}
 }
 
+// TestCommitStepRecordsAndTakesTheMark: one Commit is the whole
+// per-command commit on a replica. It runs the fresh commands, answers
+// one that committed before from its slot, records every result and
+// takes the origin marks, which Owed lists by index.
+func TestCommitStepRecordsAndTakesTheMark(t *testing.T) {
+	sessions := NewSessions()
+	kv := NewKV()
+	d := Dedup{Sessions: sessions, Inner: kv}
+	sessions.Done(1, 2, 0, "stored") // seq 2 committed alone, at instance 0
+	sessions.MarkOrigin(1, 1)        // this replica admitted seqs 1 and 3
+	sessions.MarkOrigin(1, 3)
+	v := msg.NewValue(1, 0, []msg.BatchEntry{
+		{Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "a", Val: "a1"}},
+		{Seq: 2, Cmd: msg.Command{Op: msg.OpPut, Key: "a", Val: "dup"}},
+		{Seq: 3, Cmd: msg.Command{Op: msg.OpGet, Key: "a"}},
+	})
+	results := make([]string, 3)
+	if ran := d.Commit(1, v, results); ran != 2 {
+		t.Errorf("ran %d commands, want the 2 fresh ones", ran)
+	}
+	if want := []string{"a1", "stored", "a1"}; !reflect.DeepEqual(results, want) {
+		t.Errorf("results = %q, want %q", results, want)
+	}
+	if owed := sessions.Owed(); !reflect.DeepEqual(owed, []int{0, 2}) {
+		t.Errorf("Owed = %v, want [0 2]", owed)
+	}
+	for seq, want := range map[uint64]int64{1: 1, 2: 0, 3: 1} {
+		if in, _, ok := lookup(sessions, 1, seq); !ok || in != want {
+			t.Errorf("seq %d recorded at (%d, %v), want instance %d", seq, in, ok, want)
+		}
+		if sessions.TakeOrigin(1, seq) {
+			t.Errorf("seq %d still carries its origin mark", seq)
+		}
+	}
+	// The same value again (a re-learn on another path): nothing runs and
+	// nothing is owed.
+	if ran := d.Commit(2, v, results); ran != 0 || len(sessions.Owed()) != 0 {
+		t.Errorf("second commit ran %d and owes %v, want nothing", ran, sessions.Owed())
+	}
+}
+
 func TestSessionsShardLanesDedup(t *testing.T) {
 	// Dedup must suppress a tagged retry exactly like an untagged one.
 	kv := NewKV()
@@ -569,13 +641,12 @@ func TestSessionsShardLanesDedup(t *testing.T) {
 	d := Dedup{Sessions: sessions, Inner: kv}
 	v := msg.Value{Client: 7, Seq: shard.TagSeq(3, 1),
 		Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "v1"}}
-	if got := d.Apply(v); got != "v1" {
-		t.Fatalf("first apply = %q", got)
+	if got, _ := commitOne(d, 1, v); got != "v1" {
+		t.Fatalf("first commit = %q", got)
 	}
-	sessions.Done(7, v.Seq, 1, "v1")
 	retry := v
 	retry.Cmd.Val = "v2" // a conflicting re-execution would write v2
-	if got := d.Apply(retry); got != "v1" {
+	if got, _ := commitOne(d, 2, retry); got != "v1" {
 		t.Fatalf("retry result = %q, want replayed %q", got, "v1")
 	}
 	if val, _ := kv.Get("k"); val != "v1" {
@@ -593,7 +664,7 @@ func fillLog(l *Log, n int64) {
 }
 
 func TestLogCompactTo(t *testing.T) {
-	l := NewLog(NewKV())
+	l := newLog(NewKV())
 	fillLog(l, 10)
 	if got := l.CompactTo(4); got != 4 {
 		t.Fatalf("CompactTo(4) dropped %d entries, want 4", got)
@@ -627,7 +698,7 @@ func TestLogCompactTo(t *testing.T) {
 
 func TestLogInstallSnapshot(t *testing.T) {
 	kv := NewKV()
-	l := NewLog(kv)
+	l := newLog(kv)
 	// Entries learned out of order around the snapshot frontier: 7 is
 	// above it and must apply after the install, 3 below it must not.
 	l.Learn(3, val(1, 4, msg.OpPut, "stale", "x"))
@@ -740,7 +811,7 @@ func TestSessionsExportRestore(t *testing.T) {
 	if restored.Seen(1, 3) {
 		t.Errorf("restored table invented a commit for the gap seq 3")
 	}
-	if _, res, ok := restored.Lookup(1, 4); !ok || res != "r4" {
+	if _, res, ok := lookup(restored, 1, 4); !ok || res != "r4" {
 		t.Errorf("restored Lookup(4) = %q/%v, want r4/true", res, ok)
 	}
 	// The restored frontier still advances exactly: filling the gap moves
@@ -802,7 +873,7 @@ func TestSessionsOriginMarks(t *testing.T) {
 	if !s.TakeOrigin(1, 1) || s.TakeOrigin(1, 1) {
 		t.Fatal("TakeOrigin must report the mark once")
 	}
-	if _, res, ok := s.Lookup(1, 1); !ok || res != "r1" {
+	if _, res, ok := lookup(s, 1, 1); !ok || res != "r1" {
 		t.Fatalf("taking the mark disturbed the result: (%q, %v)", res, ok)
 	}
 	// A mark set after the commit (a duplicate proposal of a command

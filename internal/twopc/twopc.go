@@ -24,6 +24,7 @@ import (
 	"consensusinside/internal/msg"
 	"consensusinside/internal/protocol"
 	"consensusinside/internal/replica"
+	"consensusinside/internal/rsm"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/trace"
 )
@@ -366,13 +367,11 @@ func (r *Replica) onAck(m msg.TPCAck) {
 	for _, id := range r.Peers {
 		r.Ctx.Send(id, msg.TPCCommit{TxID: t.id, Value: t.value})
 	}
-	r.applyCommit(t.id, t.value)
+	results := r.applyCommit(t.id, t.value)
 	t.commitAcks[r.Me] = true
-	replies := msg.GetReplies(t.value.Len())
-	for i, n := 0, t.value.Len(); i < n; i++ {
-		be := t.value.EntryAt(i)
-		_, result, _ := r.Sessions.Lookup(t.value.Client, be.Seq)
-		replies = append(replies, msg.ClientReply{Seq: be.Seq, Instance: t.id, OK: true, Result: result})
+	replies := msg.GetReplies(len(results))
+	for i, result := range results {
+		replies = append(replies, msg.ClientReply{Seq: t.value.EntryAt(i).Seq, Instance: t.id, OK: true, Result: result})
 	}
 	r.SendReplies(t.value.Client, replies)
 	r.finishTx(t)
@@ -424,25 +423,23 @@ func (r *Replica) onRollback(m msg.TPCRollback) {
 	r.releaseLocks(m.TxID, v)
 }
 
-// applyCommit executes the transaction's commands in batch order —
+// applyCommit commits the transaction's commands in batch order —
 // atomically, in the sense that the whole lock set is held across all
-// of them — and releases the locks on this node's copy. Each command
-// dedupes and records its session result individually, so an entry that
-// already committed through an earlier retry is not re-executed.
-func (r *Replica) applyCommit(txID int64, v msg.Value) {
-	r.Sessions.ClientAck(v.Client, v.Ack)
+// of them — through the commit step every engine shares (rsm.Dedup), so
+// an entry that already committed through an earlier retry is answered
+// from its session slot instead of running again; then it releases the
+// locks on this node's copy. It returns each command's result.
+func (r *Replica) applyCommit(txID int64, v msg.Value) []string {
 	delete(r.prepared, txID)
-	for _, sub := range v.Split() {
-		if !r.Sessions.Seen(sub.Client, sub.Seq) {
-			result := r.Cfg.Applier.Apply(sub)
-			r.Sessions.Done(sub.Client, sub.Seq, txID, result)
-			r.AfterApply()
-		}
+	results := make([]string, v.Len())
+	for ran := (rsm.Dedup{Sessions: r.Sessions, Inner: r.Cfg.Applier}).Commit(txID, v, results); ran > 0; ran-- {
+		r.AfterApply()
 	}
 	if r.Cfg.Tracer.Enabled() {
 		r.traceMark(trace.StageApply, v)
 	}
 	r.releaseLocks(txID, v)
+	return results
 }
 
 // traceMark stamps one lifecycle stage for every command v carries

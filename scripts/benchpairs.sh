@@ -1,14 +1,24 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of this working tree against a base commit: the
-# way a performance claim is made on a noisy host. Pair i runs bench/run.sh
-# on both trees at seed i with the same run length, alternating which side
-# goes first; the script prints every pair, then for each end-to-end metric
-# the two sides' medians and quartiles, the change's wins, and whether the
-# change clears the claim rule (better in at least nine tenths of the pairs,
-# ties counting for neither, and medians further apart than the base's own
-# interquartile range).
+# way a performance claim, and the absence of a regression, is shown on a
+# noisy host. For each workload, pair i runs bench/run.sh on both trees at
+# seed i with the same run length, alternating which side goes first. The
+# script prints every pair, then for each end-to-end metric the two sides'
+# medians and quartiles, the change's wins and two verdicts:
 #
-#   scripts/benchpairs.sh <base-ref> <workload> [pairs] [seconds]
+#   claim       gain: better in at least nine tenths of the pairs (ties
+#               count for neither) and medians further apart than the
+#               base's own interquartile range; otherwise no claim.
+#   regression  worse: the change's median is worse than the base's by
+#               more than BENCHMARK.json's bound for the metric;
+#               unresolved: the base's IQR is wider than the bound (as a
+#               fraction of its median), unless every change run beats
+#               every base run; held otherwise.
+#
+# Last, each workload's failed operations and correctness flags, summed
+# over its runs.
+#
+#   scripts/benchpairs.sh <base-ref> <workload>... [pairs] [seconds]
 #
 # pairs defaults to 10 and seconds to BENCHMARK.json's run length (20). The
 # base is extracted from git into a temporary directory and built there; the
@@ -16,11 +26,25 @@
 # benchmarks at once on the same host: the pairs would measure each other.
 set -euo pipefail
 
-if [[ $# -lt 2 || $# -gt 4 ]]; then
-  echo "usage: $0 <base-ref> <workload> [pairs] [seconds]" >&2
+usage() {
+  echo "usage: $0 <base-ref> <workload>... [pairs] [seconds]" >&2
   exit 2
-fi
-base_ref=$1 workload=$2 pairs=${3:-10} seconds=${4:-20}
+}
+[[ $# -ge 2 ]] || usage
+base_ref=$1
+shift
+workloads=() numbers=()
+for arg in "$@"; do
+  if [[ $arg =~ ^[0-9]+$ ]]; then
+    numbers+=("$arg")
+  elif ((${#numbers[@]})); then
+    usage # a workload after the pair count
+  else
+    workloads+=("$arg")
+  fi
+done
+((${#workloads[@]} && ${#numbers[@]} <= 2)) || usage
+pairs=${numbers[0]:-10} seconds=${numbers[1]:-20}
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 tmp="$(mktemp -d)"
@@ -28,11 +52,11 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/base"
 git -C "$root" archive "$base_ref" | tar -x -C "$tmp/base"
 
-# run <tree> <seed>: one benchmark run; prints its driver JSON line.
+# run <tree> <workload> <seed>: one benchmark run; prints its driver JSON line.
 run() {
   local log="$tmp/run.log"
-  if ! (cd "$1" && bash bench/run.sh -workload "$workload" -seed "$2" -seconds "$seconds" -trace 0) >"$log" 2>&1; then
-    echo "benchpairs: run failed in $1 (seed $2):" >&2
+  if ! (cd "$1" && bash bench/run.sh -workload "$2" -seed "$3" -seconds "$seconds" -trace 0) >"$log" 2>&1; then
+    echo "benchpairs: $2 failed in $1 (seed $3):" >&2
     tail -20 "$log" >&2
     exit 1
   fi
@@ -44,36 +68,23 @@ value() {
   grep -o "\"$1\":{\"value\":[^,}]*" <<<"$2" | sed 's/.*"value"://'
 }
 
-lines_base=() lines_change=()
-echo "# $workload: $pairs pairs of $seconds s, base $base_ref ($(git -C "$root" rev-parse --short "$base_ref")) vs the working tree"
-for ((i = 1; i <= pairs; i++)); do
-  if ((i % 2)); then
-    b=$(run "$tmp/base" "$i")
-    c=$(run "$root" "$i")
-  else
-    c=$(run "$root" "$i")
-    b=$(run "$tmp/base" "$i")
-  fi
-  lines_base+=("$b") lines_change+=("$c")
-  printf 'pair %2d (seed %d, %s first): ops_per_s base %.0f change %.0f\n' "$i" "$i" \
-    "$( ((i % 2)) && echo base || echo change)" "$(value ops_per_s "$b")" "$(value ops_per_s "$c")"
-done
+# field <name> <json line>: a top-level scalar of a driver line.
+field() {
+  grep -o "\"$1\":[^,}]*" <<<"$2" | head -1 | sed 's/.*://'
+}
 
-# The end-to-end metrics and which way is better, from BENCHMARK.json.
+# The end-to-end metrics, which way is better and their bounds, from
+# BENCHMARK.json.
 mapfile -t metrics < <(awk -F'"' '
   /"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
   on && /"name"/ { name = $4 }
-  on && /"better"/ { print name " " $4 }' "$root/BENCHMARK.json")
+  on && /"better"/ { better = $4 }
+  on && /"bound"/ { split($3, b, /[:,} ]+/); print name " " better " " b[2] }' "$root/BENCHMARK.json")
 
-echo
-printf '%-14s %-32s %-32s %-6s %s\n' metric "base median [q1, q3]" "change median [q1, q3]" wins verdict
-for entry in "${metrics[@]}"; do
-  read -r metric better <<<"$entry"
-  {
-    for ((i = 0; i < pairs; i++)); do
-      echo "$(value "$metric" "${lines_base[i]}") $(value "$metric" "${lines_change[i]}")"
-    done
-  } | awk -v better="$better" -v metric="$metric" '
+# verdicts <metric> <better> <bound>: reads "base change" lines, prints the
+# metric's table row.
+verdicts() {
+  awk -v metric="$1" -v better="$2" -v bound="$3" '
     function q(a, n, p,   pos, lo) { # linear-interpolated quantile of sorted a[1..n]
       pos = 1 + p * (n - 1); lo = int(pos)
       return lo >= n ? a[n] : a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
@@ -82,6 +93,7 @@ for entry in "${metrics[@]}"; do
     function sort(a, n,   i, j, t) {
       for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
     }
+    function abs(v) { return v < 0 ? -v : v }
     {
       n++; b[n] = $1; c[n] = $2
       if ((better == "higher" && $2 > $1) || (better == "lower" && $2 < $1)) wins++
@@ -89,11 +101,55 @@ for entry in "${metrics[@]}"; do
     END {
       sort(b, n); sort(c, n)
       mb = q(b, n, 0.5); mc = q(c, n, 0.5); iqr = q(b, n, 0.75) - q(b, n, 0.25)
-      diff = better == "higher" ? mc - mb : mb - mc
-      verdict = (wins >= 0.9 * n && diff > iqr) ? "gain" : "no claim"
-      printf "%-14s %-32s %-32s %2d/%-3d %s (%+.1f%%, base IQR %s)\n", metric,
+      gain = better == "higher" ? mc - mb : mb - mc
+      claim = (wins >= 0.9 * n && gain > iqr) ? "gain" : "no claim"
+      # Every change run beats every base run: its worst beats their best.
+      apart = better == "higher" ? c[1] > b[n] : c[n] < b[1]
+      if (mb && -gain / abs(mb) > bound) regression = "worse"
+      else if (mb && iqr / abs(mb) > bound && !apart) regression = "unresolved"
+      else regression = "held"
+      printf "%-14s %-30s %-30s %2d/%-3d %-8s %-10s (%+.1f%%, base IQR %s, bound %g%%)\n", metric,
         f(mb) " [" f(q(b, n, 0.25)) ", " f(q(b, n, 0.75)) "]",
         f(mc) " [" f(q(c, n, 0.25)) ", " f(q(c, n, 0.75)) "]",
-        wins, n, verdict, mb ? 100 * (mc - mb) / mb : 0, f(iqr)
+        wins, n, claim, regression, mb ? 100 * (mc - mb) / mb : 0, f(iqr), 100 * bound
     }'
+}
+
+for workload in "${workloads[@]}"; do
+  lines_base=() lines_change=()
+  echo "# $workload: $pairs pairs of $seconds s, base $base_ref ($(git -C "$root" rev-parse --short "$base_ref")) vs the working tree"
+  for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2)); then
+      b=$(run "$tmp/base" "$workload" "$i")
+      c=$(run "$root" "$workload" "$i")
+    else
+      c=$(run "$root" "$workload" "$i")
+      b=$(run "$tmp/base" "$workload" "$i")
+    fi
+    lines_base+=("$b") lines_change+=("$c")
+    printf 'pair %2d (seed %d, %s first): ops_per_s base %.0f change %.0f\n' "$i" "$i" \
+      "$( ((i % 2)) && echo base || echo change)" "$(value ops_per_s "$b")" "$(value ops_per_s "$c")"
+  done
+
+  echo
+  printf '%-14s %-30s %-30s %-6s %-8s %s\n' metric "base median [q1, q3]" "change median [q1, q3]" wins claim regression
+  for entry in "${metrics[@]}"; do
+    read -r metric better bound <<<"$entry"
+    for ((i = 0; i < pairs; i++)); do
+      echo "$(value "$metric" "${lines_base[i]}") $(value "$metric" "${lines_change[i]}")"
+    done | verdicts "$metric" "$better" "$bound"
+  done
+
+  for side in base change; do
+    declare -n lines="lines_$side"
+    failed=0 attempted=0 incorrect=0
+    for line in "${lines[@]}"; do
+      failed=$((failed + $(field failed "$line")))
+      attempted=$((attempted + $(field attempted "$line")))
+      [[ $(field correct "$line") == true ]] || incorrect=$((incorrect + 1))
+    done
+    printf '%-6s failed %d of %d ops, %d of %d runs incorrect\n' "$side" "$failed" "$attempted" "$incorrect" "$pairs"
+    unset -n lines
+  done
+  echo
 done
