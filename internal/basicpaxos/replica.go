@@ -312,7 +312,7 @@ func (r *Replica) onApply(e rsm.Entry) {
 	// proposal or a lost duel), the commands it was carrying still need a
 	// slot: re-propose the not-yet-committed ones at a fresh instance.
 	if !d.want.Equal(e.Value) && d.want.Client != msg.Nobody {
-		if keep := r.Sessions.Unseen(d.want.Client, d.want.Entries()); len(keep) > 0 {
+		if keep := r.Sessions.Unseen(d.want); len(keep) > 0 {
 			r.propose(msg.NewValue(d.want.Client, d.want.Ack, keep))
 		}
 	}

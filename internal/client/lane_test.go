@@ -156,7 +156,9 @@ func (f *front) sent() []string {
 			if m.Client != 9 {
 				f.t.Fatalf("request from client %d", m.Client)
 			}
-			for i, be := range m.Entries() {
+			v := msg.Value(m)
+			for i := range v.Len() {
+				be := v.EntryAt(i)
 				if shard.SeqShard(be.Seq) != f.l.shard {
 					f.t.Fatalf("seq %d not tagged for shard %d", be.Seq, f.l.shard)
 				}

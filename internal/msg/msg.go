@@ -101,17 +101,6 @@ func (v Value) Len() int {
 	return 1
 }
 
-// Entries returns the per-command view of the value: the batch itself,
-// or a single entry synthesized from Seq/Cmd. Callers must not mutate
-// the returned slice. Hot paths iterating with Len/EntryAt avoid the
-// single-command case's slice allocation.
-func (v Value) Entries() []BatchEntry {
-	if len(v.Batch) > 0 {
-		return v.Batch
-	}
-	return []BatchEntry{{Seq: v.Seq, Cmd: v.Cmd}}
-}
-
 // EntryAt returns command i of the value (see Len) without allocating.
 func (v Value) EntryAt(i int) BatchEntry {
 	if len(v.Batch) > 0 {
@@ -192,15 +181,6 @@ type ClientRequest struct {
 	Cmd    Command
 	Ack    uint64
 	Batch  []BatchEntry
-}
-
-// Entries returns the per-command view of the request (see
-// Value.Entries). Callers must not mutate the returned slice.
-func (r ClientRequest) Entries() []BatchEntry {
-	if len(r.Batch) > 0 {
-		return r.Batch
-	}
-	return []BatchEntry{{Seq: r.Seq, Cmd: r.Cmd}}
 }
 
 // NewRequest builds a client request for a client's entries, single or

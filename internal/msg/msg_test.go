@@ -58,9 +58,6 @@ func TestValueBatchViews(t *testing.T) {
 	if single.Len() != 1 {
 		t.Fatalf("single Len = %d", single.Len())
 	}
-	if es := single.Entries(); len(es) != 1 || es[0].Seq != 7 || es[0].Cmd != single.Cmd {
-		t.Fatalf("single Entries = %+v", es)
-	}
 	if be := single.EntryAt(0); be.Seq != 7 || be.Cmd != single.Cmd {
 		t.Fatalf("single EntryAt(0) = %+v", be)
 	}
@@ -86,8 +83,8 @@ func TestValueBatchViews(t *testing.T) {
 	if req := NewRequest(3, 5, entries); req.Seq != 7 || len(req.Batch) != 3 {
 		t.Errorf("NewRequest = %+v", req)
 	}
-	if es := NewRequest(3, 5, entries[:1]).Entries(); len(es) != 1 || es[0] != entries[0] {
-		t.Errorf("single request Entries = %+v", es)
+	if one := NewRequest(3, 5, entries[:1]); len(one.Batch) != 0 || one.Seq != 7 || one.Cmd != entries[0].Cmd {
+		t.Errorf("NewRequest with one entry must stay unbatched: %+v", one)
 	}
 }
 

@@ -24,10 +24,7 @@ import (
 )
 
 // Timer kinds.
-const (
-	timerAcceptDeadline = 1 // the oldest outstanding accept may be overdue
-	timerRetryPrepare   = 2
-)
+const timerRetryPrepare = 2
 
 // Defaults for protocol.Config zero values.
 const (
@@ -36,7 +33,8 @@ const (
 )
 
 // Replica is one collapsed Multi-Paxos node. The embedded shell owns the
-// learner log, sessions, recovery and the read path; what is declared
+// learner log, sessions, recovery, the read path and the leader book
+// (proposals, queued requests, the accept deadline); what is declared
 // here is agreement state only.
 type Replica struct {
 	replica.Shell
@@ -48,10 +46,6 @@ type Replica struct {
 	maxPNSeen   uint64
 	promises    map[msg.NodeID]bool
 	carried     map[int64]msg.Proposal // highest-pn accepted values from promises
-	nextInst    int64
-	proposed    map[int64]msg.Value
-	outstanding *replica.Outstanding // accepts awaiting their learn, under one retransmit deadline
-	pending     []msg.ClientRequest
 	knownLeader msg.NodeID
 
 	// Acceptor state.
@@ -61,7 +55,7 @@ type Replica struct {
 	// noopFloor is the highest compaction floor carried by any promise:
 	// instances below it were decided and compacted at a peer, so a
 	// winning proposer must wait for the catch-up push rather than fill
-	// them with no-ops.
+	// them with no-ops (the book's floor, raised when this node leads).
 	noopFloor int64
 
 	takeovers int64
@@ -83,8 +77,6 @@ func New(cfg protocol.Config) *Replica {
 	r := &Replica{
 		promises:    make(map[msg.NodeID]bool),
 		carried:     make(map[int64]msg.Proposal),
-		proposed:    make(map[int64]msg.Value),
-		outstanding: replica.NewOutstanding(timerAcceptDeadline, cfg.AcceptTimeout),
 		knownLeader: cfg.Replicas[0],
 		ap:          make(map[int64]msg.Proposal),
 	}
@@ -102,24 +94,17 @@ func New(cfg protocol.Config) *Replica {
 		// reaches them; committing a no-op makes the next round confirm.
 		Establish: func() {
 			if r.iAmLeader {
-				r.proposeValue(msg.Value{Client: msg.Nobody, Cmd: msg.Command{Op: msg.OpNoop}})
+				r.Book.Propose(msg.Value{Client: msg.Nobody, Cmd: msg.Command{Op: msg.OpNoop}})
 			}
 		},
-		// nextInst covers everything this leader may commit, including
-		// carried-over proposals from a takeover not yet re-learned.
-		Frontier: func() int64 { return r.nextInst },
-		OnApply: func(e rsm.Entry) {
-			delete(r.proposed, e.Instance)
-			r.outstanding.Done(e.Instance)
-		},
-		OnRestore: func(last int64) {
-			// The snapshot's instances were decided while this replica was
-			// gone; never no-op fill or re-propose below its frontier.
-			if last+1 > r.noopFloor {
-				r.noopFloor = last + 1
-			}
-			if r.nextInst < last+1 {
-				r.nextInst = last + 1
+		Accept:         r.broadcastAccept,
+		MajorityAccept: true,
+		// Retransmit; acceptors re-broadcast learns for duplicates.
+		Overdue: func(instances []int64) {
+			if r.iAmLeader {
+				for _, in := range instances {
+					r.Book.Resend(in)
+				}
 			}
 		},
 	})
@@ -175,18 +160,8 @@ func (r *Replica) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 	if r.RouteTimer(ctx, tag) {
 		return
 	}
-	switch tag.Kind {
-	case timerAcceptDeadline:
-		for _, in := range r.outstanding.Expire(ctx, r.Log().Learned) {
-			if r.iAmLeader {
-				// Retransmit; acceptors re-broadcast learns for duplicates.
-				r.broadcastAccept(in)
-			}
-		}
-	case timerRetryPrepare:
-		if !r.iAmLeader && len(r.pending) > 0 {
-			r.startPrepare()
-		}
+	if tag.Kind == timerRetryPrepare && !r.iAmLeader && r.Book.Queued() > 0 {
+		r.startPrepare()
 	}
 }
 
@@ -199,42 +174,23 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 	}
 	switch {
 	case r.iAmLeader:
-		r.proposeValue(msg.NewValue(req.Client, req.Ack, entries))
+		r.Book.Propose(msg.NewValue(req.Client, req.Ack, entries))
 	case r.Cfg.ForwardToLeader && r.knownLeader != r.Me && r.knownLeader != msg.Nobody && from != r.knownLeader:
-		// The leader marks them its own and answers; nothing stays here.
-		r.Disown(req.Client, entries)
-		r.Ctx.Send(r.knownLeader, req)
+		r.Forward(r.knownLeader, req, entries)
 	default:
-		r.pending = append(r.pending, msg.NewRequest(req.Client, req.Ack, entries))
+		r.Book.Queue(req.Client, req.Ack, entries)
 		if !r.preparing {
 			r.startPrepare()
 		}
 	}
 }
 
-func (r *Replica) proposeValue(v msg.Value) {
-	// An instance a rival leader's accepts already decided here is taken:
-	// broadcastAccept would drop a proposal there, and the client's
-	// retries with it, as duplicates of a proposal nobody drives.
-	for r.Log().Learned(r.nextInst) {
-		r.nextInst++
-	}
-	in := r.nextInst
-	r.nextInst++
-	r.proposed[in] = v
-	r.broadcastAccept(in)
-}
-
-func (r *Replica) broadcastAccept(in int64) {
-	v, ok := r.proposed[in]
-	if !ok || r.Log().Learned(in) {
-		return
-	}
+// broadcastAccept is the book's accept hook: every acceptor is asked.
+func (r *Replica) broadcastAccept(in int64, v msg.Value) {
 	accept := msg.Message(msg.MPAccept{Instance: in, PN: r.myPN, Value: v})
 	for _, id := range r.Replicas {
 		r.Ctx.Send(id, accept)
 	}
-	r.outstanding.Sent(r.Ctx, in)
 }
 
 // --- Phase 1 ---
@@ -319,42 +275,11 @@ func (r *Replica) onPromise(from msg.NodeID, m msg.MPPromise) {
 	r.takeovers++
 	r.Cfg.Events.Emitf(r.Ctx.Now(), r.Me, "leader-change",
 		"election %d won (pn %d)", r.takeovers, r.myPN)
-	for in, p := range r.carried {
-		if !r.Log().Learned(in) {
-			r.proposed[in] = p.Value
-			if in >= r.nextInst {
-				r.nextInst = in + 1
-			}
-		}
+	carried := make([]msg.Proposal, 0, len(r.carried))
+	for _, p := range r.carried {
+		carried = append(carried, p)
 	}
-	if r.nextInst < r.Log().NextToApply() {
-		r.nextInst = r.Log().NextToApply()
-	}
-	if r.nextInst < r.noopFloor {
-		r.nextInst = r.noopFloor
-	}
-	for in := r.Log().NextToApply(); in < r.nextInst; in++ {
-		if in < r.noopFloor {
-			// Decided at a peer and compacted there; the catch-up push
-			// delivers the value — filling with a no-op would diverge.
-			continue
-		}
-		if _, ok := r.proposed[in]; !ok && !r.Log().Learned(in) {
-			r.proposed[in] = msg.Value{Client: msg.Nobody, Cmd: msg.Command{Op: msg.OpNoop}}
-		}
-	}
-	for in := r.Log().NextToApply(); in < r.nextInst; in++ {
-		r.broadcastAccept(in)
-	}
-	pending := r.pending
-	r.pending = nil
-	for _, req := range pending {
-		keep := r.Sessions.Unseen(req.Client, req.Entries())
-		if len(keep) == 0 {
-			continue
-		}
-		r.proposeValue(msg.NewValue(req.Client, req.Ack, keep))
-	}
+	r.Book.Lead(r.noopFloor, carried)
 }
 
 // --- Phase 2 ---
@@ -391,9 +316,7 @@ func (r *Replica) onAccept(from msg.NodeID, m msg.MPAccept) {
 }
 
 func (r *Replica) onLearn(m msg.MPLearn) {
-	if r.Vote(m.Instance, m.From, m.PN, m.Value) {
-		r.outstanding.Done(m.Instance)
-	}
+	r.Vote(m.Instance, m.From, m.PN, m.Value)
 }
 
 func (r *Replica) onNack(m msg.MPNack) {
@@ -413,21 +336,11 @@ func (r *Replica) onNack(m msg.MPNack) {
 	}
 }
 
-// stepDown gives up leadership on evidence of a higher ballot. The
-// proposals this leader has not seen learned are the new leader's to
-// finish (its prepare adopts whatever an acceptor took), so their
-// per-instance state goes and their reply duty is released: a client's
-// retry is then admitted again wherever it lands, here included,
-// instead of being dropped as a duplicate of a proposal nobody drives.
+// stepDown gives up leadership on evidence of a higher ballot; the
+// proposals go with it (Proposals.Depose).
 func (r *Replica) stepDown() {
 	r.iAmLeader = false
-	for in, v := range r.proposed {
-		if !r.Log().Learned(in) {
-			r.Disown(v.Client, v.Entries())
-		}
-	}
-	clear(r.proposed)
-	r.outstanding.Clear()
+	r.Book.Depose()
 }
 
 func (r *Replica) nextPN() uint64 {

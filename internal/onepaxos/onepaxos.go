@@ -41,7 +41,6 @@ import (
 
 // Timer kinds used by a Replica. PaxosUtility's reserved kinds are >= 100.
 const (
-	timerAcceptDeadline  = 1 // the oldest outstanding accept may be overdue
 	timerRetryTakeover   = 2
 	timerFlushLearns     = 3
 	timerPrepareDeadline = 4 // Arg: the pn the prepare was sent with
@@ -58,13 +57,15 @@ const learnFlushEvery = 25 * time.Microsecond
 
 // Replica is one 1Paxos node, implementing all three roles (proposer,
 // backup/active acceptor, learner) plus the embedded PaxosUtility. The
-// embedded shell owns the learner log, sessions, recovery and the read
-// path; what is declared here is agreement state only.
+// embedded shell owns the learner log, sessions, recovery, the read
+// path and the leader book (proposals, queued requests, the accept
+// deadline); what is declared here is agreement state only.
 type Replica struct {
 	replica.Shell
 	util *paxosutil.Util
 
-	// Proposer / leader state (Appendix A: IamLeader, Aa, proposed).
+	// Proposer / leader state (Appendix A: IamLeader, Aa; proposed is
+	// the shell's Book).
 	iAmLeader   bool
 	takingOver  bool
 	switchingAa bool
@@ -85,18 +86,6 @@ type Replica struct {
 	freshHoldUntil time.Duration
 	knownLeader    msg.NodeID
 	myPN           uint64
-	nextInst       int64
-	// noopFloor is the highest applied frontier carried by any observed
-	// AcceptorChange: instances below it were decided at a previous
-	// acceptor, so a new leader must wait for their (in-flight) learns
-	// rather than fill them with no-ops.
-	noopFloor int64
-	proposed  map[int64]msg.Value
-	// outstanding holds the accepts awaiting their learn, under the one
-	// accept deadline: the acceptor is suspected when the oldest of them
-	// goes AcceptTimeout unanswered.
-	outstanding *replica.Outstanding
-	pending     []msg.ClientRequest
 
 	// Acceptor state (Appendix A: hpn, ap, IamFresh).
 	hpn      uint64
@@ -134,8 +123,6 @@ func New(cfg protocol.Config) *Replica {
 		knownLeader: cfg.Replicas[0],
 		adopted:     msg.Nobody,
 		iAmFresh:    true,
-		proposed:    make(map[int64]msg.Value),
-		outstanding: replica.NewOutstanding(timerAcceptDeadline, cfg.AcceptTimeout),
 		ap:          make(map[int64]msg.Proposal),
 	}
 	r.util = paxosutil.New(cfg.ID, cfg.Replicas)
@@ -158,24 +145,15 @@ func New(cfg protocol.Config) *Replica {
 		Confirmers: func() []msg.NodeID { return []msg.NodeID{r.aa} },
 		NeedAcks:   1,
 		Grant:      func(from msg.NodeID) bool { return r.adopted == from },
-		// nextInst covers everything this leader may commit — including
-		// proposals carried over from a takeover that are not yet
-		// re-learned locally — so waiting it out is always safe.
-		Frontier: func() int64 { return r.nextInst },
-		OnApply: func(e rsm.Entry) {
-			delete(r.proposed, e.Instance)
-			r.outstanding.Done(e.Instance)
+		Accept: func(in int64, v msg.Value) {
+			r.aaVirgin = false // the acceptor may hold accepted proposals from here on
+			r.Ctx.Send(r.aa, msg.AcceptRequest{Instance: in, PN: r.myPN, Value: v})
 		},
-		OnRestore: func(last int64) {
-			// Every instance the snapshot covers was decided elsewhere while
-			// this replica was gone: treat the restored frontier exactly like
-			// an AcceptorChange frontier — never no-op fill or hand those
-			// instances to fresh proposals.
-			if last+1 > r.noopFloor {
-				r.noopFloor = last + 1
-			}
-			if r.nextInst < last+1 {
-				r.nextInst = last + 1
+		// The acceptor is suspected when the oldest unlearned accept goes
+		// AcceptTimeout unanswered.
+		Overdue: func([]int64) {
+			if r.iAmLeader {
+				r.onAcceptorFailure(false)
 			}
 		},
 	})
@@ -253,12 +231,8 @@ func (r *Replica) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 		return
 	}
 	switch tag.Kind {
-	case timerAcceptDeadline:
-		if overdue := r.outstanding.Expire(ctx, r.Log().Learned); len(overdue) > 0 && r.iAmLeader {
-			r.onAcceptorFailure(false)
-		}
 	case timerRetryTakeover:
-		if !r.iAmLeader && len(r.pending) > 0 {
+		if !r.iAmLeader && r.Book.Queued() > 0 {
 			r.startTakeover()
 		}
 	case timerFlushLearns:
@@ -282,39 +256,19 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 		// in-flight AcceptorChange carries — invisible to both its
 		// Uncommitted set and the next regime's noop floor, so a later
 		// leader would noop-fill the instance over a decided value.
-		// Queue; adoption of the fresh acceptor flushes pending.
-		r.pending = append(r.pending, msg.NewRequest(req.Client, req.Ack, entries))
+		// Queue; adoption of the fresh acceptor flushes the queue.
+		r.Book.Queue(req.Client, req.Ack, entries)
 	case r.iAmLeader:
-		r.proposeValue(msg.NewValue(req.Client, req.Ack, entries))
+		r.Book.Propose(msg.NewValue(req.Client, req.Ack, entries))
 	case r.Cfg.ForwardToLeader && r.knownLeader != r.Me && r.knownLeader != msg.Nobody && from != r.knownLeader:
-		// Joint mode: funnel commands through the leader (Section 7.4),
-		// which marks them its own and answers; nothing stays here.
-		r.Disown(req.Client, entries)
-		r.Ctx.Send(r.knownLeader, req)
+		// Joint mode: funnel commands through the leader (Section 7.4).
+		r.Forward(r.knownLeader, req, entries)
 	default:
 		// The paper's failover story (Section 7.6): clients redirect to a
 		// non-leader node, which then tries to become leader.
-		r.pending = append(r.pending, msg.NewRequest(req.Client, req.Ack, entries))
+		r.Book.Queue(req.Client, req.Ack, entries)
 		r.startTakeover()
 	}
-}
-
-// proposeValue assigns the next instance and runs the fast path.
-func (r *Replica) proposeValue(v msg.Value) {
-	in := r.nextInst
-	r.nextInst++
-	r.proposed[in] = v
-	r.sendAccept(in)
-}
-
-func (r *Replica) sendAccept(in int64) {
-	v, ok := r.proposed[in]
-	if !ok || r.Log().Learned(in) {
-		return
-	}
-	r.aaVirgin = false // the acceptor may hold accepted proposals from here on
-	r.Ctx.Send(r.aa, msg.AcceptRequest{Instance: in, PN: r.myPN, Value: v})
-	r.outstanding.Sent(r.Ctx, in)
 }
 
 // --- Acceptor role (Appendix A lines 45-61) ---
@@ -487,7 +441,6 @@ func (r *Replica) proposalsSince(from int64) []msg.Proposal {
 
 func (r *Replica) onLearn(m msg.Learn) {
 	for _, p := range m.Entries {
-		r.outstanding.Done(p.Instance)
 		r.Log().Learn(p.Instance, p.Value)
 	}
 	// A hole below these learns may be permanent — its own learn could
@@ -508,93 +461,11 @@ func (r *Replica) onPrepareResponse(from msg.NodeID, m msg.PrepareResponse) {
 	r.takeovers++
 	r.Cfg.Events.Emitf(r.Ctx.Now(), r.Me, "leader-change",
 		"takeover %d complete (pn %d, acceptor %d)", r.takeovers, r.myPN, r.aa)
-	if m.Floor > r.noopFloor {
-		// Instances below the acceptor's compaction floor are decided;
-		// their values arrive via the catch-up push, not this response.
-		r.noopFloor = m.Floor
-	}
-	// Compacted instances are invisible to the response's Accepted set
-	// (the acceptor's retained log starts at its floor), so a stale local
-	// proposal below it would survive registerProposals — drop it instead
-	// of re-proposing it over a decided instance.
-	r.dropProposalsBelow(m.Floor)
-	r.registerProposals(m.Accepted)
-	r.catchUpInstances()
-	// Re-propose everything uncommitted (getAny prefers registered values,
-	// Lemma 2a/2b), then serve queued client requests.
-	for in := r.Log().NextToApply(); in < r.nextInst; in++ {
-		r.sendAccept(in)
-	}
-	pending := r.pending
-	r.pending = nil
-	for _, req := range pending {
-		keep := r.Sessions.Unseen(req.Client, req.Entries())
-		if len(keep) == 0 {
-			continue
-		}
-		r.proposeValue(msg.NewValue(req.Client, req.Ack, keep))
-	}
-}
-
-// dropProposalsBelow forgets local proposals for instances below floor.
-// A proposal registered during an earlier, since-deposed leadership can
-// linger in r.proposed with a value that lost: the instance was decided
-// under a regime this node never witnessed (its learn was cut off), and
-// re-proposing the loser to a fresh acceptor — which has no memory of
-// the decided value — would decide the instance twice. Both floors this
-// is called with attest every instance below them decided: an
-// AcceptorChange frontier (whose Uncommitted carries the only proposals
-// allowed to live below it, re-registered right after the drop) and an
-// acceptor's snapshot-compaction floor.
-func (r *Replica) dropProposalsBelow(floor int64) {
-	for in := range r.proposed {
-		if in < floor {
-			delete(r.proposed, in)
-		}
-	}
-}
-
-// registerProposals records carried-over uncommitted proposals so getAny
-// re-proposes them rather than new values (Appendix A registerProposals).
-func (r *Replica) registerProposals(ps []msg.Proposal) {
-	for _, p := range ps {
-		if r.Log().Learned(p.Instance) {
-			continue
-		}
-		r.proposed[p.Instance] = p.Value
-		if p.Instance >= r.nextInst {
-			r.nextInst = p.Instance + 1
-		}
-	}
-}
-
-// catchUpInstances fills gaps the new leader is responsible for with
-// no-ops so the log can advance past instances whose values were lost
-// with a failed proposer. Instances below noopFloor are NOT filled: they
-// were decided at a previous acceptor and their learns are in flight
-// (cores are slow, not amnesiac — the paper's fault model).
-//
-// It also advances nextInst past every instance this node knows to be
-// decided or reserved — the applied frontier, learned-but-unapplied
-// instances, and noopFloor — so fresh client commands are never
-// proposed at an instance a previous acceptor already decided (a fresh
-// backup acceptor has no memory of those and would accept a second
-// value).
-func (r *Replica) catchUpInstances() {
-	if r.nextInst < r.noopFloor {
-		r.nextInst = r.noopFloor
-	}
-	if f := r.Log().LearnedFrontier(); r.nextInst < f {
-		r.nextInst = f
-	}
-	for in := r.Log().NextToApply(); in < r.nextInst; in++ {
-		if in < r.noopFloor {
-			continue
-		}
-		if _, ok := r.proposed[in]; !ok && !r.Log().Learned(in) {
-			r.proposed[in] = msg.Value{Client: msg.Nobody, Cmd: msg.Command{Op: msg.OpNoop}}
-		}
-	}
+	// Instances below the acceptor's compaction floor are decided; their
+	// values arrive via the catch-up push, not this response. Re-propose
+	// everything uncommitted (getAny prefers registered values, Lemma
+	// 2a/2b), then serve the queued client requests.
+	r.Book.Lead(m.Floor, m.Accepted)
 }
 
 func (r *Replica) onAbandon(from msg.NodeID, m msg.Abandon) {
@@ -631,7 +502,7 @@ func (r *Replica) startTakeover() {
 			acceptor = r.Replicas[len(r.Replicas)-1] // static initial assignment (New)
 		}
 		r.aa = acceptor
-		r.registerProposals(carried)
+		r.Book.Register(carried)
 	}
 	slot := r.util.Frontier()
 	entry := msg.UtilEntry{Type: msg.EntryLeaderChange, Leader: r.Me, Acceptor: r.aa}
@@ -645,7 +516,7 @@ func (r *Replica) startTakeover() {
 			// Re-run the takeover against the current frontier instead.
 			r.takingOver = false
 			r.aa = msg.Nobody
-			if len(r.pending) > 0 {
+			if r.Book.Queued() > 0 {
 				r.Ctx.After(r.Cfg.TakeoverBackoff, runtime.TimerTag{Kind: timerRetryTakeover})
 			}
 			return
@@ -656,9 +527,9 @@ func (r *Replica) startTakeover() {
 			r.takingOver = false
 			r.aa = msg.Nobody
 			if chosen.Type == msg.EntryLeaderChange && chosen.Leader != r.Me {
-				r.forwardPending(chosen.Leader)
+				r.Book.ForwardQueue(chosen.Leader)
 			}
-			if len(r.pending) > 0 {
+			if r.Book.Queued() > 0 {
 				r.Ctx.After(r.Cfg.TakeoverBackoff, runtime.TimerTag{Kind: timerRetryTakeover})
 			}
 			return
@@ -670,18 +541,6 @@ func (r *Replica) startTakeover() {
 		r.Ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: false, From: r.Log().NextToApply()})
 		r.armPrepareDeadline()
 	})
-}
-
-func (r *Replica) forwardPending(leader msg.NodeID) {
-	if leader == r.Me || leader == msg.Nobody {
-		return
-	}
-	pending := r.pending
-	r.pending = nil
-	for _, req := range pending {
-		r.Disown(req.Client, req.Entries())
-		r.Ctx.Send(leader, req)
-	}
 }
 
 // --- Failure detection ---
@@ -759,7 +618,7 @@ func (r *Replica) onAcceptorFailure(virginSwitch bool) {
 		Type:        msg.EntryAcceptorChange,
 		Leader:      r.Me,
 		Acceptor:    next,
-		Uncommitted: r.uncommittedProposals(),
+		Uncommitted: r.Book.Unlearned(r.myPN),
 		Frontier:    r.Log().LearnedFrontier(),
 	}
 	r.util.Propose(r.Ctx, slot, entry, func(success bool, chosen msg.UtilEntry) {
@@ -803,20 +662,6 @@ func (r *Replica) selectAcceptor() msg.NodeID {
 	return msg.Nobody
 }
 
-// uncommittedProposals collects every proposed-but-unlearned value, which
-// the AcceptorChange entry carries so the next adoption re-proposes them
-// (Section 5.2: "the leader also includes the uncommitted proposed values
-// into the message sent to the PaxosUtility").
-func (r *Replica) uncommittedProposals() []msg.Proposal {
-	out := make([]msg.Proposal, 0, len(r.proposed))
-	for in, v := range r.proposed {
-		if !r.Log().Learned(in) {
-			out = append(out, msg.Proposal{Instance: in, PN: r.myPN, Value: v})
-		}
-	}
-	return out
-}
-
 // --- PaxosUtility observation ---
 
 func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
@@ -841,7 +686,7 @@ func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
 			if e.Acceptor != msg.Nobody {
 				r.aa = e.Acceptor
 			}
-			r.forwardPending(e.Leader)
+			r.Book.ForwardQueue(e.Leader)
 		}
 	case msg.EntryAcceptorChange:
 		r.aa = e.Acceptor
@@ -854,20 +699,10 @@ func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
 			r.freshHoldUntil = r.Ctx.Now() + r.Read.PromotionHold() + r.Cfg.AcceptTimeout
 		}
 		r.knownLeader = e.Leader
-		if e.Frontier > r.noopFloor {
-			r.noopFloor = e.Frontier
-		}
-		if r.nextInst < r.noopFloor {
-			// Instances below the frontier were decided at the previous
-			// acceptor; never hand them to fresh proposals.
-			r.nextInst = r.noopFloor
-		}
-		// The entry's Uncommitted set is the complete list of proposals
-		// still live below the frontier; anything else this node holds
-		// there is a deposed leftover that must not reach the fresh
-		// acceptor.
-		r.dropProposalsBelow(r.noopFloor)
-		r.registerProposals(e.Uncommitted)
+		// Instances below the frontier were decided at the previous
+		// acceptor, and the entry's Uncommitted set is the complete list
+		// of proposals still live below it.
+		r.Book.Install(e.Frontier, e.Uncommitted)
 		if e.Acceptor == r.Me {
 			// We are the promoted fresh backup: reset short-term memory.
 			r.hpn = 0
@@ -884,7 +719,7 @@ func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
 			r.iAmLeader = false
 			if r.takingOver {
 				r.takingOver = false
-				r.forwardPending(e.Leader)
+				r.Book.ForwardQueue(e.Leader)
 			}
 		}
 	}

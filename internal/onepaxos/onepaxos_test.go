@@ -7,6 +7,7 @@ import (
 	"consensusinside/internal/msg"
 	"consensusinside/internal/protocol"
 	"consensusinside/internal/readpath"
+	"consensusinside/internal/replica"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"
@@ -665,7 +666,7 @@ func clientPut(seq uint64) msg.ClientRequest {
 func acceptDeadlines(ctx *runtime.FakeContext) []runtime.FakeTimer {
 	var out []runtime.FakeTimer
 	for _, tm := range ctx.Timers {
-		if tm.Tag.Kind == timerAcceptDeadline {
+		if tm.Tag.Kind == replica.TimerAcceptDeadline {
 			out = append(out, tm)
 		}
 	}

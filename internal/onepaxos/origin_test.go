@@ -87,15 +87,15 @@ func TestOriginForwardPendingGivesMarksAway(t *testing.T) {
 	// meanwhile is a duplicate of the queued copy.
 	r.Receive(ctx, 5, putReq(5, 1))
 	r.Receive(ctx, 5, putReq(5, 1))
-	if len(r.pending) != 1 {
-		t.Fatalf("queued %d requests, want 1", len(r.pending))
+	if r.Book.Queued() != 1 {
+		t.Fatalf("queued %d requests, want 1", r.Book.Queued())
 	}
 	ctx.TakeSent()
 
 	// Node 2 wins leadership: the queue is handed over, marks included.
 	r.onUtilCommit(0, msg.UtilEntry{Type: msg.EntryLeaderChange, Leader: 2, Acceptor: 0})
-	if got := countTo[msg.ClientRequest](ctx, 2); got != 1 || len(r.pending) != 0 {
-		t.Fatalf("handed %d requests to the new leader (still pending %d), want 1 and 0", got, len(r.pending))
+	if got := countTo[msg.ClientRequest](ctx, 2); got != 1 || r.Book.Queued() != 0 {
+		t.Fatalf("handed %d requests to the new leader (still pending %d), want 1 and 0", got, r.Book.Queued())
 	}
 	ctx.TakeSent()
 

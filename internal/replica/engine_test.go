@@ -59,8 +59,7 @@ func (r *sequencer) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message)
 			return
 		}
 		if leader := r.Replicas[0]; r.Me != leader {
-			r.Disown(mm.Client, entries)
-			ctx.Send(leader, mm)
+			r.Forward(leader, mm, entries)
 			return
 		}
 		d := decided{Instance: r.next, Value: msg.NewValue(mm.Client, mm.Ack, entries)}

@@ -23,8 +23,29 @@ import (
 
 // Agreement is what the shared subsystems need to know about the
 // protocol above them. The hooks run on the node's callback goroutine;
-// all are optional except Frontier.
+// all are optional except Frontier, which the leader book supplies when
+// Accept is set.
 type Agreement struct {
+	// Accept gives the engine the leader book (Shell.Book): it sends
+	// instance in's accept carrying v. Overdue runs when accepts went
+	// AcceptTimeout without their learn (ascending instances; the slice
+	// is reused). The book then answers Frontier, OnApply and OnRestore,
+	// which the engine leaves nil.
+	Accept  func(in int64, v msg.Value)
+	Overdue func(instances []int64)
+
+	// MajorityAccept marks a book whose accepts go to every acceptor and
+	// are learned from a majority's votes (Multi-Paxos), not from one
+	// active acceptor (1Paxos). Two book rules follow from it. With it, a
+	// proposal skips an instance already learned — a rival leader's
+	// accepts can decide one under this leader — and a won leadership
+	// resumes at the log's apply frontier. Without it, a won leadership
+	// resumes above every instance this node saw learned (the log's
+	// learned frontier): a fresh backup acceptor has no memory of them
+	// and would accept a second value. Swapping either rule changes runs
+	// (ROADMAP item 1).
+	MajorityAccept bool
+
 	// NoLog marks an engine that agrees on commands without ordering
 	// them into instances (2PC): the shell builds no learner log, Log
 	// reports nil, there is nothing to compact, and the engine applies
@@ -100,6 +121,10 @@ type Shell struct {
 	Snap     *snapshot.Manager
 	Read     *readpath.Server
 
+	// Book is the leader book of an engine that set Agreement.Accept,
+	// else nil.
+	Book *Proposals
+
 	log     *rsm.Log
 	agree   Agreement
 	commits int64
@@ -113,7 +138,6 @@ func (s *Shell) Init(cfg protocol.Config, a Agreement) {
 		cfg.Applier = rsm.NewKV()
 	}
 	s.Cfg = cfg
-	s.agree = a
 	s.Me = cfg.ID
 	s.Replicas = append([]msg.NodeID(nil), cfg.Replicas...)
 	for i, id := range s.Replicas {
@@ -134,6 +158,11 @@ func (s *Shell) Init(cfg protocol.Config, a Agreement) {
 		// the clock only while a callback runs.
 		s.log.SetTracer(cfg.Tracer, func() time.Duration { return s.Ctx.Now() })
 	}
+	if a.Accept != nil {
+		s.Book = newProposals(s, a)
+		a.Frontier, a.OnApply, a.OnRestore = s.Book.frontier, s.Book.applied, s.Book.restored
+	}
+	s.agree = a
 	// The recovery watchdog's period is twice the failure-detector
 	// timeout, which engines default before Init (0 means
 	// snapshot.DefaultRetryTimeout). 2PC has no failure detector; its
@@ -223,10 +252,12 @@ func (s *Shell) Route(ctx runtime.Context, from msg.NodeID, m msg.Message) bool 
 	return s.Snap.Handle(ctx, from, m) || s.Read.Handle(ctx, from, m)
 }
 
-// RouteTimer is Route for timers.
+// RouteTimer is Route for timers, the leader book's accept deadline
+// included.
 func (s *Shell) RouteTimer(ctx runtime.Context, tag runtime.TimerTag) bool {
 	s.Ctx = ctx
-	return s.Snap.HandleTimer(ctx, tag) || s.Read.HandleTimer(ctx, tag)
+	return s.Snap.HandleTimer(ctx, tag) || s.Read.HandleTimer(ctx, tag) ||
+		s.Book != nil && s.Book.handleTimer(ctx, tag)
 }
 
 // Timer implements runtime.Handler's Timer for engines that set no
@@ -248,29 +279,40 @@ func (s *Shell) Screen(req msg.ClientRequest) []msg.BatchEntry {
 	return s.Sessions.Screen(req, func(rep msg.ClientReply) { s.Ctx.Send(req.Client, rep) })
 }
 
-// Admit is Screen for engines that propose what they are sent: it also
-// marks the remaining entries as originating here — this replica will
-// propose or queue them, and owes the reply once they commit — and
-// drops retries of entries already marked. An empty result means there
-// is nothing to do.
+// Admit is Screen for engines that propose what they are sent, followed
+// by Mark. An empty result means there is nothing to do.
 func (s *Shell) Admit(req msg.ClientRequest) []msg.BatchEntry {
-	fresh := s.Screen(req)
+	return s.Mark(req.Client, s.Screen(req))
+}
+
+// Mark records client's screened entries as originating here — this
+// replica will propose or queue them, and owes the reply once they
+// commit — and drops, in place, retries of entries already marked. The
+// commit step takes the marks.
+func (s *Shell) Mark(client msg.NodeID, fresh []msg.BatchEntry) []msg.BatchEntry {
 	entries := fresh[:0]
 	for _, be := range fresh {
-		if s.Sessions.MarkOrigin(req.Client, be.Seq) {
+		if s.Sessions.MarkOrigin(client, be.Seq) {
 			entries = append(entries, be)
 		}
 	}
 	return entries
 }
 
-// Disown gives the reply duty for admitted entries away: the engine is
-// handing them to another replica (forward-to-leader), which marks them
-// its own and answers.
-func (s *Shell) Disown(client msg.NodeID, entries []msg.BatchEntry) {
-	for _, be := range entries {
-		s.Sessions.TakeOrigin(client, be.Seq)
+// Disown gives the reply duty for v's marked commands away: the engine
+// hands them to another replica, which marks them its own and answers,
+// or gives them up.
+func (s *Shell) Disown(v msg.Value) {
+	for i := range v.Len() {
+		s.Sessions.TakeOrigin(v.Client, v.EntryAt(i).Seq)
 	}
+}
+
+// Forward hands req, whose admitted entries are entries, to leader,
+// which marks them its own and answers; nothing stays here.
+func (s *Shell) Forward(leader msg.NodeID, req msg.ClientRequest, entries []msg.BatchEntry) {
+	s.Disown(msg.NewValue(req.Client, req.Ack, entries))
+	s.Ctx.Send(leader, req)
 }
 
 // --- Learning ---

@@ -125,7 +125,7 @@ func TestAdmitDropsSecondCopyAndDisownClearsTheMark(t *testing.T) {
 	if got := ctx.SentTo(testClient); len(got) != 0 {
 		t.Errorf("an uncommitted retry was answered: %v", got)
 	}
-	s.Disown(testClient, first)
+	s.Disown(msg.NewValue(testClient, 0, first))
 	if got := s.Admit(put(1)); len(got) != 1 {
 		t.Errorf("after Disown the entry must be admissible again, got %v", got)
 	}

@@ -831,13 +831,14 @@ func (s *Sessions) Screen(req msg.ClientRequest, reply func(msg.ClientReply)) []
 	return fresh
 }
 
-// Unseen returns the entries not known to have committed, in order —
-// the per-command form of the "skip if Seen" check engines run before
-// re-proposing a queued or carried-over command.
-func (s *Sessions) Unseen(client msg.NodeID, entries []msg.BatchEntry) []msg.BatchEntry {
-	out := entries[:0:0]
-	for _, be := range entries {
-		if !s.Seen(client, be.Seq) {
+// Unseen returns v's entries not known to have committed, in order, in
+// a slice of their own — the per-command form of the "skip if Seen"
+// check engines run before re-proposing a queued or carried-over
+// command.
+func (s *Sessions) Unseen(v msg.Value) []msg.BatchEntry {
+	var out []msg.BatchEntry
+	for i := range v.Len() {
+		if be := v.EntryAt(i); !s.Seen(v.Client, be.Seq) {
 			out = append(out, be)
 		}
 	}

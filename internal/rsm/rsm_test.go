@@ -527,7 +527,7 @@ func TestSessionsUnseen(t *testing.T) {
 	s.Done(1, 1, 1, "r")
 	s.Done(1, 3, 2, "r")
 	entries := []msg.BatchEntry{{Seq: 1}, {Seq: 2}, {Seq: 3}, {Seq: 4}}
-	keep := s.Unseen(1, entries)
+	keep := s.Unseen(msg.NewValue(1, 0, entries))
 	if len(keep) != 2 || keep[0].Seq != 2 || keep[1].Seq != 4 {
 		t.Fatalf("Unseen = %+v", keep)
 	}

@@ -41,15 +41,11 @@ type Replica struct {
 	replica.Shell
 	coord msg.NodeID
 
-	// Coordinator state. inflight maps each command currently carried by
-	// a live transaction to that transaction, so a client retry (the
-	// bridge rotates targets on its retry timer) can never open a second
-	// transaction for the same command: two transactions locking the
-	// same key in different orders on different replicas deadlock — the
-	// exact cycle a crashed participant's stall would otherwise trigger.
-	nextTx   int64
-	txs      map[int64]*tx
-	inflight map[originKey]int64
+	// Coordinator state. A command a live transaction carries holds its
+	// origin mark (Shell.Mark) until the transaction commits or rolls
+	// back.
+	nextTx int64
+	txs    map[int64]*tx
 
 	// Participant state (the coordinator is also a participant for its
 	// own local copy).
@@ -73,23 +69,6 @@ type pendingPrepare struct {
 	m    msg.TPCPrepare
 }
 
-// originKey identifies one client command across retries.
-type originKey struct {
-	client msg.NodeID
-	seq    uint64
-}
-
-// clearInflight forgets t's commands' retry-dedupe records (call once
-// the transaction commits or rolls back).
-func (r *Replica) clearInflight(t *tx) {
-	for _, be := range t.value.Entries() {
-		key := originKey{t.value.Client, be.Seq}
-		if r.inflight[key] == t.id {
-			delete(r.inflight, key)
-		}
-	}
-}
-
 var _ runtime.Handler = (*Replica)(nil)
 
 // New builds a Replica from a configuration protocol.Build validated.
@@ -107,7 +86,6 @@ func New(cfg protocol.Config) *Replica {
 	r := &Replica{
 		coord:    cfg.Replicas[0],
 		txs:      make(map[int64]*tx),
-		inflight: make(map[originKey]int64),
 		locks:    make(map[string]int64),
 		prepared: make(map[int64]msg.Value),
 		waiting:  make(map[string][]pendingPrepare),
@@ -232,20 +210,12 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 		r.Ctx.Send(r.coord, req)
 		return
 	}
-	// Drop entries a live transaction already carries (a client retry):
-	// that transaction's commit will answer them. Opening a second
-	// transaction for the same command would lock its keys in a
-	// different order on different replicas — a deadlock, not a retry.
-	entries := fresh[:0:0]
-	for _, be := range fresh {
-		if txID, live := r.inflight[originKey{req.Client, be.Seq}]; live {
-			if _, ok := r.txs[txID]; ok {
-				continue
-			}
-			delete(r.inflight, originKey{req.Client, be.Seq})
-		}
-		entries = append(entries, be)
-	}
+	// Drop entries a live transaction already carries (a client retry —
+	// the bridge rotates targets on its retry timer): that transaction's
+	// commit will answer them. Opening a second transaction for the same
+	// command would lock its keys in a different order on different
+	// replicas — a deadlock, not a retry.
+	entries := r.Mark(req.Client, fresh)
 	if len(entries) == 0 {
 		return
 	}
@@ -264,9 +234,6 @@ func (r *Replica) beginTx(v msg.Value) {
 		commitAcks: make(map[msg.NodeID]bool),
 	}
 	r.txs[id] = t
-	for _, be := range v.Entries() {
-		r.inflight[originKey{v.Client, be.Seq}] = id
-	}
 	// Phase 1: lock everywhere, including our own copy.
 	for _, peer := range r.Peers {
 		r.Ctx.Send(peer, msg.TPCPrepare{TxID: id, Value: v})
@@ -279,13 +246,12 @@ func (r *Replica) beginTx(v msg.Value) {
 // order — the lock set of the transaction. A batch locks every key it
 // writes or reads; a single command locks one.
 func txKeys(v msg.Value) []string {
-	entries := v.Entries()
-	out := make([]string, 0, len(entries))
-	seen := make(map[string]bool, len(entries))
-	for _, be := range entries {
-		if !seen[be.Cmd.Key] {
-			seen[be.Cmd.Key] = true
-			out = append(out, be.Cmd.Key)
+	out := make([]string, 0, v.Len())
+	seen := make(map[string]bool, v.Len())
+	for i := range v.Len() {
+		if key := v.EntryAt(i).Cmd.Key; !seen[key] {
+			seen[key] = true
+			out = append(out, key)
 		}
 	}
 	return out
@@ -341,11 +307,11 @@ func (r *Replica) onAck(m msg.TPCAck) {
 		}
 		r.releaseLocks(t.id, t.value)
 		delete(r.txs, t.id)
-		r.clearInflight(t)
+		r.Disown(t.value)
 		delete(r.prepared, t.id)
 		var replies []msg.ClientReply
-		for _, be := range t.value.Entries() {
-			replies = append(replies, msg.ClientReply{Seq: be.Seq, OK: false, Redirect: r.coord})
+		for i := range t.value.Len() {
+			replies = append(replies, msg.ClientReply{Seq: t.value.EntryAt(i).Seq, OK: false, Redirect: r.coord})
 		}
 		r.Ctx.Send(t.value.Client, msg.WrapReplies(replies))
 		return
@@ -363,7 +329,6 @@ func (r *Replica) onAck(m msg.TPCAck) {
 	if r.Cfg.Tracer.Enabled() {
 		r.traceMark(trace.StageDecide, t.value)
 	}
-	r.clearInflight(t) // committed: session screening owns retries from here
 	for _, id := range r.Peers {
 		r.Ctx.Send(id, msg.TPCCommit{TxID: t.id, Value: t.value})
 	}
@@ -449,8 +414,8 @@ func (r *Replica) traceMark(stage trace.Stage, v msg.Value) {
 		return
 	}
 	now := r.Ctx.Now()
-	for _, be := range v.Entries() {
-		r.Cfg.Tracer.Mark(v.Client, be.Seq, stage, now)
+	for i := range v.Len() {
+		r.Cfg.Tracer.Mark(v.Client, v.EntryAt(i).Seq, stage, now)
 	}
 }
 

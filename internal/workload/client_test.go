@@ -310,7 +310,7 @@ func TestClientPipelinedRetryIsPerSeq(t *testing.T) {
 		t.Fatalf("retry sent %d messages, want 1", len(ctx.Sent))
 	}
 	to, req := lastRequest(t, ctx)
-	if entries := req.Entries(); to != 1 || len(entries) != 2 || entries[0].Seq != 1 || entries[1].Seq != 3 {
+	if entries := req.Batch; to != 1 || len(entries) != 2 || entries[0].Seq != 1 || entries[1].Seq != 3 {
 		t.Fatalf("retry = %+v to %d, want seqs 1 and 3 to server 1", req, to)
 	}
 	if c.Retries() != 2 {
@@ -518,7 +518,7 @@ func TestClientBatchedWindowFill(t *testing.T) {
 		if !ok {
 			t.Fatalf("sent %T, want ClientRequest", s.M)
 		}
-		entries := req.Entries()
+		entries := req.Batch
 		if len(entries) != 4 {
 			t.Fatalf("batch %d carries %d entries, want 4", i, len(entries))
 		}
@@ -573,7 +573,7 @@ func TestClientBatchedReplyRefillsAsBatch(t *testing.T) {
 		t.Fatalf("refill sent %d requests, want one batch", len(sent))
 	}
 	req := sent[0].M.(msg.ClientRequest)
-	if entries := req.Entries(); len(entries) != 4 || entries[0].Seq != 9 {
+	if entries := req.Batch; len(entries) != 4 || entries[0].Seq != 9 {
 		t.Fatalf("refill batch = %+v, want seqs 9..12", entries)
 	}
 	if got := c.InFlight(); got != 8 {
@@ -591,7 +591,7 @@ func TestClientBatchedRetryKeepsSeq(t *testing.T) {
 	c.Start(ctx)
 	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
 	first := ctx.TakeSent()[0].M.(msg.ClientRequest)
-	if len(first.Entries()) != 4 {
+	if len(first.Batch) != 4 {
 		t.Fatalf("first batch = %+v", first)
 	}
 	issuedBefore := c.issued
@@ -613,8 +613,8 @@ func TestClientBatchedRetryKeepsSeq(t *testing.T) {
 			t.Fatalf("retry entry %d carries seq %d, want %d", i, be.Seq, i+1)
 		}
 	}
-	if retry.Batch[1].Cmd != first.Entries()[1].Cmd {
-		t.Fatalf("retry changed command: %+v vs %+v", retry.Batch[1].Cmd, first.Entries()[1].Cmd)
+	if retry.Batch[1].Cmd != first.Batch[1].Cmd {
+		t.Fatalf("retry changed command: %+v vs %+v", retry.Batch[1].Cmd, first.Batch[1].Cmd)
 	}
 	if c.issued != issuedBefore {
 		t.Fatalf("retry issued new seqs: %d -> %d", issuedBefore, c.issued)
@@ -661,7 +661,7 @@ func TestClientHoldsWhenSlotsAreShortOfABatch(t *testing.T) {
 	}
 	c.Receive(ctx, 0, msg.ClientReply{Seq: 4, OK: true})
 	sent := ctx.TakeSent()
-	if len(sent) != 1 || len(sent[0].M.(msg.ClientRequest).Entries()) != 4 {
+	if len(sent) != 1 || len(sent[0].M.(msg.ClientRequest).Batch) != 4 {
 		t.Fatalf("fourth free slot sent %+v, want one full batch", sent)
 	}
 }

@@ -78,11 +78,12 @@ for pkg in $(go list ./...); do
 done
 
 # The replica shell (internal/replica) owns sessions, the learner log,
-# snapshots and the read path for every engine, and encoding/gob lives
-# only in the codec tests. An engine that builds one of these itself is
-# re-growing a private copy the next fix would have to be made in twice.
+# snapshots, the read path and the leader book's accept deadline for
+# every engine, and encoding/gob lives only in the codec tests. An
+# engine that builds one of these itself is re-growing a private copy
+# the next fix would have to be made in twice.
 engines="internal/onepaxos internal/multipaxos internal/twopc internal/basicpaxos internal/mencius"
-private=$(grep -nE 'snapshot\.New\(|readpath\.New\(|rsm\.NewSessions\(|rsm\.NewLog\(|"encoding/gob"' \
+private=$(grep -nE 'snapshot\.New\(|readpath\.New\(|rsm\.NewSessions\(|rsm\.NewLog\(|replica\.NewOutstanding\(|"encoding/gob"' \
     $(find $engines -name '*.go' ! -name '*_test.go'))
 if [ -n "$private" ]; then
     echo "docscheck: engine packages must take these from the replica shell, not build their own:" >&2
