@@ -412,13 +412,21 @@ func (s *kvShard) startTCP(handlers []runtime.Handler, shardIdx int) error {
 // startInProc runs every shard on one in-process runtime of
 // min(Shards·(Replicas+1), GOMAXPROCS) cores — a node per core where the
 // host has them, as the paper places replicas. Its placement keeps each
-// group's leader and acceptor on different cores whenever there are two,
-// and once the shards are at least as many as the cores (and the cores
-// fewer than a group's nodes) it puts each shard's bridge, its group's
-// last node, on its leader's core.
+// group's leader and acceptor on different cores whenever there are two.
+// When the cores are fewer than a group's nodes, it puts each shard's
+// bridge, its group's last node, on its leader's core if Gets are log
+// commands (ReadConsensus) or the shards are at least as many as the
+// cores. Under the other read modes on fewer shards it keeps the id
+// order: Gets never reach the acceptor, and the bridge on its core keeps
+// that core awake for the next write.
 func (kv *KV) startInProc(groups [][]runtime.Handler) {
 	cores := min(kv.cfg.Shards*(kv.cfg.Replicas+1), stdruntime.GOMAXPROCS(0))
-	kv.inproc = runtime.NewInProcGroups(groups, cores, runtime.WithTracer(kv.tracer))
+	opts := []runtime.InProcOption{runtime.WithTracer(kv.tracer)}
+	if kv.cfg.ReadMode == ReadConsensus || kv.cfg.Shards >= cores {
+		opts = append(opts, runtime.WithClientOnLeaderCore())
+	}
+	kv.inproc = runtime.NewInProcGroups(groups, cores, opts...)
+	kv.registry.AddSource(kv.inproc.Collect)
 	bridgeID := msg.NodeID(kv.cfg.Replicas)
 	for s, sh := range kv.shards {
 		grp := kv.inproc.Group(s)
@@ -571,12 +579,12 @@ func (kv *KV) replicaAt(id int) (*kvShard, int, error) {
 
 // Obs captures the service's metrics snapshot — the one stats surface:
 // every named counter and histogram its subsystems report (wire.*,
-// read.*, snap.*, session.*, batch.*, bridge.* and trace.*, summed
-// across replicas and shards), plus the rare-event tail. wire.* is all
-// zeros under InProc, which never touches a socket; read.* under
-// ReadConsensus, where reads travel the write path; snap.* with
-// SnapshotInterval off and no restarts. Snapshots from several
-// services (or simulated clusters) Merge into fleet totals.
+// read.*, snap.*, session.*, batch.*, bridge.*, trace.* and, under InProc
+// only, runtime.*, summed across replicas and shards), plus the
+// rare-event tail. wire.* is all zeros under InProc, which never touches
+// a socket; read.* under ReadConsensus, where reads travel the write
+// path; snap.* with SnapshotInterval off and no restarts. Snapshots from
+// several services (or simulated clusters) Merge into fleet totals.
 func (kv *KV) Obs() obs.Snapshot { return kv.registry.Snapshot() }
 
 // Trace reports the tracer's snapshot: per-stage latency breakdowns

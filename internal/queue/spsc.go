@@ -67,6 +67,10 @@ func NewSPSC[T any](capacity int) *SPSC[T] {
 // Cap reports the number of slots.
 func (q *SPSC[T]) Cap() int { return int(q.capa) }
 
+// Enqueued reports how many messages have ever entered the queue: the
+// free-running tail. Any goroutine may read it.
+func (q *SPSC[T]) Enqueued() uint64 { return q.tail.Load() }
+
 // Len reports the number of queued messages. Because producer and
 // consumer race with this read, the value is a point-in-time snapshot.
 func (q *SPSC[T]) Len() int {

@@ -1,7 +1,7 @@
 // Package readpath implements the read fast path: strongly-consistent
-// reads that bypass agreement instances entirely (ROADMAP item 2, the
-// multiplier after batching and the wire codec for the 90%+ read mixes
-// the paper's Section 7.5 parameterizes).
+// reads that bypass agreement instances entirely (DESIGN.md, "The read
+// path": the multiplier after batching and the wire codec for the 90%+
+// read mixes the paper's Section 7.5 parameterizes).
 //
 // Three modes beyond the paper's read-through-consensus default:
 //

@@ -43,7 +43,8 @@ type Agreement struct {
 	// resumes above every instance this node saw learned (the log's
 	// learned frontier): a fresh backup acceptor has no memory of them
 	// and would accept a second value. Swapping either rule changes runs
-	// (ROADMAP item 1).
+	// (DESIGN.md, "The leader book": TestProposeRulePerEngine,
+	// TestLeadRulePerEngine).
 	MajorityAccept bool
 
 	// NoLog marks an engine that agrees on commands without ordering

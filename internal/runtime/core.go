@@ -244,29 +244,24 @@ func (c *core) run() {
 }
 
 // coreOf places node i of group g, an n-node group, on one of the k cores
-// a runtime of groups groups shares: ⌊pos·k/n⌋ spreads a group's positions
-// over the cores in order, and the offset g rotates successive groups so
-// that the cores carry the same load within one node. With k ≥ 2,
-// position 0 and the positions from ⌈n/k⌉ on never share a core. Node i
-// takes position i, so a group's node 0 (1Paxos's boot leader) and its
-// last replica (its boot acceptor) run on different cores, and one group
-// on k = n cores is one node per core.
+// a runtime shares: ⌊pos·k/n⌋ spreads a group's positions over the cores
+// in order, and the offset g rotates successive groups so that the cores
+// carry the same load within one node. With k ≥ 2, position 0 and the
+// positions from ⌈n/k⌉ on never share a core.
 //
-// Once the runtime hosts at least as many groups as cores, each group's
-// last node is taken to be its client (a KV's bridge) and its boot
-// acceptor to be node n−2. With k < n the group is laid out in the order
-// [0, n−1, 1, …, n−2] instead: the client lands on node 0's core, so its
-// hops to and from the leader (two of the four on a command's critical
-// path) stay on one core, and the boot acceptor, at position n−1, still
-// lands off it — the paper's rule that the leader and the active acceptor
-// run on different cores. The order is a permutation, so the per-core
-// load is unchanged. With fewer groups than cores the pairing would pile
-// a group's leader-side work onto one core (on one group it measured ~8 %
-// higher put latency), and with k ≥ n it could not pair, so both keep the
-// id order.
-func coreOf(g, i, n, k, groups int) int {
+// Unpaired, or with k ≥ n, node i takes position i: a group's node 0
+// (1Paxos's boot leader) and its boot acceptor run on different cores,
+// and one group on k = n cores is one node per core. Paired — the
+// caller's word that node n−1 is the group's client (a KV's bridge) and
+// node n−2 its boot acceptor — and with k < n, the group is laid out in
+// the order [0, n−1, 1, …, n−2]: the client shares node 0's core, so its
+// request and reply never cross cores, and the boot acceptor, at
+// position n−1, still lands off it — the paper's rule that the leader
+// and the active acceptor run on different cores. The order is a
+// permutation, so the per-core load is the same either way.
+func coreOf(g, i, n, k int, paired bool) int {
 	pos := i
-	if groups >= k && k < n && i > 0 {
+	if paired && k < n && i > 0 {
 		pos = i%(n-1) + 1 // n−1 → 1, i → i+1 below it
 	}
 	return (pos*k/n + g) % k

@@ -93,59 +93,70 @@ func TestCrossCoreFloods(t *testing.T) {
 }
 
 // TestCorePlacement pins coreOf's promises and that NewInProcGroups
-// places by it.
+// places by it, paired only when told so.
 func TestCorePlacement(t *testing.T) {
+	// Paired, a group of R replicas and a client (node R): on fewer cores
+	// than nodes the client shares its leader's core, whatever the group's
+	// index, one group included.
+	for k := 2; k <= 8; k++ {
+		for r := max(3, k); r <= 9; r++ {
+			n := r + 1
+			for g := 0; g < 2*k; g++ {
+				if lead, client := coreOf(g, 0, n, k, true), coreOf(g, r, n, k, true); lead != client {
+					t.Errorf("k=%d, group %d of %d nodes: client on core %d, its leader on %d", k, g, n, client, lead)
+				}
+			}
+		}
+	}
 	// With two cores or more, a group's leader (replica 0) and its boot
-	// acceptor (replica R-1) never share one: with or without the KV's
-	// bridge as node R while the groups are fewer than the cores, and
-	// with it once they are not.
+	// acceptor (replica R-1) never share one: paired with the client as
+	// node R, or unpaired with or without it.
 	for k := 2; k <= 8; k++ {
 		for r := 3; r <= 9; r++ {
-			for groups := 1; groups <= 2*k; groups++ {
-				for _, n := range []int{r, r + 1} {
-					if groups >= k && n == r {
-						continue
-					}
-					for g := 0; g < groups; g++ {
-						if lead := coreOf(g, 0, n, k, groups); lead == coreOf(g, r-1, n, k, groups) {
-							t.Errorf("k=%d, group %d of %d, %d nodes: leader and acceptor on core %d", k, g, groups, n, lead)
-						}
+			for _, lay := range []struct {
+				n      int
+				paired bool
+			}{{r, false}, {r + 1, false}, {r + 1, true}} {
+				for g := 0; g < 2*k; g++ {
+					if lead := coreOf(g, 0, lay.n, k, lay.paired); lead == coreOf(g, r-1, lay.n, k, lay.paired) {
+						t.Errorf("k=%d, group %d, %d nodes, paired %v: leader and acceptor on core %d", k, g, lay.n, lay.paired, lead)
 					}
 				}
 			}
 		}
 	}
-	// Equal groups load the cores evenly: per-core counts differ by at
-	// most one.
+	// Equal groups load the cores evenly, paired or not: per-core counts
+	// differ by at most one.
 	for k := 1; k <= 8; k++ {
 		for n := 1; n <= 10; n++ {
 			for groups := 1; groups <= 2*k; groups++ {
-				load := make([]int, k)
-				for g := 0; g < groups; g++ {
-					for i := 0; i < n; i++ {
-						load[coreOf(g, i, n, k, groups)]++
+				for _, paired := range []bool{false, true} {
+					load := make([]int, k)
+					for g := 0; g < groups; g++ {
+						for i := 0; i < n; i++ {
+							load[coreOf(g, i, n, k, paired)]++
+						}
 					}
-				}
-				if slices.Max(load)-slices.Min(load) > 1 {
-					t.Errorf("k=%d, %d groups of %d: per-core load %v", k, groups, n, load)
+					if slices.Max(load)-slices.Min(load) > 1 {
+						t.Errorf("k=%d, %d groups of %d, paired %v: per-core load %v", k, groups, n, paired, load)
+					}
 				}
 			}
 		}
 	}
-	// Fewer groups than cores keep the id order, client and all, so a
-	// single group's layout cannot drift, and so do cores enough for
-	// every node of a group; one group on as many cores as nodes is one
-	// node per core.
+	// Unpaired, or with cores enough for every node of a group, node i of
+	// group g is on core (⌊i·k/n⌋ + g) mod k; one group on as many cores
+	// as nodes is one node per core.
 	for k := 2; k <= 8; k++ {
 		for n := 2; n <= 10; n++ {
-			for groups := 1; groups <= 2*k; groups++ {
-				if groups >= k && k < n {
+			for _, paired := range []bool{false, true} {
+				if paired && k < n {
 					continue
 				}
-				for g := 0; g < groups; g++ {
+				for g := 0; g < 2*k; g++ {
 					for i := 0; i < n; i++ {
-						if got, want := coreOf(g, i, n, k, groups), (i*k/n+g)%k; got != want {
-							t.Errorf("k=%d, %d groups of %d: node %d of group %d on core %d, want %d", k, groups, n, i, g, got, want)
+						if got, want := coreOf(g, i, n, k, paired), (i*k/n+g)%k; got != want {
+							t.Errorf("k=%d, n=%d, paired %v: node %d of group %d on core %d, want %d", k, n, paired, i, g, got, want)
 						}
 					}
 				}
@@ -154,53 +165,50 @@ func TestCorePlacement(t *testing.T) {
 	}
 	for n := 1; n <= 9; n++ {
 		for i := 0; i < n; i++ {
-			if got := coreOf(0, i, n, n, 1); got != i {
+			if got := coreOf(0, i, n, n, true); got != i {
 				t.Errorf("n=k=%d: node %d on core %d", n, i, got)
 			}
 		}
 	}
-	// As many groups as cores or more, and fewer cores than a group's
-	// nodes: every group's client (node R) shares its leader's core.
-	for k := 2; k <= 8; k++ {
-		for r := max(3, k); r <= 9; r++ {
-			n := r + 1
-			for groups := k; groups <= 2*k; groups++ {
-				for g := 0; g < groups; g++ {
-					if lead, client := coreOf(g, 0, n, k, groups), coreOf(g, r, n, k, groups); lead != client {
-						t.Errorf("k=%d, %d groups of %d: group %d's client on core %d, its leader on %d", k, groups, n, g, client, lead)
+
+	// The runtime places by it. Paired, three replicas and a client on
+	// two cores put the client with its leader and the other two
+	// replicas on the other core — for one group as for four; unpaired,
+	// one group keeps the id order.
+	for _, tc := range []struct {
+		groups int
+		opts   []InProcOption
+		same   [][2]msg.NodeID
+	}{
+		{1, []InProcOption{WithClientOnLeaderCore()}, [][2]msg.NodeID{{0, 3}, {1, 2}}},
+		{4, []InProcOption{WithClientOnLeaderCore()}, [][2]msg.NodeID{{0, 3}, {1, 2}}},
+		{1, nil, [][2]msg.NodeID{{0, 1}, {2, 3}}},
+	} {
+		groups := make([][]Handler, tc.groups)
+		for g := range groups {
+			groups[g] = []Handler{HandlerFunc{}, HandlerFunc{}, HandlerFunc{}, HandlerFunc{}}
+		}
+		c := NewInProcGroups(groups, 2, tc.opts...)
+		if len(c.cores) != 2 {
+			t.Errorf("%d groups: %d cores, want 2", tc.groups, len(c.cores))
+		}
+		for g, grp := range c.groups {
+			for _, pair := range tc.same {
+				if !grp.SameCore(pair[0], pair[1]) {
+					t.Errorf("%d groups, paired %v: group %d's nodes %v on two cores", tc.groups, tc.opts != nil, g, pair)
+				}
+			}
+			if grp.SameCore(0, 2) {
+				t.Errorf("%d groups, paired %v: group %d's leader and acceptor share a core", tc.groups, tc.opts != nil, g)
+			}
+			for i, node := range grp.nodes {
+				for j, peer := range grp.nodes {
+					if sameCore, queued := node.core == peer.core, node.in[j] != nil; i != j && sameCore == queued {
+						t.Errorf("group %d: link %d->%d same core %v, queued %v", g, j, i, sameCore, queued)
 					}
 				}
 			}
 		}
-	}
-
-	// The runtime places by it: four groups of three replicas and a
-	// client on two cores put each client with its leader, and the
-	// other two replicas on the other core.
-	groups := make([][]Handler, 4)
-	for g := range groups {
-		groups[g] = []Handler{HandlerFunc{}, HandlerFunc{}, HandlerFunc{}, HandlerFunc{}}
-	}
-	c := NewInProcGroups(groups, 2)
-	defer c.Stop()
-	if len(c.cores) != 2 {
-		t.Fatalf("%d cores, want 2", len(c.cores))
-	}
-	for g, grp := range c.groups {
-		for _, pair := range [][2]int{{0, 3}, {1, 2}} {
-			if grp.nodes[pair[0]].core != grp.nodes[pair[1]].core {
-				t.Errorf("group %d: nodes %v on two cores", g, pair)
-			}
-		}
-		if grp.nodes[0].core == grp.nodes[2].core {
-			t.Errorf("group %d: leader and acceptor share a core", g)
-		}
-		for i, node := range grp.nodes {
-			for j, peer := range grp.nodes {
-				if sameCore, queued := node.core == peer.core, node.in[j] != nil; i != j && sameCore == queued {
-					t.Errorf("group %d: link %d->%d same core %v, queued %v", g, j, i, sameCore, queued)
-				}
-			}
-		}
+		c.Stop()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/obs"
 	"consensusinside/internal/queue"
 	"consensusinside/internal/trace"
 )
@@ -15,6 +16,7 @@ type InProcOption func(*inprocConfig)
 
 type inprocConfig struct {
 	tracer *trace.Tracer
+	paired bool
 }
 
 // WithTracer installs a command tracer: client requests crossing the
@@ -23,6 +25,12 @@ type inprocConfig struct {
 // NewInProcGroups and read it unsynchronized from then on.
 func WithTracer(tr *trace.Tracer) InProcOption {
 	return func(c *inprocConfig) { c.tracer = tr }
+}
+
+// WithClientOnLeaderCore says that each group's last node is its client
+// (a KV's bridge) and belongs on node 0's core; see coreOf.
+func WithClientOnLeaderCore() InProcOption {
+	return func(c *inprocConfig) { c.paired = true }
 }
 
 // InProcCluster runs groups of Handlers on cores — QC-libtask's model
@@ -65,12 +73,12 @@ func NewInProcCluster(handlers []Handler, opts ...InProcOption) *InProcCluster {
 }
 
 // NewInProcGroups builds and starts one group per entry of groups on at
-// most cores goroutines; handler i of a group becomes its node i, on core
-// coreOf(g, i, n, cores, len(groups)). Once there are at least as many
-// groups as cores, each group's last node is taken to be its client and,
-// when the cores are fewer than the group's nodes, shares node 0's core;
-// a group's node 0 and boot acceptor never share one. Stop must be called
-// to release the goroutines.
+// most cores goroutines; handler i of group g becomes its node i, on core
+// coreOf(g, i, n, cores, paired), where paired is set by
+// WithClientOnLeaderCore: the caller, not the runtime, decides whether a
+// group's last node is a client to put on node 0's core. A group's node
+// 0 and boot acceptor never share a core. Stop must be called to release
+// the goroutines.
 func NewInProcGroups(groups [][]Handler, cores int, opts ...InProcOption) *InProcCluster {
 	if cores < 1 {
 		panic(fmt.Sprintf("runtime: %d cores", cores))
@@ -87,7 +95,7 @@ func NewInProcGroups(groups [][]Handler, cores int, opts ...InProcOption) *InPro
 		grp := &InProcGroup{nodes: make([]*Node, n), links: make([][]*link, n), down: make([]bool, n)}
 		place := make([]int, n)
 		for i := range place {
-			place[i] = coreOf(g, i, n, cores, len(groups))
+			place[i] = coreOf(g, i, n, cores, cfg.paired)
 		}
 		for i := range grp.nodes {
 			from := msg.NodeID(i)
@@ -127,6 +135,27 @@ func NewInProcGroups(groups [][]Handler, cores int, opts ...InProcOption) *InPro
 
 // Group returns group g, in the order NewInProcGroups was given.
 func (c *InProcCluster) Group(g int) *InProcGroup { return c.groups[g] }
+
+// SameCore reports whether nodes a and b of the group run on one core.
+func (g *InProcGroup) SameCore(a, b msg.NodeID) bool { return g.nodes[a].core == g.nodes[b].core }
+
+// Collect adds runtime.cross_core_msgs: every message that has entered a
+// queue between two cores, read from the queues' tails, so counting adds
+// nothing to the send path. Sends still held at their sender are not in
+// it yet. Safe from any goroutine.
+func (c *InProcCluster) Collect(s *obs.Snapshot) {
+	var sent uint64
+	for _, grp := range c.groups {
+		for _, row := range grp.links {
+			for _, l := range row {
+				if l != nil {
+					sent += l.q.Enqueued()
+				}
+			}
+		}
+	}
+	s.Add("runtime.cross_core_msgs", int64(sent))
+}
 
 // StopNode crashes node id: its handler is gone for good, replaced on
 // its core's goroutine by one that discards everything, so senders —

@@ -1,10 +1,10 @@
 // Package shard partitions the key-value keyspace across independent
 // consensus groups. The paper runs one agreement group per machine, so
 // system throughput is capped by a single leader core no matter how many
-// cores the topology models; sharding is the next scale axis (ROADMAP):
-// many small groups whose independent decisions compose into one
-// system-level outcome, in the spirit of the multi-agent consensus
-// literature (O'Leary; Botan et al., "Let's Agree to Agree").
+// cores the topology models; sharding is the next scale axis (DESIGN.md,
+// "Sharding"): many small groups whose independent decisions compose
+// into one system-level outcome, in the spirit of the multi-agent
+// consensus literature (O'Leary; Botan et al., "Let's Agree to Agree").
 //
 // The package is deliberately tiny and dependency-free (messages only):
 // it owns the three facts every layer above must agree on.

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of this working tree against a base commit: the
 # way a performance claim, and the absence of a regression, is shown on a
-# noisy host. For each workload, pair i runs bench/run.sh on both trees at
-# seed i with the same run length, alternating which side goes first. The
-# script prints every pair, then for each end-to-end metric the two sides'
-# medians and quartiles, the change's wins and two verdicts:
+# noisy host. Pair i runs bench/run.sh for every listed workload on both
+# trees at seed i with the same run length, alternating which side goes
+# first, before pair i+1 starts, so a shift in the host's state lands on
+# the same pair of each workload. The script prints every pair (ops_per_s
+# and put_p99_us of both sides), then per workload, for each end-to-end
+# metric, the two sides' medians and quartiles, the change's wins and two
+# verdicts:
 #
 #   claim       gain: better in at least nine tenths of the pairs (ties
 #               count for neither) and medians further apart than the
@@ -115,10 +118,11 @@ verdicts() {
     }'
 }
 
-for workload in "${workloads[@]}"; do
-  lines_base=() lines_change=()
-  echo "# $workload: $pairs pairs of $seconds s, base $base_ref ($(git -C "$root" rev-parse --short "$base_ref")) vs the working tree"
-  for ((i = 1; i <= pairs; i++)); do
+# lines[<side> <workload> <pair>] is that run's driver JSON line.
+declare -A lines
+echo "# $pairs pairs of $seconds s per workload, base $base_ref ($(git -C "$root" rev-parse --short "$base_ref")) vs the working tree"
+for ((i = 1; i <= pairs; i++)); do
+  for workload in "${workloads[@]}"; do
     if ((i % 2)); then
       b=$(run "$tmp/base" "$workload" "$i")
       c=$(run "$root" "$workload" "$i")
@@ -126,30 +130,32 @@ for workload in "${workloads[@]}"; do
       c=$(run "$root" "$workload" "$i")
       b=$(run "$tmp/base" "$workload" "$i")
     fi
-    lines_base+=("$b") lines_change+=("$c")
-    printf 'pair %2d (seed %d, %s first): ops_per_s base %.0f change %.0f\n' "$i" "$i" \
-      "$( ((i % 2)) && echo base || echo change)" "$(value ops_per_s "$b")" "$(value ops_per_s "$c")"
+    lines[base $workload $i]=$b lines[change $workload $i]=$c
+    printf 'pair %2d %-20s (seed %d, %s first): ops_per_s base %.0f change %.0f, put_p99_us base %.1f change %.1f\n' \
+      "$i" "$workload" "$i" "$( ((i % 2)) && echo base || echo change)" \
+      "$(value ops_per_s "$b")" "$(value ops_per_s "$c")" "$(value put_p99_us "$b")" "$(value put_p99_us "$c")"
   done
+done
 
+for workload in "${workloads[@]}"; do
   echo
+  echo "# $workload"
   printf '%-14s %-30s %-30s %-6s %-8s %s\n' metric "base median [q1, q3]" "change median [q1, q3]" wins claim regression
   for entry in "${metrics[@]}"; do
     read -r metric better bound <<<"$entry"
-    for ((i = 0; i < pairs; i++)); do
-      echo "$(value "$metric" "${lines_base[i]}") $(value "$metric" "${lines_change[i]}")"
+    for ((i = 1; i <= pairs; i++)); do
+      echo "$(value "$metric" "${lines[base $workload $i]}") $(value "$metric" "${lines[change $workload $i]}")"
     done | verdicts "$metric" "$better" "$bound"
   done
 
   for side in base change; do
-    declare -n lines="lines_$side"
     failed=0 attempted=0 incorrect=0
-    for line in "${lines[@]}"; do
+    for ((i = 1; i <= pairs; i++)); do
+      line=${lines[$side $workload $i]}
       failed=$((failed + $(field failed "$line")))
       attempted=$((attempted + $(field attempted "$line")))
       [[ $(field correct "$line") == true ]] || incorrect=$((incorrect + 1))
     done
     printf '%-6s failed %d of %d ops, %d of %d runs incorrect\n' "$side" "$failed" "$attempted" "$incorrect" "$pairs"
-    unset -n lines
   done
-  echo
 done

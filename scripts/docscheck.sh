@@ -22,7 +22,8 @@
 # when internal/experiments grows a per-experiment
 # printer or row type back or a Registry id has no EXPERIMENTS.md row,
 # when the root package exports a simulator or fuzzer name again or
-# cmd/consensusbench runs an experiment outside the Registry, or
+# cmd/consensusbench runs an experiment outside the Registry, when
+# non-test Go outside bench/ cites the ROADMAP, or
 # when a doc file that other docs link to is absent.
 # The point is that the docs pass of PR 2 cannot silently rot.
 set -u
@@ -157,6 +158,16 @@ static=$(grep -nE 'BatchSize|BatchDelay|TimerFlush' $sources)
 if [ -n "$static" ]; then
     echo "docscheck: batching is BatchAdaptive or off; the static batcher and its flush timer are gone:" >&2
     echo "$static" >&2
+    fail=1
+fi
+
+# Code cites the DESIGN.md section that states an invariant, not a
+# ROADMAP item: the roadmap is renumbered at every re-anchor, so a cited
+# number goes stale without anything failing.
+roadmap=$(grep -nE 'ROADMAP' $sources)
+if [ -n "$roadmap" ]; then
+    echo "docscheck: non-test Go cites the ROADMAP; cite the DESIGN.md section instead:" >&2
+    echo "$roadmap" >&2
     fail=1
 fi
 
