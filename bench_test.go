@@ -102,7 +102,7 @@ func benchWireMsg() msg.Message {
 			Cmd: msg.Command{Op: msg.OpPut, Key: fmt.Sprintf("bench-key-%d", i), Val: "bench-value"},
 		}
 	}
-	return msg.AcceptRequest{
+	return msg.Accept{
 		Instance: 42,
 		PN:       7,
 		Value:    msg.NewValue(3, 99, entries),

@@ -26,13 +26,13 @@ func TestOriginDuplicateRequestProposedAndAnsweredOnce(t *testing.T) {
 	if len(prepares) != 1 {
 		t.Fatalf("duplicate request started %d Synod rounds, want 1", len(prepares))
 	}
-	in := prepares[0].(msg.BPPrepare).Instance
+	in := prepares[0].(msg.SlotPrepare).Slot
 	ctx.TakeSent()
 
 	v := msg.Value{Client: 7, Seq: 1, Cmd: req.Cmd}
 	for _, instance := range []int64{in, in + 1} {
 		for _, from := range []msg.NodeID{1, 2} {
-			r.Receive(ctx, from, msg.BPAccepted{Instance: instance, PN: 9, Value: v, From: from})
+			r.Receive(ctx, from, msg.Accepted{Instance: instance, PN: 9, Value: v, From: from})
 		}
 	}
 	if r.Commits() != 2 {

@@ -121,15 +121,15 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 	switch mm := m.(type) {
 	case msg.ClientRequest:
 		r.onClientRequest(mm)
-	case msg.BPPrepare:
+	case msg.SlotPrepare:
 		r.onPrepare(from, mm)
 	case msg.BPPromise:
 		r.onPromise(from, mm)
-	case msg.BPAccept:
+	case msg.Accept:
 		r.onAccept(from, mm)
-	case msg.BPAccepted:
+	case msg.Accepted:
 		r.onAccepted(mm)
-	case msg.BPNack:
+	case msg.SlotNack:
 		r.onNack(mm)
 	}
 }
@@ -187,7 +187,7 @@ func (r *Replica) propose(v msg.Value) {
 
 func (r *Replica) sendPrepare(in int64, d *drive) {
 	for _, id := range r.Replicas {
-		r.Ctx.Send(id, msg.BPPrepare{Instance: in, PN: d.prop.PN()})
+		r.Ctx.Send(id, msg.SlotPrepare{Slot: in, PN: d.prop.PN()})
 	}
 	if d.cancel != nil {
 		d.cancel()
@@ -212,24 +212,24 @@ func (r *Replica) onPromise(from msg.NodeID, m msg.BPPromise) {
 	}
 	if d.prop.OnPromise(from, m.PN, m.AcceptedPN, m.Accepted) {
 		for _, id := range r.Replicas {
-			r.Ctx.Send(id, msg.BPAccept{Instance: m.Instance, PN: m.PN, Value: d.prop.Value()})
+			r.Ctx.Send(id, msg.Accept{Instance: m.Instance, PN: m.PN, Value: d.prop.Value()})
 		}
 	}
 }
 
-func (r *Replica) onNack(m msg.BPNack) {
+func (r *Replica) onNack(m msg.SlotNack) {
 	if m.PN > r.maxPN {
 		r.maxPN = m.PN
 	}
-	d, ok := r.drives[m.Instance]
-	if !ok || d.prop.Decided() || d.backoff || r.Log().Learned(m.Instance) {
+	d, ok := r.drives[m.Slot]
+	if !ok || d.prop.Decided() || d.backoff || r.Log().Learned(m.Slot) {
 		return
 	}
 	// Lost a duel: back off a randomized amount so symmetric duellists
 	// desynchronize instead of trading nacks forever.
 	d.backoff = true
 	wait := r.Cfg.TakeoverBackoff + time.Duration(r.Ctx.Rand().Int63n(int64(r.Cfg.TakeoverBackoff)))
-	r.Ctx.After(wait, runtime.TimerTag{Kind: timerRestart, Arg: m.Instance})
+	r.Ctx.After(wait, runtime.TimerTag{Kind: timerRestart, Arg: m.Slot})
 }
 
 // --- Acceptor ---
@@ -243,25 +243,25 @@ func (r *Replica) acceptorFor(in int64) *Acceptor[msg.Value] {
 	return a
 }
 
-func (r *Replica) onPrepare(from msg.NodeID, m msg.BPPrepare) {
+func (r *Replica) onPrepare(from msg.NodeID, m msg.SlotPrepare) {
 	if m.PN > r.maxPN {
 		r.maxPN = m.PN
 	}
-	if m.Instance < r.Log().NextToApply() {
+	if m.Slot < r.Log().NextToApply() {
 		// Decided and applied here — and the per-instance acceptor
 		// record may already be pruned by compaction, so running the
 		// Synod machinery would present a fresh acceptor and let a
 		// lagging proposer re-decide the instance. Stream the decided
 		// value instead and nack the round; the proposer adopts it
 		// through its log, not through a promise.
-		r.Snap.Serve(r.Ctx, from, m.Instance)
-		r.Ctx.Send(from, msg.BPNack{Instance: m.Instance, PN: m.PN})
+		r.Snap.Serve(r.Ctx, from, m.Slot)
+		r.Ctx.Send(from, msg.SlotNack{Slot: m.Slot, PN: m.PN})
 		return
 	}
-	a := r.acceptorFor(m.Instance)
+	a := r.acceptorFor(m.Slot)
 	if a.Prepare(m.PN) {
 		r.Ctx.Send(from, msg.BPPromise{
-			Instance:   m.Instance,
+			Instance:   m.Slot,
 			PN:         m.PN,
 			From:       r.Me,
 			AcceptedPN: a.AcceptedPN,
@@ -269,31 +269,31 @@ func (r *Replica) onPrepare(from msg.NodeID, m msg.BPPrepare) {
 		})
 		return
 	}
-	r.Ctx.Send(from, msg.BPNack{Instance: m.Instance, PN: a.Promised})
+	r.Ctx.Send(from, msg.SlotNack{Slot: m.Slot, PN: a.Promised})
 }
 
-func (r *Replica) onAccept(from msg.NodeID, m msg.BPAccept) {
+func (r *Replica) onAccept(from msg.NodeID, m msg.Accept) {
 	if m.Instance < r.Log().NextToApply() {
 		// See onPrepare: never re-open a decided, possibly-pruned
 		// instance.
 		r.Snap.Serve(r.Ctx, from, m.Instance)
-		r.Ctx.Send(from, msg.BPNack{Instance: m.Instance, PN: m.PN})
+		r.Ctx.Send(from, msg.SlotNack{Slot: m.Instance, PN: m.PN})
 		return
 	}
 	a := r.acceptorFor(m.Instance)
 	if !a.Accept(m.PN, m.Value) {
-		r.Ctx.Send(from, msg.BPNack{Instance: m.Instance, PN: a.Promised})
+		r.Ctx.Send(from, msg.SlotNack{Slot: m.Instance, PN: a.Promised})
 		return
 	}
 	r.observe(m.Instance)
 	for _, id := range r.Replicas {
-		r.Ctx.Send(id, msg.BPAccepted{Instance: m.Instance, PN: m.PN, Value: m.Value, From: r.Me})
+		r.Ctx.Send(id, msg.Accepted{Instance: m.Instance, PN: m.PN, Value: m.Value, From: r.Me})
 	}
 }
 
 // --- Learner ---
 
-func (r *Replica) onAccepted(m msg.BPAccepted) {
+func (r *Replica) onAccepted(m msg.Accepted) {
 	r.observe(m.Instance)
 	r.Vote(m.Instance, m.From, m.PN, m.Value)
 }

@@ -98,10 +98,10 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 	switch mm := m.(type) {
 	case msg.ClientRequest:
 		r.onClientRequest(mm)
-	case msg.MencAccept:
+	case msg.Accept:
 		r.onAccept(from, mm)
-	case msg.MencLearn:
-		r.onLearn(mm)
+	case msg.Accepted:
+		r.onAccepted(mm)
 	case msg.MencSkip:
 		r.onSkip(mm)
 	}
@@ -120,26 +120,27 @@ func (r *Replica) onClientRequest(req msg.ClientRequest) {
 	r.observe(in)
 	v := msg.NewValue(req.Client, req.Ack, entries)
 	for _, id := range r.Replicas {
-		r.Ctx.Send(id, msg.MencAccept{Instance: in, PN: 1, Value: v})
+		r.Ctx.Send(id, msg.Accept{Instance: in, PN: 1, Value: v})
 	}
 }
 
 // onAccept is the acceptor role: instance ownership replaces proposal
 // numbers (only the owner may propose its instances), so the accept is
 // taken directly and echoed to all learners.
-func (r *Replica) onAccept(from msg.NodeID, m msg.MencAccept) {
+func (r *Replica) onAccept(from msg.NodeID, m msg.Accept) {
 	r.observe(m.Instance)
 	r.skipBelow(m.Instance)
 	for _, id := range r.Replicas {
-		r.Ctx.Send(id, msg.MencLearn{Instance: m.Instance, Value: m.Value, From: r.Me})
+		r.Ctx.Send(id, msg.Accepted{Instance: m.Instance, PN: m.PN, Value: m.Value, From: r.Me})
 	}
 	_ = from
 }
 
-// onLearn is the learner role: majority acceptance decides.
-func (r *Replica) onLearn(m msg.MencLearn) {
+// onAccepted is the learner role: majority acceptance decides. Every
+// accept carries PN 1 (only the owner proposes), so one tally counts.
+func (r *Replica) onAccepted(m msg.Accepted) {
 	r.observe(m.Instance)
-	r.Vote(m.Instance, m.From, 0, m.Value) // no proposal numbers: only the owner proposes
+	r.Vote(m.Instance, m.From, m.PN, m.Value)
 }
 
 // onSkip applies an owner's authoritative no-op fill for its own unused

@@ -80,9 +80,9 @@ func TestOwnershipPartition(t *testing.T) {
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	r.Receive(ctx, 9, msg.ClientRequest{Client: 9, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "a"}})
-	var accepts []msg.MencAccept
+	var accepts []msg.Accept
 	for _, s := range ctx.Sent {
-		if a, ok := s.M.(msg.MencAccept); ok {
+		if a, ok := s.M.(msg.Accept); ok {
 			accepts = append(accepts, a)
 		}
 	}
@@ -93,7 +93,7 @@ func TestOwnershipPartition(t *testing.T) {
 	ctx.TakeSent()
 	r.Receive(ctx, 9, msg.ClientRequest{Client: 9, Seq: 2, Cmd: msg.Command{Op: msg.OpPut, Key: "b"}})
 	for _, s := range ctx.Sent {
-		if a, ok := s.M.(msg.MencAccept); ok && a.Instance != 4 {
+		if a, ok := s.M.(msg.Accept); ok && a.Instance != 4 {
 			t.Fatalf("second proposal at %d, want owned instance 4", a.Instance)
 		}
 	}
@@ -105,7 +105,7 @@ func TestSkipRuleFillsForeignGaps(t *testing.T) {
 	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(0, 3)
 	r.Start(ctx)
-	r.Receive(ctx, 1, msg.MencAccept{Instance: 7, PN: 1, Value: msg.Value{Client: 9, Seq: 1}})
+	r.Receive(ctx, 1, msg.Accept{Instance: 7, PN: 1, Value: msg.Value{Client: 9, Seq: 1}})
 	var skips []msg.MencSkip
 	for _, s := range ctx.Sent {
 		if sk, ok := s.M.(msg.MencSkip); ok && s.To == 1 {

@@ -25,12 +25,12 @@ func TestOriginDuplicateRequestProposedAndAnsweredOnce(t *testing.T) {
 	if len(accepts) != 1 {
 		t.Fatalf("duplicate request produced %d accepts per acceptor, want 1", len(accepts))
 	}
-	acc := accepts[0].(msg.MencAccept)
+	acc := accepts[0].(msg.Accept)
 	ctx.TakeSent()
 
 	for _, in := range []int64{acc.Instance, acc.Instance + 1} {
 		for _, from := range []msg.NodeID{0, 1} {
-			r.Receive(ctx, from, msg.MencLearn{Instance: in, Value: acc.Value, From: from})
+			r.Receive(ctx, from, msg.Accepted{Instance: in, PN: acc.PN, Value: acc.Value, From: from})
 		}
 	}
 	if r.Commits() != 2 {

@@ -9,11 +9,15 @@ package msg
 // DESIGN.md's "Wire format" section for the layout and internal/wire
 // for the primitive encodings.
 //
-// Adding a message type means: a new tag constant (append only — tags
-// are wire compatibility), its layout method, its row in wireTypes
-// (decode) and its case in AppendEnvelope (encode), and a sample in the
-// codec tests, which demand a round trip for every registered type and
-// compare each against encoding/gob's decoding of the same message.
+// Adding a message type means: first check that no existing kind already
+// carries the payload (a phase every engine speaks is one kind — Accept,
+// Accepted, Promise, SlotPrepare, SlotNack — whichever engine sends it).
+// Then a new tag constant (never a retired one: tags are wire
+// compatibility), its layout method, its row in wireTypes (decode) and
+// its case in AppendEnvelope (encode), and a sample in the codec tests,
+// which demand a round trip for every registered type, compare each
+// against encoding/gob's decoding of the same message and fail on two
+// types with one field list.
 //
 // Two rules keep the send path at 0 allocs/op. A layout reaches the
 // codec through direct calls only: a func value, an interface or a
@@ -26,54 +30,53 @@ package msg
 
 import (
 	"fmt"
+	"slices"
 
 	"consensusinside/internal/wire"
 )
 
-// Wire type tags. One byte, starting at 1 (0 marks a corrupt frame);
-// append-only, since a tag is the type's identity on the wire. Tag 255
-// is reserved for the transport's hello handshake frame.
+// Wire type tags. One byte, starting at 1 (0 marks a corrupt frame); a
+// tag is the type's identity on the wire, so it is never reassigned.
+// Tag 255 is reserved for the transport's hello handshake frame.
 const (
-	tagClientRequest byte = iota + 1
-	tagClientReply
-	tagClientReplyBatch
-	tagPrepareRequest
-	tagPrepareResponse
-	tagAbandon
-	tagAcceptRequest
-	tagLearn
-	tagUtilPrepare
-	tagUtilPromise
-	tagUtilAccept
-	tagUtilAccepted
-	tagUtilNack
-	tagMPPrepare
-	tagMPPromise
-	tagMPAccept
-	tagMPLearn
-	tagMPNack
-	tagTPCPrepare
-	tagTPCAck
-	tagTPCCommit
-	tagTPCCommitAck
-	tagTPCRollback
-	tagMencAccept
-	tagMencLearn
-	tagMencSkip
-	tagBPPrepare
-	tagBPPromise
-	tagBPAccept
-	tagBPAccepted
-	tagBPNack
-	tagCatchupRequest
-	tagSnapshotChunk
-	tagCatchupEntries
-	tagReadRequest
-	tagReadReply
-	tagReadReplyBatch
-	tagReadIndexRequest
-	tagReadIndexAck
+	tagClientRequest    byte = 1
+	tagClientReply      byte = 2
+	tagClientReplyBatch byte = 3
+	tagPrepareRequest   byte = 4
+	tagPromise          byte = 5
+	tagAbandon          byte = 6
+	tagAccept           byte = 7
+	tagLearn            byte = 8
+	tagSlotPrepare      byte = 9
+	tagUtilPromise      byte = 10
+	tagUtilAccept       byte = 11
+	tagUtilAccepted     byte = 12
+	tagSlotNack         byte = 13
+	tagMPPrepare        byte = 14
+	tagAccepted         byte = 17
+	tagMPNack           byte = 18
+	tagTPCPrepare       byte = 19
+	tagTPCAck           byte = 20
+	tagTPCCommit        byte = 21
+	tagTPCCommitAck     byte = 22
+	tagTPCRollback      byte = 23
+	tagMencSkip         byte = 26
+	tagBPPromise        byte = 28
+	tagCatchupRequest   byte = 32
+	tagSnapshotChunk    byte = 33
+	tagCatchupEntries   byte = 34
+	tagReadRequest      byte = 35
+	tagReadReply        byte = 36
+	tagReadReplyBatch   byte = 37
+	tagReadIndexRequest byte = 38
+	tagReadIndexAck     byte = 39
 )
+
+// retiredTags named per-engine copies of the shared Paxos phases:
+// mp_promise (15), mp_accept (16), menc_accept (24), menc_learn (25),
+// bp_prepare (27), bp_accept (29), bp_accepted (30) and bp_nack (31).
+// No type may claim one again; a frame carrying one is an unknown tag.
+var retiredTags = [...]byte{15, 16, 24, 25, 27, 29, 30, 31}
 
 // HelloTag is the reserved frame tag for the transport's connection
 // handshake; no message type may claim it.
@@ -91,33 +94,25 @@ var wireTypes = []struct {
 	{tagClientReply, func(c *wire.Codec) Message { var m ClientReply; m.wire(c); return m }},
 	{tagClientReplyBatch, func(c *wire.Codec) Message { var m ClientReplyBatch; m.wire(c); return m }},
 	{tagPrepareRequest, func(c *wire.Codec) Message { var m PrepareRequest; m.wire(c); return m }},
-	{tagPrepareResponse, func(c *wire.Codec) Message { var m PrepareResponse; m.wire(c); return m }},
+	{tagPromise, func(c *wire.Codec) Message { var m Promise; m.wire(c); return m }},
 	{tagAbandon, func(c *wire.Codec) Message { var m Abandon; m.wire(c); return m }},
-	{tagAcceptRequest, func(c *wire.Codec) Message { var m AcceptRequest; m.wire(c); return m }},
+	{tagAccept, func(c *wire.Codec) Message { var m Accept; m.wire(c); return m }},
 	{tagLearn, func(c *wire.Codec) Message { var m Learn; m.wire(c); return m }},
-	{tagUtilPrepare, func(c *wire.Codec) Message { var m UtilPrepare; m.wire(c); return m }},
+	{tagSlotPrepare, func(c *wire.Codec) Message { var m SlotPrepare; m.wire(c); return m }},
 	{tagUtilPromise, func(c *wire.Codec) Message { var m UtilPromise; m.wire(c); return m }},
 	{tagUtilAccept, func(c *wire.Codec) Message { var m UtilAccept; m.wire(c); return m }},
 	{tagUtilAccepted, func(c *wire.Codec) Message { var m UtilAccepted; m.wire(c); return m }},
-	{tagUtilNack, func(c *wire.Codec) Message { var m UtilNack; m.wire(c); return m }},
+	{tagSlotNack, func(c *wire.Codec) Message { var m SlotNack; m.wire(c); return m }},
 	{tagMPPrepare, func(c *wire.Codec) Message { var m MPPrepare; m.wire(c); return m }},
-	{tagMPPromise, func(c *wire.Codec) Message { var m MPPromise; m.wire(c); return m }},
-	{tagMPAccept, func(c *wire.Codec) Message { var m MPAccept; m.wire(c); return m }},
-	{tagMPLearn, func(c *wire.Codec) Message { var m MPLearn; m.wire(c); return m }},
+	{tagAccepted, func(c *wire.Codec) Message { var m Accepted; m.wire(c); return m }},
 	{tagMPNack, func(c *wire.Codec) Message { var m MPNack; m.wire(c); return m }},
 	{tagTPCPrepare, func(c *wire.Codec) Message { var m TPCPrepare; m.wire(c); return m }},
 	{tagTPCAck, func(c *wire.Codec) Message { var m TPCAck; m.wire(c); return m }},
 	{tagTPCCommit, func(c *wire.Codec) Message { var m TPCCommit; m.wire(c); return m }},
 	{tagTPCCommitAck, func(c *wire.Codec) Message { var m TPCCommitAck; m.wire(c); return m }},
 	{tagTPCRollback, func(c *wire.Codec) Message { var m TPCRollback; m.wire(c); return m }},
-	{tagMencAccept, func(c *wire.Codec) Message { var m MencAccept; m.wire(c); return m }},
-	{tagMencLearn, func(c *wire.Codec) Message { var m MencLearn; m.wire(c); return m }},
 	{tagMencSkip, func(c *wire.Codec) Message { var m MencSkip; m.wire(c); return m }},
-	{tagBPPrepare, func(c *wire.Codec) Message { var m BPPrepare; m.wire(c); return m }},
 	{tagBPPromise, func(c *wire.Codec) Message { var m BPPromise; m.wire(c); return m }},
-	{tagBPAccept, func(c *wire.Codec) Message { var m BPAccept; m.wire(c); return m }},
-	{tagBPAccepted, func(c *wire.Codec) Message { var m BPAccepted; m.wire(c); return m }},
-	{tagBPNack, func(c *wire.Codec) Message { var m BPNack; m.wire(c); return m }},
 	{tagCatchupRequest, func(c *wire.Codec) Message { var m CatchupRequest; m.wire(c); return m }},
 	{tagSnapshotChunk, func(c *wire.Codec) Message { var m SnapshotChunk; m.wire(c); return m }},
 	{tagCatchupEntries, func(c *wire.Codec) Message { var m CatchupEntries; m.wire(c); return m }},
@@ -133,8 +128,8 @@ var wireDec [256]func(c *wire.Codec) Message
 
 func init() {
 	for _, t := range wireTypes {
-		if t.tag == 0 || t.tag == HelloTag {
-			panic(fmt.Sprintf("msg: wire tag %d is reserved", t.tag))
+		if t.tag == 0 || t.tag == HelloTag || slices.Contains(retiredTags[:], t.tag) {
+			panic(fmt.Sprintf("msg: wire tag %d is reserved or retired", t.tag))
 		}
 		if wireDec[t.tag] != nil {
 			panic(fmt.Sprintf("msg: duplicate wire tag %d", t.tag))
@@ -173,32 +168,28 @@ func AppendEnvelope(b []byte, from NodeID, m Message) ([]byte, error) {
 		m.wire(open(&c, tagClientReplyBatch, from))
 	case PrepareRequest:
 		m.wire(open(&c, tagPrepareRequest, from))
-	case PrepareResponse:
-		m.wire(open(&c, tagPrepareResponse, from))
+	case Promise:
+		m.wire(open(&c, tagPromise, from))
 	case Abandon:
 		m.wire(open(&c, tagAbandon, from))
-	case AcceptRequest:
-		m.wire(open(&c, tagAcceptRequest, from))
+	case Accept:
+		m.wire(open(&c, tagAccept, from))
 	case Learn:
 		m.wire(open(&c, tagLearn, from))
-	case UtilPrepare:
-		m.wire(open(&c, tagUtilPrepare, from))
+	case SlotPrepare:
+		m.wire(open(&c, tagSlotPrepare, from))
 	case UtilPromise:
 		m.wire(open(&c, tagUtilPromise, from))
 	case UtilAccept:
 		m.wire(open(&c, tagUtilAccept, from))
 	case UtilAccepted:
 		m.wire(open(&c, tagUtilAccepted, from))
-	case UtilNack:
-		m.wire(open(&c, tagUtilNack, from))
+	case SlotNack:
+		m.wire(open(&c, tagSlotNack, from))
 	case MPPrepare:
 		m.wire(open(&c, tagMPPrepare, from))
-	case MPPromise:
-		m.wire(open(&c, tagMPPromise, from))
-	case MPAccept:
-		m.wire(open(&c, tagMPAccept, from))
-	case MPLearn:
-		m.wire(open(&c, tagMPLearn, from))
+	case Accepted:
+		m.wire(open(&c, tagAccepted, from))
 	case MPNack:
 		m.wire(open(&c, tagMPNack, from))
 	case TPCPrepare:
@@ -211,22 +202,10 @@ func AppendEnvelope(b []byte, from NodeID, m Message) ([]byte, error) {
 		m.wire(open(&c, tagTPCCommitAck, from))
 	case TPCRollback:
 		m.wire(open(&c, tagTPCRollback, from))
-	case MencAccept:
-		m.wire(open(&c, tagMencAccept, from))
-	case MencLearn:
-		m.wire(open(&c, tagMencLearn, from))
 	case MencSkip:
 		m.wire(open(&c, tagMencSkip, from))
-	case BPPrepare:
-		m.wire(open(&c, tagBPPrepare, from))
 	case BPPromise:
 		m.wire(open(&c, tagBPPromise, from))
-	case BPAccept:
-		m.wire(open(&c, tagBPAccept, from))
-	case BPAccepted:
-		m.wire(open(&c, tagBPAccepted, from))
-	case BPNack:
-		m.wire(open(&c, tagBPNack, from))
 	case CatchupRequest:
 		m.wire(open(&c, tagCatchupRequest, from))
 	case SnapshotChunk:
@@ -391,6 +370,38 @@ func (m *ClientReplyBatch) wire(c *wire.Codec) {
 }
 
 // ---------------------------------------------------------------------------
+// Paxos phases shared by the engines
+// ---------------------------------------------------------------------------
+
+// Accept is field-for-field convertible to Proposal, so it shares
+// Proposal's layout, as ClientRequest shares Value's.
+func (m *Accept) wire(c *wire.Codec) { (*Proposal)(m).wire(c) }
+
+func (m *Accepted) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	c.Uvarint(&m.PN)
+	m.Value.wire(c)
+	m.From.wire(c)
+}
+
+func (m *Promise) wire(c *wire.Codec) {
+	m.From.wire(c)
+	c.Uvarint(&m.PN)
+	wireProposals(c, &m.Accepted)
+	c.Varint(&m.Floor)
+}
+
+func (m *SlotPrepare) wire(c *wire.Codec) {
+	c.Varint(&m.Slot)
+	c.Uvarint(&m.PN)
+}
+
+func (m *SlotNack) wire(c *wire.Codec) {
+	c.Varint(&m.Slot)
+	c.Uvarint(&m.PN)
+}
+
+// ---------------------------------------------------------------------------
 // 1Paxos
 // ---------------------------------------------------------------------------
 
@@ -400,23 +411,10 @@ func (m *PrepareRequest) wire(c *wire.Codec) {
 	c.Varint(&m.From)
 }
 
-func (m *PrepareResponse) wire(c *wire.Codec) {
-	m.Acceptor.wire(c)
-	c.Uvarint(&m.PN)
-	wireProposals(c, &m.Accepted)
-	c.Varint(&m.Floor)
-}
-
 func (m *Abandon) wire(c *wire.Codec) {
 	c.Uvarint(&m.HPN)
 	c.Bool(&m.FreshMismatch)
 	c.Bool(&m.IamFresh)
-}
-
-func (m *AcceptRequest) wire(c *wire.Codec) {
-	c.Varint(&m.Instance)
-	c.Uvarint(&m.PN)
-	m.Value.wire(c)
 }
 
 func (m *Learn) wire(c *wire.Codec) { wireProposals(c, &m.Entries) }
@@ -424,11 +422,6 @@ func (m *Learn) wire(c *wire.Codec) { wireProposals(c, &m.Entries) }
 // ---------------------------------------------------------------------------
 // PaxosUtility
 // ---------------------------------------------------------------------------
-
-func (m *UtilPrepare) wire(c *wire.Codec) {
-	c.Varint(&m.Slot)
-	c.Uvarint(&m.PN)
-}
 
 func (m *UtilPromise) wire(c *wire.Codec) {
 	c.Varint(&m.Slot)
@@ -450,13 +443,8 @@ func (m *UtilAccepted) wire(c *wire.Codec) {
 	m.From.wire(c)
 }
 
-func (m *UtilNack) wire(c *wire.Codec) {
-	c.Varint(&m.Slot)
-	c.Uvarint(&m.PN)
-}
-
 // ---------------------------------------------------------------------------
-// Collapsed Multi-Paxos
+// Multi-Paxos, Mencius and Basic Paxos
 // ---------------------------------------------------------------------------
 
 func (m *MPPrepare) wire(c *wire.Codec) {
@@ -464,27 +452,21 @@ func (m *MPPrepare) wire(c *wire.Codec) {
 	c.Varint(&m.FromInstance)
 }
 
-func (m *MPPromise) wire(c *wire.Codec) {
-	c.Uvarint(&m.PN)
-	m.From.wire(c)
-	wireProposals(c, &m.Accepted)
-	c.Varint(&m.Floor)
-}
-
-func (m *MPAccept) wire(c *wire.Codec) {
-	c.Varint(&m.Instance)
-	c.Uvarint(&m.PN)
-	m.Value.wire(c)
-}
-
-func (m *MPLearn) wire(c *wire.Codec) {
-	c.Varint(&m.Instance)
-	c.Uvarint(&m.PN)
-	m.Value.wire(c)
-	m.From.wire(c)
-}
-
 func (m *MPNack) wire(c *wire.Codec) { c.Uvarint(&m.PN) }
+
+func (m *MencSkip) wire(c *wire.Codec) {
+	c.Varint(&m.FromInstance)
+	c.Varint(&m.ToInstance)
+	m.From.wire(c)
+}
+
+func (m *BPPromise) wire(c *wire.Codec) {
+	c.Varint(&m.Instance)
+	c.Uvarint(&m.PN)
+	m.From.wire(c)
+	c.Uvarint(&m.AcceptedPN)
+	m.Accepted.wire(c)
+}
 
 // ---------------------------------------------------------------------------
 // 2PC
@@ -512,63 +494,6 @@ func (m *TPCCommitAck) wire(c *wire.Codec) {
 }
 
 func (m *TPCRollback) wire(c *wire.Codec) { c.Varint(&m.TxID) }
-
-// ---------------------------------------------------------------------------
-// Mencius
-// ---------------------------------------------------------------------------
-
-func (m *MencAccept) wire(c *wire.Codec) {
-	c.Varint(&m.Instance)
-	c.Uvarint(&m.PN)
-	m.Value.wire(c)
-}
-
-func (m *MencLearn) wire(c *wire.Codec) {
-	c.Varint(&m.Instance)
-	m.Value.wire(c)
-	m.From.wire(c)
-}
-
-func (m *MencSkip) wire(c *wire.Codec) {
-	c.Varint(&m.FromInstance)
-	c.Varint(&m.ToInstance)
-	m.From.wire(c)
-}
-
-// ---------------------------------------------------------------------------
-// Basic Paxos
-// ---------------------------------------------------------------------------
-
-func (m *BPPrepare) wire(c *wire.Codec) {
-	c.Varint(&m.Instance)
-	c.Uvarint(&m.PN)
-}
-
-func (m *BPPromise) wire(c *wire.Codec) {
-	c.Varint(&m.Instance)
-	c.Uvarint(&m.PN)
-	m.From.wire(c)
-	c.Uvarint(&m.AcceptedPN)
-	m.Accepted.wire(c)
-}
-
-func (m *BPAccept) wire(c *wire.Codec) {
-	c.Varint(&m.Instance)
-	c.Uvarint(&m.PN)
-	m.Value.wire(c)
-}
-
-func (m *BPAccepted) wire(c *wire.Codec) {
-	c.Varint(&m.Instance)
-	c.Uvarint(&m.PN)
-	m.Value.wire(c)
-	m.From.wire(c)
-}
-
-func (m *BPNack) wire(c *wire.Codec) {
-	c.Varint(&m.Instance)
-	c.Uvarint(&m.PN)
-}
 
 // ---------------------------------------------------------------------------
 // Snapshot catch-up

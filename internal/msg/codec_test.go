@@ -20,6 +20,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -65,26 +66,26 @@ func wireSamples() []Message {
 		// 1Paxos.
 		PrepareRequest{},
 		PrepareRequest{PN: 9, MustBeFresh: true, From: 77},
-		PrepareResponse{},
-		PrepareResponse{Acceptor: 1, PN: 3, Accepted: props, Floor: 1 << 30},
+		Promise{},
+		Promise{From: 1, PN: 3, Accepted: props, Floor: 1 << 30},
 		Abandon{HPN: 8, FreshMismatch: true, IamFresh: true},
-		AcceptRequest{},
-		AcceptRequest{Instance: 12, PN: 4, Value: batched},
+		Accept{},
+		Accept{Instance: 12, PN: 4, Value: batched},
 		Learn{},
 		Learn{Entries: []Proposal{}},
 		Learn{Entries: props},
 		// PaxosUtility.
-		UtilPrepare{Slot: -3, PN: 1},
+		SlotPrepare{Slot: -3, PN: 1},
 		UtilPromise{},
 		UtilPromise{Slot: 2, PN: 3, AcceptedPN: 1, Accepted: entry},
 		UtilAccept{Slot: 2, PN: 3, Entry: entry},
 		UtilAccepted{Slot: 2, PN: 3, Entry: entry, From: 1},
-		UtilNack{Slot: 4, PN: 9},
+		SlotNack{Slot: 4, PN: 9},
 		// Multi-Paxos.
 		MPPrepare{PN: 2, FromInstance: -1},
-		MPPromise{PN: 2, From: 1, Accepted: props, Floor: -1},
-		MPAccept{Instance: 3, PN: 2, Value: val},
-		MPLearn{Instance: 3, PN: 2, Value: batched, From: 2},
+		Promise{From: 1, PN: 2, Accepted: props, Floor: -1},
+		Accept{Instance: 3, PN: 2, Value: val},
+		Accepted{Instance: 3, PN: 2, Value: batched, From: 2},
 		MPNack{PN: math.MaxUint64},
 		// 2PC.
 		TPCPrepare{TxID: -9, Value: batched},
@@ -93,15 +94,15 @@ func wireSamples() []Message {
 		TPCCommitAck{TxID: 1, From: Nobody},
 		TPCRollback{TxID: 1 << 50},
 		// Mencius.
-		MencAccept{Instance: 5, PN: 1, Value: val},
-		MencLearn{Instance: 5, Value: batched, From: 0},
+		Accept{Instance: 5, PN: 1, Value: val},
+		Accepted{Instance: 5, PN: 1, Value: batched, From: 0},
 		MencSkip{FromInstance: 10, ToInstance: 20, From: 1},
 		// Basic Paxos.
-		BPPrepare{Instance: 1, PN: 2},
+		SlotPrepare{Slot: 1, PN: 2},
 		BPPromise{Instance: 1, PN: 2, From: 0, AcceptedPN: 1, Accepted: batched},
-		BPAccept{Instance: 1, PN: 2, Value: val},
-		BPAccepted{Instance: 1, PN: 2, Value: val, From: 2},
-		BPNack{Instance: -1, PN: 3},
+		Accept{Instance: 1, PN: 2, Value: val},
+		Accepted{Instance: 1, PN: 2, Value: val, From: 2},
+		SlotNack{Slot: -1, PN: 3},
 		// Snapshot catch-up.
 		CatchupRequest{},
 		CatchupRequest{From: 1 << 33},
@@ -336,6 +337,29 @@ func TestDecodeEnvelopeStrict(t *testing.T) {
 	}
 }
 
+// TestRetiredTagsDecodeNothing pins the retired tags: no registered
+// type holds one, and a frame under one — whatever body follows, the
+// old kinds' bodies among them — fails as an unknown tag.
+func TestRetiredTagsDecodeNothing(t *testing.T) {
+	for _, wt := range wireTypes {
+		if slices.Contains(retiredTags[:], wt.tag) {
+			t.Errorf("wireTypes registers retired tag %d", wt.tag)
+		}
+	}
+	for i, m := range wireSamples() {
+		payload, err := AppendEnvelope(nil, sampleFrom(i), m)
+		if err != nil || len(payload) >= 8<<10 {
+			continue
+		}
+		for _, tag := range retiredTags {
+			payload[0] = tag
+			if _, got, err := DecodeEnvelope(payload); err == nil {
+				t.Errorf("retired tag %d decoded sample %d's body as %T", tag, i, got)
+			}
+		}
+	}
+}
+
 // TestEncodeAllocatesNothing runs every sample through the pooled-buffer
 // discipline the transport's writer uses and demands zero allocations:
 // the codec and the message copy stay on the encoder's stack, and the
@@ -383,6 +407,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
+	f.Add([]byte{retiredTags[1], 2, 6, 2, 0x0e, 9, 4, 1, 'k', 1, 'v', 3, 0}) // a mp_accept frame
 	f.Add([]byte{tagLearn, 2, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		from, m, err := DecodeEnvelope(data)

@@ -1,7 +1,9 @@
 // Package msg defines the complete message vocabulary of the agreement
-// protocols in this repository: client traffic, 1Paxos (Appendix A of the
-// paper), PaxosUtility, collapsed Multi-Paxos, the Barrelfish-style 2PC
-// agreement protocol, and the Mencius extension.
+// protocols in this repository: client traffic, the Paxos phases every
+// Paxos-family engine shares, the messages only one engine needs —
+// 1Paxos (Appendix A of the paper), PaxosUtility, collapsed
+// Multi-Paxos, the Barrelfish-style 2PC agreement protocol, Mencius and
+// Basic Paxos — and the recovery and read-path traffic.
 //
 // Messages are plain data. The simulator passes them by value between
 // cores; the TCP transport encodes them with the hand-rolled wire codec
@@ -157,7 +159,7 @@ func (p Proposal) Equal(o Proposal) bool {
 
 // Message is implemented by every protocol message.
 type Message interface {
-	// Kind returns a short stable name used for per-kind accounting.
+	// Kind returns a short stable name, for diagnostics.
 	Kind() string
 }
 
@@ -239,6 +241,67 @@ func WrapReplies(replies []ClientReply) Message {
 }
 
 // ---------------------------------------------------------------------------
+// Paxos phases shared by the engines
+// ---------------------------------------------------------------------------
+
+// Accept is phase 2a for one instance: 1Paxos's leader sends it to the
+// active acceptor, Multi-Paxos's and Basic Paxos's proposers and every
+// Mencius owner (always PN 1: only the owner proposes) to all replicas.
+type Accept struct {
+	Instance int64
+	PN       uint64
+	Value    Value
+}
+
+// Accepted is phase 2b, an acceptor's acceptance broadcast to every
+// learner; a learner decides the instance once a majority accepted it
+// under one PN (replica.Shell.Vote). 1Paxos's one acceptor sends Learn.
+type Accepted struct {
+	Instance int64
+	PN       uint64
+	Value    Value
+	From     NodeID
+}
+
+// Promise is phase 1b of a leader change (1Paxos's PrepareRequest,
+// Multi-Paxos's MPPrepare): the acceptor's promise, piggybacking every
+// proposal it accepted or applied from the prepare's frontier on, so
+// the new leader re-proposes them (Lemma 2b).
+//
+// Floor is the acceptor's log-compaction floor (internal/snapshot):
+// every instance below it was decided but its value now lives only in a
+// snapshot, so the accepted list cannot cover it. A leader whose
+// applied frontier lies below Floor must treat those instances like an
+// AcceptorChange frontier — wait for the catch-up transfer the acceptor
+// pushes alongside this promise, never fill them with no-ops.
+type Promise struct {
+	From     NodeID
+	PN       uint64
+	Accepted []Proposal
+	Floor    int64
+}
+
+// SlotPrepare is phase 1a for one slot: a PaxosUtility log slot, or a
+// Basic Paxos log instance.
+type SlotPrepare struct {
+	Slot int64
+	PN   uint64
+}
+
+// SlotNack rejects a one-slot prepare or accept that lost: PN is the
+// number to beat.
+type SlotNack struct {
+	Slot int64
+	PN   uint64
+}
+
+func (Accept) Kind() string      { return "accept" }
+func (Accepted) Kind() string    { return "accepted" }
+func (Promise) Kind() string     { return "promise" }
+func (SlotPrepare) Kind() string { return "slot_prepare" }
+func (SlotNack) Kind() string    { return "slot_nack" }
+
+// ---------------------------------------------------------------------------
 // 1Paxos (Appendix A)
 // ---------------------------------------------------------------------------
 
@@ -255,22 +318,6 @@ type PrepareRequest struct {
 	From        int64
 }
 
-// PrepareResponse is the acceptor's promise, piggybacking every accepted
-// proposal so the new leader re-proposes them (Lemma 2b).
-//
-// Floor is the acceptor's log-compaction floor (internal/snapshot):
-// every instance below it was decided but its value now lives only in a
-// snapshot, so the accepted list cannot cover it. A leader whose
-// applied frontier lies below Floor must treat those instances like an
-// AcceptorChange frontier — wait for the catch-up transfer the acceptor
-// pushes alongside this response, never fill them with no-ops.
-type PrepareResponse struct {
-	Acceptor NodeID
-	PN       uint64
-	Accepted []Proposal
-	Floor    int64
-}
-
 // Abandon tells a proposer its proposal number lost to a higher one, or
 // that its freshness expectation was wrong. The pseudo-code's acceptor
 // stays silent on a freshness mismatch and proposers rely on timeouts;
@@ -282,13 +329,6 @@ type Abandon struct {
 	IamFresh      bool
 }
 
-// AcceptRequest asks the active acceptor to accept value for instance.
-type AcceptRequest struct {
-	Instance int64
-	PN       uint64
-	Value    Value
-}
-
 // Learn carries accepted proposals from the acceptor to the learners.
 // The slice form is the acceptor-side batching described in DESIGN.md:
 // with no backlog the slice holds a single entry.
@@ -296,11 +336,9 @@ type Learn struct {
 	Entries []Proposal
 }
 
-func (PrepareRequest) Kind() string  { return "prepare_request" }
-func (PrepareResponse) Kind() string { return "prepare_response" }
-func (Abandon) Kind() string         { return "abandon" }
-func (AcceptRequest) Kind() string   { return "accept_request" }
-func (Learn) Kind() string           { return "learn" }
+func (PrepareRequest) Kind() string { return "prepare_request" }
+func (Abandon) Kind() string        { return "abandon" }
+func (Learn) Kind() string          { return "learn" }
 
 // ---------------------------------------------------------------------------
 // PaxosUtility (Section 5.2-5.4)
@@ -336,12 +374,6 @@ type UtilEntry struct {
 // IsZero reports whether the entry is absent.
 func (e UtilEntry) IsZero() bool { return e.Type == 0 }
 
-// UtilPrepare is phase-1a of the utility's Basic Paxos for one log slot.
-type UtilPrepare struct {
-	Slot int64
-	PN   uint64
-}
-
 // UtilPromise is phase-1b: a promise, carrying any previously accepted
 // entry for the slot.
 type UtilPromise struct {
@@ -366,20 +398,14 @@ type UtilAccepted struct {
 	From  NodeID
 }
 
-// UtilNack rejects a utility prepare/accept that lost to a higher number.
-type UtilNack struct {
-	Slot int64
-	PN   uint64
-}
-
-func (UtilPrepare) Kind() string  { return "util_prepare" }
 func (UtilPromise) Kind() string  { return "util_promise" }
 func (UtilAccept) Kind() string   { return "util_accept" }
 func (UtilAccepted) Kind() string { return "util_accepted" }
-func (UtilNack) Kind() string     { return "util_nack" }
 
 // ---------------------------------------------------------------------------
-// Collapsed Multi-Paxos (Section 2.3)
+// The other engines' own phases: collapsed Multi-Paxos (Section 2.3),
+// Mencius (related-work extension, Section 8) and the Basic Paxos
+// baseline (Section 2.3's Synod, one full round per instance)
 // ---------------------------------------------------------------------------
 
 // MPPrepare is Multi-Paxos phase 1 for all instances >= FromInstance.
@@ -388,46 +414,34 @@ type MPPrepare struct {
 	FromInstance int64
 }
 
-// MPPromise is the acceptor's reply to MPPrepare with everything it has
-// accepted at or after the requested instance.
-//
-// Floor mirrors PrepareResponse.Floor: instances below the responder's
-// log-compaction floor are decided but absent from Accepted, so a
-// winning proposer must not no-op-fill below the highest Floor among
-// its promises (the catch-up push delivers those values instead).
-type MPPromise struct {
-	PN       uint64
-	From     NodeID
-	Accepted []Proposal
-	Floor    int64
-}
-
-// MPAccept is Multi-Paxos phase 2 for one instance.
-type MPAccept struct {
-	Instance int64
-	PN       uint64
-	Value    Value
-}
-
-// MPLearn is an acceptor's accept notification, broadcast to learners; a
-// learner learns an instance after MPLearns from a majority of acceptors.
-type MPLearn struct {
-	Instance int64
-	PN       uint64
-	Value    Value
-	From     NodeID
-}
-
 // MPNack rejects a proposal number that lost.
 type MPNack struct {
 	PN uint64
 }
 
+// MencSkip lets an idle Mencius leader give up its share of the instance space so
+// the log keeps advancing.
+type MencSkip struct {
+	FromInstance int64
+	ToInstance   int64
+	From         NodeID
+}
+
+// BPPromise is Basic Paxos phase-1b: a promise for the instance, carrying the
+// acceptor's previously accepted proposal if any (AcceptedPN zero means
+// none).
+type BPPromise struct {
+	Instance   int64
+	PN         uint64
+	From       NodeID
+	AcceptedPN uint64
+	Accepted   Value
+}
+
 func (MPPrepare) Kind() string { return "mp_prepare" }
-func (MPPromise) Kind() string { return "mp_promise" }
-func (MPAccept) Kind() string  { return "mp_accept" }
-func (MPLearn) Kind() string   { return "mp_learn" }
 func (MPNack) Kind() string    { return "mp_nack" }
+func (MencSkip) Kind() string  { return "menc_skip" }
+func (BPPromise) Kind() string { return "bp_promise" }
 
 // ---------------------------------------------------------------------------
 // 2PC in its Barrelfish agreement form (Section 2.2)
@@ -468,85 +482,6 @@ func (TPCAck) Kind() string       { return "2pc_ack" }
 func (TPCCommit) Kind() string    { return "2pc_commit" }
 func (TPCCommitAck) Kind() string { return "2pc_commit_ack" }
 func (TPCRollback) Kind() string  { return "2pc_rollback" }
-
-// ---------------------------------------------------------------------------
-// Mencius (related-work extension, Section 8)
-// ---------------------------------------------------------------------------
-
-// MencAccept proposes a value for an instance owned by the sending leader.
-type MencAccept struct {
-	Instance int64
-	PN       uint64
-	Value    Value
-}
-
-// MencLearn is the acceptor-side accept notification for Mencius.
-type MencLearn struct {
-	Instance int64
-	Value    Value
-	From     NodeID
-}
-
-// MencSkip lets an idle leader give up its share of the instance space so
-// the log keeps advancing.
-type MencSkip struct {
-	FromInstance int64
-	ToInstance   int64
-	From         NodeID
-}
-
-func (MencAccept) Kind() string { return "menc_accept" }
-func (MencLearn) Kind() string  { return "menc_learn" }
-func (MencSkip) Kind() string   { return "menc_skip" }
-
-// ---------------------------------------------------------------------------
-// Basic Paxos baseline (Section 2.3's Synod, one full round per instance)
-// ---------------------------------------------------------------------------
-
-// BPPrepare is phase-1a for one log instance.
-type BPPrepare struct {
-	Instance int64
-	PN       uint64
-}
-
-// BPPromise is phase-1b: a promise for the instance, carrying the
-// acceptor's previously accepted proposal if any (AcceptedPN zero means
-// none).
-type BPPromise struct {
-	Instance   int64
-	PN         uint64
-	From       NodeID
-	AcceptedPN uint64
-	Accepted   Value
-}
-
-// BPAccept is phase-2a for one instance.
-type BPAccept struct {
-	Instance int64
-	PN       uint64
-	Value    Value
-}
-
-// BPAccepted is phase-2b, broadcast to all replicas as learners; an
-// instance is decided once a majority accepts the same proposal number.
-type BPAccepted struct {
-	Instance int64
-	PN       uint64
-	Value    Value
-	From     NodeID
-}
-
-// BPNack rejects a prepare or accept that lost to a higher number.
-type BPNack struct {
-	Instance int64
-	PN       uint64 // the acceptor's promised number
-}
-
-func (BPPrepare) Kind() string  { return "bp_prepare" }
-func (BPPromise) Kind() string  { return "bp_promise" }
-func (BPAccept) Kind() string   { return "bp_accept" }
-func (BPAccepted) Kind() string { return "bp_accepted" }
-func (BPNack) Kind() string     { return "bp_nack" }
 
 // ---------------------------------------------------------------------------
 // Snapshot catch-up & replica recovery (internal/snapshot)

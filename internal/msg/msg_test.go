@@ -1,26 +1,57 @@
 package msg
 
-import "testing"
+import (
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
 
+	"consensusinside/internal/wire"
+)
+
+// samePayload lists the registered types allowed to share one field
+// list, with the reason they are still two kinds.
+var samePayload = map[[2]string]string{
+	{"SlotNack", "SlotPrepare"}: "a one-slot prepare and its refusal: different roles",
+	{"TPCCommit", "TPCPrepare"}: "2PC's two phases",
+}
+
+// TestKindsAreUniqueAndStable walks the codec registry: every registered
+// type has a kind name no other type shares, and a field list no other
+// type repeats — two types with one payload are one kind under two
+// names (merge them) unless samePayload gives the reason.
 func TestKindsAreUniqueAndStable(t *testing.T) {
-	all := []Message{
-		ClientRequest{}, ClientReply{},
-		PrepareRequest{}, PrepareResponse{}, Abandon{}, AcceptRequest{}, Learn{},
-		UtilPrepare{}, UtilPromise{}, UtilAccept{}, UtilAccepted{}, UtilNack{},
-		MPPrepare{}, MPPromise{}, MPAccept{}, MPLearn{}, MPNack{},
-		TPCPrepare{}, TPCAck{}, TPCCommit{}, TPCCommitAck{}, TPCRollback{},
-		MencAccept{}, MencLearn{}, MencSkip{},
-	}
-	seen := make(map[string]bool, len(all))
-	for _, m := range all {
+	kinds := map[string]string{}  // kind → type name
+	shapes := map[string]string{} // field list → type name
+	for _, wt := range wireTypes {
+		c := wire.NewReader(nil)
+		m := wt.dec(&c)
+		typ := reflect.TypeOf(m)
 		k := m.Kind()
 		if k == "" {
-			t.Errorf("%T has empty kind", m)
+			t.Errorf("%s has an empty kind", typ.Name())
 		}
-		if seen[k] {
-			t.Errorf("duplicate kind %q (%T)", k, m)
+		if prev, ok := kinds[k]; ok {
+			t.Errorf("kind %q names both %s and %s", k, prev, typ.Name())
 		}
-		seen[k] = true
+		kinds[k] = typ.Name()
+		var fields []string
+		for i := range typ.NumField() {
+			fields = append(fields, typ.Field(i).Name+" "+typ.Field(i).Type.String())
+		}
+		shape := strings.Join(fields, "; ")
+		if prev, ok := shapes[shape]; ok {
+			pair := [2]string{prev, typ.Name()}
+			slices.Sort(pair[:])
+			if samePayload[pair] == "" {
+				t.Errorf("%s and %s are both {%s}: merge them, or list the pair in samePayload with its reason", prev, typ.Name(), shape)
+			}
+			delete(samePayload, pair)
+		}
+		shapes[shape] = typ.Name()
+	}
+	for pair := range samePayload {
+		t.Errorf("samePayload lists %v, which are not two registered types with one field list", pair)
 	}
 }
 

@@ -144,12 +144,12 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 		r.onClientRequest(from, mm)
 	case msg.MPPrepare:
 		r.onPrepare(from, mm)
-	case msg.MPPromise:
+	case msg.Promise:
 		r.onPromise(from, mm)
-	case msg.MPAccept:
+	case msg.Accept:
 		r.onAccept(from, mm)
-	case msg.MPLearn:
-		r.onLearn(mm)
+	case msg.Accepted:
+		r.onAccepted(mm)
 	case msg.MPNack:
 		r.onNack(mm)
 	}
@@ -187,7 +187,7 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 
 // broadcastAccept is the book's accept hook: every acceptor is asked.
 func (r *Replica) broadcastAccept(in int64, v msg.Value) {
-	accept := msg.Message(msg.MPAccept{Instance: in, PN: r.myPN, Value: v})
+	accept := msg.Message(msg.Accept{Instance: in, PN: r.myPN, Value: v})
 	for _, id := range r.Replicas {
 		r.Ctx.Send(id, accept)
 	}
@@ -246,13 +246,13 @@ func (r *Replica) onPrepare(from msg.NodeID, m msg.MPPrepare) {
 			// fills those instances.
 			r.Snap.Serve(r.Ctx, from, m.FromInstance)
 		}
-		r.Ctx.Send(from, msg.MPPromise{PN: m.PN, From: r.Me, Accepted: tail, Floor: r.Log().Floor()})
+		r.Ctx.Send(from, msg.Promise{From: r.Me, PN: m.PN, Accepted: tail, Floor: r.Log().Floor()})
 	} else {
 		r.Ctx.Send(from, msg.MPNack{PN: r.hpn})
 	}
 }
 
-func (r *Replica) onPromise(from msg.NodeID, m msg.MPPromise) {
+func (r *Replica) onPromise(from msg.NodeID, m msg.Promise) {
 	if !r.preparing || m.PN != r.myPN {
 		return
 	}
@@ -284,7 +284,7 @@ func (r *Replica) onPromise(from msg.NodeID, m msg.MPPromise) {
 
 // --- Phase 2 ---
 
-func (r *Replica) onAccept(from msg.NodeID, m msg.MPAccept) {
+func (r *Replica) onAccept(from msg.NodeID, m msg.Accept) {
 	if m.PN > r.maxPNSeen {
 		r.maxPNSeen = m.PN
 	}
@@ -308,14 +308,14 @@ func (r *Replica) onAccept(from msg.NodeID, m msg.MPAccept) {
 	// Acceptors broadcast to all learners (Section 2.3: "the acceptors
 	// broadcast the corresponding message to all the learners").
 	for _, id := range r.Replicas {
-		r.Ctx.Send(id, msg.MPLearn{Instance: m.Instance, PN: m.PN, Value: m.Value, From: r.Me})
+		r.Ctx.Send(id, msg.Accepted{Instance: m.Instance, PN: m.PN, Value: m.Value, From: r.Me})
 	}
 	if from != r.Me {
 		r.knownLeader = from
 	}
 }
 
-func (r *Replica) onLearn(m msg.MPLearn) {
+func (r *Replica) onAccepted(m msg.Accepted) {
 	r.Vote(m.Instance, m.From, m.PN, m.Value)
 }
 

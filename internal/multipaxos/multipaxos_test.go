@@ -51,11 +51,11 @@ func TestLeaderWinsPhaseOneThenProposes(t *testing.T) {
 		t.Fatalf("sent %d prepares, want 3", prepares)
 	}
 	// A minority of promises is not enough.
-	r.Receive(ctx, 0, msg.MPPromise{PN: pn, From: 0})
+	r.Receive(ctx, 0, msg.Promise{From: 0, PN: pn})
 	if r.IsLeader() {
 		t.Fatal("one promise of three must not elect")
 	}
-	r.Receive(ctx, 1, msg.MPPromise{PN: pn, From: 1})
+	r.Receive(ctx, 1, msg.Promise{From: 1, PN: pn})
 	if !r.IsLeader() {
 		t.Fatal("majority of promises must elect")
 	}
@@ -64,7 +64,7 @@ func TestLeaderWinsPhaseOneThenProposes(t *testing.T) {
 	r.Receive(ctx, 7, msg.ClientRequest{Client: 7, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}})
 	accepts := 0
 	for _, s := range ctx.Sent {
-		if _, ok := s.M.(msg.MPAccept); ok {
+		if _, ok := s.M.(msg.Accept); ok {
 			accepts++
 		}
 	}
@@ -78,10 +78,10 @@ func TestPromiseCarriesAcceptedTail(t *testing.T) {
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	val := msg.Value{Client: 7, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
-	r.Receive(ctx, 0, msg.MPAccept{Instance: 0, PN: 1, Value: val})
+	r.Receive(ctx, 0, msg.Accept{Instance: 0, PN: 1, Value: val})
 	ctx.TakeSent()
 	r.Receive(ctx, 2, msg.MPPrepare{PN: 100, FromInstance: 0})
-	prom, ok := ctx.LastSent().M.(msg.MPPromise)
+	prom, ok := ctx.LastSent().M.(msg.Promise)
 	if !ok {
 		t.Fatalf("want promise, got %+v", ctx.LastSent().M)
 	}
@@ -98,16 +98,16 @@ func TestPromiseIncludesAppliedSuffix(t *testing.T) {
 	r.Start(ctx)
 	val := msg.Value{Client: 7, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
 	// Learn from a majority so instance 0 applies locally.
-	r.Receive(ctx, 0, msg.MPLearn{Instance: 0, PN: 1, Value: val, From: 0})
-	r.Receive(ctx, 2, msg.MPLearn{Instance: 0, PN: 1, Value: val, From: 2})
+	r.Receive(ctx, 0, msg.Accepted{Instance: 0, PN: 1, Value: val, From: 0})
+	r.Receive(ctx, 2, msg.Accepted{Instance: 0, PN: 1, Value: val, From: 2})
 	if r.Commits() != 1 {
 		t.Fatalf("Commits = %d, want 1", r.Commits())
 	}
 	// Force pruning via a later accept.
-	r.Receive(ctx, 0, msg.MPAccept{Instance: 1, PN: 1, Value: val})
+	r.Receive(ctx, 0, msg.Accept{Instance: 1, PN: 1, Value: val})
 	ctx.TakeSent()
 	r.Receive(ctx, 2, msg.MPPrepare{PN: 100, FromInstance: 0})
-	prom := ctx.LastSent().M.(msg.MPPromise)
+	prom := ctx.LastSent().M.(msg.Promise)
 	found := false
 	for _, p := range prom.Accepted {
 		if p.Instance == 0 && p.Value.Equal(val) {
@@ -130,7 +130,7 @@ func TestAcceptorNacksStalePN(t *testing.T) {
 		t.Fatalf("stale prepare must be nacked, got %+v", ctx.LastSent().M)
 	}
 	ctx.TakeSent()
-	r.Receive(ctx, 2, msg.MPAccept{Instance: 0, PN: 10, Value: msg.Value{Client: 1, Seq: 1}})
+	r.Receive(ctx, 2, msg.Accept{Instance: 0, PN: 10, Value: msg.Value{Client: 1, Seq: 1}})
 	if _, ok := ctx.LastSent().M.(msg.MPNack); !ok {
 		t.Fatalf("stale accept must be nacked, got %+v", ctx.LastSent().M)
 	}
@@ -141,17 +141,17 @@ func TestLearnerNeedsMajority(t *testing.T) {
 	ctx := runtime.NewFakeContext(2, 3)
 	r.Start(ctx)
 	val := msg.Value{Client: 7, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
-	r.Receive(ctx, 0, msg.MPLearn{Instance: 0, PN: 1, Value: val, From: 0})
+	r.Receive(ctx, 0, msg.Accepted{Instance: 0, PN: 1, Value: val, From: 0})
 	if r.Commits() != 0 {
 		t.Fatal("one acceptor's learn must not commit")
 	}
 	// A learn with a different pn from another acceptor does not count
 	// toward the same majority.
-	r.Receive(ctx, 1, msg.MPLearn{Instance: 0, PN: 2, Value: val, From: 1})
+	r.Receive(ctx, 1, msg.Accepted{Instance: 0, PN: 2, Value: val, From: 1})
 	if r.Commits() != 0 {
 		t.Fatal("mixed-pn learns must not commit")
 	}
-	r.Receive(ctx, 1, msg.MPLearn{Instance: 0, PN: 1, Value: val, From: 1})
+	r.Receive(ctx, 1, msg.Accepted{Instance: 0, PN: 1, Value: val, From: 1})
 	if r.Commits() != 1 {
 		t.Fatalf("Commits = %d, want 1 after matching majority", r.Commits())
 	}
@@ -170,7 +170,7 @@ func TestNackDeposesLeader(t *testing.T) {
 	}{
 		{"nack", func(pn uint64) msg.Message { return msg.MPNack{PN: pn + 100} }},
 		{"accept", func(pn uint64) msg.Message {
-			return msg.MPAccept{Instance: 0, PN: pn + 100, Value: msg.Value{Client: 8, Seq: 1}}
+			return msg.Accept{Instance: 0, PN: pn + 100, Value: msg.Value{Client: 8, Seq: 1}}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -178,8 +178,8 @@ func TestNackDeposesLeader(t *testing.T) {
 			ctx := runtime.NewFakeContext(0, 3)
 			r.Start(ctx)
 			pn := ctx.Sent[0].M.(msg.MPPrepare).PN
-			r.Receive(ctx, 0, msg.MPPromise{PN: pn, From: 0})
-			r.Receive(ctx, 1, msg.MPPromise{PN: pn, From: 1})
+			r.Receive(ctx, 0, msg.Promise{From: 0, PN: pn})
+			r.Receive(ctx, 1, msg.Promise{From: 1, PN: pn})
 			if !r.IsLeader() {
 				t.Fatal("setup: leader election failed")
 			}
@@ -211,8 +211,8 @@ func electedLeader(t *testing.T) (*Replica, *runtime.FakeContext, uint64) {
 	ctx := runtime.NewFakeContext(0, 3)
 	r.Start(ctx)
 	pn := ctx.Sent[0].M.(msg.MPPrepare).PN
-	r.Receive(ctx, 0, msg.MPPromise{PN: pn, From: 0})
-	r.Receive(ctx, 1, msg.MPPromise{PN: pn, From: 1})
+	r.Receive(ctx, 0, msg.Promise{From: 0, PN: pn})
+	r.Receive(ctx, 1, msg.Promise{From: 1, PN: pn})
 	if !r.IsLeader() {
 		t.Fatal("setup: leader election failed")
 	}
@@ -224,7 +224,7 @@ func electedLeader(t *testing.T) (*Replica, *runtime.FakeContext, uint64) {
 func acceptsFor(ctx *runtime.FakeContext, in int64) int {
 	n := 0
 	for _, s := range ctx.Sent {
-		if a, ok := s.M.(msg.MPAccept); ok && a.Instance == in {
+		if a, ok := s.M.(msg.Accept); ok && a.Instance == in {
 			n++
 		}
 	}
@@ -244,7 +244,7 @@ func TestOneRetransmitDeadlinePerLeader(t *testing.T) {
 	}
 	// Instance 1 is learned; 0, 2 and 3 are not.
 	for _, from := range []msg.NodeID{1, 2} {
-		r.Receive(ctx, from, msg.MPLearn{Instance: 1, PN: pn, Value: msg.Value{Client: 7, Seq: 2, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}, From: from})
+		r.Receive(ctx, from, msg.Accepted{Instance: 1, PN: pn, Value: msg.Value{Client: 7, Seq: 2, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}, From: from})
 	}
 	ctx.TakeSent()
 	ctx.Clock = ctx.Timers[0].At
@@ -264,7 +264,7 @@ func TestProposalSkipsInstanceDecidedByRival(t *testing.T) {
 	r, ctx, pn := electedLeader(t)
 	rival := msg.Value{Client: 8, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "r"}}
 	for _, from := range []msg.NodeID{1, 2} {
-		r.Receive(ctx, from, msg.MPLearn{Instance: 0, PN: pn - 1, Value: rival, From: from})
+		r.Receive(ctx, from, msg.Accepted{Instance: 0, PN: pn - 1, Value: rival, From: from})
 	}
 	if !r.Log().Learned(0) {
 		t.Fatal("setup: instance 0 was not learned")

@@ -28,7 +28,7 @@ func countTo[M msg.Message](ctx *runtime.FakeContext, to msg.NodeID) int {
 // learn delivers a majority of accepted votes for (instance, v).
 func learn(r *Replica, ctx *runtime.FakeContext, instance int64, pn uint64, v msg.Value) {
 	for _, from := range []msg.NodeID{0, 1} {
-		r.Receive(ctx, from, msg.MPLearn{Instance: instance, PN: pn, Value: v, From: from})
+		r.Receive(ctx, from, msg.Accepted{Instance: instance, PN: pn, Value: v, From: from})
 	}
 }
 
@@ -37,18 +37,18 @@ func TestOriginDuplicateRequestProposedAndAnsweredOnce(t *testing.T) {
 	ctx := runtime.NewFakeContext(0, 3)
 	r.Start(ctx)
 	pn := ctx.SentTo(1)[0].(msg.MPPrepare).PN
-	r.Receive(ctx, 0, msg.MPPromise{PN: pn, From: 0})
-	r.Receive(ctx, 1, msg.MPPromise{PN: pn, From: 1})
+	r.Receive(ctx, 0, msg.Promise{From: 0, PN: pn})
+	r.Receive(ctx, 1, msg.Promise{From: 1, PN: pn})
 	ctx.TakeSent()
 
 	// The client's retry arrives before the first copy commits: one
 	// proposal, not two.
 	r.Receive(ctx, 7, putReq(7, 1))
 	r.Receive(ctx, 7, putReq(7, 1))
-	if got := countTo[msg.MPAccept](ctx, 1); got != 1 {
+	if got := countTo[msg.Accept](ctx, 1); got != 1 {
 		t.Fatalf("duplicate request produced %d accepts per acceptor, want 1", got)
 	}
-	v := ctx.SentTo(1)[0].(msg.MPAccept).Value
+	v := ctx.SentTo(1)[0].(msg.Accept).Value
 	ctx.TakeSent()
 
 	// The commit answers once; a second decision of the same command

@@ -11,9 +11,9 @@
 //
 // Fast path (failure-free, Figure 3):
 //
-//	client ──request──▶ leader ──accept_request──▶ active acceptor
-//	                                              │ learn (multicast)
-//	          client ◀──reply── leader/learner ◀──┘
+//	client ──request──▶ leader ──accept──▶ active acceptor
+//	                                      │ learn (multicast)
+//	  client ◀──reply── leader/learner ◀──┘
 //
 // Fault handling follows Appendix A exactly:
 //   - active acceptor unresponsive → the leader (and only the leader —
@@ -21,7 +21,7 @@
 //     AcceptorChange(A′, uncommittedProposals) entry, then re-adopts the
 //     fresh acceptor with a MustBeFresh prepare;
 //   - leader unresponsive → any proposer commits LeaderChange(P′, A) and
-//     adopts the *same* acceptor, whose prepare_response carries every
+//     adopts the *same* acceptor, whose promise carries every
 //     accepted proposal (Lemma 2b);
 //   - both unresponsive → no progress until one recovers (Section 5.4);
 //     with three replicas this matches plain Paxos's availability.
@@ -73,7 +73,7 @@ type Replica struct {
 	// aaVirgin is true while this node knows the active acceptor cannot
 	// have accepted any proposal: it was installed fresh by this node's
 	// own AcceptorChange (or is the boot acceptor observed by the boot
-	// leader) and no accept_request has been sent to it yet. A virgin
+	// leader) and no accept has been sent to it yet. A virgin
 	// acceptor may be replaced even before adoption — the safety argument
 	// for restricting AcceptorChange to adopted leaders is precisely that
 	// a non-adopted proposer cannot know the acceptor's accepted
@@ -109,7 +109,7 @@ var _ runtime.Handler = (*Replica)(nil)
 // is a pure proposer, keeping leader and acceptor separated after a
 // takeover too. AcceptTimeout bounds how long the leader waits for a
 // learn before suspecting the active acceptor (and how long a takeover
-// waits for a prepare_response); TakeoverBackoff delays a retry after a
+// waits for a promise); TakeoverBackoff delays a retry after a
 // lost takeover race.
 func New(cfg protocol.Config) *Replica {
 	if cfg.AcceptTimeout == 0 {
@@ -147,7 +147,7 @@ func New(cfg protocol.Config) *Replica {
 		Grant:      func(from msg.NodeID) bool { return r.adopted == from },
 		Accept: func(in int64, v msg.Value) {
 			r.aaVirgin = false // the acceptor may hold accepted proposals from here on
-			r.Ctx.Send(r.aa, msg.AcceptRequest{Instance: in, PN: r.myPN, Value: v})
+			r.Ctx.Send(r.aa, msg.Accept{Instance: in, PN: r.myPN, Value: v})
 		},
 		// The acceptor is suspected when the oldest unlearned accept goes
 		// AcceptTimeout unanswered.
@@ -210,10 +210,10 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 		r.onClientRequest(from, mm)
 	case msg.PrepareRequest:
 		r.onPrepareRequest(from, mm)
-	case msg.PrepareResponse:
-		r.onPrepareResponse(from, mm)
-	case msg.AcceptRequest:
-		r.onAcceptRequest(from, mm)
+	case msg.Promise:
+		r.onPromise(from, mm)
+	case msg.Accept:
+		r.onAccept(from, mm)
 	case msg.Learn:
 		r.onLearn(mm)
 	case msg.Abandon:
@@ -314,13 +314,13 @@ func (r *Replica) onPrepareRequest(from msg.NodeID, m msg.PrepareRequest) {
 			// never no-op fills those instances even if the push is lost.
 			r.Snap.Serve(r.Ctx, from, m.From)
 		}
-		r.Ctx.Send(from, msg.PrepareResponse{Acceptor: r.Me, PN: m.PN, Accepted: r.proposalsSince(m.From), Floor: r.Log().Floor()})
+		r.Ctx.Send(from, msg.Promise{From: r.Me, PN: m.PN, Accepted: r.proposalsSince(m.From), Floor: r.Log().Floor()})
 	} else {
 		r.Ctx.Send(from, msg.Abandon{HPN: r.hpn})
 	}
 }
 
-func (r *Replica) onAcceptRequest(from msg.NodeID, m msg.AcceptRequest) {
+func (r *Replica) onAccept(from msg.NodeID, m msg.Accept) {
 	if r.aa != r.Me {
 		// Retired acceptor (see the matching check in onPrepareRequest):
 		// accepting from a staler-view leader would decide an instance a
@@ -449,10 +449,10 @@ func (r *Replica) onLearn(m msg.Learn) {
 	r.Snap.WatchGap(r.Ctx)
 }
 
-// --- Proposer: becoming leader (Appendix A propose()/prepare_response) ---
+// --- Proposer: becoming leader (Appendix A propose()/prepare_response, our Promise) ---
 
-func (r *Replica) onPrepareResponse(from msg.NodeID, m msg.PrepareResponse) {
-	if r.iAmLeader || !r.takingOver || m.Acceptor != r.aa || m.PN != r.myPN {
+func (r *Replica) onPromise(from msg.NodeID, m msg.Promise) {
+	if r.iAmLeader || !r.takingOver || m.From != r.aa || m.PN != r.myPN {
 		return
 	}
 	r.iAmLeader = true
@@ -670,7 +670,7 @@ func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
 		r.knownLeader = e.Leader
 		if e.Leader != r.Me {
 			// Another proposer adopts the acceptor and will send it
-			// accept_requests; it can no longer be presumed fresh. Without
+			// accepts; it can no longer be presumed fresh. Without
 			// this, a boot leader that never proposed could much later
 			// "virgin-switch" an acceptor that meanwhile accepted
 			// proposals under other leaders — discarding them.

@@ -83,9 +83,9 @@ func TestAcceptorFreshnessHandshake(t *testing.T) {
 	// The matching expectation succeeds and un-freshens the acceptor.
 	ctx.TakeSent()
 	r.Receive(ctx, 1, msg.PrepareRequest{PN: 10, MustBeFresh: true})
-	pr, ok := ctx.LastSent().M.(msg.PrepareResponse)
-	if !ok || pr.PN != 10 || pr.Acceptor != 2 {
-		t.Fatalf("want prepare_response, got %+v", ctx.LastSent().M)
+	pr, ok := ctx.LastSent().M.(msg.Promise)
+	if !ok || pr.PN != 10 || pr.From != 2 {
+		t.Fatalf("want promise, got %+v", ctx.LastSent().M)
 	}
 	// Now adopted: a later MustBeFresh prepare must be rejected.
 	ctx.TakeSent()
@@ -115,7 +115,7 @@ func TestAcceptRequestFlow(t *testing.T) {
 	ctx.TakeSent()
 
 	val := msg.Value{Client: 9, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "v"}}
-	r.Receive(ctx, 0, msg.AcceptRequest{Instance: 0, PN: 10, Value: val})
+	r.Receive(ctx, 0, msg.Accept{Instance: 0, PN: 10, Value: val})
 	// Learn must be multicast to all three learners.
 	learns := 0
 	for _, s := range ctx.Sent {
@@ -132,33 +132,33 @@ func TestAcceptRequestFlow(t *testing.T) {
 
 	// Wrong pn is abandoned.
 	ctx.TakeSent()
-	r.Receive(ctx, 1, msg.AcceptRequest{Instance: 1, PN: 9, Value: val})
+	r.Receive(ctx, 1, msg.Accept{Instance: 1, PN: 9, Value: val})
 	if _, ok := ctx.LastSent().M.(msg.Abandon); !ok {
 		t.Fatalf("stale-pn accept must be abandoned, got %+v", ctx.LastSent().M)
 	}
 
 	// A duplicate accept re-multicasts the original learn.
 	ctx.TakeSent()
-	r.Receive(ctx, 0, msg.AcceptRequest{Instance: 0, PN: 10, Value: val})
+	r.Receive(ctx, 0, msg.Accept{Instance: 0, PN: 10, Value: val})
 	if len(ctx.Sent) != 3 {
 		t.Fatalf("duplicate accept re-sent %d learns, want 3", len(ctx.Sent))
 	}
 }
 
 func TestPrepareResponseCarriesAcceptedProposals(t *testing.T) {
-	// Lemma 2b: the prepare_response must piggyback every accepted
+	// Lemma 2b: the promise must piggyback every accepted
 	// proposal so the next leader re-proposes them.
 	r, ctx := newReplica(t, 2, 3)
 	r.Start(ctx)
 	r.Receive(ctx, 0, msg.PrepareRequest{PN: 10, MustBeFresh: true})
 	val := msg.Value{Client: 9, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
-	r.Receive(ctx, 0, msg.AcceptRequest{Instance: 0, PN: 10, Value: val})
+	r.Receive(ctx, 0, msg.Accept{Instance: 0, PN: 10, Value: val})
 	ctx.TakeSent()
 
 	r.Receive(ctx, 1, msg.PrepareRequest{PN: 20, MustBeFresh: false})
-	pr, ok := ctx.LastSent().M.(msg.PrepareResponse)
+	pr, ok := ctx.LastSent().M.(msg.Promise)
 	if !ok {
-		t.Fatalf("want prepare_response, got %+v", ctx.LastSent().M)
+		t.Fatalf("want promise, got %+v", ctx.LastSent().M)
 	}
 	if len(pr.Accepted) != 1 || !pr.Accepted[0].Value.Equal(val) {
 		t.Fatalf("accepted proposals not carried: %+v", pr.Accepted)
@@ -171,17 +171,17 @@ func TestLeaderFastPath(t *testing.T) {
 	// Adopt: acceptor 2 responds to the boot prepare.
 	pn := ctx.SentTo(2)[0].(msg.PrepareRequest).PN
 	ctx.TakeSent()
-	r.Receive(ctx, 2, msg.PrepareResponse{Acceptor: 2, PN: pn})
+	r.Receive(ctx, 2, msg.Promise{From: 2, PN: pn})
 	if !r.IsLeader() {
-		t.Fatal("prepare_response must make the proposer leader")
+		t.Fatal("promise must make the proposer leader")
 	}
-	// A client request becomes a single accept_request to the acceptor.
+	// A client request becomes a single accept to the acceptor.
 	r.Receive(ctx, 5, msg.ClientRequest{Client: 5, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "a", Val: "1"}})
 	accepts := ctx.SentTo(2)
 	if len(accepts) != 1 {
 		t.Fatalf("leader sent %d messages to acceptor, want 1", len(accepts))
 	}
-	ar, ok := accepts[0].(msg.AcceptRequest)
+	ar, ok := accepts[0].(msg.Accept)
 	if !ok || ar.Instance != 0 || ar.PN != pn {
 		t.Fatalf("accept = %+v", accepts[0])
 	}
@@ -219,7 +219,7 @@ func TestTakeoverFallbackAcceptorIsNotTheTaker(t *testing.T) {
 
 // TestSupersededTakeoverStops: a takeover still adopting its acceptor
 // stops when a utility entry names another leader. Its prepare deadline
-// resends nothing, and a prepare_response that arrives late does not
+// resends nothing, and a promise that arrives late does not
 // make it leader: adopting under the replaced regime would steal the
 // acceptor from the leader the entry names, and that leader's decided
 // instances could then be no-op filled.
@@ -238,9 +238,9 @@ func TestSupersededTakeoverStops(t *testing.T) {
 			if got := countTo[msg.PrepareRequest](ctx, 2); got != 0 {
 				t.Fatalf("the superseded takeover re-sent %d prepares", got)
 			}
-			r.Receive(ctx, 2, msg.PrepareResponse{Acceptor: 2, PN: pn})
+			r.Receive(ctx, 2, msg.Promise{From: 2, PN: pn})
 			if r.IsLeader() {
-				t.Fatal("a late prepare_response made the superseded taker leader")
+				t.Fatal("a late promise made the superseded taker leader")
 			}
 		})
 	}
@@ -250,10 +250,10 @@ func TestSessionDedupAnswersRetries(t *testing.T) {
 	r, ctx := newReplica(t, 0, 3)
 	r.Start(ctx)
 	pn := ctx.SentTo(2)[0].(msg.PrepareRequest).PN
-	r.Receive(ctx, 2, msg.PrepareResponse{Acceptor: 2, PN: pn})
+	r.Receive(ctx, 2, msg.Promise{From: 2, PN: pn})
 	req := msg.ClientRequest{Client: 5, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "a", Val: "1"}}
 	r.Receive(ctx, 5, req)
-	ar := ctx.SentTo(2)[1].(msg.AcceptRequest)
+	ar := ctx.SentTo(2)[1].(msg.Accept)
 	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: pn, Value: ar.Value}}})
 	ctx.TakeSent()
 
@@ -296,7 +296,7 @@ func TestLearnBatchingKeepsLeaderPathImmediate(t *testing.T) {
 	r.Receive(ctx, 0, msg.PrepareRequest{PN: 10, MustBeFresh: true})
 	ctx.TakeSent()
 	val := msg.Value{Client: 9, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
-	r.Receive(ctx, 0, msg.AcceptRequest{Instance: 0, PN: 10, Value: val})
+	r.Receive(ctx, 0, msg.Accept{Instance: 0, PN: 10, Value: val})
 	// Only the adopted leader gets an immediate learn; the rest waits for
 	// the flush timer.
 	if got := len(ctx.SentTo(0)); got != 1 {
@@ -433,7 +433,7 @@ func TestScenarioAcceptorCrashCarriesProposals(t *testing.T) {
 	for i := uint64(1); i <= 3; i++ {
 		s.send(time.Duration(i)*10*time.Microsecond, 0, i)
 	}
-	// Crash before any accept_request reaches the acceptor, so all three
+	// Crash before any accept reaches the acceptor, so all three
 	// proposals must travel through the AcceptorChange entry.
 	s.net.At(14*time.Microsecond, func() { s.net.Crash(2) })
 	s.net.RunFor(30 * time.Millisecond)
@@ -600,7 +600,7 @@ func TestAcceptorPrunesAcceptedBelowAppliedFrontier(t *testing.T) {
 	value := func(in int64) msg.Value {
 		return msg.Value{Client: 9, Seq: uint64(in + 1), Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
 	}
-	accept := func(in int64) { r.Receive(ctx, 0, msg.AcceptRequest{Instance: in, PN: 10, Value: value(in)}) }
+	accept := func(in int64) { r.Receive(ctx, 0, msg.Accept{Instance: in, PN: 10, Value: value(in)}) }
 	learn := func(in int64) {
 		r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: in, PN: 10, Value: value(in)}}})
 	}
@@ -650,7 +650,7 @@ func adoptedLeader(t *testing.T, tweak func(*protocol.Config)) (*Replica, *runti
 	ctx := runtime.NewFakeContext(0, 3)
 	r.Start(ctx)
 	pn := ctx.SentTo(2)[0].(msg.PrepareRequest).PN
-	r.Receive(ctx, 2, msg.PrepareResponse{Acceptor: 2, PN: pn})
+	r.Receive(ctx, 2, msg.Promise{From: 2, PN: pn})
 	if !r.IsLeader() {
 		t.Fatal("setup: the boot takeover did not adopt acceptor 2")
 	}
@@ -694,7 +694,7 @@ func TestOneAcceptDeadlinePerLeader(t *testing.T) {
 		ctx.Clock += time.Microsecond
 		r.Receive(ctx, 5, clientPut(seq))
 	}
-	if got := countTo[msg.AcceptRequest](ctx, 2); got != 8 {
+	if got := countTo[msg.Accept](ctx, 2); got != 8 {
 		t.Fatalf("sent %d accepts, want 8", got)
 	}
 	if n := len(acceptDeadlines(ctx)); n != 1 {
@@ -708,7 +708,7 @@ func TestOneAcceptDeadlinePerLeader(t *testing.T) {
 func TestAcceptorSuspectedAtOldestAcceptTimeout(t *testing.T) {
 	r, ctx := adoptedLeader(t, nil)
 	r.Receive(ctx, 5, clientPut(1)) // instance 0 at 0
-	first := ctx.SentTo(2)[0].(msg.AcceptRequest)
+	first := ctx.SentTo(2)[0].(msg.Accept)
 	ctx.Clock = 300 * time.Microsecond
 	r.Receive(ctx, 5, clientPut(2)) // instance 1 at 300µs
 	ctx.Clock = 350 * time.Microsecond
@@ -731,7 +731,7 @@ func TestAcceptorSuspectedAtOldestAcceptTimeout(t *testing.T) {
 func TestLearnedInstanceNeverSuspected(t *testing.T) {
 	r, ctx := adoptedLeader(t, nil)
 	r.Receive(ctx, 5, clientPut(1))
-	ar := ctx.SentTo(2)[0].(msg.AcceptRequest)
+	ar := ctx.SentTo(2)[0].(msg.Accept)
 	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: ar.Instance, PN: ar.PN, Value: ar.Value}}})
 	fireAcceptDeadline(t, r, ctx)
 	if r.switchingAa {

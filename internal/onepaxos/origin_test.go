@@ -31,17 +31,17 @@ func TestOriginDuplicateRequestProposedAndAnsweredOnce(t *testing.T) {
 	r, ctx := newReplica(t, 0, 3)
 	r.Start(ctx)
 	pn := ctx.SentTo(2)[0].(msg.PrepareRequest).PN
-	r.Receive(ctx, 2, msg.PrepareResponse{Acceptor: 2, PN: pn})
+	r.Receive(ctx, 2, msg.Promise{From: 2, PN: pn})
 	ctx.TakeSent()
 
 	// The client's retry arrives before the first copy commits: one
 	// proposal, not two.
 	r.Receive(ctx, 5, putReq(5, 1))
 	r.Receive(ctx, 5, putReq(5, 1))
-	if got := countTo[msg.AcceptRequest](ctx, 2); got != 1 {
-		t.Fatalf("duplicate request produced %d accept_requests, want 1", got)
+	if got := countTo[msg.Accept](ctx, 2); got != 1 {
+		t.Fatalf("duplicate request produced %d accepts, want 1", got)
 	}
-	ar := ctx.SentTo(2)[0].(msg.AcceptRequest)
+	ar := ctx.SentTo(2)[0].(msg.Accept)
 	ctx.TakeSent()
 
 	// The commit answers once; a second decision of the same command

@@ -194,7 +194,7 @@ func (u *Util) Propose(ctx runtime.Context, slot int64, entry msg.UtilEntry, don
 	}
 	u.props[slot] = p
 	u.armRetry(ctx, p)
-	u.broadcast(ctx, msg.UtilPrepare{Slot: slot, PN: pn})
+	u.broadcast(ctx, msg.SlotPrepare{Slot: slot, PN: pn})
 }
 
 func (u *Util) armRetry(ctx runtime.Context, p *proposal) {
@@ -238,7 +238,7 @@ func (u *Util) HandleTimer(ctx runtime.Context, tag runtime.TimerTag) bool {
 	u.maxPNSeen = pn
 	p.synod.Restart(pn)
 	u.armRetry(ctx, p)
-	u.broadcast(ctx, msg.UtilPrepare{Slot: p.slot, PN: pn})
+	u.broadcast(ctx, msg.SlotPrepare{Slot: p.slot, PN: pn})
 	return true
 }
 
@@ -247,7 +247,7 @@ func (u *Util) HandleTimer(ctx runtime.Context, tag runtime.TimerTag) bool {
 // return value).
 func (u *Util) Handle(ctx runtime.Context, from msg.NodeID, m msg.Message) bool {
 	switch mm := m.(type) {
-	case msg.UtilPrepare:
+	case msg.SlotPrepare:
 		u.onPrepare(ctx, from, mm)
 	case msg.UtilPromise:
 		u.onPromise(ctx, from, mm)
@@ -255,7 +255,7 @@ func (u *Util) Handle(ctx runtime.Context, from msg.NodeID, m msg.Message) bool 
 		u.onAccept(ctx, from, mm)
 	case msg.UtilAccepted:
 		u.onAccepted(ctx, mm)
-	case msg.UtilNack:
+	case msg.SlotNack:
 		u.onNack(ctx, from, mm)
 	default:
 		return false
@@ -264,7 +264,7 @@ func (u *Util) Handle(ctx runtime.Context, from msg.NodeID, m msg.Message) bool 
 	return true
 }
 
-func (u *Util) onPrepare(ctx runtime.Context, from msg.NodeID, m msg.UtilPrepare) {
+func (u *Util) onPrepare(ctx runtime.Context, from msg.NodeID, m msg.SlotPrepare) {
 	if m.PN > u.maxPNSeen {
 		u.maxPNSeen = m.PN
 	}
@@ -277,7 +277,7 @@ func (u *Util) onPrepare(ctx runtime.Context, from msg.NodeID, m msg.UtilPrepare
 			Accepted:   acc.Accepted,
 		})
 	} else {
-		ctx.Send(from, msg.UtilNack{Slot: m.Slot, PN: acc.Promised})
+		ctx.Send(from, msg.SlotNack{Slot: m.Slot, PN: acc.Promised})
 	}
 }
 
@@ -301,7 +301,7 @@ func (u *Util) onAccept(ctx runtime.Context, from msg.NodeID, m msg.UtilAccept) 
 		// are learners of the utility log.
 		u.broadcast(ctx, msg.UtilAccepted{Slot: m.Slot, PN: m.PN, Entry: m.Entry, From: u.me})
 	} else {
-		ctx.Send(from, msg.UtilNack{Slot: m.Slot, PN: acc.Promised})
+		ctx.Send(from, msg.SlotNack{Slot: m.Slot, PN: acc.Promised})
 	}
 }
 
@@ -329,7 +329,7 @@ func (u *Util) onAccepted(ctx runtime.Context, m msg.UtilAccepted) {
 	}
 }
 
-func (u *Util) onNack(ctx runtime.Context, from msg.NodeID, m msg.UtilNack) {
+func (u *Util) onNack(ctx runtime.Context, from msg.NodeID, m msg.SlotNack) {
 	if m.PN > u.maxPNSeen {
 		u.maxPNSeen = m.PN
 	}

@@ -96,7 +96,6 @@ type CoreStats struct {
 	Timers   int64
 	Dropped  int64 // messages discarded: receiver crashed, or link severed (counted at the sender)
 	BusyTime time.Duration
-	ByKind   map[string]int64
 }
 
 // PerturbFunc decides per-message network faults for a message about to
@@ -163,7 +162,6 @@ func (n *Network) AddNode(h runtime.Handler) msg.NodeID {
 		id:      msg.NodeID(len(n.cores)),
 		handler: h,
 		slow:    1,
-		stats:   CoreStats{ByKind: make(map[string]int64)},
 	}
 	c.ctx = &coreContext{core: c}
 	n.cores = append(n.cores, c)
@@ -265,13 +263,7 @@ func linkKey(a, b msg.NodeID) [2]msg.NodeID {
 
 // Stats returns a snapshot of core id's counters.
 func (n *Network) Stats(id msg.NodeID) CoreStats {
-	s := n.cores[id].stats
-	kinds := make(map[string]int64, len(s.ByKind))
-	for k, v := range s.ByKind {
-		kinds[k] = v
-	}
-	s.ByKind = kinds
-	return s
+	return n.cores[id].stats
 }
 
 // NumNodes reports how many nodes were added.
@@ -309,7 +301,6 @@ func (n *Network) send(from *core, to msg.NodeID, m msg.Message) {
 	sendCost := scale(n.cost.Send, from.slow)
 	from.cursor += sendCost
 	from.stats.Sent++
-	from.stats.ByKind["sent:"+m.Kind()]++
 	from.stats.BusyTime += sendCost
 	var extra time.Duration
 	if n.perturb != nil {
@@ -393,12 +384,10 @@ func (c *core) processOne() {
 	case item.from == c.id:
 		cost := scale(c.net.cost.SelfHandler, c.slow)
 		c.run(start, cost, func() { c.handler.Receive(c.ctx, item.from, item.m) })
-		c.stats.ByKind["self:"+item.m.Kind()]++
 	default:
 		cost := scale(c.net.cost.Recv+c.net.cost.Handler, c.slow)
 		c.run(start, cost, func() { c.handler.Receive(c.ctx, item.from, item.m) })
 		c.stats.Received++
-		c.stats.ByKind["recv:"+item.m.Kind()]++
 	}
 	if len(c.inbox) > 0 {
 		c.schedule(c.net.eng.Now())

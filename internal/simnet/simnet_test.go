@@ -290,7 +290,7 @@ func TestBusyCoreSerializesWork(t *testing.T) {
 	}
 }
 
-func TestStatsCountKinds(t *testing.T) {
+func TestStatsCountMessages(t *testing.T) {
 	m := topology.Uniform(2, time.Microsecond)
 	net := New(m, flatCost(), 1)
 	sink := &collector{}
@@ -303,17 +303,11 @@ func TestStatsCountKinds(t *testing.T) {
 	net.AddNode(sink)
 	net.Start()
 	net.RunFor(time.Millisecond)
-	if got := net.Stats(0).ByKind["sent:ping"]; got != 2 {
-		t.Fatalf(`ByKind["sent:ping"] = %d, want 2`, got)
+	if got := net.Stats(0).Sent; got != 2 {
+		t.Fatalf("sender Sent = %d, want 2", got)
 	}
-	if got := net.Stats(1).ByKind["recv:ping"]; got != 2 {
-		t.Fatalf(`ByKind["recv:ping"] = %d, want 2`, got)
-	}
-	// Stats must be a snapshot: mutating it must not affect the core.
-	s := net.Stats(0)
-	s.ByKind["sent:ping"] = 99
-	if got := net.Stats(0).ByKind["sent:ping"]; got != 2 {
-		t.Fatal("Stats ByKind must be a copy")
+	if got := net.Stats(1).Received; got != 2 {
+		t.Fatalf("receiver Received = %d, want 2", got)
 	}
 }
 
