@@ -9,18 +9,15 @@ import (
 	"consensusinside/internal/wire"
 )
 
-// samePayload lists the registered types allowed to share one field
-// list, with the reason they are still two kinds.
-var samePayload = map[[2]string]string{
-	{"SlotNack", "SlotPrepare"}: "a one-slot prepare and its refusal: different roles",
-	{"TPCCommit", "TPCPrepare"}: "2PC's two phases",
-}
-
 // TestKindsAreUniqueAndStable walks the codec registry: every registered
 // type has a kind name no other type shares, and a field list no other
 // type repeats — two types with one payload are one kind under two
 // names (merge them) unless samePayload gives the reason.
 func TestKindsAreUniqueAndStable(t *testing.T) {
+	samePayload := map[[2]string]string{
+		{"SlotNack", "SlotPrepare"}: "a one-slot prepare and its refusal: different roles",
+		{"TPCCommit", "TPCPrepare"}: "2PC's two phases",
+	}
 	kinds := map[string]string{}  // kind → type name
 	shapes := map[string]string{} // field list → type name
 	for _, wt := range wireTypes {
