@@ -419,17 +419,17 @@ type MPNack struct {
 	PN uint64
 }
 
-// MencSkip lets an idle Mencius leader give up its share of the instance space so
-// the log keeps advancing.
+// MencSkip lets an idle Mencius leader give up its share of the
+// instance space so the log keeps advancing.
 type MencSkip struct {
 	FromInstance int64
 	ToInstance   int64
 	From         NodeID
 }
 
-// BPPromise is Basic Paxos phase-1b: a promise for the instance, carrying the
-// acceptor's previously accepted proposal if any (AcceptedPN zero means
-// none).
+// BPPromise is Basic Paxos phase-1b: a promise for the instance,
+// carrying the acceptor's previously accepted proposal if any
+// (AcceptedPN zero means none).
 type BPPromise struct {
 	Instance   int64
 	PN         uint64
