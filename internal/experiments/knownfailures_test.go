@@ -11,13 +11,15 @@ import (
 
 // TestOnePaxosKnownFailuresReproduce pins the 1Paxos schedules that a
 // scan of seeds 5 000 000–5 000 999 found unsafe (ROADMAP, "1Paxos is
-// unsafe on four known schedules"): two stale reads under read-index,
-// one at two snapshot intervals, and two panics. Each row asserts that
-// its failure still reproduces — a linearizability violation, or the
-// named panic, recovered — so the repros live in code, not in prose.
-// The fix for the leader/acceptor role collision behind them flips
-// every row to clean; that change turns these rows into assertions that
-// each run is violation-free.
+// unsafe on known schedules"): two stale reads under read-index, one at
+// two snapshot intervals, and two panics. Each row asserts that its
+// failure still reproduces — a linearizability violation, or the named
+// panic, recovered — so the repros live in code, not in prose, and that
+// a replica installed a regime naming one node leader and acceptor
+// (regime.role_collisions > 0), the collision behind every row. The fix
+// for that collision flips every row to clean; that change turns these
+// rows into assertions that each run is violation-free and
+// collision-free.
 func TestOnePaxosKnownFailuresReproduce(t *testing.T) {
 	cases := []struct {
 		cfg   fuzzConfig
@@ -33,6 +35,9 @@ func TestOnePaxosKnownFailuresReproduce(t *testing.T) {
 		tc.cfg.Protocol = protocol.OnePaxos
 		t.Run(fmt.Sprintf("seed=%d/snap=%d/%v", tc.cfg.Seed, tc.cfg.SnapshotInterval, tc.cfg.ReadMode), func(t *testing.T) {
 			res, recovered := runRecovered(t, tc.cfg)
+			if res.RoleCollisions == 0 {
+				t.Errorf("no regime named one node leader and acceptor: the collision behind this row is gone\nreproduce: %s", fuzzRepro(tc.cfg))
+			}
 			switch {
 			case tc.panic != "":
 				if !strings.Contains(recovered, tc.panic) {
@@ -47,7 +52,8 @@ func TestOnePaxosKnownFailuresReproduce(t *testing.T) {
 	}
 }
 
-// runRecovered runs one scenario, turning a panic into its message.
+// runRecovered runs one scenario, turning a panic into its message;
+// res keeps what the run filled in before it panicked.
 func runRecovered(t *testing.T, cfg fuzzConfig) (res fuzzResult, recovered string) {
 	t.Helper()
 	defer func() {
@@ -55,5 +61,11 @@ func runRecovered(t *testing.T, cfg fuzzConfig) (res fuzzResult, recovered strin
 			recovered = fmt.Sprint(p)
 		}
 	}()
-	return fuzzRun(t, cfg), ""
+	if err := res.run(cfg); err != nil {
+		t.Fatalf("scenarioFuzz: %v", err)
+	}
+	if res.Ops == 0 {
+		t.Fatalf("no operations recorded — the workload never ran")
+	}
+	return res, ""
 }

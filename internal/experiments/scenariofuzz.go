@@ -118,6 +118,9 @@ type fuzzResult struct {
 	// order. Failure reports dump it alongside the history verdict via
 	// eventDump.
 	EventTail []obs.Event
+	// RoleCollisions sums the replicas' "regime.role_collisions"; run
+	// sets it even when the run panics.
+	RoleCollisions int64
 }
 
 // eventDump renders the event-log tail one line per event, for failure
@@ -240,21 +243,27 @@ func fuzzArm(cfg fuzzConfig, rec *linearize.Recorder) (*cluster.Cluster, *faults
 // scenarioFuzz runs one seeded adversarial scenario and checks the
 // recorded history. The returned error covers configuration problems;
 // safety verdicts land in fuzzResult.Violation.
-func scenarioFuzz(cfg fuzzConfig) (fuzzResult, error) {
+func scenarioFuzz(cfg fuzzConfig) (res fuzzResult, err error) {
+	err = res.run(cfg)
+	return res, err
+}
+
+// run is scenarioFuzz into res, which the caller owns: a caller that
+// recovers the run's panic still reads RoleCollisions.
+func (res *fuzzResult) run(cfg fuzzConfig) error {
 	cfg = cfg.withDefaults()
 	rec := linearize.NewRecorder()
 	c, sched, err := fuzzArm(cfg, rec)
 	if err != nil {
-		return fuzzResult{}, err
+		return err
 	}
+	defer func() { res.RoleCollisions = c.Obs().Counters["regime.role_collisions"] }()
 	c.Start()
 	c.RunFor(cfg.Total)
 
-	res := fuzzResult{
-		Events:    len(sched.Events),
-		Schedule:  sched.String(),
-		EventTail: c.Events.Tail(0),
-	}
+	res.Events = len(sched.Events)
+	res.Schedule = sched.String()
+	res.EventTail = c.Events.Tail(0)
 	ops := rec.Ops()
 	res.Ops = len(ops)
 	for _, op := range ops {
@@ -276,7 +285,7 @@ func scenarioFuzz(cfg fuzzConfig) (fuzzResult, error) {
 	if res.Violation == nil {
 		res.Violation = c.CheckConsistency()
 	}
-	return res, nil
+	return nil
 }
 
 // fuzzRepro renders the one-line reproduction command for a failing

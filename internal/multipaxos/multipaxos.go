@@ -39,18 +39,17 @@ const (
 type Replica struct {
 	replica.Shell
 
-	// Proposer state.
-	iAmLeader   bool
-	preparing   bool
-	myPN        uint64
-	maxPNSeen   uint64
-	promises    map[msg.NodeID]bool
-	carried     map[int64]msg.Proposal // highest-pn accepted values from promises
-	knownLeader msg.NodeID
+	// Proposer state. Who leads is the shell's regime (a ballot won or
+	// seen in an accept); IsLeader is a won phase 1 not stepped down.
+	preparing bool
+	myPN      uint64
+	maxPNSeen uint64
+	promises  map[msg.NodeID]bool
+	carried   map[int64]msg.Proposal // highest-pn accepted values from promises
 
 	// Acceptor state.
 	hpn uint64
-	ap  map[int64]msg.Proposal
+	ap  replica.Accepted
 
 	// noopFloor is the highest compaction floor carried by any promise:
 	// instances below it were decided and compacted at a peer, so a
@@ -75,25 +74,21 @@ func New(cfg protocol.Config) *Replica {
 		cfg.TakeoverBackoff = DefaultPrepareBackoff
 	}
 	r := &Replica{
-		promises:    make(map[msg.NodeID]bool),
-		carried:     make(map[int64]msg.Proposal),
-		knownLeader: cfg.Replicas[0],
-		ap:          make(map[int64]msg.Proposal),
+		promises: make(map[msg.NodeID]bool),
+		carried:  make(map[int64]msg.Proposal),
 	}
 	// Read rounds are confirmed by a quorum of peers: any committed write
 	// crossed a majority of acceptors, each of which recorded its leader,
 	// so quorum intersection guarantees a refusal if a newer leader has
 	// committed anything.
 	r.Init(cfg, replica.Agreement{
-		HasLeader:    true,
+		Boot:         replica.Regime{Leader: cfg.Replicas[0], Acceptor: msg.Nobody},
 		LeaseCapable: true,
-		IsLeader:     func() bool { return r.iAmLeader },
-		Leader:       func() msg.NodeID { return r.knownLeader },
-		Grant:        func(from msg.NodeID) bool { return r.knownLeader == from },
+		Grant:        func(from msg.NodeID) bool { return r.Regime().Leader == from },
 		// A freshly-won leadership is invisible to peers until an accept
 		// reaches them; committing a no-op makes the next round confirm.
 		Establish: func() {
-			if r.iAmLeader {
+			if r.IsLeader() {
 				r.Book.Propose(msg.Value{Client: msg.Nobody, Cmd: msg.Command{Op: msg.OpNoop}})
 			}
 		},
@@ -101,7 +96,7 @@ func New(cfg protocol.Config) *Replica {
 		MajorityAccept: true,
 		// Retransmit; acceptors re-broadcast learns for duplicates.
 		Overdue: func(instances []int64) {
-			if r.iAmLeader {
+			if r.IsLeader() {
 				for _, in := range instances {
 					r.Book.Resend(in)
 				}
@@ -110,15 +105,6 @@ func New(cfg protocol.Config) *Replica {
 	})
 	return r
 }
-
-// IsLeader reports whether this node currently leads.
-func (r *Replica) IsLeader() bool { return r.iAmLeader }
-
-// KnownLeader reports this node's view of the current leader.
-func (r *Replica) KnownLeader() msg.NodeID { return r.knownLeader }
-
-// Takeovers reports how many times this node won leadership.
-func (r *Replica) Takeovers() int64 { return r.takeovers }
 
 // Start launches phase 1 on the initial leader; Multi-Paxos pays the
 // prepare round once and then leads every subsequent instance
@@ -160,7 +146,7 @@ func (r *Replica) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 	if r.RouteTimer(ctx, tag) {
 		return
 	}
-	if tag.Kind == timerRetryPrepare && !r.iAmLeader && r.Book.Queued() > 0 {
+	if tag.Kind == timerRetryPrepare && !r.IsLeader() && r.Book.Queued() > 0 {
 		r.startPrepare()
 	}
 }
@@ -172,11 +158,12 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 	if len(entries) == 0 {
 		return
 	}
+	leader := r.Regime().Leader
 	switch {
-	case r.iAmLeader:
+	case r.IsLeader():
 		r.Book.Propose(msg.NewValue(req.Client, req.Ack, entries))
-	case r.Cfg.ForwardToLeader && r.knownLeader != r.Me && r.knownLeader != msg.Nobody && from != r.knownLeader:
-		r.Forward(r.knownLeader, req, entries)
+	case r.Cfg.ForwardToLeader && leader != r.Me && leader != msg.Nobody && from != leader:
+		r.Forward(leader, req, entries)
 	default:
 		r.Book.Queue(req.Client, req.Ack, entries)
 		if !r.preparing {
@@ -224,9 +211,9 @@ func (r *Replica) onPrepare(from msg.NodeID, m msg.MPPrepare) {
 		// suffix: an applied value is decided, and a proposer lagging
 		// behind this acceptor's applied frontier must re-propose it
 		// rather than invent a fresh value for a decided instance.
-		seen := make(map[int64]bool, len(r.ap))
-		tail := make([]msg.Proposal, 0, len(r.ap))
-		for in, p := range r.ap {
+		seen := make(map[int64]bool, len(r.ap.ByInstance))
+		tail := make([]msg.Proposal, 0, len(r.ap.ByInstance))
+		for in, p := range r.ap.ByInstance {
 			if in >= m.FromInstance {
 				tail = append(tail, p)
 				seen[in] = true
@@ -270,8 +257,8 @@ func (r *Replica) onPromise(from msg.NodeID, m msg.Promise) {
 	}
 	// Leadership won: re-propose carried values, fill gaps, serve queue.
 	r.preparing = false
-	r.iAmLeader = true
-	r.knownLeader = r.Me
+	r.SetLeading(true)
+	r.Install(replica.Regime{Slot: r.Log().NextToApply(), Leader: r.Me, Acceptor: msg.Nobody, Ballot: r.myPN})
 	r.takeovers++
 	r.Cfg.Events.Emitf(r.Ctx.Now(), r.Me, "leader-change",
 		"election %d won (pn %d)", r.takeovers, r.myPN)
@@ -288,7 +275,7 @@ func (r *Replica) onAccept(from msg.NodeID, m msg.Accept) {
 	if m.PN > r.maxPNSeen {
 		r.maxPNSeen = m.PN
 	}
-	if r.iAmLeader && m.PN > r.myPN {
+	if r.IsLeader() && m.PN > r.myPN {
 		// Another proposer won a higher ballot: this leader's own accepts
 		// may never reach an acceptor to be nacked.
 		r.stepDown()
@@ -298,20 +285,15 @@ func (r *Replica) onAccept(from msg.NodeID, m msg.Accept) {
 		return
 	}
 	r.hpn = m.PN
-	for in := range r.ap {
-		if in < r.Log().NextToApply() {
-			delete(r.ap, in)
-		}
-	}
-	p := msg.Proposal{Instance: m.Instance, PN: m.PN, Value: m.Value}
-	r.ap[m.Instance] = p
+	r.ap.Prune(r.Log().NextToApply())
+	r.ap.Put(msg.Proposal{Instance: m.Instance, PN: m.PN, Value: m.Value})
 	// Acceptors broadcast to all learners (Section 2.3: "the acceptors
 	// broadcast the corresponding message to all the learners").
 	for _, id := range r.Replicas {
 		r.Ctx.Send(id, msg.Accepted{Instance: m.Instance, PN: m.PN, Value: m.Value, From: r.Me})
 	}
-	if from != r.Me {
-		r.knownLeader = from
+	if g := r.Regime(); from != r.Me && (g.Leader != from || g.Ballot != m.PN) {
+		r.Install(replica.Regime{Slot: m.Instance, Leader: from, Acceptor: msg.Nobody, Ballot: m.PN})
 	}
 }
 
@@ -323,7 +305,7 @@ func (r *Replica) onNack(m msg.MPNack) {
 	if m.PN > r.maxPNSeen {
 		r.maxPNSeen = m.PN
 	}
-	if r.iAmLeader && m.PN > r.myPN {
+	if r.IsLeader() && m.PN > r.myPN {
 		// A higher-numbered proposer exists: deposed.
 		r.stepDown()
 		return
@@ -339,7 +321,7 @@ func (r *Replica) onNack(m msg.MPNack) {
 // stepDown gives up leadership on evidence of a higher ballot; the
 // proposals go with it (Proposals.Depose).
 func (r *Replica) stepDown() {
-	r.iAmLeader = false
+	r.SetLeading(false)
 	r.Book.Depose()
 }
 

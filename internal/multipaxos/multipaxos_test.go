@@ -6,6 +6,7 @@ import (
 
 	"consensusinside/internal/msg"
 	"consensusinside/internal/protocol"
+	"consensusinside/internal/replica"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"
@@ -55,9 +56,15 @@ func TestLeaderWinsPhaseOneThenProposes(t *testing.T) {
 	if r.IsLeader() {
 		t.Fatal("one promise of three must not elect")
 	}
+	if got, want := r.Regime(), (replica.Regime{Leader: 0, Acceptor: msg.Nobody}); got != want {
+		t.Fatalf("before the election the regime is %+v, want the boot rule %+v", got, want)
+	}
 	r.Receive(ctx, 1, msg.Promise{From: 1, PN: pn})
 	if !r.IsLeader() {
 		t.Fatal("majority of promises must elect")
+	}
+	if got, want := r.Regime(), (replica.Regime{Leader: 0, Acceptor: msg.Nobody, Ballot: pn}); got != want {
+		t.Fatalf("the won ballot installed %+v, want %+v", got, want)
 	}
 	// A client request broadcasts one accept per replica.
 	ctx.TakeSent()
@@ -187,6 +194,14 @@ func TestNackDeposesLeader(t *testing.T) {
 			r.Receive(ctx, 2, tc.evidence(pn))
 			if r.IsLeader() {
 				t.Fatalf("a higher-pn %s must depose the leader", tc.name)
+			}
+			// Stepping down keeps the regime; only an accept shows a new one.
+			want := replica.Regime{Leader: 0, Acceptor: msg.Nobody, Ballot: pn}
+			if _, ok := tc.evidence(pn).(msg.Accept); ok {
+				want = replica.Regime{Leader: 2, Acceptor: msg.Nobody, Ballot: pn + 100}
+			}
+			if got := r.Regime(); got != want {
+				t.Fatalf("after the %s the regime is %+v, want %+v", tc.name, got, want)
 			}
 			ctx.TakeSent()
 			r.Receive(ctx, 7, put)
@@ -372,8 +387,10 @@ func TestScenarioLeaderCrashTakeover(t *testing.T) {
 	if !s.replicas[1].IsLeader() {
 		t.Error("replica 1 must lead after the crash")
 	}
-	if s.replicas[1].Takeovers() == 0 {
-		t.Error("takeover counter must advance")
+	for _, i := range []int{1, 2} {
+		if g := s.replicas[i].Regime(); g.Leader != 1 || g.Ballot == 0 {
+			t.Errorf("replica %d's regime is %+v, want replica 1's won ballot", i, g)
+		}
 	}
 	s.checkAgreement(t)
 }

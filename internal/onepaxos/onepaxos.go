@@ -64,12 +64,11 @@ type Replica struct {
 	replica.Shell
 	util *paxosutil.Util
 
-	// Proposer / leader state (Appendix A: IamLeader, Aa; proposed is
-	// the shell's Book).
-	iAmLeader   bool
-	takingOver  bool
+	// Proposer state. Appendix A's IamLeader is the shell's leadership
+	// bit, Aa the regime's acceptor (installed by onUtilCommit) and
+	// proposed the shell's Book; what stays here is this node's own bid.
+	takeover    takeoverState
 	switchingAa bool
-	aa          msg.NodeID
 	// aaVirgin is true while this node knows the active acceptor cannot
 	// have accepted any proposal: it was installed fresh by this node's
 	// own AcceptorChange (or is the boot acceptor observed by the boot
@@ -84,20 +83,32 @@ type Replica struct {
 	// AcceptTimeout for the commit's delivery and clock skew); until then
 	// its silence is no reason to replace it.
 	freshHoldUntil time.Duration
-	knownLeader    msg.NodeID
 	myPN           uint64
 
 	// Acceptor state (Appendix A: hpn, ap, IamFresh).
 	hpn      uint64
 	adopted  msg.NodeID // the proposer holding the current promise
-	ap       map[int64]msg.Proposal
-	apPruned int64 // ap holds nothing below this instance (see pruneAccepted)
+	ap       replica.Accepted
 	iAmFresh bool
 	learnBuf []msg.Proposal
 
-	takeovers     int64
-	acceptorSwaps int64
+	takeovers int64
 }
+
+// takeoverState is where this node's own bid for leadership stands:
+// none; takingOver, while its LeaderChange or AcceptorChange is in
+// flight or it awaits the acceptor's promise; or gaveUp, once its
+// LeaderChange lost its slot or committed superseded or it found the
+// leadership it held deposed. Until it bids again, or an AcceptorChange
+// or another leader's entry commits, a node that gave up names no
+// acceptor: it neither acts as the regime's acceptor nor sends there.
+type takeoverState uint8
+
+const (
+	noTakeover takeoverState = iota
+	takingOver
+	gaveUp
+)
 
 var _ runtime.Handler = (*Replica)(nil)
 
@@ -118,13 +129,7 @@ func New(cfg protocol.Config) *Replica {
 	if cfg.TakeoverBackoff == 0 {
 		cfg.TakeoverBackoff = DefaultTakeoverBackoff
 	}
-	r := &Replica{
-		aa:          cfg.Replicas[len(cfg.Replicas)-1],
-		knownLeader: cfg.Replicas[0],
-		adopted:     msg.Nobody,
-		iAmFresh:    true,
-		ap:          make(map[int64]msg.Proposal),
-	}
+	r := &Replica{adopted: msg.Nobody, iAmFresh: true}
 	r.util = paxosutil.New(cfg.ID, cfg.Replicas)
 	if cfg.UtilRetryTimeout > 0 {
 		r.util.SetRetryTimeout(cfg.UtilRetryTimeout)
@@ -135,24 +140,22 @@ func New(cfg protocol.Config) *Replica {
 	// leader must adopt, so its word alone is sound where a peer quorum
 	// would not be (writes never cross a quorum here).
 	r.Init(cfg, replica.Agreement{
-		HasLeader:    true,
+		Boot:         replica.Regime{Leader: cfg.Replicas[0], Acceptor: cfg.Replicas[len(cfg.Replicas)-1]},
 		LeaseCapable: true,
-		IsLeader:     func() bool { return r.iAmLeader },
-		Leader:       func() msg.NodeID { return r.knownLeader },
 		// Every leader change must adopt the active acceptor (flipping its
 		// `adopted` record), so its acknowledgement proves no newer leader
 		// has committed.
-		Confirmers: func() []msg.NodeID { return []msg.NodeID{r.aa} },
+		Confirmers: func() []msg.NodeID { return []msg.NodeID{r.acceptor()} },
 		NeedAcks:   1,
 		Grant:      func(from msg.NodeID) bool { return r.adopted == from },
 		Accept: func(in int64, v msg.Value) {
 			r.aaVirgin = false // the acceptor may hold accepted proposals from here on
-			r.Ctx.Send(r.aa, msg.Accept{Instance: in, PN: r.myPN, Value: v})
+			r.Ctx.Send(r.acceptor(), msg.Accept{Instance: in, PN: r.myPN, Value: v})
 		},
 		// The acceptor is suspected when the oldest unlearned accept goes
 		// AcceptTimeout unanswered.
 		Overdue: func([]int64) {
-			if r.iAmLeader {
+			if r.IsLeader() {
 				r.onAcceptorFailure(false)
 			}
 		},
@@ -160,42 +163,36 @@ func New(cfg protocol.Config) *Replica {
 	return r
 }
 
-// --- Introspection (used by experiments and tests) ---
+// acceptor is the active acceptor this node names: the regime's, or
+// nobody while it has given a bid up (gaveUp).
+func (r *Replica) acceptor() msg.NodeID {
+	if r.takeover == gaveUp {
+		return msg.Nobody
+	}
+	return r.Regime().Acceptor
+}
 
-// IsLeader reports whether this node currently holds the acceptor's
-// promise (Appendix A's IamLeader).
-func (r *Replica) IsLeader() bool { return r.iAmLeader }
-
-// ActiveAcceptor reports this node's view of the active acceptor.
-func (r *Replica) ActiveAcceptor() msg.NodeID { return r.aa }
-
-// KnownLeader reports this node's view of the current leader.
-func (r *Replica) KnownLeader() msg.NodeID { return r.knownLeader }
-
-// Takeovers reports how many successful leadership takeovers this node
-// performed.
-func (r *Replica) Takeovers() int64 { return r.takeovers }
-
-// AcceptorSwaps reports how many AcceptorChange entries this node drove.
-func (r *Replica) AcceptorSwaps() int64 { return r.acceptorSwaps }
+// become sets whether this node holds the active acceptor's promise
+// (the shell's leadership bit) and where its own bid stands.
+func (r *Replica) become(leading bool, t takeoverState) {
+	r.SetLeading(leading)
+	r.takeover = t
+}
 
 // --- Handler implementation ---
 
 // Start bootstraps the static initial configuration: Replicas[0] adopts
-// Replicas[1] as its acceptor. The paper's Appendix B closes its induction
-// with exactly this convention (initial LeaderChange/AcceptorChange by the
-// smallest-id node, with no actual role change).
+// the last replica as its acceptor (New's boot regime). The paper's
+// Appendix B closes its induction with exactly this convention (initial
+// LeaderChange/AcceptorChange by the smallest-id node, with no actual
+// role change).
 func (r *Replica) Start(ctx runtime.Context) {
 	r.Shell.Start(ctx)
 	// A recovering replica never runs the boot-leader convention, even
 	// as Replicas[0]: the group has moved on without it, and it must
 	// learn what was decided before it may compete for any role.
 	if r.Me == r.Replicas[0] && !r.Cfg.Recover {
-		r.takingOver = true
-		r.aaVirgin = true // the boot acceptor is fresh by construction
-		r.myPN = r.nextPN()
-		ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: true, From: r.Log().NextToApply()})
-		r.armPrepareDeadline()
+		r.adoptFresh(r.acceptor()) // the boot acceptor is fresh by construction
 	}
 }
 
@@ -232,7 +229,7 @@ func (r *Replica) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 	}
 	switch tag.Kind {
 	case timerRetryTakeover:
-		if !r.iAmLeader && r.Book.Queued() > 0 {
+		if !r.IsLeader() && r.Book.Queued() > 0 {
 			r.startTakeover()
 		}
 	case timerFlushLearns:
@@ -249,8 +246,9 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 	if len(entries) == 0 {
 		return
 	}
+	leader := r.Regime().Leader
 	switch {
-	case r.iAmLeader && r.switchingAa:
+	case r.IsLeader() && r.switchingAa:
 		// Mid acceptor switch: a new proposal sent to the outgoing
 		// acceptor could be decided there *above* the frontier the
 		// in-flight AcceptorChange carries — invisible to both its
@@ -258,11 +256,11 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 		// leader would noop-fill the instance over a decided value.
 		// Queue; adoption of the fresh acceptor flushes the queue.
 		r.Book.Queue(req.Client, req.Ack, entries)
-	case r.iAmLeader:
+	case r.IsLeader():
 		r.Book.Propose(msg.NewValue(req.Client, req.Ack, entries))
-	case r.Cfg.ForwardToLeader && r.knownLeader != r.Me && r.knownLeader != msg.Nobody && from != r.knownLeader:
+	case r.Cfg.ForwardToLeader && leader != r.Me && leader != msg.Nobody && from != leader:
 		// Joint mode: funnel commands through the leader (Section 7.4).
-		r.Forward(r.knownLeader, req, entries)
+		r.Forward(leader, req, entries)
 	default:
 		// The paper's failover story (Section 7.6): clients redirect to a
 		// non-leader node, which then tries to become leader.
@@ -274,7 +272,7 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 // --- Acceptor role (Appendix A lines 45-61) ---
 
 func (r *Replica) onPrepareRequest(from msg.NodeID, m msg.PrepareRequest) {
-	if r.aa != r.Me {
+	if r.acceptor() != r.Me {
 		// This node is not the active acceptor in the newest regime it
 		// has observed, so the proposer's view is staler than ours. The
 		// paper's fail-stop assumption does not hold under partitions: a
@@ -321,52 +319,27 @@ func (r *Replica) onPrepareRequest(from msg.NodeID, m msg.PrepareRequest) {
 }
 
 func (r *Replica) onAccept(from msg.NodeID, m msg.Accept) {
-	if r.aa != r.Me {
+	if r.acceptor() != r.Me {
 		// Retired acceptor (see the matching check in onPrepareRequest):
 		// accepting from a staler-view leader would decide an instance a
 		// newer regime may have decided differently elsewhere.
 		r.Ctx.Send(from, msg.Abandon{HPN: r.hpn})
 		return
 	}
-	r.pruneAccepted()
+	r.ap.Prune(r.Log().NextToApply())
 	if m.PN != r.hpn {
 		r.Ctx.Send(from, msg.Abandon{HPN: r.hpn})
 		return
 	}
-	if prev, ok := r.ap[m.Instance]; ok {
+	if prev, ok := r.ap.ByInstance[m.Instance]; ok {
 		// Retried accept: re-multicast the learn for the accepted value
 		// (Appendix A line 57-58), covering lost learn messages.
 		r.multicastLearn(prev)
 		return
 	}
 	p := msg.Proposal{Instance: m.Instance, PN: m.PN, Value: m.Value}
-	r.ap[m.Instance] = p
-	if m.Instance < r.apPruned {
-		r.apPruned = m.Instance // a late accept below the frontier: prune it next time
-	}
+	r.ap.Put(p)
 	r.multicastLearn(p)
-}
-
-// pruneAccepted drops accepted proposals below the applied frontier:
-// they are learner state now (the acceptor is only short-term memory,
-// Section 4.1). It runs on every accept, so it walks from where the
-// last call stopped instead of ranging the whole map — except after a
-// long absence from the acceptor role, when the frontier has moved
-// further than the map is large and ranging the map is the shorter walk.
-func (r *Replica) pruneAccepted() {
-	next := r.Log().NextToApply()
-	if next-r.apPruned > int64(len(r.ap)) {
-		for in := range r.ap {
-			if in < next {
-				delete(r.ap, in)
-			}
-		}
-	} else {
-		for in := r.apPruned; in < next; in++ {
-			delete(r.ap, in)
-		}
-	}
-	r.apPruned = next
 }
 
 // multicastLearn delivers one accepted proposal to all learners. The
@@ -413,9 +386,9 @@ func (r *Replica) flushLearns() {
 // to return as accepted proposals; without them a proposer lagging
 // behind this node could propose a fresh value for a decided instance.
 func (r *Replica) proposalsSince(from int64) []msg.Proposal {
-	seen := make(map[int64]bool, len(r.ap))
-	out := make([]msg.Proposal, 0, len(r.ap))
-	for _, p := range r.ap {
+	seen := make(map[int64]bool, len(r.ap.ByInstance))
+	out := make([]msg.Proposal, 0, len(r.ap.ByInstance))
+	for _, p := range r.ap.ByInstance {
 		if p.Instance >= from {
 			out = append(out, p)
 			seen[p.Instance] = true
@@ -452,15 +425,13 @@ func (r *Replica) onLearn(m msg.Learn) {
 // --- Proposer: becoming leader (Appendix A propose()/prepare_response, our Promise) ---
 
 func (r *Replica) onPromise(from msg.NodeID, m msg.Promise) {
-	if r.iAmLeader || !r.takingOver || m.From != r.aa || m.PN != r.myPN {
+	if r.IsLeader() || r.takeover != takingOver || m.From != r.acceptor() || m.PN != r.myPN {
 		return
 	}
-	r.iAmLeader = true
-	r.takingOver = false
-	r.knownLeader = r.Me
+	r.become(true, noTakeover)
 	r.takeovers++
 	r.Cfg.Events.Emitf(r.Ctx.Now(), r.Me, "leader-change",
-		"takeover %d complete (pn %d, acceptor %d)", r.takeovers, r.myPN, r.aa)
+		"takeover %d complete (pn %d, acceptor %d)", r.takeovers, r.myPN, r.acceptor())
 	// Instances below the acceptor's compaction floor are decided; their
 	// values arrive via the catch-up push, not this response. Re-propose
 	// everything uncommitted (getAny prefers registered values, Lemma
@@ -469,12 +440,12 @@ func (r *Replica) onPromise(from msg.NodeID, m msg.Promise) {
 }
 
 func (r *Replica) onAbandon(from msg.NodeID, m msg.Abandon) {
-	if m.HPN > r.myPN && r.iAmLeader && from == r.aa {
+	if m.HPN > r.myPN && r.IsLeader() && from == r.acceptor() {
 		// A higher-numbered proposer adopted our acceptor: deposed.
-		r.iAmLeader = false
+		r.become(false, noTakeover)
 		return
 	}
-	if !r.takingOver {
+	if r.takeover != takingOver {
 		return
 	}
 	// Retry the prepare with a higher number; flip the freshness
@@ -484,68 +455,68 @@ func (r *Replica) onAbandon(from msg.NodeID, m msg.Abandon) {
 		mustBeFresh = m.IamFresh
 	}
 	r.myPN = r.nextPNAbove(m.HPN)
-	r.Ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: mustBeFresh, From: r.Log().NextToApply()})
-	r.armPrepareDeadline()
+	r.prepare(r.acceptor(), mustBeFresh)
 }
 
 // startTakeover runs Appendix A's propose() slow path: commit a
 // LeaderChange through PaxosUtility, then adopt the active acceptor.
 func (r *Replica) startTakeover() {
-	if r.iAmLeader || r.takingOver {
+	if r.IsLeader() || r.takeover == takingOver {
 		return
 	}
-	r.takingOver = true
-	r.myPN = r.nextPN()
-	if r.aa == msg.Nobody {
-		acceptor, _, carried, ok := r.util.LastActiveAcceptor()
-		if !ok {
-			acceptor = r.Replicas[len(r.Replicas)-1] // static initial assignment (New)
+	if r.takeover == gaveUp {
+		// Back to the regime's acceptor (Appendix A's
+		// lastActiveAcceptor()): the proposals its AcceptorChange
+		// carried are this takeover's to re-propose.
+		if e, _ := r.util.Committed(r.Regime().Slot); e.Type == msg.EntryAcceptorChange {
+			r.Book.Register(e.Uncommitted)
 		}
-		r.aa = acceptor
-		r.Book.Register(carried)
 	}
+	r.become(false, takingOver)
+	r.myPN = r.nextPN()
 	slot := r.util.Frontier()
-	entry := msg.UtilEntry{Type: msg.EntryLeaderChange, Leader: r.Me, Acceptor: r.aa}
+	entry := msg.UtilEntry{Type: msg.EntryLeaderChange, Leader: r.Me, Acceptor: r.acceptor()}
 	r.util.Propose(r.Ctx, slot, entry, func(success bool, chosen msg.UtilEntry) {
-		if success && r.util.Superseded(slot) {
-			// Our LeaderChange committed, but its discovery arrived so
-			// late (crash window, partition) that later slots have
-			// already replaced the regime it installed. Adopting now
-			// would promote ancient authority — a stale self-leader
-			// deciding instances in parallel with the live regime.
-			// Re-run the takeover against the current frontier instead.
-			r.takingOver = false
-			r.aa = msg.Nobody
-			if r.Book.Queued() > 0 {
-				r.Ctx.After(r.Cfg.TakeoverBackoff, runtime.TimerTag{Kind: timerRetryTakeover})
-			}
+		if success && !r.util.Superseded(slot) {
+			// We are now the Global leader; adopt the acceptor. The
+			// acceptor was adopted by the previous leader, so it must not
+			// be fresh — unless it never received the previous leader's
+			// prepare, in which case the Abandon handler flips the flag
+			// and retries.
+			r.prepare(r.acceptor(), false)
 			return
 		}
-		if !success {
-			// Another entry won the slot; onUtilCommit already updated our
-			// view. Forward to the new leader or retry after a backoff.
-			r.takingOver = false
-			r.aa = msg.Nobody
-			if chosen.Type == msg.EntryLeaderChange && chosen.Leader != r.Me {
-				r.Book.ForwardQueue(chosen.Leader)
-			}
-			if r.Book.Queued() > 0 {
-				r.Ctx.After(r.Cfg.TakeoverBackoff, runtime.TimerTag{Kind: timerRetryTakeover})
-			}
-			return
+		// Another entry won the slot, or ours was discovered so late
+		// (crash window, partition) that later slots already replaced the
+		// regime it installed: adopting now would run a stale leadership
+		// in parallel with the live one. onUtilCommit installs the chosen
+		// entry once this returns. Forward to a new leader, or re-run the
+		// takeover against the current frontier after a backoff.
+		r.takeover = gaveUp
+		if !success && chosen.Type == msg.EntryLeaderChange && chosen.Leader != r.Me {
+			r.Book.ForwardQueue(chosen.Leader)
 		}
-		// We are now the Global leader; adopt the acceptor. The acceptor
-		// was adopted by the previous leader, so it must not be fresh —
-		// unless it never received the previous leader's prepare, in
-		// which case the Abandon handler flips the flag and retries.
-		r.Ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: false, From: r.Log().NextToApply()})
-		r.armPrepareDeadline()
+		if r.Book.Queued() > 0 {
+			r.Ctx.After(r.Cfg.TakeoverBackoff, runtime.TimerTag{Kind: timerRetryTakeover})
+		}
 	})
 }
 
 // --- Failure detection ---
 
-func (r *Replica) armPrepareDeadline() {
+// adoptFresh takes over acceptor, which has accepted nothing: the boot
+// acceptor, or a backup this node's AcceptorChange just promoted.
+func (r *Replica) adoptFresh(acceptor msg.NodeID) {
+	r.become(false, takingOver)
+	r.aaVirgin = true
+	r.myPN = r.nextPN()
+	r.prepare(acceptor, true)
+}
+
+// prepare asks acceptor to adopt this node under myPN and arms the
+// deadline its promise must beat.
+func (r *Replica) prepare(acceptor msg.NodeID, mustBeFresh bool) {
+	r.Ctx.Send(acceptor, msg.PrepareRequest{PN: r.myPN, MustBeFresh: mustBeFresh, From: r.Log().NextToApply()})
 	r.Ctx.After(r.Cfg.AcceptTimeout, runtime.TimerTag{Kind: timerPrepareDeadline, Arg: int64(r.myPN)})
 }
 
@@ -564,26 +535,14 @@ func (r *Replica) armPrepareDeadline() {
 // backup-acceptor failures, preserving the paper's availability claim
 // that on three nodes 1Paxos tolerates the failure of any single node.
 func (r *Replica) onPrepareDeadline(pn uint64) {
-	if r.iAmLeader || pn != r.myPN || !r.takingOver {
+	if r.IsLeader() || pn != r.myPN || r.takeover != takingOver {
 		return
 	}
-	if leader, _ := r.globalLeader(); leader == r.Me && r.aaVirgin && r.Ctx.Now() >= r.freshHoldUntil {
+	if r.Regime().Leader == r.Me && r.aaVirgin && r.Ctx.Now() >= r.freshHoldUntil {
 		r.onAcceptorFailure(true)
 		return
 	}
-	r.Ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: r.aaVirgin, From: r.Log().NextToApply()})
-	r.armPrepareDeadline()
-}
-
-// globalLeader resolves the paper's "Global leader": the inserter of the
-// last LeaderChange entry, or the static initial leader before any entry
-// exists (the Appendix B initialization convention).
-func (r *Replica) globalLeader() (msg.NodeID, int64) {
-	leader, slot, ok := r.util.LastLeader()
-	if !ok {
-		return r.Replicas[0], slot
-	}
-	return leader, slot
+	r.prepare(r.acceptor(), r.aaVirgin)
 }
 
 // onAcceptorFailure is Appendix A's "Upon AcceptorFailure" handler.
@@ -593,14 +552,15 @@ func (r *Replica) onAcceptorFailure(virginSwitch bool) {
 	if r.switchingAa {
 		return
 	}
-	if !r.iAmLeader && !virginSwitch {
+	if !r.IsLeader() && !virginSwitch {
 		return
 	}
-	leader, slot := r.globalLeader()
-	if leader != r.Me {
+	// The regime's leader is the paper's "Global leader": the inserter of
+	// the last LeaderChange entry, or the static initial leader before any
+	// entry exists (the Appendix B initialization convention).
+	if r.Regime().Leader != r.Me {
 		// Somebody thought I am dead (Appendix A line 4): relinquish.
-		r.aa = msg.Nobody
-		r.iAmLeader = false
+		r.become(false, gaveUp)
 		return
 	}
 	next := r.selectAcceptor()
@@ -621,6 +581,7 @@ func (r *Replica) onAcceptorFailure(virginSwitch bool) {
 		Uncommitted: r.Book.Unlearned(r.myPN),
 		Frontier:    r.Log().LearnedFrontier(),
 	}
+	slot := r.util.Frontier()
 	r.util.Propose(r.Ctx, slot, entry, func(success bool, chosen msg.UtilEntry) {
 		r.switchingAa = false
 		if !success {
@@ -638,15 +599,11 @@ func (r *Replica) onAcceptorFailure(virginSwitch bool) {
 			// entry; the live regime re-proposes them.
 			return
 		}
-		r.acceptorSwaps++
+		// The regime still names the old acceptor: the utility runs this
+		// callback before it delivers the slot to onUtilCommit.
 		r.Cfg.Events.Emitf(r.Ctx.Now(), r.Me, "acceptor-change",
-			"active acceptor %d -> %d", r.aa, next)
-		r.aa = next
-		r.iAmLeader = false // must re-adopt the fresh acceptor (line 13)
-		r.takingOver = true
-		r.myPN = r.nextPN()
-		r.Ctx.Send(r.aa, msg.PrepareRequest{PN: r.myPN, MustBeFresh: true, From: r.Log().NextToApply()})
-		r.armPrepareDeadline()
+			"active acceptor %d -> %d", r.acceptor(), next)
+		r.adoptFresh(next) // must re-adopt the fresh acceptor (line 13)
 	})
 }
 
@@ -655,7 +612,7 @@ func (r *Replica) onAcceptorFailure(virginSwitch bool) {
 // the currently suspected acceptor.
 func (r *Replica) selectAcceptor() msg.NodeID {
 	for _, id := range r.Replicas {
-		if id != r.Me && id != r.aa {
+		if id != r.Me && id != r.acceptor() {
 			return id
 		}
 	}
@@ -664,41 +621,35 @@ func (r *Replica) selectAcceptor() msg.NodeID {
 
 // --- PaxosUtility observation ---
 
-func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
-	switch e.Type {
-	case msg.EntryLeaderChange:
-		r.knownLeader = e.Leader
-		if e.Leader != r.Me {
-			// Another proposer adopts the acceptor and will send it
-			// accepts; it can no longer be presumed fresh. Without
-			// this, a boot leader that never proposed could much later
-			// "virgin-switch" an acceptor that meanwhile accepted
-			// proposals under other leaders — discarding them.
-			r.aaVirgin = false
-			// Deposed: every leader checks for this announcement
-			// (Section 5.3) and must consider its position relinquished.
-			// So must a takeover still adopting its acceptor: the regime
-			// its own entry installed is history now, and a prepare
-			// retried under it would steal the acceptor from the leader
-			// this entry names.
-			r.iAmLeader = false
-			r.takingOver = false
-			if e.Acceptor != msg.Nobody {
-				r.aa = e.Acceptor
-			}
-			r.Book.ForwardQueue(e.Leader)
-		}
-	case msg.EntryAcceptorChange:
-		r.aa = e.Acceptor
-		r.aaVirgin = e.Leader == r.Me // fresh backup installed by us
-		if r.aaVirgin {
+// onUtilCommit installs each committed LeaderChange and AcceptorChange
+// as the regime, in slot order; every LeaderChange names its acceptor
+// (startTakeover). A backfill no-op installs nothing.
+func (r *Replica) onUtilCommit(slot int64, e msg.UtilEntry) {
+	switched := e.Type == msg.EntryAcceptorChange
+	if !switched && e.Type != msg.EntryLeaderChange {
+		return
+	}
+	r.Install(replica.Regime{Slot: slot, Leader: e.Leader, Acceptor: e.Acceptor})
+	ours := e.Leader == r.Me
+	if switched || !ours {
+		// The acceptor is fresh only if it is a backup this node just
+		// promoted. Another proposer adopts the acceptor and will send it
+		// accepts; without this, a boot leader that never proposed could
+		// much later "virgin-switch" an acceptor that meanwhile accepted
+		// proposals under other leaders — discarding them.
+		r.aaVirgin = switched && ours
+	}
+	if switched {
+		if ours {
 			// Under leases the promoted backup refuses every prepare for
 			// a lease; replacing it for that would promote the other
 			// backup into the same hold, and the two would trade places
 			// every AcceptTimeout without ever adopting a leader.
 			r.freshHoldUntil = r.Ctx.Now() + r.Read.PromotionHold() + r.Cfg.AcceptTimeout
+			if r.takeover == gaveUp {
+				r.takeover = noTakeover // the entry names the acceptor anew
+			}
 		}
-		r.knownLeader = e.Leader
 		// Instances below the frontier were decided at the previous
 		// acceptor, and the entry's Uncommitted set is the complete list
 		// of proposals still live below it.
@@ -707,20 +658,23 @@ func (r *Replica) onUtilCommit(_ int64, e msg.UtilEntry) {
 			// We are the promoted fresh backup: reset short-term memory.
 			r.hpn = 0
 			r.adopted = msg.Nobody
-			r.ap = make(map[int64]msg.Proposal)
+			r.ap = replica.Accepted{}
 			r.iAmFresh = true
 			r.learnBuf = nil
 			// The old acceptor's lease grants are invisible here; hold
 			// every adoption until the longest one could have lapsed.
 			r.Read.AssumeForeignLease()
 		}
-		if e.Leader != r.Me {
-			// Another leader's regime, as for a LeaderChange above.
-			r.iAmLeader = false
-			if r.takingOver {
-				r.takingOver = false
-				r.Book.ForwardQueue(e.Leader)
-			}
+	}
+	if !ours {
+		// Deposed (Section 5.3), and so is a takeover still adopting its
+		// acceptor: a prepare retried under its own regime would steal
+		// the acceptor from the leader this entry names. The queue goes
+		// to that leader (on an AcceptorChange, only a taker's).
+		forward := !switched || r.takeover == takingOver
+		r.become(false, noTakeover)
+		if forward {
+			r.Book.ForwardQueue(e.Leader)
 		}
 	}
 }

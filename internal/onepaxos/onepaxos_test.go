@@ -21,6 +21,10 @@ func replicaIDs(n int) []msg.NodeID {
 	return out
 }
 
+// bootRegime is a 3-group's regime before any utility entry commits:
+// Replicas[0] leads at the last replica.
+var bootRegime = replica.Regime{Leader: 0, Acceptor: 2}
+
 func newReplica(t *testing.T, id msg.NodeID, n int) (*Replica, *runtime.FakeContext) {
 	t.Helper()
 	r := New(protocol.Config{ID: id, Replicas: replicaIDs(n)})
@@ -56,8 +60,8 @@ func TestBootLeaderSendsFreshPrepare(t *testing.T) {
 	if !ok || !pr.MustBeFresh {
 		t.Fatalf("boot prepare = %+v, want MustBeFresh", sent[0])
 	}
-	if r.ActiveAcceptor() != 2 {
-		t.Fatalf("boot acceptor = %d, want 2", r.ActiveAcceptor())
+	if got := r.Regime(); got != bootRegime {
+		t.Fatalf("boot regime = %+v, want %+v", got, bootRegime)
 	}
 }
 
@@ -201,18 +205,21 @@ func TestLeaderFastPath(t *testing.T) {
 	}
 }
 
-// TestTakeoverFallbackAcceptorIsNotTheTaker: a takeover that finds no
-// acceptor on record — its view cleared by a lost race, PaxosUtility
-// empty — falls back to the static assignment New makes, the last
-// replica. Replicas[1] would name replica 1 of a 3-group leader and
-// acceptor at once, the one placement 1Paxos forbids.
+// TestTakeoverFallbackAcceptorIsNotTheTaker: a takeover back from a
+// lost race (it named no acceptor) with PaxosUtility empty adopts the
+// boot regime's acceptor, the last replica. Replicas[1] would name
+// replica 1 of a 3-group leader and acceptor at once, the one placement
+// 1Paxos forbids.
 func TestTakeoverFallbackAcceptorIsNotTheTaker(t *testing.T) {
 	r, ctx := newReplica(t, 1, 3)
 	r.Start(ctx)
 	r.Ctx = ctx
-	r.aa = msg.Nobody
+	r.takeover = gaveUp
+	if got := r.acceptor(); got != msg.Nobody {
+		t.Fatalf("a node back from a lost race names acceptor %d, want none", got)
+	}
 	r.startTakeover()
-	if got := r.ActiveAcceptor(); got != 2 {
+	if got := r.acceptor(); got != 2 {
 		t.Fatalf("takeover by replica 1 adopts acceptor %d, want 2 (the boot acceptor)", got)
 	}
 }
@@ -243,6 +250,38 @@ func TestSupersededTakeoverStops(t *testing.T) {
 				t.Fatal("a late promise made the superseded taker leader")
 			}
 		})
+	}
+}
+
+// TestRegimeFollowsUtilityCommits: the regime changes only when a
+// utility entry commits, in slot order. Another node's LeaderChange
+// deposes this leader, an AcceptorChange moves the acceptor (here onto
+// this node, which starts fresh), and a backfill no-op installs
+// nothing. Adopting the boot acceptor commits no entry.
+func TestRegimeFollowsUtilityCommits(t *testing.T) {
+	r, _ := adoptedLeader(t, nil)
+	if got := r.Regime(); got != bootRegime {
+		t.Fatalf("the boot takeover installed %+v, want the boot regime", got)
+	}
+	steps := []struct {
+		entry msg.UtilEntry
+		want  replica.Regime
+	}{
+		{msg.UtilEntry{Type: msg.EntryLeaderChange, Leader: 1, Acceptor: 2}, replica.Regime{Slot: 0, Leader: 1, Acceptor: 2}},
+		{msg.UtilEntry{Type: msg.EntryAcceptorChange, Leader: 1, Acceptor: 0}, replica.Regime{Slot: 1, Leader: 1, Acceptor: 0}},
+		{msg.UtilEntry{}, replica.Regime{Slot: 1, Leader: 1, Acceptor: 0}},
+	}
+	for slot, st := range steps {
+		r.onUtilCommit(int64(slot), st.entry)
+		if got := r.Regime(); got != st.want {
+			t.Fatalf("slot %d (%+v): regime %+v, want %+v", slot, st.entry, got, st.want)
+		}
+		if r.IsLeader() || r.takeover != noTakeover {
+			t.Fatalf("slot %d: replica 0 still claims a role (leading %v, takeover %d)", slot, r.IsLeader(), r.takeover)
+		}
+	}
+	if !r.iAmFresh || r.acceptor() != 0 {
+		t.Fatalf("the promoted acceptor must start fresh (fresh %v, acceptor %d)", r.iAmFresh, r.acceptor())
 	}
 }
 
@@ -397,11 +436,10 @@ func TestScenarioFailureFree(t *testing.T) {
 	if !s.replicas[0].IsLeader() {
 		t.Error("replica 0 must lead in the failure-free run")
 	}
-	if s.replicas[0].ActiveAcceptor() != 2 {
-		t.Errorf("active acceptor = %d, want 2", s.replicas[0].ActiveAcceptor())
-	}
-	if s.replicas[0].Takeovers() != 1 {
-		t.Errorf("boot adoption counts as 1 takeover, got %d", s.replicas[0].Takeovers())
+	for i, r := range s.replicas {
+		if got := r.Regime(); got != bootRegime {
+			t.Errorf("replica %d's regime = %+v, want the boot regime: adopting the boot acceptor commits no utility entry", i, got)
+		}
 	}
 	s.checkAgreement(t)
 }
@@ -419,8 +457,11 @@ func TestScenarioLeaderCrashTakeover(t *testing.T) {
 	if !s.replicas[1].IsLeader() {
 		t.Error("replica 1 must lead after the crash")
 	}
-	if s.replicas[1].ActiveAcceptor() != 2 {
-		t.Errorf("takeover must keep the same acceptor, got %d", s.replicas[1].ActiveAcceptor())
+	// The takeover's LeaderChange is utility slot 0 and keeps the acceptor.
+	for _, i := range []int{1, 2} {
+		if got, want := s.replicas[i].Regime(), (replica.Regime{Slot: 0, Leader: 1, Acceptor: 2}); got != want {
+			t.Errorf("replica %d's regime = %+v, want %+v", i, got, want)
+		}
 	}
 	s.checkAgreement(t)
 }
@@ -440,11 +481,11 @@ func TestScenarioAcceptorCrashCarriesProposals(t *testing.T) {
 	if len(s.client.replies) != 3 {
 		t.Fatalf("client got %d replies, want 3", len(s.client.replies))
 	}
-	if got := s.replicas[0].AcceptorSwaps(); got != 1 {
-		t.Errorf("AcceptorSwaps = %d, want 1", got)
-	}
-	if aa := s.replicas[0].ActiveAcceptor(); aa != 1 {
-		t.Errorf("new acceptor = %d, want backup 1", aa)
+	// One AcceptorChange, utility slot 0, promoted backup 1.
+	for _, i := range []int{0, 1} {
+		if got, want := s.replicas[i].Regime(), (replica.Regime{Slot: 0, Leader: 0, Acceptor: 1}); got != want {
+			t.Errorf("replica %d's regime = %+v, want %+v", i, got, want)
+		}
 	}
 	// No duplicate applications: seqs 1..3 exactly once on the leader.
 	seen := make(map[uint64]int)
@@ -471,7 +512,7 @@ func TestScenarioBootAcceptorDead(t *testing.T) {
 	if len(s.client.replies) != 1 {
 		t.Fatalf("client got %d replies, want 1", len(s.client.replies))
 	}
-	if aa := s.replicas[0].ActiveAcceptor(); aa != 1 {
+	if aa := s.replicas[0].Regime().Acceptor; aa != 1 {
 		t.Errorf("acceptor = %d, want backup 1", aa)
 	}
 	s.checkAgreement(t)
@@ -518,8 +559,8 @@ func TestScenarioDeposedLeaderRelinquishes(t *testing.T) {
 	if !s.replicas[1].IsLeader() {
 		t.Error("replica 1 must lead")
 	}
-	if s.replicas[1].KnownLeader() != 1 {
-		t.Errorf("KnownLeader = %d, want 1", s.replicas[1].KnownLeader())
+	if l := s.replicas[1].Regime().Leader; l != 1 {
+		t.Errorf("regime leader = %d, want 1", l)
 	}
 	s.checkAgreement(t)
 }
@@ -536,8 +577,8 @@ func TestScenarioForwardingMode(t *testing.T) {
 	if s.replicas[1].IsLeader() {
 		t.Error("forwarding node must not take over")
 	}
-	if s.replicas[1].Takeovers() != 0 {
-		t.Errorf("Takeovers = %d, want 0", s.replicas[1].Takeovers())
+	if got := s.replicas[1].Regime(); got != bootRegime {
+		t.Errorf("the forwarding node installed %+v, want the boot regime", got)
 	}
 	if !s.replicas[0].IsLeader() {
 		t.Error("replica 0 must remain leader")
@@ -590,7 +631,7 @@ func TestScenarioRandomFaultScheduleSafety(t *testing.T) {
 	}
 }
 
-// TestAcceptorPrunesAcceptedBelowAppliedFrontier pins pruneAccepted's
+// TestAcceptorPrunesAcceptedBelowAppliedFrontier pins Accepted.Prune's
 // two walks (from the last frontier; over the map when the frontier ran
 // far ahead) and the late accept that lands below the frontier.
 func TestAcceptorPrunesAcceptedBelowAppliedFrontier(t *testing.T) {
@@ -606,11 +647,11 @@ func TestAcceptorPrunesAcceptedBelowAppliedFrontier(t *testing.T) {
 	}
 	wantAccepted := func(step string, want ...int64) {
 		t.Helper()
-		if len(r.ap) != len(want) {
-			t.Fatalf("%s: acceptor holds %d proposals (%v), want instances %v", step, len(r.ap), r.ap, want)
+		if len(r.ap.ByInstance) != len(want) {
+			t.Fatalf("%s: acceptor holds %d proposals, want instances %v", step, len(r.ap.ByInstance), want)
 		}
 		for _, in := range want {
-			if _, ok := r.ap[in]; !ok {
+			if _, ok := r.ap.ByInstance[in]; !ok {
 				t.Fatalf("%s: acceptor lost instance %d, want %v", step, in, want)
 			}
 		}
@@ -758,7 +799,7 @@ func TestFreshAcceptorLeaseHoldIsNotAFailure(t *testing.T) {
 	// The leader's AcceptorChange 2 -> 1 commits; it re-adopts the fresh
 	// backup with a MustBeFresh prepare.
 	r.onUtilCommit(0, msg.UtilEntry{Type: msg.EntryAcceptorChange, Leader: 0, Acceptor: 1})
-	r.iAmLeader, r.takingOver = false, true
+	r.become(false, takingOver)
 	deadline := func(at time.Duration) {
 		ctx.Clock = at
 		ctx.TakeSent()

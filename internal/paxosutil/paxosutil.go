@@ -132,39 +132,6 @@ func (u *Util) Committed(slot int64) (msg.UtilEntry, bool) {
 	return e, ok
 }
 
-// LastLeader scans the locally known contiguous prefix for the latest
-// LeaderChange, returning the leader and the first empty slot. ok is
-// false if no LeaderChange has committed yet. This is the pseudo-code's
-// PaxosUtility.lastLeader(): the returned slot is where a subsequent
-// Propose must land for the caller's view to have been current.
-func (u *Util) LastLeader() (leader msg.NodeID, slot int64, ok bool) {
-	for s := u.frontier - 1; s >= 0; s-- {
-		if e := u.committed[s]; e.Type == msg.EntryLeaderChange {
-			return e.Leader, u.frontier, true
-		}
-	}
-	return msg.Nobody, u.frontier, false
-}
-
-// LastActiveAcceptor scans for the latest entry that fixed the active
-// acceptor (either kind carries it), returning the acceptor, the first
-// empty slot, and the uncommitted proposals carried by the latest
-// AcceptorChange (pseudo-code: PaxosUtility.lastActiveAcceptor()).
-func (u *Util) LastActiveAcceptor() (acceptor msg.NodeID, slot int64, carried []msg.Proposal, ok bool) {
-	for s := u.frontier - 1; s >= 0; s-- {
-		e := u.committed[s]
-		switch e.Type {
-		case msg.EntryAcceptorChange:
-			return e.Acceptor, u.frontier, append([]msg.Proposal(nil), e.Uncommitted...), true
-		case msg.EntryLeaderChange:
-			if e.Acceptor != msg.Nobody {
-				return e.Acceptor, u.frontier, nil, true
-			}
-		}
-	}
-	return msg.Nobody, u.frontier, nil, false
-}
-
 // Propose starts consensus for entry at slot. done fires exactly once,
 // when the slot's decision becomes known to this node. Proposing at an
 // already-decided slot reports immediately. Only one in-flight proposal

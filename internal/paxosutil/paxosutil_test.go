@@ -209,6 +209,10 @@ func TestUtilProposeAtCommittedSlot(t *testing.T) {
 	}
 }
 
+// TestUtilScans: every host's observer sees the regime entries in slot
+// order, so the last one delivered names the current leader and
+// acceptor and carries the AcceptorChange's uncommitted proposals — what
+// a host installs as its regime, and the slot it reads them back from.
 func TestUtilScans(t *testing.T) {
 	u := newUtilNet(3, 5)
 	u.propose(0, 0, 0, leaderChange(0, 2), func(bool, msg.UtilEntry) {})
@@ -221,27 +225,30 @@ func TestUtilScans(t *testing.T) {
 	u.net.RunFor(30 * time.Millisecond)
 
 	for i, h := range u.hosts {
-		leader, slot, ok := h.util.LastLeader()
-		if !ok || leader != 0 || slot != 2 {
-			t.Fatalf("host %d LastLeader = (%d,%d,%v)", i, leader, slot, ok)
+		if f := h.util.Frontier(); f != 2 || len(h.committed) != 2 {
+			t.Fatalf("host %d: frontier %d, %d entries delivered, want 2 and 2", i, f, len(h.committed))
 		}
-		acc, slot, carried, ok := h.util.LastActiveAcceptor()
-		if !ok || acc != 1 || slot != 2 {
-			t.Fatalf("host %d LastActiveAcceptor = (%d,%d,%v)", i, acc, slot, ok)
+		if first := h.committed[0]; first.Type != msg.EntryLeaderChange || first.Leader != 0 || first.Acceptor != 2 {
+			t.Fatalf("host %d slot 0 = %+v", i, first)
 		}
-		if len(carried) != 1 || carried[0].Instance != 4 {
-			t.Fatalf("host %d carried = %+v", i, carried)
+		last, ok := h.util.Committed(1)
+		if !ok || last.Leader != 0 || last.Acceptor != 1 || !entryEqual(last, h.committed[1]) {
+			t.Fatalf("host %d slot 1 = %+v (delivered %+v)", i, last, h.committed[1])
+		}
+		if len(last.Uncommitted) != 1 || last.Uncommitted[0].Instance != 4 {
+			t.Fatalf("host %d carried = %+v", i, last.Uncommitted)
 		}
 	}
 }
 
+// TestUtilScansEmpty: an empty utility log delivers nothing and reports
+// no entry, so its host keeps its boot regime.
 func TestUtilScansEmpty(t *testing.T) {
 	u := newUtilNet(3, 5)
-	if _, _, ok := u.hosts[0].util.LastLeader(); ok {
-		t.Fatal("LastLeader on empty log must report !ok")
-	}
-	if _, _, _, ok := u.hosts[0].util.LastActiveAcceptor(); ok {
-		t.Fatal("LastActiveAcceptor on empty log must report !ok")
+	u.net.RunFor(time.Millisecond)
+	h := u.hosts[0]
+	if _, ok := h.util.Committed(0); ok || h.util.Frontier() != 0 || len(h.committed) != 0 {
+		t.Fatal("an empty log must report no entry and frontier 0")
 	}
 }
 

@@ -140,9 +140,9 @@ type Config struct {
 	NeedAcks   int
 
 	// Grant reports whether this node vouches for from as the serving
-	// node — the acceptor's adopted == from for 1Paxos, knownLeader ==
-	// from for Multi-Paxos. nil means always (leaderless engines:
-	// the acknowledgement only reports a frontier).
+	// node — the acceptor's adopted == from for 1Paxos, the regime's
+	// leader == from for Multi-Paxos. nil means always (leaderless
+	// engines: the acknowledgement only reports a frontier).
 	Grant func(from msg.NodeID) bool
 
 	// Establish, when set, is called when a confirmer refuses a round

@@ -33,10 +33,8 @@ func newSequencer(cfg protocol.Config) *sequencer {
 	r := &sequencer{}
 	leader := cfg.Replicas[0]
 	r.Init(cfg, replica.Agreement{
-		HasLeader:    true,
+		Boot:         replica.Regime{Leader: leader, Acceptor: msg.Nobody},
 		LeaseCapable: true, // the leader is never deposed, so no prepare to hold
-		IsLeader:     func() bool { return r.Me == leader },
-		Leader:       func() msg.NodeID { return leader },
 		Grant:        func(from msg.NodeID) bool { return from == leader },
 		Frontier:     func() int64 { return r.next },
 		OnRestore: func(last int64) {
@@ -45,6 +43,7 @@ func newSequencer(cfg protocol.Config) *sequencer {
 			}
 		},
 	})
+	r.SetLeading(r.Me == leader)
 	return r
 }
 

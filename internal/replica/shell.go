@@ -10,6 +10,7 @@
 package replica
 
 import (
+	"sync/atomic"
 	"time"
 
 	"consensusinside/internal/msg"
@@ -53,15 +54,14 @@ type Agreement struct {
 	// commands itself and calls AfterApply for each.
 	NoLog bool
 
-	// HasLeader marks engines with a distinguished serving node (a
-	// stable leader, or 2PC's fixed coordinator); IsLeader and Leader
-	// report this node's view of it. LeaseCapable marks engines whose
-	// confirmers can block a deposition for a lease's lifetime (they
-	// consult Read.PrepareHold in their prepare handlers).
-	HasLeader    bool
+	// Boot is the regime Init installs, the engine's fixed rule. The
+	// zero Boot marks a leaderless engine (Mencius, BasicPaxos): nobody
+	// leads or is the acceptor, and any replica serves reads.
+	// LeaseCapable marks engines whose confirmers can block a deposition
+	// for a lease's lifetime (they consult Read.PrepareHold in their
+	// prepare handlers).
+	Boot         Regime
 	LeaseCapable bool
-	IsLeader     func() bool
-	Leader       func() msg.NodeID
 
 	// Confirmers names the nodes whose acknowledgement confirms a read
 	// round and NeedAcks how many must answer. A nil Confirmers means a
@@ -94,6 +94,17 @@ type Agreement struct {
 	// snapshot.Manager).
 	OnRestore func(lastApplied int64)
 	OnCompact func(floor int64)
+}
+
+// Regime is who leads, who accepts and since which slot, as this node
+// last saw it decided. The shell owns it: Init installs Agreement.Boot,
+// and an engine installs another only from a committed decision (a
+// PaxosUtility entry; a ballot won or seen in an accept).
+type Regime struct {
+	Slot     int64      // the utility slot or log instance it took effect at; 0 at boot
+	Leader   msg.NodeID // msg.Nobody on a leaderless engine
+	Acceptor msg.NodeID // msg.Nobody where every replica accepts
+	Ballot   uint64     // the leader's proposal number; 0 where the engine has none
 }
 
 // Shell is one replica's shared state. An engine embeds it by value,
@@ -130,6 +141,12 @@ type Shell struct {
 	agree   Agreement
 	commits int64
 	votes   map[int64]map[msg.NodeID]uint64 // learner tally: instance -> voter -> pn
+
+	// The regime record, the leadership bit beside it and Install's
+	// counts (Collect's "regime." names).
+	regime              Regime
+	leading             bool
+	changes, collisions atomic.Int64
 }
 
 // Init builds the shared subsystems for one replica. cfg was validated
@@ -164,6 +181,10 @@ func (s *Shell) Init(cfg protocol.Config, a Agreement) {
 		a.Frontier, a.OnApply, a.OnRestore = s.Book.frontier, s.Book.applied, s.Book.restored
 	}
 	s.agree = a
+	s.regime = a.Boot
+	if a.Boot == (Regime{}) {
+		s.regime = Regime{Leader: msg.Nobody, Acceptor: msg.Nobody}
+	}
 	// The recovery watchdog's period is twice the failure-detector
 	// timeout, which engines default before Init (0 means
 	// snapshot.DefaultRetryTimeout). 2PC has no failure detector; its
@@ -196,10 +217,10 @@ func (s *Shell) Init(cfg protocol.Config, a Agreement) {
 		Mode:          mode,
 		LeaseDuration: cfg.LeaseDuration,
 		Events:        cfg.Events,
-		HasLeader:     a.HasLeader,
+		HasLeader:     s.regime.Leader != msg.Nobody,
 		LeaseCapable:  a.LeaseCapable,
-		IsLeader:      a.IsLeader,
-		Leader:        a.Leader,
+		IsLeader:      s.IsLeader,
+		Leader:        func() msg.NodeID { return s.regime.Leader },
 		Confirmers:    confirmers,
 		NeedAcks:      need,
 		Grant:         a.Grant,
@@ -232,6 +253,30 @@ func (s *Shell) applied() int64 {
 	}
 	return s.log.NextToApply()
 }
+
+// --- The regime ---
+
+// Regime reports the regime this replica serves under.
+func (s *Shell) Regime() Regime { return s.regime }
+
+// Install records g, which a committed decision named, as the regime.
+// One naming a node leader and acceptor in a group of two or more is a
+// role collision: that node would adopt itself and confirm its reads.
+func (s *Shell) Install(g Regime) {
+	s.regime = g
+	s.changes.Add(1)
+	if g.Leader == g.Acceptor && g.Leader != msg.Nobody && len(s.Replicas) >= 2 {
+		s.collisions.Add(1)
+	}
+}
+
+// IsLeader reports whether this node has established its leadership:
+// it holds the active acceptor's promise (1Paxos), won phase 1 and has
+// not stepped down (Multi-Paxos), or is the fixed coordinator (2PC).
+func (s *Shell) IsLeader() bool { return s.leading }
+
+// SetLeading sets what IsLeader reports, as the engine wins or loses.
+func (s *Shell) SetLeading(on bool) { s.leading = on }
 
 // --- Routing: engine-private side protocols → snapshot → read path → agreement ---
 
@@ -410,16 +455,18 @@ func (s *Shell) Commits() int64 { return s.commits }
 func (s *Shell) Log() *rsm.Log { return s.log }
 
 // Collect adds every counter this replica owns to snap: the recovery
-// subsystem's ("snap."), the read fast path's ("read.") and how often
-// the session rings had to double ("session.ring_growths" — the rings
-// are sized for their lane's pipeline depth, so a count that keeps
-// rising under steady load means a command is pinned unacknowledged
-// while newer ones retire past it). Safe from any goroutine, as are
-// the two accessors below.
+// subsystem's ("snap."), the read fast path's ("read."), Install's
+// ("regime.") and how often the session rings had to double
+// ("session.ring_growths" — the rings are sized for their lane's
+// pipeline depth, so a count that keeps rising under steady load means
+// a command is pinned unacknowledged while newer ones retire past it).
+// Safe from any goroutine, as are the two accessors below.
 func (s *Shell) Collect(snap *obs.Snapshot) {
 	s.Snap.Collect(snap)
 	s.Read.Collect(snap)
 	snap.Add("session.ring_growths", s.Sessions.Growths())
+	snap.Add("regime.changes", s.changes.Load())
+	snap.Add("regime.role_collisions", s.collisions.Load())
 }
 
 // Recovered reports whether this replica has finished recovering;

@@ -39,7 +39,6 @@ const timerTxRetry = 1
 // log (replica.Agreement.NoLog), so the transaction apply is its own.
 type Replica struct {
 	replica.Shell
-	coord msg.NodeID
 
 	// Coordinator state. A command a live transaction carries holds its
 	// origin mark (Shell.Mark) until the transaction commits or rolls
@@ -84,7 +83,6 @@ var _ runtime.Handler = (*Replica)(nil)
 // experiments use — is the paper's strictly blocking 2PC.
 func New(cfg protocol.Config) *Replica {
 	r := &Replica{
-		coord:    cfg.Replicas[0],
 		txs:      make(map[int64]*tx),
 		locks:    make(map[string]int64),
 		prepared: make(map[int64]msg.Value),
@@ -101,12 +99,11 @@ func New(cfg protocol.Config) *Replica {
 	// mode serves stale-bounded reads from any participant.
 	r.Init(cfg, replica.Agreement{
 		NoLog:      true,
-		HasLeader:  true,
-		IsLeader:   func() bool { return r.Me == r.coord },
-		Leader:     func() msg.NodeID { return r.coord },
+		Boot:       replica.Regime{Leader: cfg.Replicas[0], Acceptor: msg.Nobody},
 		Confirmers: func() []msg.NodeID { return nil },
 		Frontier:   r.Commits,
 	})
+	r.SetLeading(r.Me == cfg.Replicas[0]) // the coordinator is never elected or deposed
 	return r
 }
 
@@ -205,9 +202,9 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 			return
 		}
 	}
-	if r.Me != r.coord {
+	if !r.IsLeader() {
 		// Participants funnel updates through the coordinator.
-		r.Ctx.Send(r.coord, req)
+		r.Ctx.Send(r.Regime().Leader, req)
 		return
 	}
 	// Drop entries a live transaction already carries (a client retry —
@@ -311,7 +308,7 @@ func (r *Replica) onAck(m msg.TPCAck) {
 		delete(r.prepared, t.id)
 		var replies []msg.ClientReply
 		for i := range t.value.Len() {
-			replies = append(replies, msg.ClientReply{Seq: t.value.EntryAt(i).Seq, OK: false, Redirect: r.coord})
+			replies = append(replies, msg.ClientReply{Seq: t.value.EntryAt(i).Seq, OK: false, Redirect: r.Regime().Leader})
 		}
 		r.Ctx.Send(t.value.Client, msg.WrapReplies(replies))
 		return

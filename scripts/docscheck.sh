@@ -6,7 +6,9 @@
 # Fails when gofmt would change anything, when go vet complains, when
 # any library package (the root, internal/*) is missing a package
 # comment, when any command/example main is missing a header comment,
-# when an engine package builds a subsystem the replica shell owns,
+# when an engine package builds a subsystem the replica shell owns or
+# keeps its own copy of the regime (an iAmLeader, knownLeader or aa
+# field, or an IsLeader/Leader hook on replica.Agreement),
 # when a wall-clock sweep driver or a recorded BENCH_*.json reappears
 # beside bench/, when a second stats path grows back beside internal/obs
 # (a typed stats struct, an adapter, a registry gauge, a metric name
@@ -89,6 +91,22 @@ private=$(grep -nE 'snapshot\.New\(|readpath\.New\(|rsm\.NewSessions\(|rsm\.NewL
 if [ -n "$private" ]; then
     echo "docscheck: engine packages must take these from the replica shell, not build their own:" >&2
     echo "$private" >&2
+    fail=1
+fi
+
+# One regime record (DESIGN.md, "The regime record"): who leads and who
+# accepts is the shell's Regime, installed from committed decisions, with
+# one leadership bit beside it. An engine field named iAmLeader,
+# knownLeader or aa, or an IsLeader or Leader hook on replica.Agreement,
+# is a second copy of that state growing back.
+roles=$(grep -nE '^[[:space:]]+([A-Za-z_]+,[[:space:]]*)*(iAmLeader|knownLeader|aa)([[:space:]]*,[[:space:]]*[A-Za-z_]+)*[[:space:]]+[A-Za-z*[]' \
+    $(find $engines -name '*.go' ! -name '*_test.go'))
+hooks=$(sed 's,//.*$,,' internal/replica/shell.go |
+    awk '/^type Agreement struct/{on=1} on&&/^}/{on=0} on{print "internal/replica/shell.go:" NR ":" $0}' |
+    grep -E ':[0-9]+:[[:space:]]*([A-Za-z_]+,[[:space:]]*)*(IsLeader|Leader)([[:space:],]|$)')
+if [ -n "$roles$hooks" ]; then
+    echo "docscheck: who leads and who accepts is the shell's Regime and IsLeader, not an engine field or an Agreement hook:" >&2
+    printf '%s\n%s\n' "$roles" "$hooks" | grep . >&2
     fail=1
 fi
 
