@@ -502,8 +502,6 @@ func (r *Replica) startTakeover() {
 	})
 }
 
-// --- Failure detection ---
-
 // adoptFresh takes over acceptor, which has accepted nothing: the boot
 // acceptor, or a backup this node's AcceptorChange just promoted.
 func (r *Replica) adoptFresh(acceptor msg.NodeID) {
@@ -519,6 +517,8 @@ func (r *Replica) prepare(acceptor msg.NodeID, mustBeFresh bool) {
 	r.Ctx.Send(acceptor, msg.PrepareRequest{PN: r.myPN, MustBeFresh: mustBeFresh, From: r.Log().NextToApply()})
 	r.Ctx.After(r.Cfg.AcceptTimeout, runtime.TimerTag{Kind: timerPrepareDeadline, Arg: int64(r.myPN)})
 }
+
+// --- Failure detection ---
 
 // onPrepareDeadline fires when a prepare_request got no response within
 // the timeout. A proposer that was never adopted must NOT replace the
@@ -585,8 +585,8 @@ func (r *Replica) onAcceptorFailure(virginSwitch bool) {
 	r.util.Propose(r.Ctx, slot, entry, func(success bool, chosen msg.UtilEntry) {
 		r.switchingAa = false
 		if !success {
-			// Another entry landed first; our view was refreshed by
-			// onUtilCommit. The accept deadline looks at the overdue
+			// Another entry landed first; onUtilCommit installs it once
+			// this returns. The accept deadline looks at the overdue
 			// accepts again one AcceptTimeout after it suspected, and
 			// re-triggers the switch if the acceptor is still silent.
 			return
