@@ -6,7 +6,11 @@ import (
 	"testing/quick"
 
 	"consensusinside/internal/msg"
+	"consensusinside/internal/protocol"
+	"consensusinside/internal/protocol/enginetest"
 )
+
+func TestConformance(t *testing.T) { enginetest.Run(t, protocol.BasicPaxos) }
 
 func TestAcceptorPrepareOrdering(t *testing.T) {
 	var a Acceptor[string]

@@ -7,8 +7,10 @@
 // failure-schedule injection for the slow-core experiments.
 //
 // Protocols are constructed through the internal/protocol registry, so
-// any registered engine runs on this harness unchanged; importing this
-// package registers all of them.
+// any registered engine runs on this harness unchanged. This package
+// registers none of them: a binary imports the engines it runs (or
+// internal/protocol/all), which lets an engine's own tests build
+// deployments here.
 package cluster
 
 import (
@@ -22,7 +24,6 @@ import (
 	"consensusinside/internal/msg"
 	"consensusinside/internal/obs"
 	"consensusinside/internal/protocol"
-	_ "consensusinside/internal/protocol/all" // register every engine
 	"consensusinside/internal/readpath"
 	"consensusinside/internal/rsm"
 	"consensusinside/internal/runtime"

@@ -6,6 +6,7 @@ import (
 
 	"consensusinside/internal/msg"
 	"consensusinside/internal/protocol"
+	_ "consensusinside/internal/protocol/all" // register every engine
 	"consensusinside/internal/readpath"
 	"consensusinside/internal/rsm"
 	"consensusinside/internal/shard"
@@ -21,77 +22,6 @@ func baseSpec(p protocol.ID, clients int) Spec {
 		Seed:     1,
 		Replicas: 3,
 		Clients:  clients,
-	}
-}
-
-func TestOnePaxosCommitsSingleClient(t *testing.T) {
-	spec := baseSpec(protocol.OnePaxos, 1)
-	spec.RequestsPerClient = 100
-	c := MustBuild(spec)
-	c.Start()
-	c.RunFor(50 * time.Millisecond)
-	if got := c.Clients[0].Completed(); got != 100 {
-		t.Fatalf("completed %d requests, want 100", got)
-	}
-	if err := c.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	// Every replica must have applied all 100 commands.
-	for i, commits := range c.ServerCommits() {
-		if commits < 100 {
-			t.Errorf("replica %d applied %d, want >= 100", i, commits)
-		}
-	}
-}
-
-func TestMultiPaxosCommitsSingleClient(t *testing.T) {
-	spec := baseSpec(protocol.MultiPaxos, 1)
-	spec.RequestsPerClient = 100
-	c := MustBuild(spec)
-	c.Start()
-	c.RunFor(50 * time.Millisecond)
-	if got := c.Clients[0].Completed(); got != 100 {
-		t.Fatalf("completed %d requests, want 100", got)
-	}
-	if err := c.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTwoPCCommitsSingleClient(t *testing.T) {
-	spec := baseSpec(protocol.TwoPC, 1)
-	spec.RequestsPerClient = 100
-	c := MustBuild(spec)
-	c.Start()
-	c.RunFor(50 * time.Millisecond)
-	if got := c.Clients[0].Completed(); got != 100 {
-		t.Fatalf("completed %d requests, want 100", got)
-	}
-	for i, commits := range c.ServerCommits() {
-		if commits != 100 {
-			t.Errorf("replica %d applied %d, want 100", i, commits)
-		}
-	}
-}
-
-func TestAllProtocolsManyClients(t *testing.T) {
-	for _, p := range []protocol.ID{protocol.OnePaxos, protocol.MultiPaxos, protocol.TwoPC} {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			spec := baseSpec(p, 10)
-			spec.RequestsPerClient = 50
-			c := MustBuild(spec)
-			c.Start()
-			c.RunFor(200 * time.Millisecond)
-			for i, cl := range c.Clients {
-				if got := cl.Completed(); got != 50 {
-					t.Errorf("client %d completed %d, want 50", i, got)
-				}
-			}
-			if err := c.CheckConsistency(); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 
@@ -188,6 +118,25 @@ func TestTwoPCBlocksOnSlowCoordinator(t *testing.T) {
 	}
 }
 
+// TestTwoPCSharedKeyStallsAfterPause reproduces a 2PC liveness defect
+// (ROADMAP item 2): two clients on one key and participant 2 paused for
+// the first 20 ms; once it resumes, the group commits two commands and
+// then none. Without the pause, or with a key per client, it commits
+// hundreds. This asserts today's behaviour; the fix flips it.
+func TestTwoPCSharedKeyStallsAfterPause(t *testing.T) {
+	spec := baseSpec(protocol.TwoPC, 2)
+	spec.ThinkTime, spec.SharedKey = time.Millisecond, "k"
+	spec.AcceptTimeout, spec.TxRetryTimeout = time.Millisecond, time.Millisecond
+	c := MustBuild(spec)
+	c.CrashAt(time.Microsecond, 2)
+	c.Net.At(20*time.Millisecond, func() { c.Net.Recover(2) })
+	c.Start()
+	c.RunFor(180 * time.Millisecond)
+	if got := c.ClientStats().Completed; got != 2 {
+		t.Fatalf("%d commands completed; today the group stalls after 2", got)
+	}
+}
+
 func TestOnePaxosSurvivesCrashedAcceptor(t *testing.T) {
 	spec := baseSpec(protocol.OnePaxos, 3)
 	spec.RetryTimeout = 2 * time.Millisecond
@@ -256,64 +205,6 @@ func TestBuildValidation(t *testing.T) {
 		}
 	}()
 	MustBuild(Spec{Protocol: protocol.OnePaxos, Replicas: 3})
-}
-
-func TestMenciusCommitsSingleClient(t *testing.T) {
-	spec := baseSpec(protocol.Mencius, 1)
-	spec.RequestsPerClient = 100
-	c := MustBuild(spec)
-	c.Start()
-	c.RunFor(50 * time.Millisecond)
-	if got := c.Clients[0].Completed(); got != 100 {
-		t.Fatalf("completed %d requests, want 100", got)
-	}
-	if err := c.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBasicPaxosCommitsSingleClient(t *testing.T) {
-	spec := baseSpec(protocol.BasicPaxos, 1)
-	spec.RequestsPerClient = 100
-	c := MustBuild(spec)
-	c.Start()
-	c.RunFor(100 * time.Millisecond)
-	if got := c.Clients[0].Completed(); got != 100 {
-		t.Fatalf("completed %d requests, want 100", got)
-	}
-	if err := c.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	for i, commits := range c.ServerCommits() {
-		if commits < 100 {
-			t.Errorf("replica %d applied %d, want >= 100", i, commits)
-		}
-	}
-}
-
-// TestNewProtocolsManyClients drives the two new engines with contending
-// clients: Mencius spreads nothing here (all clients target replica 0)
-// but must stay consistent; BasicPaxos duels across instances and must
-// still commit everything exactly once.
-func TestNewProtocolsManyClients(t *testing.T) {
-	for _, p := range []protocol.ID{protocol.Mencius, protocol.BasicPaxos} {
-		t.Run(p.String(), func(t *testing.T) {
-			spec := baseSpec(p, 5)
-			spec.RequestsPerClient = 20
-			spec.RetryTimeout = 5 * time.Millisecond
-			c := MustBuild(spec)
-			c.Start()
-			c.RunFor(300 * time.Millisecond)
-			for i, cl := range c.Clients {
-				if got := cl.Completed(); got != 20 {
-					t.Errorf("client %d completed %d, want 20", i, got)
-				}
-			}
-			if err := c.CheckConsistency(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }
 
 // TestPipelinedWindowCommits runs every paxos-family engine with a

@@ -27,6 +27,7 @@ import (
 	"consensusinside/internal/mencius"
 	"consensusinside/internal/msg"
 	"consensusinside/internal/protocol"
+	_ "consensusinside/internal/protocol/all" // register every engine
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"

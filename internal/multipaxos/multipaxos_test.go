@@ -4,13 +4,17 @@ import (
 	"testing"
 	"time"
 
+	"consensusinside/internal/cluster"
 	"consensusinside/internal/msg"
 	"consensusinside/internal/protocol"
+	"consensusinside/internal/protocol/enginetest"
 	"consensusinside/internal/replica"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"
 )
+
+func TestConformance(t *testing.T) { enginetest.Run(t, protocol.MultiPaxos) }
 
 func replicaIDs(n int) []msg.NodeID {
 	out := make([]msg.NodeID, n)
@@ -18,21 +22,6 @@ func replicaIDs(n int) []msg.NodeID {
 		out[i] = msg.NodeID(i)
 	}
 	return out
-}
-
-// TestNewValidation: a malformed group is rejected where engines are
-// built (protocol.Build), the one validator every deployment goes
-// through.
-func TestNewValidation(t *testing.T) {
-	if _, err := protocol.Build(protocol.MultiPaxos, protocol.Config{ID: 0, Replicas: replicaIDs(2)}); err == nil {
-		t.Error("two replicas must be rejected")
-	}
-	if _, err := protocol.Build(protocol.MultiPaxos, protocol.Config{ID: 9, Replicas: replicaIDs(3)}); err == nil {
-		t.Error("non-member id must be rejected")
-	}
-	if _, err := protocol.Build(protocol.MultiPaxos, protocol.Config{ID: 0, Replicas: replicaIDs(3)}); err != nil {
-		t.Errorf("a well-formed group must build: %v", err)
-	}
 }
 
 func TestLeaderWinsPhaseOneThenProposes(t *testing.T) {
@@ -290,140 +279,99 @@ func TestProposalSkipsInstanceDecidedByRival(t *testing.T) {
 	}
 }
 
-// --- Scenario tests on the simulator ---
-
-type recordingClient struct{ replies []msg.ClientReply }
-
-func (c *recordingClient) Start(runtime.Context) {}
-func (c *recordingClient) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
-	if rep, ok := m.(msg.ClientReply); ok {
-		c.replies = append(c.replies, rep)
-	}
-}
-func (c *recordingClient) Timer(runtime.Context, runtime.TimerTag) {}
-
-type scenario struct {
-	net      *simnet.Network
-	replicas []*Replica
-	client   *recordingClient
-	clientID msg.NodeID
-}
-
-func newScenario(n int, seed int64) *scenario {
-	machine := topology.Uniform(n+1, time.Microsecond)
-	net := simnet.New(machine, simnet.ManyCore(), seed)
-	ids := replicaIDs(n)
-	s := &scenario{net: net}
-	for i := 0; i < n; i++ {
-		r := New(protocol.Config{ID: msg.NodeID(i), Replicas: ids})
-		s.replicas = append(s.replicas, r)
-		net.AddNode(r)
-	}
-	s.client = &recordingClient{}
-	s.clientID = net.AddNode(s.client)
-	net.Start()
-	return s
-}
-
-func (s *scenario) send(at time.Duration, to msg.NodeID, seq uint64) {
-	s.net.At(at, func() {
-		s.net.Inject(s.clientID, to, msg.ClientRequest{
-			Client: s.clientID, Seq: seq,
-			Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "v"},
-		})
-	})
-}
-
-func (s *scenario) checkAgreement(t *testing.T) {
-	t.Helper()
-	chosen := make(map[int64]msg.Value)
-	for i, r := range s.replicas {
-		for _, e := range r.Log().History() {
-			if prev, ok := chosen[e.Instance]; ok && !prev.Equal(e.Value) {
-				t.Fatalf("replica %d: instance %d %+v vs %+v", i, e.Instance, e.Value, prev)
-			} else if !ok {
-				chosen[e.Instance] = e.Value
-			}
+// TestOriginForwardToLeaderLeavesNoMark: a Joint-mode forward leaves
+// no origin mark behind, so a retry is forwarded again rather than
+// taken for a duplicate, and the command's commit here sends the client
+// nothing: the leader that took the request answers it.
+func TestOriginForwardToLeaderLeavesNoMark(t *testing.T) {
+	r := New(protocol.Config{ID: 1, Replicas: replicaIDs(3), ForwardToLeader: true})
+	ctx := runtime.NewFakeContext(1, 3)
+	r.Start(ctx)
+	req := msg.ClientRequest{Client: 7, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "v"}}
+	r.Receive(ctx, 7, req)
+	r.Receive(ctx, 7, req)
+	forwarded := 0
+	for _, m := range ctx.SentTo(0) {
+		if _, ok := m.(msg.ClientRequest); ok {
+			forwarded++
 		}
 	}
+	if forwarded != 2 {
+		t.Fatalf("forwarded %d requests to the leader, want 2", forwarded)
+	}
+	ctx.TakeSent()
+
+	for _, from := range []msg.NodeID{0, 1} {
+		r.Receive(ctx, from, msg.Accepted{Instance: 0, PN: 1, Value: msg.Value(req), From: from})
+	}
+	if r.Commits() != 1 {
+		t.Fatalf("Commits = %d, want 1", r.Commits())
+	}
+	if got := len(ctx.SentTo(7)); got != 0 {
+		t.Fatalf("forwarding replica sent the client %d messages, want none", got)
+	}
 }
 
-func TestScenarioCommit(t *testing.T) {
-	s := newScenario(3, 1)
-	for i := uint64(1); i <= 5; i++ {
-		s.send(time.Duration(i)*100*time.Microsecond, 0, i)
+// --- Scenarios on the simulator harness ---
+
+// simulate starts three replicas and one client on the simulator
+// harness: the client issues requests commands, think apart, to
+// replica 0 first and rotates to the next replica on a retry.
+func simulate(t *testing.T, requests int, think time.Duration) (*cluster.Cluster, func(int) *Replica) {
+	t.Helper()
+	c, err := cluster.Build(cluster.Spec{
+		Protocol: protocol.MultiPaxos, Machine: topology.Uniform(4, time.Microsecond), Cost: simnet.ManyCore(),
+		Seed: 1, Replicas: 3, Clients: 1, RequestsPerClient: requests, ThinkTime: think,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.net.RunFor(10 * time.Millisecond)
-	if len(s.client.replies) != 5 {
-		t.Fatalf("client got %d replies, want 5", len(s.client.replies))
-	}
-	s.checkAgreement(t)
+	c.Start()
+	return c, func(i int) *Replica { return c.Servers[i].(*Replica) }
 }
 
 func TestScenarioProgressWithMinorityCrashed(t *testing.T) {
 	// Multi-Paxos needs only a majority: with replica 1 crashed, commits
 	// must still flow (the non-blocking property 2PC lacks).
-	s := newScenario(3, 2)
-	s.net.Crash(1)
-	for i := uint64(1); i <= 5; i++ {
-		s.send(time.Duration(i)*100*time.Microsecond, 0, i)
+	c, _ := simulate(t, 5, 0)
+	c.Net.Crash(1)
+	c.RunFor(20 * time.Millisecond)
+	if got := c.Clients[0].Completed(); got != 5 {
+		t.Fatalf("client completed %d commands with a minority down, want 5", got)
 	}
-	s.net.RunFor(20 * time.Millisecond)
-	if len(s.client.replies) != 5 {
-		t.Fatalf("client got %d replies with a minority down, want 5", len(s.client.replies))
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
-	s.checkAgreement(t)
 }
 
 func TestScenarioLeaderCrashTakeover(t *testing.T) {
-	s := newScenario(3, 3)
-	s.send(100*time.Microsecond, 0, 1)
-	s.net.At(2*time.Millisecond, func() { s.net.Crash(0) })
-	s.send(3*time.Millisecond, 1, 2)
-	s.net.RunFor(30 * time.Millisecond)
-	if len(s.client.replies) != 2 {
-		t.Fatalf("client got %d replies, want 2", len(s.client.replies))
+	// The second command finds replica 0 crashed; the client's retry
+	// goes to replica 1, which must win a ballot.
+	c, r := simulate(t, 2, 3*time.Millisecond)
+	c.CrashAt(2*time.Millisecond, 0)
+	c.RunFor(30 * time.Millisecond)
+	if got := c.Clients[0].Completed(); got != 2 {
+		t.Fatalf("client completed %d commands, want 2", got)
 	}
-	if !s.replicas[1].IsLeader() {
+	if !r(1).IsLeader() {
 		t.Error("replica 1 must lead after the crash")
 	}
 	for _, i := range []int{1, 2} {
-		if g := s.replicas[i].Regime(); g.Leader != 1 || g.Ballot == 0 {
+		if g := r(i).Regime(); g.Leader != 1 || g.Ballot == 0 {
 			t.Errorf("replica %d's regime is %+v, want replica 1's won ballot", i, g)
 		}
 	}
-	s.checkAgreement(t)
-}
-
-func TestScenarioStallsWithoutMajority(t *testing.T) {
-	s := newScenario(3, 4)
-	s.net.Crash(1)
-	s.net.Crash(2)
-	s.send(100*time.Microsecond, 0, 1)
-	s.net.RunFor(20 * time.Millisecond)
-	if len(s.client.replies) != 0 {
-		t.Fatalf("no commit may happen without a majority; got %d replies", len(s.client.replies))
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestScenarioRandomSlowdownSafety(t *testing.T) {
-	for seed := int64(0); seed < 15; seed++ {
-		s := newScenario(5, 200+seed)
-		rng := s.net.Engine().Rand()
-		seq := uint64(0)
-		for i := 0; i < 30; i++ {
-			at := time.Duration(rng.Intn(40_000)) * time.Microsecond
-			if rng.Intn(5) == 0 {
-				node := msg.NodeID(rng.Intn(5))
-				factor := float64(rng.Intn(300) + 50)
-				s.net.At(at, func() { s.net.SetSlow(node, factor) })
-				s.net.At(at+10*time.Millisecond, func() { s.net.SetSlow(node, 1) })
-			} else {
-				seq++
-				s.send(at, msg.NodeID(rng.Intn(5)), seq)
-			}
-		}
-		s.net.RunFor(200 * time.Millisecond)
-		s.checkAgreement(t)
+func TestScenarioStallsWithoutMajority(t *testing.T) {
+	c, _ := simulate(t, 1, 0)
+	c.Net.Crash(1)
+	c.Net.Crash(2)
+	c.RunFor(20 * time.Millisecond)
+	if got := c.Clients[0].Completed(); got != 0 {
+		t.Fatalf("no commit may happen without a majority; %d completed", got)
 	}
 }

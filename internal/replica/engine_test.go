@@ -8,6 +8,7 @@ import (
 	"consensusinside"
 	"consensusinside/internal/msg"
 	"consensusinside/internal/protocol"
+	"consensusinside/internal/protocol/enginetest"
 	"consensusinside/internal/replica"
 	"consensusinside/internal/runtime"
 )
@@ -81,6 +82,10 @@ func init() {
 		New:         func(cfg protocol.Config) protocol.Engine { return newSequencer(cfg) },
 	})
 }
+
+// TestSixthEngineConformance: the sequencer gets the engine contracts
+// from one call, like the five engines.
+func TestSixthEngineConformance(t *testing.T) { enginetest.Run(t, sequencerID) }
 
 // TestSixthEngineDuplicateSuppression drives one sequencer leader by
 // hand: a retry of a request in flight is dropped, the commit answers

@@ -132,6 +132,26 @@ func TestForwardQueueAndDeposeReleaseMarks(t *testing.T) {
 	}
 }
 
+// TestForwardQueueResendsCommittedRequest pins a duplicate answer. A
+// queued request that commits meanwhile (another replica proposed the
+// client's retry) is answered here at its commit, and ForwardQueue
+// still hands it to the new leader, which answers it again from its
+// session table. Lead drops such a request (Sessions.Unseen);
+// ForwardQueue does not. This asserts today's behaviour: filtering the
+// forward flips it.
+func TestForwardQueueResendsCommittedRequest(t *testing.T) {
+	b := newBook(t, true)
+	b.s.Book.Queue(testClient, 0, b.s.Admit(put(1)))
+	b.s.Log().Learn(0, value(1))
+	if got := len(b.ctx.SentTo(testClient)); got != 1 {
+		t.Fatalf("the commit sent the client %d replies, want 1", got)
+	}
+	b.s.Book.ForwardQueue(2)
+	if got := len(b.ctx.SentTo(2)); got != 1 {
+		t.Fatalf("forwarded %d requests; today the committed one is forwarded too", got)
+	}
+}
+
 // TestProposeRulePerEngine: under MajorityAccept (Multi-Paxos) a
 // proposal skips an instance a rival already decided here; a 1Paxos
 // book proposes there and the accept is never sent.

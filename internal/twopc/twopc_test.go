@@ -4,12 +4,16 @@ import (
 	"testing"
 	"time"
 
+	"consensusinside/internal/cluster"
 	"consensusinside/internal/msg"
 	"consensusinside/internal/protocol"
+	"consensusinside/internal/protocol/enginetest"
 	"consensusinside/internal/runtime"
 	"consensusinside/internal/simnet"
 	"consensusinside/internal/topology"
 )
+
+func TestConformance(t *testing.T) { enginetest.Run(t, protocol.TwoPC) }
 
 func replicaIDs(n int) []msg.NodeID {
 	out := make([]msg.NodeID, n)
@@ -197,97 +201,30 @@ func TestLocalReadDeferredWhileLocked(t *testing.T) {
 	}
 }
 
-func TestSessionDedup(t *testing.T) {
-	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
-	ctx := runtime.NewFakeContext(0, 3)
-	r.Start(ctx)
-	req := put(9, 1, "k", "v")
-	r.Receive(ctx, 9, req)
-	r.Receive(ctx, 1, msg.TPCAck{TxID: 0, From: 1, OK: true})
-	r.Receive(ctx, 2, msg.TPCAck{TxID: 0, From: 2, OK: true})
-	ctx.TakeSent()
-	r.Receive(ctx, 9, req) // retry after commit
-	rep, ok := ctx.LastSent().M.(msg.ClientReply)
-	if !ok || !rep.OK {
-		t.Fatalf("retry must be answered from sessions, got %+v", ctx.LastSent().M)
-	}
-	if r.Commits() != 1 {
-		t.Fatalf("Commits = %d, want 1 (no re-execution)", r.Commits())
-	}
-}
-
-// --- Scenario tests ---
-
-type recordingClient struct{ replies []msg.ClientReply }
-
-func (c *recordingClient) Start(runtime.Context) {}
-func (c *recordingClient) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
-	if rep, ok := m.(msg.ClientReply); ok {
-		c.replies = append(c.replies, rep)
-	}
-}
-func (c *recordingClient) Timer(runtime.Context, runtime.TimerTag) {}
-
 func TestScenarioBlocksOnAnySlowReplica(t *testing.T) {
 	// The defining 2PC weakness (Section 2.2): ANY unresponsive replica
 	// blocks every update, because the coordinator needs all acks. The
 	// fault is a deep slowdown — the paper's model of a loaded core; the
 	// queued prepare is eventually processed once the core speeds up.
-	machine := topology.Uniform(4, time.Microsecond)
-	net := simnet.New(machine, simnet.ManyCore(), 1)
-	ids := replicaIDs(3)
-	var replicas []*Replica
-	for i := 0; i < 3; i++ {
-		r := New(protocol.Config{ID: msg.NodeID(i), Replicas: ids})
-		replicas = append(replicas, r)
-		net.AddNode(r)
-	}
-	client := &recordingClient{}
-	clientID := net.AddNode(client)
-	net.Start()
-	// Slow participant 2 after its (cheap) Start work: handling the
-	// prepare will occupy it for ~85ms of virtual time, so the update is
-	// stalled at the 50ms mark and completes only once the slice is paid.
-	net.At(50*time.Microsecond, func() { net.SetSlow(2, 30_000) })
-	net.At(100*time.Microsecond, func() {
-		net.Inject(clientID, 0, put(clientID, 1, "k", "v"))
+	c, err := cluster.Build(cluster.Spec{
+		Protocol: protocol.TwoPC, Machine: topology.Uniform(4, time.Microsecond), Cost: simnet.ManyCore(),
+		Seed: 1, Replicas: 3, Clients: 1, RequestsPerClient: 2, ThinkTime: 100 * time.Microsecond,
 	})
-	net.RunFor(50 * time.Millisecond)
-	if len(client.replies) != 0 {
-		t.Fatalf("2PC must block with a participant stalled; got %d replies", len(client.replies))
+	if err != nil {
+		t.Fatal(err)
 	}
-	net.RunFor(300 * time.Millisecond)
-	if len(client.replies) != 1 {
-		t.Fatalf("2PC must complete once the slow core pays its slice; got %d replies", len(client.replies))
+	c.Start()
+	// Slow participant 2 after the first command: handling the second
+	// command's prepare occupies it for ~85ms of virtual time, so that
+	// update is stalled at the 50ms mark and completes only once the
+	// slice is paid.
+	c.SlowAt(50*time.Microsecond, 2, 30_000)
+	c.RunFor(50 * time.Millisecond)
+	if got := c.Clients[0].Completed(); got != 1 {
+		t.Fatalf("2PC must block with a participant stalled; %d of 2 commands completed", got)
 	}
-}
-
-func TestScenarioAllReplicasApply(t *testing.T) {
-	machine := topology.Uniform(4, time.Microsecond)
-	net := simnet.New(machine, simnet.ManyCore(), 2)
-	ids := replicaIDs(3)
-	var replicas []*Replica
-	for i := 0; i < 3; i++ {
-		r := New(protocol.Config{ID: msg.NodeID(i), Replicas: ids})
-		replicas = append(replicas, r)
-		net.AddNode(r)
-	}
-	client := &recordingClient{}
-	clientID := net.AddNode(client)
-	net.Start()
-	for i := uint64(1); i <= 10; i++ {
-		seq := i
-		net.At(time.Duration(i)*100*time.Microsecond, func() {
-			net.Inject(clientID, 0, put(clientID, seq, "k", "v"))
-		})
-	}
-	net.RunFor(50 * time.Millisecond)
-	if len(client.replies) != 10 {
-		t.Fatalf("client got %d replies, want 10", len(client.replies))
-	}
-	for i, r := range replicas {
-		if r.Commits() != 10 {
-			t.Errorf("replica %d applied %d, want 10", i, r.Commits())
-		}
+	c.RunFor(350 * time.Millisecond)
+	if got := c.Clients[0].Completed(); got != 2 {
+		t.Fatalf("2PC must complete once the slow core pays its slice; %d of 2 completed", got)
 	}
 }
