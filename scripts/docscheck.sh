@@ -25,7 +25,10 @@
 # printer or row type back or a Registry id has no EXPERIMENTS.md row,
 # when the root package exports a simulator or fuzzer name again or
 # cmd/consensusbench runs an experiment outside the Registry, when
-# non-test Go outside bench/ cites the ROADMAP, or
+# non-test Go outside bench/ cites the ROADMAP, when DESIGN.md cites a
+# Test name no _test.go defines, when an engine package's tests grow a
+# simnet harness of their own back or stop calling enginetest.Run, when
+# internal/cluster registers the engines itself again, or
 # when a doc file that other docs link to is absent.
 # The point is that the docs pass of PR 2 cannot silently rot.
 set -u
@@ -362,6 +365,42 @@ outside=$(grep -HnE 'func scenarioFuzz|experiment\{' $(find cmd/consensusbench -
 if [ -n "$outside" ]; then
     echo "docscheck: cmd/consensusbench runs experiments.Registry only; an experiment is a stanza there:" >&2
     echo "$outside" >&2
+    fail=1
+fi
+
+# DESIGN.md states invariants and names the test that pins each; a cited
+# name with no func in any _test.go is a pin a rename silently removed.
+cited=$(grep -oE '\bTest[A-Z][A-Za-z0-9_]*' DESIGN.md | sort -u)
+defined=$(grep -rhoE --include='*_test.go' '^func Test[A-Za-z0-9_]+\(' . | sed 's/^func //; s/($//' | sort -u)
+missing=$(comm -23 <(echo "$cited") <(echo "$defined"))
+if [ -n "$missing" ]; then
+    echo "docscheck: DESIGN.md cites tests that no _test.go defines:" >&2
+    echo "$missing" >&2
+    fail=1
+fi
+
+# One engine conformance suite (DESIGN.md, "The protocol seam"): every
+# engine package runs internal/protocol/enginetest, whose deployments
+# come from cluster.Build. A hand-rolled simnet harness in an engine's
+# tests is a per-engine copy of the suite growing back, and an engine
+# package whose tests never call enginetest.Run has dropped out of it.
+# Engines register only where a binary imports them (internal/protocol/all
+# in internal/experiments, the root package, bench/): cluster.go importing
+# the list again would make the suite an import cycle for every engine.
+harness=$(grep -nwE 'recordingClient|newScenario|checkAgreement' $(find $engines -name '*_test.go'))
+if [ -n "$harness" ]; then
+    echo "docscheck: engine tests build deployments through enginetest or cluster.Build, not a harness of their own:" >&2
+    echo "$harness" >&2
+    fail=1
+fi
+for e in $engines; do
+    if ! grep -q 'enginetest\.Run(' $(find "$e" -name '*_test.go') /dev/null; then
+        echo "docscheck: $e's tests do not run the conformance suite (enginetest.Run)" >&2
+        fail=1
+    fi
+done
+if grep -n '"consensusinside/internal/protocol/all"' internal/cluster/cluster.go >&2; then
+    echo "docscheck: internal/cluster must not register the engines; its importers do" >&2
     fail=1
 fi
 
