@@ -1,6 +1,7 @@
 package mencius
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -68,16 +69,66 @@ func TestSkipRuleFillsForeignGaps(t *testing.T) {
 	}
 }
 
-func TestScenarioSingleLeaderTrafficSkips(t *testing.T) {
-	// All traffic at replica 0: replicas 1 and 2 must skip their shares.
+// --- Scenarios on the simulator harness ---
+
+// simulate starts three replicas and clients on the simulator harness,
+// each client issuing requests commands back to back. With spread,
+// client k is pinned to replica k mod 3: its requests to any other
+// replica are lost, so its first retries walk it there. Otherwise every
+// client sends to replica 0.
+func simulate(t *testing.T, clients, requests int, spread bool) *cluster.Cluster {
+	t.Helper()
 	c, err := cluster.Build(cluster.Spec{
-		Protocol: protocol.Mencius, Machine: topology.Uniform(4, time.Microsecond), Cost: simnet.ManyCore(),
-		Seed: 1, Replicas: 3, Clients: 1, RequestsPerClient: 5,
+		Protocol: protocol.Mencius, Machine: topology.Uniform(3+clients, time.Microsecond), Cost: simnet.ManyCore(),
+		Seed: 1, Replicas: 3, Clients: clients, RequestsPerClient: requests, RetryTimeout: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if spread {
+		home := map[msg.NodeID]msg.NodeID{}
+		for k, id := range c.ClientIDs {
+			home[id] = msg.NodeID(k % 3)
+		}
+		c.Net.SetPerturb(func(from, to msg.NodeID, m msg.Message) (time.Duration, bool) {
+			_, ok := m.(msg.ClientRequest)
+			h, fromClient := home[from]
+			return 0, ok && fromClient && to != h
+		})
+	}
 	c.Start()
+	return c
+}
+
+func TestScenarioMultiLeaderCommit(t *testing.T) {
+	// Three clients, one per replica: every replica is a leader.
+	c := simulate(t, 3, 3, true)
+	c.RunFor(20 * time.Millisecond)
+	if got := c.ClientStats().Completed; got != 9 {
+		t.Fatalf("clients completed %d commands, want 9", got)
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	// Every replica must have applied the same nine real commands, and
+	// every owner must have proposed some of them.
+	for i, srv := range c.Servers {
+		real, owners := 0, map[int64]bool{}
+		for _, e := range srv.Log().History() {
+			if slices.Contains(c.ClientIDs, e.Value.Client) {
+				real++
+				owners[e.Instance%3] = true
+			}
+		}
+		if real != 9 || len(owners) != 3 {
+			t.Errorf("replica %d applied %d real commands from %d owners, want 9 from 3", i, real, len(owners))
+		}
+	}
+}
+
+func TestScenarioSingleLeaderTrafficSkips(t *testing.T) {
+	// All traffic at replica 0: replicas 1 and 2 must skip their shares.
+	c := simulate(t, 1, 5, false)
 	c.RunFor(20 * time.Millisecond)
 	if got := c.Clients[0].Completed(); got != 5 {
 		t.Fatalf("client completed %d commands, want 5", got)
@@ -89,5 +140,22 @@ func TestScenarioSingleLeaderTrafficSkips(t *testing.T) {
 	}
 	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestScenarioAggregateThroughputScalesAcrossLeaders(t *testing.T) {
+	// The Mencius claim: spreading clients across leaders raises
+	// aggregate throughput versus funnelling everything through one.
+	run := func(spread bool) int {
+		c := simulate(t, 6, 100_000, spread)
+		c.RunFor(50 * time.Millisecond)
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		return c.ClientStats().Completed
+	}
+	funnel, spread := run(false), run(true)
+	if spread < funnel {
+		t.Errorf("spread-leader commits %d < single-leader %d", spread, funnel)
 	}
 }

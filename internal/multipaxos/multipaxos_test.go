@@ -24,6 +24,21 @@ func replicaIDs(n int) []msg.NodeID {
 	return out
 }
 
+// TestNewValidation: a malformed group is rejected where engines are
+// built (protocol.Build), the one validator every deployment goes
+// through.
+func TestNewValidation(t *testing.T) {
+	if _, err := protocol.Build(protocol.MultiPaxos, protocol.Config{ID: 0, Replicas: replicaIDs(2)}); err == nil {
+		t.Error("two replicas must be rejected")
+	}
+	if _, err := protocol.Build(protocol.MultiPaxos, protocol.Config{ID: 9, Replicas: replicaIDs(3)}); err == nil {
+		t.Error("non-member id must be rejected")
+	}
+	if _, err := protocol.Build(protocol.MultiPaxos, protocol.Config{ID: 0, Replicas: replicaIDs(3)}); err != nil {
+		t.Errorf("a well-formed group must build: %v", err)
+	}
+}
+
 func TestLeaderWinsPhaseOneThenProposes(t *testing.T) {
 	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(0, 3)
@@ -328,6 +343,17 @@ func simulate(t *testing.T, requests int, think time.Duration) (*cluster.Cluster
 	}
 	c.Start()
 	return c, func(i int) *Replica { return c.Servers[i].(*Replica) }
+}
+
+func TestScenarioCommit(t *testing.T) {
+	c, _ := simulate(t, 5, 100*time.Microsecond)
+	c.RunFor(10 * time.Millisecond)
+	if got := c.Clients[0].Completed(); got != 5 {
+		t.Fatalf("client completed %d commands, want 5", got)
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestScenarioProgressWithMinorityCrashed(t *testing.T) {

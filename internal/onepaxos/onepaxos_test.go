@@ -38,6 +38,21 @@ func newReplica(t *testing.T, id msg.NodeID, n int) (*Replica, *runtime.FakeCont
 
 // --- Handler-level tests (Appendix A mechanics) ---
 
+// TestNewValidation: a malformed group is rejected where engines are
+// built (protocol.Build), the one validator every deployment goes
+// through.
+func TestNewValidation(t *testing.T) {
+	if _, err := protocol.Build(protocol.OnePaxos, protocol.Config{ID: 0, Replicas: replicaIDs(2)}); err == nil {
+		t.Error("two replicas must be rejected")
+	}
+	if _, err := protocol.Build(protocol.OnePaxos, protocol.Config{ID: 9, Replicas: replicaIDs(3)}); err == nil {
+		t.Error("non-member id must be rejected")
+	}
+	if _, err := protocol.Build(protocol.OnePaxos, protocol.Config{ID: 0, Replicas: replicaIDs(3)}); err != nil {
+		t.Errorf("a well-formed group must build: %v", err)
+	}
+}
+
 func TestBootLeaderSendsFreshPrepare(t *testing.T) {
 	r, ctx := newReplica(t, 0, 3)
 	r.Start(ctx)
@@ -274,6 +289,29 @@ func TestRegimeFollowsUtilityCommits(t *testing.T) {
 	}
 }
 
+func TestSessionDedupAnswersRetries(t *testing.T) {
+	r, ctx := newReplica(t, 0, 3)
+	r.Start(ctx)
+	pn := ctx.SentTo(2)[0].(msg.PrepareRequest).PN
+	r.Receive(ctx, 2, msg.Promise{From: 2, PN: pn})
+	req := msg.ClientRequest{Client: 5, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "a", Val: "1"}}
+	r.Receive(ctx, 5, req)
+	ar := ctx.SentTo(2)[1].(msg.Accept)
+	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: pn, Value: ar.Value}}})
+	ctx.TakeSent()
+
+	// The same request again must be answered from the session table
+	// without a new proposal.
+	r.Receive(ctx, 5, req)
+	if len(ctx.SentTo(2)) != 0 {
+		t.Fatal("duplicate request must not re-propose")
+	}
+	replies := ctx.SentTo(5)
+	if len(replies) != 1 || !replies[0].(msg.ClientReply).OK {
+		t.Fatalf("duplicate request not answered: %+v", replies)
+	}
+}
+
 func TestLearnOutOfOrderHoldsApplication(t *testing.T) {
 	r, ctx := newReplica(t, 1, 3)
 	r.Start(ctx)
@@ -353,6 +391,20 @@ func settled(t *testing.T, c *cluster.Cluster, want int) {
 	}
 	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestScenarioFailureFree(t *testing.T) {
+	c, r := simulate(t, 3, 5, 100*time.Microsecond, nil)
+	c.RunFor(10 * time.Millisecond)
+	settled(t, c, 5)
+	if !r(0).IsLeader() {
+		t.Error("replica 0 must lead in the failure-free run")
+	}
+	for i := range 3 {
+		if got := r(i).Regime(); got != bootRegime {
+			t.Errorf("replica %d's regime = %+v, want the boot regime: adopting the boot acceptor commits no utility entry", i, got)
+		}
 	}
 }
 
@@ -450,6 +502,90 @@ func TestScenarioDeposedLeaderRelinquishes(t *testing.T) {
 	}
 	if l := r(1).Regime().Leader; l != 1 {
 		t.Errorf("regime leader = %d, want 1", l)
+	}
+}
+
+func TestScenarioForwardingMode(t *testing.T) {
+	// Joint-style forwarding: a request to a non-leader is forwarded to
+	// the leader rather than triggering a takeover. Every node hosts a
+	// client; node 1's first request to leader 0 is lost, so its retry
+	// goes to its own replica, which forwards it.
+	c, r := simulate(t, 3, 1, 0, func(s *cluster.Spec) { s.Joint, s.RetryTimeout = true, time.Millisecond })
+	lost, forwarded := false, 0
+	c.Net.SetPerturb(func(from, to msg.NodeID, m msg.Message) (time.Duration, bool) {
+		if req, ok := m.(msg.ClientRequest); ok && req.Client == 1 && to == 0 {
+			if !lost {
+				lost = true
+				return 0, true
+			}
+			forwarded++
+		}
+		return 0, false
+	})
+	c.RunFor(20 * time.Millisecond)
+	if got := c.ClientStats().Completed; got != 3 || forwarded != 1 {
+		t.Fatalf("%d of 3 commands completed, %d forwarded; want all, one", got, forwarded)
+	}
+	if r(1).IsLeader() {
+		t.Error("forwarding node must not take over")
+	}
+	if got := r(1).Regime(); got != bootRegime {
+		t.Errorf("the forwarding node installed %+v, want the boot regime", got)
+	}
+	if !r(0).IsLeader() {
+		t.Error("replica 0 must remain leader")
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestScenarioRandomFaultScheduleSafety(t *testing.T) {
+	// Safety sweep: random slow-core schedules on a 5-replica cluster
+	// whose client's requests are lost one time in four, so its retries
+	// carry commands to every replica in turn; afterwards no two
+	// replicas may disagree on any instance (the paper's consistency
+	// property). Faults are slowdowns, matching the paper's fault model:
+	// "The notion of crash used here does not necessarily mean the cores
+	// stopping any activities forever. It simply models slow ones." —
+	// cores are delayed, never amnesiac, and replica messages are never
+	// lost.
+	for seed := int64(0); seed < 25; seed++ {
+		c, r := simulate(t, 5, 40, 500*time.Microsecond, func(s *cluster.Spec) {
+			s.Seed, s.RetryTimeout = 100+seed, 2*time.Millisecond
+		})
+		rng := c.Net.Engine().Rand()
+		for i := 0; i < 10; i++ {
+			at := time.Duration(rng.Intn(50_000)) * time.Microsecond
+			node := msg.NodeID(rng.Intn(5))
+			factor := float64(rng.Intn(400) + 50) // deep stall
+			hold := time.Duration(rng.Intn(15_000)) * time.Microsecond
+			c.SlowAt(at, node, factor)
+			c.SlowAt(at+hold, node, 1)
+		}
+		client := c.ClientIDs[0]
+		c.Net.SetPerturb(func(from, _ msg.NodeID, m msg.Message) (time.Duration, bool) {
+			_, ok := m.(msg.ClientRequest)
+			return 0, ok && from == client && rng.Intn(4) == 0
+		})
+		c.RunFor(300 * time.Millisecond)
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		// Duplicate-suppression: every committed seq at most once per log.
+		for ri := range 5 {
+			seen := make(map[uint64]int)
+			for _, e := range r(ri).Log().History() {
+				if e.Value.Client == client {
+					seen[e.Value.Seq]++
+				}
+			}
+			for sq, n := range seen {
+				if n > 1 {
+					t.Fatalf("seed %d replica %d: seq %d applied %d times", seed, ri, sq, n)
+				}
+			}
+		}
 	}
 }
 
@@ -640,8 +776,9 @@ func TestFreshAcceptorLeaseHoldIsNotAFailure(t *testing.T) {
 // --- Origin hand-offs ---
 
 // The origin mark decides which replica answers a client: the one that
-// took the request. Forwarding to the leader leaves no mark, and a
-// queued request handed to a new leader gives its mark away.
+// took the request. These tests pin its three hand-offs — a duplicate
+// of a request already proposed here, a request forwarded to the leader,
+// and a queued request given away when another node wins leadership.
 
 func countTo[M msg.Message](ctx *runtime.FakeContext, to msg.NodeID) int {
 	n := 0
@@ -651,6 +788,33 @@ func countTo[M msg.Message](ctx *runtime.FakeContext, to msg.NodeID) int {
 		}
 	}
 	return n
+}
+
+func TestOriginDuplicateRequestProposedAndAnsweredOnce(t *testing.T) {
+	r, ctx := newReplica(t, 0, 3)
+	r.Start(ctx)
+	pn := ctx.SentTo(2)[0].(msg.PrepareRequest).PN
+	r.Receive(ctx, 2, msg.Promise{From: 2, PN: pn})
+	ctx.TakeSent()
+
+	// The client's retry arrives before the first copy commits: one
+	// proposal, not two.
+	r.Receive(ctx, 5, clientPut(1))
+	r.Receive(ctx, 5, clientPut(1))
+	if got := countTo[msg.Accept](ctx, 2); got != 1 {
+		t.Fatalf("duplicate request produced %d accepts, want 1", got)
+	}
+	ar := ctx.SentTo(2)[0].(msg.Accept)
+	ctx.TakeSent()
+
+	// The commit answers once; a second decision of the same command
+	// (the retry committed through another leader) is deduplicated and
+	// finds the mark already taken.
+	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: pn, Value: ar.Value}}})
+	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: 1, PN: pn, Value: ar.Value}}})
+	if got := countTo[msg.ClientReply](ctx, 5); got != 1 {
+		t.Fatalf("client got %d replies for one command, want 1", got)
+	}
 }
 
 func TestOriginForwardToLeaderLeavesNoMark(t *testing.T) {

@@ -201,19 +201,49 @@ func TestLocalReadDeferredWhileLocked(t *testing.T) {
 	}
 }
 
-func TestScenarioBlocksOnAnySlowReplica(t *testing.T) {
-	// The defining 2PC weakness (Section 2.2): ANY unresponsive replica
-	// blocks every update, because the coordinator needs all acks. The
-	// fault is a deep slowdown — the paper's model of a loaded core; the
-	// queued prepare is eventually processed once the core speeds up.
+func TestSessionDedup(t *testing.T) {
+	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
+	ctx := runtime.NewFakeContext(0, 3)
+	r.Start(ctx)
+	req := put(9, 1, "k", "v")
+	r.Receive(ctx, 9, req)
+	r.Receive(ctx, 1, msg.TPCAck{TxID: 0, From: 1, OK: true})
+	r.Receive(ctx, 2, msg.TPCAck{TxID: 0, From: 2, OK: true})
+	ctx.TakeSent()
+	r.Receive(ctx, 9, req) // retry after commit
+	rep, ok := ctx.LastSent().M.(msg.ClientReply)
+	if !ok || !rep.OK {
+		t.Fatalf("retry must be answered from sessions, got %+v", ctx.LastSent().M)
+	}
+	if r.Commits() != 1 {
+		t.Fatalf("Commits = %d, want 1 (no re-execution)", r.Commits())
+	}
+}
+
+// --- Scenarios on the simulator harness ---
+
+// simulate starts three replicas and one client on the simulator
+// harness: the client issues requests commands, 100 µs apart, to
+// replica 0, the coordinator.
+func simulate(t *testing.T, requests int) *cluster.Cluster {
+	t.Helper()
 	c, err := cluster.Build(cluster.Spec{
 		Protocol: protocol.TwoPC, Machine: topology.Uniform(4, time.Microsecond), Cost: simnet.ManyCore(),
-		Seed: 1, Replicas: 3, Clients: 1, RequestsPerClient: 2, ThinkTime: 100 * time.Microsecond,
+		Seed: 1, Replicas: 3, Clients: 1, RequestsPerClient: requests, ThinkTime: 100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
+	return c
+}
+
+func TestScenarioBlocksOnAnySlowReplica(t *testing.T) {
+	// The defining 2PC weakness (Section 2.2): ANY unresponsive replica
+	// blocks every update, because the coordinator needs all acks. The
+	// fault is a deep slowdown — the paper's model of a loaded core; the
+	// queued prepare is eventually processed once the core speeds up.
+	c := simulate(t, 2)
 	// Slow participant 2 after the first command: handling the second
 	// command's prepare occupies it for ~85ms of virtual time, so that
 	// update is stalled at the 50ms mark and completes only once the
@@ -226,5 +256,18 @@ func TestScenarioBlocksOnAnySlowReplica(t *testing.T) {
 	c.RunFor(350 * time.Millisecond)
 	if got := c.Clients[0].Completed(); got != 2 {
 		t.Fatalf("2PC must complete once the slow core pays its slice; %d of 2 completed", got)
+	}
+}
+
+func TestScenarioAllReplicasApply(t *testing.T) {
+	c := simulate(t, 10)
+	c.RunFor(50 * time.Millisecond)
+	if got := c.Clients[0].Completed(); got != 10 {
+		t.Fatalf("client completed %d commands, want 10", got)
+	}
+	for i, commits := range c.ServerCommits() {
+		if commits != 10 {
+			t.Errorf("replica %d applied %d, want 10", i, commits)
+		}
 	}
 }
