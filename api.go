@@ -412,20 +412,13 @@ func (s *kvShard) startTCP(handlers []runtime.Handler, shardIdx int) error {
 // startInProc runs every shard on one in-process runtime of
 // min(Shards·(Replicas+1), GOMAXPROCS) cores — a node per core where the
 // host has them, as the paper places replicas. Its placement keeps each
-// group's leader and acceptor on different cores whenever there are two.
-// When the cores are fewer than a group's nodes, it puts each shard's
-// bridge, its group's last node, on its leader's core if Gets are log
-// commands (ReadConsensus) or the shards are at least as many as the
-// cores. Under the other read modes on fewer shards it keeps the id
-// order: Gets never reach the acceptor, and the bridge on its core keeps
-// that core awake for the next write.
+// group's leader and acceptor on different cores whenever there are two,
+// and when the cores are fewer than a group's nodes it puts each shard's
+// bridge, its group's last node, on its leader's core in every read
+// mode: a request, a lease read and its reply then stay on one core.
 func (kv *KV) startInProc(groups [][]runtime.Handler) {
 	cores := min(kv.cfg.Shards*(kv.cfg.Replicas+1), stdruntime.GOMAXPROCS(0))
-	opts := []runtime.InProcOption{runtime.WithTracer(kv.tracer)}
-	if kv.cfg.ReadMode == ReadConsensus || kv.cfg.Shards >= cores {
-		opts = append(opts, runtime.WithClientOnLeaderCore())
-	}
-	kv.inproc = runtime.NewInProcGroups(groups, cores, opts...)
+	kv.inproc = runtime.NewInProcGroups(groups, cores, runtime.WithTracer(kv.tracer), runtime.WithClientOnLeaderCore())
 	kv.registry.AddSource(kv.inproc.Collect)
 	bridgeID := msg.NodeID(kv.cfg.Replicas)
 	for s, sh := range kv.shards {

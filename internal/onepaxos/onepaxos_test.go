@@ -902,3 +902,44 @@ func TestAdoptionBeforeOwnLeaderChange(t *testing.T) {
 		t.Fatalf("leading %v under regime %+v; today node 1 leads under %+v", r.IsLeader(), r.Regime(), bootRegime)
 	}
 }
+
+// TestJointRetryFromLeaderNodeTakesOver pins the Joint-mode forward
+// defect: every client runs inside a replica's node, so a retry from
+// the client on the leader's node reaches another replica with from ==
+// leader. That replica queues it as a client request and takes over,
+// and the regime changes in a failure-free run. A retry timeout far
+// above a commit's latency sends no retry, and the regime never moves.
+// This asserts today's behaviour: ROADMAP item 1(f) fixes the forward
+// rule in onClientRequest, and the fix flips the first assertion to 0.
+func TestJointRetryFromLeaderNodeTakesOver(t *testing.T) {
+	for _, tc := range []struct {
+		retry   time.Duration
+		changed bool
+	}{
+		{10 * time.Microsecond, true},
+		{10 * time.Millisecond, false},
+	} {
+		c, err := cluster.Build(cluster.Spec{
+			Protocol: protocol.OnePaxos, Machine: topology.Uniform(3, time.Microsecond), Cost: simnet.ManyCore(),
+			Seed: 1, Replicas: 3, Joint: true, RequestsPerClient: 20, RetryTimeout: tc.retry,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		c.RunFor(200 * time.Millisecond)
+		for i, cl := range c.Clients {
+			if got := cl.Completed(); got != 20 {
+				t.Errorf("retry %v: client %d completed %d commands, want 20", tc.retry, i, got)
+			}
+		}
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatalf("retry %v: %v", tc.retry, err)
+		}
+		changes := c.Obs().Counters["regime.changes"]
+		if (changes > 0) != tc.changed {
+			t.Errorf("retry %v: regime.changes = %d, want > 0: %v (role_collisions %d)",
+				tc.retry, changes, tc.changed, c.Obs().Counters["regime.role_collisions"])
+		}
+	}
+}

@@ -18,6 +18,11 @@
 #               fraction of its median), unless every change run beats
 #               every base run; held otherwise.
 #
+# Where a workload's report has Get latency (get_p50_us, get_p99_us), its
+# medians, quartiles and wins follow, read from each tree's
+# .bench_out/end_to_end.<workload>.json; they are per-layer metrics, so
+# those rows carry no verdict.
+#
 # Last, each workload's failed operations and correctness flags, summed
 # over its runs.
 #
@@ -84,10 +89,22 @@ mapfile -t metrics < <(awk -F'"' '
   on && /"better"/ { better = $4 }
   on && /"bound"/ { split($3, b, /[:,} ]+/); print name " " better " " b[2] }' "$root/BENCHMARK.json")
 
-# verdicts <metric> <better> <bound>: reads "base change" lines, prints the
-# metric's table row.
+# report <tree> <workload> <metric>: the metric's value in the tree's last
+# end-to-end report of the workload; empty if the report has none.
+report() {
+  awk -v name="\"name\": \"$3\"" 'index($0, name) { on = 1; next }
+    on && /"value":/ { sub(/.*"value": */, ""); sub(/,$/, ""); print; exit }' "$1/.bench_out/end_to_end.$2.json"
+}
+
+# The per-layer metrics a workload's end-to-end report may carry, lower
+# is better for both.
+per_layer=(get_p50_us get_p99_us)
+
+# verdicts <metric> <better> [bound]: reads "base change" lines, prints the
+# metric's table row; without a bound the row is per-layer and carries no
+# verdict.
 verdicts() {
-  awk -v metric="$1" -v better="$2" -v bound="$3" '
+  awk -v metric="$1" -v better="$2" -v bound="${3-}" '
     function q(a, n, p,   pos, lo) { # linear-interpolated quantile of sorted a[1..n]
       pos = 1 + p * (n - 1); lo = int(pos)
       return lo >= n ? a[n] : a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
@@ -105,6 +122,13 @@ verdicts() {
       sort(b, n); sort(c, n)
       mb = q(b, n, 0.5); mc = q(c, n, 0.5); iqr = q(b, n, 0.75) - q(b, n, 0.25)
       gain = better == "higher" ? mc - mb : mb - mc
+      if (bound == "") {
+        printf "%-14s %-30s %-30s %2d/%-3d per-layer, not gated (%+.1f%%)\n", metric,
+          f(mb) " [" f(q(b, n, 0.25)) ", " f(q(b, n, 0.75)) "]",
+          f(mc) " [" f(q(c, n, 0.25)) ", " f(q(c, n, 0.75)) "]",
+          wins, n, mb ? 100 * (mc - mb) / mb : 0
+        exit
+      }
       claim = (wins >= 0.9 * n && gain > iqr) ? "gain" : "no claim"
       # Every change run beats every base run: its worst beats their best.
       apart = better == "higher" ? c[1] > b[n] : c[n] < b[1]
@@ -118,8 +142,9 @@ verdicts() {
     }'
 }
 
-# lines[<side> <workload> <pair>] is that run's driver JSON line.
-declare -A lines
+# lines[<side> <workload> <pair>] is that run's driver JSON line, and
+# layer[<side> <workload> <pair> <metric>] a per_layer value from its report.
+declare -A lines layer
 echo "# $pairs pairs of $seconds s per workload, base $base_ref ($(git -C "$root" rev-parse --short "$base_ref")) vs the working tree"
 for ((i = 1; i <= pairs; i++)); do
   for workload in "${workloads[@]}"; do
@@ -131,6 +156,10 @@ for ((i = 1; i <= pairs; i++)); do
       b=$(run "$tmp/base" "$workload" "$i")
     fi
     lines[base $workload $i]=$b lines[change $workload $i]=$c
+    for metric in "${per_layer[@]}"; do
+      layer[base $workload $i $metric]=$(report "$tmp/base" "$workload" "$metric")
+      layer[change $workload $i $metric]=$(report "$root" "$workload" "$metric")
+    done
     printf 'pair %2d %-20s (seed %d, %s first): ops_per_s base %.0f change %.0f, put_p99_us base %.1f change %.1f\n' \
       "$i" "$workload" "$i" "$( ((i % 2)) && echo base || echo change)" \
       "$(value ops_per_s "$b")" "$(value ops_per_s "$c")" "$(value put_p99_us "$b")" "$(value put_p99_us "$c")"
@@ -146,6 +175,15 @@ for workload in "${workloads[@]}"; do
     for ((i = 1; i <= pairs; i++)); do
       echo "$(value "$metric" "${lines[base $workload $i]}") $(value "$metric" "${lines[change $workload $i]}")"
     done | verdicts "$metric" "$better" "$bound"
+  done
+  for metric in "${per_layer[@]}"; do
+    rows=""
+    for ((i = 1; i <= pairs; i++)); do
+      b=${layer[base $workload $i $metric]} c=${layer[change $workload $i $metric]}
+      [[ -n $b && -n $c ]] || continue 2 # not in this workload's report
+      rows+="$b $c"$'\n'
+    done
+    printf '%s' "$rows" | verdicts "$metric" lower
   done
 
   for side in base change; do
