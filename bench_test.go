@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"consensusinside/internal/msg"
 	"consensusinside/internal/queue"
@@ -102,7 +103,7 @@ func benchWireMsg() msg.Message {
 			Cmd: msg.Command{Op: msg.OpPut, Key: fmt.Sprintf("bench-key-%d", i), Val: "bench-value"},
 		}
 	}
-	return msg.Accept{
+	return &msg.Accept{
 		Instance: 42,
 		PN:       7,
 		Value:    msg.NewValue(3, 99, entries),
@@ -350,23 +351,40 @@ func BenchmarkKVInProcSteadyStateTraced(b *testing.B) {
 // BenchmarkKVInProcSteadyStateLight is the batch-1 allocation gate, the
 // shape of bench/'s inproc-put-light: 4 callers, batching off, so every
 // command is its own instance and nothing amortizes. scripts/allocgate.sh
-// holds it at 5 allocs/op — the messages boxed into msg.Message that
-// carry the command (request, accept, reply) and the Learn's entry slice
-// and box; a sixth is a per-instance allocation back on the commit path.
+// holds it at 1 alloc/op: the request, the accepts and the learns travel
+// in pooled boxes (msg/pool.go), and what is left is the one reply's box
+// — a bare msg.ClientReply, the form bench/'s engine ladder reads. A
+// second is a per-instance allocation back on the commit path.
 func BenchmarkKVInProcSteadyStateLight(b *testing.B) {
-	benchKVLoad(b, KVConfig{Pipeline: 16}, 4)
+	benchKVLoad(b, KVConfig{Pipeline: 16}, 4, 0)
+}
+
+// BenchmarkKVInProcSteadyStateLease is the read path's allocation gate:
+// bench/'s inproc-mixed-lease mix — nine Gets in ten, served under a
+// 1Paxos leader's lease, the Puts batched adaptively at window 32 — with
+// 4 callers, so a read request carries one or two reads and nothing
+// amortizes its messages (64 callers coalesce tens of reads per request
+// and read 0 allocs/op with every read message boxed).
+// scripts/allocgate.sh holds it at 0 allocs/op: the read request, its
+// reply batch and the server's unpacked reads are all reused, and what
+// is left — a Put's reply box, a read parked behind an apply — stays
+// well under one per op.
+func BenchmarkKVInProcSteadyStateLease(b *testing.B) {
+	benchKVLoad(b, KVConfig{Pipeline: 32, BatchAdaptive: true, ReadMode: ReadLease, LeaseDuration: 100 * time.Millisecond}, 4, 90)
 }
 
 // benchKVSteadyState drives 64 callers per shard through an adaptive
 // InProc KV of window 32 (batch cap 16) with 1-in-traceInterval command
 // tracing (0 = off).
 func benchKVSteadyState(b *testing.B, traceInterval, shards int) {
-	benchKVLoad(b, KVConfig{Pipeline: 32, BatchAdaptive: true, TraceInterval: traceInterval, Shards: shards}, 64*shards)
+	benchKVLoad(b, KVConfig{Pipeline: 32, BatchAdaptive: true, TraceInterval: traceInterval, Shards: shards}, 64*shards, 0)
 }
 
 // benchKVLoad drives workers callers, spread over cfg's shards, through
-// an InProc KV with every pool warmed before the measured window.
-func benchKVLoad(b *testing.B, cfg KVConfig, workers int) {
+// an InProc KV with every pool warmed before the measured window; each
+// caller makes getPct of every 10 consecutive ops Gets of its key (the
+// rest Puts).
+func benchKVLoad(b *testing.B, cfg KVConfig, workers, getPct int) {
 	kv, err := StartKV(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -384,20 +402,27 @@ func benchKVLoad(b *testing.B, cfg KVConfig, workers int) {
 		key := shard.KeyFor("bench", w%shards, shards)
 		go func() {
 			defer wg.Done()
-			failed := false
+			failed, n := false, 0
 			for range ops {
 				if failed {
 					continue // drain so the feeder never blocks
 				}
-				if err := kv.Put(key, "v"); err != nil {
+				var err error
+				if n%10 < getPct/10 {
+					_, err = kv.Get(key)
+				} else {
+					err = kv.Put(key, "v")
+				}
+				n++
+				if err != nil {
 					errs <- err
 					failed = true
 				}
 			}
 		}()
 	}
-	// Warm the reply pools, session lanes, queue buffers and done-chan
-	// pool outside the measured window.
+	// Warm the message pools, session lanes, queue buffers, done-chan
+	// pool and (for Gets) the lease outside the measured window.
 	for i := 0; i < 4096; i++ {
 		ops <- struct{}{}
 	}

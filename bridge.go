@@ -73,10 +73,9 @@ type kvBridge struct {
 	lane  *client.Lane[chan kvResult]
 	spare []kvOp // the hand-off slice drained last, swapped back in at the next drain
 	queue []kvOp // writes (and ReadConsensus reads) the window has not admitted yet
-	// Scratch for adapting bare single replies to the batch finish paths
-	// without allocating.
+	// Scratch for adapting a bare single write reply to the batch finish
+	// path without allocating.
 	oneReply [1]msg.ClientReply
-	oneRead  [1]msg.ReadReply
 }
 
 var _ runtime.Handler = (*kvBridge)(nil)
@@ -198,7 +197,8 @@ func (b *kvBridge) Start(runtime.Context) {}
 
 // Receive implements runtime.Handler. A batched reply retires every
 // answered command before the pump runs, so the freed window slots are
-// refilled by one full batch instead of one command at a time.
+// refilled by one full batch instead of one command at a time. Reply
+// boxes are read only: the runtime releases them after this returns.
 func (b *kvBridge) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 	switch mm := m.(type) {
 	case submitMsg:
@@ -210,18 +210,10 @@ func (b *kvBridge) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) 
 	case msg.ClientReply:
 		b.oneReply[0] = mm
 		b.finishBatch(ctx, b.oneReply[:])
-	case msg.ClientReplyBatch:
+	case *msg.ClientReplyBatch:
 		b.finishBatch(ctx, mm.Replies)
-		// The batch's backing array came from the engine's reply pool
-		// (transports deliver exactly once, and the bridge is the sole
-		// receiver); hand it back now that every reply is consumed.
-		msg.RecycleReplies(m)
-	case msg.ReadReply:
-		b.oneRead[0] = mm
-		b.finishReads(ctx, b.oneRead[:])
-	case msg.ReadReplyBatch:
+	case *msg.ReadReplyBatch:
 		b.finishReads(ctx, mm.Replies)
-		msg.RecycleReadReplies(m)
 	}
 }
 

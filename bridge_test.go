@@ -120,7 +120,7 @@ func TestBridgePinnedFlightOutlivesRing(t *testing.T) {
 	if len(sent) != 1 {
 		t.Fatalf("first call sent %d messages, want 1", len(sent))
 	}
-	pinned := sent[0].M.(msg.ClientRequest).Seq
+	pinned := sent[0].M.(*msg.ClientRequest).Seq
 
 	for i := 0; i < 10*window; i++ {
 		key := fmt.Sprintf("k%d", i)
@@ -128,7 +128,7 @@ func TestBridgePinnedFlightOutlivesRing(t *testing.T) {
 		if len(sent) != 1 {
 			t.Fatalf("call %d sent %d messages, want 1", i, len(sent))
 		}
-		req := sent[0].M.(msg.ClientRequest)
+		req := sent[0].M.(*msg.ClientRequest)
 		if req.Ack != pinned {
 			t.Fatalf("request for seq %d carries ack %d, want the pinned seq %d", req.Seq, req.Ack, pinned)
 		}
@@ -141,14 +141,14 @@ func TestBridgePinnedFlightOutlivesRing(t *testing.T) {
 
 	// One more stays outstanding next to the pinned one; the retry scan
 	// must resend both in one request, oldest first.
-	last := h.call(msg.OpPut, "last")[0].M.(msg.ClientRequest).Seq
+	last := h.call(msg.OpPut, "last")[0].M.(*msg.ClientRequest).Seq
 	h.ctx.Clock += 20 * time.Millisecond
 	h.b.Timer(h.ctx, runtime.TimerTag{Kind: client.TimerRetry})
 	resent := h.ctx.TakeSent()
 	if len(resent) != 1 {
 		t.Fatalf("retry scan sent %d messages, want 1 batched resend", len(resent))
 	}
-	req := resent[0].M.(msg.ClientRequest)
+	req := resent[0].M.(*msg.ClientRequest)
 	if len(req.Batch) != 2 || req.Batch[0].Seq != pinned || req.Batch[1].Seq != last || req.Ack != pinned {
 		t.Fatalf("resend = %+v, want seqs [%d %d] with ack %d", req, pinned, last, pinned)
 	}
@@ -157,7 +157,7 @@ func TestBridgePinnedFlightOutlivesRing(t *testing.T) {
 	// only flight left.
 	h.b.Receive(h.ctx, 1, msg.ClientReply{Seq: pinned, OK: true, Result: "late"})
 	h.wantResult("pinned=late")
-	if req := h.call(msg.OpPut, "next")[0].M.(msg.ClientRequest); req.Ack != last {
+	if req := h.call(msg.OpPut, "next")[0].M.(*msg.ClientRequest); req.Ack != last {
 		t.Fatalf("ack floor = %d after the pinned flight retired, want %d", req.Ack, last)
 	}
 	h.b.Receive(h.ctx, 1, msg.ClientReply{Seq: last, OK: true, Result: "done"})
@@ -250,14 +250,14 @@ func TestStampDeadlinesTouchesOnlyTheUnseenTail(t *testing.T) {
 // could be almost two timeouts away.
 func TestBridgeRetryIsDueOneTimeoutAfterTheSend(t *testing.T) {
 	h := newBridgeHarness(t, 4, readpath.Consensus)
-	first := h.call(msg.OpPut, "a")[0].M.(msg.ClientRequest).Seq
+	first := h.call(msg.OpPut, "a")[0].M.(*msg.ClientRequest).Seq
 	h.ctx.Clock = 3 * time.Millisecond
-	second := h.call(msg.OpPut, "b")[0].M.(msg.ClientRequest).Seq
+	second := h.call(msg.OpPut, "b")[0].M.(*msg.ClientRequest).Seq
 
 	h.ctx.Clock = harnessRetry
 	h.b.Timer(h.ctx, runtime.TimerTag{Kind: client.TimerRetry})
 	resent := h.ctx.TakeSent()
-	if len(resent) != 1 || resent[0].To != 1 || resent[0].M.(msg.ClientRequest).Seq != first || len(resent[0].M.(msg.ClientRequest).Batch) != 0 {
+	if len(resent) != 1 || resent[0].To != 1 || resent[0].M.(*msg.ClientRequest).Seq != first || len(resent[0].M.(*msg.ClientRequest).Batch) != 0 {
 		t.Fatalf("tick at one timeout resent %+v, want only the first Put, bare, to server 1", resent)
 	}
 	next := h.ctx.Timers[len(h.ctx.Timers)-1]
@@ -267,7 +267,7 @@ func TestBridgeRetryIsDueOneTimeoutAfterTheSend(t *testing.T) {
 	h.ctx.Clock = next.At
 	h.b.Timer(h.ctx, next.Tag)
 	resent = h.ctx.TakeSent()
-	if len(resent) != 1 || resent[0].To != 2 || resent[0].M.(msg.ClientRequest).Seq != second {
+	if len(resent) != 1 || resent[0].To != 2 || resent[0].M.(*msg.ClientRequest).Seq != second {
 		t.Fatalf("tick at the second Put's due time resent %+v, want it alone to server 2", resent)
 	}
 	h.b.close()
@@ -285,13 +285,13 @@ func TestBridgeFollowsWriteRedirect(t *testing.T) {
 	if len(sent) != 1 || sent[0].To != 0 {
 		t.Fatalf("first transmission %+v, want one request to server 0", sent)
 	}
-	req := sent[0].M.(msg.ClientRequest)
+	req := sent[0].M.(*msg.ClientRequest)
 	h.b.Receive(h.ctx, 0, msg.ClientReply{Seq: req.Seq, OK: false, Redirect: 2})
 	resent := h.ctx.TakeSent()
 	if len(resent) != 1 || resent[0].To != 2 {
 		t.Fatalf("after the redirect the bridge sent %+v, want one request to server 2", resent)
 	}
-	if again := resent[0].M.(msg.ClientRequest); again.Seq != req.Seq || again.Cmd != req.Cmd {
+	if again := resent[0].M.(*msg.ClientRequest); again.Seq != req.Seq || again.Cmd != req.Cmd {
 		t.Fatalf("resend = %+v, want the original seq and command of %+v", again, req)
 	}
 	select {

@@ -118,14 +118,14 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 	if r.Route(ctx, from, m) {
 		return
 	}
-	switch mm := m.(type) {
-	case msg.ClientRequest:
+	switch mm := msg.Boxed(m).(type) {
+	case *msg.ClientRequest:
 		r.onClientRequest(mm)
 	case msg.SlotPrepare:
 		r.onPrepare(from, mm)
 	case msg.BPPromise:
 		r.onPromise(from, mm)
-	case msg.Accept:
+	case *msg.Accept:
 		r.onAccept(from, mm)
 	case msg.Accepted:
 		r.onAccepted(mm)
@@ -162,7 +162,7 @@ func (r *Replica) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 
 // --- Proposer ---
 
-func (r *Replica) onClientRequest(req msg.ClientRequest) {
+func (r *Replica) onClientRequest(req *msg.ClientRequest) {
 	if entries := r.Admit(req); len(entries) > 0 {
 		r.propose(msg.NewValue(req.Client, req.Ack, entries))
 	}
@@ -212,7 +212,7 @@ func (r *Replica) onPromise(from msg.NodeID, m msg.BPPromise) {
 	}
 	if d.prop.OnPromise(from, m.PN, m.AcceptedPN, m.Accepted) {
 		for _, id := range r.Replicas {
-			r.Ctx.Send(id, msg.Accept{Instance: m.Instance, PN: m.PN, Value: d.prop.Value()})
+			r.Ctx.Send(id, msg.DrawAccept(m.Instance, m.PN, d.prop.Value()))
 		}
 	}
 }
@@ -272,7 +272,7 @@ func (r *Replica) onPrepare(from msg.NodeID, m msg.SlotPrepare) {
 	r.Ctx.Send(from, msg.SlotNack{Slot: m.Slot, PN: a.Promised})
 }
 
-func (r *Replica) onAccept(from msg.NodeID, m msg.Accept) {
+func (r *Replica) onAccept(from msg.NodeID, m *msg.Accept) {
 	if m.Instance < r.Log().NextToApply() {
 		// See onPrepare: never re-open a decided, possibly-pruned
 		// instance.

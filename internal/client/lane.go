@@ -230,7 +230,8 @@ func (l *Lane[T]) timer(kind int) runtime.TimerTag {
 // per-batch allocation on this path; it cannot be pooled — it becomes
 // Value.Batch and is retained in every replica's log history. A single
 // op's entry is folded into the request itself, so it goes through a
-// scratch slice and allocates nothing but the request's box.
+// scratch slice, and the request travels in a pooled box
+// (msg.BoxRequest): a batch-1 Issue allocates nothing.
 func (l *Lane[T]) Issue(ctx runtime.Context, now time.Duration, ops []Op[T]) {
 	traceOn := l.tracer.Enabled()
 	entries := l.one[:]
@@ -251,7 +252,7 @@ func (l *Lane[T]) Issue(ctx runtime.Context, now time.Duration, ops []Op[T]) {
 		l.MaxInFlight.Store(n)
 	}
 	l.Occ.Record(len(ops))
-	ctx.Send(l.servers[l.target], msg.NewRequest(l.id, l.flights.Low(), entries))
+	ctx.Send(l.servers[l.target], msg.BoxRequest(msg.NewRequest(l.id, l.flights.Low(), entries)))
 	if !l.armed {
 		l.armed = true
 		ctx.After(l.retry, l.timer(TimerRetry))
@@ -327,7 +328,7 @@ func (l *Lane[T]) Scan(ctx runtime.Context, now time.Duration, tick bool) (expir
 			l.Retries.Add(int64(len(resend)))
 		}
 		l.reaimed = false
-		ctx.Send(l.servers[l.target], msg.NewRequest(l.id, l.flights.Low(), resend))
+		ctx.Send(l.servers[l.target], msg.BoxRequest(msg.NewRequest(l.id, l.flights.Low(), resend)))
 	}
 	if !l.armed && l.flights.Len() > 0 {
 		l.armed = true
@@ -352,7 +353,10 @@ func (l *Lane[T]) ReadsOutstanding() int {
 // outstanding; the front end calls it until it reports false. Under
 // readpath.Follower the target rotates per request — spreading reads
 // across the replicas is that mode's whole point; the confirmed modes
-// stay on the replica that last answered (redirects re-aim them).
+// stay on the replica that last answered (redirects re-aim them). The
+// entries go straight into a pooled ReadRequest box, and what stays
+// queued is copied down to the front, so the queue keeps its backing
+// array: a steady stream of reads allocates nothing here.
 func (l *Lane[T]) PumpReads(ctx runtime.Context, now time.Duration) bool {
 	if len(l.requeued) > 0 {
 		l.readQueue = append(l.requeued, l.readQueue...)
@@ -364,28 +368,25 @@ func (l *Lane[T]) PumpReads(ctx runtime.Context, now time.Duration) bool {
 	n := min(len(l.readQueue), MaxReadCoalesce)
 	l.readBatchID++
 	l.readBatches = append(l.readBatches, readBatch{id: l.readBatchID, first: l.readSeq + 1, n: n, live: n, sentAt: now})
-	entries := make([]msg.BatchEntry, n)
-	for i := range entries {
+	req := msg.DrawReadRequest(l.id, int(l.readMode))
+	for i := range n {
 		l.readSeq++
 		p := l.reads.Slot(l.readSeq)
 		p.Op, p.batch = l.readQueue[i], l.readBatchID
-		entries[i] = msg.BatchEntry{Seq: l.readSeq, Cmd: p.Cmd}
+		req.Entries = append(req.Entries, msg.BatchEntry{Seq: l.readSeq, Cmd: p.Cmd})
 	}
-	l.readQueue = l.readQueue[n:]
+	kept := copy(l.readQueue, l.readQueue[n:])
+	clear(l.readQueue[kept:]) // release the sent ops' commands and users
+	l.readQueue = l.readQueue[:kept]
 	if l.readMode == readpath.Follower {
 		l.readTarget = (l.readTarget + 1) % len(l.servers)
 	}
-	l.sendRead(ctx, entries)
+	ctx.Send(l.servers[l.readTarget], req)
 	if !l.readArmed {
 		l.readArmed = true
 		ctx.After(l.retry, l.timer(TimerReadRetry))
 	}
 	return true
-}
-
-// sendRead sends one ReadRequest to the replica the read cursor is on.
-func (l *Lane[T]) sendRead(ctx runtime.Context, entries []msg.BatchEntry) {
-	ctx.Send(l.servers[l.readTarget], msg.ReadRequest{Client: l.id, Mode: int(l.readMode), Entries: entries})
 }
 
 // RetireRead applies one fast-path read reply. Done returns the read's
@@ -429,7 +430,7 @@ func (l *Lane[T]) RetireRead(r *msg.ReadReply) (user T, sentAt time.Duration, st
 // overdue allocates nothing.
 func (l *Lane[T]) ScanReads(ctx runtime.Context, now time.Duration) (expired []Op[T]) {
 	oldest := now
-	var resend [MaxReadRequests][]msg.BatchEntry
+	var resend [MaxReadRequests]*msg.ReadRequest
 	resends := 0
 	kept := l.readBatches[:0]
 	for _, b := range l.readBatches {
@@ -438,7 +439,7 @@ func (l *Lane[T]) ScanReads(ctx runtime.Context, now time.Duration) (expired []O
 			kept = append(kept, b)
 			continue
 		}
-		entries := make([]msg.BatchEntry, 0, b.live)
+		req := msg.DrawReadRequest(l.id, int(l.readMode))
 		for seq := b.first; seq < b.first+uint64(b.n); seq++ {
 			op := l.reads.Ptr(seq)
 			if op == nil {
@@ -450,16 +451,17 @@ func (l *Lane[T]) ScanReads(ctx runtime.Context, now time.Duration) (expired []O
 				b.live--
 				continue
 			}
-			entries = append(entries, msg.BatchEntry{Seq: seq, Cmd: op.Cmd})
+			req.Entries = append(req.Entries, msg.BatchEntry{Seq: seq, Cmd: op.Cmd})
 		}
-		if len(entries) == 0 {
+		if len(req.Entries) == 0 {
+			msg.Release(req) // never sent: the lane is its last holder
 			continue
 		}
 		b.sentAt = now
 		kept = append(kept, b)
-		resend[resends] = entries
+		resend[resends] = req
 		resends++
-		l.Retries.Add(int64(len(entries)))
+		l.Retries.Add(int64(len(req.Entries)))
 	}
 	l.readBatches = kept
 	queued := l.readQueue[:0]
@@ -475,8 +477,8 @@ func (l *Lane[T]) ScanReads(ctx runtime.Context, now time.Duration) (expired []O
 	if resends > 0 {
 		l.readTarget = (l.readTarget + 1) % len(l.servers)
 	}
-	for _, entries := range resend[:resends] {
-		l.sendRead(ctx, entries)
+	for _, req := range resend[:resends] {
+		ctx.Send(l.servers[l.readTarget], req)
 	}
 	l.readArmed = len(l.readBatches) > 0
 	if l.readArmed {

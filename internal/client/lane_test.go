@@ -152,11 +152,11 @@ func (f *front) sent() []string {
 	for _, s := range f.ctx.TakeSent() {
 		line := fmt.Sprint(s.To, ":")
 		switch m := s.M.(type) {
-		case msg.ClientRequest:
+		case *msg.ClientRequest:
 			if m.Client != 9 {
 				f.t.Fatalf("request from client %d", m.Client)
 			}
-			v := msg.Value(m)
+			v := msg.Value(*m)
 			for i := range v.Len() {
 				be := v.EntryAt(i)
 				if shard.SeqShard(be.Seq) != f.l.shard {
@@ -168,7 +168,7 @@ func (f *front) sent() []string {
 				line += fmt.Sprint(be.Seq - shard.TagSeq(f.l.shard, 0))
 			}
 			line += fmt.Sprint("/", m.Ack-shard.TagSeq(f.l.shard, 0))
-		case msg.ReadRequest:
+		case *msg.ReadRequest:
 			if m.Mode != int(f.l.readMode) {
 				f.t.Fatalf("read request carries mode %d, want %d", m.Mode, f.l.readMode)
 			}
@@ -276,10 +276,10 @@ func TestLane(t *testing.T) {
 		}},
 		{"decision 1: a timed-out batch of 8 is resent as one request to one next server, seqs and commands kept", Config{Window: 16, Adaptive: true}, func(t *testing.T, f *front) {
 			f.put(8, 0)
-			first := f.ctx.Sent[0].M.(msg.ClientRequest)
+			first := f.ctx.Sent[0].M.(*msg.ClientRequest)
 			f.wantSent("0:1,2,3,4,5,6,7,8/1")
 			f.fire(TimerRetry)
-			again := f.ctx.Sent[0].M.(msg.ClientRequest)
+			again := f.ctx.Sent[0].M.(*msg.ClientRequest)
 			f.wantSent("1:1,2,3,4,5,6,7,8/1")
 			if !reflect.DeepEqual(first.Batch, again.Batch) {
 				t.Fatalf("resend changed the batch: %+v vs %+v", again.Batch, first.Batch)
@@ -515,26 +515,75 @@ func TestLaneIdleScansAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestIssueOneOpAllocatesOnlyTheRequest: a single op's entry is folded
-// into the request itself, so issuing it allocates nothing but the
-// request's box into msg.Message — the batch-1 client path.
-func TestIssueOneOpAllocatesOnlyTheRequest(t *testing.T) {
+// TestIssueOneOpAllocatesNothing: a single op's entry is folded into
+// the request itself, and the request travels in a pooled box, so
+// issuing it allocates nothing once the receiver has released the box
+// it was sent before — the batch-1 client path.
+func TestIssueOneOpAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled boxes at random")
+	}
 	f := newFront(t, Config{Window: 4})
 	f.put(1, 0) // arms the retry timer, which stays armed below
 	f.reply(msg.ClientReply{Seq: 1, OK: true})
 	ops := []Op[int]{f.op(msg.OpPut, 0)}
 	f.ctx.Sent = make([]runtime.FakeSend, 0, 1)
+	var req *msg.ClientRequest
 	allocs := testing.AllocsPerRun(100, func() {
 		f.ctx.Sent = f.ctx.Sent[:0]
 		f.l.Issue(f.ctx, f.ctx.Clock, ops)
+		req = f.ctx.Sent[0].M.(*msg.ClientRequest)
+		if req.Batch != nil || req.Cmd != ops[0].Cmd {
+			t.Fatalf("the request is not the single form: %+v", req)
+		}
+		msg.Release(req) // what the receiving runtime does after delivery
 		if _, _, _, st := f.l.Retire(f.ctx.Clock, &msg.ClientReply{Seq: f.l.seq, OK: true}); st != Done {
 			t.Fatalf("the issued op did not retire: %v", st)
 		}
 	})
-	if allocs != 1 {
-		t.Fatalf("Issue of one op allocates %v times, want 1 (the request's box)", allocs)
+	if allocs != 0 {
+		t.Fatalf("Issue of one op allocates %v times, want 0", allocs)
 	}
-	if req := f.ctx.Sent[0].M.(msg.ClientRequest); req.Batch != nil || req.Cmd != ops[0].Cmd {
-		t.Fatalf("the request is not the single form: %+v", req)
+}
+
+// TestPumpReadsReusesTheQueue: the read queue is copied down as
+// PumpReads takes from its front, so queue/pump/retire cycles keep one
+// backing array, and the read request travels in a pooled box: after a
+// warm-up, a cycle allocates nothing. Reslicing the queue from the
+// front instead made every later QueueRead reallocate it.
+func TestPumpReadsReusesTheQueue(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled boxes at random")
+	}
+	f := newFront(t, Config{Window: 4, ReadMode: readpath.Lease})
+	ctx := f.ctx
+	ctx.Sent = make([]runtime.FakeSend, 0, MaxReadRequests)
+	get := f.op(msg.OpGet, 0)
+	cycle := func() {
+		for range 3 {
+			f.l.QueueRead(get)
+		}
+		for f.l.PumpReads(ctx, ctx.Clock) {
+		}
+		for _, s := range ctx.Sent {
+			req := s.M.(*msg.ReadRequest)
+			for _, e := range req.Entries {
+				if _, _, st := f.l.RetireRead(&msg.ReadReply{Seq: e.Seq, OK: true}); st != Done {
+					t.Fatalf("read %d: status %d", e.Seq, st)
+				}
+			}
+			msg.Release(req)
+		}
+		ctx.Sent = ctx.Sent[:0]
+	}
+	for range 8 {
+		cycle()
+	}
+	before := cap(f.l.readQueue)
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("a queue/pump/retire cycle allocates %.1f times, want 0", allocs)
+	}
+	if after := cap(f.l.readQueue); after != before {
+		t.Errorf("the read queue's array grew from %d to %d over repeated cycles", before, after)
 	}
 }

@@ -504,7 +504,7 @@ func (j *jointHandler) Start(ctx runtime.Context) {
 
 func (j *jointHandler) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 	switch m.(type) {
-	case msg.ClientReply, msg.ClientReplyBatch, msg.ReadReply, msg.ReadReplyBatch:
+	case msg.ClientReply, *msg.ClientReplyBatch, *msg.ReadReplyBatch:
 		j.client.Receive(ctx, from, m)
 	default:
 		j.server.Receive(ctx, from, m)

@@ -67,13 +67,13 @@ func (p *readProbe) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message)
 	switch mm := m.(type) {
 	case msg.ReadReply:
 		p.onRead(ctx, from, mm)
-	case msg.ReadReplyBatch:
+	case *msg.ReadReplyBatch:
 		for _, r := range mm.Replies {
 			p.onRead(ctx, from, r)
 		}
 	case msg.ClientReply:
 		p.onWrite(mm)
-	case msg.ClientReplyBatch:
+	case *msg.ClientReplyBatch:
 		for _, r := range mm.Replies {
 			p.onWrite(r)
 		}
@@ -99,7 +99,7 @@ func (p *readProbe) onRead(ctx runtime.Context, from msg.NodeID, r msg.ReadReply
 	}
 	if r.Redirect != msg.Nobody {
 		p.redirects[from]++
-		ctx.Send(r.Redirect, msg.ReadRequest{
+		ctx.Send(r.Redirect, &msg.ReadRequest{
 			Client:  p.id,
 			Mode:    int(p.mode),
 			Entries: []msg.BatchEntry{{Seq: r.Seq, Cmd: p.pending[r.Seq]}},
@@ -130,7 +130,7 @@ func (p *readProbe) sendRead(net *simnet.Network, to msg.NodeID, seq uint64, key
 	cmd := msg.Command{Op: msg.OpGet, Key: key}
 	p.pending[seq] = cmd
 	p.reads[seq] = &probeRead{issuedAt: net.Now(), afterWrite: p.maxAcked()}
-	net.Inject(p.id, to, msg.ReadRequest{
+	net.Inject(p.id, to, &msg.ReadRequest{
 		Client:  p.id,
 		Mode:    int(p.mode),
 		Entries: []msg.BatchEntry{{Seq: seq, Cmd: cmd}},

@@ -398,7 +398,7 @@ func menciusLoadSpread(_ io.Writer, opts Opts) []Row {
 				to = msg.NodeID(i % 3)
 			}
 			net.At(time.Duration(i)*10*time.Microsecond, func() {
-				net.Inject(clientID, to, msg.ClientRequest{
+				net.Inject(clientID, to, &msg.ClientRequest{
 					Client: clientID, Seq: seq,
 					Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "v"},
 				})

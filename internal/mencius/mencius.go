@@ -95,10 +95,10 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 		}
 		return
 	}
-	switch mm := m.(type) {
-	case msg.ClientRequest:
+	switch mm := msg.Boxed(m).(type) {
+	case *msg.ClientRequest:
 		r.onClientRequest(mm)
-	case msg.Accept:
+	case *msg.Accept:
 		r.onAccept(from, mm)
 	case msg.Accepted:
 		r.onAccepted(mm)
@@ -110,7 +110,7 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 // onClientRequest proposes the command at this node's next owned
 // instance — every replica is a leader for its share (the Mencius
 // load-spreading idea).
-func (r *Replica) onClientRequest(req msg.ClientRequest) {
+func (r *Replica) onClientRequest(req *msg.ClientRequest) {
 	entries := r.Admit(req)
 	if len(entries) == 0 {
 		return
@@ -120,14 +120,14 @@ func (r *Replica) onClientRequest(req msg.ClientRequest) {
 	r.observe(in)
 	v := msg.NewValue(req.Client, req.Ack, entries)
 	for _, id := range r.Replicas {
-		r.Ctx.Send(id, msg.Accept{Instance: in, PN: 1, Value: v})
+		r.Ctx.Send(id, msg.DrawAccept(in, 1, v))
 	}
 }
 
 // onAccept is the acceptor role: instance ownership replaces proposal
 // numbers (only the owner may propose its instances), so the accept is
 // taken directly and echoed to all learners.
-func (r *Replica) onAccept(from msg.NodeID, m msg.Accept) {
+func (r *Replica) onAccept(from msg.NodeID, m *msg.Accept) {
 	r.observe(m.Instance)
 	r.skipBelow(m.Instance)
 	for _, id := range r.Replicas {

@@ -31,8 +31,8 @@ func TestOwnershipPartition(t *testing.T) {
 	r.Receive(ctx, 9, msg.ClientRequest{Client: 9, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "a"}})
 	var accepts []msg.Accept
 	for _, s := range ctx.Sent {
-		if a, ok := s.M.(msg.Accept); ok {
-			accepts = append(accepts, a)
+		if a, ok := s.M.(*msg.Accept); ok {
+			accepts = append(accepts, *a)
 		}
 	}
 	// Replica 1 of 3 owns instances 1, 4, 7, ...
@@ -42,7 +42,7 @@ func TestOwnershipPartition(t *testing.T) {
 	ctx.TakeSent()
 	r.Receive(ctx, 9, msg.ClientRequest{Client: 9, Seq: 2, Cmd: msg.Command{Op: msg.OpPut, Key: "b"}})
 	for _, s := range ctx.Sent {
-		if a, ok := s.M.(msg.Accept); ok && a.Instance != 4 {
+		if a, ok := s.M.(*msg.Accept); ok && a.Instance != 4 {
 			t.Fatalf("second proposal at %d, want owned instance 4", a.Instance)
 		}
 	}
@@ -54,7 +54,7 @@ func TestSkipRuleFillsForeignGaps(t *testing.T) {
 	r := New(protocol.Config{ID: 0, Replicas: replicaIDs(3)})
 	ctx := runtime.NewFakeContext(0, 3)
 	r.Start(ctx)
-	r.Receive(ctx, 1, msg.Accept{Instance: 7, PN: 1, Value: msg.Value{Client: 9, Seq: 1}})
+	r.Receive(ctx, 1, &msg.Accept{Instance: 7, PN: 1, Value: msg.Value{Client: 9, Seq: 1}})
 	var skips []msg.MencSkip
 	for _, s := range ctx.Sent {
 		if sk, ok := s.M.(msg.MencSkip); ok && s.To == 1 {
@@ -91,7 +91,7 @@ func simulate(t *testing.T, clients, requests int, spread bool) *cluster.Cluster
 			home[id] = msg.NodeID(k % 3)
 		}
 		c.Net.SetPerturb(func(from, to msg.NodeID, m msg.Message) (time.Duration, bool) {
-			_, ok := m.(msg.ClientRequest)
+			_, ok := m.(*msg.ClientRequest)
 			h, fromClient := home[from]
 			return 0, ok && fromClient && to != h
 		})

@@ -25,7 +25,7 @@ func TestOriginDuplicateRequestProposedAndAnsweredOnce(t *testing.T) {
 	if len(accepts) != 1 {
 		t.Fatalf("duplicate request produced %d accepts per acceptor, want 1", len(accepts))
 	}
-	acc := accepts[0].(msg.Accept)
+	acc := accepts[0].(*msg.Accept)
 	ctx.TakeSent()
 
 	for _, in := range []int64{acc.Instance, acc.Instance + 1} {

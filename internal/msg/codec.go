@@ -85,19 +85,21 @@ const HelloTag byte = 0xFF
 // wireTypes is the decode half of the type registry: tag → a decoder
 // that runs the type's layout over a reading codec. (Going through a
 // func value moves the codec to the heap — once per received message,
-// which the reader goroutine can afford; the send path cannot.)
+// which the reader goroutine can afford; the send path cannot.) A
+// pooled kind decodes into a fresh box, which the receiving runtime
+// releases into its pool after delivery.
 var wireTypes = []struct {
 	tag byte
 	dec func(c *wire.Codec) Message
 }{
-	{tagClientRequest, func(c *wire.Codec) Message { var m ClientRequest; m.wire(c); return m }},
+	{tagClientRequest, func(c *wire.Codec) Message { m := new(ClientRequest); m.wire(c); return m }},
 	{tagClientReply, func(c *wire.Codec) Message { var m ClientReply; m.wire(c); return m }},
-	{tagClientReplyBatch, func(c *wire.Codec) Message { var m ClientReplyBatch; m.wire(c); return m }},
+	{tagClientReplyBatch, func(c *wire.Codec) Message { m := new(ClientReplyBatch); m.wire(c); return m }},
 	{tagPrepareRequest, func(c *wire.Codec) Message { var m PrepareRequest; m.wire(c); return m }},
 	{tagPromise, func(c *wire.Codec) Message { var m Promise; m.wire(c); return m }},
 	{tagAbandon, func(c *wire.Codec) Message { var m Abandon; m.wire(c); return m }},
-	{tagAccept, func(c *wire.Codec) Message { var m Accept; m.wire(c); return m }},
-	{tagLearn, func(c *wire.Codec) Message { var m Learn; m.wire(c); return m }},
+	{tagAccept, func(c *wire.Codec) Message { m := new(Accept); m.wire(c); return m }},
+	{tagLearn, func(c *wire.Codec) Message { m := new(Learn); m.wire(c); return m }},
 	{tagSlotPrepare, func(c *wire.Codec) Message { var m SlotPrepare; m.wire(c); return m }},
 	{tagUtilPromise, func(c *wire.Codec) Message { var m UtilPromise; m.wire(c); return m }},
 	{tagUtilAccept, func(c *wire.Codec) Message { var m UtilAccept; m.wire(c); return m }},
@@ -116,9 +118,9 @@ var wireTypes = []struct {
 	{tagCatchupRequest, func(c *wire.Codec) Message { var m CatchupRequest; m.wire(c); return m }},
 	{tagSnapshotChunk, func(c *wire.Codec) Message { var m SnapshotChunk; m.wire(c); return m }},
 	{tagCatchupEntries, func(c *wire.Codec) Message { var m CatchupEntries; m.wire(c); return m }},
-	{tagReadRequest, func(c *wire.Codec) Message { var m ReadRequest; m.wire(c); return m }},
+	{tagReadRequest, func(c *wire.Codec) Message { m := new(ReadRequest); m.wire(c); return m }},
 	{tagReadReply, func(c *wire.Codec) Message { var m ReadReply; m.wire(c); return m }},
-	{tagReadReplyBatch, func(c *wire.Codec) Message { var m ReadReplyBatch; m.wire(c); return m }},
+	{tagReadReplyBatch, func(c *wire.Codec) Message { m := new(ReadReplyBatch); m.wire(c); return m }},
 	{tagReadIndexRequest, func(c *wire.Codec) Message { var m ReadIndexRequest; m.wire(c); return m }},
 	{tagReadIndexAck, func(c *wire.Codec) Message { var m ReadIndexAck; m.wire(c); return m }},
 }
@@ -155,16 +157,20 @@ func open(c *wire.Codec, tag byte, from NodeID) *wire.Codec {
 // from: the type tag, the sender id, then the body. The transport wraps
 // the result in a length-prefixed frame. It fails on message types
 // outside the registry (a programming error caught by the codec tests).
-// The switch is the encode half of the registry: each row copies the
-// message to the stack and runs its layout there.
+// The switch is the encode half of the registry: each row runs the
+// layout on the box a pooled kind travels in (see pool.go), or on a
+// stack copy of a plain one. A ClientRequest encodes in both forms: the
+// value is what a harness outside the runtimes builds by hand.
 func AppendEnvelope(b []byte, from NodeID, m Message) ([]byte, error) {
 	c := wire.NewAppender(b)
 	switch m := m.(type) {
+	case *ClientRequest:
+		m.wire(open(&c, tagClientRequest, from))
 	case ClientRequest:
 		m.wire(open(&c, tagClientRequest, from))
 	case ClientReply:
 		m.wire(open(&c, tagClientReply, from))
-	case ClientReplyBatch:
+	case *ClientReplyBatch:
 		m.wire(open(&c, tagClientReplyBatch, from))
 	case PrepareRequest:
 		m.wire(open(&c, tagPrepareRequest, from))
@@ -172,9 +178,9 @@ func AppendEnvelope(b []byte, from NodeID, m Message) ([]byte, error) {
 		m.wire(open(&c, tagPromise, from))
 	case Abandon:
 		m.wire(open(&c, tagAbandon, from))
-	case Accept:
+	case *Accept:
 		m.wire(open(&c, tagAccept, from))
-	case Learn:
+	case *Learn:
 		m.wire(open(&c, tagLearn, from))
 	case SlotPrepare:
 		m.wire(open(&c, tagSlotPrepare, from))
@@ -212,11 +218,11 @@ func AppendEnvelope(b []byte, from NodeID, m Message) ([]byte, error) {
 		m.wire(open(&c, tagSnapshotChunk, from))
 	case CatchupEntries:
 		m.wire(open(&c, tagCatchupEntries, from))
-	case ReadRequest:
+	case *ReadRequest:
 		m.wire(open(&c, tagReadRequest, from))
 	case ReadReply:
 		m.wire(open(&c, tagReadReply, from))
-	case ReadReplyBatch:
+	case *ReadReplyBatch:
 		m.wire(open(&c, tagReadReplyBatch, from))
 	case ReadIndexRequest:
 		m.wire(open(&c, tagReadIndexRequest, from))

@@ -52,27 +52,27 @@ func wireSamples() []Message {
 	entry := UtilEntry{Type: EntryAcceptorChange, Leader: 2, Acceptor: Nobody, Uncommitted: props, Frontier: -1}
 	return []Message{
 		// Client traffic.
-		ClientRequest{},
-		ClientRequest{Client: 1, Seq: 2, Cmd: Command{Op: OpGet, Key: "k"}, Ack: 1},
-		ClientRequest{Client: Nobody, Seq: math.MaxUint64, Cmd: Command{Op: OpPut, Key: "k", Val: bigString}},
-		ClientRequest{Client: 3, Seq: 10, Ack: 9, Batch: bigBatch},
-		ClientRequest{Client: 3, Seq: 10, Batch: []BatchEntry{}}, // empty, not nil
+		&ClientRequest{},
+		&ClientRequest{Client: 1, Seq: 2, Cmd: Command{Op: OpGet, Key: "k"}, Ack: 1},
+		&ClientRequest{Client: Nobody, Seq: math.MaxUint64, Cmd: Command{Op: OpPut, Key: "k", Val: bigString}},
+		&ClientRequest{Client: 3, Seq: 10, Ack: 9, Batch: bigBatch},
+		&ClientRequest{Client: 3, Seq: 10, Batch: []BatchEntry{}}, // empty, not nil
 		ClientReply{},
 		ClientReply{Seq: 5, Instance: -1, OK: true, Result: bigString, Redirect: Nobody},
-		ClientReplyBatch{},
-		ClientReplyBatch{Replies: []ClientReply{}},
-		ClientReplyBatch{Replies: []ClientReply{{Seq: 1, OK: true}, {Seq: 2, Redirect: 2}}},
+		&ClientReplyBatch{},
+		&ClientReplyBatch{Replies: []ClientReply{}},
+		&ClientReplyBatch{Replies: []ClientReply{{Seq: 1, OK: true}, {Seq: 2, Redirect: 2}}},
 		// 1Paxos.
 		PrepareRequest{},
 		PrepareRequest{PN: 9, MustBeFresh: true, From: 77},
 		Promise{},
 		Promise{From: 1, PN: 3, Accepted: props, Floor: 1 << 30},
 		Abandon{HPN: 8, FreshMismatch: true, IamFresh: true},
-		Accept{},
-		Accept{Instance: 12, PN: 4, Value: batched},
-		Learn{},
-		Learn{Entries: []Proposal{}},
-		Learn{Entries: props},
+		&Accept{},
+		&Accept{Instance: 12, PN: 4, Value: batched},
+		&Learn{},
+		&Learn{Entries: []Proposal{}},
+		&Learn{Entries: props},
 		// PaxosUtility.
 		SlotPrepare{Slot: -3, PN: 1},
 		UtilPromise{},
@@ -83,7 +83,7 @@ func wireSamples() []Message {
 		// Multi-Paxos.
 		MPPrepare{PN: 2, FromInstance: -1},
 		Promise{From: 1, PN: 2, Accepted: props, Floor: -1},
-		Accept{Instance: 3, PN: 2, Value: val},
+		&Accept{Instance: 3, PN: 2, Value: val},
 		Accepted{Instance: 3, PN: 2, Value: batched, From: 2},
 		MPNack{PN: math.MaxUint64},
 		// 2PC.
@@ -93,13 +93,13 @@ func wireSamples() []Message {
 		TPCCommitAck{TxID: 1, From: Nobody},
 		TPCRollback{TxID: 1 << 50},
 		// Mencius.
-		Accept{Instance: 5, PN: 1, Value: val},
+		&Accept{Instance: 5, PN: 1, Value: val},
 		Accepted{Instance: 5, PN: 1, Value: batched, From: 0},
 		MencSkip{FromInstance: 10, ToInstance: 20, From: 1},
 		// Basic Paxos.
 		SlotPrepare{Slot: 1, PN: 2},
 		BPPromise{Instance: 1, PN: 2, From: 0, AcceptedPN: 1, Accepted: batched},
-		Accept{Instance: 1, PN: 2, Value: val},
+		&Accept{Instance: 1, PN: 2, Value: val},
 		Accepted{Instance: 1, PN: 2, Value: val, From: 2},
 		SlotNack{Slot: -1, PN: 3},
 		// Snapshot catch-up.
@@ -112,14 +112,14 @@ func wireSamples() []Message {
 		CatchupEntries{Done: true},
 		CatchupEntries{Entries: []Decided{{Instance: -1, Value: Value{}}, {Instance: 7, Value: batched}}, Done: true},
 		// Read fast path.
-		ReadRequest{},
-		ReadRequest{Client: Nobody, Mode: 3, Entries: []BatchEntry{}},
-		ReadRequest{Client: 2, Mode: 1, Entries: bigBatch},
+		&ReadRequest{},
+		&ReadRequest{Client: Nobody, Mode: 3, Entries: []BatchEntry{}},
+		&ReadRequest{Client: 2, Mode: 1, Entries: bigBatch},
 		ReadReply{},
 		ReadReply{Seq: math.MaxUint64, OK: true, Result: bigString, Redirect: Nobody},
-		ReadReplyBatch{},
-		ReadReplyBatch{Replies: []ReadReply{}},
-		ReadReplyBatch{Replies: []ReadReply{{Seq: 1, OK: true, Result: "v"}, {Seq: 2, Redirect: 2}}},
+		&ReadReplyBatch{},
+		&ReadReplyBatch{Replies: []ReadReply{}},
+		&ReadReplyBatch{Replies: []ReadReply{{Seq: 1, OK: true, Result: "v"}, {Seq: 2, Redirect: 2}}},
 		ReadIndexRequest{},
 		ReadIndexRequest{Round: math.MaxUint64, Lease: true},
 		ReadIndexAck{},

@@ -5,11 +5,12 @@
 // Multi-Paxos, the Barrelfish-style 2PC agreement protocol, Mencius and
 // Basic Paxos — and the recovery and read-path traffic.
 //
-// Messages are plain data. The simulator passes them by value between
-// cores; the TCP transport encodes them with the hand-rolled wire codec
-// (codec.go — one layout method per type, run both ways by a
-// wire.Codec, plus the tag registry), which lives here, next to the
-// types it encodes.
+// Messages are plain data. The kinds every commit and every fast-path
+// read send travel as pointers drawn from per-kind pools and released
+// once, after delivery (pool.go); the rest travel as values. The TCP
+// transport encodes both with the hand-rolled wire codec (codec.go — one
+// layout method per type, run both ways by a wire.Codec, plus the tag
+// registry), which lives here, next to the types it encodes.
 package msg
 
 import "fmt"
@@ -210,7 +211,7 @@ type ClientReply struct {
 }
 
 // ClientReplyBatch answers several commands of one client in a single
-// message — the reply-path half of command batching. A batched value
+// message (one command's answer travels as a bare ClientReply) — the reply-path half of command batching. A batched value
 // commits all its commands at once; answering them one message at a
 // time would wake the client once per command and refill its pipeline
 // window one slot at a time, collapsing the proposer-side batcher back
@@ -225,19 +226,15 @@ func (ClientRequest) Kind() string    { return "client_request" }
 func (ClientReply) Kind() string      { return "client_reply" }
 func (ClientReplyBatch) Kind() string { return "client_reply_batch" }
 
-// WrapReplies packs one client's replies into a single message: the
-// bare reply when there is exactly one (the pre-batching wire format,
-// byte for byte), a ClientReplyBatch otherwise. It returns nil for an
-// empty list — nothing to send.
-func WrapReplies(replies []ClientReply) Message {
-	switch len(replies) {
-	case 0:
-		return nil
-	case 1:
-		return replies[0]
-	default:
-		return ClientReplyBatch{Replies: replies}
+// Boxed returns m in the form receivers switch on: a ClientRequest
+// value — the plain form a harness outside the runtimes builds by hand,
+// such as bench/'s engine ladder — comes back as a *ClientRequest of its
+// own, which nothing releases; any other message comes back as it is.
+func Boxed(m Message) Message {
+	if r, ok := m.(ClientRequest); ok {
+		return &r
 	}
+	return m
 }
 
 // ---------------------------------------------------------------------------
@@ -562,9 +559,11 @@ type ReadReply struct {
 	Redirect NodeID
 }
 
-// ReadReplyBatch answers several reads of one client in a single
-// message — the reply half of read coalescing, mirroring
-// ClientReplyBatch for writes.
+// ReadReplyBatch answers one client's reads in a single message — the
+// reply half of read coalescing, mirroring ClientReplyBatch for writes.
+// Every read reply travels in one, even a single read's, so a lease read
+// allocates nothing; the bare ReadReply is its element and stays a
+// registered wire type.
 type ReadReplyBatch struct {
 	Replies []ReadReply
 }
@@ -601,17 +600,3 @@ func (ReadReply) Kind() string        { return "read_reply" }
 func (ReadReplyBatch) Kind() string   { return "read_reply_batch" }
 func (ReadIndexRequest) Kind() string { return "read_index_request" }
 func (ReadIndexAck) Kind() string     { return "read_index_ack" }
-
-// WrapReadReplies packs one client's read replies into a single
-// message, mirroring WrapReplies: the bare reply for exactly one, a
-// ReadReplyBatch otherwise, nil for none.
-func WrapReadReplies(replies []ReadReply) Message {
-	switch len(replies) {
-	case 0:
-		return nil
-	case 1:
-		return replies[0]
-	default:
-		return ReadReplyBatch{Replies: replies}
-	}
-}

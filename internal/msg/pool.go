@@ -1,109 +1,192 @@
 package msg
 
-import "sync"
-
-// Reply-slice pooling for the steady-state hot path.
-//
-// Every committed batch makes the applying replica build a
-// []ClientReply (and the read path a []ReadReply) just long enough to
-// wrap into one message; at six-figure op rates those short-lived
-// slices dominate the allocation profile. The pools below recycle the
-// backing arrays under a strict ownership discipline:
-//
-//   - The producer obtains a slice with GetReplies/GetReadReplies,
-//     appends into it, and wraps it with WrapReplies/WrapReadReplies.
-//   - If the wrapped message is a *batch*, the message now owns the
-//     backing array: the producer must forget the slice (set it nil)
-//     and the CONSUMER recycles it with RecycleReplies/RecycleReadReplies
-//     once it has copied what it needs out.
-//   - If the wrap produced nil (no replies) or a bare single reply
-//     (copied by value into the message), the producer still owns the
-//     array and returns it with PutReplies/PutReadReplies.
-//
-// Consumers may only recycle batches they are the sole receiver of.
-// The in-proc runtime and the TCP transport both deliver each message
-// exactly once, so the KV bridge recycles; the simulated runtime can
-// duplicate messages under fault schedules, so sim-side consumers
-// (workload clients, scenario harnesses) must NOT recycle — there the
-// arrays simply fall to the garbage collector, which is the pre-pool
-// behavior.
-//
-// Put zeroes the in-use prefix so pooled arrays never pin result
-// strings against the GC; Get hands out a zeroed, length-0 slice.
-
-// slicePool recycles slices of T. Two sync.Pools cooperate so the
-// steady state allocates nothing at all: `full` holds pointers to
-// usable backing arrays, `empty` holds the pointer cells themselves
-// between uses (a bare sync.Pool.Put of a slice value would box the
-// header on every call).
-type slicePool[T any] struct {
-	full  sync.Pool // *[]T with a usable backing array
-	empty sync.Pool // *[]T spare holders (slice is nil)
-}
-
-func (p *slicePool[T]) get(n int) []T {
-	if sp, _ := p.full.Get().(*[]T); sp != nil {
-		s := *sp
-		*sp = nil
-		p.empty.Put(sp)
-		if cap(s) >= n {
-			return s[:0]
-		}
-	}
-	if n < 16 {
-		n = 16
-	}
-	return make([]T, 0, n)
-}
-
-func (p *slicePool[T]) put(s []T) {
-	if cap(s) == 0 {
-		return
-	}
-	var zero T
-	for i := range s {
-		s[i] = zero
-	}
-	sp, _ := p.empty.Get().(*[]T)
-	if sp == nil {
-		sp = new([]T)
-	}
-	*sp = s[:0]
-	p.full.Put(sp)
-}
-
-var (
-	clientReplies slicePool[ClientReply]
-	readReplies   slicePool[ReadReply]
+import (
+	"fmt"
+	"sync"
 )
 
-// GetReplies returns a zeroed, length-0 reply slice with capacity for
-// at least n replies, drawn from the pool when possible.
-func GetReplies(n int) []ClientReply { return clientReplies.get(n) }
+// Message boxes for the hot path: one pool per kind, one release point.
+//
+// A message in an interface is a pointer to a heap copy, so a value
+// struct sent through runtime.Context.Send costs an allocation per send.
+// The kinds every commit and every fast-path read send — ClientRequest,
+// Accept, Learn, ClientReplyBatch, ReadRequest and ReadReplyBatch —
+// travel instead as pointers drawn from the pools below, and every
+// receiver switches on the pointer form. The rule:
+//
+//   - A sender draws a box (BoxRequest, DrawAccept, ...), fills it and
+//     sends it to ONE destination. A multicast draws a box per
+//     destination: no box ever has two receivers, so no box needs a
+//     count.
+//   - A received box is read-only, and it is released exactly once,
+//     after its handler returns, by whoever delivered it: runtime.Node
+//     for every in-process delivery (peer queue, same-core FIFO,
+//     self-send, mailbox), the TCP writer once the box is encoded. A
+//     handler that needs a box's contents longer copies them out (the
+//     Value, the entries) or, to pass a request on, sends a box of its
+//     own (replica.Shell.Forward).
+//   - Release empties the box: scalars zeroed, the slices the box owns
+//     (Learn.Entries, ReadRequest.Entries and the reply arrays) cleared
+//     and kept for the next draw. A slice the box does not own —
+//     ClientRequest.Batch and the Value's Batch, which logs keep — is
+//     dropped, never reused.
+//   - The simulator and the FakeContext never release: simnet may
+//     deliver one box to several cores under a fault schedule, and a
+//     test keeps what it was sent. Their boxes fall to the collector,
+//     which is what every send cost before the pools.
+//
+// Built with -tags msgpoison, Release overwrites every box with poison
+// before pooling it, so a receiver that kept a box reads garbage instead
+// of a plausible later message, and a box released twice panics (an
+// empty learn or reply batch carries no poison to recognise).
 
-// PutReplies returns a reply slice to the pool. Safe on nil. Callers
-// must not retain any view of s afterwards.
-func PutReplies(s []ClientReply) { clientReplies.put(s) }
+// boxPool recycles boxes of one kind. A sync.Pool of pointers: Put and
+// Get box nothing, and a box drawn on one core and released on another
+// moves between the per-P caches.
+type boxPool[T any] struct{ p sync.Pool }
 
-// RecycleReplies recycles the backing array of a received
-// ClientReplyBatch once the consumer is done with it. Any other
-// message kind is a no-op, so receivers can call it unconditionally on
-// the reply-path messages they have fully consumed.
-func RecycleReplies(m Message) {
-	if b, ok := m.(ClientReplyBatch); ok {
-		clientReplies.put(b.Replies)
+func (b *boxPool[T]) get() *T {
+	if v, _ := b.p.Get().(*T); v != nil {
+		return v
+	}
+	return new(T)
+}
+
+func (b *boxPool[T]) put(v *T) { b.p.Put(v) }
+
+// keepCap is the largest array a released box keeps: a catch-up-sized
+// learn or a redirect storm's reply batch goes to the collector rather
+// than pinning its array in the pool.
+const keepCap = 1024
+
+// scrub empties the array a released box owns, keeping it for the next
+// draw (nil when it is too large to keep): cleared and cut to length 0,
+// or, under msgpoison, every element overwritten with poison and the
+// length kept, so a holder of the stale box iterates garbage. A draw
+// cuts the array to length 0 either way.
+func scrub[T any](s []T, poison T) []T {
+	if cap(s) > keepCap {
+		return nil
+	}
+	if poisoned {
+		for i := range s {
+			s[i] = poison
+		}
+		return s
+	}
+	clear(s)
+	return s[:0]
+}
+
+// What a poisoned box reads: ids, numbers and keys no live message
+// carries.
+const poisonNode NodeID = -0xbad
+
+var (
+	poisonCmd      = Command{Op: Op(-0xbad), Key: "\x00poisoned", Val: "\x00poisoned"}
+	poisonValue    = Value{Client: poisonNode, Seq: ^uint64(0), Cmd: poisonCmd, Ack: ^uint64(0)}
+	poisonProposal = Proposal{Instance: -0xbad, PN: ^uint64(0), Value: poisonValue}
+	poisonEntry    = BatchEntry{Seq: ^uint64(0), Cmd: poisonCmd}
+	poisonReply    = ClientReply{Seq: ^uint64(0), Instance: -0xbad, Result: "\x00poisoned", Redirect: poisonNode}
+	poisonRead     = ReadReply{Seq: ^uint64(0), Result: "\x00poisoned", Redirect: poisonNode}
+)
+
+var (
+	requests    boxPool[ClientRequest]
+	accepts     boxPool[Accept]
+	learns      boxPool[Learn]
+	replies     boxPool[ClientReplyBatch]
+	reads       boxPool[ReadRequest]
+	readReplies boxPool[ReadReplyBatch]
+)
+
+// BoxRequest draws a request box holding r: a lane's NewRequest, or a
+// received request a handler passes on.
+func BoxRequest(r ClientRequest) *ClientRequest {
+	b := requests.get()
+	*b = r
+	return b
+}
+
+// DrawAccept draws an accept box for instance in under proposal number
+// pn carrying v.
+func DrawAccept(in int64, pn uint64, v Value) *Accept {
+	a := accepts.get()
+	*a = Accept{Instance: in, PN: pn, Value: v}
+	return a
+}
+
+// DrawLearn draws a learn box with no entries; the sender appends them
+// into the box's own array.
+func DrawLearn() *Learn {
+	l := learns.get()
+	l.Entries = l.Entries[:0]
+	return l
+}
+
+// DrawReplies draws a write-reply batch with no replies; the sender
+// appends them into the box's own array.
+func DrawReplies() *ClientReplyBatch {
+	b := replies.get()
+	b.Replies = b.Replies[:0]
+	return b
+}
+
+// DrawReadRequest draws a read request from client with no entries; the
+// sender appends them into the box's own array.
+func DrawReadRequest(client NodeID, mode int) *ReadRequest {
+	r := reads.get()
+	r.Client, r.Mode, r.Entries = client, mode, r.Entries[:0]
+	return r
+}
+
+// DrawReadReplies draws a read-reply batch with no replies; the sender
+// appends them into the box's own array.
+func DrawReadReplies() *ReadReplyBatch {
+	b := readReplies.get()
+	b.Replies = b.Replies[:0]
+	return b
+}
+
+// Release returns a delivered box to its kind's pool; any other message
+// is left alone, so a runtime calls it on everything it delivers. The
+// caller must be the box's last holder.
+func Release(m Message) {
+	if poisoned && stale(m) {
+		panic(fmt.Sprintf("msg: %T released twice", m))
+	}
+	switch m := m.(type) {
+	case *ClientRequest:
+		*m = ClientRequest{}
+		if poisoned {
+			*m = ClientRequest(poisonValue)
+		}
+		requests.put(m)
+	case *Accept:
+		*m = Accept{}
+		if poisoned {
+			*m = Accept(poisonProposal)
+		}
+		accepts.put(m)
+	case *Learn:
+		m.Entries = scrub(m.Entries, poisonProposal)
+		learns.put(m)
+	case *ClientReplyBatch:
+		m.Replies = scrub(m.Replies, poisonReply)
+		replies.put(m)
+	case *ReadRequest:
+		m.Client, m.Mode = 0, 0
+		if poisoned {
+			m.Client, m.Mode = poisonNode, -0xbad
+		}
+		m.Entries = scrub(m.Entries, poisonEntry)
+		reads.put(m)
+	case *ReadReplyBatch:
+		m.Replies = scrub(m.Replies, poisonRead)
+		readReplies.put(m)
 	}
 }
 
-// GetReadReplies mirrors GetReplies for the read path.
-func GetReadReplies(n int) []ReadReply { return readReplies.get(n) }
-
-// PutReadReplies mirrors PutReplies for the read path.
-func PutReadReplies(s []ReadReply) { readReplies.put(s) }
-
-// RecycleReadReplies mirrors RecycleReplies for ReadReplyBatch.
-func RecycleReadReplies(m Message) {
-	if b, ok := m.(ReadReplyBatch); ok {
-		readReplies.put(b.Replies)
-	}
-}
+// RecycleReplies is Release under the name callers written against the
+// old reply-slice pool use (bench/'s engine ladder).
+func RecycleReplies(m Message) { Release(m) }

@@ -125,14 +125,14 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 	if r.Route(ctx, from, m) {
 		return
 	}
-	switch mm := m.(type) {
-	case msg.ClientRequest:
+	switch mm := msg.Boxed(m).(type) {
+	case *msg.ClientRequest:
 		r.onClientRequest(from, mm)
 	case msg.MPPrepare:
 		r.onPrepare(from, mm)
 	case msg.Promise:
 		r.onPromise(from, mm)
-	case msg.Accept:
+	case *msg.Accept:
 		r.onAccept(from, mm)
 	case msg.Accepted:
 		r.onAccepted(mm)
@@ -153,7 +153,7 @@ func (r *Replica) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 
 // --- Client path ---
 
-func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
+func (r *Replica) onClientRequest(from msg.NodeID, req *msg.ClientRequest) {
 	entries := r.Admit(req)
 	if len(entries) == 0 {
 		return
@@ -172,11 +172,11 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 	}
 }
 
-// broadcastAccept is the book's accept hook: every acceptor is asked.
+// broadcastAccept is the book's accept hook: every acceptor is asked,
+// each with an accept box of its own.
 func (r *Replica) broadcastAccept(in int64, v msg.Value) {
-	accept := msg.Message(msg.Accept{Instance: in, PN: r.myPN, Value: v})
 	for _, id := range r.Replicas {
-		r.Ctx.Send(id, accept)
+		r.Ctx.Send(id, msg.DrawAccept(in, r.myPN, v))
 	}
 }
 
@@ -271,7 +271,7 @@ func (r *Replica) onPromise(from msg.NodeID, m msg.Promise) {
 
 // --- Phase 2 ---
 
-func (r *Replica) onAccept(from msg.NodeID, m msg.Accept) {
+func (r *Replica) onAccept(from msg.NodeID, m *msg.Accept) {
 	if m.PN > r.maxPNSeen {
 		r.maxPNSeen = m.PN
 	}

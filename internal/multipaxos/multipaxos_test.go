@@ -75,7 +75,7 @@ func TestLeaderWinsPhaseOneThenProposes(t *testing.T) {
 	r.Receive(ctx, 7, msg.ClientRequest{Client: 7, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}})
 	accepts := 0
 	for _, s := range ctx.Sent {
-		if _, ok := s.M.(msg.Accept); ok {
+		if _, ok := s.M.(*msg.Accept); ok {
 			accepts++
 		}
 	}
@@ -89,7 +89,7 @@ func TestPromiseCarriesAcceptedTail(t *testing.T) {
 	ctx := runtime.NewFakeContext(1, 3)
 	r.Start(ctx)
 	val := msg.Value{Client: 7, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
-	r.Receive(ctx, 0, msg.Accept{Instance: 0, PN: 1, Value: val})
+	r.Receive(ctx, 0, &msg.Accept{Instance: 0, PN: 1, Value: val})
 	ctx.TakeSent()
 	r.Receive(ctx, 2, msg.MPPrepare{PN: 100, FromInstance: 0})
 	prom, ok := ctx.LastSent().M.(msg.Promise)
@@ -115,7 +115,7 @@ func TestPromiseIncludesAppliedSuffix(t *testing.T) {
 		t.Fatalf("Commits = %d, want 1", r.Commits())
 	}
 	// Force pruning via a later accept.
-	r.Receive(ctx, 0, msg.Accept{Instance: 1, PN: 1, Value: val})
+	r.Receive(ctx, 0, &msg.Accept{Instance: 1, PN: 1, Value: val})
 	ctx.TakeSent()
 	r.Receive(ctx, 2, msg.MPPrepare{PN: 100, FromInstance: 0})
 	prom := ctx.LastSent().M.(msg.Promise)
@@ -141,7 +141,7 @@ func TestAcceptorNacksStalePN(t *testing.T) {
 		t.Fatalf("stale prepare must be nacked, got %+v", ctx.LastSent().M)
 	}
 	ctx.TakeSent()
-	r.Receive(ctx, 2, msg.Accept{Instance: 0, PN: 10, Value: msg.Value{Client: 1, Seq: 1}})
+	r.Receive(ctx, 2, &msg.Accept{Instance: 0, PN: 10, Value: msg.Value{Client: 1, Seq: 1}})
 	if _, ok := ctx.LastSent().M.(msg.MPNack); !ok {
 		t.Fatalf("stale accept must be nacked, got %+v", ctx.LastSent().M)
 	}
@@ -181,7 +181,7 @@ func TestNackDeposesLeader(t *testing.T) {
 	}{
 		{"nack", func(pn uint64) msg.Message { return msg.MPNack{PN: pn + 100} }},
 		{"accept", func(pn uint64) msg.Message {
-			return msg.Accept{Instance: 0, PN: pn + 100, Value: msg.Value{Client: 8, Seq: 1}}
+			return &msg.Accept{Instance: 0, PN: pn + 100, Value: msg.Value{Client: 8, Seq: 1}}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -201,7 +201,7 @@ func TestNackDeposesLeader(t *testing.T) {
 			}
 			// Stepping down keeps the regime; only an accept shows a new one.
 			want := replica.Regime{Leader: 0, Acceptor: msg.Nobody, Ballot: pn}
-			if _, ok := tc.evidence(pn).(msg.Accept); ok {
+			if _, ok := tc.evidence(pn).(*msg.Accept); ok {
 				want = replica.Regime{Leader: 2, Acceptor: msg.Nobody, Ballot: pn + 100}
 			}
 			if got := r.Regime(); got != want {
@@ -243,7 +243,7 @@ func electedLeader(t *testing.T) (*Replica, *runtime.FakeContext, uint64) {
 func acceptsFor(ctx *runtime.FakeContext, in int64) int {
 	n := 0
 	for _, s := range ctx.Sent {
-		if a, ok := s.M.(msg.Accept); ok && a.Instance == in {
+		if a, ok := s.M.(*msg.Accept); ok && a.Instance == in {
 			n++
 		}
 	}
@@ -307,7 +307,7 @@ func TestOriginForwardToLeaderLeavesNoMark(t *testing.T) {
 	r.Receive(ctx, 7, req)
 	forwarded := 0
 	for _, m := range ctx.SentTo(0) {
-		if _, ok := m.(msg.ClientRequest); ok {
+		if _, ok := m.(*msg.ClientRequest); ok {
 			forwarded++
 		}
 	}

@@ -150,7 +150,7 @@ func New(cfg protocol.Config) *Replica {
 		Grant:      func(from msg.NodeID) bool { return r.adopted == from },
 		Accept: func(in int64, v msg.Value) {
 			r.aaVirgin = false // the acceptor may hold accepted proposals from here on
-			r.Ctx.Send(r.acceptor(), msg.Accept{Instance: in, PN: r.myPN, Value: v})
+			r.Ctx.Send(r.acceptor(), msg.DrawAccept(in, r.myPN, v))
 		},
 		// The acceptor is suspected when the oldest unlearned accept goes
 		// AcceptTimeout unanswered.
@@ -202,16 +202,16 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 	if r.util.Handle(ctx, from, m) || r.Route(ctx, from, m) {
 		return
 	}
-	switch mm := m.(type) {
-	case msg.ClientRequest:
+	switch mm := msg.Boxed(m).(type) {
+	case *msg.ClientRequest:
 		r.onClientRequest(from, mm)
 	case msg.PrepareRequest:
 		r.onPrepareRequest(from, mm)
 	case msg.Promise:
 		r.onPromise(from, mm)
-	case msg.Accept:
+	case *msg.Accept:
 		r.onAccept(from, mm)
-	case msg.Learn:
+	case *msg.Learn:
 		r.onLearn(mm)
 	case msg.Abandon:
 		r.onAbandon(from, mm)
@@ -241,7 +241,7 @@ func (r *Replica) Timer(ctx runtime.Context, tag runtime.TimerTag) {
 
 // --- Client path ---
 
-func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
+func (r *Replica) onClientRequest(from msg.NodeID, req *msg.ClientRequest) {
 	entries := r.Admit(req)
 	if len(entries) == 0 {
 		return
@@ -318,7 +318,7 @@ func (r *Replica) onPrepareRequest(from msg.NodeID, m msg.PrepareRequest) {
 	}
 }
 
-func (r *Replica) onAccept(from msg.NodeID, m msg.Accept) {
+func (r *Replica) onAccept(from msg.NodeID, m *msg.Accept) {
 	if r.acceptor() != r.Me {
 		// Retired acceptor (see the matching check in onPrepareRequest):
 		// accepting from a staler-view leader would decide an instance a
@@ -345,18 +345,18 @@ func (r *Replica) onAccept(from msg.NodeID, m msg.Accept) {
 // multicastLearn delivers one accepted proposal to all learners. The
 // adopted leader always gets its learn immediately — it is the commit
 // latency path; with batching enabled the remaining learners are served
-// from a periodically flushed buffer. Every learner is sent the one
-// message: receivers only read its entries.
+// from a periodically flushed buffer. Every learner is sent a learn box
+// of its own (msg.DrawLearn): each box has one receiver, which releases
+// it.
 func (r *Replica) multicastLearn(p msg.Proposal) {
 	if !r.Cfg.LearnBatching {
-		learn := msg.Message(msg.Learn{Entries: []msg.Proposal{p}})
 		for _, id := range r.Replicas {
-			r.Ctx.Send(id, learn)
+			r.sendLearn(id, p)
 		}
 		return
 	}
 	if r.adopted != msg.Nobody {
-		r.Ctx.Send(r.adopted, msg.Learn{Entries: []msg.Proposal{p}})
+		r.sendLearn(r.adopted, p)
 	}
 	if len(r.learnBuf) == 0 {
 		r.Ctx.After(learnFlushEvery, runtime.TimerTag{Kind: timerFlushLearns})
@@ -364,18 +364,25 @@ func (r *Replica) multicastLearn(p msg.Proposal) {
 	r.learnBuf = append(r.learnBuf, p)
 }
 
+// sendLearn sends learner to a learn box carrying ps.
+func (r *Replica) sendLearn(learner msg.NodeID, ps ...msg.Proposal) {
+	l := msg.DrawLearn()
+	l.Entries = append(l.Entries, ps...)
+	r.Ctx.Send(learner, l)
+}
+
 func (r *Replica) flushLearns() {
 	if len(r.learnBuf) == 0 {
 		return
 	}
-	batch := msg.Learn{Entries: r.learnBuf}
-	r.learnBuf = nil
 	for _, id := range r.Replicas {
 		if id == r.adopted {
 			continue // already served on the fast path
 		}
-		r.Ctx.Send(id, batch)
+		r.sendLearn(id, r.learnBuf...)
 	}
+	clear(r.learnBuf)
+	r.learnBuf = r.learnBuf[:0]
 }
 
 // proposalsSince merges the acceptor's live accepted proposals with the
@@ -412,7 +419,7 @@ func (r *Replica) proposalsSince(from int64) []msg.Proposal {
 
 // --- Learner role ---
 
-func (r *Replica) onLearn(m msg.Learn) {
+func (r *Replica) onLearn(m *msg.Learn) {
 	for _, p := range m.Entries {
 		r.Log().Learn(p.Instance, p.Value)
 	}

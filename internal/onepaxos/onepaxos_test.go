@@ -123,11 +123,11 @@ func TestAcceptRequestFlow(t *testing.T) {
 	ctx.TakeSent()
 
 	val := msg.Value{Client: 9, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "v"}}
-	r.Receive(ctx, 0, msg.Accept{Instance: 0, PN: 10, Value: val})
+	r.Receive(ctx, 0, &msg.Accept{Instance: 0, PN: 10, Value: val})
 	// Learn must be multicast to all three learners.
 	learns := 0
 	for _, s := range ctx.Sent {
-		if l, ok := s.M.(msg.Learn); ok {
+		if l, ok := s.M.(*msg.Learn); ok {
 			learns++
 			if len(l.Entries) != 1 || !l.Entries[0].Value.Equal(val) {
 				t.Fatalf("learn carries %+v", l.Entries)
@@ -137,17 +137,20 @@ func TestAcceptRequestFlow(t *testing.T) {
 	if learns != 3 {
 		t.Fatalf("learn multicast to %d nodes, want 3", learns)
 	}
+	if boxes := distinctBoxes(ctx.Sent); boxes != 3 {
+		t.Fatalf("the multicast sent %d learn boxes, want one per learner", boxes)
+	}
 
 	// Wrong pn is abandoned.
 	ctx.TakeSent()
-	r.Receive(ctx, 1, msg.Accept{Instance: 1, PN: 9, Value: val})
+	r.Receive(ctx, 1, &msg.Accept{Instance: 1, PN: 9, Value: val})
 	if _, ok := ctx.LastSent().M.(msg.Abandon); !ok {
 		t.Fatalf("stale-pn accept must be abandoned, got %+v", ctx.LastSent().M)
 	}
 
 	// A duplicate accept re-multicasts the original learn.
 	ctx.TakeSent()
-	r.Receive(ctx, 0, msg.Accept{Instance: 0, PN: 10, Value: val})
+	r.Receive(ctx, 0, &msg.Accept{Instance: 0, PN: 10, Value: val})
 	if len(ctx.Sent) != 3 {
 		t.Fatalf("duplicate accept re-sent %d learns, want 3", len(ctx.Sent))
 	}
@@ -160,7 +163,7 @@ func TestPrepareResponseCarriesAcceptedProposals(t *testing.T) {
 	r.Start(ctx)
 	r.Receive(ctx, 0, msg.PrepareRequest{PN: 10, MustBeFresh: true})
 	val := msg.Value{Client: 9, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
-	r.Receive(ctx, 0, msg.Accept{Instance: 0, PN: 10, Value: val})
+	r.Receive(ctx, 0, &msg.Accept{Instance: 0, PN: 10, Value: val})
 	ctx.TakeSent()
 
 	r.Receive(ctx, 1, msg.PrepareRequest{PN: 20, MustBeFresh: false})
@@ -189,13 +192,13 @@ func TestLeaderFastPath(t *testing.T) {
 	if len(accepts) != 1 {
 		t.Fatalf("leader sent %d messages to acceptor, want 1", len(accepts))
 	}
-	ar, ok := accepts[0].(msg.Accept)
+	ar, ok := accepts[0].(*msg.Accept)
 	if !ok || ar.Instance != 0 || ar.PN != pn {
 		t.Fatalf("accept = %+v", accepts[0])
 	}
 	// Learning the instance answers the client.
 	ctx.TakeSent()
-	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: pn, Value: ar.Value}}})
+	r.Receive(ctx, 2, &msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: pn, Value: ar.Value}}})
 	replies := ctx.SentTo(5)
 	if len(replies) != 1 {
 		t.Fatalf("client got %d replies, want 1", len(replies))
@@ -296,8 +299,8 @@ func TestSessionDedupAnswersRetries(t *testing.T) {
 	r.Receive(ctx, 2, msg.Promise{From: 2, PN: pn})
 	req := msg.ClientRequest{Client: 5, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "a", Val: "1"}}
 	r.Receive(ctx, 5, req)
-	ar := ctx.SentTo(2)[1].(msg.Accept)
-	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: pn, Value: ar.Value}}})
+	ar := ctx.SentTo(2)[1].(*msg.Accept)
+	r.Receive(ctx, 2, &msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: pn, Value: ar.Value}}})
 	ctx.TakeSent()
 
 	// The same request again must be answered from the session table
@@ -317,11 +320,11 @@ func TestLearnOutOfOrderHoldsApplication(t *testing.T) {
 	r.Start(ctx)
 	v1 := msg.Value{Client: 9, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "a"}}
 	v2 := msg.Value{Client: 9, Seq: 2, Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "b"}}
-	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: 1, PN: 5, Value: v2}}})
+	r.Receive(ctx, 2, &msg.Learn{Entries: []msg.Proposal{{Instance: 1, PN: 5, Value: v2}}})
 	if r.Commits() != 0 {
 		t.Fatal("instance 1 must wait for instance 0")
 	}
-	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: 5, Value: v1}}})
+	r.Receive(ctx, 2, &msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: 5, Value: v1}}})
 	if r.Commits() != 2 {
 		t.Fatalf("Commits = %d, want 2 after the gap fills", r.Commits())
 	}
@@ -339,7 +342,7 @@ func TestLearnBatchingKeepsLeaderPathImmediate(t *testing.T) {
 	r.Receive(ctx, 0, msg.PrepareRequest{PN: 10, MustBeFresh: true})
 	ctx.TakeSent()
 	val := msg.Value{Client: 9, Seq: 1, Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
-	r.Receive(ctx, 0, msg.Accept{Instance: 0, PN: 10, Value: val})
+	r.Receive(ctx, 0, &msg.Accept{Instance: 0, PN: 10, Value: val})
 	// Only the adopted leader gets an immediate learn; the rest waits for
 	// the flush timer.
 	if got := len(ctx.SentTo(0)); got != 1 {
@@ -513,7 +516,7 @@ func TestScenarioForwardingMode(t *testing.T) {
 	c, r := simulate(t, 3, 1, 0, func(s *cluster.Spec) { s.Joint, s.RetryTimeout = true, time.Millisecond })
 	lost, forwarded := false, 0
 	c.Net.SetPerturb(func(from, to msg.NodeID, m msg.Message) (time.Duration, bool) {
-		if req, ok := m.(msg.ClientRequest); ok && req.Client == 1 && to == 0 {
+		if req, ok := m.(*msg.ClientRequest); ok && req.Client == 1 && to == 0 {
 			if !lost {
 				lost = true
 				return 0, true
@@ -565,7 +568,7 @@ func TestScenarioRandomFaultScheduleSafety(t *testing.T) {
 		}
 		client := c.ClientIDs[0]
 		c.Net.SetPerturb(func(from, _ msg.NodeID, m msg.Message) (time.Duration, bool) {
-			_, ok := m.(msg.ClientRequest)
+			_, ok := m.(*msg.ClientRequest)
 			return 0, ok && from == client && rng.Intn(4) == 0
 		})
 		c.RunFor(300 * time.Millisecond)
@@ -599,9 +602,9 @@ func TestAcceptorPrunesAcceptedBelowAppliedFrontier(t *testing.T) {
 	value := func(in int64) msg.Value {
 		return msg.Value{Client: 9, Seq: uint64(in + 1), Cmd: msg.Command{Op: msg.OpPut, Key: "k"}}
 	}
-	accept := func(in int64) { r.Receive(ctx, 0, msg.Accept{Instance: in, PN: 10, Value: value(in)}) }
+	accept := func(in int64) { r.Receive(ctx, 0, &msg.Accept{Instance: in, PN: 10, Value: value(in)}) }
 	learn := func(in int64) {
-		r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: in, PN: 10, Value: value(in)}}})
+		r.Receive(ctx, 2, &msg.Learn{Entries: []msg.Proposal{{Instance: in, PN: 10, Value: value(in)}}})
 	}
 	wantAccepted := func(step string, want ...int64) {
 		t.Helper()
@@ -693,7 +696,7 @@ func TestOneAcceptDeadlinePerLeader(t *testing.T) {
 		ctx.Clock += time.Microsecond
 		r.Receive(ctx, 5, clientPut(seq))
 	}
-	if got := countTo[msg.Accept](ctx, 2); got != 8 {
+	if got := countTo[*msg.Accept](ctx, 2); got != 8 {
 		t.Fatalf("sent %d accepts, want 8", got)
 	}
 	if n := len(acceptDeadlines(ctx)); n != 1 {
@@ -707,11 +710,11 @@ func TestOneAcceptDeadlinePerLeader(t *testing.T) {
 func TestAcceptorSuspectedAtOldestAcceptTimeout(t *testing.T) {
 	r, ctx := adoptedLeader(t, nil)
 	r.Receive(ctx, 5, clientPut(1)) // instance 0 at 0
-	first := ctx.SentTo(2)[0].(msg.Accept)
+	first := ctx.SentTo(2)[0].(*msg.Accept)
 	ctx.Clock = 300 * time.Microsecond
 	r.Receive(ctx, 5, clientPut(2)) // instance 1 at 300µs
 	ctx.Clock = 350 * time.Microsecond
-	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: first.PN, Value: first.Value}}})
+	r.Receive(ctx, 2, &msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: first.PN, Value: first.Value}}})
 	fireAcceptDeadline(t, r, ctx) // 400µs
 	if r.switchingAa {
 		t.Fatal("suspected the acceptor at 400µs: the oldest unlearned accept was 100µs old")
@@ -730,8 +733,8 @@ func TestAcceptorSuspectedAtOldestAcceptTimeout(t *testing.T) {
 func TestLearnedInstanceNeverSuspected(t *testing.T) {
 	r, ctx := adoptedLeader(t, nil)
 	r.Receive(ctx, 5, clientPut(1))
-	ar := ctx.SentTo(2)[0].(msg.Accept)
-	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: ar.Instance, PN: ar.PN, Value: ar.Value}}})
+	ar := ctx.SentTo(2)[0].(*msg.Accept)
+	r.Receive(ctx, 2, &msg.Learn{Entries: []msg.Proposal{{Instance: ar.Instance, PN: ar.PN, Value: ar.Value}}})
 	fireAcceptDeadline(t, r, ctx)
 	if r.switchingAa {
 		t.Fatal("a learned instance made the leader suspect its acceptor")
@@ -801,17 +804,17 @@ func TestOriginDuplicateRequestProposedAndAnsweredOnce(t *testing.T) {
 	// proposal, not two.
 	r.Receive(ctx, 5, clientPut(1))
 	r.Receive(ctx, 5, clientPut(1))
-	if got := countTo[msg.Accept](ctx, 2); got != 1 {
+	if got := countTo[*msg.Accept](ctx, 2); got != 1 {
 		t.Fatalf("duplicate request produced %d accepts, want 1", got)
 	}
-	ar := ctx.SentTo(2)[0].(msg.Accept)
+	ar := ctx.SentTo(2)[0].(*msg.Accept)
 	ctx.TakeSent()
 
 	// The commit answers once; a second decision of the same command
 	// (the retry committed through another leader) is deduplicated and
 	// finds the mark already taken.
-	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: pn, Value: ar.Value}}})
-	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: 1, PN: pn, Value: ar.Value}}})
+	r.Receive(ctx, 2, &msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: pn, Value: ar.Value}}})
+	r.Receive(ctx, 2, &msg.Learn{Entries: []msg.Proposal{{Instance: 1, PN: pn, Value: ar.Value}}})
 	if got := countTo[msg.ClientReply](ctx, 5); got != 1 {
 		t.Fatalf("client got %d replies for one command, want 1", got)
 	}
@@ -827,7 +830,7 @@ func TestOriginForwardToLeaderLeavesNoMark(t *testing.T) {
 	// forwarding node starts no takeover.
 	r.Receive(ctx, 5, clientPut(1))
 	r.Receive(ctx, 5, clientPut(1))
-	if got := countTo[msg.ClientRequest](ctx, 0); got != 2 {
+	if got := countTo[*msg.ClientRequest](ctx, 0); got != 2 {
 		t.Fatalf("forwarded %d requests to the leader, want 2", got)
 	}
 	if r.takeover != noTakeover || len(ctx.Sent) != 2 {
@@ -836,7 +839,7 @@ func TestOriginForwardToLeaderLeavesNoMark(t *testing.T) {
 	ctx.TakeSent()
 
 	// The leader answers; this replica learns the value and stays quiet.
-	r.Receive(ctx, 2, msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: 1, Value: msg.Value(clientPut(1))}}})
+	r.Receive(ctx, 2, &msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: 1, Value: msg.Value(clientPut(1))}}})
 	if r.Commits() != 1 {
 		t.Fatalf("Commits = %d, want 1", r.Commits())
 	}
@@ -860,13 +863,13 @@ func TestOriginForwardPendingGivesMarksAway(t *testing.T) {
 
 	// Node 2 wins leadership: the queue is handed over, marks included.
 	r.onUtilCommit(0, msg.UtilEntry{Type: msg.EntryLeaderChange, Leader: 2, Acceptor: 0})
-	if got := countTo[msg.ClientRequest](ctx, 2); got != 1 || r.Book.Queued() != 0 {
+	if got := countTo[*msg.ClientRequest](ctx, 2); got != 1 || r.Book.Queued() != 0 {
 		t.Fatalf("handed %d requests to the new leader (still pending %d), want 1 and 0", got, r.Book.Queued())
 	}
 	ctx.TakeSent()
 
 	// The new leader answers: this replica applies the command silently.
-	r.Receive(ctx, 0, msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: 1, Value: msg.Value(clientPut(1))}}})
+	r.Receive(ctx, 0, &msg.Learn{Entries: []msg.Proposal{{Instance: 0, PN: 1, Value: msg.Value(clientPut(1))}}})
 	if r.Commits() != 1 {
 		t.Fatalf("Commits = %d, want 1", r.Commits())
 	}
@@ -940,6 +943,39 @@ func TestJointRetryFromLeaderNodeTakesOver(t *testing.T) {
 		if (changes > 0) != tc.changed {
 			t.Errorf("retry %v: regime.changes = %d, want > 0: %v (role_collisions %d)",
 				tc.retry, changes, tc.changed, c.Obs().Counters["regime.role_collisions"])
+		}
+	}
+}
+
+// distinctBoxes counts the distinct pointers among sent: a pooled box
+// has one receiver, which releases it, so a multicast must send each
+// destination a box of its own.
+func distinctBoxes(sent []runtime.FakeSend) int {
+	seen := map[msg.Message]bool{}
+	for _, s := range sent {
+		seen[s.M] = true
+	}
+	return len(seen)
+}
+
+// TestMulticastSendsABoxPerReceiver: every multicast of a pooled kind
+// draws a box per destination — 1Paxos's learns, with and without learn
+// batching's flush — so each receiving runtime releases its own box,
+// once, and none is released while another receiver still reads it.
+func TestMulticastSendsABoxPerReceiver(t *testing.T) {
+	for _, batching := range []bool{false, true} {
+		r := New(protocol.Config{ID: 2, Replicas: []msg.NodeID{0, 1, 2}, LearnBatching: batching})
+		ctx := runtime.NewFakeContext(2, 3)
+		r.Start(ctx)
+		r.Receive(ctx, 0, msg.PrepareRequest{PN: 10, MustBeFresh: true})
+		ctx.TakeSent()
+		for in := range int64(4) {
+			r.Receive(ctx, 0, &msg.Accept{Instance: in, PN: 10, Value: msg.Value{Client: 9, Seq: uint64(in + 1)}})
+		}
+		r.Timer(ctx, runtime.TimerTag{Kind: timerFlushLearns})
+		sent := ctx.TakeSent()
+		if len(sent) < 6 || distinctBoxes(sent) != len(sent) {
+			t.Errorf("learn batching %v: %d learns in %d boxes; want at least 6, each its own box", batching, len(sent), distinctBoxes(sent))
 		}
 	}
 }

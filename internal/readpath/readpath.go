@@ -37,6 +37,7 @@
 package readpath
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -214,6 +215,7 @@ type Server struct {
 	roundStart time.Duration
 
 	waiters []waiter
+	scratch []pending // onRead's unpacked request
 
 	// Holder-side lease state. leaseUntil is when local serving stops
 	// (margin early); blockUntil is when the holder stops refusing
@@ -367,7 +369,7 @@ func (s *Server) effectiveMode() Mode {
 // that are not the read path's.
 func (s *Server) Handle(ctx runtime.Context, from msg.NodeID, m msg.Message) bool {
 	switch mm := m.(type) {
-	case msg.ReadRequest:
+	case *msg.ReadRequest:
 		s.ctx = ctx
 		s.onRead(mm)
 	case msg.ReadIndexRequest:
@@ -401,11 +403,16 @@ func (s *Server) HandleTimer(ctx runtime.Context, tag runtime.TimerTag) bool {
 
 // --- Client path ---
 
-func (s *Server) onRead(m msg.ReadRequest) {
-	reads := make([]pending, 0, len(m.Entries))
+// onRead unpacks a request into the scratch, which nothing keeps: a read
+// served at once is answered from it, and one that waits is copied out
+// (enqueue appends to the round queue, leaseServe clones what it parks).
+func (s *Server) onRead(m *msg.ReadRequest) {
+	reads := s.scratch[:0]
 	for _, e := range m.Entries {
 		reads = append(reads, pending{client: m.Client, seq: e.Seq, key: e.Cmd.Key})
 	}
+	s.scratch = reads
+	defer clear(reads) // release the keys
 	if len(reads) == 0 {
 		return
 	}
@@ -762,7 +769,7 @@ func (s *Server) leaseServe(reads []pending) {
 		return
 	}
 	s.count(func(st *Counters) { st.ApplyWaits += int64(len(reads)) })
-	s.waiters = append(s.waiters, waiter{frontier: f, reads: reads, local: true})
+	s.waiters = append(s.waiters, waiter{frontier: f, reads: slices.Clone(reads), local: true})
 }
 
 // onLeaseTick drives lease renewal (and post-hold retries): while the
@@ -849,10 +856,10 @@ func (s *Server) redirectTarget() msg.NodeID {
 	return msg.Nobody
 }
 
-// reply groups per-client replies into single messages (the read
-// analogue of ClientReplyBatch). The single-client case — every read
-// of a coalesced ReadRequest shares one sender — skips the grouping
-// map entirely; it is the read hot path.
+// reply groups per-client replies into single messages, each a
+// msg.ReadReplyBatch box (one read's answer too). The single-client
+// case — every read of a coalesced ReadRequest shares one sender —
+// skips the grouping map entirely; it is the read hot path.
 func (s *Server) reply(reads []pending, build func(pending) msg.ReadReply) {
 	if len(reads) == 0 {
 		return
@@ -865,34 +872,25 @@ func (s *Server) reply(reads []pending, build func(pending) msg.ReadReply) {
 		}
 	}
 	if single {
-		// The dominant case: every pending read belongs to one client.
-		// The reply array comes from the pool; a batch message takes it
-		// over (the receiver recycles it), a bare single reply returns
-		// it here.
-		replies := msg.GetReadReplies(len(reads))
+		b := msg.DrawReadReplies()
 		for _, p := range reads {
-			replies = append(replies, build(p))
+			b.Replies = append(b.Replies, build(p))
 		}
-		if m := msg.WrapReadReplies(replies); m != nil {
-			s.ctx.Send(reads[0].client, m)
-			if _, batched := m.(msg.ReadReplyBatch); batched {
-				replies = nil
-			}
-		}
-		msg.PutReadReplies(replies)
+		s.ctx.Send(reads[0].client, b)
 		return
 	}
-	byClient := make(map[msg.NodeID][]msg.ReadReply, 1)
+	byClient := make(map[msg.NodeID]*msg.ReadReplyBatch, 1)
 	order := make([]msg.NodeID, 0, 1)
 	for _, p := range reads {
-		if _, ok := byClient[p.client]; !ok {
+		b := byClient[p.client]
+		if b == nil {
+			b = msg.DrawReadReplies()
+			byClient[p.client] = b
 			order = append(order, p.client)
 		}
-		byClient[p.client] = append(byClient[p.client], build(p))
+		b.Replies = append(b.Replies, build(p))
 	}
 	for _, client := range order {
-		if m := msg.WrapReadReplies(byClient[client]); m != nil {
-			s.ctx.Send(client, m)
-		}
+		s.ctx.Send(client, byClient[client])
 	}
 }

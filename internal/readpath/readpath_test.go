@@ -61,7 +61,7 @@ func indexServer(establishes *int) (*Server, *fakeCtx) {
 }
 
 func sendRead(s *Server, ctx *fakeCtx, client msg.NodeID, seq uint64) {
-	s.Handle(ctx, client, msg.ReadRequest{
+	s.Handle(ctx, client, &msg.ReadRequest{
 		Client:  client,
 		Entries: []msg.BatchEntry{{Seq: seq, Cmd: msg.Command{Op: msg.OpGet, Key: "k"}}},
 	})
@@ -76,7 +76,7 @@ func served(ctx *fakeCtx, client msg.NodeID) (msg.ReadReply, bool) {
 		switch r := sm.m.(type) {
 		case msg.ReadReply:
 			return r, true
-		case msg.ReadReplyBatch:
+		case *msg.ReadReplyBatch:
 			return r.Replies[0], true
 		}
 	}

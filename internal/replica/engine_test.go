@@ -52,8 +52,8 @@ func (r *sequencer) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message)
 	if r.Route(ctx, from, m) {
 		return
 	}
-	switch mm := m.(type) {
-	case msg.ClientRequest:
+	switch mm := msg.Boxed(m).(type) {
+	case *msg.ClientRequest:
 		entries := r.Admit(mm)
 		if len(entries) == 0 {
 			return

@@ -99,7 +99,7 @@ func (p *Proposals) ForwardQueue(leader msg.NodeID) {
 	p.queue = nil
 	for _, req := range queue {
 		p.s.Disown(msg.Value(req))
-		p.s.Ctx.Send(leader, req)
+		p.s.Ctx.Send(leader, msg.BoxRequest(req))
 	}
 }
 

@@ -115,7 +115,7 @@ func TestForwardQueueAndDeposeReleaseMarks(t *testing.T) {
 		t.Fatal("forwarding to this node moved the queue")
 	}
 	b.s.Book.ForwardQueue(2)
-	if sent := b.ctx.SentTo(2); b.s.Book.Queued() != 0 || len(sent) != 1 || sent[0].(msg.ClientRequest).Seq != 1 {
+	if sent := b.ctx.SentTo(2); b.s.Book.Queued() != 0 || len(sent) != 1 || sent[0].(*msg.ClientRequest).Seq != 1 {
 		t.Fatalf("forwarded %+v (queued %d), want the one request", sent, b.s.Book.Queued())
 	}
 	if got := b.s.Admit(put(1)); len(got) != 1 {

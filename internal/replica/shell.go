@@ -318,16 +318,16 @@ func (s *Shell) Timer(ctx runtime.Context, tag runtime.TimerTag) { s.RouteTimer(
 // on a stale view — the client's retry lands after the transfer), and
 // otherwise whatever the session table has not seen commit. Committed
 // entries are answered from the table, single command or batch alike.
-func (s *Shell) Screen(req msg.ClientRequest) []msg.BatchEntry {
+func (s *Shell) Screen(req *msg.ClientRequest) []msg.BatchEntry {
 	if s.Snap.CatchingUp() {
 		return nil
 	}
-	return s.Sessions.Screen(req, func(rep msg.ClientReply) { s.Ctx.Send(req.Client, rep) })
+	return s.Sessions.Screen(*req, func(rep msg.ClientReply) { s.Ctx.Send(req.Client, rep) })
 }
 
 // Admit is Screen for engines that propose what they are sent, followed
 // by Mark. An empty result means there is nothing to do.
-func (s *Shell) Admit(req msg.ClientRequest) []msg.BatchEntry {
+func (s *Shell) Admit(req *msg.ClientRequest) []msg.BatchEntry {
 	return s.Mark(req.Client, s.Screen(req))
 }
 
@@ -355,10 +355,12 @@ func (s *Shell) Disown(v msg.Value) {
 }
 
 // Forward hands req, whose admitted entries are entries, to leader,
-// which marks them its own and answers; nothing stays here.
-func (s *Shell) Forward(leader msg.NodeID, req msg.ClientRequest, entries []msg.BatchEntry) {
+// which marks them its own and answers; nothing stays here. req is a
+// received box, released when this handler returns, so the leader is
+// sent a copy in a box of its own.
+func (s *Shell) Forward(leader msg.NodeID, req *msg.ClientRequest, entries []msg.BatchEntry) {
 	s.Disown(msg.NewValue(req.Client, req.Ack, entries))
-	s.Ctx.Send(leader, req)
+	s.Ctx.Send(leader, msg.BoxRequest(*req))
 }
 
 // --- Learning ---
@@ -405,11 +407,11 @@ func (s *Shell) Vote(instance int64, from msg.NodeID, pn uint64, value msg.Value
 // gap-filling no-op sends nothing and touches no reply slice.
 func (s *Shell) onApply(e rsm.Entry, results []string) {
 	if owed := s.Sessions.Owed(); len(owed) > 0 {
-		replies := msg.GetReplies(len(owed))
+		b := msg.DrawReplies()
 		for _, i := range owed {
-			replies = append(replies, msg.ClientReply{Seq: e.Value.EntryAt(i).Seq, Instance: e.Instance, OK: true, Result: results[i]})
+			b.Replies = append(b.Replies, msg.ClientReply{Seq: e.Value.EntryAt(i).Seq, Instance: e.Instance, OK: true, Result: results[i]})
 		}
-		s.SendReplies(e.Value.Client, replies)
+		s.SendReplies(e.Value.Client, b)
 	}
 	if len(s.votes) > 0 {
 		delete(s.votes, e.Instance)
@@ -420,18 +422,18 @@ func (s *Shell) onApply(e rsm.Entry, results []string) {
 	s.AfterApply()
 }
 
-// SendReplies answers client with one message for all of replies (at
-// least one), so it can retire a batch in one step and refill its
-// window with a full one. replies must come from msg.GetReplies: a
-// batch message takes over the pooled array (the receiver recycles
-// it); a bare reply is copied out and the array goes straight back to
-// the pool.
-func (s *Shell) SendReplies(client msg.NodeID, replies []msg.ClientReply) {
-	m := msg.WrapReplies(replies)
-	s.Ctx.Send(client, m)
-	if _, batched := m.(msg.ClientReplyBatch); !batched {
-		msg.PutReplies(replies)
+// SendReplies answers client with one message for all of b's replies
+// (at least one), so it can retire a batch in one step and refill its
+// window with a full one. b comes from msg.DrawReplies and is sent as
+// it is, or — holding one reply — goes back to its pool and the reply
+// travels bare, the form bench/'s engine ladder reads.
+func (s *Shell) SendReplies(client msg.NodeID, b *msg.ClientReplyBatch) {
+	if len(b.Replies) == 1 {
+		s.Ctx.Send(client, b.Replies[0])
+		msg.Release(b)
+		return
 	}
+	s.Ctx.Send(client, b)
 }
 
 // AfterApply counts one commit and runs the per-commit hooks: reads

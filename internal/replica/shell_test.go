@@ -31,12 +31,12 @@ func newShell(t *testing.T, tweak func(*protocol.Config), a replica.Agreement) (
 	return s, ctx
 }
 
-func put(seq uint64) msg.ClientRequest {
-	return msg.ClientRequest{Client: testClient, Seq: seq, Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "v"}}
+func put(seq uint64) *msg.ClientRequest {
+	return &msg.ClientRequest{Client: testClient, Seq: seq, Cmd: msg.Command{Op: msg.OpPut, Key: "k", Val: "v"}}
 }
 
 // commit admits req and learns it at instance in, as an engine would.
-func commit(t *testing.T, s *replica.Shell, in int64, req msg.ClientRequest) {
+func commit(t *testing.T, s *replica.Shell, in int64, req *msg.ClientRequest) {
 	t.Helper()
 	entries := s.Admit(req)
 	if len(entries) == 0 {
@@ -51,7 +51,7 @@ func clientReplies(ctx *runtime.FakeContext) []msg.ClientReply {
 		switch r := m.(type) {
 		case msg.ClientReply:
 			out = append(out, r)
-		case msg.ClientReplyBatch:
+		case *msg.ClientReplyBatch:
 			out = append(out, r.Replies...)
 		}
 	}
@@ -138,18 +138,19 @@ func TestApplyAnswersBatchWithOneMessage(t *testing.T) {
 		{Seq: 2, Cmd: msg.Command{Op: msg.OpGet, Key: "a"}},
 		{Seq: 3, Cmd: msg.Command{Op: msg.OpPut, Key: "b", Val: "2"}},
 	}
-	commit(t, s, 0, msg.NewRequest(testClient, 0, entries))
+	commit(t, s, 0, msg.BoxRequest(msg.NewRequest(testClient, 0, entries)))
 	sent := ctx.SentTo(testClient)
 	if len(sent) != 1 {
 		t.Fatalf("a batched value sent %d messages, want 1", len(sent))
 	}
-	batch, ok := sent[0].(msg.ClientReplyBatch)
+	batch, ok := sent[0].(*msg.ClientReplyBatch)
 	if !ok || len(batch.Replies) != 3 {
 		t.Fatalf("reply = %+v, want a ClientReplyBatch of 3", sent[0])
 	}
-	// The message owns the pooled array now: whatever the pool hands out
-	// next must not alias it.
-	next := append(msg.GetReplies(3), msg.ClientReply{Seq: 77}, msg.ClientReply{Seq: 78}, msg.ClientReply{Seq: 79})
+	// The box is the receiver's until it is released: whatever the pool
+	// hands out meanwhile must not alias it.
+	next := msg.DrawReplies()
+	next.Replies = append(next.Replies, msg.ClientReply{Seq: 77}, msg.ClientReply{Seq: 78}, msg.ClientReply{Seq: 79})
 	for i, rep := range batch.Replies {
 		if rep.Seq != uint64(i+1) || !rep.OK {
 			t.Errorf("reply %d = %+v after the pool was used again", i, rep)
@@ -158,11 +159,11 @@ func TestApplyAnswersBatchWithOneMessage(t *testing.T) {
 	if batch.Replies[1].Result != "1" {
 		t.Errorf("batched Get result = %q, want %q", batch.Replies[1].Result, "1")
 	}
-	msg.PutReplies(next)
-	msg.RecycleReplies(batch)
+	msg.Release(next)
+	msg.Release(batch)
 
-	// A single command is answered with a bare reply (the array went
-	// back to the pool; the reply was copied out of it).
+	// A single command is answered with a bare reply (the box went back
+	// to the pool; the reply was copied out of it).
 	ctx.TakeSent()
 	commit(t, s, 1, put(4))
 	sent = ctx.SentTo(testClient)
@@ -198,7 +199,7 @@ func TestApplyWithoutOriginMarksRecordsAndSendsNothing(t *testing.T) {
 		t.Errorf("b = %q after %d commits, want the batch applied once", v, s.Commits())
 	}
 
-	if got := s.Admit(msg.ClientRequest{Client: testClient, Seq: 2, Cmd: get}); len(got) != 0 {
+	if got := s.Admit(&msg.ClientRequest{Client: testClient, Seq: 2, Cmd: get}); len(got) != 0 {
 		t.Errorf("a retry of a recorded seq reached the engine: %v", got)
 	}
 	got := clientReplies(ctx)
@@ -220,7 +221,7 @@ func TestApplyNoopSendsNothingButRunsBothHooks(t *testing.T) {
 		OnCompact: func(int64) { ticks++ },
 	})
 	const reader = msg.NodeID(8)
-	s.Route(ctx, reader, msg.ReadRequest{Client: reader, Entries: []msg.BatchEntry{{Seq: 1, Cmd: msg.Command{Op: msg.OpGet, Key: "k"}}}})
+	s.Route(ctx, reader, &msg.ReadRequest{Client: reader, Entries: []msg.BatchEntry{{Seq: 1, Cmd: msg.Command{Op: msg.OpGet, Key: "k"}}}})
 	s.Route(ctx, 1, msg.ReadIndexAck{Round: 1, OK: true, Frontier: 1})
 	if got := ctx.SentTo(reader); len(got) != 0 {
 		t.Fatalf("read served before instance 0 applied: %v", got)
@@ -230,7 +231,7 @@ func TestApplyNoopSendsNothingButRunsBothHooks(t *testing.T) {
 	s.Log().Learn(0, msg.Value{Client: msg.Nobody, Cmd: msg.Command{Op: msg.OpNoop}})
 	for _, sent := range ctx.Sent {
 		switch sent.M.(type) {
-		case msg.ClientReply, msg.ClientReplyBatch:
+		case msg.ClientReply, *msg.ClientReplyBatch:
 			t.Errorf("a no-op was answered: %+v", sent)
 		}
 	}

@@ -138,6 +138,7 @@ func (c *core) drainLocal() {
 		s := c.local[i]
 		c.local[i] = localSend{} // release the reference once delivered
 		s.to.handler.Receive(s.to.ctx, s.from, s.m)
+		msg.Release(s.m)
 		if len(s.to.self) > 0 {
 			s.to.drainSelf()
 		}

@@ -161,7 +161,7 @@ func (n *Node) post(env envelope) {
 // else goes to the peer transport.
 func (n *Node) send(to msg.NodeID, m msg.Message) {
 	if n.tracer.Enabled() {
-		if req, ok := m.(msg.ClientRequest); ok {
+		if req, ok := m.(*msg.ClientRequest); ok {
 			n.tracer.MarkWire(req, time.Since(n.epoch))
 		}
 	}
@@ -190,9 +190,14 @@ func (n *Node) begin() {
 	n.drainSelf()
 }
 
-// receive delivers one message, then everything it sent within the core.
+// receive delivers one message, releases it (msg.Release: a pooled box
+// goes back to its pool, anything else is left alone), then delivers
+// everything it sent within the core. Every in-process delivery path —
+// peer queue, mailbox, self-send and same-core FIFO — releases after
+// the handler returns, and each delivers a message once.
 func (n *Node) receive(from msg.NodeID, m msg.Message) {
 	n.handler.Receive(n.ctx, from, m)
+	msg.Release(m)
 	n.settle()
 }
 
@@ -216,6 +221,7 @@ func (n *Node) drainSelf() {
 		m := n.self[i]
 		n.self[i] = nil // release the reference once delivered
 		n.handler.Receive(n.ctx, n.id, m)
+		msg.Release(m)
 	}
 	n.self = n.self[:0]
 }

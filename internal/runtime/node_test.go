@@ -264,3 +264,87 @@ func TestInProcTimerFloodOnStalledNode(t *testing.T) {
 		}
 	})
 }
+
+// TestInProcReleasesEveryDelivery: a pooled box is released once its
+// handler returns, on every delivery path — a send to a peer (across
+// cores, through the core's FIFO, or over the wire, where the writer
+// releases once it has encoded it), a self-send, and the mailbox
+// (Inject). Each box carries an id no other does; when node 0 takes a
+// delivery, every box it took before must no longer carry its id (zeroed
+// by msg.Release, or poison under msgpoison, where a second release
+// would panic). At the end every box the test drew must read released.
+func TestInProcReleasesEveryDelivery(t *testing.T) {
+	const k = 64
+	eachRuntime(t, func(t *testing.T, start func([]runtime.Handler) cluster) {
+		type sent struct {
+			box *msg.ReadRequest
+			id  msg.NodeID
+		}
+		// Every box is drawn here, before any delivery: nothing draws
+		// while the nodes release, so no check below reads a box that
+		// another goroutine is refilling.
+		draw := func(base msg.NodeID) []sent {
+			out := make([]sent, k)
+			for i := range out {
+				out[i] = sent{msg.DrawReadRequest(base+msg.NodeID(i), 0), base + msg.NodeID(i)}
+			}
+			return out
+		}
+		toPeer, toSelf, injected := draw(1000), draw(2000), draw(3000)
+		stale := func(boxes []sent) int {
+			n := 0
+			for _, s := range boxes {
+				if s.box.Client == s.id {
+					n++
+				}
+			}
+			return n
+		}
+		var mu sync.Mutex
+		taken := map[msg.NodeID][]sent{} // per receiving node, in delivery order
+		done := make(chan struct{})
+		var total atomic.Int64
+		receive := func(ctx runtime.Context, _ msg.NodeID, m msg.Message) {
+			r, ok := m.(*msg.ReadRequest)
+			if !ok {
+				return
+			}
+			mu.Lock()
+			before := taken[ctx.ID()]
+			if n := stale(before); n > 0 {
+				t.Errorf("node %d: %d boxes delivered before still carry their ids", ctx.ID(), n)
+			}
+			taken[ctx.ID()] = append(before, sent{r, r.Client})
+			mu.Unlock()
+			if total.Add(1) == 3*k {
+				close(done)
+			}
+		}
+		sender := runtime.HandlerFunc{OnReceive: func(ctx runtime.Context, from msg.NodeID, m msg.Message) {
+			if _, kick := m.(msg.ClientRequest); kick {
+				for i := range k {
+					ctx.Send(0, toPeer[i].box)
+					ctx.Send(ctx.ID(), toSelf[i].box)
+				}
+				return
+			}
+			receive(ctx, from, m)
+		}}
+		c := start([]runtime.Handler{runtime.HandlerFunc{OnReceive: receive}, sender})
+		c.inject(msg.Nobody, 1, msg.ClientRequest{})
+		for _, s := range injected {
+			c.inject(msg.Nobody, 0, s.box)
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d boxes delivered", total.Load(), 3*k)
+		}
+		c.stop()
+		for what, boxes := range map[string][]sent{"sent to a peer": toPeer, "self-sent": toSelf, "injected": injected} {
+			if n := stale(boxes); n > 0 {
+				t.Errorf("%d of %d boxes %s were never released", n, k, what)
+			}
+		}
+	})
+}

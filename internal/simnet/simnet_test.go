@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -363,5 +364,32 @@ func TestManyCoreCostModelMatchesPaperTransmission(t *testing.T) {
 	}
 	if got := LAN().Send; got != 2*time.Microsecond {
 		t.Fatalf("LAN Send = %v, want 2µs", got)
+	}
+}
+
+// TestSimnetNeverReleases: the simulator delivers a pooled box as it was
+// sent and never releases it — a fault schedule may hand one box to
+// several cores, as two sends of one box do here, and a recycled box
+// would reach the second receiver emptied. Both receivers read the
+// box's contents, and it still holds them after the run.
+func TestSimnetNeverReleases(t *testing.T) {
+	net := New(topology.Uniform(3, time.Microsecond), flatCost(), 1)
+	box := msg.DrawReadRequest(7, 0)
+	box.Entries = append(box.Entries, msg.BatchEntry{Seq: 1, Cmd: msg.Command{Op: msg.OpGet, Key: "k"}})
+	var read []string
+	for range 2 {
+		net.AddNode(runtime.HandlerFunc{OnReceive: func(_ runtime.Context, _ msg.NodeID, m msg.Message) {
+			r := m.(*msg.ReadRequest)
+			read = append(read, fmt.Sprint(r.Client, len(r.Entries)))
+		}})
+	}
+	net.AddNode(runtime.HandlerFunc{OnStart: func(ctx runtime.Context) {
+		ctx.Send(0, box)
+		ctx.Send(1, box)
+	}})
+	net.Start()
+	net.RunFor(time.Millisecond)
+	if fmt.Sprint(read) != "[7 1 7 1]" || box.Client != 7 || len(box.Entries) != 1 {
+		t.Fatalf("receivers read %v, box holds %+v after the run; want both to read client 7 and one entry, and the box intact", read, *box)
 	}
 }

@@ -233,7 +233,7 @@ func (t *Tracer) Mark(client msg.NodeID, seq uint64, st Stage, virtual time.Dura
 // MarkWire stamps the wire-send stage for every sampled command an
 // outgoing client request carries — the hook both transports' send
 // paths call.
-func (t *Tracer) MarkWire(req msg.ClientRequest, virtual time.Duration) {
+func (t *Tracer) MarkWire(req *msg.ClientRequest, virtual time.Duration) {
 	if len(req.Batch) == 0 {
 		t.Mark(req.Client, req.Seq, StageWire, virtual)
 		return

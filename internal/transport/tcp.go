@@ -415,6 +415,7 @@ func (t *TCPNode) send(to msg.NodeID, m msg.Message) {
 	pc, err := t.conn(to)
 	if err != nil {
 		t.Stats.Dropped.Add(1)
+		msg.Release(m)
 		return
 	}
 	select {
@@ -429,8 +430,10 @@ func (t *TCPNode) send(to msg.NodeID, m msg.Message) {
 		}
 	case <-pc.closed:
 		t.Stats.Dropped.Add(1)
+		msg.Release(m)
 	default:
 		t.Stats.Dropped.Add(1)
+		msg.Release(m)
 	}
 }
 
@@ -524,8 +527,9 @@ func (t *TCPNode) dialPeer(to msg.NodeID, pc *peerConn, addr string) (*bufio.Wri
 func (t *TCPNode) drainDropped(pc *peerConn) {
 	for {
 		select {
-		case <-pc.out:
+		case m := <-pc.out:
 			t.Stats.Dropped.Add(1)
+			msg.Release(m)
 		default:
 			return
 		}
@@ -534,13 +538,15 @@ func (t *TCPNode) drainDropped(pc *peerConn) {
 
 // writeWireFrame encodes one message as a length-prefixed frame into
 // the buffered writer, through a pooled scratch buffer — the
-// steady-state send path allocates nothing. It reports whether the
-// message was written; an unencodable message is dropped (and counted)
-// without killing the connection.
+// steady-state send path allocates nothing — and releases it
+// (msg.Release): the frame holds everything the peer needs. It reports
+// whether the message was written; an unencodable message is dropped
+// (and counted) without killing the connection.
 func (t *TCPNode) writeWireFrame(bw *bufio.Writer, m msg.Message) (bool, error) {
 	scratch := wire.GetBuf()
 	b := wire.BeginFrame(*scratch)
 	b, err := msg.AppendEnvelope(b, t.id, m)
+	msg.Release(m)
 	if err == nil {
 		b, err = wire.EndFrame(b)
 	}

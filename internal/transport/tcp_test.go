@@ -41,7 +41,7 @@ func TestEchoOverTCP(t *testing.T) {
 		got := make(chan msg.Message, 1)
 		echo := runtime.HandlerFunc{
 			OnReceive: func(ctx runtime.Context, from msg.NodeID, m msg.Message) {
-				if _, ok := m.(msg.ClientRequest); ok {
+				if _, ok := m.(*msg.ClientRequest); ok {
 					ctx.Send(from, msg.ClientReply{Seq: 1, OK: true, Result: "echo"})
 				}
 			},

@@ -151,8 +151,8 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 	if r.Route(ctx, from, m) {
 		return
 	}
-	switch mm := m.(type) {
-	case msg.ClientRequest:
+	switch mm := msg.Boxed(m).(type) {
+	case *msg.ClientRequest:
 		r.onClientRequest(from, mm)
 	case msg.TPCPrepare:
 		r.onPrepare(from, mm)
@@ -169,7 +169,7 @@ func (r *Replica) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 
 // --- Client path ---
 
-func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
+func (r *Replica) onClientRequest(from msg.NodeID, req *msg.ClientRequest) {
 	// What the session table has not seen commit still needs a
 	// transaction (nothing, while this replica is catching up).
 	fresh := r.Screen(req)
@@ -204,7 +204,7 @@ func (r *Replica) onClientRequest(from msg.NodeID, req msg.ClientRequest) {
 	}
 	if !r.IsLeader() {
 		// Participants funnel updates through the coordinator.
-		r.Ctx.Send(r.Regime().Leader, req)
+		r.Ctx.Send(r.Regime().Leader, msg.BoxRequest(*req))
 		return
 	}
 	// Drop entries a live transaction already carries (a client retry —
@@ -306,11 +306,11 @@ func (r *Replica) onAck(m msg.TPCAck) {
 		delete(r.txs, t.id)
 		r.Disown(t.value)
 		delete(r.prepared, t.id)
-		var replies []msg.ClientReply
+		b := msg.DrawReplies()
 		for i := range t.value.Len() {
-			replies = append(replies, msg.ClientReply{Seq: t.value.EntryAt(i).Seq, OK: false, Redirect: r.Regime().Leader})
+			b.Replies = append(b.Replies, msg.ClientReply{Seq: t.value.EntryAt(i).Seq, OK: false, Redirect: r.Regime().Leader})
 		}
-		r.Ctx.Send(t.value.Client, msg.WrapReplies(replies))
+		r.SendReplies(t.value.Client, b)
 		return
 	}
 	t.acks[m.From] = true
@@ -331,11 +331,11 @@ func (r *Replica) onAck(m msg.TPCAck) {
 	}
 	results := r.applyCommit(t.id, t.value)
 	t.commitAcks[r.Me] = true
-	replies := msg.GetReplies(len(results))
+	b := msg.DrawReplies()
 	for i, result := range results {
-		replies = append(replies, msg.ClientReply{Seq: t.value.EntryAt(i).Seq, Instance: t.id, OK: true, Result: result})
+		b.Replies = append(b.Replies, msg.ClientReply{Seq: t.value.EntryAt(i).Seq, Instance: t.id, OK: true, Result: result})
 	}
-	r.SendReplies(t.value.Client, replies)
+	r.SendReplies(t.value.Client, b)
 	r.finishTx(t)
 }
 

@@ -300,8 +300,9 @@ func (c *Client) Start(ctx runtime.Context) {
 	ctx.After(c.cfg.StartDelay, runtime.TimerTag{Kind: TimerSend})
 }
 
-// Receive implements runtime.Handler: only commit ACKs and read
-// answers — single or batched — are expected. A batched reply retires
+// Receive implements runtime.Handler: only commit ACKs — bare or
+// batched — and read answers (always batched) are expected. The
+// simulator never releases a box, so nothing here does either. A batched reply retires
 // every answered command before the windows are refilled, so the freed
 // slots refill as one batch instead of one slot at a time; the read
 // lanes are pumped after the refill, so the replacements coalesce with
@@ -311,11 +312,9 @@ func (c *Client) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 	switch mm := m.(type) {
 	case msg.ClientReply:
 		refill = c.onReplies(ctx, []msg.ClientReply{mm})
-	case msg.ClientReplyBatch:
+	case *msg.ClientReplyBatch:
 		refill = c.onReplies(ctx, mm.Replies)
-	case msg.ReadReply:
-		refill = c.onReadReplies(ctx, []msg.ReadReply{mm})
-	case msg.ReadReplyBatch:
+	case *msg.ReadReplyBatch:
 		refill = c.onReadReplies(ctx, mm.Replies)
 	}
 	if refill {

@@ -42,11 +42,11 @@ func lastRequest(t *testing.T, ctx *runtime.FakeContext) (msg.NodeID, msg.Client
 	if s == nil {
 		t.Fatal("no message sent")
 	}
-	req, ok := s.M.(msg.ClientRequest)
+	req, ok := s.M.(*msg.ClientRequest)
 	if !ok {
 		t.Fatalf("last sent is %T, want ClientRequest", s.M)
 	}
-	return s.To, req
+	return s.To, *req
 }
 
 func TestClientValidation(t *testing.T) {
@@ -258,7 +258,7 @@ func TestClientPipelinedWindow(t *testing.T) {
 	}
 	seen := map[uint64]bool{}
 	for _, s := range ctx.Sent {
-		req, ok := s.M.(msg.ClientRequest)
+		req, ok := s.M.(*msg.ClientRequest)
 		if !ok {
 			t.Fatalf("sent %T", s.M)
 		}
@@ -395,7 +395,7 @@ func TestClientShardLanesFillAllGroups(t *testing.T) {
 	// and with seqs tagged by its shard index.
 	perGroup := map[int]int{}
 	for _, s := range ctx.TakeSent() {
-		req, ok := s.M.(msg.ClientRequest)
+		req, ok := s.M.(*msg.ClientRequest)
 		if !ok {
 			t.Fatalf("sent %T, want ClientRequest", s.M)
 		}
@@ -514,7 +514,7 @@ func TestClientBatchedWindowFill(t *testing.T) {
 	seen := map[uint64]bool{}
 	next := uint64(1)
 	for i, s := range sent {
-		req, ok := s.M.(msg.ClientRequest)
+		req, ok := s.M.(*msg.ClientRequest)
 		if !ok {
 			t.Fatalf("sent %T, want ClientRequest", s.M)
 		}
@@ -564,7 +564,7 @@ func TestClientBatchedReplyRefillsAsBatch(t *testing.T) {
 	for seq := uint64(1); seq <= 4; seq++ {
 		replies = append(replies, msg.ClientReply{Seq: seq, OK: true, Result: "r"})
 	}
-	c.Receive(ctx, 0, msg.ClientReplyBatch{Replies: replies})
+	c.Receive(ctx, 0, &msg.ClientReplyBatch{Replies: replies})
 	if c.Completed() != 4 {
 		t.Fatalf("completed = %d, want 4", c.Completed())
 	}
@@ -572,7 +572,7 @@ func TestClientBatchedReplyRefillsAsBatch(t *testing.T) {
 	if len(sent) != 1 {
 		t.Fatalf("refill sent %d requests, want one batch", len(sent))
 	}
-	req := sent[0].M.(msg.ClientRequest)
+	req := sent[0].M.(*msg.ClientRequest)
 	if entries := req.Batch; len(entries) != 4 || entries[0].Seq != 9 {
 		t.Fatalf("refill batch = %+v, want seqs 9..12", entries)
 	}
@@ -590,7 +590,7 @@ func TestClientBatchedRetryKeepsSeq(t *testing.T) {
 	c, ctx := batchedClient()
 	c.Start(ctx)
 	c.Timer(ctx, runtime.TimerTag{Kind: TimerSend})
-	first := ctx.TakeSent()[0].M.(msg.ClientRequest)
+	first := ctx.TakeSent()[0].M.(*msg.ClientRequest)
 	if len(first.Batch) != 4 {
 		t.Fatalf("first batch = %+v", first)
 	}
@@ -601,7 +601,7 @@ func TestClientBatchedRetryKeepsSeq(t *testing.T) {
 	if len(sent) != 1 {
 		t.Fatalf("retry sent %d messages, want 1", len(sent))
 	}
-	retry := sent[0].M.(msg.ClientRequest)
+	retry := sent[0].M.(*msg.ClientRequest)
 	if sent[0].To != 1 {
 		t.Fatalf("retry went to %d, want next server 1", sent[0].To)
 	}
@@ -632,7 +632,7 @@ func TestClientBatchedRetryKeepsSeq(t *testing.T) {
 	for seq := uint64(1); seq <= 4; seq++ {
 		replies = append(replies, msg.ClientReply{Seq: seq, OK: true})
 	}
-	c.Receive(ctx, 0, msg.ClientReplyBatch{Replies: replies})
+	c.Receive(ctx, 0, &msg.ClientReplyBatch{Replies: replies})
 	if c.Completed() != 4 {
 		t.Fatalf("completed = %d, want 4", c.Completed())
 	}
@@ -661,7 +661,7 @@ func TestClientHoldsWhenSlotsAreShortOfABatch(t *testing.T) {
 	}
 	c.Receive(ctx, 0, msg.ClientReply{Seq: 4, OK: true})
 	sent := ctx.TakeSent()
-	if len(sent) != 1 || len(sent[0].M.(msg.ClientRequest).Batch) != 4 {
+	if len(sent) != 1 || len(sent[0].M.(*msg.ClientRequest).Batch) != 4 {
 		t.Fatalf("fourth free slot sent %+v, want one full batch", sent)
 	}
 }
@@ -719,7 +719,7 @@ func TestClientFastReadsRideTheReadLane(t *testing.T) {
 	})
 	readSeqs := func(what string, s runtime.FakeSend, to msg.NodeID, want ...uint64) {
 		t.Helper()
-		req, ok := s.M.(msg.ReadRequest)
+		req, ok := s.M.(*msg.ReadRequest)
 		if !ok || s.To != to || req.Mode != int(readpath.Lease) || len(req.Entries) != len(want) {
 			t.Fatalf("%s: sent %+v to %d, want a lease ReadRequest of %d reads to %d", what, s.M, s.To, len(want), to)
 		}
@@ -751,21 +751,21 @@ func TestClientFastReadsRideTheReadLane(t *testing.T) {
 	}
 	// One answer: the read completes, and the pooled reads leave with its
 	// replacement as ONE request.
-	c.Receive(ctx, 0, msg.ReadReply{Seq: 1, OK: true, Result: "r"})
+	c.Receive(ctx, 0, &msg.ReadReplyBatch{Replies: []msg.ReadReply{{Seq: 1, OK: true, Result: "r"}}})
 	if c.Completed() != 1 || c.ReadLatencies().Count() != 1 {
 		t.Fatalf("completed %d, read samples %d; want 1 and 1", c.Completed(), c.ReadLatencies().Count())
 	}
 	one("refill", 0, 3, 4, 5)
-	c.Receive(ctx, 0, msg.ReadReply{Seq: 2, OK: true})
+	c.Receive(ctx, 0, &msg.ReadReplyBatch{Replies: []msg.ReadReply{{Seq: 2, OK: true}}})
 	one("second refill", 0, 6)
 	// Two requests are outstanding: the next replacement pools.
-	c.Receive(ctx, 0, msg.ReadReply{Seq: 3, OK: true})
+	c.Receive(ctx, 0, &msg.ReadReplyBatch{Replies: []msg.ReadReply{{Seq: 3, OK: true}}})
 	if sent := ctx.TakeSent(); len(sent) != 0 {
 		t.Fatalf("third request sent with two outstanding: %+v", sent)
 	}
 	// A redirect re-aims the read lane; the read goes out again ahead of
 	// the pooled one, and completes nothing.
-	c.Receive(ctx, 0, msg.ReadReply{Seq: 6, Redirect: 2})
+	c.Receive(ctx, 0, &msg.ReadReplyBatch{Replies: []msg.ReadReply{{Seq: 6, Redirect: 2}}})
 	one("after the redirect", 2, 7, 8)
 	if c.Completed() != 3 {
 		t.Fatalf("completed = %d, want 3", c.Completed())
