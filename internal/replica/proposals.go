@@ -90,7 +90,10 @@ func (p *Proposals) Queued() int { return len(p.queue) }
 
 // ForwardQueue hands every queued request to leader, which marks its
 // entries its own and answers; this node gives their origin marks away.
-// A leader that is this node or nobody leaves the queue as it is.
+// As in Lead, an entry that committed while it waited is dropped: this
+// node answered it at the commit, and forwarding it would have the
+// leader answer it again from its session table. A leader that is this
+// node or nobody leaves the queue as it is.
 func (p *Proposals) ForwardQueue(leader msg.NodeID) {
 	if leader == p.s.Me || leader == msg.Nobody {
 		return
@@ -98,8 +101,13 @@ func (p *Proposals) ForwardQueue(leader msg.NodeID) {
 	queue := p.queue
 	p.queue = nil
 	for _, req := range queue {
-		p.s.Disown(msg.Value(req))
-		p.s.Ctx.Send(leader, msg.BoxRequest(req))
+		keep := p.s.Sessions.Unseen(msg.Value(req))
+		if len(keep) == 0 {
+			continue
+		}
+		fwd := msg.NewRequest(req.Client, req.Ack, keep)
+		p.s.Disown(msg.Value(fwd))
+		p.s.Ctx.Send(leader, msg.BoxRequest(fwd))
 	}
 }
 

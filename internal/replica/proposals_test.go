@@ -132,23 +132,24 @@ func TestForwardQueueAndDeposeReleaseMarks(t *testing.T) {
 	}
 }
 
-// TestForwardQueueResendsCommittedRequest pins a duplicate answer. A
-// queued request that commits meanwhile (another replica proposed the
-// client's retry) is answered here at its commit, and ForwardQueue
-// still hands it to the new leader, which answers it again from its
-// session table. Lead drops such a request (Sessions.Unseen);
-// ForwardQueue does not. This asserts today's behaviour: filtering the
-// forward flips it.
-func TestForwardQueueResendsCommittedRequest(t *testing.T) {
+// TestForwardQueueSkipsCommittedRequest: a queued request that commits
+// meanwhile (another replica proposed the client's retry) is answered
+// here at its commit, and ForwardQueue drops it, as Lead does
+// (Sessions.Unseen) — forwarding it made the new leader answer it a
+// second time from its session table. An uncommitted request is still
+// forwarded.
+func TestForwardQueueSkipsCommittedRequest(t *testing.T) {
 	b := newBook(t, true)
 	b.s.Book.Queue(testClient, 0, b.s.Admit(put(1)))
+	b.s.Book.Queue(testClient, 0, b.s.Admit(put(2)))
 	b.s.Log().Learn(0, value(1))
 	if got := len(b.ctx.SentTo(testClient)); got != 1 {
 		t.Fatalf("the commit sent the client %d replies, want 1", got)
 	}
 	b.s.Book.ForwardQueue(2)
-	if got := len(b.ctx.SentTo(2)); got != 1 {
-		t.Fatalf("forwarded %d requests; today the committed one is forwarded too", got)
+	fwd := b.ctx.SentTo(2)
+	if len(fwd) != 1 || fwd[0].(*msg.ClientRequest).Seq != 2 {
+		t.Fatalf("forwarded %+v; want only seq 2, the request that has not committed", fwd)
 	}
 }
 
