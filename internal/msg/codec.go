@@ -86,20 +86,22 @@ const HelloTag byte = 0xFF
 // that runs the type's layout over a reading codec. (Going through a
 // func value moves the codec to the heap — once per received message,
 // which the reader goroutine can afford; the send path cannot.) A
-// pooled kind decodes into a fresh box, which the receiving runtime
-// releases into its pool after delivery.
+// pooled kind decodes into a box drawn from its pool, which the
+// receiving runtime releases after delivery: each frame draws one box
+// and releases one at each end, so the pools neither run dry nor pile
+// up.
 var wireTypes = []struct {
 	tag byte
 	dec func(c *wire.Codec) Message
 }{
-	{tagClientRequest, func(c *wire.Codec) Message { m := new(ClientRequest); m.wire(c); return m }},
+	{tagClientRequest, func(c *wire.Codec) Message { m := requests.get(); m.wire(c); return m }},
 	{tagClientReply, func(c *wire.Codec) Message { var m ClientReply; m.wire(c); return m }},
-	{tagClientReplyBatch, func(c *wire.Codec) Message { m := new(ClientReplyBatch); m.wire(c); return m }},
+	{tagClientReplyBatch, func(c *wire.Codec) Message { m := replies.get(); m.wire(c); return m }},
 	{tagPrepareRequest, func(c *wire.Codec) Message { var m PrepareRequest; m.wire(c); return m }},
 	{tagPromise, func(c *wire.Codec) Message { var m Promise; m.wire(c); return m }},
 	{tagAbandon, func(c *wire.Codec) Message { var m Abandon; m.wire(c); return m }},
-	{tagAccept, func(c *wire.Codec) Message { m := new(Accept); m.wire(c); return m }},
-	{tagLearn, func(c *wire.Codec) Message { m := new(Learn); m.wire(c); return m }},
+	{tagAccept, func(c *wire.Codec) Message { m := accepts.get(); m.wire(c); return m }},
+	{tagLearn, func(c *wire.Codec) Message { m := learns.get(); m.wire(c); return m }},
 	{tagSlotPrepare, func(c *wire.Codec) Message { var m SlotPrepare; m.wire(c); return m }},
 	{tagUtilPromise, func(c *wire.Codec) Message { var m UtilPromise; m.wire(c); return m }},
 	{tagUtilAccept, func(c *wire.Codec) Message { var m UtilAccept; m.wire(c); return m }},
@@ -118,9 +120,9 @@ var wireTypes = []struct {
 	{tagCatchupRequest, func(c *wire.Codec) Message { var m CatchupRequest; m.wire(c); return m }},
 	{tagSnapshotChunk, func(c *wire.Codec) Message { var m SnapshotChunk; m.wire(c); return m }},
 	{tagCatchupEntries, func(c *wire.Codec) Message { var m CatchupEntries; m.wire(c); return m }},
-	{tagReadRequest, func(c *wire.Codec) Message { m := new(ReadRequest); m.wire(c); return m }},
+	{tagReadRequest, func(c *wire.Codec) Message { m := reads.get(); m.wire(c); return m }},
 	{tagReadReply, func(c *wire.Codec) Message { var m ReadReply; m.wire(c); return m }},
-	{tagReadReplyBatch, func(c *wire.Codec) Message { m := new(ReadReplyBatch); m.wire(c); return m }},
+	{tagReadReplyBatch, func(c *wire.Codec) Message { m := readReplies.get(); m.wire(c); return m }},
 	{tagReadIndexRequest, func(c *wire.Codec) Message { var m ReadIndexRequest; m.wire(c); return m }},
 	{tagReadIndexAck, func(c *wire.Codec) Message { var m ReadIndexAck; m.wire(c); return m }},
 }
@@ -312,6 +314,19 @@ func (m *Decided) wire(c *wire.Codec) {
 // backlogs) rarely exceed it anyway.
 const decodeSliceCap = 4096
 
+// decodeInto returns the slice a decoded count-n slice grows in: nil for
+// none, the array s already has when it is large enough — a box drawn
+// from its pool keeps the array it owns (pool.go) — else a fresh one.
+func decodeInto[T any](s []T, n int) []T {
+	switch {
+	case n == 0:
+		return nil
+	case cap(s) >= min(n, decodeSliceCap):
+		return s[:0]
+	}
+	return make([]T, 0, min(n, decodeSliceCap))
+}
+
 // A slice is its count, then each element's layout. The five functions
 // below differ only in the element type (see the file header for why
 // they are not one generic function). Reading starts from the nil slice
@@ -321,8 +336,8 @@ const decodeSliceCap = 4096
 
 func wireBatch(c *wire.Codec, p *[]BatchEntry) {
 	n := c.Len(len(*p))
-	if c.Reading() && n > 0 {
-		*p = make([]BatchEntry, 0, min(n, decodeSliceCap))
+	if c.Reading() {
+		*p = decodeInto(*p, n)
 	}
 	for i := 0; i < n && c.Err() == nil; i++ {
 		if c.Reading() {
@@ -334,8 +349,8 @@ func wireBatch(c *wire.Codec, p *[]BatchEntry) {
 
 func wireProposals(c *wire.Codec, p *[]Proposal) {
 	n := c.Len(len(*p))
-	if c.Reading() && n > 0 {
-		*p = make([]Proposal, 0, min(n, decodeSliceCap))
+	if c.Reading() {
+		*p = decodeInto(*p, n)
 	}
 	for i := 0; i < n && c.Err() == nil; i++ {
 		if c.Reading() {
@@ -364,8 +379,8 @@ func (m *ClientReply) wire(c *wire.Codec) {
 
 func (m *ClientReplyBatch) wire(c *wire.Codec) {
 	n := c.Len(len(m.Replies))
-	if c.Reading() && n > 0 {
-		m.Replies = make([]ClientReply, 0, min(n, decodeSliceCap))
+	if c.Reading() {
+		m.Replies = decodeInto(m.Replies, n)
 	}
 	for i := 0; i < n && c.Err() == nil; i++ {
 		if c.Reading() {
@@ -515,8 +530,8 @@ func (m *SnapshotChunk) wire(c *wire.Codec) {
 
 func (m *CatchupEntries) wire(c *wire.Codec) {
 	n := c.Len(len(m.Entries))
-	if c.Reading() && n > 0 {
-		m.Entries = make([]Decided, 0, min(n, decodeSliceCap))
+	if c.Reading() {
+		m.Entries = decodeInto(m.Entries, n)
 	}
 	for i := 0; i < n && c.Err() == nil; i++ {
 		if c.Reading() {
@@ -546,8 +561,8 @@ func (m *ReadReply) wire(c *wire.Codec) {
 
 func (m *ReadReplyBatch) wire(c *wire.Codec) {
 	n := c.Len(len(m.Replies))
-	if c.Reading() && n > 0 {
-		m.Replies = make([]ReadReply, 0, min(n, decodeSliceCap))
+	if c.Reading() {
+		m.Replies = decodeInto(m.Replies, n)
 	}
 	for i := 0; i < n && c.Err() == nil; i++ {
 		if c.Reading() {

@@ -211,13 +211,13 @@ type ClientReply struct {
 }
 
 // ClientReplyBatch answers several commands of one client in a single
-// message (one command's answer travels as a bare ClientReply) — the reply-path half of command batching. A batched value
-// commits all its commands at once; answering them one message at a
-// time would wake the client once per command and refill its pipeline
-// window one slot at a time, collapsing the proposer-side batcher back
-// to single-command batches. Delivering the replies together lets the
-// client retire the whole batch in one step and issue a full batch in
-// its place.
+// message (one command's answer travels as a bare ClientReply) — the
+// reply-path half of command batching. A batched value commits all its
+// commands at once; answering them one message at a time would wake the
+// client once per command and refill its pipeline window one slot at a
+// time, collapsing the proposer-side batcher back to single-command
+// batches. Delivering the replies together lets the client retire the
+// whole batch in one step and issue a full batch in its place.
 type ClientReplyBatch struct {
 	Replies []ClientReply
 }

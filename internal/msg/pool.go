@@ -32,8 +32,7 @@ import (
 //     dropped, never reused.
 //   - The simulator and the FakeContext never release: simnet may
 //     deliver one box to several cores under a fault schedule, and a
-//     test keeps what it was sent. Their boxes fall to the collector,
-//     which is what every send cost before the pools.
+//     test keeps what it was sent. Their boxes fall to the collector.
 //
 // Built with -tags msgpoison, Release overwrites every box with poison
 // before pooling it, so a receiver that kept a box reads garbage instead

@@ -96,3 +96,37 @@ func TestRequestEncodesInBothForms(t *testing.T) {
 		t.Fatalf("Boxed(%+v) = %+v", r, Boxed(r))
 	}
 }
+
+// TestDecodeDrawsReleasedBoxes: a pooled kind decodes into a box drawn
+// from its pool, reusing the array the box owns, so a receiver that
+// releases what it decodes keeps the pool level — a fresh box per frame
+// piled released boxes up on every TCP node. What decode still allocates
+// is its codec (wireTypes) and the strings a frame carries; this frame
+// has none.
+func TestDecodeDrawsReleasedBoxes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled boxes at random")
+	}
+	for _, m := range []Message{
+		&Learn{Entries: []Proposal{{Instance: 3, PN: 1}}},
+		&ReadRequest{Client: 2, Entries: []BatchEntry{{Seq: 1}, {Seq: 2}}},
+		&ReadReplyBatch{Replies: []ReadReply{{Seq: 1, OK: true}}},
+		&ClientReplyBatch{Replies: []ClientReply{{Seq: 1}, {Seq: 2}}},
+		&Accept{Instance: 4, PN: 2},
+		&ClientRequest{Client: 1, Seq: 1},
+	} {
+		payload, err := AppendEnvelope(nil, 1, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			_, got, err := DecodeEnvelope(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Release(got)
+		}); allocs > 1 {
+			t.Errorf("%T: decode and release allocate %.0f times, want 1 (the codec)", m, allocs)
+		}
+	}
+}

@@ -412,7 +412,6 @@ func (s *Server) onRead(m *msg.ReadRequest) {
 		reads = append(reads, pending{client: m.Client, seq: e.Seq, key: e.Cmd.Key})
 	}
 	s.scratch = reads
-	defer clear(reads) // release the keys
 	if len(reads) == 0 {
 		return
 	}

@@ -404,7 +404,7 @@ func (s *Shell) Vote(instance int64, from msg.NodeID, pn uint64, value msg.Value
 // step (rsm.Dedup) recorded every command's result and took the origin
 // marks: a replica that took any answers those commands with one
 // message; every other replica — a backup, the acceptor — and every
-// gap-filling no-op sends nothing and touches no reply slice.
+// gap-filling no-op sends nothing and draws no reply box.
 func (s *Shell) onApply(e rsm.Entry, results []string) {
 	if owed := s.Sessions.Owed(); len(owed) > 0 {
 		b := msg.DrawReplies()

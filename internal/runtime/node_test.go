@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	goruntime "runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -269,10 +270,13 @@ func TestInProcTimerFloodOnStalledNode(t *testing.T) {
 // handler returns, on every delivery path — a send to a peer (across
 // cores, through the core's FIFO, or over the wire, where the writer
 // releases once it has encoded it), a self-send, and the mailbox
-// (Inject). Each box carries an id no other does; when node 0 takes a
+// (Inject). Each box carries an id no other does; when a node takes a
 // delivery, every box it took before must no longer carry its id (zeroed
 // by msg.Release, or poison under msgpoison, where a second release
-// would panic). At the end every box the test drew must read released.
+// would panic). Over TCP the readers decode into boxes drawn from the
+// same pools, so a released box may be refilled while a node looks at
+// it: there only the end state is checked. At the end every box the test
+// drew must read released.
 func TestInProcReleasesEveryDelivery(t *testing.T) {
 	const k = 64
 	eachRuntime(t, func(t *testing.T, start func([]runtime.Handler) cluster) {
@@ -291,6 +295,7 @@ func TestInProcReleasesEveryDelivery(t *testing.T) {
 			return out
 		}
 		toPeer, toSelf, injected := draw(1000), draw(2000), draw(3000)
+		perDelivery := !strings.HasSuffix(t.Name(), "/tcp")
 		stale := func(boxes []sent) int {
 			n := 0
 			for _, s := range boxes {
@@ -311,8 +316,10 @@ func TestInProcReleasesEveryDelivery(t *testing.T) {
 			}
 			mu.Lock()
 			before := taken[ctx.ID()]
-			if n := stale(before); n > 0 {
-				t.Errorf("node %d: %d boxes delivered before still carry their ids", ctx.ID(), n)
+			if perDelivery {
+				if n := stale(before); n > 0 {
+					t.Errorf("node %d: %d boxes delivered before still carry their ids", ctx.ID(), n)
+				}
 			}
 			taken[ctx.ID()] = append(before, sent{r, r.Client})
 			mu.Unlock()
