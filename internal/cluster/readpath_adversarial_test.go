@@ -65,8 +65,6 @@ func (p *readProbe) Timer(runtime.Context, runtime.TimerTag) {}
 
 func (p *readProbe) Receive(ctx runtime.Context, from msg.NodeID, m msg.Message) {
 	switch mm := m.(type) {
-	case msg.ReadReply:
-		p.onRead(ctx, from, mm)
 	case *msg.ReadReplyBatch:
 		for _, r := range mm.Replies {
 			p.onRead(ctx, from, r)

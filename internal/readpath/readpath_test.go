@@ -73,10 +73,7 @@ func served(ctx *fakeCtx, client msg.NodeID) (msg.ReadReply, bool) {
 		if sm.to != client {
 			continue
 		}
-		switch r := sm.m.(type) {
-		case msg.ReadReply:
-			return r, true
-		case *msg.ReadReplyBatch:
+		if r, ok := sm.m.(*msg.ReadReplyBatch); ok {
 			return r.Replies[0], true
 		}
 	}
