@@ -17,7 +17,8 @@ import (
 //   - A sender draws a box (BoxRequest, DrawAccept, ...), fills it and
 //     sends it to ONE destination. A multicast draws a box per
 //     destination: no box ever has two receivers, so no box needs a
-//     count.
+//     count. A decoder draws the box a frame fills (codec.go), so a TCP
+//     frame draws one box and releases one at each end.
 //   - A received box is read-only, and it is released exactly once,
 //     after its handler returns, by whoever delivered it: runtime.Node
 //     for every in-process delivery (peer queue, same-core FIFO,
