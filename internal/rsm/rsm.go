@@ -240,10 +240,20 @@ func (l *Log) Learn(instance int64, value msg.Value) {
 	if l.tracer.Enabled() {
 		l.traceMark(trace.StageDecide, value)
 	}
+	// The next instance to apply, with nothing held behind a gap, applies
+	// at once: the learned map holds only learns ahead of a gap. A Learn
+	// made from OnApply while an outer advance still holds some takes the
+	// map, so the outer loop keeps applying in order.
+	if instance == l.applied && len(l.learned) == 0 {
+		l.apply(value)
+		return
+	}
 	l.learned[instance] = value
 	l.advance()
 }
 
+// advance applies learned values from the applied frontier up to the
+// first gap.
 func (l *Log) advance() {
 	for {
 		v, ok := l.learned[l.applied]
@@ -251,28 +261,34 @@ func (l *Log) advance() {
 			return
 		}
 		delete(l.learned, l.applied)
-		e := Entry{Instance: l.applied, Value: v}
-		// A batched value applies atomically: the committer runs all its
-		// commands here, back to back, before the instance counter moves,
-		// and each still gets its own result and session record.
-		n := v.Len()
-		if cap(l.results) < n {
-			l.results = make([]string, n)
-		}
-		results := l.results[:n]
-		if l.commit != nil {
-			l.commit.Commit(e.Instance, v, results)
-		} else {
-			clear(results)
-		}
-		if l.tracer.Enabled() {
-			l.traceMark(trace.StageApply, v)
-		}
-		l.history = append(l.history, e)
-		l.applied++
-		if l.onApply != nil {
-			l.onApply(e, results)
-		}
+		l.apply(v)
+	}
+}
+
+// apply commits v as the instance at the applied frontier, moves the
+// frontier past it and reports it to OnApply.
+func (l *Log) apply(v msg.Value) {
+	e := Entry{Instance: l.applied, Value: v}
+	// A batched value applies atomically: the committer runs all its
+	// commands here, back to back, before the instance counter moves,
+	// and each still gets its own result and session record.
+	n := v.Len()
+	if cap(l.results) < n {
+		l.results = make([]string, n)
+	}
+	results := l.results[:n]
+	if l.commit != nil {
+		l.commit.Commit(e.Instance, v, results)
+	} else {
+		clear(results)
+	}
+	if l.tracer.Enabled() {
+		l.traceMark(trace.StageApply, v)
+	}
+	l.history = append(l.history, e)
+	l.applied++
+	if l.onApply != nil {
+		l.onApply(e, results)
 	}
 }
 

@@ -89,6 +89,63 @@ func TestLogAppliesInOrder(t *testing.T) {
 	}
 }
 
+// TestLogLearnedMapHoldsOnlyGaps pins the in-order fast path: the
+// learned map holds only learns ahead of a gap, out-of-order learns
+// still apply in instance order, and a Learn made from OnApply — with a
+// later learn pending behind the outer advance, or with none — applies
+// in order and leaves no stale entry.
+func TestLogLearnedMapHoldsOnlyGaps(t *testing.T) {
+	v := func(in int64) msg.Value { return val(1, uint64(in+1), msg.OpPut, "k", "v") }
+
+	log := newLog(NewKV())
+	var applied []int64
+	log.OnApply(func(e Entry, _ []string) {
+		applied = append(applied, e.Instance)
+		if len(log.learned) != 0 {
+			t.Errorf("instance %d applied with %d learns held", e.Instance, len(log.learned))
+		}
+	})
+	for in := int64(0); in < 4; in++ {
+		log.Learn(in, v(in))
+	}
+	if !reflect.DeepEqual(applied, []int64{0, 1, 2, 3}) || len(log.learned) != 0 {
+		t.Fatalf("in order: applied %v, %d held", applied, len(log.learned))
+	}
+
+	log = newLog(NewKV())
+	applied = nil
+	log.OnApply(func(e Entry, _ []string) { applied = append(applied, e.Instance) })
+	for _, in := range []int64{2, 1, 4, 0, 3} {
+		log.Learn(in, v(in))
+	}
+	if !reflect.DeepEqual(applied, []int64{0, 1, 2, 3, 4}) || len(log.learned) != 0 {
+		t.Fatalf("out of order: applied %v, %d held", applied, len(log.learned))
+	}
+
+	// Applying 0 learns 1 while 3 waits behind the outer advance, and
+	// applying 3 learns 4 with nothing held.
+	log = newLog(NewKV())
+	applied = nil
+	log.OnApply(func(e Entry, _ []string) {
+		applied = append(applied, e.Instance)
+		switch e.Instance {
+		case 0:
+			log.Learn(1, v(1))
+		case 3:
+			log.Learn(4, v(4))
+		}
+	})
+	log.Learn(3, v(3))
+	log.Learn(2, v(2))
+	log.Learn(0, v(0))
+	if !reflect.DeepEqual(applied, []int64{0, 1, 2, 3, 4}) {
+		t.Fatalf("re-entrant: applied %v", applied)
+	}
+	if len(log.learned) != 0 || log.NextToApply() != 5 {
+		t.Fatalf("re-entrant: %d held, next %d, want 0 and 5", len(log.learned), log.NextToApply())
+	}
+}
+
 func TestLogIdempotentLearn(t *testing.T) {
 	log := newLog(NewKV())
 	v := val(1, 1, msg.OpPut, "a", "1")
@@ -963,5 +1020,26 @@ func TestSessionsRestoreKeepsOriginMarks(t *testing.T) {
 	}
 	if !reflect.DeepEqual(local.Export(), peer.Export()) {
 		t.Error("origin marks leaked into the exported state")
+	}
+}
+
+// BenchmarkLogLearnInOrder is the learner's steady state on every
+// replica: each decided instance arrives as the next one to apply. The
+// log commits through no state machine, so the figure is the log's own
+// cost per instance; it compacts every 1 024 instances, as the snapshot
+// cadence does, so the history stays bounded.
+func BenchmarkLogLearnInOrder(b *testing.B) {
+	l := NewLog(nil)
+	v := val(1, 1, msg.OpPut, "k", "v")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Learn(int64(i), v)
+		if i&1023 == 1023 {
+			l.CompactTo(int64(i))
+		}
+	}
+	if l.Applied() != b.N {
+		b.Fatalf("applied %d of %d", l.Applied(), b.N)
 	}
 }
