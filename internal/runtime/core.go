@@ -10,20 +10,13 @@ import (
 
 // spinSweeps is how many consecutive empty sweeps a core tolerates —
 // yielding the processor between them — before parking on its wake
-// channel. This is the paper's busy-poll made Go-friendly: a short spin
-// catches the common case where a peer core's reply is already in flight
-// (saving both sides a channel wakeup), while the park keeps idle cores
-// from burning a processor the way a hardware busy-poll would
-// ("preventing threads from spinning unnecessarily when waiting for
-// messages", Section 8). With GOMAXPROCS 1 there is no other processor a
-// reply could come from — spinning only steals cycles from the core
-// whose reply is being awaited — so cores park immediately instead.
-var spinSweeps = func() int {
-	if goruntime.GOMAXPROCS(0) > 1 {
-		return 8
-	}
-	return 0
-}()
+// channel, when it spins at all (see core.spin). This is the paper's
+// busy-poll made Go-friendly: a short spin catches the common case
+// where a peer core's reply is already in flight (saving both sides a
+// channel wakeup), while the park keeps idle cores from burning a
+// processor the way a hardware busy-poll would ("preventing threads from
+// spinning unnecessarily when waiting for messages", Section 8).
+const spinSweeps = 8
 
 // core is one goroutine that runs several nodes, QC-libtask's model of
 // tasks multiplexed on a core: it sweeps its nodes round-robin, delivers
@@ -33,10 +26,13 @@ var spinSweeps = func() int {
 type core struct {
 	nodes []*Node
 	// spin is spinSweeps when another core feeds a node of this one
-	// through a peer queue, else 0: a core whose input arrives only
-	// through mailboxes (every TCP node; a runtime on one core) has no
-	// peer reply a spin could catch, and its posters — TCP readers,
-	// callers, timer fires — need the processor a spin would hold.
+	// through a peer queue and its runtime started fewer cores than
+	// GOMAXPROCS, else 0. A core whose input arrives only through
+	// mailboxes (every TCP node; a runtime on one core) has no peer reply
+	// a spin could catch, and its posters — TCP readers, callers, timer
+	// fires — need the processor a spin would hold. When every processor
+	// already runs a core, a spin can only steal cycles from the very core
+	// whose reply is being awaited, or from the callers it would wake.
 	spin int
 	// shared is set on a core that hosts more than one node; see run.
 	shared bool
@@ -96,13 +92,15 @@ func (l *link) send(m msg.Message) {
 	l.held = append(l.held, m)
 }
 
-// newCore builds a core over nodes and makes it their core.
-func newCore(nodes []*Node) *core {
+// newCore builds a core over nodes, one of the cores cores a runtime
+// starts, and makes it their core.
+func newCore(nodes []*Node, cores int) *core {
 	c := &core{nodes: nodes, shared: len(nodes) > 1, wake: make(chan struct{}, 1), done: make(chan struct{})}
+	spare := cores < goruntime.GOMAXPROCS(0)
 	for _, n := range nodes {
 		n.core = c
 		for _, q := range n.in {
-			if q != nil {
+			if q != nil && spare {
 				c.spin = spinSweeps
 			}
 		}

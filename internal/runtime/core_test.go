@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -208,6 +209,36 @@ func TestCorePlacement(t *testing.T) {
 					}
 				}
 			}
+		}
+		c.Stop()
+	}
+}
+
+// TestCoreSpinsOnlyWithSpareProcessor pins the park rule: a core fed by
+// another core spins before parking only when its runtime started fewer
+// cores than GOMAXPROCS, and a core fed only through mailboxes never
+// spins.
+func TestCoreSpinsOnlyWithSpareProcessor(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	group := func() [][]Handler {
+		return [][]Handler{{HandlerFunc{}, HandlerFunc{}, HandlerFunc{}, HandlerFunc{}}}
+	}
+	for _, procs := range []int{1, 2, 4} {
+		goruntime.GOMAXPROCS(procs)
+		want := 0
+		if procs > 2 {
+			want = spinSweeps
+		}
+		c := NewInProcGroups(group(), 2, WithClientOnLeaderCore())
+		for i, k := range c.cores {
+			if k.spin != want {
+				t.Errorf("GOMAXPROCS %d, 2 cores: core %d spins %d sweeps, want %d", procs, i, k.spin, want)
+			}
+		}
+		c.Stop()
+		c = NewInProcGroups(group(), 1)
+		if k := c.cores[0]; k.spin != 0 {
+			t.Errorf("GOMAXPROCS %d, one core fed by mailboxes only: spins %d sweeps, want 0", procs, k.spin)
 		}
 		c.Stop()
 	}
