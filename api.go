@@ -329,6 +329,7 @@ func StartKV(cfg KVConfig) (*KV, error) {
 		kv.startInProc(groups)
 	}
 	kv.registry.AddSource(func(s *obs.Snapshot) { s.AddTracer(kv.tracer) })
+	kv.registry.AddSource(obs.AddGoRuntime)
 	if cfg.DebugAddr != "" {
 		if err := kv.ServeDebug(cfg.DebugAddr); err != nil {
 			kv.Close()
