@@ -10,7 +10,8 @@ import (
 // go.sched_p99_us, the 99th percentile of the time goroutines spent
 // runnable before running; go.gc_pause_p99_us, the 99th percentile of
 // the stop-the-world pauses of the collector; and go.mutex_wait_ns, the
-// total time goroutines spent blocked on a sync.Mutex or RWMutex. They
+// total time goroutines spent blocked on a sync.Mutex, an RWMutex or a
+// lock inside the runtime, such as the scheduler's. They
 // are the host terms of a latency tail: scheduler, collector, lock. A
 // deployment registers it once; merged with another process-wide
 // snapshot of the same process, these names double.

@@ -92,8 +92,8 @@ func (l *link) send(m msg.Message) {
 	l.held = append(l.held, m)
 }
 
-// newCore builds a core over nodes, one of the cores cores a runtime
-// starts, and makes it their core.
+// newCore builds a core over nodes, in a runtime that starts cores of
+// them in all, and makes it their core.
 func newCore(nodes []*Node, cores int) *core {
 	c := &core{nodes: nodes, shared: len(nodes) > 1, wake: make(chan struct{}, 1), done: make(chan struct{})}
 	spare := cores < goruntime.GOMAXPROCS(0)
