@@ -11,10 +11,10 @@ import (
 // runnable before running; go.gc_pause_p99_us, the 99th percentile of
 // the stop-the-world pauses of the collector; and go.mutex_wait_ns, the
 // total time goroutines spent blocked on a sync.Mutex, an RWMutex or a
-// lock inside the runtime, such as the scheduler's. They
-// are the host terms of a latency tail: scheduler, collector, lock. A
-// deployment registers it once; merged with another process-wide
-// snapshot of the same process, these names double.
+// lock inside the runtime, such as the scheduler's. They are the host
+// terms of a latency tail: scheduler, collector, lock. A deployment
+// registers it once; merged with another snapshot of the same process,
+// these names double.
 func AddGoRuntime(s *Snapshot) {
 	samples := []metrics.Sample{
 		{Name: "/sched/latencies:seconds"},

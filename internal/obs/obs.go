@@ -18,12 +18,12 @@
 // (internal/replica), "batch.commands" and "bridge.*" (the clients),
 // "trace.stage.decide" (AddTracer here, because internal/trace sits
 // below this package), "go.sched_p99_us" (AddGoRuntime here: the
-// process's Go runtime, once per deployment). Collect must be safe from any goroutine and
-// must Add, never set: a deployment calls it once per replica, node or
-// client and the values sum to service totals. Merging snapshots
-// (per-shard, per-client, or per-process) adds counters,
-// reservoir-merges histograms and concatenates event tails — so a
-// fleet of registries aggregates to the same totals one global
+// process's Go runtime, once per deployment). Collect must be safe from
+// any goroutine and must Add, never set: a deployment calls it once per
+// replica, node or client and the values sum to service totals.
+// Merging snapshots (per-shard, per-client, or per-process) adds
+// counters, reservoir-merges histograms and concatenates event tails —
+// so a fleet of registries aggregates to the same totals one global
 // registry would have reported.
 package obs
 
