@@ -8,15 +8,10 @@ import (
 	"consensusinside/internal/queue"
 )
 
-// spinSweeps is how many consecutive empty sweeps a core tolerates —
-// yielding the processor between them — before parking on its wake
-// channel, when it spins at all (see core.spin). This is the paper's
-// busy-poll made Go-friendly: a short spin catches the common case
-// where a peer core's reply is already in flight (saving both sides a
-// channel wakeup), while the park keeps idle cores from burning a
-// processor the way a hardware busy-poll would ("preventing threads from
-// spinning unnecessarily when waiting for messages", Section 8).
-const spinSweeps = 8
+// yield gives up the processor: after a productive sweep of a shared
+// core, and while held sends wait for room. A core never yields on an
+// empty sweep; it parks. Tests count the calls through it.
+var yield = goruntime.Gosched
 
 // core is one goroutine that runs several nodes, QC-libtask's model of
 // tasks multiplexed on a core: it sweeps its nodes round-robin, delivers
@@ -25,15 +20,6 @@ const spinSweeps = 8
 // peer enqueue onto one of their queues wakes it.
 type core struct {
 	nodes []*Node
-	// spin is spinSweeps when another core feeds a node of this one
-	// through a peer queue and its runtime started fewer cores than
-	// GOMAXPROCS, else 0. A core whose input arrives only through
-	// mailboxes (every TCP node; a runtime on one core) has no peer reply
-	// a spin could catch, and its posters — TCP readers, callers, timer
-	// fires — need the processor a spin would hold. When every processor
-	// already runs a core, a spin can only steal cycles from the very core
-	// whose reply is being awaited, or from the callers it would wake.
-	spin int
 	// shared is set on a core that hosts more than one node; see run.
 	shared bool
 
@@ -92,18 +78,11 @@ func (l *link) send(m msg.Message) {
 	l.held = append(l.held, m)
 }
 
-// newCore builds a core over nodes, in a runtime that starts cores of
-// them in all, and makes it their core.
-func newCore(nodes []*Node, cores int) *core {
+// newCore builds a core over nodes and makes it their core.
+func newCore(nodes []*Node) *core {
 	c := &core{nodes: nodes, shared: len(nodes) > 1, wake: make(chan struct{}, 1), done: make(chan struct{})}
-	spare := cores < goruntime.GOMAXPROCS(0)
 	for _, n := range nodes {
 		n.core = c
-		for _, q := range n.in {
-			if q != nil && spare {
-				c.spin = spinSweeps
-			}
-		}
 	}
 	return c
 }
@@ -189,7 +168,6 @@ func (c *core) run() {
 	// sweep amortizes the atomic head/tail traffic that a
 	// message-at-a-time sweep pays per delivery.
 	buf := make([]msg.Message, sweepBatch)
-	idle := 0
 	for !c.halting.Load() {
 		if len(c.backlog) > 0 {
 			c.flush()
@@ -201,7 +179,6 @@ func (c *core) run() {
 			}
 		}
 		if progress {
-			idle = 0
 			// A core that hosts several nodes rarely finds them all idle
 			// under load, so it would almost never give up the processor
 			// to the goroutines its nodes woke — callers whose results it
@@ -209,29 +186,23 @@ func (c *core) run() {
 			// at a preemption, leaving the bridge's batches short. A
 			// node on a core of its own parks as soon as it is idle.
 			if c.shared {
-				goruntime.Gosched()
+				yield()
 			}
 			continue
 		}
 		if len(c.backlog) > 0 {
 			// Held sends wait for their receivers to make room, which
 			// only polling sees.
-			goruntime.Gosched()
+			yield()
 			continue
 		}
-		// Spin-then-park: tolerate a few empty sweeps (yielding between
-		// them) before paying for a park/wake round trip — under load the
-		// next message is usually already in flight.
-		if idle < c.spin {
-			idle++
-			goruntime.Gosched()
-			continue
-		}
-		idle = 0
-		// Publish the parked flag, then recheck every input: a poster that
-		// missed the flag must have published its input before the
-		// recheck, so either we see it now or it sees parked=true and
-		// wakes us.
+		// Nothing to do: park at once ("preventing threads from spinning
+		// unnecessarily when waiting for messages", Section 8); a spin
+		// would hold the processor the core whose reply it awaits, or a
+		// poster that would wake it, needs. Publish the parked flag, then
+		// recheck every input: a poster that missed the flag must have
+		// published its input before the recheck, so either we see it now
+		// or it sees parked=true and wakes us.
 		c.parked.Store(true)
 		if c.hasInput() {
 			c.parked.Store(false)

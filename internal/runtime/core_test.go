@@ -214,32 +214,45 @@ func TestCorePlacement(t *testing.T) {
 	}
 }
 
-// TestCoreSpinsOnlyWithSpareProcessor pins the park rule: a core fed by
-// another core spins before parking only when its runtime started fewer
-// cores than GOMAXPROCS, and a core fed only through mailboxes never
-// spins.
-func TestCoreSpinsOnlyWithSpareProcessor(t *testing.T) {
+// TestCoreParksAtFirstEmptySweep pins the park rule: two cores ping-pong
+// through their peer queues, at more processors than cores, and neither
+// yields on the way to parking. A core that spun before parking would
+// yield on every empty sweep of the spin.
+func TestCoreParksAtFirstEmptySweep(t *testing.T) {
+	const rounds = 200
 	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
-	group := func() [][]Handler {
-		return [][]Handler{{HandlerFunc{}, HandlerFunc{}, HandlerFunc{}, HandlerFunc{}}}
+	goruntime.GOMAXPROCS(4)
+	var yields atomic.Int64
+	defer func(f func()) { yield = f }(yield)
+	yield = func() { yields.Add(1); goruntime.Gosched() }
+	done := make(chan struct{})
+	pinger := HandlerFunc{OnReceive: func(ctx Context, _ msg.NodeID, m msg.Message) {
+		if n := m.(echoMsg).N; n < rounds {
+			ctx.Send(1, echoMsg{N: n + 1})
+		} else {
+			close(done)
+		}
+	}}
+	ponger := HandlerFunc{OnReceive: func(ctx Context, _ msg.NodeID, m msg.Message) {
+		ctx.Send(0, m)
+	}}
+	c := NewInProcGroups([][]Handler{{pinger, ponger}}, 2)
+	defer c.Stop()
+	if c.SameCore(0, 1) {
+		t.Fatal("the two nodes share a core")
 	}
-	for _, procs := range []int{1, 2, 4} {
-		goruntime.GOMAXPROCS(procs)
-		want := 0
-		if procs > 2 {
-			want = spinSweeps
+	c.Inject(1, 0, echoMsg{})
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ping-pong did not finish")
+	}
+	for _, k := range c.cores {
+		for !k.parked.Load() {
+			goruntime.Gosched()
 		}
-		c := NewInProcGroups(group(), 2, WithClientOnLeaderCore())
-		for i, k := range c.cores {
-			if k.spin != want {
-				t.Errorf("GOMAXPROCS %d, 2 cores: core %d spins %d sweeps, want %d", procs, i, k.spin, want)
-			}
-		}
-		c.Stop()
-		c = NewInProcGroups(group(), 1)
-		if k := c.cores[0]; k.spin != 0 {
-			t.Errorf("GOMAXPROCS %d, one core fed by mailboxes only: spins %d sweeps, want 0", procs, k.spin)
-		}
-		c.Stop()
+	}
+	if n := yields.Load(); n != 0 {
+		t.Errorf("cores on their own yielded %d times over %d round trips, want 0: a core spins before parking", n, rounds)
 	}
 }

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -123,9 +122,10 @@ func NewInProcGroups(groups [][]Handler, cores int, opts ...InProcOption) *InPro
 	if len(c.groups) > 0 {
 		c.InProcGroup = c.groups[0]
 	}
-	hosted = slices.DeleteFunc(hosted, func(nodes []*Node) bool { return len(nodes) == 0 })
 	for _, nodes := range hosted {
-		c.cores = append(c.cores, newCore(nodes, len(hosted)))
+		if len(nodes) > 0 {
+			c.cores = append(c.cores, newCore(nodes))
+		}
 	}
 	for _, k := range c.cores {
 		k.start()

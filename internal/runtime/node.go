@@ -107,7 +107,7 @@ func NewNode(id msg.NodeID, n int, epoch time.Time, tracer *trace.Tracer, send f
 // every TCP node.
 func (n *Node) Start(handler Handler) {
 	n.handler = handler
-	newCore([]*Node{n}, 1).start()
+	newCore([]*Node{n}).start()
 }
 
 // Halt stops the goroutine of a node started with Start, for good, once
