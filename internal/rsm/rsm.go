@@ -240,15 +240,13 @@ func (l *Log) Learn(instance int64, value msg.Value) {
 	if l.tracer.Enabled() {
 		l.traceMark(trace.StageDecide, value)
 	}
-	// The next instance to apply, with nothing held behind a gap, applies
-	// at once: the learned map holds only learns ahead of a gap. A Learn
-	// made from OnApply while an outer advance still holds some takes the
-	// map, so the outer loop keeps applying in order.
-	if instance == l.applied && len(l.learned) == 0 {
-		l.apply(value)
+	// The learned map holds only learns ahead of a gap; the next instance
+	// to apply applies at once, then whatever it unblocks.
+	if instance != l.applied {
+		l.learned[instance] = value
 		return
 	}
-	l.learned[instance] = value
+	l.apply(value)
 	l.advance()
 }
 

@@ -122,7 +122,7 @@ func TestLogLearnedMapHoldsOnlyGaps(t *testing.T) {
 		t.Fatalf("out of order: applied %v, %d held", applied, len(log.learned))
 	}
 
-	// Applying 0 learns 1 while 3 waits behind the outer advance, and
+	// Applying 0 learns 1 while 2 and 3 are held, and
 	// applying 3 learns 4 with nothing held.
 	log = newLog(NewKV())
 	applied = nil
