@@ -13,8 +13,7 @@ import (
 // total time goroutines spent blocked on a sync.Mutex, an RWMutex or a
 // lock inside the runtime, such as the scheduler's. They are the host
 // terms of a latency tail: scheduler, collector, lock. A deployment
-// registers it once; merged with another snapshot of the same process,
-// these names double.
+// registers it once; the names do not sum (see the package comment).
 func AddGoRuntime(s *Snapshot) {
 	samples := []metrics.Sample{
 		{Name: "/sched/latencies:seconds"},

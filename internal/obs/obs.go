@@ -25,6 +25,11 @@
 // counters, reservoir-merges histograms and concatenates event tails —
 // so a fleet of registries aggregates to the same totals one global
 // registry would have reported.
+//
+// The go.* names are the one exception: two percentiles and a
+// process-wide total, which do not sum. They are right in one
+// deployment's snapshot; a merge of snapshots taken in one process
+// adds each process's value once per snapshot.
 package obs
 
 import (
