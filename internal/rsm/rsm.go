@@ -251,9 +251,9 @@ func (l *Log) Learn(instance int64, value msg.Value) {
 }
 
 // advance applies learned values from the applied frontier up to the
-// first gap.
+// first gap; with none held, it looks nothing up.
 func (l *Log) advance() {
-	for {
+	for len(l.learned) > 0 {
 		v, ok := l.learned[l.applied]
 		if !ok {
 			return
