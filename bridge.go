@@ -225,7 +225,7 @@ func (b *kvBridge) finishBatch(ctx runtime.Context, replies []msg.ClientReply) {
 	now := ctx.Now()
 	redirected := false
 	for i := range replies {
-		switch done, _, _, st := b.lane.Retire(now, &replies[i]); st {
+		switch done, _, st := b.lane.Retire(now, &replies[i]); st {
 		case client.Done:
 			done <- kvResult{value: replies[i].Result}
 		case client.Redirected:

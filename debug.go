@@ -8,6 +8,7 @@ import (
 	"net/http/pprof"
 	"time"
 
+	"consensusinside/internal/metrics"
 	"consensusinside/internal/obs"
 )
 
@@ -102,15 +103,15 @@ func (kv *KV) DebugAddr() string {
 }
 
 // debugMetricsPayload is /debug/metrics' JSON shape: the registry
-// snapshot's counters verbatim, histogram summaries (the
-// raw reservoirs don't marshal), the flat uniform dump every -json
-// consumer shares, and the sorted name directory.
+// snapshot's counters verbatim, histogram summaries (the buckets don't
+// marshal), the flat uniform dump every -json consumer shares, and the
+// sorted name directory.
 type debugMetricsPayload struct {
-	Counters map[string]int64        `json:"counters"`
-	Hists    map[string]obs.HistStat `json:"hists"`
-	Flat     map[string]float64      `json:"flat"`
-	Names    []string                `json:"names"`
-	Events   []obs.Event             `json:"events"`
+	Counters map[string]int64           `json:"counters"`
+	Hists    map[string]metrics.Summary `json:"hists"`
+	Flat     map[string]float64         `json:"flat"`
+	Names    []string                   `json:"names"`
+	Events   []obs.Event                `json:"events"`
 }
 
 func debugMetrics(s obs.Snapshot) debugMetricsPayload {

@@ -260,27 +260,26 @@ func (l *Lane[T]) Issue(ctx runtime.Context, now time.Duration, ops []Op[T]) {
 }
 
 // Retire applies one write reply. Done returns what the front end needs
-// of the op, now out of the window: its User, its kind and its last
-// transmission. After a Redirected the front end runs Scan, which
+// of the op, now out of the window: its User and its last transmission. After a Redirected the front end runs Scan, which
 // resends the op to the replica the reply named.
-func (l *Lane[T]) Retire(now time.Duration, r *msg.ClientReply) (user T, kind msg.Op, sentAt time.Duration, st Status) {
+func (l *Lane[T]) Retire(now time.Duration, r *msg.ClientReply) (user T, sentAt time.Duration, st Status) {
 	f := l.flights.Ptr(r.Seq)
 	if f == nil || !r.OK && r.Redirect == msg.Nobody {
-		return user, 0, 0, Stale
+		return user, 0, Stale
 	}
 	if !r.OK {
 		l.aim(&l.target, r.Redirect)
 		l.reaimed = true
 		l.Redirects.Add(1)
 		f.SentAt = resendNow
-		return user, 0, 0, Redirected
+		return user, 0, Redirected
 	}
-	user, kind, sentAt = f.User, f.Cmd.Op, f.SentAt
+	user, sentAt = f.User, f.SentAt
 	l.flights.Delete(r.Seq)
 	if l.tracer.Enabled() {
 		l.tracer.Finish(l.id, r.Seq, now)
 	}
-	return user, kind, sentAt, Done
+	return user, sentAt, Done
 }
 
 // aim points a cursor at server if it is one of the lane's replicas (a

@@ -86,7 +86,7 @@ func (f *front) reply(r ...msg.ClientReply) {
 	redirected := false
 	for i := range r {
 		r[i].Seq = shard.TagSeq(f.l.shard, r[i].Seq)
-		switch id, _, _, st := f.l.Retire(f.ctx.Clock, &r[i]); st {
+		switch id, _, st := f.l.Retire(f.ctx.Clock, &r[i]); st {
 		case Done:
 			f.done = append(f.done, fmt.Sprint(id, "=", r[i].Result))
 		case Redirected:
@@ -507,7 +507,7 @@ func TestLaneIdleScansAllocateNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(4, func() {
 		seq++
 		r := ok(shard.TagSeq(0, seq), "")
-		if _, _, _, st := f.l.Retire(0, &r); st != Done {
+		if _, _, st := f.l.Retire(0, &r); st != Done {
 			t.Fatalf("seq %d: status %d", seq, st)
 		}
 	}); allocs != 0 {
@@ -537,7 +537,7 @@ func TestIssueOneOpAllocatesNothing(t *testing.T) {
 			t.Fatalf("the request is not the single form: %+v", req)
 		}
 		msg.Release(req) // what the receiving runtime does after delivery
-		if _, _, _, st := f.l.Retire(f.ctx.Clock, &msg.ClientReply{Seq: f.l.seq, OK: true}); st != Done {
+		if _, _, st := f.l.Retire(f.ctx.Clock, &msg.ClientReply{Seq: f.l.seq, OK: true}); st != Done {
 			t.Fatalf("the issued op did not retire: %v", st)
 		}
 	})

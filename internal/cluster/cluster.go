@@ -370,32 +370,24 @@ type RunStats struct {
 	Measured   int // completions after warmup
 	Throughput float64
 	Latency    metrics.Summary
-	// ReadLatency and WriteLatency split Latency per op kind; a run with
-	// no reads (or no writes) leaves the corresponding summary zero.
-	ReadLatency  metrics.Summary
-	WriteLatency metrics.Summary
-	Retries      int
+	Retries    int
 }
 
 // ClientStats folds all clients' post-warmup measurements; throughput is
 // measured ops over the [warmup, now] window.
 func (c *Cluster) ClientStats() RunStats {
 	var stats RunStats
-	var hist, readHist, writeHist metrics.Histogram
+	var hist metrics.Histogram
 	for _, cl := range c.Clients {
 		stats.Completed += cl.Completed()
 		stats.Retries += cl.Retries()
 		n, _, _ := cl.MeasuredOps()
 		stats.Measured += n
 		hist.Merge(cl.Latencies())
-		readHist.Merge(cl.ReadLatencies())
-		writeHist.Merge(cl.WriteLatencies())
 	}
 	window := c.Net.Now() - c.Spec.Warmup
 	stats.Throughput = metrics.Throughput(stats.Measured, window)
 	stats.Latency = hist.Summarize()
-	stats.ReadLatency = readHist.Summarize()
-	stats.WriteLatency = writeHist.Summarize()
 	return stats
 }
 

@@ -1,8 +1,12 @@
-// Package metrics provides the measurement primitives: latency
-// histograms with percentile queries and the commands-per-batch
-// occupancy counts. It holds shapes, not subsystem
-// counters: each subsystem keeps its own counters struct and reports
-// it by name through internal/obs.
+// Package metrics provides the measurement primitives: the latency
+// histogram with its one summary, and the commands-per-batch occupancy
+// counts. It holds shapes, not subsystem counters: each subsystem keeps
+// its own counters struct and reports it by name through internal/obs.
+//
+// The histogram is log-linear, after HdrHistogram (Tene) and DDSketch
+// (Masson, Rim and Lee, VLDB 2019): fixed buckets, so recording is one
+// increment and merging adds the bucket arrays — exact, and the same in
+// any order.
 //
 // All types in this package are safe for single-goroutine use; the
 // discrete-event simulator is single-threaded, and the real runtime
@@ -13,38 +17,59 @@ package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
 
-// HistogramCap bounds how many samples a Histogram keeps. Up to the cap
-// every sample is retained and percentiles are exact; past it the
-// histogram switches to reservoir sampling (Algorithm R): each new
-// sample replaces a uniformly-chosen kept one with probability cap/n,
-// so the kept set stays a uniform sample of everything recorded and
-// percentile queries become unbiased estimates whose error shrinks with
-// the cap, not with the record count. Count, Mean, Min and Max stay
-// exact at any volume. The cap keeps a week-long run's histogram at a
-// fixed 64 KiB instead of growing (and GC-scanning) one append per op —
-// allocation on the measurement path skews the latencies it measures.
-const HistogramCap = 1 << 13 // 8192 samples, 64 KiB of durations
+// The bucket layout: values below 32 ns get a bucket each, and every
+// power of two above splits into 32 equal buckets, so a bucket is at
+// most 1/32 of its lowest value wide. 31 octaves above the linear range
+// reach 2^36 ns (68 s); larger values share the last bucket.
+const (
+	subBits    = 5
+	subBuckets = 1 << subBits
+	numBuckets = 32 * subBuckets
+)
 
-// Histogram records duration samples and answers percentile queries.
-// The zero value is ready to use.
+// bucketOf reports the bucket holding ns.
+func bucketOf(ns int64) int {
+	if ns < subBuckets {
+		return int(max(ns, 0))
+	}
+	e := bits.Len64(uint64(ns)) - subBits - 1
+	return min((e+1)<<subBits+int(ns>>uint(e))-subBuckets, numBuckets-1)
+}
+
+// bucketBounds reports the lowest value of bucket idx and its width.
+func bucketBounds(idx int) (lo, width float64) {
+	if idx < subBuckets {
+		return float64(idx), 1
+	}
+	e := uint(idx>>subBits - 1)
+	m := int64(idx&(subBuckets-1) + subBuckets)
+	return float64(m << e), float64(int64(1) << e)
+}
+
+// Histogram records duration samples into fixed log-linear buckets and
+// answers percentile queries. Count, Mean, Min and Max are exact; a
+// percentile is within one bucket width of the sample at its rank. The
+// zero value is ready to use and holds no bucket array until the first
+// Record, so an idle histogram costs a few words. Copy one with Clone:
+// a plain copy shares the buckets.
 type Histogram struct {
-	samples []time.Duration
-	sorted  bool
-	n       int64         // total recorded, exact
-	sum     time.Duration // exact
-	min     time.Duration // exact
-	max     time.Duration // exact
-	rng     uint64        // xorshift64* state for the reservoir, lazily seeded
+	counts *[numBuckets]uint64
+	n      int64
+	sum    time.Duration
+	min    time.Duration
+	max    time.Duration
 }
 
 // Record adds one sample.
 func (h *Histogram) Record(d time.Duration) {
+	if h.counts == nil {
+		h.counts = new([numBuckets]uint64)
+	}
 	if h.n == 0 || d < h.min {
 		h.min = d
 	}
@@ -53,36 +78,14 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 	h.n++
 	h.sum += d
-	if len(h.samples) < HistogramCap {
-		h.samples = append(h.samples, d)
-		h.sorted = false
-		return
-	}
-	if j := h.randN(h.n); j < HistogramCap {
-		h.samples[j] = d
-		h.sorted = false
-	}
+	h.counts[bucketOf(int64(d))]++
 }
 
-// randN draws a deterministic pseudo-random integer in [0, n). The
-// generator is self-seeded with a fixed constant so identical record
-// sequences keep identical reservoirs — runs reproduce exactly.
-func (h *Histogram) randN(n int64) int64 {
-	if h.rng == 0 {
-		h.rng = 0x9E3779B97F4A7C15
-	}
-	h.rng ^= h.rng >> 12
-	h.rng ^= h.rng << 25
-	h.rng ^= h.rng >> 27
-	return int64((h.rng * 2685821657736338717) % uint64(n))
-}
-
-// Count reports the number of recorded samples (all of them, not just
-// the reservoir's kept subset).
+// Count reports the number of recorded samples.
 func (h *Histogram) Count() int { return int(h.n) }
 
 // Mean reports the arithmetic mean of the samples, or 0 with no
-// samples. The mean is exact regardless of reservoir truncation.
+// samples.
 func (h *Histogram) Mean() time.Duration {
 	if h.n == 0 {
 		return 0
@@ -96,57 +99,45 @@ func (h *Histogram) Min() time.Duration { return h.min }
 // Max reports the largest sample, or 0 with no samples.
 func (h *Histogram) Max() time.Duration { return h.max }
 
-// Percentile reports the p-th percentile (0 < p <= 100) using
-// nearest-rank on the sorted kept samples — exact below HistogramCap,
-// a uniform-reservoir estimate above it. It reports 0 with no samples.
+// Percentile reports the p-th percentile (0 < p <= 100), interpolated
+// linearly inside the bucket its rank lands in and clamped to
+// [Min, Max]. It is off by at most the bucket's width — 1/32 of the
+// value from 32 ns up — and exact when every sample is one value. It
+// reports 0 with no samples.
 func (h *Histogram) Percentile(p float64) time.Duration {
-	if len(h.samples) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
+	rank := p / 100 * float64(h.n)
+	v, cum := float64(h.max), 0.0
+	for i, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		if cum+float64(c) >= rank {
+			lo, width := bucketBounds(i)
+			v = lo + width*(rank-cum)/float64(c)
+			break
+		}
+		cum += float64(c)
 	}
-	if p <= 0 {
-		return h.samples[0]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(h.samples))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(h.samples) {
-		rank = len(h.samples)
-	}
-	return h.samples[rank-1]
+	return min(max(time.Duration(v), h.min), h.max)
 }
 
-// Median reports the 50th percentile.
-func (h *Histogram) Median() time.Duration { return h.Percentile(50) }
-
-// Reset discards all samples (and the reservoir's generator state, so a
-// reset histogram replays identically).
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
-	h.sorted = false
-	h.rng = 0
-}
-
-// Clone returns an independent copy of h: same exact aggregates, same
-// kept samples, same reservoir generator state (so a clone's future
-// records replay like the original's would). Snapshot/Merge aggregation
-// clones histograms so merging never mutates a live recorder.
+// Clone returns an independent copy of h. Snapshot aggregation clones
+// histograms so merging never mutates a live recorder.
 func (h *Histogram) Clone() *Histogram {
 	out := *h
-	out.samples = append([]time.Duration(nil), h.samples...)
+	if h.counts != nil {
+		counts := *h.counts
+		out.counts = &counts
+	}
 	return &out
 }
 
-// Merge folds other into h. Count, sum, min and max merge exactly.
-// Kept samples append exactly while both sides fit the cap; past it the
-// merge treats each of other's kept samples as one reservoir candidate,
-// which keeps percentiles representative but is an approximation (each
-// kept sample may stand for many recorded ones).
+// Merge folds other into h by adding its bucket counts: the result is
+// the histogram of every sample either recorded, whatever the order of
+// the merges.
 func (h *Histogram) Merge(other *Histogram) {
 	if other.n == 0 {
 		return
@@ -157,49 +148,40 @@ func (h *Histogram) Merge(other *Histogram) {
 	if h.n == 0 || other.max > h.max {
 		h.max = other.max
 	}
-	for _, s := range other.samples {
-		if len(h.samples) < HistogramCap {
-			h.samples = append(h.samples, s)
-		} else if j := h.randN(h.n + 1); j < HistogramCap {
-			h.samples[j] = s
-		}
+	if h.counts == nil {
+		h.counts = new([numBuckets]uint64)
 	}
-	h.sorted = false
+	for i, c := range other.counts {
+		h.counts[i] += c
+	}
 	h.n += other.n
 	h.sum += other.sum
 }
 
-// Summary is an immutable snapshot of a histogram, convenient for tables.
+// Summary is a histogram's serializable face, the one shape every
+// latency report shares.
 type Summary struct {
-	Count  int
-	Mean   time.Duration
-	Median time.Duration
-	P95    time.Duration
-	P99    time.Duration
-	Min    time.Duration
-	Max    time.Duration
+	Count int           `json:"count"`
+	Mean  time.Duration `json:"mean_ns"`
+	P50   time.Duration `json:"p50_ns"`
+	P90   time.Duration `json:"p90_ns"`
+	P99   time.Duration `json:"p99_ns"`
+	Min   time.Duration `json:"min_ns"`
+	Max   time.Duration `json:"max_ns"`
 }
 
 // Summarize captures the usual percentile spread.
 func (h *Histogram) Summarize() Summary {
 	return Summary{
-		Count:  h.Count(),
-		Mean:   h.Mean(),
-		Median: h.Median(),
-		P95:    h.Percentile(95),
-		P99:    h.Percentile(99),
-		Min:    h.Min(),
-		Max:    h.Max(),
+		Count: h.Count(),
+		Mean:  h.Mean(),
+		P50:   h.Percentile(50),
+		P90:   h.Percentile(90),
+		P99:   h.Percentile(99),
+		Min:   h.Min(),
+		Max:   h.Max(),
 	}
 }
-
-// String renders the summary on one line, microsecond precision.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.1fµs p50=%.1fµs p95=%.1fµs p99=%.1fµs min=%.1fµs max=%.1fµs",
-		s.Count, us(s.Mean), us(s.Median), us(s.P95), us(s.P99), us(s.Min), us(s.Max))
-}
-
-func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // BatchOccupancyBuckets are the upper bounds (inclusive) of the
 // commands-per-batch histogram; the last bucket is open-ended. The

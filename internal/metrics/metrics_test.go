@@ -1,11 +1,20 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// within reports whether got is within one bucket width of want — the
+// histogram's stated percentile error.
+func within(got, want time.Duration) bool {
+	_, width := bucketBounds(bucketOf(int64(want)))
+	return math.Abs(float64(got-want)) <= width
+}
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
@@ -27,8 +36,8 @@ func TestHistogramBasics(t *testing.T) {
 	if got := h.Max(); got != 30*time.Microsecond {
 		t.Errorf("Max = %v, want 30µs", got)
 	}
-	if got := h.Median(); got != 20*time.Microsecond {
-		t.Errorf("Median = %v, want 20µs", got)
+	if got := h.Percentile(50); !within(got, 20*time.Microsecond) {
+		t.Errorf("p50 = %v, want 20µs within a bucket", got)
 	}
 }
 
@@ -44,12 +53,14 @@ func TestHistogramPercentileNearestRank(t *testing.T) {
 		{1, 1}, {50, 50}, {95, 95}, {99, 99}, {100, 100}, {0, 1},
 	}
 	for _, tc := range tests {
-		if got := h.Percentile(tc.p); got != tc.want {
-			t.Errorf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
+		if got := h.Percentile(tc.p); !within(got, tc.want) {
+			t.Errorf("Percentile(%v) = %v, want %v within a bucket", tc.p, got, tc.want)
 		}
 	}
 }
 
+// TestHistogramPercentileMonotonic: percentiles never leave [Min, Max]
+// and never fall as p rises.
 func TestHistogramPercentileMonotonic(t *testing.T) {
 	f := func(raw []uint16, a, b uint8) bool {
 		if len(raw) == 0 {
@@ -64,7 +75,7 @@ func TestHistogramPercentileMonotonic(t *testing.T) {
 		if pa > pb {
 			pa, pb = pb, pa
 		}
-		return h.Percentile(pa) <= h.Percentile(pb)
+		return h.Min() <= h.Percentile(pa) && h.Percentile(pa) <= h.Percentile(pb) && h.Percentile(pb) <= h.Max()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -72,12 +83,12 @@ func TestHistogramPercentileMonotonic(t *testing.T) {
 }
 
 func TestHistogramRecordAfterPercentile(t *testing.T) {
-	// Recording after a percentile query must re-sort correctly.
+	// Recording after a percentile query must still count.
 	var h Histogram
 	h.Record(5)
 	h.Record(1)
-	if got := h.Median(); got != 1 {
-		t.Fatalf("median of {1,5} = %v, want 1", got)
+	if got := h.Percentile(50); !within(got, 1) {
+		t.Fatalf("median of {1,5} = %v, want 1 within a bucket", got)
 	}
 	h.Record(0)
 	if got := h.Percentile(1); got != 0 {
@@ -85,27 +96,11 @@ func TestHistogramRecordAfterPercentile(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeAndReset(t *testing.T) {
-	var a, b Histogram
-	a.Record(10)
-	b.Record(20)
-	b.Record(30)
-	a.Merge(&b)
-	if a.Count() != 3 || a.Max() != 30 {
-		t.Fatalf("after merge: count=%d max=%v, want 3/30", a.Count(), a.Max())
-	}
-	a.Reset()
-	if a.Count() != 0 || a.Min() != 0 || a.Max() != 0 {
-		t.Fatalf("after reset: %+v", a.Summarize())
-	}
-}
-
-func TestHistogramReservoirStability(t *testing.T) {
+func TestHistogramAtVolume(t *testing.T) {
 	// A million records drawn uniformly from [1µs, 1000µs]. The true
-	// p50 and p99 sit at ~500µs and ~990µs; the reservoir's kept set is
-	// a uniform sample of HistogramCap durations, so both estimates
-	// must hold within a few percent at every checkpoint — and the
-	// histogram's memory must stop growing at the cap.
+	// p50 and p99 sit at ~500µs and ~990µs, and both estimates must hold
+	// within a few percent at every checkpoint; the scalar statistics
+	// stay exact at any volume.
 	var h Histogram
 	rng := rand.New(rand.NewSource(42))
 	const n = 1_000_000
@@ -125,13 +120,6 @@ func TestHistogramReservoirStability(t *testing.T) {
 			t.Fatalf("after %d records: p99 = %v, want 990µs ± %v", i, p99, tol)
 		}
 	}
-	if got := len(h.samples); got != HistogramCap {
-		t.Errorf("kept samples = %d, want exactly the cap %d", got, HistogramCap)
-	}
-	if got := cap(h.samples); got > 2*HistogramCap {
-		t.Errorf("sample capacity = %d — the reservoir should stop growing at the cap", got)
-	}
-	// The scalar statistics stay exact at any volume.
 	if h.Count() != n {
 		t.Errorf("Count = %d, want %d", h.Count(), n)
 	}
@@ -143,18 +131,86 @@ func TestHistogramReservoirStability(t *testing.T) {
 	}
 }
 
-func TestHistogramReservoirDeterministic(t *testing.T) {
-	// Identical record sequences must keep identical reservoirs — the
-	// generator is self-seeded, never wall-clock-seeded.
-	run := func() Summary {
+// TestHistogramRelativeError holds p50, p90 and p99 within 1/32 of the
+// nearest-rank sample, on values spread log-uniformly from 1 ns to 60 s
+// and on narrow bands at several scales.
+func TestHistogramRelativeError(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	spans := [][2]float64{{1, 60e9}, {100, 300}, {10e3, 30e3}, {1e6, 3e6}, {100e6, 300e6}, {20e9, 60e9}}
+	for _, span := range spans {
 		var h Histogram
-		for i := 0; i < 3*HistogramCap; i++ {
-			h.Record(time.Duration(i%997) * time.Microsecond)
+		xs := make([]time.Duration, 100_000)
+		for i := range xs {
+			xs[i] = time.Duration(span[0] * math.Pow(span[1]/span[0], rng.Float64()))
+			h.Record(xs[i])
 		}
-		return h.Summarize()
+		sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+		for _, p := range []float64{50, 90, 99} {
+			want := xs[int(math.Ceil(p/100*float64(len(xs))))-1]
+			got := h.Percentile(p)
+			if err := math.Abs(float64(got-want)) / float64(want); err > 1.0/32 {
+				t.Errorf("values in [%v, %v]: p%v = %v, nearest rank %v, relative error %.4f > 1/32",
+					time.Duration(span[0]), time.Duration(span[1]), p, got, want, err)
+			}
+		}
 	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("two identical runs disagree: %v vs %v", a, b)
+}
+
+// TestMergeOrderIndependent: merging adds bucket counts, so both orders
+// give one histogram. A million samples of 1 ms and 8 192 of 100 ms put
+// p90 and p99 at 1 ms; a merge that lets the smaller side's samples
+// stand for the larger side's reported 100 ms in one order.
+func TestMergeOrderIndependent(t *testing.T) {
+	build := func(d time.Duration, n int) *Histogram {
+		h := &Histogram{}
+		for i := 0; i < n; i++ {
+			h.Record(d)
+		}
+		return h
+	}
+	bigSmall := build(time.Millisecond, 1_000_000)
+	bigSmall.Merge(build(100*time.Millisecond, 8192))
+	smallBig := build(100*time.Millisecond, 8192)
+	smallBig.Merge(build(time.Millisecond, 1_000_000))
+	for _, h := range []*Histogram{bigSmall, smallBig} {
+		for _, p := range []float64{90, 99} {
+			if got := h.Percentile(p); !within(got, time.Millisecond) {
+				t.Errorf("p%v = %v, want 1ms within a bucket", p, got)
+			}
+		}
+	}
+	if a, b := bigSmall.Summarize(), smallBig.Summarize(); a != b {
+		t.Errorf("merge order changes the summary: %+v vs %+v", a, b)
+	}
+}
+
+// TestRecordAllocatesNothing: the bucket array is allocated by the
+// first Record, and no later one allocates.
+func TestRecordAllocatesNothing(t *testing.T) {
+	var h Histogram
+	h.Record(1)
+	if allocs := testing.AllocsPerRun(1000, func() { h.Record(time.Millisecond) }); allocs != 0 {
+		t.Errorf("Record allocates %.0f times after the first call", allocs)
+	}
+}
+
+func TestHistogramMergeAndClone(t *testing.T) {
+	var a, b Histogram
+	a.Record(10)
+	b.Record(20)
+	b.Record(30)
+	c := a.Clone()
+	a.Merge(&b)
+	if a.Count() != 3 || a.Min() != 10 || a.Max() != 30 || a.Mean() != 20 {
+		t.Fatalf("after merge: %+v, want count 3, min 10, max 30, mean 20", a.Summarize())
+	}
+	if c.Count() != 1 || c.Max() != 10 || c.Percentile(100) != 10 {
+		t.Fatalf("a clone shares its original's state: %+v", c.Summarize())
+	}
+	var empty Histogram
+	empty.Merge(&a)
+	if empty.Summarize() != a.Summarize() {
+		t.Fatalf("merge into an empty histogram: %+v, want %+v", empty.Summarize(), a.Summarize())
 	}
 }
 
@@ -164,11 +220,11 @@ func TestSummary(t *testing.T) {
 		h.Record(time.Duration(i) * time.Microsecond)
 	}
 	s := h.Summarize()
-	if s.Count != 10 || s.Median != 5*time.Microsecond || s.P95 != 10*time.Microsecond {
+	if s.Count != 10 || s.Mean != 5500*time.Nanosecond || s.Min != time.Microsecond || s.Max != 10*time.Microsecond {
 		t.Fatalf("unexpected summary %+v", s)
 	}
-	if s.String() == "" {
-		t.Fatal("String should render")
+	if !within(s.P50, 5*time.Microsecond) || !within(s.P90, 9*time.Microsecond) || !within(s.P99, 10*time.Microsecond) {
+		t.Fatalf("summary percentiles %+v, want 5, 9 and 10µs within a bucket", s)
 	}
 }
 

@@ -22,9 +22,9 @@
 // any goroutine and must Add, never set: a deployment calls it once per
 // replica, node or client and the values sum to service totals.
 // Merging snapshots (per-shard, per-client, or per-process) adds
-// counters, reservoir-merges histograms and concatenates event tails —
-// so a fleet of registries aggregates to the same totals one global
-// registry would have reported.
+// counters, adds histograms' bucket counts and concatenates event
+// tails — so a fleet of registries aggregates to the same totals, and
+// the same percentiles, one global registry would have reported.
 //
 // The go.* names are the one exception: two percentiles and a
 // process-wide total, which do not sum. They are right in one
@@ -212,18 +212,27 @@ func (s *Snapshot) Add(name string, d int64) { s.Counters[name] += d }
 // first contact, so the caller's histogram is never retained or
 // mutated.
 func (s *Snapshot) AddHist(name string, h *metrics.Histogram) {
+	if h != nil && s.Hists[name] == nil && h.Count() > 0 {
+		h = h.Clone()
+	}
+	s.adoptHist(name, h)
+}
+
+// adoptHist folds h into the named histogram, keeping h itself on first
+// contact: the caller hands over a copy it owns.
+func (s *Snapshot) adoptHist(name string, h *metrics.Histogram) {
 	if h == nil || h.Count() == 0 {
 		return
 	}
 	if have := s.Hists[name]; have != nil {
 		have.Merge(h)
 	} else {
-		s.Hists[name] = h.Clone()
+		s.Hists[name] = h
 	}
 }
 
-// Merge folds other into s: counters add, histograms reservoir-merge,
-// events concatenate (ordered by virtual time).
+// Merge folds other into s: counters add, histograms add their bucket
+// counts, events concatenate (ordered by virtual time).
 func (s *Snapshot) Merge(other Snapshot) {
 	for name, v := range other.Counters {
 		s.Counters[name] += v
@@ -239,32 +248,13 @@ func (s *Snapshot) Merge(other Snapshot) {
 	}
 }
 
-// HistStat summarizes one named histogram for the flat dump.
-type HistStat struct {
-	Count int           `json:"count"`
-	Mean  time.Duration `json:"mean_ns"`
-	P50   time.Duration `json:"p50_ns"`
-	P90   time.Duration `json:"p90_ns"`
-	P99   time.Duration `json:"p99_ns"`
-	Min   time.Duration `json:"min_ns"`
-	Max   time.Duration `json:"max_ns"`
-}
-
-// HistStats summarizes every histogram in the snapshot (histograms
-// hold raw reservoirs and are excluded from direct JSON marshalling;
-// this is their serializable face).
-func (s Snapshot) HistStats() map[string]HistStat {
-	out := make(map[string]HistStat, len(s.Hists))
+// HistStats summarizes every histogram in the snapshot (histograms are
+// excluded from direct JSON marshalling; this is their serializable
+// face).
+func (s Snapshot) HistStats() map[string]metrics.Summary {
+	out := make(map[string]metrics.Summary, len(s.Hists))
 	for name, h := range s.Hists {
-		out[name] = HistStat{
-			Count: h.Count(),
-			Mean:  h.Mean(),
-			P50:   h.Percentile(50),
-			P90:   h.Percentile(90),
-			P99:   h.Percentile(99),
-			Min:   h.Min(),
-			Max:   h.Max(),
-		}
+		out[name] = h.Summarize()
 	}
 	return out
 }
@@ -326,13 +316,12 @@ func (s *Snapshot) AddTracer(t *trace.Tracer) {
 	if t == nil {
 		return
 	}
-	snap := t.Snapshot()
-	s.Add("trace.started", snap.Started)
-	s.Add("trace.finished", snap.Finished)
-	s.Add("trace.dropped", snap.Dropped)
-	stages, total := t.Histograms()
-	for st := trace.StageEnqueue; st < trace.NumStages; st++ {
-		s.AddHist("trace.stage."+st.String(), stages[st])
+	tot := t.Totals()
+	s.Add("trace.started", tot.Started)
+	s.Add("trace.finished", tot.Finished)
+	s.Add("trace.dropped", tot.Dropped)
+	for st, h := range tot.Stages {
+		s.adoptHist("trace.stage."+trace.Stage(st).String(), h)
 	}
-	s.AddHist("trace.total", total)
+	s.adoptHist("trace.total", tot.Total)
 }

@@ -7,14 +7,15 @@ import (
 	"time"
 
 	"consensusinside/internal/metrics"
+	"consensusinside/internal/trace"
 )
 
 // TestMergeEqualsGlobal is the registry's core property: splitting a
 // workload's updates across per-client registries and merging their
 // snapshots must equal driving the same updates into one global
-// registry, whatever order the parts merge in. Counters are exact;
-// histograms keep exact count/mean/min/max under reservoir merging
-// (the reservoir only approximates interior percentiles). Every value
+// registry, whatever order the parts merge in. Counters are exact, and
+// so are histograms: a merge adds bucket counts, so the merged summary,
+// percentiles included, is the global one. Every value
 // arrives the way a deployment's does: a subsystem owns its counters
 // and a registered source adds them at capture time — several sources
 // adding to one name (one per replica) must sum.
@@ -95,27 +96,27 @@ func TestMergeEqualsGlobal(t *testing.T) {
 		t.Errorf("counter sets differ: merged %d names, global %d", len(merged.Counters), len(want.Counters))
 	}
 
-	if rh := reversed.Hists["lat"]; rh == nil || rh.Count() != want.Hists["lat"].Count() || rh.Mean() != want.Hists["lat"].Mean() {
-		t.Errorf("lat histogram merged in reverse order lost exactness: %+v", rh)
-	}
-	mh, gh := merged.Hists["lat"], want.Hists["lat"]
-	if mh == nil || gh == nil {
+	mh, rh, gh := merged.Hists["lat"], reversed.Hists["lat"], want.Hists["lat"]
+	if mh == nil || rh == nil || gh == nil {
 		t.Fatal("lat histogram missing from a snapshot")
 	}
 	if mh.Count() != gh.Count() {
 		t.Errorf("hist count: merged %d, global %d", mh.Count(), gh.Count())
 	}
 	if mh.Mean() != gh.Mean() {
-		t.Errorf("hist mean: merged %v, global %v (mean is exact regardless of reservoir)", mh.Mean(), gh.Mean())
+		t.Errorf("hist mean: merged %v, global %v", mh.Mean(), gh.Mean())
 	}
 	if mh.Min() != gh.Min() || mh.Max() != gh.Max() {
 		t.Errorf("hist extremes: merged [%v,%v], global [%v,%v]", mh.Min(), mh.Max(), gh.Min(), gh.Max())
 	}
+	if m, r, g := mh.Summarize(), rh.Summarize(), gh.Summarize(); m != g || r != g {
+		t.Errorf("hist summary: merged %+v, merged in reverse %+v, global %+v", m, r, g)
+	}
 }
 
 // TestMergeCommutative: merging A into B and B into A must agree on
-// every exact aggregate — snapshot merge order is whatever order shard
-// goroutines happen to report in.
+// every aggregate, percentiles included — snapshot merge order is
+// whatever order shard goroutines happen to report in.
 func TestMergeCommutative(t *testing.T) {
 	build := func(seed int64, n int) Snapshot {
 		s := NewSnapshot()
@@ -136,17 +137,16 @@ func TestMergeCommutative(t *testing.T) {
 		t.Errorf("counters not commutative: %d vs %d", ab.Counters["c"], ba.Counters["c"])
 	}
 	x, y := ab.Hists["h"], ba.Hists["h"]
-	if x.Count() != y.Count() || x.Mean() != y.Mean() || x.Min() != y.Min() || x.Max() != y.Max() {
-		t.Errorf("hist aggregates not commutative: (%d,%v,%v,%v) vs (%d,%v,%v,%v)",
-			x.Count(), x.Mean(), x.Min(), x.Max(), y.Count(), y.Mean(), y.Min(), y.Max())
+	if x.Summarize() != y.Summarize() {
+		t.Errorf("hist summaries not commutative: %+v vs %+v", x.Summarize(), y.Summarize())
 	}
 }
 
 // TestHistogramMergePercentiles checks percentile sanity under
-// reservoir merging with a distribution whose quantiles are knowable:
-// two disjoint bands, 80% low / 20% high. The reservoir estimate must
-// keep p50 in the low band, p99 in the high band, stay within
-// [min,max], and stay monotone in p.
+// merging with a distribution whose quantiles are knowable: two
+// disjoint bands, 80% low / 20% high. The estimate must keep p50 in the
+// low band, p99 in the high band, stay within [min,max], and stay
+// monotone in p.
 func TestHistogramMergePercentiles(t *testing.T) {
 	low, high := &metrics.Histogram{}, &metrics.Histogram{}
 	for i := 0; i < 8000; i++ {
@@ -243,7 +243,7 @@ func TestEventLogRing(t *testing.T) {
 }
 
 // TestSnapshotMarshals: the snapshot must serialize (the /debug and
-// -json surfaces) without tripping over the raw reservoirs.
+// -json surfaces) without tripping over the histograms' buckets.
 func TestSnapshotMarshals(t *testing.T) {
 	s := NewSnapshot()
 	s.Add("ops", 1)
@@ -262,5 +262,28 @@ func TestSnapshotMarshals(t *testing.T) {
 	}
 	if _, ok := back["counters"]; !ok {
 		t.Error("counters missing from JSON")
+	}
+}
+
+// TestAddTracerCopies: AddTracer reports the tracer's span counts and
+// histograms, and the snapshot keeps copies — a span the tracer finishes
+// later does not reach a snapshot already taken.
+func TestAddTracerCopies(t *testing.T) {
+	tr := trace.New(1, trace.VirtualClock())
+	tr.Begin(1, 1, 0, 1, 10)
+	tr.Finish(1, 1, 40)
+	s := NewSnapshot()
+	s.AddTracer(tr)
+	tr.Begin(1, 2, 0, 1, 10)
+	tr.Finish(1, 2, 90)
+
+	if s.Counters["trace.started"] != 1 || s.Counters["trace.finished"] != 1 {
+		t.Errorf("span counts %v, want 1 started and 1 finished", s.Counters)
+	}
+	if h := s.Hists["trace.total"]; h == nil || h.Count() != 1 || h.Max() != 40 {
+		t.Errorf("trace.total = %+v, want the one span of 40ns", h)
+	}
+	if h := s.Hists["trace.stage.reply"]; h == nil || h.Count() != 1 || h.Max() != 30 {
+		t.Errorf("trace.stage.reply = %+v, want the one delta of 30ns", h)
 	}
 }

@@ -311,13 +311,8 @@ func stamp(s *Sample, st Stage, virtual, wall time.Duration) {
 
 // StageStats summarizes one stage's delta histogram.
 type StageStats struct {
-	Stage string        `json:"stage"`
-	Count int           `json:"count"`
-	Mean  time.Duration `json:"mean_ns"`
-	P50   time.Duration `json:"p50_ns"`
-	P90   time.Duration `json:"p90_ns"`
-	P99   time.Duration `json:"p99_ns"`
-	Max   time.Duration `json:"max_ns"`
+	Stage string `json:"stage"`
+	metrics.Summary
 }
 
 // Snapshot is a point-in-time copy of the tracer's aggregates: span
@@ -334,18 +329,6 @@ type Snapshot struct {
 	Samples  []Sample     `json:"samples"`
 }
 
-func summarize(name string, h *metrics.Histogram) StageStats {
-	return StageStats{
-		Stage: name,
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.Percentile(50),
-		P90:   h.Percentile(90),
-		P99:   h.Percentile(99),
-		Max:   h.Max(),
-	}
-}
-
 // Snapshot captures the tracer's current state. Nil-safe (reports a
 // zero snapshot).
 func (t *Tracer) Snapshot() Snapshot {
@@ -360,10 +343,10 @@ func (t *Tracer) Snapshot() Snapshot {
 		Finished: t.finished,
 		Dropped:  t.dropped,
 		Active:   len(t.active),
-		Total:    summarize("total", &t.total),
+		Total:    StageStats{"total", t.total.Summarize()},
 	}
 	for st := StageEnqueue; st < NumStages; st++ {
-		out.Stages = append(out.Stages, summarize(st.String(), &t.stages[st]))
+		out.Stages = append(out.Stages, StageStats{st.String(), t.stages[st].Summarize()})
 	}
 	out.Samples = make([]Sample, 0, t.ringLen)
 	for i := 0; i < t.ringLen; i++ {
@@ -372,20 +355,28 @@ func (t *Tracer) Snapshot() Snapshot {
 	return out
 }
 
-// Histograms returns independent clones of the per-stage delta
-// histograms and the end-to-end histogram, for aggregation into a
-// metrics registry. Nil-safe (returns empty histograms).
-func (t *Tracer) Histograms() (stages [NumStages]*metrics.Histogram, total *metrics.Histogram) {
+// Totals is what a metrics snapshot takes from the tracer: the span
+// counts and copies of the per-stage delta histograms and the
+// end-to-end histogram.
+type Totals struct {
+	Started, Finished, Dropped int64
+	Stages                     [NumStages]*metrics.Histogram
+	Total                      *metrics.Histogram
+}
+
+// Totals copies the tracer's counts and histograms under its lock.
+// Nil-safe (zero counts, nil histograms).
+func (t *Tracer) Totals() Totals {
+	var out Totals
 	if t == nil {
-		for st := range stages {
-			stages[st] = &metrics.Histogram{}
-		}
-		return stages, &metrics.Histogram{}
+		return out
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for st := range stages {
-		stages[st] = t.stages[st].Clone()
+	out.Started, out.Finished, out.Dropped = t.started, t.finished, t.dropped
+	for st := range out.Stages {
+		out.Stages[st] = t.stages[st].Clone()
 	}
-	return stages, t.total.Clone()
+	out.Total = t.total.Clone()
+	return out
 }

@@ -164,10 +164,8 @@ type Client struct {
 	maxInflight int
 	completed   int
 
-	hist      metrics.Histogram
-	readHist  metrics.Histogram // per-op-kind split of hist
-	writeHist metrics.Histogram
-	series    []int // completions per SeriesBucket of virtual time
+	hist   metrics.Histogram
+	series []int // completions per SeriesBucket of virtual time
 
 	firstDone time.Duration
 	lastDone  time.Duration
@@ -277,14 +275,6 @@ func (c *Client) Collect(s *obs.Snapshot) {
 // Latencies exposes the recorded latency histogram (post-warmup ops).
 func (c *Client) Latencies() *metrics.Histogram { return &c.hist }
 
-// ReadLatencies exposes the read-only slice of the latency histogram
-// (post-warmup OpGet completions, whichever path they travelled).
-func (c *Client) ReadLatencies() *metrics.Histogram { return &c.readHist }
-
-// WriteLatencies exposes the write slice of the latency histogram
-// (post-warmup OpPut completions).
-func (c *Client) WriteLatencies() *metrics.Histogram { return &c.writeHist }
-
 // Series exposes the completions counted per Config.SeriesBucket of
 // virtual time (nil unless configured).
 func (c *Client) Series() []int { return c.series }
@@ -336,9 +326,9 @@ func (c *Client) onReplies(ctx runtime.Context, replies []msg.ClientReply) (refi
 		if ln == nil {
 			continue
 		}
-		switch rec, kind, sentAt, st := ln.Retire(now, &replies[i]); st {
+		switch rec, sentAt, st := ln.Retire(now, &replies[i]); st {
 		case client.Done:
-			refill = c.complete(ctx, kind, sentAt, rec, replies[i].Result) || refill
+			refill = c.complete(ctx, sentAt, rec, replies[i].Result) || refill
 		case client.Redirected:
 			redirected = ln // one message's replies all carry one lane's tag
 		}
@@ -357,30 +347,23 @@ func (c *Client) onReadReplies(ctx runtime.Context, replies []msg.ReadReply) (re
 			continue
 		}
 		if rec, sentAt, st := ln.RetireRead(&replies[i]); st == client.Done {
-			refill = c.complete(ctx, msg.OpGet, sentAt, rec, replies[i].Result) || refill
+			refill = c.complete(ctx, sentAt, rec, replies[i].Result) || refill
 		}
 	}
 	return refill
 }
 
-// complete records one finished command — its kind, its last
-// transmission, its recorder id — and reports whether a freed window
-// slot awaits an immediate refill (paced completions and the request cap
-// report false).
-func (c *Client) complete(ctx runtime.Context, kind msg.Op, sentAt time.Duration, rec int, result string) bool {
+// complete records one finished command — its last transmission, its
+// recorder id — and reports whether a freed window slot awaits an
+// immediate refill (paced completions and the request cap report false).
+func (c *Client) complete(ctx runtime.Context, sentAt time.Duration, rec int, result string) bool {
 	now := ctx.Now()
 	if rec >= 0 {
 		c.cfg.Record.Return(rec, result, now)
 	}
 	c.completed++
 	if now >= c.cfg.Warmup {
-		d := now - sentAt
-		c.hist.Record(d)
-		if kind == msg.OpGet {
-			c.readHist.Record(d)
-		} else {
-			c.writeHist.Record(d)
-		}
+		c.hist.Record(now - sentAt)
 		c.measured++
 		if c.firstDone == 0 {
 			c.firstDone = now

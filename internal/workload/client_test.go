@@ -752,8 +752,8 @@ func TestClientFastReadsRideTheReadLane(t *testing.T) {
 	// One answer: the read completes, and the pooled reads leave with its
 	// replacement as ONE request.
 	c.Receive(ctx, 0, &msg.ReadReplyBatch{Replies: []msg.ReadReply{{Seq: 1, OK: true, Result: "r"}}})
-	if c.Completed() != 1 || c.ReadLatencies().Count() != 1 {
-		t.Fatalf("completed %d, read samples %d; want 1 and 1", c.Completed(), c.ReadLatencies().Count())
+	if c.Completed() != 1 || c.Latencies().Count() != 1 {
+		t.Fatalf("completed %d, latency samples %d; want 1 and 1", c.Completed(), c.Latencies().Count())
 	}
 	one("refill", 0, 3, 4, 5)
 	c.Receive(ctx, 0, &msg.ReadReplyBatch{Replies: []msg.ReadReply{{Seq: 2, OK: true}}})

@@ -12,7 +12,10 @@
 # when a wall-clock sweep driver or a recorded BENCH_*.json reappears
 # beside bench/, when a second stats path grows back beside internal/obs
 # (a typed stats struct, an adapter, a registry gauge, a metric name
-# spelled outside its owner), when a second client grows back beside
+# spelled outside its owner), when internal/metrics imports sort or
+# math/rand (the reservoir) or non-test Go outside it and bench/
+# declares a histogram or percentile-summary type (a second histogram
+# path), when a second client grows back beside
 # internal/client, when the lane grows a lock, a Transmit method or a
 # static batcher back,
 # a real runtime a timer channel or the TCP transport a Context of its
@@ -149,6 +152,25 @@ for owned in wire:internal/transport snap:internal/snapshot read:internal/readpa
         fail=1
     fi
 done
+
+# internal/metrics.Histogram is the one latency histogram and
+# metrics.Summary its one summary: fixed log-linear buckets, so the
+# package needs no sort and no generator — importing either is the
+# reservoir growing back. A histogram type, a percentile field or a
+# Percentile method in non-test Go outside internal/metrics is a second
+# histogram path (bench/ keeps hist.go until it imports the type).
+reservoir=$(grep -HnE '^[[:space:]]*(import[[:space:]]+)?"(sort|math/rand)' $(echo "$sources" | grep '^./internal/metrics/'))
+if [ -n "$reservoir" ]; then
+    echo "docscheck: internal/metrics keeps fixed buckets; a sort or a generator is the reservoir growing back:" >&2
+    echo "$reservoir" >&2
+    fail=1
+fi
+second=$(grep -HnE '^type [A-Za-z_]*[Hh]ist|^[[:space:]]+P[0-9]+[[:space:]]|\) (Percentile|Quantile)\(' $(echo "$sources" | grep -v '^./internal/metrics/'))
+if [ -n "$second" ]; then
+    echo "docscheck: latency percentiles come from metrics.Histogram and metrics.Summary only:" >&2
+    echo "$second" >&2
+    fail=1
+fi
 
 # internal/client's Lane is the one pipelined client; the KV's bridge
 # and the simulator's load source are front ends that call it. Code
