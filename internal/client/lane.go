@@ -260,8 +260,9 @@ func (l *Lane[T]) Issue(ctx runtime.Context, now time.Duration, ops []Op[T]) {
 }
 
 // Retire applies one write reply. Done returns what the front end needs
-// of the op, now out of the window: its User and its last transmission. After a Redirected the front end runs Scan, which
-// resends the op to the replica the reply named.
+// of the op, now out of the window: its User and its last transmission.
+// After a Redirected the front end runs Scan, which resends the op to
+// the replica the reply named.
 func (l *Lane[T]) Retire(now time.Duration, r *msg.ClientReply) (user T, sentAt time.Duration, st Status) {
 	f := l.flights.Ptr(r.Seq)
 	if f == nil || !r.OK && r.Redirect == msg.Nobody {
